@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the full workspace test suite.
+# Local CI gate: formatting, lints, the full workspace test suite, the
+# benchmark package's own tests and --check miniature, and CLI smoke
+# runs. Writes nothing into the tree (the last step checks).
 # Run from the repository root before pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -13,8 +15,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> cargo bench --workspace --no-run"
-cargo bench --workspace --no-run
+echo "==> benchmark/ unit tests (the one measurement stack)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> ddr-benchmark --check (15 s miniature of all seven workloads; also"
+echo "    proves the benchmark still compiles against these crates)"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check
 
 echo "==> ddr list (experiment registry enumerates)"
 cargo run -q --release -p ddr-experiments --bin ddr -- list
@@ -29,13 +35,6 @@ cargo run -q --release -p ddr-experiments --bin ddr -- \
     run fig1 --smoke --trace "$TRACE" --trace-sample 1 --profile > /dev/null
 test -s "$TRACE" || { echo "trace file is empty" >&2; exit 1; }
 cargo run -q --release -p ddr-experiments --bin ddr -- inspect "$TRACE" > /dev/null
-
-echo "==> perfbench --smoke (kernel throughput harness, determinism cross-check)"
-cargo run -q --release -p ddr-experiments --bin perfbench -- --smoke
-
-echo "==> perfbench --smoke --shards 2 (sharded kernel: digest parity + scaling entry)"
-cargo run -q --release -p ddr-experiments --bin perfbench -- \
-    --smoke --shards 2 --label ci-smoke --out BENCH_7.json
 
 echo "==> shard_scaling --smoke --shards 2 (parallel-vs-serial parity gate)"
 cargo run -q --release -p ddr-experiments --bin ddr -- \
@@ -83,13 +82,12 @@ echo "$METERED_OUT" | grep -q 'Sharded-kernel profile' \
 cargo run -q --release -p ddr-experiments --bin ddr -- inspect "$METRICS" > /dev/null
 echo "    $DIGEST_METERED (metered+profiled == plain)"
 
-echo "==> ddr compare self-compare (bench trajectory differ: zero regressions)"
+echo "==> ddr serve --smoke (real-time bus load test, prints qps/core + p99)"
 cargo run -q --release -p ddr-experiments --bin ddr -- \
-    compare BENCH_2.json BENCH_2.json > /dev/null
+    serve gnutella --nodes 200 --qps 50 --duration 2 --smoke
 
-echo "==> ddr serve --smoke (real-time bus load test, records qps/core + p99)"
-cargo run -q --release -p ddr-experiments --bin ddr -- \
-    serve gnutella --nodes 200 --qps 50 --duration 2 --smoke \
-    --label ci-smoke --bench-out BENCH_6.json
+echo "==> git status --porcelain (no gate may write into the tree)"
+test -z "$(git status --porcelain)" \
+    || { git status --porcelain >&2; echo "CI left the tree dirty" >&2; exit 1; }
 
 echo "==> CI green"

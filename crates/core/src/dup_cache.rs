@@ -5,7 +5,7 @@
 //! Semantically this is a bounded FIFO set: O(1) membership + insertion,
 //! oldest entries forgotten first. The bound matters — an unbounded set
 //! grows with every query in the run, and real Gnutella clients keep a
-//! bounded table; the capacity-sensitivity ablation in `ddr-bench`
+//! bounded table; the capacity-sensitivity suite of `ddr run ablations`
 //! measures how small the bound can go before duplicate floods reappear.
 //!
 //! # Representation

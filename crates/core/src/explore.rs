@@ -11,8 +11,8 @@
 //! case study needs neither (its search doubles as exploration — "the
 //! absence of a central repository and directory information enforces an
 //! extensive search process and there is no need for a separate
-//! exploration step"), but the web-cache case study and the ablation
-//! benches exercise both.
+//! exploration step"), but the web-cache case study and the
+//! `exploration_sweep` experiment exercise both.
 
 use ddr_sim::{NodeId, SimDuration, SimTime};
 

@@ -1,5 +1,5 @@
-//! Entry-point plumbing: the `ddr` multi-experiment CLI and the legacy
-//! single-experiment shims, both driving the same [`crate::registry`].
+//! Entry-point plumbing: the `ddr` multi-experiment CLI over the
+//! [`crate::registry`].
 
 use crate::emit::Emitter;
 use crate::opts::{CliError, ExpOptions, USAGE};
@@ -14,13 +14,12 @@ usage:
                                slowest queries, record breakdown) or a
                                metrics timeline (per-window table, anomaly
                                flags) — the file kind is sniffed
-  ddr compare <old> <new>      diff two BENCH trajectory files and flag
-                               throughput/latency regressions beyond
-                               --threshold (exit 1 when any are found)
   ddr serve gnutella [flags]   real-time load test: shard the node fleet
                                across threads, inject queries at a target
                                rate, report qps/core and p50/p99 latency
                                (`ddr serve gnutella --help` for flags)
+
+host-time measurement lives in benchmark/ (see benchmark/README.md).
 
 flags (shared by every experiment):
   --scale N         divide users & songs by N (default 1 = paper scale)
@@ -38,9 +37,9 @@ flags (shared by every experiment):
                     (hourly snapshots; `ddr inspect FILE` renders them)
   --threads N       cap sweep worker fan-out (default: one per core)
   --shards N        shard count for sharded-kernel experiments
-                    (fig1_dynamic, the scenario pack, shard_scaling,
-                    perfbench; default 1; rejected for experiments on
-                    the serial kernel)
+                    (fig1_dynamic, the scenario pack, shard_scaling;
+                    default 1; rejected for experiments on the serial
+                    kernel)
 
 scenario-pack knobs (flash_crowd, partition_heal, heavy_churn,
 free_riders, bandwidth_eras):
@@ -123,7 +122,6 @@ pub fn ddr_main(args: Vec<String>) -> i32 {
             0
         }
         Some("serve") => crate::serve::serve_main(args.collect()),
-        Some("compare") => crate::compare::compare_main(args.collect()),
         Some("inspect") => {
             let rest: Vec<String> = args.collect();
             match rest.as_slice() {
@@ -176,17 +174,6 @@ fn inspect_file(path: &str) -> Result<String, String> {
     }
 }
 
-/// Legacy shim body: parse the shared flags from `std::env::args()`, look
-/// `name` up in the registry, and run it against stdout. Each historical
-/// per-figure binary is three lines calling this.
-pub fn run_legacy(name: &str) {
-    let opts = ExpOptions::from_args();
-    let exp = find(name).unwrap_or_else(|| panic!("{name} is not a registered experiment"));
-    crate::banner(name, &opts);
-    let mut em = Emitter::stdout();
-    (exp.run)(&opts, &mut em);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,6 +206,14 @@ mod tests {
     fn bad_flag_fails_with_two() {
         assert_eq!(ddr_main(argv(&["run", "fig1", "--bogus"])), 2);
         assert_eq!(ddr_main(argv(&["run", "fig1", "--scale"])), 2);
+        // Degenerate sizes must take the usage path, not abort on an
+        // assertion deep inside world construction.
+        assert_eq!(ddr_main(argv(&["run", "fig1", "--scale", "0"])), 2);
+        assert_eq!(ddr_main(argv(&["run", "fig1", "--hours", "0"])), 2);
+        assert_eq!(
+            ddr_main(argv(&["run", "webcache_eval", "--hours", "0", "--smoke"])),
+            2
+        );
     }
 
     #[test]
@@ -322,14 +317,28 @@ mod tests {
     }
 
     #[test]
-    fn compare_routes_through_ddr() {
-        // Self-compare of a committed trajectory file: clean, exit 0.
-        let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_2.json");
-        assert_eq!(ddr_main(argv(&["compare", bench, bench])), 0);
-        // Invocation errors exit 2.
-        assert_eq!(ddr_main(argv(&["compare", bench])), 2);
-        assert_eq!(ddr_main(argv(&["compare", bench, "/no/such.json"])), 2);
-        assert_eq!(ddr_main(argv(&["compare", "--help"])), 0);
+    fn profiled_and_metered_serial_run_writes_a_timeline_inspect_accepts() {
+        // Probing and hourly sampling compose on the one serial driver:
+        // `--profile` no longer silences `--metrics`.
+        let path = std::env::temp_dir().join(format!(
+            "ddr-cli-webcache-timeline-{}.jsonl",
+            std::process::id()
+        ));
+        let file = path.to_str().expect("temp path is valid UTF-8");
+        let run = [
+            "run",
+            "webcache_eval",
+            "--smoke",
+            "--profile",
+            "--metrics",
+            file,
+        ];
+        assert_eq!(ddr_main(argv(&run)), 0);
+        let written = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        let inspected = ddr_main(argv(&["inspect", file]));
+        std::fs::remove_file(&path).ok();
+        assert!(written > 0, "--profile --metrics wrote no timeline");
+        assert_eq!(inspected, 0, "ddr inspect rejected the timeline");
     }
 
     #[test]

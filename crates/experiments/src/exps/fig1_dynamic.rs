@@ -16,7 +16,7 @@
 use super::smoke_scale;
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use ddr_gnutella::{run_scenario_sharded_full, Mode};
+use ddr_gnutella::{run_scenario_sharded, Mode};
 use ddr_stats::Table;
 use ddr_telemetry::shard_profile_report;
 
@@ -30,8 +30,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     // `--metrics FILE` (via config.telemetry) samples a timeline;
     // `--profile` wall-clocks the kernel's work/barrier/merge phases.
     // Both only observe: the report and its digest line cannot move.
-    let (report, _stats, profile, _worlds) =
-        run_scenario_sharded_full(config, shards, threads, opts.profile);
+    let run = run_scenario_sharded(config, shards, threads, opts.profile);
+    let report = &run.report;
 
     let mut t = Table::new(
         format!("Figure 1 (dynamic) on the sharded kernel: shards={shards}"),
@@ -61,10 +61,10 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     // counts (ci.sh diffs it; shard_parity.rs asserts it in-process).
     em.note(&format!("digest: {:016x}", report.digest()));
 
-    if let Some(p) = &profile {
+    if let Some(p) = &run.profile {
         em.note(&shard_profile_report(p, threads));
     }
 
-    opts.write_json("fig1_dynamic_sharded_report", &report);
+    opts.write_json("fig1_dynamic_sharded_report", report);
     opts.write_csv("fig1_dynamic_sharded_hours", &t);
 }

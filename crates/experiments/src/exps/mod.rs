@@ -19,17 +19,16 @@ pub mod free_riders;
 pub mod heavy_churn;
 pub mod partition_heal;
 pub mod peerolap_eval;
-pub mod perf;
 pub mod shard_scaling;
 pub mod strategies;
 pub mod webcache_eval;
 
 use crate::opts::ExpOptions;
 use ddr_gnutella::{
-    check_invariants, run_scenario_sharded_with_worlds, GnutellaWorld, RunReport, ScenarioConfig,
+    check_invariants, run_scenario_sharded, GnutellaWorld, RunReport, ScenarioConfig, ShardedRun,
 };
 use ddr_peerolap::PeerOlapConfig;
-use ddr_telemetry::{JsonlMetrics, MetricsRecorder, NullSink, TelemetryConfig};
+use ddr_telemetry::NullSink;
 use ddr_webcache::WebCacheConfig;
 
 /// Smoke-mode clamp for Gnutella-based experiments: force a tiny world
@@ -53,25 +52,11 @@ pub(crate) fn run_pack(
     threads: usize,
 ) -> (RunReport, Vec<GnutellaWorld<NullSink>>) {
     config.validate().expect("pack scenario config");
-    let (report, worlds) = run_scenario_sharded_with_worlds(config, shards, threads);
+    let ShardedRun { report, worlds, .. } = run_scenario_sharded(config, shards, threads, false);
     if let Err(e) = check_invariants(&report, &worlds) {
         panic!("scenario invariants violated: {e}");
     }
     (report, worlds)
-}
-
-/// Run a serial (harness-driven) scenario with hourly metrics sampling
-/// into `telemetry.metrics_path`. Chunked via `ddr_harness::run_sampled`,
-/// so the report is bit-identical to a plain `run` — the timeline is a
-/// pure side channel.
-pub(crate) fn run_metered<S: ddr_harness::Scenario>(
-    cfg: S::Config,
-    telemetry: &TelemetryConfig,
-) -> S::Report {
-    let mut rec: MetricsRecorder<JsonlMetrics> = MetricsRecorder::new(telemetry);
-    let report = ddr_harness::run_sampled::<S>(cfg, |now, sim| rec.sample_sim(now, sim));
-    rec.finish();
-    report
 }
 
 /// Order-sensitive fold of several run digests into the single `digest:`

@@ -4,21 +4,17 @@
 //! same-workload peers — under *bounded* incoming lists, where adoption
 //! can be refused.
 
-use super::{run_metered, shrink_peerolap};
+use super::shrink_peerolap;
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use ddr_peerolap::{run_peerolap, run_peerolap_traced, OlapMode, PeerOlapConfig, PeerOlapScenario};
+use crate::run_observed;
+use ddr_peerolap::{OlapMode, PeerOlapConfig, PeerOlapScenario};
 use ddr_stats::Table;
 use ddr_telemetry::{JsonlSink, KernelProfiler};
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let hours: u64 = if opts.hours_explicit { opts.hours } else { 8 };
-    let mut profiler = KernelProfiler::new();
-    if opts.profile && opts.metrics.is_some() {
-        em.note(
-            "--metrics is ignored under --profile for this experiment (probed driver is unchunked)",
-        );
-    }
+    let mut profiler = opts.profile.then(KernelProfiler::new);
 
     let mut table = Table::new(
         "Distributed OLAP caching: static vs dynamic neighborhoods",
@@ -45,24 +41,10 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         }
         cfg.telemetry = opts.telemetry_for(mode.label());
         let telemetry = cfg.telemetry.clone();
-        // --profile wins over --metrics (the probed driver is unchunked);
-        // cli warns when both are given.
-        let r = if opts.profile {
-            if opts.trace.is_some() {
-                ddr_harness::run_probed::<PeerOlapScenario<JsonlSink>, _>(cfg, &mut profiler)
-            } else {
-                ddr_harness::run_probed::<PeerOlapScenario, _>(cfg, &mut profiler)
-            }
-        } else if opts.metrics.is_some() {
-            if opts.trace.is_some() {
-                run_metered::<PeerOlapScenario<JsonlSink>>(cfg, &telemetry)
-            } else {
-                run_metered::<PeerOlapScenario>(cfg, &telemetry)
-            }
-        } else if opts.trace.is_some() {
-            run_peerolap_traced(cfg)
+        let r = if opts.trace.is_some() {
+            run_observed::<PeerOlapScenario<JsonlSink>>(cfg, &telemetry, profiler.as_mut())
         } else {
-            run_peerolap(cfg)
+            run_observed::<PeerOlapScenario>(cfg, &telemetry, profiler.as_mut())
         };
         table.row(vec![
             r.label.to_string(),
@@ -76,8 +58,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         ]);
     }
     em.table(&table);
-    if opts.profile {
-        em.note(&profiler.render());
+    if let Some(p) = &profiler {
+        em.note(&p.render());
     }
     opts.write_csv("peerolap_eval", &table);
 }

@@ -7,23 +7,17 @@
 //! cuts mean latency vs static random neighborhoods, because exploration +
 //! asymmetric updates cluster same-interest proxies.
 
-use super::{run_metered, shrink_webcache};
+use super::shrink_webcache;
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
+use crate::run_observed;
 use ddr_stats::Table;
 use ddr_telemetry::{JsonlSink, KernelProfiler};
-use ddr_webcache::{
-    run_webcache, run_webcache_traced, CacheMode, WebCacheConfig, WebCacheScenario,
-};
+use ddr_webcache::{CacheMode, WebCacheConfig, WebCacheScenario};
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let hours: u64 = if opts.hours_explicit { opts.hours } else { 12 };
-    let mut profiler = KernelProfiler::new();
-    if opts.profile && opts.metrics.is_some() {
-        em.note(
-            "--metrics is ignored under --profile for this experiment (probed driver is unchunked)",
-        );
-    }
+    let mut profiler = opts.profile.then(KernelProfiler::new);
 
     let mut table = Table::new(
         "Cooperative web caching: static vs dynamic neighborhoods",
@@ -49,24 +43,10 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         }
         cfg.telemetry = opts.telemetry_for(mode.label());
         let telemetry = cfg.telemetry.clone();
-        // --profile wins over --metrics (the probed driver is unchunked);
-        // cli warns when both are given.
-        let r = if opts.profile {
-            if opts.trace.is_some() {
-                ddr_harness::run_probed::<WebCacheScenario<JsonlSink>, _>(cfg, &mut profiler)
-            } else {
-                ddr_harness::run_probed::<WebCacheScenario, _>(cfg, &mut profiler)
-            }
-        } else if opts.metrics.is_some() {
-            if opts.trace.is_some() {
-                run_metered::<WebCacheScenario<JsonlSink>>(cfg, &telemetry)
-            } else {
-                run_metered::<WebCacheScenario>(cfg, &telemetry)
-            }
-        } else if opts.trace.is_some() {
-            run_webcache_traced(cfg)
+        let r = if opts.trace.is_some() {
+            run_observed::<WebCacheScenario<JsonlSink>>(cfg, &telemetry, profiler.as_mut())
         } else {
-            run_webcache(cfg)
+            run_observed::<WebCacheScenario>(cfg, &telemetry, profiler.as_mut())
         };
         table.row(vec![
             r.label.to_string(),
@@ -79,8 +59,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         ]);
     }
     em.table(&table);
-    if opts.profile {
-        em.note(&profiler.render());
+    if let Some(p) = &profiler {
+        em.note(&p.render());
     }
     opts.write_csv("webcache_eval", &table);
 }

@@ -2,11 +2,10 @@
 //!
 //! Every figure, evaluation and ablation registers as a named
 //! [`Experiment`] in the [`registry`]; the single `ddr` binary drives
-//! them (`ddr list`, `ddr run <name>...`, `ddr run --all`), and the
-//! historical one-binary-per-figure entry points remain as three-line
-//! shims over the same registry entries.
+//! them (`ddr list`, `ddr run <name>...`, `ddr run --all`) — the one
+//! entry point.
 //!
-//! Every entry point accepts the shared flag grammar (see
+//! Every experiment accepts the shared flag grammar (see
 //! [`ExpOptions`]):
 //!
 //! ```text
@@ -25,7 +24,6 @@
 //! affects results — only wall-clock time.
 
 pub mod cli;
-pub mod compare;
 pub mod emit;
 pub mod exps;
 pub mod opts;
@@ -37,54 +35,95 @@ pub use opts::{CliError, ExpOptions, PackOptions, USAGE};
 pub use registry::{find, registry, Experiment};
 
 use ddr_gnutella::{GnutellaScenario, RunReport, ScenarioConfig};
+use ddr_harness::Scenario;
+use ddr_sim::{EventLabel, World};
 use ddr_stats::Table;
-use ddr_telemetry::{JsonlSink, KernelProfiler};
+use ddr_telemetry::{
+    JsonlMetrics, JsonlSink, KernelProfiler, MetricsRecorder, NullSink, TelemetryConfig, TraceSink,
+};
 
 /// Run every Gnutella configuration, fanning out across up to `workers`
 /// threads, and return reports in input order. A thin alias over the
-/// shared sweep engine, kept for the experiment modules and downstream
-/// callers.
+/// shared sweep engine for the many sweep-only experiment modules.
 pub fn run_all(configs: Vec<ScenarioConfig>, workers: usize) -> Vec<RunReport> {
     ddr_harness::run_many::<GnutellaScenario>(configs, workers)
 }
 
-/// [`run_all`] with the telemetry options applied: the default build is
-/// the parallel untraced sweep; `--trace` swaps in the JSONL-sink world
-/// (sampled query spans appended to one shared file, each record carrying
-/// its run label); `--profile` runs serially under a kernel probe and
-/// emits the dispatch/queue report afterwards. Reports are bit-identical
-/// across all three paths — telemetry only observes.
+/// [`run_all`] with the telemetry options applied: `--trace` swaps in
+/// the JSONL-sink world (sampled query spans appended to one shared
+/// file, each record carrying its run label), `--profile` runs under a
+/// kernel probe and emits the dispatch/queue report afterwards,
+/// `--metrics` samples an hourly timeline — in any combination. Reports
+/// are bit-identical across all of them — telemetry only observes.
 pub fn run_all_with(
     opts: &ExpOptions,
     configs: Vec<ScenarioConfig>,
     em: &mut Emitter,
 ) -> Vec<RunReport> {
-    if opts.profile {
-        let mut profiler = KernelProfiler::new();
-        let reports = configs
-            .into_iter()
-            .map(|c| {
-                if opts.trace.is_some() {
-                    ddr_harness::run_probed::<GnutellaScenario<JsonlSink>, _>(c, &mut profiler)
-                } else {
-                    ddr_harness::run_probed::<GnutellaScenario, _>(c, &mut profiler)
-                }
-            })
-            .collect();
-        em.note(&profiler.render());
-        reports
-    } else if opts.trace.is_some() {
-        ddr_harness::run_many::<GnutellaScenario<JsonlSink>>(configs, opts.workers())
+    if opts.trace.is_some() {
+        sweep_with::<JsonlSink>(opts, configs, em)
     } else {
-        run_all(configs, opts.workers())
+        sweep_with::<NullSink>(opts, configs, em)
     }
 }
 
-/// Default worker count: one per core (the kernel's shared helper — the
-/// same one the sweep engine, the serve backend, and the sharded kernel
-/// resolve through).
-pub fn default_workers() -> usize {
-    ddr_sim::parallelism::default_workers()
+fn sweep_with<T: TraceSink>(
+    opts: &ExpOptions,
+    configs: Vec<ScenarioConfig>,
+    em: &mut Emitter,
+) -> Vec<RunReport> {
+    if !opts.profile && opts.metrics.is_none() {
+        return ddr_harness::run_many::<GnutellaScenario<T>>(configs, opts.workers());
+    }
+    // One probe, one timeline file: observed sweeps run serially.
+    let mut profiler = opts.profile.then(KernelProfiler::new);
+    let reports = configs
+        .into_iter()
+        .map(|c| {
+            let telemetry = c.telemetry.clone();
+            run_observed::<GnutellaScenario<T>>(c, &telemetry, profiler.as_mut())
+        })
+        .collect();
+    if let Some(p) = &profiler {
+        em.note(&p.render());
+    }
+    reports
+}
+
+/// Run one serial-kernel scenario under whatever observers the options
+/// asked for: a kernel probe when `profiler` is given (`--profile`), an
+/// hourly metrics timeline into `telemetry.metrics_path` when that is
+/// set (`--metrics`). The trace sink is the caller's choice of `S`. All
+/// of it rides on `ddr_harness::run_with`, so the report is
+/// bit-identical to a plain `run` — observers are a pure side channel.
+pub(crate) fn run_observed<S: Scenario>(
+    cfg: S::Config,
+    telemetry: &TelemetryConfig,
+    mut profiler: Option<&mut KernelProfiler>,
+) -> S::Report
+where
+    <S::World as World>::Event: EventLabel,
+{
+    let mut recorder = telemetry
+        .metrics_path
+        .is_some()
+        .then(|| MetricsRecorder::<JsonlMetrics>::new(telemetry));
+    let (report, _world) = ddr_harness::run_with::<S>(
+        cfg,
+        |sim, until| match profiler.as_deref_mut() {
+            Some(probe) => sim.run_probed(until, probe),
+            None => sim.run(until),
+        },
+        |now, sim| {
+            if let Some(rec) = &mut recorder {
+                rec.sample_sim(now, sim);
+            }
+        },
+    );
+    if let Some(rec) = &mut recorder {
+        rec.finish();
+    }
+    report
 }
 
 /// The hourly-series table for one (static, dynamic) pair — the layout of

@@ -1,6 +1,6 @@
 //! Centralized command-line parsing for every experiment entry point.
 //!
-//! One flag grammar serves the `ddr` CLI and all legacy per-figure shims:
+//! One flag grammar serves every experiment behind the `ddr` CLI:
 //!
 //! ```text
 //! --scale N         divide users & songs by N (default 1 = paper scale)
@@ -25,9 +25,8 @@
 //! ```
 //!
 //! Parsing is a pure function ([`ExpOptions::parse`]) returning
-//! [`CliError`] on bad input; only the process-facing wrapper
-//! [`ExpOptions::from_args`] prints usage and exits — with status 2 on
-//! errors, never a panic.
+//! [`CliError`] on bad input; `cli::ddr_main` maps that onto usage plus
+//! exit status 2 — never a panic.
 
 use ddr_gnutella::{Mode, ScenarioConfig};
 use ddr_stats::Table;
@@ -163,7 +162,7 @@ impl Default for ExpOptions {
 impl ExpOptions {
     /// Parse a flag stream. Returns the options plus any positional
     /// (non-flag) tokens in input order — the `ddr` CLI reads experiment
-    /// names from them; legacy shims reject them.
+    /// names from them.
     pub fn parse<I>(args: I) -> Result<(Self, Vec<String>), CliError>
     where
         I: IntoIterator<Item = String>,
@@ -179,16 +178,18 @@ impl ExpOptions {
             match arg.as_str() {
                 "--scale" => {
                     let v = value("--scale")?;
-                    opts.scale = v
-                        .parse()
-                        .map_err(|_| CliError::BadValue("--scale".into(), v))?;
+                    opts.scale = match v.parse() {
+                        Ok(n) if n >= 1 => n,
+                        _ => return Err(CliError::BadValue("--scale".into(), v)),
+                    };
                     opts.scale_explicit = true;
                 }
                 "--hours" => {
                     let v = value("--hours")?;
-                    opts.hours = v
-                        .parse()
-                        .map_err(|_| CliError::BadValue("--hours".into(), v))?;
+                    opts.hours = match v.parse() {
+                        Ok(n) if n >= 1 => n,
+                        _ => return Err(CliError::BadValue("--hours".into(), v)),
+                    };
                     opts.hours_explicit = true;
                 }
                 "--seed" => {
@@ -259,30 +260,6 @@ impl ExpOptions {
             }
         }
         Ok((opts, positional))
-    }
-
-    /// Parse `std::env::args()` for a legacy single-experiment shim:
-    /// `--help` prints usage and exits 0; any error (including stray
-    /// positional arguments) prints the error plus usage to stderr and
-    /// exits 2. Never panics.
-    pub fn from_args() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok((opts, positional)) if positional.is_empty() => opts,
-            Ok((_, positional)) => {
-                eprintln!("unexpected argument {:?}", positional[0]);
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-            Err(CliError::Help) => {
-                eprintln!("{USAGE}");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
     }
 
     /// Apply an experiment's unattended default tuning: when the user gave
@@ -521,10 +498,18 @@ mod tests {
 
     #[test]
     fn bad_value_names_the_flag() {
-        assert_eq!(
-            parse(&["--hours", "six"]),
-            Err(CliError::BadValue("--hours".into(), "six".into()))
-        );
+        for (flag, bad) in [
+            ("--hours", "six"),
+            ("--hours", "0"),
+            ("--scale", "0"),
+            ("--scale", "-1"),
+        ] {
+            assert_eq!(
+                parse(&[flag, bad]),
+                Err(CliError::BadValue(flag.into(), bad.into())),
+                "{flag} {bad}"
+            );
+        }
     }
 
     #[test]

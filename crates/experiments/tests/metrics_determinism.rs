@@ -8,7 +8,7 @@
 //! The emitted timeline itself is also checked: every window finite,
 //! timestamps strictly monotonic per run label.
 
-use ddr_gnutella::{run_scenario_sharded_full, Mode, ScenarioConfig};
+use ddr_gnutella::{run_scenario_sharded, Mode, ScenarioConfig};
 use ddr_telemetry::summarize_timeline;
 use ddr_workload::FlashCrowd;
 use std::path::PathBuf;
@@ -26,11 +26,11 @@ fn tmp(name: &str) -> PathBuf {
 /// Run `config` with and without a metrics timeline at `shards`; return
 /// (digest, timeline text).
 fn digest_pair(mut config: ScenarioConfig, shards: usize, name: &str) -> (u64, u64, String) {
-    let (plain, _, _, _) = run_scenario_sharded_full(config.clone(), shards, shards, false);
+    let plain = run_scenario_sharded(config.clone(), shards, shards, false).report;
 
     let path = tmp(name);
     config.telemetry.metrics_path = Some(path.clone());
-    let (metered, _, _, _) = run_scenario_sharded_full(config, shards, shards, false);
+    let metered = run_scenario_sharded(config, shards, shards, false).report;
     let timeline = std::fs::read_to_string(&path).expect("timeline file written");
     std::fs::remove_file(&path).ok();
     (plain.digest(), metered.digest(), timeline)

@@ -24,7 +24,8 @@ fn smoke_opts() -> ExpOptions {
 #[test]
 fn registry_covers_every_legacy_binary() {
     let names: Vec<&str> = registry().iter().map(|e| e.name).collect();
-    // One entry per former standalone binary (ddr itself excluded).
+    // One entry per retired per-figure binary: `ddr run <name>` must
+    // keep covering everything they did.
     for legacy in [
         "fig1",
         "fig2",
@@ -39,7 +40,6 @@ fn registry_covers_every_legacy_binary() {
         "fairness",
         "exploration_sweep",
         "all_experiments",
-        "perfbench",
     ] {
         assert!(names.contains(&legacy), "registry is missing {legacy}");
     }

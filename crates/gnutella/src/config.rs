@@ -178,7 +178,7 @@ pub struct ScenarioConfig {
     /// Maximum neighbor exchanges per reconfiguration ("only one neighbor
     /// is exchanged during each reconfiguration", paper §4.3). `usize::MAX`
     /// disables the cap (full-list replacement, the literal Algo 5
-    /// pseudo-code) — an ablation in `ddr-bench` compares the two.
+    /// pseudo-code) — `ddr run ablations` (suite 5) compares the two.
     pub max_swaps_per_reconfig: usize,
     /// How long the initiator collects results before finalising a query.
     pub query_timeout: SimDuration,
@@ -293,7 +293,7 @@ impl ScenarioConfig {
         }
     }
 
-    /// A proportionally scaled-down variant for tests and benches (same
+    /// A proportionally scaled-down variant for tests and smoke runs (same
     /// densities, `scale`× fewer users/songs, shorter horizon).
     pub fn scaled(mode: Mode, max_hops: u8, scale: u32, sim_hours: u64) -> Self {
         let mut c = ScenarioConfig::paper(mode, max_hops);
@@ -306,7 +306,7 @@ impl ScenarioConfig {
     /// A large-world capacity configuration: the paper's catalog and
     /// per-user densities (library size, categories, churn, query rate)
     /// with the user count raised to `users` and a short horizon — the
-    /// shape of the `fig1_dynamic` capacity entries in `BENCH_7.json`.
+    /// shape of the benchmark's `big_world_50k` workload.
     /// Unlike [`scaled`](Self::scaled), nothing shrinks: a 100k-user
     /// world carries 50× the paper's population against the same
     /// 200k-song catalog.

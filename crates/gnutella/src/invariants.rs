@@ -167,7 +167,7 @@ fn degree_of<T: TraceSink, P: Fn(&GnutellaWorld<T>, NodeId) -> bool>(
 mod tests {
     use super::*;
     use crate::config::{Mode, PartitionWindow, ScenarioConfig};
-    use crate::sharded::run_scenario_sharded_with_worlds;
+    use crate::sharded::{run_scenario_sharded, ShardedRun};
 
     fn small(mode: Mode) -> ScenarioConfig {
         let mut c = ScenarioConfig::scaled(mode, 2, 50, 6);
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn benign_runs_satisfy_all_invariants() {
         for mode in [Mode::Static, Mode::Dynamic] {
-            let (report, worlds) = run_scenario_sharded_with_worlds(small(mode), 1, 1);
+            let ShardedRun { report, worlds, .. } = run_scenario_sharded(small(mode), 1, 1, false);
             check_invariants(&report, &worlds).unwrap();
         }
     }
@@ -191,14 +191,16 @@ mod tests {
             from_hour: 2,
             to_hour: 4,
         });
-        let (report, worlds) = run_scenario_sharded_with_worlds(c, 2, 1);
+        let ShardedRun { report, worlds, .. } = run_scenario_sharded(c, 2, 1, false);
         check_invariants(&report, &worlds).unwrap();
         assert!(report.metrics.partition_drops > 0);
     }
 
     #[test]
     fn checker_detects_tampered_conservation() {
-        let (mut report, worlds) = run_scenario_sharded_with_worlds(small(Mode::Static), 1, 1);
+        let ShardedRun {
+            mut report, worlds, ..
+        } = run_scenario_sharded(small(Mode::Static), 1, 1, false);
         report.metrics.queries_finalized += 1;
         let err = check_invariants(&report, &worlds).unwrap_err();
         assert!(err.contains("conservation"), "unexpected error: {err}");
@@ -206,7 +208,9 @@ mod tests {
 
     #[test]
     fn checker_detects_phantom_partition_drops() {
-        let (mut report, worlds) = run_scenario_sharded_with_worlds(small(Mode::Static), 1, 1);
+        let ShardedRun {
+            mut report, worlds, ..
+        } = run_scenario_sharded(small(Mode::Static), 1, 1, false);
         report.metrics.partition_drops = 5;
         let err = check_invariants(&report, &worlds).unwrap_err();
         assert!(err.contains("without a configured partition"), "{err}");

@@ -39,9 +39,6 @@ pub use hosts::HostCache;
 pub use invariants::check_invariants;
 pub use metrics::{Metrics, RunReport};
 pub use node::{build_nodes, GnutellaNode, NodeMsg, NodeSetConfig, QueryOutcome};
-pub use scenario::{run_scenario, run_scenario_traced, run_scenario_with_world, GnutellaScenario};
-pub use sharded::{
-    run_scenario_sharded, run_scenario_sharded_full, run_scenario_sharded_timed,
-    run_scenario_sharded_with_worlds, ShardedRunStats,
-};
+pub use scenario::{run_scenario, run_scenario_with_world, GnutellaScenario};
+pub use sharded::{run_scenario_sharded, ShardedRun};
 pub use world::GnutellaWorld;

@@ -8,7 +8,7 @@ use crate::world::GnutellaWorld;
 use ddr_harness::Scenario;
 use ddr_sim::{event_capacity_hint, EventQueue, RunOutcome};
 use ddr_stats::MeasurementWindow;
-use ddr_telemetry::{JsonlSink, NullSink, TraceSink};
+use ddr_telemetry::{NullSink, TraceSink};
 use std::marker::PhantomData;
 
 /// Case study 1 (static vs dynamic Gnutella, paper §4) as a harness
@@ -63,18 +63,10 @@ pub fn run_scenario(config: ScenarioConfig) -> RunReport {
     ddr_harness::run::<GnutellaScenario>(config)
 }
 
-/// Like [`run_scenario`] but with the JSONL trace sink compiled in:
-/// sampled query spans land in `config.telemetry.trace_path`. The
-/// returned report is bit-identical to the untraced one (tracing only
-/// observes).
-pub fn run_scenario_traced(config: ScenarioConfig) -> RunReport {
-    ddr_harness::run::<GnutellaScenario<JsonlSink>>(config)
-}
-
 /// Like [`run_scenario`] but also hands back the final world, for tests
 /// that assert on end-state invariants (topology consistency, peer state).
 pub fn run_scenario_with_world(config: ScenarioConfig) -> (RunReport, GnutellaWorld) {
-    ddr_harness::run_with_world::<GnutellaScenario>(config)
+    ddr_harness::run_with::<GnutellaScenario>(config, |sim, until| sim.run(until), |_, _| {})
 }
 
 #[cfg(test)]

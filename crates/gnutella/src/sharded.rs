@@ -14,96 +14,46 @@ use crate::metrics::{Metrics, RunReport};
 use crate::world::GnutellaWorld;
 use ddr_sim::{RunOutcome, ShardProfile, ShardedSimulation, SimTime};
 use ddr_stats::MeasurementWindow;
-use ddr_telemetry::{JsonlMetrics, MetricsRecorder, MetricsSink, NullMetrics, NullSink};
+use ddr_telemetry::{JsonlMetrics, MetricsRecorder, NullSink};
 
-/// Kernel-side measurements from one sharded run, for perfbench entries:
-/// wall clock excludes construction and report merging.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedRunStats {
-    /// Kernel wall-clock time (the `run`/`run_parallel` call only).
-    pub elapsed: std::time::Duration,
-    /// Events dispatched across all shards.
-    pub events_processed: u64,
-    /// Conservative windows the kernel opened.
-    pub windows: u64,
-    /// Events still queued at the horizon (a churn world never drains).
-    pub final_pending: usize,
+/// What one sharded run leaves behind.
+pub struct ShardedRun {
+    /// The merged report — bit-identical to [`crate::run_scenario`]'s.
+    pub report: RunReport,
+    /// The final per-shard worlds, in shard (= global node) order, for
+    /// post-run inspection: [`crate::check_invariants`] walks them
+    /// (pending queries, per-node roles, degrees) next to the report.
+    pub worlds: Vec<GnutellaWorld<NullSink>>,
+    /// Per-shard work/barrier/stall/merge wall-clock breakdown; `Some`
+    /// when the run was asked to profile.
+    pub profile: Option<ShardProfile>,
 }
 
-/// Run one scenario on the sharded kernel and return the merged report.
+/// Run one scenario on the sharded kernel.
 ///
 /// `shards` is the number of contiguous node slices; `threads > 1`
 /// additionally processes the shards on a thread pool (same result, less
-/// wall clock). A pure function of `(config, )` — shard and thread counts
-/// do not change the report.
-pub fn run_scenario_sharded(config: ScenarioConfig, shards: usize, threads: usize) -> RunReport {
-    let (report, _stats) = run_scenario_sharded_timed(config, shards, threads);
-    report
-}
-
-/// [`run_scenario_sharded`] plus the kernel-side [`ShardedRunStats`].
-pub fn run_scenario_sharded_timed(
-    config: ScenarioConfig,
-    shards: usize,
-    threads: usize,
-) -> (RunReport, ShardedRunStats) {
-    let (report, stats, _prof, _worlds) = run_scenario_sharded_full(config, shards, threads, false);
-    (report, stats)
-}
-
-/// [`run_scenario_sharded`] plus the final per-shard worlds, for
-/// post-run inspection: the scenario-pack invariant checker walks the
-/// worlds (pending queries, per-node roles, degrees) next to the merged
-/// report.
-pub fn run_scenario_sharded_with_worlds(
-    config: ScenarioConfig,
-    shards: usize,
-    threads: usize,
-) -> (RunReport, Vec<GnutellaWorld<NullSink>>) {
-    let (report, _stats, _prof, worlds) = run_scenario_sharded_full(config, shards, threads, false);
-    (report, worlds)
-}
-
-/// The full-surface sharded entry point: report, kernel stats, an
-/// optional per-shard [`ShardProfile`] (when `profile` is set) and the
-/// final worlds. When `config.telemetry.metrics_path` is set, the run is
-/// chunked one simulated hour at a time and every shard world is sampled
-/// into a `"v":1` timeline file at each boundary — sampling happens
+/// wall clock); `profile` wall-clocks the kernel's phases into
+/// [`ShardedRun::profile`]. The report is a pure function of `config` —
+/// shard count, thread count and profiling do not change it.
+///
+/// When `config.telemetry.metrics_path` is set, every shard world is
+/// sampled into a `"v":1` timeline file at each simulated-hour boundary —
 /// strictly *between* kernel windows, so the report (and its digest) is
 /// identical to an unmetered run's.
-pub fn run_scenario_sharded_full(
+pub fn run_scenario_sharded(
     config: ScenarioConfig,
     shards: usize,
     threads: usize,
     profile: bool,
-) -> (
-    RunReport,
-    ShardedRunStats,
-    Option<ShardProfile>,
-    Vec<GnutellaWorld<NullSink>>,
-) {
-    if config.telemetry.metrics_path.is_some() {
-        run_core::<JsonlMetrics>(config, shards, threads, profile)
-    } else {
-        run_core::<NullMetrics>(config, shards, threads, profile)
-    }
-}
-
-fn run_core<M: MetricsSink>(
-    config: ScenarioConfig,
-    shards: usize,
-    threads: usize,
-    profile: bool,
-) -> (
-    RunReport,
-    ShardedRunStats,
-    Option<ShardProfile>,
-    Vec<GnutellaWorld<NullSink>>,
-) {
+) -> ShardedRun {
     let window = MeasurementWindow::new(config.warmup_hours, config.sim_hours);
-    let horizon = SimTime::from_hours(config.sim_hours);
     let label = config.mode.label();
-    let mut recorder: MetricsRecorder<M> = MetricsRecorder::new(&config.telemetry);
+    let mut recorder = config
+        .telemetry
+        .metrics_path
+        .is_some()
+        .then(|| MetricsRecorder::<JsonlMetrics>::new(&config.telemetry));
     let (mut worlds, partition, lookahead) =
         GnutellaWorld::<NullSink>::build_sharded(config.clone(), shards);
 
@@ -121,55 +71,40 @@ fn run_core<M: MetricsSink>(
         sim.enable_profiling();
     }
 
-    let start = std::time::Instant::now();
-    let outcome = if MetricsRecorder::<M>::enabled() && config.sim_hours > 0 {
-        // Chunked horizon: `run(h1); run(h2)` is event-identical to
-        // `run(h2)` on this kernel (pinned by the resumability tests),
-        // so hourly sampling pauses cannot perturb the run.
-        let mut outcome = RunOutcome::ReachedHorizon;
-        for hour in 1..=config.sim_hours {
-            let chunk_end = SimTime::from_hours(hour);
-            outcome = if threads > 1 {
-                sim.run_parallel(chunk_end, threads)
-            } else {
-                sim.run(chunk_end)
-            };
-            recorder.sample_sharded(chunk_end, &sim);
+    // Hour by hour, like the serial driver: `run(h1); run(h2)` is
+    // event-identical to `run(h2)` on this kernel (pinned by the
+    // resumability tests), so the sampling pauses cannot perturb the run.
+    let mut outcome = RunOutcome::ReachedHorizon;
+    for hour in 1..=config.sim_hours {
+        let until = SimTime::from_hours(hour);
+        outcome = sim.run_parallel(until, threads);
+        if let Some(rec) = &mut recorder {
+            rec.sample_sharded(until, &sim);
         }
-        outcome
-    } else if threads > 1 {
-        sim.run_parallel(horizon, threads)
-    } else {
-        sim.run(horizon)
-    };
-    let stats = ShardedRunStats {
-        elapsed: start.elapsed(),
-        events_processed: sim.processed(),
-        windows: sim.windows(),
-        final_pending: sim.pending(),
-    };
+    }
     debug_assert!(
         matches!(outcome, RunOutcome::ReachedHorizon),
         "a churn-driven simulation never drains: {outcome:?}"
     );
-    recorder.finish();
-    let prof = sim.profile();
+    if let Some(rec) = &mut recorder {
+        rec.finish();
+    }
+    let profile = sim.profile();
 
     let worlds = sim.into_worlds();
     let mut metrics = Metrics::new();
     for w in &worlds {
         metrics.merge(&w.metrics);
     }
-    (
-        RunReport {
+    ShardedRun {
+        report: RunReport {
             metrics,
             window,
             label,
         },
-        stats,
-        prof,
         worlds,
-    )
+        profile,
+    }
 }
 
 #[cfg(test)]
@@ -188,7 +123,7 @@ mod tests {
     fn one_shard_matches_serial_bit_for_bit() {
         for mode in [Mode::Static, Mode::Dynamic] {
             let serial = run_scenario(small(mode));
-            let sharded = run_scenario_sharded(small(mode), 1, 1);
+            let sharded = run_scenario_sharded(small(mode), 1, 1, false).report;
             assert_eq!(serial, sharded, "{mode:?}");
         }
     }
@@ -197,7 +132,7 @@ mod tests {
     fn shard_count_is_invisible() {
         let serial = run_scenario(small(Mode::Dynamic));
         for shards in [2, 3, 4] {
-            let sharded = run_scenario_sharded(small(Mode::Dynamic), shards, 1);
+            let sharded = run_scenario_sharded(small(Mode::Dynamic), shards, 1, false).report;
             assert_eq!(serial.digest(), sharded.digest(), "shards={shards}");
             assert_eq!(serial, sharded, "shards={shards}");
         }
@@ -205,8 +140,8 @@ mod tests {
 
     #[test]
     fn threads_are_invisible() {
-        let one = run_scenario_sharded(small(Mode::Dynamic), 4, 1);
-        let four = run_scenario_sharded(small(Mode::Dynamic), 4, 4);
+        let one = run_scenario_sharded(small(Mode::Dynamic), 4, 1, false).report;
+        let four = run_scenario_sharded(small(Mode::Dynamic), 4, 4, false).report;
         assert_eq!(one, four);
     }
 }

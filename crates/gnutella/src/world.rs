@@ -70,7 +70,7 @@ use ddr_overlay::{NeighborList, Topology};
 use ddr_sim::ItemId;
 use ddr_sim::{
     NodeId, Partition, QueryId, RngFactory, Scheduler, ShardCtx, ShardWorld, SimDuration, SimTime,
-    Trace, World,
+    World,
 };
 
 /// The ranking used for eviction decisions: the configured benefit
@@ -165,9 +165,6 @@ pub struct GnutellaWorld<T: TraceSink = NullSink> {
     pq_pool: Vec<PendingQuery>,
     /// Collected metrics (public so reports and tests can read them).
     pub metrics: Metrics,
-    /// Optional protocol trace (disabled by default; enable with
-    /// [`GnutellaWorld::enable_trace`] for white-box debugging).
-    pub trace: Trace,
     /// Query-lifecycle span recorder (a no-op unless `T` is an enabled
     /// sink).
     tracer: QueryTracer<T>,
@@ -365,7 +362,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
                     scratch_join: Vec::with_capacity(16),
                     pq_pool: Vec::new(),
                     metrics: Metrics::new(),
-                    trace: Trace::disabled(),
                     tracer: QueryTracer::new(&shared.config.telemetry),
                     shared: shared.clone(),
                 }
@@ -466,12 +462,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 && !self.shared.free_rider[h.index()]
                 && !self.shared.liar[h.index()]
         })
-    }
-
-    /// Keep the most recent `capacity` protocol-event records (logins,
-    /// reconfigurations, invitations, evictions) for white-box debugging.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::bounded(capacity);
     }
 
     /// The scenario configuration.
@@ -838,8 +828,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.peers[k].begin_session();
         self.sessions[k].login();
         self.metrics.logins += 1;
-        self.trace
-            .record_with(ctx.now(), || format!("{node} login"));
         if self.is_dynamic() && self.shared.config.benefit_join_on_login {
             // Re-cluster from remembered statistics: invite the most
             // beneficial known nodes for every slot they can fill. The
@@ -907,8 +895,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.peers[k].end_session();
         self.sessions[k].logoff();
         self.metrics.logoffs += 1;
-        self.trace
-            .record_with(ctx.now(), || format!("{node} logoff"));
         // Tear down the node's own view and notify each former neighbor;
         // they react in their `Unlink` handlers (dynamic: reconfigure;
         // static: request replacement links).
@@ -1240,8 +1226,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
         // `StatsStore::decay_benefit` for why this bends Fig 3(b).
         self.peers[k].rt.stats.decay_benefit(0.5);
         self.metrics.runtime.on_update();
-        self.trace
-            .record_with(ctx.now(), || format!("{node} reconfigure"));
 
         // Evictions are enacted eagerly, making a planned swap
         // degree-neutral: the freed slot is either retaken by the
@@ -1417,9 +1401,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 // §4.3 damping: the neighbour list just changed, so
                 // restart the update clock.
                 self.peers[k].rt.note_invitation_accepted();
-                self.trace.record_with(ctx.now(), || {
-                    format!("{to} accepted invitation from {from}")
-                });
                 if let ddr_core::InvitationPolicy::TrialPeriod { trial_millis } =
                     self.shared.config.invitation
                 {
@@ -1738,9 +1719,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 self.metrics.evictions += 1;
                 self.metrics.runtime.on_edges_changed(1);
                 self.metrics.trials_failed += 1;
-                self.trace.record_with(ctx.now(), || {
-                    format!("{node} ended trial with {peer} (no benefit)")
-                });
                 let d = self.delay(k, node, peer);
                 ctx.send(
                     peer,

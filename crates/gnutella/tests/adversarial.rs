@@ -13,11 +13,12 @@
 
 use ddr_gnutella::scenario::run_scenario_with_world;
 use ddr_gnutella::{
-    check_invariants, run_scenario, run_scenario_sharded_with_worlds, run_scenario_traced, Mode,
-    PartitionWindow, ScenarioConfig,
+    check_invariants, run_scenario, run_scenario_sharded, GnutellaScenario, Mode, PartitionWindow,
+    ScenarioConfig,
 };
 use ddr_net::ClassMix;
 use ddr_sim::NodeId;
+use ddr_telemetry::JsonlSink;
 use ddr_workload::{ChurnModel, FlashCrowd};
 use proptest::prelude::*;
 
@@ -69,8 +70,8 @@ fn every_pack_scenario_passes_invariants_serial_and_sharded() {
         apply_pack(which, &mut cfg);
         cfg.validate().unwrap_or_else(|e| panic!("{which}: {e}"));
         for shards in [1, 2] {
-            let (report, worlds) = run_scenario_sharded_with_worlds(cfg.clone(), shards, 1);
-            check_invariants(&report, &worlds)
+            let run = run_scenario_sharded(cfg.clone(), shards, 1, false);
+            check_invariants(&run.report, &run.worlds)
                 .unwrap_or_else(|e| panic!("{which} at {shards} shards: {e}"));
         }
     }
@@ -105,7 +106,7 @@ proptest! {
         cfg.seed = seed;
         apply_pack(PACK[which], &mut cfg);
         let plain = run_scenario(cfg.clone());
-        let traced = run_scenario_traced(cfg);
+        let traced = ddr_harness::run::<GnutellaScenario<JsonlSink>>(cfg);
         prop_assert_eq!(&plain, &traced, "tracing perturbed {}", PACK[which]);
         prop_assert_eq!(plain.digest(), traced.digest());
     }

@@ -6,24 +6,25 @@
 //! study (Gnutella music sharing, cooperative web caches, PeerOlap) used
 //! to hand-roll the same prime → run → report loop; now each one is a
 //! [`Scenario`] implementation and the single generic driver
-//! [`run`] / [`run_with_world`] owns the loop (queue sizing, in-place
-//! priming, horizon run, outcome check, report extraction).
+//! [`run`] / [`run_with`] owns the loop (queue sizing, in-place
+//! priming, hour-by-hour advance to the horizon, outcome check, report
+//! extraction). `run_with` takes *how to advance* (plain or probed) and
+//! *what to do at each hour* (metrics sampling) as closures, so probing
+//! and sampling compose instead of each needing a driver of its own.
 //!
 //! Adding a new instantiation therefore means writing a
 //! [`ddr_sim::World`] plus a `Scenario` impl — not a fourth copy of the
-//! driver and a fifteenth experiment binary.
+//! driver. (Host-time measurement is not done here: `benchmark/` times
+//! the same `Scenario` methods at the layer boundaries.)
 //!
-//! On top of the driver sit two engines shared by the experiment layer:
-//!
-//! * [`run_timed`] — the perfbench measurement harness (events/sec, queue
-//!   high-water mark) over any scenario;
-//! * [`Sweep`] / [`run_many`] — a deterministic parallel sweep engine:
-//!   named parameter axes, per-point seed derivation ([`derive_seed`]),
-//!   fan-out over a shared worker pool with a bounded result channel, and
-//!   results returned in input order regardless of completion order.
+//! On top of the driver sits [`Sweep`] / [`run_many`], the deterministic
+//! parallel sweep engine shared by the experiment layer: named parameter
+//! axes, per-point seed derivation ([`derive_seed`]), fan-out over a
+//! shared worker pool with a bounded result channel, and results
+//! returned in input order regardless of completion order.
 
 pub mod scenario;
 pub mod sweep;
 
-pub use scenario::{run, run_probed, run_sampled, run_timed, run_with_world, Scenario, TimedRun};
-pub use sweep::{default_workers, derive_seed, run_many, Sweep, SweepPoint};
+pub use scenario::{run, run_with, Scenario};
+pub use sweep::{derive_seed, run_many, Sweep, SweepPoint};

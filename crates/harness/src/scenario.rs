@@ -1,11 +1,10 @@
 //! The [`Scenario`] trait and the generic prime → run → extract driver.
 
-use ddr_sim::{EventLabel, EventQueue, KernelProbe, RunOutcome, SimTime, Simulation, World};
+use ddr_sim::{EventQueue, RunOutcome, SimTime, Simulation, World};
 use ddr_stats::MeasurementWindow;
-use std::time::Instant;
 
 /// One framework instantiation, described declaratively so the shared
-/// driver ([`run`], [`run_with_world`], [`run_timed`]) can execute it.
+/// driver ([`run`], [`run_with`]) can execute it.
 ///
 /// Implementations are zero-sized marker types (`GnutellaScenario`,
 /// `WebCacheScenario`, `PeerOlapScenario`, …): all state lives in
@@ -62,66 +61,26 @@ pub trait Scenario {
 /// Run one scenario to its horizon and return the report. A pure function
 /// of the configuration (which embeds the seed).
 pub fn run<S: Scenario>(config: S::Config) -> S::Report {
-    run_with_world::<S>(config).0
+    run_with::<S>(config, |sim, until| sim.run(until), |_, _| {}).0
 }
 
-/// Like [`run`] but also hands back the final world, for tests and
-/// diagnostics that assert on end-state invariants (topology consistency,
-/// per-node state).
-pub fn run_with_world<S: Scenario>(config: S::Config) -> (S::Report, S::World) {
-    let window = S::window(&config);
-    let capacity = S::capacity_hint(&config);
-    let horizon = SimTime::from_hours(window.to_hour);
-
-    let mut world = S::build(config);
-    let mut queue: EventQueue<<S::World as World>::Event> = EventQueue::with_capacity(capacity);
-    S::prime(&mut world, &mut queue);
-    let mut sim = Simulation::with_queue(world, queue);
-
-    let outcome = sim.run(horizon);
-    S::check_outcome(outcome);
-    let world = sim.into_world();
-    let report = S::extract_report(&world, window);
-    (report, world)
-}
-
-/// Like [`run`] but with a [`KernelProbe`] observing the event loop:
-/// every dispatch is labelled and timed, and queue statistics are sampled
-/// periodically. The report is bit-identical to an unprobed run — probes
-/// only observe (they consume no randomness and schedule nothing). Used
-/// by `ddr run --profile`; requires the scenario's event type to carry
-/// static labels ([`EventLabel`]).
-pub fn run_probed<S, P>(config: S::Config, probe: &mut P) -> S::Report
-where
-    S: Scenario,
-    P: KernelProbe,
-    <S::World as World>::Event: EventLabel,
-{
-    let window = S::window(&config);
-    let capacity = S::capacity_hint(&config);
-    let horizon = SimTime::from_hours(window.to_hour);
-
-    let mut world = S::build(config);
-    let mut queue: EventQueue<<S::World as World>::Event> = EventQueue::with_capacity(capacity);
-    S::prime(&mut world, &mut queue);
-    let mut sim = Simulation::with_queue(world, queue);
-
-    let outcome = sim.run_probed(horizon, probe);
-    S::check_outcome(outcome);
-    let world = sim.into_world();
-    S::extract_report(&world, window)
-}
-
-/// Like [`run`] but paused every simulated hour for a metrics-sampling
-/// callback: `on_sample(now, &sim)` runs strictly *between* kernel steps
-/// (the serial kernel's chunked-horizon resumability guarantees
-/// `run(h1); run(h2)` ≡ `run(h2)`), so a sampled run's report is
-/// bit-identical to [`run`]'s. The harness stays telemetry-agnostic —
-/// the caller owns whatever recorder the samples feed.
-pub fn run_sampled<S: Scenario>(
+/// The one serial driver: build, prime, advance hour by hour to the
+/// horizon, check the outcome, extract the report, and hand back the
+/// final world next to it (tests and diagnostics assert on end state).
+///
+/// `advance(sim, until)` says *how* each hour runs — `sim.run(until)`,
+/// or `sim.run_probed(until, probe)` to label and time every dispatch —
+/// and `on_hour(now, &sim)` runs strictly *between* kernel steps at each
+/// hour boundary (metrics sampling). The serial kernel is resumable
+/// (`run(h1); run(h2)` ≡ `run(h2)`) and probes and samplers only
+/// observe, so every combination returns a report bit-identical to
+/// [`run`]'s. The harness stays telemetry-agnostic: the caller owns the
+/// probe and whatever recorder the samples feed.
+pub fn run_with<S: Scenario>(
     config: S::Config,
-    mut on_sample: impl FnMut(SimTime, &Simulation<S::World>),
-) -> S::Report {
+    mut advance: impl FnMut(&mut Simulation<S::World>, SimTime) -> RunOutcome,
+    mut on_hour: impl FnMut(SimTime, &Simulation<S::World>),
+) -> (S::Report, S::World) {
     let window = S::window(&config);
     let capacity = S::capacity_hint(&config);
 
@@ -131,61 +90,15 @@ pub fn run_sampled<S: Scenario>(
     let mut sim = Simulation::with_queue(world, queue);
 
     let mut outcome = RunOutcome::ReachedHorizon;
-    for hour in 1..=window.to_hour.max(1) {
-        let chunk_end = SimTime::from_hours(hour);
-        outcome = sim.run(chunk_end);
-        on_sample(chunk_end, &sim);
+    for hour in 1..=window.to_hour {
+        let until = SimTime::from_hours(hour);
+        outcome = advance(&mut sim, until);
+        on_hour(until, &sim);
     }
     S::check_outcome(outcome);
     let world = sim.into_world();
-    S::extract_report(&world, window)
-}
-
-/// Kernel-level counters of one timed run (the perfbench measurement).
-///
-/// The timing harness is deliberately identical to [`run_with_world`]
-/// minus report extraction, so before/after perf entries differ only in
-/// the kernel or world under test — never in the driver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimedRun {
-    /// Events dispatched to the world.
-    pub events_processed: u64,
-    /// Wall-clock seconds spent inside the event loop.
-    pub wall_seconds: f64,
-    /// Queue high-water mark.
-    pub peak_pending: usize,
-    /// Events still pending at the horizon.
-    pub final_pending: usize,
-}
-
-impl TimedRun {
-    /// Derived throughput.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events_processed as f64 / self.wall_seconds.max(1e-9)
-    }
-}
-
-/// Time one scenario run (prime excluded, event loop only) and return the
-/// kernel counters. Deterministic in everything except `wall_seconds`.
-pub fn run_timed<S: Scenario>(config: S::Config) -> TimedRun {
-    let window = S::window(&config);
-    let capacity = S::capacity_hint(&config);
-    let horizon = SimTime::from_hours(window.to_hour);
-
-    let mut world = S::build(config);
-    let mut queue: EventQueue<<S::World as World>::Event> = EventQueue::with_capacity(capacity);
-    S::prime(&mut world, &mut queue);
-    let mut sim = Simulation::with_queue(world, queue);
-
-    let start = Instant::now();
-    sim.run(horizon);
-    let wall_seconds = start.elapsed().as_secs_f64();
-    TimedRun {
-        events_processed: sim.processed(),
-        wall_seconds,
-        peak_pending: sim.peak_pending(),
-        final_pending: sim.pending(),
-    }
+    let report = S::extract_report(&world, window);
+    (report, world)
 }
 
 #[cfg(test)]
@@ -303,32 +216,34 @@ mod tests {
     }
 
     #[test]
-    fn run_with_world_exposes_final_state() {
-        let (report, world) = run_with_world::<TickScenario>(cfg(1));
+    fn run_with_exposes_final_state() {
+        let (report, world) = run_with::<TickScenario>(cfg(1), |sim, t| sim.run(t), |_, _| {});
         assert_eq!(report.fired, world.fired);
         assert_eq!(report.checksum, world.checksum);
     }
 
+    struct CountProbe {
+        dispatches: u64,
+        samples: u64,
+    }
+    impl ddr_sim::KernelProbe for CountProbe {
+        fn on_dispatch(&mut self, label: &'static str, _wall_ns: u64) {
+            assert_eq!(label, "()");
+            self.dispatches += 1;
+        }
+        fn on_queue_sample(&mut self, _sample: ddr_sim::QueueSample) {
+            self.samples += 1;
+        }
+    }
+
     #[test]
     fn probed_run_sees_every_dispatch_and_changes_nothing() {
-        struct CountProbe {
-            dispatches: u64,
-            samples: u64,
-        }
-        impl ddr_sim::KernelProbe for CountProbe {
-            fn on_dispatch(&mut self, label: &'static str, _wall_ns: u64) {
-                assert_eq!(label, "()");
-                self.dispatches += 1;
-            }
-            fn on_queue_sample(&mut self, _sample: ddr_sim::QueueSample) {
-                self.samples += 1;
-            }
-        }
         let mut probe = CountProbe {
             dispatches: 0,
             samples: 0,
         };
-        let probed = run_probed::<TickScenario, _>(cfg(7), &mut probe);
+        let (probed, _) =
+            run_with::<TickScenario>(cfg(7), |sim, t| sim.run_probed(t, &mut probe), |_, _| {});
         let plain = run::<TickScenario>(cfg(7));
         assert_eq!(probed, plain, "probing must not perturb the run");
         assert_eq!(probe.dispatches, plain.fired);
@@ -336,31 +251,32 @@ mod tests {
     }
 
     #[test]
-    fn sampled_run_pauses_hourly_and_changes_nothing() {
+    fn hourly_callback_composes_with_probing_and_changes_nothing() {
         let mut cfg3 = cfg(7);
         cfg3.hours = 3;
+        let plain = run::<TickScenario>(cfg3.clone());
         let mut samples = Vec::new();
-        let sampled = run_sampled::<TickScenario>(cfg3.clone(), |now, sim| {
-            samples.push((now.as_millis(), sim.pending()));
-        });
-        let plain = run::<TickScenario>(cfg3);
+        let (sampled, _) = run_with::<TickScenario>(
+            cfg3.clone(),
+            |sim, t| sim.run(t),
+            |now, sim| samples.push((now.as_millis(), sim.pending())),
+        );
         assert_eq!(sampled, plain, "sampling must not perturb the run");
         assert_eq!(samples.len(), 3, "one sample per simulated hour");
         assert_eq!(samples[0].0, 3_600_000);
         assert!(samples.iter().all(|&(_, pending)| pending >= 1));
-    }
 
-    #[test]
-    fn timed_run_matches_untimed_counters() {
-        let timed = run_timed::<TickScenario>(cfg(7));
-        let report = run::<TickScenario>(cfg(7));
-        assert_eq!(timed.events_processed, report.fired);
-        assert_eq!(
-            timed.final_pending, 1,
-            "self-rescheduling world keeps one pending"
+        let mut probe = CountProbe {
+            dispatches: 0,
+            samples: 0,
+        };
+        let mut hours = 0;
+        let (both, _) = run_with::<TickScenario>(
+            cfg3,
+            |sim, t| sim.run_probed(t, &mut probe),
+            |_, _| hours += 1,
         );
-        assert!(timed.peak_pending >= 1);
-        assert!(timed.wall_seconds >= 0.0);
-        assert!(timed.events_per_sec() > 0.0);
+        assert_eq!(both, plain, "probing + sampling must not perturb the run");
+        assert_eq!((hours, probe.dispatches), (3, plain.fired));
     }
 }

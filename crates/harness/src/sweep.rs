@@ -30,12 +30,6 @@ pub fn derive_seed(root: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Default worker count: one per core. Delegates to the kernel's shared
-/// helper so sweeps, CLI overrides, and the sharded kernel all agree.
-pub fn default_workers() -> usize {
-    ddr_sim::parallelism::default_workers()
-}
-
 /// Run every configuration, fanning out across up to `workers` threads,
 /// and return reports in input order.
 ///

@@ -46,7 +46,7 @@ impl BandwidthClass {
     /// downloading user actually experiences is bounded by end-to-end
     /// delay classes, not the nominal line rate. The raw-rate variant is
     /// available as [`BandwidthClass::raw_rate_weight`] and compared in
-    /// the `ddr-bench` ablations.
+    /// `ddr run ablations` (suite 4).
     #[inline]
     pub fn benefit_weight(self) -> f64 {
         match self {

@@ -6,7 +6,7 @@
 //! from a node with high bandwidth"). This model quantifies that: the
 //! transfer time of a file is its size divided by the bottleneck link rate,
 //! plus one one-way delay for the request. It backs the delay-aware
-//! ablations in `ddr-bench`.
+//! ablations (`ddr run ablations`).
 
 use crate::bandwidth::BandwidthClass;
 use ddr_sim::SimDuration;

@@ -34,5 +34,5 @@ pub mod world;
 
 pub use config::{OlapMode, PeerOlapConfig};
 pub use cube::{chunk_processing_ms, CubeSpace, QueryShape};
-pub use scenario::{run_peerolap, run_peerolap_traced, PeerOlapReport, PeerOlapScenario};
+pub use scenario::{run_peerolap, PeerOlapReport, PeerOlapScenario};
 pub use world::PeerOlapWorld;

@@ -7,12 +7,12 @@ use crate::world::PeerOlapWorld;
 use ddr_harness::Scenario;
 use ddr_sim::{event_capacity_hint, EventQueue};
 use ddr_stats::{safe_ratio, MeasurementWindow};
-use ddr_telemetry::{JsonlSink, NullSink, TraceSink};
+use ddr_telemetry::{NullSink, TraceSink};
 use std::marker::PhantomData;
 
 /// Report of one run: a thin domain view over the collected metrics and
 /// the measurement window.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeerOlapReport {
     /// Mode label.
     pub label: &'static str,
@@ -101,14 +101,6 @@ impl<T: TraceSink> Scenario for PeerOlapScenario<T> {
 /// Run one scenario; pure function of the config (which embeds the seed).
 pub fn run_peerolap(config: PeerOlapConfig) -> PeerOlapReport {
     ddr_harness::run::<PeerOlapScenario>(config)
-}
-
-/// Like [`run_peerolap`] but with the JSONL trace sink compiled in:
-/// sampled query spans land in `config.telemetry.trace_path`. The
-/// returned report is bit-identical to the untraced one (tracing only
-/// observes).
-pub fn run_peerolap_traced(config: PeerOlapConfig) -> PeerOlapReport {
-    ddr_harness::run::<PeerOlapScenario<JsonlSink>>(config)
 }
 
 #[cfg(test)]

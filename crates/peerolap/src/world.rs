@@ -108,7 +108,7 @@ struct OlapPeer {
 /// `latency_ms` (end-to-end query latency, post-warm-up), `updates`
 /// and `edges_changed` — so cross-study comparisons read the same
 /// fields as the Gnutella and web-cache recorders.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OlapMetrics {
     /// Shared framework recorder (see the struct docs for the mapping).
     pub runtime: RuntimeMetrics,

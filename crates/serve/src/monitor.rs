@@ -13,7 +13,7 @@
 
 use crate::bus::WallClock;
 use ddr_sim::MetricsHub;
-use ddr_telemetry::{JsonlMetrics, MetricsRecorder, TelemetryConfig};
+use ddr_telemetry::{JsonlMetrics, LogHistogram, MetricsRecorder, TelemetryConfig};
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -25,68 +25,6 @@ use std::time::Duration;
 /// linearizable cuts; the end-of-run parity check happens after the
 /// shard threads are joined (a full synchronization point).
 const ORD: Ordering = Ordering::Relaxed;
-
-/// A lock-free log-bucketed latency histogram, bucket geometry shared
-/// with `ddr_telemetry::LogHistogram`: bucket `k` covers
-/// `[2^(k-1), 2^k)` ms, bucket 0 everything below 1 ms.
-#[derive(Debug)]
-pub struct AtomicLogHist {
-    counts: [AtomicU64; 64],
-    total: AtomicU64,
-}
-
-impl Default for AtomicLogHist {
-    fn default() -> Self {
-        AtomicLogHist {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            total: AtomicU64::new(0),
-        }
-    }
-}
-
-impl AtomicLogHist {
-    fn bucket(v: f64) -> usize {
-        if v.is_nan() || v < 1.0 {
-            return 0;
-        }
-        let u = if v >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            v as u64
-        };
-        ((64 - u.leading_zeros()) as usize).min(63)
-    }
-
-    /// Record one sample (any thread).
-    pub fn record(&self, v: f64) {
-        self.counts[Self::bucket(v)].fetch_add(1, ORD);
-        self.total.fetch_add(1, ORD);
-    }
-
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.total.load(ORD)
-    }
-
-    /// Upper bucket edge covering the `q`-quantile; 0 when empty.
-    /// Approximate under concurrent writes (counts are read one by one),
-    /// which is fine for a rolling dashboard figure.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.total.load(ORD);
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (k, c) in self.counts.iter().enumerate() {
-            seen += c.load(ORD);
-            if seen >= rank {
-                return if k == 0 { 1.0 } else { (1u64 << k) as f64 };
-            }
-        }
-        (1u64 << 63) as f64
-    }
-}
 
 /// Counters and levels shared between the bus (writers) and the monitor
 /// / TCP endpoint (readers). One instance per run, behind an `Arc`.
@@ -106,7 +44,7 @@ pub struct MonitorShared {
     /// Completed queries with at least one result.
     pub hits: AtomicU64,
     /// First-result latency, milliseconds.
-    pub latency_ms: AtomicLogHist,
+    pub latency_ms: LogHistogram<AtomicU64>,
     /// Set by the coordinator once the shards are joined; tells the
     /// monitor and endpoint threads to emit a final window and exit.
     pub done: AtomicBool,
@@ -122,7 +60,7 @@ impl MonitorShared {
             issued: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            latency_ms: AtomicLogHist::default(),
+            latency_ms: LogHistogram::default(),
             done: AtomicBool::new(false),
         }
     }
@@ -309,20 +247,6 @@ pub(crate) fn spawn_endpoint(shared: Arc<MonitorShared>, port: u16) -> JoinHandl
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn atomic_hist_matches_log_histogram_geometry() {
-        let h = AtomicLogHist::default();
-        let mut reference = ddr_telemetry::LogHistogram::default();
-        for v in [0.0, 0.5, 1.0, 3.0, 100.0, 1000.0, 4096.0] {
-            h.record(v);
-            reference.record(v);
-        }
-        assert_eq!(h.count(), reference.count());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(h.quantile(q), reference.quantile(q), "q={q}");
-        }
-    }
 
     #[test]
     fn prometheus_and_json_snapshots_render() {

@@ -25,11 +25,6 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Name of the active future-event-list implementation, surfaced by the
-/// `perfbench` binary so `BENCH_*.json` entries record which kernel
-/// produced each number.
-pub const KERNEL_NAME: &str = "calendar-queue";
-
 /// A pre-sizing hint for [`EventQueue::with_capacity`], derived from the
 /// scenario scale: each of `nodes` nodes keeps a handful of periodic
 /// events in flight (session churn, query timers) and a query in flight
@@ -323,7 +318,7 @@ impl<E> EventQueue<E> {
     }
 
     /// High-water mark of pending events over the queue's lifetime
-    /// (perf instrumentation; see the `perfbench` binary).
+    /// (perf instrumentation: `benchmark/` reports it as `sim.peak_pending`).
     pub fn peak_pending(&self) -> usize {
         self.peak
     }
@@ -505,8 +500,8 @@ impl<E> EventQueue<E> {
 
 /// The original binary-heap future-event list, kept as the executable
 /// specification of the kernel's ordering contract. Same API surface as
-/// [`EventQueue`]; used by differential tests and the `micro_kernel`
-/// benches, never by the simulation driver.
+/// [`EventQueue`]; used by differential tests, never by the simulation
+/// driver.
 pub struct ReferenceEventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     seq: u64,

@@ -20,8 +20,7 @@
 //! * [`hash`] — an FxHash-style integer hasher and `FastHashMap`/`FastHashSet`
 //!   aliases for the hot integer-keyed maps in the event loop (implemented
 //!   locally to keep the dependency set minimal).
-//! * [`trace`] — lightweight counters and optional event traces for
-//!   debugging and tests.
+//! * [`trace`] — lightweight named counters for debugging and tests.
 //! * [`probe`] — kernel-profiling hooks ([`EventLabel`], [`KernelProbe`])
 //!   consumed by [`Simulation::run_probed`]; the default `run` loop stays
 //!   instrumentation-free.
@@ -56,7 +55,7 @@ pub mod trace;
 pub use engine::{RunOutcome, Simulation, World};
 pub use event::{
     event_capacity_hint, wheel_buckets_for, EventQueue, ReferenceEventQueue, Scheduler,
-    DEFAULT_WHEEL_BUCKETS, KERNEL_NAME, MAX_WHEEL_BUCKETS, MIN_WHEEL_BUCKETS,
+    DEFAULT_WHEEL_BUCKETS, MAX_WHEEL_BUCKETS, MIN_WHEEL_BUCKETS,
 };
 pub use hash::{FastHashMap, FastHashSet, FxHasher};
 pub use id::{ItemId, NodeId, QueryId};
@@ -66,4 +65,4 @@ pub use probe::{EventLabel, KernelProbe, NullKernelProbe, QueueSample};
 pub use rng::RngFactory;
 pub use sharded::{Partition, ShardCtx, ShardLane, ShardProfile, ShardWorld, ShardedSimulation};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Counters, Trace};
+pub use trace::Counters;

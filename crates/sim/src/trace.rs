@@ -1,13 +1,11 @@
-//! Lightweight observability for simulations: named counters and an
-//! optional bounded trace of recent events.
+//! Lightweight observability for simulations: named counters.
 //!
 //! The experiment harness reports aggregate metrics through `ddr-stats`;
-//! these utilities serve debugging and white-box tests (e.g. asserting a
-//! reconfiguration fired exactly once).
+//! [`Counters`] serves debugging and white-box tests (e.g. asserting a
+//! reconfiguration fired exactly once). Query-lifecycle tracing lives in
+//! `ddr_telemetry::QueryTracer`.
 
 use crate::hash::FastHashMap;
-use crate::time::SimTime;
-use std::collections::VecDeque;
 
 /// A set of named monotone counters.
 #[derive(Debug, Default, Clone)]
@@ -59,77 +57,6 @@ impl Counters {
         for (&name, &n) in other.values.iter() {
             self.add(name, n);
         }
-    }
-}
-
-/// A bounded ring buffer of `(time, message)` trace records.
-///
-/// Disabled (capacity 0) by default so production runs pay nothing; tests
-/// enable it to assert on fine-grained protocol behaviour.
-#[derive(Debug, Clone)]
-pub struct Trace {
-    records: VecDeque<(SimTime, String)>,
-    capacity: usize,
-}
-
-impl Default for Trace {
-    fn default() -> Self {
-        Trace::disabled()
-    }
-}
-
-impl Trace {
-    /// A trace that drops everything.
-    pub fn disabled() -> Self {
-        Trace {
-            records: VecDeque::new(),
-            capacity: 0,
-        }
-    }
-
-    /// A trace keeping the most recent `capacity` records. The effective
-    /// capacity is clamped to 2^16 so a pathological request cannot turn
-    /// the ring into an unbounded (or huge up-front) allocation.
-    pub fn bounded(capacity: usize) -> Self {
-        let capacity = capacity.min(1 << 16);
-        Trace {
-            records: VecDeque::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Whether records are being kept.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Record a message if tracing is enabled. Accepts a closure so callers
-    /// never pay for formatting when disabled.
-    #[inline]
-    pub fn record_with<F: FnOnce() -> String>(&mut self, at: SimTime, f: F) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-        }
-        self.records.push_back((at, f()));
-    }
-
-    /// All retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = (SimTime, &str)> {
-        self.records.iter().map(|(t, s)| (*t, s.as_str()))
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no records are retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 }
 
@@ -192,42 +119,5 @@ mod tests {
         b.add("alpha", 1);
         a.merge(&b);
         assert_eq!(a.snapshot(), vec![("alpha", 1), ("zeta", 0)]);
-    }
-
-    #[test]
-    fn bounded_clamps_stored_capacity() {
-        // Regression: the stored capacity used to keep the caller's huge
-        // value even though the pre-allocation clamped at 2^16, yielding
-        // an effectively unbounded ring.
-        let mut t = Trace::bounded(usize::MAX);
-        for i in 0..(1 << 16) + 10u64 {
-            t.record_with(SimTime::from_millis(i), || i.to_string());
-        }
-        assert_eq!(t.len(), 1 << 16, "ring grew past the clamp");
-        let first = t.records().next().map(|(_, s)| s.to_string());
-        assert_eq!(first.as_deref(), Some("10"), "oldest records not evicted");
-    }
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let mut t = Trace::disabled();
-        let mut called = false;
-        t.record_with(SimTime::ZERO, || {
-            called = true;
-            "boom".into()
-        });
-        assert!(!called, "formatter must not run when disabled");
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn bounded_trace_evicts_oldest() {
-        let mut t = Trace::bounded(2);
-        t.record_with(SimTime::from_millis(1), || "a".into());
-        t.record_with(SimTime::from_millis(2), || "b".into());
-        t.record_with(SimTime::from_millis(3), || "c".into());
-        let msgs: Vec<_> = t.records().map(|(_, s)| s.to_string()).collect();
-        assert_eq!(msgs, vec!["b", "c"]);
-        assert_eq!(t.len(), 2);
     }
 }

@@ -31,6 +31,7 @@ use ddr_sim::{MetricsHub, ShardWorld, ShardedSimulation, SimTime, Simulation, Wo
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version stamped on every timeline record (`"v"`).
 pub const METRICS_SCHEMA_VERSION: u64 = 1;
@@ -119,39 +120,61 @@ impl Drop for JsonlMetrics {
 /// counts all fit without configuration; quantiles come back as the
 /// covering bucket's upper edge (a ≤2× overestimate, stable under
 /// merge).
+///
+/// One geometry, two storages: the default `LogHistogram` (plain `u64`
+/// cells, `&mut self` recording) backs the metrics registry;
+/// `LogHistogram<AtomicU64>` records through `&self` from any thread
+/// (the serve monitor's shared latency histogram).
 #[derive(Debug, Clone)]
-pub struct LogHistogram {
-    counts: [u64; 64],
-    total: u64,
+pub struct LogHistogram<C = u64> {
+    counts: [C; 64],
+    total: C,
 }
 
-impl Default for LogHistogram {
+impl<C: Default> Default for LogHistogram<C> {
     fn default() -> Self {
         LogHistogram {
-            counts: [0; 64],
-            total: 0,
+            counts: std::array::from_fn(|_| C::default()),
+            total: C::default(),
         }
     }
+}
+
+/// The bucket index covering `v`.
+fn bucket(v: f64) -> usize {
+    if v.is_nan() || v < 1.0 {
+        // Negative, sub-1 and NaN samples all land in bucket 0.
+        return 0;
+    }
+    let u = if v >= u64::MAX as f64 {
+        u64::MAX
+    } else {
+        v as u64
+    };
+    ((64 - u.leading_zeros()) as usize).min(63)
+}
+
+/// Upper edge of the bucket holding the `q`-quantile sample (`q` in
+/// `[0, 1]`) of `total` samples spread over `counts`; 0 when empty.
+fn quantile(total: u64, counts: impl Iterator<Item = u64>, q: f64) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (k, c) in counts.enumerate() {
+        seen += c;
+        if seen >= rank {
+            return if k == 0 { 1.0 } else { (1u64 << k) as f64 };
+        }
+    }
+    (1u64 << 63) as f64
 }
 
 impl LogHistogram {
-    /// The bucket index covering `v`.
-    fn bucket(v: f64) -> usize {
-        if v.is_nan() || v < 1.0 {
-            // Negative, sub-1 and NaN samples all land in bucket 0.
-            return 0;
-        }
-        let u = if v >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            v as u64
-        };
-        ((64 - u.leading_zeros()) as usize).min(63)
-    }
-
     /// Record one sample.
     pub fn record(&mut self, v: f64) {
-        self.counts[Self::bucket(v)] += 1;
+        self.counts[bucket(v)] += 1;
         self.total += 1;
     }
 
@@ -163,18 +186,7 @@ impl LogHistogram {
     /// Upper edge of the bucket holding the `q`-quantile sample
     /// (`q` in `[0, 1]`); 0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (k, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if k == 0 { 1.0 } else { (1u64 << k) as f64 };
-            }
-        }
-        (1u64 << 63) as f64
+        quantile(self.total, self.counts.iter().copied(), q)
     }
 
     /// Fold another histogram in.
@@ -183,6 +195,34 @@ impl LogHistogram {
             *a += b;
         }
         self.total += other.total;
+    }
+}
+
+/// Relaxed ordering: the cells are statistics that publish no other
+/// data, and readers report trends, not linearizable cuts.
+const ORD: Ordering = Ordering::Relaxed;
+
+impl LogHistogram<AtomicU64> {
+    /// Record one sample (any thread).
+    pub fn record(&self, v: f64) {
+        self.counts[bucket(v)].fetch_add(1, ORD);
+        self.total.fetch_add(1, ORD);
+    }
+
+    /// Samples recorded so far.
+    pub fn count(&self) -> u64 {
+        self.total.load(ORD)
+    }
+
+    /// Upper bucket edge covering the `q`-quantile; 0 when empty.
+    /// Approximate under concurrent writes (cells are read one by one),
+    /// which is fine for a rolling dashboard figure.
+    pub fn quantile(&self, q: f64) -> f64 {
+        quantile(
+            self.total.load(ORD),
+            self.counts.iter().map(|c| c.load(ORD)),
+            q,
+        )
     }
 }
 
@@ -273,11 +313,6 @@ impl<M: MetricsSink> MetricsRecorder<M> {
             last_t: None,
             windows: 0,
         }
-    }
-
-    /// Whether this recorder records anything (decided by the sink type).
-    pub const fn enabled() -> bool {
-        M::ENABLED
     }
 
     /// Windows emitted so far.
@@ -401,7 +436,7 @@ mod tests {
 
     #[test]
     fn log_histogram_buckets_and_quantiles() {
-        let mut h = LogHistogram::default();
+        let mut h = LogHistogram::<u64>::default();
         for v in [0.0, 0.5, 1.0, 3.0, 100.0, 1000.0] {
             h.record(v);
         }
@@ -409,10 +444,24 @@ mod tests {
         assert!(h.quantile(0.0) >= 1.0);
         // p99 covers the largest sample's bucket: 1000 < 1024 = 2^10.
         assert_eq!(h.quantile(0.99), 1024.0);
-        let mut other = LogHistogram::default();
+        let mut other = LogHistogram::<u64>::default();
         other.record(1000.0);
         h.merge(&other);
         assert_eq!(h.count(), 7);
+    }
+
+    #[test]
+    fn atomic_storage_shares_the_plain_geometry() {
+        let atomic = LogHistogram::<AtomicU64>::default();
+        let mut plain = LogHistogram::<u64>::default();
+        for v in [0.0, 0.5, 1.0, 3.0, 100.0, 1000.0, 4096.0] {
+            atomic.record(v);
+            plain.record(v);
+        }
+        assert_eq!(atomic.count(), plain.count());
+        for q in [0.1, 0.5, 0.9, 0.99] {
+            assert_eq!(atomic.quantile(q), plain.quantile(q), "q={q}");
+        }
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl KernelProfiler {
     /// sorted by label) and a queue-occupancy table.
     pub fn report(&self) -> Vec<Table> {
         let mut dispatch = Table::new(
-            format!("kernel dispatch profile ({})", ddr_sim::KERNEL_NAME),
+            "kernel dispatch profile (calendar-queue)",
             &[
                 "event", "count", "total ms", "mean us", "p50 us", "p99 us", ">64 us",
             ],

@@ -39,5 +39,5 @@ pub mod world;
 pub use config::{CacheMode, WebCacheConfig};
 pub use digest::BloomFilter;
 pub use lru::LruCache;
-pub use scenario::{run_webcache, run_webcache_traced, WebCacheReport, WebCacheScenario};
+pub use scenario::{run_webcache, WebCacheReport, WebCacheScenario};
 pub use world::WebCacheWorld;

@@ -7,12 +7,12 @@ use crate::world::WebCacheWorld;
 use ddr_harness::Scenario;
 use ddr_sim::{event_capacity_hint, EventQueue};
 use ddr_stats::{safe_ratio, MeasurementWindow};
-use ddr_telemetry::{JsonlSink, NullSink, TraceSink};
+use ddr_telemetry::{NullSink, TraceSink};
 use std::marker::PhantomData;
 
 /// Report of one web-cache run: a thin domain view over the collected
 /// metrics and the measurement window.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebCacheReport {
     /// Mode label.
     pub label: &'static str,
@@ -105,14 +105,6 @@ impl<T: TraceSink> Scenario for WebCacheScenario<T> {
 /// Run one scenario; pure function of the config (which embeds the seed).
 pub fn run_webcache(config: WebCacheConfig) -> WebCacheReport {
     ddr_harness::run::<WebCacheScenario>(config)
-}
-
-/// Like [`run_webcache`] but with the JSONL trace sink compiled in:
-/// sampled request spans land in `config.telemetry.trace_path`. The
-/// returned report is bit-identical to the untraced one (tracing only
-/// observes).
-pub fn run_webcache_traced(config: WebCacheConfig) -> WebCacheReport {
-    ddr_harness::run::<WebCacheScenario<JsonlSink>>(config)
 }
 
 #[cfg(test)]

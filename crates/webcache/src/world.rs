@@ -73,7 +73,7 @@ struct ProxyState {
 
 /// Aggregated web-cache metrics: the shared framework recorder plus the
 /// cache-domain counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheMetrics {
     /// Shared framework recorder: `queries` (requests per hour), `hits`
     /// (served by a sibling proxy per hour), `messages` (sibling query +

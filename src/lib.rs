@@ -31,8 +31,8 @@
 //!   shared `RuntimeMetrics` recorder all case studies embed, plus
 //!   `MeasurementWindow`/`safe_ratio` (the windowed-report helpers)
 //! * [`harness`] — the `Scenario` trait, the one prime → run → extract
-//!   driver every case study runs through, the timed perf harness, and
-//!   the deterministic parallel sweep engine (`run_many` / `Sweep`)
+//!   driver every case study runs through (`run` / `run_with`), and the
+//!   deterministic parallel sweep engine (`run_many` / `Sweep`)
 //! * [`telemetry`] — zero-cost-when-off observability: query-lifecycle
 //!   span tracing (JSONL), kernel profiling, and the trace summarizer
 //!   behind `ddr inspect`

@@ -1,19 +1,25 @@
 //! The telemetry determinism contract: tracing only **observes**.
 //!
-//! A trace-enabled run (`run_*_traced`, `JsonlSink` compiled in) must
-//! produce a report **bit-identical** to the untraced default build of
-//! the same `(config, seed)` — the tracer consumes no randomness and
+//! A trace-enabled run (`XScenario<JsonlSink>`, the sink compiled in)
+//! must produce a report **bit-identical** to the untraced default build
+//! of the same `(config, seed)` — the tracer consumes no randomness and
 //! schedules no events, so the simulated world cannot tell whether it is
 //! being watched. Each case study is checked on its hourly series and
 //! scalar metrics, and the emitted JSONL is fed through the `ddr inspect`
 //! summarizer to assert it is well-formed (every line parses, every
-//! sampled span reaches exactly one terminal record).
+//! sampled span reaches exactly one terminal record). The same holds with
+//! every observer attached at once — trace sink, kernel probe and hourly
+//! metrics sampling compose on the one `harness::run_with` driver.
 
-use ddr_repro::gnutella::{run_scenario, run_scenario_traced, Mode, ScenarioConfig};
-use ddr_repro::peerolap::{run_peerolap, run_peerolap_traced, OlapMode, PeerOlapConfig};
-use ddr_repro::sim::SimDuration;
-use ddr_repro::telemetry::{summarize_file, TelemetryConfig};
-use ddr_repro::webcache::{run_webcache, run_webcache_traced, CacheMode, WebCacheConfig};
+use ddr_repro::gnutella::{run_scenario, GnutellaScenario, Mode, ScenarioConfig};
+use ddr_repro::harness::{run, run_with, Scenario};
+use ddr_repro::peerolap::{run_peerolap, OlapMode, PeerOlapConfig, PeerOlapScenario};
+use ddr_repro::sim::{EventLabel, SimDuration, World};
+use ddr_repro::telemetry::{
+    summarize_file, summarize_timeline_file, JsonlMetrics, JsonlSink, KernelProfiler,
+    MetricsRecorder, TelemetryConfig,
+};
+use ddr_repro::webcache::{run_webcache, CacheMode, WebCacheConfig, WebCacheScenario};
 use std::path::PathBuf;
 
 /// A unique trace path per test so parallel test threads never share a
@@ -31,6 +37,39 @@ fn telemetry(path: &std::path::Path, sample: u64, label: &'static str) -> Teleme
     }
 }
 
+/// Run `S` (built with the JSONL trace sink) under a kernel probe *and*
+/// hourly metrics sampling into a `tag`-named timeline, and check every
+/// observer saw the run: the probe timed dispatches, the timeline holds
+/// one window per simulated hour.
+fn run_fully_observed<S: Scenario>(cfg: S::Config, tag: &str, hours: u64) -> S::Report
+where
+    <S::World as World>::Event: EventLabel,
+{
+    let timeline = trace_path(&format!("{tag}-timeline"));
+    let metrics_cfg = TelemetryConfig {
+        metrics_path: Some(timeline.clone()),
+        run_label: "Observed",
+        ..TelemetryConfig::default()
+    };
+    let mut profiler = KernelProfiler::new();
+    let mut recorder = MetricsRecorder::<JsonlMetrics>::new(&metrics_cfg);
+    let (report, _world) = run_with::<S>(
+        cfg,
+        |sim, until| sim.run_probed(until, &mut profiler),
+        |now, sim| recorder.sample_sim(now, sim),
+    );
+    recorder.finish();
+    assert!(profiler.dispatches() > 0, "{tag}: probe saw nothing");
+    let summary = summarize_timeline_file(&timeline).expect("timeline must parse");
+    std::fs::remove_file(&timeline).ok();
+    assert_eq!(
+        summary.window_count() as u64,
+        hours,
+        "{tag}: one window per hour"
+    );
+    report
+}
+
 #[test]
 fn gnutella_traced_run_is_bit_identical_and_trace_is_complete() {
     let mut cfg = ScenarioConfig::scaled(Mode::Dynamic, 2, 20, 6);
@@ -39,7 +78,15 @@ fn gnutella_traced_run_is_bit_identical_and_trace_is_complete() {
 
     let path = trace_path("gnutella");
     cfg.telemetry = telemetry(&path, 1, "Dynamic_Gnutella");
-    let traced = run_scenario_traced(cfg);
+    let traced = run::<GnutellaScenario<JsonlSink>>(cfg.clone());
+    assert_eq!(plain, traced);
+
+    // Its own span file, so the completeness checks below see one run.
+    let observed_trace = trace_path("gnutella-observed");
+    cfg.telemetry.trace_path = Some(observed_trace.clone());
+    let observed = run_fully_observed::<GnutellaScenario<JsonlSink>>(cfg, "gnutella", 6);
+    std::fs::remove_file(&observed_trace).ok();
+    assert_eq!(plain, observed, "probe + sampling + tracing moved the run");
 
     assert_eq!(plain.hits_series(), traced.hits_series());
     assert_eq!(plain.messages_series(), traced.messages_series());
@@ -73,7 +120,7 @@ fn gnutella_sampling_reduces_spans_without_perturbing_the_run() {
 
     let path = trace_path("gnutella-sampled");
     cfg.telemetry = telemetry(&path, 8, "Gnutella");
-    let traced = run_scenario_traced(cfg);
+    let traced = run::<GnutellaScenario<JsonlSink>>(cfg);
 
     assert_eq!(plain.hits_series(), traced.hits_series());
     assert_eq!(plain.messages_series(), traced.messages_series());
@@ -100,7 +147,15 @@ fn webcache_traced_run_is_bit_identical() {
 
     let path = trace_path("webcache");
     cfg.telemetry = telemetry(&path, 16, "Dynamic_Squid");
-    let traced = run_webcache_traced(cfg);
+    let traced = run::<WebCacheScenario<JsonlSink>>(cfg.clone());
+    assert_eq!(plain, traced);
+
+    // Its own span file, so the completeness checks below see one run.
+    let observed_trace = trace_path("webcache-observed");
+    cfg.telemetry.trace_path = Some(observed_trace.clone());
+    let observed = run_fully_observed::<WebCacheScenario<JsonlSink>>(cfg, "webcache", 6);
+    std::fs::remove_file(&observed_trace).ok();
+    assert_eq!(plain, observed, "probe + sampling + tracing moved the run");
 
     assert_eq!(plain.neighbor_hit_ratio(), traced.neighbor_hit_ratio());
     assert_eq!(plain.mean_latency_ms(), traced.mean_latency_ms());
@@ -130,7 +185,15 @@ fn peerolap_traced_run_is_bit_identical() {
 
     let path = trace_path("peerolap");
     cfg.telemetry = telemetry(&path, 16, "Dynamic_PeerOlap");
-    let traced = run_peerolap_traced(cfg);
+    let traced = run::<PeerOlapScenario<JsonlSink>>(cfg.clone());
+    assert_eq!(plain, traced);
+
+    // Its own span file, so the completeness checks below see one run.
+    let observed_trace = trace_path("peerolap-observed");
+    cfg.telemetry.trace_path = Some(observed_trace.clone());
+    let observed = run_fully_observed::<PeerOlapScenario<JsonlSink>>(cfg, "peerolap", 5);
+    std::fs::remove_file(&observed_trace).ok();
+    assert_eq!(plain, observed, "probe + sampling + tracing moved the run");
 
     assert_eq!(plain.total_chunks(), traced.total_chunks());
     assert_eq!(plain.peer_share(), traced.peer_share());
