@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the full workspace test suite, the
+# Local CI gate: formatting, lints, rustdoc, the full workspace test suite, the
 # benchmark package's own tests and --check miniature, and CLI smoke
 # runs. Writes nothing into the tree (the last step checks).
 # Run from the repository root before pushing.
@@ -11,6 +11,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (rustdoc -D warnings: dangling or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test -q"
 cargo test -q --workspace

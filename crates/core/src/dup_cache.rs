@@ -106,7 +106,7 @@ impl DupCache {
     /// capacity (thousands) while most nodes see only hundreds of
     /// distinct queries per session, and sizing every node's table for
     /// the worst case multiplies the simulator's cache-hostile footprint
-    /// for nothing. Growth happens inside [`DupCache::compact`] when the
+    /// for nothing. Growth happens inside `DupCache::compact` when the
     /// live count crosses half the table.
     ///
     /// # Panics

@@ -14,7 +14,7 @@
 //! | Per-node statistics "for both the neighboring and the non-neighboring nodes that were encountered" | [`stats_store`] |
 //! | "each node keeps a list of recent messages" (duplicate suppression) | [`dup_cache`] |
 //! | §2 orthogonal techniques (Yang & Garcia-Molina): iterative deepening, directed BFT, local indices | [`search`], [`local_index`] |
-//! | Framework runtime: node plumbing shared by every simulator (membership, per-node bundle, reconfig clock, observer sink) | [`runtime`] |
+//! | Framework runtime: node plumbing shared by every simulator (membership, per-node bundle, reconfig clock, timeline sampler) | [`runtime`] |
 //!
 //! The components are **pure decision logic** — they never touch the event
 //! queue. A simulator (see `ddr-gnutella`, `ddr-webcache`) owns message
@@ -43,7 +43,7 @@ pub use explore::{ExplorationPlanner, ExplorationTrigger};
 pub use local_index::LocalIndex;
 pub use query::{QueryDescriptor, SearchOutcome};
 pub use runtime::{
-    Clock, Membership, NodeBehavior, NodeRuntime, NullObserver, ReconfigClock, SimObserver,
+    sample_runtime_metrics, Clock, Membership, NodeBehavior, NodeRuntime, ReconfigClock,
     SimTransport, Transport,
 };
 pub use search::{ForwardSelection, IterativeDeepening, TerminationPolicy};

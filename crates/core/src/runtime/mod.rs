@@ -10,15 +10,16 @@
 //! | Who is online right now (O(1) set + dense sampling slice, churn toggles) | [`Membership`] | Gnutella's `OnlineSet`, the webcache/peerolap `up`/`present` vectors |
 //! | Per-node framework bundle (stats, exploration, dup-cache, reconfig clock) | [`NodeRuntime`] | ad-hoc `{stats, seen, requests_since_*}` fields on `PeerState` / `ProxyState` / `OlapPeer` |
 //! | Threshold-K reconfiguration clock with invitation damping | [`ReconfigClock`] | bare `u32` counters compared against config in three places |
-//! | Uniform observability sink for framework events | [`SimObserver`] | three bespoke metrics structs duplicating queries/hits/messages/updates |
 //!
 //! The worlds keep their domain state (caches, pending queries, workload
-//! generators) and compose it with a [`NodeRuntime`]; framework-level
-//! events are reported through [`SimObserver`], whose canonical
-//! implementation is the shared [`ddr_stats::RuntimeMetrics`] recorder.
-//! [`NullObserver`] is the zero-cost sink for benches and tests that do
-//! not care about metrics.
-
+//! generators) and compose it with a [`NodeRuntime`]. Framework-level
+//! events (a query issued, a remote hit, messages sent, a
+//! reconfiguration executed) are recorded by calling the shared
+//! [`ddr_stats::RuntimeMetrics`] recorder directly, and
+//! [`sample_runtime_metrics`] is the one place those counters are named
+//! for the metrics timeline, so every world's timeline carries the same
+//! six.
+//!
 //! A second split sits *under* the worlds: [`transport`] defines the
 //! engine/node boundary (`Clock`, `Transport`, `NodeBehavior`) so the
 //! same per-node state machine runs under the discrete-event simulator
@@ -26,12 +27,25 @@
 
 pub mod membership;
 pub mod node;
-pub mod observer;
 pub mod reconfig;
 pub mod transport;
 
 pub use membership::Membership;
 pub use node::NodeRuntime;
-pub use observer::{NullObserver, SimObserver};
 pub use reconfig::ReconfigClock;
 pub use transport::{Clock, NodeBehavior, SimTransport, Transport};
+
+use ddr_sim::MetricsHub;
+use ddr_stats::RuntimeMetrics;
+
+/// Report the framework counters of `rt` into `hub` as cumulative totals
+/// (the recorder differences them into per-window deltas). Every world's
+/// `sample_metrics` calls this and then adds only its domain names.
+pub fn sample_runtime_metrics(rt: &RuntimeMetrics, hub: &mut dyn MetricsHub) {
+    hub.counter("queries", rt.queries.total() as u64);
+    hub.counter("hits", rt.hits.total() as u64);
+    hub.counter("messages", rt.messages.total() as u64);
+    hub.counter("explorations", rt.explorations);
+    hub.counter("updates", rt.updates);
+    hub.counter("edges_changed", rt.edges_changed);
+}

@@ -1,5 +1,5 @@
 //! Entry-point plumbing: the `ddr` multi-experiment CLI over the
-//! [`crate::registry`].
+//! [`mod@crate::registry`].
 
 use crate::emit::Emitter;
 use crate::opts::{CliError, ExpOptions, USAGE};
@@ -38,8 +38,10 @@ flags (shared by every experiment):
   --threads N       cap sweep worker fan-out (default: one per core)
   --shards N        shard count for sharded-kernel experiments
                     (fig1_dynamic, the scenario pack, shard_scaling;
-                    default 1; rejected for experiments on the serial
-                    kernel)
+                    default 1)
+
+--shards, --trace, --metrics and --profile are rejected (exit 2) for an
+experiment that would ignore them.
 
 scenario-pack knobs (flash_crowd, partition_heal, heavy_churn,
 free_riders, bandwidth_eras):
@@ -98,17 +100,23 @@ pub fn ddr_main(args: Vec<String>) -> i32 {
                 }
                 sel
             };
-            if opts.shards.is_some() {
-                if let Some(e) = selected.iter().find(|e| !e.shardable) {
-                    let shardable: Vec<&str> = registry()
+            let given = [
+                ("--shards", opts.shards.is_some()),
+                ("--trace", opts.trace.is_some()),
+                ("--metrics", opts.metrics.is_some()),
+                ("--profile", opts.profile),
+            ];
+            for flag in given.iter().filter(|g| g.1).map(|g| g.0) {
+                if let Some(e) = selected.iter().find(|e| !e.honours.contains(&flag)) {
+                    let honouring: Vec<&str> = registry()
                         .iter()
-                        .filter(|e| e.shardable)
+                        .filter(|e| e.honours.contains(&flag))
                         .map(|e| e.name)
                         .collect();
                     eprintln!(
-                        "--shards: {:?} runs on the serial kernel; shardable experiments: {}",
+                        "{flag}: {:?} does not honour it; experiments that do: {}",
                         e.name,
-                        shardable.join(", ")
+                        honouring.join(", ")
                     );
                     eprintln!("{USAGE}");
                     return 2;
@@ -214,6 +222,16 @@ mod tests {
             ddr_main(argv(&["run", "webcache_eval", "--hours", "0", "--smoke"])),
             2
         );
+        // An observer flag the experiment would silently ignore is
+        // rejected before anything runs, like `--shards` on a serial one.
+        assert_eq!(ddr_main(argv(&["run", "diag", "--trace", "t.jsonl"])), 2);
+        assert_eq!(ddr_main(argv(&["run", "diag", "--metrics", "m.jsonl"])), 2);
+        assert_eq!(ddr_main(argv(&["run", "diag", "--profile"])), 2);
+        assert_eq!(
+            ddr_main(argv(&["run", "fig1_dynamic", "--trace", "t.jsonl"])),
+            2
+        );
+        assert_eq!(ddr_main(argv(&["run", "--all", "--smoke", "--profile"])), 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use super::{shrink_peerolap, shrink_webcache, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use crate::run_all;
+use crate::run_all_with;
 use ddr_gnutella::Mode;
 use ddr_peerolap::{run_peerolap, OlapMode, PeerOlapConfig};
 use ddr_stats::Table;
@@ -19,13 +19,11 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
 
     // ---- Figures 1 & 2: hourly series at hops 2 and 4 --------------------
     for hops in [2u8, 4] {
-        let reports = run_all(
-            vec![
-                opts.scenario(Mode::Static, hops),
-                opts.scenario(Mode::Dynamic, hops),
-            ],
-            opts.workers(),
-        );
+        let configs = vec![
+            opts.scenario(Mode::Static, hops),
+            opts.scenario(Mode::Dynamic, hops),
+        ];
+        let reports = run_all_with(&opts, configs, em);
         let (s, d) = (&reports[0], &reports[1]);
         let fig = if hops == 2 { "Fig 1" } else { "Fig 2" };
         em.note(&format!(
@@ -46,7 +44,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         configs.push(opts.scenario(Mode::Static, h));
         configs.push(opts.scenario(Mode::Dynamic, h));
     }
-    let reports = run_all(configs, opts.workers());
+    let reports = run_all_with(&opts, configs, em);
     let mut t = Table::new(
         "Fig 3(a): first-result delay (ms) / total results",
         &[
@@ -78,7 +76,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         c.reconfig_threshold = k;
         configs.push(c);
     }
-    let reports = run_all(configs, opts.workers());
+    let reports = run_all_with(&opts, configs, em);
     let mut t = Table::new(
         "Fig 3(b): total hits vs reconfiguration threshold (hops=2)",
         &["K", "Gnutella", "Dynamic_Gnutella"],

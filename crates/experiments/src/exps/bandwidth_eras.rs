@@ -17,8 +17,6 @@ use ddr_stats::Table;
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let opts = smoke_scale(opts.clone().tuned(4, 48));
-    let shards = opts.shard_count();
-    let threads = opts.workers().min(shards);
 
     let eras: [(&str, Option<ClassMix>); 3] = [
         ("paper (uniform)", None),
@@ -40,7 +38,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     for (name, mix) in eras {
         let mut cfg = opts.scenario(Mode::Dynamic, 2);
         cfg.bandwidth_mix = mix;
-        let (report, _) = run_pack(cfg, shards, threads);
+        let (report, _) = run_pack(&opts, cfg, em);
         t.row(vec![
             name.to_string(),
             format!("{:.0}", report.mean_hits_per_hour()),

@@ -7,7 +7,7 @@
 use super::smoke_scale;
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use crate::{hourly_figure_table, run_all};
+use crate::{hourly_figure_table, run_all_with};
 use ddr_gnutella::Mode;
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
@@ -16,7 +16,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         opts.scenario(Mode::Static, 4),
         opts.scenario(Mode::Dynamic, 4),
     ];
-    let reports = run_all(configs, opts.workers());
+    let reports = run_all_with(&opts, configs, em);
     let (stat, dynm) = (&reports[0], &reports[1]);
 
     let fig2a = hourly_figure_table(

@@ -10,7 +10,7 @@
 use super::smoke_scale;
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use crate::run_all;
+use crate::run_all_with;
 use ddr_gnutella::Mode;
 use ddr_stats::Table;
 
@@ -22,7 +22,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         configs.push(opts.scenario(Mode::Static, h));
         configs.push(opts.scenario(Mode::Dynamic, h));
     }
-    let reports = run_all(configs, opts.workers());
+    let reports = run_all_with(&opts, configs, em);
 
     let mut t = Table::new(
         "Figure 3(a): mean first-result delay (ms) and total results, by hop limit",

@@ -11,7 +11,7 @@
 use super::smoke_scale;
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use crate::run_all;
+use crate::run_all_with;
 use ddr_gnutella::Mode;
 use ddr_stats::Table;
 
@@ -25,7 +25,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         c.reconfig_threshold = k;
         configs.push(c);
     }
-    let reports = run_all(configs, opts.workers());
+    let reports = run_all_with(&opts, configs, em);
     let static_hits = reports[0].total_hits();
 
     let mut t = Table::new(

@@ -21,8 +21,6 @@ use ddr_workload::FlashCrowd;
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let opts = smoke_scale(opts.clone().tuned(4, 48));
-    let shards = opts.shard_count();
-    let threads = opts.workers().min(shards);
 
     let benign = opts.scenario(Mode::Dynamic, 2);
     let mut crowd = benign.clone();
@@ -41,8 +39,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         spike_theta: 1.2,
     });
 
-    let (base, _) = run_pack(benign, shards, threads);
-    let (spiked, _) = run_pack(crowd, shards, threads);
+    let (base, _) = run_pack(&opts, benign, em);
+    let (spiked, _) = run_pack(&opts, crowd, em);
 
     let mut t = Table::new(
         format!(

@@ -45,8 +45,6 @@ fn fmt(d: Option<f64>) -> String {
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let opts = smoke_scale(opts.clone().tuned(4, 48));
-    let shards = opts.shard_count();
-    let threads = opts.workers().min(shards);
 
     let mut t = Table::new(
         format!(
@@ -68,7 +66,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         let mut cfg = opts.scenario(mode, 2);
         cfg.free_rider_fraction = 0.15;
         cfg.liar_fraction = opts.pack.liar_fraction;
-        let (report, worlds) = run_pack(cfg, shards, threads);
+        let (report, worlds) = run_pack(&opts, cfg, em);
         // Structurally zero — the invariant layer already asserted it;
         // the column makes the claim visible in the table.
         let refuser_served: f64 = worlds

@@ -18,8 +18,6 @@ use ddr_workload::ChurnModel;
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let opts = smoke_scale(opts.clone().tuned(4, 48));
-    let shards = opts.shard_count();
-    let threads = opts.workers().min(shards);
 
     let exp = opts.scenario(Mode::Dynamic, 2);
     let mut pareto = exp.clone();
@@ -27,8 +25,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         shape: opts.pack.pareto_shape,
     };
 
-    let (base, _) = run_pack(exp, shards, threads);
-    let (heavy, _) = run_pack(pareto, shards, threads);
+    let (base, _) = run_pack(&opts, exp, em);
+    let (heavy, _) = run_pack(&opts, pareto, em);
 
     let mut t = Table::new(
         format!(

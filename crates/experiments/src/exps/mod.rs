@@ -23,12 +23,13 @@ pub mod shard_scaling;
 pub mod strategies;
 pub mod webcache_eval;
 
+use crate::emit::Emitter;
 use crate::opts::ExpOptions;
 use ddr_gnutella::{
     check_invariants, run_scenario_sharded, GnutellaWorld, RunReport, ScenarioConfig, ShardedRun,
 };
 use ddr_peerolap::PeerOlapConfig;
-use ddr_telemetry::NullSink;
+use ddr_telemetry::{shard_profile_report, NullSink};
 use ddr_webcache::WebCacheConfig;
 
 /// Smoke-mode clamp for Gnutella-based experiments: force a tiny world
@@ -42,19 +43,31 @@ pub(crate) fn smoke_scale(mut opts: ExpOptions) -> ExpOptions {
     opts
 }
 
-/// Run one scenario-pack configuration on the sharded kernel and assert
-/// the [`check_invariants`] layer over the result — every pack experiment
-/// goes through here, so a conservation or isolation violation aborts the
-/// run loudly instead of producing a quietly wrong table.
+/// Run one scenario-pack configuration on the sharded kernel (`--shards`
+/// slices, one worker per shard unless `--threads` caps it lower) and
+/// assert the [`check_invariants`] layer over the result — every pack
+/// experiment goes through here, so a conservation or isolation violation
+/// aborts the run loudly instead of producing a quietly wrong table.
+/// `--metrics` rides in on `config.telemetry`; `--profile` notes the
+/// per-shard breakdown.
 pub(crate) fn run_pack(
+    opts: &ExpOptions,
     config: ScenarioConfig,
-    shards: usize,
-    threads: usize,
+    em: &mut Emitter,
 ) -> (RunReport, Vec<GnutellaWorld<NullSink>>) {
     config.validate().expect("pack scenario config");
-    let ShardedRun { report, worlds, .. } = run_scenario_sharded(config, shards, threads, false);
+    let shards = opts.shard_count();
+    let threads = opts.workers().min(shards);
+    let ShardedRun {
+        report,
+        worlds,
+        profile,
+    } = run_scenario_sharded(config, shards, threads, opts.profile);
     if let Err(e) = check_invariants(&report, &worlds) {
         panic!("scenario invariants violated: {e}");
+    }
+    if let Some(p) = &profile {
+        em.note(&shard_profile_report(p, threads));
     }
     (report, worlds)
 }

@@ -18,8 +18,6 @@ use ddr_stats::Table;
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let opts = smoke_scale(opts.clone().tuned(4, 48));
-    let shards = opts.shard_count();
-    let threads = opts.workers().min(shards);
 
     let benign = opts.scenario(Mode::Dynamic, 2);
     let mut cut = benign.clone();
@@ -32,8 +30,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     };
     cut.partition = Some(window);
 
-    let (base, _) = run_pack(benign, shards, threads);
-    let (split, _) = run_pack(cut, shards, threads);
+    let (base, _) = run_pack(&opts, benign, em);
+    let (split, _) = run_pack(&opts, cut, em);
 
     let mut t = Table::new(
         format!(

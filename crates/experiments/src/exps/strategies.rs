@@ -7,7 +7,7 @@
 use super::smoke_scale;
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use crate::run_all;
+use crate::run_all_with;
 use ddr_gnutella::config::SearchStrategy;
 use ddr_gnutella::{Mode, ScenarioConfig};
 use ddr_stats::Table;
@@ -48,7 +48,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             configs.push(c);
         }
     }
-    let reports = run_all(configs, opts.workers());
+    let reports = run_all_with(&opts, configs, em);
 
     let mut t = Table::new(
         "Search-cost techniques at hops=4 (messages are the cost axis)",

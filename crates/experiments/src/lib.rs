@@ -1,7 +1,7 @@
 //! # ddr-experiments — regenerating the paper's tables and figures
 //!
 //! Every figure, evaluation and ablation registers as a named
-//! [`Experiment`] in the [`registry`]; the single `ddr` binary drives
+//! [`Experiment`] in the [`mod@registry`]; the single `ddr` binary drives
 //! them (`ddr list`, `ddr run <name>...`, `ddr run --all`) — the one
 //! entry point.
 //!
@@ -42,15 +42,10 @@ use ddr_telemetry::{
     JsonlMetrics, JsonlSink, KernelProfiler, MetricsRecorder, NullSink, TelemetryConfig, TraceSink,
 };
 
-/// Run every Gnutella configuration, fanning out across up to `workers`
-/// threads, and return reports in input order. A thin alias over the
-/// shared sweep engine for the many sweep-only experiment modules.
-pub fn run_all(configs: Vec<ScenarioConfig>, workers: usize) -> Vec<RunReport> {
-    ddr_harness::run_many::<GnutellaScenario>(configs, workers)
-}
-
-/// [`run_all`] with the telemetry options applied: `--trace` swaps in
-/// the JSONL-sink world (sampled query spans appended to one shared
+/// Run every Gnutella configuration and return reports in input order,
+/// with the telemetry options applied: a plain sweep fans out across
+/// `opts.workers()` threads on the shared sweep engine; `--trace` swaps
+/// in the JSONL-sink world (sampled query spans appended to one shared
 /// file, each record carrying its run label), `--profile` runs under a
 /// kernel probe and emits the dispatch/queue report afterwards,
 /// `--metrics` samples an hourly timeline — in any combination. Reports
@@ -191,11 +186,20 @@ mod tests {
         c
     }
 
+    /// A plain (no observer flag) sweep on `threads` workers.
+    fn plain(configs: Vec<ScenarioConfig>, threads: usize) -> Vec<RunReport> {
+        let opts = ExpOptions {
+            threads: Some(threads),
+            ..ExpOptions::default()
+        };
+        run_all_with(&opts, configs, &mut Emitter::capture())
+    }
+
     #[test]
     fn run_all_preserves_order_and_determinism() {
         let configs = vec![tiny(Mode::Static), tiny(Mode::Dynamic), tiny(Mode::Static)];
-        let seq = run_all(configs.clone(), 1);
-        let par = run_all(configs, 4);
+        let seq = plain(configs.clone(), 1);
+        let par = plain(configs, 4);
         assert_eq!(seq.len(), 3);
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.label, b.label);
@@ -208,7 +212,7 @@ mod tests {
 
     #[test]
     fn run_all_empty_is_empty() {
-        assert!(run_all(vec![], 4).is_empty());
+        assert!(plain(vec![], 4).is_empty());
     }
 
     #[test]
@@ -220,8 +224,8 @@ mod tests {
         let mut em = Emitter::capture();
         let configs = vec![tiny(Mode::Static), tiny(Mode::Dynamic)];
         let prof = run_all_with(&opts, configs.clone(), &mut em);
-        let plain = run_all(configs, 2);
-        for (a, b) in prof.iter().zip(&plain) {
+        let unprobed = plain(configs, 2);
+        for (a, b) in prof.iter().zip(&unprobed) {
             assert_eq!(a.total_hits(), b.total_hits(), "probing changed the run");
             assert_eq!(a.total_messages(), b.total_messages());
         }
@@ -248,7 +252,7 @@ mod tests {
     #[test]
     fn figure_table_shape() {
         let configs = vec![tiny(Mode::Static), tiny(Mode::Dynamic)];
-        let r = run_all(configs, 2);
+        let r = plain(configs, 2);
         let t = hourly_figure_table("Fig X", "hits", &r[0], &r[1], 1);
         assert_eq!(
             t.len(),

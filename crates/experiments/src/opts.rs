@@ -24,6 +24,10 @@
 //! --islands N       scenario pack: partition island count (>= 2)
 //! ```
 //!
+//! `--shards`, `--trace`, `--metrics` and `--profile` are honoured per
+//! experiment (`Experiment::honours`); `ddr run` rejects a given one the
+//! experiment would ignore.
+//!
 //! Parsing is a pure function ([`ExpOptions::parse`]) returning
 //! [`CliError`] on bad input; `cli::ddr_main` maps that onto usage plus
 //! exit status 2 — never a panic.

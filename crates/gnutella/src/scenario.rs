@@ -22,8 +22,6 @@ impl<T: TraceSink> Scenario for GnutellaScenario<T> {
     type World = GnutellaWorld<T>;
     type Report = RunReport;
 
-    const NAME: &'static str = "gnutella";
-
     fn build(config: ScenarioConfig) -> GnutellaWorld<T> {
         GnutellaWorld::new(config)
     }

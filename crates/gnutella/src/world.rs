@@ -60,7 +60,7 @@ use crate::hosts::HostCache;
 use crate::metrics::Metrics;
 use crate::peer::{PeerState, PendingQuery, SessionSlot};
 use ddr_core::benefit::BenefitFunction;
-use ddr_core::runtime::{Clock, NodeRuntime, SimObserver, Transport};
+use ddr_core::runtime::{sample_runtime_metrics, Clock, NodeRuntime, Transport};
 use ddr_core::{
     plan_asymmetric_update, CategorySummary, InvitationContext, InvitationDecision, LocalIndex,
     QueryDescriptor,
@@ -507,10 +507,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// fleet-wide series. Read-only: a metered run stays digest-identical
     /// to an unmetered one.
     pub fn sample_metrics_into(&self, _now: SimTime, hub: &mut dyn ddr_sim::MetricsHub) {
-        let rt = &self.metrics.runtime;
-        hub.counter("queries", rt.queries.total() as u64);
-        hub.counter("hits", rt.hits.total() as u64);
-        hub.counter("messages", rt.messages.total() as u64);
+        sample_runtime_metrics(&self.metrics.runtime, hub);
         hub.counter("results", self.metrics.results.total() as u64);
         hub.counter("duplicates_dropped", self.metrics.duplicates_dropped);
         hub.counter("logins", self.metrics.logins);
@@ -518,7 +515,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
         hub.counter("invitations_sent", self.metrics.invitations_sent);
         hub.counter("evictions", self.metrics.evictions);
         hub.counter("queries_finalized", self.metrics.queries_finalized);
-        hub.counter("updates", rt.updates);
         hub.gauge("online", self.online_count() as f64);
         let dup_entries: usize = self
             .peers
@@ -777,7 +773,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         let d = self.delay(k, from, to);
         self.metrics
             .runtime
-            .on_messages(ctx.now().as_hours() as usize, 1.0);
+            .record_messages(ctx.now().as_hours() as usize, 1.0);
         ctx.send(to, d, GnutellaEvent::QueryArrive { to, from, desc });
     }
 
@@ -940,7 +936,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             None => PendingQuery::new(item, now),
         };
         self.peers[k].pending.insert(qid, pq);
-        self.metrics.runtime.on_query(now.as_hours() as usize);
+        self.metrics.runtime.record_query(now.as_hours() as usize);
 
         // Decide the launch shape without cloning the strategy (the
         // deepening variant owns a Vec; cloning it per query was the
@@ -995,7 +991,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                     self.served[hk] += 1;
                     self.metrics
                         .runtime
-                        .on_messages(now.as_hours() as usize, 1.0);
+                        .record_messages(now.as_hours() as usize, 1.0);
                     let there = self.delay(k, node, holder);
                     let back = self.delay(hk, holder, node);
                     let bw = self.shared.net.class(holder);
@@ -1150,7 +1146,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 }
             }
             if was_first {
-                self.metrics.runtime.on_hit(now.as_hours() as usize);
+                self.metrics.runtime.record_hit(now.as_hours() as usize);
                 let latency = now.saturating_since(pq.issued_at).as_millis() as f64;
                 self.tracer.first(now, query, from, hops, latency);
             }
@@ -1181,7 +1177,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.metrics.results.add(hour as usize, results as f64);
         if hour >= self.shared.config.warmup_hours {
             let delay = first_at.saturating_since(pq.issued_at).as_millis() as f64;
-            self.metrics.runtime.on_latency_ms(delay);
+            self.metrics.runtime.record_latency_ms(delay);
             self.metrics.first_delay_hist.record(delay);
         }
         // "Obtain results and update statistics" — each result scores
@@ -1225,7 +1221,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         // ~K results gathered since the last one. See
         // `StatsStore::decay_benefit` for why this bends Fig 3(b).
         self.peers[k].rt.stats.decay_benefit(0.5);
-        self.metrics.runtime.on_update();
+        self.metrics.runtime.record_update();
 
         // Evictions are enacted eagerly, making a planned swap
         // degree-neutral: the freed slot is either retaken by the
@@ -1238,7 +1234,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         for e in plan.evict {
             if self.neighbors[k].remove(e) {
                 self.metrics.evictions += 1;
-                self.metrics.runtime.on_edges_changed(1);
+                self.metrics.runtime.record_edges_changed(1);
                 self.peers[k].evicted.insert(e);
                 let d = self.delay(k, node, e);
                 ctx.send(e, d, GnutellaEvent::EvictArrive { to: e, from: node });
@@ -1389,7 +1385,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             if let Some(w) = evict {
                 if self.neighbors[k].remove(w) {
                     self.metrics.evictions += 1;
-                    self.metrics.runtime.on_edges_changed(1);
+                    self.metrics.runtime.record_edges_changed(1);
                     let d = self.delay(k, to, w);
                     ctx.send(w, d, GnutellaEvent::EvictArrive { to: w, from: to });
                 }
@@ -1397,7 +1393,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             if self.neighbors[k].add(from).is_ok() {
                 accepted = true;
                 self.metrics.invitations_accepted += 1;
-                self.metrics.runtime.on_edges_changed(1);
+                self.metrics.runtime.record_edges_changed(1);
                 // §4.3 damping: the neighbour list just changed, so
                 // restart the update clock.
                 self.peers[k].rt.note_invitation_accepted();
@@ -1482,7 +1478,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 if let Some((w, wb)) = worst {
                     if wb < new_b && self.neighbors[k].remove(w) {
                         self.metrics.evictions += 1;
-                        self.metrics.runtime.on_edges_changed(1);
+                        self.metrics.runtime.record_edges_changed(1);
                         self.peers[k].evicted.insert(w);
                         let d = self.delay(k, node, w);
                         ctx.send(w, d, GnutellaEvent::EvictArrive { to: w, from: node });
@@ -1526,7 +1522,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 // beneficial link wins the slot by eviction), so refusing
                 // eagerly would only starve the overlay.
                 accepted = true;
-                self.metrics.runtime.on_edges_changed(1);
+                self.metrics.runtime.record_edges_changed(1);
             }
         }
         let d = self.delay(k, to, from);
@@ -1717,7 +1713,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         if earned <= 0.0 {
             if self.neighbors[k].remove(peer) {
                 self.metrics.evictions += 1;
-                self.metrics.runtime.on_edges_changed(1);
+                self.metrics.runtime.record_edges_changed(1);
                 self.metrics.trials_failed += 1;
                 let d = self.delay(k, node, peer);
                 ctx.send(

@@ -31,9 +31,6 @@ pub trait Scenario {
     /// The domain report extracted after the run.
     type Report;
 
-    /// Short identifier (used in logs and perf entries).
-    const NAME: &'static str;
-
     /// Construct the world from a configuration.
     fn build(config: Self::Config) -> Self::World;
 
@@ -152,7 +149,6 @@ pub(crate) mod toy {
         type Config = TickConfig;
         type World = TickWorld;
         type Report = TickReport;
-        const NAME: &'static str = "tick";
 
         fn build(config: TickConfig) -> TickWorld {
             TickWorld {

@@ -70,8 +70,6 @@ impl<T: TraceSink> Scenario for PeerOlapScenario<T> {
     type World = PeerOlapWorld<T>;
     type Report = PeerOlapReport;
 
-    const NAME: &'static str = "peerolap";
-
     fn build(config: PeerOlapConfig) -> PeerOlapWorld<T> {
         PeerOlapWorld::new(config)
     }

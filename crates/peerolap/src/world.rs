@@ -19,7 +19,7 @@
 
 use crate::config::{OlapMode, PeerOlapConfig};
 use crate::cube::{chunk_processing_ms, CubeSpace, OlapQueryStream};
-use ddr_core::runtime::{Clock, Membership, NodeRuntime, SimObserver, Transport};
+use ddr_core::runtime::{sample_runtime_metrics, Clock, Membership, NodeRuntime, Transport};
 use ddr_core::stats_store::ReplyObservation;
 use ddr_core::{plan_asymmetric_update, CumulativeBenefit};
 use ddr_net::NodeDelayStream;
@@ -295,7 +295,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         if !self.present.contains(peer) {
             return; // absent peers issue nothing
         }
-        self.metrics.runtime.on_query(hour);
+        self.metrics.runtime.record_query(hour);
 
         let shape = {
             let space = &self.space;
@@ -326,7 +326,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         if wanted.is_empty() {
             // Fully cached: done instantly.
             if now.as_hours() >= self.config.warmup_hours {
-                self.metrics.runtime.on_latency_ms(1.0);
+                self.metrics.runtime.record_latency_ms(1.0);
             }
             self.tracer
                 .finish(now, qid, TraceOutcome::Hit, local as u64, 1.0);
@@ -348,7 +348,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         self.tracer
             .hop(now, qid, peer, peer, self.config.max_hops, 0, targets.len());
         for t in targets {
-            self.metrics.runtime.on_messages(hour, 1.0);
+            self.metrics.runtime.record_messages(hour, 1.0);
             let d = self.jittered(peer, self.config.peer_delay);
             ctx.send(
                 t,
@@ -428,7 +428,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             fanout = targets.len();
             let hour = ctx.now().as_hours() as usize;
             for t in targets {
-                self.metrics.runtime.on_messages(hour, 1.0);
+                self.metrics.runtime.record_messages(hour, 1.0);
                 let d = self.jittered(to, self.config.peer_delay);
                 ctx.send(
                     t,
@@ -520,7 +520,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             let span_latency = done_at.saturating_since(pq.issued_at).as_millis() as f64;
             let served = pq.wanted.len() as u64;
             if done_at.as_hours() >= self.config.warmup_hours {
-                self.metrics.runtime.on_latency_ms(span_latency);
+                self.metrics.runtime.record_latency_ms(span_latency);
             }
             self.tracer
                 .finish(now, query, TraceOutcome::Hit, served, span_latency);
@@ -543,7 +543,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             .as_millis() as f64
             + done_in.as_millis() as f64;
         if (now + done_in).as_hours() >= self.config.warmup_hours {
-            self.metrics.runtime.on_latency_ms(total_latency);
+            self.metrics.runtime.record_latency_ms(total_latency);
         }
         let acquired = self.peers[i].pending[&query].acquired.len() as u64;
         self.tracer
@@ -567,7 +567,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
     fn update_neighbors(&mut self, peer: NodeId) {
         let i = peer.index();
         self.peers[i].rt.clock.reset();
-        self.metrics.runtime.on_update();
+        self.metrics.runtime.record_update();
         let plan = {
             let present = &self.present;
             plan_asymmetric_update(
@@ -580,12 +580,12 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         };
         for e in &plan.evict {
             if self.topology.remove_edge(peer, *e) {
-                self.metrics.runtime.on_edges_changed(1);
+                self.metrics.runtime.record_edges_changed(1);
             }
         }
         for a in &plan.add {
             match self.topology.add_edge(peer, *a) {
-                Ok(()) => self.metrics.runtime.on_edges_changed(1),
+                Ok(()) => self.metrics.runtime.record_edges_changed(1),
                 Err(_) => self.metrics.adds_refused += 1,
             }
         }
@@ -609,17 +609,13 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
     /// the recorder) and instantaneous levels. Read-only, so a metered
     /// run stays bit-identical to an unmetered one.
     fn sample_metrics(&self, _now: SimTime, hub: &mut dyn ddr_sim::MetricsHub) {
-        let rt = &self.metrics.runtime;
-        hub.counter("queries", rt.queries.total() as u64);
-        hub.counter("hits", rt.hits.total() as u64);
-        hub.counter("messages", rt.messages.total() as u64);
+        sample_runtime_metrics(&self.metrics.runtime, hub);
         hub.counter("chunks_local", self.metrics.chunks_local.total() as u64);
         hub.counter(
             "chunks_warehouse",
             self.metrics.chunks_warehouse.total() as u64,
         );
         hub.counter("departures", self.metrics.departures);
-        hub.counter("updates", rt.updates);
         hub.gauge("online", self.present.len() as f64);
     }
 

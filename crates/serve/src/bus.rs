@@ -727,7 +727,7 @@ mod tests {
             let v = serde::json::parse(line).expect("window record parses");
             let counters = v.get("counters").expect("counters object");
             let num = |k: &str| counters.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0) as u64;
-            sum_completed += num("queries_completed");
+            sum_completed += num("queries_finalized");
             sum_hits += num("hits");
             sum_offered += num("queries_offered");
             windows += 1;

@@ -8,7 +8,7 @@
 //! monitor thread only reads them, and completed-query outcomes are
 //! drained into the same end-of-run report whether the monitor is on or
 //! off. `monitor_does_not_perturb_the_report` pins that the monitor's
-//! cumulative counters agree exactly with the final [`ServeReport`]
+//! cumulative counters agree exactly with the final [`crate::ServeReport`]
 //! fields.
 
 use crate::bus::WallClock;
@@ -44,7 +44,7 @@ pub struct MonitorShared {
     /// Completed queries with at least one result.
     pub hits: AtomicU64,
     /// First-result latency, milliseconds.
-    pub latency_ms: LogHistogram<AtomicU64>,
+    pub latency_ms: LogHistogram,
     /// Set by the coordinator once the shards are joined; tells the
     /// monitor and endpoint threads to emit a final window and exit.
     pub done: AtomicBool,
@@ -146,7 +146,7 @@ pub(crate) fn spawn_monitor(
     clock: Arc<WallClock>,
     telemetry: TelemetryConfig,
     interval_ms: u64,
-) -> JoinHandle<u64> {
+) -> JoinHandle<()> {
     thread::spawn(move || {
         let mut rec: MetricsRecorder<JsonlMetrics> = MetricsRecorder::new(&telemetry);
         let interval = interval_ms.max(1);
@@ -161,9 +161,11 @@ pub(crate) fn spawn_monitor(
                 let dt_s = (now.saturating_sub(prev_t)).max(1) as f64 / 1_000.0;
                 let reg = rec.registry_mut();
                 reg.begin_sample();
+                // Quantities the simulator also reports keep its names
+                // (DESIGN.md §14); `queries_offered` is serve-only.
                 reg.counter("queries_offered", shared.offered.load(ORD));
-                reg.counter("queries_issued", shared.issued.load(ORD));
-                reg.counter("queries_completed", completed);
+                reg.counter("queries", shared.issued.load(ORD));
+                reg.counter("queries_finalized", completed);
                 reg.counter("hits", shared.hits.load(ORD));
                 reg.gauge(
                     "achieved_qps",
@@ -189,7 +191,6 @@ pub(crate) fn spawn_monitor(
             thread::sleep(Duration::from_millis(interval.min(25)));
         }
         rec.finish();
-        rec.windows()
     })
 }
 

@@ -20,7 +20,6 @@
 //! * [`hash`] — an FxHash-style integer hasher and `FastHashMap`/`FastHashSet`
 //!   aliases for the hot integer-keyed maps in the event loop (implemented
 //!   locally to keep the dependency set minimal).
-//! * [`trace`] — lightweight named counters for debugging and tests.
 //! * [`probe`] — kernel-profiling hooks ([`EventLabel`], [`KernelProbe`])
 //!   consumed by [`Simulation::run_probed`]; the default `run` loop stays
 //!   instrumentation-free.
@@ -50,7 +49,6 @@ pub mod probe;
 pub mod rng;
 pub mod sharded;
 pub mod time;
-pub mod trace;
 
 pub use engine::{RunOutcome, Simulation, World};
 pub use event::{
@@ -65,4 +63,3 @@ pub use probe::{EventLabel, KernelProbe, NullKernelProbe, QueueSample};
 pub use rng::RngFactory;
 pub use sharded::{Partition, ShardCtx, ShardLane, ShardProfile, ShardWorld, ShardedSimulation};
 pub use time::{SimDuration, SimTime};
-pub use trace::Counters;

@@ -1,6 +1,6 @@
 //! The kernel-side metrics hook: how worlds expose time-series samples.
 //!
-//! `ddr-telemetry` owns the full metrics pipeline (registry, sinks,
+//! `ddr-telemetry` owns the full metrics pipeline (registry, sink,
 //! timeline files), but the *hook* has to live here: the [`crate::World`]
 //! and [`crate::sharded::ShardWorld`] traits are defined in this crate,
 //! and a world reports its gauges without knowing what collects them.
@@ -12,8 +12,7 @@
 //! series, and the collector sees the fleet-wide sum. Counters carry
 //! cumulative totals (the collector windows them into per-interval
 //! deltas); gauges carry instantaneous levels (extensive quantities like
-//! online population sum naturally across shards); observations feed
-//! histograms one sample at a time.
+//! online population sum naturally across shards).
 //!
 //! Sampling happens *between* kernel steps — never inside a handler — so
 //! a hub only ever observes quiescent world state and cannot perturb
@@ -28,39 +27,4 @@ pub trait MetricsHub {
 
     /// Add `value` to the instantaneous gauge `name`.
     fn gauge(&mut self, name: &str, value: f64);
-
-    /// Record one sample into the histogram `name`.
-    fn observe(&mut self, name: &str, value: f64);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[derive(Default)]
-    struct Sink {
-        counters: Vec<(String, u64)>,
-        gauges: Vec<(String, f64)>,
-    }
-
-    impl MetricsHub for Sink {
-        fn counter(&mut self, name: &str, total: u64) {
-            self.counters.push((name.to_string(), total));
-        }
-        fn gauge(&mut self, name: &str, value: f64) {
-            self.gauges.push((name.to_string(), value));
-        }
-        fn observe(&mut self, _name: &str, _value: f64) {}
-    }
-
-    #[test]
-    fn hub_is_object_safe_and_additive_by_contract() {
-        let mut sink = Sink::default();
-        let hub: &mut dyn MetricsHub = &mut sink;
-        hub.counter("hits", 3);
-        hub.counter("hits", 4);
-        hub.gauge("online", 10.0);
-        assert_eq!(sink.counters, vec![("hits".into(), 3), ("hits".into(), 4)]);
-        assert_eq!(sink.gauges, vec![("online".into(), 10.0)]);
-    }
 }

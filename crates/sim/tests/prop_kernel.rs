@@ -147,23 +147,4 @@ proptest! {
         prop_assert_ne!(f1.sub_seed("lbl", idx), f1.sub_seed("lbl2", idx));
         prop_assert_ne!(f1.sub_seed("lbl", idx), f1.sub_seed("lbl", idx.wrapping_add(1)));
     }
-
-    /// Counters are a commutative monoid: order of adds doesn't matter.
-    #[test]
-    fn counters_commute(mut adds in proptest::collection::vec((0usize..3, 1u64..100), 1..50)) {
-        use ddr_sim::Counters;
-        const NAMES: [&str; 3] = ["a", "b", "c"];
-        let mut c1 = Counters::new();
-        for &(i, n) in &adds {
-            c1.add(NAMES[i], n);
-        }
-        adds.reverse();
-        let mut c2 = Counters::new();
-        for &(i, n) in &adds {
-            c2.add(NAMES[i], n);
-        }
-        for name in NAMES {
-            prop_assert_eq!(c1.get(name), c2.get(name));
-        }
-    }
 }

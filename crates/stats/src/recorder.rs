@@ -4,10 +4,11 @@
 //! re-declared the same framework counters (queries, hits, messages,
 //! reconfiguration updates, …) next to its domain-specific ones. The
 //! [`RuntimeMetrics`] recorder factors that common core out: the worlds
-//! now embed one shared recorder and keep only their domain fields, and
-//! the `ddr-core` observer trait (`SimObserver`) is implemented directly
-//! on this type so the framework runtime can report into it without
-//! knowing which case study is running.
+//! embed one shared recorder, keep only their domain fields, and their
+//! handlers call its `record_*` methods directly.
+//! `ddr_core::runtime::sample_runtime_metrics` names these counters for
+//! the metrics timeline, so a new one is written in three places: the
+//! field, [`RuntimeMetrics::merge`], and that sampler.
 //!
 //! The field vocabulary follows the paper's reporting: hourly series for
 //! the Fig 1–2 curves, a latency accumulator for Fig 3(a), and plain

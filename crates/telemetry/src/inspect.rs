@@ -69,7 +69,7 @@ pub struct TraceSummary {
     pub hop_depth: BTreeMap<u64, u64>,
     /// Outcome funnel per simulated hour.
     pub hourly: BTreeMap<u64, HourFunnel>,
-    /// Up to [`TOP_K`] slowest completed spans, slowest first.
+    /// Up to `TOP_K` slowest completed spans, slowest first.
     pub slowest: Vec<SlowQuery>,
     /// Latency of spans that ended `hit`.
     pub hit_latency: RunningStats,

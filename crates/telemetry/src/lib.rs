@@ -12,11 +12,10 @@
 //!   sink, [`JsonlSink`], buffers versioned (`"v":1`) JSONL records and
 //!   appends them to the configured file.
 //! * **Metrics timelines** — a [`MetricsRecorder`] samples whole-system
-//!   counters/gauges/histograms into windowed JSONL records through a
-//!   [`MetricsSink`] (same compile-time on/off pattern: [`NullMetrics`]
-//!   is free, [`JsonlMetrics`] writes `"v":1` timeline files). Worlds
-//!   report through the `ddr_sim::MetricsHub` hook; the
-//!   [`timeline`] module summarises the files for `ddr inspect`.
+//!   counters and gauges into windowed JSONL records ([`JsonlMetrics`]
+//!   writes `"v":1` timeline files; an unmetered run builds no
+//!   recorder). Worlds report through the `ddr_sim::MetricsHub` hook;
+//!   the [`timeline`] module summarises the files for `ddr inspect`.
 //! * **Kernel profiling** — [`KernelProfiler`] implements
 //!   `ddr_sim::KernelProbe`: per-event-type dispatch counts and
 //!   wall-time histograms plus periodic calendar-queue statistics,
@@ -42,7 +41,7 @@ pub mod tracer;
 pub use config::TelemetryConfig;
 pub use inspect::{summarize, summarize_file, TraceSummary};
 pub use metrics::{
-    JsonlMetrics, LogHistogram, MetricsRecorder, MetricsRegistry, MetricsSink, NullMetrics,
+    JsonlMetrics, LogHistogram, MetricsRecorder, MetricsRegistry, MetricsSink,
     METRICS_SCHEMA_VERSION,
 };
 pub use profile::{shard_profile_report, KernelProfiler};

@@ -3,9 +3,9 @@
 //!
 //! `TraceSink` (PR 4) records *spans* — one query's lifecycle. This
 //! module records *windows*: periodic snapshots of fleet-wide counters
-//! (hits, messages, logins), gauges (online population, dup-cache
-//! occupancy, per-shard event-queue depth) and log-bucketed histograms,
-//! one JSONL record per sampling interval:
+//! (hits, messages, logins) and gauges (online population, dup-cache
+//! occupancy, per-shard event-queue depth), one JSONL record per
+//! sampling interval:
 //!
 //! ```json
 //! {"v":1,"type":"window","run":"Dynamic_Gnutella","t":3600000,
@@ -19,11 +19,11 @@
 //! Gauges are instantaneous levels summed across shards. Timestamps are
 //! virtual ms for simulations and wall ms for `ddr serve`.
 //!
-//! The on/off mechanism mirrors the trace layer exactly: the sink is a
-//! *type* ([`MetricsSink`]), [`NullMetrics`] const-folds every recording
-//! call site away, and a metered run samples only **between** kernel
-//! steps — so metrics-on runs are digest-identical to metrics-off runs
-//! (pinned by `metrics_determinism.rs`).
+//! Metrics are switched off by not building a recorder: every driver
+//! holds an `Option<MetricsRecorder<JsonlMetrics>>`. A metered run
+//! samples only **between** kernel steps — so metrics-on runs are
+//! digest-identical to metrics-off runs (pinned by
+//! `metrics_determinism.rs`).
 
 use crate::config::TelemetryConfig;
 use crate::sink::flush_jsonl;
@@ -37,13 +37,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const METRICS_SCHEMA_VERSION: u64 = 1;
 
 /// A destination for JSONL timeline records. The metrics twin of
-/// [`crate::TraceSink`]: same `const ENABLED` guard, same construction
-/// from [`TelemetryConfig`], same whole-buffer JSONL discipline.
+/// [`crate::TraceSink`]: same construction from [`TelemetryConfig`],
+/// same whole-buffer JSONL discipline.
 pub trait MetricsSink {
-    /// Whether this sink records anything; `false` const-folds every
-    /// recorder call site to a no-op.
-    const ENABLED: bool;
-
     /// Build the sink from the run's telemetry configuration.
     fn create(cfg: &TelemetryConfig) -> Self;
 
@@ -52,20 +48,6 @@ pub trait MetricsSink {
 
     /// Persist anything buffered.
     fn flush(&mut self) {}
-}
-
-/// The compile-time-off metrics sink: records nothing, costs nothing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullMetrics;
-
-impl MetricsSink for NullMetrics {
-    const ENABLED: bool = false;
-
-    fn create(_cfg: &TelemetryConfig) -> Self {
-        NullMetrics
-    }
-
-    fn write_line(&mut self, _line: &str) {}
 }
 
 /// A buffered JSONL timeline file sink, pointed at
@@ -80,8 +62,6 @@ pub struct JsonlMetrics {
 }
 
 impl MetricsSink for JsonlMetrics {
-    const ENABLED: bool = true;
-
     fn create(cfg: &TelemetryConfig) -> Self {
         JsonlMetrics {
             path: cfg.metrics_path.clone(),
@@ -118,24 +98,21 @@ impl Drop for JsonlMetrics {
 /// `[2^(k-1), 2^k)` (bucket 0 holds everything below 1). 64 buckets
 /// cover the full `u64` range, so latency in µs, queue depths and event
 /// counts all fit without configuration; quantiles come back as the
-/// covering bucket's upper edge (a ≤2× overestimate, stable under
-/// merge).
+/// covering bucket's upper edge (a ≤2× overestimate).
 ///
-/// One geometry, two storages: the default `LogHistogram` (plain `u64`
-/// cells, `&mut self` recording) backs the metrics registry;
-/// `LogHistogram<AtomicU64>` records through `&self` from any thread
-/// (the serve monitor's shared latency histogram).
-#[derive(Debug, Clone)]
-pub struct LogHistogram<C = u64> {
-    counts: [C; 64],
-    total: C,
+/// Cells are atomics recorded through `&self` from any thread: the one
+/// user is the serve monitor's shared first-result latency histogram.
+#[derive(Debug)]
+pub struct LogHistogram {
+    counts: [AtomicU64; 64],
+    total: AtomicU64,
 }
 
-impl<C: Default> Default for LogHistogram<C> {
+impl Default for LogHistogram {
     fn default() -> Self {
         LogHistogram {
-            counts: std::array::from_fn(|_| C::default()),
-            total: C::default(),
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            total: AtomicU64::new(0),
         }
     }
 }
@@ -154,55 +131,11 @@ fn bucket(v: f64) -> usize {
     ((64 - u.leading_zeros()) as usize).min(63)
 }
 
-/// Upper edge of the bucket holding the `q`-quantile sample (`q` in
-/// `[0, 1]`) of `total` samples spread over `counts`; 0 when empty.
-fn quantile(total: u64, counts: impl Iterator<Item = u64>, q: f64) -> f64 {
-    if total == 0 {
-        return 0.0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (k, c) in counts.enumerate() {
-        seen += c;
-        if seen >= rank {
-            return if k == 0 { 1.0 } else { (1u64 << k) as f64 };
-        }
-    }
-    (1u64 << 63) as f64
-}
-
-impl LogHistogram {
-    /// Record one sample.
-    pub fn record(&mut self, v: f64) {
-        self.counts[bucket(v)] += 1;
-        self.total += 1;
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Upper edge of the bucket holding the `q`-quantile sample
-    /// (`q` in `[0, 1]`); 0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        quantile(self.total, self.counts.iter().copied(), q)
-    }
-
-    /// Fold another histogram in.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-}
-
 /// Relaxed ordering: the cells are statistics that publish no other
 /// data, and readers report trends, not linearizable cuts.
 const ORD: Ordering = Ordering::Relaxed;
 
-impl LogHistogram<AtomicU64> {
+impl LogHistogram {
     /// Record one sample (any thread).
     pub fn record(&self, v: f64) {
         self.counts[bucket(v)].fetch_add(1, ORD);
@@ -214,51 +147,42 @@ impl LogHistogram<AtomicU64> {
         self.total.load(ORD)
     }
 
-    /// Upper bucket edge covering the `q`-quantile; 0 when empty.
-    /// Approximate under concurrent writes (cells are read one by one),
-    /// which is fine for a rolling dashboard figure.
+    /// Upper edge of the bucket holding the `q`-quantile sample (`q` in
+    /// `[0, 1]`); 0 when empty. Approximate under concurrent writes
+    /// (cells are read one by one), which is fine for a rolling
+    /// dashboard figure.
     pub fn quantile(&self, q: f64) -> f64 {
-        quantile(
-            self.total.load(ORD),
-            self.counts.iter().map(|c| c.load(ORD)),
-            q,
-        )
+        let total = self.count();
+        if total == 0 {
+            return 0.0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (k, c) in self.counts.iter().enumerate() {
+            seen += c.load(ORD);
+            if seen >= rank {
+                return if k == 0 { 1.0 } else { (1u64 << k) as f64 };
+            }
+        }
+        (1u64 << 63) as f64
     }
 }
 
-/// The in-memory store behind a sampling pass: named counters, gauges
-/// and histograms. Implements [`MetricsHub`], so worlds report into it
-/// without a telemetry dependency. Counter and gauge contributions
-/// **add** (N shard worlds sampled into one registry produce fleet-wide
-/// sums); histograms accumulate across the whole run.
+/// The in-memory store behind a sampling pass: named counters and
+/// gauges. Implements [`MetricsHub`], so worlds report into it without a
+/// telemetry dependency. Contributions **add** (N shard worlds sampled
+/// into one registry produce fleet-wide sums).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    hists: BTreeMap<String, LogHistogram>,
 }
 
 impl MetricsRegistry {
-    /// Reset the per-window state (counters and gauges) before a
-    /// sampling pass; histograms survive as rolling accumulators.
+    /// Reset the window's counters and gauges before a sampling pass.
     pub fn begin_sample(&mut self) {
         self.counters.clear();
         self.gauges.clear();
-    }
-
-    /// Current cumulative value of a counter (testing / introspection).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge (testing / introspection).
-    pub fn gauge_value(&self, name: &str) -> f64 {
-        self.gauges.get(name).copied().unwrap_or(0.0)
-    }
-
-    /// The named histogram, if any samples ever reached it.
-    pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.hists.get(name)
     }
 }
 
@@ -269,13 +193,6 @@ impl MetricsHub for MetricsRegistry {
 
     fn gauge(&mut self, name: &str, value: f64) {
         *self.gauges.entry(name.to_string()).or_insert(0.0) += value;
-    }
-
-    fn observe(&mut self, name: &str, value: f64) {
-        self.hists
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
     }
 }
 
@@ -291,15 +208,13 @@ fn json_f64(v: f64) -> String {
 
 /// Drives one run's timeline: owns the [`MetricsRegistry`], differences
 /// cumulative counters into per-window deltas, and emits one versioned
-/// record per sampling boundary into the sink type `M`. With
-/// [`NullMetrics`] every method is a const-folded no-op.
+/// record per sampling boundary into the sink type `M`.
 pub struct MetricsRecorder<M: MetricsSink> {
     registry: MetricsRegistry,
     sink: M,
     run_label: &'static str,
     prev: BTreeMap<String, u64>,
     last_t: Option<u64>,
-    windows: u64,
 }
 
 impl<M: MetricsSink> MetricsRecorder<M> {
@@ -311,13 +226,7 @@ impl<M: MetricsSink> MetricsRecorder<M> {
             run_label: cfg.run_label,
             prev: BTreeMap::new(),
             last_t: None,
-            windows: 0,
         }
-    }
-
-    /// Windows emitted so far.
-    pub fn windows(&self) -> u64 {
-        self.windows
     }
 
     /// The registry, for sampling passes that report directly (the serve
@@ -331,9 +240,6 @@ impl<M: MetricsSink> MetricsRecorder<M> {
     /// [`World::sample_metrics`] hook, gauges the kernel queue depth,
     /// and emits the window record at virtual time `now`.
     pub fn sample_sim<W: World>(&mut self, now: SimTime, sim: &Simulation<W>) {
-        if !M::ENABLED {
-            return;
-        }
         self.registry.begin_sample();
         sim.world().sample_metrics(now, &mut self.registry);
         self.registry.gauge("queue_depth", sim.pending() as f64);
@@ -345,9 +251,6 @@ impl<M: MetricsSink> MetricsRecorder<M> {
     /// registry sums them) and each shard's event-queue depth lands in
     /// its own `queue_depth.s<i>` gauge.
     pub fn sample_sharded<W: ShardWorld>(&mut self, now: SimTime, sim: &ShardedSimulation<W>) {
-        if !M::ENABLED {
-            return;
-        }
         self.registry.begin_sample();
         for (i, w) in sim.worlds().enumerate() {
             w.sample_metrics(now, &mut self.registry);
@@ -357,21 +260,16 @@ impl<M: MetricsSink> MetricsRecorder<M> {
         self.emit_window(now.as_millis());
     }
 
-    /// Difference the counters against the previous window, fold
-    /// histogram quantiles into the gauge set, and write one `"window"`
-    /// record at timestamp `t_ms`. Timestamps are forced strictly
+    /// Difference the counters against the previous window and write one
+    /// `"window"` record at timestamp `t_ms`. Timestamps are forced strictly
     /// monotonic (a late sampler can never emit a time-travelling
     /// window).
     pub fn emit_window(&mut self, t_ms: u64) {
-        if !M::ENABLED {
-            return;
-        }
         let t = match self.last_t {
             Some(last) if t_ms <= last => last + 1,
             _ => t_ms,
         };
         self.last_t = Some(t);
-        self.windows += 1;
 
         let mut line = String::with_capacity(256);
         let _ = write!(
@@ -399,19 +297,6 @@ impl<M: MetricsSink> MetricsRecorder<M> {
             first = false;
             let _ = write!(line, "\"{name}\":{}", json_f64(v));
         }
-        for (name, h) in &self.registry.hists {
-            if !first {
-                line.push(',');
-            }
-            first = false;
-            let _ = write!(
-                line,
-                "\"{name}_count\":{},\"{name}_p50\":{},\"{name}_p99\":{}",
-                h.count(),
-                json_f64(h.quantile(0.50)),
-                json_f64(h.quantile(0.99)),
-            );
-        }
         line.push_str("}}");
         self.sink.write_line(&line);
     }
@@ -427,16 +312,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_metrics_is_disabled_and_free() {
-        const { assert!(!NullMetrics::ENABLED) };
-        let mut r = MetricsRecorder::<NullMetrics>::new(&TelemetryConfig::default());
-        r.emit_window(1000);
-        assert_eq!(r.windows(), 0, "disabled recorder must not count windows");
-    }
-
-    #[test]
     fn log_histogram_buckets_and_quantiles() {
-        let mut h = LogHistogram::<u64>::default();
+        let h = LogHistogram::default();
         for v in [0.0, 0.5, 1.0, 3.0, 100.0, 1000.0] {
             h.record(v);
         }
@@ -444,24 +321,6 @@ mod tests {
         assert!(h.quantile(0.0) >= 1.0);
         // p99 covers the largest sample's bucket: 1000 < 1024 = 2^10.
         assert_eq!(h.quantile(0.99), 1024.0);
-        let mut other = LogHistogram::<u64>::default();
-        other.record(1000.0);
-        h.merge(&other);
-        assert_eq!(h.count(), 7);
-    }
-
-    #[test]
-    fn atomic_storage_shares_the_plain_geometry() {
-        let atomic = LogHistogram::<AtomicU64>::default();
-        let mut plain = LogHistogram::<u64>::default();
-        for v in [0.0, 0.5, 1.0, 3.0, 100.0, 1000.0, 4096.0] {
-            atomic.record(v);
-            plain.record(v);
-        }
-        assert_eq!(atomic.count(), plain.count());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(atomic.quantile(q), plain.quantile(q), "q={q}");
-        }
     }
 
     #[test]
@@ -471,10 +330,10 @@ mod tests {
         reg.counter("hits", 4);
         reg.gauge("online", 10.0);
         reg.gauge("online", 5.0);
-        assert_eq!(reg.counter_value("hits"), 7);
-        assert_eq!(reg.gauge_value("online"), 15.0);
+        assert_eq!(reg.counters["hits"], 7);
+        assert_eq!(reg.gauges["online"], 15.0);
         reg.begin_sample();
-        assert_eq!(reg.counter_value("hits"), 0);
+        assert!(reg.counters.is_empty() && reg.gauges.is_empty());
     }
 
     #[test]

@@ -247,6 +247,11 @@ impl TimelineSummary {
         &self.counter_keys
     }
 
+    /// Gauge series names, sorted.
+    pub fn gauge_keys(&self) -> &[String] {
+        &self.gauge_keys
+    }
+
     /// Render the per-window table plus the anomaly report.
     pub fn render(&self) -> String {
         let cols: Vec<&String> = self.counter_keys.iter().take(MAX_COLUMNS).collect();

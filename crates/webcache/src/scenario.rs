@@ -74,8 +74,6 @@ impl<T: TraceSink> Scenario for WebCacheScenario<T> {
     type World = WebCacheWorld<T>;
     type Report = WebCacheReport;
 
-    const NAME: &'static str = "webcache";
-
     fn build(config: WebCacheConfig) -> WebCacheWorld<T> {
         WebCacheWorld::new(config)
     }

@@ -20,7 +20,7 @@ use crate::config::{CacheMode, WebCacheConfig};
 use crate::digest::BloomFilter;
 use crate::lru::LruCache;
 use crate::traffic::{PageSpace, RequestStream};
-use ddr_core::runtime::{Clock, Membership, NodeRuntime, SimObserver, Transport};
+use ddr_core::runtime::{sample_runtime_metrics, Clock, Membership, NodeRuntime, Transport};
 use ddr_core::stats_store::ReplyObservation;
 use ddr_core::{plan_asymmetric_update, CumulativeBenefit};
 use ddr_net::NodeDelayStream;
@@ -280,7 +280,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
 
     fn record_latency(&mut self, now: SimTime, ms: f64) {
         if now.as_hours() >= self.config.warmup_hours {
-            self.metrics.runtime.on_latency_ms(ms);
+            self.metrics.runtime.record_latency_ms(ms);
         }
     }
 
@@ -305,7 +305,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
             self.metrics.requests_lost += 1;
             return; // the proxy is down: its users get nothing
         }
-        self.metrics.runtime.on_query(hour);
+        self.metrics.runtime.record_query(hour);
 
         let page = {
             let space = &self.space;
@@ -353,7 +353,9 @@ impl<T: TraceSink> WebCacheWorld<T> {
             } else {
                 neighbors
             };
-            self.metrics.runtime.on_messages(hour, queried.len() as f64);
+            self.metrics
+                .runtime
+                .record_messages(hour, queried.len() as f64);
             self.tracer.hop(now, qid, proxy, proxy, 1, 1, queried.len());
             let holder = queried
                 .iter()
@@ -365,7 +367,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
                         .jittered(proxy, self.config.sibling_delay)
                         .saturating_mul(2);
                     let ms = rtt.as_millis() as f64;
-                    self.metrics.runtime.on_hit(hour);
+                    self.metrics.runtime.record_hit(hour);
                     self.record_latency(now, ms);
                     self.tracer.first(now, qid, q, 1, ms);
                     self.tracer.finish(now, qid, TraceOutcome::Hit, 1, ms);
@@ -415,7 +417,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
         proxy: NodeId,
         ctx: &mut C,
     ) {
-        self.metrics.runtime.on_exploration();
+        self.metrics.runtime.record_exploration();
         let hour = ctx.now().as_hours() as usize;
         let n = self.config.proxies;
         for _ in 0..self.config.probe_fanout {
@@ -423,7 +425,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
             if q == proxy || self.topology.out(proxy).contains(q) {
                 continue;
             }
-            self.metrics.runtime.on_messages(hour, 1.0);
+            self.metrics.runtime.record_messages(hour, 1.0);
             let rtt = self
                 .jittered(proxy, self.config.sibling_delay)
                 .saturating_mul(2);
@@ -465,7 +467,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
     fn update_neighbors(&mut self, proxy: NodeId) {
         let i = proxy.index();
         self.proxies[i].rt.clock.reset();
-        self.metrics.runtime.on_update();
+        self.metrics.runtime.record_update();
         let plan = {
             let up = &self.up;
             plan_asymmetric_update(
@@ -478,11 +480,11 @@ impl<T: TraceSink> WebCacheWorld<T> {
         };
         for e in &plan.evict {
             self.topology.remove_edge(proxy, *e);
-            self.metrics.runtime.on_edges_changed(1);
+            self.metrics.runtime.record_edges_changed(1);
         }
         for a in &plan.add {
             if self.topology.add_edge(proxy, *a).is_ok() {
-                self.metrics.runtime.on_edges_changed(1);
+                self.metrics.runtime.record_edges_changed(1);
             }
         }
         // Top up with random proxies if the plan under-filled (early runs
@@ -506,14 +508,9 @@ impl<T: TraceSink> World for WebCacheWorld<T> {
     /// the recorder) and instantaneous levels. Read-only, so a metered
     /// run stays bit-identical to an unmetered one.
     fn sample_metrics(&self, _now: SimTime, hub: &mut dyn ddr_sim::MetricsHub) {
-        let rt = &self.metrics.runtime;
-        hub.counter("queries", rt.queries.total() as u64);
-        hub.counter("hits", rt.hits.total() as u64);
-        hub.counter("messages", rt.messages.total() as u64);
+        sample_runtime_metrics(&self.metrics.runtime, hub);
         hub.counter("local_hits", self.metrics.local_hits.total() as u64);
         hub.counter("origin_fetches", self.metrics.origin_fetches.total() as u64);
-        hub.counter("updates", rt.updates);
-        hub.counter("explorations", rt.explorations);
         hub.counter("restarts", self.metrics.restarts);
         hub.gauge("online", self.up.len() as f64);
     }

@@ -23,7 +23,7 @@
 //! * [`core`] — **the framework**: search / exploration / neighbor-update
 //!   policies and benefit functions (paper §3, Algos 1–4), plus the
 //!   shared framework runtime (`runtime`: membership set, per-node
-//!   bundle, reconfiguration clock, observer sink)
+//!   bundle, reconfiguration clock, timeline sampler)
 //! * [`gnutella`] — case study 1: static vs dynamic Gnutella (paper §4)
 //! * [`webcache`] — case study 2: cooperative proxy caching (asymmetric)
 //! * [`peerolap`] — case study 3: distributed OLAP-result caching
