@@ -18,6 +18,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> cargo test -q --release -p ddr-sim (kernel differentials and the queue"
+echo "    memory bound against the optimised build the benchmark measures)"
+cargo test -q --release -p ddr-sim
+
 echo "==> benchmark/ unit tests (the one measurement stack)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 

@@ -163,8 +163,11 @@ impl<W: World> Simulation<W> {
         W::Event: EventLabel,
         P: KernelProbe,
     {
-        /// Dispatches between queue snapshots.
+        /// Dispatches between queue snapshots. A snapshot walks the wheel
+        /// (`retained_slots`), so big wheels sample no more often than
+        /// once per `wheel_buckets` dispatches: O(1) amortised per event.
         const SAMPLE_EVERY: u64 = 4_096;
+        let sample_every = SAMPLE_EVERY.max(self.queue.wheel_buckets() as u64);
         loop {
             match self.queue.peek_time() {
                 None => return RunOutcome::Exhausted,
@@ -184,12 +187,13 @@ impl<W: World> Simulation<W> {
             let start = std::time::Instant::now();
             self.world.handle(now, event, &mut sched);
             probe.on_dispatch(label, start.elapsed().as_nanos() as u64);
-            if self.processed.is_multiple_of(SAMPLE_EVERY) {
+            if self.processed.is_multiple_of(sample_every) {
                 probe.on_queue_sample(QueueSample {
                     pending: self.queue.len(),
                     overflow: self.queue.overflow_len(),
                     occupied_buckets: self.queue.occupied_buckets(),
                     migrations: self.queue.migrations(),
+                    retained_slots: self.queue.retained_slots(),
                 });
             }
         }

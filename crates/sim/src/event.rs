@@ -17,7 +17,7 @@
 //!   timestamp is cached so the driver's peek/pop pair costs one scan.
 //! * [`ReferenceEventQueue`] — the original `BinaryHeap` future-event
 //!   list, kept as the executable specification. Differential tests in
-//!   `tests/queue_differential.rs` drive both with random interleavings
+//!   `tests/prop_kernel.rs` drive both with random interleavings
 //!   and assert identical pop sequences.
 
 use crate::time::{SimDuration, SimTime};
@@ -121,6 +121,12 @@ fn slot_of(t: SimTime) -> u64 {
 /// everything at or beyond the wheel horizon; entries migrate into the
 /// wheel as the cursor advances past their lap boundary.
 ///
+/// Memory: a bucket holds a buffer only while it is non-empty. A drained
+/// bucket hands its `VecDeque` to a spare stack and the next bucket to
+/// fill takes it back, so queue memory is O(peak pending) rather than
+/// the sum of every slot's own high-water mark (see
+/// [`EventQueue::retained_slots`]).
+///
 /// Determinism: identical `(time, seq)` order as the reference heap —
 /// FIFO among equal timestamps — verified by differential tests.
 ///
@@ -141,6 +147,10 @@ pub struct EventQueue<E> {
     /// length is a power of two fixed at construction (see
     /// [`EventQueue::with_geometry`]).
     wheel: Vec<VecDeque<Scheduled<E>>>,
+    /// Buffers of drained buckets, reused LIFO (the most recently drained
+    /// one is the most likely to still be in cache). Empty buckets own
+    /// no allocation.
+    spare: Vec<VecDeque<Scheduled<E>>>,
     /// `wheel.len() - 1`, cached for the hot physical-index computation.
     slot_mask: u64,
     /// Entries currently stored in the wheel (not counting overflow).
@@ -151,7 +161,7 @@ pub struct EventQueue<E> {
     /// Far-future entries (absolute slot `>= cursor + wheel.len()`).
     overflow: BinaryHeap<Scheduled<E>>,
     /// One bit per physical bucket: set iff the bucket is non-empty.
-    /// Lets [`Self::compute_next`] skip empty buckets a word at a time
+    /// Lets [`Self::front`] skip empty buckets a word at a time
     /// (a handful of `trailing_zeros` scans instead of walking up to
     /// `wheel.len()` empty `VecDeque`s).
     occupied: Box<[u64]>,
@@ -199,6 +209,7 @@ impl<E> EventQueue<E> {
         wheel.resize_with(nbuckets, VecDeque::new);
         EventQueue {
             wheel,
+            spare: Vec::new(),
             slot_mask: (nbuckets as u64) - 1,
             wheel_len: 0,
             cursor: 0,
@@ -212,29 +223,19 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// An empty queue with pre-reserved capacity (figure-scale runs keep
-    /// thousands of in-flight events; see [`event_capacity_hint`]).
-    /// Capacity is split between the overflow heap (which holds the
-    /// hour-scale timer population) and the near-future buckets, and the
-    /// wheel geometry adapts to the hint (see [`wheel_buckets_for`]) so
-    /// million-node worlds don't thrash the overflow heap.
+    /// An empty queue sized for `cap` pending events (figure-scale runs
+    /// keep thousands of in-flight events; see [`event_capacity_hint`]):
+    /// the overflow heap (which holds the hour-scale timer population) is
+    /// pre-reserved and the wheel geometry adapts to the hint (see
+    /// [`wheel_buckets_for`]) so million-node worlds don't thrash the
+    /// overflow heap. Buckets are not pre-reserved: they share recycled
+    /// buffers, and a private head start per bucket would defeat that.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::with_geometry(wheel_buckets_for(cap));
-        // Cap the up-front reservations: at million-node scale the hint
+        // Cap the up-front reservation: at million-node scale the hint
         // runs into the millions and faithful pre-allocation would cost
         // hundreds of MB before the first event fires.
         q.overflow.reserve((cap / 2).min(1 << 20));
-        // Give each bucket a small head start so early same-slot bursts
-        // (scenario priming schedules every node at once) don't grow
-        // buckets one push at a time. Bounded so the total reservation
-        // stays modest for big wheels.
-        let nbuckets = q.wheel.len();
-        let per_bucket = (cap / nbuckets).clamp(0, 64).min((1 << 18) / nbuckets);
-        if per_bucket > 0 {
-            for b in &mut q.wheel {
-                b.reserve(per_bucket);
-            }
-        }
         q
     }
 
@@ -284,24 +285,7 @@ impl<E> EventQueue<E> {
         let slot = slot_of(at);
         debug_assert!(slot >= self.cursor, "cursor passed the current time");
         if slot - self.cursor < self.wheel.len() as u64 {
-            let b = (slot & self.slot_mask) as usize;
-            let bucket = &mut self.wheel[b];
-            // Keep the bucket sorted ascending by (time, seq). The new
-            // entry carries the largest seq so far, so among equal times
-            // it belongs after every existing entry: the insertion point
-            // is the first entry with a strictly later time. With 1 ms
-            // slots every co-bucketed entry shares one timestamp, so
-            // this is always the back — an O(1) append (the sorted
-            // branch is kept so the constants can be retuned safely).
-            match bucket.back() {
-                Some(last) if last.time > at => {
-                    let pos = bucket.partition_point(|e| e.time <= at);
-                    bucket.insert(pos, entry);
-                }
-                _ => bucket.push_back(entry),
-            }
-            self.occupied[b >> 6] |= 1 << (b & 63);
-            self.wheel_len += 1;
+            self.insert_in_wheel(entry);
         } else {
             self.overflow.push(entry);
         }
@@ -333,7 +317,7 @@ impl<E> EventQueue<E> {
         if let Some(t) = self.next_at.get() {
             return Some(t);
         }
-        let computed = self.compute_next();
+        let computed = self.front().map(|s| s.time);
         if computed.is_some() {
             self.next_at.set(computed);
         }
@@ -346,36 +330,57 @@ impl<E> EventQueue<E> {
     /// current one is being handled. Also warms the peek cache, so a
     /// following `peek_time` costs no scan.
     pub fn peek_event(&self) -> Option<&E> {
-        if self.wheel_len > 0 {
-            let b = self
-                .next_occupied((self.cursor & self.slot_mask) as usize)
-                .expect("wheel_len > 0 but occupancy bitmap empty");
-            let front = self.wheel[b]
-                .front()
-                .expect("occupancy bit set on empty bucket");
-            self.next_at.set(Some(front.time));
-            return Some(&front.event);
-        }
-        let front = self.overflow.peek()?;
+        let front = self.front()?;
         self.next_at.set(Some(front.time));
         Some(&front.event)
     }
 
-    /// Scan for the earliest pending timestamp. Wheel entries always
-    /// precede overflow entries (their slots are strictly smaller, and
-    /// slot order implies time order across distinct slots), so the
-    /// first non-empty bucket at or after the cursor holds the minimum.
-    fn compute_next(&self) -> Option<SimTime> {
+    /// The earliest pending entry. Wheel entries always precede overflow
+    /// entries (their slots are strictly smaller, and slot order implies
+    /// time order across distinct slots), so the head of the first
+    /// non-empty bucket at or after the cursor is the minimum; with an
+    /// empty wheel it is the overflow top.
+    fn front(&self) -> Option<&Scheduled<E>> {
         if self.wheel_len > 0 {
             let b = self
                 .next_occupied((self.cursor & self.slot_mask) as usize)
                 .expect("wheel_len > 0 but occupancy bitmap empty");
-            let front = self.wheel[b]
-                .front()
-                .expect("occupancy bit set on empty bucket");
-            return Some(front.time);
+            return Some(
+                self.wheel[b]
+                    .front()
+                    .expect("occupancy bit set on empty bucket"),
+            );
         }
-        self.overflow.peek().map(|s| s.time)
+        self.overflow.peek()
+    }
+
+    /// Put `entry` (whose slot lies inside the current wheel window) into
+    /// its bucket, keeping the bucket sorted ascending by `(time, seq)`.
+    /// A fresh `schedule_at` entry carries the largest seq so far and
+    /// overflow drains in `(time, seq)` order, and with 1 ms slots every
+    /// co-bucketed entry shares one timestamp, so this is almost always
+    /// an O(1) append; the sorted branch only fires when overflow
+    /// migration meets a bucket that already holds later in-window
+    /// entries (and keeps the slot width safely retunable).
+    #[inline]
+    fn insert_in_wheel(&mut self, entry: Scheduled<E>) {
+        let b = (slot_of(entry.time) & self.slot_mask) as usize;
+        let bucket = &mut self.wheel[b];
+        if bucket.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *bucket = buf;
+            }
+        }
+        let key = (entry.time, entry.seq);
+        match bucket.back() {
+            Some(last) if (last.time, last.seq) > key => {
+                let pos = bucket.partition_point(|e| (e.time, e.seq) <= key);
+                bucket.insert(pos, entry);
+            }
+            _ => bucket.push_back(entry),
+        }
+        self.occupied[b >> 6] |= 1 << (b & 63);
+        self.wheel_len += 1;
     }
 
     /// First occupied physical bucket index in circular order starting at
@@ -418,21 +423,7 @@ impl<E> EventQueue<E> {
                 break;
             }
             let entry = self.overflow.pop().expect("peeked entry vanished");
-            let b = (slot_of(entry.time) & self.slot_mask) as usize;
-            let bucket = &mut self.wheel[b];
-            // Overflow drains in (time, seq) order, so appends preserve
-            // the bucket sort; the sorted-insert branch only fires when
-            // a bucket already holds later in-window entries.
-            match bucket.back() {
-                Some(last) if (last.time, last.seq) > (entry.time, entry.seq) => {
-                    let key = (entry.time, entry.seq);
-                    let pos = bucket.partition_point(|e| (e.time, e.seq) <= key);
-                    bucket.insert(pos, entry);
-                }
-                _ => bucket.push_back(entry),
-            }
-            self.occupied[b >> 6] |= 1 << (b & 63);
-            self.wheel_len += 1;
+            self.insert_in_wheel(entry);
             self.migrations += 1;
         }
     }
@@ -458,6 +449,7 @@ impl<E> EventQueue<E> {
         debug_assert_eq!(entry.time, t, "bucket front disagrees with cache");
         debug_assert!(entry.time >= self.now, "event popped out of order");
         if bucket.is_empty() {
+            self.spare.push(std::mem::take(bucket));
             self.occupied[b >> 6] &= !(1 << (b & 63));
         }
         self.wheel_len -= 1;
@@ -480,6 +472,16 @@ impl<E> EventQueue<E> {
     /// bitmap — cheap enough to sample every few thousand dispatches).
     pub fn occupied_buckets(&self) -> usize {
         self.occupied.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Entry slots the queue currently holds allocated: every bucket's
+    /// capacity, the spare buffers' and the overflow heap's. Compare with
+    /// [`Self::peak_pending`]: the recycling invariant keeps this within
+    /// a small factor of it. An O(buckets) walk — for profiling and
+    /// tests, not for the hot loop.
+    pub fn retained_slots(&self) -> usize {
+        let buffers = self.wheel.iter().chain(&self.spare);
+        buffers.map(VecDeque::capacity).sum::<usize>() + self.overflow.capacity()
     }
 
     /// Entries migrated overflow → wheel over the queue's lifetime.

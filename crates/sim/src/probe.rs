@@ -33,6 +33,9 @@ pub struct QueueSample {
     pub occupied_buckets: usize,
     /// Cumulative overflow → wheel migrations so far.
     pub migrations: u64,
+    /// Entry slots the queue holds allocated
+    /// ([`crate::EventQueue::retained_slots`]).
+    pub retained_slots: usize,
 }
 
 /// Receiver of kernel profiling data. Implementations must not mutate

@@ -8,7 +8,10 @@ use proptest::prelude::*;
 /// same-timestamp bursts (FIFO tie-break), nearby slots (wheel hits),
 /// wheel-width boundary crossings (cursor rollover), and far-future
 /// outliers that must detour through the overflow heap and later migrate
-/// back onto the wheel.
+/// back onto the wheel. `Burst` and `Drain` fill and empty whole buckets,
+/// so bucket buffers grown by one slot are recycled into another: across
+/// laps, with a wrapped ring (`head != 0`), and under overflow → wheel
+/// migration.
 #[derive(Debug, Clone)]
 enum QueueOp {
     /// Schedule at `now + delay_ms`.
@@ -16,8 +19,12 @@ enum QueueOp {
     /// Schedule at an absolute offset from the current time floor (still
     /// `>= now`, as the kernel requires).
     At(u64),
+    /// Schedule `count` events at the one timestamp `now + delay_ms`.
+    Burst(u64, u32),
     /// Pop one event (no-op on empty).
     Pop,
+    /// Pop up to `count` events.
+    Drain(u32),
 }
 
 fn queue_op() -> impl Strategy<Value = QueueOp> {
@@ -37,57 +44,118 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
         // migrate back when the cursor advances far enough.
         (5_000u64..200_000).prop_map(QueueOp::In),
         (0u64..3_000).prop_map(QueueOp::At),
+        // Dense slots, near (wheel) and far (overflow, then migration).
+        (0u64..3_000, 50u32..500).prop_map(|(ms, n)| QueueOp::Burst(ms, n)),
         Just(QueueOp::Pop),
         Just(QueueOp::Pop),
         Just(QueueOp::Pop),
+        (50u32..500).prop_map(QueueOp::Drain),
     ]
 }
 
-proptest! {
-    /// Differential test: the calendar queue and the reference binary heap
-    /// are fed the identical operation sequence and must agree on every
-    /// observable — pop order (time *and* payload, which encodes insertion
-    /// order), peeked times, lengths, and the final drain.
-    #[test]
-    fn calendar_matches_reference_heap(ops in proptest::collection::vec(queue_op(), 1..400)) {
-        let mut cal: EventQueue<u32> = EventQueue::new();
-        let mut reference: ReferenceEventQueue<u32> = ReferenceEventQueue::new();
-        let mut seq: u32 = 0;
-        for op in &ops {
-            match *op {
-                QueueOp::In(ms) => {
+/// Pop one event from each queue (no-op on empty); peeked time and popped
+/// `(time, payload)` must agree.
+fn pop_both(
+    cal: &mut EventQueue<u32>,
+    reference: &mut ReferenceEventQueue<u32>,
+) -> Option<(SimTime, u32)> {
+    assert_eq!(cal.peek_time(), reference.peek_time());
+    let popped = cal.pop();
+    assert_eq!(popped, reference.pop());
+    popped
+}
+
+/// Feed `cal` and a fresh reference binary heap the identical operation
+/// sequence; they must agree on every observable — pop order (time *and*
+/// payload, which encodes insertion order), peeked times, lengths, and
+/// the final drain.
+fn assert_matches_reference(mut cal: EventQueue<u32>, ops: &[QueueOp]) {
+    let mut reference: ReferenceEventQueue<u32> = ReferenceEventQueue::new();
+    let mut seq: u32 = 0;
+    for op in ops {
+        match *op {
+            QueueOp::In(ms) => {
+                cal.schedule_in(SimDuration::from_millis(ms), seq);
+                reference.schedule_in(SimDuration::from_millis(ms), seq);
+                seq += 1;
+            }
+            QueueOp::At(ms) => {
+                // Anchor at the calendar queue's clock; assert the
+                // clocks agree first so both see the same timestamp.
+                assert_eq!(cal.now(), reference.now());
+                let at = cal.now() + SimDuration::from_millis(ms);
+                cal.schedule_at(at, seq);
+                reference.schedule_at(at, seq);
+                seq += 1;
+            }
+            QueueOp::Burst(ms, count) => {
+                for _ in 0..count {
                     cal.schedule_in(SimDuration::from_millis(ms), seq);
                     reference.schedule_in(SimDuration::from_millis(ms), seq);
                     seq += 1;
                 }
-                QueueOp::At(ms) => {
-                    // Anchor at the calendar queue's clock; assert the
-                    // clocks agree first so both see the same timestamp.
-                    prop_assert_eq!(cal.now(), reference.now());
-                    let at = cal.now() + SimDuration::from_millis(ms);
-                    cal.schedule_at(at, seq);
-                    reference.schedule_at(at, seq);
-                    seq += 1;
-                }
-                QueueOp::Pop => {
-                    prop_assert_eq!(cal.peek_time(), reference.peek_time());
-                    prop_assert_eq!(cal.pop(), reference.pop());
+            }
+            QueueOp::Pop => {
+                pop_both(&mut cal, &mut reference);
+            }
+            QueueOp::Drain(count) => {
+                for _ in 0..count {
+                    pop_both(&mut cal, &mut reference);
                 }
             }
-            prop_assert_eq!(cal.len(), reference.len());
         }
-        // Drain both completely; every remaining event must match.
-        loop {
-            prop_assert_eq!(cal.peek_time(), reference.peek_time());
-            let (a, b) = (cal.pop(), reference.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        prop_assert!(cal.is_empty() && reference.is_empty());
-        prop_assert_eq!(cal.scheduled_count(), reference.scheduled_count());
+        assert_eq!(cal.len(), reference.len());
     }
+    // Drain both completely; every remaining event must match.
+    while pop_both(&mut cal, &mut reference).is_some() {}
+    assert!(cal.is_empty() && reference.is_empty());
+    assert_eq!(cal.scheduled_count(), reference.scheduled_count());
+}
+
+proptest! {
+    /// Differential test against the reference heap, over the default
+    /// wheel, a one-word wheel (every burst beyond 64 ms detours through
+    /// overflow and the cursor laps constantly) and a capacity-hinted
+    /// queue: geometry and buffer recycling never change pop order.
+    #[test]
+    fn calendar_matches_reference_heap(ops in proptest::collection::vec(queue_op(), 1..400)) {
+        assert_matches_reference(EventQueue::new(), &ops);
+        assert_matches_reference(EventQueue::with_geometry(64), &ops);
+        assert_matches_reference(EventQueue::with_capacity(4096), &ops);
+    }
+}
+
+/// Queue memory is O(peak pending), not O(slots visited): a sliding window
+/// of 10,000 pending events walks 20,000 distinct 1 ms buckets (no wrap on
+/// a 65,536-slot wheel), each filled to a few hundred entries and drained
+/// once. Drained buckets hand their buffers on, so retained capacity stays
+/// within a small factor of the pending population; a queue whose buckets
+/// keep their own buffers retains ~10 M slots here.
+#[test]
+fn sliding_window_memory_is_bounded_by_peak_pending() {
+    const PENDING: u64 = 10_000;
+    let mut q: EventQueue<()> = EventQueue::with_geometry(65_536);
+    // 10–33 ms ahead, scrambled by a multiplicative hash of a counter.
+    let mut i: u64 = 0;
+    let mut schedule = |q: &mut EventQueue<()>| {
+        i += 1;
+        let ahead = 10 + i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 24;
+        q.schedule_in(SimDuration::from_millis(ahead), ());
+    };
+    for _ in 0..PENDING {
+        schedule(&mut q);
+    }
+    while q.now() < SimTime::from_millis(20_000) {
+        q.pop().expect("window never empties");
+        schedule(&mut q);
+    }
+    assert_eq!(q.peak_pending() as u64, PENDING);
+    assert!(
+        q.retained_slots() <= 8 * q.peak_pending(),
+        "retained {} slots for a peak of {} pending",
+        q.retained_slots(),
+        q.peak_pending()
+    );
 }
 
 proptest! {

@@ -47,6 +47,7 @@ pub struct KernelProfiler {
     overflow: RunningStats,
     occupied: RunningStats,
     migrations: u64,
+    retained_slots: usize,
     samples: u64,
 }
 
@@ -65,6 +66,7 @@ impl KernelProfiler {
             overflow: RunningStats::new(),
             occupied: RunningStats::new(),
             migrations: 0,
+            retained_slots: 0,
             samples: 0,
         }
     }
@@ -97,6 +99,7 @@ impl KernelProfiler {
         self.overflow.merge(&other.overflow);
         self.occupied.merge(&other.occupied);
         self.migrations = self.migrations.max(other.migrations);
+        self.retained_slots = self.retained_slots.max(other.retained_slots);
         self.samples += other.samples;
     }
 
@@ -147,6 +150,15 @@ impl KernelProfiler {
                 fnum(max, 0),
             ]);
         }
+        // Allocated capacity, under the max column next to peak pending:
+        // the queue recycles bucket buffers, so the two stay within a
+        // small factor; a large gap is retained memory nobody uses.
+        queue.row(vec![
+            "retained slots".to_string(),
+            String::new(),
+            String::new(),
+            self.retained_slots.to_string(),
+        ]);
         queue.row(vec![
             "overflow migrations".to_string(),
             self.migrations.to_string(),
@@ -251,6 +263,7 @@ impl KernelProbe for KernelProfiler {
         self.overflow.record(sample.overflow as f64);
         self.occupied.record(sample.occupied_buckets as f64);
         self.migrations = self.migrations.max(sample.migrations);
+        self.retained_slots = self.retained_slots.max(sample.retained_slots);
     }
 }
 
@@ -269,6 +282,7 @@ mod tests {
             overflow: 2,
             occupied_buckets: 4,
             migrations: 1,
+            retained_slots: 16,
         });
         assert_eq!(p.dispatches(), 3);
         assert_eq!(p.event_types(), 2);
@@ -279,6 +293,7 @@ mod tests {
         let text = p.render();
         assert!(text.contains("IssueQuery"));
         assert!(text.contains("calendar-queue occupancy"));
+        assert!(text.contains("retained slots"));
     }
 
     #[test]
@@ -301,6 +316,7 @@ mod tests {
             overflow: 0,
             occupied_buckets: 2,
             migrations: 3,
+            retained_slots: 48,
         });
         let mut b = KernelProfiler::new();
         b.on_dispatch("X", 3_000);
