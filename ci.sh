@@ -32,66 +32,49 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --
 echo "==> ddr list (experiment registry enumerates)"
 cargo run -q --release -p ddr-experiments --bin ddr -- list
 
-echo "==> ddr run --all --smoke (every registered experiment stays runnable)"
-cargo run -q --release -p ddr-experiments --bin ddr -- run --all --smoke > /dev/null
+DDR="cargo run -q --release -p ddr-experiments --bin ddr --"
+
+echo "==> ddr run --all --smoke == tests/golden/all_smoke.txt (every registered"
+echo "    experiment runs and prints the bytes it printed at the last re-pin)"
+$DDR run --all --smoke 2> /dev/null | diff crates/experiments/tests/golden/all_smoke.txt - \
+    || { echo "smoke stdout moved; if intended, regenerate the golden file" >&2; exit 1; }
 
 echo "==> telemetry smoke (trace + profile a run, then inspect the trace)"
 TRACE="$(mktemp -t ddr-ci-trace.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE"' EXIT
-cargo run -q --release -p ddr-experiments --bin ddr -- \
-    run fig1 --smoke --trace "$TRACE" --trace-sample 1 --profile > /dev/null
-test -s "$TRACE" || { echo "trace file is empty" >&2; exit 1; }
-cargo run -q --release -p ddr-experiments --bin ddr -- inspect "$TRACE" > /dev/null
-
-echo "==> shard_scaling --smoke --shards 2 (parallel-vs-serial parity gate)"
-cargo run -q --release -p ddr-experiments --bin ddr -- \
-    run shard_scaling --smoke --shards 2 > /dev/null
-
-echo "==> fig1_dynamic --shards 2 --smoke (Gnutella slice world: digest parity gate)"
-DIGEST_SERIAL=$(cargo run -q --release -p ddr-experiments --bin ddr -- \
-    run fig1_dynamic --smoke 2> /dev/null | grep '^digest:')
-DIGEST_SHARDED=$(cargo run -q --release -p ddr-experiments --bin ddr -- \
-    run fig1_dynamic --shards 2 --smoke 2> /dev/null | grep '^digest:')
-test -n "$DIGEST_SERIAL" || { echo "fig1_dynamic emitted no digest" >&2; exit 1; }
-if [ "$DIGEST_SERIAL" != "$DIGEST_SHARDED" ]; then
-    echo "fig1_dynamic --shards 2 diverged from serial: $DIGEST_SERIAL vs $DIGEST_SHARDED" >&2
-    exit 1
-fi
-echo "    $DIGEST_SERIAL (serial == 2 shards)"
-
-echo "==> free_riders --smoke (scenario pack: in-line invariants + liar refusal gate)"
-# The other four pack scenarios (flash_crowd, partition_heal, heavy_churn,
-# bandwidth_eras) already ran under `ddr run --all --smoke` above, each
-# asserting its ScenarioInvariants in-line; this re-runs the adversarial
-# one explicitly and checks the invariant and digest notes made it out.
-PACK_OUT=$(cargo run -q --release -p ddr-experiments --bin ddr -- \
-    run free_riders --smoke 2> /dev/null)
-echo "$PACK_OUT" | grep -q '^invariants: ok' \
-    || { echo "free_riders did not report invariants: ok" >&2; exit 1; }
-echo "$PACK_OUT" | grep -q '^digest:' \
-    || { echo "free_riders emitted no digest" >&2; exit 1; }
-echo "    $(echo "$PACK_OUT" | grep '^digest:') (invariants ok)"
-
-echo "==> metrics timeline smoke (metered + profiled sharded run, then inspect)"
 METRICS="$(mktemp -t ddr-ci-metrics.XXXXXX.jsonl)"
 trap 'rm -f "$TRACE" "$METRICS"' EXIT
-METERED_OUT=$(cargo run -q --release -p ddr-experiments --bin ddr -- \
-    run fig1_dynamic --smoke --shards 2 --metrics "$METRICS" --profile 2> /dev/null)
-test -s "$METRICS" || { echo "metrics timeline file is empty" >&2; exit 1; }
-# The metered+profiled digest must equal the plain serial one from above.
-DIGEST_METERED=$(echo "$METERED_OUT" | grep '^digest:')
-if [ "$DIGEST_SERIAL" != "$DIGEST_METERED" ]; then
-    echo "metrics/profile moved the digest: $DIGEST_SERIAL vs $DIGEST_METERED" >&2
-    exit 1
-fi
-echo "$METERED_OUT" | grep -q 'Sharded-kernel profile' \
+$DDR run fig1 --smoke --trace "$TRACE" --trace-sample 1 --profile > /dev/null
+test -s "$TRACE" || { echo "trace file is empty" >&2; exit 1; }
+$DDR inspect "$TRACE" > /dev/null
+
+echo "==> fig1 free_riders --smoke: serial == --shards 2 == --shards 2 metered+profiled"
+# Whole stdout, not a digest line: every table, summary, end-state cell
+# and the in-line invariants note must survive the kernel swap and the
+# observers (whose own notes are the only lines filtered out).
+SERIAL=$($DDR run fig1 free_riders --smoke 2> /dev/null)
+echo "$SERIAL" | grep -q '^invariants: ok' \
+    || { echo "free_riders did not report invariants: ok" >&2; exit 1; }
+SHARDED=$($DDR run fig1 free_riders --smoke --shards 2 2> /dev/null)
+diff <(echo "$SERIAL") <(echo "$SHARDED") \
+    || { echo "--shards 2 changed the output" >&2; exit 1; }
+OBSERVED=$($DDR run fig1 free_riders --smoke --shards 2 --metrics "$METRICS" --profile 2> /dev/null)
+echo "$OBSERVED" | grep -q 'Sharded-kernel profile' \
     || { echo "--profile emitted no per-shard breakdown" >&2; exit 1; }
-cargo run -q --release -p ddr-experiments --bin ddr -- inspect "$METRICS" > /dev/null
-echo "    $DIGEST_METERED (metered+profiled == plain)"
+# A profile note runs from its title line to its `totals:` line; -B
+# forgives the blank line each one leaves behind.
+diff -B <(echo "$SERIAL") <(echo "$OBSERVED" | sed '/Sharded-kernel profile/,/^totals:/d') \
+    || { echo "--metrics/--profile changed the output" >&2; exit 1; }
+test -s "$METRICS" || { echo "metrics timeline file is empty" >&2; exit 1; }
+$DDR inspect "$METRICS" > /dev/null
+echo "    $(echo "$SERIAL" | grep '^digest:') (serial == 2 shards == metered+profiled)"
+
+echo "==> examples (the five README walkthroughs run to completion)"
+for example in quickstart music_sharing web_caching olap_caching policy_playground; do
+    cargo run -q --release --example "$example" > /dev/null
+done
 
 echo "==> ddr serve --smoke (real-time bus load test, prints qps/core + p99)"
-cargo run -q --release -p ddr-experiments --bin ddr -- \
-    serve gnutella --nodes 200 --qps 50 --duration 2 --smoke
+$DDR serve gnutella --nodes 200 --qps 50 --duration 2 --smoke
 
 echo "==> git status --porcelain (no gate may write into the tree)"
 test -z "$(git status --porcelain)" \

@@ -31,17 +31,20 @@ flags (shared by every experiment):
   --trace FILE      write sampled query-lifecycle spans as JSONL to FILE
   --trace-sample N  trace every Nth query (default 1 = all)
   --profile         print a kernel dispatch/queue report after the run
-                    (on sharded runs: per-shard work/barrier/merge
+                    (with --shards: per-shard work/barrier/merge
                     wall-clock breakdown)
   --metrics FILE    append per-window metrics timeline JSONL to FILE
                     (hourly snapshots; `ddr inspect FILE` renders them)
   --threads N       cap sweep worker fan-out (default: one per core)
-  --shards N        shard count for sharded-kernel experiments
-                    (fig1_dynamic, the scenario pack, shard_scaling;
-                    default 1)
+  --shards N        run every Gnutella world on the parallel kernel over
+                    N node slices (absent = the serial kernel; output is
+                    byte-identical either way)
 
---shards, --trace, --metrics and --profile are rejected (exit 2) for an
-experiment that would ignore them.
+--trace, --metrics and --profile work on every experiment. --shards is
+rejected (exit 2) for webcache_eval, peerolap_eval and exploration_sweep
+(serial-kernel worlds) and for strategies (its local-indices rows need
+the full-range world), and cannot be combined with --trace. An output
+path that cannot be written also exits 2, before anything runs.
 
 scenario-pack knobs (flash_crowd, partition_heal, heavy_churn,
 free_riders, bandwidth_eras):
@@ -100,27 +103,25 @@ pub fn ddr_main(args: Vec<String>) -> i32 {
                 }
                 sel
             };
-            let given = [
-                ("--shards", opts.shards.is_some()),
-                ("--trace", opts.trace.is_some()),
-                ("--metrics", opts.metrics.is_some()),
-                ("--profile", opts.profile),
-            ];
-            for flag in given.iter().filter(|g| g.1).map(|g| g.0) {
-                if let Some(e) = selected.iter().find(|e| !e.honours.contains(&flag)) {
-                    let honouring: Vec<&str> = registry()
+            if opts.shards.is_some() {
+                if let Some(e) = selected.iter().find(|e| !e.shardable) {
+                    let shardable: Vec<&str> = registry()
                         .iter()
-                        .filter(|e| e.honours.contains(&flag))
+                        .filter(|e| e.shardable)
                         .map(|e| e.name)
                         .collect();
                     eprintln!(
-                        "{flag}: {:?} does not honour it; experiments that do: {}",
+                        "--shards: {:?} runs on the serial kernel only; shardable experiments: {}",
                         e.name,
-                        honouring.join(", ")
+                        shardable.join(", ")
                     );
                     eprintln!("{USAGE}");
                     return 2;
                 }
+            }
+            if let Err(e) = opts.prepare_outputs() {
+                eprintln!("{e}");
+                return 2;
             }
             for e in selected {
                 crate::banner(e.name, &opts);
@@ -222,43 +223,37 @@ mod tests {
             ddr_main(argv(&["run", "webcache_eval", "--hours", "0", "--smoke"])),
             2
         );
-        // An observer flag the experiment would silently ignore is
-        // rejected before anything runs, like `--shards` on a serial one.
-        assert_eq!(ddr_main(argv(&["run", "diag", "--trace", "t.jsonl"])), 2);
-        assert_eq!(ddr_main(argv(&["run", "diag", "--metrics", "m.jsonl"])), 2);
-        assert_eq!(ddr_main(argv(&["run", "diag", "--profile"])), 2);
-        assert_eq!(
-            ddr_main(argv(&["run", "fig1_dynamic", "--trace", "t.jsonl"])),
-            2
-        );
-        assert_eq!(ddr_main(argv(&["run", "--all", "--smoke", "--profile"])), 2);
+        // The tracer's live-span set is per world, so the two exclude
+        // each other on every experiment.
+        let conflict = ["run", "fig1", "--trace", "t.jsonl", "--shards", "2"];
+        assert_eq!(ddr_main(argv(&conflict)), 2);
+    }
+
+    #[test]
+    fn unwritable_output_paths_exit_two_before_running() {
+        // `/proc` accepts neither new directories nor new files, so each
+        // flag fails in `prepare_outputs`; nothing has run by then (a
+        // paper-scale fig3b would take minutes, this returns at once).
+        for flag in ["--csv", "--json", "--trace", "--metrics"] {
+            let code = ddr_main(argv(&["run", "fig3b", flag, "/proc/nope"]));
+            assert_eq!(code, 2, "{flag} /proc/nope");
+        }
     }
 
     #[test]
     fn bad_pack_flag_values_exit_two_before_running() {
-        // Out-of-range pack knobs must take the CliError path (usage +
-        // exit 2), not panic inside a half-built scenario.
-        assert_eq!(
-            ddr_main(argv(&["run", "flash_crowd", "--spike-boost", "2.0"])),
-            2
-        );
-        assert_eq!(
-            ddr_main(argv(&["run", "heavy_churn", "--pareto-shape", "0.5"])),
-            2
-        );
-        assert_eq!(
-            ddr_main(argv(&["run", "free_riders", "--liar-fraction", "1.0"])),
-            2
-        );
-        assert_eq!(
-            ddr_main(argv(&["run", "partition_heal", "--islands", "1"])),
-            2
-        );
-        assert_eq!(
-            ddr_main(argv(&["run", "flash_crowd", "--spike-boost"])),
-            2,
-            "missing value exits 2"
-        );
+        // Out-of-range pack knobs (and a missing value) must take the
+        // CliError path — usage + exit 2 — not panic inside a half-built
+        // scenario.
+        for args in [
+            &["run", "flash_crowd", "--spike-boost", "2.0"][..],
+            &["run", "heavy_churn", "--pareto-shape", "0.5"],
+            &["run", "free_riders", "--liar-fraction", "1.0"],
+            &["run", "partition_heal", "--islands", "1"],
+            &["run", "flash_crowd", "--spike-boost"],
+        ] {
+            assert_eq!(ddr_main(argv(args)), 2, "{args:?}");
+        }
     }
 
     #[test]
@@ -267,18 +262,18 @@ mod tests {
     }
 
     #[test]
-    fn shards_rejected_for_serial_kernel_experiments() {
+    fn shards_rejected_for_unshardable_experiments() {
         // Rejection happens before anything runs, so these are instant.
-        assert_eq!(ddr_main(argv(&["run", "fig1", "--shards", "2"])), 2);
+        assert_eq!(ddr_main(argv(&["run", "strategies", "--shards", "2"])), 2);
         assert_eq!(
             ddr_main(argv(&["run", "webcache_eval", "--shards", "2"])),
             2
         );
         // --all includes serial-kernel experiments, so it conflicts too.
         assert_eq!(ddr_main(argv(&["run", "--all", "--shards", "2"])), 2);
-        // A shardable experiment mixed with a serial one still fails.
+        // A shardable experiment mixed with a serial-world one still fails.
         assert_eq!(
-            ddr_main(argv(&["run", "fig1_dynamic", "fig1", "--shards", "2"])),
+            ddr_main(argv(&["run", "fig1", "peerolap_eval", "--shards", "2"])),
             2
         );
     }

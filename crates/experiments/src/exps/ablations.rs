@@ -13,10 +13,9 @@
 //! Defaults run at scale 4 (500 users, 48 h) so the whole suite finishes
 //! in minutes; pass `--scale 1 --hours 96` for paper scale.
 
-use super::smoke_scale;
+use super::{gnutella_reports, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use crate::run_all_with;
 use ddr_core::{ForwardSelection, InvitationPolicy};
 use ddr_gnutella::{BenefitKind, Mode, RunReport, ScenarioConfig};
 use ddr_stats::Table;
@@ -48,7 +47,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         c.benefit = k;
         configs.push(c);
     }
-    let reports = run_all_with(&opts, configs, em);
+    let reports = gnutella_reports(&opts, configs, em);
     let mut t = Table::new(
         "Ablation 1: benefit function (dynamic, hops=2)",
         &["Variant", "total hits", "total messages", "mean delay ms"],
@@ -74,7 +73,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         c.forward = p;
         configs.push(c);
     }
-    let reports = run_all_with(&opts, configs, em);
+    let reports = gnutella_reports(&opts, configs, em);
     let mut t = Table::new(
         "Ablation 2: forward selection (dynamic, hops=2)",
         &["Variant", "total hits", "total messages", "mean delay ms"],
@@ -108,7 +107,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         c.invitation = p;
         configs.push(c);
     }
-    let reports = run_all_with(&opts, configs, em);
+    let reports = gnutella_reports(&opts, configs, em);
     let mut t = Table::new(
         "Ablation 3: invitation policy (dynamic, hops=2)",
         &["Variant", "total hits", "total messages", "mean delay ms"],
@@ -124,7 +123,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     delay_weight.result_score = ddr_core::ResultScore::BandwidthOverResults;
     let mut raw_weight = base(Mode::Dynamic);
     raw_weight.result_score = ddr_core::ResultScore::RawBandwidthOverResults;
-    let reports = run_all_with(&opts, vec![delay_weight, raw_weight], em);
+    let reports = gnutella_reports(&opts, vec![delay_weight, raw_weight], em);
     let mut t = Table::new(
         "Ablation 4: bandwidth weight in B/R (dynamic, hops=2)",
         &["Variant", "total hits", "total messages", "mean delay ms"],
@@ -139,7 +138,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     one.max_swaps_per_reconfig = 1;
     let mut unbounded = base(Mode::Dynamic);
     unbounded.max_swaps_per_reconfig = usize::MAX;
-    let reports = run_all_with(&opts, vec![one, unbounded], em);
+    let reports = gnutella_reports(&opts, vec![one, unbounded], em);
     let mut t = Table::new(
         "Ablation 5: neighbor exchanges per reconfiguration (dynamic, hops=2)",
         &["Variant", "total hits", "total messages", "mean delay ms"],
@@ -154,7 +153,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     persist.persist_stats = true;
     let mut stateless = base(Mode::Dynamic);
     stateless.persist_stats = false;
-    let reports = run_all_with(&opts, vec![persist, stateless], em);
+    let reports = gnutella_reports(&opts, vec![persist, stateless], em);
     let mut t = Table::new(
         "Ablation 6: statistics persistence (dynamic, hops=2)",
         &["Variant", "total hits", "total messages", "mean delay ms"],
@@ -172,7 +171,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         c.dup_cache_capacity = cap;
         configs.push(c);
     }
-    let reports = run_all_with(&opts, configs, em);
+    let reports = gnutella_reports(&opts, configs, em);
     let mut t = Table::new(
         "Ablation 7: duplicate-cache capacity (dynamic, hops=2)",
         &["Capacity", "total hits", "total messages", "mean delay ms"],

@@ -8,7 +8,7 @@
 //! high-bandwidth responders up, so the eras also shift *which* nodes
 //! the overlay clusters around.
 
-use super::{fold_digests, pct_delta, run_pack, smoke_scale};
+use super::{fold_digests, gnutella_reports, pct_delta, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
 use ddr_gnutella::Mode;
@@ -34,11 +34,16 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             "first delay ms",
         ],
     );
-    let mut reports = Vec::new();
-    for (name, mix) in eras {
-        let mut cfg = opts.scenario(Mode::Dynamic, 2);
-        cfg.bandwidth_mix = mix;
-        let (report, _) = run_pack(&opts, cfg, em);
+    let configs = eras
+        .iter()
+        .map(|&(_, mix)| {
+            let mut cfg = opts.scenario(Mode::Dynamic, 2);
+            cfg.bandwidth_mix = mix;
+            cfg
+        })
+        .collect();
+    let reports = gnutella_reports(&opts, configs, em);
+    for ((name, _), report) in eras.iter().zip(&reports) {
         t.row(vec![
             name.to_string(),
             format!("{:.0}", report.mean_hits_per_hour()),
@@ -46,7 +51,6 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             format!("{:.3}", report.hit_ratio()),
             format!("{:.0}", report.mean_first_delay_ms()),
         ]);
-        reports.push(report);
     }
     em.table(&t);
 

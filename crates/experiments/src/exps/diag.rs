@@ -1,20 +1,12 @@
 //! Diagnostic run: clustering strength and statistics coverage of the
 //! dynamic overlay (not a paper figure; used to verify the mechanism
-//! behind Figs 1–3 is operating). Set `DIAG_HOPS` to change the hop limit.
+//! behind Figs 1–3 is operating).
 
-use super::smoke_scale;
+use super::{gnutella_runs, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use ddr_gnutella::scenario::run_scenario_with_world;
 use ddr_gnutella::Mode;
 use ddr_stats::Table;
-
-fn hops_from_env() -> u8 {
-    std::env::var("DIAG_HOPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let opts = smoke_scale(opts.clone());
@@ -33,13 +25,15 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             "inv acc",
         ],
     );
-    for mode in [Mode::Static, Mode::Dynamic] {
-        let cfg = opts.scenario(mode, hops_from_env());
-        let (report, world) = run_scenario_with_world(cfg);
+    let configs = vec![
+        opts.scenario(Mode::Static, 2),
+        opts.scenario(Mode::Dynamic, 2),
+    ];
+    for (report, end) in gnutella_runs(&opts, configs, em) {
         t.row(vec![
             report.label.to_string(),
-            format!("{:.1}", 100.0 * world.same_category_link_fraction()),
-            format!("{:.1}", world.mean_stats_entries()),
+            format!("{:.1}", 100.0 * end.same_category_links),
+            format!("{:.1}", end.stats_per_peer),
             format!("{:.0}", report.total_hits()),
             format!("{:.0}", report.total_messages()),
             format!("{:.0}", report.mean_first_delay_ms()),

@@ -10,37 +10,45 @@
 //! starves the updater of candidates; probing constantly pays message
 //! overhead for information that hasn't changed.
 
-use super::shrink_webcache;
+use super::{case_study_runs, webcache_config};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
 use ddr_core::ExplorationTrigger;
-use ddr_harness::Sweep;
 use ddr_stats::Table;
-use ddr_webcache::{CacheMode, WebCacheConfig, WebCacheScenario};
+use ddr_telemetry::JsonlSink;
+use ddr_webcache::{CacheMode, WebCacheScenario};
+
+/// Requests between explorations, each with the run label its trace and
+/// timeline records carry.
+const POINTS: [(u32, &str); 7] = [
+    (10, "explore/10"),
+    (25, "explore/25"),
+    (50, "explore/50"),
+    (100, "explore/100"),
+    (250, "explore/250"),
+    (1_000, "explore/1000"),
+    (10_000, "explore/10000"),
+];
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
-    let hours: u64 = if opts.hours_explicit { opts.hours } else { 12 };
-    let frequencies: &[u32] = if opts.smoke {
-        &[10, 250, 10_000]
-    } else {
-        &[10, 25, 50, 100, 250, 1_000, 10_000]
-    };
-
-    // One sweep point per exploration frequency, fanned out on the shared
-    // worker pool; results come back in axis order.
-    let sweep = Sweep::<WebCacheScenario>::new().axis(frequencies.iter().copied(), |&n| {
-        let mut cfg = WebCacheConfig::default_scenario(CacheMode::Dynamic);
-        cfg.sim_hours = hours;
-        cfg.warmup_hours = (hours / 6).max(1);
-        cfg.exploration = ExplorationTrigger::EveryNRequests(n);
-        if let Some(s) = opts.seed {
-            cfg.seed = s;
-        }
-        if opts.smoke {
-            shrink_webcache(&mut cfg);
-        }
-        cfg
-    });
+    let frequencies: Vec<(u32, &str)> = POINTS
+        .into_iter()
+        .filter(|(n, _)| !opts.smoke || matches!(n, 10 | 250 | 10_000))
+        .collect();
+    let configs = frequencies
+        .iter()
+        .map(|&(n, run_label)| {
+            let mut cfg = webcache_config(opts, CacheMode::Dynamic, run_label);
+            cfg.exploration = ExplorationTrigger::EveryNRequests(n);
+            cfg
+        })
+        .collect();
+    let reports = case_study_runs::<WebCacheScenario, WebCacheScenario<JsonlSink>>(
+        opts,
+        configs,
+        |c| &c.telemetry,
+        em,
+    );
 
     let mut t = Table::new(
         "Exploration frequency vs adaptation quality (dynamic web cache)",
@@ -53,9 +61,9 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             "probe+query msgs",
         ],
     );
-    for (label, r) in sweep.run(opts.workers()) {
+    for ((n, _), r) in frequencies.iter().zip(reports) {
         t.row(vec![
-            label,
+            n.to_string(),
             format!("{:.1}", 100.0 * r.neighbor_hit_ratio()),
             format!("{:.1}", 100.0 * r.origin_ratio()),
             format!("{:.0}", r.mean_latency_ms()),

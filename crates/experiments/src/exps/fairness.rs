@@ -6,11 +6,10 @@
 //! * with a population of free-riders, does dynamic reconfiguration
 //!   starve them of neighbors while static treats them like anyone else?
 
-use super::smoke_scale;
+use super::{gnutella_runs, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use ddr_gnutella::scenario::run_scenario_with_world;
-use ddr_gnutella::{Mode, ScenarioConfig};
+use ddr_gnutella::Mode;
 use ddr_stats::{gini, top_share, Table};
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
@@ -28,30 +27,25 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             "deg(contributors)",
         ],
     );
-    for &fr in &[0.0f64, 0.25] {
+    let mut configs = Vec::new();
+    for fr in [0.0f64, 0.25] {
         for mode in [Mode::Static, Mode::Dynamic] {
-            let mut cfg: ScenarioConfig = opts.scenario(mode, 2);
+            let mut cfg = opts.scenario(mode, 2);
             cfg.free_rider_fraction = fr;
-            let (report, world) = run_scenario_with_world(cfg);
-            let loads = world.served_loads();
-            let fr_deg = world
-                .mean_degree_where(|n| world.is_free_rider(n))
-                .map(|d| format!("{d:.2}"))
-                .unwrap_or_else(|| "-".into());
-            let co_deg = world
-                .mean_degree_where(|n| !world.is_free_rider(n))
-                .map(|d| format!("{d:.2}"))
-                .unwrap_or_else(|| "-".into());
-            t.row(vec![
-                report.label.to_string(),
-                format!("{:.0}%", fr * 100.0),
-                format!("{:.0}", report.total_hits()),
-                format!("{:.3}", gini(&loads)),
-                format!("{:.1}%", 100.0 * top_share(&loads, 0.10)),
-                fr_deg,
-                co_deg,
-            ]);
+            configs.push(cfg);
         }
+    }
+    let runs = gnutella_runs(&opts, configs.clone(), em);
+    for ((report, end), cfg) in runs.into_iter().zip(&configs) {
+        t.row(vec![
+            report.label.to_string(),
+            format!("{:.0}%", cfg.free_rider_fraction * 100.0),
+            format!("{:.0}", report.total_hits()),
+            format!("{:.3}", gini(&end.served)),
+            format!("{:.1}%", 100.0 * top_share(&end.served, 0.10)),
+            end.free_riders.degree_cell(),
+            end.contributors.degree_cell(),
+        ]);
     }
     em.table(&t);
     em.note(

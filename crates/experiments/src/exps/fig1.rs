@@ -7,61 +7,62 @@
 //! hour than static while sending fewer messages; the gain is modest
 //! because at 2 hops only a few dozen nodes are explored per query.
 
-use super::smoke_scale;
+use super::{gnutella_reports, smoke_scale};
 use crate::emit::Emitter;
+use crate::hourly_figure_table;
 use crate::opts::ExpOptions;
-use crate::{hourly_figure_table, run_all_with};
 use ddr_gnutella::Mode;
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
+    hourly_figure(opts, em, 1, 2);
+}
+
+/// Figures 1 and 2 are one experiment at two hop limits: the (a) hits and
+/// (b) messages hourly tables for a static/dynamic pair, two summary
+/// lines, the full-resolution CSVs and both report JSONs. Figure 1 states
+/// the message saving as a percentage, Figure 2 as the dynamic/static
+/// ratio (the paper's "roughly half").
+pub(crate) fn hourly_figure(opts: &ExpOptions, em: &mut Emitter, fig: u8, hops: u8) {
     let opts = smoke_scale(opts.clone());
     let configs = vec![
-        opts.scenario(Mode::Static, 2),
-        opts.scenario(Mode::Dynamic, 2),
+        opts.scenario(Mode::Static, hops),
+        opts.scenario(Mode::Dynamic, hops),
     ];
-    let reports = run_all_with(&opts, configs, em);
+    let reports = gnutella_reports(&opts, configs, em);
     let (stat, dynm) = (&reports[0], &reports[1]);
 
-    let fig1a = hourly_figure_table(
-        "Figure 1(a): queries satisfied per hour (hops=2)",
-        "hits",
-        stat,
-        dynm,
-        15,
-    );
-    em.table(&fig1a);
-    let fig1b = hourly_figure_table(
-        "Figure 1(b): query messages per hour (hops=2)",
-        "messages",
-        stat,
-        dynm,
-        15,
-    );
-    em.table(&fig1b);
+    for (part, what, metric) in [
+        ('a', "queries satisfied", "hits"),
+        ('b', "query messages", "messages"),
+    ] {
+        let title = format!("Figure {fig}({part}): {what} per hour (hops={hops})");
+        em.table(&hourly_figure_table(&title, metric, stat, dynm, 15));
+    }
 
+    let (sh, dh) = (stat.mean_hits_per_hour(), dynm.mean_hits_per_hour());
     em.note(&format!(
-        "summary: hits/hour  static={:.0} dynamic={:.0} ({:+.1}%)",
-        stat.mean_hits_per_hour(),
-        dynm.mean_hits_per_hour(),
-        100.0 * (dynm.mean_hits_per_hour() / stat.mean_hits_per_hour() - 1.0)
+        "summary: hits/hour  static={sh:.0} dynamic={dh:.0} ({:+.1}%)",
+        100.0 * (dh / sh - 1.0)
     ));
+    let (sm, dm) = (stat.mean_messages_per_hour(), dynm.mean_messages_per_hour());
+    let saving = if fig == 1 {
+        format!("{:+.1}%", 100.0 * (dm / sm - 1.0))
+    } else {
+        format!("dynamic/static = {:.2}", dm / sm)
+    };
     em.note(&format!(
-        "summary: msgs/hour  static={:.0} dynamic={:.0} ({:+.1}%)",
-        stat.mean_messages_per_hour(),
-        dynm.mean_messages_per_hour(),
-        100.0 * (dynm.mean_messages_per_hour() / stat.mean_messages_per_hour() - 1.0)
+        "summary: msgs/hour  static={sm:.0} dynamic={dm:.0} ({saving})"
     ));
 
-    opts.write_json("fig1_static_report", stat);
-    opts.write_json("fig1_dynamic_report", dynm);
+    opts.write_json(&format!("fig{fig}_static_report"), stat);
+    opts.write_json(&format!("fig{fig}_dynamic_report"), dynm);
 
     // Full-resolution CSVs (every hour).
-    opts.write_csv(
-        "fig1a_hits_hops2",
-        &hourly_figure_table("fig1a", "hits", stat, dynm, 1),
-    );
-    opts.write_csv(
-        "fig1b_messages_hops2",
-        &hourly_figure_table("fig1b", "messages", stat, dynm, 1),
-    );
+    for (part, metric) in [('a', "hits"), ('b', "messages")] {
+        let name = format!("fig{fig}{part}");
+        opts.write_csv(
+            &format!("{name}_{metric}_hops{hops}"),
+            &hourly_figure_table(&name, metric, stat, dynm, 1),
+        );
+    }
 }

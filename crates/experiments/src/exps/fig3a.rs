@@ -7,10 +7,9 @@
 //! (reconfiguration pulls beneficial content to 1 hop), while obtaining
 //! *more* total results.
 
-use super::smoke_scale;
+use super::{gnutella_reports, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use crate::run_all_with;
 use ddr_gnutella::Mode;
 use ddr_stats::Table;
 
@@ -22,7 +21,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         configs.push(opts.scenario(Mode::Static, h));
         configs.push(opts.scenario(Mode::Dynamic, h));
     }
-    let reports = run_all_with(&opts, configs, em);
+    let reports = gnutella_reports(&opts, configs, em);
 
     let mut t = Table::new(
         "Figure 3(a): mean first-result delay (ms) and total results, by hop limit",

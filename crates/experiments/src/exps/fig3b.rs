@@ -8,10 +8,9 @@
 //! decays toward static because a 3-hour session leaves too few
 //! reconfigurations to assemble the beneficial neighborhood.
 
-use super::smoke_scale;
+use super::{gnutella_reports, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use crate::run_all_with;
 use ddr_gnutella::Mode;
 use ddr_stats::Table;
 
@@ -25,7 +24,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         c.reconfig_threshold = k;
         configs.push(c);
     }
-    let reports = run_all_with(&opts, configs, em);
+    let reports = gnutella_reports(&opts, configs, em);
     let static_hits = reports[0].total_hits();
 
     let mut t = Table::new(

@@ -7,10 +7,9 @@
 //! 3. no logoff triggers **and** stateless clients (each session starts
 //!    from zero knowledge — the most K-sensitive configuration).
 
-use super::smoke_scale;
+use super::{gnutella_reports, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use crate::run_all_with;
 use ddr_gnutella::{Mode, ScenarioConfig};
 use ddr_stats::Table;
 
@@ -33,7 +32,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         configs.push(variant(k, false, true)); // no loss trigger
         configs.push(variant(k, false, false)); // + stateless
     }
-    let reports = run_all_with(&opts, configs, em);
+    let reports = gnutella_reports(&opts, configs, em);
     let static_hits = reports[0].total_hits();
 
     let mut t = Table::new(

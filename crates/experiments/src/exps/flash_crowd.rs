@@ -9,10 +9,10 @@
 //! should rise while message volume stays flat (queries, not downloads,
 //! are the metered cost).
 //!
-//! Runs on the sharded kernel; the `digest:` note folds both runs so the
-//! shard-parity gate covers the pack. Invariants are asserted in-line.
+//! The `digest:` note folds both runs; the invariants are asserted on
+//! every run by the shared runner.
 
-use super::{fold_digests, pct_delta, run_pack, smoke_scale};
+use super::{fold_digests, gnutella_reports, pct_delta, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
 use ddr_gnutella::Mode;
@@ -39,8 +39,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         spike_theta: 1.2,
     });
 
-    let (base, _) = run_pack(&opts, benign, em);
-    let (spiked, _) = run_pack(&opts, crowd, em);
+    let reports = gnutella_reports(&opts, vec![benign, crowd], em);
+    let (base, spiked) = (&reports[0], &reports[1]);
 
     let mut t = Table::new(
         format!(
@@ -55,7 +55,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             "first delay ms",
         ],
     );
-    for (name, r) in [("benign", &base), ("flash_crowd", &spiked)] {
+    for (name, r) in [("benign", base), ("flash_crowd", spiked)] {
         t.row(vec![
             name.to_string(),
             format!("{:.0}", r.mean_hits_per_hour()),
@@ -75,8 +75,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         ),
     ));
     em.note("invariants: ok (conservation, dup-cache, partition, refusal, finite)");
-    em.note(&format!("digest: {:016x}", fold_digests(&[&base, &spiked])));
+    em.note(&format!("digest: {:016x}", fold_digests(&[base, spiked])));
 
     opts.write_csv("flash_crowd", &t);
-    opts.write_json("flash_crowd_report", &spiked);
+    opts.write_json("flash_crowd_report", spiked);
 }

@@ -12,36 +12,11 @@
 //! The structural half of the claim — refusers never serve a single
 //! result — is asserted by the invariant layer on every run.
 
-use super::{fold_digests, run_pack, smoke_scale};
+use super::{fold_digests, gnutella_runs, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use ddr_gnutella::{GnutellaWorld, Mode};
-use ddr_sim::NodeId;
+use ddr_gnutella::Mode;
 use ddr_stats::Table;
-use ddr_telemetry::NullSink;
-
-/// Mean degree of online nodes matching `pred`, pooled across shards.
-fn mean_degree<P: Fn(&GnutellaWorld<NullSink>, NodeId) -> bool>(
-    worlds: &[GnutellaWorld<NullSink>],
-    pred: P,
-) -> Option<f64> {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for w in worlds {
-        for k in 0..w.owned_nodes() {
-            let node = NodeId::from_index(w.base() + k);
-            if w.is_online(node) && pred(w, node) {
-                sum += w.neighbors_of(node).len() as f64;
-                n += 1;
-            }
-        }
-    }
-    (n > 0).then(|| sum / n as f64)
-}
-
-fn fmt(d: Option<f64>) -> String {
-    d.map(|d| format!("{d:.2}")).unwrap_or_else(|| "-".into())
-}
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let opts = smoke_scale(opts.clone().tuned(4, 48));
@@ -61,51 +36,36 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             "refuser served",
         ],
     );
+    let configs = [Mode::Static, Mode::Dynamic]
+        .into_iter()
+        .map(|mode| {
+            let mut cfg = opts.scenario(mode, 2);
+            cfg.free_rider_fraction = 0.15;
+            cfg.liar_fraction = opts.pack.liar_fraction;
+            cfg
+        })
+        .collect();
     let mut reports = Vec::new();
-    for mode in [Mode::Static, Mode::Dynamic] {
-        let mut cfg = opts.scenario(mode, 2);
-        cfg.free_rider_fraction = 0.15;
-        cfg.liar_fraction = opts.pack.liar_fraction;
-        let (report, worlds) = run_pack(&opts, cfg, em);
+    for (report, end) in gnutella_runs(&opts, configs, em) {
+        let (contrib, frs, liars) = (end.contributors, end.free_riders, end.liars);
         // Structurally zero — the invariant layer already asserted it;
         // the column makes the claim visible in the table.
-        let refuser_served: f64 = worlds
-            .iter()
-            .flat_map(|w| {
-                let loads = w.served_loads();
-                (0..w.owned_nodes())
-                    .filter(|&k| {
-                        let n = NodeId::from_index(w.base() + k);
-                        w.is_free_rider(n) || w.is_liar(n)
-                    })
-                    .map(move |k| loads[k])
-                    .collect::<Vec<_>>()
-            })
-            .sum();
+        let refuser_served = frs.served + liars.served;
         // Per-capita eviction bias vs contributors: how many standing
         // eviction memories point at each class, normalised by class
         // size. This is the liar-specific isolation signal — liars keep
         // near-normal degree (their fabricated summaries keep attracting
         // invitations) but are evicted at a higher per-capita rate.
-        let (on_liars, on_rest) = worlds
-            .iter()
-            .map(|w| w.eviction_memory_split(|n| w.is_liar(n)))
-            .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
-        let (on_frs, _) = worlds
-            .iter()
-            .map(|w| w.eviction_memory_split(|n| w.is_free_rider(n)))
-            .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
-        let on_contrib = on_rest - on_frs;
-        let users = worlds.iter().map(|w| w.owned_nodes()).sum::<usize>() as f64;
+        let users = end.served.len() as f64;
         let n_liars = (users * opts.pack.liar_fraction).round().max(1.0);
         let n_frs = (users * 0.15).round().max(1.0);
         let n_contrib = (users - n_liars - n_frs).max(1.0);
-        let contrib_rate = on_contrib as f64 / n_contrib;
+        let contrib_rate = contrib.evicted as f64 / n_contrib;
         let evict_bias = if contrib_rate > 0.0 {
             format!(
                 "{:.1}x / {:.1}x",
-                (on_frs as f64 / n_frs) / contrib_rate,
-                (on_liars as f64 / n_liars) / contrib_rate,
+                (frs.evicted as f64 / n_frs) / contrib_rate,
+                (liars.evicted as f64 / n_liars) / contrib_rate,
             )
         } else {
             "-".into()
@@ -113,11 +73,9 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         t.row(vec![
             report.label.to_string(),
             format!("{:.0}", report.mean_hits_per_hour()),
-            fmt(mean_degree(&worlds, |w, n| w.is_liar(n))),
-            fmt(mean_degree(&worlds, |w, n| w.is_free_rider(n))),
-            fmt(mean_degree(&worlds, |w, n| {
-                !w.is_free_rider(n) && !w.is_liar(n)
-            })),
+            liars.degree_cell(),
+            frs.degree_cell(),
+            contrib.degree_cell(),
             evict_bias,
             format!("{refuser_served:.0}"),
         ]);

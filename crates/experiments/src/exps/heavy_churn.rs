@@ -9,7 +9,7 @@
 //! sessions, against a stable backbone of long-lived nodes for the
 //! reconfiguration protocol to discover and keep.
 
-use super::{fold_digests, pct_delta, run_pack, smoke_scale};
+use super::{fold_digests, gnutella_reports, pct_delta, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
 use ddr_gnutella::Mode;
@@ -25,8 +25,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         shape: opts.pack.pareto_shape,
     };
 
-    let (base, _) = run_pack(&opts, exp, em);
-    let (heavy, _) = run_pack(&opts, pareto, em);
+    let reports = gnutella_reports(&opts, vec![exp, pareto], em);
+    let (base, heavy) = (&reports[0], &reports[1]);
 
     let mut t = Table::new(
         format!(
@@ -41,7 +41,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             "hit ratio",
         ],
     );
-    for (name, r) in [("exponential", &base), ("pareto", &heavy)] {
+    for (name, r) in [("exponential", base), ("pareto", heavy)] {
         t.row(vec![
             name.to_string(),
             format!("{}", r.metrics.logins),
@@ -62,8 +62,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         ),
     ));
     em.note("invariants: ok (conservation holds under bursty session turnover)");
-    em.note(&format!("digest: {:016x}", fold_digests(&[&base, &heavy])));
+    em.note(&format!("digest: {:016x}", fold_digests(&[base, heavy])));
 
     opts.write_csv("heavy_churn", &t);
-    opts.write_json("heavy_churn_report", &heavy);
+    opts.write_json("heavy_churn_report", heavy);
 }

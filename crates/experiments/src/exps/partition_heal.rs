@@ -10,7 +10,7 @@
 //!
 //! [`check_invariants`]: ddr_gnutella::check_invariants
 
-use super::{fold_digests, pct_delta, run_pack, smoke_scale};
+use super::{fold_digests, gnutella_reports, pct_delta, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
 use ddr_gnutella::{Mode, PartitionWindow};
@@ -30,8 +30,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     };
     cut.partition = Some(window);
 
-    let (base, _) = run_pack(&opts, benign, em);
-    let (split, _) = run_pack(&opts, cut, em);
+    let reports = gnutella_reports(&opts, vec![benign, cut], em);
+    let (base, split) = (&reports[0], &reports[1]);
 
     let mut t = Table::new(
         format!(
@@ -47,7 +47,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             "cross-island",
         ],
     );
-    for (name, r) in [("benign", &base), ("partitioned", &split)] {
+    for (name, r) in [("benign", base), ("partitioned", split)] {
         t.row(vec![
             name.to_string(),
             format!("{:.0}", r.mean_hits_per_hour()),
@@ -71,8 +71,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         split.metrics.partition_drops,
     ));
     em.note("invariants: ok (zero cross-island deliveries inside the window)");
-    em.note(&format!("digest: {:016x}", fold_digests(&[&base, &split])));
+    em.note(&format!("digest: {:016x}", fold_digests(&[base, split])));
 
     opts.write_csv("partition_heal", &t);
-    opts.write_json("partition_heal_report", &split);
+    opts.write_json("partition_heal_report", split);
 }

@@ -4,18 +4,14 @@
 //! same-workload peers — under *bounded* incoming lists, where adoption
 //! can be refused.
 
-use super::shrink_peerolap;
+use super::{case_study_runs, peerolap_config};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use crate::run_observed;
-use ddr_peerolap::{OlapMode, PeerOlapConfig, PeerOlapScenario};
+use ddr_peerolap::{OlapMode, PeerOlapScenario};
 use ddr_stats::Table;
-use ddr_telemetry::{JsonlSink, KernelProfiler};
+use ddr_telemetry::JsonlSink;
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
-    let hours: u64 = if opts.hours_explicit { opts.hours } else { 8 };
-    let mut profiler = opts.profile.then(KernelProfiler::new);
-
     let mut table = Table::new(
         "Distributed OLAP caching: static vs dynamic neighborhoods",
         &[
@@ -29,23 +25,15 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             "refused",
         ],
     );
-    for mode in [OlapMode::Static, OlapMode::Dynamic] {
-        let mut cfg = PeerOlapConfig::default_scenario(mode);
-        cfg.sim_hours = hours;
-        cfg.warmup_hours = (hours / 8).max(1);
-        if let Some(s) = opts.seed {
-            cfg.seed = s;
-        }
-        if opts.smoke {
-            shrink_peerolap(&mut cfg);
-        }
-        cfg.telemetry = opts.telemetry_for(mode.label());
-        let telemetry = cfg.telemetry.clone();
-        let r = if opts.trace.is_some() {
-            run_observed::<PeerOlapScenario<JsonlSink>>(cfg, &telemetry, profiler.as_mut())
-        } else {
-            run_observed::<PeerOlapScenario>(cfg, &telemetry, profiler.as_mut())
-        };
+    let configs = [OlapMode::Static, OlapMode::Dynamic]
+        .map(|mode| peerolap_config(opts, mode))
+        .to_vec();
+    for r in case_study_runs::<PeerOlapScenario, PeerOlapScenario<JsonlSink>>(
+        opts,
+        configs,
+        |c| &c.telemetry,
+        em,
+    ) {
         table.row(vec![
             r.label.to_string(),
             format!("{:.1}", 100.0 * r.peer_share()),
@@ -58,8 +46,5 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         ]);
     }
     em.table(&table);
-    if let Some(p) = &profiler {
-        em.note(&p.render());
-    }
     opts.write_csv("peerolap_eval", &table);
 }

@@ -4,10 +4,9 @@
 //! cost"). Runs each strategy under both static and dynamic modes at
 //! hops = 4 (the regime where query cost dominates).
 
-use super::smoke_scale;
+use super::{gnutella_reports, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use crate::run_all_with;
 use ddr_gnutella::config::SearchStrategy;
 use ddr_gnutella::{Mode, ScenarioConfig};
 use ddr_stats::Table;
@@ -48,7 +47,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             configs.push(c);
         }
     }
-    let reports = run_all_with(&opts, configs, em);
+    let reports = gnutella_reports(&opts, configs, em);
 
     let mut t = Table::new(
         "Search-cost techniques at hops=4 (messages are the cost axis)",

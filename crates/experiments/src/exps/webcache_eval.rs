@@ -7,18 +7,14 @@
 //! cuts mean latency vs static random neighborhoods, because exploration +
 //! asymmetric updates cluster same-interest proxies.
 
-use super::shrink_webcache;
+use super::{case_study_runs, webcache_config};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use crate::run_observed;
 use ddr_stats::Table;
-use ddr_telemetry::{JsonlSink, KernelProfiler};
-use ddr_webcache::{CacheMode, WebCacheConfig, WebCacheScenario};
+use ddr_telemetry::JsonlSink;
+use ddr_webcache::{CacheMode, WebCacheScenario};
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
-    let hours: u64 = if opts.hours_explicit { opts.hours } else { 12 };
-    let mut profiler = opts.profile.then(KernelProfiler::new);
-
     let mut table = Table::new(
         "Cooperative web caching: static vs dynamic neighborhoods",
         &[
@@ -31,23 +27,15 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
             "updates",
         ],
     );
-    for mode in [CacheMode::Static, CacheMode::Dynamic] {
-        let mut cfg = WebCacheConfig::default_scenario(mode);
-        cfg.sim_hours = hours;
-        cfg.warmup_hours = (hours / 6).max(1);
-        if let Some(s) = opts.seed {
-            cfg.seed = s;
-        }
-        if opts.smoke {
-            shrink_webcache(&mut cfg);
-        }
-        cfg.telemetry = opts.telemetry_for(mode.label());
-        let telemetry = cfg.telemetry.clone();
-        let r = if opts.trace.is_some() {
-            run_observed::<WebCacheScenario<JsonlSink>>(cfg, &telemetry, profiler.as_mut())
-        } else {
-            run_observed::<WebCacheScenario>(cfg, &telemetry, profiler.as_mut())
-        };
+    let configs = [CacheMode::Static, CacheMode::Dynamic]
+        .map(|mode| webcache_config(opts, mode, mode.label()))
+        .to_vec();
+    for r in case_study_runs::<WebCacheScenario, WebCacheScenario<JsonlSink>>(
+        opts,
+        configs,
+        |c| &c.telemetry,
+        em,
+    ) {
         table.row(vec![
             r.label.to_string(),
             format!("{:.1}", 100.0 * r.local_hit_ratio()),
@@ -59,8 +47,5 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         ]);
     }
     em.table(&table);
-    if let Some(p) = &profiler {
-        em.note(&p.render());
-    }
     opts.write_csv("webcache_eval", &table);
 }

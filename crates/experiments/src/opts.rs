@@ -1,32 +1,10 @@
 //! Centralized command-line parsing for every experiment entry point.
 //!
-//! One flag grammar serves every experiment behind the `ddr` CLI:
-//!
-//! ```text
-//! --scale N         divide users & songs by N (default 1 = paper scale)
-//! --hours H         simulated horizon (default 96 = the paper's 4 days)
-//! --seed S          root seed (default: the scenario default)
-//! --csv DIR         also write table CSVs into DIR
-//! --json DIR        also write report JSON into DIR (defaults to the CSV dir)
-//! --smoke           shrink every world to a seconds-long CI configuration
-//! --trace FILE      write sampled query-lifecycle spans as JSONL to FILE
-//! --trace-sample N  trace every Nth query (default 1 = all; needs --trace)
-//! --metrics FILE    write windowed metrics timeline records (JSONL) to FILE
-//! --profile         profile the kernel and print a dispatch/queue report
-//! --threads N       cap sweep worker fan-out (default: one per core);
-//!                   `ddr serve` reuses it as the shard count
-//! --shards N        shard count for the conservative parallel kernel
-//!                   (shardable experiments only — the ddr CLI rejects it
-//!                   for serial-kernel experiments; default 1 = serial)
-//! --spike-boost F   scenario pack: flash-crowd peak weight in (0, 1]
-//! --pareto-shape F  scenario pack: heavy-churn Pareto shape (> 1)
-//! --liar-fraction F scenario pack: malicious-advertiser share in [0, 1)
-//! --islands N       scenario pack: partition island count (>= 2)
-//! ```
-//!
-//! `--shards`, `--trace`, `--metrics` and `--profile` are honoured per
-//! experiment (`Experiment::honours`); `ddr run` rejects a given one the
-//! experiment would ignore.
+//! One flag grammar serves every experiment behind the `ddr` CLI; the
+//! full text is `ddr run --help` (`cli.rs`), and each flag lands in the
+//! [`ExpOptions`] field that documents it. `--trace`, `--metrics` and
+//! `--profile` work on every experiment; `--shards` on every one whose
+//! registry entry is `shardable`, and never together with `--trace`.
 //!
 //! Parsing is a pure function ([`ExpOptions::parse`]) returning
 //! [`CliError`] on bad input; `cli::ddr_main` maps that onto usage plus
@@ -46,6 +24,8 @@ pub enum CliError {
     BadValue(String, String),
     /// A flag nobody recognises.
     UnknownFlag(String),
+    /// Two flags that cannot be combined; the text says which and why.
+    Conflict(&'static str),
     /// `--help`/`-h`: not an error, but parsing stops.
     Help,
 }
@@ -56,6 +36,7 @@ impl std::fmt::Display for CliError {
             CliError::MissingValue(flag) => write!(f, "missing value for {flag}"),
             CliError::BadValue(flag, v) => write!(f, "bad value for {flag}: {v:?}"),
             CliError::UnknownFlag(flag) => write!(f, "unknown flag {flag}"),
+            CliError::Conflict(why) => write!(f, "{why}"),
             CliError::Help => write!(f, "help requested"),
         }
     }
@@ -65,6 +46,24 @@ impl std::fmt::Display for CliError {
 pub const USAGE: &str = "options: --scale N  --hours H  --seed S  --csv DIR  --json DIR  --smoke  \
      --trace FILE  --trace-sample N  --metrics FILE  --profile  --threads N  --shards N  \
      --spike-boost F  --pareto-shape F  --liar-fraction F  --islands N  (-h for help)";
+
+/// The value after `flag`, parsed and range-checked: the one place both
+/// flag grammars (`ddr run`, `ddr serve`) turn text into a number or
+/// path, so a missing, unparsable or out-of-range value is always the
+/// same [`CliError`].
+pub(crate) fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    in_range: impl FnOnce(&T) -> bool,
+) -> Result<T, CliError> {
+    let v = args
+        .next()
+        .ok_or_else(|| CliError::MissingValue(flag.into()))?;
+    match v.parse::<T>() {
+        Ok(parsed) if in_range(&parsed) => Ok(parsed),
+        _ => Err(CliError::BadValue(flag.into(), v)),
+    }
+}
 
 /// Scenario-pack knobs (flash_crowd, heavy_churn, partition_heal,
 /// free_riders, bandwidth_eras). Range checks happen at parse time so a
@@ -129,12 +128,12 @@ pub struct ExpOptions {
     /// Worker-thread cap for sweep fan-out (and the serve backend's
     /// shard count). `None` means one per core.
     pub threads: Option<usize>,
-    /// Shard count for experiments running on the conservative parallel
-    /// kernel. `None` means serial (one shard). Shardable worlds (the
-    /// Gnutella slice world and the synthetic relay world) produce
-    /// bit-identical output at any shard count (DESIGN.md §11–12); the
-    /// `ddr run` subcommand rejects the flag for everything else rather
-    /// than silently ignoring it.
+    /// Shard count for Gnutella worlds on the conservative parallel
+    /// kernel. `None` means the serial kernel. The Gnutella slice world
+    /// produces bit-identical output either way and at any shard count
+    /// (DESIGN.md §11–12); the `ddr run` subcommand rejects the flag for
+    /// experiments that are not `shardable` rather than silently ignoring
+    /// it.
     pub shards: Option<usize>,
     /// Scenario-pack knobs; every field has a sensible default, so the
     /// pack experiments run with no extra flags.
@@ -175,93 +174,49 @@ impl ExpOptions {
         let mut positional = Vec::new();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            let mut value = |flag: &str| -> Result<String, CliError> {
-                args.next()
-                    .ok_or_else(|| CliError::MissingValue(flag.into()))
-            };
+            let args = &mut args;
             match arg.as_str() {
                 "--scale" => {
-                    let v = value("--scale")?;
-                    opts.scale = match v.parse() {
-                        Ok(n) if n >= 1 => n,
-                        _ => return Err(CliError::BadValue("--scale".into(), v)),
-                    };
+                    opts.scale = flag_value(args, &arg, |&n| n >= 1)?;
                     opts.scale_explicit = true;
                 }
                 "--hours" => {
-                    let v = value("--hours")?;
-                    opts.hours = match v.parse() {
-                        Ok(n) if n >= 1 => n,
-                        _ => return Err(CliError::BadValue("--hours".into(), v)),
-                    };
+                    opts.hours = flag_value(args, &arg, |&n| n >= 1)?;
                     opts.hours_explicit = true;
                 }
-                "--seed" => {
-                    let v = value("--seed")?;
-                    opts.seed = Some(
-                        v.parse()
-                            .map_err(|_| CliError::BadValue("--seed".into(), v))?,
-                    );
-                }
-                "--csv" => opts.csv_dir = Some(PathBuf::from(value("--csv")?)),
-                "--json" => opts.json_dir = Some(PathBuf::from(value("--json")?)),
+                "--seed" => opts.seed = Some(flag_value(args, &arg, |_| true)?),
+                "--csv" => opts.csv_dir = Some(flag_value(args, &arg, |_| true)?),
+                "--json" => opts.json_dir = Some(flag_value(args, &arg, |_| true)?),
                 "--smoke" => opts.smoke = true,
-                "--trace" => opts.trace = Some(PathBuf::from(value("--trace")?)),
-                "--metrics" => opts.metrics = Some(PathBuf::from(value("--metrics")?)),
-                "--trace-sample" => {
-                    let v = value("--trace-sample")?;
-                    opts.trace_sample = match v.parse() {
-                        Ok(n) if n >= 1 => n,
-                        _ => return Err(CliError::BadValue("--trace-sample".into(), v)),
-                    };
-                }
+                "--trace" => opts.trace = Some(flag_value(args, &arg, |_| true)?),
+                "--metrics" => opts.metrics = Some(flag_value(args, &arg, |_| true)?),
+                "--trace-sample" => opts.trace_sample = flag_value(args, &arg, |&n| n >= 1)?,
                 "--profile" => opts.profile = true,
-                "--threads" => {
-                    let v = value("--threads")?;
-                    opts.threads = match v.parse() {
-                        Ok(n) if n >= 1 => Some(n),
-                        _ => return Err(CliError::BadValue("--threads".into(), v)),
-                    };
-                }
-                "--shards" => {
-                    let v = value("--shards")?;
-                    opts.shards = match v.parse() {
-                        Ok(n) if n >= 1 => Some(n),
-                        _ => return Err(CliError::BadValue("--shards".into(), v)),
-                    };
-                }
+                "--threads" => opts.threads = Some(flag_value(args, &arg, |&n| n >= 1)?),
+                "--shards" => opts.shards = Some(flag_value(args, &arg, |&n| n >= 1)?),
                 "--spike-boost" => {
-                    let v = value("--spike-boost")?;
-                    opts.pack.spike_boost = match v.parse::<f64>() {
-                        Ok(f) if f > 0.0 && f <= 1.0 => f,
-                        _ => return Err(CliError::BadValue("--spike-boost".into(), v)),
-                    };
+                    opts.pack.spike_boost = flag_value(args, &arg, |&f| f > 0.0 && f <= 1.0)?
                 }
                 "--pareto-shape" => {
-                    let v = value("--pareto-shape")?;
-                    opts.pack.pareto_shape = match v.parse::<f64>() {
-                        Ok(f) if f > 1.0 && f.is_finite() => f,
-                        _ => return Err(CliError::BadValue("--pareto-shape".into(), v)),
-                    };
+                    opts.pack.pareto_shape =
+                        flag_value(args, &arg, |&f: &f64| f > 1.0 && f.is_finite())?
                 }
                 "--liar-fraction" => {
-                    let v = value("--liar-fraction")?;
-                    opts.pack.liar_fraction = match v.parse::<f64>() {
-                        Ok(f) if (0.0..1.0).contains(&f) => f,
-                        _ => return Err(CliError::BadValue("--liar-fraction".into(), v)),
-                    };
+                    opts.pack.liar_fraction = flag_value(args, &arg, |f| (0.0..1.0).contains(f))?
                 }
-                "--islands" => {
-                    let v = value("--islands")?;
-                    opts.pack.islands = match v.parse() {
-                        Ok(n) if n >= 2 => n,
-                        _ => return Err(CliError::BadValue("--islands".into(), v)),
-                    };
-                }
+                "--islands" => opts.pack.islands = flag_value(args, &arg, |&n| n >= 2)?,
                 "--help" | "-h" => return Err(CliError::Help),
                 flag if flag.starts_with('-') => return Err(CliError::UnknownFlag(flag.into())),
                 _ => positional.push(arg),
             }
+        }
+        if opts.trace.is_some() && opts.shards.is_some() {
+            // The tracer's live-span set is per world: a hop handled on
+            // another shard would be dropped from the trace silently.
+            return Err(CliError::Conflict(
+                "--trace cannot be combined with --shards: query spans are tracked per world, \
+                 so hops handled on another shard would be missing from the trace",
+            ));
         }
         Ok((opts, positional))
     }
@@ -282,12 +237,6 @@ impl ExpOptions {
     /// cap when given, otherwise one per core.
     pub fn workers(&self) -> usize {
         ddr_sim::resolve_workers(self.threads)
-    }
-
-    /// The shard count for sharded-kernel experiments: the `--shards`
-    /// value when given, otherwise 1 (serial).
-    pub fn shard_count(&self) -> usize {
-        self.shards.unwrap_or(1)
     }
 
     /// The telemetry settings these options imply for one run, labelled
@@ -318,13 +267,26 @@ impl ExpOptions {
         c
     }
 
-    /// Write `table` as CSV into the csv dir (if configured).
+    /// Create the `--csv` / `--json` directories and the `--trace` /
+    /// `--metrics` files, so an unwritable path fails with a diagnosis
+    /// before the first experiment runs instead of after the last one.
+    pub fn prepare_outputs(&self) -> Result<(), String> {
+        for dir in [&self.csv_dir, &self.json_dir].into_iter().flatten() {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create directory {}: {e}", dir.display()))?;
+        }
+        for file in [&self.trace, &self.metrics].into_iter().flatten() {
+            std::fs::File::create(file)
+                .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
+        }
+        Ok(())
+    }
+
+    /// Write `table` as CSV into the csv dir (if configured; the CLI has
+    /// created it — see [`prepare_outputs`](Self::prepare_outputs)).
     pub fn write_csv(&self, name: &str, table: &Table) {
         if let Some(dir) = &self.csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
-            let path = dir.join(format!("{name}.csv"));
-            std::fs::write(&path, table.to_csv()).expect("write csv");
-            eprintln!("wrote {}", path.display());
+            write_file(&dir.join(format!("{name}.csv")), &table.to_csv());
         }
     }
 
@@ -333,13 +295,16 @@ impl ExpOptions {
     /// next to the table CSVs.
     pub fn write_json<T: serde::Serialize>(&self, name: &str, value: &T) {
         if let Some(dir) = self.json_dir.as_ref().or(self.csv_dir.as_ref()) {
-            std::fs::create_dir_all(dir).expect("create json dir");
-            let path = dir.join(format!("{name}.json"));
-            let json = serde_json::to_string_pretty(value).expect("serialise");
-            std::fs::write(&path, json).expect("write json");
-            eprintln!("wrote {}", path.display());
+            let json = serde_json::to_string_pretty(value).expect("reports serialise");
+            write_file(&dir.join(format!("{name}.json")), &json);
         }
     }
+}
+
+fn write_file(path: &std::path::Path, contents: &str) {
+    std::fs::write(path, contents)
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    eprintln!("wrote {}", path.display());
 }
 
 #[cfg(test)]
@@ -388,47 +353,30 @@ mod tests {
     }
 
     #[test]
-    fn trace_sample_zero_is_rejected() {
-        assert_eq!(
-            parse(&["--trace-sample", "0"]),
-            Err(CliError::BadValue("--trace-sample".into(), "0".into()))
-        );
-        assert_eq!(
-            parse(&["--trace-sample", "many"]),
-            Err(CliError::BadValue("--trace-sample".into(), "many".into()))
-        );
-    }
-
-    #[test]
-    fn threads_caps_workers_and_rejects_zero() {
+    fn threads_cap_workers() {
         let (o, _) = parse(&["--threads", "3"]).unwrap();
         assert_eq!(o.threads, Some(3));
         assert_eq!(o.workers(), 3);
         let (o, _) = parse(&[]).unwrap();
         assert_eq!(o.threads, None);
         assert!(o.workers() >= 1, "default must be at least one worker");
-        assert_eq!(
-            parse(&["--threads", "0"]),
-            Err(CliError::BadValue("--threads".into(), "0".into()))
-        );
-        assert_eq!(
-            parse(&["--threads", "lots"]),
-            Err(CliError::BadValue("--threads".into(), "lots".into()))
-        );
     }
 
     #[test]
-    fn shards_parse_and_default_to_serial() {
+    fn shards_parse_default_to_serial_and_exclude_trace() {
         let (o, _) = parse(&["--shards", "4"]).unwrap();
         assert_eq!(o.shards, Some(4));
-        assert_eq!(o.shard_count(), 4);
         let (o, _) = parse(&[]).unwrap();
-        assert_eq!(o.shards, None);
-        assert_eq!(o.shard_count(), 1, "default is serial");
-        assert_eq!(
-            parse(&["--shards", "0"]),
-            Err(CliError::BadValue("--shards".into(), "0".into()))
-        );
+        assert_eq!(o.shards, None, "default is the serial kernel");
+        for args in [
+            ["--shards", "2", "--trace", "t.jsonl"],
+            ["--trace", "t.jsonl", "--shards", "1"],
+        ] {
+            assert!(
+                matches!(parse(&args), Err(CliError::Conflict(_))),
+                "{args:?}"
+            );
+        }
     }
 
     #[test]
@@ -450,26 +398,6 @@ mod tests {
         assert_eq!(o.pack.pareto_shape, 2.5);
         assert_eq!(o.pack.liar_fraction, 0.2);
         assert_eq!(o.pack.islands, 4);
-    }
-
-    #[test]
-    fn pack_flags_reject_out_of_range_values() {
-        for (flag, bad) in [
-            ("--spike-boost", "0"),
-            ("--spike-boost", "1.5"),
-            ("--pareto-shape", "1.0"),
-            ("--pareto-shape", "inf"),
-            ("--liar-fraction", "1.0"),
-            ("--liar-fraction", "-0.1"),
-            ("--islands", "1"),
-            ("--islands", "many"),
-        ] {
-            assert_eq!(
-                parse(&[flag, bad]),
-                Err(CliError::BadValue(flag.into(), bad.into())),
-                "{flag} {bad}"
-            );
-        }
     }
 
     #[test]
@@ -502,11 +430,25 @@ mod tests {
 
     #[test]
     fn bad_value_names_the_flag() {
+        // One row per way a value can be unparsable or out of range.
         for (flag, bad) in [
             ("--hours", "six"),
             ("--hours", "0"),
             ("--scale", "0"),
             ("--scale", "-1"),
+            ("--trace-sample", "0"),
+            ("--trace-sample", "many"),
+            ("--threads", "0"),
+            ("--threads", "lots"),
+            ("--shards", "0"),
+            ("--spike-boost", "0"),
+            ("--spike-boost", "1.5"),
+            ("--pareto-shape", "1.0"),
+            ("--pareto-shape", "inf"),
+            ("--liar-fraction", "1.0"),
+            ("--liar-fraction", "-0.1"),
+            ("--islands", "1"),
+            ("--islands", "many"),
         ] {
             assert_eq!(
                 parse(&[flag, bad]),

@@ -23,7 +23,7 @@ use ddr_sim::SimDuration;
 use ddr_telemetry::TelemetryConfig;
 use std::path::PathBuf;
 
-use crate::opts::CliError;
+use crate::opts::{flag_value, CliError};
 
 /// The flag summary printed on `--help` and parse errors.
 pub const SERVE_USAGE: &str = "\
@@ -83,41 +83,19 @@ where
     let mut out = ServeArgs::default();
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> Result<String, CliError> {
-            args.next()
-                .ok_or_else(|| CliError::MissingValue(flag.into()))
-        };
-        fn positive<T: std::str::FromStr + PartialOrd + Default>(
-            flag: &str,
-            v: String,
-        ) -> Result<T, CliError> {
-            match v.parse::<T>() {
-                Ok(n) if n > T::default() => Ok(n),
-                _ => Err(CliError::BadValue(flag.into(), v)),
-            }
-        }
+        let args = &mut args;
         match arg.as_str() {
-            "--nodes" => out.nodes = positive("--nodes", value("--nodes")?)?,
-            "--qps" => out.qps = positive("--qps", value("--qps")?)?,
-            "--duration" => out.duration_s = positive("--duration", value("--duration")?)?,
-            "--threads" => out.threads = Some(positive("--threads", value("--threads")?)?),
-            "--seed" => {
-                let v = value("--seed")?;
-                out.seed = v
-                    .parse()
-                    .map_err(|_| CliError::BadValue("--seed".into(), v))?;
-            }
-            "--degree" => out.degree = positive("--degree", value("--degree")?)?,
+            "--nodes" => out.nodes = flag_value(args, &arg, |&n| n > 0)?,
+            "--qps" => out.qps = flag_value(args, &arg, |&q| q > 0.0)?,
+            "--duration" => out.duration_s = flag_value(args, &arg, |&s| s > 0.0)?,
+            "--threads" => out.threads = Some(flag_value(args, &arg, |&n| n > 0)?),
+            "--seed" => out.seed = flag_value(args, &arg, |_| true)?,
+            "--degree" => out.degree = flag_value(args, &arg, |&d| d > 0)?,
             "--smoke" => out.smoke = true,
-            "--trace" => out.trace = Some(PathBuf::from(value("--trace")?)),
-            "--metrics" => out.metrics = Some(PathBuf::from(value("--metrics")?)),
-            "--metrics-port" => {
-                out.metrics_port = Some(positive("--metrics-port", value("--metrics-port")?)?)
-            }
-            "--monitor-interval" => {
-                out.monitor_interval_ms =
-                    positive("--monitor-interval", value("--monitor-interval")?)?
-            }
+            "--trace" => out.trace = Some(flag_value(args, &arg, |_| true)?),
+            "--metrics" => out.metrics = Some(flag_value(args, &arg, |_| true)?),
+            "--metrics-port" => out.metrics_port = Some(flag_value(args, &arg, |&p| p > 0)?),
+            "--monitor-interval" => out.monitor_interval_ms = flag_value(args, &arg, |&ms| ms > 0)?,
             "--help" | "-h" => return Err(CliError::Help),
             flag if flag.starts_with('-') => return Err(CliError::UnknownFlag(flag.into())),
             other => return Err(CliError::BadValue("scenario".into(), other.into())),

@@ -1,5 +1,5 @@
 //! Metrics-on runs must be digest-identical to metrics-off runs — the
-//! timeline is a pure side channel. Pinned here for fig1_dynamic's
+//! timeline is a pure side channel. Pinned here for Figure 1's dynamic
 //! configuration on the sharded kernel at shards {1, 2} and for an
 //! adversarial-pack (flash crowd) scenario, because those paths chunk
 //! the horizon to sample between hours and a chunking bug would corrupt
@@ -51,7 +51,7 @@ fn assert_clean_timeline(src: &str, expect_windows: usize, ctx: &str) {
 }
 
 #[test]
-fn fig1_dynamic_metrics_do_not_move_the_digest() {
+fn figure1_dynamic_metrics_do_not_move_the_digest() {
     for shards in [1usize, 2] {
         let cfg = tiny(Mode::Dynamic);
         let hours = cfg.sim_hours as usize;

@@ -5,7 +5,9 @@
 //! (`--scale 50 --hours 6 --smoke`) against a capturing [`Emitter`], and
 //! must produce at least one non-empty table. This is the guarantee
 //! behind `ddr run --all --smoke` in CI: no registry entry can rot into
-//! a name that panics or prints nothing.
+//! a name that panics or prints nothing. (What each entry prints at
+//! `--smoke` is pinned byte for byte by `golden/all_smoke.txt`, which
+//! ci.sh diffs against.)
 
 use ddr_experiments::{registry, Emitter, ExpOptions};
 use std::collections::HashSet;
@@ -39,7 +41,6 @@ fn registry_covers_every_legacy_binary() {
         "diag",
         "fairness",
         "exploration_sweep",
-        "all_experiments",
     ] {
         assert!(names.contains(&legacy), "registry is missing {legacy}");
     }
@@ -51,6 +52,7 @@ fn registry_names_are_unique_with_descriptions() {
     let unique: HashSet<&str> = reg.iter().map(|e| e.name).collect();
     assert_eq!(unique.len(), reg.len(), "duplicate experiment names");
     for e in &reg {
+        assert!(!e.name.is_empty(), "an experiment has no name");
         assert!(!e.description.is_empty(), "{} has no description", e.name);
     }
 }

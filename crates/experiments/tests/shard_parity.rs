@@ -1,26 +1,31 @@
-//! Gate: `--shards` must never change results.
+//! Gate: `--shards` must never change results (DESIGN.md §11–12).
 //!
-//! Three parts, matching DESIGN.md §11–12's contract:
+//! * Every registry entry marked `shardable` goes through the one
+//!   Gnutella runner, which picks the serial driver when `shards` is
+//!   `None` and the sharded kernel otherwise: the whole captured output —
+//!   every table, summary, digest and end-state cell — must be
+//!   byte-identical between the two. (The runner asserts the scenario
+//!   invariants on each of these runs, so a violation panics the test.)
+//! * The CLI rejects `--shards` for serial-kernel worlds (exit 2, covered
+//!   in `cli.rs`); if the option reaches one anyway it must be inert.
 //!
-//! * Worlds still on the serial kernel (the web-cache case study here)
-//!   never see the flag: the `ddr run` CLI rejects `--shards` for them
-//!   (exit 2, covered in `cli.rs` tests), and running their entry point
-//!   with `shards` set in the options anyway must be byte-inert.
-//! * The Gnutella slice world runs on the sharded kernel and must emit
-//!   the identical report digest at shards {1, 2, 4} — the
-//!   `fig1_dynamic` experiment prints the digest exactly so this (and
-//!   ci.sh) can compare runs from the outside.
-//! * The sharded kernel itself must be bit-identical to its serial
-//!   reference — `shard_scaling` asserts the digest of every curve point
-//!   against the 1-shard run and panics on divergence, so completing at
-//!   all is the parity proof. (`ddr-sim/tests/prop_sharded.rs` proves
-//!   the same property differentially against the reference heap.)
+//! That the sharded kernel itself equals its serial reference is proven
+//! differentially in `ddr-sim/tests/prop_sharded.rs`.
 
-use ddr_experiments::{find, Emitter, ExpOptions};
+use ddr_experiments::{find, registry, Emitter, ExpOptions};
 
+/// The registry test's reduced scale (40 users, 6 h) on one worker
+/// thread: 13 experiments run twice here, in a debug build, and the
+/// property is about slices, not threads (`ddr-gnutella` pins that a
+/// thread pool over the same slices changes nothing).
 fn captured(name: &str, shards: Option<usize>) -> String {
     let opts = ExpOptions {
+        scale: 50,
+        hours: 6,
+        scale_explicit: true,
+        hours_explicit: true,
         smoke: true,
+        threads: Some(1),
         shards,
         ..ExpOptions::default()
     };
@@ -29,12 +34,18 @@ fn captured(name: &str, shards: Option<usize>) -> String {
     em.captured().expect("capture emitter").to_string()
 }
 
-/// The `digest: <16 hex>` note a sharded Gnutella experiment emits.
-fn digest_line(out: &str) -> &str {
-    out.lines()
-        .find(|l| l.trim_start().starts_with("digest:"))
-        .expect("run emitted no digest line")
-        .trim()
+#[test]
+fn every_shardable_experiment_prints_the_same_bytes_serial_and_sharded() {
+    for e in registry().iter().filter(|e| e.shardable) {
+        let serial = captured(e.name, None);
+        assert!(!serial.is_empty(), "{} emitted nothing", e.name);
+        assert_eq!(
+            serial,
+            captured(e.name, Some(2)),
+            "{}: --shards 2 changed the output",
+            e.name
+        );
+    }
 }
 
 #[test]
@@ -46,52 +57,4 @@ fn shards_option_is_inert_for_serial_kernel_worlds() {
     let sharded = captured("webcache_eval", Some(3));
     assert!(!serial.is_empty(), "webcache_eval emitted nothing");
     assert_eq!(serial, sharded, "webcache_eval: --shards changed output");
-}
-
-#[test]
-fn fig1_dynamic_digest_is_identical_at_every_shard_count() {
-    let reference = captured("fig1_dynamic", None);
-    let want = digest_line(&reference);
-    for shards in [1usize, 2, 4] {
-        let out = captured("fig1_dynamic", Some(shards));
-        assert_eq!(
-            digest_line(&out),
-            want,
-            "fig1_dynamic diverged from serial at {shards} shards"
-        );
-    }
-}
-
-#[test]
-fn scenario_pack_digests_are_identical_across_shard_counts() {
-    // Every pack experiment runs its scenarios through the sharded
-    // kernel and folds all run digests into one `digest:` line; the line
-    // must not move between the serial default and --shards 2. (The
-    // in-line invariant layer also runs on every one of these runs — a
-    // conservation or isolation violation panics the test.)
-    for name in [
-        "flash_crowd",
-        "partition_heal",
-        "heavy_churn",
-        "free_riders",
-        "bandwidth_eras",
-    ] {
-        let reference = captured(name, None);
-        let want = digest_line(&reference).to_string();
-        let out = captured(name, Some(2));
-        assert_eq!(
-            digest_line(&out),
-            want,
-            "{name} diverged between serial and 2 shards"
-        );
-    }
-}
-
-#[test]
-fn shard_scaling_curve_passes_its_parity_assertions() {
-    // The run itself asserts every parallel point's digest equals the
-    // serial reference; reaching the note line means parity held.
-    let out = captured("shard_scaling", Some(4));
-    assert!(out.contains("Shard scaling"), "table missing");
-    assert!(out.contains("bit-identical"), "parity note missing");
 }

@@ -7,7 +7,7 @@
 //! the serial kernel's order, so [`run_scenario_sharded`] returns a
 //! [`RunReport`] *bit-identical* to [`crate::run_scenario`] — at any
 //! shard count, serial or thread-parallel. The shard-parity tests and the
-//! `fig1_dynamic --shards N` CI gate pin that property.
+//! `ddr run fig1 --shards N` CI gate pin that property.
 
 use crate::config::ScenarioConfig;
 use crate::metrics::{Metrics, RunReport};

@@ -3,11 +3,12 @@
 //! Every experiment binary used to carry its own scoped-thread /
 //! `Mutex<VecDeque>` fan-out copy. This module is the one shared engine:
 //!
-//! * [`run_many`] — run a batch of configurations for one [`Scenario`] on
-//!   a shared worker pool (lock-free atomic work index + bounded result
-//!   channel) and return reports **in input order** regardless of
-//!   completion order. Each run is single-threaded and deterministic, so
-//!   parallelism affects wall-clock time only — never results.
+//! * [`run_many`] — apply one per-configuration function (usually
+//!   [`run::<S>`](crate::run)) to a batch of configurations on a shared
+//!   worker pool (lock-free atomic work index + bounded result channel)
+//!   and return the results **in input order** regardless of completion
+//!   order. Each run is single-threaded and deterministic, so parallelism
+//!   affects wall-clock time only — never results.
 //! * [`Sweep`] — named parameter axes on top of `run_many`: each point
 //!   carries a label, so results feed straight into result tables.
 //! * [`derive_seed`] — splitmix64-style per-point seed derivation for
@@ -30,19 +31,19 @@ pub fn derive_seed(root: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Run every configuration, fanning out across up to `workers` threads,
-/// and return reports in input order.
+/// Apply `run_one` to every configuration, fanning out across up to
+/// `workers` threads, and return the results in input order.
 ///
 /// Work distribution is a shared atomic index over the config slice (no
 /// queue lock); results flow back through a **bounded** channel sized to
 /// the worker count, so a slow consumer can never accumulate unbounded
-/// in-flight reports. Because each run is a pure function of its config,
-/// `run_many(c, 1)` and `run_many(c, n)` are bit-identical.
-pub fn run_many<S>(configs: Vec<S::Config>, workers: usize) -> Vec<S::Report>
+/// in-flight reports. As long as `run_one` is a pure function of its
+/// config (every [`Scenario`] driver is), `run_many(c, 1, f)` and
+/// `run_many(c, n, f)` are bit-identical.
+pub fn run_many<C, R>(configs: Vec<C>, workers: usize, run_one: impl Fn(C) -> R + Sync) -> Vec<R>
 where
-    S: Scenario,
-    S::Config: Send + Sync,
-    S::Report: Send,
+    C: Clone + Send + Sync,
+    R: Send,
 {
     let n = configs.len();
     if n == 0 {
@@ -50,14 +51,15 @@ where
     }
     let workers = workers.max(1).min(n);
     if workers == 1 {
-        return configs.into_iter().map(run::<S>).collect();
+        return configs.into_iter().map(run_one).collect();
     }
 
     let next = AtomicUsize::new(0);
-    let (res_tx, res_rx) = mpsc::sync_channel::<(usize, S::Report)>(workers);
+    let (res_tx, res_rx) = mpsc::sync_channel::<(usize, R)>(workers);
     let configs = &configs;
     let next_ref = &next;
-    let mut slots: Vec<Option<S::Report>> = (0..n).map(|_| None).collect();
+    let run_one = &run_one;
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let res_tx = res_tx.clone();
@@ -66,7 +68,7 @@ where
                 if idx >= n {
                     break;
                 }
-                let report = run::<S>(configs[idx].clone());
+                let report = run_one(configs[idx].clone());
                 if res_tx.send((idx, report)).is_err() {
                     break; // collector vanished; nothing left to do
                 }
@@ -167,7 +169,7 @@ impl<S: Scenario> Sweep<S> {
             self.points.into_iter().map(|p| (p.label, p.config)).unzip();
         labels
             .into_iter()
-            .zip(run_many::<S>(configs, workers))
+            .zip(run_many(configs, workers, run::<S>))
             .collect()
     }
 }
@@ -190,14 +192,14 @@ mod tests {
 
     #[test]
     fn run_many_empty_is_empty() {
-        assert!(run_many::<TickScenario>(vec![], 4).is_empty());
+        assert!(run_many(Vec::<TickConfig>::new(), 4, run::<TickScenario>).is_empty());
     }
 
     #[test]
     fn run_many_parallel_matches_serial_in_order() {
         let configs: Vec<TickConfig> = (0..9).map(|i| cfg(derive_seed(5, i))).collect();
-        let serial = run_many::<TickScenario>(configs.clone(), 1);
-        let parallel = run_many::<TickScenario>(configs, 4);
+        let serial = run_many(configs.clone(), 1, run::<TickScenario>);
+        let parallel = run_many(configs, 4, run::<TickScenario>);
         assert_eq!(serial, parallel, "parallelism changed sweep results");
     }
 

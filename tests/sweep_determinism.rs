@@ -5,7 +5,7 @@
 //! completion order.
 
 use ddr_repro::gnutella::{GnutellaScenario, Mode, ScenarioConfig};
-use ddr_repro::harness::{derive_seed, run_many, Sweep};
+use ddr_repro::harness::{derive_seed, run, run_many, Sweep};
 
 fn cfg(mode: Mode, seed: u64) -> ScenarioConfig {
     let mut c = ScenarioConfig::scaled(mode, 2, 20, 4);
@@ -26,8 +26,8 @@ fn parallel_batch_is_bit_identical_to_serial() {
         })
         .collect();
 
-    let serial = run_many::<GnutellaScenario>(configs.clone(), 1);
-    let parallel = run_many::<GnutellaScenario>(configs, 4);
+    let serial = run_many(configs.clone(), 1, run::<GnutellaScenario>);
+    let parallel = run_many(configs, 4, run::<GnutellaScenario>);
 
     assert_eq!(serial.len(), parallel.len());
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
@@ -76,12 +76,13 @@ fn sweep_axis_results_come_back_in_axis_order() {
 
 #[test]
 fn derived_seeds_change_results() {
-    let a = run_many::<GnutellaScenario>(
+    let a = run_many(
         vec![
             cfg(Mode::Static, derive_seed(1, 0)),
             cfg(Mode::Static, derive_seed(1, 1)),
         ],
         2,
+        run::<GnutellaScenario>,
     );
     assert_ne!(
         a[0].hits_series(),
