@@ -12,6 +12,19 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo check benchmark/ (every name the measurement stack spells still"
+echo "    resolves — seconds, not the full suite, when a refactor breaks one)"
+cargo check --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> tracked Rust lines and the per-file ceiling"
+# The count every simplicity PR quotes; and no file under crates/*/src may
+# pass 1,000 lines, so split modules do not silently grow back into one.
+echo "    $(git ls-files crates src tests examples vendor | grep '\.rs$' | xargs cat | wc -l) lines under crates/ src/ tests/ examples/ vendor/"
+OVERSIZE=$(git ls-files 'crates/*/src/*.rs' | xargs wc -l \
+    | awk '$2 != "total" && $1 > 1000 { print "    " $2 ": " $1 " lines" }')
+test -z "$OVERSIZE" \
+    || { echo "$OVERSIZE" >&2; echo "source file over 1,000 lines: split it" >&2; exit 1; }
+
 echo "==> cargo doc (rustdoc -D warnings: dangling or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

@@ -6,15 +6,16 @@
 //! replies carry "statistics and summarized information" which are folded
 //! into the [`crate::StatsStore`].
 //!
-//! This module implements the two decision points the paper identifies:
-//! when exploration is **triggered** and **what** is probed. The music
-//! case study needs neither (its search doubles as exploration — "the
-//! absence of a central repository and directory information enforces an
-//! extensive search process and there is no need for a separate
-//! exploration step"), but the web-cache case study and the
-//! `exploration_sweep` experiment exercise both.
+//! This module implements the decision point every world shares: **when**
+//! exploration is triggered. *What* is probed is the world's own business
+//! (the web-cache case study asks its probe targets for hot-set hits).
+//! The music case study needs neither (its search doubles as exploration
+//! — "the absence of a central repository and directory information
+//! enforces an extensive search process and there is no need for a
+//! separate exploration step"); the web-cache case study and the
+//! `exploration_sweep` experiment exercise the triggers.
 
-use ddr_sim::{NodeId, SimDuration, SimTime};
+use ddr_sim::{SimDuration, SimTime};
 
 /// Events that trigger an exploration round ("the choice of events is very
 /// important since it significantly affects performance").
@@ -27,10 +28,6 @@ pub enum ExplorationTrigger {
     /// After every `n` local requests (request-count clock rather than
     /// wall clock, matching the reconfiguration-threshold style of §4.3).
     EveryNRequests(u32),
-    /// When a neighbor disappears (the Gnutella Ping re-join behaviour:
-    /// "nodes issue a dummy query … when some of their neighbors abandon
-    /// them").
-    OnNeighborLoss,
 }
 
 /// Tracks trigger state for one node and answers "should I explore now?".
@@ -39,7 +36,6 @@ pub struct ExplorationPlanner {
     trigger: ExplorationTrigger,
     last_fired: SimTime,
     requests_since: u32,
-    pending_loss: bool,
 }
 
 impl ExplorationPlanner {
@@ -49,7 +45,6 @@ impl ExplorationPlanner {
             trigger,
             last_fired: SimTime::ZERO,
             requests_since: 0,
-            pending_loss: false,
         }
     }
 
@@ -63,50 +58,19 @@ impl ExplorationPlanner {
         self.requests_since = self.requests_since.saturating_add(1);
     }
 
-    /// Note a neighbor loss (for loss triggers).
-    pub fn on_neighbor_loss(&mut self) {
-        self.pending_loss = true;
-    }
-
     /// Whether an exploration round should fire at `now`; firing resets
     /// the trigger state.
     pub fn should_fire(&mut self, now: SimTime) -> bool {
         let fire = match self.trigger {
             ExplorationTrigger::Periodic(period) => now.saturating_since(self.last_fired) >= period,
             ExplorationTrigger::EveryNRequests(n) => self.requests_since >= n,
-            ExplorationTrigger::OnNeighborLoss => self.pending_loss,
         };
         if fire {
             self.last_fired = now;
             self.requests_since = 0;
-            self.pending_loss = false;
         }
         fire
     }
-}
-
-/// What an exploration probe asks about (Algo 2: "select set of data items
-/// to query for").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProbeContent {
-    /// A dummy ping (the Gnutella Ping-Pong protocol): discovers liveness
-    /// and bandwidth only.
-    Ping,
-    /// Ask whether the probed node stores specific items (summary of the
-    /// prober's hot set) — web-cache digests style.
-    Items(Vec<ddr_sim::ItemId>),
-}
-
-/// A planned exploration round: whom to probe and what to ask.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExplorationRound {
-    /// Probe targets (outgoing neighbors; they propagate further while
-    /// the terminating condition holds).
-    pub targets: Vec<NodeId>,
-    /// Probe content.
-    pub content: ProbeContent,
-    /// Hop limit for probe propagation.
-    pub max_hops: u8,
 }
 
 #[cfg(test)]
@@ -134,30 +98,5 @@ mod tests {
         p.on_request();
         assert!(p.should_fire(SimTime::ZERO));
         assert!(!p.should_fire(SimTime::ZERO), "counter must reset");
-    }
-
-    #[test]
-    fn neighbor_loss_fires_once() {
-        let mut p = ExplorationPlanner::new(ExplorationTrigger::OnNeighborLoss);
-        assert!(!p.should_fire(SimTime::ZERO));
-        p.on_neighbor_loss();
-        assert!(p.should_fire(SimTime::from_secs(1)));
-        assert!(!p.should_fire(SimTime::from_secs(2)));
-    }
-
-    #[test]
-    fn multiple_losses_coalesce() {
-        let mut p = ExplorationPlanner::new(ExplorationTrigger::OnNeighborLoss);
-        p.on_neighbor_loss();
-        p.on_neighbor_loss();
-        assert!(p.should_fire(SimTime::ZERO));
-        assert!(!p.should_fire(SimTime::ZERO));
-    }
-
-    #[test]
-    fn probe_content_variants() {
-        let ping = ProbeContent::Ping;
-        let items = ProbeContent::Items(vec![ddr_sim::ItemId(1), ddr_sim::ItemId(2)]);
-        assert_ne!(ping, items);
     }
 }

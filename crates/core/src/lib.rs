@@ -6,8 +6,8 @@
 //!
 //! | Paper element | Module |
 //! |---|---|
-//! | §3.2 Search (Algo 1): forward-target selection, terminating conditions | [`search`] |
-//! | §3.3 Exploration (Algo 2): triggers and probe selection | [`explore`] |
+//! | §3.2 Search (Algo 1): forward-target selection, and the search strategy that sets the terminating condition (launch TTL, deepening waves, index radius) | [`search`] |
+//! | §3.3 Exploration (Algo 2): triggers | [`explore`] |
 //! | §3.4 Neighbor update (Algo 3, asymmetric) | [`update`] |
 //! | §3.4 Neighbor update (Algo 4, symmetric invitation/eviction) | [`update`] |
 //! | Benefit functions (web-cache latency, music `B/R`, OLAP processing time) | [`benefit`] |
@@ -41,12 +41,12 @@ pub use benefit::{
 pub use dup_cache::DupCache;
 pub use explore::{ExplorationPlanner, ExplorationTrigger};
 pub use local_index::LocalIndex;
-pub use query::{QueryDescriptor, SearchOutcome};
+pub use query::QueryDescriptor;
 pub use runtime::{
     sample_runtime_metrics, Clock, Membership, NodeBehavior, NodeRuntime, ReconfigClock,
     SimTransport, Transport,
 };
-pub use search::{ForwardSelection, IterativeDeepening, TerminationPolicy};
+pub use search::{ForwardSelection, SearchStrategy};
 pub use stats_store::{NodeStats, StatsStore};
 pub use summary::CategorySummary;
 pub use update::{

@@ -6,51 +6,27 @@
 //! radius-`r` index can answer "who within r hops has item X?" locally, so
 //! a query only needs to be *forwarded* when the index misses.
 
-use ddr_overlay::{bfs_within, Topology};
 use ddr_sim::{FastHashMap, ItemId, NodeId};
 
 /// A radius-bounded content index for one node.
 #[derive(Debug, Clone)]
 pub struct LocalIndex {
-    owner: NodeId,
-    radius: usize,
     /// item → nodes within `radius` hops that hold it (owner excluded).
     entries: FastHashMap<ItemId, Vec<NodeId>>,
     indexed_nodes: usize,
 }
 
 impl LocalIndex {
-    /// Build the index for `owner` from the current topology, reading each
-    /// nearby node's content through `items_of`.
+    /// Build the index for `owner` from the current overlay, reading
+    /// adjacency through `neighbors_of` (each node owns its own neighbor
+    /// view; there is no global topology to walk) and each nearby node's
+    /// content through `items_of`.
     ///
     /// Rebuilding is the maintenance model: the paper's technique keeps
     /// indices fresh via update floods; in a simulator the equivalent is
     /// re-deriving from ground truth at reconfiguration points, which
     /// over-approximates freshness but preserves the hop-saving behaviour
     /// being measured.
-    pub fn build<'a, F, I>(owner: NodeId, topology: &Topology, radius: usize, items_of: F) -> Self
-    where
-        F: Fn(NodeId) -> I,
-        I: IntoIterator<Item = &'a ItemId>,
-    {
-        let mut entries: FastHashMap<ItemId, Vec<NodeId>> = ddr_sim::hash::fast_map();
-        let nearby = bfs_within(topology, owner, radius);
-        for &(node, _hops) in &nearby {
-            for &item in items_of(node) {
-                entries.entry(item).or_default().push(node);
-            }
-        }
-        LocalIndex {
-            owner,
-            radius,
-            entries,
-            indexed_nodes: nearby.len(),
-        }
-    }
-
-    /// Like [`Self::build`], but reading adjacency through a closure
-    /// instead of a global [`Topology`] — for worlds where each node owns
-    /// its own neighbor view (the sharded Gnutella world).
     pub fn build_from<'a, 'b, N, F, I>(
         owner: NodeId,
         neighbors_of: N,
@@ -63,8 +39,7 @@ impl LocalIndex {
         I: IntoIterator<Item = &'a ItemId>,
     {
         let mut entries: FastHashMap<ItemId, Vec<NodeId>> = ddr_sim::hash::fast_map();
-        // Plain BFS to `radius` hops, owner excluded (mirrors
-        // `ddr_overlay::bfs_within`).
+        // Plain BFS to `radius` hops, owner excluded.
         let mut visited: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
         visited.insert(owner);
         let mut frontier = vec![owner];
@@ -90,21 +65,9 @@ impl LocalIndex {
             }
         }
         LocalIndex {
-            owner,
-            radius,
             entries,
             indexed_nodes: nearby.len(),
         }
-    }
-
-    /// The index owner.
-    pub fn owner(&self) -> NodeId {
-        self.owner
-    }
-
-    /// The index radius in hops.
-    pub fn radius(&self) -> usize {
-        self.radius
     }
 
     /// Number of nodes covered.
@@ -131,26 +94,24 @@ impl LocalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddr_overlay::RelationKind;
 
     /// items_of backed by a vector of per-node item lists.
     fn content(n: usize) -> Vec<Vec<ItemId>> {
         (0..n).map(|i| vec![ItemId(i as u32 * 10)]).collect()
     }
 
-    fn chain(n: usize) -> Topology {
-        let mut t = Topology::new(n, RelationKind::Asymmetric, 2, 2);
-        for i in 0..n - 1 {
-            t.add_edge(NodeId(i as u32), NodeId(i as u32 + 1)).unwrap();
-        }
-        t
+    /// Per-node views of the directed chain 0 → 1 → … → n-1.
+    fn chain(n: usize) -> Vec<Vec<NodeId>> {
+        let mut views: Vec<Vec<NodeId>> = (1..n).map(|next| vec![NodeId(next as u32)]).collect();
+        views.push(Vec::new());
+        views
     }
 
     #[test]
     fn indexes_items_within_radius_only() {
         let t = chain(5);
         let c = content(5);
-        let idx = LocalIndex::build(NodeId(0), &t, 2, |n| c[n.index()].iter());
+        let idx = LocalIndex::build_from(NodeId(0), |n| &t[n.index()], 2, |n| c[n.index()].iter());
         assert_eq!(idx.indexed_nodes(), 2);
         // node1 (item 10) and node2 (item 20) covered; node3 (30) not
         assert_eq!(idx.holders(ItemId(10)), &[NodeId(1)]);
@@ -162,11 +123,14 @@ mod tests {
 
     #[test]
     fn multiple_holders_listed() {
-        let mut t = Topology::symmetric(3, 4);
-        t.link_symmetric(NodeId(0), NodeId(1)).unwrap();
-        t.link_symmetric(NodeId(0), NodeId(2)).unwrap();
+        let t = [vec![NodeId(1), NodeId(2)], vec![NodeId(0)], vec![NodeId(0)]];
         let shared = [vec![], vec![ItemId(7)], vec![ItemId(7)]];
-        let idx = LocalIndex::build(NodeId(0), &t, 1, |n| shared[n.index()].iter());
+        let idx = LocalIndex::build_from(
+            NodeId(0),
+            |n| &t[n.index()],
+            1,
+            |n| shared[n.index()].iter(),
+        );
         let mut holders = idx.holders(ItemId(7)).to_vec();
         holders.sort();
         assert_eq!(holders, vec![NodeId(1), NodeId(2)]);
@@ -177,7 +141,7 @@ mod tests {
     fn zero_radius_index_is_empty() {
         let t = chain(3);
         let c = content(3);
-        let idx = LocalIndex::build(NodeId(0), &t, 0, |n| c[n.index()].iter());
+        let idx = LocalIndex::build_from(NodeId(0), |n| &t[n.index()], 0, |n| c[n.index()].iter());
         assert!(idx.is_empty());
         assert_eq!(idx.indexed_nodes(), 0);
     }

@@ -39,56 +39,11 @@ impl QueryDescriptor {
             ..*self
         }
     }
-
-    /// Whether the query may travel further.
-    pub fn alive(&self) -> bool {
-        self.ttl > 0
-    }
-}
-
-/// Aggregate outcome of one user query, recorded at the initiator when the
-/// collection timeout fires.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchOutcome {
-    /// The query.
-    pub query: QueryDescriptor,
-    /// Nodes that returned the item, in arrival order.
-    pub responders: Vec<NodeId>,
-    /// Arrival time of the first result, if any.
-    pub first_result_at: Option<SimTime>,
-}
-
-impl SearchOutcome {
-    /// An outcome with no responders (miss).
-    pub fn miss(query: QueryDescriptor) -> Self {
-        SearchOutcome {
-            query,
-            responders: Vec::new(),
-            first_result_at: None,
-        }
-    }
-
-    /// Whether at least one result arrived.
-    pub fn hit(&self) -> bool {
-        !self.responders.is_empty()
-    }
-
-    /// Number of results (the `R` in the paper's `B/R` benefit).
-    pub fn result_count(&self) -> usize {
-        self.responders.len()
-    }
-
-    /// Delay from issue to first result.
-    pub fn first_result_delay(&self) -> Option<ddr_sim::SimDuration> {
-        self.first_result_at
-            .map(|t| t.saturating_since(self.query.issued_at))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddr_sim::SimDuration;
 
     fn q(ttl: u8) -> QueryDescriptor {
         QueryDescriptor {
@@ -106,7 +61,6 @@ mod tests {
         let d = q(3).next_hop();
         assert_eq!(d.ttl, 2);
         assert_eq!(d.travelled, 2);
-        assert!(d.alive());
         assert_eq!(d.id, QueryId(1));
     }
 
@@ -114,24 +68,5 @@ mod tests {
     #[should_panic(expected = "dead query")]
     fn forwarding_dead_query_panics() {
         let _ = q(0).next_hop();
-    }
-
-    #[test]
-    fn ttl_one_is_alive_until_forwarded() {
-        let d = q(1);
-        assert!(d.alive());
-        assert!(!d.next_hop().alive());
-    }
-
-    #[test]
-    fn outcome_hit_and_delay() {
-        let mut o = SearchOutcome::miss(q(2));
-        assert!(!o.hit());
-        assert_eq!(o.first_result_delay(), None);
-        o.responders.push(NodeId(7));
-        o.first_result_at = Some(SimTime::from_millis(450));
-        assert!(o.hit());
-        assert_eq!(o.result_count(), 1);
-        assert_eq!(o.first_result_delay(), Some(SimDuration::from_millis(350)));
     }
 }

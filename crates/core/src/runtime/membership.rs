@@ -93,11 +93,6 @@ impl Membership {
         self.list.is_empty()
     }
 
-    /// Size of the fixed universe (`n` at construction).
-    pub fn universe(&self) -> usize {
-        self.pos.len()
-    }
-
     /// Dense slice of online nodes (arbitrary but deterministic order;
     /// index it with a bounded random draw for uniform sampling).
     pub fn as_slice(&self) -> &[NodeId] {
@@ -173,7 +168,6 @@ mod tests {
     fn all_online_and_set_toggle() {
         let mut m = Membership::all_online(3);
         assert_eq!(m.len(), 3);
-        assert_eq!(m.universe(), 3);
         for i in 0..3 {
             assert!(m.contains(n(i)));
         }

@@ -39,11 +39,6 @@ impl ReconfigClock {
         self.count >= self.threshold
     }
 
-    /// Whether the clock is currently due (without ticking).
-    pub fn is_due(&self) -> bool {
-        self.count >= self.threshold
-    }
-
     /// Restart the count (after an executed update, an accepted
     /// invitation, or a session start).
     #[inline]
@@ -72,10 +67,8 @@ mod tests {
         assert!(!c.tick());
         assert!(!c.tick());
         assert!(c.tick(), "third tick reaches K=3");
-        assert!(c.is_due());
         assert!(c.tick(), "stays due until reset");
         c.reset();
-        assert!(!c.is_due());
         assert_eq!(c.count(), 0);
         assert!(!c.tick());
     }

@@ -4,18 +4,19 @@
 //!
 //! * **where to forward** — "from the simple send-to-all approach to
 //!   random, or history based selection" → [`ForwardSelection`];
-//! * **when to stop** — "a common threshold … is the maximum number of
-//!   hops" → [`TerminationPolicy`].
+//! * **how the initiator drives the search, and when it stops** — "a
+//!   common threshold … is the maximum number of hops", plus Yang &
+//!   Garcia-Molina's cost-cutting techniques (§2) → [`SearchStrategy`].
 //!
-//! [`IterativeDeepening`] implements Yang & Garcia-Molina's technique
-//! (§2): successive BFS waves with growing depth until the query is
-//! satisfied or the maximum depth is reached. It is a *driver* strategy at
-//! the initiator; each wave uses the ordinary forward/termination
-//! machinery.
+//! Both are pure decision logic. [`SearchStrategy`] answers every
+//! technique-dependent question a world asks — the TTL a query launches
+//! with, the depth of the next wave, the index radius — as `Copy`
+//! scalars, so the world's handlers never match on its variants and the
+//! per-query path never clones the depth schedule.
 
 use crate::benefit::BenefitFunction;
 use crate::stats_store::StatsStore;
-use ddr_sim::{NodeId, SimDuration};
+use ddr_sim::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -114,68 +115,115 @@ impl ForwardSelection {
     }
 }
 
-/// When query propagation stops (beyond "a node holding the result replies
-/// and does not forward", which the simulators implement directly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TerminationPolicy {
-    /// Maximum hops a query may travel (Squid: 1; Gnutella: up to 7; the
-    /// paper's experiments: 1–4 with 5 for the combined process).
-    pub max_hops: u8,
-}
-
-impl TerminationPolicy {
-    /// A policy with the given hop limit.
-    pub const fn hops(max_hops: u8) -> Self {
-        TerminationPolicy { max_hops }
-    }
-
-    /// Initial TTL for a fresh query.
-    pub const fn initial_ttl(&self) -> u8 {
-        self.max_hops
-    }
-}
-
-/// Iterative deepening: a schedule of successive depths and the wait
-/// between waves. The initiator launches depth `depths[0]`, waits
-/// `wave_timeout`, and if unsatisfied relaunches with the next depth.
+/// How the initiator drives the search (paper §2: Yang & Garcia-Molina's
+/// techniques "are orthogonal to our methods and can be employed in our
+/// framework in order to further reduce the query cost").
+///
+/// The single owner of every technique-dependent decision: worlds call
+/// the methods below and act on the scalars they return.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IterativeDeepening {
-    /// Strictly increasing depth schedule (e.g. `[1, 2, 4]`).
-    pub depths: Vec<u8>,
-    /// Time to wait for results between waves.
-    pub wave_timeout: SimDuration,
+pub enum SearchStrategy {
+    /// Plain BFS flood to `max_hops` — the paper's case study.
+    Bfs,
+    /// Iterative deepening: successive BFS waves of increasing depth,
+    /// stopping at the first wave that returns results. Each wave uses a
+    /// fresh wire id (the simple restart variant), so satisfied shallow
+    /// queries never pay for the deep flood.
+    IterativeDeepening {
+        /// Strictly increasing depth schedule (e.g. `[1, 2, 4]`).
+        depths: Vec<u8>,
+    },
+    /// Local indices of radius `r`: every node answers on behalf of all
+    /// peers within `r` hops, so queries start with `max_hops - r` TTL and
+    /// terminate at the first index hit.
+    LocalIndices {
+        /// Index radius in hops.
+        radius: u8,
+    },
 }
 
-impl IterativeDeepening {
-    /// Build a schedule; depths must be non-empty and strictly increasing.
-    ///
-    /// # Panics
-    /// Panics on an empty or non-increasing schedule.
-    pub fn new(depths: Vec<u8>, wave_timeout: SimDuration) -> Self {
-        assert!(!depths.is_empty(), "empty deepening schedule");
-        assert!(
-            depths.windows(2).all(|w| w[0] < w[1]),
-            "depth schedule must strictly increase: {depths:?}"
-        );
-        IterativeDeepening {
-            depths,
-            wave_timeout,
+impl SearchStrategy {
+    /// Label for tables.
+    pub fn label(&self) -> String {
+        match self {
+            SearchStrategy::Bfs => "bfs".into(),
+            SearchStrategy::IterativeDeepening { depths } => format!("iter-deep{depths:?}"),
+            SearchStrategy::LocalIndices { radius } => format!("local-idx-r{radius}"),
         }
     }
 
-    /// Depth of wave `i`, if the schedule has one.
-    pub fn depth(&self, wave: usize) -> Option<u8> {
-        self.depths.get(wave).copied()
+    /// Check the strategy's own parameters against the hop limit it will
+    /// run under.
+    pub fn validate(&self, max_hops: u8) -> Result<(), String> {
+        match self {
+            SearchStrategy::Bfs => {}
+            SearchStrategy::IterativeDeepening { depths } => {
+                if depths.is_empty() {
+                    return Err("iterative deepening needs at least one depth".into());
+                }
+                if !depths.windows(2).all(|w| w[0] < w[1]) {
+                    return Err(format!("depth schedule must strictly increase: {depths:?}"));
+                }
+            }
+            SearchStrategy::LocalIndices { radius } => {
+                if *radius == 0 {
+                    return Err("local-index radius must be >= 1".into());
+                }
+                if *radius >= max_hops {
+                    return Err(format!(
+                        "index radius ({radius}) must be below max_hops ({max_hops})"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
-    /// Number of waves.
-    pub fn waves(&self) -> usize {
-        self.depths.len()
+    /// TTL of a query's first flood under the hop limit `max_hops`: the
+    /// limit itself for BFS, the first scheduled depth for deepening, and
+    /// `max_hops - radius` (at least 1) for local indices — the last
+    /// `radius` hops are covered by the indices at the frontier.
+    ///
+    /// # Panics
+    /// Panics on an empty depth schedule ([`validate`](Self::validate)
+    /// rejects it).
+    pub fn launch_ttl(&self, max_hops: u8) -> u8 {
+        match self {
+            SearchStrategy::Bfs => max_hops,
+            SearchStrategy::IterativeDeepening { depths } => depths[0],
+            SearchStrategy::LocalIndices { radius } => max_hops.saturating_sub(*radius).max(1),
+        }
     }
 
-    /// The deepest wave (equivalent plain-BFS depth).
-    pub fn max_depth(&self) -> u8 {
-        *self.depths.last().expect("non-empty by construction")
+    /// Depth of wave `wave` (0 = the launch), `None` once the schedule is
+    /// exhausted — which for the single-shot strategies is every wave.
+    pub fn wave_depth(&self, wave: usize) -> Option<u8> {
+        match self {
+            SearchStrategy::IterativeDeepening { depths } => depths.get(wave).copied(),
+            SearchStrategy::Bfs | SearchStrategy::LocalIndices { .. } => None,
+        }
+    }
+
+    /// Whether the initiator collects results wave by wave (a wave timer
+    /// finalises or relaunches) instead of over one query timeout.
+    pub fn collects_in_waves(&self) -> bool {
+        matches!(self, SearchStrategy::IterativeDeepening { .. })
+    }
+
+    /// Radius of the per-node content index the strategy maintains, if it
+    /// maintains one.
+    pub fn index_radius(&self) -> Option<u8> {
+        match self {
+            SearchStrategy::LocalIndices { radius } => Some(*radius),
+            SearchStrategy::Bfs | SearchStrategy::IterativeDeepening { .. } => None,
+        }
+    }
+
+    /// Whether the strategy runs on a world split into any number of node
+    /// slices. An index walks multi-hop neighborhoods, which needs every
+    /// node's view in one place.
+    pub fn runs_sharded(&self) -> bool {
+        self.index_radius().is_none()
     }
 }
 
@@ -288,29 +336,73 @@ mod tests {
     }
 
     #[test]
-    fn termination_ttl() {
-        assert_eq!(TerminationPolicy::hops(4).initial_ttl(), 4);
+    fn launch_ttl_per_strategy() {
+        assert_eq!(SearchStrategy::Bfs.launch_ttl(4), 4);
+        let deep = SearchStrategy::IterativeDeepening {
+            depths: vec![1, 2, 4],
+        };
+        assert_eq!(deep.launch_ttl(4), 1);
+        assert_eq!(SearchStrategy::LocalIndices { radius: 1 }.launch_ttl(4), 3);
+        // The flood never launches dead, whatever the radius.
+        assert_eq!(SearchStrategy::LocalIndices { radius: 3 }.launch_ttl(2), 1);
     }
 
     #[test]
     fn deepening_schedule() {
-        let id = IterativeDeepening::new(vec![1, 2, 4], SimDuration::from_secs(2));
-        assert_eq!(id.waves(), 3);
-        assert_eq!(id.depth(0), Some(1));
-        assert_eq!(id.depth(2), Some(4));
-        assert_eq!(id.depth(3), None);
-        assert_eq!(id.max_depth(), 4);
+        let deep = SearchStrategy::IterativeDeepening {
+            depths: vec![1, 2, 4],
+        };
+        assert!(deep.collects_in_waves());
+        assert_eq!(deep.wave_depth(0), Some(1));
+        assert_eq!(deep.wave_depth(2), Some(4));
+        assert_eq!(deep.wave_depth(3), None);
+        for single_shot in [
+            SearchStrategy::Bfs,
+            SearchStrategy::LocalIndices { radius: 1 },
+        ] {
+            assert!(!single_shot.collects_in_waves());
+            assert_eq!(single_shot.wave_depth(0), None);
+        }
     }
 
     #[test]
-    #[should_panic(expected = "strictly increase")]
-    fn deepening_rejects_non_increasing() {
-        let _ = IterativeDeepening::new(vec![2, 2], SimDuration::from_secs(1));
+    fn only_index_strategies_need_the_full_range() {
+        let li = SearchStrategy::LocalIndices { radius: 2 };
+        assert_eq!(li.index_radius(), Some(2));
+        assert!(!li.runs_sharded());
+        assert_eq!(SearchStrategy::Bfs.index_radius(), None);
+        assert!(SearchStrategy::Bfs.runs_sharded());
+        assert!(SearchStrategy::IterativeDeepening { depths: vec![2] }.runs_sharded());
     }
 
     #[test]
-    #[should_panic(expected = "empty")]
-    fn deepening_rejects_empty() {
-        let _ = IterativeDeepening::new(vec![], SimDuration::from_secs(1));
+    fn validation_rejects_bad_schedules_and_radii() {
+        assert!(SearchStrategy::Bfs.validate(1).is_ok());
+        let deep = |depths: Vec<u8>| SearchStrategy::IterativeDeepening { depths };
+        assert!(deep(vec![1, 2, 4]).validate(4).is_ok());
+        assert!(deep(vec![]).validate(4).is_err());
+        assert!(deep(vec![2, 2]).validate(4).is_err());
+        assert!(SearchStrategy::LocalIndices { radius: 1 }
+            .validate(4)
+            .is_ok());
+        assert!(SearchStrategy::LocalIndices { radius: 0 }
+            .validate(4)
+            .is_err());
+        assert!(SearchStrategy::LocalIndices { radius: 4 }
+            .validate(4)
+            .is_err());
+    }
+
+    #[test]
+    fn strategy_labels() {
+        assert_eq!(SearchStrategy::Bfs.label(), "bfs");
+        assert_eq!(
+            SearchStrategy::IterativeDeepening { depths: vec![2, 4] }.label(),
+            "iter-deep[2, 4]"
+        );
+        assert_eq!(
+            SearchStrategy::LocalIndices { radius: 1 }.label(),
+            "local-idx-r1"
+        );
     }
 }

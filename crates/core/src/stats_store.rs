@@ -160,12 +160,6 @@ impl StatsStore {
         }
     }
 
-    /// Drop entries older than `horizon` (staleness control for long-lived
-    /// asymmetric deployments; not used in the paper's 4-day runs).
-    pub fn expire_older_than(&mut self, horizon: SimTime) {
-        self.entries.retain(|_, s| s.last_update >= horizon);
-    }
-
     /// Nodes ranked by `score` descending, ties broken by id for
     /// determinism. `filter` prunes candidates (e.g. offline nodes).
     pub fn ranked_by<F, P>(&self, score: F, filter: P) -> Vec<(NodeId, f64)>
@@ -263,15 +257,5 @@ mod tests {
         let ranked = s.ranked_by(|st| st.benefit, |n| n != NodeId(1));
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].0, NodeId(2));
-    }
-
-    #[test]
-    fn expiry_drops_stale() {
-        let mut s = StatsStore::new();
-        s.record_reply(obs(1, 1.0, 10));
-        s.record_reply(obs(2, 1.0, 500));
-        s.expire_older_than(SimTime::from_millis(100));
-        assert!(s.get(NodeId(1)).is_none());
-        assert!(s.get(NodeId(2)).is_some());
     }
 }

@@ -79,17 +79,6 @@ impl CategorySummary {
             dot / (na.sqrt() * nb.sqrt())
         }
     }
-
-    /// The dominant category (most items), ties to the lowest index;
-    /// `None` when empty.
-    pub fn dominant_category(&self) -> Option<usize> {
-        let (idx, &max) = self
-            .counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))?;
-        (max > 0).then_some(idx)
-    }
 }
 
 #[cfg(test)]
@@ -155,17 +144,6 @@ mod tests {
         let a = CategorySummary::empty(3);
         let b = CategorySummary::empty(4);
         let _ = a.similarity(&b);
-    }
-
-    #[test]
-    fn dominant_category() {
-        assert_eq!(summary(&[1, 5, 3]).dominant_category(), Some(1));
-        assert_eq!(
-            summary(&[4, 4, 0]).dominant_category(),
-            Some(0),
-            "ties to lowest"
-        );
-        assert_eq!(CategorySummary::empty(3).dominant_category(), None);
     }
 
     #[test]

@@ -32,11 +32,6 @@ pub struct UpdatePlan {
 }
 
 impl UpdatePlan {
-    /// Whether the plan changes anything.
-    pub fn is_noop(&self) -> bool {
-        self.add.is_empty() && self.evict.is_empty()
-    }
-
     /// Cap the plan at `max_swaps` neighbor exchanges: keep only the
     /// `max_swaps` most beneficial additions, and only as many evictions
     /// (weakest incumbents first) as capacity requires. The paper's case
@@ -341,7 +336,7 @@ mod tests {
         let current = [NodeId(1)];
         let plan = plan_asymmetric_update(&current, &s, &CumulativeBenefit, 1, |_| true);
         assert!(
-            plan.is_noop(),
+            plan.add.is_empty() && plan.evict.is_empty(),
             "stranger displaced an equal incumbent: {plan:?}"
         );
         assert_eq!(plan.keep, vec![NodeId(1)]);
@@ -373,7 +368,7 @@ mod tests {
         let s = StatsStore::new();
         let current = [NodeId(1), NodeId(2)];
         let plan = plan_asymmetric_update(&current, &s, &CumulativeBenefit, 2, |_| true);
-        assert!(plan.is_noop());
+        assert!(plan.add.is_empty() && plan.evict.is_empty());
     }
 
     #[test]
@@ -409,7 +404,7 @@ mod tests {
         let s = StatsStore::new();
         let plan = plan_asymmetric_update(&[NodeId(1)], &s, &CumulativeBenefit, 2, |_| true);
         let limited = plan.limit_swaps(1, 2, &s, &CumulativeBenefit, |_| true);
-        assert!(limited.is_noop());
+        assert!(limited.add.is_empty() && limited.evict.is_empty());
         assert_eq!(limited.keep, vec![NodeId(1)]);
     }
 

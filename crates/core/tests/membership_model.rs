@@ -55,7 +55,7 @@ fn apply(m: &mut Membership, model: &mut BTreeSet<u32>, op: u8, node: u32) -> Re
 }
 
 /// Full-state agreement: size, membership queries, iteration contents.
-fn check_agreement(m: &Membership, model: &BTreeSet<u32>) -> Result<(), String> {
+fn check_agreement(m: &Membership, model: &BTreeSet<u32>, universe: u32) -> Result<(), String> {
     if m.len() != model.len() {
         return Err(format!(
             "len: membership {}, model {}",
@@ -66,7 +66,7 @@ fn check_agreement(m: &Membership, model: &BTreeSet<u32>) -> Result<(), String> 
     if m.is_empty() != model.is_empty() {
         return Err("is_empty disagrees with model".into());
     }
-    for n in 0..m.universe() as u32 {
+    for n in 0..universe {
         if m.contains(NodeId(n)) != model.contains(&n) {
             return Err(format!("contains({n}) disagrees with model"));
         }
@@ -92,7 +92,7 @@ proptest! {
             if let Err(e) = apply(&mut m, &mut model, op, node) {
                 prop_assert!(false, "step {i} ({op},{node}): {e}\nhistory: {:?}", &ops[..=i]);
             }
-            if let Err(e) = check_agreement(&m, &model) {
+            if let Err(e) = check_agreement(&m, &model, UNIVERSE) {
                 prop_assert!(false, "after step {i} ({op},{node}): {e}\nhistory: {:?}", &ops[..=i]);
             }
         }
@@ -107,12 +107,12 @@ proptest! {
     ) {
         let mut m = Membership::all_online(UNIVERSE as usize);
         let mut model: BTreeSet<u32> = (0..UNIVERSE).collect();
-        prop_assert!(check_agreement(&m, &model).is_ok(), "all_online bootstrap broken");
+        prop_assert!(check_agreement(&m, &model, UNIVERSE).is_ok(), "all_online bootstrap broken");
         for (i, &(op, node)) in ops.iter().enumerate() {
             if let Err(e) = apply(&mut m, &mut model, op, node) {
                 prop_assert!(false, "step {i} ({op},{node}): {e}\nhistory: {:?}", &ops[..=i]);
             }
-            if let Err(e) = check_agreement(&m, &model) {
+            if let Err(e) = check_agreement(&m, &model, UNIVERSE) {
                 prop_assert!(false, "after step {i} ({op},{node}): {e}\nhistory: {:?}", &ops[..=i]);
             }
         }
@@ -135,9 +135,9 @@ fn scripted_last_slot_removals_stay_consistent() {
     for _ in 0..16 {
         let last = *m.as_slice().last().expect("non-empty by construction");
         apply(&mut m, &mut model, 1, last.0).unwrap();
-        check_agreement(&m, &model).unwrap();
+        check_agreement(&m, &model, 8).unwrap();
         let refill = (last.0 + 3) % 8;
         apply(&mut m, &mut model, 0, refill).unwrap();
-        check_agreement(&m, &model).unwrap();
+        check_agreement(&m, &model, 8).unwrap();
     }
 }

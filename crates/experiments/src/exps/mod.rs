@@ -33,7 +33,7 @@ use ddr_gnutella::{
 };
 use ddr_harness::Scenario;
 use ddr_peerolap::{OlapMode, PeerOlapConfig};
-use ddr_sim::{EventLabel, NodeId, World};
+use ddr_sim::{EventLabel, NodeId, Partition, World};
 use ddr_telemetry::{
     shard_profile_report, JsonlMetrics, JsonlSink, KernelProfiler, MetricsRecorder, NullSink,
     TelemetryConfig, TraceSink,
@@ -150,11 +150,12 @@ impl EndState {
 /// and end states back in input order. Without `--shards` each run goes
 /// through [`serial_runs`] (`--trace` swaps in the JSONL-sink world);
 /// with `--shards N` through `run_scenario_sharded` over N node slices,
-/// one worker per shard unless `--threads` caps it lower (`--metrics`
-/// rides in on `config.telemetry`, `--profile` notes the per-shard
-/// breakdown). Either way a run must pass [`check_invariants`] before its
-/// worlds are dropped — a violation aborts loudly instead of printing a
-/// quietly wrong table — and reports are bit-identical across all of it.
+/// on [`shard_threads`] threads (`--metrics` rides in on
+/// `config.telemetry`, `--profile` notes the per-shard breakdown and the
+/// thread count actually used). Either way a run must pass
+/// [`check_invariants`] before its worlds are dropped — a violation aborts
+/// loudly instead of printing a quietly wrong table — and reports are
+/// bit-identical across all of it.
 pub(crate) fn gnutella_runs(
     opts: &ExpOptions,
     configs: Vec<ScenarioConfig>,
@@ -187,10 +188,12 @@ pub(crate) fn gnutella_runs(
         None if opts.trace.is_some() => serial::<JsonlSink>(opts, configs, em),
         None => serial::<NullSink>(opts, configs, em),
         Some(shards) => {
-            let threads = opts.workers().min(shards);
+            let workers = opts.workers();
             configs
                 .into_iter()
                 .map(|config| {
+                    let slices = Partition::contiguous(config.workload.users, shards).shards();
+                    let threads = shard_threads(workers, slices);
                     let ShardedRun {
                         report,
                         worlds,
@@ -203,6 +206,20 @@ pub(crate) fn gnutella_runs(
                 })
                 .collect()
         }
+    }
+}
+
+/// OS threads a sharded run over `slices` node slices uses when
+/// `workers` are available (`--threads`, else one per core). The kernel's
+/// thread-parallel mode is all or nothing — one thread per slice, two
+/// barriers per 10 ms window — so it only pays when every slice gets a
+/// worker of its own; short of that the single-threaded window loop runs
+/// the same slices, bit-identically, without the barrier traffic.
+fn shard_threads(workers: usize, slices: usize) -> usize {
+    if workers >= slices {
+        slices
+    } else {
+        1
     }
 }
 
@@ -409,6 +426,18 @@ mod tests {
         assert_eq!(seq[0].0.label, "Gnutella");
         assert_eq!(seq[1].0.label, "Dynamic_Gnutella");
         assert!(plain(vec![], 4).is_empty());
+    }
+
+    #[test]
+    fn sharded_runs_go_parallel_only_with_a_worker_per_slice() {
+        assert_eq!(shard_threads(2, 8), 1, "2 workers cannot cover 8 slices");
+        assert_eq!(
+            shard_threads(8, 4),
+            4,
+            "one thread per slice, not per worker"
+        );
+        assert_eq!(shard_threads(1, 4), 1, "--threads 1");
+        assert_eq!(shard_threads(1, 1), 1);
     }
 
     #[test]

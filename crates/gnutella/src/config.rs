@@ -5,6 +5,7 @@ use ddr_core::benefit::{
     AdvertisedBandwidthBenefit, BenefitFunction, CountBenefit, CumulativeBenefit,
     LatencyAwareBenefit,
 };
+pub use ddr_core::SearchStrategy;
 use ddr_core::{ForwardSelection, InvitationPolicy, ResultScore};
 use ddr_net::ClassMix;
 use ddr_sim::SimDuration;
@@ -97,43 +98,6 @@ impl Mode {
     }
 }
 
-/// How the initiator drives the search (paper §2: Yang & Garcia-Molina's
-/// techniques "are orthogonal to our methods and can be employed in our
-/// framework in order to further reduce the query cost").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SearchStrategy {
-    /// Plain BFS flood to `max_hops` — the paper's case study.
-    Bfs,
-    /// Iterative deepening: successive BFS waves of increasing depth,
-    /// stopping at the first wave that returns results. Each wave uses a
-    /// fresh wire id (the simple restart variant), so satisfied shallow
-    /// queries never pay for the deep flood.
-    IterativeDeepening {
-        /// Strictly increasing depth schedule (e.g. `[1, 2, 4]`).
-        depths: Vec<u8>,
-    },
-    /// Local indices of radius `r`: every node answers on behalf of all
-    /// peers within `r` hops, so queries start with `max_hops - r` TTL and
-    /// terminate at the first index hit.
-    LocalIndices {
-        /// Index radius in hops.
-        radius: u8,
-    },
-}
-
-impl SearchStrategy {
-    /// Label for tables.
-    pub fn label(&self) -> String {
-        match self {
-            SearchStrategy::Bfs => "bfs".into(),
-            SearchStrategy::IterativeDeepening { depths } => {
-                format!("iter-deep{depths:?}")
-            }
-            SearchStrategy::LocalIndices { radius } => format!("local-idx-r{radius}"),
-        }
-    }
-}
-
 /// Config-friendly benefit-function selector (kept as an enum so the
 /// configuration stays `Clone + Send`; resolved to a trait object at
 /// world-construction time).
@@ -189,38 +153,18 @@ pub struct ScenarioConfig {
     /// Search driver strategy (paper: plain BFS; the alternatives are the
     /// §2 techniques).
     pub strategy: SearchStrategy,
-    /// Per-wave collection window for iterative deepening.
-    pub wave_timeout: SimDuration,
-    /// Rebuild period for local indices (staleness/maintenance model).
-    pub index_refresh: SimDuration,
     /// Per-result score (paper: `B / R`).
     pub result_score: ResultScore,
     /// Ranking function for reconfiguration (paper: cumulative).
     pub benefit: BenefitKind,
     /// Invitation handling (paper: always accept).
     pub invitation: InvitationPolicy,
-    /// On login, invite the most beneficial *remembered* online nodes
-    /// instead of joining purely at random ("infrequent reconfiguration
-    /// once the first beneficial neighbors are found" presumes the found
-    /// neighborhood survives the user's next session; §4.1's forced
-    /// reconfiguration makes login the natural update trigger). Random
-    /// join fills whatever the invitations don't.
-    pub benefit_join_on_login: bool,
     /// Keep a node's statistics store across its own offline periods
     /// (default `true`: the same user returns with the same static music
     /// preferences, so remembered benefit is still valid). `false` models
     /// a stateless 2003-era client that restarts cold each session
     /// (ablation; see EXPERIMENTS.md's Fig 3(b) discussion).
     pub persist_stats: bool,
-    /// Connectivity floor maintained with random links after a
-    /// reconfiguration. The paper's dynamic variant regains links only
-    /// through invitations, which leaves dynamic nodes running
-    /// under-degree during churn — a real part of its message savings —
-    /// but a node severed from the overlay can neither search nor be
-    /// found. The floor keeps a minimum of random connectivity (default:
-    /// half the degree) while invitations fill the rest; `degree` turns
-    /// it into vanilla always-reconnect (ablation), `0` is paper-literal.
-    pub min_degree_floor: usize,
     /// Simulated horizon in hours (paper: 4 days = 96 h).
     pub sim_hours: u64,
     /// Hour from which metrics count ("results after the 12th hour, when
@@ -273,14 +217,10 @@ impl ScenarioConfig {
             dup_cache_capacity: 4_096,
             forward: ForwardSelection::All,
             strategy: SearchStrategy::Bfs,
-            wave_timeout: SimDuration::from_secs(2),
-            index_refresh: SimDuration::from_mins(30),
             result_score: ResultScore::BandwidthOverResults,
             benefit: BenefitKind::Cumulative,
             invitation: InvitationPolicy::AlwaysAccept,
-            benefit_join_on_login: false,
             persist_stats: true,
-            min_degree_floor: 2,
             sim_hours: 96,
             warmup_hours: 12,
             reconfig_on_neighbor_loss: true,
@@ -361,32 +301,7 @@ impl ScenarioConfig {
         if let Some(mix) = &self.bandwidth_mix {
             mix.validate()?;
         }
-        match &self.strategy {
-            SearchStrategy::Bfs => {}
-            SearchStrategy::IterativeDeepening { depths } => {
-                if depths.is_empty() {
-                    return Err("iterative deepening needs at least one depth".into());
-                }
-                if !depths.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(format!("depth schedule must strictly increase: {depths:?}"));
-                }
-                if self.wave_timeout == SimDuration::ZERO {
-                    return Err("wave_timeout must be positive".into());
-                }
-            }
-            SearchStrategy::LocalIndices { radius } => {
-                if *radius == 0 {
-                    return Err("local-index radius must be >= 1".into());
-                }
-                if *radius >= self.max_hops {
-                    return Err(format!(
-                        "index radius ({radius}) must be below max_hops ({})",
-                        self.max_hops
-                    ));
-                }
-            }
-        }
-        Ok(())
+        self.strategy.validate(self.max_hops)
     }
 }
 

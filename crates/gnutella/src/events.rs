@@ -98,3 +98,46 @@ impl EventLabel for GnutellaEvent {
         }
     }
 }
+
+/// The node every event is addressed to — decides shard routing and which
+/// node's state a handler may touch.
+pub(crate) fn event_target(event: &GnutellaEvent) -> NodeId {
+    match *event {
+        GnutellaEvent::Toggle { node }
+        | GnutellaEvent::IssueQuery { node, .. }
+        | GnutellaEvent::QueryFinalize { node, .. }
+        | GnutellaEvent::WaveCheck { node, .. }
+        | GnutellaEvent::IndexRefresh { node, .. }
+        | GnutellaEvent::TrialExpire { node, .. } => node,
+        GnutellaEvent::QueryArrive { to, .. }
+        | GnutellaEvent::ReplyArrive { to, .. }
+        | GnutellaEvent::InviteArrive { to, .. }
+        | GnutellaEvent::InviteReply { to, .. }
+        | GnutellaEvent::EvictArrive { to, .. }
+        | GnutellaEvent::LinkRequest { to, .. }
+        | GnutellaEvent::LinkAck { to, .. }
+        | GnutellaEvent::Unlink { to, .. } => to,
+    }
+}
+
+/// The node a message event was sent *by* — `None` for self events
+/// (timers), which never cross a partition boundary. Used by the
+/// regional-partition gate in `dispatch`.
+pub(crate) fn event_source(event: &GnutellaEvent) -> Option<NodeId> {
+    match *event {
+        GnutellaEvent::QueryArrive { from, .. }
+        | GnutellaEvent::ReplyArrive { from, .. }
+        | GnutellaEvent::InviteArrive { from, .. }
+        | GnutellaEvent::InviteReply { from, .. }
+        | GnutellaEvent::EvictArrive { from, .. }
+        | GnutellaEvent::LinkRequest { from, .. }
+        | GnutellaEvent::LinkAck { from, .. }
+        | GnutellaEvent::Unlink { from, .. } => Some(from),
+        GnutellaEvent::Toggle { .. }
+        | GnutellaEvent::IssueQuery { .. }
+        | GnutellaEvent::QueryFinalize { .. }
+        | GnutellaEvent::WaveCheck { .. }
+        | GnutellaEvent::IndexRefresh { .. }
+        | GnutellaEvent::TrialExpire { .. } => None,
+    }
+}

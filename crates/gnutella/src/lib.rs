@@ -27,10 +27,13 @@ pub mod config;
 pub mod events;
 pub mod hosts;
 pub mod invariants;
+mod membership;
 pub mod metrics;
 pub mod node;
 pub mod peer;
+mod reconfigure;
 pub mod scenario;
+mod search;
 pub mod sharded;
 pub mod world;
 

@@ -111,12 +111,6 @@ impl GnutellaNode {
         &self.neighbors
     }
 
-    /// In-flight query count (non-zero while collection windows are
-    /// open).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     fn delay_to(&mut self, to: NodeId) -> SimDuration {
         self.net.one_way_delay_for(&mut self.delays, self.id, to)
     }
@@ -408,7 +402,7 @@ mod tests {
         assert_eq!(done[0].query, QueryId(100));
         assert!(done[0].finished_at >= SimTime::from_millis(10_000));
         assert_eq!(nodes[0].counters.queries_issued, 1);
-        assert!(nodes[0].pending_len() == 0);
+        assert!(nodes[0].pending.is_empty());
         // The flood reached beyond the initiator.
         let total_msgs: u64 = nodes.iter().map(|n| n.counters.messages_sent).sum();
         assert!(total_msgs >= cfg.degree as u64);

@@ -87,6 +87,15 @@ impl SessionSlot {
 /// neighbor, a reconfiguration floor top-up).
 pub const REFILL_RETRY_BUDGET: u8 = 8;
 
+/// Connectivity floor a dynamic node maintains with random links once its
+/// login-fill campaign is over. The paper's dynamic variant regains links
+/// only through invitations, which leaves nodes running under-degree
+/// during churn — a real part of its message savings — but a node severed
+/// from the overlay can neither search nor be found. Refills stop one
+/// slot short of the full degree (that slot is reserved for merit) and
+/// never below this floor.
+pub const MIN_DEGREE_FLOOR: usize = 2;
+
 /// Evictions a peer repairs per session before backing off — a backstop
 /// against a pathological session where the network evicts one node over
 /// and over and every repair dial burns more handshakes. In practice it

@@ -32,8 +32,9 @@ pub struct ShardedRun {
 /// Run one scenario on the sharded kernel.
 ///
 /// `shards` is the number of contiguous node slices; `threads > 1`
-/// additionally processes the shards on a thread pool (same result, less
-/// wall clock); `profile` wall-clocks the kernel's phases into
+/// additionally gives every shard a worker thread of its own, whatever
+/// the value (same result; less wall clock only with a core per shard);
+/// `profile` wall-clocks the kernel's phases into
 /// [`ShardedRun::profile`]. The report is a pure function of `config` —
 /// shard count, thread count and profiling do not change it.
 ///

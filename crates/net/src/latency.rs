@@ -71,11 +71,6 @@ impl DelayModel {
         }
     }
 
-    /// Custom parameters per class (slowest first).
-    pub fn with_params(params: [LatencyParams; 3]) -> Self {
-        DelayModel { params }
-    }
-
     /// Parameters governing a pair: the slower endpoint decides.
     pub fn pair_params(&self, a: BandwidthClass, b: BandwidthClass) -> LatencyParams {
         let class = a.slower(b);

@@ -22,9 +22,7 @@
 pub mod bandwidth;
 pub mod latency;
 pub mod model;
-pub mod transfer;
 
 pub use bandwidth::{BandwidthClass, ClassMix};
 pub use latency::{DelayModel, LatencyParams};
 pub use model::{NetworkModel, NodeDelayStream};
-pub use transfer::TransferModel;

@@ -1,6 +1,6 @@
 //! Property-based tests for the network model.
 
-use ddr_net::{BandwidthClass, DelayModel, NetworkModel, TransferModel};
+use ddr_net::{BandwidthClass, DelayModel, NetworkModel};
 use ddr_sim::{NodeId, RngFactory};
 use proptest::prelude::*;
 
@@ -37,24 +37,6 @@ proptest! {
         let model = DelayModel::paper();
         prop_assert_eq!(model.pair_params(a, b), model.pair_params(b, a));
         prop_assert_eq!(model.mean(a, b), model.mean(b, a));
-    }
-
-    /// Transfer time is monotone in size and anti-monotone in bottleneck
-    /// rate.
-    #[test]
-    fn transfer_time_monotone(
-        bytes in 1u64..100_000_000,
-        extra in 1u64..1_000_000,
-        a in class_strategy(),
-        b in class_strategy(),
-    ) {
-        let m = TransferModel::default();
-        let t1 = m.transfer_time(bytes, a, b);
-        let t2 = m.transfer_time(bytes + extra, a, b);
-        prop_assert!(t2 >= t1, "more bytes took less time");
-        // the LAN-LAN pair is never slower than the same transfer on any pair
-        let fast = m.transfer_time(bytes, BandwidthClass::Lan, BandwidthClass::Lan);
-        prop_assert!(fast <= t1);
     }
 
     /// Network construction is a pure function of the seed.

@@ -8,22 +8,16 @@
 //! * the network is **consistent** iff `u ∈ out(v) ⇒ v ∈ in(u)` — the
 //!   invariant every mutation helper here preserves and
 //!   [`Topology::check_consistency`] verifies;
-//! * the three regimes of interest: **all-to-all** (both lists contain
-//!   everyone — small n only), **pure asymmetric** (incoming capacity = n,
-//!   so unilateral outgoing changes can never break consistency) and
+//! * the regimes a world runs: **pure asymmetric** (incoming capacity = n,
+//!   so unilateral outgoing changes can never break consistency — the
+//!   web-cache case), **asymmetric** (both lists bounded — PeerOlap) and
 //!   **symmetric** (`L_o = L_i`, changes need pairwise agreement — the
 //!   Gnutella case).
-//!
-//! Graph utilities (bounded-hop BFS, reachable-set size, degree stats)
-//! support the framework's local-indices policy and the evaluation's
-//! "up to N nodes explored per query" analyses.
 
-pub mod graph;
 pub mod neighbors;
 pub mod relation;
 pub mod topology;
 
-pub use graph::{bfs_within, reachable_within};
 pub use neighbors::{NeighborList, INLINE_NEIGHBORS};
 pub use relation::RelationKind;
 pub use topology::{ConsistencyError, Topology};

@@ -3,9 +3,6 @@
 /// How outgoing and incoming neighbor lists relate across the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RelationKind {
-    /// Both lists of every node contain all repositories; applicable only
-    /// for small n (e.g. a single multicast group).
-    AllToAll,
     /// Incoming capacity is unbounded (= n), so every node may appear in
     /// anyone's outgoing list. Consistency can never be violated by
     /// unilateral outgoing-list changes — nodes "select neighbors based
@@ -21,22 +18,14 @@ pub enum RelationKind {
 }
 
 impl RelationKind {
-    /// Whether a node may change its outgoing list without contacting the
-    /// target (true only for the pure-asymmetric regime, where incoming
-    /// lists accept everyone).
-    pub fn unilateral_updates_safe(self) -> bool {
-        matches!(self, RelationKind::PureAsymmetric | RelationKind::AllToAll)
-    }
-
     /// Whether the regime forces `out == in` at every node.
     pub fn is_symmetric(self) -> bool {
-        matches!(self, RelationKind::Symmetric | RelationKind::AllToAll)
+        self == RelationKind::Symmetric
     }
 
     /// Human-readable label for run banners.
     pub fn label(self) -> &'static str {
         match self {
-            RelationKind::AllToAll => "all-to-all",
             RelationKind::PureAsymmetric => "pure-asymmetric",
             RelationKind::Asymmetric => "asymmetric",
             RelationKind::Symmetric => "symmetric",
@@ -49,17 +38,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unilateral_safety() {
-        assert!(RelationKind::PureAsymmetric.unilateral_updates_safe());
-        assert!(RelationKind::AllToAll.unilateral_updates_safe());
-        assert!(!RelationKind::Asymmetric.unilateral_updates_safe());
-        assert!(!RelationKind::Symmetric.unilateral_updates_safe());
-    }
-
-    #[test]
     fn symmetry_classification() {
         assert!(RelationKind::Symmetric.is_symmetric());
-        assert!(RelationKind::AllToAll.is_symmetric());
         assert!(!RelationKind::PureAsymmetric.is_symmetric());
         assert!(!RelationKind::Asymmetric.is_symmetric());
     }

@@ -63,30 +63,6 @@ impl Topology {
         Topology::new(n, RelationKind::Symmetric, degree, degree)
     }
 
-    /// The all-to-all regime (§3.1's first case): every node's outgoing
-    /// and incoming lists contain all other repositories. "In order to
-    /// avoid unnecessary resource consumption, this category is applicable
-    /// only for small values of N" — the quadratic link count is the
-    /// caller's responsibility.
-    pub fn all_to_all(n: usize) -> Self {
-        let mut t = Topology::new(
-            n,
-            RelationKind::AllToAll,
-            n.saturating_sub(1),
-            n.saturating_sub(1),
-        );
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    let nb = NodeId::from_index(b);
-                    t.nodes[a].out.add(nb).expect("capacity n-1");
-                    t.nodes[a].inc.add(nb).expect("capacity n-1");
-                }
-            }
-        }
-        t
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -95,11 +71,6 @@ impl Topology {
     /// Whether the overlay has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// The relation regime.
-    pub fn relation(&self) -> RelationKind {
-        self.relation
     }
 
     /// Outgoing neighbors of `node`.
@@ -269,43 +240,6 @@ impl Topology {
             }
         }
     }
-
-    /// Join `node` to a symmetric overlay by linking to random online
-    /// members with free slots (Gnutella login: "retrieves a number of
-    /// addresses of other nodes that are currently online" and picks
-    /// neighbors among them).
-    ///
-    /// `node_target` caps how many links `node` ends up with (callers may
-    /// reserve slots for in-flight invitations); `peer_degree` is the
-    /// network-wide degree bound candidates must respect.
-    pub fn join_random_symmetric<R: Rng + ?Sized>(
-        &mut self,
-        node: NodeId,
-        online: &[NodeId],
-        node_target: usize,
-        peer_degree: usize,
-        rng: &mut R,
-    ) -> usize {
-        let mut linked = 0;
-        if self.degree(node) >= node_target {
-            return 0;
-        }
-        let mut order: Vec<NodeId> = online
-            .iter()
-            .copied()
-            .filter(|&n| n != node && !self.out(node).contains(n))
-            .collect();
-        order.shuffle(rng);
-        for cand in order {
-            if self.degree(node) >= node_target {
-                break;
-            }
-            if self.degree(cand) < peer_degree && self.link_symmetric(node, cand).is_ok() {
-                linked += 1;
-            }
-        }
-        linked
-    }
 }
 
 #[cfg(test)]
@@ -424,64 +358,6 @@ mod tests {
         let mean_degree: f64 = members.iter().map(|&n| t.degree(n)).sum::<usize>() as f64 / 100.0;
         assert!(mean_degree > 3.0, "mean degree {mean_degree}");
         assert!(members.iter().all(|&n| t.degree(n) <= 4));
-    }
-
-    #[test]
-    fn join_links_up_to_degree() {
-        let mut t = Topology::symmetric(50, 4);
-        let online: Vec<NodeId> = (1..50).map(NodeId).collect();
-        let mut rng = SmallRng::seed_from_u64(3);
-        t.populate_random_symmetric(&online, 4, &mut rng);
-        // Free one slot somewhere so the joiner can connect even if full.
-        let linked = t.join_random_symmetric(NodeId(0), &online, 4, 4, &mut rng);
-        assert!(linked <= 4);
-        assert_eq!(t.degree(NodeId(0)), linked);
-        assert!(t.check_consistency().is_empty());
-    }
-
-    #[test]
-    fn join_respects_reduced_target() {
-        let mut t = Topology::symmetric(10, 4);
-        let online: Vec<NodeId> = (0..10).map(NodeId).collect();
-        let mut rng = SmallRng::seed_from_u64(4);
-        // reserve 2 slots: only 2 links may form even though degree is 4
-        let linked = t.join_random_symmetric(NodeId(0), &online, 2, 4, &mut rng);
-        assert_eq!(linked, 2);
-        assert_eq!(t.degree(NodeId(0)), 2);
-        // target already met → no-op
-        assert_eq!(
-            t.join_random_symmetric(NodeId(0), &online, 2, 4, &mut rng),
-            0
-        );
-    }
-
-    #[test]
-    fn all_to_all_is_complete_and_consistent() {
-        let t = Topology::all_to_all(6);
-        assert_eq!(t.relation(), RelationKind::AllToAll);
-        assert!(t.check_consistency().is_empty());
-        for a in 0..6u32 {
-            assert_eq!(t.degree(NodeId(a)), 5);
-            assert_eq!(t.inc(NodeId(a)).len(), 5);
-            for b in 0..6u32 {
-                if a != b {
-                    assert!(t.out(NodeId(a)).contains(NodeId(b)));
-                    assert!(t.inc(NodeId(a)).contains(NodeId(b)));
-                }
-            }
-        }
-        // one-hop flooding reaches everyone
-        assert_eq!(crate::reachable_within(&t, NodeId(0), 1), 5);
-    }
-
-    #[test]
-    fn all_to_all_degenerate_sizes() {
-        let t = Topology::all_to_all(1);
-        assert_eq!(t.degree(NodeId(0)), 0);
-        assert!(t.check_consistency().is_empty());
-        let t = Topology::all_to_all(2);
-        assert!(t.out(NodeId(0)).contains(NodeId(1)));
-        assert!(t.out(NodeId(1)).contains(NodeId(0)));
     }
 
     #[test]

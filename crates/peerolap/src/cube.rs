@@ -69,13 +69,6 @@ pub struct QueryShape {
     pub chunks: Vec<ItemId>,
 }
 
-impl QueryShape {
-    /// Total warehouse processing the query would cost uncached.
-    pub fn total_processing(&self) -> SimDuration {
-        SimDuration::from_millis(self.chunks.iter().map(|&c| chunk_processing_ms(c)).sum())
-    }
-}
-
 /// Per-peer query stream.
 #[derive(Debug)]
 pub struct OlapQueryStream {
@@ -187,15 +180,6 @@ mod tests {
             .count();
         let frac = own as f64 / n as f64;
         assert!((0.66..0.74).contains(&frac), "own-region share {frac}");
-    }
-
-    #[test]
-    fn total_processing_sums_chunk_costs() {
-        let shape = QueryShape {
-            chunks: vec![ItemId(1), ItemId(2)],
-        };
-        let expect = chunk_processing_ms(ItemId(1)) + chunk_processing_ms(ItemId(2));
-        assert_eq!(shape.total_processing().as_millis(), expect);
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl<W: World> Simulation<W> {
         &self.world
     }
 
-    /// Access the world mutably (e.g. to flush metrics at the end).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consume the simulation, returning the world.
     pub fn into_world(self) -> W {
         self.world

@@ -421,11 +421,6 @@ impl<W: ShardWorld> ShardedSimulation<W> {
         self.shards.iter().map(|s| s.processed).sum()
     }
 
-    /// Events dispatched by one shard.
-    pub fn shard_processed(&self, shard: usize) -> u64 {
-        self.shards[shard].processed
-    }
-
     /// Synchronization windows executed so far.
     pub fn windows(&self) -> u64 {
         self.windows

@@ -52,12 +52,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole seconds since the epoch (truncating).
-    #[inline]
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Whole hours since the epoch (truncating). The paper reports all
     /// series per one-hour bucket, so this doubles as the bucket index.
     #[inline]

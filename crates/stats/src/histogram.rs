@@ -67,11 +67,6 @@ impl RunningStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum (NaN when empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {
@@ -180,28 +175,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Bucket width.
-    pub fn bucket_width(&self) -> f64 {
-        self.width
-    }
-
-    /// Midpoint-weighted mean estimate over the in-range buckets
-    /// (overflow samples are excluded — the estimate is a lower bound
-    /// when overflow is non-empty). NaN when no in-range samples exist.
-    pub fn mean_estimate(&self) -> f64 {
-        let in_range = self.total - self.overflow;
-        if in_range == 0 {
-            return f64::NAN;
-        }
-        let sum: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| c as f64 * (i as f64 + 0.5) * self.width)
-            .sum();
-        sum / in_range as f64
-    }
-
     /// Merge another histogram with identical geometry.
     ///
     /// # Panics
@@ -229,7 +202,7 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
+        assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -290,18 +263,6 @@ mod tests {
         assert_eq!(h.buckets()[3], 1);
         assert_eq!(h.quantile(0.5), 200.0); // 2nd sample in bucket [100,200)
         assert_eq!(h.quantile(1.0), 400.0);
-    }
-
-    #[test]
-    fn histogram_mean_estimate_uses_bucket_midpoints() {
-        let mut h = Histogram::new(100.0, 20);
-        h.record(10.0); // bucket [0,100), midpoint 50
-        h.record(199.0); // bucket [100,200), midpoint 150
-        assert!((h.mean_estimate() - 100.0).abs() < 1e-12);
-        h.record(1e9); // overflow is excluded from the estimate
-        assert!((h.mean_estimate() - 100.0).abs() < 1e-12);
-        let empty = Histogram::new(1.0, 1);
-        assert!(empty.mean_estimate().is_nan());
     }
 
     #[test]

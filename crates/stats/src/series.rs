@@ -15,13 +15,6 @@ impl BucketSeries {
         Self::default()
     }
 
-    /// Pre-sized series (`n` zeroed buckets).
-    pub fn with_buckets(n: usize) -> Self {
-        BucketSeries {
-            buckets: vec![0.0; n],
-        }
-    }
-
     /// Add `amount` to `bucket`, growing as needed.
     pub fn add(&mut self, bucket: usize, amount: f64) {
         if bucket >= self.buckets.len() {

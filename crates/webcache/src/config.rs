@@ -122,11 +122,6 @@ impl WebCacheConfig {
         }
     }
 
-    /// Total distinct pages across all regions.
-    pub fn total_pages(&self) -> u32 {
-        self.groups as u32 * self.pages_per_group + self.global_pages
-    }
-
     /// Validate the configuration.
     pub fn validate(&self) -> Result<(), String> {
         if self.proxies == 0 || self.groups == 0 {
@@ -163,10 +158,6 @@ mod tests {
         assert!(WebCacheConfig::default_scenario(CacheMode::Dynamic)
             .validate()
             .is_ok());
-        assert_eq!(
-            WebCacheConfig::default_scenario(CacheMode::Static).total_pages(),
-            8 * 20_000 + 20_000
-        );
     }
 
     #[test]

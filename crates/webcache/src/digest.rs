@@ -53,11 +53,6 @@ impl BloomFilter {
         }
     }
 
-    /// Number of hash probes per item.
-    pub fn hash_count(&self) -> u32 {
-        self.hashes
-    }
-
     /// Bits in the filter.
     pub fn bit_len(&self) -> usize {
         self.bits.len() * 64
@@ -167,7 +162,7 @@ mod tests {
         let f = BloomFilter::new(1_000, 10);
         assert!(f.bit_len() >= 10_000);
         assert!(f.bit_len().is_power_of_two());
-        assert_eq!(f.hash_count(), 7); // ln2 * 10 ≈ 6.93
+        assert_eq!(f.hashes, 7); // ln2 * 10 ≈ 6.93
     }
 
     #[test]

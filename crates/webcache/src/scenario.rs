@@ -6,7 +6,7 @@ use crate::config::WebCacheConfig;
 use crate::world::WebCacheWorld;
 use ddr_harness::Scenario;
 use ddr_sim::{event_capacity_hint, EventQueue};
-use ddr_stats::{safe_ratio, MeasurementWindow};
+use ddr_stats::MeasurementWindow;
 use ddr_telemetry::{NullSink, TraceSink};
 use std::marker::PhantomData;
 
@@ -52,14 +52,6 @@ impl WebCacheReport {
     /// Mean request latency in ms.
     pub fn mean_latency_ms(&self) -> f64 {
         self.metrics.runtime.latency_ms.mean()
-    }
-
-    /// Share of requests answered anywhere but the origin.
-    pub fn non_origin_ratio(&self) -> f64 {
-        safe_ratio(
-            self.window.sum(&self.metrics.local_hits) + self.window.sum(&self.metrics.runtime.hits),
-            self.requests(),
-        )
     }
 }
 
@@ -132,7 +124,6 @@ mod tests {
             + r.window.sum(&r.metrics.origin_fetches);
         assert_eq!(total, r.requests(), "hit/miss accounting leak");
         assert!(r.requests() > 0.0);
-        assert!((r.non_origin_ratio() + r.origin_ratio() - 1.0).abs() < 1e-9);
     }
 
     #[test]

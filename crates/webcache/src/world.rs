@@ -181,11 +181,6 @@ impl<T: TraceSink> WebCacheWorld<T> {
         }
     }
 
-    /// Whether `proxy` is currently up.
-    pub fn is_up(&self, proxy: NodeId) -> bool {
-        self.up.contains(proxy)
-    }
-
     /// Sample an exponential duration with the given mean.
     fn exp_duration(&mut self, mean: SimDuration) -> SimDuration {
         let u: f64 = 1.0 - self.rng.gen::<f64>();

@@ -78,27 +78,11 @@ impl Catalog {
         self.per_category
     }
 
-    /// The within-category popularity distribution.
-    pub fn song_popularity(&self) -> &Zipf {
-        &self.song_zipf
-    }
-
-    /// The category-popularity distribution (for assigning users).
-    pub fn category_popularity(&self) -> &Zipf {
-        &self.category_zipf
-    }
-
     /// Category owning `item`.
     #[inline]
     pub fn category_of(&self, item: ItemId) -> CategoryId {
         debug_assert!(item.0 < self.songs);
         CategoryId((item.0 / self.per_category) as u16)
-    }
-
-    /// Popularity rank of `item` within its category (0 = most popular).
-    #[inline]
-    pub fn rank_of(&self, item: ItemId) -> u32 {
-        item.0 % self.per_category
     }
 
     /// The item at `rank` within `category`.
@@ -156,7 +140,7 @@ mod tests {
             for rank in [0u32, 1, 50, 99] {
                 let item = c.item_at(CategoryId(cat), rank);
                 assert_eq!(c.category_of(item), CategoryId(cat));
-                assert_eq!(c.rank_of(item), rank);
+                assert_eq!(item.0 % c.per_category(), rank);
             }
         }
     }
@@ -199,7 +183,7 @@ mod tests {
         let n = 20_000;
         for _ in 0..n {
             let song = c.sample_song(&mut rng, cat);
-            if c.rank_of(song) < 40 {
+            if song.0 % c.per_category() < 40 {
                 head += 1;
             }
         }

@@ -11,7 +11,7 @@
 use crate::catalog::{Catalog, CategoryId};
 use crate::config::WorkloadConfig;
 use crate::dist::TruncatedGaussian;
-use ddr_sim::{FastHashSet, ItemId, NodeId, RngFactory};
+use ddr_sim::{ItemId, NodeId, RngFactory};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -208,29 +208,6 @@ fn no_duplicates(sorted: &[ItemId]) -> bool {
     sorted.windows(2).all(|w| w[0] != w[1])
 }
 
-/// Build the inverted index `item → holders` used by oracle-style checks
-/// (e.g. "was this query satisfiable at all?") and by the local-indices
-/// search policy.
-pub fn invert_libraries(profiles: &[UserProfile]) -> ddr_sim::FastHashMap<ItemId, Vec<NodeId>> {
-    let mut idx: ddr_sim::FastHashMap<ItemId, Vec<NodeId>> = ddr_sim::hash::fast_map();
-    for p in profiles {
-        for &item in p.library() {
-            idx.entry(item).or_default().push(p.node);
-        }
-    }
-    idx
-}
-
-/// Distinct items across all libraries (diagnostics: the paper's network
-/// holds ≈ 400 000 song *copies* of 200 000 distinct songs).
-pub fn distinct_items(profiles: &[UserProfile]) -> usize {
-    let mut set: FastHashSet<ItemId> = ddr_sim::hash::fast_set();
-    for p in profiles {
-        set.extend(p.library().iter().copied());
-    }
-    set.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,26 +313,6 @@ mod tests {
             .count();
         let frac = fav as f64 / n as f64;
         assert!((0.47..0.53).contains(&frac), "favourite query share {frac}");
-    }
-
-    #[test]
-    fn inverted_index_consistent() {
-        let (cfg, cat) = small_setup();
-        let rngs = RngFactory::new(6);
-        let profiles = generate_profiles(&cfg, &cat, &rngs);
-        let idx = invert_libraries(&profiles);
-        let total: usize = idx.values().map(|v| v.len()).sum();
-        assert_eq!(
-            total,
-            profiles.iter().map(|p| p.library_size()).sum::<usize>()
-        );
-        assert_eq!(idx.len(), distinct_items(&profiles));
-        // Spot check membership agreement.
-        for p in profiles.iter().take(5) {
-            for &item in p.library().iter().take(5) {
-                assert!(idx[&item].contains(&p.node));
-            }
-        }
     }
 
     #[test]

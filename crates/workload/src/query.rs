@@ -26,10 +26,6 @@ struct FlashSpike {
 pub struct QueryGenerator {
     interval: Exponential,
     favorite_fraction: f64,
-    /// Skip songs already in the local library (a user searches the network
-    /// for content they do *not* have; local hits would trivially satisfy
-    /// Algo 1's "satisfied locally" branch and never enter the network).
-    skip_local: bool,
     flash: Option<FlashSpike>,
     rng: SmallRng,
 }
@@ -40,7 +36,6 @@ impl QueryGenerator {
         QueryGenerator {
             interval: Exponential::from_mean(config.mean_query_interval.as_millis() as f64),
             favorite_fraction: config.favorite_fraction,
-            skip_local: true,
             flash: config.flash_crowd.map(|crowd| FlashSpike {
                 crowd,
                 category: CategoryId(crowd.category),
@@ -53,19 +48,15 @@ impl QueryGenerator {
         }
     }
 
-    /// Allow queries for locally-stored songs (used by tests that exercise
-    /// the local-satisfaction branch of the search algorithm).
-    pub fn allow_local(mut self) -> Self {
-        self.skip_local = false;
-        self
-    }
-
     /// Time until this user's next query.
     pub fn next_interval(&mut self) -> SimDuration {
         SimDuration::from_millis(self.interval.sample(&mut self.rng).max(1.0) as u64)
     }
 
-    /// Draw the next query target for `profile`.
+    /// Draw the next query target for `profile`, skipping songs already in
+    /// the local library: a user searches the network for content they do
+    /// *not* have (local hits would trivially satisfy Algo 1's "satisfied
+    /// locally" branch and never enter the network).
     pub fn next_target(&mut self, catalog: &Catalog, profile: &UserProfile) -> ItemId {
         // Resampling bound: libraries hold ≈ 100 of 4 000 songs per drawn
         // category, so a local hit happens ≲ 15 % of the time (popular
@@ -74,7 +65,7 @@ impl QueryGenerator {
         for _ in 0..64 {
             let cat = profile.sample_preferred_category(&mut self.rng, self.favorite_fraction);
             let item = catalog.sample_song(&mut self.rng, cat);
-            if !(self.skip_local && profile.has(item)) {
+            if !profile.has(item) {
                 return item;
             }
         }
@@ -112,7 +103,7 @@ impl QueryGenerator {
                 let cat = profile.sample_preferred_category(&mut self.rng, self.favorite_fraction);
                 catalog.sample_song(&mut self.rng, cat)
             };
-            if !(self.skip_local && profile.has(item)) {
+            if !profile.has(item) {
                 return item;
             }
         }
@@ -190,15 +181,6 @@ mod tests {
         // Nominal 50 %; skip-local resampling shifts it slightly because
         // the favourite category holds more of the library.
         assert!((0.42..0.58).contains(&frac), "favourite share {frac}");
-    }
-
-    #[test]
-    fn allow_local_can_return_owned_songs() {
-        let (cfg, cat, profiles, rngs) = setup();
-        let p = &profiles[1];
-        let mut q = QueryGenerator::new(&cfg, &rngs, 1).allow_local();
-        let hit_local = (0..5_000).any(|_| p.has(q.next_target(&cat, p)));
-        assert!(hit_local, "never drew a local song with skip_local off");
     }
 
     #[test]

@@ -10,11 +10,10 @@
 use ddr_repro::core::stats_store::ReplyObservation;
 use ddr_repro::core::{
     CumulativeBenefit, ForwardSelection, InvitationContext, InvitationDecision, InvitationPolicy,
-    IterativeDeepening, LocalIndex, StatsStore,
+    LocalIndex, SearchStrategy, StatsStore,
 };
 use ddr_repro::net::BandwidthClass;
-use ddr_repro::overlay::{RelationKind, Topology};
-use ddr_repro::sim::{ItemId, NodeId, RngFactory, SimDuration, SimTime};
+use ddr_repro::sim::{ItemId, NodeId, RngFactory, SimTime};
 
 fn main() {
     // A node with 4 neighbors and some accumulated statistics.
@@ -49,12 +48,15 @@ fn main() {
     }
 
     // --- iterative deepening -----------------------------------------------
-    let deepening = IterativeDeepening::new(vec![1, 2, 4], SimDuration::from_secs(2));
+    let deepening = SearchStrategy::IterativeDeepening {
+        depths: vec![1, 2, 4],
+    };
+    let waves: Vec<u8> = (0..).map_while(|w| deepening.wave_depth(w)).collect();
     println!(
-        "\niterative deepening: {} waves at depths {:?} ({} between waves)",
-        deepening.waves(),
-        deepening.depths,
-        SimDuration::from_secs(2)
+        "\n{}: launches at TTL {} under a hop limit of 4, then deepens through {:?}",
+        deepening.label(),
+        deepening.launch_ttl(4),
+        &waves[1..]
     );
 
     // --- invitation protocol -----------------------------------------------
@@ -83,17 +85,20 @@ fn main() {
     }
 
     // --- local indices -----------------------------------------------------
-    let mut topo = Topology::new(4, RelationKind::Asymmetric, 2, 4);
-    topo.add_edge(NodeId(0), NodeId(1)).unwrap();
-    topo.add_edge(NodeId(1), NodeId(2)).unwrap();
-    topo.add_edge(NodeId(2), NodeId(3)).unwrap();
+    // Per-node neighbor views of the chain 0 → 1 → 2 → 3.
+    let views = [vec![NodeId(1)], vec![NodeId(2)], vec![NodeId(3)], vec![]];
     let contents = [
         vec![],
         vec![ItemId(10)],
         vec![ItemId(20), ItemId(21)],
         vec![ItemId(30)],
     ];
-    let index = LocalIndex::build(NodeId(0), &topo, 2, |n| contents[n.index()].iter());
+    let index = LocalIndex::build_from(
+        NodeId(0),
+        |n| &views[n.index()],
+        2,
+        |n| contents[n.index()].iter(),
+    );
     println!(
         "\nlocal index at n0 (radius 2): {} items over {} nodes; holders of i20: {:?}",
         index.len(),

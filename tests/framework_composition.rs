@@ -7,7 +7,7 @@
 use ddr_repro::core::stats_store::ReplyObservation;
 use ddr_repro::core::{
     plan_asymmetric_update, CumulativeBenefit, DupCache, ForwardSelection, QueryDescriptor,
-    StatsStore, TerminationPolicy,
+    SearchStrategy, StatsStore,
 };
 use ddr_repro::net::NetworkModel;
 use ddr_repro::overlay::{RelationKind, Topology};
@@ -140,14 +140,13 @@ fn ring_world(seed: u64) -> MiniWorld {
 #[test]
 fn flood_search_finds_reachable_items() {
     let mut world = ring_world(1);
-    let term = TerminationPolicy::hops(3);
     let mut queue: EventQueue<Ev> = EventQueue::new();
     // node 0 searches for node 5's item (5 = one skip-link hop away)
     let desc = QueryDescriptor {
         id: QueryId(1),
         origin: NodeId(0),
         item: ItemId(50),
-        ttl: term.initial_ttl(),
+        ttl: SearchStrategy::Bfs.launch_ttl(3),
         travelled: 1,
         issued_at: SimTime::ZERO,
     };
