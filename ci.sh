@@ -52,6 +52,29 @@ echo "    experiment runs and prints the bytes it printed at the last re-pin)"
 $DDR run --all --smoke 2> /dev/null | diff crates/experiments/tests/golden/all_smoke.txt - \
     || { echo "smoke stdout moved; if intended, regenerate the golden file" >&2; exit 1; }
 
+echo "==> bad flag values exit 2 with a one-line diagnosis, not 134: under"
+echo "    panic=abort only the binary shows an abort, ddr_main's tests cannot"
+BIN="${CARGO_TARGET_DIR:-target}/release/ddr"
+while IFS='|' read -r flag args; do
+    status=0
+    # shellcheck disable=SC2086  # $args is a word list
+    stderr=$("$BIN" run $args 2>&1 > /dev/null) || status=$?
+    test "$status" -eq 2 \
+        || { echo "ddr run $args: exit $status, want 2" >&2; exit 1; }
+    diagnosis=${stderr%%$'\n'*}
+    case "$diagnosis" in
+        "bad value for $flag:"*"(must be "*) echo "    $diagnosis" ;;
+        *)
+            echo "ddr run $args: stderr does not open with flag, value and rule: '$diagnosis'" >&2
+            exit 1
+            ;;
+    esac
+done << 'BAD'
+--hours|fig1 --hours 1
+--scale|fig1 --hours 2 --scale 3
+--liar-fraction|free_riders --smoke --liar-fraction 0.9
+BAD
+
 echo "==> telemetry smoke (trace + profile a run, then inspect the trace)"
 TRACE="$(mktemp -t ddr-ci-trace.XXXXXX.jsonl)"
 METRICS="$(mktemp -t ddr-ci-metrics.XXXXXX.jsonl)"

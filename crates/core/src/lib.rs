@@ -8,13 +8,13 @@
 //! |---|---|
 //! | §3.2 Search (Algo 1): forward-target selection, and the search strategy that sets the terminating condition (launch TTL, deepening waves, index radius) | [`search`] |
 //! | §3.3 Exploration (Algo 2): triggers | [`explore`] |
-//! | §3.4 Neighbor update (Algo 3, asymmetric) | [`update`] |
+//! | §3.4 Neighbor update (Algo 3, asymmetric): the plan, and its one enactment for the web-cache and PeerOlap worlds | [`update`], [`runtime::asymmetric`] |
 //! | §3.4 Neighbor update (Algo 4, symmetric invitation/eviction) | [`update`] |
 //! | Benefit functions (web-cache latency, music `B/R`, OLAP processing time) | [`benefit`] |
 //! | Per-node statistics "for both the neighboring and the non-neighboring nodes that were encountered" | [`stats_store`] |
 //! | "each node keeps a list of recent messages" (duplicate suppression) | [`dup_cache`] |
 //! | §2 orthogonal techniques (Yang & Garcia-Molina): iterative deepening, directed BFT, local indices | [`search`], [`local_index`] |
-//! | Framework runtime: node plumbing shared by every simulator (membership, per-node bundle, reconfig clock, timeline sampler) | [`runtime`] |
+//! | Framework runtime: node plumbing shared by every simulator (asymmetric-overlay chassis, per-node bundle, reconfig clock, timeline sampler) | [`runtime`] |
 //!
 //! The components are **pure decision logic** — they never touch the event
 //! queue. A simulator (see `ddr-gnutella`, `ddr-webcache`) owns message
@@ -43,7 +43,7 @@ pub use explore::{ExplorationPlanner, ExplorationTrigger};
 pub use local_index::LocalIndex;
 pub use query::QueryDescriptor;
 pub use runtime::{
-    sample_runtime_metrics, Clock, Membership, NodeBehavior, NodeRuntime, ReconfigClock,
+    sample_runtime_metrics, AsymmetricOverlay, Clock, NodeBehavior, NodeRuntime, ReconfigClock,
     SimTransport, Transport,
 };
 pub use search::{ForwardSelection, SearchStrategy};

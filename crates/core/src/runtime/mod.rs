@@ -7,7 +7,7 @@
 //!
 //! | Concern | Type | Replaces |
 //! |---|---|---|
-//! | Who is online right now (O(1) set + dense sampling slice, churn toggles) | [`Membership`] | Gnutella's `OnlineSet`, the webcache/peerolap `up`/`present` vectors |
+//! | Shared books of an asymmetric world: overlay + random bootstrap, presence, world RNG, delay-jitter streams, top-up, and the enactment of Algo 3 | [`AsymmetricOverlay`] | the webcache/peerolap `topology` / `up` / `present` / `rng` / `delays` fields and their hand-written `update_neighbors` |
 //! | Per-node framework bundle (stats, exploration, dup-cache, reconfig clock) | [`NodeRuntime`] | ad-hoc `{stats, seen, requests_since_*}` fields on `PeerState` / `ProxyState` / `OlapPeer` |
 //! | Threshold-K reconfiguration clock with invitation damping | [`ReconfigClock`] | bare `u32` counters compared against config in three places |
 //!
@@ -25,12 +25,12 @@
 //! same per-node state machine runs under the discrete-event simulator
 //! and the real-time `ddr-serve` bus.
 
-pub mod membership;
+pub mod asymmetric;
 pub mod node;
 pub mod reconfig;
 pub mod transport;
 
-pub use membership::Membership;
+pub use asymmetric::AsymmetricOverlay;
 pub use node::NodeRuntime;
 pub use reconfig::ReconfigClock;
 pub use transport::{Clock, NodeBehavior, SimTransport, Transport};

@@ -22,8 +22,9 @@ usage:
 host-time measurement lives in benchmark/ (see benchmark/README.md).
 
 flags (shared by every experiment):
-  --scale N         divide users & songs by N (default 1 = paper scale)
-  --hours H         simulated horizon (default 96)
+  --scale N         divide users & songs by N (default 1 = paper scale;
+                    N divides 2000 and is below it)
+  --hours H         simulated horizon, >= 2 (default 96)
   --seed S          root seed override
   --csv DIR         also write table CSVs into DIR
   --json DIR        also write report JSON into DIR
@@ -50,7 +51,7 @@ scenario-pack knobs (flash_crowd, partition_heal, heavy_churn,
 free_riders, bandwidth_eras):
   --spike-boost F   flash-crowd peak weight in (0, 1] (default 0.8)
   --pareto-shape F  heavy-churn Pareto shape, > 1 (default 1.5)
-  --liar-fraction F malicious-advertiser share in [0, 1) (default 0.15)
+  --liar-fraction F malicious-advertiser share in [0, 0.85] (default 0.15)
   --islands N       partition island count, >= 2 (default 3)";
 
 /// The `ddr` binary, minus process concerns: parse `args` (everything
@@ -223,6 +224,17 @@ mod tests {
             ddr_main(argv(&["run", "webcache_eval", "--hours", "0", "--smoke"])),
             2
         );
+        // Values that parse but have no world: no measured hour after the
+        // warm-up hour; scales the 2,000-user workload does not divide by
+        // (or, at 2000, that leave no room for a library).
+        for args in [
+            &["run", "fig1", "--hours", "1"][..],
+            &["run", "peerolap_eval", "--hours", "1"],
+            &["run", "fig1", "--hours", "2", "--scale", "3"],
+            &["run", "fig1", "--hours", "2", "--scale", "2000"],
+        ] {
+            assert_eq!(ddr_main(argv(args)), 2, "{args:?}");
+        }
         // The tracer's live-span set is per world, so the two exclude
         // each other on every experiment.
         let conflict = ["run", "fig1", "--trace", "t.jsonl", "--shards", "2"];
@@ -249,6 +261,8 @@ mod tests {
             &["run", "flash_crowd", "--spike-boost", "2.0"][..],
             &["run", "heavy_churn", "--pareto-shape", "0.5"],
             &["run", "free_riders", "--liar-fraction", "1.0"],
+            // 15 % free riders + 90 % liars exceed the population.
+            &["run", "free_riders", "--smoke", "--liar-fraction", "0.9"],
             &["run", "partition_heal", "--islands", "1"],
             &["run", "flash_crowd", "--spike-boost"],
         ] {

@@ -14,7 +14,7 @@
 
 use super::{fold_digests, gnutella_runs, smoke_scale};
 use crate::emit::Emitter;
-use crate::opts::ExpOptions;
+use crate::opts::{ExpOptions, FREE_RIDER_FRACTION};
 use ddr_gnutella::Mode;
 use ddr_stats::Table;
 
@@ -40,7 +40,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         .into_iter()
         .map(|mode| {
             let mut cfg = opts.scenario(mode, 2);
-            cfg.free_rider_fraction = 0.15;
+            cfg.free_rider_fraction = FREE_RIDER_FRACTION;
             cfg.liar_fraction = opts.pack.liar_fraction;
             cfg
         })
@@ -58,7 +58,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         // invitations) but are evicted at a higher per-capita rate.
         let users = end.served.len() as f64;
         let n_liars = (users * opts.pack.liar_fraction).round().max(1.0);
-        let n_frs = (users * 0.15).round().max(1.0);
+        let n_frs = (users * FREE_RIDER_FRACTION).round().max(1.0);
         let n_contrib = (users - n_liars - n_frs).max(1.0);
         let contrib_rate = contrib.evicted as f64 / n_contrib;
         let evict_bias = if contrib_rate > 0.0 {

@@ -104,11 +104,9 @@ impl EndState {
         let (mut links, mut same, mut stats) = (0usize, 0usize, 0usize);
         for w in worlds {
             let served = w.served_loads();
-            let mut slice_links = 0usize;
             for (k, &load) in served.iter().enumerate() {
                 let node = NodeId::from_index(w.base() + k);
                 let degree = w.neighbors_of(node).len();
-                slice_links += degree;
                 let role = if w.is_liar(node) {
                     &mut end.liars
                 } else if w.is_free_rider(node) {
@@ -128,10 +126,8 @@ impl EndState {
             end.liars.evicted += on_liars;
             end.free_riders.evicted += on_frs;
             end.contributors.evicted += on_rest - on_frs;
-            // A slice reports its same-category share only as a ratio over
-            // its own links; recover the integer count so the pooled
-            // fraction is exact (and equal to the one-world value).
-            same += (w.same_category_link_fraction() * slice_links as f64).round() as usize;
+            let (slice_same, slice_links) = w.same_category_links();
+            same += slice_same;
             links += slice_links;
             end.served.extend(served);
         }

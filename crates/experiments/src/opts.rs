@@ -13,6 +13,7 @@
 use ddr_gnutella::{Mode, ScenarioConfig};
 use ddr_stats::Table;
 use ddr_telemetry::TelemetryConfig;
+use ddr_workload::WorkloadConfig;
 use std::path::PathBuf;
 
 /// Why parsing failed (or stopped) — surfaced verbatim in usage output.
@@ -20,8 +21,9 @@ use std::path::PathBuf;
 pub enum CliError {
     /// A value-taking flag appeared last: `--scale` with nothing after it.
     MissingValue(String),
-    /// A value did not parse: flag name + offending text.
-    BadValue(String, String),
+    /// A value did not parse or broke the flag's rule: flag name,
+    /// offending text, the rule.
+    BadValue(String, String, &'static str),
     /// A flag nobody recognises.
     UnknownFlag(String),
     /// Two flags that cannot be combined; the text says which and why.
@@ -34,7 +36,9 @@ impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CliError::MissingValue(flag) => write!(f, "missing value for {flag}"),
-            CliError::BadValue(flag, v) => write!(f, "bad value for {flag}: {v:?}"),
+            CliError::BadValue(flag, v, rule) => {
+                write!(f, "bad value for {flag}: {v:?} (must be {rule})")
+            }
             CliError::UnknownFlag(flag) => write!(f, "unknown flag {flag}"),
             CliError::Conflict(why) => write!(f, "{why}"),
             CliError::Help => write!(f, "help requested"),
@@ -50,10 +54,12 @@ pub const USAGE: &str = "options: --scale N  --hours H  --seed S  --csv DIR  --j
 /// The value after `flag`, parsed and range-checked: the one place both
 /// flag grammars (`ddr run`, `ddr serve`) turn text into a number or
 /// path, so a missing, unparsable or out-of-range value is always the
-/// same [`CliError`].
+/// same [`CliError`]. `rule` says in words what `in_range` accepts; the
+/// diagnosis quotes it.
 pub(crate) fn flag_value<T: std::str::FromStr>(
     args: &mut impl Iterator<Item = String>,
     flag: &str,
+    rule: &'static str,
     in_range: impl FnOnce(&T) -> bool,
 ) -> Result<T, CliError> {
     let v = args
@@ -61,9 +67,15 @@ pub(crate) fn flag_value<T: std::str::FromStr>(
         .ok_or_else(|| CliError::MissingValue(flag.into()))?;
     match v.parse::<T>() {
         Ok(parsed) if in_range(&parsed) => Ok(parsed),
-        _ => Err(CliError::BadValue(flag.into(), v)),
+        _ => Err(CliError::BadValue(flag.into(), v, rule)),
     }
 }
+
+const AT_LEAST_ONE: &str = "an integer >= 1";
+
+/// The free-rider share of the `free_riders` population; liars are a
+/// disjoint class, so `--liar-fraction` may claim at most the rest.
+pub(crate) const FREE_RIDER_FRACTION: f64 = 0.15;
 
 /// Scenario-pack knobs (flash_crowd, heavy_churn, partition_heal,
 /// free_riders, bandwidth_eras). Range checks happen at parse time so a
@@ -76,7 +88,8 @@ pub struct PackOptions {
     /// Pareto shape for heavy-tailed churn (> 1 keeps the mean finite).
     pub pareto_shape: f64,
     /// Fraction of nodes advertising summaries they refuse to serve.
-    /// In [0, 1); combined with the scenario's free-rider share.
+    /// In [0, 0.85]: `free_riders` adds its 15 % free-riders on top, and
+    /// the two classes are disjoint.
     pub liar_fraction: f64,
     /// Island count for the regional partition (>= 2).
     pub islands: usize,
@@ -177,34 +190,63 @@ impl ExpOptions {
             let args = &mut args;
             match arg.as_str() {
                 "--scale" => {
-                    opts.scale = flag_value(args, &arg, |&n| n >= 1)?;
+                    opts.scale = flag_value(
+                        args,
+                        &arg,
+                        "a divisor of the paper's 2000 users that leaves room for a library: \
+                         1, 2, 4, 5, 8, 10, 16, 20, 25, 40, 50, 80, 100, 125, 200, 250, 400, 500 \
+                         or 1000",
+                        |&n| WorkloadConfig::try_paper_scaled(n).is_ok(),
+                    )?;
                     opts.scale_explicit = true;
                 }
                 "--hours" => {
-                    opts.hours = flag_value(args, &arg, |&n| n >= 1)?;
+                    opts.hours = flag_value(
+                        args,
+                        &arg,
+                        "an integer >= 2: one warm-up hour before one measured hour",
+                        |&n| n >= 2,
+                    )?;
                     opts.hours_explicit = true;
                 }
-                "--seed" => opts.seed = Some(flag_value(args, &arg, |_| true)?),
-                "--csv" => opts.csv_dir = Some(flag_value(args, &arg, |_| true)?),
-                "--json" => opts.json_dir = Some(flag_value(args, &arg, |_| true)?),
+                "--seed" => opts.seed = Some(flag_value(args, &arg, "an integer", |_| true)?),
+                "--csv" => opts.csv_dir = Some(flag_value(args, &arg, "a path", |_| true)?),
+                "--json" => opts.json_dir = Some(flag_value(args, &arg, "a path", |_| true)?),
                 "--smoke" => opts.smoke = true,
-                "--trace" => opts.trace = Some(flag_value(args, &arg, |_| true)?),
-                "--metrics" => opts.metrics = Some(flag_value(args, &arg, |_| true)?),
-                "--trace-sample" => opts.trace_sample = flag_value(args, &arg, |&n| n >= 1)?,
+                "--trace" => opts.trace = Some(flag_value(args, &arg, "a path", |_| true)?),
+                "--metrics" => opts.metrics = Some(flag_value(args, &arg, "a path", |_| true)?),
+                "--trace-sample" => {
+                    opts.trace_sample = flag_value(args, &arg, AT_LEAST_ONE, |&n| n >= 1)?
+                }
                 "--profile" => opts.profile = true,
-                "--threads" => opts.threads = Some(flag_value(args, &arg, |&n| n >= 1)?),
-                "--shards" => opts.shards = Some(flag_value(args, &arg, |&n| n >= 1)?),
+                "--threads" => {
+                    opts.threads = Some(flag_value(args, &arg, AT_LEAST_ONE, |&n| n >= 1)?)
+                }
+                "--shards" => {
+                    opts.shards = Some(flag_value(args, &arg, AT_LEAST_ONE, |&n| n >= 1)?)
+                }
                 "--spike-boost" => {
-                    opts.pack.spike_boost = flag_value(args, &arg, |&f| f > 0.0 && f <= 1.0)?
+                    opts.pack.spike_boost =
+                        flag_value(args, &arg, "in (0, 1]", |&f| f > 0.0 && f <= 1.0)?
                 }
                 "--pareto-shape" => {
                     opts.pack.pareto_shape =
-                        flag_value(args, &arg, |&f: &f64| f > 1.0 && f.is_finite())?
+                        flag_value(args, &arg, "finite and > 1", |&f: &f64| {
+                            f > 1.0 && f.is_finite()
+                        })?
                 }
                 "--liar-fraction" => {
-                    opts.pack.liar_fraction = flag_value(args, &arg, |f| (0.0..1.0).contains(f))?
+                    opts.pack.liar_fraction = flag_value(
+                        args,
+                        &arg,
+                        "in [0, 0.85]: liars and the 15% free riders of free_riders are \
+                         disjoint classes of one population",
+                        |f| (0.0..=1.0 - FREE_RIDER_FRACTION).contains(f),
+                    )?
                 }
-                "--islands" => opts.pack.islands = flag_value(args, &arg, |&n| n >= 2)?,
+                "--islands" => {
+                    opts.pack.islands = flag_value(args, &arg, "an integer >= 2", |&n| n >= 2)?
+                }
                 "--help" | "-h" => return Err(CliError::Help),
                 flag if flag.starts_with('-') => return Err(CliError::UnknownFlag(flag.into())),
                 _ => positional.push(arg),
@@ -429,13 +471,22 @@ mod tests {
     }
 
     #[test]
-    fn bad_value_names_the_flag() {
+    fn bad_value_names_the_flag_the_value_and_the_rule() {
         // One row per way a value can be unparsable or out of range.
         for (flag, bad) in [
             ("--hours", "six"),
             ("--hours", "0"),
+            // One hour leaves no measured hour after the warm-up hour.
+            ("--hours", "1"),
             ("--scale", "0"),
             ("--scale", "-1"),
+            // Non-divisors of 2,000 users; 2000 divides users and songs but
+            // leaves two songs per category, too few for any library.
+            ("--scale", "3"),
+            ("--scale", "7"),
+            ("--scale", "32"),
+            ("--scale", "2000"),
+            ("--scale", "2001"),
             ("--trace-sample", "0"),
             ("--trace-sample", "many"),
             ("--threads", "0"),
@@ -446,15 +497,36 @@ mod tests {
             ("--pareto-shape", "1.0"),
             ("--pareto-shape", "inf"),
             ("--liar-fraction", "1.0"),
+            // With free_riders' 15 % free riders, more than the population.
+            ("--liar-fraction", "0.9"),
             ("--liar-fraction", "-0.1"),
             ("--islands", "1"),
             ("--islands", "many"),
         ] {
-            assert_eq!(
-                parse(&[flag, bad]),
-                Err(CliError::BadValue(flag.into(), bad.into())),
-                "{flag} {bad}"
+            let Err(e @ CliError::BadValue(..)) = parse(&[flag, bad]) else {
+                panic!("{flag} {bad} was accepted");
+            };
+            let said = e.to_string();
+            assert!(
+                said.contains(flag)
+                    && said.contains(&format!("{bad:?}"))
+                    && said.contains("must be"),
+                "{flag} {bad}: {said}"
             );
+        }
+    }
+
+    #[test]
+    fn boundary_values_still_parse() {
+        for (flag, ok) in [
+            ("--hours", "2"),
+            ("--scale", "1"),
+            ("--scale", "100"),
+            ("--scale", "1000"),
+            ("--liar-fraction", "0"),
+            ("--liar-fraction", "0.85"),
+        ] {
+            assert!(parse(&[flag, ok]).is_ok(), "{flag} {ok}");
         }
     }
 

@@ -74,6 +74,8 @@ impl Default for ServeArgs {
     }
 }
 
+const POSITIVE_INT: &str = "an integer > 0";
+
 /// Parse everything after `ddr serve <scenario>`. Pure; the caller maps
 /// [`CliError`] onto usage + exit code 2.
 pub fn parse_serve_args<I>(args: I) -> Result<ServeArgs, CliError>
@@ -85,20 +87,30 @@ where
     while let Some(arg) = args.next() {
         let args = &mut args;
         match arg.as_str() {
-            "--nodes" => out.nodes = flag_value(args, &arg, |&n| n > 0)?,
-            "--qps" => out.qps = flag_value(args, &arg, |&q| q > 0.0)?,
-            "--duration" => out.duration_s = flag_value(args, &arg, |&s| s > 0.0)?,
-            "--threads" => out.threads = Some(flag_value(args, &arg, |&n| n > 0)?),
-            "--seed" => out.seed = flag_value(args, &arg, |_| true)?,
-            "--degree" => out.degree = flag_value(args, &arg, |&d| d > 0)?,
+            "--nodes" => out.nodes = flag_value(args, &arg, POSITIVE_INT, |&n| n > 0)?,
+            "--qps" => out.qps = flag_value(args, &arg, "a number > 0", |&q| q > 0.0)?,
+            "--duration" => out.duration_s = flag_value(args, &arg, "a number > 0", |&s| s > 0.0)?,
+            "--threads" => out.threads = Some(flag_value(args, &arg, POSITIVE_INT, |&n| n > 0)?),
+            "--seed" => out.seed = flag_value(args, &arg, "an integer", |_| true)?,
+            "--degree" => out.degree = flag_value(args, &arg, POSITIVE_INT, |&d| d > 0)?,
             "--smoke" => out.smoke = true,
-            "--trace" => out.trace = Some(flag_value(args, &arg, |_| true)?),
-            "--metrics" => out.metrics = Some(flag_value(args, &arg, |_| true)?),
-            "--metrics-port" => out.metrics_port = Some(flag_value(args, &arg, |&p| p > 0)?),
-            "--monitor-interval" => out.monitor_interval_ms = flag_value(args, &arg, |&ms| ms > 0)?,
+            "--trace" => out.trace = Some(flag_value(args, &arg, "a path", |_| true)?),
+            "--metrics" => out.metrics = Some(flag_value(args, &arg, "a path", |_| true)?),
+            "--metrics-port" => {
+                out.metrics_port = Some(flag_value(args, &arg, "a port, 1-65535", |&p| p > 0)?)
+            }
+            "--monitor-interval" => {
+                out.monitor_interval_ms = flag_value(args, &arg, POSITIVE_INT, |&ms| ms > 0)?
+            }
             "--help" | "-h" => return Err(CliError::Help),
             flag if flag.starts_with('-') => return Err(CliError::UnknownFlag(flag.into())),
-            other => return Err(CliError::BadValue("scenario".into(), other.into())),
+            other => {
+                return Err(CliError::BadValue(
+                    "scenario".into(),
+                    other.into(),
+                    "given once",
+                ))
+            }
         }
     }
     Ok(out)
@@ -213,6 +225,11 @@ mod tests {
         parse_serve_args(args.iter().map(|s| s.to_string()))
     }
 
+    /// Whether `flag value` is rejected as a bad value naming both.
+    fn is_bad_value(flag: &str, value: &str) -> bool {
+        matches!(parse(&[flag, value]), Err(CliError::BadValue(f, v, _)) if f == flag && v == value)
+    }
+
     #[test]
     fn defaults_and_full_flag_set() {
         let a = parse(&[]).expect("empty args use defaults");
@@ -250,14 +267,8 @@ mod tests {
 
     #[test]
     fn bad_values_are_errors_not_panics() {
-        assert_eq!(
-            parse(&["--nodes", "0"]),
-            Err(CliError::BadValue("--nodes".into(), "0".into()))
-        );
-        assert_eq!(
-            parse(&["--qps", "-3"]),
-            Err(CliError::BadValue("--qps".into(), "-3".into()))
-        );
+        assert!(is_bad_value("--nodes", "0"));
+        assert!(is_bad_value("--qps", "-3"));
         assert_eq!(
             parse(&["--duration"]),
             Err(CliError::MissingValue("--duration".into()))
@@ -266,10 +277,10 @@ mod tests {
             parse(&["--warp", "9"]),
             Err(CliError::UnknownFlag("--warp".into()))
         );
-        assert_eq!(
+        assert!(matches!(
             parse(&["extra"]),
-            Err(CliError::BadValue("scenario".into(), "extra".into()))
-        );
+            Err(CliError::BadValue(what, v, _)) if what == "scenario" && v == "extra"
+        ));
         assert_eq!(parse(&["-h"]), Err(CliError::Help));
     }
 
@@ -296,22 +307,13 @@ mod tests {
 
         // Out-of-range or missing values take the CliError path (usage +
         // exit 2 in serve_main), never a panic inside the bus.
-        assert_eq!(
-            parse(&["--metrics-port", "0"]),
-            Err(CliError::BadValue("--metrics-port".into(), "0".into()))
-        );
-        assert_eq!(
-            parse(&["--metrics-port", "99999"]),
-            Err(CliError::BadValue("--metrics-port".into(), "99999".into()))
-        );
+        assert!(is_bad_value("--metrics-port", "0"));
+        assert!(is_bad_value("--metrics-port", "99999"));
         assert_eq!(
             parse(&["--metrics-port"]),
             Err(CliError::MissingValue("--metrics-port".into()))
         );
-        assert_eq!(
-            parse(&["--monitor-interval", "0"]),
-            Err(CliError::BadValue("--monitor-interval".into(), "0".into()))
-        );
+        assert!(is_bad_value("--monitor-interval", "0"));
         let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(serve_main(argv(&["gnutella", "--metrics-port", "0"])), 2);
         assert_eq!(

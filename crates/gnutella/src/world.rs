@@ -452,13 +452,14 @@ impl<T: TraceSink> GnutellaWorld<T> {
         &self.peers[self.li(node)]
     }
 
-    /// Fraction of overlay links (over owned nodes' views) whose
-    /// endpoints share a favourite category — the interest-clustering
-    /// measure behind the dynamic mode's gains ("nodes with similar
-    /// access patterns or interests are grouped together", paper §1).
-    pub fn same_category_link_fraction(&self) -> f64 {
-        let mut total = 0usize;
-        let mut same = 0usize;
+    /// `(same, total)`: how many overlay links (over owned nodes' views)
+    /// join endpoints sharing a favourite category, and how many links
+    /// there are — `same / total` is the interest-clustering measure
+    /// behind the dynamic mode's gains ("nodes with similar access
+    /// patterns or interests are grouped together", paper §1). Counts,
+    /// not the ratio, so slices pool exactly.
+    pub fn same_category_links(&self) -> (usize, usize) {
+        let (mut same, mut total) = (0usize, 0usize);
         for k in 0..self.peers.len() {
             let i = self.base + k;
             for &m in self.neighbors[k].as_slice() {
@@ -468,11 +469,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 }
             }
         }
-        if total == 0 {
-            0.0
-        } else {
-            same as f64 / total as f64
-        }
+        (same, total)
     }
 
     /// Whether `node` is a configured free-rider.

@@ -17,14 +17,13 @@
 //! driver. (Host-time measurement is not done here: `benchmark/` times
 //! the same `Scenario` methods at the layer boundaries.)
 //!
-//! On top of the driver sits [`Sweep`] / [`run_many`], the deterministic
-//! parallel sweep engine shared by the experiment layer: named parameter
-//! axes, per-point seed derivation ([`derive_seed`]), fan-out over a
-//! shared worker pool with a bounded result channel, and results
-//! returned in input order regardless of completion order.
+//! On top of the driver sits [`run_many`], the deterministic parallel
+//! sweep engine shared by the experiment layer: fan-out over a shared
+//! worker pool with a bounded result channel, and results returned in
+//! input order regardless of completion order.
 
 pub mod scenario;
 pub mod sweep;
 
 pub use scenario::{run, run_with, Scenario};
-pub use sweep::{derive_seed, run_many, Sweep, SweepPoint};
+pub use sweep::run_many;

@@ -22,7 +22,10 @@ impl OlapMode {
     }
 }
 
-/// All knobs of the PeerOlap simulation.
+/// All knobs of the PeerOlap simulation. What no caller varies — delays,
+/// the P2P timeout, the hop limit, affinity, Zipf exponent, update
+/// threshold — is a constant beside its use in `world.rs` / `cube.rs`
+/// (DESIGN.md §5).
 #[derive(Debug, Clone)]
 pub struct PeerOlapConfig {
     /// Number of peers.
@@ -31,10 +34,6 @@ pub struct PeerOlapConfig {
     pub groups: usize,
     /// Chunks per group region of the cube.
     pub chunks_per_region: u32,
-    /// Probability a query targets the peer's own region.
-    pub region_affinity: f64,
-    /// Zipf exponent of chunk popularity within a region.
-    pub theta: f64,
     /// Maximum chunks requested by one query (uniform 1..=max).
     pub max_query_chunks: usize,
     /// Chunk-cache capacity per peer.
@@ -44,20 +43,8 @@ pub struct PeerOlapConfig {
     /// Incoming-list capacity (the bounded-asymmetric constraint; must be
     /// ≥ out_degree for the network to be satisfiable on average).
     pub in_capacity: usize,
-    /// Chunk-request hop limit (PeerOlap searches a small neighborhood;
-    /// the warehouse is the fallback).
-    pub max_hops: u8,
     /// Mean inter-query time per peer.
     pub mean_query_interval: SimDuration,
-    /// One-way delay to another peer.
-    pub peer_delay: SimDuration,
-    /// One-way delay to the warehouse.
-    pub warehouse_delay: SimDuration,
-    /// How long the P2P phase collects chunk replies before the warehouse
-    /// fills the gaps.
-    pub p2p_timeout: SimDuration,
-    /// Queries between neighbor updates (dynamic mode).
-    pub update_threshold: u32,
     /// Mean session length before a peer leaves (exponential); `None`
     /// disables churn. A departing peer keeps its cache (it is a
     /// long-running analyst workstation, not a restarting daemon) but
@@ -86,18 +73,11 @@ impl PeerOlapConfig {
             peers: 48,
             groups: 6,
             chunks_per_region: 8_192,
-            region_affinity: 0.7,
-            theta: 0.9,
             max_query_chunks: 16,
             cache_capacity: 2_048,
             out_degree: 3,
             in_capacity: 6,
-            max_hops: 2,
             mean_query_interval: SimDuration::from_millis(4_000),
-            peer_delay: SimDuration::from_millis(40),
-            warehouse_delay: SimDuration::from_millis(150),
-            p2p_timeout: SimDuration::from_millis(500),
-            update_threshold: 40,
             mean_session: None,
             mean_absence: SimDuration::from_mins(15),
             sim_hours: 8,
@@ -129,12 +109,6 @@ impl PeerOlapConfig {
         }
         if self.max_query_chunks == 0 {
             return Err("queries must request at least one chunk".into());
-        }
-        if self.max_hops == 0 {
-            return Err("max_hops must be >= 1".into());
-        }
-        if !(0.0..=1.0).contains(&self.region_affinity) {
-            return Err("region_affinity out of [0,1]".into());
         }
         if self.warmup_hours >= self.sim_hours {
             return Err("warmup must precede the horizon".into());

@@ -13,6 +13,11 @@ use ddr_workload::{Exponential, Zipf};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+/// Probability a query targets the peer's own region.
+const REGION_AFFINITY: f64 = 0.7;
+/// Zipf exponent of chunk popularity within a region.
+const THETA: f64 = 0.9;
+
 /// Warehouse processing time for one chunk, in milliseconds: a
 /// deterministic pseudo-random value in `[50, 500)` derived from the
 /// chunk id, so every component of the simulation agrees on costs
@@ -36,7 +41,7 @@ impl CubeSpace {
         CubeSpace {
             chunks_per_region: config.chunks_per_region,
             regions: config.groups as u32,
-            anchor_zipf: Zipf::new(config.chunks_per_region as usize, config.theta),
+            anchor_zipf: Zipf::new(config.chunks_per_region as usize, THETA),
         }
     }
 
@@ -73,7 +78,6 @@ pub struct QueryShape {
 #[derive(Debug)]
 pub struct OlapQueryStream {
     group: u32,
-    affinity: f64,
     max_chunks: usize,
     interval: Exponential,
     rng: SmallRng,
@@ -84,7 +88,6 @@ impl OlapQueryStream {
     pub fn new(config: &PeerOlapConfig, rngs: &RngFactory, peer: usize) -> Self {
         OlapQueryStream {
             group: (peer % config.groups) as u32,
-            affinity: config.region_affinity,
             max_chunks: config.max_query_chunks,
             interval: Exponential::from_mean(config.mean_query_interval.as_millis() as f64),
             rng: rngs.stream("peerolap.queries", peer as u64),
@@ -103,7 +106,7 @@ impl OlapQueryStream {
 
     /// Generate the next query.
     pub fn next_query(&mut self, space: &CubeSpace) -> QueryShape {
-        let region = if self.rng.gen::<f64>() < self.affinity || space.regions() == 1 {
+        let region = if self.rng.gen::<f64>() < REGION_AFFINITY || space.regions() == 1 {
             self.group
         } else {
             // uniform over the other regions

@@ -4,7 +4,7 @@
 //!
 //! 1. local chunks come from the peer's own cache;
 //! 2. missing chunks are requested from the outgoing neighbors; each
-//!    request forwards up to `max_hops`, carrying only the chunks still
+//!    request forwards up to `MAX_HOPS`, carrying only the chunks still
 //!    missing at the forwarder (the narrowing heuristic), and every peer
 //!    replies directly to the initiator with the subset it caches;
 //! 3. when the P2P collection window closes, the warehouse computes
@@ -15,14 +15,14 @@
 //! saved** and periodically re-selects outgoing neighbors (Algo 3). The
 //! bounded incoming lists make adoption contested: `add_edge` fails when
 //! the target's incoming list is full, and the updater simply moves on to
-//! the next candidate — §3.1's general asymmetric case.
+//! the next candidate — §3.1's general asymmetric case. The overlay,
+//! presence, the world RNG and that enactment of Algo 3 live in the shared
+//! [`AsymmetricOverlay`] chassis; this file is the OLAP domain around it.
 
 use crate::config::{OlapMode, PeerOlapConfig};
 use crate::cube::{chunk_processing_ms, CubeSpace, OlapQueryStream};
-use ddr_core::runtime::{sample_runtime_metrics, Clock, Membership, NodeRuntime, Transport};
+use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, Clock, NodeRuntime, Transport};
 use ddr_core::stats_store::ReplyObservation;
-use ddr_core::{plan_asymmetric_update, CumulativeBenefit};
-use ddr_net::NodeDelayStream;
 use ddr_overlay::{RelationKind, Topology};
 use ddr_sim::{
     EventLabel, FastHashMap, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime,
@@ -31,8 +31,21 @@ use ddr_sim::{
 use ddr_stats::{BucketSeries, RuntimeMetrics};
 use ddr_telemetry::{NullSink, QueryTracer, TraceOutcome, TraceSink};
 use ddr_webcache::LruCache;
-use rand::rngs::SmallRng;
-use rand::Rng;
+
+/// Chunk-request hop limit (PeerOlap searches a small neighborhood; the
+/// warehouse is the fallback).
+const MAX_HOPS: u8 = 2;
+/// One-way delay to another peer.
+const PEER_DELAY: SimDuration = SimDuration::from_millis(40);
+/// One-way delay to the warehouse.
+const WAREHOUSE_DELAY: SimDuration = SimDuration::from_millis(150);
+/// Every delay is scaled by a per-peer factor from `[1 - s, 1 + s)`.
+const JITTER_SPREAD: f64 = 0.15;
+/// How long the P2P phase collects chunk replies before the warehouse
+/// fills the gaps.
+const P2P_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+/// Queries between neighbor updates (dynamic mode).
+const UPDATE_THRESHOLD: u32 = 40;
 
 /// Events of the PeerOlap simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,15 +144,10 @@ pub struct OlapMetrics {
 pub struct PeerOlapWorld<T: TraceSink = NullSink> {
     config: PeerOlapConfig,
     space: CubeSpace,
-    topology: Topology,
+    /// Overlay, which peers are present (all of them without churn),
+    /// world RNG and per-peer delay jitter.
+    overlay: AsymmetricOverlay,
     peers: Vec<OlapPeer>,
-    /// Which peers are currently present (all of them without churn).
-    present: Membership,
-    rng: SmallRng,
-    /// Per-peer delay-jitter streams (`net.delay` keyed by node), the
-    /// workspace-wide idiom for delay sampling: a node's delay sequence
-    /// depends only on `(seed, node)`, never on other nodes' traffic.
-    delays: Vec<NodeDelayStream>,
     next_query: u64,
     tracer: QueryTracer<T>,
     /// Metrics, public for reports and tests.
@@ -152,47 +160,29 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         config.validate().expect("invalid PeerOlap config");
         let rngs = RngFactory::new(config.seed);
         let space = CubeSpace::new(&config);
-        let mut topology = Topology::new(
+        let overlay = AsymmetricOverlay::bootstrap(
             config.peers,
             RelationKind::Asymmetric,
             config.out_degree,
             config.in_capacity,
+            &rngs,
+            "peerolap.world",
         );
-        let mut rng = rngs.stream("peerolap.world", 0);
-        for p in 0..config.peers {
-            let me = NodeId::from_index(p);
-            let mut guard = 0;
-            while topology.out(me).len() < config.out_degree && guard < 100 * config.peers {
-                let q = NodeId::from_index(rng.gen_range(0..config.peers));
-                if q != me {
-                    let _ = topology.add_edge(me, q);
-                }
-                guard += 1;
-            }
-        }
-
         let peers = (0..config.peers)
             .map(|p| OlapPeer {
                 cache: LruCache::new(config.cache_capacity),
                 stream: OlapQueryStream::new(&config, &rngs, p),
-                rt: NodeRuntime::new(config.update_threshold).with_dup_cache(1_024),
+                rt: NodeRuntime::new(UPDATE_THRESHOLD).with_dup_cache(1_024),
                 pending: ddr_sim::hash::fast_map(),
             })
             .collect();
 
-        let present = Membership::all_online(config.peers);
-        let delays = (0..config.peers)
-            .map(|p| NodeDelayStream::new(&rngs, NodeId::from_index(p)))
-            .collect();
         let tracer = QueryTracer::new(&config.telemetry);
         PeerOlapWorld {
             config,
             space,
-            topology,
+            overlay,
             peers,
-            present,
-            rng,
-            delays,
             next_query: 0,
             tracer,
             metrics: OlapMetrics::default(),
@@ -201,12 +191,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
 
     /// Whether `peer` is currently present.
     pub fn is_present(&self, peer: NodeId) -> bool {
-        self.present.contains(peer)
-    }
-
-    fn exp_duration(&mut self, mean: SimDuration) -> SimDuration {
-        let u: f64 = 1.0 - self.rng.gen::<f64>();
-        SimDuration::from_millis(((-(mean.as_millis() as f64)) * u.ln()).max(1.0) as u64)
+        self.overlay.is_present(peer)
     }
 
     /// Seed every peer's first query (and churn chains when enabled).
@@ -220,7 +205,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
                 },
             );
             if let Some(mean) = self.config.mean_session {
-                let d = self.exp_duration(mean);
+                let d = self.overlay.exp_duration(mean);
                 queue.schedule_in(
                     d,
                     OlapEvent::PeerToggle {
@@ -238,42 +223,13 @@ impl<T: TraceSink> PeerOlapWorld<T> {
 
     /// The overlay, for invariant checks.
     pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// A peer's workload group.
-    pub fn group_of_peer(&self, peer: NodeId) -> u32 {
-        self.peers[peer.index()].stream.group()
+        self.overlay.topology()
     }
 
     /// Fraction of outgoing edges connecting same-group peers.
     pub fn same_group_edge_fraction(&self) -> f64 {
-        let mut total = 0usize;
-        let mut same = 0usize;
-        for p in 0..self.peers.len() {
-            let me = NodeId::from_index(p);
-            let g = self.group_of_peer(me);
-            for q in self.topology.out(me).iter() {
-                total += 1;
-                if self.group_of_peer(q) == g {
-                    same += 1;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            same as f64 / total as f64
-        }
-    }
-
-    /// `base` scaled by the acting peer's own jitter stream. Sampling
-    /// from the per-node stream (not a world RNG) keeps a peer's delay
-    /// sequence independent of other peers' traffic — the same
-    /// discipline the sharded Gnutella world needs, applied uniformly.
-    fn jittered(&mut self, node: NodeId, base: SimDuration) -> SimDuration {
-        let f = self.delays[node.index()].jitter(0.85, 1.15);
-        SimDuration::from_millis(((base.as_millis() as f64) * f).round().max(1.0) as u64)
+        self.overlay
+            .same_group_edge_fraction(|p| self.peers[p.index()].stream.group())
     }
 
     // The query-path handlers are generic over the engine context
@@ -292,7 +248,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         let d = self.peers[i].stream.next_interval();
         ctx.schedule_after(d, OlapEvent::IssueQuery { peer });
 
-        if !self.present.contains(peer) {
+        if !self.overlay.is_present(peer) {
             return; // absent peers issue nothing
         }
         self.metrics.runtime.record_query(hour);
@@ -315,13 +271,8 @@ impl<T: TraceSink> PeerOlapWorld<T> {
 
         let qid = QueryId(self.next_query);
         self.next_query += 1;
-        self.tracer.issue(
-            now,
-            qid,
-            peer,
-            shape.chunks[0].index() as u64,
-            self.config.max_hops,
-        );
+        self.tracer
+            .issue(now, qid, peer, shape.chunks[0].index() as u64, MAX_HOPS);
 
         if wanted.is_empty() {
             // Fully cached: done instantly.
@@ -344,12 +295,12 @@ impl<T: TraceSink> PeerOlapWorld<T> {
                 last_reply_at: now,
             },
         );
-        let targets: Vec<NodeId> = self.topology.out(peer).iter().collect();
+        let targets: Vec<NodeId> = self.overlay.out(peer).iter().collect();
         self.tracer
-            .hop(now, qid, peer, peer, self.config.max_hops, 0, targets.len());
+            .hop(now, qid, peer, peer, MAX_HOPS, 0, targets.len());
         for t in targets {
             self.metrics.runtime.record_messages(hour, 1.0);
-            let d = self.jittered(peer, self.config.peer_delay);
+            let d = self.overlay.jittered(peer, PEER_DELAY, JITTER_SPREAD);
             ctx.send(
                 t,
                 d,
@@ -358,15 +309,12 @@ impl<T: TraceSink> PeerOlapWorld<T> {
                     from: peer,
                     origin: peer,
                     query: qid,
-                    ttl: self.config.max_hops,
+                    ttl: MAX_HOPS,
                     chunks: wanted.clone(),
                 },
             );
         }
-        ctx.schedule_after(
-            self.config.p2p_timeout,
-            OlapEvent::P2pPhaseEnd { peer, query: qid },
-        );
+        ctx.schedule_after(P2P_TIMEOUT, OlapEvent::P2pPhaseEnd { peer, query: qid });
         self.after_query(peer);
     }
 
@@ -377,7 +325,15 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         }
         let i = peer.index();
         if self.peers[i].rt.clock.tick() {
-            self.update_neighbors(peer);
+            // Algo 3 under bounded incoming lists: an adoption can be
+            // refused, and the random refill for refused / unfilled slots
+            // takes present peers only.
+            self.metrics.adds_refused += self.overlay.update_neighbors(
+                peer,
+                &mut self.peers[i].rt,
+                &mut self.metrics.runtime,
+                true,
+            );
         }
     }
 
@@ -393,7 +349,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         ctx: &mut C,
     ) {
         let i = to.index();
-        if !self.present.contains(to) {
+        if !self.overlay.is_present(to) {
             return; // the peer left while the request was in flight
         }
         if !self.peers[i].rt.seen().first_sighting(query) {
@@ -404,7 +360,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             .into_iter()
             .partition(|&c| self.peers[i].cache.peek(c));
         if !have.is_empty() {
-            let d = self.jittered(to, self.config.peer_delay);
+            let d = self.overlay.jittered(to, PEER_DELAY, JITTER_SPREAD);
             ctx.send(
                 origin,
                 d,
@@ -420,7 +376,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         let mut fanout = 0usize;
         if ttl > 1 && !missing.is_empty() {
             let targets: Vec<NodeId> = self
-                .topology
+                .overlay
                 .out(to)
                 .iter()
                 .filter(|&n| n != from && n != origin)
@@ -429,7 +385,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             let hour = ctx.now().as_hours() as usize;
             for t in targets {
                 self.metrics.runtime.record_messages(hour, 1.0);
-                let d = self.jittered(to, self.config.peer_delay);
+                let d = self.overlay.jittered(to, PEER_DELAY, JITTER_SPREAD);
                 ctx.send(
                     t,
                     d,
@@ -444,7 +400,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
                 );
             }
         }
-        let travelled = self.config.max_hops - ttl + 1;
+        let travelled = MAX_HOPS - ttl + 1;
         self.tracer
             .hop(ctx.now(), query, to, from, ttl, travelled, fanout);
     }
@@ -535,7 +491,8 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             .add(hour, missing.len() as f64);
         self.metrics.warehouse_ms.add(hour, proc_ms as f64);
         let wh_rtt = self
-            .jittered(peer, self.config.warehouse_delay)
+            .overlay
+            .jittered(peer, WAREHOUSE_DELAY, JITTER_SPREAD)
             .saturating_mul(2);
         let done_in = wh_rtt + SimDuration::from_millis(proc_ms);
         let total_latency = now
@@ -562,44 +519,6 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             self.peers[i].cache.insert(c);
         }
     }
-
-    /// Algo 3 under bounded incoming lists: adoption can be refused.
-    fn update_neighbors(&mut self, peer: NodeId) {
-        let i = peer.index();
-        self.peers[i].rt.clock.reset();
-        self.metrics.runtime.record_update();
-        let plan = {
-            let present = &self.present;
-            plan_asymmetric_update(
-                self.topology.out(peer).as_slice(),
-                &self.peers[i].rt.stats,
-                &CumulativeBenefit,
-                self.config.out_degree,
-                |m| m != peer && present.contains(m),
-            )
-        };
-        for e in &plan.evict {
-            if self.topology.remove_edge(peer, *e) {
-                self.metrics.runtime.record_edges_changed(1);
-            }
-        }
-        for a in &plan.add {
-            match self.topology.add_edge(peer, *a) {
-                Ok(()) => self.metrics.runtime.record_edges_changed(1),
-                Err(_) => self.metrics.adds_refused += 1,
-            }
-        }
-        // Random refill for refused/unfilled slots.
-        let n = self.config.peers;
-        let mut guard = 0;
-        while self.topology.out(peer).len() < self.config.out_degree && guard < 20 * n {
-            let q = NodeId::from_index(self.rng.gen_range(0..n));
-            if q != peer && self.present.contains(q) {
-                let _ = self.topology.add_edge(peer, q);
-            }
-            guard += 1;
-        }
-    }
 }
 
 impl<T: TraceSink> World for PeerOlapWorld<T> {
@@ -616,7 +535,7 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
             self.metrics.chunks_warehouse.total() as u64,
         );
         hub.counter("departures", self.metrics.departures);
-        hub.gauge("online", self.present.len() as f64);
+        hub.gauge("online", self.overlay.present_count() as f64);
     }
 
     fn handle(&mut self, now: SimTime, event: OlapEvent, sched: &mut Scheduler<'_, OlapEvent>) {
@@ -640,12 +559,11 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
             OlapEvent::QueryComplete { peer, query } => self.query_complete(peer, query),
             OlapEvent::PeerToggle { peer } => {
                 let i = peer.index();
-                if self.present.contains(peer) {
+                let mean = if !self.overlay.toggle(peer) {
                     // Departure: tear down every link touching the peer
                     // and drop in-flight queries.
-                    self.present.set(peer, false);
                     self.metrics.departures += 1;
-                    self.topology.isolate(peer);
+                    self.overlay.isolate(peer);
                     if T::ENABLED {
                         let mut cut: Vec<u64> = self.peers[i].pending.keys().map(|q| q.0).collect();
                         cut.sort_unstable();
@@ -655,28 +573,17 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
                         }
                     }
                     self.peers[i].pending.clear();
-                    let d = self.exp_duration(self.config.mean_absence);
-                    sched.after(d, OlapEvent::PeerToggle { peer });
+                    self.config.mean_absence
                 } else {
-                    // Return: rejoin with random outgoing links (cache
-                    // and statistics survive the absence).
-                    self.present.set(peer, true);
-                    let n = self.config.peers;
-                    let mut guard = 0;
-                    while self.topology.out(peer).len() < self.config.out_degree && guard < 20 * n {
-                        let q = NodeId::from_index(self.rng.gen_range(0..n));
-                        if q != peer && self.present.contains(q) {
-                            let _ = self.topology.add_edge(peer, q);
-                        }
-                        guard += 1;
-                    }
-                    let mean = self
-                        .config
+                    // Return: rejoin with random outgoing links to present
+                    // peers (cache and statistics survive the absence).
+                    self.overlay.refill(peer, true);
+                    self.config
                         .mean_session
-                        .expect("toggle events only exist with churn enabled");
-                    let d = self.exp_duration(mean);
-                    sched.after(d, OlapEvent::PeerToggle { peer });
-                }
+                        .expect("toggle events only exist with churn enabled")
+                };
+                let d = self.overlay.exp_duration(mean);
+                sched.after(d, OlapEvent::PeerToggle { peer });
             }
         }
     }
@@ -685,17 +592,6 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn world_respects_in_capacity_at_bootstrap() {
-        let w = PeerOlapWorld::<NullSink>::new(PeerOlapConfig::default_scenario(OlapMode::Static));
-        assert!(w.topology().check_consistency().is_empty());
-        for p in 0..w.config().peers {
-            let n = NodeId::from_index(p);
-            assert!(w.topology().inc(n).len() <= w.config().in_capacity);
-            assert_eq!(w.topology().out(n).len(), w.config().out_degree);
-        }
-    }
 
     #[test]
     fn initial_clustering_near_chance() {

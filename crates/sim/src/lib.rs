@@ -59,7 +59,7 @@ pub use hash::{FastHashMap, FastHashSet, FxHasher};
 pub use id::{ItemId, NodeId, QueryId};
 pub use metrics::MetricsHub;
 pub use parallelism::{default_workers, resolve_workers};
-pub use probe::{EventLabel, KernelProbe, NullKernelProbe, QueueSample};
+pub use probe::{EventLabel, KernelProbe, QueueSample};
 pub use rng::RngFactory;
 pub use sharded::{Partition, ShardCtx, ShardLane, ShardProfile, ShardWorld, ShardedSimulation};
 pub use time::{SimDuration, SimTime};

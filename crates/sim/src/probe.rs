@@ -49,12 +49,3 @@ pub trait KernelProbe {
     /// Periodic queue snapshot (every few thousand dispatches).
     fn on_queue_sample(&mut self, sample: QueueSample);
 }
-
-/// A probe that discards everything (placeholder for generic code).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullKernelProbe;
-
-impl KernelProbe for NullKernelProbe {
-    fn on_dispatch(&mut self, _label: &'static str, _wall_ns: u64) {}
-    fn on_queue_sample(&mut self, _sample: QueueSample) {}
-}

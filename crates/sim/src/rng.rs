@@ -51,11 +51,6 @@ impl RngFactory {
         RngFactory { root: root_seed }
     }
 
-    /// The root seed this factory was built from.
-    pub fn root_seed(&self) -> u64 {
-        self.root
-    }
-
     /// Derive the 64-bit sub-seed for `(label, index)`.
     pub fn sub_seed(&self, label: &str, index: u64) -> u64 {
         // Mix the label bytes and index into the root via SplitMix64 steps.
@@ -78,13 +73,6 @@ impl RngFactory {
             word.copy_from_slice(&splitmix64(&mut state).to_le_bytes());
         }
         SmallRng::from_seed(seed)
-    }
-
-    /// A derived factory, for handing a whole subsystem its own seed space.
-    pub fn child(&self, label: &str) -> RngFactory {
-        RngFactory {
-            root: self.sub_seed(label, 0),
-        }
     }
 }
 
@@ -130,14 +118,6 @@ mod tests {
         let a: u64 = RngFactory::new(1).stream("x", 0).gen();
         let b: u64 = RngFactory::new(2).stream("x", 0).gen();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn child_factories_are_deterministic_and_distinct() {
-        let f = RngFactory::new(9);
-        assert_eq!(f.child("net").root_seed(), f.child("net").root_seed());
-        assert_ne!(f.child("net").root_seed(), f.child("workload").root_seed());
-        assert_ne!(f.child("net").root_seed(), f.root_seed());
     }
 
     #[test]

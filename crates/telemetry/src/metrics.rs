@@ -26,11 +26,10 @@
 //! `metrics_determinism.rs`).
 
 use crate::config::TelemetryConfig;
-use crate::sink::flush_jsonl;
+use crate::sink::JsonlFile;
 use ddr_sim::{MetricsHub, ShardWorld, ShardedSimulation, SimTime, Simulation, World};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version stamped on every timeline record (`"v"`).
@@ -56,41 +55,19 @@ pub trait MetricsSink {
 /// file survives multiple worlds/chunks in one process but never keeps
 /// stale content from a previous run.
 #[derive(Debug)]
-pub struct JsonlMetrics {
-    path: Option<PathBuf>,
-    buf: String,
-}
+pub struct JsonlMetrics(JsonlFile);
 
 impl MetricsSink for JsonlMetrics {
     fn create(cfg: &TelemetryConfig) -> Self {
-        JsonlMetrics {
-            path: cfg.metrics_path.clone(),
-            buf: String::new(),
-        }
+        JsonlMetrics(JsonlFile::new(cfg.metrics_path.clone()))
     }
 
     fn write_line(&mut self, line: &str) {
-        if self.path.is_none() {
-            return;
-        }
-        self.buf.push_str(line);
-        self.buf.push('\n');
-        if self.buf.len() >= 1 << 20 {
-            self.flush();
-        }
+        self.0.push_line(line);
     }
 
     fn flush(&mut self) {
-        let Some(path) = &self.path else {
-            return;
-        };
-        flush_jsonl(path, &mut self.buf);
-    }
-}
-
-impl Drop for JsonlMetrics {
-    fn drop(&mut self) {
-        self.flush();
+        self.0.flush();
     }
 }
 

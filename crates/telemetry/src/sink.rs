@@ -42,59 +42,34 @@ impl TraceSink for NullSink {
     fn write_line(&mut self, _line: &str) {}
 }
 
-/// Paths some `JsonlSink` has already written to in this process. The
+/// Paths some [`JsonlFile`] has already written to in this process. The
 /// first flush to a path truncates it; later flushes (same world growing
 /// its trace, or the parallel sweep's other worlds sharing one file)
 /// append. The lock is held across the file write so concurrently
 /// flushed buffers never interleave mid-line.
 static OPENED: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
 
-/// Drain `buf` into the JSONL file at `path` with truncate-once-then-
-/// append semantics (shared across every sink type in the process: the
-/// first writer of a path this process sees truncates stale content,
-/// later writers append). Used by [`JsonlSink`] and the metrics layer's
-/// `JsonlMetrics`.
-pub(crate) fn flush_jsonl(path: &PathBuf, buf: &mut String) {
-    if buf.is_empty() {
-        return;
-    }
-    let mut opened = OPENED.lock().unwrap_or_else(|e| e.into_inner());
-    let fresh = !opened.iter().any(|p| p == path);
-    let result = if fresh {
-        opened.push(path.clone());
-        std::fs::write(path, buf.as_bytes())
-    } else {
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .and_then(|mut f| f.write_all(buf.as_bytes()))
-    };
-    if let Err(e) = result {
-        eprintln!("[telemetry] cannot write {}: {e}", path.display());
-    }
-    buf.clear();
-}
-
-/// A buffered JSONL file sink. Worlds run on sweep worker threads, so
-/// records accumulate in memory and reach the file in whole-buffer
-/// appends; the buffer drains when it exceeds ~1 MiB and on drop.
+/// The buffered JSONL file behind [`JsonlSink`] and the metrics layer's
+/// `JsonlMetrics`. Worlds run on sweep worker threads, so lines
+/// accumulate in memory and reach the file in whole-buffer appends; the
+/// buffer drains when it exceeds ~1 MiB and on drop. Without a path every
+/// line is discarded.
 #[derive(Debug)]
-pub struct JsonlSink {
+pub(crate) struct JsonlFile {
     path: Option<PathBuf>,
     buf: String,
 }
 
-impl TraceSink for JsonlSink {
-    const ENABLED: bool = true;
-
-    fn create(cfg: &TelemetryConfig) -> Self {
-        JsonlSink {
-            path: cfg.trace_path.clone(),
+impl JsonlFile {
+    pub(crate) fn new(path: Option<PathBuf>) -> Self {
+        JsonlFile {
+            path,
             buf: String::new(),
         }
     }
 
-    fn write_line(&mut self, line: &str) {
+    /// Buffer one complete JSON record (no trailing newline).
+    pub(crate) fn push_line(&mut self, line: &str) {
         if self.path.is_none() {
             return;
         }
@@ -105,17 +80,59 @@ impl TraceSink for JsonlSink {
         }
     }
 
-    fn flush(&mut self) {
+    /// Drain the buffer into the file with truncate-once-then-append
+    /// semantics (shared across every sink type in the process: the
+    /// first writer of a path this process sees truncates stale content,
+    /// later writers append).
+    pub(crate) fn flush(&mut self) {
         let Some(path) = &self.path else {
             return;
         };
-        flush_jsonl(path, &mut self.buf);
+        if self.buf.is_empty() {
+            return;
+        }
+        let mut opened = OPENED.lock().unwrap_or_else(|e| e.into_inner());
+        let fresh = !opened.iter().any(|p| p == path);
+        let result = if fresh {
+            opened.push(path.clone());
+            std::fs::write(path, self.buf.as_bytes())
+        } else {
+            std::fs::OpenOptions::new()
+                .append(true)
+                .open(path)
+                .and_then(|mut f| f.write_all(self.buf.as_bytes()))
+        };
+        if let Err(e) = result {
+            eprintln!("[telemetry] cannot write {}: {e}", path.display());
+        }
+        self.buf.clear();
     }
 }
 
-impl Drop for JsonlSink {
+impl Drop for JsonlFile {
     fn drop(&mut self) {
         self.flush();
+    }
+}
+
+/// A buffered JSONL trace file sink, pointed at
+/// [`TelemetryConfig::trace_path`].
+#[derive(Debug)]
+pub struct JsonlSink(JsonlFile);
+
+impl TraceSink for JsonlSink {
+    const ENABLED: bool = true;
+
+    fn create(cfg: &TelemetryConfig) -> Self {
+        JsonlSink(JsonlFile::new(cfg.trace_path.clone()))
+    }
+
+    fn write_line(&mut self, line: &str) {
+        self.0.push_line(line);
+    }
+
+    fn flush(&mut self) {
+        self.0.flush();
     }
 }
 
@@ -159,6 +176,6 @@ mod tests {
         let mut s = JsonlSink::create(&TelemetryConfig::default());
         s.write_line("{\"x\":1}");
         s.flush();
-        assert!(s.buf.is_empty());
+        assert!(s.0.buf.is_empty());
     }
 }

@@ -24,7 +24,10 @@ impl CacheMode {
     }
 }
 
-/// All knobs of the web-cache simulation.
+/// All knobs of the web-cache simulation. What no caller varies — delays,
+/// affinity, Zipf exponent, probe fan-out, miss history, update threshold,
+/// digest density — is a constant beside its use in `world.rs` /
+/// `traffic.rs` (DESIGN.md §5).
 #[derive(Debug, Clone)]
 pub struct WebCacheConfig {
     /// Number of cooperating proxies.
@@ -35,11 +38,6 @@ pub struct WebCacheConfig {
     pub pages_per_group: u32,
     /// Distinct pages in the globally-popular region.
     pub global_pages: u32,
-    /// Probability a request targets the proxy's group region (the rest
-    /// target the global region).
-    pub group_affinity: f64,
-    /// Zipf exponent for both regions.
-    pub theta: f64,
     /// LRU capacity per proxy, in pages.
     pub cache_capacity: usize,
     /// Outgoing-neighbor capacity (how many sibling caches are queried on
@@ -47,27 +45,14 @@ pub struct WebCacheConfig {
     pub out_degree: usize,
     /// Mean inter-request time per proxy.
     pub mean_request_interval: SimDuration,
-    /// Mean one-way latency to a sibling proxy.
-    pub sibling_delay: SimDuration,
-    /// Mean one-way latency to the origin server (the "alternative
-    /// repository"; misses cost this much twice).
-    pub origin_delay: SimDuration,
     /// Exploration trigger (dynamic mode).
     pub exploration: ExplorationTrigger,
-    /// Non-neighbor proxies probed per exploration round.
-    pub probe_fanout: usize,
-    /// Recent local misses remembered for probe-overlap scoring.
-    pub miss_history: usize,
-    /// Requests between neighbor updates (dynamic mode).
-    pub update_threshold: u32,
     /// Guide sibling queries with Bloom-filter cache digests (Squid's
     /// cache-digest mechanism, referenced in paper §1): on a local miss,
     /// only neighbors whose digest claims the page are queried.
     pub use_digests: bool,
     /// How often each proxy republishes its digest (staleness knob).
     pub digest_refresh: SimDuration,
-    /// Digest density in bits per cached page (10 ≈ 1 % false positives).
-    pub digest_bits_per_item: usize,
     /// Mean uptime between proxy restarts (exponential); `None` disables
     /// churn. A restarting proxy comes back with a **cold cache** and no
     /// statistics — the "ad-hoc and highly dynamic" participation of §2
@@ -98,20 +83,12 @@ impl WebCacheConfig {
             groups: 8,
             pages_per_group: 20_000,
             global_pages: 20_000,
-            group_affinity: 0.5,
-            theta: 0.9,
             cache_capacity: 2_500,
             out_degree: 3,
             mean_request_interval: SimDuration::from_millis(2_000),
-            sibling_delay: SimDuration::from_millis(40),
-            origin_delay: SimDuration::from_millis(320),
             exploration: ExplorationTrigger::EveryNRequests(50),
-            probe_fanout: 3,
-            miss_history: 64,
-            update_threshold: 100,
             use_digests: false,
             digest_refresh: SimDuration::from_mins(10),
-            digest_bits_per_item: 10,
             mean_uptime: None,
             mean_downtime: SimDuration::from_mins(5),
             sim_hours: 12,
@@ -133,17 +110,11 @@ impl WebCacheConfig {
         if self.out_degree >= self.proxies {
             return Err("out_degree must leave non-neighbors to explore".into());
         }
-        if !(0.0..=1.0).contains(&self.group_affinity) {
-            return Err("group_affinity out of [0,1]".into());
-        }
         if self.warmup_hours >= self.sim_hours {
             return Err("warmup must precede the horizon".into());
         }
         if self.pages_per_group == 0 || self.global_pages == 0 {
             return Err("page regions must be non-empty".into());
-        }
-        if self.use_digests && self.digest_bits_per_item == 0 {
-            return Err("digest_bits_per_item must be positive".into());
         }
         Ok(())
     }

@@ -15,8 +15,9 @@
 //! * **separate exploration** (Algo 2): periodic content probes against
 //!   random non-neighbor proxies, whose summarized replies (overlap with
 //!   the prober's recent misses) feed the statistics store;
-//! * **asymmetric neighbor update** (Algo 3) via
-//!   [`ddr_core::plan_asymmetric_update`], adopted directly;
+//! * **asymmetric neighbor update** (Algo 3), planned by
+//!   [`ddr_core::plan_asymmetric_update`] and enacted by the shared
+//!   [`ddr_core::runtime::AsymmetricOverlay`];
 //! * a **latency-aware benefit** ("the number of retrieved pages, combined
 //!   with the end-to-end latency, is a good candidate for benefit, since
 //!   page size plays little role");

@@ -2,7 +2,7 @@
 //!
 //! The page universe is laid out as `groups` disjoint regions of
 //! `pages_per_group` pages each, followed by one global region. A proxy in
-//! group `g` draws from region `g` with probability `group_affinity` and
+//! group `g` draws from region `g` with probability `GROUP_AFFINITY` and
 //! from the global region otherwise, both Zipf-distributed — so proxies of
 //! the same group develop overlapping cache contents, the overlap that
 //! makes them beneficial neighbors for each other.
@@ -12,6 +12,12 @@ use ddr_sim::{ItemId, RngFactory, SimDuration};
 use ddr_workload::{Exponential, Zipf};
 use rand::rngs::SmallRng;
 use rand::Rng;
+
+/// Probability a request targets the proxy's group region (the rest
+/// target the global region).
+const GROUP_AFFINITY: f64 = 0.5;
+/// Zipf exponent of page popularity in both regions.
+const THETA: f64 = 0.9;
 
 /// Page-universe geometry plus the shared popularity distributions.
 #[derive(Debug, Clone)]
@@ -28,8 +34,8 @@ impl PageSpace {
         PageSpace {
             pages_per_group: config.pages_per_group,
             groups: config.groups as u32,
-            group_zipf: Zipf::new(config.pages_per_group as usize, config.theta),
-            global_zipf: Zipf::new(config.global_pages as usize, config.theta),
+            group_zipf: Zipf::new(config.pages_per_group as usize, THETA),
+            global_zipf: Zipf::new(config.global_pages as usize, THETA),
         }
     }
 
@@ -55,7 +61,6 @@ impl PageSpace {
 #[derive(Debug)]
 pub struct RequestStream {
     group: u32,
-    affinity: f64,
     interval: Exponential,
     rng: SmallRng,
 }
@@ -65,7 +70,6 @@ impl RequestStream {
     pub fn new(config: &WebCacheConfig, rngs: &RngFactory, proxy: usize) -> Self {
         RequestStream {
             group: (proxy % config.groups) as u32,
-            affinity: config.group_affinity,
             interval: Exponential::from_mean(config.mean_request_interval.as_millis() as f64),
             rng: rngs.stream("webcache.requests", proxy as u64),
         }
@@ -83,7 +87,7 @@ impl RequestStream {
 
     /// The next requested page.
     pub fn next_page(&mut self, space: &PageSpace) -> ItemId {
-        if self.rng.gen::<f64>() < self.affinity {
+        if self.rng.gen::<f64>() < GROUP_AFFINITY {
             let rank = space.group_zipf.sample(&mut self.rng) as u32;
             space.group_page(self.group, rank)
         } else {
@@ -127,7 +131,7 @@ mod tests {
     }
 
     #[test]
-    fn affinity_mix_matches_config() {
+    fn affinity_mix_matches_the_constant() {
         let (c, s, rngs) = setup();
         let mut stream = RequestStream::new(&c, &rngs, 0);
         let n = 20_000;

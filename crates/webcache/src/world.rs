@@ -8,31 +8,45 @@
 //! 1. local LRU hit → served immediately;
 //! 2. otherwise the proxy queries its outgoing neighbors (one message
 //!    each); the nearest positive sibling serves the page at
-//!    `2 × sibling_delay`;
-//! 3. otherwise the origin server serves at `2 × origin_delay`.
+//!    `2 × SIBLING_DELAY`;
+//! 3. otherwise the origin server serves at `2 × ORIGIN_DELAY`.
 //!
 //! The page enters the local cache when the fetch completes. Dynamic mode
 //! additionally runs exploration probes (Algo 2) and asymmetric neighbor
 //! updates (Algo 3); static mode keeps its initial random neighbors
-//! forever.
+//! forever. The overlay, presence, the world RNG and the enactment of
+//! Algo 3 live in the shared [`AsymmetricOverlay`] chassis; this file is
+//! the cache domain around it.
 
 use crate::config::{CacheMode, WebCacheConfig};
 use crate::digest::BloomFilter;
 use crate::lru::LruCache;
 use crate::traffic::{PageSpace, RequestStream};
-use ddr_core::runtime::{sample_runtime_metrics, Clock, Membership, NodeRuntime, Transport};
+use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, Clock, NodeRuntime, Transport};
 use ddr_core::stats_store::ReplyObservation;
-use ddr_core::{plan_asymmetric_update, CumulativeBenefit};
-use ddr_net::NodeDelayStream;
 use ddr_overlay::{RelationKind, Topology};
 use ddr_sim::{
     EventLabel, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime, World,
 };
 use ddr_stats::{BucketSeries, RuntimeMetrics};
 use ddr_telemetry::{NullSink, QueryTracer, TraceOutcome, TraceSink};
-use rand::rngs::SmallRng;
-use rand::Rng;
 use std::collections::VecDeque;
+
+/// Mean one-way latency to a sibling proxy.
+const SIBLING_DELAY: SimDuration = SimDuration::from_millis(40);
+/// Mean one-way latency to the origin server (the "alternative
+/// repository"; a miss costs this much twice) — 8× a sibling.
+const ORIGIN_DELAY: SimDuration = SimDuration::from_millis(320);
+/// Every delay is scaled by a per-proxy factor from `[1 - s, 1 + s)`.
+const JITTER_SPREAD: f64 = 0.2;
+/// Non-neighbor proxies probed per exploration round.
+const PROBE_FANOUT: usize = 3;
+/// Recent local misses remembered for probe-overlap scoring.
+const MISS_HISTORY: usize = 64;
+/// Requests between neighbor updates (dynamic mode).
+const UPDATE_THRESHOLD: u32 = 100;
+/// Digest density in bits per cached page (10 ≈ 1 % false positives).
+const DIGEST_BITS_PER_ITEM: usize = 10;
 
 /// Events of the web-cache simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,18 +119,13 @@ pub struct CacheMetrics {
 pub struct WebCacheWorld<T: TraceSink = NullSink> {
     config: WebCacheConfig,
     space: PageSpace,
-    topology: Topology,
+    /// Overlay, which proxies are up (all, without churn), world RNG and
+    /// per-proxy delay jitter.
+    overlay: AsymmetricOverlay,
     proxies: Vec<ProxyState>,
     /// Published cache digests (digest mode only; `None` until first
     /// publication).
     digests: Vec<Option<BloomFilter>>,
-    /// Which proxies are currently up (all, without churn).
-    up: Membership,
-    rng: SmallRng,
-    /// Per-proxy delay-jitter streams (`net.delay` keyed by node), the
-    /// workspace-wide idiom for delay sampling: a node's delay sequence
-    /// depends only on `(seed, node)`, never on other nodes' traffic.
-    delays: Vec<NodeDelayStream>,
     /// Span ids for the tracer (requests resolve synchronously, so this
     /// is purely a trace-record label).
     next_query: u64,
@@ -132,67 +141,42 @@ impl<T: TraceSink> WebCacheWorld<T> {
         config.validate().expect("invalid web-cache config");
         let rngs = RngFactory::new(config.seed);
         let space = PageSpace::new(&config);
-        let mut topology = Topology::new(
+        let overlay = AsymmetricOverlay::bootstrap(
             config.proxies,
             RelationKind::PureAsymmetric,
             config.out_degree,
             0,
+            &rngs,
+            "webcache.world",
         );
-        let mut rng = rngs.stream("webcache.world", 0);
-
-        // Initial random outgoing lists.
-        for p in 0..config.proxies {
-            let me = NodeId::from_index(p);
-            while topology.out(me).len() < config.out_degree {
-                let q = NodeId::from_index(rng.gen_range(0..config.proxies));
-                if q != me {
-                    let _ = topology.add_edge(me, q);
-                }
-            }
-        }
-
         let proxies = (0..config.proxies)
             .map(|p| ProxyState {
                 cache: LruCache::new(config.cache_capacity),
                 stream: RequestStream::new(&config, &rngs, p),
-                rt: NodeRuntime::new(config.update_threshold).with_explorer(config.exploration),
-                recent_misses: VecDeque::with_capacity(config.miss_history),
+                rt: NodeRuntime::new(UPDATE_THRESHOLD).with_explorer(config.exploration),
+                recent_misses: VecDeque::with_capacity(MISS_HISTORY),
             })
             .collect();
 
         let digests = vec![None; config.proxies];
-        let up = Membership::all_online(config.proxies);
-        let delays = (0..config.proxies)
-            .map(|p| NodeDelayStream::new(&rngs, NodeId::from_index(p)))
-            .collect();
         let tracer = QueryTracer::new(&config.telemetry);
         WebCacheWorld {
             config,
             space,
-            topology,
+            overlay,
             proxies,
             digests,
-            up,
-            rng,
-            delays,
             next_query: 0,
             tracer,
             metrics: CacheMetrics::default(),
         }
     }
 
-    /// Sample an exponential duration with the given mean.
-    fn exp_duration(&mut self, mean: SimDuration) -> SimDuration {
-        let u: f64 = 1.0 - self.rng.gen::<f64>();
-        SimDuration::from_millis(((-(mean.as_millis() as f64)) * u.ln()).max(1.0) as u64)
-    }
-
     /// Publish `proxy`'s digest from its current cache contents.
     fn publish_digest(&mut self, proxy: NodeId) {
         let cache = &self.proxies[proxy.index()].cache;
         let expected = self.config.cache_capacity.max(1);
-        let digest =
-            BloomFilter::from_items(cache.iter(), expected, self.config.digest_bits_per_item);
+        let digest = BloomFilter::from_items(cache.iter(), expected, DIGEST_BITS_PER_ITEM);
         self.digests[proxy.index()] = Some(digest);
     }
 
@@ -216,7 +200,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
                 );
             }
             if let Some(mean_up) = self.config.mean_uptime {
-                let d = self.exp_duration(mean_up);
+                let d = self.overlay.exp_duration(mean_up);
                 queue.schedule_in(
                     d,
                     CacheEvent::ProxyToggle {
@@ -234,43 +218,21 @@ impl<T: TraceSink> WebCacheWorld<T> {
 
     /// The overlay, for invariant checks.
     pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// A proxy's interest group (tests use it to measure clustering).
-    pub fn group_of_proxy(&self, proxy: NodeId) -> u32 {
-        self.proxies[proxy.index()].stream.group()
+        self.overlay.topology()
     }
 
     /// Fraction of outgoing edges that connect same-group proxies — the
     /// clustering measure dynamic mode is expected to raise.
     pub fn same_group_edge_fraction(&self) -> f64 {
-        let mut total = 0usize;
-        let mut same = 0usize;
-        for p in 0..self.proxies.len() {
-            let me = NodeId::from_index(p);
-            let g = self.group_of_proxy(me);
-            for q in self.topology.out(me).iter() {
-                total += 1;
-                if self.group_of_proxy(q) == g {
-                    same += 1;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            same as f64 / total as f64
-        }
+        self.overlay
+            .same_group_edge_fraction(|p| self.proxies[p.index()].stream.group())
     }
 
-    /// `base` scaled by the acting proxy's own jitter stream. Sampling
-    /// from the per-node stream (not a world RNG) keeps a proxy's delay
-    /// sequence independent of other proxies' traffic — the same
-    /// discipline the sharded Gnutella world needs, applied uniformly.
-    fn jittered(&mut self, node: NodeId, base: SimDuration) -> SimDuration {
-        let f = self.delays[node.index()].jitter(0.8, 1.2);
-        SimDuration::from_millis(((base.as_millis() as f64) * f).round().max(1.0) as u64)
+    /// A jittered round trip from `proxy` to a party `one_way` away.
+    fn round_trip(&mut self, proxy: NodeId, one_way: SimDuration) -> SimDuration {
+        self.overlay
+            .jittered(proxy, one_way, JITTER_SPREAD)
+            .saturating_mul(2)
     }
 
     fn record_latency(&mut self, now: SimTime, ms: f64) {
@@ -296,7 +258,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
         let next = self.proxies[i].stream.next_interval();
         ctx.schedule_after(next, CacheEvent::Request { proxy });
 
-        if !self.up.contains(proxy) {
+        if !self.overlay.is_present(proxy) {
             self.metrics.requests_lost += 1;
             return; // the proxy is down: its users get nothing
         }
@@ -318,12 +280,12 @@ impl<T: TraceSink> WebCacheWorld<T> {
             self.tracer.finish(now, qid, TraceOutcome::Hit, 1, 1.0);
         } else {
             // Local miss: remember it, query the siblings.
-            if self.proxies[i].recent_misses.len() == self.config.miss_history {
+            if self.proxies[i].recent_misses.len() == MISS_HISTORY {
                 self.proxies[i].recent_misses.pop_front();
             }
             self.proxies[i].recent_misses.push_back(page);
 
-            let neighbors: Vec<NodeId> = self.topology.out(proxy).iter().collect();
+            let neighbors: Vec<NodeId> = self.overlay.out(proxy).iter().collect();
             let queried: Vec<NodeId> = if self.config.use_digests {
                 // Query only digest-positive siblings (no digest yet =
                 // positive: better to over-query than go dark at startup).
@@ -355,12 +317,10 @@ impl<T: TraceSink> WebCacheWorld<T> {
             let holder = queried
                 .iter()
                 .copied()
-                .find(|&q| self.up.contains(q) && self.proxies[q.index()].cache.peek(page));
+                .find(|&q| self.overlay.is_present(q) && self.proxies[q.index()].cache.peek(page));
             match holder {
                 Some(q) => {
-                    let rtt = self
-                        .jittered(proxy, self.config.sibling_delay)
-                        .saturating_mul(2);
+                    let rtt = self.round_trip(proxy, SIBLING_DELAY);
                     let ms = rtt.as_millis() as f64;
                     self.metrics.runtime.record_hit(hour);
                     self.record_latency(now, ms);
@@ -382,9 +342,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
                     ctx.send(proxy, rtt, CacheEvent::FetchComplete { proxy, page });
                 }
                 None => {
-                    let rtt = self
-                        .jittered(proxy, self.config.origin_delay)
-                        .saturating_mul(2);
+                    let rtt = self.round_trip(proxy, ORIGIN_DELAY);
                     self.metrics.origin_fetches.incr(hour);
                     self.record_latency(now, rtt.as_millis() as f64);
                     self.tracer
@@ -400,7 +358,16 @@ impl<T: TraceSink> WebCacheWorld<T> {
                 self.explore(proxy, ctx);
             }
             if self.proxies[i].rt.clock.tick() {
-                self.update_neighbors(proxy);
+                // Algo 3 (pure asymmetric): rewrite the outgoing list from
+                // the statistics — no agreement protocol needed, and with
+                // unbounded incoming lists no adoption is ever refused.
+                // The top-up takes any other proxy, up or down.
+                self.overlay.update_neighbors(
+                    proxy,
+                    &mut self.proxies[i].rt,
+                    &mut self.metrics.runtime,
+                    false,
+                );
             }
         }
     }
@@ -414,16 +381,13 @@ impl<T: TraceSink> WebCacheWorld<T> {
     ) {
         self.metrics.runtime.record_exploration();
         let hour = ctx.now().as_hours() as usize;
-        let n = self.config.proxies;
-        for _ in 0..self.config.probe_fanout {
-            let q = NodeId::from_index(self.rng.gen_range(0..n));
-            if q == proxy || self.topology.out(proxy).contains(q) {
+        for _ in 0..PROBE_FANOUT {
+            let q = self.overlay.random_node();
+            if q == proxy || self.overlay.out(proxy).contains(q) {
                 continue;
             }
             self.metrics.runtime.record_messages(hour, 1.0);
-            let rtt = self
-                .jittered(proxy, self.config.sibling_delay)
-                .saturating_mul(2);
+            let rtt = self.round_trip(proxy, SIBLING_DELAY);
             // The probe reply returns to the prober after the round trip.
             ctx.send(proxy, rtt, CacheEvent::ProbeReply { to: proxy, from: q });
         }
@@ -432,7 +396,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
     /// A probe reply: score the probed proxy by how many of our recent
     /// misses it could have served ("summarized information", Algo 2).
     fn probe_reply(&mut self, to: NodeId, from: NodeId, now: SimTime) {
-        if !self.up.contains(from) || !self.up.contains(to) {
+        if !self.overlay.is_present(from) || !self.overlay.is_present(to) {
             return; // either end is down: the probe went unanswered
         }
         let i = to.index();
@@ -444,55 +408,17 @@ impl<T: TraceSink> WebCacheWorld<T> {
         if overlap == 0 {
             return; // nothing learned worth recording
         }
-        let ms = (self.config.sibling_delay.as_millis() * 2) as f64;
+        let ms = (SIBLING_DELAY.as_millis() * 2) as f64;
         // Same units as the serve score: pages-per-second-of-latency, with
         // the overlap fraction standing in for observed serves.
-        let frac = overlap as f64 / self.config.miss_history.max(1) as f64;
+        let frac = overlap as f64 / MISS_HISTORY as f64;
         self.proxies[i].rt.stats.record_reply(ReplyObservation {
             from,
             bandwidth: None,
-            score: frac * self.config.update_threshold as f64 / (ms / 1_000.0).max(1e-3),
+            score: frac * UPDATE_THRESHOLD as f64 / (ms / 1_000.0).max(1e-3),
             latency_ms: ms,
             at: now,
         });
-    }
-
-    /// Algo 3 (pure asymmetric): rewrite the outgoing list from the
-    /// statistics — no agreement protocol needed.
-    fn update_neighbors(&mut self, proxy: NodeId) {
-        let i = proxy.index();
-        self.proxies[i].rt.clock.reset();
-        self.metrics.runtime.record_update();
-        let plan = {
-            let up = &self.up;
-            plan_asymmetric_update(
-                self.topology.out(proxy).as_slice(),
-                &self.proxies[i].rt.stats,
-                &CumulativeBenefit,
-                self.config.out_degree,
-                |m| m != proxy && up.contains(m),
-            )
-        };
-        for e in &plan.evict {
-            self.topology.remove_edge(proxy, *e);
-            self.metrics.runtime.record_edges_changed(1);
-        }
-        for a in &plan.add {
-            if self.topology.add_edge(proxy, *a).is_ok() {
-                self.metrics.runtime.record_edges_changed(1);
-            }
-        }
-        // Top up with random proxies if the plan under-filled (early runs
-        // with sparse statistics).
-        let n = self.config.proxies;
-        let mut guard = 0;
-        while self.topology.out(proxy).len() < self.config.out_degree && guard < 10 * n {
-            let q = NodeId::from_index(self.rng.gen_range(0..n));
-            if q != proxy {
-                let _ = self.topology.add_edge(proxy, q);
-            }
-            guard += 1;
-        }
     }
 }
 
@@ -507,7 +433,7 @@ impl<T: TraceSink> World for WebCacheWorld<T> {
         hub.counter("local_hits", self.metrics.local_hits.total() as u64);
         hub.counter("origin_fetches", self.metrics.origin_fetches.total() as u64);
         hub.counter("restarts", self.metrics.restarts);
-        hub.gauge("online", self.up.len() as f64);
+        hub.gauge("online", self.overlay.present_count() as f64);
     }
 
     fn handle(&mut self, now: SimTime, event: CacheEvent, sched: &mut Scheduler<'_, CacheEvent>) {
@@ -518,7 +444,7 @@ impl<T: TraceSink> World for WebCacheWorld<T> {
             }
             CacheEvent::ProbeReply { to, from } => self.probe_reply(to, from, now),
             CacheEvent::DigestRefresh { proxy } => {
-                if self.up.contains(proxy) {
+                if self.overlay.is_present(proxy) {
                     self.publish_digest(proxy);
                 }
                 sched.after(
@@ -528,27 +454,22 @@ impl<T: TraceSink> World for WebCacheWorld<T> {
             }
             CacheEvent::ProxyToggle { proxy } => {
                 let i = proxy.index();
-                if self.up.contains(proxy) {
-                    // Going down.
-                    self.up.set(proxy, false);
-                    let d = self.exp_duration(self.config.mean_downtime);
-                    sched.after(d, CacheEvent::ProxyToggle { proxy });
-                } else {
+                let mean = if self.overlay.toggle(proxy) {
                     // Restart: cold cache, no statistics (a fresh Squid
                     // process remembers nothing).
-                    self.up.set(proxy, true);
                     self.metrics.restarts += 1;
                     let cap = self.config.cache_capacity;
                     self.proxies[i].cache = LruCache::new(cap);
                     self.proxies[i].rt.reset_stats();
                     self.proxies[i].recent_misses.clear();
-                    let mean_up = self
-                        .config
+                    self.config
                         .mean_uptime
-                        .expect("toggle events only exist with churn enabled");
-                    let d = self.exp_duration(mean_up);
-                    sched.after(d, CacheEvent::ProxyToggle { proxy });
-                }
+                        .expect("toggle events only exist with churn enabled")
+                } else {
+                    self.config.mean_downtime // going down
+                };
+                let d = self.overlay.exp_duration(mean);
+                sched.after(d, CacheEvent::ProxyToggle { proxy });
             }
         }
     }
@@ -557,15 +478,6 @@ impl<T: TraceSink> World for WebCacheWorld<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn world_starts_with_full_out_degree() {
-        let w = WebCacheWorld::<NullSink>::new(WebCacheConfig::default_scenario(CacheMode::Static));
-        for p in 0..w.config().proxies {
-            assert_eq!(w.topology().out(NodeId::from_index(p)).len(), 3);
-        }
-        assert!(w.topology().check_consistency().is_empty());
-    }
 
     #[test]
     fn initial_same_group_fraction_is_near_chance() {

@@ -181,22 +181,30 @@ impl WorkloadConfig {
     /// library is untouched.
     ///
     /// # Panics
-    /// Panics unless `scale` divides the user and song counts and leaves
-    /// songs divisible by categories.
+    /// Panics where [`try_paper_scaled`](Self::try_paper_scaled) errs.
     pub fn paper_scaled(scale: u32) -> Self {
+        Self::try_paper_scaled(scale)
+            .unwrap_or_else(|e| panic!("no paper workload at scale {scale}: {e}"))
+    }
+
+    /// [`paper_scaled`](Self::paper_scaled), or why there is no such
+    /// workload: `scale` must divide the user and song counts, and the
+    /// result must [`validate`](Self::validate) (songs divisible by
+    /// categories, room for a library).
+    pub fn try_paper_scaled(scale: u32) -> Result<Self, String> {
         let base = WorkloadConfig::paper();
-        assert!(scale >= 1);
-        assert_eq!(base.users % scale as usize, 0);
-        assert_eq!(base.songs % scale, 0);
-        let songs = base.songs / scale;
-        assert_eq!(
-            songs % base.categories as u32,
-            0,
-            "scale breaks category division"
-        );
+        if scale == 0
+            || !base.users.is_multiple_of(scale as usize)
+            || !base.songs.is_multiple_of(scale)
+        {
+            return Err(format!(
+                "{scale} does not divide {} users and {} songs",
+                base.users, base.songs
+            ));
+        }
         let mut c = WorkloadConfig {
             users: base.users / scale as usize,
-            songs,
+            songs: base.songs / scale,
             ..base
         };
         // Keep the validity invariant from `validate`: the favourite share
@@ -208,7 +216,19 @@ impl WorkloadConfig {
             c.library_mean *= shrink;
             c.library_std *= shrink;
         }
-        c
+        c.validate()?;
+        Ok(c)
+    }
+
+    /// The interval `[lo, hi]` library sizes are clamped to: at least one
+    /// song per drawn category so every slice is non-empty, and capped so
+    /// the favourite share always fits within one category.
+    pub fn library_bounds(&self) -> (f64, f64) {
+        let per_cat = (self.songs / self.categories as u32) as f64;
+        let lo = (self.secondary_categories + 1) as f64;
+        let hi = (per_cat / self.favorite_fraction.max(0.05))
+            .min(self.library_mean + 4.0 * self.library_std);
+        (lo, hi)
     }
 
     /// Validate internal consistency; returns a description of the first
@@ -250,6 +270,12 @@ impl WorkloadConfig {
             return Err(format!(
                 "libraries too large for category size ({} > {per_cat})",
                 max_lib * self.favorite_fraction
+            ));
+        }
+        let (lo, hi) = self.library_bounds();
+        if lo > hi {
+            return Err(format!(
+                "a library holds at most {hi} songs, fewer than one from each of its {lo} categories"
             ));
         }
         if self.mean_query_interval == SimDuration::ZERO {
@@ -297,6 +323,20 @@ mod tests {
         assert_eq!(c.categories, 50);
         assert_eq!(c.library_mean, 200.0);
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn scales_without_a_valid_workload_are_errors_not_panics() {
+        for scale in [2, 4, 5, 8, 10, 16, 20, 25, 40, 50, 80, 100, 1000] {
+            let c = WorkloadConfig::try_paper_scaled(scale);
+            assert_eq!(c.map(|c| c.users), Ok(2_000 / scale as usize));
+        }
+        // 0; non-divisors of 2,000 users; 2000 divides everything but
+        // leaves 2 songs per category — no room for a 6-category library.
+        for scale in [0, 3, 7, 32, 2000, 2001] {
+            let err = WorkloadConfig::try_paper_scaled(scale);
+            assert!(err.is_err(), "scale {scale} accepted: {err:?}");
+        }
     }
 
     #[test]

@@ -152,15 +152,8 @@ pub fn generate_profiles(
     rngs: &RngFactory,
 ) -> Vec<UserProfile> {
     config.validate().expect("invalid workload config");
-    let lib_dist = TruncatedGaussian::new(
-        config.library_mean,
-        config.library_std,
-        // At least one song per drawn category so every slice is non-empty.
-        (config.secondary_categories + 1) as f64,
-        // Cap so the favourite share always fits within one category.
-        (catalog.per_category() as f64 / config.favorite_fraction.max(0.05))
-            .min(config.library_mean + 4.0 * config.library_std),
-    );
+    let (lo, hi) = config.library_bounds();
+    let lib_dist = TruncatedGaussian::new(config.library_mean, config.library_std, lo, hi);
 
     (0..config.users)
         .map(|i| {

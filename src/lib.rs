@@ -22,8 +22,8 @@
 //! * [`overlay`] — neighbor lists, consistency invariant, topologies
 //! * [`core`] — **the framework**: search / exploration / neighbor-update
 //!   policies and benefit functions (paper §3, Algos 1–4), plus the
-//!   shared framework runtime (`runtime`: membership set, per-node
-//!   bundle, reconfiguration clock, timeline sampler)
+//!   shared framework runtime (`runtime`: asymmetric-overlay chassis,
+//!   per-node bundle, reconfiguration clock, timeline sampler)
 //! * [`gnutella`] — case study 1: static vs dynamic Gnutella (paper §4)
 //! * [`webcache`] — case study 2: cooperative proxy caching (asymmetric)
 //! * [`peerolap`] — case study 3: distributed OLAP-result caching
@@ -32,7 +32,7 @@
 //!   `MeasurementWindow`/`safe_ratio` (the windowed-report helpers)
 //! * [`harness`] — the `Scenario` trait, the one prime → run → extract
 //!   driver every case study runs through (`run` / `run_with`), and the
-//!   deterministic parallel sweep engine (`run_many` / `Sweep`)
+//!   deterministic parallel sweep engine (`run_many`)
 //! * [`telemetry`] — zero-cost-when-off observability: query-lifecycle
 //!   span tracing (JSONL), kernel profiling, and the trace summarizer
 //!   behind `ddr inspect`

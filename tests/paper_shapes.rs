@@ -152,7 +152,8 @@ fn dynamic_clusters_interests() {
     use ddr_repro::gnutella::scenario::run_scenario_with_world;
     let (_, sw) = run_scenario_with_world(cfg(Mode::Static, 2, 8));
     let (_, dw) = run_scenario_with_world(cfg(Mode::Dynamic, 2, 8));
-    let s = sw.same_category_link_fraction();
-    let d = dw.same_category_link_fraction();
+    let fraction = |(same, total): (usize, usize)| same as f64 / total as f64;
+    let s = fraction(sw.same_category_links());
+    let d = fraction(dw.same_category_links());
     assert!(d > s * 2.0, "no clustering: dynamic {d} vs static {s}");
 }
