@@ -35,6 +35,11 @@ echo "==> cargo test -q --release -p ddr-sim (kernel differentials and the queue
 echo "    memory bound against the optimised build the benchmark measures)"
 cargo test -q --release -p ddr-sim
 
+echo "==> cargo test -q --release -p ddr-gnutella --test prop_sharded_world (the hint"
+echo "    hooks are unsafe intrinsics over computed addresses that only the fat-LTO"
+echo "    build inlines into the ring: serial == sharded, whole report, on that build)"
+cargo test -q --release -p ddr-gnutella --test prop_sharded_world
+
 echo "==> benchmark/ unit tests (the one measurement stack)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 

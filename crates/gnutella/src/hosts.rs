@@ -79,6 +79,14 @@ impl HostCache {
     pub fn contains(&self, host: NodeId) -> bool {
         self.slots.contains(&host)
     }
+
+    /// Address of the slot buffer every [`HostCache::note`] scans, for
+    /// software prefetching by event-loop drivers. Reads the header, so
+    /// ask only once that line has been requested.
+    #[inline]
+    pub fn slots_addr(&self) -> *const u8 {
+        self.slots.as_ptr().cast()
+    }
 }
 
 impl Default for HostCache {

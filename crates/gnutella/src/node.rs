@@ -267,11 +267,7 @@ impl NodeSetConfig {
 pub fn build_nodes(cfg: &NodeSetConfig) -> Vec<GnutellaNode> {
     let workload = cfg.workload();
     let rngs = RngFactory::new(cfg.seed);
-    let catalog = Arc::new(Catalog::new(
-        workload.songs,
-        workload.categories,
-        workload.theta,
-    ));
+    let catalog = Arc::new(Catalog::for_workload(&workload));
     let profiles = generate_profiles(&workload, &catalog, &rngs);
     let net = Arc::new(NetworkModel::paper(cfg.nodes, &rngs));
     let mut topology = Topology::symmetric(cfg.nodes, cfg.degree);

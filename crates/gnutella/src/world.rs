@@ -165,11 +165,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         );
         let users = config.workload.users;
         let rngs = RngFactory::new(config.seed);
-        let catalog = Catalog::new(
-            config.workload.songs,
-            config.workload.categories,
-            config.workload.theta,
-        );
+        let catalog = Catalog::for_workload(&config.workload);
         let profiles = generate_profiles(&config.workload, &catalog, &rngs);
         let net = match config.bandwidth_mix {
             Some(mix) => NetworkModel::paper_with_mix(users, &rngs, mix),
@@ -550,6 +546,62 @@ impl<T: TraceSink> GnutellaWorld<T> {
             .max(self.lookahead)
     }
 
+    /// Ask the memory system for the cache lines `event`'s handler will
+    /// miss on — the one address computation behind both kernels' hint
+    /// hooks. At 50,000 users a node sees an event every few hundred
+    /// dispatches, so every line of its state has left the cache by the
+    /// next one, and a forwarding `QueryArrive` (three events in four)
+    /// reads seven objects, each in its own allocation (DESIGN.md §12
+    /// has the table). [`HintStage::Direct`] covers those whose address
+    /// follows from the payload alone; [`HintStage::Dependent`] the two
+    /// behind a pointer held in a `Direct` line. Purely a hint: nothing
+    /// is written, no result depends on it, and non-x86 builds compile it
+    /// away.
+    #[inline]
+    fn request_lines(&self, event: &GnutellaEvent, stage: HintStage) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            use std::ptr::addr_of;
+            fn line(p: *const u8) {
+                // SAFETY: a prefetch has no architectural effect — it
+                // cannot fault and changes no program-visible state — so
+                // it is sound for any address.
+                unsafe { _mm_prefetch(p as *const i8, _MM_HINT_T0) }
+            }
+            // The columns are packed at strides of 32–416 bytes, so half
+            // of the objects straddle two lines (the 72-byte `DupCache`
+            // header always does): ask for the first and the last byte's.
+            fn object<O>(p: *const O) {
+                line(p.cast());
+                line(p.cast::<u8>().wrapping_add(std::mem::size_of::<O>() - 1));
+            }
+            let k = self.li(event_target(event));
+            match (event, stage) {
+                (GnutellaEvent::QueryArrive { to, desc, .. }, HintStage::Direct) => {
+                    object(addr_of!(self.sessions[k]));
+                    object(addr_of!(self.hosts[k]));
+                    object(addr_of!(self.peers[k].rt.seen));
+                    object(addr_of!(self.neighbors[k]));
+                    object(addr_of!(self.delays[k]));
+                    line(self.shared.profiles[to.index()].probe_addr(desc.item));
+                }
+                (GnutellaEvent::QueryArrive { desc, .. }, HintStage::Dependent) => {
+                    line(self.hosts[k].slots_addr());
+                    if let Some(seen) = &self.peers[k].rt.seen {
+                        line(seen.probe_addr(desc.id));
+                    }
+                }
+                (_, HintStage::Direct) => line(addr_of!(self.peers[k]).cast()),
+                (_, HintStage::Dependent) => {}
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (event, stage);
+        }
+    }
+
     /// The one event dispatcher both kernels share. `ctx` is the serial
     /// `Scheduler` or the sharded `ShardPort`; the handler code is
     /// identical, which is what makes sharded == serial bit-identical.
@@ -650,6 +702,15 @@ impl<T: TraceSink> GnutellaWorld<T> {
     }
 }
 
+/// Which of an event's lines `GnutellaWorld::request_lines` asks for.
+#[derive(Clone, Copy)]
+enum HintStage {
+    /// Lines whose address is a pure function of the event payload.
+    Direct,
+    /// Lines whose address is read out of a `Direct` line.
+    Dependent,
+}
+
 /// Adapter presenting a [`ShardCtx`] as the `Clock` + `Transport` pair the
 /// handlers speak. Self-timers route to the handling node's own shard.
 struct ShardPort<'a, 'b> {
@@ -694,6 +755,16 @@ impl<T: TraceSink> ShardWorld for GnutellaWorld<T> {
         self.dispatch(now, event, &mut port);
     }
 
+    #[inline]
+    fn prefetch(&self, event: &GnutellaEvent) {
+        self.request_lines(event, HintStage::Direct);
+    }
+
+    #[inline]
+    fn prefetch_dependent(&self, event: &GnutellaEvent) {
+        self.request_lines(event, HintStage::Dependent);
+    }
+
     fn sample_metrics(&self, now: SimTime, hub: &mut dyn ddr_sim::MetricsHub) {
         self.sample_metrics_into(now, hub);
     }
@@ -715,49 +786,12 @@ impl<T: TraceSink> World for GnutellaWorld<T> {
         self.sample_metrics_into(now, hub);
     }
 
-    /// Warm the caches for the next event while the current one runs.
-    /// Query traffic dominates the event mix, and each arrival touches
-    /// three far-apart lines before it can do anything: the recipient's
-    /// `PeerState` header, its duplicate-cache slot and its profile's
-    /// filter block. All three addresses are pure functions of the event
-    /// payload, so they can be requested one dispatch early — overlapping
-    /// most of the miss latency with useful work. Purely a hint: no
-    /// observable state changes, and non-x86 builds compile it away.
+    /// One event ahead is all the serial queue can promise (the current
+    /// handler may schedule in front of anything later), so both stages
+    /// go out back to back.
     #[inline]
     fn prefetch(&self, next: &GnutellaEvent) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            match next {
-                GnutellaEvent::QueryArrive { to, desc, .. } => {
-                    let k = to.index() - self.base;
-                    let peer = &self.peers[k];
-                    // SAFETY: prefetch has no architectural effect; the
-                    // addresses point into live owned allocations.
-                    unsafe {
-                        _mm_prefetch(std::ptr::addr_of!(*peer) as *const i8, _MM_HINT_T0);
-                        if let Some(seen) = &peer.rt.seen {
-                            _mm_prefetch(seen.probe_addr(desc.id) as *const i8, _MM_HINT_T0);
-                        }
-                        _mm_prefetch(
-                            self.shared.profiles[to.index()].probe_addr(desc.item) as *const i8,
-                            _MM_HINT_T0,
-                        );
-                    }
-                }
-                GnutellaEvent::ReplyArrive { to, .. } => {
-                    let k = to.index() - self.base;
-                    // SAFETY: as above.
-                    unsafe {
-                        _mm_prefetch(std::ptr::addr_of!(self.peers[k]) as *const i8, _MM_HINT_T0);
-                    }
-                }
-                _ => {}
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = next;
-        }
+        self.request_lines(next, HintStage::Direct);
+        self.request_lines(next, HintStage::Dependent);
     }
 }

@@ -59,6 +59,7 @@ use crate::engine::RunOutcome;
 use crate::event::EventQueue;
 use crate::id::NodeId;
 use crate::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
@@ -142,6 +143,27 @@ pub trait ShardWorld {
     /// Dispatch one event at virtual time `now`.
     fn handle(&mut self, now: SimTime, event: Self::Event, ctx: &mut ShardCtx<'_, Self::Event>);
 
+    /// First-stage hint: `event` has been popped and will be handled
+    /// after the few events (a small constant) popped before it. A world
+    /// whose per-node state is far larger than the cache can request the
+    /// lines whose address is a pure function of the payload. A hint
+    /// only: it may read the world but never write it, no result may
+    /// depend on it, and the kernel calls it exactly once per event,
+    /// before that event's
+    /// [`prefetch_dependent`](Self::prefetch_dependent) and `handle`.
+    /// The default does nothing.
+    #[inline]
+    fn prefetch(&self, _event: &Self::Event) {}
+
+    /// Second-stage hint, under the same contract, called at most once
+    /// per event when it is about half as far from dispatch: the lines
+    /// its [`prefetch`](Self::prefetch) requested have had time to
+    /// arrive, so the lines *they* point to (a hash-table slot behind a
+    /// header, a heap buffer behind a `Vec`) can be requested without
+    /// stalling on the pointer. The default does nothing.
+    #[inline]
+    fn prefetch_dependent(&self, _event: &Self::Event) {}
+
     /// Report time-series metrics into `hub` (see
     /// [`crate::MetricsHub`]). Metered runners call this on every shard
     /// world at sampling boundaries — between windows, never mid-handler
@@ -222,6 +244,10 @@ impl<'a, E> ShardCtx<'a, E> {
 struct Shard<W: ShardWorld> {
     world: W,
     queue: EventQueue<(u64, W::Event)>,
+    /// Events of the current window popped ahead of their dispatch (see
+    /// `process_window`); never more than [`LOOKAHEAD_RING`], and empty
+    /// between windows.
+    ring: VecDeque<(SimTime, (u64, W::Event))>,
     staged: Vec<Staged<W::Event>>,
     processed: u64,
     prof: LaneProf,
@@ -308,6 +334,18 @@ pub struct ShardedSimulation<W: ShardWorld> {
 /// Sentinel window-end broadcast to workers to shut them down.
 const WINDOW_DONE: u64 = u64::MAX;
 
+/// How many events of the current window a shard holds popped ahead of
+/// dispatch. A constant, not the whole window: a window can hold 10^5
+/// events (draining it into a buffer grows the resident set with it),
+/// while the memory system tracks only a dozen outstanding misses, so a
+/// deeper ring would buy nothing.
+const LOOKAHEAD_RING: usize = 8;
+
+/// Ring position (0 is dispatched next) at which an event receives its
+/// [`ShardWorld::prefetch_dependent`]: half the ring for the first-stage
+/// lines to arrive, half for the lines behind them.
+const DEPENDENT_AT: usize = 4;
+
 impl<W: ShardWorld> ShardedSimulation<W> {
     /// Assemble a kernel from per-shard worlds (one per
     /// `partition.shards()`, in shard order) and the lookahead bound.
@@ -334,6 +372,7 @@ impl<W: ShardWorld> ShardedSimulation<W> {
             .map(|world| Shard {
                 world,
                 queue: EventQueue::with_capacity(per_shard_hint),
+                ring: VecDeque::with_capacity(LOOKAHEAD_RING),
                 staged: Vec::new(),
                 processed: 0,
                 prof: LaneProf::default(),
@@ -455,21 +494,53 @@ impl<W: ShardWorld> ShardedSimulation<W> {
     /// Dispatch every event in one shard with `time < w_end`. Events are
     /// only created into the outbox, so this touches nothing outside the
     /// shard — the parallel run calls it concurrently per shard.
+    ///
+    /// Every send is staged and `delay >= lookahead`, so nothing created
+    /// during the window can land inside it: the events `< w_end` are
+    /// fixed when the window opens, and popping a few of them ahead of
+    /// their dispatch (into the shard's ring) changes neither their order
+    /// nor anything a handler can observe. It gives the world the one
+    /// thing a far-larger-than-cache state needs — the payloads of the
+    /// next [`LOOKAHEAD_RING`] events while the current one still runs —
+    /// through the two [`ShardWorld`] hint hooks.
     fn process_window(shard: &mut Shard<W>, w_end: SimTime, lookahead: SimDuration) {
-        while let Some(t) = shard.queue.peek_time() {
-            if t >= w_end {
-                break;
+        let Shard {
+            world,
+            queue,
+            ring,
+            staged,
+            processed,
+            ..
+        } = shard;
+        // Ring entries in front of this position have had their
+        // second-stage hint.
+        let mut hinted = 0;
+        loop {
+            while ring.len() < LOOKAHEAD_RING && queue.peek_time().is_some_and(|t| t < w_end) {
+                let entry = queue.pop().expect("peeked event vanished");
+                world.prefetch(&entry.1 .1);
+                ring.push_back(entry);
             }
-            let (now, (gseq, event)) = shard.queue.pop().expect("peeked event vanished");
+            // One call per dispatch in a long window; at a window's start
+            // (and in windows shorter than the ring) the front entries
+            // catch up here, after the whole fill's first-stage requests.
+            while hinted < ring.len().min(DEPENDENT_AT + 1) {
+                world.prefetch_dependent(&ring[hinted].1 .1);
+                hinted += 1;
+            }
+            let Some((now, (gseq, event))) = ring.pop_front() else {
+                break;
+            };
+            hinted -= 1;
             let mut ctx = ShardCtx {
                 now,
                 lookahead,
                 parent_gseq: gseq,
                 child_idx: 0,
-                staged: &mut shard.staged,
+                staged,
             };
-            shard.world.handle(now, event, &mut ctx);
-            shard.processed += 1;
+            world.handle(now, event, &mut ctx);
+            *processed += 1;
         }
     }
 

@@ -8,16 +8,24 @@
 //! per-node RNG streams, across random seeds, node counts, fan-outs,
 //! and churn schedules.
 //!
+//! The same reference also pins the kernel's latency-hiding dispatch: a
+//! shard pops a few events of the current window ahead of their dispatch
+//! and shows them to the world's two hint hooks. A recording world checks
+//! that the hooks change nothing, that every event meets them in the
+//! promised order, and that nothing of a later window is ever popped.
+//!
 //! The world is deliberately *node-local* (a handler touches only the
 //! destination node's state and every send respects the lookahead):
 //! that is exactly the class of worlds the kernel's determinism
 //! contract covers (DESIGN.md §11).
 
 use ddr_sim::{
-    NodeId, Partition, ReferenceEventQueue, ShardCtx, ShardWorld, ShardedSimulation, SimDuration,
-    SimTime,
+    NodeId, Partition, ReferenceEventQueue, RunOutcome, ShardCtx, ShardWorld, ShardedSimulation,
+    SimDuration, SimTime,
 };
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 const LOOKAHEAD_MS: u64 = 10;
 
@@ -111,6 +119,25 @@ struct TestShard {
     base: usize,
     total_nodes: usize,
     nodes: Vec<Node>,
+    /// Every dispatch, in order.
+    dispatched: Vec<Dispatch>,
+}
+
+/// One dispatch as a world can observe it: `(time, destination, tag)`.
+/// The kernel's global sequence number is not visible to a handler, but
+/// tags are unique per event and equal-time events at one shard dispatch
+/// in sequence order — so a shard's log equals the reference's (which
+/// pops by `(time, seq)`) only if the sequence order was reproduced.
+type Dispatch = (SimTime, NodeId, u64);
+
+/// The tag a `Toggle` is logged under (a node has one pending at most).
+const TOGGLE_TAG: u64 = u64::MAX;
+
+fn tag_of(ev: &Ev) -> u64 {
+    match *ev {
+        Ev::Ping { tag, .. } => tag,
+        Ev::Toggle => TOGGLE_TAG,
+    }
 }
 
 impl ShardWorld for TestShard {
@@ -120,6 +147,7 @@ impl ShardWorld for TestShard {
         let (dest, ev) = ev;
         let i = dest.index() - self.base;
         let self_id = dest;
+        self.dispatched.push((now, dest, tag_of(&ev)));
         dispatch(
             self.total_nodes,
             &mut self.nodes[i],
@@ -154,32 +182,97 @@ fn prime(seed: u64, n: usize, hops: u8, churn: bool, mut emit: impl FnMut(SimTim
     }
 }
 
-/// The serial specification: one global reference heap, popped to the
-/// horizon.
-fn run_reference(seed: u64, n: usize, hops: u8, churn: bool, horizon: SimTime) -> (Vec<Node>, u64) {
-    let mut nodes: Vec<Node> = (0..n).map(|i| Node::new(seed, i)).collect();
-    let mut q: ReferenceEventQueue<(NodeId, Ev)> = ReferenceEventQueue::new();
-    prime(seed, n, hops, churn, |at, dest, ev| {
-        q.schedule_at(at, (dest, ev));
-    });
-    let mut processed = 0u64;
-    while let Some(t) = q.peek_time() {
-        if t >= horizon {
-            break;
-        }
-        let (now, (dest, ev)) = q.pop().expect("peeked event vanished");
-        let self_id = dest;
-        dispatch(n, &mut nodes[dest.index()], now, &ev, |to, delay, child| {
-            let to = if matches!(child, Ev::Toggle) {
-                self_id
-            } else {
-                to
-            };
-            q.schedule_at(now + delay, (to, child));
+/// The serial specification: one global reference heap. It is popped a
+/// kernel window at a time — from the earliest pending time `t` up to
+/// `min(t + lookahead, horizon)` — which, every delay being at least the
+/// lookahead, is the same sequence as popping straight to the horizon.
+struct Reference {
+    nodes: Vec<Node>,
+    q: ReferenceEventQueue<(NodeId, Ev)>,
+    dispatched: Vec<Dispatch>,
+}
+
+impl Reference {
+    fn new(seed: u64, n: usize, hops: u8, churn: bool) -> Self {
+        let mut q = ReferenceEventQueue::new();
+        prime(seed, n, hops, churn, |at, dest, ev| {
+            q.schedule_at(at, (dest, ev));
         });
-        processed += 1;
+        Reference {
+            nodes: (0..n).map(|i| Node::new(seed, i)).collect(),
+            q,
+            dispatched: Vec::new(),
+        }
     }
-    (nodes, processed)
+
+    /// Dispatch the next window; `None` once nothing is pending before
+    /// `horizon`. Returns the window's `[start, end)`.
+    fn window(&mut self, horizon: SimTime) -> Option<(SimTime, SimTime)> {
+        let start = self.q.peek_time().filter(|&t| t < horizon)?;
+        let end = (start + SimDuration::from_millis(LOOKAHEAD_MS)).min(horizon);
+        let n = self.nodes.len();
+        while self.q.peek_time().is_some_and(|t| t < end) {
+            let (now, (dest, ev)) = self.q.pop().expect("peeked event vanished");
+            self.dispatched.push((now, dest, tag_of(&ev)));
+            let q = &mut self.q;
+            dispatch(
+                n,
+                &mut self.nodes[dest.index()],
+                now,
+                &ev,
+                |to, delay, child| {
+                    let to = if matches!(child, Ev::Toggle) {
+                        dest
+                    } else {
+                        to
+                    };
+                    q.schedule_at(now + delay, (to, child));
+                },
+            );
+        }
+        Some((start, end))
+    }
+
+    fn run(mut self, horizon: SimTime) -> Self {
+        while self.window(horizon).is_some() {}
+        self
+    }
+
+    /// The dispatches addressed to nodes of `shard`, in order.
+    fn dispatched_at(&self, partition: &Partition, shard: usize) -> Vec<Dispatch> {
+        let at_shard = |d: &&Dispatch| partition.shard_of(d.1) == shard;
+        self.dispatched.iter().filter(at_shard).copied().collect()
+    }
+}
+
+fn shard_worlds(seed: u64, partition: &Partition) -> Vec<TestShard> {
+    (0..partition.shards())
+        .map(|s| {
+            let r = partition.range(s);
+            TestShard {
+                base: r.start,
+                total_nodes: partition.nodes(),
+                nodes: r.map(|i| Node::new(seed, i)).collect(),
+                dispatched: Vec::new(),
+            }
+        })
+        .collect()
+}
+
+/// Prime a kernel over `worlds` exactly like [`Reference::new`].
+fn primed<W: ShardWorld<Event = (NodeId, Ev)>>(
+    worlds: Vec<W>,
+    partition: Partition,
+    seed: u64,
+    hops: u8,
+    churn: bool,
+) -> ShardedSimulation<W> {
+    let n = partition.nodes();
+    let mut sim = ShardedSimulation::new(worlds, partition, SimDuration::from_millis(LOOKAHEAD_MS));
+    prime(seed, n, hops, churn, |at, dest, ev| {
+        sim.schedule_at(at, dest, (dest, ev));
+    });
+    sim
 }
 
 fn build_sharded(
@@ -190,21 +283,177 @@ fn build_sharded(
     shards: usize,
 ) -> ShardedSimulation<TestShard> {
     let partition = Partition::contiguous(n, shards);
-    let worlds = (0..partition.shards())
-        .map(|s| {
-            let r = partition.range(s);
-            TestShard {
-                base: r.start,
-                total_nodes: n,
-                nodes: r.map(|i| Node::new(seed, i)).collect(),
-            }
+    primed(shard_worlds(seed, &partition), partition, seed, hops, churn)
+}
+
+/// What a hint hook or a dispatch was called with.
+#[derive(Clone, Copy, Debug)]
+enum Call {
+    Prefetch(NodeId, u64),
+    Dependent(NodeId, u64),
+    Handle(NodeId, u64, SimTime),
+}
+
+/// [`TestShard`] with both hint hooks overridden to log their calls (the
+/// hooks take `&self`, hence the cell). `TestShard` itself keeps the
+/// default no-op hooks.
+struct Hooked {
+    inner: TestShard,
+    calls: RefCell<Vec<Call>>,
+}
+
+impl ShardWorld for Hooked {
+    type Event = (NodeId, Ev);
+
+    fn handle(&mut self, now: SimTime, ev: Self::Event, ctx: &mut ShardCtx<'_, Self::Event>) {
+        let call = Call::Handle(ev.0, tag_of(&ev.1), now);
+        self.calls.get_mut().push(call);
+        self.inner.handle(now, ev, ctx);
+    }
+
+    fn prefetch(&self, ev: &Self::Event) {
+        let call = Call::Prefetch(ev.0, tag_of(&ev.1));
+        self.calls.borrow_mut().push(call);
+    }
+
+    fn prefetch_dependent(&self, ev: &Self::Event) {
+        let call = Call::Dependent(ev.0, tag_of(&ev.1));
+        self.calls.borrow_mut().push(call);
+    }
+}
+
+fn build_hooked(
+    seed: u64,
+    n: usize,
+    hops: u8,
+    churn: bool,
+    shards: usize,
+) -> ShardedSimulation<Hooked> {
+    let partition = Partition::contiguous(n, shards);
+    let worlds = shard_worlds(seed, &partition)
+        .into_iter()
+        .map(|inner| Hooked {
+            inner,
+            calls: RefCell::default(),
         })
         .collect();
-    let mut sim = ShardedSimulation::new(worlds, partition, SimDuration::from_millis(LOOKAHEAD_MS));
-    prime(seed, n, hops, churn, |at, dest, ev| {
-        sim.schedule_at(at, dest, (dest, ev));
-    });
-    sim
+    primed(worlds, partition, seed, hops, churn)
+}
+
+/// The kernel's ring size (`LOOKAHEAD_RING` in `sharded.rs`): how many
+/// events a shard may hold hinted but not yet handled.
+const RING: usize = 8;
+
+/// Check one shard's calls over one window `[start, end)` against the
+/// hook contract: every handled event had exactly one `prefetch`, then at
+/// most one `prefetch_dependent`, then its `handle`; no more than the
+/// ring is ever outstanding; and nothing hinted is left unhandled — an
+/// event of a later window was never shown to a hook. Returns the number
+/// of events handled.
+fn check_window_calls(calls: &[Call], start: SimTime, end: SimTime) -> Result<usize, String> {
+    // Hinted, not yet handled: key -> whether the second stage was seen.
+    let mut outstanding: HashMap<(NodeId, u64), bool> = HashMap::new();
+    let mut handled = 0;
+    for &call in calls {
+        match call {
+            Call::Prefetch(node, tag) => {
+                if outstanding.insert((node, tag), false).is_some() {
+                    return Err(format!("{call:?}: second prefetch"));
+                }
+                if outstanding.len() > RING {
+                    return Err(format!("{call:?}: more than {RING} events popped ahead"));
+                }
+            }
+            Call::Dependent(node, tag) => match outstanding.get_mut(&(node, tag)) {
+                Some(seen @ false) => *seen = true,
+                Some(true) => return Err(format!("{call:?}: second prefetch_dependent")),
+                None => return Err(format!("{call:?}: before prefetch or after handle")),
+            },
+            Call::Handle(node, tag, now) => {
+                if outstanding.remove(&(node, tag)).is_none() {
+                    return Err(format!("{call:?}: handled without a prefetch"));
+                }
+                if now < start || now >= end {
+                    return Err(format!("{call:?}: outside its window [{start}, {end})"));
+                }
+                handled += 1;
+            }
+        }
+    }
+    if outstanding.is_empty() {
+        Ok(handled)
+    } else {
+        Err(format!(
+            "hinted but not handled in [{start}, {end}): {outstanding:?}"
+        ))
+    }
+}
+
+/// Advance `sim` by exactly one window: the budget is checked before
+/// every window, and every window dispatches at least one event.
+fn step_one_window<W>(
+    sim: &mut ShardedSimulation<W>,
+    horizon: SimTime,
+    threads: usize,
+) -> RunOutcome
+where
+    W: ShardWorld + Send,
+    W::Event: Send,
+{
+    sim.set_event_budget(sim.processed() + 1);
+    sim.run_parallel(horizon, threads)
+}
+
+/// One worker per shard, or the single-threaded window loop.
+fn threads_for(threaded: bool, shards: usize) -> usize {
+    if threaded {
+        shards
+    } else {
+        1
+    }
+}
+
+/// Window by window beside the reference: the hook contract holds in
+/// every window, `processed()` and `pending()` agree at every boundary
+/// (an event left popped ahead would be missing from `pending()`), and
+/// the run ends where the reference does. Returns the smallest and
+/// largest per-shard window.
+fn check_hook_contract(
+    seed: u64,
+    n: usize,
+    shards: usize,
+    hops: u8,
+    churn: bool,
+    threads: usize,
+    horizon: SimTime,
+) -> Result<(usize, usize), String> {
+    let mut reference = Reference::new(seed, n, hops, churn);
+    let mut sim = build_hooked(seed, n, hops, churn, shards);
+    let (mut smallest, mut largest) = (usize::MAX, 0);
+    while let Some((start, end)) = reference.window(horizon) {
+        let outcome = step_one_window(&mut sim, horizon, threads);
+        if outcome != RunOutcome::EventBudgetExhausted {
+            return Err(format!("window [{start}, {end}): stopped with {outcome:?}"));
+        }
+        for shard in 0..sim.partition().shards() {
+            let calls = sim.world(shard).calls.take();
+            let handled = check_window_calls(&calls, start, end)?;
+            if handled > 0 {
+                smallest = smallest.min(handled);
+                largest = largest.max(handled);
+            }
+        }
+        if sim.processed() != reference.dispatched.len() as u64 {
+            return Err(format!("window [{start}, {end}): processed differs"));
+        }
+        if sim.pending() != reference.q.len() {
+            return Err(format!("window [{start}, {end}): pending differs"));
+        }
+    }
+    match step_one_window(&mut sim, horizon, threads) {
+        RunOutcome::EventBudgetExhausted => Err("ran past the reference's last window".into()),
+        _ => Ok((smallest, largest)),
+    }
 }
 
 fn collect_nodes(sim: &ShardedSimulation<TestShard>) -> Vec<Node> {
@@ -223,11 +472,11 @@ proptest! {
         churn in any::<bool>(),
     ) {
         let horizon = SimTime::from_secs(30);
-        let (expect_nodes, expect_processed) = run_reference(seed, n, hops, churn, horizon);
+        let expect = Reference::new(seed, n, hops, churn).run(horizon);
         let mut sim = build_sharded(seed, n, hops, churn, shards);
         sim.run(horizon);
-        prop_assert_eq!(collect_nodes(&sim), expect_nodes);
-        prop_assert_eq!(sim.processed(), expect_processed);
+        prop_assert_eq!(collect_nodes(&sim), expect.nodes);
+        prop_assert_eq!(sim.processed(), expect.dispatched.len() as u64);
     }
 
     /// Threaded execution (one worker per shard, real barriers) is
@@ -241,10 +490,122 @@ proptest! {
         churn in any::<bool>(),
     ) {
         let horizon = SimTime::from_secs(20);
-        let (expect_nodes, expect_processed) = run_reference(seed, n, hops, churn, horizon);
+        let expect = Reference::new(seed, n, hops, churn).run(horizon);
         let mut sim = build_sharded(seed, n, hops, churn, shards);
         sim.run_parallel(horizon, shards);
-        prop_assert_eq!(collect_nodes(&sim), expect_nodes);
-        prop_assert_eq!(sim.processed(), expect_processed);
+        prop_assert_eq!(collect_nodes(&sim), expect.nodes);
+        prop_assert_eq!(sim.processed(), expect.dispatched.len() as u64);
+    }
+
+    /// The hint hooks are invisible: every shard dispatches the
+    /// reference's `(time, destination, tag)` sequence whether the world
+    /// logs its hook calls or keeps the default no-ops, on one thread or
+    /// one per shard, in the same number of windows.
+    #[test]
+    fn dispatch_sequence_ignores_the_hooks(
+        seed in any::<u64>(),
+        n in 2usize..240,
+        shards in 1usize..5,
+        hops in 0u8..10,
+        churn in any::<bool>(),
+        threaded in any::<bool>(),
+    ) {
+        let horizon = SimTime::from_secs(5);
+        let threads = threads_for(threaded, shards);
+        let expect = Reference::new(seed, n, hops, churn).run(horizon);
+        let mut plain = build_sharded(seed, n, hops, churn, shards);
+        plain.run_parallel(horizon, threads);
+        let mut hooked = build_hooked(seed, n, hops, churn, shards);
+        hooked.run_parallel(horizon, threads);
+        for shard in 0..plain.partition().shards() {
+            let want = expect.dispatched_at(plain.partition(), shard);
+            prop_assert_eq!(&plain.world(shard).dispatched, &want, "default hooks, shard {}", shard);
+            prop_assert_eq!(&hooked.world(shard).inner.dispatched, &want, "logging hooks, shard {}", shard);
+        }
+        prop_assert_eq!(collect_nodes(&plain), expect.nodes);
+        prop_assert_eq!(plain.windows(), hooked.windows());
+        prop_assert_eq!(plain.pending(), hooked.pending());
+    }
+
+    /// The hook contract and the window boundaries, over random worlds.
+    #[test]
+    fn hook_contract_holds_in_every_window(
+        seed in any::<u64>(),
+        n in 2usize..200,
+        shards in 1usize..5,
+        hops in 0u8..8,
+        churn in any::<bool>(),
+        threaded in any::<bool>(),
+    ) {
+        let horizon = SimTime::from_millis(1_500);
+        let threads = threads_for(threaded, shards);
+        let checked = check_hook_contract(seed, n, shards, hops, churn, threads, horizon);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+
+    /// An event budget stops the run on the window boundary the reference
+    /// reaches it on — popping ahead never dispatches past it, and
+    /// nothing stays popped: `pending()` agrees too. Resumed, the run
+    /// ends where an unbudgeted one does.
+    #[test]
+    fn event_budget_stops_on_the_reference_boundary(
+        seed in any::<u64>(),
+        n in 2usize..120,
+        shards in 1usize..5,
+        budget in 1u64..2_000,
+        threaded in any::<bool>(),
+    ) {
+        let horizon = SimTime::from_secs(5);
+        let threads = threads_for(threaded, shards);
+        let mut reference = Reference::new(seed, n, 8, true);
+        let mut outcome = RunOutcome::EventBudgetExhausted;
+        while (reference.dispatched.len() as u64) < budget {
+            if reference.window(horizon).is_none() {
+                // Ran dry, or the next event lies at or past the horizon.
+                outcome = match reference.q.len() {
+                    0 => RunOutcome::Exhausted,
+                    _ => RunOutcome::ReachedHorizon,
+                };
+                break;
+            }
+        }
+        let mut sim = build_sharded(seed, n, 8, true, shards);
+        sim.set_event_budget(budget);
+        prop_assert_eq!(sim.run_parallel(horizon, threads), outcome);
+        prop_assert_eq!(sim.processed(), reference.dispatched.len() as u64);
+        prop_assert_eq!(sim.pending(), reference.q.len());
+
+        sim.set_event_budget(u64::MAX);
+        sim.run_parallel(horizon, threads);
+        let expect = reference.run(horizon);
+        prop_assert_eq!(sim.processed(), expect.dispatched.len() as u64);
+        prop_assert_eq!(sim.pending(), expect.q.len());
+    }
+}
+
+/// The contract in both regimes the ring meets, on one dense world: the
+/// opening windows hold several rings' worth of events per shard, the
+/// tail of the cascade a handful.
+#[test]
+fn hook_contract_spans_windows_shorter_and_longer_than_the_ring() {
+    for (shards, threads) in [(1, 1), (2, 1), (4, 1), (3, 3)] {
+        let (smallest, largest) = check_hook_contract(
+            0xD15C0,
+            600,
+            shards,
+            6,
+            true,
+            threads,
+            SimTime::from_secs(3),
+        )
+        .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
+        assert!(
+            smallest < RING / 2,
+            "{shards} shards: no short window ({smallest})"
+        );
+        assert!(
+            largest >= 3 * RING,
+            "{shards} shards: no long window ({largest})"
+        );
     }
 }

@@ -6,6 +6,7 @@
 //! the offset: `ItemId(c * per_cat + rank)` where rank 0 is the category's
 //! most popular song. This makes rank↔id conversion free.
 
+use crate::config::WorkloadConfig;
 use crate::dist::Zipf;
 use ddr_sim::ItemId;
 use rand::Rng;
@@ -33,6 +34,11 @@ pub struct Catalog {
     song_zipf: Zipf,
     /// Popularity of categories for user-assignment (Zipf over categories).
     category_zipf: Zipf,
+    /// The sharper within-category curve queries follow while a flash
+    /// crowd is active (`FlashCrowd::spike_theta`); `None` for a workload
+    /// without one. One table per world: every user's
+    /// [`crate::QueryGenerator`] reads this one.
+    spike_zipf: Option<Zipf>,
 }
 
 impl Catalog {
@@ -55,7 +61,18 @@ impl Catalog {
             per_category,
             song_zipf: Zipf::new(per_category as usize, theta),
             category_zipf: Zipf::new(categories as usize, theta),
+            spike_zipf: None,
         }
+    }
+
+    /// The catalog of `config`, with the flash-crowd spike table when the
+    /// workload has a crowd — what a world hands its query generators.
+    pub fn for_workload(config: &WorkloadConfig) -> Self {
+        let mut catalog = Catalog::new(config.songs, config.categories, config.theta);
+        catalog.spike_zipf = config
+            .flash_crowd
+            .map(|crowd| Zipf::new(catalog.per_category as usize, crowd.spike_theta));
+        catalog
     }
 
     /// The paper's catalog: 200 000 songs, 50 categories, θ = 0.9.
@@ -99,23 +116,40 @@ impl Catalog {
         self.item_at(category, rank)
     }
 
+    /// Sample a song from `category` by the flash-crowd popularity curve.
+    ///
+    /// # Panics
+    /// Panics unless the catalog came from [`Catalog::for_workload`] with
+    /// a crowd configured — a generator with a crowd met a catalog
+    /// without one, which is a wiring bug in the world.
+    pub fn sample_spiked_song<R: Rng + ?Sized>(&self, rng: &mut R, category: CategoryId) -> ItemId {
+        let spike = self
+            .spike_zipf
+            .as_ref()
+            .expect("catalog built without the flash-crowd spike table");
+        self.item_at(category, spike.sample(rng) as u32)
+    }
+
     /// Sample a category by popularity (user-to-category assignment).
     pub fn sample_category<R: Rng + ?Sized>(&self, rng: &mut R) -> CategoryId {
         CategoryId(self.category_zipf.sample(rng) as u16)
     }
 
-    /// Sample `k` distinct songs from `category` by popularity.
+    /// Fill `out` with distinct songs from `category`, drawn by
+    /// popularity and written in ascending id order. `marks` is the
+    /// reusable scratch of [`Zipf::sample_distinct`].
     pub fn sample_distinct_songs<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         category: CategoryId,
-        k: usize,
-    ) -> Vec<ItemId> {
+        marks: &mut Vec<u64>,
+        out: &mut [ItemId],
+    ) {
+        let mut slots = out.iter_mut();
         self.song_zipf
-            .sample_distinct(rng, k)
-            .into_iter()
-            .map(|rank| self.item_at(category, rank as u32))
-            .collect()
+            .sample_distinct(rng, slots.len(), marks, |rank| {
+                *slots.next().expect("one rank per slot") = self.item_at(category, rank as u32);
+            });
     }
 }
 
@@ -196,10 +230,9 @@ mod tests {
     fn distinct_songs_unique_and_in_category() {
         let c = Catalog::paper();
         let mut rng = SmallRng::seed_from_u64(3);
-        let songs = c.sample_distinct_songs(&mut rng, CategoryId(7), 100);
-        assert_eq!(songs.len(), 100);
-        let set: std::collections::HashSet<_> = songs.iter().collect();
-        assert_eq!(set.len(), 100);
+        let mut songs = [ItemId(0); 100];
+        c.sample_distinct_songs(&mut rng, CategoryId(7), &mut Vec::new(), &mut songs);
+        assert!(songs.windows(2).all(|w| w[0] < w[1]));
         for &s in &songs {
             assert_eq!(c.category_of(s), CategoryId(7));
         }

@@ -84,26 +84,42 @@ impl Zipf {
     }
 
     /// Draw `k` *distinct* ranks (popularity-weighted sampling without
-    /// replacement, by rejection). `k` must not exceed the domain size.
+    /// replacement, by rejection) and hand them to `emit` in ascending
+    /// order. `k` must not exceed the domain size. `marks` is scratch — a
+    /// rank bitset the routine clears and sizes itself, so a caller
+    /// drawing many sets (six per user profile) allocates it once.
     ///
     /// Rejection is efficient here because the workload draws ≪ n ranks
     /// per category (≈ 100 of 4 000); a safety valve falls back to filling
     /// with the lowest unused ranks if rejection stalls (possible only for
     /// extreme θ where the head dominates).
-    pub fn sample_distinct<R: Rng + ?Sized>(&self, rng: &mut R, k: usize) -> Vec<usize> {
+    pub fn sample_distinct<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        k: usize,
+        marks: &mut Vec<u64>,
+        mut emit: impl FnMut(usize),
+    ) {
         assert!(
             k <= self.len(),
             "cannot draw {k} distinct of {}",
             self.len()
         );
-        let mut chosen = ddr_sim::hash::fast_set();
-        let mut out = Vec::with_capacity(k);
+        marks.clear();
+        marks.resize(self.len().div_ceil(64), 0);
+        // Whether `r` was unmarked; marks it either way.
+        let mut mark = |r: usize| {
+            let (word, bit) = (&mut marks[r / 64], 1u64 << (r % 64));
+            let fresh = *word & bit == 0;
+            *word |= bit;
+            fresh
+        };
+        let mut chosen = 0usize;
         let mut stall = 0usize;
         let stall_limit = 50 * k.max(8);
-        while out.len() < k {
-            let r = self.sample(rng);
-            if chosen.insert(r) {
-                out.push(r);
+        while chosen < k {
+            if mark(self.sample(rng)) {
+                chosen += 1;
                 stall = 0;
             } else {
                 stall += 1;
@@ -111,17 +127,21 @@ impl Zipf {
                     // Fill deterministically with the most popular unused
                     // ranks; hit only under degenerate θ.
                     for r in 0..self.len() {
-                        if out.len() == k {
+                        if chosen == k {
                             break;
                         }
-                        if chosen.insert(r) {
-                            out.push(r);
-                        }
+                        chosen += mark(r) as usize;
                     }
                 }
             }
         }
-        out
+        for (w, &word) in marks.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                emit(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
@@ -308,21 +328,22 @@ mod tests {
     }
 
     #[test]
-    fn zipf_distinct_has_no_duplicates_and_right_size() {
+    fn zipf_distinct_is_strictly_ascending_and_right_size() {
         let z = Zipf::new(4_000, 0.9);
         let mut rng = SmallRng::seed_from_u64(2);
-        let picks = z.sample_distinct(&mut rng, 100);
+        let mut picks = Vec::new();
+        z.sample_distinct(&mut rng, 100, &mut Vec::new(), |r| picks.push(r));
         assert_eq!(picks.len(), 100);
-        let set: std::collections::HashSet<_> = picks.iter().collect();
-        assert_eq!(set.len(), 100);
+        assert!(picks.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
-    fn zipf_distinct_full_domain() {
+    fn zipf_distinct_full_domain_reuses_dirty_marks() {
         let z = Zipf::new(16, 1.2);
         let mut rng = SmallRng::seed_from_u64(3);
-        let mut picks = z.sample_distinct(&mut rng, 16);
-        picks.sort_unstable();
+        let mut marks = vec![!0u64; 9];
+        let mut picks = Vec::new();
+        z.sample_distinct(&mut rng, 16, &mut marks, |r| picks.push(r));
         assert_eq!(picks, (0..16).collect::<Vec<_>>());
     }
 

@@ -155,6 +155,8 @@ pub fn generate_profiles(
     let (lo, hi) = config.library_bounds();
     let lib_dist = TruncatedGaussian::new(config.library_mean, config.library_std, lo, hi);
 
+    // Rank bitset shared by every distinct draw of every user.
+    let mut marks = Vec::new();
     (0..config.users)
         .map(|i| {
             let mut rng = rngs.stream("profile", i as u64);
@@ -184,21 +186,25 @@ pub fn generate_profiles(
                 (total - favorite_count) / secondary.len()
             };
 
-            let mut library: Vec<ItemId> = Vec::with_capacity(total);
-            library.extend(catalog.sample_distinct_songs(&mut rng, favorite, favorite_count));
-            for &cat in &secondary {
-                library.extend(catalog.sample_distinct_songs(&mut rng, cat, per_secondary));
+            // A category owns a contiguous id range and a run comes out
+            // ascending, so the sorted library is the runs laid end to
+            // end in category order: each run is drawn (favourite first,
+            // as ever) straight into the place its category's rank among
+            // the drawn ones gives it, and nothing is sorted.
+            let mut library = vec![ItemId(0); favorite_count + per_secondary * secondary.len()];
+            let runs = std::iter::once((favorite, favorite_count))
+                .chain(secondary.iter().map(|&cat| (cat, per_secondary)));
+            for (cat, count) in runs {
+                let start = if favorite < cat { favorite_count } else { 0 }
+                    + per_secondary * secondary.iter().filter(|&&c| c < cat).count();
+                let run = &mut library[start..start + count];
+                catalog.sample_distinct_songs(&mut rng, cat, &mut marks, run);
             }
-            library.sort_unstable();
-            debug_assert!(no_duplicates(&library));
+            debug_assert!(library.windows(2).all(|w| w[0] < w[1]));
 
             UserProfile::from_parts(NodeId::from_index(i), favorite, secondary, library)
         })
         .collect()
-}
-
-fn no_duplicates(sorted: &[ItemId]) -> bool {
-    sorted.windows(2).all(|w| w[0] != w[1])
 }
 
 #[cfg(test)]

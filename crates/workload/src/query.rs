@@ -5,28 +5,20 @@
 
 use crate::catalog::{Catalog, CategoryId};
 use crate::config::{FlashCrowd, WorkloadConfig};
-use crate::dist::{Exponential, Zipf};
+use crate::dist::Exponential;
 use crate::profile::UserProfile;
 use ddr_sim::{ItemId, RngFactory, SimDuration};
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// Flash-crowd state shared by shape across all users: the spiked
-/// category and the sharper within-category popularity curve used while
-/// the crowd is active.
-#[derive(Debug)]
-struct FlashSpike {
-    crowd: FlashCrowd,
-    category: CategoryId,
-    zipf: Zipf,
-}
 
 /// Per-user query stream.
 #[derive(Debug)]
 pub struct QueryGenerator {
     interval: Exponential,
     favorite_fraction: f64,
-    flash: Option<FlashSpike>,
+    /// The crowd's window and category; its popularity curve is the
+    /// world's one table in the [`Catalog`].
+    flash: Option<FlashCrowd>,
     rng: SmallRng,
 }
 
@@ -36,14 +28,7 @@ impl QueryGenerator {
         QueryGenerator {
             interval: Exponential::from_mean(config.mean_query_interval.as_millis() as f64),
             favorite_fraction: config.favorite_fraction,
-            flash: config.flash_crowd.map(|crowd| FlashSpike {
-                crowd,
-                category: CategoryId(crowd.category),
-                zipf: Zipf::new(
-                    (config.songs / config.categories as u32) as usize,
-                    crowd.spike_theta,
-                ),
-            }),
+            flash: config.flash_crowd,
             rng: rngs.stream("query", user),
         }
     }
@@ -81,24 +66,24 @@ impl QueryGenerator {
     /// whether callers pass the clock or not. Inside the window, each query
     /// is redirected to the spiked category with probability equal to the
     /// trapezoid intensity, and the song is drawn from the sharper
-    /// `spike_theta` popularity curve.
+    /// `spike_theta` popularity curve — `catalog` must then come from
+    /// [`Catalog::for_workload`], which builds that curve once per world.
     pub fn next_target_at(
         &mut self,
         catalog: &Catalog,
         profile: &UserProfile,
         hour: f64,
     ) -> ItemId {
-        let Some(flash) = &self.flash else {
+        let Some(flash) = self.flash else {
             return self.next_target(catalog, profile);
         };
-        let w = flash.crowd.intensity(hour);
+        let w = flash.intensity(hour);
         if w <= 0.0 {
             return self.next_target(catalog, profile);
         }
         for _ in 0..64 {
             let item = if self.rng.gen::<f64>() < w {
-                let rank = flash.zipf.sample(&mut self.rng) as u32;
-                catalog.item_at(flash.category, rank)
+                catalog.sample_spiked_song(&mut self.rng, CategoryId(flash.category))
             } else {
                 let cat = profile.sample_preferred_category(&mut self.rng, self.favorite_fraction);
                 catalog.sample_song(&mut self.rng, cat)
@@ -235,8 +220,9 @@ mod tests {
 
     #[test]
     fn flash_crowd_redirects_queries_at_peak() {
-        let (_, cat, profiles, rngs) = setup();
+        let (_, _, profiles, rngs) = setup();
         let cfg = crowd_cfg();
+        let cat = Catalog::for_workload(&cfg);
         let p = &profiles[2];
         let spiked = CategoryId(7);
         assert_ne!(p.favorite, spiked, "test profile must not favour the spike");

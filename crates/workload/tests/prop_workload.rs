@@ -1,8 +1,129 @@
 //! Property-based tests for workload generation invariants.
 
-use ddr_sim::RngFactory;
-use ddr_workload::{generate_profiles, Catalog, WorkloadConfig, Zipf};
+use ddr_sim::{ItemId, RngFactory};
+use ddr_workload::{
+    generate_profiles, Catalog, CategoryId, TruncatedGaussian, WorkloadConfig, Zipf,
+};
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::Rng;
+use std::collections::HashSet;
+
+/// The hash-set formulation `Zipf::sample_distinct` replaced, kept as the
+/// executable model: ranks in draw order, and whether rejection stalled
+/// into the lowest-unused-ranks fallback.
+fn sample_distinct_model<R: Rng + ?Sized>(z: &Zipf, rng: &mut R, k: usize) -> (Vec<usize>, bool) {
+    let mut chosen = HashSet::new();
+    let mut out = Vec::with_capacity(k);
+    let mut stall = 0usize;
+    let mut fell_back = false;
+    let stall_limit = 50 * k.max(8);
+    while out.len() < k {
+        let r = z.sample(rng);
+        if chosen.insert(r) {
+            out.push(r);
+            stall = 0;
+        } else {
+            stall += 1;
+            if stall > stall_limit {
+                fell_back = true;
+                for r in 0..z.len() {
+                    if out.len() == k {
+                        break;
+                    }
+                    if chosen.insert(r) {
+                        out.push(r);
+                    }
+                }
+            }
+        }
+    }
+    (out, fell_back)
+}
+
+/// `generate_profiles` as it was before the libraries were drawn in
+/// place: one hash-set draw per category, concatenated, then sorted.
+fn libraries_by_sort(
+    cfg: &WorkloadConfig,
+    catalog: &Catalog,
+    rngs: &RngFactory,
+) -> Vec<Vec<ItemId>> {
+    let (lo, hi) = cfg.library_bounds();
+    let lib_dist = TruncatedGaussian::new(cfg.library_mean, cfg.library_std, lo, hi);
+    let song_zipf = Zipf::new(catalog.per_category() as usize, cfg.theta);
+    (0..cfg.users)
+        .map(|i| {
+            let mut rng = rngs.stream("profile", i as u64);
+            let favorite = catalog.sample_category(&mut rng);
+            let mut pool: Vec<u16> = (0..catalog.categories())
+                .filter(|&c| c != favorite.0)
+                .collect();
+            pool.shuffle(&mut rng);
+            pool.truncate(cfg.secondary_categories);
+            let total = lib_dist
+                .sample_count(&mut rng)
+                .max(cfg.secondary_categories + 1);
+            let favorite_count =
+                ((total as f64 * cfg.favorite_fraction).round() as usize).min(total);
+            let per_secondary = (total - favorite_count)
+                .checked_div(pool.len())
+                .unwrap_or(0);
+            let runs = std::iter::once((favorite, favorite_count))
+                .chain(pool.iter().map(|&c| (CategoryId(c), per_secondary)));
+            let mut library = Vec::with_capacity(total);
+            for (cat, count) in runs {
+                let (ranks, _) = sample_distinct_model(&song_zipf, &mut rng, count);
+                library.extend(ranks.into_iter().map(|r| catalog.item_at(cat, r as u32)));
+            }
+            library.sort_unstable();
+            library
+        })
+        .collect()
+}
+
+/// Every library equals the sort-based formulation's, at paper density
+/// (a library holds ≈ 2.5 % of a category) and in a small catalog where
+/// the favourite run takes half its category and rejection works hard.
+#[test]
+fn libraries_equal_the_sort_based_formulation() {
+    let paper = WorkloadConfig {
+        users: 40,
+        ..WorkloadConfig::paper()
+    };
+    let dense = WorkloadConfig {
+        users: 40,
+        songs: 10_000,
+        ..WorkloadConfig::paper()
+    };
+    for cfg in [paper, dense] {
+        let catalog = Catalog::new(cfg.songs, cfg.categories, cfg.theta);
+        for seed in [7, 51, 0xD15C0] {
+            let rngs = RngFactory::new(seed);
+            let expect = libraries_by_sort(&cfg, &catalog, &rngs);
+            let got = generate_profiles(&cfg, &catalog, &rngs);
+            assert_eq!(got.len(), expect.len());
+            for (p, want) in got.iter().zip(&expect) {
+                assert_eq!(p.library(), &want[..], "seed {seed}, user {}", p.node);
+            }
+        }
+    }
+}
+
+/// At θ = 4 rank 0 carries 92 % of the mass: drawing the whole domain
+/// must go through the stall fallback, in the model and in the routine.
+#[test]
+fn distinct_draw_stall_fallback_matches_the_model() {
+    let z = Zipf::new(64, 4.0);
+    let mut model_rng = RngFactory::new(9).stream("zipf", 0);
+    let mut rng = RngFactory::new(9).stream("zipf", 0);
+    let (mut want, fell_back) = sample_distinct_model(&z, &mut model_rng, 64);
+    assert!(fell_back, "the case is meant to stall");
+    want.sort_unstable();
+    let mut got = Vec::new();
+    z.sample_distinct(&mut rng, 64, &mut Vec::new(), |r| got.push(r));
+    assert_eq!(got, want);
+    assert_eq!(rng.gen::<u64>(), model_rng.gen::<u64>());
+}
 
 proptest! {
     /// Zipf PMFs are positive, non-increasing in rank, and sum to 1.
@@ -21,25 +142,40 @@ proptest! {
         prop_assert!((total - 1.0).abs() < 1e-6, "pmf sums to {total}");
     }
 
-    /// Samples always land in the domain; distinct sampling returns the
-    /// requested count without duplicates.
+    /// Samples always land in the domain.
     #[test]
-    fn zipf_sampling_in_domain(
-        n in 1usize..500,
-        theta in 0.0f64..1.5,
-        seed in any::<u64>(),
-        k_frac in 0.0f64..1.0,
-    ) {
+    fn zipf_sampling_in_domain(n in 1usize..500, theta in 0.0f64..1.5, seed in any::<u64>()) {
         let z = Zipf::new(n, theta);
         let mut rng = RngFactory::new(seed).stream("zipf", 0);
         for _ in 0..100 {
             prop_assert!(z.sample(&mut rng) < n);
         }
+    }
+
+    /// The bitset distinct draw against the hash-set model: the same rank
+    /// set, emitted strictly ascending, from the same draws — the RNG is
+    /// left in the same state — whatever the scratch held before, and
+    /// through the stall fallback (θ = 4 with `k` near `n`).
+    #[test]
+    fn distinct_draw_matches_hash_set_model(
+        n in 1usize..500,
+        theta in prop_oneof![0.0f64..1.5, Just(4.0)],
+        seed in any::<u64>(),
+        k_frac in 0.0f64..1.1,
+        stale in any::<u64>(),
+    ) {
+        let z = Zipf::new(n, theta);
         let k = ((n as f64 * k_frac) as usize).min(n);
-        let picks = z.sample_distinct(&mut rng, k);
-        prop_assert_eq!(picks.len(), k);
-        let set: std::collections::HashSet<_> = picks.iter().collect();
-        prop_assert_eq!(set.len(), k);
+        let mut model_rng = RngFactory::new(seed).stream("zipf", 0);
+        let mut rng = RngFactory::new(seed).stream("zipf", 0);
+        let (mut want, _) = sample_distinct_model(&z, &mut model_rng, k);
+        want.sort_unstable();
+        let mut marks = vec![stale; 3];
+        let mut got = Vec::new();
+        z.sample_distinct(&mut rng, k, &mut marks, |r| got.push(r));
+        prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "not strictly ascending");
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(rng.gen::<u64>(), model_rng.gen::<u64>());
     }
 
     /// Generated profiles always satisfy the structural invariants for
