@@ -19,9 +19,16 @@ cargo check --offline --manifest-path benchmark/Cargo.toml
 echo "==> tracked Rust lines and the per-file ceiling"
 # The count every simplicity PR quotes; and no file under crates/*/src may
 # pass 1,000 lines, so split modules do not silently grow back into one.
+# Files past 800 are listed without failing: the next PR that touches one
+# splits it first, instead of a reviewer finding it with wc.
 echo "    $(git ls-files crates src tests examples vendor | grep '\.rs$' | xargs cat | wc -l) lines under crates/ src/ tests/ examples/ vendor/"
-OVERSIZE=$(git ls-files 'crates/*/src/*.rs' | xargs wc -l \
-    | awk '$2 != "total" && $1 > 1000 { print "    " $2 ": " $1 " lines" }')
+over() {
+    git ls-files 'crates/*/src/*.rs' | xargs wc -l \
+        | awk -v max="$1" '$2 != "total" && $1 > max { print "    " $2 ": " $1 " lines" }'
+}
+NEARING=$(over 800)
+test -z "$NEARING" || { echo "    over 800 lines (ceiling 1,000):"; echo "$NEARING"; }
+OVERSIZE=$(over 1000)
 test -z "$OVERSIZE" \
     || { echo "$OVERSIZE" >&2; echo "source file over 1,000 lines: split it" >&2; exit 1; }
 

@@ -7,6 +7,7 @@
 //! docs for the substitution rationale).
 
 use crate::bandwidth::BandwidthClass;
+use ddr_sim::rng::standard_normal;
 use ddr_sim::SimDuration;
 use rand::Rng;
 
@@ -118,15 +119,6 @@ impl DelayModel {
     }
 }
 
-/// One standard-normal sample via Box–Muller (the cosine branch only; the
-/// sine branch is discarded to keep the sampler stateless).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Avoid ln(0) by sampling u1 from the half-open interval (0, 1].
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,14 +188,6 @@ mod tests {
         let std = var.sqrt();
         // truncation + rounding shrink σ slightly below 20
         assert!((17.0..22.0).contains(&std), "std drifted: {std}");
-    }
-
-    #[test]
-    fn standard_normal_is_centred() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let n = 100_000;
-        let sum: f64 = (0..n).map(|_| standard_normal(&mut rng)).sum();
-        assert!((sum / n as f64).abs() < 0.02);
     }
 
     #[test]

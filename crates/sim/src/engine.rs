@@ -8,7 +8,7 @@
 
 use crate::event::{EventQueue, Scheduler};
 use crate::metrics::MetricsHub;
-use crate::probe::{EventLabel, KernelProbe, QueueSample};
+use crate::probe::{EventLabel, KernelProbe};
 use crate::time::SimTime;
 
 /// Simulation state + event semantics.
@@ -125,6 +125,50 @@ impl<W: World> Simulation<W> {
     /// *not* processed (half-open interval `[now, horizon)`), which makes
     /// `run(h1); run(h2)` equivalent to `run(h2)` for `h1 <= h2`.
     pub fn run(&mut self, horizon: SimTime) -> RunOutcome {
+        self.dispatch_until(horizon, |world, now, event, queue| {
+            world.handle(now, event, &mut Scheduler::new(queue));
+        })
+    }
+
+    /// Like [`run`](Self::run), but reporting every dispatch (event label
+    /// and wall time inside `World::handle`) and a periodic queue snapshot
+    /// to `probe`. Same loop, same event sequence, same final world; the
+    /// label, the timer and the snapshot live in the closure passed here,
+    /// so `run`'s instantiation of the loop stays timer-free.
+    pub fn run_probed<P>(&mut self, horizon: SimTime, probe: &mut P) -> RunOutcome
+    where
+        W::Event: EventLabel,
+        P: KernelProbe,
+    {
+        /// Dispatches between queue snapshots. A snapshot walks the wheel
+        /// (`retained_slots`), so big wheels sample no more often than
+        /// once per `wheel_buckets` dispatches: O(1) amortised per event.
+        const SAMPLE_EVERY: u64 = 4_096;
+        let sample_every = SAMPLE_EVERY.max(self.queue.wheel_buckets() as u64);
+        // Counted from the kernel's total, so the sampling cadence carries
+        // across hour-by-hour calls.
+        let mut processed = self.processed;
+        self.dispatch_until(horizon, |world, now, event, queue| {
+            let label = event.label();
+            let start = std::time::Instant::now();
+            world.handle(now, event, &mut Scheduler::new(queue));
+            probe.on_dispatch(label, start.elapsed().as_nanos() as u64);
+            processed += 1;
+            if processed.is_multiple_of(sample_every) {
+                probe.on_queue_sample(queue.sample());
+            }
+        })
+    }
+
+    /// The dispatch loop: pop in `(time, seq)` order up to `horizon` or
+    /// the event budget, and hand each event to `dispatch` — which calls
+    /// [`World::handle`], bare or wrapped in a probe's instruments.
+    #[inline]
+    fn dispatch_until(
+        &mut self,
+        horizon: SimTime,
+        mut dispatch: impl FnMut(&mut W, SimTime, W::Event, &mut EventQueue<W::Event>),
+    ) -> RunOutcome {
         loop {
             match self.queue.peek_time() {
                 None => return RunOutcome::Exhausted,
@@ -143,77 +187,7 @@ impl<W: World> Simulation<W> {
             if let Some(next) = self.queue.peek_event() {
                 self.world.prefetch(next);
             }
-            let mut sched = Scheduler::new(&mut self.queue);
-            self.world.handle(now, event, &mut sched);
-        }
-    }
-
-    /// Like [`run`](Self::run), but reporting every dispatch (event label
-    /// and wall time inside `World::handle`) and a periodic queue snapshot
-    /// to `probe`. Kept as a separate twin so the default hot loop stays
-    /// timer-free; the event sequence — and therefore the world's final
-    /// state — is identical to an unprobed run.
-    pub fn run_probed<P>(&mut self, horizon: SimTime, probe: &mut P) -> RunOutcome
-    where
-        W::Event: EventLabel,
-        P: KernelProbe,
-    {
-        /// Dispatches between queue snapshots. A snapshot walks the wheel
-        /// (`retained_slots`), so big wheels sample no more often than
-        /// once per `wheel_buckets` dispatches: O(1) amortised per event.
-        const SAMPLE_EVERY: u64 = 4_096;
-        let sample_every = SAMPLE_EVERY.max(self.queue.wheel_buckets() as u64);
-        loop {
-            match self.queue.peek_time() {
-                None => return RunOutcome::Exhausted,
-                Some(t) if t >= horizon => return RunOutcome::ReachedHorizon,
-                Some(_) => {}
-            }
-            if self.processed >= self.event_budget {
-                return RunOutcome::EventBudgetExhausted;
-            }
-            let (now, event) = self.queue.pop().expect("peeked event vanished");
-            self.processed += 1;
-            if let Some(next) = self.queue.peek_event() {
-                self.world.prefetch(next);
-            }
-            let label = event.label();
-            let mut sched = Scheduler::new(&mut self.queue);
-            let start = std::time::Instant::now();
-            self.world.handle(now, event, &mut sched);
-            probe.on_dispatch(label, start.elapsed().as_nanos() as u64);
-            if self.processed.is_multiple_of(sample_every) {
-                probe.on_queue_sample(QueueSample {
-                    pending: self.queue.len(),
-                    overflow: self.queue.overflow_len(),
-                    occupied_buckets: self.queue.occupied_buckets(),
-                    migrations: self.queue.migrations(),
-                    retained_slots: self.queue.retained_slots(),
-                });
-            }
-        }
-    }
-
-    /// Process exactly one event if any is pending before `horizon`.
-    /// Returns the timestamp of the processed event.
-    ///
-    /// Honors the event budget just like [`run`](Self::run): once
-    /// `processed` reaches the cap, `step` refuses (returns `None`)
-    /// instead of processing further events, so single-stepping cannot
-    /// sneak past the runaway-loop protection.
-    pub fn step(&mut self, horizon: SimTime) -> Option<SimTime> {
-        if self.processed >= self.event_budget {
-            return None;
-        }
-        match self.queue.peek_time() {
-            Some(t) if t < horizon => {
-                let (now, event) = self.queue.pop().expect("peeked event vanished");
-                self.processed += 1;
-                let mut sched = Scheduler::new(&mut self.queue);
-                self.world.handle(now, event, &mut sched);
-                Some(now)
-            }
-            _ => None,
+            dispatch(&mut self.world, now, event, &mut self.queue);
         }
     }
 }
@@ -288,40 +262,6 @@ mod tests {
         sim.schedule_at(SimTime::ZERO, ());
         assert_eq!(sim.run(SimTime::MAX), RunOutcome::EventBudgetExhausted);
         assert_eq!(sim.processed(), 1_000);
-    }
-
-    #[test]
-    fn step_processes_single_event() {
-        let mut sim = Simulation::new(Countdown {
-            remaining: 2,
-            fired_at: vec![],
-        });
-        sim.schedule_at(SimTime::from_millis(5), ());
-        assert_eq!(sim.step(SimTime::MAX), Some(SimTime::from_millis(5)));
-        assert_eq!(sim.world().fired_at.len(), 1);
-        // respects horizon
-        assert_eq!(sim.step(SimTime::from_millis(10)), None);
-        assert_eq!(sim.step(SimTime::MAX), Some(SimTime::from_millis(15)));
-    }
-
-    #[test]
-    fn step_respects_event_budget() {
-        let mut sim = Simulation::new(Countdown {
-            remaining: 10,
-            fired_at: vec![],
-        })
-        .with_event_budget(2);
-        sim.schedule_at(SimTime::ZERO, ());
-        assert_eq!(sim.step(SimTime::MAX), Some(SimTime::ZERO));
-        assert_eq!(sim.step(SimTime::MAX), Some(SimTime::from_millis(10)));
-        // Budget hit: the queue still has a pending event, but step must
-        // refuse rather than exceed the cap.
-        assert_eq!(sim.processed(), 2);
-        assert_eq!(sim.pending(), 1);
-        assert_eq!(sim.step(SimTime::MAX), None);
-        assert_eq!(sim.processed(), 2, "step processed past the event budget");
-        // run() agrees that the budget is exhausted.
-        assert_eq!(sim.run(SimTime::MAX), RunOutcome::EventBudgetExhausted);
     }
 
     #[test]

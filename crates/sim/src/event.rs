@@ -20,6 +20,7 @@
 //!   `tests/prop_kernel.rs` drive both with random interleavings
 //!   and assert identical pop sequences.
 
+use crate::probe::QueueSample;
 use crate::time::{SimDuration, SimTime};
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -487,6 +488,17 @@ impl<E> EventQueue<E> {
     /// Entries migrated overflow → wheel over the queue's lifetime.
     pub fn migrations(&self) -> u64 {
         self.migrations
+    }
+
+    /// The snapshot [`crate::Simulation::run_probed`] hands its probe.
+    pub(crate) fn sample(&self) -> QueueSample {
+        QueueSample {
+            pending: self.len(),
+            overflow: self.overflow_len(),
+            occupied_buckets: self.occupied_buckets(),
+            migrations: self.migrations(),
+            retained_slots: self.retained_slots(),
+        }
     }
 
     /// A [`Scheduler`] façade over this queue, for priming worlds before a

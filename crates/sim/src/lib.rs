@@ -16,16 +16,18 @@
 //!   differential tests.
 //! * [`Simulation`] and the [`World`] trait — a minimal driver loop.
 //! * [`rng`] — reproducible RNG plumbing: one root seed, split into
-//!   independent per-subsystem streams via SplitMix64.
+//!   independent per-subsystem streams via SplitMix64, and the one
+//!   Box–Muller sampler ([`rng::standard_normal`]).
 //! * [`hash`] — an FxHash-style integer hasher and `FastHashMap`/`FastHashSet`
 //!   aliases for the hot integer-keyed maps in the event loop (implemented
 //!   locally to keep the dependency set minimal).
 //! * [`probe`] — kernel-profiling hooks ([`EventLabel`], [`KernelProbe`])
-//!   consumed by [`Simulation::run_probed`]; the default `run` loop stays
-//!   instrumentation-free.
+//!   consumed by [`Simulation::run_probed`]; `run` is the same loop
+//!   compiled without them.
 //! * [`sharded`] — the conservative parallel kernel: nodes partitioned
 //!   across shards, each with its own calendar queue, advanced in
-//!   lookahead-bounded windows with a single-threaded deterministic
+//!   lookahead-bounded windows by one coordinator (on the calling thread
+//!   or over a worker per shard) with a single-threaded deterministic
 //!   cross-shard merge, so a parallel run is bit-identical to the serial
 //!   one.
 //! * [`parallelism`] — the one shared worker-count default every layer

@@ -1,9 +1,10 @@
 //! Kernel-instrumentation hooks for [`crate::Simulation::run_probed`].
 //!
-//! The default driver loop ([`crate::Simulation::run`]) is the measured
-//! hot path and carries no instrumentation. Profiling runs use the
-//! probed twin instead, which reports every dispatch (event-type label +
-//! wall time) and periodic calendar-queue statistics to a [`KernelProbe`].
+//! [`crate::Simulation::run`] is the measured hot path and carries no
+//! instrumentation. Profiling runs call `run_probed`, which drives the
+//! same dispatch loop with the handler call wrapped in a label and a
+//! timer, and reports every dispatch (event-type label + wall time) and
+//! periodic calendar-queue statistics to a [`KernelProbe`].
 //! The recording implementation lives downstream in `ddr-telemetry`; this
 //! module only defines the contract so the kernel stays dependency-free.
 

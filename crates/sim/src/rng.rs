@@ -12,7 +12,7 @@
 //! generator is `rand::rngs::SmallRng`, seeded from eight SplitMix64 outputs.
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// One SplitMix64 step: advances `state` and returns the next output.
 #[inline]
@@ -76,10 +76,20 @@ impl RngFactory {
     }
 }
 
+/// One standard-normal sample via Box–Muller (the cosine branch only; the
+/// sine branch is discarded to keep the sampler stateless). Shared by the
+/// latency model (`ddr-net`) and the workload samplers (`ddr-workload`).
+#[inline]
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    // Avoid ln(0) by sampling u1 from the half-open interval (0, 1].
+    let u1: f64 = 1.0 - rng.gen::<f64>();
+    let u2: f64 = rng.gen();
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn same_pair_same_stream() {
@@ -142,5 +152,13 @@ mod tests {
         // Determinism check (regression pin, not an external vector).
         let mut s2 = 1234567u64;
         assert_eq!(v1, splitmix64(&mut s2));
+    }
+
+    #[test]
+    fn standard_normal_is_centred() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        let n = 100_000;
+        let sum: f64 = (0..n).map(|_| standard_normal(&mut rng)).sum();
+        assert!((sum / n as f64).abs() < 0.02);
     }
 }

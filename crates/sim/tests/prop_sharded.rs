@@ -14,14 +14,19 @@
 //! that the hooks change nothing, that every event meets them in the
 //! promised order, and that nothing of a later window is ever popped.
 //!
+//! And it pins the profile: what a profiled run counts (windows, events
+//! and largest window per shard, merged and cross-shard events) is
+//! recomputed from the reference's own log, for both executors and for
+//! the two interleaved on one kernel.
+//!
 //! The world is deliberately *node-local* (a handler touches only the
 //! destination node's state and every send respects the lookahead):
 //! that is exactly the class of worlds the kernel's determinism
 //! contract covers (DESIGN.md §11).
 
 use ddr_sim::{
-    NodeId, Partition, ReferenceEventQueue, RunOutcome, ShardCtx, ShardWorld, ShardedSimulation,
-    SimDuration, SimTime,
+    NodeId, Partition, ReferenceEventQueue, RunOutcome, ShardCtx, ShardLane, ShardProfile,
+    ShardWorld, ShardedSimulation, SimDuration, SimTime,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -190,6 +195,8 @@ struct Reference {
     nodes: Vec<Node>,
     q: ReferenceEventQueue<(NodeId, Ev)>,
     dispatched: Vec<Dispatch>,
+    /// Every event a handler created, as `(from, to)`.
+    sent: Vec<(NodeId, NodeId)>,
 }
 
 impl Reference {
@@ -202,6 +209,7 @@ impl Reference {
             nodes: (0..n).map(|i| Node::new(seed, i)).collect(),
             q,
             dispatched: Vec::new(),
+            sent: Vec::new(),
         }
     }
 
@@ -214,7 +222,7 @@ impl Reference {
         while self.q.peek_time().is_some_and(|t| t < end) {
             let (now, (dest, ev)) = self.q.pop().expect("peeked event vanished");
             self.dispatched.push((now, dest, tag_of(&ev)));
-            let q = &mut self.q;
+            let (q, sent) = (&mut self.q, &mut self.sent);
             dispatch(
                 n,
                 &mut self.nodes[dest.index()],
@@ -226,6 +234,7 @@ impl Reference {
                     } else {
                         to
                     };
+                    sent.push((dest, to));
                     q.schedule_at(now + delay, (to, child));
                 },
             );
@@ -340,7 +349,7 @@ fn build_hooked(
     primed(worlds, partition, seed, hops, churn)
 }
 
-/// The kernel's ring size (`LOOKAHEAD_RING` in `sharded.rs`): how many
+/// The kernel's ring size (`LOOKAHEAD_RING` in `sharded/ring.rs`): how many
 /// events a shard may hold hinted but not yet handled.
 const RING: usize = 8;
 
@@ -460,9 +469,99 @@ fn collect_nodes(sim: &ShardedSimulation<TestShard>) -> Vec<Node> {
     sim.worlds().flat_map(|w| w.nodes.iter().cloned()).collect()
 }
 
+/// `profile` with its wall clocks zeroed: what it counts.
+fn counts_of(mut profile: ShardProfile) -> ShardProfile {
+    profile.merge_ns = 0;
+    for lane in &mut profile.lanes {
+        (lane.work_ns, lane.barrier_ns, lane.stall_ns) = (0, 0, 0);
+    }
+    profile
+}
+
+impl Reference {
+    /// [`run`](Self::run), recomputing from the reference's own log what
+    /// a profiled kernel over `partition` has to count on the way.
+    fn run_counting(mut self, partition: &Partition, horizon: SimTime) -> (Self, ShardProfile) {
+        let lane = |shard| ShardLane {
+            shard,
+            ..ShardLane::default()
+        };
+        let mut counts = ShardProfile {
+            lanes: (0..partition.shards()).map(lane).collect(),
+            ..ShardProfile::default()
+        };
+        loop {
+            let from = self.dispatched.len();
+            if self.window(horizon).is_none() {
+                break;
+            }
+            counts.windows += 1;
+            let mut in_window = vec![0; partition.shards()];
+            for d in &self.dispatched[from..] {
+                in_window[partition.shard_of(d.1)] += 1;
+            }
+            for (lane, n) in counts.lanes.iter_mut().zip(in_window) {
+                lane.events += n;
+                lane.max_window_events = lane.max_window_events.max(n);
+            }
+        }
+        let crosses =
+            |&&(from, to): &&(NodeId, NodeId)| partition.shard_of(from) != partition.shard_of(to);
+        counts.merged_events = self.sent.len() as u64;
+        counts.cross_shard_events = self.sent.iter().filter(crosses).count() as u64;
+        (self, counts)
+    }
+}
+
+/// A generated world: `(seed, nodes, hops, churn)`.
+type WorldSpec = (u64, usize, u8, bool);
+
+/// A *profiled* kernel over `world`, advanced to `horizon` by `drive`,
+/// against the reference: the outcome, node states, `processed()`,
+/// `pending()`, and the profile's counts recomputed from the reference's
+/// log. `whole`
+/// says `drive` is one call; a run cut in two moves the later window
+/// boundaries, and then only the event counts are the reference's.
+fn check_profiled_run(
+    (seed, n, hops, churn): WorldSpec,
+    shards: usize,
+    horizon: SimTime,
+    whole: bool,
+    drive: impl FnOnce(&mut ShardedSimulation<TestShard>) -> RunOutcome,
+) -> (ShardedSimulation<TestShard>, ShardProfile) {
+    let partition = Partition::contiguous(n, shards);
+    let (expect, mut want) = Reference::new(seed, n, hops, churn).run_counting(&partition, horizon);
+    let mut sim = build_sharded(seed, n, hops, churn, shards);
+    sim.enable_profiling();
+    let drained = match expect.q.len() {
+        0 => RunOutcome::Exhausted,
+        _ => RunOutcome::ReachedHorizon,
+    };
+    assert_eq!(drive(&mut sim), drained);
+    assert_eq!(&collect_nodes(&sim), &expect.nodes);
+    assert_eq!(sim.processed(), expect.dispatched.len() as u64);
+    assert_eq!(sim.pending(), expect.q.len());
+    let profile = sim.profile().expect("profiling is on");
+    assert_eq!(profile.windows, sim.windows());
+    let mut got = counts_of(profile.clone());
+    if !whole {
+        for counts in [&mut got, &mut want] {
+            counts.windows = 0;
+            counts
+                .lanes
+                .iter_mut()
+                .for_each(|lane| lane.max_window_events = 0);
+        }
+    }
+    assert_eq!(got, want);
+    (sim, profile)
+}
+
 proptest! {
     /// Sharded serial execution == the reference heap, for every shard
-    /// count, seed, fan-out depth, and churn schedule.
+    /// count, seed, fan-out depth, and churn schedule — profiled or not:
+    /// profiling is the same run, what it counts is what the reference
+    /// did, and nothing waits on the calling thread.
     #[test]
     fn sharded_matches_reference(
         seed in any::<u64>(),
@@ -472,15 +571,21 @@ proptest! {
         churn in any::<bool>(),
     ) {
         let horizon = SimTime::from_secs(30);
-        let expect = Reference::new(seed, n, hops, churn).run(horizon);
-        let mut sim = build_sharded(seed, n, hops, churn, shards);
-        sim.run(horizon);
-        prop_assert_eq!(collect_nodes(&sim), expect.nodes);
-        prop_assert_eq!(sim.processed(), expect.dispatched.len() as u64);
+        let mut plain = build_sharded(seed, n, hops, churn, shards);
+        plain.run(horizon);
+        prop_assert!(plain.profile().is_none());
+        let (sim, profile) =
+            check_profiled_run((seed, n, hops, churn), shards, horizon, true, |sim| sim.run(horizon));
+        prop_assert_eq!(collect_nodes(&plain), collect_nodes(&sim));
+        prop_assert_eq!(plain.processed(), sim.processed());
+        prop_assert_eq!(plain.windows(), sim.windows());
+        prop_assert!(profile.lanes.iter().all(|l| l.barrier_ns == 0 && l.stall_ns == 0));
     }
 
     /// Threaded execution (one worker per shard, real barriers) is
-    /// bit-identical to both.
+    /// bit-identical to both and counts the same; and `run(h1);
+    /// run_parallel(h2)` on one kernel — what the hour-by-hour drivers do
+    /// — ends where `run(h2)` does, its profile adding up across the calls.
     #[test]
     fn parallel_matches_reference(
         seed in any::<u64>(),
@@ -488,6 +593,7 @@ proptest! {
         shards in 2usize..5,
         hops in 0u8..12,
         churn in any::<bool>(),
+        split_ms in 0u64..20_000,
     ) {
         let horizon = SimTime::from_secs(20);
         let expect = Reference::new(seed, n, hops, churn).run(horizon);
@@ -495,6 +601,12 @@ proptest! {
         sim.run_parallel(horizon, shards);
         prop_assert_eq!(collect_nodes(&sim), expect.nodes);
         prop_assert_eq!(sim.processed(), expect.dispatched.len() as u64);
+        let world = (seed, n, hops, churn);
+        check_profiled_run(world, shards, horizon, true, |sim| sim.run_parallel(horizon, 2));
+        check_profiled_run(world, shards, horizon, false, |sim| {
+            sim.run(SimTime::from_millis(split_ms));
+            sim.run_parallel(horizon, 2)
+        });
     }
 
     /// The hint hooks are invisible: every shard dispatches the

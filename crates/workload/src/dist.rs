@@ -4,6 +4,7 @@
 //! (see `ddr_sim::RngFactory`); none keep mutable state of their own, so a
 //! single instance can be shared across threads in parameter sweeps.
 
+use ddr_sim::rng::standard_normal;
 use rand::Rng;
 
 /// Zipf distribution over ranks `0..n` with exponent θ:
@@ -173,16 +174,6 @@ impl TruncatedGaussian {
     pub fn sample_count<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         self.sample(rng).round().max(0.0) as usize
     }
-}
-
-/// One standard-normal sample via Box–Muller (cosine branch). A sibling of
-/// `ddr_net::latency::standard_normal`, duplicated rather than shared so the
-/// workload and network crates stay independent in the dependency graph.
-#[inline]
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Exponential distribution with the given mean (inverse-CDF sampling).
