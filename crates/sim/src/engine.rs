@@ -125,7 +125,7 @@ impl<W: World> Simulation<W> {
     /// *not* processed (half-open interval `[now, horizon)`), which makes
     /// `run(h1); run(h2)` equivalent to `run(h2)` for `h1 <= h2`.
     pub fn run(&mut self, horizon: SimTime) -> RunOutcome {
-        self.dispatch_until(horizon, |world, now, event, queue| {
+        self.dispatch_until(horizon, |world, now, event, queue, _| {
             world.handle(now, event, &mut Scheduler::new(queue));
         })
     }
@@ -145,15 +145,13 @@ impl<W: World> Simulation<W> {
         /// once per `wheel_buckets` dispatches: O(1) amortised per event.
         const SAMPLE_EVERY: u64 = 4_096;
         let sample_every = SAMPLE_EVERY.max(self.queue.wheel_buckets() as u64);
-        // Counted from the kernel's total, so the sampling cadence carries
-        // across hour-by-hour calls.
-        let mut processed = self.processed;
-        self.dispatch_until(horizon, |world, now, event, queue| {
+        // `processed` is the kernel's total, so the sampling cadence
+        // carries across hour-by-hour calls.
+        self.dispatch_until(horizon, |world, now, event, queue, processed| {
             let label = event.label();
             let start = std::time::Instant::now();
             world.handle(now, event, &mut Scheduler::new(queue));
             probe.on_dispatch(label, start.elapsed().as_nanos() as u64);
-            processed += 1;
             if processed.is_multiple_of(sample_every) {
                 probe.on_queue_sample(queue.sample());
             }
@@ -162,12 +160,13 @@ impl<W: World> Simulation<W> {
 
     /// The dispatch loop: pop in `(time, seq)` order up to `horizon` or
     /// the event budget, and hand each event to `dispatch` — which calls
-    /// [`World::handle`], bare or wrapped in a probe's instruments.
+    /// [`World::handle`], bare or wrapped in a probe's instruments — with
+    /// the kernel's event count, this event included.
     #[inline]
     fn dispatch_until(
         &mut self,
         horizon: SimTime,
-        mut dispatch: impl FnMut(&mut W, SimTime, W::Event, &mut EventQueue<W::Event>),
+        mut dispatch: impl FnMut(&mut W, SimTime, W::Event, &mut EventQueue<W::Event>, u64),
     ) -> RunOutcome {
         loop {
             match self.queue.peek_time() {
@@ -187,7 +186,7 @@ impl<W: World> Simulation<W> {
             if let Some(next) = self.queue.peek_event() {
                 self.world.prefetch(next);
             }
-            dispatch(&mut self.world, now, event, &mut self.queue);
+            dispatch(&mut self.world, now, event, &mut self.queue, self.processed);
         }
     }
 }

@@ -174,43 +174,3 @@ impl<'a, E> ShardCtx<'a, E> {
         });
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sharded::ShardedSimulation;
-
-    #[test]
-    fn partition_covers_every_node_exactly_once() {
-        for (nodes, shards) in [(1, 1), (10, 4), (8, 3), (4, 9), (1000, 7)] {
-            let p = Partition::contiguous(nodes, shards);
-            let mut seen = vec![0u32; nodes];
-            for s in 0..p.shards() {
-                for i in p.range(s) {
-                    assert_eq!(p.shard_of(NodeId::from_index(i)), s);
-                    seen[i] += 1;
-                }
-            }
-            assert!(seen.iter().all(|&c| c == 1), "{nodes}/{shards}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "delay >= lookahead")]
-    fn sub_lookahead_send_panics() {
-        struct Eager;
-        impl ShardWorld for Eager {
-            type Event = ();
-            fn handle(&mut self, _: SimTime, _: (), ctx: &mut ShardCtx<'_, ()>) {
-                ctx.send(NodeId::from_index(0), SimDuration::from_millis(1), ());
-            }
-        }
-        let mut sim = ShardedSimulation::new(
-            vec![Eager],
-            Partition::contiguous(1, 1),
-            SimDuration::from_millis(10),
-        );
-        sim.schedule_at(SimTime::ZERO, NodeId::from_index(0), ());
-        sim.run(SimTime::MAX);
-    }
-}

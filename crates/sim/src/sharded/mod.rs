@@ -100,7 +100,11 @@ impl<W: ShardWorld> ShardedSimulation<W> {
     /// Record per-shard work/barrier/merge timings during subsequent
     /// runs. Profiling only reads wall clocks around existing phases —
     /// it never changes window boundaries or event order, so a profiled
-    /// run stays bit-identical to an unprofiled one.
+    /// run stays bit-identical to an unprofiled one. Only the clocks and
+    /// the merge tallies (`merged_events`, `cross_shard_events`) start
+    /// here: `windows` and each lane's `events` / `max_window_events`
+    /// are counted on every run, so after a late call they cover the
+    /// kernel's whole life while the clocks cover the profiled runs.
     pub fn enable_profiling(&mut self) {
         self.coord.profiling = true;
     }
@@ -191,3 +195,6 @@ impl<W: ShardWorld> ShardedSimulation<W> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -22,7 +22,8 @@ pub struct ShardLane {
     /// Time parked at the start-of-window barrier waiting for the
     /// coordinator (merge + window scheduling). Zero on the serial path.
     pub stall_ns: u64,
-    /// Largest single-window event count this shard saw.
+    /// Largest single-window event count this shard saw — like `events`,
+    /// since the kernel was built, not since `enable_profiling`.
     pub max_window_events: u64,
 }
 
