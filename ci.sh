@@ -42,6 +42,10 @@ echo "==> cargo test -q --release -p ddr-sim (kernel differentials and the queue
 echo "    memory bound against the optimised build the benchmark measures)"
 cargo test -q --release -p ddr-sim
 
+echo "==> cargo test -q --release -p ddr-serve (the timer wheel's differential against"
+echo "    the optimised build the benchmark measures: overflow checks off, links inlined)"
+cargo test -q --release -p ddr-serve
+
 echo "==> cargo test -q --release -p ddr-gnutella --test prop_sharded_world (the hint"
 echo "    hooks are unsafe intrinsics over computed addresses that only the fat-LTO"
 echo "    build inlines into the ring: serial == sharded, whole report, on that build)"
@@ -121,8 +125,15 @@ for example in quickstart music_sharing web_caching olap_caching policy_playgrou
     cargo run -q --release --example "$example" > /dev/null
 done
 
-echo "==> ddr serve --smoke (real-time bus load test, prints qps/core + p99)"
-$DDR serve gnutella --nodes 200 --qps 50 --duration 2 --smoke
+echo "==> ddr serve --smoke (real-time bus load test: every offered query is issued"
+echo "    and completes, and at least one is answered)"
+SERVE=$($DDR serve gnutella --nodes 200 --qps 50 --duration 2 --smoke)
+echo "$SERVE"
+COUNTS=$(echo "$SERVE" | sed -n 's/^serve: queries offered=\([0-9]*\) issued=\([0-9]*\) completed=\([0-9]*\) hits=\([0-9]*\)$/\1 \2 \3 \4/p')
+# No such line in the output: counts that cannot pass.
+read -r OFFERED ISSUED COMPLETED HITS <<< "${COUNTS:-0 -1 -1 0}"
+test "$ISSUED" -eq "$OFFERED" && test "$COMPLETED" -eq "$OFFERED" && test "$HITS" -ge 1 \
+    || { echo "serve smoke: want issued = completed = offered and hits >= 1" >&2; exit 1; }
 
 echo "==> git status --porcelain (no gate may write into the tree)"
 test -z "$(git status --porcelain)" \

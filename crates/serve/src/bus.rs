@@ -10,9 +10,15 @@
 //!   carries its *delivery deadline* (`Envelope::at`, wall time since
 //!   run start): the sending node's `Transport::send` adds the modelled
 //!   network delay, the receiving shard parks the envelope in a local
-//!   timer heap and delivers it when the [`WallClock`] catches up — the
-//!   exact analogue of the DES calendar queue, with real elapsed time
-//!   as the event clock.
+//!   timing wheel (`wheel.rs`: one FIFO list per millisecond) and
+//!   delivers it when the [`WallClock`] catches up — the exact analogue
+//!   of the DES calendar queue, with real elapsed time as the event
+//!   clock. At 30 k qps a shard holds ≈250 k envelopes (Finalize timers
+//!   for the collection window, messages for 70–600 ms); a binary heap
+//!   that deep pays ≈17 dependent cache misses per pop — measured, half
+//!   the bus's CPU — and `ddr_sim::EventQueue` doubles resident memory
+//!   because this traffic occupies all of its buckets at once
+//!   (EXPERIMENTS.md, "The bus's timer queue").
 //! * Cross-shard sends use `try_send`; a full inbox spills into the
 //!   sender's outbox for retry instead of blocking, so two shards
 //!   flooding each other cannot deadlock.
@@ -29,12 +35,12 @@
 //! "Serve-backend determinism".
 
 use crate::monitor::{spawn_endpoint, spawn_monitor, MonitorShared};
+use crate::wheel::TimerWheel;
 use ddr_core::runtime::{Clock, NodeBehavior, Transport};
 use ddr_gnutella::{build_nodes, GnutellaNode, NodeMsg, NodeSetConfig, QueryOutcome};
 use ddr_sim::{NodeId, QueryId, SimDuration, SimTime};
 use ddr_telemetry::{JsonlSink, NullSink, QueryTracer, TelemetryConfig, TraceOutcome, TraceSink};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering as AtomicOrd;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -153,35 +159,6 @@ struct Envelope {
     msg: NodeMsg,
 }
 
-/// Heap entry: earliest `(at, seq)` first (reversed for `BinaryHeap`);
-/// `seq` is assigned by the owning shard so same-instant deliveries
-/// stay FIFO, matching the DES kernel's tie-break contract.
-struct Due {
-    at: SimTime,
-    seq: u64,
-    env: Envelope,
-}
-
-impl PartialEq for Due {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Due {}
-impl PartialOrd for Due {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Due {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// `Clock`/`Transport` context handed to a node while it handles one
 /// message. Sends are *staged* (the node holds `&mut self` while the
 /// shard owns the routing tables) and routed by the shard afterwards.
@@ -242,8 +219,9 @@ struct Shard {
     nshards: usize,
     /// Nodes this shard owns, indexed `global_index / nshards`.
     nodes: Vec<GnutellaNode>,
-    heap: BinaryHeap<Due>,
-    seq: u64,
+    /// Pending deliveries by deadline, same-instant ones FIFO: the DES
+    /// kernel's tie-break contract.
+    wheel: TimerWheel<Envelope>,
     rx: Receiver<Envelope>,
     peers: Vec<SyncSender<Envelope>>,
     /// Cross-shard envelopes bounced by a full inbox, retried each turn.
@@ -262,14 +240,7 @@ impl Shard {
     fn route(&mut self, env: Envelope) {
         let target = env.to.index() % self.nshards;
         if target == self.index {
-            let seq = self.seq;
-            self.seq += 1;
-            self.heap.push(Due {
-                at: env.at,
-                seq,
-                env,
-            });
-            return;
+            return self.wheel.push(env.at.as_millis(), env);
         }
         match self.peers[target].try_send(env) {
             Ok(()) => {
@@ -306,19 +277,14 @@ impl Shard {
         }
     }
 
-    /// Drain outcomes the node finished during this delivery into the
-    /// stash, feeding the monitor's counters as they happen.
+    /// With the monitor on, drain outcomes the node finished during this
+    /// delivery into the stash, feeding its counters as they happen.
     fn drain_completed(&mut self, local: usize) {
-        let Some(m) = self.monitor.clone() else {
+        let Some(m) = &self.monitor else {
             return;
         };
         for done in self.nodes[local].take_completed() {
-            m.completed.fetch_add(1, AtomicOrd::Relaxed);
-            if let Some((_, at, _)) = done.first {
-                m.hits.fetch_add(1, AtomicOrd::Relaxed);
-                m.latency_ms
-                    .record(at.saturating_since(done.issued_at).as_millis() as f64);
-            }
+            m.note_completed(&done);
             self.stash.push(done);
         }
     }
@@ -332,15 +298,15 @@ impl Shard {
             staged: &mut staged,
         };
         self.nodes[local].on_message(env.from, env.msg, &mut ctx);
-        self.staged = staged;
-        let drained: Vec<Envelope> = self.staged.drain(..).collect();
-        for out in drained {
+        for out in staged.drain(..) {
             self.route(out);
         }
+        self.staged = staged;
+        self.drain_completed(local);
     }
 
     /// The shard main loop: drain the inbox, deliver due envelopes,
-    /// retry bounced sends, sleep until the next deadline. Runs until
+    /// retry bounced sends, wait a millisecond for the inbox. Runs until
     /// the wall clock passes `deadline`.
     fn run(
         mut self,
@@ -357,36 +323,25 @@ impl Shard {
             if now >= deadline {
                 break;
             }
-            while let Some(top) = self.heap.peek() {
-                if top.at > now {
-                    break;
-                }
-                let due = self.heap.pop().expect("peeked entry vanished");
-                if matches!(due.env.msg, NodeMsg::Issue { .. }) {
+            let mut lag_ms = 0;
+            while let Some(env) = self.wheel.pop_due(now.as_millis()) {
+                if matches!(env.msg, NodeMsg::Issue { .. }) {
                     delivered_issues += 1;
                     if let Some(m) = &self.monitor {
                         m.issued.fetch_add(1, AtomicOrd::Relaxed);
                     }
                 }
-                let local = due.env.to.index() / self.nshards;
-                self.deliver(due.env, now);
-                if self.monitor.is_some() {
-                    self.drain_completed(local);
-                }
+                lag_ms = lag_ms.max(now.saturating_since(env.at).as_millis());
+                self.deliver(env, now);
             }
             if let Some(m) = &self.monitor {
-                m.heap_len[self.index].store(self.heap.len(), AtomicOrd::Relaxed);
+                m.timers_pending[self.index].store(self.wheel.len(), AtomicOrd::Relaxed);
+                m.delivery_lag_ms[self.index].fetch_max(lag_ms, AtomicOrd::Relaxed);
             }
             self.flush_outbox();
-            // Sleep until the next timer or the next inbox arrival,
-            // capped so the deadline check stays responsive.
-            let next_gap = self
-                .heap
-                .peek()
-                .map(|d| d.at.saturating_since(now).as_millis())
-                .unwrap_or(u64::MAX)
-                .clamp(1, 2);
-            match self.rx.recv_timeout(Duration::from_millis(next_gap)) {
+            // Sleep until the next inbox arrival or the wheel's next
+            // millisecond, whichever is first.
+            match self.rx.recv_timeout(Duration::from_millis(1)) {
                 Ok(env) => {
                     self.note_recv();
                     self.route(env);
@@ -414,25 +369,42 @@ pub fn run_gnutella_traced(cfg: &ServeConfig) -> ServeReport {
     run_bus::<JsonlSink>(cfg)
 }
 
-fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
-    let nshards = cfg.shards.clamp(1, cfg.node_set.nodes.max(1));
-    let nodes = build_nodes(&cfg.node_set);
-    let n = nodes.len();
-
-    let mut txs: Vec<SyncSender<Envelope>> = Vec::with_capacity(nshards);
-    let mut rxs: Vec<Receiver<Envelope>> = Vec::with_capacity(nshards);
-    for _ in 0..nshards {
-        let (tx, rx) = mpsc::sync_channel(INBOX_DEPTH);
-        txs.push(tx);
-        rxs.push(rx);
-    }
-
-    // Partition nodes: shard s owns global indices { i | i % nshards == s },
-    // stored in increasing order so local index is i / nshards.
+/// `nodes` dealt over `nshards` shards wired to one another's inboxes,
+/// and the inbox senders for the load generator.
+fn build_shards(
+    nodes: Vec<GnutellaNode>,
+    nshards: usize,
+    monitor: &Option<Arc<MonitorShared>>,
+) -> (Vec<Shard>, Vec<SyncSender<Envelope>>) {
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..nshards)
+        .map(|_| mpsc::sync_channel(INBOX_DEPTH))
+        .unzip();
+    // Shard s owns global indices { i | i % nshards == s }, stored in
+    // increasing order so local index is i / nshards.
     let mut per_shard: Vec<Vec<GnutellaNode>> = (0..nshards).map(|_| Vec::new()).collect();
     for (i, node) in nodes.into_iter().enumerate() {
         per_shard[i % nshards].push(node);
     }
+    let shards = per_shard.into_iter().zip(rxs).enumerate();
+    let shards = shards.map(|(index, (nodes, rx))| Shard {
+        index,
+        nshards,
+        nodes,
+        wheel: TimerWheel::new(),
+        rx,
+        peers: txs.clone(),
+        outbox: VecDeque::new(),
+        staged: Vec::new(),
+        monitor: monitor.clone(),
+        stash: Vec::new(),
+    });
+    (shards.collect(), txs)
+}
+
+fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
+    let nshards = cfg.shards.clamp(1, cfg.node_set.nodes.max(1));
+    let nodes = build_nodes(&cfg.node_set);
+    let n = nodes.len();
 
     let clock = Arc::new(WallClock::start());
     let deadline = SimTime::from_millis((cfg.duration_s * 1_000.0) as u64)
@@ -459,24 +431,11 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
         _ => None,
     };
 
+    let (shards, txs) = build_shards(nodes, nshards, &monitor);
     let mut handles = Vec::with_capacity(nshards);
-    for (index, (owned, rx)) in per_shard.into_iter().zip(rxs).enumerate() {
-        let shard = Shard {
-            index,
-            nshards,
-            nodes: owned,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            rx,
-            peers: txs.clone(),
-            outbox: VecDeque::new(),
-            staged: Vec::new(),
-            monitor: monitor.clone(),
-            stash: Vec::new(),
-        };
+    for shard in shards {
         let clock = Arc::clone(&clock);
         let telemetry = cfg.telemetry.clone();
-        let shared = monitor.clone();
         handles.push(thread::spawn(move || {
             let (mut nodes, delivered_issues, stash) = shard.run(clock, deadline);
             let mut result = ShardResult {
@@ -489,20 +448,8 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
             for node in &mut nodes {
                 result.messages += node.counters.messages_sent;
                 result.duplicates += node.counters.duplicates_dropped;
-                for done in node.take_completed() {
-                    // Outcomes still parked on the node at shutdown were
-                    // never seen by the mid-run drain; count them so the
-                    // monitor's totals equal the final report.
-                    if let Some(m) = &shared {
-                        m.completed.fetch_add(1, AtomicOrd::Relaxed);
-                        if let Some((_, at, _)) = done.first {
-                            m.hits.fetch_add(1, AtomicOrd::Relaxed);
-                            m.latency_ms
-                                .record(at.saturating_since(done.issued_at).as_millis() as f64);
-                        }
-                    }
-                    result.outcomes.push(done);
-                }
+                // Empty under the monitor: `deliver` stashed them already.
+                result.outcomes.append(&mut node.take_completed());
             }
             for done in &result.outcomes {
                 trace_outcome(&mut tracer, done);
@@ -677,6 +624,43 @@ mod tests {
             let p99 = r.p99_first_ms.expect("hits imply latency samples");
             assert!(p50 <= p99);
         }
+    }
+
+    /// The generator stamps an `Issue` with its send time, and a shard
+    /// that has already served that millisecond files it behind its
+    /// wheel's cursor: it must go out on the next turn, not a lap later.
+    #[test]
+    fn issue_stamped_behind_the_cursor_is_delivered_and_completes() {
+        let cfg = quick_cfg(16, 9, 0.0, 0.0, 2);
+        let (mut shards, txs) = build_shards(build_nodes(&cfg.node_set), 2, &None);
+        drop(txs);
+        let clock = Arc::new(WallClock::start());
+        assert!(shards[1].wheel.pop_due(40).is_none(), "cursor now at 40 ms");
+        let node = NodeId::from_index(1);
+        shards[1].route(Envelope {
+            at: SimTime::from_millis(3),
+            to: node,
+            from: node,
+            msg: NodeMsg::Issue { query: QueryId(0) },
+        });
+        let deadline = SimTime::from_millis(40) + cfg.node_set.query_timeout + DRAIN_GRACE;
+        let running: Vec<_> = shards
+            .into_iter()
+            .map(|shard| {
+                let clock = Arc::clone(&clock);
+                thread::spawn(move || shard.run(clock, deadline))
+            })
+            .collect();
+        let (mut issued, mut completed) = (0, 0);
+        for shard in running {
+            let (mut nodes, delivered_issues, _) = shard.join().expect("shard thread panicked");
+            issued += delivered_issues;
+            completed += nodes
+                .iter_mut()
+                .map(|n| n.take_completed().len())
+                .sum::<usize>();
+        }
+        assert_eq!((issued, completed), (1, 1));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   against each other with it.
 //! * [`bus`] — the production-shaped engine: nodes sharded across
 //!   worker threads by `node_id % shards`, bounded channels between
-//!   shards, per-shard timer heaps, a wall-clock [`bus::WallClock`],
+//!   shards, a timing wheel of pending deliveries per shard (one FIFO
+//!   list per millisecond), a wall-clock [`bus::WallClock`],
 //!   and a self-pacing load generator injecting queries at a target
 //!   rate. Reports queries/sec/core, hit rate and p50/p99 first-result
 //!   latency; completed query spans go through `ddr-telemetry`'s
@@ -27,6 +28,7 @@
 pub mod bus;
 pub mod monitor;
 pub mod sim_backend;
+mod wheel;
 
 pub use bus::{run_gnutella, run_gnutella_traced, ServeConfig, ServeReport, WallClock};
 pub use monitor::MonitorShared;

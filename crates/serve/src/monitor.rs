@@ -5,13 +5,15 @@
 //!
 //! The instrumentation is strictly *observational*: shards and the load
 //! generator bump lock-free atomics on paths they already execute, the
-//! monitor thread only reads them, and completed-query outcomes are
+//! monitor thread only reads them (and zeroes the one running maximum,
+//! `delivery_lag_ms`, as it reads it), and completed-query outcomes are
 //! drained into the same end-of-run report whether the monitor is on or
 //! off. `monitor_does_not_perturb_the_report` pins that the monitor's
 //! cumulative counters agree exactly with the final [`crate::ServeReport`]
 //! fields.
 
 use crate::bus::WallClock;
+use ddr_gnutella::QueryOutcome;
 use ddr_sim::MetricsHub;
 use ddr_telemetry::{JsonlMetrics, LogHistogram, MetricsRecorder, TelemetryConfig};
 use std::io::{Read, Write};
@@ -33,8 +35,13 @@ pub struct MonitorShared {
     /// Per-shard inbox occupancy: +1 on every successful channel send,
     /// -1 on every receive.
     pub inbox_depth: Vec<AtomicUsize>,
-    /// Per-shard timer-heap size, stored by each shard once per loop.
-    pub heap_len: Vec<AtomicUsize>,
+    /// Timers pending per shard, stored by each shard once per loop
+    /// (exported as `timer_heap`, the name dashboards already use).
+    pub timers_pending: Vec<AtomicUsize>,
+    /// Per shard, the latest delivery since this was last read: the
+    /// largest `now − deliver_at`, milliseconds. Every reader (a timeline
+    /// window, an endpoint request) takes the value and leaves zero.
+    pub delivery_lag_ms: Vec<AtomicU64>,
     /// Envelopes the load generator handed to the bus.
     pub offered: AtomicU64,
     /// Issue messages delivered to nodes.
@@ -50,12 +57,18 @@ pub struct MonitorShared {
     pub done: AtomicBool,
 }
 
+/// The current value of a per-shard level.
+fn levels(per_shard: &[AtomicUsize]) -> Vec<u64> {
+    per_shard.iter().map(|d| d.load(ORD) as u64).collect()
+}
+
 impl MonitorShared {
     /// Fresh (all-zero) state for `nshards` shards.
     pub fn new(nshards: usize) -> Self {
         MonitorShared {
             inbox_depth: (0..nshards).map(|_| AtomicUsize::new(0)).collect(),
-            heap_len: (0..nshards).map(|_| AtomicUsize::new(0)).collect(),
+            timers_pending: (0..nshards).map(|_| AtomicUsize::new(0)).collect(),
+            delivery_lag_ms: (0..nshards).map(|_| AtomicU64::new(0)).collect(),
             offered: AtomicU64::new(0),
             issued: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -63,6 +76,24 @@ impl MonitorShared {
             latency_ms: LogHistogram::default(),
             done: AtomicBool::new(false),
         }
+    }
+
+    /// Count one query whose collection window closed.
+    pub(crate) fn note_completed(&self, done: &QueryOutcome) {
+        self.completed.fetch_add(1, ORD);
+        if let Some((_, at, _)) = done.first {
+            self.hits.fetch_add(1, ORD);
+            self.latency_ms
+                .record(at.saturating_since(done.issued_at).as_millis() as f64);
+        }
+    }
+
+    /// Each shard's `delivery_lag_ms`, taken (the gauges restart at zero).
+    fn take_delivery_lag(&self) -> Vec<u64> {
+        self.delivery_lag_ms
+            .iter()
+            .map(|d| d.swap(0, ORD))
+            .collect()
     }
 
     /// The Prometheus-text exposition of the current state.
@@ -83,19 +114,15 @@ impl MonitorShared {
         ] {
             out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
         }
-        out.push_str("# TYPE ddr_serve_inbox_depth gauge\n");
-        for (i, d) in self.inbox_depth.iter().enumerate() {
-            out.push_str(&format!(
-                "ddr_serve_inbox_depth{{shard=\"{i}\"}} {}\n",
-                d.load(ORD)
-            ));
-        }
-        out.push_str("# TYPE ddr_serve_timer_heap gauge\n");
-        for (i, d) in self.heap_len.iter().enumerate() {
-            out.push_str(&format!(
-                "ddr_serve_timer_heap{{shard=\"{i}\"}} {}\n",
-                d.load(ORD)
-            ));
+        for (name, per_shard) in [
+            ("ddr_serve_inbox_depth", levels(&self.inbox_depth)),
+            ("ddr_serve_timer_heap", levels(&self.timers_pending)),
+            ("ddr_serve_delivery_lag_ms", self.take_delivery_lag()),
+        ] {
+            out.push_str(&format!("# TYPE {name} gauge\n"));
+            for (i, v) in per_shard.iter().enumerate() {
+                out.push_str(&format!("{name}{{shard=\"{i}\"}} {v}\n"));
+            }
         }
         out
     }
@@ -110,26 +137,21 @@ impl MonitorShared {
         } else {
             hits as f64 / completed as f64
         };
-        let depths: Vec<String> = self
-            .inbox_depth
-            .iter()
-            .map(|d| d.load(ORD).to_string())
-            .collect();
-        let heaps: Vec<String> = self
-            .heap_len
-            .iter()
-            .map(|d| d.load(ORD).to_string())
-            .collect();
+        let array = |per_shard: Vec<u64>| {
+            let cells: Vec<String> = per_shard.iter().map(u64::to_string).collect();
+            format!("[{}]", cells.join(","))
+        };
         format!(
             "{{\"queries_offered\":{},\"queries_issued\":{},\"queries_completed\":{completed},\
              \"hits\":{hits},\"hit_rate\":{hit_rate},\"p50_first_ms\":{},\"p99_first_ms\":{},\
-             \"inbox_depth\":[{}],\"timer_heap\":[{}]}}",
+             \"inbox_depth\":{},\"timer_heap\":{},\"delivery_lag_ms\":{}}}",
             self.offered.load(ORD),
             self.issued.load(ORD),
             self.latency_ms.quantile(0.50),
             self.latency_ms.quantile(0.99),
-            depths.join(","),
-            heaps.join(","),
+            array(levels(&self.inbox_depth)),
+            array(levels(&self.timers_pending)),
+            array(self.take_delivery_lag()),
         )
     }
 }
@@ -177,8 +199,11 @@ pub(crate) fn spawn_monitor(
                 for (i, d) in shared.inbox_depth.iter().enumerate() {
                     reg.gauge(&format!("inbox_depth.s{i}"), d.load(ORD) as f64);
                 }
-                for (i, d) in shared.heap_len.iter().enumerate() {
+                for (i, d) in shared.timers_pending.iter().enumerate() {
                     reg.gauge(&format!("timer_heap.s{i}"), d.load(ORD) as f64);
+                }
+                for (i, lag) in shared.take_delivery_lag().into_iter().enumerate() {
+                    reg.gauge(&format!("delivery_lag_ms.s{i}"), lag as f64);
                 }
                 rec.emit_window(now);
                 prev_completed = completed;
@@ -256,14 +281,20 @@ mod tests {
         s.completed.store(8, ORD);
         s.hits.store(4, ORD);
         s.inbox_depth[1].store(7, ORD);
+        s.delivery_lag_ms[0].store(3, ORD);
         s.latency_ms.record(12.0);
         let text = s.prometheus_text();
         assert!(text.contains("ddr_serve_queries_completed 8"));
         assert!(text.contains("ddr_serve_inbox_depth{shard=\"1\"} 7"));
+        assert!(text.contains("ddr_serve_delivery_lag_ms{shard=\"0\"} 3"));
+        s.delivery_lag_ms[1].store(5, ORD);
         let json = s.report_json();
         assert!(json.contains("\"hit_rate\":0.5"), "{json}");
         // Both shards appear in the depth arrays.
         assert!(json.contains("\"inbox_depth\":[0,7]"), "{json}");
+        // The first read took shard 0's lag; this one takes shard 1's.
+        assert!(json.contains("\"delivery_lag_ms\":[0,5]"), "{json}");
+        assert_eq!(s.take_delivery_lag(), [0, 0]);
         serde::json::parse(&json).expect("report JSON parses");
     }
 

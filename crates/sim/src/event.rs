@@ -126,7 +126,12 @@ fn slot_of(t: SimTime) -> u64 {
 /// bucket hands its `VecDeque` to a spare stack and the next bucket to
 /// fill takes it back, so queue memory is O(peak pending) rather than
 /// the sum of every slot's own high-water mark (see
-/// [`EventQueue::retained_slots`]).
+/// [`EventQueue::retained_slots`]) — for traffic that leaves most
+/// buckets empty most of the time, as every simulated world's does. It
+/// is not true of traffic that occupies every bucket at once: each then
+/// keeps a buffer grown to its own peak, which is why `ddr-serve`'s bus
+/// (≈510 deliveries per millisecond, 70–2,000 ms ahead) has its own
+/// timer wheel (EXPERIMENTS.md, "The bus's timer queue").
 ///
 /// Determinism: identical `(time, seq)` order as the reference heap —
 /// FIFO among equal timestamps — verified by differential tests.
