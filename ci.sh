@@ -16,7 +16,7 @@ echo "==> cargo check benchmark/ (every name the measurement stack spells still"
 echo "    resolves — seconds, not the full suite, when a refactor breaks one)"
 cargo check --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> tracked Rust lines and the per-file ceiling"
+echo "==> tracked Rust lines, the per-file ceiling and one-implementer traits"
 # The count every simplicity PR quotes; and no file under crates/*/src may
 # pass 1,000 lines, so split modules do not silently grow back into one.
 # Files past 800 are listed without failing: the next PR that touches one
@@ -31,6 +31,15 @@ test -z "$NEARING" || { echo "    over 800 lines (ceiling 1,000):"; echo "$NEARI
 OVERSIZE=$(over 1000)
 test -z "$OVERSIZE" \
     || { echo "$OVERSIZE" >&2; echo "source file over 1,000 lines: split it" >&2; exit 1; }
+
+# A trait with one implementer is a seam nobody uses. Listed, not failed:
+# counts `impl … Trait … for` lines over crates/ and benchmark/src.
+LONELY=$(git grep -hoE '^\s*pub trait \w+' -- 'crates/*/src/*.rs' | awk '{ print $3 }' | sort -u \
+    | while read -r t; do
+        n=$(git grep -hE "^\s*impl(<.*>)? (\w+::)*$t(<.*>)? for " -- crates benchmark/src | wc -l)
+        test "$n" -ge 2 || echo "    $t: $n"
+    done)
+test -z "$LONELY" || { echo "    pub traits with fewer than two impls:"; echo "$LONELY"; }
 
 echo "==> cargo doc (rustdoc -D warnings: dangling or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -42,10 +42,7 @@ pub use dup_cache::DupCache;
 pub use explore::{ExplorationPlanner, ExplorationTrigger};
 pub use local_index::LocalIndex;
 pub use query::QueryDescriptor;
-pub use runtime::{
-    sample_runtime_metrics, AsymmetricOverlay, Clock, NodeBehavior, NodeRuntime, ReconfigClock,
-    SimTransport, Transport,
-};
+pub use runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime, Port, ReconfigClock};
 pub use search::{ForwardSelection, SearchStrategy};
 pub use stats_store::{NodeStats, StatsStore};
 pub use summary::CategorySummary;

@@ -20,20 +20,20 @@
 //! for the metrics timeline, so every world's timeline carries the same
 //! six.
 //!
-//! A second split sits *under* the worlds: [`transport`] defines the
-//! engine/node boundary (`Clock`, `Transport`, `NodeBehavior`) so the
-//! same per-node state machine runs under the discrete-event simulator
-//! and the real-time `ddr-serve` bus.
+//! A second split sits *under* the worlds: [`port`] defines the
+//! engine/node boundary — one trait, [`Port`], `now` + `send` — so the
+//! same handlers run under both simulation kernels and the real-time
+//! `ddr-serve` bus.
 
 pub mod asymmetric;
 pub mod node;
+pub mod port;
 pub mod reconfig;
-pub mod transport;
 
 pub use asymmetric::AsymmetricOverlay;
 pub use node::NodeRuntime;
+pub use port::{Envelope, EnvelopePort, Port};
 pub use reconfig::ReconfigClock;
-pub use transport::{Clock, NodeBehavior, SimTransport, Transport};
 
 use ddr_sim::MetricsHub;
 use ddr_stats::RuntimeMetrics;
@@ -41,7 +41,7 @@ use ddr_stats::RuntimeMetrics;
 /// Report the framework counters of `rt` into `hub` as cumulative totals
 /// (the recorder differences them into per-window deltas). Every world's
 /// `sample_metrics` calls this and then adds only its domain names.
-pub fn sample_runtime_metrics(rt: &RuntimeMetrics, hub: &mut dyn MetricsHub) {
+pub fn sample_runtime_metrics(rt: &RuntimeMetrics, hub: &mut MetricsHub) {
     hub.counter("queries", rt.queries.total() as u64);
     hub.counter("hits", rt.hits.total() as u64);
     hub.counter("messages", rt.messages.total() as u64);

@@ -19,17 +19,14 @@ use crate::peer::{MIN_DEGREE_FLOOR, REFILL_RETRY_BUDGET};
 use crate::reconfigure::EverAnswered;
 use crate::world::GnutellaWorld;
 use ddr_core::benefit::BenefitFunction;
-use ddr_core::runtime::{Clock, Transport};
+use ddr_core::runtime::Port;
+use ddr_core::search::benefit_sort_key;
 use ddr_sim::{NodeId, QueryId, SimTime};
 use ddr_telemetry::{TraceOutcome, TraceSink};
 use rand::Rng;
 
 impl<T: TraceSink> GnutellaWorld<T> {
-    pub(crate) fn login<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
-        &mut self,
-        node: NodeId,
-        ctx: &mut C,
-    ) {
+    pub(crate) fn login<C: Port<GnutellaEvent>>(&mut self, node: NodeId, ctx: &mut C) {
         let k = self.li(node);
         if !self.shared.config.persist_stats {
             self.peers[k].rt.reset_stats();
@@ -40,7 +37,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
         // Gnutella join: request links from known/bootstrap hosts.
         self.refill_links(node, ctx);
         let d = self.peers[k].queries.next_interval().max(self.lookahead);
-        ctx.schedule_after(
+        ctx.send(
+            node,
             d,
             GnutellaEvent::IssueQuery {
                 node,
@@ -48,15 +46,11 @@ impl<T: TraceSink> GnutellaWorld<T> {
             },
         );
         if let Some((after, refresh)) = self.refresh_index(node) {
-            ctx.schedule_after(after, refresh);
+            ctx.send(node, after, refresh);
         }
     }
 
-    pub(crate) fn logoff<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
-        &mut self,
-        node: NodeId,
-        ctx: &mut C,
-    ) {
+    pub(crate) fn logoff<C: Port<GnutellaEvent>>(&mut self, node: NodeId, ctx: &mut C) {
         let k = self.li(node);
         if T::ENABLED {
             // The session teardown below discards the node's in-flight
@@ -127,7 +121,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
 
     /// Send `LinkRequest`s for up to `want` new links, reserving a slot
     /// per request.
-    pub(crate) fn request_links<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    pub(crate) fn request_links<C: Port<GnutellaEvent>>(
         &mut self,
         node: NodeId,
         want: usize,
@@ -164,11 +158,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// taken over (paper: beyond the floor, dynamic nodes regain links
     /// only through invitations — running under-degree is part of its
     /// savings).
-    pub(crate) fn refill_links<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
-        &mut self,
-        node: NodeId,
-        ctx: &mut C,
-    ) {
+    pub(crate) fn refill_links<C: Port<GnutellaEvent>>(&mut self, node: NodeId, ctx: &mut C) {
         let k = self.li(node);
         if !self.sessions[k].online {
             return;
@@ -188,11 +178,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
 
     /// A handshake came back refused: retry while the campaign budget
     /// lasts (candidates are often offline — the node has no oracle).
-    fn retry_refill<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
-        &mut self,
-        node: NodeId,
-        ctx: &mut C,
-    ) {
+    fn retry_refill<C: Port<GnutellaEvent>>(&mut self, node: NodeId, ctx: &mut C) {
         let k = self.li(node);
         if !self.sessions[k].online || self.peers[k].refill_budget == 0 {
             return;
@@ -202,7 +188,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     }
 
     /// Symmetric-link handshake, receiver side: commit-first, then ack.
-    pub(crate) fn link_request<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    pub(crate) fn link_request<C: Port<GnutellaEvent>>(
         &mut self,
         to: NodeId,
         from: NodeId,
@@ -241,7 +227,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// when `invited`, a `LinkAck` otherwise. Either way the slot
     /// reserved at send time is released; an accepted link is mirrored,
     /// a refused one retried through the channel that opened it.
-    pub(crate) fn handshake_reply<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    pub(crate) fn handshake_reply<C: Port<GnutellaEvent>>(
         &mut self,
         to: NodeId,
         from: NodeId,
@@ -274,7 +260,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// that sent the invite planned to swap out its least beneficial
     /// neighbor, and that deferred eviction lands here — only once the
     /// replacement is confirmed.
-    fn mirror_link<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    fn mirror_link<C: Port<GnutellaEvent>>(
         &mut self,
         node: NodeId,
         peer: NodeId,
@@ -313,7 +299,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                             .unwrap_or(0.0);
                         (m, b)
                     })
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+                    .min_by(|a, b| benefit_sort_key(a.1).total_cmp(&benefit_sort_key(b.1)));
                 if let Some((w, wb)) = worst {
                     if wb < new_b && self.evict_neighbor(node, w, true, ctx) {
                         let _ = self.neighbors[k].add(peer);
@@ -339,12 +325,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// update the own view and react per mode — the dynamic variant
     /// reconfigures ("neighbor log-offs trigger the update process"),
     /// the static variant requests replacement links from known hosts.
-    pub(crate) fn unlink<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
-        &mut self,
-        to: NodeId,
-        from: NodeId,
-        ctx: &mut C,
-    ) {
+    pub(crate) fn unlink<C: Port<GnutellaEvent>>(&mut self, to: NodeId, from: NodeId, ctx: &mut C) {
         let k = self.li(to);
         if !self.sessions[k].online {
             return;

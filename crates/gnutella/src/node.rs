@@ -1,16 +1,16 @@
-//! A single Gnutella node as a standalone [`NodeBehavior`] state
-//! machine.
+//! A single Gnutella node as a standalone state machine.
 //!
 //! [`GnutellaWorld`](crate::world::GnutellaWorld) simulates the whole
 //! population inside one struct — the right shape for a cache-friendly
 //! DES, and the one the paper's figures are produced with. This module
 //! is the *production-shaped* counterpart: one `GnutellaNode` owns only
 //! its own library, neighbor list, duplicate cache and pending-query
-//! table, and reacts to delivered [`NodeMsg`]s through the engine-
-//! agnostic `Clock`/`Transport` context. The same instance runs under
+//! table, and reacts to delivered [`NodeMsg`]s through the engine
+//! [`Port`] (`now` + `send`). The same instance runs under
 //!
-//! * the discrete-event backend (`ddr_serve::sim_backend`), which keeps
-//!   runs deterministic and is what the sim/serve parity test drives;
+//! * the discrete-event backend (`ddr_serve::sim_backend`, over
+//!   `ddr_core::runtime::EnvelopePort`), which keeps runs deterministic
+//!   and is what the sim/serve parity test drives;
 //! * the real-time `ddr-serve` bus, which shards nodes across worker
 //!   threads and measures wall-clock queries/sec.
 //!
@@ -20,7 +20,7 @@
 //! until a timeout. Reconfiguration/churn stay sim-only for now — the
 //! serve backend models a steady-state fleet under query load.
 
-use ddr_core::runtime::{Clock, NodeBehavior, Transport};
+use ddr_core::runtime::Port;
 use ddr_core::{NodeRuntime, QueryDescriptor};
 use ddr_net::{NetworkModel, NodeDelayStream};
 use ddr_overlay::Topology;
@@ -114,15 +114,10 @@ impl GnutellaNode {
     fn delay_to(&mut self, to: NodeId) -> SimDuration {
         self.net.one_way_delay_for(&mut self.delays, self.id, to)
     }
-}
 
-impl NodeBehavior for GnutellaNode {
-    type Msg = NodeMsg;
-
-    fn on_message<C>(&mut self, from: NodeId, msg: NodeMsg, ctx: &mut C)
-    where
-        C: Clock<NodeMsg> + Transport<NodeMsg>,
-    {
+    /// Handle one delivered message. `from` is the sending node (this
+    /// node's own id for the `Finalize` timer and for injected `Issue`s).
+    pub fn on_message<C: Port<NodeMsg>>(&mut self, from: NodeId, msg: NodeMsg, ctx: &mut C) {
         match msg {
             NodeMsg::Issue { query } => {
                 let now = ctx.now();
@@ -153,7 +148,7 @@ impl NodeBehavior for GnutellaNode {
                     self.counters.messages_sent += 1;
                     ctx.send(to, d, NodeMsg::Query { desc });
                 }
-                ctx.schedule_after(self.query_timeout, NodeMsg::Finalize { query });
+                ctx.send(self.id, self.query_timeout, NodeMsg::Finalize { query });
             }
             NodeMsg::Query { desc } => {
                 if !self.rt.seen().first_sighting(desc.id) {
@@ -323,61 +318,17 @@ mod tests {
 
     #[test]
     fn query_floods_and_collects_replies() {
+        use ddr_core::runtime::{Envelope, EnvelopePort};
         use ddr_sim::EventQueue;
 
-        // A deterministic 3-node line: 0 — 1 — 2, where node 1 holds
-        // nothing and node 2 holds the item node 0 wants. Drive the
-        // behavior through the sim backend by hand.
-        #[derive(Clone, Copy, Debug)]
-        struct Env {
-            to: NodeId,
-            from: NodeId,
-            msg: NodeMsg,
-        }
-        struct Ctx<'a, 'b> {
-            sched: &'a mut ddr_sim::Scheduler<'b, Env>,
-            me: NodeId,
-        }
-        impl Clock<NodeMsg> for Ctx<'_, '_> {
-            fn now(&self) -> SimTime {
-                self.sched.now()
-            }
-            fn schedule_after(&mut self, d: SimDuration, msg: NodeMsg) {
-                let me = self.me;
-                self.sched.after(
-                    d,
-                    Env {
-                        to: me,
-                        from: me,
-                        msg,
-                    },
-                );
-            }
-            fn schedule_at(&mut self, at: SimTime, msg: NodeMsg) {
-                let me = self.me;
-                self.sched.at(
-                    at,
-                    Env {
-                        to: me,
-                        from: me,
-                        msg,
-                    },
-                );
-            }
-        }
-        impl Transport<NodeMsg> for Ctx<'_, '_> {
-            fn send(&mut self, to: NodeId, d: SimDuration, msg: NodeMsg) {
-                let from = self.me;
-                self.sched.after(d, Env { to, from, msg });
-            }
-        }
-
+        // Drive a built fleet through the serial DES by hand, the way
+        // `ddr_serve::sim_backend` does.
         let cfg = NodeSetConfig::new(48, 7);
         let mut nodes = build_nodes(&cfg);
-        let mut q: EventQueue<Env> = EventQueue::new();
+        let mut q: EventQueue<Envelope<NodeMsg>> = EventQueue::new();
         q.schedule_at(
             SimTime::ZERO,
-            Env {
+            Envelope {
                 to: NodeId(0),
                 from: NodeId(0),
                 msg: NodeMsg::Issue {
@@ -387,10 +338,7 @@ mod tests {
         );
         while let Some((_, env)) = q.pop() {
             let mut sched = q.scheduler();
-            let mut ctx = Ctx {
-                sched: &mut sched,
-                me: env.to,
-            };
+            let mut ctx = EnvelopePort::new(&mut sched, env.to);
             nodes[env.to.index()].on_message(env.from, env.msg, &mut ctx);
         }
         let done = nodes[0].take_completed();

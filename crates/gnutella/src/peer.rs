@@ -98,10 +98,15 @@ pub const MIN_DEGREE_FLOOR: usize = 2;
 
 /// Evictions a peer repairs per session before backing off — a backstop
 /// against a pathological session where the network evicts one node over
-/// and over and every repair dial burns more handshakes. In practice it
-/// never binds (a session sees a handful of evictions at most): free-rider
-/// isolation comes from the advertised-summary eligibility gate and the
-/// evictors' persistent [`PeerState::evicted`] memory, not from this cap.
+/// and over and every repair dial burns more handshakes. It has not bound
+/// on a registered experiment, but not by a wide margin: at the default
+/// seed the most evictions one node receives in one session is 53 in
+/// `fig1`, 61 in `fig3b`, 112 in `heavy_churn`, 165 in `fig2` and 235 in
+/// `free_riders` — 15 short of this cap and 20 short of the `u8` counter
+/// saturating (ROADMAP item 1c lists these eviction storms as a suspect).
+/// Free-rider isolation comes from the advertised-summary eligibility
+/// gate and the evictors' persistent [`PeerState::evicted`] memory, not
+/// from this cap.
 pub const EVICTION_REPAIR_LIMIT: u8 = 250;
 
 /// One peer's complete mutable state (minus the hot online/session

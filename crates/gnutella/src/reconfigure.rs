@@ -20,7 +20,7 @@ use crate::events::GnutellaEvent;
 use crate::peer::{EVICTION_REPAIR_LIMIT, REFILL_RETRY_BUDGET};
 use crate::world::GnutellaWorld;
 use ddr_core::benefit::BenefitFunction;
-use ddr_core::runtime::{Clock, Transport};
+use ddr_core::runtime::Port;
 use ddr_core::{
     plan_asymmetric_update, InvitationContext, InvitationDecision, InvitationPolicy, NodeStats,
     UpdatePlan,
@@ -57,7 +57,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// notice; returns whether the view held the link at all. With
     /// `remember`, the evictor also keeps the victim in its eviction
     /// memory, refusing its later dials (see `PeerState::evicted`).
-    pub(crate) fn evict_neighbor<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    pub(crate) fn evict_neighbor<C: Port<GnutellaEvent>>(
         &mut self,
         node: NodeId,
         victim: NodeId,
@@ -84,12 +84,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
 
     /// Invite `invitee` into `node`'s neighborhood, reserving a slot for
     /// the answer so random refills don't race the acceptance.
-    fn send_invite<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
-        &mut self,
-        node: NodeId,
-        invitee: NodeId,
-        ctx: &mut C,
-    ) {
+    fn send_invite<C: Port<GnutellaEvent>>(&mut self, node: NodeId, invitee: NodeId, ctx: &mut C) {
         let k = self.li(node);
         self.metrics.invitations_sent += 1;
         self.peers[k].pending_invites += 1;
@@ -105,11 +100,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// evict dropped neighbors, invite newcomers, reset the counter.
     /// Every change is enacted on the node's own view plus messages; the
     /// counterparties mirror on receipt.
-    pub(crate) fn reconfigure<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
-        &mut self,
-        node: NodeId,
-        ctx: &mut C,
-    ) {
+    pub(crate) fn reconfigure<C: Port<GnutellaEvent>>(&mut self, node: NodeId, ctx: &mut C) {
         let k = self.li(node);
         self.peers[k].rt.clock.reset();
         self.peers[k].fill_to_degree = false;
@@ -188,11 +179,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// genuinely free slots (never evicting again), spending one unit of
     /// the campaign budget per round — this recovers most of the
     /// effectiveness an online oracle would give the planner.
-    pub(crate) fn retry_invites<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
-        &mut self,
-        node: NodeId,
-        ctx: &mut C,
-    ) {
+    pub(crate) fn retry_invites<C: Port<GnutellaEvent>>(&mut self, node: NodeId, ctx: &mut C) {
         let k = self.li(node);
         if !self.sessions[k].online || self.peers[k].refill_budget == 0 {
             return;
@@ -214,7 +201,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// reconfiguration counter to avoid cascading updates. The verdict
     /// travels back as `InviteReply` so the inviter can mirror the link
     /// (or release the reserved slot).
-    pub(crate) fn invite_arrive<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    pub(crate) fn invite_arrive<C: Port<GnutellaEvent>>(
         &mut self,
         to: NodeId,
         from: NodeId,
@@ -237,7 +224,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// The invitee's side of `Process_Invitation`, up to but excluding
     /// the reply: commit the link in `to`'s own view if the policy
     /// accepts, and return the verdict.
-    fn decide_invitation<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    fn decide_invitation<C: Port<GnutellaEvent>>(
         &mut self,
         k: usize,
         to: NodeId,
@@ -286,7 +273,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
         if let InvitationPolicy::TrialPeriod { trial_millis } = self.shared.config.invitation {
             // Provisional acceptance: re-evaluate after the trial window
             // (§3.4 solution a).
-            ctx.schedule_after(
+            ctx.send(
+                to,
                 SimDuration::from_millis(trial_millis).max(self.lookahead),
                 GnutellaEvent::TrialExpire {
                     node: to,
@@ -301,7 +289,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// Algo 5 `Process_Eviction`: drop the link from the own view and
     /// reset the evictor's statistics so the node will not try to
     /// reconnect in the near future.
-    pub(crate) fn evict_arrive<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    pub(crate) fn evict_arrive<C: Port<GnutellaEvent>>(
         &mut self,
         to: NodeId,
         from: NodeId,
@@ -347,7 +335,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
 
     /// Trial expiry (§3.4 solution a): keep the provisional neighbor only
     /// if it produced benefit during the trial window.
-    pub(crate) fn trial_expire<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    pub(crate) fn trial_expire<C: Port<GnutellaEvent>>(
         &mut self,
         node: NodeId,
         peer: NodeId,

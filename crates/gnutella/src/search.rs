@@ -20,7 +20,7 @@
 use crate::events::GnutellaEvent;
 use crate::peer::PendingQuery;
 use crate::world::GnutellaWorld;
-use ddr_core::runtime::{Clock, Transport};
+use ddr_core::runtime::Port;
 use ddr_core::{LocalIndex, QueryDescriptor};
 use ddr_sim::{ItemId, NodeId, QueryId, SimDuration, SimTime};
 use ddr_telemetry::{TraceOutcome, TraceSink};
@@ -32,11 +32,10 @@ const WAVE_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 const INDEX_REFRESH: SimDuration = SimDuration::from_mins(30);
 
 // Every handler below is generic over the engine context: the node logic
-// only speaks `Clock` (time + self-timers) and `Transport` (node-to-node
-// delivery). Under the serial kernel the context is the `Scheduler`;
-// under the sharded kernel it is a thin adapter over `ShardCtx`. Both
-// deliver identical event sequences, which is what the sharded == serial
-// bit-identity tests pin.
+// only speaks `Port` (`now`, and `send` to a peer or — a timer — to
+// itself). Under the serial kernel the context is the `Scheduler`, under
+// the sharded kernel the `ShardCtx`. Both deliver identical event
+// sequences, which is what the sharded == serial bit-identity tests pin.
 impl<T: TraceSink> GnutellaWorld<T> {
     /// The search seam's session hook: under a strategy that keeps a
     /// per-node content index, (re)build `node`'s index from the current
@@ -68,7 +67,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     }
 
     /// Local indices: periodic rebuild while the node stays online.
-    pub(crate) fn index_refresh<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    pub(crate) fn index_refresh<C: Port<GnutellaEvent>>(
         &mut self,
         node: NodeId,
         session: u32,
@@ -79,7 +78,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             return; // stale event from an earlier session
         }
         if let Some((after, refresh)) = self.refresh_index(node) {
-            ctx.schedule_after(after, refresh);
+            ctx.send(node, after, refresh);
         }
     }
 
@@ -99,7 +98,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
 
     /// Answer `query` on behalf of the indexed `holder`: its result
     /// reaches `origin` after `delay`, reported `hops` away.
-    fn reply_from_index<C: Transport<GnutellaEvent>>(
+    fn reply_from_index<C: Port<GnutellaEvent>>(
         &mut self,
         holder: NodeId,
         origin: NodeId,
@@ -125,7 +124,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         );
     }
 
-    fn send_query<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    fn send_query<C: Port<GnutellaEvent>>(
         &mut self,
         from: NodeId,
         to: NodeId,
@@ -141,7 +140,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     }
 
     /// Flood a fresh (or relaunched) query from its initiator.
-    fn flood_from_origin<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    fn flood_from_origin<C: Port<GnutellaEvent>>(
         &mut self,
         node: NodeId,
         qid: QueryId,
@@ -178,7 +177,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// Algo 5 `Send_Query`: draw the user's next target, launch the
     /// search the configured strategy asks for, arm its collection timer,
     /// tick the reconfiguration clock and schedule the next request.
-    pub(crate) fn issue_query<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    pub(crate) fn issue_query<C: Port<GnutellaEvent>>(
         &mut self,
         node: NodeId,
         session: u32,
@@ -246,7 +245,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             let finalize = GnutellaEvent::QueryFinalize { node, query: qid };
             (self.shared.config.query_timeout, finalize)
         };
-        ctx.schedule_after(window.max(self.lookahead), collect);
+        ctx.send(node, window.max(self.lookahead), collect);
 
         // Reconfiguration clock ticks in requests (paper §4.3). The clock
         // always ticks — static mode simply never acts on a due clock —
@@ -257,11 +256,11 @@ impl<T: TraceSink> GnutellaWorld<T> {
         }
 
         let d = self.peers[k].queries.next_interval().max(self.lookahead);
-        ctx.schedule_after(d, GnutellaEvent::IssueQuery { node, session });
+        ctx.send(node, d, GnutellaEvent::IssueQuery { node, session });
     }
 
     /// Algo 5 `Process_Query` at a relay.
-    pub(crate) fn query_arrive<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    pub(crate) fn query_arrive<C: Port<GnutellaEvent>>(
         &mut self,
         to: NodeId,
         from: NodeId,
@@ -431,7 +430,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// Iterative deepening: the wave's collection window elapsed —
     /// finalise a satisfied (or fully deepened) query, relaunch the rest
     /// one wave deeper.
-    pub(crate) fn wave_check<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    pub(crate) fn wave_check<C: Port<GnutellaEvent>>(
         &mut self,
         node: NodeId,
         query: QueryId,
@@ -467,7 +466,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.tracer
             .relaunch(ctx.now(), query, qid2, next_wave as u8);
         self.flood_from_origin(node, qid2, item, next_depth, ctx);
-        ctx.schedule_after(
+        ctx.send(
+            node,
             WAVE_TIMEOUT.max(self.lookahead),
             GnutellaEvent::WaveCheck {
                 node,

@@ -56,7 +56,7 @@ use crate::hosts::HostCache;
 use crate::metrics::Metrics;
 use crate::peer::{PeerState, PendingQuery, SessionSlot};
 use ddr_core::benefit::BenefitFunction;
-use ddr_core::runtime::{sample_runtime_metrics, Clock, NodeRuntime, Transport};
+use ddr_core::runtime::{sample_runtime_metrics, NodeRuntime, Port};
 use ddr_core::{CategorySummary, LocalIndex};
 use ddr_net::{NetworkModel, NodeDelayStream};
 use ddr_overlay::{NeighborList, Topology};
@@ -424,7 +424,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// sampling every shard of a sharded run into one hub produces the
     /// fleet-wide series. Read-only: a metered run stays digest-identical
     /// to an unmetered one.
-    pub fn sample_metrics_into(&self, _now: SimTime, hub: &mut dyn ddr_sim::MetricsHub) {
+    pub fn sample_metrics_into(&self, _now: SimTime, hub: &mut ddr_sim::MetricsHub) {
         sample_runtime_metrics(&self.metrics.runtime, hub);
         hub.counter("results", self.metrics.results.total() as u64);
         hub.counter("duplicates_dropped", self.metrics.duplicates_dropped);
@@ -603,9 +603,10 @@ impl<T: TraceSink> GnutellaWorld<T> {
     }
 
     /// The one event dispatcher both kernels share. `ctx` is the serial
-    /// `Scheduler` or the sharded `ShardPort`; the handler code is
-    /// identical, which is what makes sharded == serial bit-identical.
-    fn dispatch<C: Clock<GnutellaEvent> + Transport<GnutellaEvent>>(
+    /// `Scheduler` or the sharded `ShardCtx`, each through its [`Port`]
+    /// impl; the handler code is identical, which is what makes sharded
+    /// == serial bit-identical.
+    fn dispatch<C: Port<GnutellaEvent>>(
         &mut self,
         now: SimTime,
         event: GnutellaEvent,
@@ -647,7 +648,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                     self.logoff(node, ctx);
                 }
                 let d = self.peers[k].churn.next_toggle().max(self.lookahead);
-                ctx.schedule_after(d, GnutellaEvent::Toggle { node });
+                ctx.send(node, d, GnutellaEvent::Toggle { node });
             }
             GnutellaEvent::IssueQuery { node, session } => {
                 self.issue_query(node, session, ctx);
@@ -711,36 +712,6 @@ enum HintStage {
     Dependent,
 }
 
-/// Adapter presenting a [`ShardCtx`] as the `Clock` + `Transport` pair the
-/// handlers speak. Self-timers route to the handling node's own shard.
-struct ShardPort<'a, 'b> {
-    ctx: &'a mut ShardCtx<'b, GnutellaEvent>,
-    node: NodeId,
-}
-
-impl Clock<GnutellaEvent> for ShardPort<'_, '_> {
-    fn now(&self) -> SimTime {
-        self.ctx.now()
-    }
-
-    fn schedule_after(&mut self, delay: SimDuration, event: GnutellaEvent) {
-        self.ctx.send(self.node, delay, event);
-    }
-
-    fn schedule_at(&mut self, at: SimTime, event: GnutellaEvent) {
-        let d = at
-            .saturating_since(self.ctx.now())
-            .max(self.ctx.lookahead());
-        self.ctx.send(self.node, d, event);
-    }
-}
-
-impl Transport<GnutellaEvent> for ShardPort<'_, '_> {
-    fn send(&mut self, to: NodeId, delay: SimDuration, event: GnutellaEvent) {
-        self.ctx.send(to, delay, event);
-    }
-}
-
 impl<T: TraceSink> ShardWorld for GnutellaWorld<T> {
     type Event = GnutellaEvent;
 
@@ -750,9 +721,7 @@ impl<T: TraceSink> ShardWorld for GnutellaWorld<T> {
         event: GnutellaEvent,
         ctx: &mut ShardCtx<'_, GnutellaEvent>,
     ) {
-        let node = event_target(&event);
-        let mut port = ShardPort { ctx, node };
-        self.dispatch(now, event, &mut port);
+        self.dispatch(now, event, ctx);
     }
 
     #[inline]
@@ -765,7 +734,7 @@ impl<T: TraceSink> ShardWorld for GnutellaWorld<T> {
         self.request_lines(event, HintStage::Dependent);
     }
 
-    fn sample_metrics(&self, now: SimTime, hub: &mut dyn ddr_sim::MetricsHub) {
+    fn sample_metrics(&self, now: SimTime, hub: &mut ddr_sim::MetricsHub) {
         self.sample_metrics_into(now, hub);
     }
 }
@@ -782,7 +751,7 @@ impl<T: TraceSink> World for GnutellaWorld<T> {
         self.dispatch(now, event, sched);
     }
 
-    fn sample_metrics(&self, now: SimTime, hub: &mut dyn ddr_sim::MetricsHub) {
+    fn sample_metrics(&self, now: SimTime, hub: &mut ddr_sim::MetricsHub) {
         self.sample_metrics_into(now, hub);
     }
 

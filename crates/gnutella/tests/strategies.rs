@@ -2,6 +2,7 @@
 //! Garcia-Molina) wired into the case study: iterative deepening and
 //! local indices, compared against plain BFS on the same workload.
 
+use ddr_core::ForwardSelection;
 use ddr_gnutella::config::SearchStrategy;
 use ddr_gnutella::{run_scenario, Mode, RunReport, ScenarioConfig};
 
@@ -155,6 +156,38 @@ fn single_depth_deepening_is_bfs_at_that_depth_in_static_mode() {
                 "h={h} seed={seed}"
             );
             assert_eq!(deep.extra_waves, 0, "h={h} seed={seed}");
+        }
+    }
+}
+
+#[test]
+fn selective_forwarding_never_sends_more_than_flooding() {
+    // Metamorphic relation (ROADMAP item 7): at equal TTL, forwarding to
+    // at most two neighbours per hop cannot cost more messages than
+    // forwarding to all of them — in either mode, although Dynamic
+    // reconfigures differently under each selection. Measured ratio to
+    // the flood: 0.30–0.51 over the 24 cells.
+    for mode in [Mode::Static, Mode::Dynamic] {
+        for hops in [2u8, 4] {
+            for seed in 1..=3u64 {
+                let run = |forward: ForwardSelection| {
+                    let mut c = ScenarioConfig::scaled(mode, hops, 20, 6);
+                    c.seed = seed;
+                    c.forward = forward;
+                    run_scenario(c).total_messages()
+                };
+                let flood = run(ForwardSelection::All);
+                for selective in [
+                    ForwardSelection::TopKBenefit(2),
+                    ForwardSelection::RandomK(2),
+                ] {
+                    let sent = run(selective);
+                    assert!(
+                        sent <= flood,
+                        "{mode:?} hops={hops} seed={seed} {selective:?}: {sent} > flood {flood}"
+                    );
+                }
+            }
         }
     }
 }

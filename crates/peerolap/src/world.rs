@@ -21,7 +21,7 @@
 
 use crate::config::{OlapMode, PeerOlapConfig};
 use crate::cube::{chunk_processing_ms, CubeSpace, OlapQueryStream};
-use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, Clock, NodeRuntime, Transport};
+use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime};
 use ddr_core::stats_store::ReplyObservation;
 use ddr_overlay::{RelationKind, Topology};
 use ddr_sim::{
@@ -232,21 +232,13 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             .same_group_edge_fraction(|p| self.peers[p.index()].stream.group())
     }
 
-    // The query-path handlers are generic over the engine context
-    // (`Clock` + `Transport`): under the simulator both trait methods
-    // are exactly `Scheduler::after`/`at`, so the port is bit-identical
-    // (pinned in `tests/runtime_regression.rs`).
-    fn issue_query<C: Clock<OlapEvent> + Transport<OlapEvent>>(
-        &mut self,
-        peer: NodeId,
-        ctx: &mut C,
-    ) {
+    fn issue_query(&mut self, peer: NodeId, sched: &mut Scheduler<'_, OlapEvent>) {
         let i = peer.index();
-        let now = ctx.now();
+        let now = sched.now();
         let hour = now.as_hours() as usize;
 
         let d = self.peers[i].stream.next_interval();
-        ctx.schedule_after(d, OlapEvent::IssueQuery { peer });
+        sched.after(d, OlapEvent::IssueQuery { peer });
 
         if !self.overlay.is_present(peer) {
             return; // absent peers issue nothing
@@ -301,8 +293,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         for t in targets {
             self.metrics.runtime.record_messages(hour, 1.0);
             let d = self.overlay.jittered(peer, PEER_DELAY, JITTER_SPREAD);
-            ctx.send(
-                t,
+            sched.after(
                 d,
                 OlapEvent::ChunkRequest {
                     to: t,
@@ -314,7 +305,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
                 },
             );
         }
-        ctx.schedule_after(P2P_TIMEOUT, OlapEvent::P2pPhaseEnd { peer, query: qid });
+        sched.after(P2P_TIMEOUT, OlapEvent::P2pPhaseEnd { peer, query: qid });
         self.after_query(peer);
     }
 
@@ -338,7 +329,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the event's payload fields
-    fn chunk_request<C: Clock<OlapEvent> + Transport<OlapEvent>>(
+    fn chunk_request(
         &mut self,
         to: NodeId,
         from: NodeId,
@@ -346,14 +337,14 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         query: QueryId,
         ttl: u8,
         chunks: Vec<ItemId>,
-        ctx: &mut C,
+        sched: &mut Scheduler<'_, OlapEvent>,
     ) {
         let i = to.index();
         if !self.overlay.is_present(to) {
             return; // the peer left while the request was in flight
         }
         if !self.peers[i].rt.seen().first_sighting(query) {
-            self.tracer.dup(ctx.now(), query, to);
+            self.tracer.dup(sched.now(), query, to);
             return; // already served this query via another path
         }
         let (have, missing): (Vec<ItemId>, Vec<ItemId>) = chunks
@@ -361,8 +352,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             .partition(|&c| self.peers[i].cache.peek(c));
         if !have.is_empty() {
             let d = self.overlay.jittered(to, PEER_DELAY, JITTER_SPREAD);
-            ctx.send(
-                origin,
+            sched.after(
                 d,
                 OlapEvent::ChunkReply {
                     to: origin,
@@ -382,12 +372,11 @@ impl<T: TraceSink> PeerOlapWorld<T> {
                 .filter(|&n| n != from && n != origin)
                 .collect();
             fanout = targets.len();
-            let hour = ctx.now().as_hours() as usize;
+            let hour = sched.now().as_hours() as usize;
             for t in targets {
                 self.metrics.runtime.record_messages(hour, 1.0);
                 let d = self.overlay.jittered(to, PEER_DELAY, JITTER_SPREAD);
-                ctx.send(
-                    t,
+                sched.after(
                     d,
                     OlapEvent::ChunkRequest {
                         to: t,
@@ -402,7 +391,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         }
         let travelled = MAX_HOPS - ttl + 1;
         self.tracer
-            .hop(ctx.now(), query, to, from, ttl, travelled, fanout);
+            .hop(sched.now(), query, to, from, ttl, travelled, fanout);
     }
 
     fn chunk_reply(
@@ -452,17 +441,17 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         }
     }
 
-    fn p2p_phase_end<C: Clock<OlapEvent> + Transport<OlapEvent>>(
+    fn p2p_phase_end(
         &mut self,
         peer: NodeId,
         query: QueryId,
-        ctx: &mut C,
+        sched: &mut Scheduler<'_, OlapEvent>,
     ) {
         let i = peer.index();
         let Some(pq) = self.peers[i].pending.get(&query) else {
             return;
         };
-        let now = ctx.now();
+        let now = sched.now();
         let missing: Vec<ItemId> = pq
             .wanted
             .iter()
@@ -480,7 +469,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             }
             self.tracer
                 .finish(now, query, TraceOutcome::Hit, served, span_latency);
-            ctx.schedule_at(now, OlapEvent::QueryComplete { peer, query });
+            sched.at(now, OlapEvent::QueryComplete { peer, query });
             return;
         }
         // Warehouse fallback: round trip plus sequential chunk processing.
@@ -505,7 +494,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         let acquired = self.peers[i].pending[&query].acquired.len() as u64;
         self.tracer
             .finish(now, query, TraceOutcome::Miss, acquired, total_latency);
-        ctx.schedule_after(done_in, OlapEvent::QueryComplete { peer, query });
+        sched.after(done_in, OlapEvent::QueryComplete { peer, query });
     }
 
     fn query_complete(&mut self, peer: NodeId, query: QueryId) {
@@ -527,7 +516,7 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
     /// Report cumulative counters (differenced into per-window deltas by
     /// the recorder) and instantaneous levels. Read-only, so a metered
     /// run stays bit-identical to an unmetered one.
-    fn sample_metrics(&self, _now: SimTime, hub: &mut dyn ddr_sim::MetricsHub) {
+    fn sample_metrics(&self, _now: SimTime, hub: &mut ddr_sim::MetricsHub) {
         sample_runtime_metrics(&self.metrics.runtime, hub);
         hub.counter("chunks_local", self.metrics.chunks_local.total() as u64);
         hub.counter(

@@ -8,7 +8,7 @@
 //!   node state is ever shared or locked.
 //! * Each shard has one bounded [`mpsc::sync_channel`] inbox. A message
 //!   carries its *delivery deadline* (`Envelope::at`, wall time since
-//!   run start): the sending node's `Transport::send` adds the modelled
+//!   run start): the sending node's `Port::send` adds the modelled
 //!   network delay, the receiving shard parks the envelope in a local
 //!   timing wheel (`wheel.rs`: one FIFO list per millisecond) and
 //!   delivers it when the [`WallClock`] catches up — the exact analogue
@@ -36,7 +36,7 @@
 
 use crate::monitor::{spawn_endpoint, spawn_monitor, MonitorShared};
 use crate::wheel::TimerWheel;
-use ddr_core::runtime::{Clock, NodeBehavior, Transport};
+use ddr_core::runtime::Port;
 use ddr_gnutella::{build_nodes, GnutellaNode, NodeMsg, NodeSetConfig, QueryOutcome};
 use ddr_sim::{NodeId, QueryId, SimDuration, SimTime};
 use ddr_telemetry::{JsonlSink, NullSink, QueryTracer, TelemetryConfig, TraceOutcome, TraceSink};
@@ -159,42 +159,20 @@ struct Envelope {
     msg: NodeMsg,
 }
 
-/// `Clock`/`Transport` context handed to a node while it handles one
-/// message. Sends are *staged* (the node holds `&mut self` while the
-/// shard owns the routing tables) and routed by the shard afterwards.
+/// The [`Port`] handed to a node while it handles one message. Sends
+/// are *staged* (the node holds `&mut self` while the shard owns the
+/// routing tables) and routed by the shard afterwards.
 struct ShardCtx<'a> {
     now: SimTime,
     me: NodeId,
     staged: &'a mut Vec<Envelope>,
 }
 
-impl Clock<NodeMsg> for ShardCtx<'_> {
+impl Port<NodeMsg> for ShardCtx<'_> {
     fn now(&self) -> SimTime {
         self.now
     }
 
-    fn schedule_after(&mut self, delay: SimDuration, msg: NodeMsg) {
-        let me = self.me;
-        self.staged.push(Envelope {
-            at: self.now + delay,
-            to: me,
-            from: me,
-            msg,
-        });
-    }
-
-    fn schedule_at(&mut self, at: SimTime, msg: NodeMsg) {
-        let me = self.me;
-        self.staged.push(Envelope {
-            at: at.max(self.now),
-            to: me,
-            from: me,
-            msg,
-        });
-    }
-}
-
-impl Transport<NodeMsg> for ShardCtx<'_> {
     fn send(&mut self, to: NodeId, delay: SimDuration, msg: NodeMsg) {
         let from = self.me;
         self.staged.push(Envelope {

@@ -1,14 +1,14 @@
-//! # ddr-serve — the real-time backend for `NodeBehavior` fleets
+//! # ddr-serve — the real-time backend for standalone-node fleets
 //!
 //! The discrete-event simulator answers "what would the paper's
 //! protocol do over six virtual hours"; this crate answers "how many
 //! queries per second does the same per-node state machine sustain on
 //! this hardware". Both drive the identical
-//! [`ddr_gnutella::GnutellaNode`] through the
-//! `ddr_core::runtime::transport` traits:
+//! [`ddr_gnutella::GnutellaNode`] through the one engine port,
+//! `ddr_core::runtime::Port` (`now` + `send`):
 //!
 //! * [`sim_backend`] — a single-threaded, deterministic driver over the
-//!   calendar-queue DES (`SimTransport`). Pure function of
+//!   calendar-queue DES (`EnvelopePort`). Pure function of
 //!   `(config, seed)`; the sim/serve parity test pins the two backends
 //!   against each other with it.
 //! * [`bus`] — the production-shaped engine: nodes sharded across

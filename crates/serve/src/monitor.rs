@@ -14,7 +14,6 @@
 
 use crate::bus::WallClock;
 use ddr_gnutella::QueryOutcome;
-use ddr_sim::MetricsHub;
 use ddr_telemetry::{JsonlMetrics, LogHistogram, MetricsRecorder, TelemetryConfig};
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -181,29 +180,29 @@ pub(crate) fn spawn_monitor(
             if now >= next || finished {
                 let completed = shared.completed.load(ORD);
                 let dt_s = (now.saturating_sub(prev_t)).max(1) as f64 / 1_000.0;
-                let reg = rec.registry_mut();
-                reg.begin_sample();
+                let hub = rec.hub_mut();
+                hub.begin_sample();
                 // Quantities the simulator also reports keep its names
                 // (DESIGN.md §14); `queries_offered` is serve-only.
-                reg.counter("queries_offered", shared.offered.load(ORD));
-                reg.counter("queries", shared.issued.load(ORD));
-                reg.counter("queries_finalized", completed);
-                reg.counter("hits", shared.hits.load(ORD));
-                reg.gauge(
+                hub.counter("queries_offered", shared.offered.load(ORD));
+                hub.counter("queries", shared.issued.load(ORD));
+                hub.counter("queries_finalized", completed);
+                hub.counter("hits", shared.hits.load(ORD));
+                hub.gauge(
                     "achieved_qps",
                     (completed.saturating_sub(prev_completed)) as f64 / dt_s,
                 );
-                reg.gauge("latency_count", shared.latency_ms.count() as f64);
-                reg.gauge("latency_p50_ms", shared.latency_ms.quantile(0.50));
-                reg.gauge("latency_p99_ms", shared.latency_ms.quantile(0.99));
+                hub.gauge("latency_count", shared.latency_ms.count() as f64);
+                hub.gauge("latency_p50_ms", shared.latency_ms.quantile(0.50));
+                hub.gauge("latency_p99_ms", shared.latency_ms.quantile(0.99));
                 for (i, d) in shared.inbox_depth.iter().enumerate() {
-                    reg.gauge(&format!("inbox_depth.s{i}"), d.load(ORD) as f64);
+                    hub.gauge(&format!("inbox_depth.s{i}"), d.load(ORD) as f64);
                 }
                 for (i, d) in shared.timers_pending.iter().enumerate() {
-                    reg.gauge(&format!("timer_heap.s{i}"), d.load(ORD) as f64);
+                    hub.gauge(&format!("timer_heap.s{i}"), d.load(ORD) as f64);
                 }
                 for (i, lag) in shared.take_delivery_lag().into_iter().enumerate() {
-                    reg.gauge(&format!("delivery_lag_ms.s{i}"), lag as f64);
+                    hub.gauge(&format!("delivery_lag_ms.s{i}"), lag as f64);
                 }
                 rec.emit_window(now);
                 prev_completed = completed;

@@ -1,70 +1,18 @@
 //! The deterministic backend: drive a fleet of [`GnutellaNode`]s
 //! through the calendar-queue DES.
 //!
-//! This is the "SimTransport adapter" side of the sim/serve duality:
-//! the same `NodeBehavior` the bus shards across threads runs here
-//! single-threaded under virtual time, so its outcomes are a pure
+//! This is the deterministic side of the sim/serve duality: the same
+//! `GnutellaNode::on_message` the bus shards across threads runs here
+//! single-threaded under virtual time, through
+//! [`ddr_core::runtime::EnvelopePort`], so its outcomes are a pure
 //! function of `(config, seed)`. The parity test compares this
 //! backend's hit rate and message counts against the wall-clock bus.
 
-use ddr_core::runtime::{Clock, NodeBehavior, Transport};
+use ddr_core::runtime::{Envelope, EnvelopePort};
 use ddr_gnutella::{build_nodes, GnutellaNode, NodeMsg, NodeSetConfig};
-use ddr_sim::{EventQueue, NodeId, QueryId, Scheduler, SimDuration, SimTime};
+use ddr_sim::{EventQueue, NodeId, QueryId, SimDuration, SimTime};
 
 use crate::percentile;
-
-/// A routed message: the DES event is the envelope, the bus's channel
-/// payload is its exact analogue.
-#[derive(Debug, Clone, Copy)]
-pub struct Delivery {
-    pub to: NodeId,
-    pub from: NodeId,
-    pub msg: NodeMsg,
-}
-
-/// Context adapter: `Clock`/`Transport` over the sim scheduler, routing
-/// envelopes on behalf of the node currently handling a message.
-struct SimCtx<'a, 'b> {
-    sched: &'a mut Scheduler<'b, Delivery>,
-    me: NodeId,
-}
-
-impl Clock<NodeMsg> for SimCtx<'_, '_> {
-    fn now(&self) -> SimTime {
-        self.sched.now()
-    }
-
-    fn schedule_after(&mut self, delay: SimDuration, msg: NodeMsg) {
-        let me = self.me;
-        self.sched.after(
-            delay,
-            Delivery {
-                to: me,
-                from: me,
-                msg,
-            },
-        );
-    }
-
-    fn schedule_at(&mut self, at: SimTime, msg: NodeMsg) {
-        let me = self.me;
-        self.sched.at(
-            at,
-            Delivery {
-                to: me,
-                from: me,
-                msg,
-            },
-        );
-    }
-}
-
-impl Transport<NodeMsg> for SimCtx<'_, '_> {
-    fn send(&mut self, to: NodeId, delay: SimDuration, msg: NodeMsg) {
-        let from = self.me;
-        self.sched.after(delay, Delivery { to, from, msg });
-    }
-}
 
 /// Aggregate outcome of a deterministic fleet run.
 #[derive(Debug, Clone)]
@@ -107,12 +55,12 @@ pub fn run_deterministic(
     interval: SimDuration,
 ) -> SimFleetReport {
     let mut nodes: Vec<GnutellaNode> = build_nodes(cfg);
-    let mut queue: EventQueue<Delivery> = EventQueue::new();
+    let mut queue: EventQueue<Envelope<NodeMsg>> = EventQueue::new();
     for q in 0..queries {
         let to = NodeId::from_index((q % cfg.nodes as u64) as usize);
         queue.schedule_at(
             SimTime::ZERO + interval.saturating_mul(q),
-            Delivery {
+            Envelope {
                 to,
                 from: to,
                 msg: NodeMsg::Issue { query: QueryId(q) },
@@ -121,10 +69,7 @@ pub fn run_deterministic(
     }
     while let Some((_, env)) = queue.pop() {
         let mut sched = queue.scheduler();
-        let mut ctx = SimCtx {
-            sched: &mut sched,
-            me: env.to,
-        };
+        let mut ctx = EnvelopePort::new(&mut sched, env.to);
         nodes[env.to.index()].on_message(env.from, env.msg, &mut ctx);
     }
 

@@ -35,7 +35,7 @@ pub trait World {
     /// sampling boundaries, between events — never mid-handler — so it
     /// observes only quiescent state and must not mutate anything. The
     /// default reports nothing.
-    fn sample_metrics(&self, _now: SimTime, _hub: &mut dyn MetricsHub) {}
+    fn sample_metrics(&self, _now: SimTime, _hub: &mut MetricsHub) {}
 }
 
 /// Why a [`Simulation::run`] call returned.

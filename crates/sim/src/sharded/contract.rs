@@ -119,7 +119,7 @@ pub trait ShardWorld {
     /// world at sampling boundaries — between windows, never mid-handler
     /// — and the hub sums the per-shard contributions into fleet-wide
     /// series. Must not mutate anything; the default reports nothing.
-    fn sample_metrics(&self, _now: SimTime, _hub: &mut dyn crate::MetricsHub) {}
+    fn sample_metrics(&self, _now: SimTime, _hub: &mut crate::MetricsHub) {}
 }
 
 /// Scheduling façade handed to [`ShardWorld::handle`]; the sharded
@@ -138,12 +138,6 @@ impl<'a, E> ShardCtx<'a, E> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The kernel's lookahead: the minimum admissible send delay.
-    #[inline]
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
     }
 
     /// Schedule `event` to fire at node `to` after `delay`. Self-sends

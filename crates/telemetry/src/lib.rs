@@ -41,8 +41,7 @@ pub mod tracer;
 pub use config::TelemetryConfig;
 pub use inspect::{summarize, summarize_file, TraceSummary};
 pub use metrics::{
-    JsonlMetrics, LogHistogram, MetricsRecorder, MetricsRegistry, MetricsSink,
-    METRICS_SCHEMA_VERSION,
+    JsonlMetrics, LogHistogram, MetricsRecorder, MetricsSink, METRICS_SCHEMA_VERSION,
 };
 pub use profile::{shard_profile_report, KernelProfiler};
 pub use sink::{JsonlSink, NullSink, TraceSink};

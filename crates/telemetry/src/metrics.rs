@@ -145,34 +145,6 @@ impl LogHistogram {
     }
 }
 
-/// The in-memory store behind a sampling pass: named counters and
-/// gauges. Implements [`MetricsHub`], so worlds report into it without a
-/// telemetry dependency. Contributions **add** (N shard worlds sampled
-/// into one registry produce fleet-wide sums).
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-}
-
-impl MetricsRegistry {
-    /// Reset the window's counters and gauges before a sampling pass.
-    pub fn begin_sample(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-    }
-}
-
-impl MetricsHub for MetricsRegistry {
-    fn counter(&mut self, name: &str, total: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += total;
-    }
-
-    fn gauge(&mut self, name: &str, value: f64) {
-        *self.gauges.entry(name.to_string()).or_insert(0.0) += value;
-    }
-}
-
 /// Format an `f64` as a JSON value; non-finite values become `null`
 /// (valid JSON; the timeline inspector flags them as anomalies).
 fn json_f64(v: f64) -> String {
@@ -183,11 +155,11 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Drives one run's timeline: owns the [`MetricsRegistry`], differences
+/// Drives one run's timeline: owns the [`MetricsHub`], differences
 /// cumulative counters into per-window deltas, and emits one versioned
 /// record per sampling boundary into the sink type `M`.
 pub struct MetricsRecorder<M: MetricsSink> {
-    registry: MetricsRegistry,
+    hub: MetricsHub,
     sink: M,
     run_label: &'static str,
     prev: BTreeMap<String, u64>,
@@ -198,7 +170,7 @@ impl<M: MetricsSink> MetricsRecorder<M> {
     /// Build a recorder for one run from its telemetry configuration.
     pub fn new(cfg: &TelemetryConfig) -> Self {
         MetricsRecorder {
-            registry: MetricsRegistry::default(),
+            hub: MetricsHub::default(),
             sink: M::create(cfg),
             run_label: cfg.run_label,
             prev: BTreeMap::new(),
@@ -206,10 +178,10 @@ impl<M: MetricsSink> MetricsRecorder<M> {
         }
     }
 
-    /// The registry, for sampling passes that report directly (the serve
+    /// The hub, for sampling passes that report directly (the serve
     /// monitor) rather than through a world hook.
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
+    pub fn hub_mut(&mut self) -> &mut MetricsHub {
+        &mut self.hub
     }
 
     /// Sample a serial simulation at a chunk boundary: clears the
@@ -217,21 +189,21 @@ impl<M: MetricsSink> MetricsRecorder<M> {
     /// [`World::sample_metrics`] hook, gauges the kernel queue depth,
     /// and emits the window record at virtual time `now`.
     pub fn sample_sim<W: World>(&mut self, now: SimTime, sim: &Simulation<W>) {
-        self.registry.begin_sample();
-        sim.world().sample_metrics(now, &mut self.registry);
-        self.registry.gauge("queue_depth", sim.pending() as f64);
+        self.hub.begin_sample();
+        sim.world().sample_metrics(now, &mut self.hub);
+        self.hub.gauge("queue_depth", sim.pending() as f64);
         self.emit_window(now.as_millis());
     }
 
     /// Sample a sharded simulation at a window-chunk boundary: every
     /// shard world reports through [`ShardWorld::sample_metrics`] (the
-    /// registry sums them) and each shard's event-queue depth lands in
+    /// hub sums them) and each shard's event-queue depth lands in
     /// its own `queue_depth.s<i>` gauge.
     pub fn sample_sharded<W: ShardWorld>(&mut self, now: SimTime, sim: &ShardedSimulation<W>) {
-        self.registry.begin_sample();
+        self.hub.begin_sample();
         for (i, w) in sim.worlds().enumerate() {
-            w.sample_metrics(now, &mut self.registry);
-            self.registry
+            w.sample_metrics(now, &mut self.hub);
+            self.hub
                 .gauge(&format!("queue_depth.s{i}"), sim.shard_pending(i) as f64);
         }
         self.emit_window(now.as_millis());
@@ -256,7 +228,7 @@ impl<M: MetricsSink> MetricsRecorder<M> {
         );
         line.push_str(",\"counters\":{");
         let mut first = true;
-        for (name, &cur) in &self.registry.counters {
+        for (name, &cur) in self.hub.counters() {
             let prev = self.prev.get(name).copied().unwrap_or(0);
             if !first {
                 line.push(',');
@@ -267,7 +239,7 @@ impl<M: MetricsSink> MetricsRecorder<M> {
         }
         line.push_str("},\"gauges\":{");
         let mut first = true;
-        for (name, &v) in &self.registry.gauges {
+        for (name, &v) in self.hub.gauges() {
             if !first {
                 line.push(',');
             }
@@ -301,19 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_sums_contributions() {
-        let mut reg = MetricsRegistry::default();
-        reg.counter("hits", 3);
-        reg.counter("hits", 4);
-        reg.gauge("online", 10.0);
-        reg.gauge("online", 5.0);
-        assert_eq!(reg.counters["hits"], 7);
-        assert_eq!(reg.gauges["online"], 15.0);
-        reg.begin_sample();
-        assert!(reg.counters.is_empty() && reg.gauges.is_empty());
-    }
-
-    #[test]
     fn recorder_emits_deltas_and_monotonic_timestamps() {
         let path =
             std::env::temp_dir().join(format!("ddr_metrics_rec_{}.jsonl", std::process::id()));
@@ -323,11 +282,11 @@ mod tests {
             ..TelemetryConfig::default()
         };
         let mut r = MetricsRecorder::<JsonlMetrics>::new(&cfg);
-        r.registry_mut().begin_sample();
-        r.registry_mut().counter("hits", 10);
+        r.hub_mut().begin_sample();
+        r.hub_mut().counter("hits", 10);
         r.emit_window(1000);
-        r.registry_mut().begin_sample();
-        r.registry_mut().counter("hits", 25);
+        r.hub_mut().begin_sample();
+        r.hub_mut().counter("hits", 25);
         r.emit_window(1000); // same timestamp: must be bumped, not repeated
         r.finish();
         let text = std::fs::read_to_string(&path).unwrap();

@@ -22,7 +22,7 @@ use crate::config::{CacheMode, WebCacheConfig};
 use crate::digest::BloomFilter;
 use crate::lru::LruCache;
 use crate::traffic::{PageSpace, RequestStream};
-use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, Clock, NodeRuntime, Transport};
+use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime};
 use ddr_core::stats_store::ReplyObservation;
 use ddr_overlay::{RelationKind, Topology};
 use ddr_sim::{
@@ -241,22 +241,14 @@ impl<T: TraceSink> WebCacheWorld<T> {
         }
     }
 
-    // The request/explore handlers are generic over the engine context
-    // (`Clock` + `Transport`): under the simulator both trait methods
-    // are exactly `Scheduler::after`, so the port is bit-identical
-    // (pinned in `tests/runtime_regression.rs`).
-    fn handle_request<C: Clock<CacheEvent> + Transport<CacheEvent>>(
-        &mut self,
-        proxy: NodeId,
-        ctx: &mut C,
-    ) {
+    fn handle_request(&mut self, proxy: NodeId, sched: &mut Scheduler<'_, CacheEvent>) {
         let i = proxy.index();
-        let now = ctx.now();
+        let now = sched.now();
         let hour = now.as_hours() as usize;
 
         // Schedule the next request first (the stream never stops).
         let next = self.proxies[i].stream.next_interval();
-        ctx.schedule_after(next, CacheEvent::Request { proxy });
+        sched.after(next, CacheEvent::Request { proxy });
 
         if !self.overlay.is_present(proxy) {
             self.metrics.requests_lost += 1;
@@ -339,7 +331,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
                     }
                     // The sibling's reply carries the page: a message to
                     // ourselves after the round trip.
-                    ctx.send(proxy, rtt, CacheEvent::FetchComplete { proxy, page });
+                    sched.after(rtt, CacheEvent::FetchComplete { proxy, page });
                 }
                 None => {
                     let rtt = self.round_trip(proxy, ORIGIN_DELAY);
@@ -347,7 +339,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
                     self.record_latency(now, rtt.as_millis() as f64);
                     self.tracer
                         .finish(now, qid, TraceOutcome::Miss, 0, rtt.as_millis() as f64);
-                    ctx.send(proxy, rtt, CacheEvent::FetchComplete { proxy, page });
+                    sched.after(rtt, CacheEvent::FetchComplete { proxy, page });
                 }
             }
         }
@@ -355,7 +347,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
         if self.config.mode == CacheMode::Dynamic {
             self.proxies[i].rt.explorer().on_request();
             if self.proxies[i].rt.explorer().should_fire(now) {
-                self.explore(proxy, ctx);
+                self.explore(proxy, sched);
             }
             if self.proxies[i].rt.clock.tick() {
                 // Algo 3 (pure asymmetric): rewrite the outgoing list from
@@ -374,13 +366,9 @@ impl<T: TraceSink> WebCacheWorld<T> {
 
     /// Algo 2: probe random non-neighbor proxies; replies return
     /// summarized information (overlap with our recent misses).
-    fn explore<C: Clock<CacheEvent> + Transport<CacheEvent>>(
-        &mut self,
-        proxy: NodeId,
-        ctx: &mut C,
-    ) {
+    fn explore(&mut self, proxy: NodeId, sched: &mut Scheduler<'_, CacheEvent>) {
         self.metrics.runtime.record_exploration();
-        let hour = ctx.now().as_hours() as usize;
+        let hour = sched.now().as_hours() as usize;
         for _ in 0..PROBE_FANOUT {
             let q = self.overlay.random_node();
             if q == proxy || self.overlay.out(proxy).contains(q) {
@@ -389,7 +377,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
             self.metrics.runtime.record_messages(hour, 1.0);
             let rtt = self.round_trip(proxy, SIBLING_DELAY);
             // The probe reply returns to the prober after the round trip.
-            ctx.send(proxy, rtt, CacheEvent::ProbeReply { to: proxy, from: q });
+            sched.after(rtt, CacheEvent::ProbeReply { to: proxy, from: q });
         }
     }
 
@@ -428,7 +416,7 @@ impl<T: TraceSink> World for WebCacheWorld<T> {
     /// Report cumulative counters (differenced into per-window deltas by
     /// the recorder) and instantaneous levels. Read-only, so a metered
     /// run stays bit-identical to an unmetered one.
-    fn sample_metrics(&self, _now: SimTime, hub: &mut dyn ddr_sim::MetricsHub) {
+    fn sample_metrics(&self, _now: SimTime, hub: &mut ddr_sim::MetricsHub) {
         sample_runtime_metrics(&self.metrics.runtime, hub);
         hub.counter("local_hits", self.metrics.local_hits.total() as u64);
         hub.counter("origin_fetches", self.metrics.origin_fetches.total() as u64);
