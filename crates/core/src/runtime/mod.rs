@@ -32,7 +32,7 @@ pub mod reconfig;
 
 pub use asymmetric::AsymmetricOverlay;
 pub use node::NodeRuntime;
-pub use port::{Envelope, EnvelopePort, Port};
+pub use port::Port;
 pub use reconfig::ReconfigClock;
 
 use ddr_sim::MetricsHub;

@@ -18,15 +18,15 @@
 //! `to` is the routing key. The serial [`Scheduler`] ignores it (its
 //! events carry their recipient in the payload and there is one queue);
 //! the sharded kernel's [`ShardCtx`] and the serve bus pick the owning
-//! shard by it; [`EnvelopePort`] writes it on the envelope.
+//! shard by it, and the bus also writes it on the envelope, since a
+//! standalone node's messages do not name their recipient.
 //!
-//! Four types implement the port: [`Scheduler`] and [`ShardCtx`] for the
+//! Three types implement the port: [`Scheduler`] and [`ShardCtx`] for the
 //! two simulation kernels (whole-world events, `GnutellaWorld::dispatch`),
-//! and, for fleets of standalone nodes whose messages do not name their
-//! recipient, [`EnvelopePort`] (the deterministic DES backend) and
-//! `ddr-serve`'s bus context (wall clock, worker threads). Handlers are
-//! generic over the port, not `dyn`: every engine monomorphizes its hot
-//! path.
+//! and `ddr-serve`'s bus context for fleets of standalone nodes, whether
+//! its shards run on the wall clock or, deterministically, on a virtual
+//! one. Handlers are generic over the port, not `dyn`: every engine
+//! monomorphizes its hot path.
 
 use ddr_sim::{NodeId, Scheduler, ShardCtx, SimDuration, SimTime};
 
@@ -62,41 +62,6 @@ impl<E> Port<E> for ShardCtx<'_, E> {
     #[inline]
     fn send(&mut self, to: NodeId, delay: SimDuration, event: E) {
         ShardCtx::send(self, to, delay, event);
-    }
-}
-
-/// A routed message between standalone nodes: the DES event of
-/// [`EnvelopePort`], and field for field what the serve bus puts on its
-/// channels (plus a deadline).
-#[derive(Debug, Clone, Copy)]
-pub struct Envelope<M> {
-    pub to: NodeId,
-    pub from: NodeId,
-    pub msg: M,
-}
-
-/// The port of a node fleet on the serial DES: wraps what node `me`
-/// sends while it handles one delivery into [`Envelope`]s on the queue.
-pub struct EnvelopePort<'a, 'b, M> {
-    sched: &'a mut Scheduler<'b, Envelope<M>>,
-    me: NodeId,
-}
-
-impl<'a, 'b, M> EnvelopePort<'a, 'b, M> {
-    /// The port node `me` holds while handling one delivery.
-    pub fn new(sched: &'a mut Scheduler<'b, Envelope<M>>, me: NodeId) -> Self {
-        EnvelopePort { sched, me }
-    }
-}
-
-impl<M> Port<M> for EnvelopePort<'_, '_, M> {
-    fn now(&self) -> SimTime {
-        self.sched.now()
-    }
-
-    fn send(&mut self, to: NodeId, delay: SimDuration, msg: M) {
-        let from = self.me;
-        self.sched.after(delay, Envelope { to, from, msg });
     }
 }
 

@@ -6,13 +6,11 @@
 //! is the *production-shaped* counterpart: one `GnutellaNode` owns only
 //! its own library, neighbor list, duplicate cache and pending-query
 //! table, and reacts to delivered [`NodeMsg`]s through the engine
-//! [`Port`] (`now` + `send`). The same instance runs under
-//!
-//! * the discrete-event backend (`ddr_serve::sim_backend`, over
-//!   `ddr_core::runtime::EnvelopePort`), which keeps runs deterministic
-//!   and is what the sim/serve parity test drives;
-//! * the real-time `ddr-serve` bus, which shards nodes across worker
-//!   threads and measures wall-clock queries/sec.
+//! [`Port`] (`now` + `send`), handing back the [`QueryOutcome`] a
+//! `Finalize` closes. One engine runs it: the `ddr-serve` bus, which
+//! shards nodes across worker threads on the wall clock, and whose
+//! one-shard `run_deterministic` steps the same shard on a virtual
+//! millisecond clock for reproducible runs and the sim/serve parity test.
 //!
 //! The protocol is the paper's §4.1 static search core: flood to
 //! neighbors with a hop limit, duplicate suppression, holders reply
@@ -53,7 +51,8 @@ struct Pending {
     first: Option<(NodeId, SimTime, u8)>,
 }
 
-/// A finished query, drained by the engine for metrics and tracing.
+/// A finished query, returned by [`GnutellaNode::on_message`] for the
+/// engine's metrics and tracing.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryOutcome {
     pub query: QueryId,
@@ -70,10 +69,8 @@ pub struct QueryOutcome {
 /// Per-node message counters (aggregated by the engine).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeCounters {
-    pub queries_issued: u64,
     pub messages_sent: u64,
     pub duplicates_dropped: u64,
-    pub replies_sent: u64,
 }
 
 /// One Gnutella peer: library + neighbors + framework runtime, driven
@@ -92,23 +89,17 @@ pub struct GnutellaNode {
     query_timeout: SimDuration,
     /// Message counters, read by the engine after (or during) a run.
     pub counters: NodeCounters,
-    completed: Vec<QueryOutcome>,
 }
 
 impl GnutellaNode {
-    /// Drain the outcomes of queries finalized since the last drain.
-    pub fn take_completed(&mut self) -> Vec<QueryOutcome> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// This node's id.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
     /// The node's current neighbor set.
     pub fn neighbors(&self) -> &[NodeId] {
         &self.neighbors
+    }
+
+    /// Queries this node issued whose collection window is still open.
+    pub fn in_flight(&self) -> usize {
+        self.pending.len()
     }
 
     fn delay_to(&mut self, to: NodeId) -> SimDuration {
@@ -117,12 +108,17 @@ impl GnutellaNode {
 
     /// Handle one delivered message. `from` is the sending node (this
     /// node's own id for the `Finalize` timer and for injected `Issue`s).
-    pub fn on_message<C: Port<NodeMsg>>(&mut self, from: NodeId, msg: NodeMsg, ctx: &mut C) {
+    /// Returns the query a `Finalize` closed, for the engine to collect.
+    pub fn on_message<C: Port<NodeMsg>>(
+        &mut self,
+        from: NodeId,
+        msg: NodeMsg,
+        ctx: &mut C,
+    ) -> Option<QueryOutcome> {
         match msg {
             NodeMsg::Issue { query } => {
                 let now = ctx.now();
                 let item = self.queries.next_target(&self.catalog, &self.profile);
-                self.counters.queries_issued += 1;
                 self.rt.seen().first_sighting(query);
                 self.pending.insert(
                     query,
@@ -153,12 +149,11 @@ impl GnutellaNode {
             NodeMsg::Query { desc } => {
                 if !self.rt.seen().first_sighting(desc.id) {
                     self.counters.duplicates_dropped += 1;
-                    return;
+                    return None;
                 }
                 if self.profile.has(desc.item) {
                     // Reply straight to the initiator, do not forward.
                     let d = self.delay_to(desc.origin);
-                    self.counters.replies_sent += 1;
                     self.counters.messages_sent += 1;
                     ctx.send(
                         desc.origin,
@@ -168,10 +163,10 @@ impl GnutellaNode {
                             hops: desc.travelled,
                         },
                     );
-                    return;
+                    return None;
                 }
                 if desc.ttl <= 1 {
-                    return;
+                    return None;
                 }
                 let fwd = desc.next_hop();
                 for n in 0..self.neighbors.len() {
@@ -193,25 +188,25 @@ impl GnutellaNode {
                 }
             }
             NodeMsg::Finalize { query } => {
-                if let Some(pq) = self.pending.remove(&query) {
-                    self.completed.push(QueryOutcome {
-                        query,
-                        node: self.id,
-                        item: pq.item,
-                        ttl: pq.ttl,
-                        issued_at: pq.issued_at,
-                        finished_at: ctx.now(),
-                        results: pq.results,
-                        first: pq.first,
-                    });
-                }
+                let pq = self.pending.remove(&query)?;
+                return Some(QueryOutcome {
+                    query,
+                    node: self.id,
+                    item: pq.item,
+                    ttl: pq.ttl,
+                    issued_at: pq.issued_at,
+                    finished_at: ctx.now(),
+                    results: pq.results,
+                    first: pq.first,
+                });
             }
         }
+        None
     }
 }
 
-/// Configuration for a fleet of standalone nodes (both the serve bus
-/// and the deterministic parity backend build from this).
+/// Configuration for a fleet of standalone nodes (the serve bus builds
+/// from this on either clock).
 #[derive(Debug, Clone)]
 pub struct NodeSetConfig {
     /// Fleet size.
@@ -291,7 +286,6 @@ pub fn build_nodes(cfg: &NodeSetConfig) -> Vec<GnutellaNode> {
                 max_hops: cfg.max_hops,
                 query_timeout: cfg.query_timeout,
                 counters: NodeCounters::default(),
-                completed: Vec::new(),
             }
         })
         .collect()
@@ -314,41 +308,5 @@ mod tests {
         // The random bootstrap fills almost everyone; nobody isolated.
         let isolated = a.iter().filter(|n| n.neighbors().is_empty()).count();
         assert_eq!(isolated, 0, "isolated nodes in a 64-node bootstrap");
-    }
-
-    #[test]
-    fn query_floods_and_collects_replies() {
-        use ddr_core::runtime::{Envelope, EnvelopePort};
-        use ddr_sim::EventQueue;
-
-        // Drive a built fleet through the serial DES by hand, the way
-        // `ddr_serve::sim_backend` does.
-        let cfg = NodeSetConfig::new(48, 7);
-        let mut nodes = build_nodes(&cfg);
-        let mut q: EventQueue<Envelope<NodeMsg>> = EventQueue::new();
-        q.schedule_at(
-            SimTime::ZERO,
-            Envelope {
-                to: NodeId(0),
-                from: NodeId(0),
-                msg: NodeMsg::Issue {
-                    query: QueryId(100),
-                },
-            },
-        );
-        while let Some((_, env)) = q.pop() {
-            let mut sched = q.scheduler();
-            let mut ctx = EnvelopePort::new(&mut sched, env.to);
-            nodes[env.to.index()].on_message(env.from, env.msg, &mut ctx);
-        }
-        let done = nodes[0].take_completed();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].query, QueryId(100));
-        assert!(done[0].finished_at >= SimTime::from_millis(10_000));
-        assert_eq!(nodes[0].counters.queries_issued, 1);
-        assert!(nodes[0].pending.is_empty());
-        // The flood reached beyond the initiator.
-        let total_msgs: u64 = nodes.iter().map(|n| n.counters.messages_sent).sum();
-        assert!(total_msgs >= cfg.degree as u64);
     }
 }

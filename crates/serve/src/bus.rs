@@ -11,9 +11,11 @@
 //!   run start): the sending node's `Port::send` adds the modelled
 //!   network delay, the receiving shard parks the envelope in a local
 //!   timing wheel (`wheel.rs`: one FIFO list per millisecond) and
-//!   delivers it when the [`WallClock`] catches up — the exact analogue
-//!   of the DES calendar queue, with real elapsed time as the event
-//!   clock. At 30 k qps a shard holds ≈250 k envelopes (Finalize timers
+//!   delivers it when the [`WallClock`] catches up. The wheel's order
+//!   (deadline, then push order) is a DES calendar queue's `(time, seq)`
+//!   at millisecond resolution, so [`run_deterministic`] steps the same
+//!   shard through the same `deliver_due` on a virtual clock instead.
+//!   At 30 k qps a shard holds ≈250 k envelopes (Finalize timers
 //!   for the collection window, messages for 70–600 ms); a binary heap
 //!   that deep pays ≈17 dependent cache misses per pop — measured, half
 //!   the bus's CPU — and `ddr_sim::EventQueue` doubles resident memory
@@ -27,8 +29,11 @@
 //!   the shards drain in-flight queries for one collection window
 //!   before stopping.
 //!
-//! Completed-query spans go through `ddr-telemetry`'s `QueryTracer`
-//! (one per shard, appending to the shared JSONL file), so
+//! A node hands back each query it finalizes; `Shard::deliver` is the
+//! one place those outcomes are collected (and the monitor told), and
+//! one function turns them and the node counters into a [`ServeReport`]
+//! on either clock. Completed-query spans go through `ddr-telemetry`'s
+//! `QueryTracer` (one per shard, appending to the shared JSONL file), so
 //! `ddr inspect` reads a serve trace exactly like a sim trace.
 //! Wall-clock delivery makes run-to-run interleavings — and therefore
 //! exact message counts — non-deterministic; see EXPERIMENTS.md
@@ -58,7 +63,7 @@ const DRAIN_GRACE: SimDuration = SimDuration::from_millis(500);
 
 /// Wall-clock time source for the serve backend, reporting elapsed
 /// milliseconds since run start as a [`SimTime`] so node logic sees the
-/// same time type under both engines.
+/// same time type as under [`run_deterministic`]'s virtual clock.
 #[derive(Debug, Clone)]
 pub struct WallClock {
     start: Instant,
@@ -120,7 +125,7 @@ impl ServeConfig {
 }
 
 /// What a serve run measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     pub nodes: usize,
     pub shards: usize,
@@ -138,7 +143,8 @@ pub struct ServeReport {
     pub messages: u64,
     /// Duplicate floods suppressed.
     pub duplicates: u64,
-    /// Wall time from clock start to the last shard stopping.
+    /// Time from clock start to the last shard stopping: wall time, or
+    /// the virtual clock's under [`run_deterministic`].
     pub elapsed_s: f64,
     /// Completed queries over the injection window.
     pub achieved_qps: f64,
@@ -150,7 +156,7 @@ pub struct ServeReport {
     pub p99_first_ms: Option<f64>,
 }
 
-/// A routed message with its wall-clock delivery deadline.
+/// A routed message with its delivery deadline on the shard's clock.
 #[derive(Debug, Clone, Copy)]
 struct Envelope {
     at: SimTime,
@@ -186,7 +192,7 @@ impl Port<NodeMsg> for ShardCtx<'_> {
 
 /// Aggregates a shard hands back when it stops.
 struct ShardResult {
-    queries_issued: u64,
+    issued: u64,
     messages: u64,
     duplicates: u64,
     outcomes: Vec<QueryOutcome>,
@@ -208,10 +214,10 @@ struct Shard {
     /// Live-introspection state; `None` keeps every hot-path branch a
     /// predictable not-taken jump.
     monitor: Option<Arc<MonitorShared>>,
-    /// Outcomes drained mid-run for the monitor, replayed into the
-    /// end-of-run report so monitored and unmonitored runs report the
-    /// same fields.
-    stash: Vec<QueryOutcome>,
+    /// `Issue` messages delivered to this shard's nodes.
+    issued: u64,
+    /// Every query this shard's nodes finalized, in delivery order.
+    outcomes: Vec<QueryOutcome>,
 }
 
 impl Shard {
@@ -248,25 +254,16 @@ impl Shard {
         }
     }
 
-    /// One received envelope's monitor bookkeeping (inbox shrank by one).
-    fn note_recv(&self) {
+    /// One received envelope: inbox bookkeeping, then onto the wheel.
+    fn receive(&mut self, env: Envelope) {
         if let Some(m) = &self.monitor {
             m.inbox_depth[self.index].fetch_sub(1, AtomicOrd::Relaxed);
         }
+        self.route(env);
     }
 
-    /// With the monitor on, drain outcomes the node finished during this
-    /// delivery into the stash, feeding its counters as they happen.
-    fn drain_completed(&mut self, local: usize) {
-        let Some(m) = &self.monitor else {
-            return;
-        };
-        for done in self.nodes[local].take_completed() {
-            m.note_completed(&done);
-            self.stash.push(done);
-        }
-    }
-
+    /// Hand `env` to its node at `now`, route what it sent, and collect
+    /// the query it finalized, if any: the one collection point.
     fn deliver(&mut self, env: Envelope, now: SimTime) {
         let local = env.to.index() / self.nshards;
         let mut staged = std::mem::take(&mut self.staged);
@@ -275,63 +272,90 @@ impl Shard {
             me: env.to,
             staged: &mut staged,
         };
-        self.nodes[local].on_message(env.from, env.msg, &mut ctx);
+        let done = self.nodes[local].on_message(env.from, env.msg, &mut ctx);
         for out in staged.drain(..) {
             self.route(out);
         }
         self.staged = staged;
-        self.drain_completed(local);
+        if let Some(done) = done {
+            if let Some(m) = &self.monitor {
+                m.note_completed(&done);
+            }
+            self.outcomes.push(done);
+        }
+    }
+
+    /// Deliver every envelope due by `now`: the one step the wall-clock
+    /// loop ([`Shard::run`]) and the virtual one ([`run_deterministic`])
+    /// share.
+    fn deliver_due(&mut self, now: SimTime) {
+        let mut lag_ms = 0;
+        while let Some(env) = self.wheel.pop_due(now.as_millis()) {
+            if matches!(env.msg, NodeMsg::Issue { .. }) {
+                self.issued += 1;
+                if let Some(m) = &self.monitor {
+                    m.issued.fetch_add(1, AtomicOrd::Relaxed);
+                }
+            }
+            lag_ms = lag_ms.max(now.saturating_since(env.at).as_millis());
+            self.deliver(env, now);
+        }
+        if let Some(m) = &self.monitor {
+            m.timers_pending[self.index].store(self.wheel.len(), AtomicOrd::Relaxed);
+            m.delivery_lag_ms[self.index].fetch_max(lag_ms, AtomicOrd::Relaxed);
+        }
     }
 
     /// The shard main loop: drain the inbox, deliver due envelopes,
     /// retry bounced sends, wait a millisecond for the inbox. Runs until
-    /// the wall clock passes `deadline`.
-    fn run(
-        mut self,
-        clock: Arc<WallClock>,
-        deadline: SimTime,
-    ) -> (Vec<GnutellaNode>, u64, Vec<QueryOutcome>) {
-        let mut delivered_issues = 0u64;
+    /// the wall clock passes `deadline`. The inbox never disconnects:
+    /// `peers` holds this shard's own sender.
+    fn run(mut self, clock: Arc<WallClock>, deadline: SimTime) -> Self {
         loop {
             while let Ok(env) = self.rx.try_recv() {
-                self.note_recv();
-                self.route(env);
+                self.receive(env);
             }
             let now = clock.now();
             if now >= deadline {
-                break;
+                return self;
             }
-            let mut lag_ms = 0;
-            while let Some(env) = self.wheel.pop_due(now.as_millis()) {
-                if matches!(env.msg, NodeMsg::Issue { .. }) {
-                    delivered_issues += 1;
-                    if let Some(m) = &self.monitor {
-                        m.issued.fetch_add(1, AtomicOrd::Relaxed);
-                    }
-                }
-                lag_ms = lag_ms.max(now.saturating_since(env.at).as_millis());
-                self.deliver(env, now);
-            }
-            if let Some(m) = &self.monitor {
-                m.timers_pending[self.index].store(self.wheel.len(), AtomicOrd::Relaxed);
-                m.delivery_lag_ms[self.index].fetch_max(lag_ms, AtomicOrd::Relaxed);
-            }
+            self.deliver_due(now);
             self.flush_outbox();
             // Sleep until the next inbox arrival or the wheel's next
             // millisecond, whichever is first.
-            match self.rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(env) => {
-                    self.note_recv();
-                    self.route(env);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                // All senders gone: only timers remain, pace manually.
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    thread::sleep(Duration::from_millis(1));
-                }
+            if let Ok(env) = self.rx.recv_timeout(Duration::from_millis(1)) {
+                self.receive(env);
             }
         }
-        (self.nodes, delivered_issues, self.stash)
+    }
+
+    /// Stop: trace the collected outcomes and sum the node counters.
+    fn finish<T: TraceSink>(self, telemetry: &TelemetryConfig) -> ShardResult {
+        let mut tracer: QueryTracer<T> = QueryTracer::new(telemetry);
+        for done in &self.outcomes {
+            trace_outcome(&mut tracer, done);
+        }
+        ShardResult {
+            issued: self.issued,
+            messages: self.nodes.iter().map(|n| n.counters.messages_sent).sum(),
+            duplicates: self
+                .nodes
+                .iter()
+                .map(|n| n.counters.duplicates_dropped)
+                .sum(),
+            outcomes: self.outcomes,
+        }
+    }
+}
+
+/// The generator's query `k`: an `Issue` for node `k mod nodes`, due `at`.
+fn issue(k: u64, nodes: usize, at: SimTime) -> Envelope {
+    let node = NodeId::from_index((k % nodes as u64) as usize);
+    Envelope {
+        at,
+        to: node,
+        from: node,
+        msg: NodeMsg::Issue { query: QueryId(k) },
     }
 }
 
@@ -374,7 +398,8 @@ fn build_shards(
         outbox: VecDeque::new(),
         staged: Vec::new(),
         monitor: monitor.clone(),
-        stash: Vec::new(),
+        issued: 0,
+        outcomes: Vec::new(),
     });
     (shards.collect(), txs)
 }
@@ -415,24 +440,7 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
         let clock = Arc::clone(&clock);
         let telemetry = cfg.telemetry.clone();
         handles.push(thread::spawn(move || {
-            let (mut nodes, delivered_issues, stash) = shard.run(clock, deadline);
-            let mut result = ShardResult {
-                queries_issued: delivered_issues,
-                messages: 0,
-                duplicates: 0,
-                outcomes: stash,
-            };
-            let mut tracer: QueryTracer<T> = QueryTracer::new(&telemetry);
-            for node in &mut nodes {
-                result.messages += node.counters.messages_sent;
-                result.duplicates += node.counters.duplicates_dropped;
-                // Empty under the monitor: `deliver` stashed them already.
-                result.outcomes.append(&mut node.take_completed());
-            }
-            for done in &result.outcomes {
-                trace_outcome(&mut tracer, done);
-            }
-            result
+            shard.run(clock, deadline).finish::<T>(&telemetry)
         }));
     }
 
@@ -448,47 +456,25 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
         }
         let target = (elapsed_s * cfg.qps) as u64;
         while offered < target {
-            let node = NodeId::from_index((offered % n as u64) as usize);
-            let env = Envelope {
-                at: clock.now(),
-                to: node,
-                from: node,
-                msg: NodeMsg::Issue {
-                    query: QueryId(offered),
-                },
-            };
-            if txs[node.index() % nshards].send(env).is_err() {
+            let env = issue(offered, n, clock.now());
+            let shard = env.to.index() % nshards;
+            if txs[shard].send(env).is_err() {
                 break;
             }
             offered += 1;
             if let Some(m) = &monitor {
                 m.offered.fetch_add(1, AtomicOrd::Relaxed);
-                m.inbox_depth[node.index() % nshards].fetch_add(1, AtomicOrd::Relaxed);
+                m.inbox_depth[shard].fetch_add(1, AtomicOrd::Relaxed);
             }
         }
         thread::sleep(Duration::from_micros(500));
     }
     drop(txs);
 
-    let mut issued = 0u64;
-    let mut completed = 0u64;
-    let mut hits = 0u64;
-    let mut messages = 0u64;
-    let mut duplicates = 0u64;
-    let mut latencies: Vec<f64> = Vec::new();
-    for handle in handles {
-        let r = handle.join().expect("shard thread panicked");
-        issued += r.queries_issued;
-        messages += r.messages;
-        duplicates += r.duplicates;
-        for done in r.outcomes {
-            completed += 1;
-            if let Some((_, at, _)) = done.first {
-                hits += 1;
-                latencies.push(at.saturating_since(done.issued_at).as_millis() as f64);
-            }
-        }
-    }
+    let results: Vec<ShardResult> = handles
+        .into_iter()
+        .map(|h| h.join().expect("shard thread panicked"))
+        .collect();
     // All shard threads are joined: the monitor atomics are final. Raise
     // `done` so the monitor emits its closing window (whose column sums
     // now equal this report) and the endpoint stops accepting.
@@ -501,17 +487,77 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
     if let Some(h) = endpoint_handle {
         h.join().expect("metrics endpoint thread panicked");
     }
+    report(cfg, offered, results, clock.now())
+}
 
-    let elapsed_s = clock.now().as_millis() as f64 / 1_000.0;
+/// Run the bus deterministically: the one shard `build_shards` makes,
+/// stepped through `deliver_due` on a virtual millisecond clock, so the
+/// report is a pure function of `cfg` (tracing and the monitor aside,
+/// which this entry point leaves off).
+///
+/// Query `k` is injected round-robin at `k·1000/qps` ms for
+/// `qps·duration_s` queries — the generator's schedule without its
+/// lateness — and the clock steps t = 0, 1, 2, … until the wheel is
+/// empty. One shard whatever `cfg.shards` says: a lockstep of several
+/// would reorder same-millisecond deliveries.
+pub fn run_deterministic(cfg: &ServeConfig) -> ServeReport {
+    let (shard, offered, end) = run_virtual(cfg);
+    let result = shard.finish::<NullSink>(&cfg.telemetry);
+    report(cfg, offered, vec![result], end)
+}
+
+/// [`run_deterministic`] up to the stopped shard: it, the queries
+/// offered, and the virtual time the wheel emptied at.
+fn run_virtual(cfg: &ServeConfig) -> (Shard, u64, SimTime) {
+    let nodes = build_nodes(&cfg.node_set);
+    let n = nodes.len();
+    let (mut shards, _inboxes) = build_shards(nodes, 1, &None);
+    let mut shard = shards.pop().expect("one shard");
+    let queries = (cfg.qps * cfg.duration_s) as u64;
+    for k in 0..queries {
+        let at = SimTime::from_millis((k as f64 * 1_000.0 / cfg.qps) as u64);
+        shard.route(issue(k, n, at));
+    }
+    let mut now = SimTime::ZERO;
+    loop {
+        shard.deliver_due(now);
+        if shard.wheel.len() == 0 {
+            return (shard, queries, now);
+        }
+        now += SimDuration::from_millis(1);
+    }
+}
+
+/// The report of a stopped run on either clock: the shards' results
+/// summed, first-result latency over the hits.
+fn report(
+    cfg: &ServeConfig,
+    offered: u64,
+    results: Vec<ShardResult>,
+    elapsed: SimTime,
+) -> ServeReport {
+    let nshards = results.len();
+    let (mut issued, mut messages, mut duplicates) = (0, 0, 0);
+    let mut latencies: Vec<f64> = Vec::new();
+    let mut completed = 0u64;
+    for r in results {
+        issued += r.issued;
+        messages += r.messages;
+        duplicates += r.duplicates;
+        completed += r.outcomes.len() as u64;
+        latencies.extend(r.outcomes.iter().filter_map(|done| {
+            let (_, at, _) = done.first?;
+            Some(at.saturating_since(done.issued_at).as_millis() as f64)
+        }));
+    }
+    let hits = latencies.len() as u64;
     let achieved_qps = if cfg.duration_s > 0.0 {
         completed as f64 / cfg.duration_s
     } else {
         0.0
     };
-    let p50 = crate::percentile(&mut latencies, 50.0);
-    let p99 = crate::percentile(&mut latencies, 99.0);
     ServeReport {
-        nodes: n,
+        nodes: cfg.node_set.nodes,
         shards: nshards,
         offered_qps: cfg.qps,
         duration_s: cfg.duration_s,
@@ -521,7 +567,7 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
         hits,
         messages,
         duplicates,
-        elapsed_s,
+        elapsed_s: elapsed.as_millis() as f64 / 1_000.0,
         achieved_qps,
         qps_per_core: achieved_qps / nshards as f64,
         hit_rate: if completed == 0 {
@@ -529,8 +575,8 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
         } else {
             hits as f64 / completed as f64
         },
-        p50_first_ms: p50,
-        p99_first_ms: p99,
+        p50_first_ms: crate::percentile(&mut latencies, 50.0),
+        p99_first_ms: crate::percentile(&mut latencies, 99.0),
     }
 }
 
@@ -614,13 +660,7 @@ mod tests {
         drop(txs);
         let clock = Arc::new(WallClock::start());
         assert!(shards[1].wheel.pop_due(40).is_none(), "cursor now at 40 ms");
-        let node = NodeId::from_index(1);
-        shards[1].route(Envelope {
-            at: SimTime::from_millis(3),
-            to: node,
-            from: node,
-            msg: NodeMsg::Issue { query: QueryId(0) },
-        });
+        shards[1].route(issue(1, 16, SimTime::from_millis(3)));
         let deadline = SimTime::from_millis(40) + cfg.node_set.query_timeout + DRAIN_GRACE;
         let running: Vec<_> = shards
             .into_iter()
@@ -631,14 +671,28 @@ mod tests {
             .collect();
         let (mut issued, mut completed) = (0, 0);
         for shard in running {
-            let (mut nodes, delivered_issues, _) = shard.join().expect("shard thread panicked");
-            issued += delivered_issues;
-            completed += nodes
-                .iter_mut()
-                .map(|n| n.take_completed().len())
-                .sum::<usize>();
+            let shard = shard.join().expect("shard thread panicked");
+            issued += shard.issued;
+            completed += shard.outcomes.len();
         }
         assert_eq!((issued, completed), (1, 1));
+    }
+
+    /// Every injection finalizes, none before its collection window
+    /// closes, and no initiator is left holding a pending query.
+    #[test]
+    fn virtual_run_closes_every_window_on_time() {
+        let cfg = ServeConfig::new(NodeSetConfig::new(48, 7), 20.0, 1.0, 1);
+        let (shard, offered, end) = run_virtual(&cfg);
+        assert_eq!(offered, 20);
+        assert_eq!((shard.issued, shard.outcomes.len()), (20, 20));
+        let window = cfg.node_set.query_timeout;
+        for done in &shard.outcomes {
+            assert!(done.finished_at.saturating_since(done.issued_at) >= window);
+        }
+        assert!(shard.nodes.iter().all(|n| n.in_flight() == 0));
+        // The last query, issued at 950 ms, closed the run.
+        assert_eq!(end, SimTime::from_millis(950) + window);
     }
 
     #[test]

@@ -3,39 +3,34 @@
 //! The discrete-event simulator answers "what would the paper's
 //! protocol do over six virtual hours"; this crate answers "how many
 //! queries per second does the same per-node state machine sustain on
-//! this hardware". Both drive the identical
-//! [`ddr_gnutella::GnutellaNode`] through the one engine port,
-//! `ddr_core::runtime::Port` (`now` + `send`):
+//! this hardware". It drives [`ddr_gnutella::GnutellaNode`] through the
+//! one engine port, `ddr_core::runtime::Port` (`now` + `send`), with one
+//! engine, [`bus`]: nodes sharded across worker threads by
+//! `node_id % shards`, bounded channels between shards, a timing wheel
+//! of pending deliveries per shard (one FIFO list per millisecond), a
+//! wall-clock [`bus::WallClock`], and a self-pacing load generator
+//! injecting queries at a target rate. It reports queries/sec/core, hit
+//! rate and p50/p99 first-result latency; completed query spans go
+//! through `ddr-telemetry`'s `QueryTracer`, so `ddr inspect` reads serve
+//! traces exactly like sim traces.
 //!
-//! * [`sim_backend`] — a single-threaded, deterministic driver over the
-//!   calendar-queue DES (`EnvelopePort`). Pure function of
-//!   `(config, seed)`; the sim/serve parity test pins the two backends
-//!   against each other with it.
-//! * [`bus`] — the production-shaped engine: nodes sharded across
-//!   worker threads by `node_id % shards`, bounded channels between
-//!   shards, a timing wheel of pending deliveries per shard (one FIFO
-//!   list per millisecond), a wall-clock [`bus::WallClock`],
-//!   and a self-pacing load generator injecting queries at a target
-//!   rate. Reports queries/sec/core, hit rate and p50/p99 first-result
-//!   latency; completed query spans go through `ddr-telemetry`'s
-//!   `QueryTracer`, so `ddr inspect` reads serve traces exactly like
-//!   sim traces.
-//!
-//! Wall-clock scheduling makes the bus non-deterministic (arrival
-//! interleavings vary run to run); see EXPERIMENTS.md "Serve-backend
-//! determinism" for what is and is not reproducible.
+//! Wall-clock scheduling makes [`run_gnutella`] non-deterministic
+//! (arrival interleavings vary run to run). [`run_deterministic`] steps
+//! the same one-shard bus on a virtual millisecond clock instead, a pure
+//! function of the config; the sim/serve parity test holds the two
+//! against each other. See EXPERIMENTS.md "Serve-backend determinism".
 
 pub mod bus;
 pub mod monitor;
-pub mod sim_backend;
 mod wheel;
 
-pub use bus::{run_gnutella, run_gnutella_traced, ServeConfig, ServeReport, WallClock};
+pub use bus::{
+    run_deterministic, run_gnutella, run_gnutella_traced, ServeConfig, ServeReport, WallClock,
+};
 pub use monitor::MonitorShared;
-pub use sim_backend::{run_deterministic, SimFleetReport};
 
 /// Percentile over an unsorted sample set (nearest-rank); `None` when
-/// empty. Shared by both backends' latency reporting.
+/// empty. The bus's first-result latency figures, on either clock.
 pub(crate) fn percentile(samples: &mut [f64], p: f64) -> Option<f64> {
     if samples.is_empty() {
         return None;

@@ -1,11 +1,12 @@
-//! Sim/serve parity: the same `GnutellaNode` fleet, driven once through
-//! the deterministic DES backend and once through the wall-clock bus,
-//! must agree on protocol-level behaviour.
+//! Sim/serve parity: the same `GnutellaNode` fleet under the same
+//! offered load, driven once by the bus's shard on a virtual clock
+//! (`run_deterministic`) and once by the wall-clock bus, must agree on
+//! protocol-level behaviour.
 //!
-//! Both backends build from one `NodeSetConfig`, so topology, libraries
-//! and per-node RNG streams are identical; only delivery order differs
-//! (virtual calendar queue vs. real threads and channels). Exact
-//! message counts therefore differ run to run on the bus side — the
+//! Both sides take one `ServeConfig`, so topology, libraries, per-node
+//! RNG streams and the offered load are identical; only delivery timing
+//! differs (a virtual millisecond clock vs. real threads and channels).
+//! Exact message counts therefore differ run to run on the bus side — the
 //! assertions use aggregate tolerances, not equality. See
 //! EXPERIMENTS.md "Serve-backend determinism".
 
@@ -17,22 +18,16 @@ use ddr_sim::SimDuration;
 fn sim_and_bus_agree_on_hit_rate_and_message_volume() {
     let mut node_set = NodeSetConfig::new(100, 42);
     node_set.query_timeout = SimDuration::from_millis(500);
+    let cfg = ServeConfig::new(node_set, 400.0, 1.0, 2);
+    let queries = 400;
 
-    let qps = 400.0;
-    let duration_s = 1.0;
+    let sim = run_deterministic(&cfg);
+    let bus = run_gnutella(&cfg);
 
-    // Deterministic run: the same offered load expressed in virtual
-    // time — one query every 1/qps seconds, round-robin, same count the
-    // load generator targets.
-    let queries = (qps * duration_s) as u64;
-    let interval = SimDuration::from_secs_f64(1.0 / qps);
-    let sim = run_deterministic(&node_set, queries, interval);
-
-    let bus = run_gnutella(&ServeConfig::new(node_set, qps, duration_s, 2));
-
-    assert!(
-        sim.queries_completed == queries,
-        "deterministic backend must finalize every query"
+    assert_eq!(
+        (sim.queries_offered, sim.queries_completed),
+        (queries, queries),
+        "the virtual clock must finalize every query"
     );
     assert!(
         bus.queries_completed as f64 >= 0.5 * queries as f64,
@@ -42,21 +37,54 @@ fn sim_and_bus_agree_on_hit_rate_and_message_volume() {
 
     // Same fleet, same workload distribution: the fraction of queries
     // finding at least one holder within the hop limit must agree.
-    let dh = (sim.hit_rate() - bus.hit_rate).abs();
+    let dh = (sim.hit_rate - bus.hit_rate).abs();
     assert!(
         dh < 0.15,
         "hit rates diverge: sim {:.3} vs bus {:.3}",
-        sim.hit_rate(),
+        sim.hit_rate,
         bus.hit_rate
     );
 
     // Flood fan-out per query is a topology property; thread scheduling
     // only perturbs duplicate-arrival order, so per-query message
     // volume must land in the same band.
-    let sim_mpq = sim.messages_per_query();
-    let bus_mpq = bus.messages as f64 / bus.queries_issued.max(1) as f64;
+    let per_query = |r: &ddr_serve::ServeReport| r.messages as f64 / r.queries_issued.max(1) as f64;
+    let (sim_mpq, bus_mpq) = (per_query(&sim), per_query(&bus));
     assert!(
         (bus_mpq - sim_mpq).abs() / sim_mpq < 0.30,
         "messages per query diverge: sim {sim_mpq:.2} vs bus {bus_mpq:.2}"
     );
+}
+
+/// The calendar-queue DES driver `run_deterministic` replaced (PR 25),
+/// pinned as its numbers: the wheel's (deadline, push order) is that
+/// queue's `(time, seq)` at millisecond resolution, so the virtual clock
+/// must match it field for field, on any `cfg.shards`, run after run.
+#[test]
+fn virtual_clock_reproduces_the_des_reference() {
+    for (nodes, seed, qps, secs, want) in [
+        (80, 21, 25.0, 8.0, [200, 61, 3_181, 96, 602, 911]),
+        (120, 5, 40.0, 10.0, [400, 105, 6_461, 187, 612, 938]),
+    ] {
+        let cfg = ServeConfig::new(NodeSetConfig::new(nodes, seed), qps, secs, 1);
+        let r = run_deterministic(&cfg);
+        let ms = |p: Option<f64>| p.expect("hits imply latencies") as u64;
+        let got = [
+            r.queries_completed,
+            r.hits,
+            r.messages,
+            r.duplicates,
+            ms(r.p50_first_ms),
+            ms(r.p99_first_ms),
+        ];
+        assert_eq!(got, want, "{nodes} nodes, seed {seed}");
+        assert_eq!((r.queries_offered, r.queries_issued), (want[0], want[0]));
+        assert_eq!(r, run_deterministic(&cfg), "two runs, two reports");
+        let wide = ServeConfig::new(cfg.node_set.clone(), qps, secs, 4);
+        assert_eq!(
+            run_deterministic(&wide),
+            r,
+            "one shard whatever cfg.shards says"
+        );
+    }
 }
