@@ -51,8 +51,9 @@ echo "==> cargo test -q --release -p ddr-sim (kernel differentials and the queue
 echo "    memory bound against the optimised build the benchmark measures)"
 cargo test -q --release -p ddr-sim
 
-echo "==> cargo test -q --release -p ddr-serve (the timer wheel's differential against"
-echo "    the optimised build the benchmark measures: overflow checks off, links inlined)"
+echo "==> cargo test -q --release -p ddr-serve (the timer wheel's differential, and the"
+echo "    bus ring's delivery order pinned to the DES numbers, on the optimised build the"
+echo "    benchmark measures: overflow checks off, links and prefetch hints inlined)"
 cargo test -q --release -p ddr-serve
 
 echo "==> cargo test -q --release -p ddr-gnutella --test prop_sharded_world (the hint"
@@ -77,27 +78,32 @@ echo "    experiment runs and prints the bytes it printed at the last re-pin)"
 $DDR run --all --smoke 2> /dev/null | diff crates/experiments/tests/golden/all_smoke.txt - \
     || { echo "smoke stdout moved; if intended, regenerate the golden file" >&2; exit 1; }
 
-echo "==> bad flag values exit 2 with a one-line diagnosis, not 134: under"
-echo "    panic=abort only the binary shows an abort, ddr_main's tests cannot"
+echo "==> bad flag values exit 2 within a second with a one-line diagnosis, not 134"
+echo "    (under panic=abort only the binary shows an abort, ddr_main's tests cannot)"
+echo "    nor a hang (a non-finite serve load once stopped the shards at once while"
+echo "    the generator waited for elapsed >= inf)"
 BIN="${CARGO_TARGET_DIR:-target}/release/ddr"
 while IFS='|' read -r flag args; do
     status=0
     # shellcheck disable=SC2086  # $args is a word list
-    stderr=$("$BIN" run $args 2>&1 > /dev/null) || status=$?
+    stderr=$(timeout 1 "$BIN" $args 2>&1 > /dev/null) || status=$?
     test "$status" -eq 2 \
-        || { echo "ddr run $args: exit $status, want 2" >&2; exit 1; }
+        || { echo "ddr $args: exit $status, want 2" >&2; exit 1; }
     diagnosis=${stderr%%$'\n'*}
     case "$diagnosis" in
         "bad value for $flag:"*"(must be "*) echo "    $diagnosis" ;;
         *)
-            echo "ddr run $args: stderr does not open with flag, value and rule: '$diagnosis'" >&2
+            echo "ddr $args: stderr does not open with flag, value and rule: '$diagnosis'" >&2
             exit 1
             ;;
     esac
 done << 'BAD'
---hours|fig1 --hours 1
---scale|fig1 --hours 2 --scale 3
---liar-fraction|free_riders --smoke --liar-fraction 0.9
+--hours|run fig1 --hours 1
+--scale|run fig1 --hours 2 --scale 3
+--liar-fraction|run free_riders --smoke --liar-fraction 0.9
+--duration|serve gnutella --nodes 50 --qps 10 --duration inf --smoke
+--duration|serve gnutella --nodes 50 --qps 10 --duration 1e300 --smoke
+--qps|serve gnutella --qps inf --duration 0.2
 BAD
 
 echo "==> telemetry smoke (trace + profile a run, then inspect the trace)"

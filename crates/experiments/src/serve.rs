@@ -18,7 +18,7 @@
 //! job (`benchmark/README.md`).
 
 use ddr_gnutella::NodeSetConfig;
-use ddr_serve::{run_gnutella, run_gnutella_traced, ServeConfig, ServeReport};
+use ddr_serve::{drain_deadline, run_gnutella, run_gnutella_traced, ServeConfig, ServeReport};
 use ddr_sim::SimDuration;
 use ddr_telemetry::TelemetryConfig;
 use std::path::PathBuf;
@@ -88,8 +88,22 @@ where
         let args = &mut args;
         match arg.as_str() {
             "--nodes" => out.nodes = flag_value(args, &arg, POSITIVE_INT, |&n| n > 0)?,
-            "--qps" => out.qps = flag_value(args, &arg, "a number > 0", |&q| q > 0.0)?,
-            "--duration" => out.duration_s = flag_value(args, &arg, "a number > 0", |&s| s > 0.0)?,
+            "--qps" => {
+                out.qps = flag_value(args, &arg, "a finite number > 0", |q: &f64| {
+                    q.is_finite() && *q > 0.0
+                })?
+            }
+            "--duration" => {
+                // The bus stops a collection window and a grace past the
+                // injection window. Checked against the default window,
+                // the longer of the two `--smoke` picks between (it may
+                // follow `--duration`).
+                let window = NodeSetConfig::new(1, 0).query_timeout;
+                let rule = "a finite number > 0 whose drain deadline fits in u64 milliseconds";
+                out.duration_s = flag_value(args, &arg, rule, |&s| {
+                    s > 0.0 && drain_deadline(s, window).is_some()
+                })?
+            }
             "--threads" => out.threads = Some(flag_value(args, &arg, POSITIVE_INT, |&n| n > 0)?),
             "--seed" => out.seed = flag_value(args, &arg, "an integer", |_| true)?,
             "--degree" => out.degree = flag_value(args, &arg, POSITIVE_INT, |&d| d > 0)?,
@@ -112,6 +126,11 @@ where
                 ))
             }
         }
+    }
+    if !(0.0..u64::MAX as f64).contains(&(out.qps * out.duration_s)) {
+        return Err(CliError::Conflict(
+            "--qps × --duration is the query count, which must fit in a u64",
+        ));
     }
     Ok(out)
 }
@@ -269,6 +288,16 @@ mod tests {
     fn bad_values_are_errors_not_panics() {
         assert!(is_bad_value("--nodes", "0"));
         assert!(is_bad_value("--qps", "-3"));
+        // Non-finite load, or a drain deadline past `SimTime`: the bus
+        // would hang or flood (the shards stop at once while the
+        // generator waits for `elapsed >= inf`).
+        assert!(is_bad_value("--duration", "inf"));
+        assert!(is_bad_value("--duration", "1e300"));
+        assert!(is_bad_value("--qps", "inf"));
+        assert!(matches!(
+            parse(&["--qps", "1e300", "--duration", "0.2"]),
+            Err(CliError::Conflict(_))
+        ));
         assert_eq!(
             parse(&["--duration"]),
             Err(CliError::MissingValue("--duration".into()))

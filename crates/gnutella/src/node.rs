@@ -11,6 +11,9 @@
 //! shards nodes across worker threads on the wall clock, and whose
 //! one-shard `run_deterministic` steps the same shard on a virtual
 //! millisecond clock for reproducible runs and the sim/serve parity test.
+//! The bus pops due messages a few ahead of delivery and shows each to
+//! its node's [`GnutellaNode::request_lines`], so the lines the handler
+//! will read are on their way before it runs.
 //!
 //! The protocol is the paper's §4.1 static search core: flood to
 //! neighbors with a hop limit, duplicate suppression, holders reply
@@ -22,7 +25,10 @@ use ddr_core::runtime::Port;
 use ddr_core::{NodeRuntime, QueryDescriptor};
 use ddr_net::{NetworkModel, NodeDelayStream};
 use ddr_overlay::Topology;
-use ddr_sim::{FastHashMap, ItemId, NodeId, QueryId, RngFactory, SimDuration, SimTime};
+use ddr_sim::{
+    prefetch_line, prefetch_object, FastHashMap, HintStage, ItemId, NodeId, QueryId, RngFactory,
+    SimDuration, SimTime,
+};
 use ddr_workload::{generate_profiles, Catalog, QueryGenerator, UserProfile, WorkloadConfig};
 use std::sync::Arc;
 
@@ -104,6 +110,48 @@ impl GnutellaNode {
 
     fn delay_to(&mut self, to: NodeId) -> SimDuration {
         self.net.one_way_delay_for(&mut self.delays, self.id, to)
+    }
+
+    /// Ask the memory system for the cache lines handling `msg` will miss
+    /// on: the bus's two [`Lookahead`](ddr_sim::Lookahead) hints, the
+    /// node-fleet twin of `GnutellaWorld`'s. A shard's nodes and their
+    /// dup-cache tables are far larger than the cache, and a node sees a
+    /// message every few hundred deliveries. [`HintStage::Direct`]: the
+    /// headers every message reads (`rt.seen`, `neighbors`, `delays`,
+    /// `counters`), the pending table's for Issue, Reply and Finalize,
+    /// the query generator's for Issue, and a Query's Bloom block.
+    /// [`HintStage::Dependent`], Query only: the dup-cache home slot and
+    /// the neighbor buffer, whose addresses are read out of `Direct`
+    /// lines. Purely a hint: nothing is written and no result depends on
+    /// it.
+    #[inline]
+    pub fn request_lines(&self, msg: &NodeMsg, stage: HintStage) {
+        match stage {
+            HintStage::Direct => {
+                prefetch_object(&self.rt.seen);
+                prefetch_object(&self.neighbors);
+                prefetch_object(&self.delays);
+                prefetch_object(&self.counters);
+                match msg {
+                    NodeMsg::Issue { .. } => {
+                        prefetch_object(&self.pending);
+                        prefetch_object(&self.queries);
+                    }
+                    NodeMsg::Query { desc } => prefetch_line(self.profile.probe_addr(desc.item)),
+                    NodeMsg::Reply { .. } | NodeMsg::Finalize { .. } => {
+                        prefetch_object(&self.pending)
+                    }
+                }
+            }
+            HintStage::Dependent => {
+                if let NodeMsg::Query { desc } = msg {
+                    if let Some(seen) = &self.rt.seen {
+                        prefetch_line(seen.probe_addr(desc.id));
+                    }
+                    prefetch_line(self.neighbors.as_ptr().cast());
+                }
+            }
+        }
     }
 
     /// Handle one delivered message. `from` is the sending node (this

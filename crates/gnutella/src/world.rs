@@ -61,12 +61,13 @@ use ddr_core::{CategorySummary, LocalIndex};
 use ddr_net::{NetworkModel, NodeDelayStream};
 use ddr_overlay::{NeighborList, Topology};
 use ddr_sim::{
-    NodeId, Partition, QueryId, RngFactory, Scheduler, ShardCtx, ShardWorld, SimDuration, SimTime,
-    World,
+    prefetch_line, prefetch_object, HintStage, NodeId, Partition, QueryId, RngFactory, Scheduler,
+    ShardCtx, ShardWorld, SimDuration, SimTime, World,
 };
 use ddr_telemetry::{NullSink, QueryTracer, TraceSink};
 use ddr_workload::{generate_profiles, Catalog, ChurnProcess, QueryGenerator, UserProfile};
 use rand::rngs::SmallRng;
+use std::ptr::addr_of;
 use std::sync::Arc;
 
 /// Immutable world inputs, shared (read-only) by every shard's slice.
@@ -554,51 +555,29 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// reads seven objects, each in its own allocation (DESIGN.md §12
     /// has the table). [`HintStage::Direct`] covers those whose address
     /// follows from the payload alone; [`HintStage::Dependent`] the two
-    /// behind a pointer held in a `Direct` line. Purely a hint: nothing
-    /// is written, no result depends on it, and non-x86 builds compile it
-    /// away.
+    /// behind a pointer held in a `Direct` line. Purely a hint through
+    /// `ddr_sim`'s one prefetch primitive: nothing is written and no
+    /// result depends on it.
     #[inline]
     fn request_lines(&self, event: &GnutellaEvent, stage: HintStage) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            use std::ptr::addr_of;
-            fn line(p: *const u8) {
-                // SAFETY: a prefetch has no architectural effect — it
-                // cannot fault and changes no program-visible state — so
-                // it is sound for any address.
-                unsafe { _mm_prefetch(p as *const i8, _MM_HINT_T0) }
+        let k = self.li(event_target(event));
+        match (event, stage) {
+            (GnutellaEvent::QueryArrive { to, desc, .. }, HintStage::Direct) => {
+                prefetch_object(addr_of!(self.sessions[k]));
+                prefetch_object(addr_of!(self.hosts[k]));
+                prefetch_object(addr_of!(self.peers[k].rt.seen));
+                prefetch_object(addr_of!(self.neighbors[k]));
+                prefetch_object(addr_of!(self.delays[k]));
+                prefetch_line(self.shared.profiles[to.index()].probe_addr(desc.item));
             }
-            // The columns are packed at strides of 32–416 bytes, so half
-            // of the objects straddle two lines (the 72-byte `DupCache`
-            // header always does): ask for the first and the last byte's.
-            fn object<O>(p: *const O) {
-                line(p.cast());
-                line(p.cast::<u8>().wrapping_add(std::mem::size_of::<O>() - 1));
-            }
-            let k = self.li(event_target(event));
-            match (event, stage) {
-                (GnutellaEvent::QueryArrive { to, desc, .. }, HintStage::Direct) => {
-                    object(addr_of!(self.sessions[k]));
-                    object(addr_of!(self.hosts[k]));
-                    object(addr_of!(self.peers[k].rt.seen));
-                    object(addr_of!(self.neighbors[k]));
-                    object(addr_of!(self.delays[k]));
-                    line(self.shared.profiles[to.index()].probe_addr(desc.item));
+            (GnutellaEvent::QueryArrive { desc, .. }, HintStage::Dependent) => {
+                prefetch_line(self.hosts[k].slots_addr());
+                if let Some(seen) = &self.peers[k].rt.seen {
+                    prefetch_line(seen.probe_addr(desc.id));
                 }
-                (GnutellaEvent::QueryArrive { desc, .. }, HintStage::Dependent) => {
-                    line(self.hosts[k].slots_addr());
-                    if let Some(seen) = &self.peers[k].rt.seen {
-                        line(seen.probe_addr(desc.id));
-                    }
-                }
-                (_, HintStage::Direct) => line(addr_of!(self.peers[k]).cast()),
-                (_, HintStage::Dependent) => {}
             }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (event, stage);
+            (_, HintStage::Direct) => prefetch_line(addr_of!(self.peers[k]).cast()),
+            (_, HintStage::Dependent) => {}
         }
     }
 
@@ -701,15 +680,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
             }
         }
     }
-}
-
-/// Which of an event's lines `GnutellaWorld::request_lines` asks for.
-#[derive(Clone, Copy)]
-enum HintStage {
-    /// Lines whose address is a pure function of the event payload.
-    Direct,
-    /// Lines whose address is read out of a `Direct` line.
-    Dependent,
 }
 
 impl<T: TraceSink> ShardWorld for GnutellaWorld<T> {

@@ -21,6 +21,13 @@
 //!   the bus's CPU — and `ddr_sim::EventQueue` doubles resident memory
 //!   because this traffic occupies all of its buckets at once
 //!   (EXPERIMENTS.md, "The bus's timer queue").
+//! * A turn pops due envelopes up to eight ahead of delivery through
+//!   [`ddr_sim::Lookahead`], the sharded kernel's own ring, and shows
+//!   each to its node's [`GnutellaNode::request_lines`]: with 2,000 nodes
+//!   and their dup-cache tables far past the cache, a delivery's node
+//!   lines, dup-cache slot and Bloom block are on their way while the
+//!   deliveries ahead of it run. `Shard::deliver_due` says why that
+//!   cannot change the order (EXPERIMENTS.md, "The bus's lookahead ring").
 //! * Cross-shard sends use `try_send`; a full inbox spills into the
 //!   sender's outbox for retry instead of blocking, so two shards
 //!   flooding each other cannot deadlock.
@@ -43,7 +50,7 @@ use crate::monitor::{spawn_endpoint, spawn_monitor, MonitorShared};
 use crate::wheel::TimerWheel;
 use ddr_core::runtime::Port;
 use ddr_gnutella::{build_nodes, GnutellaNode, NodeMsg, NodeSetConfig, QueryOutcome};
-use ddr_sim::{NodeId, QueryId, SimDuration, SimTime};
+use ddr_sim::{HintStage, Lookahead, NodeId, QueryId, SimDuration, SimTime};
 use ddr_telemetry::{JsonlSink, NullSink, QueryTracer, TelemetryConfig, TraceOutcome, TraceSink};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering as AtomicOrd;
@@ -206,6 +213,9 @@ struct Shard {
     /// Pending deliveries by deadline, same-instant ones FIFO: the DES
     /// kernel's tie-break contract.
     wheel: TimerWheel<Envelope>,
+    /// Due envelopes popped ahead of their delivery (see `deliver_due`);
+    /// empty between turns.
+    ring: Lookahead<Envelope>,
     rx: Receiver<Envelope>,
     peers: Vec<SyncSender<Envelope>>,
     /// Cross-shard envelopes bounced by a full inbox, retried each turn.
@@ -288,9 +298,24 @@ impl Shard {
     /// Deliver every envelope due by `now`: the one step the wall-clock
     /// loop ([`Shard::run`]) and the virtual one ([`run_deterministic`])
     /// share.
+    ///
+    /// Envelopes are popped a few ahead of their delivery into the
+    /// shard's lookahead ring, each shown to its node's
+    /// [`GnutellaNode::request_lines`] on the way. That cannot change the
+    /// order: every envelope a delivery at `now` routes here is due at
+    /// `now` or later, and the wheel files it behind everything already
+    /// filed under its deadline — so behind everything popped ahead;
+    /// cross-shard arrivals come in through `receive`, outside this call.
     fn deliver_due(&mut self, now: SimTime) {
         let mut lag_ms = 0;
-        while let Some(env) = self.wheel.pop_due(now.as_millis()) {
+        let nshards = self.nshards;
+        while let Some(env) = self.ring.next(
+            || self.wheel.pop_due(now.as_millis()),
+            |env| self.nodes[env.to.index() / nshards].request_lines(&env.msg, HintStage::Direct),
+            |env| {
+                self.nodes[env.to.index() / nshards].request_lines(&env.msg, HintStage::Dependent)
+            },
+        ) {
             if matches!(env.msg, NodeMsg::Issue { .. }) {
                 self.issued += 1;
                 if let Some(m) = &self.monitor {
@@ -359,6 +384,45 @@ fn issue(k: u64, nodes: usize, at: SimTime) -> Envelope {
     }
 }
 
+/// When a run's shards stop: `duration_s` of injection, one collection
+/// window (`query_timeout`) and a drain grace. `None` unless `duration_s`
+/// is finite and non-negative and the sum fits [`SimTime`]; `ddr serve`
+/// rejects such a `--duration` before anything runs.
+pub fn drain_deadline(duration_s: f64, query_timeout: SimDuration) -> Option<SimTime> {
+    let ms = duration_s * 1_000.0;
+    // `u64::MAX as f64` is 2^64, the first value a cast saturates at.
+    if !(0.0..u64::MAX as f64).contains(&ms) {
+        return None;
+    }
+    SimTime::from_millis(ms as u64)
+        .checked_add(query_timeout)?
+        .checked_add(DRAIN_GRACE)
+}
+
+/// [`drain_deadline`] of `cfg`, and the `qps × duration_s` queries it
+/// offers.
+///
+/// # Panics
+/// When either does not fit its integer, naming the field: an infinite
+/// `duration_s` would stop the shards at once while the generator waits
+/// forever, and an infinite `qps` would keep a shard draining its inbox.
+fn checked_plan(cfg: &ServeConfig) -> (SimTime, u64) {
+    let deadline =
+        drain_deadline(cfg.duration_s, cfg.node_set.query_timeout).unwrap_or_else(|| {
+            panic!(
+                "ServeConfig::duration_s = {}: its drain deadline does not fit SimTime",
+                cfg.duration_s
+            )
+        });
+    let queries = cfg.qps * cfg.duration_s;
+    assert!(
+        (0.0..u64::MAX as f64).contains(&queries),
+        "ServeConfig::qps = {}: {queries} queries over duration_s is not a u64 count",
+        cfg.qps
+    );
+    (deadline, queries as u64)
+}
+
 /// Run the serve bus without tracing.
 pub fn run_gnutella(cfg: &ServeConfig) -> ServeReport {
     run_bus::<NullSink>(cfg)
@@ -393,6 +457,7 @@ fn build_shards(
         nshards,
         nodes,
         wheel: TimerWheel::new(),
+        ring: Lookahead::default(),
         rx,
         peers: txs.clone(),
         outbox: VecDeque::new(),
@@ -405,14 +470,12 @@ fn build_shards(
 }
 
 fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
+    let (deadline, queries) = checked_plan(cfg);
     let nshards = cfg.shards.clamp(1, cfg.node_set.nodes.max(1));
     let nodes = build_nodes(&cfg.node_set);
     let n = nodes.len();
 
     let clock = Arc::new(WallClock::start());
-    let deadline = SimTime::from_millis((cfg.duration_s * 1_000.0) as u64)
-        + cfg.node_set.query_timeout
-        + DRAIN_GRACE;
 
     // Live introspection: shared atomics plus a monitor and/or endpoint
     // thread, only when asked for — otherwise every branch stays `None`.
@@ -454,7 +517,7 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
         if elapsed_s >= cfg.duration_s {
             break;
         }
-        let target = (elapsed_s * cfg.qps) as u64;
+        let target = ((elapsed_s * cfg.qps) as u64).min(queries);
         while offered < target {
             let env = issue(offered, n, clock.now());
             let shard = env.to.index() % nshards;
@@ -509,11 +572,11 @@ pub fn run_deterministic(cfg: &ServeConfig) -> ServeReport {
 /// [`run_deterministic`] up to the stopped shard: it, the queries
 /// offered, and the virtual time the wheel emptied at.
 fn run_virtual(cfg: &ServeConfig) -> (Shard, u64, SimTime) {
+    let (_, queries) = checked_plan(cfg);
     let nodes = build_nodes(&cfg.node_set);
     let n = nodes.len();
     let (mut shards, _inboxes) = build_shards(nodes, 1, &None);
     let mut shard = shards.pop().expect("one shard");
-    let queries = (cfg.qps * cfg.duration_s) as u64;
     for k in 0..queries {
         let at = SimTime::from_millis((k as f64 * 1_000.0 / cfg.qps) as u64);
         shard.route(issue(k, n, at));
@@ -759,6 +822,31 @@ mod tests {
             assert!((r.hit_rate - r.hits as f64 / r.queries_completed as f64).abs() < 1e-9);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A run whose deadline or query count does not fit its integer is a
+    /// panic naming the field, before any fleet is built — not a run that
+    /// stops its shards at once or never leaves the inbox drain.
+    #[test]
+    fn drain_deadline_is_checked() {
+        let window = SimDuration::from_millis(10_000);
+        let deadline = drain_deadline(2.0, window);
+        assert_eq!(deadline, Some(SimTime::from_millis(12_000) + DRAIN_GRACE));
+        for bad in [f64::INFINITY, f64::NAN, -1.0, 1e300, 1.845e16] {
+            assert_eq!(drain_deadline(bad, window), None, "duration {bad}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig::duration_s = inf")]
+    fn infinite_duration_panics_naming_the_field() {
+        run_deterministic(&quick_cfg(16, 1, 10.0, f64::INFINITY, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig::qps = inf")]
+    fn infinite_qps_panics_naming_the_field() {
+        run_gnutella(&quick_cfg(16, 1, f64::INFINITY, 0.2, 1));
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub mod monitor;
 mod wheel;
 
 pub use bus::{
-    run_deterministic, run_gnutella, run_gnutella_traced, ServeConfig, ServeReport, WallClock,
+    drain_deadline, run_deterministic, run_gnutella, run_gnutella_traced, ServeConfig, ServeReport,
+    WallClock,
 };
 pub use monitor::MonitorShared;
 

@@ -10,6 +10,14 @@
 //! SLOTS ≥` the cursor's next wrap, so it cannot fall due before that
 //! wrap, which re-files `far` — at the *head* of each list, as whatever
 //! is already filed under the same deadline was pushed later.
+//!
+//! A list's cells are wherever the free list put them, so walking one
+//! misses on every cell: `pop_due` asks for the next cell of the list it
+//! pops from as it hands out the head (`ddr_sim::prefetch_object`), so
+//! that cell is on its way for one delivery's time before the next pop
+//! reads it.
+
+use ddr_sim::prefetch_object;
 
 /// Wheel span, ms (16.4 s): the default 10 s collection window plus every
 /// modelled network delay, so the bus itself never uses `far`.
@@ -76,10 +84,14 @@ impl<T: Copy> TimerWheel<T> {
             let head = self.heads[slot];
             if head != NIL && self.cursor <= now {
                 let cell = &mut self.cells[head as usize];
-                self.heads[slot] = cell.next;
-                cell.next = std::mem::replace(&mut self.free, head);
+                let next = std::mem::replace(&mut cell.next, self.free);
+                let item = cell.item;
+                (self.heads[slot], self.free) = (next, head);
                 self.len -= 1;
-                return Some(cell.item);
+                if next != NIL {
+                    prefetch_object(self.cells.as_ptr().wrapping_add(next as usize));
+                }
+                return Some(item);
             }
             if self.cursor >= now {
                 return None;

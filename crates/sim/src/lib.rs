@@ -30,6 +30,9 @@
 //!   or over a worker per shard) with a single-threaded deterministic
 //!   cross-shard merge, so a parallel run is bit-identical to the serial
 //!   one.
+//! * [`lookahead`] — latency-hiding dispatch, once: the [`Lookahead`]
+//!   ring both the sharded kernel and the `ddr-serve` bus dispatch
+//!   through, and the one prefetch primitive their hints are made of.
 //! * [`parallelism`] — the one shared worker-count default every layer
 //!   (sweeps, CLI `--threads`/`--shards`, serve shards) resolves through.
 //!
@@ -45,6 +48,7 @@ pub mod engine;
 pub mod event;
 pub mod hash;
 pub mod id;
+pub mod lookahead;
 pub mod metrics;
 pub mod parallelism;
 pub mod probe;
@@ -59,6 +63,7 @@ pub use event::{
 };
 pub use hash::{FastHashMap, FastHashSet, FxHasher};
 pub use id::{ItemId, NodeId, QueryId};
+pub use lookahead::{prefetch_line, prefetch_object, HintStage, Lookahead};
 pub use metrics::MetricsHub;
 pub use parallelism::{default_workers, resolve_workers};
 pub use probe::{EventLabel, KernelProbe, QueueSample};

@@ -15,7 +15,8 @@
 //! would have to handle *inside the same window*.
 //!
 //! One coordinator, two executors, a file per seam: `contract` (what a
-//! world agrees to), `ring` (one shard and its `process_window`),
+//! world agrees to), `ring` (one shard and its `process_window`, which
+//! dispatches through the crate's one [`crate::Lookahead`] ring),
 //! `window` (the coordinator: where the next window ends, or why the run
 //! stops), `merge` (staged outbox, barrier merge, why the result is
 //! bit-identical to a serial run), `threads` (`run_parallel`; `run` is
@@ -34,9 +35,9 @@ pub use profile::{ShardLane, ShardProfile};
 use crate::engine::RunOutcome;
 use crate::event::EventQueue;
 use crate::id::NodeId;
+use crate::lookahead::Lookahead;
 use crate::time::{SimDuration, SimTime};
-use ring::{Shard, LOOKAHEAD_RING};
-use std::collections::VecDeque;
+use ring::Shard;
 use std::ops::ControlFlow;
 use window::Coordinator;
 
@@ -77,7 +78,7 @@ impl<W: ShardWorld> ShardedSimulation<W> {
             .map(|(shard, world)| Shard {
                 world,
                 queue: EventQueue::with_capacity(per_shard_hint),
-                ring: VecDeque::with_capacity(LOOKAHEAD_RING),
+                ring: Lookahead::default(),
                 staged: Vec::new(),
                 lane: ShardLane {
                     shard,

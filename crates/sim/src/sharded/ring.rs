@@ -1,25 +1,13 @@
-//! One shard and its latency-hiding dispatch: the lookahead ring and
-//! `process_window`.
+//! One shard and its latency-hiding dispatch: `process_window`, through
+//! the crate's one lookahead ring ([`crate::lookahead`]).
 
 use super::contract::{ShardCtx, ShardWorld};
 use super::merge::Staged;
 use super::profile::{ns_since, ShardLane};
 use crate::event::EventQueue;
+use crate::lookahead::Lookahead;
 use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
 use std::time::Instant;
-
-/// How many events of the current window a shard holds popped ahead of
-/// dispatch. A constant, not the whole window: a window can hold 10^5
-/// events (draining it into a buffer grows the resident set with it),
-/// while the memory system tracks only a dozen outstanding misses, so a
-/// deeper ring would buy nothing.
-pub(super) const LOOKAHEAD_RING: usize = 8;
-
-/// Ring position (0 is dispatched next) at which an event receives its
-/// [`ShardWorld::prefetch_dependent`]: half the ring for the first-stage
-/// lines to arrive, half for the lines behind them.
-const DEPENDENT_AT: usize = 4;
 
 /// One shard: a slice of world state, its own calendar queue, and its
 /// outbox. Queue entries carry the event's global sequence number so the
@@ -28,9 +16,8 @@ pub(super) struct Shard<W: ShardWorld> {
     pub(super) world: W,
     pub(super) queue: EventQueue<(u64, W::Event)>,
     /// Events of the current window popped ahead of their dispatch (see
-    /// `process_window`); never more than [`LOOKAHEAD_RING`], and empty
-    /// between windows.
-    pub(super) ring: VecDeque<(SimTime, (u64, W::Event))>,
+    /// `process_window`); empty between windows.
+    pub(super) ring: Lookahead<(SimTime, (u64, W::Event))>,
     pub(super) staged: Vec<Staged<W::Event>>,
     /// This shard's profile row; `lane.events` is also the kernel's
     /// count of events dispatched here.
@@ -48,8 +35,8 @@ impl<W: ShardWorld> Shard<W> {
     /// their dispatch (into the shard's ring) changes neither their order
     /// nor anything a handler can observe. It gives the world the one
     /// thing a far-larger-than-cache state needs — the payloads of the
-    /// next [`LOOKAHEAD_RING`] events while the current one still runs —
-    /// through the two [`ShardWorld`] hint hooks.
+    /// next few events while the current one still runs — through the two
+    /// [`ShardWorld`] hint hooks.
     pub(super) fn process_window(
         &mut self,
         w_end: SimTime,
@@ -65,26 +52,14 @@ impl<W: ShardWorld> Shard<W> {
             lane,
         } = self;
         let before = lane.events;
-        // Ring entries in front of this position have had their
-        // second-stage hint.
-        let mut hinted = 0;
-        loop {
-            while ring.len() < LOOKAHEAD_RING && queue.peek_time().is_some_and(|t| t < w_end) {
-                let entry = queue.pop().expect("peeked event vanished");
-                world.prefetch(&entry.1 .1);
-                ring.push_back(entry);
-            }
-            // One call per dispatch in a long window; at a window's start
-            // (and in windows shorter than the ring) the front entries
-            // catch up here, after the whole fill's first-stage requests.
-            while hinted < ring.len().min(DEPENDENT_AT + 1) {
-                world.prefetch_dependent(&ring[hinted].1 .1);
-                hinted += 1;
-            }
-            let Some((now, (gseq, event))) = ring.pop_front() else {
-                break;
-            };
-            hinted -= 1;
+        while let Some((now, (gseq, event))) = ring.next(
+            || {
+                queue.peek_time().filter(|&t| t < w_end)?;
+                queue.pop()
+            },
+            |entry| world.prefetch(&entry.1 .1),
+            |entry| world.prefetch_dependent(&entry.1 .1),
+        ) {
             let mut ctx = ShardCtx {
                 now,
                 lookahead,
@@ -95,6 +70,7 @@ impl<W: ShardWorld> Shard<W> {
             world.handle(now, event, &mut ctx);
             lane.events += 1;
         }
+        debug_assert!(ring.is_empty(), "an event outlived its window");
         lane.max_window_events = lane.max_window_events.max(lane.events - before);
         lane.work_ns += ns_since(start);
     }

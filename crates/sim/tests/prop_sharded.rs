@@ -349,7 +349,7 @@ fn build_hooked(
     primed(worlds, partition, seed, hops, churn)
 }
 
-/// The kernel's ring size (`LOOKAHEAD_RING` in `sharded/ring.rs`): how many
+/// The kernel's ring size (`ddr_sim::Lookahead`'s capacity): how many
 /// events a shard may hold hinted but not yet handled.
 const RING: usize = 8;
 
