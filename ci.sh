@@ -47,8 +47,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> cargo test -q --release -p ddr-sim (kernel differentials and the queue"
-echo "    memory bound against the optimised build the benchmark measures)"
+echo "==> cargo test -q --release -p ddr-sim (kernel differentials, the queue memory"
+echo "    bound on a zero-sized and on a u64 payload, and the overflow-migration order"
+echo "    of bare-payload buckets, against the optimised build the benchmark measures;"
+echo "    the debug step above runs the migration order's debug_assert)"
 cargo test -q --release -p ddr-sim
 
 echo "==> cargo test -q --release -p ddr-serve (the timer wheel's differential, and the"

@@ -1,0 +1,176 @@
+//! Unit tests of the bus: load, drain, sharding and the deterministic twin.
+
+use super::*;
+
+fn quick_cfg(nodes: usize, seed: u64, qps: f64, duration_s: f64, shards: usize) -> ServeConfig {
+    let mut node_set = NodeSetConfig::new(nodes, seed);
+    // Short collection window so the drain phase stays test-sized.
+    node_set.query_timeout = SimDuration::from_millis(300);
+    ServeConfig::new(node_set, qps, duration_s, shards)
+}
+
+#[test]
+fn bus_completes_queries_under_load() {
+    let cfg = quick_cfg(64, 11, 400.0, 0.5, 2);
+    let r = run_gnutella(&cfg);
+    assert_eq!(r.nodes, 64);
+    assert_eq!(r.shards, 2);
+    assert!(r.queries_offered > 0, "load generator never fired");
+    assert!(
+        r.queries_completed > 0,
+        "no query survived to its collection window"
+    );
+    // Issues are delivered reliably inside one process.
+    assert_eq!(r.queries_issued, r.queries_offered);
+    assert!(r.messages > 0);
+    assert!(r.hit_rate >= 0.0 && r.hit_rate <= 1.0);
+    if r.hits > 0 {
+        let p50 = r.p50_first_ms.expect("hits imply latency samples");
+        let p99 = r.p99_first_ms.expect("hits imply latency samples");
+        assert!(p50 <= p99);
+    }
+}
+
+/// The generator stamps an `Issue` with its send time, and a shard
+/// that has already served that millisecond files it behind its
+/// wheel's cursor: it must go out on the next turn, not a lap later.
+#[test]
+fn issue_stamped_behind_the_cursor_is_delivered_and_completes() {
+    let cfg = quick_cfg(16, 9, 0.0, 0.0, 2);
+    let (mut shards, txs) = build_shards(build_nodes(&cfg.node_set), 2, &None);
+    drop(txs);
+    let clock = Arc::new(WallClock::start());
+    assert!(shards[1].wheel.pop_due(40).is_none(), "cursor now at 40 ms");
+    shards[1].route(issue(1, 16, SimTime::from_millis(3)));
+    let deadline = SimTime::from_millis(40) + cfg.node_set.query_timeout + DRAIN_GRACE;
+    let running: Vec<_> = shards
+        .into_iter()
+        .map(|shard| {
+            let clock = Arc::clone(&clock);
+            thread::spawn(move || shard.run(clock, deadline))
+        })
+        .collect();
+    let (mut issued, mut completed) = (0, 0);
+    for shard in running {
+        let shard = shard.join().expect("shard thread panicked");
+        issued += shard.issued;
+        completed += shard.outcomes.len();
+    }
+    assert_eq!((issued, completed), (1, 1));
+}
+
+/// Every injection finalizes, none before its collection window
+/// closes, and no initiator is left holding a pending query.
+#[test]
+fn virtual_run_closes_every_window_on_time() {
+    let cfg = ServeConfig::new(NodeSetConfig::new(48, 7), 20.0, 1.0, 1);
+    let (shard, offered, end) = run_virtual(&cfg);
+    assert_eq!(offered, 20);
+    assert_eq!((shard.issued, shard.outcomes.len()), (20, 20));
+    let window = cfg.node_set.query_timeout;
+    for done in &shard.outcomes {
+        assert!(done.finished_at.saturating_since(done.issued_at) >= window);
+    }
+    assert!(shard.nodes.iter().all(|n| n.in_flight() == 0));
+    // The last query, issued at 950 ms, closed the run.
+    assert_eq!(end, SimTime::from_millis(950) + window);
+}
+
+#[test]
+fn traced_bus_writes_inspectable_spans() {
+    let dir = std::env::temp_dir().join(format!("ddr-serve-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("serve.jsonl");
+    let mut cfg = quick_cfg(48, 5, 300.0, 0.4, 2);
+    cfg.telemetry = TelemetryConfig {
+        trace_path: Some(path.clone()),
+        sample: 1,
+        run_label: "ServeSmoke",
+        ..TelemetryConfig::default()
+    };
+    let r = run_gnutella_traced(&cfg);
+    assert!(r.queries_completed > 0);
+    let summary = ddr_telemetry::summarize_file(&path).expect("trace must parse");
+    assert_eq!(
+        summary.spans, r.queries_completed,
+        "one span per completed query"
+    );
+    assert!(summary.is_complete(), "every serve span must be closed");
+    std::fs::remove_file(&path).ok();
+}
+
+/// The monitor thread is purely observational: its cumulative
+/// counters must agree exactly with the end-of-run report, and the
+/// timeline file's per-window deltas must sum back to those same
+/// totals — i.e. turning the monitor on changes what is *written*,
+/// never what is *reported*.
+#[test]
+fn monitor_does_not_perturb_the_report() {
+    let dir = std::env::temp_dir().join(format!("ddr-serve-mon-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("timeline.jsonl");
+    let mut cfg = quick_cfg(48, 7, 300.0, 0.4, 2);
+    cfg.telemetry.metrics_path = Some(path.clone());
+    cfg.monitor_interval_ms = 50;
+    let r = run_gnutella(&cfg);
+    assert!(r.queries_completed > 0, "run produced no completions");
+
+    let text = std::fs::read_to_string(&path).expect("timeline file written");
+    let mut sum_completed = 0u64;
+    let mut sum_hits = 0u64;
+    let mut sum_offered = 0u64;
+    let mut windows = 0u64;
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let v = serde::json::parse(line).expect("window record parses");
+        let counters = v.get("counters").expect("counters object");
+        let num = |k: &str| counters.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0) as u64;
+        sum_completed += num("queries_finalized");
+        sum_hits += num("hits");
+        sum_offered += num("queries_offered");
+        windows += 1;
+    }
+    assert!(windows >= 2, "expected several windows, got {windows}");
+    assert_eq!(sum_completed, r.queries_completed, "completed parity");
+    assert_eq!(sum_hits, r.hits, "hits parity");
+    assert_eq!(sum_offered, r.queries_offered, "offered parity");
+    // The report's derived fields are internally consistent — the
+    // monitor did not leak into their computation.
+    assert!((r.achieved_qps - r.queries_completed as f64 / r.duration_s).abs() < 1e-9);
+    if r.queries_completed > 0 {
+        assert!((r.hit_rate - r.hits as f64 / r.queries_completed as f64).abs() < 1e-9);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A run whose deadline or query count does not fit its integer is a
+/// panic naming the field, before any fleet is built — not a run that
+/// stops its shards at once or never leaves the inbox drain.
+#[test]
+fn drain_deadline_is_checked() {
+    let window = SimDuration::from_millis(10_000);
+    let deadline = drain_deadline(2.0, window);
+    assert_eq!(deadline, Some(SimTime::from_millis(12_000) + DRAIN_GRACE));
+    for bad in [f64::INFINITY, f64::NAN, -1.0, 1e300, 1.845e16] {
+        assert_eq!(drain_deadline(bad, window), None, "duration {bad}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "ServeConfig::duration_s = inf")]
+fn infinite_duration_panics_naming_the_field() {
+    run_deterministic(&quick_cfg(16, 1, 10.0, f64::INFINITY, 1));
+}
+
+#[test]
+#[should_panic(expected = "ServeConfig::qps = inf")]
+fn infinite_qps_panics_naming_the_field() {
+    run_gnutella(&quick_cfg(16, 1, f64::INFINITY, 0.2, 1));
+}
+
+#[test]
+fn single_shard_degenerate_case_works() {
+    let cfg = quick_cfg(16, 3, 150.0, 0.3, 1);
+    let r = run_gnutella(&cfg);
+    assert_eq!(r.shards, 1);
+    assert!(r.queries_completed > 0);
+}

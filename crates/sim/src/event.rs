@@ -10,20 +10,25 @@
 //! Two implementations share that contract:
 //!
 //! * [`EventQueue`] — the production kernel: a two-level **calendar
-//!   queue** (bucketed time wheel over near-future slots, min-heap
+//!   queue** (a wheel of 1 ms buckets over the near future, min-heap
 //!   overflow for far-future events). Scheduling into the wheel is an
-//!   O(1) bucket append in the common monotone case, popping is an O(1)
-//!   `pop_front` plus an amortised-O(1) cursor walk, and the next-event
-//!   timestamp is cached so the driver's peek/pop pair costs one scan.
+//!   O(1) bucket append, popping is an O(1) `pop_front` plus an
+//!   amortised-O(1) cursor walk, and the next-event timestamp is cached
+//!   so the driver's peek/pop pair costs one scan. A bucket stores bare
+//!   payloads: its slot is the timestamp and its FIFO order the seq.
 //! * [`ReferenceEventQueue`] — the original `BinaryHeap` future-event
-//!   list, kept as the executable specification. Differential tests in
-//!   `tests/prop_kernel.rs` drive both with random interleavings
-//!   and assert identical pop sequences.
+//!   list, kept as the executable specification (`event/reference.rs`).
+//!   Differential tests in `tests/prop_kernel.rs` drive both with random
+//!   interleavings and assert identical pop sequences.
+
+mod reference;
+
+pub use reference::ReferenceEventQueue;
+use reference::Scheduled;
 
 use crate::probe::QueueSample;
 use crate::time::{SimDuration, SimTime};
 use std::cell::Cell;
-use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// A pre-sizing hint for [`EventQueue::with_capacity`], derived from the
@@ -36,49 +41,9 @@ pub fn event_capacity_hint(nodes: usize, max_hops: u8) -> usize {
     (nodes.saturating_mul(per_node)).next_power_of_two().max(64)
 }
 
-/// A scheduled entry. Ordered so the *earliest* (time, seq) pops first from
-/// a max-heap, i.e. the comparison is reversed.
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: smaller (time, seq) is "greater" for BinaryHeap.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-// ------------------------------------------------------------------------
-// Calendar-queue kernel
-// ------------------------------------------------------------------------
-
-/// log2 of the wheel slot width in milliseconds. One-millisecond slots
-/// exploit the clock's integer-ms resolution: every entry in a bucket
-/// carries the *same* timestamp, so the sorted insert degenerates to an
-/// O(1) `push_back` (the new entry always holds the largest seq). Wider
-/// slots were measured slower: network delays cluster at 70/150/300 ms
-/// ± 60 ms, so 64 ms slots concentrated hundreds of entries per bucket
-/// and the mid-bucket sorted inserts turned into memmoves.
-const SLOT_SHIFT: u32 = 0;
-/// Default number of wheel buckets (power of two). Wheel horizon =
-/// `DEFAULT_WHEEL_BUCKETS << SLOT_SHIFT` = 2.048 s beyond the cursor —
+/// Default number of wheel buckets (power of two). A slot is one
+/// millisecond, the clock's resolution, so the wheel horizon is
+/// `DEFAULT_WHEEL_BUCKETS` ms = 2.048 s beyond the cursor —
 /// enough for every network delay and collection window at paper scale;
 /// hour-scale churn timers go to the overflow heap.
 pub const DEFAULT_WHEEL_BUCKETS: usize = 2048;
@@ -106,21 +71,34 @@ pub fn wheel_buckets_for(cap: usize) -> usize {
         .clamp(DEFAULT_WHEEL_BUCKETS, MAX_WHEEL_BUCKETS)
 }
 
-#[inline]
-fn slot_of(t: SimTime) -> u64 {
-    t.as_millis() >> SLOT_SHIFT
-}
-
 /// The production future-event list: a two-level calendar queue.
 ///
-/// Level 1 is a circular array of buckets (a power-of-two count fixed at
-/// construction; see [`wheel_buckets_for`]), each a `VecDeque` kept
-/// sorted ascending by `(time, seq)`; the bucket for absolute slot `s`
-/// is `wheel[s % nbuckets]`, and the **single-lap invariant** says a
-/// bucket only ever holds entries of one absolute slot: those within
-/// `[cursor, cursor + nbuckets)`. Level 2 is a min-heap holding
-/// everything at or beyond the wheel horizon; entries migrate into the
-/// wheel as the cursor advances past their lap boundary.
+/// Level 1 is a circular array of 1 ms buckets (a power-of-two count
+/// fixed at construction; see [`wheel_buckets_for`]), each a `VecDeque`
+/// of bare payloads in FIFO order; the bucket for absolute slot `s` is
+/// `wheel[s % nbuckets]`, and the **single-lap invariant** says a bucket
+/// only ever holds entries of one absolute slot: those within
+/// `[cursor, cursor + nbuckets)`. Level 2 is a min-heap of `Scheduled`
+/// `(time, seq, event)` entries holding everything at or beyond the wheel
+/// horizon; entries migrate into the wheel as the cursor advances past
+/// their lap boundary.
+///
+/// A bucket stores neither `time` nor `seq`. A slot is one millisecond,
+/// the clock's resolution, so every entry of a bucket has the bucket's
+/// timestamp, which `front()` derives from the cursor. The seq
+/// tie-break is the bucket's FIFO order, because every entry is
+/// appended and appending is always in seq order:
+///
+/// * an entry for slot `s` goes to overflow only while
+///   `s >= cursor + nbuckets`, so no direct push can have reached `s`
+///   before it (the cursor only advances);
+/// * `advance_cursor` migrates every overflow entry of a slot
+///   below the new horizon, in `(time, seq)` order, before any direct
+///   push can target that slot — into a bucket that is still empty;
+/// * so migrated entries land ahead of every direct entry of their slot,
+///   and direct entries arrive with increasing seq.
+///
+/// The migration loop pins the empty-bucket step with a `debug_assert!`.
 ///
 /// Memory: a bucket holds a buffer only while it is non-empty. A drained
 /// bucket hands its `VecDeque` to a spare stack and the next bucket to
@@ -131,7 +109,12 @@ fn slot_of(t: SimTime) -> u64 {
 /// is not true of traffic that occupies every bucket at once: each then
 /// keeps a buffer grown to its own peak, which is why `ddr-serve`'s bus
 /// (≈510 deliveries per millisecond, 70–2,000 ms ahead) has its own
-/// timer wheel (EXPERIMENTS.md, "The bus's timer queue").
+/// timer wheel. There are two queues because the two loads want opposite
+/// layouts: a kernel pop reads a bucket buffer contiguously (the bus's
+/// slab-threaded lists, measured as this queue, halved `relay_kernel`'s
+/// events per second), while the bus needs memory bounded by peak
+/// pending (EXPERIMENTS.md, "The bus's timer queue" and "Bare-event
+/// wheel buckets").
 ///
 /// Determinism: identical `(time, seq)` order as the reference heap —
 /// FIFO among equal timestamps — verified by differential tests.
@@ -152,11 +135,11 @@ pub struct EventQueue<E> {
     /// Circular bucket array; `wheel[s & slot_mask]` holds slot `s`. The
     /// length is a power of two fixed at construction (see
     /// [`EventQueue::with_geometry`]).
-    wheel: Vec<VecDeque<Scheduled<E>>>,
+    wheel: Vec<VecDeque<E>>,
     /// Buffers of drained buckets, reused LIFO (the most recently drained
     /// one is the most likely to still be in cache). Empty buckets own
     /// no allocation.
-    spare: Vec<VecDeque<Scheduled<E>>>,
+    spare: Vec<VecDeque<E>>,
     /// `wheel.len() - 1`, cached for the hot physical-index computation.
     slot_mask: u64,
     /// Entries currently stored in the wheel (not counting overflow).
@@ -283,17 +266,16 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let entry = Scheduled {
-            time: at,
-            seq,
-            event,
-        };
-        let slot = slot_of(at);
+        let slot = at.as_millis();
         debug_assert!(slot >= self.cursor, "cursor passed the current time");
         if slot - self.cursor < self.wheel.len() as u64 {
-            self.insert_in_wheel(entry);
+            self.push_in_wheel(slot, event);
         } else {
-            self.overflow.push(entry);
+            self.overflow.push(Scheduled {
+                time: at,
+                seq,
+                event,
+            });
         }
         if let Some(next) = self.next_at.get() {
             if at < next {
@@ -323,7 +305,7 @@ impl<E> EventQueue<E> {
         if let Some(t) = self.next_at.get() {
             return Some(t);
         }
-        let computed = self.front().map(|s| s.time);
+        let computed = self.front().map(|(t, _)| t);
         if computed.is_some() {
             self.next_at.set(computed);
         }
@@ -336,55 +318,43 @@ impl<E> EventQueue<E> {
     /// current one is being handled. Also warms the peek cache, so a
     /// following `peek_time` costs no scan.
     pub fn peek_event(&self) -> Option<&E> {
-        let front = self.front()?;
-        self.next_at.set(Some(front.time));
-        Some(&front.event)
+        let (t, event) = self.front()?;
+        self.next_at.set(Some(t));
+        Some(event)
     }
 
-    /// The earliest pending entry. Wheel entries always precede overflow
-    /// entries (their slots are strictly smaller, and slot order implies
-    /// time order across distinct slots), so the head of the first
-    /// non-empty bucket at or after the cursor is the minimum; with an
+    /// The earliest pending entry and its timestamp. Wheel entries always
+    /// precede overflow entries (their slots are strictly smaller), so the
+    /// head of the first non-empty bucket at or after the cursor is the
+    /// minimum, and its timestamp is that bucket's absolute slot; with an
     /// empty wheel it is the overflow top.
-    fn front(&self) -> Option<&Scheduled<E>> {
+    fn front(&self) -> Option<(SimTime, &E)> {
         if self.wheel_len > 0 {
             let b = self
                 .next_occupied((self.cursor & self.slot_mask) as usize)
                 .expect("wheel_len > 0 but occupancy bitmap empty");
-            return Some(
-                self.wheel[b]
-                    .front()
-                    .expect("occupancy bit set on empty bucket"),
-            );
+            let slot = self.cursor + ((b as u64).wrapping_sub(self.cursor) & self.slot_mask);
+            let event = self.wheel[b]
+                .front()
+                .expect("occupancy bit set on empty bucket");
+            return Some((SimTime::from_millis(slot), event));
         }
-        self.overflow.peek()
+        self.overflow.peek().map(|s| (s.time, &s.event))
     }
 
-    /// Put `entry` (whose slot lies inside the current wheel window) into
-    /// its bucket, keeping the bucket sorted ascending by `(time, seq)`.
-    /// A fresh `schedule_at` entry carries the largest seq so far and
-    /// overflow drains in `(time, seq)` order, and with 1 ms slots every
-    /// co-bucketed entry shares one timestamp, so this is almost always
-    /// an O(1) append; the sorted branch only fires when overflow
-    /// migration meets a bucket that already holds later in-window
-    /// entries (and keeps the slot width safely retunable).
+    /// Append `event` to the bucket of `slot`, which lies inside the
+    /// current wheel window. Always an append: see the struct docs for
+    /// why FIFO order is `(time, seq)` order.
     #[inline]
-    fn insert_in_wheel(&mut self, entry: Scheduled<E>) {
-        let b = (slot_of(entry.time) & self.slot_mask) as usize;
+    fn push_in_wheel(&mut self, slot: u64, event: E) {
+        let b = (slot & self.slot_mask) as usize;
         let bucket = &mut self.wheel[b];
         if bucket.capacity() == 0 {
             if let Some(buf) = self.spare.pop() {
                 *bucket = buf;
             }
         }
-        let key = (entry.time, entry.seq);
-        match bucket.back() {
-            Some(last) if (last.time, last.seq) > key => {
-                let pos = bucket.partition_point(|e| (e.time, e.seq) <= key);
-                bucket.insert(pos, entry);
-            }
-            _ => bucket.push_back(entry),
-        }
+        bucket.push_back(event);
         self.occupied[b >> 6] |= 1 << (b & 63);
         self.wheel_len += 1;
     }
@@ -424,12 +394,21 @@ impl<E> EventQueue<E> {
         debug_assert!(slot >= self.cursor);
         self.cursor = slot;
         let horizon = self.cursor + self.wheel.len() as u64;
+        let mut last = None;
         while let Some(top) = self.overflow.peek() {
-            if slot_of(top.time) >= horizon {
+            let s = top.time.as_millis();
+            if s >= horizon {
                 break;
             }
+            // A slot's first migrant finds its bucket empty: no direct
+            // push can have reached a slot that was past the horizon.
+            debug_assert!(
+                last == Some(s) || self.wheel[(s & self.slot_mask) as usize].is_empty(),
+                "migration into slot {s} would land behind a direct push"
+            );
+            last = Some(s);
             let entry = self.overflow.pop().expect("peeked entry vanished");
-            self.insert_in_wheel(entry);
+            self.push_in_wheel(s, entry.event);
             self.migrations += 1;
         }
     }
@@ -437,7 +416,7 @@ impl<E> EventQueue<E> {
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let t = self.peek_time()?;
-        let slot = slot_of(t);
+        let slot = t.as_millis();
         if slot > self.cursor {
             // Either a later in-window slot (all earlier buckets empty —
             // the minimum lives at `slot`), or, when the wheel is empty,
@@ -451,17 +430,16 @@ impl<E> EventQueue<E> {
         }
         let b = (slot & self.slot_mask) as usize;
         let bucket = &mut self.wheel[b];
-        let entry = bucket.pop_front().expect("cached minimum not in bucket");
-        debug_assert_eq!(entry.time, t, "bucket front disagrees with cache");
-        debug_assert!(entry.time >= self.now, "event popped out of order");
+        let event = bucket.pop_front().expect("cached minimum not in bucket");
+        debug_assert!(t >= self.now, "event popped out of order");
         if bucket.is_empty() {
             self.spare.push(std::mem::take(bucket));
             self.occupied[b >> 6] &= !(1 << (b & 63));
         }
         self.wheel_len -= 1;
-        self.now = entry.time;
+        self.now = t;
         self.next_at.set(None);
-        Some((entry.time, entry.event))
+        Some((t, event))
     }
 
     /// Total number of events ever scheduled (the tie-break counter).
@@ -483,11 +461,18 @@ impl<E> EventQueue<E> {
     /// Entry slots the queue currently holds allocated: every bucket's
     /// capacity, the spare buffers' and the overflow heap's. Compare with
     /// [`Self::peak_pending`]: the recycling invariant keeps this within
-    /// a small factor of it. An O(buckets) walk — for profiling and
-    /// tests, not for the hot loop.
+    /// a small factor of it. A zero-sized payload allocates no bucket
+    /// buffer (`VecDeque` then reports `usize::MAX` capacity), so its
+    /// buckets count 0. An O(buckets) walk — for profiling and tests,
+    /// not for the hot loop.
     pub fn retained_slots(&self) -> usize {
-        let buffers = self.wheel.iter().chain(&self.spare);
-        buffers.map(VecDeque::capacity).sum::<usize>() + self.overflow.capacity()
+        let buckets = if std::mem::size_of::<E>() == 0 {
+            0
+        } else {
+            let buffers = self.wheel.iter().chain(&self.spare);
+            buffers.map(VecDeque::capacity).sum()
+        };
+        buckets + self.overflow.capacity()
     }
 
     /// Entries migrated overflow → wheel over the queue's lifetime.
@@ -510,120 +495,6 @@ impl<E> EventQueue<E> {
     /// run (the same façade the driver hands to [`crate::World::handle`]).
     pub fn scheduler(&mut self) -> Scheduler<'_, E> {
         Scheduler::new(self)
-    }
-}
-
-// ------------------------------------------------------------------------
-// Reference kernel (executable specification)
-// ------------------------------------------------------------------------
-
-/// The original binary-heap future-event list, kept as the executable
-/// specification of the kernel's ordering contract. Same API surface as
-/// [`EventQueue`]; used by differential tests, never by the simulation
-/// driver.
-pub struct ReferenceEventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    seq: u64,
-    now: SimTime,
-    peak: usize,
-}
-
-impl<E> Default for ReferenceEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> ReferenceEventQueue<E> {
-    /// An empty queue positioned at t = 0.
-    pub fn new() -> Self {
-        ReferenceEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            peak: 0,
-        }
-    }
-
-    /// An empty queue with pre-reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        ReferenceEventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
-            now: SimTime::ZERO,
-            peak: 0,
-        }
-    }
-
-    /// Current virtual time (timestamp of the most recent pop).
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedule `event` at absolute time `at`; panics if `at < now()`.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "attempted to schedule an event in the past: at={at}, now={}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            time: at,
-            seq,
-            event,
-        });
-        if self.heap.len() > self.peak {
-            self.peak = self.heap.len();
-        }
-    }
-
-    /// High-water mark of pending events.
-    pub fn peak_pending(&self) -> usize {
-        self.peak
-    }
-
-    /// Schedule `event` at `now + delay`.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// Pop the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
-        debug_assert!(s.time >= self.now, "heap returned an event out of order");
-        self.now = s.time;
-        Some((s.time, s.event))
-    }
-
-    /// Timestamp of the next pending event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// The earliest pending event's payload without popping it (API
-    /// parity with [`EventQueue::peek_event`]).
-    pub fn peek_event(&self) -> Option<&E> {
-        self.heap.peek().map(|s| &s.event)
-    }
-
-    /// Total number of events ever scheduled (the tie-break counter).
-    pub fn scheduled_count(&self) -> u64 {
-        self.seq
     }
 }
 
@@ -664,240 +535,4 @@ impl<'a, E> Scheduler<'a, E> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_millis(30), "c");
-        q.schedule_at(SimTime::from_millis(10), "a");
-        q.schedule_at(SimTime::from_millis(20), "b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn equal_times_pop_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.schedule_at(SimTime::from_millis(5), i);
-        }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clock_advances_with_pops() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_millis(7), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_millis(7));
-        assert_eq!(q.now(), SimTime::from_millis(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "in the past")]
-    fn scheduling_in_the_past_panics() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_millis(10), ());
-        q.pop();
-        q.schedule_at(SimTime::from_millis(5), ());
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_millis(10), 0);
-        q.pop();
-        q.schedule_in(SimDuration::from_millis(5), 1);
-        let (t, e) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_millis(15));
-        assert_eq!(e, 1);
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_millis(42), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(42)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_stays_ordered() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_millis(10), 10u64);
-        q.schedule_at(SimTime::from_millis(30), 30);
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t.as_millis(), 10);
-        // Schedule between now and the remaining event.
-        q.schedule_at(SimTime::from_millis(20), 20);
-        let seq: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(seq, vec![20, 30]);
-    }
-
-    /// Events beyond the initial wheel horizon (cursor + NBUCKETS slots)
-    /// start in the overflow heap and must migrate into the wheel — in
-    /// order, FIFO-stable — as the cursor rolls past lap boundaries.
-    #[test]
-    fn bucket_rollover_beyond_initial_horizon() {
-        let wheel_span_ms = (DEFAULT_WHEEL_BUCKETS as u64) << SLOT_SHIFT;
-        let mut q = EventQueue::new();
-        // One event per "lap" across 5 laps, scheduled out of order, plus
-        // a same-timestamp burst in lap 3 to check FIFO survives
-        // migration.
-        let mut expect = Vec::new();
-        for lap in (0..5u64).rev() {
-            let t = SimTime::from_millis(lap * wheel_span_ms + 17);
-            q.schedule_at(t, (lap, 0u64));
-        }
-        for lap in 0..5u64 {
-            expect.push((lap, 0u64));
-        }
-        let burst_t = SimTime::from_millis(3 * wheel_span_ms + 17);
-        for i in 1..=10u64 {
-            q.schedule_at(burst_t, (3, i));
-        }
-        expect.splice(4..4, (1..=10u64).map(|i| (3, i)));
-        let got: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(got, expect);
-        assert_eq!(q.now(), SimTime::from_millis(4 * wheel_span_ms + 17));
-    }
-
-    /// Far-future outlier sitting in overflow while near events churn:
-    /// the overflow entry must surface exactly in order.
-    #[test]
-    fn overflow_outlier_pops_after_wheel_drains() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_hours(5), "far");
-        for i in 0..50u64 {
-            q.schedule_at(SimTime::from_millis(i * 100), "near");
-        }
-        let mut names = Vec::new();
-        while let Some((_, e)) = q.pop() {
-            names.push(e);
-        }
-        assert_eq!(names.len(), 51);
-        assert_eq!(*names.last().unwrap(), "far");
-        assert!(names[..50].iter().all(|&n| n == "near"));
-    }
-
-    /// The len/peek/now surface must agree between the production and
-    /// reference queues under the same operation sequence.
-    #[test]
-    fn reference_queue_matches_calendar_on_smoke_sequence() {
-        let mut cal = EventQueue::new();
-        let mut refq = ReferenceEventQueue::new();
-        let times = [5u64, 5, 70_000, 3, 200, 5, 999_999, 70_000, 0];
-        for (i, &t) in times.iter().enumerate() {
-            cal.schedule_at(SimTime::from_millis(t), i);
-            refq.schedule_at(SimTime::from_millis(t), i);
-        }
-        assert_eq!(cal.len(), refq.len());
-        assert_eq!(cal.peek_time(), refq.peek_time());
-        loop {
-            let a = cal.pop();
-            let b = refq.pop();
-            assert_eq!(a, b);
-            assert_eq!(cal.now(), refq.now());
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn peak_pending_tracks_high_water_mark() {
-        let mut q = EventQueue::new();
-        for i in 0..10u64 {
-            q.schedule_at(SimTime::from_millis(i), ());
-        }
-        for _ in 0..5 {
-            q.pop();
-        }
-        q.schedule_in(SimDuration::from_millis(1), ());
-        assert_eq!(q.peak_pending(), 10);
-        assert_eq!(q.len(), 6);
-    }
-
-    #[test]
-    fn queue_stats_expose_overflow_and_migrations() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_millis(1), ());
-        q.schedule_at(SimTime::from_hours(2), ());
-        assert_eq!(q.overflow_len(), 1, "hour-scale timer belongs in overflow");
-        assert_eq!(q.occupied_buckets(), 1);
-        assert_eq!(q.migrations(), 0);
-        q.pop();
-        q.pop();
-        assert_eq!(q.migrations(), 1, "far event must migrate into the wheel");
-        assert_eq!(q.overflow_len(), 0);
-        assert_eq!(q.occupied_buckets(), 0);
-    }
-
-    #[test]
-    fn capacity_hint_is_monotone_and_positive() {
-        assert!(event_capacity_hint(0, 0) >= 64);
-        let small = event_capacity_hint(100, 2);
-        let large = event_capacity_hint(2_000, 4);
-        assert!(large >= small);
-        assert!(small.is_power_of_two());
-    }
-
-    #[test]
-    fn wheel_geometry_adapts_to_capacity_hint() {
-        // Small hints keep the paper-scale default …
-        assert_eq!(wheel_buckets_for(0), DEFAULT_WHEEL_BUCKETS);
-        assert_eq!(
-            EventQueue::<()>::with_capacity(1_000).wheel_buckets(),
-            DEFAULT_WHEEL_BUCKETS
-        );
-        // … big hints grow the wheel, up to the cap.
-        let big = wheel_buckets_for(event_capacity_hint(1_000_000, 4));
-        assert!(big > DEFAULT_WHEEL_BUCKETS);
-        assert!(big <= MAX_WHEEL_BUCKETS);
-        assert_eq!(wheel_buckets_for(usize::MAX / 2), MAX_WHEEL_BUCKETS);
-        assert_eq!(
-            EventQueue::<()>::with_geometry(MIN_WHEEL_BUCKETS).wheel_buckets(),
-            MIN_WHEEL_BUCKETS
-        );
-    }
-
-    /// Geometry never changes pop order: a deliberately tiny wheel (which
-    /// forces constant overflow detours and cursor laps) must agree with
-    /// the reference heap event for event.
-    #[test]
-    fn tiny_wheel_matches_reference_heap() {
-        let mut cal: EventQueue<u64> = EventQueue::with_geometry(MIN_WHEEL_BUCKETS);
-        let mut refq: ReferenceEventQueue<u64> = ReferenceEventQueue::new();
-        // A deterministic scramble of near, far, and equal timestamps.
-        let mut t: u64 = 0;
-        for i in 0..2_000u64 {
-            t = t.wrapping_mul(6364136223846793005).wrapping_add(i) % 10_000;
-            let at = SimTime::from_millis(t);
-            if at >= cal.now() {
-                cal.schedule_at(at, i);
-                refq.schedule_at(at, i);
-            }
-            if i % 3 == 0 {
-                assert_eq!(cal.pop(), refq.pop());
-            }
-        }
-        loop {
-            let (a, b) = (cal.pop(), refq.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_geometry_panics() {
-        let _ = EventQueue::<()>::with_geometry(1000);
-    }
-}
+mod tests;

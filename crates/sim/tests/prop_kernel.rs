@@ -131,16 +131,15 @@ proptest! {
 /// once. Drained buckets hand their buffers on, so retained capacity stays
 /// within a small factor of the pending population; a queue whose buckets
 /// keep their own buffers retains ~10 M slots here.
-#[test]
-fn sliding_window_memory_is_bounded_by_peak_pending() {
+fn assert_sliding_window_retains_at_most_8x_peak<E: Copy>(payload: E) {
     const PENDING: u64 = 10_000;
-    let mut q: EventQueue<()> = EventQueue::with_geometry(65_536);
+    let mut q: EventQueue<E> = EventQueue::with_geometry(65_536);
     // 10–33 ms ahead, scrambled by a multiplicative hash of a counter.
     let mut i: u64 = 0;
-    let mut schedule = |q: &mut EventQueue<()>| {
+    let mut schedule = |q: &mut EventQueue<E>| {
         i += 1;
         let ahead = 10 + i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 24;
-        q.schedule_in(SimDuration::from_millis(ahead), ());
+        q.schedule_in(SimDuration::from_millis(ahead), payload);
     };
     for _ in 0..PENDING {
         schedule(&mut q);
@@ -156,6 +155,62 @@ fn sliding_window_memory_is_bounded_by_peak_pending() {
         q.retained_slots(),
         q.peak_pending()
     );
+}
+
+/// Zero-sized payloads: buckets allocate nothing, and `retained_slots`
+/// must not sum `VecDeque`'s `usize::MAX` capacity over them.
+#[test]
+fn sliding_window_memory_is_bounded_by_peak_pending() {
+    assert_sliding_window_retains_at_most_8x_peak(());
+}
+
+/// The same bound on a payload with a size, where bucket buffers are real.
+#[test]
+fn sliding_window_memory_is_bounded_by_peak_pending_u64() {
+    assert_sliding_window_retains_at_most_8x_peak(0u64);
+}
+
+/// Buckets hold bare payloads, so FIFO order inside a bucket must be
+/// `(time, seq)` order. On a 64-slot wheel: bursts one and two laps out
+/// wait in overflow, the cursor advances until their slots come inside
+/// the horizon (migrating them), then direct pushes hit the same slots.
+/// Migrants must pop ahead of the direct entries, each group in
+/// insertion order.
+#[test]
+fn migrated_entries_pop_before_later_direct_pushes_of_their_slot() {
+    const N: u64 = 64;
+    let mut cal: EventQueue<u32> = EventQueue::with_geometry(N as usize);
+    let mut reference: ReferenceEventQueue<u32> = ReferenceEventQueue::new();
+    let mut seq = 0u32;
+    let mut schedule = |cal: &mut EventQueue<u32>, r: &mut ReferenceEventQueue<u32>, ms: u64| {
+        cal.schedule_at(SimTime::from_millis(ms), seq);
+        r.schedule_at(SimTime::from_millis(ms), seq);
+        seq += 1;
+    };
+    let far = [N + 5, N + 40, 2 * N + 5, 2 * N + 7];
+    for &ms in &far {
+        for _ in 0..3 {
+            schedule(&mut cal, &mut reference, ms);
+        }
+    }
+    // Step the cursor forward one event at a time; each step pushes into
+    // every far slot that is now inside the horizon.
+    for step in [10, 30, 50, 70, 100, 120, 140] {
+        schedule(&mut cal, &mut reference, step);
+        assert_eq!(cal.pop(), reference.pop());
+        let now = cal.now().as_millis();
+        for &ms in far.iter().filter(|&&ms| ms >= now && ms < now + N) {
+            schedule(&mut cal, &mut reference, ms);
+        }
+    }
+    assert!(cal.migrations() > 0, "the far bursts must migrate");
+    loop {
+        let popped = cal.pop();
+        assert_eq!(popped, reference.pop());
+        if popped.is_none() {
+            break;
+        }
+    }
 }
 
 proptest! {
