@@ -54,8 +54,9 @@ echo "    the debug step above runs the migration order's debug_assert)"
 cargo test -q --release -p ddr-sim
 
 echo "==> cargo test -q --release -p ddr-serve (the timer wheel's differential, and the"
-echo "    bus ring's delivery order pinned to the DES numbers, on the optimised build the"
-echo "    benchmark measures: overflow checks off, links and prefetch hints inlined)"
+echo "    virtual clock == sharded kernel Metrics equality through the bus ring, on the"
+echo "    optimised build the benchmark measures: overflow checks off, links and prefetch"
+echo "    hints inlined)"
 cargo test -q --release -p ddr-serve
 
 echo "==> cargo test -q --release -p ddr-gnutella --test prop_sharded_world (the hint"
@@ -142,12 +143,17 @@ for example in quickstart music_sharing web_caching olap_caching policy_playgrou
     cargo run -q --release --example "$example" > /dev/null
 done
 
-echo "==> ddr serve --smoke (real-time bus load test: every offered query is issued"
-echo "    and completes, and at least one is answered). Two shards whatever the core"
-echo "    count: cross-shard try_send, the outbox retry and a second inbox are all that"
-echo "    differs from run_deterministic's virtual clock, and one shard skips them"
-SERVE=$($DDR serve gnutella --nodes 200 --qps 50 --duration 2 --threads 2 --smoke)
+echo "==> ddr serve --smoke --trace (real-time bus load test: every offered query is"
+echo "    issued and completes, and at least one is answered; the spans come from the"
+echo "    world slices' own tracer, so ddr inspect must read them). Two shards whatever"
+echo "    the core count: cross-shard try_send, the outbox retry and a second inbox are"
+echo "    all that differs from run_deterministic's virtual clock, and one shard skips them"
+SERVE_TRACE="$(mktemp -t ddr-ci-serve.XXXXXX.jsonl)"
+trap 'rm -f "$TRACE" "$METRICS" "$SERVE_TRACE"' EXIT
+SERVE=$($DDR serve gnutella --nodes 200 --qps 50 --duration 2 --threads 2 --smoke \
+    --trace "$SERVE_TRACE")
 echo "$SERVE"
+$DDR inspect "$SERVE_TRACE" > /dev/null
 COUNTS=$(echo "$SERVE" | sed -n 's/^serve: queries offered=\([0-9]*\) issued=\([0-9]*\) completed=\([0-9]*\) hits=\([0-9]*\)$/\1 \2 \3 \4/p')
 # No such line in the output: counts that cannot pass.
 read -r OFFERED ISSUED COMPLETED HITS <<< "${COUNTS:-0 -1 -1 0}"

@@ -17,16 +17,15 @@
 //!
 //! `to` is the routing key. The serial [`Scheduler`] ignores it (its
 //! events carry their recipient in the payload and there is one queue);
-//! the sharded kernel's [`ShardCtx`] and the serve bus pick the owning
-//! shard by it, and the bus also writes it on the envelope, since a
-//! standalone node's messages do not name their recipient.
+//! the sharded kernel's [`ShardCtx`] picks the owning shard by it, and
+//! the serve bus by the event's own target, which is the same node.
 //!
 //! Three types implement the port: [`Scheduler`] and [`ShardCtx`] for the
-//! two simulation kernels (whole-world events, `GnutellaWorld::dispatch`),
-//! and `ddr-serve`'s bus context for fleets of standalone nodes, whether
-//! its shards run on the wall clock or, deterministically, on a virtual
-//! one. Handlers are generic over the port, not `dyn`: every engine
-//! monomorphizes its hot path.
+//! two simulation kernels, and `ddr-serve`'s bus context, whether its
+//! shards run on the wall clock or, deterministically, on a virtual one —
+//! all three driving the same `GnutellaWorld::dispatch`. Handlers are
+//! generic over the port, not `dyn`: every engine monomorphizes its hot
+//! path.
 
 use ddr_sim::{NodeId, Scheduler, ShardCtx, SimDuration, SimTime};
 

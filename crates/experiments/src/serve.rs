@@ -1,7 +1,7 @@
 //! `ddr serve` — the real-time load-generator entry point.
 //!
 //! Where `ddr run` replays the paper's figures in virtual time, `ddr
-//! serve` stands the same per-node state machine up on the `ddr-serve`
+//! serve` stands the same `GnutellaWorld` handlers up on the `ddr-serve`
 //! bus and measures what this machine sustains under wall-clock load:
 //!
 //! ```text

@@ -13,6 +13,9 @@ pub enum GnutellaEvent {
     /// The node's user issues their next query. `session` guards against
     /// stale events from a previous online session.
     IssueQuery { node: NodeId, session: u32 },
+    /// An open-loop arrival (the serve bus's load generator): the node
+    /// launches a query now, if online, and schedules no successor.
+    OfferQuery { node: NodeId },
     /// A query message arrives at `to`, sent by `from`.
     QueryArrive {
         to: NodeId,
@@ -83,6 +86,7 @@ impl EventLabel for GnutellaEvent {
         match self {
             GnutellaEvent::Toggle { .. } => "Toggle",
             GnutellaEvent::IssueQuery { .. } => "IssueQuery",
+            GnutellaEvent::OfferQuery { .. } => "OfferQuery",
             GnutellaEvent::QueryArrive { .. } => "QueryArrive",
             GnutellaEvent::ReplyArrive { .. } => "ReplyArrive",
             GnutellaEvent::QueryFinalize { .. } => "QueryFinalize",
@@ -99,45 +103,50 @@ impl EventLabel for GnutellaEvent {
     }
 }
 
-/// The node every event is addressed to — decides shard routing and which
-/// node's state a handler may touch.
-pub(crate) fn event_target(event: &GnutellaEvent) -> NodeId {
-    match *event {
-        GnutellaEvent::Toggle { node }
-        | GnutellaEvent::IssueQuery { node, .. }
-        | GnutellaEvent::QueryFinalize { node, .. }
-        | GnutellaEvent::WaveCheck { node, .. }
-        | GnutellaEvent::IndexRefresh { node, .. }
-        | GnutellaEvent::TrialExpire { node, .. } => node,
-        GnutellaEvent::QueryArrive { to, .. }
-        | GnutellaEvent::ReplyArrive { to, .. }
-        | GnutellaEvent::InviteArrive { to, .. }
-        | GnutellaEvent::InviteReply { to, .. }
-        | GnutellaEvent::EvictArrive { to, .. }
-        | GnutellaEvent::LinkRequest { to, .. }
-        | GnutellaEvent::LinkAck { to, .. }
-        | GnutellaEvent::Unlink { to, .. } => to,
+impl GnutellaEvent {
+    /// The node the event is addressed to — decides shard routing (in both
+    /// the sharded kernel and the serve bus) and which node's state a
+    /// handler may touch.
+    pub fn target(&self) -> NodeId {
+        match *self {
+            GnutellaEvent::Toggle { node }
+            | GnutellaEvent::IssueQuery { node, .. }
+            | GnutellaEvent::OfferQuery { node }
+            | GnutellaEvent::QueryFinalize { node, .. }
+            | GnutellaEvent::WaveCheck { node, .. }
+            | GnutellaEvent::IndexRefresh { node, .. }
+            | GnutellaEvent::TrialExpire { node, .. } => node,
+            GnutellaEvent::QueryArrive { to, .. }
+            | GnutellaEvent::ReplyArrive { to, .. }
+            | GnutellaEvent::InviteArrive { to, .. }
+            | GnutellaEvent::InviteReply { to, .. }
+            | GnutellaEvent::EvictArrive { to, .. }
+            | GnutellaEvent::LinkRequest { to, .. }
+            | GnutellaEvent::LinkAck { to, .. }
+            | GnutellaEvent::Unlink { to, .. } => to,
+        }
     }
-}
 
-/// The node a message event was sent *by* — `None` for self events
-/// (timers), which never cross a partition boundary. Used by the
-/// regional-partition gate in `dispatch`.
-pub(crate) fn event_source(event: &GnutellaEvent) -> Option<NodeId> {
-    match *event {
-        GnutellaEvent::QueryArrive { from, .. }
-        | GnutellaEvent::ReplyArrive { from, .. }
-        | GnutellaEvent::InviteArrive { from, .. }
-        | GnutellaEvent::InviteReply { from, .. }
-        | GnutellaEvent::EvictArrive { from, .. }
-        | GnutellaEvent::LinkRequest { from, .. }
-        | GnutellaEvent::LinkAck { from, .. }
-        | GnutellaEvent::Unlink { from, .. } => Some(from),
-        GnutellaEvent::Toggle { .. }
-        | GnutellaEvent::IssueQuery { .. }
-        | GnutellaEvent::QueryFinalize { .. }
-        | GnutellaEvent::WaveCheck { .. }
-        | GnutellaEvent::IndexRefresh { .. }
-        | GnutellaEvent::TrialExpire { .. } => None,
+    /// The node a message event was sent *by* — `None` for self events
+    /// (timers, arrivals), which never cross a partition boundary. Used by
+    /// the regional-partition gate in `dispatch`.
+    pub(crate) fn source(&self) -> Option<NodeId> {
+        match *self {
+            GnutellaEvent::QueryArrive { from, .. }
+            | GnutellaEvent::ReplyArrive { from, .. }
+            | GnutellaEvent::InviteArrive { from, .. }
+            | GnutellaEvent::InviteReply { from, .. }
+            | GnutellaEvent::EvictArrive { from, .. }
+            | GnutellaEvent::LinkRequest { from, .. }
+            | GnutellaEvent::LinkAck { from, .. }
+            | GnutellaEvent::Unlink { from, .. } => Some(from),
+            GnutellaEvent::Toggle { .. }
+            | GnutellaEvent::IssueQuery { .. }
+            | GnutellaEvent::OfferQuery { .. }
+            | GnutellaEvent::QueryFinalize { .. }
+            | GnutellaEvent::WaveCheck { .. }
+            | GnutellaEvent::IndexRefresh { .. }
+            | GnutellaEvent::TrialExpire { .. } => None,
+        }
     }
 }

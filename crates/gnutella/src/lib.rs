@@ -21,15 +21,17 @@
 //!
 //! Entry point: [`scenario::run_scenario`] — a pure function of
 //! [`config::ScenarioConfig`] (including the seed) returning a
-//! [`metrics::RunReport`].
+//! [`metrics::RunReport`]. The `ddr-serve` bus runs the same
+//! [`GnutellaWorld`] slices under wall-clock load; [`fleet`] is the shape
+//! it builds them from.
 
 pub mod config;
 pub mod events;
+pub mod fleet;
 pub mod hosts;
 pub mod invariants;
 mod membership;
 pub mod metrics;
-pub mod node;
 pub mod peer;
 mod reconfigure;
 pub mod scenario;
@@ -38,10 +40,11 @@ pub mod sharded;
 pub mod world;
 
 pub use config::{BenefitKind, Mode, PartitionWindow, ScenarioConfig};
+pub use fleet::{build_nodes, NodeSetConfig};
 pub use hosts::HostCache;
 pub use invariants::check_invariants;
 pub use metrics::{Metrics, RunReport};
-pub use node::{build_nodes, GnutellaNode, NodeMsg, NodeSetConfig, QueryOutcome};
+pub use peer::QueryOutcome;
 pub use scenario::{run_scenario, run_scenario_with_world, GnutellaScenario};
 pub use sharded::{run_scenario_sharded, ShardedRun};
 pub use world::GnutellaWorld;

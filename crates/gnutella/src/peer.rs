@@ -52,6 +52,35 @@ impl PendingQuery {
         self.responders.clear();
         self.first_at = None;
     }
+
+    /// What the closed query leaves behind for its engine.
+    pub(crate) fn outcome(&self) -> QueryOutcome {
+        QueryOutcome {
+            issued_at: self.issued_at,
+            first_at: self.first_at,
+            results: self.responders.len() as u32,
+        }
+    }
+}
+
+/// A query its initiator closed, as `GnutellaWorld::dispatch` hands it
+/// back: what the serve bus's report and monitor read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryOutcome {
+    /// The user's request (deepening waves keep the first wave's).
+    pub issued_at: SimTime,
+    /// Arrival of the first result; `None` on a miss.
+    pub first_at: Option<SimTime>,
+    /// Results collected before the window closed.
+    pub results: u32,
+}
+
+impl QueryOutcome {
+    /// First-result latency in ms; `None` on a miss.
+    pub fn latency_ms(&self) -> Option<f64> {
+        let first = self.first_at?;
+        Some(first.saturating_since(self.issued_at).as_millis() as f64)
+    }
 }
 
 /// The hot per-peer scalars, split out of [`PeerState`] into a dense

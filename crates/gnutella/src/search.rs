@@ -15,10 +15,10 @@
 //! wave timers, index rebuilds, answering on behalf of an indexed holder
 //! — happens below and nowhere else. The rest of the world reaches it
 //! through `refresh_index` (from `login` and `collect_prime`) and the
-//! four search arms of `dispatch`.
+//! search arms of `dispatch`.
 
 use crate::events::GnutellaEvent;
-use crate::peer::PendingQuery;
+use crate::peer::{PendingQuery, QueryOutcome};
 use crate::world::GnutellaWorld;
 use ddr_core::runtime::Port;
 use ddr_core::{LocalIndex, QueryDescriptor};
@@ -34,8 +34,9 @@ const INDEX_REFRESH: SimDuration = SimDuration::from_mins(30);
 // Every handler below is generic over the engine context: the node logic
 // only speaks `Port` (`now`, and `send` to a peer or — a timer — to
 // itself). Under the serial kernel the context is the `Scheduler`, under
-// the sharded kernel the `ShardCtx`. Both deliver identical event
-// sequences, which is what the sharded == serial bit-identity tests pin.
+// the sharded kernel the `ShardCtx`, under the serve bus its own
+// `ShardCtx`. All deliver identical event sequences, which is what the
+// sharded == serial bit-identity tests and the serve parity test pin.
 impl<T: TraceSink> GnutellaWorld<T> {
     /// The search seam's session hook: under a strategy that keeps a
     /// per-node content index, (re)build `node`'s index from the current
@@ -110,6 +111,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.metrics.index_answers += 1;
         let hk = self.li(holder);
         self.served[hk] += 1;
+        self.replies += 1;
         let bandwidth = self.shared.net.class(holder);
         ctx.send(
             origin,
@@ -124,19 +126,28 @@ impl<T: TraceSink> GnutellaWorld<T> {
         );
     }
 
-    fn send_query<C: Port<GnutellaEvent>>(
+    /// Send `desc` from `from` to each of `targets`, counted as one
+    /// `record_messages` per fan-out. An empty fan-out records nothing:
+    /// even a zero would grow the hourly series.
+    fn send_queries<C: Port<GnutellaEvent>>(
         &mut self,
         from: NodeId,
-        to: NodeId,
         desc: QueryDescriptor,
+        targets: &[NodeId],
         ctx: &mut C,
     ) {
-        let k = self.li(from);
-        let d = self.delay(k, from, to);
+        if targets.is_empty() {
+            return;
+        }
+        let hour = ctx.now().as_hours() as usize;
         self.metrics
             .runtime
-            .record_messages(ctx.now().as_hours() as usize, 1.0);
-        ctx.send(to, d, GnutellaEvent::QueryArrive { to, from, desc });
+            .record_messages(hour, targets.len() as f64);
+        let k = self.li(from);
+        for &to in targets {
+            let d = self.delay(k, from, to);
+            ctx.send(to, d, GnutellaEvent::QueryArrive { to, from, desc });
+        }
     }
 
     /// Flood a fresh (or relaunched) query from its initiator.
@@ -157,8 +168,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
             travelled: 1,
             issued_at: ctx.now(),
         };
-        // Reuse the scratch buffer (taken out of `self` so `send_query`
-        // can borrow the world mutably while we iterate).
+        // Reuse the scratch buffer (taken out of `self` so `send_queries`
+        // can borrow the world mutably).
         let mut targets = std::mem::take(&mut self.scratch_targets);
         self.shared.config.forward.select_into(
             self.neighbors[k].as_slice(),
@@ -168,15 +179,12 @@ impl<T: TraceSink> GnutellaWorld<T> {
             &mut self.proto[k],
             &mut targets,
         );
-        for &t in &targets {
-            self.send_query(node, t, desc, ctx);
-        }
+        self.send_queries(node, desc, &targets, ctx);
         self.scratch_targets = targets;
     }
 
-    /// Algo 5 `Send_Query`: draw the user's next target, launch the
-    /// search the configured strategy asks for, arm its collection timer,
-    /// tick the reconfiguration clock and schedule the next request.
+    /// The closed-loop request (`IssueQuery`): a user online in this
+    /// session launches a query, then schedules their next one.
     pub(crate) fn issue_query<C: Port<GnutellaEvent>>(
         &mut self,
         node: NodeId,
@@ -187,6 +195,17 @@ impl<T: TraceSink> GnutellaWorld<T> {
         if !self.sessions[k].online || self.sessions[k].session != session {
             return; // stale event from a previous session
         }
+        self.launch_query(node, ctx);
+        let d = self.peers[k].queries.next_interval().max(self.lookahead);
+        ctx.send(node, d, GnutellaEvent::IssueQuery { node, session });
+    }
+
+    /// Algo 5 `Send_Query`, the one launch step behind both arrivals
+    /// (`IssueQuery`, `OfferQuery`): draw the user's next target, launch
+    /// the search the configured strategy asks for, arm its collection
+    /// timer and tick the reconfiguration clock.
+    pub(crate) fn launch_query<C: Port<GnutellaEvent>>(&mut self, node: NodeId, ctx: &mut C) {
+        let k = self.li(node);
         let now = ctx.now();
 
         let item = {
@@ -254,9 +273,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
         if self.is_dynamic() && clock_due {
             self.reconfigure(node, ctx);
         }
-
-        let d = self.peers[k].queries.next_interval().max(self.lookahead);
-        ctx.send(node, d, GnutellaEvent::IssueQuery { node, session });
     }
 
     /// Algo 5 `Process_Query` at a relay.
@@ -272,9 +288,10 @@ impl<T: TraceSink> GnutellaWorld<T> {
             return; // the node logged off while the message was in flight
         }
         // Shard-local membership: query traffic teaches the node about
-        // other hosts (the sender and the far-away initiator).
+        // other hosts (the sender and the far-away initiator — on a
+        // first hop the same node, already noted).
         self.hosts[k].note(from);
-        if desc.origin != to {
+        if desc.origin != to && desc.origin != from {
             self.hosts[k].note(desc.origin);
         }
         if !self.peers[k].rt.seen().first_sighting(desc.id) {
@@ -292,6 +309,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             // too — their advertised summary is a lie, and the refusal
             // here is what their benefit entries eventually reflect.
             self.served[k] += 1;
+            self.replies += 1;
             let bw = self.shared.net.class(to);
             let d = self.delay(k, to, desc.origin);
             ctx.send(
@@ -338,9 +356,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             desc.travelled,
             targets.len(),
         );
-        for &t in &targets {
-            self.send_query(to, t, fwd, ctx);
-        }
+        self.send_queries(to, fwd, &targets, ctx);
         self.scratch_targets = targets;
     }
 
@@ -376,18 +392,24 @@ impl<T: TraceSink> GnutellaWorld<T> {
     }
 
     /// The collection window closed: record the query's outcome and
-    /// "obtain results and update statistics".
-    pub(crate) fn finalize_query(&mut self, node: NodeId, query: QueryId, now: SimTime) {
+    /// "obtain results and update statistics". Returns the outcome; `None`
+    /// when the query is no longer pending (logged off in the meantime, or
+    /// a double finalize).
+    pub(crate) fn finalize_query(
+        &mut self,
+        node: NodeId,
+        query: QueryId,
+        now: SimTime,
+    ) -> Option<QueryOutcome> {
         let k = self.li(node);
-        let Some(pq) = self.peers[k].pending.remove(&query) else {
-            return; // logged off in the meantime, or double finalize
-        };
+        let pq = self.peers[k].pending.remove(&query)?;
         self.metrics.queries_finalized += 1;
+        let outcome = pq.outcome();
         let results = pq.responders.len();
         if results == 0 {
             self.tracer.finish(now, query, TraceOutcome::Miss, 0, -1.0);
             self.pq_pool.push(pq);
-            return;
+            return Some(outcome);
         }
         let first_at = pq.first_at.expect("responders non-empty");
         self.tracer.finish(
@@ -425,34 +447,32 @@ impl<T: TraceSink> GnutellaWorld<T> {
             }
         }
         self.pq_pool.push(pq);
+        Some(outcome)
     }
 
     /// Iterative deepening: the wave's collection window elapsed —
-    /// finalise a satisfied (or fully deepened) query, relaunch the rest
-    /// one wave deeper.
+    /// finalise a satisfied (or fully deepened) query, returning its
+    /// outcome, or relaunch it one wave deeper.
     pub(crate) fn wave_check<C: Port<GnutellaEvent>>(
         &mut self,
         node: NodeId,
         query: QueryId,
         wave: u8,
         ctx: &mut C,
-    ) {
+    ) -> Option<QueryOutcome> {
         let k = self.li(node);
         if !self.sessions[k].online {
-            return;
+            return None;
         }
-        let Some(pq) = self.peers[k].pending.get(&query) else {
-            return; // finalised or superseded
-        };
+        let pq = self.peers[k].pending.get(&query)?; // finalised or superseded
         if pq.wave != wave {
-            return; // a deeper wave is already in flight
+            return None; // a deeper wave is already in flight
         }
         let next_wave = wave as usize + 1;
         let next_depth = self.shared.config.strategy.wave_depth(next_wave);
         let satisfied = !pq.responders.is_empty();
         let Some(next_depth) = next_depth.filter(|_| !satisfied) else {
-            self.finalize_query(node, query, ctx.now());
-            return;
+            return self.finalize_query(node, query, ctx.now());
         };
         // Relaunch deeper under a fresh wire id; the pending record (and
         // the original issue time) carries over.
@@ -475,5 +495,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 wave: next_wave as u8,
             },
         );
+        None
     }
 }

@@ -1,7 +1,7 @@
 //! The Gnutella simulation world: all mutable state, its construction
-//! and read-only accessors, and the one event dispatcher both kernels
-//! drive. The event semantics of Algo 5 live beside it, one file per
-//! module of the paper's framework:
+//! and read-only accessors, and the one event dispatcher every engine
+//! drives (both kernels and the serve bus). The event semantics of Algo 5
+//! live beside it, one file per module of the paper's framework:
 //!
 //! * `search.rs` — Search (§3.2, Algo 1): `Send_Query`, `Process_Query`,
 //!   result collection, and the effectful half of the search-strategy
@@ -51,10 +51,10 @@
 //! kernels, so the event timeline is identical.
 
 use crate::config::{Mode, ScenarioConfig};
-use crate::events::{event_source, event_target, GnutellaEvent};
+use crate::events::GnutellaEvent;
 use crate::hosts::HostCache;
 use crate::metrics::Metrics;
-use crate::peer::{PeerState, PendingQuery, SessionSlot};
+use crate::peer::{PeerState, PendingQuery, QueryOutcome, SessionSlot};
 use ddr_core::benefit::BenefitFunction;
 use ddr_core::runtime::{sample_runtime_metrics, NodeRuntime, Port};
 use ddr_core::{CategorySummary, LocalIndex};
@@ -93,7 +93,8 @@ pub(crate) struct SharedWorld {
 /// pre-telemetry hot path.
 ///
 /// A serial run uses one full-range slice; a sharded run uses
-/// `Partition::contiguous` slices driven by `ShardedSimulation`.
+/// `Partition::contiguous` slices driven by `ShardedSimulation`, and the
+/// serve bus the same slices, one per worker thread.
 pub struct GnutellaWorld<T: TraceSink = NullSink> {
     pub(crate) shared: Arc<SharedWorld>,
     /// First node index this slice owns.
@@ -118,6 +119,8 @@ pub struct GnutellaWorld<T: TraceSink = NullSink> {
     pub(crate) indices: Vec<Option<LocalIndex>>,
     /// Results served per owned node (load-balance analysis).
     pub(crate) served: Vec<u64>,
+    /// Their sum, bumped beside them, so a per-turn reader pays O(1).
+    pub(crate) replies: u64,
     pub(crate) benefit: Box<dyn BenefitFunction>,
     /// Kernel lookahead = the network delay floor; every delay and timer
     /// is clamped to at least this in both kernels.
@@ -319,6 +322,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                     next_qid: vec![0; count],
                     indices: vec![None; count],
                     served: vec![0; count],
+                    replies: 0,
                     benefit: shared.config.benefit.build(),
                     lookahead,
                     scratch_targets: Vec::with_capacity(16),
@@ -491,6 +495,13 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.served.iter().map(|&s| s as f64).collect()
     }
 
+    /// Results served across this slice's owned nodes: one reply message
+    /// each, which `metrics.runtime.messages` (query transmissions) does
+    /// not count.
+    pub fn replies_served(&self) -> u64 {
+        self.replies
+    }
+
     /// Count of standing (evictor, evictee) eviction-memory pairs split
     /// by whether the evictee matches `pred` — `(matching, rest)`.
     /// Diagnostic for the free-rider starvation analysis: concentrated
@@ -560,7 +571,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// result depends on it.
     #[inline]
     fn request_lines(&self, event: &GnutellaEvent, stage: HintStage) {
-        let k = self.li(event_target(event));
+        let k = self.li(event.target());
         match (event, stage) {
             (GnutellaEvent::QueryArrive { to, desc, .. }, HintStage::Direct) => {
                 prefetch_object(addr_of!(self.sessions[k]));
@@ -581,16 +592,19 @@ impl<T: TraceSink> GnutellaWorld<T> {
         }
     }
 
-    /// The one event dispatcher both kernels share. `ctx` is the serial
-    /// `Scheduler` or the sharded `ShardCtx`, each through its [`Port`]
-    /// impl; the handler code is identical, which is what makes sharded
-    /// == serial bit-identical.
-    fn dispatch<C: Port<GnutellaEvent>>(
+    /// The one event dispatcher every engine shares. `ctx` is the serial
+    /// `Scheduler`, the sharded `ShardCtx` or the serve bus's context,
+    /// each through its [`Port`] impl; the handler code is identical,
+    /// which is what makes sharded == serial bit-identical and the bus's
+    /// virtual clock equal to the sharded kernel. Returns the query a
+    /// `QueryFinalize` (or a final `WaveCheck`) closed; the kernels
+    /// discard it, the bus collects it for its report.
+    pub fn dispatch<C: Port<GnutellaEvent>>(
         &mut self,
         now: SimTime,
         event: GnutellaEvent,
         ctx: &mut C,
-    ) {
+    ) -> Option<QueryOutcome> {
         // Regional partition gate: while the window is active, every
         // node-to-node message crossing an island boundary is dropped at
         // delivery time. The verdict is a pure function of
@@ -600,13 +614,13 @@ impl<T: TraceSink> GnutellaWorld<T> {
         // sender and always deliver, which keeps per-query bookkeeping
         // (`QueryFinalize`) alive through the outage.
         if let Some(p) = &self.shared.config.partition {
-            if let Some(src) = event_source(&event) {
+            if let Some(src) = event.source() {
                 let users = self.shared.net.len();
-                let dst = event_target(&event);
+                let dst = event.target();
                 if p.island_of(src.index(), users) != p.island_of(dst.index(), users) {
                     if p.active_at_ms(now.as_millis()) {
                         self.metrics.partition_drops += 1;
-                        return;
+                        return None;
                     }
                     // Delivered across islands outside the window — the
                     // series the no-cross-island-delivery invariant reads.
@@ -632,6 +646,11 @@ impl<T: TraceSink> GnutellaWorld<T> {
             GnutellaEvent::IssueQuery { node, session } => {
                 self.issue_query(node, session, ctx);
             }
+            GnutellaEvent::OfferQuery { node } => {
+                if self.sessions[self.li(node)].online {
+                    self.launch_query(node, ctx);
+                }
+            }
             GnutellaEvent::QueryArrive { to, from, desc } => {
                 self.query_arrive(to, from, desc, ctx);
             }
@@ -645,7 +664,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 self.reply_arrive(to, from, query, hops, now);
             }
             GnutellaEvent::QueryFinalize { node, query } => {
-                self.finalize_query(node, query, now);
+                return self.finalize_query(node, query, now);
             }
             GnutellaEvent::InviteArrive { to, from } => {
                 self.invite_arrive(to, from, ctx);
@@ -666,7 +685,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 self.unlink(to, from, ctx);
             }
             GnutellaEvent::WaveCheck { node, query, wave } => {
-                self.wave_check(node, query, wave, ctx);
+                return self.wave_check(node, query, wave, ctx);
             }
             GnutellaEvent::IndexRefresh { node, session } => {
                 self.index_refresh(node, session, ctx);
@@ -679,6 +698,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 self.trial_expire(node, peer, session, ctx);
             }
         }
+        None
     }
 }
 

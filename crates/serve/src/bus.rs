@@ -1,57 +1,66 @@
 //! The real-time backend: a sharded in-process message bus driving
-//! [`GnutellaNode`]s under wall-clock time and synthetic query load.
+//! [`GnutellaWorld`] slices under wall-clock time and synthetic query
+//! load — the handlers the paper's figures are produced with, on a third
+//! executor of the slice-world contract beside the two simulation
+//! kernels.
 //!
 //! Architecture:
 //!
-//! * Nodes are partitioned across `shards` worker threads by
-//!   `node_id % shards`; each shard owns its nodes exclusively, so no
-//!   node state is ever shared or locked.
-//! * Each shard has one bounded [`mpsc::sync_channel`] inbox. A message
-//!   carries its *delivery deadline* (`Envelope::at`, wall time since
-//!   run start): the sending node's `Port::send` adds the modelled
+//! * The fleet is cut by `GnutellaWorld::build_sharded` into contiguous
+//!   node ranges (`Partition::contiguous`), one slice per worker thread;
+//!   each shard owns its slice exclusively, so no node state is ever
+//!   shared or locked, and an envelope goes to `partition.shard_of` its
+//!   event's target.
+//! * Each shard has one bounded [`mpsc::sync_channel`] inbox. An
+//!   `Envelope` is an event and its *delivery deadline* (`at`, wall
+//!   time since run start): the slice's `Port::send` adds the modelled
 //!   network delay, the receiving shard parks the envelope in a local
 //!   timing wheel (`wheel.rs`: one FIFO list per millisecond) and
-//!   delivers it when the [`WallClock`] catches up. The wheel's order
-//!   (deadline, then push order) is a DES calendar queue's `(time, seq)`
-//!   at millisecond resolution, so [`run_deterministic`] steps the same
-//!   shard through the same `deliver_due` on a virtual clock instead.
-//!   At 30 k qps a shard holds ≈250 k envelopes (Finalize timers
-//!   for the collection window, messages for 70–600 ms); a binary heap
-//!   that deep pays ≈17 dependent cache misses per pop — measured, half
-//!   the bus's CPU — and `ddr_sim::EventQueue` doubles resident memory
-//!   because this traffic occupies all of its buckets at once
+//!   delivers it through `GnutellaWorld::dispatch` when the [`WallClock`]
+//!   catches up. The wheel's order (deadline, then push order) is a DES
+//!   calendar queue's `(time, seq)` at millisecond resolution, so
+//!   [`run_deterministic`] steps the same shard through the same
+//!   `deliver_due` on a virtual clock and equals `ShardedSimulation` at one
+//!   shard. At 30 k qps a shard holds ≈250 k envelopes (`QueryFinalize`
+//!   timers for the collection window, messages for 70–600 ms); a binary
+//!   heap that deep pays ≈17 dependent cache misses per pop — measured,
+//!   half the bus's CPU — and `ddr_sim::EventQueue` doubles resident
+//!   memory because this traffic occupies all of its buckets at once
 //!   (EXPERIMENTS.md, "The bus's timer queue").
 //! * A turn pops due envelopes up to eight ahead of delivery through
 //!   [`ddr_sim::Lookahead`], the sharded kernel's own ring, and shows
-//!   each to its node's [`GnutellaNode::request_lines`]: with 2,000 nodes
-//!   and their dup-cache tables far past the cache, a delivery's node
-//!   lines, dup-cache slot and Bloom block are on their way while the
-//!   deliveries ahead of it run. `Shard::deliver_due` says why that
-//!   cannot change the order (EXPERIMENTS.md, "The bus's lookahead ring").
+//!   each to the slice's `ShardWorld::prefetch` / `prefetch_dependent`:
+//!   with 2,000 nodes and their dup-cache tables far past the cache, a
+//!   delivery's node lines, dup-cache slot and Bloom block are on their
+//!   way while the deliveries ahead of it run. `Shard::deliver_due` says
+//!   why that cannot change the order (EXPERIMENTS.md, "The bus's
+//!   lookahead ring").
 //! * Cross-shard sends use `try_send`; a full inbox spills into the
 //!   sender's outbox for retry instead of blocking, so two shards
 //!   flooding each other cannot deadlock.
 //! * A self-pacing load generator on the caller's thread injects
-//!   `NodeMsg::Issue` envelopes round-robin at the target rate, then
-//!   the shards drain in-flight queries for one collection window
-//!   before stopping.
+//!   `OfferQuery` envelopes round-robin at the target rate — the only
+//!   events of a run: no `Toggle` or `IssueQuery` is ever primed — then
+//!   the shards drain in-flight queries for one collection window before
+//!   stopping.
 //!
-//! A node hands back each query it finalizes; `Shard::deliver` is the
-//! one place those outcomes are collected (and the monitor told), and
-//! one function turns them and the node counters into a [`ServeReport`]
-//! on either clock. Completed-query spans go through `ddr-telemetry`'s
-//! `QueryTracer` (one per shard, appending to the shared JSONL file), so
-//! `ddr inspect` reads a serve trace exactly like a sim trace.
-//! Wall-clock delivery makes run-to-run interleavings — and therefore
-//! exact message counts — non-deterministic; see EXPERIMENTS.md
-//! "Serve-backend determinism".
+//! `dispatch` hands back each query a slice closes; `Shard::deliver` is
+//! the one place those outcomes are collected (and the monitor told), and
+//! one function turns them and the slices' `Metrics` into a
+//! [`ServeReport`] on either clock. Completed-query spans come from each
+//! slice's own `QueryTracer` (appending to the shared JSONL file), so
+//! `ddr inspect` reads a serve trace exactly like a sim trace. Wall-clock
+//! delivery makes run-to-run interleavings — and therefore exact message
+//! counts — non-deterministic; see EXPERIMENTS.md "Serve-backend
+//! determinism".
 
 use crate::monitor::{spawn_endpoint, spawn_monitor, MonitorShared};
-use crate::wheel::TimerWheel;
+use crate::wheel::{Cell, TimerWheel};
 use ddr_core::runtime::Port;
-use ddr_gnutella::{build_nodes, GnutellaNode, NodeMsg, NodeSetConfig, QueryOutcome};
-use ddr_sim::{HintStage, Lookahead, NodeId, QueryId, SimDuration, SimTime};
-use ddr_telemetry::{JsonlSink, NullSink, QueryTracer, TelemetryConfig, TraceOutcome, TraceSink};
+use ddr_gnutella::events::GnutellaEvent;
+use ddr_gnutella::{GnutellaWorld, NodeSetConfig, QueryOutcome, ScenarioConfig};
+use ddr_sim::{Lookahead, NodeId, Partition, ShardWorld, SimDuration, SimTime};
+use ddr_telemetry::{JsonlSink, NullSink, TelemetryConfig, TraceSink};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering as AtomicOrd;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -68,8 +77,19 @@ const INBOX_DEPTH: usize = 65_536;
 /// covering network-delay stragglers still in flight to a finalizer.
 const DRAIN_GRACE: SimDuration = SimDuration::from_millis(500);
 
+// A wheel cell is one 64-byte line; a larger event would straddle two
+// and spend resident memory at ≈250 k pending envelopes per shard.
+const _: () = assert!(
+    std::mem::size_of::<Envelope>() == 56,
+    "an Envelope is a SimTime and a 48-byte GnutellaEvent"
+);
+const _: () = assert!(
+    std::mem::size_of::<Cell<Envelope>>() == 64,
+    "a wheel cell holding an Envelope fills one cache line"
+);
+
 /// Wall-clock time source for the serve backend, reporting elapsed
-/// milliseconds since run start as a [`SimTime`] so node logic sees the
+/// milliseconds since run start as a [`SimTime`] so the handlers see the
 /// same time type as under [`run_deterministic`]'s virtual clock.
 #[derive(Debug, Clone)]
 pub struct WallClock {
@@ -101,12 +121,13 @@ pub struct ServeConfig {
     /// Injection window, wall seconds. Shards keep draining for one
     /// collection window past this before stopping.
     pub duration_s: f64,
-    /// Worker-thread count; nodes are owned `node_id % shards`.
+    /// Worker-thread count; each owns one contiguous node range.
     pub shards: usize,
     /// Tracing config (path, sampling, run label) for the traced entry
-    /// point; ignored under [`run_gnutella`]'s `NullSink`. When
-    /// `telemetry.metrics_path` is set a monitor thread samples the bus
-    /// into a timeline file at `monitor_interval_ms`.
+    /// point, copied into the slices' scenario; ignored under
+    /// [`run_gnutella`]'s `NullSink`. When `telemetry.metrics_path` is set
+    /// a monitor thread samples the bus into a timeline file at
+    /// `monitor_interval_ms`.
     pub telemetry: TelemetryConfig,
     /// When set, a stdlib TCP endpoint on `127.0.0.1:port` serves the
     /// live Prometheus-text snapshot (`/metrics`) and report JSON.
@@ -129,6 +150,15 @@ impl ServeConfig {
             monitor_interval_ms: 250,
         }
     }
+
+    /// The scenario the slices are built from: the fleet's, tracing as
+    /// `telemetry` says.
+    fn scenario(&self) -> ScenarioConfig {
+        ScenarioConfig {
+            telemetry: self.telemetry.clone(),
+            ..self.node_set.scenario()
+        }
+    }
 }
 
 /// What a serve run measured.
@@ -140,15 +170,16 @@ pub struct ServeReport {
     pub duration_s: f64,
     /// Envelopes the load generator handed to the bus.
     pub queries_offered: u64,
-    /// Issue messages actually delivered to nodes.
+    /// Queries the slices launched (`metrics.runtime.queries`).
     pub queries_issued: u64,
     /// Queries whose collection window closed before shutdown.
     pub queries_completed: u64,
     /// Completed queries with at least one result.
     pub hits: u64,
-    /// Protocol messages sent by nodes (floods + replies).
+    /// Protocol messages sent (floods + replies): the slices'
+    /// `metrics.runtime.messages` plus their replies served.
     pub messages: u64,
-    /// Duplicate floods suppressed.
+    /// Duplicate floods suppressed (`metrics.duplicates_dropped`).
     pub duplicates: u64,
     /// Time from clock start to the last shard stopping: wall time, or
     /// the virtual clock's under [`run_deterministic`].
@@ -163,53 +194,43 @@ pub struct ServeReport {
     pub p99_first_ms: Option<f64>,
 }
 
-/// A routed message with its delivery deadline on the shard's clock.
+/// A routed event with its delivery deadline on the shard's clock; its
+/// recipient is `event.target()`.
 #[derive(Debug, Clone, Copy)]
 struct Envelope {
     at: SimTime,
-    to: NodeId,
-    from: NodeId,
-    msg: NodeMsg,
+    event: GnutellaEvent,
 }
 
-/// The [`Port`] handed to a node while it handles one message. Sends
-/// are *staged* (the node holds `&mut self` while the shard owns the
-/// routing tables) and routed by the shard afterwards.
+/// The [`Port`] a slice handles one delivery through. Sends are *staged*
+/// (the slice holds `&mut self` while the shard owns the routing tables)
+/// and routed by the shard afterwards.
 struct ShardCtx<'a> {
     now: SimTime,
-    me: NodeId,
     staged: &'a mut Vec<Envelope>,
 }
 
-impl Port<NodeMsg> for ShardCtx<'_> {
+impl Port<GnutellaEvent> for ShardCtx<'_> {
     fn now(&self) -> SimTime {
         self.now
     }
 
-    fn send(&mut self, to: NodeId, delay: SimDuration, msg: NodeMsg) {
-        let from = self.me;
+    /// The envelope records only the event: every Gnutella send names
+    /// its recipient as the event's target.
+    fn send(&mut self, to: NodeId, delay: SimDuration, event: GnutellaEvent) {
+        debug_assert_eq!(to, event.target(), "a send goes to its event's target");
         self.staged.push(Envelope {
             at: self.now + delay,
-            to,
-            from,
-            msg,
+            event,
         });
     }
 }
 
-/// Aggregates a shard hands back when it stops.
-struct ShardResult {
-    issued: u64,
-    messages: u64,
-    duplicates: u64,
-    outcomes: Vec<QueryOutcome>,
-}
-
-struct Shard {
+struct Shard<T: TraceSink> {
     index: usize,
-    nshards: usize,
-    /// Nodes this shard owns, indexed `global_index / nshards`.
-    nodes: Vec<GnutellaNode>,
+    /// The node range this shard owns: `partition.range(index)`.
+    world: GnutellaWorld<T>,
+    partition: Partition,
     /// Pending deliveries by deadline, same-instant ones FIFO: the DES
     /// kernel's tie-break contract.
     wheel: TimerWheel<Envelope>,
@@ -224,15 +245,13 @@ struct Shard {
     /// Live-introspection state; `None` keeps every hot-path branch a
     /// predictable not-taken jump.
     monitor: Option<Arc<MonitorShared>>,
-    /// `Issue` messages delivered to this shard's nodes.
-    issued: u64,
-    /// Every query this shard's nodes finalized, in delivery order.
+    /// Every query this shard's slice closed, in delivery order.
     outcomes: Vec<QueryOutcome>,
 }
 
-impl Shard {
+impl<T: TraceSink> Shard<T> {
     fn route(&mut self, env: Envelope) {
-        let target = env.to.index() % self.nshards;
+        let target = self.partition.shard_of(env.event.target());
         if target == self.index {
             return self.wheel.push(env.at.as_millis(), env);
         }
@@ -272,17 +291,15 @@ impl Shard {
         self.route(env);
     }
 
-    /// Hand `env` to its node at `now`, route what it sent, and collect
-    /// the query it finalized, if any: the one collection point.
-    fn deliver(&mut self, env: Envelope, now: SimTime) {
-        let local = env.to.index() / self.nshards;
+    /// Hand `event` to the slice at `now`, route what it sent, and
+    /// collect the query it closed, if any: the one collection point.
+    fn deliver(&mut self, event: GnutellaEvent, now: SimTime) {
         let mut staged = std::mem::take(&mut self.staged);
         let mut ctx = ShardCtx {
             now,
-            me: env.to,
             staged: &mut staged,
         };
-        let done = self.nodes[local].on_message(env.from, env.msg, &mut ctx);
+        let done = self.world.dispatch(now, event, &mut ctx);
         for out in staged.drain(..) {
             self.route(out);
         }
@@ -297,37 +314,30 @@ impl Shard {
 
     /// Deliver every envelope due by `now`: the one step the wall-clock
     /// loop ([`Shard::run`]) and the virtual one ([`run_deterministic`])
-    /// share.
+    /// share. With the monitor on, the slice's cumulative counters are
+    /// published once per call.
     ///
     /// Envelopes are popped a few ahead of their delivery into the
-    /// shard's lookahead ring, each shown to its node's
-    /// [`GnutellaNode::request_lines`] on the way. That cannot change the
+    /// shard's lookahead ring, each shown to the slice's two
+    /// [`ShardWorld`] hint hooks on the way. That cannot change the
     /// order: every envelope a delivery at `now` routes here is due at
     /// `now` or later, and the wheel files it behind everything already
     /// filed under its deadline — so behind everything popped ahead;
     /// cross-shard arrivals come in through `receive`, outside this call.
     fn deliver_due(&mut self, now: SimTime) {
         let mut lag_ms = 0;
-        let nshards = self.nshards;
         while let Some(env) = self.ring.next(
             || self.wheel.pop_due(now.as_millis()),
-            |env| self.nodes[env.to.index() / nshards].request_lines(&env.msg, HintStage::Direct),
-            |env| {
-                self.nodes[env.to.index() / nshards].request_lines(&env.msg, HintStage::Dependent)
-            },
+            |env| ShardWorld::prefetch(&self.world, &env.event),
+            |env| ShardWorld::prefetch_dependent(&self.world, &env.event),
         ) {
-            if matches!(env.msg, NodeMsg::Issue { .. }) {
-                self.issued += 1;
-                if let Some(m) = &self.monitor {
-                    m.issued.fetch_add(1, AtomicOrd::Relaxed);
-                }
-            }
             lag_ms = lag_ms.max(now.saturating_since(env.at).as_millis());
-            self.deliver(env, now);
+            self.deliver(env.event, now);
         }
         if let Some(m) = &self.monitor {
             m.timers_pending[self.index].store(self.wheel.len(), AtomicOrd::Relaxed);
             m.delivery_lag_ms[self.index].fetch_max(lag_ms, AtomicOrd::Relaxed);
+            m.publish(self.index, &self.world);
         }
     }
 
@@ -353,34 +363,15 @@ impl Shard {
             }
         }
     }
-
-    /// Stop: trace the collected outcomes and sum the node counters.
-    fn finish<T: TraceSink>(self, telemetry: &TelemetryConfig) -> ShardResult {
-        let mut tracer: QueryTracer<T> = QueryTracer::new(telemetry);
-        for done in &self.outcomes {
-            trace_outcome(&mut tracer, done);
-        }
-        ShardResult {
-            issued: self.issued,
-            messages: self.nodes.iter().map(|n| n.counters.messages_sent).sum(),
-            duplicates: self
-                .nodes
-                .iter()
-                .map(|n| n.counters.duplicates_dropped)
-                .sum(),
-            outcomes: self.outcomes,
-        }
-    }
 }
 
-/// The generator's query `k`: an `Issue` for node `k mod nodes`, due `at`.
-fn issue(k: u64, nodes: usize, at: SimTime) -> Envelope {
+/// The generator's query `k`: an `OfferQuery` for node `k mod nodes`,
+/// due `at`.
+fn offer(k: u64, nodes: usize, at: SimTime) -> Envelope {
     let node = NodeId::from_index((k % nodes as u64) as usize);
     Envelope {
         at,
-        to: node,
-        from: node,
-        msg: NodeMsg::Issue { query: QueryId(k) },
+        event: GnutellaEvent::OfferQuery { node },
     }
 }
 
@@ -403,10 +394,16 @@ pub fn drain_deadline(duration_s: f64, query_timeout: SimDuration) -> Option<Sim
 /// offers.
 ///
 /// # Panics
-/// When either does not fit its integer, naming the field: an infinite
-/// `duration_s` would stop the shards at once while the generator waits
-/// forever, and an infinite `qps` would keep a shard draining its inbox.
+/// When the fleet is empty or either value does not fit its integer,
+/// naming the field: an empty fleet has no node to offer a query to, an
+/// infinite `duration_s` would stop the shards at once while the
+/// generator waits forever, and an infinite `qps` would keep a shard
+/// draining its inbox.
 fn checked_plan(cfg: &ServeConfig) -> (SimTime, u64) {
+    assert!(
+        cfg.node_set.nodes > 0,
+        "ServeConfig::node_set.nodes = 0: a fleet needs at least one node"
+    );
     let deadline =
         drain_deadline(cfg.duration_s, cfg.node_set.query_timeout).unwrap_or_else(|| {
             panic!(
@@ -428,34 +425,29 @@ pub fn run_gnutella(cfg: &ServeConfig) -> ServeReport {
     run_bus::<NullSink>(cfg)
 }
 
-/// Run the serve bus, tracing completed query spans to
-/// `cfg.telemetry.trace_path` in the same JSONL schema the simulator
-/// emits (so `ddr inspect` works unchanged).
+/// Run the serve bus over traced slices: each writes its query spans to
+/// `cfg.telemetry.trace_path` through its own `QueryTracer`, in the same
+/// JSONL schema the simulator emits (so `ddr inspect` works unchanged).
 pub fn run_gnutella_traced(cfg: &ServeConfig) -> ServeReport {
     run_bus::<JsonlSink>(cfg)
 }
 
-/// `nodes` dealt over `nshards` shards wired to one another's inboxes,
-/// and the inbox senders for the load generator.
-fn build_shards(
-    nodes: Vec<GnutellaNode>,
-    nshards: usize,
+/// One shard per slice, wired to one another's inboxes, and the inbox
+/// senders for the load generator.
+fn build_shards<T: TraceSink>(
+    worlds: Vec<GnutellaWorld<T>>,
+    partition: &Partition,
     monitor: &Option<Arc<MonitorShared>>,
-) -> (Vec<Shard>, Vec<SyncSender<Envelope>>) {
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..nshards)
+) -> (Vec<Shard<T>>, Vec<SyncSender<Envelope>>) {
+    let (txs, rxs): (Vec<_>, Vec<_>) = worlds
+        .iter()
         .map(|_| mpsc::sync_channel(INBOX_DEPTH))
         .unzip();
-    // Shard s owns global indices { i | i % nshards == s }, stored in
-    // increasing order so local index is i / nshards.
-    let mut per_shard: Vec<Vec<GnutellaNode>> = (0..nshards).map(|_| Vec::new()).collect();
-    for (i, node) in nodes.into_iter().enumerate() {
-        per_shard[i % nshards].push(node);
-    }
-    let shards = per_shard.into_iter().zip(rxs).enumerate();
-    let shards = shards.map(|(index, (nodes, rx))| Shard {
+    let shards = worlds.into_iter().zip(rxs).enumerate();
+    let shards = shards.map(|(index, (world, rx))| Shard {
         index,
-        nshards,
-        nodes,
+        world,
+        partition: partition.clone(),
         wheel: TimerWheel::new(),
         ring: Lookahead::default(),
         rx,
@@ -463,7 +455,6 @@ fn build_shards(
         outbox: VecDeque::new(),
         staged: Vec::new(),
         monitor: monitor.clone(),
-        issued: 0,
         outcomes: Vec::new(),
     });
     (shards.collect(), txs)
@@ -471,9 +462,10 @@ fn build_shards(
 
 fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
     let (deadline, queries) = checked_plan(cfg);
-    let nshards = cfg.shards.clamp(1, cfg.node_set.nodes.max(1));
-    let nodes = build_nodes(&cfg.node_set);
-    let n = nodes.len();
+    let shards = cfg.shards.max(1);
+    let (worlds, partition, _) = GnutellaWorld::<T>::build_sharded(cfg.scenario(), shards);
+    let nshards = worlds.len();
+    let n = cfg.node_set.nodes;
 
     let clock = Arc::new(WallClock::start());
 
@@ -497,14 +489,11 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
         _ => None,
     };
 
-    let (shards, txs) = build_shards(nodes, nshards, &monitor);
+    let (shards, txs) = build_shards(worlds, &partition, &monitor);
     let mut handles = Vec::with_capacity(nshards);
     for shard in shards {
         let clock = Arc::clone(&clock);
-        let telemetry = cfg.telemetry.clone();
-        handles.push(thread::spawn(move || {
-            shard.run(clock, deadline).finish::<T>(&telemetry)
-        }));
+        handles.push(thread::spawn(move || shard.run(clock, deadline)));
     }
 
     // ---- load generator (caller's thread) --------------------------------
@@ -519,8 +508,8 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
         }
         let target = ((elapsed_s * cfg.qps) as u64).min(queries);
         while offered < target {
-            let env = issue(offered, n, clock.now());
-            let shard = env.to.index() % nshards;
+            let env = offer(offered, n, clock.now());
+            let shard = partition.shard_of(env.event.target());
             if txs[shard].send(env).is_err() {
                 break;
             }
@@ -534,7 +523,7 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
     }
     drop(txs);
 
-    let results: Vec<ShardResult> = handles
+    let shards: Vec<Shard<T>> = handles
         .into_iter()
         .map(|h| h.join().expect("shard thread panicked"))
         .collect();
@@ -550,36 +539,40 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
     if let Some(h) = endpoint_handle {
         h.join().expect("metrics endpoint thread panicked");
     }
-    report(cfg, offered, results, clock.now())
+    // Dropping the shards afterwards flushes the slices' tracers.
+    report(cfg, offered, &shards, clock.now())
 }
 
-/// Run the bus deterministically: the one shard `build_shards` makes,
+/// Run the bus deterministically: the one shard `build_nodes` makes,
 /// stepped through `deliver_due` on a virtual millisecond clock, so the
-/// report is a pure function of `cfg` (tracing and the monitor aside,
-/// which this entry point leaves off).
+/// report — and the slice returned beside it — are a pure function of
+/// `cfg` (tracing and the monitor aside, which this entry point leaves
+/// off).
 ///
-/// Query `k` is injected round-robin at `k·1000/qps` ms for
-/// `qps·duration_s` queries — the generator's schedule without its
-/// lateness — and the clock steps t = 0, 1, 2, … until the wheel is
+/// Query `k` is an `OfferQuery` for node `k mod nodes` at `k·1000/qps`
+/// ms, for `qps·duration_s` queries — the generator's schedule without
+/// its lateness — and the clock steps t = 0, 1, 2, … until the wheel is
 /// empty. One shard whatever `cfg.shards` says: a lockstep of several
-/// would reorder same-millisecond deliveries.
-pub fn run_deterministic(cfg: &ServeConfig) -> ServeReport {
+/// would reorder same-millisecond deliveries. The slice's final
+/// `Metrics` equal `ShardedSimulation`'s at one shard over the same
+/// schedule (`tests/parity.rs`).
+pub fn run_deterministic(cfg: &ServeConfig) -> (ServeReport, GnutellaWorld) {
     let (shard, offered, end) = run_virtual(cfg);
-    let result = shard.finish::<NullSink>(&cfg.telemetry);
-    report(cfg, offered, vec![result], end)
+    let report = report(cfg, offered, std::slice::from_ref(&shard), end);
+    (report, shard.world)
 }
 
 /// [`run_deterministic`] up to the stopped shard: it, the queries
 /// offered, and the virtual time the wheel emptied at.
-fn run_virtual(cfg: &ServeConfig) -> (Shard, u64, SimTime) {
+fn run_virtual(cfg: &ServeConfig) -> (Shard<NullSink>, u64, SimTime) {
     let (_, queries) = checked_plan(cfg);
-    let nodes = build_nodes(&cfg.node_set);
-    let n = nodes.len();
-    let (mut shards, _inboxes) = build_shards(nodes, 1, &None);
+    let world = ddr_gnutella::build_nodes(&cfg.node_set);
+    let partition = Partition::contiguous(cfg.node_set.nodes, 1);
+    let (mut shards, _inboxes) = build_shards(vec![world], &partition, &None);
     let mut shard = shards.pop().expect("one shard");
     for k in 0..queries {
         let at = SimTime::from_millis((k as f64 * 1_000.0 / cfg.qps) as u64);
-        shard.route(issue(k, n, at));
+        shard.route(offer(k, cfg.node_set.nodes, at));
     }
     let mut now = SimTime::ZERO;
     loop {
@@ -591,27 +584,25 @@ fn run_virtual(cfg: &ServeConfig) -> (Shard, u64, SimTime) {
     }
 }
 
-/// The report of a stopped run on either clock: the shards' results
-/// summed, first-result latency over the hits.
-fn report(
+/// The report of a stopped run on either clock: the slices' `Metrics`
+/// summed, first-result latency over the closed queries' hits.
+fn report<T: TraceSink>(
     cfg: &ServeConfig,
     offered: u64,
-    results: Vec<ShardResult>,
+    shards: &[Shard<T>],
     elapsed: SimTime,
 ) -> ServeReport {
-    let nshards = results.len();
+    let nshards = shards.len();
     let (mut issued, mut messages, mut duplicates) = (0, 0, 0);
     let mut latencies: Vec<f64> = Vec::new();
     let mut completed = 0u64;
-    for r in results {
-        issued += r.issued;
-        messages += r.messages;
-        duplicates += r.duplicates;
-        completed += r.outcomes.len() as u64;
-        latencies.extend(r.outcomes.iter().filter_map(|done| {
-            let (_, at, _) = done.first?;
-            Some(at.saturating_since(done.issued_at).as_millis() as f64)
-        }));
+    for s in shards {
+        let metrics = &s.world.metrics;
+        issued += metrics.runtime.queries.total() as u64;
+        messages += metrics.runtime.messages.total() as u64 + s.world.replies_served();
+        duplicates += metrics.duplicates_dropped;
+        completed += s.outcomes.len() as u64;
+        latencies.extend(s.outcomes.iter().filter_map(QueryOutcome::latency_ms));
     }
     let hits = latencies.len() as u64;
     let achieved_qps = if cfg.duration_s > 0.0 {
@@ -641,43 +632,6 @@ fn report(
         p50_first_ms: crate::percentile(&mut latencies, 50.0),
         p99_first_ms: crate::percentile(&mut latencies, 99.0),
     }
-}
-
-/// Emit one completed query's span (issue → optional first → end) with
-/// the timestamps the node recorded at delivery time. Replaying the
-/// span at drain time keeps the tracer single-threaded per shard while
-/// preserving wall-accurate latencies.
-fn trace_outcome<T: TraceSink>(tracer: &mut QueryTracer<T>, done: &QueryOutcome) {
-    if !QueryTracer::<T>::enabled() {
-        return;
-    }
-    tracer.issue(
-        done.issued_at,
-        done.query,
-        done.node,
-        done.item.index() as u64,
-        done.ttl,
-    );
-    let outcome = if done.results > 0 {
-        TraceOutcome::Hit
-    } else {
-        TraceOutcome::Miss
-    };
-    if let Some((from, at, hops)) = done.first {
-        let latency = at.saturating_since(done.issued_at).as_millis() as f64;
-        tracer.first(at, done.query, from, hops, latency);
-    }
-    let total = done
-        .finished_at
-        .saturating_since(done.issued_at)
-        .as_millis() as f64;
-    tracer.finish(
-        done.finished_at,
-        done.query,
-        outcome,
-        done.results as u64,
-        total,
-    );
 }
 
 #[cfg(test)]

@@ -31,17 +31,18 @@ fn bus_completes_queries_under_load() {
     }
 }
 
-/// The generator stamps an `Issue` with its send time, and a shard
+/// The generator stamps an `OfferQuery` with its send time, and a shard
 /// that has already served that millisecond files it behind its
 /// wheel's cursor: it must go out on the next turn, not a lap later.
 #[test]
-fn issue_stamped_behind_the_cursor_is_delivered_and_completes() {
+fn offer_stamped_behind_the_cursor_is_delivered_and_completes() {
     let cfg = quick_cfg(16, 9, 0.0, 0.0, 2);
-    let (mut shards, txs) = build_shards(build_nodes(&cfg.node_set), 2, &None);
+    let (worlds, partition, _) = GnutellaWorld::<NullSink>::build_sharded(cfg.scenario(), 2);
+    let (mut shards, txs) = build_shards(worlds, &partition, &None);
     drop(txs);
     let clock = Arc::new(WallClock::start());
     assert!(shards[1].wheel.pop_due(40).is_none(), "cursor now at 40 ms");
-    shards[1].route(issue(1, 16, SimTime::from_millis(3)));
+    shards[1].route(offer(9, 16, SimTime::from_millis(3)));
     let deadline = SimTime::from_millis(40) + cfg.node_set.query_timeout + DRAIN_GRACE;
     let running: Vec<_> = shards
         .into_iter()
@@ -50,13 +51,12 @@ fn issue_stamped_behind_the_cursor_is_delivered_and_completes() {
             thread::spawn(move || shard.run(clock, deadline))
         })
         .collect();
-    let (mut issued, mut completed) = (0, 0);
-    for shard in running {
-        let shard = shard.join().expect("shard thread panicked");
-        issued += shard.issued;
-        completed += shard.outcomes.len();
-    }
-    assert_eq!((issued, completed), (1, 1));
+    let shards: Vec<_> = running
+        .into_iter()
+        .map(|shard| shard.join().expect("shard thread panicked"))
+        .collect();
+    let r = report(&cfg, 1, &shards, clock.now());
+    assert_eq!((r.queries_issued, r.queries_completed), (1, 1));
 }
 
 /// Every injection finalizes, none before its collection window
@@ -66,14 +66,23 @@ fn virtual_run_closes_every_window_on_time() {
     let cfg = ServeConfig::new(NodeSetConfig::new(48, 7), 20.0, 1.0, 1);
     let (shard, offered, end) = run_virtual(&cfg);
     assert_eq!(offered, 20);
-    assert_eq!((shard.issued, shard.outcomes.len()), (20, 20));
-    let window = cfg.node_set.query_timeout;
-    for done in &shard.outcomes {
-        assert!(done.finished_at.saturating_since(done.issued_at) >= window);
-    }
-    assert!(shard.nodes.iter().all(|n| n.in_flight() == 0));
+    let r = report(&cfg, offered, std::slice::from_ref(&shard), end);
+    assert_eq!((r.queries_issued, r.queries_completed), (20, 20));
+    assert_eq!(shard.outcomes.len(), 20);
+    assert_eq!(shard.world.pending_queries(), 0);
     // The last query, issued at 950 ms, closed the run.
+    let window = cfg.node_set.query_timeout;
     assert_eq!(end, SimTime::from_millis(950) + window);
+}
+
+/// Nothing is primed but the offered queries: a run offering none ends
+/// where it starts, with nothing left on the wheel.
+#[test]
+fn virtual_run_at_zero_qps_is_empty() {
+    let cfg = quick_cfg(16, 9, 0.0, 1.0, 1);
+    let (shard, offered, end) = run_virtual(&cfg);
+    assert_eq!((offered, end, shard.wheel.len()), (0, SimTime::ZERO, 0));
+    assert_eq!(shard.world.metrics, ddr_gnutella::Metrics::new());
 }
 
 #[test]
@@ -116,23 +125,47 @@ fn monitor_does_not_perturb_the_report() {
     assert!(r.queries_completed > 0, "run produced no completions");
 
     let text = std::fs::read_to_string(&path).expect("timeline file written");
-    let mut sum_completed = 0u64;
-    let mut sum_hits = 0u64;
-    let mut sum_offered = 0u64;
+    let keys = [
+        "queries_offered",
+        "queries",
+        "queries_finalized",
+        "hits",
+        "messages",
+        "replies",
+        "duplicates_dropped",
+    ];
+    let mut sums = [0u64; 7];
     let mut windows = 0u64;
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let v = serde::json::parse(line).expect("window record parses");
         let counters = v.get("counters").expect("counters object");
-        let num = |k: &str| counters.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0) as u64;
-        sum_completed += num("queries_finalized");
-        sum_hits += num("hits");
-        sum_offered += num("queries_offered");
+        for (sum, key) in sums.iter_mut().zip(keys) {
+            *sum += counters.get(key).and_then(|x| x.as_f64()).unwrap_or(0.0) as u64;
+        }
         windows += 1;
     }
     assert!(windows >= 2, "expected several windows, got {windows}");
-    assert_eq!(sum_completed, r.queries_completed, "completed parity");
-    assert_eq!(sum_hits, r.hits, "hits parity");
-    assert_eq!(sum_offered, r.queries_offered, "offered parity");
+    // The timeline keeps the simulator's `messages` (query transmissions);
+    // the report counts floods and replies together.
+    let [offered, queries, finalized, hits, messages, replies, dropped] = sums;
+    assert!(messages > 0 && replies > 0, "{sums:?}");
+    let sums = [
+        offered,
+        queries,
+        finalized,
+        hits,
+        messages + replies,
+        dropped,
+    ];
+    let reported = [
+        r.queries_offered,
+        r.queries_issued,
+        r.queries_completed,
+        r.hits,
+        r.messages,
+        r.duplicates,
+    ];
+    assert_eq!(sums, reported, "timeline sums vs the report");
     // The report's derived fields are internally consistent — the
     // monitor did not leak into their computation.
     assert!((r.achieved_qps - r.queries_completed as f64 / r.duration_s).abs() < 1e-9);
@@ -165,6 +198,12 @@ fn infinite_duration_panics_naming_the_field() {
 #[should_panic(expected = "ServeConfig::qps = inf")]
 fn infinite_qps_panics_naming_the_field() {
     run_gnutella(&quick_cfg(16, 1, f64::INFINITY, 0.2, 1));
+}
+
+#[test]
+#[should_panic(expected = "ServeConfig::node_set.nodes = 0")]
+fn empty_fleet_panics_naming_the_field() {
+    run_gnutella(&quick_cfg(0, 1, 10.0, 0.2, 1));
 }
 
 #[test]

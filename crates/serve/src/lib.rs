@@ -1,24 +1,25 @@
-//! # ddr-serve — the real-time backend for standalone-node fleets
+//! # ddr-serve — the real-time backend for Gnutella fleets
 //!
 //! The discrete-event simulator answers "what would the paper's
 //! protocol do over six virtual hours"; this crate answers "how many
-//! queries per second does the same per-node state machine sustain on
-//! this hardware". It drives [`ddr_gnutella::GnutellaNode`] through the
-//! one engine port, `ddr_core::runtime::Port` (`now` + `send`), with one
-//! engine, [`bus`]: nodes sharded across worker threads by
-//! `node_id % shards`, bounded channels between shards, a timing wheel
-//! of pending deliveries per shard (one FIFO list per millisecond), a
-//! wall-clock [`bus::WallClock`], and a self-pacing load generator
-//! injecting queries at a target rate. It reports queries/sec/core, hit
-//! rate and p50/p99 first-result latency; completed query spans go
-//! through `ddr-telemetry`'s `QueryTracer`, so `ddr inspect` reads serve
-//! traces exactly like sim traces.
+//! queries per second does the same protocol sustain on this hardware".
+//! There is one protocol: [`bus`] runs [`ddr_gnutella::GnutellaWorld`]
+//! slices — the handlers both simulation kernels run — through the one
+//! engine port, `ddr_core::runtime::Port` (`now` + `send`): contiguous
+//! node ranges on worker threads, bounded channels between shards, a
+//! timing wheel of pending deliveries per shard (one FIFO list per
+//! millisecond), a wall-clock [`bus::WallClock`], and a self-pacing load
+//! generator offering queries at a target rate. It reports
+//! queries/sec/core, hit rate and p50/p99 first-result latency; query
+//! spans come from each slice's own `QueryTracer`, so `ddr inspect` reads
+//! serve traces exactly like sim traces.
 //!
 //! Wall-clock scheduling makes [`run_gnutella`] non-deterministic
 //! (arrival interleavings vary run to run). [`run_deterministic`] steps
 //! the same one-shard bus on a virtual millisecond clock instead, a pure
-//! function of the config; the sim/serve parity test holds the two
-//! against each other. See EXPERIMENTS.md "Serve-backend determinism".
+//! function of the config whose final `Metrics` equal the sharded
+//! kernel's at one shard (`tests/parity.rs`). See EXPERIMENTS.md
+//! "Serve-backend determinism".
 
 pub mod bus;
 pub mod monitor;

@@ -4,17 +4,19 @@
 //! endpoint serving a Prometheus-style snapshot while the run is live.
 //!
 //! The instrumentation is strictly *observational*: shards and the load
-//! generator bump lock-free atomics on paths they already execute, the
-//! monitor thread only reads them (and zeroes the one running maximum,
-//! `delivery_lag_ms`, as it reads it), and completed-query outcomes are
-//! drained into the same end-of-run report whether the monitor is on or
-//! off. `monitor_does_not_perturb_the_report` pins that the monitor's
-//! cumulative counters agree exactly with the final [`crate::ServeReport`]
-//! fields.
+//! generator bump lock-free atomics on paths they already execute, each
+//! shard stores its world slice's cumulative `Metrics` counters once per
+//! turn, the monitor thread only reads them (and zeroes the one running
+//! maximum, `delivery_lag_ms`, as it reads it), and completed-query
+//! outcomes are drained into the same end-of-run report whether the
+//! monitor is on or off. Counters the simulator also reports keep its
+//! names (DESIGN.md §14). `monitor_does_not_perturb_the_report` pins that
+//! the monitor's cumulative counters agree exactly with the final
+//! [`crate::ServeReport`] fields.
 
 use crate::bus::WallClock;
-use ddr_gnutella::QueryOutcome;
-use ddr_telemetry::{JsonlMetrics, LogHistogram, MetricsRecorder, TelemetryConfig};
+use ddr_gnutella::{GnutellaWorld, QueryOutcome};
+use ddr_telemetry::{JsonlMetrics, LogHistogram, MetricsRecorder, TelemetryConfig, TraceSink};
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -43,8 +45,17 @@ pub struct MonitorShared {
     pub delivery_lag_ms: Vec<AtomicU64>,
     /// Envelopes the load generator handed to the bus.
     pub offered: AtomicU64,
-    /// Issue messages delivered to nodes.
-    pub issued: AtomicU64,
+    /// Per shard, its slice's cumulative `metrics.runtime.queries` as of
+    /// its last turn: queries launched.
+    pub issued: Vec<AtomicU64>,
+    /// Per shard, likewise: `metrics.runtime.messages`, query
+    /// transmissions (floods and forwards).
+    pub messages: Vec<AtomicU64>,
+    /// Per shard, likewise: results sent to their initiator, one reply
+    /// message each (the report's `messages` is these plus `messages`).
+    pub replies: Vec<AtomicU64>,
+    /// Per shard, likewise: `metrics.duplicates_dropped`.
+    pub duplicates_dropped: Vec<AtomicU64>,
     /// Queries whose collection window closed.
     pub completed: AtomicU64,
     /// Completed queries with at least one result.
@@ -61,15 +72,24 @@ fn levels(per_shard: &[AtomicUsize]) -> Vec<u64> {
     per_shard.iter().map(|d| d.load(ORD) as u64).collect()
 }
 
+/// A per-shard counter summed over the shards.
+fn total(per_shard: &[AtomicU64]) -> u64 {
+    per_shard.iter().map(|c| c.load(ORD)).sum()
+}
+
 impl MonitorShared {
     /// Fresh (all-zero) state for `nshards` shards.
     pub fn new(nshards: usize) -> Self {
+        let counters = || (0..nshards).map(|_| AtomicU64::new(0)).collect();
         MonitorShared {
             inbox_depth: (0..nshards).map(|_| AtomicUsize::new(0)).collect(),
             timers_pending: (0..nshards).map(|_| AtomicUsize::new(0)).collect(),
-            delivery_lag_ms: (0..nshards).map(|_| AtomicU64::new(0)).collect(),
+            delivery_lag_ms: counters(),
             offered: AtomicU64::new(0),
-            issued: AtomicU64::new(0),
+            issued: counters(),
+            messages: counters(),
+            replies: counters(),
+            duplicates_dropped: counters(),
             completed: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             latency_ms: LogHistogram::default(),
@@ -80,11 +100,20 @@ impl MonitorShared {
     /// Count one query whose collection window closed.
     pub(crate) fn note_completed(&self, done: &QueryOutcome) {
         self.completed.fetch_add(1, ORD);
-        if let Some((_, at, _)) = done.first {
+        if let Some(latency) = done.latency_ms() {
             self.hits.fetch_add(1, ORD);
-            self.latency_ms
-                .record(at.saturating_since(done.issued_at).as_millis() as f64);
+            self.latency_ms.record(latency);
         }
+    }
+
+    /// Store `shard`'s slice counters, cumulative so far.
+    pub(crate) fn publish<T: TraceSink>(&self, shard: usize, world: &GnutellaWorld<T>) {
+        let runtime = &world.metrics.runtime;
+        self.issued[shard].store(runtime.queries.total() as u64, ORD);
+        self.messages[shard].store(runtime.messages.total() as u64, ORD);
+        self.replies[shard].store(world.replies_served(), ORD);
+        let dropped = world.metrics.duplicates_dropped;
+        self.duplicates_dropped[shard].store(dropped, ORD);
     }
 
     /// Each shard's `delivery_lag_ms`, taken (the gauges restart at zero).
@@ -100,7 +129,7 @@ impl MonitorShared {
         let mut out = String::with_capacity(512);
         for (name, v) in [
             ("ddr_serve_queries_offered", self.offered.load(ORD)),
-            ("ddr_serve_queries_issued", self.issued.load(ORD)),
+            ("ddr_serve_queries_issued", total(&self.issued)),
             ("ddr_serve_queries_completed", self.completed.load(ORD)),
             ("ddr_serve_hits", self.hits.load(ORD)),
             ("ddr_serve_latency_samples", self.latency_ms.count()),
@@ -145,7 +174,7 @@ impl MonitorShared {
              \"hits\":{hits},\"hit_rate\":{hit_rate},\"p50_first_ms\":{},\"p99_first_ms\":{},\
              \"inbox_depth\":{},\"timer_heap\":{},\"delivery_lag_ms\":{}}}",
             self.offered.load(ORD),
-            self.issued.load(ORD),
+            total(&self.issued),
             self.latency_ms.quantile(0.50),
             self.latency_ms.quantile(0.99),
             array(levels(&self.inbox_depth)),
@@ -183,11 +212,15 @@ pub(crate) fn spawn_monitor(
                 let hub = rec.hub_mut();
                 hub.begin_sample();
                 // Quantities the simulator also reports keep its names
-                // (DESIGN.md §14); `queries_offered` is serve-only.
+                // (DESIGN.md §14); `queries_offered` and `replies` are
+                // serve-only.
                 hub.counter("queries_offered", shared.offered.load(ORD));
-                hub.counter("queries", shared.issued.load(ORD));
+                hub.counter("queries", total(&shared.issued));
                 hub.counter("queries_finalized", completed);
                 hub.counter("hits", shared.hits.load(ORD));
+                hub.counter("messages", total(&shared.messages));
+                hub.counter("replies", total(&shared.replies));
+                hub.counter("duplicates_dropped", total(&shared.duplicates_dropped));
                 hub.gauge(
                     "achieved_qps",
                     (completed.saturating_sub(prev_completed)) as f64 / dt_s,

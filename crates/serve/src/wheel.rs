@@ -4,12 +4,12 @@
 //! steady state allocates nothing, memory is peak pending × one cell.
 //!
 //! Entries come out by deadline, FIFO among equal deadlines. A deadline
-//! behind the cursor is clamped to it: the generator stamps an `Issue`
-//! with its send time and the shard files it a millisecond later. One
-//! [`SLOTS`] ms or more ahead waits in `far`: it is `≥ cursor at push +
-//! SLOTS ≥` the cursor's next wrap, so it cannot fall due before that
-//! wrap, which re-files `far` — at the *head* of each list, as whatever
-//! is already filed under the same deadline was pushed later.
+//! behind the cursor is clamped to it: the generator stamps an
+//! `OfferQuery` with its send time and the shard files it a millisecond
+//! later. One [`SLOTS`] ms or more ahead waits in `far`: it is `≥ cursor
+//! at push + SLOTS ≥` the cursor's next wrap, so it cannot fall due
+//! before that wrap, which re-files `far` — at the *head* of each list,
+//! as whatever is already filed under the same deadline was pushed later.
 //!
 //! A list's cells are wherever the free list put them, so walking one
 //! misses on every cell: `pop_due` asks for the next cell of the list it
@@ -24,7 +24,8 @@ use ddr_sim::prefetch_object;
 const SLOTS: u64 = 1 << 14;
 const NIL: u32 = u32::MAX;
 
-struct Cell<T> {
+/// One filed entry; `bus.rs` pins its size for the bus's payload.
+pub(crate) struct Cell<T> {
     next: u32,
     item: T,
 }

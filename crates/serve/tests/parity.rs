@@ -1,18 +1,64 @@
-//! Sim/serve parity: the same `GnutellaNode` fleet under the same
-//! offered load, driven once by the bus's shard on a virtual clock
-//! (`run_deterministic`) and once by the wall-clock bus, must agree on
-//! protocol-level behaviour.
+//! Sim/serve parity. `run_deterministic` is the bus's own shard stepped
+//! on a virtual millisecond clock, delivering through the same
+//! `GnutellaWorld::dispatch` the simulation kernels run. Its wheel orders
+//! deliveries by (deadline, push order), which at one shard is the
+//! sharded kernel's `(time, global seq)`: so the slice it ends with must
+//! equal `ShardedSimulation`'s at one shard — the same `build_sharded`
+//! world, the same `OfferQuery` schedule — `Metrics` for `Metrics`, not
+//! within a tolerance (DESIGN.md §10).
 //!
-//! Both sides take one `ServeConfig`, so topology, libraries, per-node
-//! RNG streams and the offered load are identical; only delivery timing
-//! differs (a virtual millisecond clock vs. real threads and channels).
-//! Exact message counts therefore differ run to run on the bus side — the
-//! assertions use aggregate tolerances, not equality. See
-//! EXPERIMENTS.md "Serve-backend determinism".
+//! The wall-clock bus takes the same `ServeConfig`, so topology,
+//! libraries, per-node RNG streams and the offered load are identical;
+//! only delivery timing differs (real threads and channels), so against
+//! it the assertions are aggregate tolerances. See EXPERIMENTS.md
+//! "Serve-backend determinism".
 
-use ddr_gnutella::NodeSetConfig;
+use ddr_gnutella::events::GnutellaEvent;
+use ddr_gnutella::{GnutellaWorld, NodeSetConfig};
 use ddr_serve::{run_deterministic, run_gnutella, ServeConfig};
-use ddr_sim::SimDuration;
+use ddr_sim::{NodeId, ShardedSimulation, SimDuration, SimTime};
+
+/// `cfg`'s fleet and offered load on the sharded kernel at one shard:
+/// query `k` is an `OfferQuery` for node `k mod nodes` at `k·1000/qps` ms.
+fn sharded_kernel(cfg: &ServeConfig) -> GnutellaWorld {
+    let (worlds, partition, lookahead) = GnutellaWorld::build_sharded(cfg.node_set.scenario(), 1);
+    let mut sim = ShardedSimulation::new(worlds, partition, lookahead);
+    let nodes = cfg.node_set.nodes as u64;
+    for k in 0..(cfg.qps * cfg.duration_s) as u64 {
+        let node = NodeId::from_index((k % nodes) as usize);
+        let at = SimTime::from_millis((k as f64 * 1_000.0 / cfg.qps) as u64);
+        sim.schedule_at(at, node, GnutellaEvent::OfferQuery { node });
+    }
+    sim.run(SimTime::MAX);
+    sim.into_worlds().pop().expect("one shard, one world")
+}
+
+#[test]
+fn virtual_clock_equals_the_sharded_kernel() {
+    for (nodes, seed, qps, secs) in [
+        (80, 21, 25.0, 8.0),
+        (120, 5, 40.0, 10.0),
+        (300, 3, 400.0, 2.0),
+    ] {
+        let cfg = ServeConfig::new(NodeSetConfig::new(nodes, seed), qps, secs, 1);
+        let (r, slice) = run_deterministic(&cfg);
+        let kernel = sharded_kernel(&cfg);
+        assert_eq!(slice.metrics, kernel.metrics, "{nodes} nodes, seed {seed}");
+        let served = slice.served_loads();
+        assert_eq!(served, kernel.served_loads(), "per-node results served");
+        assert_eq!(slice.replies_served(), served.iter().sum::<f64>() as u64);
+        let queries = (qps * secs) as u64;
+        let counts = (r.queries_offered, r.queries_issued, r.queries_completed);
+        assert_eq!(counts, (queries, queries, queries), "every offer closes");
+        assert!(r.hits > 0 && r.duplicates > 0, "{r:?}");
+        let wide = ServeConfig::new(cfg.node_set.clone(), qps, secs, 4);
+        assert_eq!(
+            run_deterministic(&wide).0,
+            r,
+            "one shard whatever cfg.shards says, run after run"
+        );
+    }
+}
 
 #[test]
 fn sim_and_bus_agree_on_hit_rate_and_message_volume() {
@@ -21,7 +67,7 @@ fn sim_and_bus_agree_on_hit_rate_and_message_volume() {
     let cfg = ServeConfig::new(node_set, 400.0, 1.0, 2);
     let queries = 400;
 
-    let sim = run_deterministic(&cfg);
+    let (sim, _) = run_deterministic(&cfg);
     let bus = run_gnutella(&cfg);
 
     assert_eq!(
@@ -54,37 +100,4 @@ fn sim_and_bus_agree_on_hit_rate_and_message_volume() {
         (bus_mpq - sim_mpq).abs() / sim_mpq < 0.30,
         "messages per query diverge: sim {sim_mpq:.2} vs bus {bus_mpq:.2}"
     );
-}
-
-/// The calendar-queue DES driver `run_deterministic` replaced (PR 25),
-/// pinned as its numbers: the wheel's (deadline, push order) is that
-/// queue's `(time, seq)` at millisecond resolution, so the virtual clock
-/// must match it field for field, on any `cfg.shards`, run after run.
-#[test]
-fn virtual_clock_reproduces_the_des_reference() {
-    for (nodes, seed, qps, secs, want) in [
-        (80, 21, 25.0, 8.0, [200, 61, 3_181, 96, 602, 911]),
-        (120, 5, 40.0, 10.0, [400, 105, 6_461, 187, 612, 938]),
-    ] {
-        let cfg = ServeConfig::new(NodeSetConfig::new(nodes, seed), qps, secs, 1);
-        let r = run_deterministic(&cfg);
-        let ms = |p: Option<f64>| p.expect("hits imply latencies") as u64;
-        let got = [
-            r.queries_completed,
-            r.hits,
-            r.messages,
-            r.duplicates,
-            ms(r.p50_first_ms),
-            ms(r.p99_first_ms),
-        ];
-        assert_eq!(got, want, "{nodes} nodes, seed {seed}");
-        assert_eq!((r.queries_offered, r.queries_issued), (want[0], want[0]));
-        assert_eq!(r, run_deterministic(&cfg), "two runs, two reports");
-        let wide = ServeConfig::new(cfg.node_set.clone(), qps, secs, 4);
-        assert_eq!(
-            run_deterministic(&wide),
-            r,
-            "one shard whatever cfg.shards says"
-        );
-    }
 }
