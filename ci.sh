@@ -48,9 +48,11 @@ echo "==> cargo test -q"
 cargo test -q --workspace
 
 echo "==> cargo test -q --release -p ddr-sim (kernel differentials, the queue memory"
-echo "    bound on a zero-sized and on a u64 payload, and the overflow-migration order"
-echo "    of bare-payload buckets, against the optimised build the benchmark measures;"
-echo "    the debug step above runs the migration order's debug_assert)"
+echo "    bound on a zero-sized and on a u64 payload, the overflow-migration order"
+echo "    of bare-payload buckets, and merge_assigns_the_seqs_of_a_sort_by_key's"
+echo "    window merge over hand-built outboxes, against the optimised build the"
+echo "    benchmark measures; the debug step above runs the migration order's and"
+echo "    the merge's sorted-outbox debug_asserts)"
 cargo test -q --release -p ddr-sim
 
 echo "==> cargo test -q --release -p ddr-serve (the timer wheel's differential, and the"
@@ -117,7 +119,9 @@ $DDR run fig1 --smoke --trace "$TRACE" --trace-sample 1 --profile > /dev/null
 test -s "$TRACE" || { echo "trace file is empty" >&2; exit 1; }
 $DDR inspect "$TRACE" > /dev/null
 
-echo "==> fig1 free_riders --smoke: serial == --shards 2 == --shards 2 metered+profiled"
+echo "==> fig1 free_riders --smoke: serial == --shards 2 == --shards 3 --threads 2"
+echo "    == --shards 2 metered+profiled (three shards: a 3-way window merge over"
+echo "    an uneven partition)"
 # Whole stdout, not a digest line: every table, summary, end-state cell
 # and the in-line invariants note must survive the kernel swap and the
 # observers (whose own notes are the only lines filtered out).
@@ -127,6 +131,9 @@ echo "$SERIAL" | grep -q '^invariants: ok' \
 SHARDED=$($DDR run fig1 free_riders --smoke --shards 2 2> /dev/null)
 diff <(echo "$SERIAL") <(echo "$SHARDED") \
     || { echo "--shards 2 changed the output" >&2; exit 1; }
+SHARDED3=$($DDR run fig1 free_riders --smoke --shards 3 --threads 2 2> /dev/null)
+diff <(echo "$SERIAL") <(echo "$SHARDED3") \
+    || { echo "--shards 3 --threads 2 changed the output" >&2; exit 1; }
 OBSERVED=$($DDR run fig1 free_riders --smoke --shards 2 --metrics "$METRICS" --profile 2> /dev/null)
 echo "$OBSERVED" | grep -q 'Sharded-kernel profile' \
     || { echo "--profile emitted no per-shard breakdown" >&2; exit 1; }
@@ -136,7 +143,7 @@ diff -B <(echo "$SERIAL") <(echo "$OBSERVED" | sed '/Sharded-kernel profile/,/^t
     || { echo "--metrics/--profile changed the output" >&2; exit 1; }
 test -s "$METRICS" || { echo "metrics timeline file is empty" >&2; exit 1; }
 $DDR inspect "$METRICS" > /dev/null
-echo "    $(echo "$SERIAL" | grep '^digest:') (serial == 2 shards == metered+profiled)"
+echo "    $(echo "$SERIAL" | grep '^digest:') (serial == 2 shards == 3 shards == metered+profiled)"
 
 echo "==> examples (the five README walkthroughs run to completion)"
 for example in quickstart music_sharing web_caching olap_caching policy_playground; do

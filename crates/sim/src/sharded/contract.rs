@@ -13,6 +13,7 @@
 use super::merge::Staged;
 use crate::id::NodeId;
 use crate::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Maps every node to the shard that owns it. Contiguous equal blocks:
 /// shard `s` owns `[s * block, (s + 1) * block)`, so the hot
@@ -130,7 +131,7 @@ pub struct ShardCtx<'a, E> {
     pub(super) lookahead: SimDuration,
     pub(super) parent_gseq: u64,
     pub(super) child_idx: u32,
-    pub(super) staged: &'a mut Vec<Staged<E>>,
+    pub(super) staged: &'a mut VecDeque<Staged<E>>,
 }
 
 impl<'a, E> ShardCtx<'a, E> {
@@ -158,7 +159,7 @@ impl<'a, E> ShardCtx<'a, E> {
         );
         let child_idx = self.child_idx;
         self.child_idx += 1;
-        self.staged.push(Staged {
+        self.staged.push_back(Staged {
             parent_time: self.now,
             parent_gseq: self.parent_gseq,
             child_idx,

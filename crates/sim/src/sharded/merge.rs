@@ -6,12 +6,14 @@
 //!    Every event produced during a window goes to a per-shard outbox,
 //!    tagged with its parent's `(dispatch time, global seq)` and a
 //!    per-parent child index.
-//! 2. **Window-barrier merge.** At the end of each window the
-//!    single-threaded coordinator concatenates all outboxes and sorts by
-//!    `(parent_time, parent_gseq, child_idx)` — which is precisely the
-//!    order a serial run would have *created* those events in, because a
-//!    serial run dispatches parents in `(time, seq)` order and each
-//!    parent creates its children in program order.
+//! 2. **Window-barrier merge.** Each outbox is already a sorted run by
+//!    `(parent_time, parent_gseq, child_idx)`: its shard dispatched the
+//!    parents in `(time, gseq)` order, and each parent created its
+//!    children in program order. At the end of each window the
+//!    single-threaded coordinator merges the runs by that triple — which
+//!    is precisely the order a serial run would have *created* those
+//!    events in, because a serial run dispatches parents in
+//!    `(time, seq)` order too. Nothing is sorted.
 //! 3. **Global sequence numbers.** The coordinator assigns each staged
 //!    event the next global seq and inserts it into its destination
 //!    shard's queue. Insertion order into any single queue therefore
@@ -47,36 +49,78 @@ pub(super) struct Staged<E> {
     pub(super) event: E,
 }
 
-impl<E> Coordinator<E> {
-    /// The window barrier: drain every outbox, restore serial creation
+/// `(parent_time, parent_gseq, child_idx)`: serial creation order.
+type Key = (SimTime, u64, u32);
+
+/// An event's [`Key`]. Unique: gseqs are globally unique and
+/// `child_idx` counts per parent.
+#[inline]
+fn creation_key<E>(e: &Staged<E>) -> Key {
+    (e.parent_time, e.parent_gseq, e.child_idx)
+}
+
+impl Coordinator {
+    /// The window barrier: merge every shard's outbox in serial creation
     /// order, assign global seqs, and route into destination queues.
     /// Single-threaded by design — it is the only cross-shard step.
-    pub(super) fn merge<W: ShardWorld<Event = E>>(&mut self, shards: &mut [&mut Shard<W>]) {
+    ///
+    /// Each pass takes the run with the least head and drains, in one
+    /// piece, its prefix below the second-least head (the whole run when
+    /// no other run is left — always, at one shard). The emptied run goes
+    /// back to its shard, so no window allocates.
+    pub(super) fn merge<W: ShardWorld>(&mut self, shards: &mut [&mut Shard<W>]) {
         let start = self.profiling.then(Instant::now);
-        if self.profiling {
-            // Count true cross-shard traffic while the outboxes still
-            // carry their source-shard identity (lost after the append).
+        debug_assert!(
+            shards
+                .iter()
+                .all(|s| s.staged.iter().is_sorted_by_key(creation_key)),
+            "an outbox is not in creation order"
+        );
+        let (mut merged, mut crossed) = (0, 0);
+        loop {
+            // The least head (and its run) and the second-least head.
+            let mut least = None;
+            let mut second = None;
             for (i, s) in shards.iter().enumerate() {
-                let elsewhere = |e: &&Staged<E>| self.partition.shard_of(e.dest) != i;
-                self.profile.merged_events += s.staged.len() as u64;
-                self.profile.cross_shard_events += s.staged.iter().filter(elsewhere).count() as u64;
+                let Some(key) = s.staged.front().map(creation_key) else {
+                    continue;
+                };
+                match least {
+                    Some((_, low)) if low < key => {
+                        second = Some(second.map_or(key, |next: Key| next.min(key)));
+                    }
+                    _ => {
+                        second = least.map(|(_, low)| low);
+                        least = Some((i, key));
+                    }
+                }
             }
+            let Some((src, _)) = least else {
+                break;
+            };
+            let mut run = std::mem::take(&mut shards[src].staged);
+            let n = match second {
+                None => run.len(),
+                Some(bound) => run
+                    .iter()
+                    .position(|e| creation_key(e) > bound)
+                    .unwrap_or(run.len()),
+            };
+            merged += n as u64;
+            for e in run.drain(..n) {
+                let gseq = self.next_gseq;
+                self.next_gseq += 1;
+                let dest = self.partition.shard_of(e.dest);
+                crossed += u64::from(dest != src);
+                // Never panics: e.time >= window start + lookahead >= w_end,
+                // and no queue's clock has passed w_end.
+                shards[dest].queue.schedule_at(e.time, (gseq, e.event));
+            }
+            shards[src].staged = run;
         }
-        for s in shards.iter_mut() {
-            self.scratch.append(&mut s.staged);
-        }
-        // Serial creation order: parents dispatch in (time, gseq) order
-        // and create children in program order. The triple is unique —
-        // gseqs are globally unique and child_idx counts per parent.
-        self.scratch
-            .sort_unstable_by_key(|e| (e.parent_time, e.parent_gseq, e.child_idx));
-        for e in self.scratch.drain(..) {
-            let gseq = self.next_gseq;
-            self.next_gseq += 1;
-            let dest = self.partition.shard_of(e.dest);
-            // Never panics: e.time >= window start + lookahead >= w_end,
-            // and no queue's clock has passed w_end.
-            shards[dest].queue.schedule_at(e.time, (gseq, e.event));
+        if self.profiling {
+            self.profile.merged_events += merged;
+            self.profile.cross_shard_events += crossed;
         }
         self.profile.merge_ns += ns_since(start);
     }

@@ -38,6 +38,7 @@ use crate::id::NodeId;
 use crate::lookahead::Lookahead;
 use crate::time::{SimDuration, SimTime};
 use ring::Shard;
+use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use window::Coordinator;
 
@@ -48,7 +49,7 @@ use window::Coordinator;
 /// worker per shard) — both produce bit-identical worlds.
 pub struct ShardedSimulation<W: ShardWorld> {
     shards: Vec<Shard<W>>,
-    coord: Coordinator<W::Event>,
+    coord: Coordinator,
 }
 
 impl<W: ShardWorld> ShardedSimulation<W> {
@@ -69,17 +70,24 @@ impl<W: ShardWorld> ShardedSimulation<W> {
             lookahead > SimDuration::ZERO,
             "conservative synchronization requires a positive lookahead"
         );
-        // Size each shard's queue for its slice of the node space.
+        // Size each shard's wheel for its slice of the node space. The
+        // overflow heap grows on demand instead of being pre-reserved as
+        // `EventQueue::with_capacity` does: a reservation that no event
+        // writes, once freed into the allocator's heap, hands later
+        // allocations pages nothing had touched, so a process that builds
+        // kernel after kernel peaks at a different RSS each time
+        // (EXPERIMENTS.md, "Sort-free window merge").
         let per_shard_hint =
             crate::event::event_capacity_hint(partition.nodes() / partition.shards() + 1, 4);
+        let wheel_buckets = crate::event::wheel_buckets_for(per_shard_hint);
         let shards = worlds
             .into_iter()
             .enumerate()
             .map(|(shard, world)| Shard {
                 world,
-                queue: EventQueue::with_capacity(per_shard_hint),
+                queue: EventQueue::with_geometry(wheel_buckets),
                 ring: Lookahead::default(),
-                staged: Vec::new(),
+                staged: VecDeque::new(),
                 lane: ShardLane {
                     shard,
                     ..ShardLane::default()
@@ -91,7 +99,6 @@ impl<W: ShardWorld> ShardedSimulation<W> {
             lookahead,
             event_budget: u64::MAX,
             next_gseq: 0,
-            scratch: Vec::new(),
             profiling: false,
             profile: ShardProfile::default(),
         };

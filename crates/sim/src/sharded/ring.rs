@@ -7,6 +7,7 @@ use super::profile::{ns_since, ShardLane};
 use crate::event::EventQueue;
 use crate::lookahead::Lookahead;
 use crate::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One shard: a slice of world state, its own calendar queue, and its
@@ -18,7 +19,9 @@ pub(super) struct Shard<W: ShardWorld> {
     /// Events of the current window popped ahead of their dispatch (see
     /// `process_window`); empty between windows.
     pub(super) ring: Lookahead<(SimTime, (u64, W::Event))>,
-    pub(super) staged: Vec<Staged<W::Event>>,
+    /// This window's sends, in creation order. A deque, so the merge
+    /// can release a drained prefix without moving the rest.
+    pub(super) staged: VecDeque<Staged<W::Event>>,
     /// This shard's profile row; `lane.events` is also the kernel's
     /// count of events dispatched here.
     pub(super) lane: ShardLane,

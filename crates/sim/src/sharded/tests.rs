@@ -1,7 +1,8 @@
 //! The kernel on a toy node-local world: the partition, both executors
 //! against each other across shard counts, the three ways a run stops,
-//! and the lookahead assertion. The differential suite against a serial
-//! reference is `tests/prop_sharded.rs`.
+//! the window merge on hand-built outboxes, and the lookahead assertion.
+//! The differential suite against a serial reference is
+//! `tests/prop_sharded.rs`.
 
 use super::*;
 
@@ -159,6 +160,139 @@ fn event_budget_stops_on_a_window_boundary() {
         RunOutcome::EventBudgetExhausted
     );
     assert_eq!(par.processed(), serial_stop);
+}
+
+/// A world that never runs: the merge test builds its shards by hand.
+struct Inert;
+
+impl ShardWorld for Inert {
+    type Event = usize;
+    fn handle(&mut self, _: SimTime, _: usize, _: &mut ShardCtx<'_, usize>) {}
+}
+
+/// One shard's outbox as creation keys `(parent_time ms, parent_gseq,
+/// child_idx)`, each run sorted and every key unique, as a window leaves
+/// them.
+type Run = &'static [(u64, u64, u32)];
+
+/// `Coordinator::merge` over hand-built outboxes: the seqs it assigns
+/// (from 100 on) are those of a sort by key, every event lands in its
+/// destination shard's queue, every outbox is emptied, and the profile
+/// counts what crossed.
+fn check_merge(case: &str, runs: &[Run]) {
+    let nodes = 4 * runs.len();
+    let partition = Partition::contiguous(nodes, runs.len());
+    // (key, event id, crosses shards), in outbox order.
+    let mut expect = Vec::new();
+    let mut shards = Vec::new();
+    for (src, run) in runs.iter().enumerate() {
+        let mut staged = VecDeque::new();
+        for &(t, g, c) in run.iter() {
+            let id = expect.len();
+            let dest = NodeId::from_index((id * 5 + 3) % nodes);
+            expect.push(((t, g, c), id, partition.shard_of(dest) != src));
+            staged.push_back(merge::Staged {
+                parent_time: SimTime::from_millis(t),
+                parent_gseq: g,
+                child_idx: c,
+                time: SimTime::from_millis(t + 10),
+                dest,
+                event: id,
+            });
+        }
+        shards.push(Shard {
+            world: Inert,
+            queue: EventQueue::new(),
+            ring: Lookahead::default(),
+            staged,
+            lane: ShardLane::default(),
+        });
+    }
+    let mut coord = Coordinator {
+        partition: partition.clone(),
+        lookahead: SimDuration::from_millis(10),
+        event_budget: u64::MAX,
+        next_gseq: 100,
+        profiling: true,
+        profile: ShardProfile::default(),
+    };
+    coord.merge(&mut shards.iter_mut().collect::<Vec<_>>());
+
+    let crossed = expect.iter().filter(|e| e.2).count() as u64;
+    expect.sort_by_key(|e| e.0);
+    let mut want: Vec<(usize, u64)> = (100..).zip(&expect).map(|(s, e)| (e.1, s)).collect();
+    want.sort_unstable();
+    let mut got = Vec::new();
+    for (i, shard) in shards.iter_mut().enumerate() {
+        assert!(shard.staged.is_empty(), "{case}: outbox {i} not drained");
+        while let Some((_, (gseq, id))) = shard.queue.pop() {
+            let dest = partition.shard_of(NodeId::from_index((id * 5 + 3) % nodes));
+            assert_eq!(dest, i, "{case}: event {id} routed to the wrong shard");
+            got.push((id, gseq));
+        }
+    }
+    got.sort_unstable();
+    assert_eq!(got, want, "{case}: seqs differ from a sort by key");
+    assert_eq!(coord.next_gseq, 100 + expect.len() as u64, "{case}");
+    assert_eq!(coord.profile.merged_events, expect.len() as u64, "{case}");
+    assert_eq!(coord.profile.cross_shard_events, crossed, "{case}");
+}
+
+#[test]
+fn merge_assigns_the_seqs_of_a_sort_by_key() {
+    let cases: &[(&str, &[Run])] = &[
+        (
+            "one run",
+            &[&[(0, 1, 0), (0, 1, 1), (0, 2, 0), (3, 4, 0), (3, 4, 1)]],
+        ),
+        ("one empty run", &[&[]]),
+        ("two empty runs", &[&[], &[]]),
+        (
+            "one of two empty",
+            &[&[], &[(2, 7, 0), (2, 7, 1), (5, 9, 0)]],
+        ),
+        (
+            "two runs tied on time, interleaved on gseq",
+            &[
+                &[(5, 1, 0), (5, 3, 0), (5, 3, 1), (5, 6, 0)],
+                &[(5, 2, 0), (5, 4, 0), (5, 5, 0), (7, 7, 0)],
+            ],
+        ),
+        (
+            "a long run beside singletons",
+            &[
+                &[
+                    (1, 1, 0),
+                    (1, 1, 1),
+                    (1, 2, 0),
+                    (1, 3, 0),
+                    (1, 4, 0),
+                    (1, 4, 1),
+                    (1, 4, 2),
+                    (1, 6, 0),
+                    (1, 7, 0),
+                    (2, 8, 0),
+                    (2, 10, 0),
+                    (2, 11, 0),
+                ],
+                &[(1, 5, 0)],
+                &[(0, 0, 0)],
+            ],
+        ),
+        (
+            "five runs: empties, ties across three, a late singleton",
+            &[
+                &[(4, 10, 0), (4, 10, 1), (4, 13, 0), (6, 17, 0), (9, 20, 0)],
+                &[],
+                &[(4, 11, 0), (4, 12, 0), (4, 12, 1), (4, 12, 2), (6, 15, 0)],
+                &[(4, 14, 0), (6, 16, 0), (6, 18, 0)],
+                &[(12, 30, 0)],
+            ],
+        ),
+    ];
+    for &(case, runs) in cases {
+        check_merge(case, runs);
+    }
 }
 
 #[test]

@@ -4,21 +4,19 @@
 //! on a window boundary, the budget check or a global sequence number.
 
 use super::contract::{Partition, ShardWorld};
-use super::merge::Staged;
 use super::profile::ShardProfile;
 use super::ring::Shard;
 use crate::engine::RunOutcome;
 use crate::time::{SimDuration, SimTime};
 use std::ops::ControlFlow;
 
-pub(super) struct Coordinator<E> {
+pub(super) struct Coordinator {
     pub(super) partition: Partition,
     pub(super) lookahead: SimDuration,
     /// `u64::MAX` (never reached) means no budget, as in
     /// [`crate::Simulation`].
     pub(super) event_budget: u64,
     pub(super) next_gseq: u64,
-    pub(super) scratch: Vec<Staged<E>>,
     pub(super) profiling: bool,
     /// The coordinator's side of the profile (`lanes` stays empty: each
     /// shard carries its own row); `profile.windows` is the kernel's
@@ -26,11 +24,11 @@ pub(super) struct Coordinator<E> {
     pub(super) profile: ShardProfile,
 }
 
-impl<E> Coordinator<E> {
+impl Coordinator {
     /// The end of the next window, or why the run stops. The budget is
     /// checked here, at window granularity: a threaded run has no cheap
     /// deterministic way to stop mid-window, so no run does.
-    pub(super) fn next_window<W: ShardWorld<Event = E>>(
+    pub(super) fn next_window<W: ShardWorld>(
         &mut self,
         shards: &[&mut Shard<W>],
         horizon: SimTime,
