@@ -16,7 +16,7 @@ echo "==> cargo check benchmark/ (every name the measurement stack spells still"
 echo "    resolves — seconds, not the full suite, when a refactor breaks one)"
 cargo check --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> tracked Rust lines, the per-file ceiling and one-implementer traits"
+echo "==> tracked Rust lines, the per-file ceiling, one-implementer traits and unnamed deps"
 # The count every simplicity PR quotes; and no file under crates/*/src may
 # pass 1,000 lines, so split modules do not silently grow back into one.
 # Files past 800 are listed without failing: the next PR that touches one
@@ -40,6 +40,17 @@ LONELY=$(git grep -hoE '^\s*pub trait \w+' -- 'crates/*/src/*.rs' | awk '{ print
         test "$n" -ge 2 || echo "    $t: $n"
     done)
 test -z "$LONELY" || { echo "    pub traits with fewer than two impls:"; echo "$LONELY"; }
+
+# A `ddr-*` dependency whose `ddr_*` name appears nowhere under its crate
+# is dead weight in every build. Listed, not failed: dropping one can
+# rewrite benchmark/Cargo.lock, which only a benchmark change may do.
+UNNAMED=$(git ls-files 'crates/*/Cargo.toml' | while read -r manifest; do
+        dir=${manifest%/Cargo.toml}
+        sed -n 's/^\(ddr-[a-z-]*\)[. =].*/\1/p' "$manifest" | while read -r dep; do
+            git grep -qw "${dep//-/_}" -- "$dir" || echo "    $dir: $dep"
+        done
+    done)
+test -z "$UNNAMED" || { echo "    ddr-* dependencies their crate never names:"; echo "$UNNAMED"; }
 
 echo "==> cargo doc (rustdoc -D warnings: dangling or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -20,7 +20,7 @@ use super::node::NodeRuntime;
 use crate::benefit::CumulativeBenefit;
 use crate::update::plan_asymmetric_update;
 use ddr_net::NodeDelayStream;
-use ddr_overlay::{NeighborList, RelationKind, Topology};
+use ddr_overlay::{NeighborList, Topology};
 use ddr_sim::{NodeId, RngFactory, SimDuration};
 use ddr_stats::RuntimeMetrics;
 use rand::rngs::SmallRng;
@@ -47,22 +47,20 @@ pub struct AsymmetricOverlay {
 }
 
 impl AsymmetricOverlay {
-    /// An overlay of `nodes` present nodes under `relation`, every
-    /// outgoing list topped up to `out_degree` random targets.
-    /// `in_capacity` bounds the incoming lists (ignored under
-    /// [`RelationKind::PureAsymmetric`]); `stream_label` names the world
-    /// RNG stream, which feeds the bootstrap first and every later world
-    /// draw after.
+    /// An overlay of `nodes` present nodes, every outgoing list topped up
+    /// to `out_degree` random targets. `in_capacity` bounds the incoming
+    /// lists, `None` leaves them unbounded (the pure-asymmetric regime, see
+    /// [`Topology::new`]); `stream_label` names the world RNG stream, which
+    /// feeds the bootstrap first and every later world draw after.
     pub fn bootstrap(
         nodes: usize,
-        relation: RelationKind,
         out_degree: usize,
-        in_capacity: usize,
+        in_capacity: Option<usize>,
         rngs: &RngFactory,
         stream_label: &str,
     ) -> Self {
         let mut overlay = AsymmetricOverlay {
-            topology: Topology::new(nodes, relation, out_degree, in_capacity),
+            topology: Topology::new(nodes, out_degree, in_capacity),
             present: vec![true; nodes],
             present_count: nodes,
             rng: rngs.stream(stream_label, 0),
@@ -218,20 +216,13 @@ mod tests {
     use crate::stats_store::ReplyObservation;
     use ddr_sim::SimTime;
 
-    fn overlay(nodes: usize, relation: RelationKind, out: usize, inc: usize) -> AsymmetricOverlay {
-        AsymmetricOverlay::bootstrap(
-            nodes,
-            relation,
-            out,
-            inc,
-            &RngFactory::new(11),
-            "test.world",
-        )
+    fn overlay(nodes: usize, out: usize, inc: Option<usize>) -> AsymmetricOverlay {
+        AsymmetricOverlay::bootstrap(nodes, out, inc, &RngFactory::new(11), "test.world")
     }
 
     /// A bootstrapped overlay with every link removed again.
-    fn edgeless(nodes: usize, relation: RelationKind, out: usize, inc: usize) -> AsymmetricOverlay {
-        let mut o = overlay(nodes, relation, out, inc);
+    fn edgeless(nodes: usize, out: usize, inc: Option<usize>) -> AsymmetricOverlay {
+        let mut o = overlay(nodes, out, inc);
         for p in 0..nodes {
             o.isolate(NodeId::from_index(p));
         }
@@ -263,26 +254,21 @@ mod tests {
     #[test]
     fn bootstrap_fills_every_list_consistently_under_both_relations() {
         // The web-cache and PeerOlap default shapes.
-        for (nodes, relation, inc) in [
-            (64, RelationKind::PureAsymmetric, 0),
-            (48, RelationKind::Asymmetric, 6),
-        ] {
-            let o = overlay(nodes, relation, 3, inc);
-            assert!(o.topology().check_consistency().is_empty(), "{relation:?}");
+        for (nodes, inc) in [(64, None), (48, Some(6))] {
+            let o = overlay(nodes, 3, inc);
+            assert!(o.topology().check_consistency().is_empty(), "{inc:?}");
             assert_eq!(o.present_count(), nodes);
             for p in 0..nodes {
                 let n = NodeId::from_index(p);
-                assert_eq!(o.out(n).len(), 3, "{relation:?}: node {p} under-filled");
-                if relation == RelationKind::Asymmetric {
-                    assert!(o.topology().inc(n).len() <= inc);
-                }
+                assert_eq!(o.out(n).len(), 3, "{inc:?}: node {p} under-filled");
+                assert!(o.topology().inc(n).len() <= inc.unwrap_or(usize::MAX));
             }
         }
     }
 
     #[test]
     fn refused_adoption_is_counted_and_the_top_up_moves_on() {
-        let mut o = edgeless(4, RelationKind::Asymmetric, 1, 1);
+        let mut o = edgeless(4, 1, Some(1));
         link(&mut o, 1, 2);
         let mut rt = NodeRuntime::new(5);
         observe(&mut rt, 2, 9.0); // the best candidate's incoming list is full
@@ -297,7 +283,7 @@ mod tests {
 
     #[test]
     fn update_evicts_absent_incumbents_and_adopts_only_present_others() {
-        let mut o = edgeless(5, RelationKind::PureAsymmetric, 2, 0);
+        let mut o = edgeless(5, 2, None);
         link(&mut o, 0, 1);
         link(&mut o, 0, 2);
         assert!(!o.toggle(NodeId(1)), "incumbent 1 leaves");
@@ -319,7 +305,7 @@ mod tests {
     #[test]
     fn refill_present_only_skips_absent_nodes() {
         // Out-degree 3 of 4 nodes: node 0 can only fill up with 1, 2 and 3.
-        let mut o = edgeless(4, RelationKind::PureAsymmetric, 3, 0);
+        let mut o = edgeless(4, 3, None);
         o.toggle(NodeId(3));
         o.refill(NodeId(0), true);
         assert_eq!(
@@ -333,7 +319,7 @@ mod tests {
 
     #[test]
     fn refill_terminates_when_every_incoming_list_is_full() {
-        let mut o = edgeless(3, RelationKind::Asymmetric, 1, 1);
+        let mut o = edgeless(3, 1, Some(1));
         link(&mut o, 1, 2);
         link(&mut o, 2, 1);
         o.refill(NodeId(0), false);
@@ -343,7 +329,7 @@ mod tests {
 
     #[test]
     fn present_count_tracks_repeated_toggles() {
-        let mut o = overlay(8, RelationKind::PureAsymmetric, 2, 0);
+        let mut o = overlay(8, 2, None);
         for _ in 0..200 {
             let node = o.random_node();
             let was = o.is_present(node);
@@ -357,7 +343,7 @@ mod tests {
 
     #[test]
     fn same_group_fraction_counts_edges_not_nodes() {
-        let mut o = edgeless(4, RelationKind::PureAsymmetric, 2, 0);
+        let mut o = edgeless(4, 2, None);
         assert_eq!(o.same_group_edge_fraction(|n| n.0 % 2), 0.0);
         for (from, to) in [(0, 2), (0, 1), (1, 3), (2, 3)] {
             link(&mut o, from, to);

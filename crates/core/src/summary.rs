@@ -147,7 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn similarity_is_symmetric() {
+    fn similarity_ignores_argument_order() {
         let a = summary(&[3, 1, 4, 1, 5]);
         let b = summary(&[2, 7, 1, 8, 2]);
         assert!((a.similarity(&b) - b.similarity(&a)).abs() < 1e-15);

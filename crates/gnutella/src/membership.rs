@@ -21,9 +21,46 @@ use crate::world::GnutellaWorld;
 use ddr_core::benefit::BenefitFunction;
 use ddr_core::runtime::Port;
 use ddr_core::search::benefit_sort_key;
+use ddr_overlay::NeighborList;
 use ddr_sim::{NodeId, QueryId, SimTime};
 use ddr_telemetry::{TraceOutcome, TraceSink};
+use rand::seq::SliceRandom;
 use rand::Rng;
+
+/// The paper's initial Gnutella configuration ("both the initial
+/// configuration and the changes are purely random"): give each of
+/// `members` up to `degree` symmetric links, written straight into the
+/// per-node `views`. Nodes outside `members` stay isolated.
+///
+/// Repeated random-pairing passes: shuffle the under-full candidates,
+/// then link consecutive pairs. A few passes fill almost everyone;
+/// stragglers (odd counts, unlucky shuffles) stay under-full exactly
+/// like real bootstrap nodes waiting for contacts.
+pub(crate) fn bootstrap_views<R: Rng + ?Sized>(
+    views: &mut [NeighborList],
+    members: &[NodeId],
+    degree: usize,
+    rng: &mut R,
+) {
+    let mut candidates: Vec<NodeId> = members.to_vec();
+    for _pass in 0..degree * 4 {
+        candidates.retain(|&n| views[n.index()].len() < degree);
+        if candidates.len() < 2 {
+            break;
+        }
+        candidates.shuffle(rng);
+        for pair in candidates.chunks(2) {
+            if let [a, b] = *pair {
+                let (va, vb) = (&views[a.index()], &views[b.index()]);
+                if va.contains(b) || va.is_full() || vb.is_full() {
+                    continue;
+                }
+                let _ = views[a.index()].add(b);
+                let _ = views[b.index()].add(a);
+            }
+        }
+    }
+}
 
 impl<T: TraceSink> GnutellaWorld<T> {
     pub(crate) fn login<C: Port<GnutellaEvent>>(&mut self, node: NodeId, ctx: &mut C) {
@@ -356,6 +393,49 @@ impl<T: TraceSink> GnutellaWorld<T> {
             // neighbor with requests to known/bootstrap hosts.
             self.peers[k].refill_budget = REFILL_RETRY_BUDGET;
             self.refill_links(to, ctx);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::{Mode, ScenarioConfig};
+    use crate::world::GnutellaWorld;
+    use ddr_sim::NodeId;
+
+    /// The t = 0 views `bootstrap_views` writes: one symmetric relation
+    /// among the initially-online users, within the degree bound, and
+    /// dense enough to search.
+    #[test]
+    fn bootstrap_views_are_symmetric_bounded_and_dense() {
+        for seed in [1, 7, 0xDD_2003] {
+            // The paper's densities at 100 users.
+            let mut config = ScenarioConfig::scaled(Mode::Static, 2, 20, 2);
+            config.seed = seed;
+            assert_eq!((config.workload.users, config.degree), (100, 4));
+            let world: GnutellaWorld = GnutellaWorld::new(config);
+            let (mut links, mut online) = (0, 0);
+            for i in 0..100 {
+                let n = NodeId::from_index(i);
+                let view = world.neighbors_of(n);
+                assert!(view.len() <= 4, "seed {seed}: node {i} over degree");
+                assert!(!view.contains(&n), "seed {seed}: node {i} links itself");
+                for (j, &m) in view.iter().enumerate() {
+                    assert!(!view[..j].contains(&m), "seed {seed}: {i} holds {m} twice");
+                    assert!(
+                        world.neighbors_of(m).contains(&n),
+                        "seed {seed}: {i} -> {m} is not mirrored"
+                    );
+                }
+                if world.is_online(n) {
+                    online += 1;
+                    links += view.len();
+                } else {
+                    assert!(view.is_empty(), "seed {seed}: offline node {i} is linked");
+                }
+            }
+            let mean = links as f64 / online as f64;
+            assert!(mean > 3.0, "seed {seed}: mean online degree {mean}");
         }
     }
 }

@@ -53,13 +53,14 @@
 use crate::config::{Mode, ScenarioConfig};
 use crate::events::GnutellaEvent;
 use crate::hosts::HostCache;
+use crate::membership::bootstrap_views;
 use crate::metrics::Metrics;
 use crate::peer::{PeerState, PendingQuery, QueryOutcome, SessionSlot};
 use ddr_core::benefit::BenefitFunction;
 use ddr_core::runtime::{sample_runtime_metrics, NodeRuntime, Port};
 use ddr_core::{CategorySummary, LocalIndex};
 use ddr_net::{NetworkModel, NodeDelayStream};
-use ddr_overlay::{NeighborList, Topology};
+use ddr_overlay::NeighborList;
 use ddr_sim::{
     prefetch_line, prefetch_object, HintStage, NodeId, Partition, QueryId, RngFactory, Scheduler,
     ShardCtx, ShardWorld, SimDuration, SimTime, World,
@@ -251,8 +252,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
             })
             .collect();
 
-        // Initially-online users and the random bootstrap overlay, built
-        // on a scratch topology and copied into per-node views.
+        // Initially-online users and the random bootstrap overlay among
+        // them, linked directly in the per-node views.
         let mut sessions = vec![SessionSlot::default(); users];
         let mut initial: Vec<NodeId> = Vec::new();
         for (i, peer) in peers.iter_mut().enumerate() {
@@ -262,17 +263,13 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 initial.push(NodeId::from_index(i));
             }
         }
-        let mut boot = Topology::symmetric(users, config.degree);
-        boot.populate_random_symmetric(&initial, config.degree, &mut rngs.stream("bootstrap", 0));
-        let neighbors: Vec<NeighborList> = (0..users)
-            .map(|i| {
-                let mut nl = NeighborList::with_capacity(config.degree);
-                for &m in boot.out(NodeId::from_index(i)).as_slice() {
-                    let _ = nl.add(m);
-                }
-                nl
-            })
-            .collect();
+        let mut neighbors = vec![NeighborList::with_capacity(config.degree); users];
+        bootstrap_views(
+            &mut neighbors,
+            &initial,
+            config.degree,
+            &mut rngs.stream("bootstrap", 0),
+        );
         let hosts: Vec<HostCache> = neighbors
             .iter()
             .map(|nl| {

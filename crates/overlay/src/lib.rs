@@ -4,20 +4,21 @@
 //!
 //! * every repository keeps an **outgoing** list `L_o` (where it forwards
 //!   its own requests) and an **incoming** list `L_i` (whom it accepts
-//!   requests from), both capacity-bounded;
+//!   requests from), each a capacity-bounded [`NeighborList`];
 //! * the network is **consistent** iff `u ∈ out(v) ⇒ v ∈ in(u)` — the
-//!   invariant every mutation helper here preserves and
+//!   invariant every [`Topology`] mutation helper preserves and
 //!   [`Topology::check_consistency`] verifies;
-//! * the regimes a world runs: **pure asymmetric** (incoming capacity = n,
-//!   so unilateral outgoing changes can never break consistency — the
-//!   web-cache case), **asymmetric** (both lists bounded — PeerOlap) and
-//!   **symmetric** (`L_o = L_i`, changes need pairwise agreement — the
-//!   Gnutella case).
+//! * [`Topology`] keeps the global books of the two asymmetric regimes:
+//!   **pure asymmetric** (unbounded incoming lists, so unilateral outgoing
+//!   changes can never break consistency — the web-cache case) and
+//!   **bounded asymmetric** (both lists bounded — PeerOlap). The
+//!   **symmetric** regime (`L_o = L_i`, changes need pairwise agreement —
+//!   the Gnutella case) has no global books: each Gnutella node keeps one
+//!   `NeighborList` view and the endpoints agree by message
+//!   (`ddr-gnutella`'s membership handshakes).
 
 pub mod neighbors;
-pub mod relation;
 pub mod topology;
 
 pub use neighbors::{NeighborList, INLINE_NEIGHBORS};
-pub use relation::RelationKind;
 pub use topology::{ConsistencyError, Topology};

@@ -23,7 +23,7 @@ use crate::config::{OlapMode, PeerOlapConfig};
 use crate::cube::{chunk_processing_ms, CubeSpace, OlapQueryStream};
 use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime};
 use ddr_core::stats_store::ReplyObservation;
-use ddr_overlay::{RelationKind, Topology};
+use ddr_overlay::Topology;
 use ddr_sim::{
     EventLabel, FastHashMap, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime,
     World,
@@ -162,9 +162,8 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         let space = CubeSpace::new(&config);
         let overlay = AsymmetricOverlay::bootstrap(
             config.peers,
-            RelationKind::Asymmetric,
             config.out_degree,
-            config.in_capacity,
+            Some(config.in_capacity),
             &rngs,
             "peerolap.world",
         );

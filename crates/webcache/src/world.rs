@@ -24,7 +24,7 @@ use crate::lru::LruCache;
 use crate::traffic::{PageSpace, RequestStream};
 use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime};
 use ddr_core::stats_store::ReplyObservation;
-use ddr_overlay::{RelationKind, Topology};
+use ddr_overlay::Topology;
 use ddr_sim::{
     EventLabel, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime, World,
 };
@@ -143,9 +143,8 @@ impl<T: TraceSink> WebCacheWorld<T> {
         let space = PageSpace::new(&config);
         let overlay = AsymmetricOverlay::bootstrap(
             config.proxies,
-            RelationKind::PureAsymmetric,
             config.out_degree,
-            0,
+            None,
             &rngs,
             "webcache.world",
         );

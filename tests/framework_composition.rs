@@ -10,7 +10,7 @@ use ddr_repro::core::{
     SearchStrategy, StatsStore,
 };
 use ddr_repro::net::NetworkModel;
-use ddr_repro::overlay::{RelationKind, Topology};
+use ddr_repro::overlay::Topology;
 use ddr_repro::sim::{
     EventQueue, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimTime, Simulation, World,
 };
@@ -117,7 +117,7 @@ impl World for MiniWorld {
 
 fn ring_world(seed: u64) -> MiniWorld {
     // Directed ring with skip links: i -> i+1, i -> i+2, i -> i+5.
-    let mut topology = Topology::new(N, RelationKind::PureAsymmetric, DEGREE, 0);
+    let mut topology = Topology::new(N, DEGREE, None);
     for i in 0..N {
         for off in [1usize, 2, 5] {
             topology
