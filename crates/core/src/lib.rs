@@ -46,6 +46,4 @@ pub use runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime, Port, 
 pub use search::{ForwardSelection, SearchStrategy};
 pub use stats_store::{NodeStats, StatsStore};
 pub use summary::CategorySummary;
-pub use update::{
-    plan_asymmetric_update, InvitationContext, InvitationDecision, InvitationPolicy, UpdatePlan,
-};
+pub use update::{InvitationContext, InvitationDecision, InvitationPolicy, UpdatePlan};

@@ -18,7 +18,7 @@
 
 use super::node::NodeRuntime;
 use crate::benefit::CumulativeBenefit;
-use crate::update::plan_asymmetric_update;
+use crate::update::UpdatePlan;
 use ddr_net::NodeDelayStream;
 use ddr_overlay::{NeighborList, Topology};
 use ddr_sim::{NodeId, RngFactory, SimDuration};
@@ -44,6 +44,8 @@ pub struct AsymmetricOverlay {
     /// other nodes' traffic.
     delays: Vec<NodeDelayStream>,
     out_degree: usize,
+    /// Reused by every [`update_neighbors`](Self::update_neighbors).
+    plan: UpdatePlan,
 }
 
 impl AsymmetricOverlay {
@@ -68,6 +70,7 @@ impl AsymmetricOverlay {
                 .map(|p| NodeDelayStream::new(rngs, NodeId::from_index(p)))
                 .collect(),
             out_degree,
+            plan: UpdatePlan::default(),
         };
         for p in 0..nodes {
             overlay.refill(NodeId::from_index(p), false);
@@ -167,13 +170,15 @@ impl AsymmetricOverlay {
         rt.clock.reset();
         metrics.record_update();
         let present = &self.present;
-        let plan = plan_asymmetric_update(
+        self.plan.replan(
             self.topology.out(node).as_slice(),
             &rt.stats,
             &CumulativeBenefit,
             self.out_degree,
+            usize::MAX,
             |m| m != node && present[m.index()],
         );
+        let plan = &self.plan;
         let mut refused = 0;
         for &e in &plan.evict {
             if self.topology.remove_edge(node, e) {

@@ -160,29 +160,6 @@ impl StatsStore {
         }
     }
 
-    /// Nodes ranked by `score` descending, ties broken by id for
-    /// determinism. `filter` prunes candidates (e.g. offline nodes).
-    pub fn ranked_by<F, P>(&self, score: F, filter: P) -> Vec<(NodeId, f64)>
-    where
-        F: Fn(&NodeStats) -> f64,
-        P: Fn(NodeId) -> bool,
-    {
-        let mut v: Vec<(NodeId, f64)> = self
-            .entries
-            .iter()
-            .filter(|(&n, _)| filter(n))
-            .map(|(&n, s)| (n, score(s)))
-            .collect();
-        v.sort_unstable_by(|a, b| {
-            // NaN-safe descending (NaN ranks last); see
-            // `crate::search::benefit_sort_key`.
-            crate::search::benefit_sort_key(b.1)
-                .total_cmp(&crate::search::benefit_sort_key(a.1))
-                .then(a.0.cmp(&b.0))
-        });
-        v
-    }
-
     /// Iterate over all `(node, stats)` pairs (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NodeStats)> {
         self.entries.iter().map(|(&n, s)| (n, s))
@@ -234,28 +211,5 @@ mod tests {
         s.reset_node(NodeId(3));
         assert!(s.get(NodeId(3)).is_none());
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn ranking_descends_with_deterministic_ties() {
-        let mut s = StatsStore::new();
-        s.record_reply(obs(5, 1.0, 10));
-        s.record_reply(obs(2, 3.0, 10));
-        s.record_reply(obs(9, 1.0, 10));
-        let ranked = s.ranked_by(|st| st.benefit, |_| true);
-        assert_eq!(
-            ranked.iter().map(|&(n, _)| n).collect::<Vec<_>>(),
-            vec![NodeId(2), NodeId(5), NodeId(9)]
-        );
-    }
-
-    #[test]
-    fn ranking_respects_filter() {
-        let mut s = StatsStore::new();
-        s.record_reply(obs(1, 5.0, 10));
-        s.record_reply(obs(2, 1.0, 10));
-        let ranked = s.ranked_by(|st| st.benefit, |n| n != NodeId(1));
-        assert_eq!(ranked.len(), 1);
-        assert_eq!(ranked[0].0, NodeId(2));
     }
 }

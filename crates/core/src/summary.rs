@@ -15,6 +15,10 @@ use ddr_sim::ItemId;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CategorySummary {
     counts: Vec<u32>,
+    /// Σ `counts`, fixed at construction: neighbor planning asks every
+    /// candidate for it, and one word beats fifty counters behind a
+    /// pointer.
+    total: u64,
 }
 
 impl CategorySummary {
@@ -29,13 +33,15 @@ impl CategorySummary {
             debug_assert!(c < categories, "category {c} out of range");
             counts[c] += 1;
         }
-        CategorySummary { counts }
+        let total = counts.iter().map(|&c| u64::from(c)).sum();
+        CategorySummary { counts, total }
     }
 
     /// An empty summary over `categories` categories.
     pub fn empty(categories: usize) -> Self {
         CategorySummary {
             counts: vec![0; categories],
+            total: 0,
         }
     }
 
@@ -46,7 +52,7 @@ impl CategorySummary {
 
     /// Total items summarised.
     pub fn total(&self) -> u64 {
-        self.counts.iter().map(|&c| c as u64).sum()
+        self.total
     }
 
     /// Item count of one category.
@@ -103,6 +109,18 @@ mod tests {
         assert_eq!(s.total(), 5);
         assert_eq!(s.categories(), 3);
         assert_eq!(s.count(99), 0, "out-of-range reads are zero");
+    }
+
+    #[test]
+    fn total_is_the_count_sum() {
+        for counts in [&[2, 0, 3][..], &[], &[0, 0], &[7; 50]] {
+            let s = summary(counts);
+            let sum: u64 = (0..s.categories()).map(|c| u64::from(s.count(c))).sum();
+            assert_eq!(s.total(), sum, "{counts:?}");
+        }
+        let empty = CategorySummary::empty(50);
+        assert_eq!(empty.total(), 0);
+        assert_eq!(empty, summary(&[0; 50]), "empty == built from no items");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! benefit function, keep the top `capacity`* — and differ in how changes
 //! are enacted:
 //!
-//! * **asymmetric** ([`plan_asymmetric_update`]): the node just rewrites
-//!   its outgoing list (safe because pure-asymmetric incoming lists accept
-//!   everyone);
+//! * **asymmetric** ([`UpdatePlan::replan`] uncapped): the node just
+//!   rewrites its outgoing list (safe because pure-asymmetric incoming
+//!   lists accept everyone);
 //! * **symmetric** ([`UpdatePlan`] consumed by a simulator): additions
 //!   require an **invitation** round-trip and removals an **eviction**
 //!   notice, so the plan lists both and the simulator plays the protocol.
@@ -19,133 +19,125 @@ use crate::summary::CategorySummary;
 use ddr_sim::NodeId;
 
 /// The outcome of ranking candidates for a new neighborhood.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A plan is a set of reusable buffers: [`replan`](Self::replan) refills
+/// them in place, so a caller that keeps one plan per world plans
+/// without allocating once the buffers have grown to the largest
+/// neighborhood seen.
+#[derive(Debug, Clone, Default)]
 pub struct UpdatePlan {
     /// Nodes entering the neighborhood (asymmetric: adopt directly;
     /// symmetric: send invitations), most beneficial first.
     pub add: Vec<NodeId>,
     /// Current neighbors leaving the neighborhood (symmetric: send
-    /// eviction notices).
+    /// eviction notices): the ineligible ones in neighbor-list order,
+    /// then the outranked ones weakest first.
     pub evict: Vec<NodeId>,
     /// Current neighbors that stay.
     pub keep: Vec<NodeId>,
+    /// Scratch: every eligible candidate with its ranking key.
+    candidates: Vec<Candidate>,
+}
+
+/// One ranked candidate: its benefit key (see [`benefit_sort_key`]) and
+/// whether it is a current neighbor.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    node: NodeId,
+    key: f64,
+    incumbent: bool,
 }
 
 impl UpdatePlan {
-    /// Cap the plan at `max_swaps` neighbor exchanges: keep only the
-    /// `max_swaps` most beneficial additions, and only as many evictions
-    /// (weakest incumbents first) as capacity requires. The paper's case
-    /// study observes that "only one neighbor is exchanged during each
-    /// reconfiguration" (§4.3) — this models that damping, which also
-    /// limits how much statistics-destroying eviction a single update can
-    /// cause.
+    /// Recompute the best neighborhood of size ≤ `capacity`, reached in at
+    /// most `max_swaps` neighbor exchanges (`usize::MAX`: uncapped, Algo
+    /// 3's plan), into this plan's buffers.
     ///
-    /// Incumbents that became ineligible (e.g. logged off) are always
-    /// evicted regardless of the cap — keeping a dead neighbor is never
-    /// useful — so `evict` may exceed `max_swaps` by that amount.
-    pub fn limit_swaps(
-        mut self,
-        max_swaps: usize,
-        capacity: usize,
+    /// Candidates are every node in `stats` passing `eligible` (used to
+    /// filter offline nodes and the node itself) plus all eligible
+    /// `current` neighbors, which hold no duplicates. Ranking is by
+    /// `benefit` descending with two paper-faithful refinements:
+    ///
+    /// * **incumbency tie-break** — on equal benefit a current neighbor
+    ///   wins over a stranger, so neighborhoods don't churn on
+    ///   zero-information ties (important when statistics are sparse, e.g.
+    ///   just after login);
+    /// * current neighbors that became ineligible (logged off) are always
+    ///   evicted, regardless of the cap — keeping a dead neighbor is never
+    ///   useful — so `evict` may exceed `max_swaps` by that amount.
+    ///
+    /// The cap keeps only the `max_swaps` most beneficial additions and
+    /// only as many live evictions (weakest incumbents first) as capacity
+    /// requires. The paper's case study observes that "only one neighbor
+    /// is exchanged during each reconfiguration" (§4.3) — the cap models
+    /// that damping, which also limits how much statistics-destroying
+    /// eviction a single update can cause.
+    pub fn replan(
+        &mut self,
+        current: &[NodeId],
         stats: &StatsStore,
         benefit: &dyn BenefitFunction,
+        capacity: usize,
+        max_swaps: usize,
         eligible: impl Fn(NodeId) -> bool,
-    ) -> UpdatePlan {
-        // Ineligible incumbents go unconditionally.
-        let (dead, mut alive_evicts): (Vec<NodeId>, Vec<NodeId>) =
-            self.evict.into_iter().partition(|&n| !eligible(n));
-        self.add.truncate(max_swaps);
-        // After dead evictions, occupancy = keep + alive_evicts; we need
-        // slots for `add.len()` newcomers.
-        let occupied = self.keep.len() + alive_evicts.len();
-        let needed = (occupied + self.add.len()).saturating_sub(capacity);
-        // Evict the weakest `needed` of the still-alive evict candidates.
-        alive_evicts.sort_unstable_by(|&a, &b| {
-            let ba = stats.get(a).map(|s| benefit.benefit(s)).unwrap_or(0.0);
-            let bb = stats.get(b).map(|s| benefit.benefit(s)).unwrap_or(0.0);
-            // NaN-safe ascending: a NaN benefit ranks as -∞, i.e. the
-            // poisoned incumbent is evicted first.
-            benefit_sort_key(ba)
-                .total_cmp(&benefit_sort_key(bb))
-                .then(b.cmp(&a))
+    ) {
+        self.add.clear();
+        self.evict.clear();
+        self.keep.clear();
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        for (node, s) in stats.iter() {
+            if eligible(node) {
+                candidates.push(Candidate {
+                    node,
+                    key: benefit_sort_key(benefit.benefit(s)),
+                    incumbent: current.contains(&node),
+                });
+            }
+        }
+        for &node in current {
+            if !eligible(node) {
+                // Ineligible incumbents go unconditionally.
+                self.evict.push(node);
+            } else if stats.get(node).is_none() {
+                candidates.push(Candidate {
+                    node,
+                    key: benefit_sort_key(0.0),
+                    incumbent: true,
+                });
+            }
+        }
+        // Benefit desc (NaN-safe: NaN ranks last), incumbents first on
+        // ties, then id for determinism. Every id is distinct, so this is
+        // a total order and the unstable sort is deterministic.
+        candidates.sort_unstable_by(|a, b| {
+            b.key
+                .total_cmp(&a.key)
+                .then_with(|| b.incumbent.cmp(&a.incumbent))
+                .then(a.node.cmp(&b.node))
         });
-        let (evicted, kept_after_all): (Vec<NodeId>, Vec<NodeId>) = {
-            let evicted = alive_evicts[..needed.min(alive_evicts.len())].to_vec();
-            let kept = alive_evicts[needed.min(alive_evicts.len())..].to_vec();
-            (evicted, kept)
-        };
-        self.keep.extend(kept_after_all);
-        let mut evict = dead;
-        evict.extend(evicted);
-        UpdatePlan {
-            add: self.add,
-            evict,
-            keep: self.keep,
+        let (selected, outranked) = candidates.split_at(capacity.min(candidates.len()));
+        for c in selected {
+            if c.incumbent {
+                self.keep.push(c.node);
+            } else if self.add.len() < max_swaps {
+                self.add.push(c.node);
+            }
+        }
+        // The outranked incumbents, read backwards, are the live eviction
+        // candidates weakest first (benefit ascending, then id
+        // descending: a poisoned incumbent goes first). Evict only as
+        // many as the capped additions need room for; the rest stay.
+        let live = outranked.iter().filter(|c| c.incumbent).count();
+        let needed = (self.keep.len() + live + self.add.len()).saturating_sub(capacity);
+        for (i, c) in outranked.iter().rev().filter(|c| c.incumbent).enumerate() {
+            if i < needed {
+                self.evict.push(c.node);
+            } else {
+                self.keep.push(c.node);
+            }
         }
     }
-}
-
-/// Compute the new best neighborhood of size ≤ `capacity`.
-///
-/// Candidates are every node in `stats` passing `eligible` (used to filter
-/// offline nodes and the node itself) plus all `current` neighbors.
-/// Ranking is by `benefit` descending with two paper-faithful refinements:
-///
-/// * **incumbency tie-break** — on equal benefit a current neighbor wins
-///   over a stranger, so neighborhoods don't churn on zero-information
-///   ties (important when statistics are sparse, e.g. just after login);
-/// * current neighbors that became ineligible (logged off) are always
-///   evicted.
-pub fn plan_asymmetric_update<F>(
-    current: &[NodeId],
-    stats: &StatsStore,
-    benefit: &dyn BenefitFunction,
-    capacity: usize,
-    eligible: F,
-) -> UpdatePlan
-where
-    F: Fn(NodeId) -> bool,
-{
-    let is_current = |n: NodeId| current.contains(&n);
-
-    // Union of stats-known eligible nodes and eligible current neighbors.
-    let mut candidates: Vec<(NodeId, f64)> = stats
-        .ranked_by(|s| benefit.benefit(s), &eligible)
-        .into_iter()
-        .collect();
-    for &n in current {
-        if eligible(n) && stats.get(n).is_none() {
-            candidates.push((n, 0.0));
-        }
-    }
-    // benefit desc (NaN-safe: NaN ranks last), incumbents first on ties,
-    // then id for determinism
-    candidates.sort_unstable_by(|a, b| {
-        benefit_sort_key(b.1)
-            .total_cmp(&benefit_sort_key(a.1))
-            .then_with(|| is_current(b.0).cmp(&is_current(a.0)))
-            .then(a.0.cmp(&b.0))
-    });
-    candidates.dedup_by_key(|c| c.0);
-    candidates.truncate(capacity);
-
-    let selected: Vec<NodeId> = candidates.into_iter().map(|(n, _)| n).collect();
-    let add: Vec<NodeId> = selected
-        .iter()
-        .copied()
-        .filter(|&n| !is_current(n))
-        .collect();
-    let keep: Vec<NodeId> = selected
-        .iter()
-        .copied()
-        .filter(|&n| is_current(n))
-        .collect();
-    let evict: Vec<NodeId> = current
-        .iter()
-        .copied()
-        .filter(|&n| !selected.contains(&n))
-        .collect();
-    UpdatePlan { add, evict, keep }
 }
 
 /// How an invited node answers (paper §3.4's two cases).
@@ -310,10 +302,29 @@ mod tests {
         s
     }
 
+    fn plan(
+        current: &[NodeId],
+        s: &StatsStore,
+        capacity: usize,
+        max_swaps: usize,
+        eligible: impl Fn(NodeId) -> bool,
+    ) -> UpdatePlan {
+        let mut plan = UpdatePlan::default();
+        plan.replan(
+            current,
+            s,
+            &CumulativeBenefit,
+            capacity,
+            max_swaps,
+            eligible,
+        );
+        plan
+    }
+
     #[test]
     fn selects_top_capacity_by_benefit() {
         let s = store(&[(1, 1.0), (2, 5.0), (3, 3.0), (4, 0.5)]);
-        let plan = plan_asymmetric_update(&[], &s, &CumulativeBenefit, 2, |_| true);
+        let plan = plan(&[], &s, 2, usize::MAX, |_| true);
         assert_eq!(plan.add, vec![NodeId(2), NodeId(3)]);
         assert!(plan.evict.is_empty());
         assert!(plan.keep.is_empty());
@@ -323,18 +334,16 @@ mod tests {
     fn evicts_weaker_incumbents() {
         let s = store(&[(1, 1.0), (2, 5.0), (3, 3.0)]);
         let current = [NodeId(1), NodeId(4)]; // 4 has no stats → benefit 0
-        let plan = plan_asymmetric_update(&current, &s, &CumulativeBenefit, 2, |_| true);
+        let plan = plan(&current, &s, 2, usize::MAX, |_| true);
         assert_eq!(plan.add, vec![NodeId(2), NodeId(3)]);
-        let mut evicted = plan.evict.clone();
-        evicted.sort();
-        assert_eq!(evicted, vec![NodeId(1), NodeId(4)]);
+        assert_eq!(plan.evict, vec![NodeId(4), NodeId(1)], "weakest first");
     }
 
     #[test]
     fn incumbents_win_zero_information_ties() {
         let s = store(&[(9, 0.0)]); // known but zero-benefit stranger
         let current = [NodeId(1)];
-        let plan = plan_asymmetric_update(&current, &s, &CumulativeBenefit, 1, |_| true);
+        let plan = plan(&current, &s, 1, usize::MAX, |_| true);
         assert!(
             plan.add.is_empty() && plan.evict.is_empty(),
             "stranger displaced an equal incumbent: {plan:?}"
@@ -347,7 +356,7 @@ mod tests {
         let s = store(&[(1, 10.0)]);
         let current = [NodeId(1)];
         let offline = NodeId(1);
-        let plan = plan_asymmetric_update(&current, &s, &CumulativeBenefit, 2, |n| n != offline);
+        let plan = plan(&current, &s, 2, usize::MAX, |n| n != offline);
         assert_eq!(plan.evict, vec![NodeId(1)]);
         assert!(plan.keep.is_empty());
     }
@@ -356,7 +365,7 @@ mod tests {
     fn respects_capacity_with_keeps_and_adds() {
         let s = store(&[(1, 5.0), (2, 4.0), (3, 3.0), (4, 2.0)]);
         let current = [NodeId(3), NodeId(4)];
-        let plan = plan_asymmetric_update(&current, &s, &CumulativeBenefit, 3, |_| true);
+        let plan = plan(&current, &s, 3, usize::MAX, |_| true);
         assert_eq!(plan.add, vec![NodeId(1), NodeId(2)]);
         assert_eq!(plan.keep, vec![NodeId(3)]);
         assert_eq!(plan.evict, vec![NodeId(4)]);
@@ -367,43 +376,36 @@ mod tests {
     fn empty_stats_is_noop_for_incumbents() {
         let s = StatsStore::new();
         let current = [NodeId(1), NodeId(2)];
-        let plan = plan_asymmetric_update(&current, &s, &CumulativeBenefit, 2, |_| true);
+        let plan = plan(&current, &s, 2, usize::MAX, |_| true);
         assert!(plan.add.is_empty() && plan.evict.is_empty());
     }
 
     #[test]
-    fn limit_swaps_caps_adds_and_matching_evicts() {
+    fn swap_cap_keeps_the_best_add_and_evicts_only_the_weakest() {
         let s = store(&[(1, 5.0), (2, 4.0), (3, 0.5), (4, 0.2)]);
         let current = [NodeId(3), NodeId(4)];
-        // Full plan at capacity 2 would add {1,2} and evict {3,4}.
-        let plan = plan_asymmetric_update(&current, &s, &CumulativeBenefit, 2, |_| true);
-        assert_eq!(plan.add.len(), 2);
-        let limited = plan.limit_swaps(1, 2, &s, &CumulativeBenefit, |_| true);
+        // The uncapped plan at capacity 2 adds {1,2} and evicts {3,4}.
+        assert_eq!(plan(&current, &s, 2, usize::MAX, |_| true).add.len(), 2);
+        let limited = plan(&current, &s, 2, 1, |_| true);
         assert_eq!(limited.add, vec![NodeId(1)], "keeps only the best add");
         assert_eq!(limited.evict, vec![NodeId(4)], "evicts only the weakest");
-        let mut keep = limited.keep.clone();
-        keep.sort();
-        assert_eq!(keep, vec![NodeId(3)]);
+        assert_eq!(limited.keep, vec![NodeId(3)]);
     }
 
     #[test]
-    fn limit_swaps_preserves_dead_evictions() {
+    fn swap_cap_preserves_dead_evictions() {
         let s = store(&[(1, 5.0)]);
         let current = [NodeId(7), NodeId(8)]; // 7 offline, 8 alive no stats
-        let plan = plan_asymmetric_update(&current, &s, &CumulativeBenefit, 2, |n| n != NodeId(7));
-        let limited = plan.limit_swaps(1, 2, &s, &CumulativeBenefit, |n| n != NodeId(7));
-        assert!(limited.evict.contains(&NodeId(7)), "dead incumbent must go");
+        let limited = plan(&current, &s, 2, 1, |n| n != NodeId(7));
+        assert_eq!(limited.evict, vec![NodeId(7)], "dead incumbent must go");
         assert_eq!(limited.add, vec![NodeId(1)]);
         // With 7 gone there is room: no need to evict the live incumbent 8.
-        assert!(!limited.evict.contains(&NodeId(8)));
-        assert!(limited.keep.contains(&NodeId(8)));
+        assert_eq!(limited.keep, vec![NodeId(8)]);
     }
 
     #[test]
-    fn limit_swaps_noop_passthrough() {
-        let s = StatsStore::new();
-        let plan = plan_asymmetric_update(&[NodeId(1)], &s, &CumulativeBenefit, 2, |_| true);
-        let limited = plan.limit_swaps(1, 2, &s, &CumulativeBenefit, |_| true);
+    fn swap_cap_noop_passthrough() {
+        let limited = plan(&[NodeId(1)], &StatsStore::new(), 2, 1, |_| true);
         assert!(limited.add.is_empty() && limited.evict.is_empty());
         assert_eq!(limited.keep, vec![NodeId(1)]);
     }

@@ -21,10 +21,7 @@ use crate::peer::{EVICTION_REPAIR_LIMIT, REFILL_RETRY_BUDGET};
 use crate::world::GnutellaWorld;
 use ddr_core::benefit::BenefitFunction;
 use ddr_core::runtime::Port;
-use ddr_core::{
-    plan_asymmetric_update, InvitationContext, InvitationDecision, InvitationPolicy, NodeStats,
-    UpdatePlan,
-};
+use ddr_core::{InvitationContext, InvitationDecision, InvitationPolicy, NodeStats, UpdatePlan};
 use ddr_sim::{NodeId, SimDuration, SimTime};
 use ddr_telemetry::TraceSink;
 
@@ -119,13 +116,15 @@ impl<T: TraceSink> GnutellaWorld<T> {
         // or a later update fills it. The occasional shrinkage is the
         // paper's under-degree dynamic overlay, and a large part of its
         // message savings.
-        let plan = self.plan_update(k, node, ctx.now());
-        for e in plan.evict {
+        let mut plan = std::mem::take(&mut self.scratch_plan);
+        self.plan_update(&mut plan, k, node, ctx.now());
+        for &e in &plan.evict {
             self.evict_neighbor(node, e, true, ctx);
         }
-        for a in plan.add {
+        for &a in &plan.add {
             self.send_invite(node, a, ctx);
         }
+        self.scratch_plan = plan;
         // Maintain the connectivity floor with link requests (slots
         // reserved for in-flight invitations stay free, otherwise random
         // links would race the acceptances and the benefit-driven link
@@ -135,13 +134,13 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.refill_links(node, ctx);
     }
 
-    /// Rank the node's statistics into an update plan under shard-local
+    /// Rank the node's statistics into `plan` under shard-local
     /// membership: there is no global online set to filter candidates
     /// with, so a statistics entry refreshed inside the recency window
-    /// (one mean session length) is the liveness proxy instead. A stale
-    /// pick merely refuses via `InviteReply`, which marks it stale (see
-    /// `handshake_reply`) so the retry plans around it.
-    fn plan_update(&self, k: usize, node: NodeId, now: SimTime) -> UpdatePlan {
+    /// (twice the mean session length) is the liveness proxy instead. A
+    /// stale pick merely refuses via `InviteReply`, which marks it stale
+    /// (see `handshake_reply`) so the retry plans around it.
+    fn plan_update(&self, plan: &mut UpdatePlan, k: usize, node: NodeId, now: SimTime) {
         let window =
             SimDuration::from_millis(2 * self.shared.config.workload.mean_online.as_millis());
         let rank = EverAnswered(self.benefit.as_ref());
@@ -164,14 +163,14 @@ impl<T: TraceSink> GnutellaWorld<T> {
                         .get(m)
                         .is_some_and(|s| now.saturating_since(s.last_update) <= window))
         };
-        plan_asymmetric_update(current, stats, &rank, self.shared.config.degree, eligible)
-            .limit_swaps(
-                self.shared.config.max_swaps_per_reconfig,
-                self.shared.config.degree,
-                stats,
-                &rank,
-                eligible,
-            )
+        plan.replan(
+            current,
+            stats,
+            &rank,
+            self.shared.config.degree,
+            self.shared.config.max_swaps_per_reconfig,
+            eligible,
+        );
     }
 
     /// A refused invitation released a slot the reconfiguration already
@@ -190,10 +189,12 @@ impl<T: TraceSink> GnutellaWorld<T> {
             .config
             .degree
             .saturating_sub(self.neighbors[k].len() + self.peers[k].pending_invites as usize);
-        let adds = self.plan_update(k, node, ctx.now()).add;
-        for a in adds.into_iter().take(free) {
+        let mut plan = std::mem::take(&mut self.scratch_plan);
+        self.plan_update(&mut plan, k, node, ctx.now());
+        for &a in plan.add.iter().take(free) {
             self.send_invite(node, a, ctx);
         }
+        self.scratch_plan = plan;
     }
 
     /// Algo 5 `Process_Invitation` — always accept (or benefit-gate),

@@ -58,7 +58,7 @@ use crate::metrics::Metrics;
 use crate::peer::{PeerState, PendingQuery, QueryOutcome, SessionSlot};
 use ddr_core::benefit::BenefitFunction;
 use ddr_core::runtime::{sample_runtime_metrics, NodeRuntime, Port};
-use ddr_core::{CategorySummary, LocalIndex};
+use ddr_core::{CategorySummary, LocalIndex, UpdatePlan};
 use ddr_net::{NetworkModel, NodeDelayStream};
 use ddr_overlay::NeighborList;
 use ddr_sim::{
@@ -132,6 +132,9 @@ pub struct GnutellaWorld<T: TraceSink = NullSink> {
     pub(crate) scratch_targets: Vec<NodeId>,
     /// Reused join-candidate buffer for `pick_join_targets`.
     pub(crate) scratch_join: Vec<NodeId>,
+    /// Reused neighbor-update plan: `reconfigure` and `retry_invites`
+    /// refill it in place.
+    pub(crate) scratch_plan: UpdatePlan,
     /// Recycled [`PendingQuery`] records (their `responders` buffers keep
     /// their capacity across queries).
     pub(crate) pq_pool: Vec<PendingQuery>,
@@ -324,6 +327,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                     lookahead,
                     scratch_targets: Vec::with_capacity(16),
                     scratch_join: Vec::with_capacity(16),
+                    scratch_plan: UpdatePlan::default(),
                     pq_pool: Vec::new(),
                     metrics: Metrics::new(),
                     tracer: QueryTracer::new(&shared.config.telemetry),

@@ -16,7 +16,7 @@
 //!   random non-neighbor proxies, whose summarized replies (overlap with
 //!   the prober's recent misses) feed the statistics store;
 //! * **asymmetric neighbor update** (Algo 3), planned by
-//!   [`ddr_core::plan_asymmetric_update`] and enacted by the shared
+//!   [`ddr_core::UpdatePlan::replan`] and enacted by the shared
 //!   [`ddr_core::runtime::AsymmetricOverlay`];
 //! * a **latency-aware benefit** ("the number of retrieved pages, combined
 //!   with the end-to-end latency, is a good candidate for benefit, since

@@ -6,8 +6,8 @@
 
 use ddr_repro::core::stats_store::ReplyObservation;
 use ddr_repro::core::{
-    plan_asymmetric_update, CumulativeBenefit, DupCache, ForwardSelection, QueryDescriptor,
-    SearchStrategy, StatsStore,
+    CumulativeBenefit, DupCache, ForwardSelection, QueryDescriptor, SearchStrategy, StatsStore,
+    UpdatePlan,
 };
 use ddr_repro::net::NetworkModel;
 use ddr_repro::overlay::Topology;
@@ -228,9 +228,15 @@ fn stats_feed_asymmetric_update() {
     assert_eq!(world.answers[0], vec![NodeId(7)]);
 
     let current: Vec<NodeId> = world.topology.out(NodeId(0)).iter().collect();
-    let plan = plan_asymmetric_update(&current, &world.stats[0], &CumulativeBenefit, DEGREE, |n| {
-        n != NodeId(0)
-    });
+    let mut plan = UpdatePlan::default();
+    plan.replan(
+        &current,
+        &world.stats[0],
+        &CumulativeBenefit,
+        DEGREE,
+        usize::MAX,
+        |n| n != NodeId(0),
+    );
     assert!(
         plan.add.contains(&NodeId(7)),
         "the only node with benefit must be adopted: {plan:?}"
