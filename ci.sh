@@ -86,6 +86,14 @@ STALE=$(for doc in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md; do
     done)
 test -z "$STALE" || { echo "    backticked names the sources no longer spell:"; echo "$STALE"; }
 
+echo "==> the newest CHANGES.md entry is at most 12 lines"
+# An entry runs from a line starting `- **PR` to the next one; the newest
+# runs to the end of the file. Older entries are history and not reflowed.
+ENTRY=$(awk '/^- \*\*PR/ { start = NR } END { print NR - start + 1 }' CHANGES.md)
+echo "    $ENTRY lines"
+test "$ENTRY" -le 12 \
+    || { echo "the newest CHANGES.md entry is $ENTRY lines; keep it to 12" >&2; exit 1; }
+
 echo "==> cargo doc (rustdoc -D warnings: dangling or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

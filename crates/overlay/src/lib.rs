@@ -1,24 +1,22 @@
-//! # ddr-overlay — neighbor-list structures and overlay topology
+//! # ddr-overlay — the per-node neighbor list
 //!
-//! Implements the paper's §3.1 "Neighbor Relations" machinery:
+//! Implements the storage behind the paper's §3.1 "Neighbor Relations":
+//! every repository keeps its neighbors in a capacity-bounded
+//! [`NeighborList`], and each world holds one per node.
 //!
-//! * every repository keeps an **outgoing** list `L_o` (where it forwards
-//!   its own requests) and an **incoming** list `L_i` (whom it accepts
-//!   requests from), each a capacity-bounded [`NeighborList`];
-//! * the network is **consistent** iff `u ∈ out(v) ⇒ v ∈ in(u)` — the
-//!   invariant every [`Topology`] mutation helper preserves and
-//!   [`Topology::check_consistency`] verifies;
-//! * [`Topology`] keeps the global books of the two asymmetric regimes:
-//!   **pure asymmetric** (unbounded incoming lists, so unilateral outgoing
-//!   changes can never break consistency — the web-cache case) and
-//!   **bounded asymmetric** (both lists bounded — PeerOlap). The
-//!   **symmetric** regime (`L_o = L_i`, changes need pairwise agreement —
-//!   the Gnutella case) has no global books: each Gnutella node keeps one
-//!   `NeighborList` view and the endpoints agree by message
-//!   (`ddr-gnutella`'s membership handshakes).
+//! * **Symmetric** (`L_o = L_i`, changes need pairwise agreement — the
+//!   Gnutella case): one list per node, and the endpoints agree by
+//!   message (`ddr-gnutella`'s membership handshakes).
+//! * **Pure asymmetric** (the web-cache case) and **bounded asymmetric**
+//!   (PeerOlap): one *outgoing* list per node, rewritten unilaterally
+//!   (`ddr_core::runtime::AsymmetricOverlay`).
+//!
+//! The network is **consistent** iff `u ∈ out(v) ⇒ v ∈ in(u)`. No world
+//! stores an incoming list, so this holds by construction: in(u) is
+//! derived from the out-lists. The only incoming-side state is
+//! PeerOlap's bound, which the chassis keeps as one in-degree count per
+//! node.
 
 pub mod neighbors;
-pub mod topology;
 
 pub use neighbors::{NeighborList, INLINE_NEIGHBORS};
-pub use topology::{ConsistencyError, Topology};

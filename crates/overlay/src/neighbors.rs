@@ -9,8 +9,7 @@
 //! entries live inline in the struct (no heap allocation at all — at
 //! million-node scale the two per-node lists used to cost two `Vec`
 //! allocations each and a pointer chase per scan), spilling to a `Vec`
-//! only for the rare wider lists (all-to-all test topologies, unbounded
-//! pure-asymmetric incoming lists).
+//! only for the rare wider lists (all-to-all test topologies).
 
 use ddr_sim::NodeId;
 
@@ -58,17 +57,6 @@ impl NeighborList {
             },
             capacity,
         }
-    }
-
-    /// An effectively unbounded list (pure-asymmetric incoming lists).
-    /// Starts inline like every other list; spills on demand.
-    pub fn unbounded() -> Self {
-        Self::with_capacity(usize::MAX)
-    }
-
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of neighbors.
@@ -261,16 +249,6 @@ mod tests {
         assert_eq!(out, vec![NodeId(5), NodeId(6)]);
         assert!(l.is_empty());
         assert!(!l.is_full());
-    }
-
-    #[test]
-    fn unbounded_never_full() {
-        let mut l = NeighborList::unbounded();
-        for i in 0..10_000 {
-            l.add(NodeId(i)).unwrap();
-        }
-        assert!(!l.is_full());
-        assert_eq!(l.len(), 10_000);
     }
 
     /// The spill boundary: behaviour must be seamless crossing

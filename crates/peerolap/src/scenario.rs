@@ -183,26 +183,23 @@ mod tests {
 
     #[test]
     fn bounded_incoming_lists_hold_and_refusals_happen() {
-        let cfg = small(OlapMode::Dynamic);
-        let in_capacity = cfg.in_capacity;
-        let peers = cfg.peers;
-        let mut world = crate::world::PeerOlapWorld::<NullSink>::new(cfg);
-        let mut queue = ddr_sim::EventQueue::new();
-        world.prime(&mut queue);
-        let mut sim = ddr_sim::Simulation::new(world);
-        while let Some((t, ev)) = queue.pop() {
-            sim.schedule_at(t, ev);
-        }
-        sim.run(ddr_sim::SimTime::from_hours(3));
-        let world = sim.world();
-        assert!(world.topology().check_consistency().is_empty());
+        let mut cfg = small(OlapMode::Dynamic);
+        cfg.sim_hours = 3;
+        let (out_degree, in_capacity, peers) = (cfg.out_degree, cfg.in_capacity, cfg.peers);
+        let (_, world) =
+            ddr_harness::run_with::<PeerOlapScenario>(cfg, |sim, until| sim.run(until), |_, _| {});
+        let mut in_degree = vec![0usize; peers];
         for p in 0..peers {
-            let n = ddr_sim::NodeId::from_index(p);
-            assert!(
-                world.topology().inc(n).len() <= in_capacity,
-                "incoming capacity violated at {n}"
-            );
+            let out = world.neighbors_of(ddr_sim::NodeId::from_index(p));
+            assert!(out.len() <= out_degree);
+            for q in out {
+                in_degree[q.index()] += 1;
+            }
         }
+        assert!(
+            in_degree.iter().all(|&d| d <= in_capacity),
+            "incoming capacity violated: {in_degree:?}"
+        );
         // With in_capacity only 2× out_degree and clustering pressure,
         // contention must appear.
         assert!(

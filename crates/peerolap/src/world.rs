@@ -13,17 +13,17 @@
 //!
 //! Dynamic mode scores every serving peer by the **processing time it
 //! saved** and periodically re-selects outgoing neighbors (Algo 3). The
-//! bounded incoming lists make adoption contested: `add_edge` fails when
-//! the target's incoming list is full, and the updater simply moves on to
-//! the next candidate — §3.1's general asymmetric case. The overlay,
-//! presence, the world RNG and that enactment of Algo 3 live in the shared
-//! [`AsymmetricOverlay`] chassis; this file is the OLAP domain around it.
+//! bound on how many peers may link to one makes adoption contested: an
+//! adoption fails when the target's in-degree is at `in_capacity`, and the
+//! updater simply moves on to the next candidate — §3.1's general
+//! asymmetric case. The overlay, presence, the world RNG and that
+//! enactment of Algo 3 live in the shared [`AsymmetricOverlay`] chassis;
+//! this file is the OLAP domain around it.
 
 use crate::config::{OlapMode, PeerOlapConfig};
 use crate::cube::{chunk_processing_ms, CubeSpace, OlapQueryStream};
 use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime};
 use ddr_core::stats_store::ReplyObservation;
-use ddr_overlay::Topology;
 use ddr_sim::{
     EventLabel, FastHashMap, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime,
     World,
@@ -220,9 +220,9 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         &self.config
     }
 
-    /// The overlay, for invariant checks.
-    pub fn topology(&self) -> &Topology {
-        self.overlay.topology()
+    /// `peer`'s outgoing neighbors, for invariant checks.
+    pub fn neighbors_of(&self, peer: NodeId) -> &[NodeId] {
+        self.overlay.out(peer).as_slice()
     }
 
     /// Fraction of outgoing edges connecting same-group peers.

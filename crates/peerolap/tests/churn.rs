@@ -1,7 +1,7 @@
 //! Peer churn in the bounded-incoming asymmetric regime: departures tear
 //! down links on both sides; returns rejoin randomly and re-adapt.
 
-use ddr_peerolap::{run_peerolap, OlapMode, PeerOlapConfig};
+use ddr_peerolap::{run_peerolap, OlapMode, PeerOlapConfig, PeerOlapScenario};
 use ddr_sim::{NodeId, SimDuration};
 
 fn base(mode: OlapMode, churn: bool) -> PeerOlapConfig {
@@ -43,35 +43,28 @@ fn dynamic_still_beats_static_under_churn() {
 
 #[test]
 fn invariants_hold_under_churn() {
-    let cfg = base(OlapMode::Dynamic, true);
-    let in_capacity = cfg.in_capacity;
-    let peers = cfg.peers;
-    let mut world = ddr_peerolap::PeerOlapWorld::<ddr_telemetry::NullSink>::new(cfg);
-    let mut queue = ddr_sim::EventQueue::new();
-    world.prime(&mut queue);
-    let mut sim = ddr_sim::Simulation::new(world);
-    while let Some((t, ev)) = queue.pop() {
-        sim.schedule_at(t, ev);
-    }
-    sim.run(ddr_sim::SimTime::from_hours(3));
-    let world = sim.world();
-    assert!(world.topology().check_consistency().is_empty());
+    let mut cfg = base(OlapMode::Dynamic, true);
+    cfg.sim_hours = 3;
+    let (out_degree, in_capacity, peers) = (cfg.out_degree, cfg.in_capacity, cfg.peers);
+    let (_, world) =
+        ddr_harness::run_with::<PeerOlapScenario>(cfg, |sim, until| sim.run(until), |_, _| {});
+    let mut in_degree = vec![0usize; peers];
     for p in 0..peers {
         let n = NodeId::from_index(p);
-        assert!(world.topology().inc(n).len() <= in_capacity);
+        let out = world.neighbors_of(n);
+        assert!(out.len() <= out_degree);
         if !world.is_present(n) {
-            assert_eq!(
-                world.topology().out(n).len(),
-                0,
-                "absent peer {n} still linked out"
-            );
-            assert_eq!(
-                world.topology().inc(n).len(),
-                0,
-                "absent peer {n} still linked in"
-            );
+            assert!(out.is_empty(), "absent peer {n} still linked out");
+        }
+        for &q in out {
+            in_degree[q.index()] += 1;
+            assert!(world.is_present(q), "{n} still links to absent peer {q}");
         }
     }
+    assert!(
+        in_degree.iter().all(|&d| d <= in_capacity),
+        "incoming capacity violated: {in_degree:?}"
+    );
 }
 
 #[test]

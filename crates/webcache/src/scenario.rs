@@ -184,22 +184,22 @@ mod tests {
     }
 
     #[test]
-    fn topology_stays_consistent_and_bounded() {
-        let c = small(CacheMode::Dynamic);
-        let out_degree = c.out_degree;
-        let proxies = c.proxies;
-        let mut world = crate::world::WebCacheWorld::<NullSink>::new(c);
-        let mut queue = ddr_sim::EventQueue::new();
-        world.prime(&mut queue);
-        let mut sim = ddr_sim::Simulation::new(world);
-        while let Some((t, ev)) = queue.pop() {
-            sim.schedule_at(t, ev);
-        }
-        sim.run(ddr_sim::SimTime::from_hours(2));
-        let world = sim.world();
-        assert!(world.topology().check_consistency().is_empty());
+    fn neighbor_lists_stay_bounded() {
+        let mut c = small(CacheMode::Dynamic);
+        c.sim_hours = 2;
+        let (out_degree, proxies) = (c.out_degree, c.proxies);
+        let (_, world) =
+            ddr_harness::run_with::<WebCacheScenario>(c, |sim, until| sim.run(until), |_, _| {});
         for p in 0..proxies {
-            assert!(world.topology().out(ddr_sim::NodeId::from_index(p)).len() <= out_degree);
+            let me = ddr_sim::NodeId::from_index(p);
+            let out = world.neighbors_of(me);
+            assert!(out.len() <= out_degree, "{me} lists {}", out.len());
+            for (i, q) in out.iter().enumerate() {
+                assert!(
+                    *q != me && !out[..i].contains(q),
+                    "{me} lists {q} twice or itself"
+                );
+            }
         }
     }
 }

@@ -24,7 +24,6 @@ use crate::lru::LruCache;
 use crate::traffic::{PageSpace, RequestStream};
 use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime};
 use ddr_core::stats_store::ReplyObservation;
-use ddr_overlay::Topology;
 use ddr_sim::{
     EventLabel, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime, World,
 };
@@ -215,9 +214,9 @@ impl<T: TraceSink> WebCacheWorld<T> {
         &self.config
     }
 
-    /// The overlay, for invariant checks.
-    pub fn topology(&self) -> &Topology {
-        self.overlay.topology()
+    /// `proxy`'s outgoing neighbors, for invariant checks.
+    pub fn neighbors_of(&self, proxy: NodeId) -> &[NodeId] {
+        self.overlay.out(proxy).as_slice()
     }
 
     /// Fraction of outgoing edges that connect same-group proxies — the

@@ -10,7 +10,7 @@ use ddr_repro::core::{
     UpdatePlan,
 };
 use ddr_repro::net::NetworkModel;
-use ddr_repro::overlay::Topology;
+use ddr_repro::overlay::NeighborList;
 use ddr_repro::sim::{
     EventQueue, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimTime, Simulation, World,
 };
@@ -21,7 +21,7 @@ const DEGREE: usize = 3;
 /// A toy world: node k holds item k*10; everyone floods queries with a
 /// hop limit; the asker records who answered.
 struct MiniWorld {
-    topology: Topology,
+    out: Vec<NeighborList>,
     net: NetworkModel,
     seen: Vec<DupCache>,
     stats: Vec<StatsStore>,
@@ -56,7 +56,7 @@ impl MiniWorld {
         sched: &mut Scheduler<'_, Ev>,
     ) {
         let targets = ForwardSelection::All.select(
-            self.topology.out(from_node).as_slice(),
+            self.out[from_node.index()].as_slice(),
             exclude,
             &self.stats[from_node.index()],
             &CumulativeBenefit,
@@ -117,17 +117,15 @@ impl World for MiniWorld {
 
 fn ring_world(seed: u64) -> MiniWorld {
     // Directed ring with skip links: i -> i+1, i -> i+2, i -> i+5.
-    let mut topology = Topology::new(N, DEGREE, None);
-    for i in 0..N {
+    let mut out = vec![NeighborList::with_capacity(DEGREE); N];
+    for (i, list) in out.iter_mut().enumerate() {
         for off in [1usize, 2, 5] {
-            topology
-                .add_edge(NodeId::from_index(i), NodeId::from_index((i + off) % N))
-                .unwrap();
+            list.add(NodeId::from_index((i + off) % N)).unwrap();
         }
     }
     let rngs = RngFactory::new(seed);
     MiniWorld {
-        topology,
+        out,
         net: NetworkModel::paper(N, &rngs),
         seen: (0..N).map(|_| DupCache::new(64)).collect(),
         stats: (0..N).map(|_| StatsStore::new()).collect(),
@@ -227,7 +225,7 @@ fn stats_feed_asymmetric_update() {
     let world = sim.world();
     assert_eq!(world.answers[0], vec![NodeId(7)]);
 
-    let current: Vec<NodeId> = world.topology.out(NodeId(0)).iter().collect();
+    let current: Vec<NodeId> = world.out[0].iter().collect();
     let mut plan = UpdatePlan::default();
     plan.replan(
         &current,

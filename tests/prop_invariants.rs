@@ -1,63 +1,13 @@
-//! Property-based tests over the cross-crate invariants: overlay
-//! consistency under arbitrary operation sequences, statistics-merge
-//! algebra, and LRU/dup-cache behaviour under arbitrary workloads.
+//! Property-based tests over the cross-crate invariants: statistics-merge
+//! algebra and LRU/dup-cache behaviour under arbitrary workloads.
 
 use ddr_repro::core::DupCache;
-use ddr_repro::overlay::Topology;
-use ddr_repro::sim::{ItemId, NodeId, QueryId};
+use ddr_repro::sim::{ItemId, QueryId};
 use ddr_repro::stats::{BucketSeries, Histogram, RunningStats};
 use ddr_repro::webcache::LruCache;
 use proptest::prelude::*;
 
-const N: u32 = 12;
-
-#[derive(Debug, Clone)]
-enum TopoOp {
-    Link(u32, u32),
-    Unlink(u32, u32),
-    Isolate(u32),
-}
-
-fn topo_op() -> impl Strategy<Value = TopoOp> {
-    prop_oneof![
-        (0..N, 0..N).prop_map(|(a, b)| TopoOp::Link(a, b)),
-        (0..N, 0..N).prop_map(|(a, b)| TopoOp::Unlink(a, b)),
-        (0..N).prop_map(TopoOp::Isolate),
-    ]
-}
-
 proptest! {
-    /// Any sequence of directed add/remove/isolate operations preserves
-    /// the §3.1 consistency invariant and both list bounds, in the pure
-    /// regime (`None`: unbounded incoming lists) and the bounded one,
-    /// where a full incoming list makes `add_edge` roll its first half back.
-    #[test]
-    fn asymmetric_topology_consistent_under_any_ops(
-        ops in proptest::collection::vec(topo_op(), 0..200),
-        out_degree in 1usize..5,
-        // 0 draws the pure regime, 1..5 a bounded one.
-        in_capacity in (0usize..5).prop_map(|c| (c > 0).then_some(c)),
-    ) {
-        let mut t = Topology::new(N as usize, out_degree, in_capacity);
-        for op in ops {
-            match op {
-                TopoOp::Link(a, b) if a != b => {
-                    let _ = t.add_edge(NodeId(a), NodeId(b));
-                }
-                TopoOp::Unlink(a, b) if a != b => {
-                    let _ = t.remove_edge(NodeId(a), NodeId(b));
-                }
-                TopoOp::Isolate(a) => t.isolate(NodeId(a)),
-                _ => {}
-            }
-            prop_assert!(t.check_consistency().is_empty());
-            for i in 0..N {
-                prop_assert!(t.out(NodeId(i)).len() <= out_degree);
-                prop_assert!(t.inc(NodeId(i)).len() <= in_capacity.unwrap_or(usize::MAX));
-            }
-        }
-    }
-
     /// RunningStats: merging shards equals sequential accumulation, for
     /// any split point.
     #[test]
