@@ -16,7 +16,7 @@ echo "==> cargo check benchmark/ (every name the measurement stack spells still"
 echo "    resolves — seconds, not the full suite, when a refactor breaks one)"
 cargo check --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> tracked Rust lines, the per-file ceiling, one-implementer traits and unnamed deps"
+echo "==> tracked Rust lines, the per-file ceiling, one-implementer traits, unselected variants and unnamed deps"
 # The count every simplicity PR quotes; and no file under crates/*/src may
 # pass 1,000 lines, so split modules do not silently grow back into one.
 # Files past 800 are listed without failing: the next PR that touches one
@@ -40,6 +40,35 @@ LONELY=$(git grep -hoE '^\s*pub trait \w+' -- 'crates/*/src/*.rs' | awk '{ print
         test "$n" -ge 2 || echo "    $t: $n"
     done)
 test -z "$LONELY" || { echo "    pub traits with fewer than two impls:"; echo "$LONELY"; }
+
+# A variant no other file spells is a knob nobody selects. Listed, not
+# failed: every `pub enum` under crates/*/src except a world's `*Event`s
+# (its own handlers produce those), each variant searched as `Enum::Variant`
+# in every other tracked .rs file outside vendor/.
+UNSELECTED=$({ git grep -oE '\b[A-Z]\w*::[A-Z]\w*' -- '*.rs' ':!vendor'; echo '--'
+        git ls-files 'crates/*/src/*.rs' | xargs awk '
+            FNR == 1 { name = "" }
+            { match($0, /^ */); lead = RLENGTH; rest = substr($0, lead + 1) }
+            rest ~ /^pub enum [A-Za-z0-9_]+/ {
+                name = rest; sub(/^pub enum /, "", name); sub(/[^A-Za-z0-9_].*/, "", name)
+                if (name ~ /Event$/) name = ""
+                ind = lead; next
+            }
+            name == "" { next }
+            lead == ind && rest ~ /^}/ { name = ""; next }
+            lead == ind + 4 && match(rest, /^[A-Z][A-Za-z0-9_]*/) {
+                print FILENAME ":" name "::" substr(rest, 1, RLENGTH)
+            }'
+    } | awk -F: '
+        $0 == "--" { defs = 1; next }
+        !defs { seen[$2 "::" $4] = seen[$2 "::" $4] " " $1; next }
+        { n = split(seen[$2 "::" $4], fs, " "); other = 0
+          for (i = 1; i <= n; i++) if (fs[i] != $1) other = 1
+          if (other) next
+          if (!($2 in v)) order[++k] = $2
+          v[$2] = v[$2] (v[$2] == "" ? "" : ", ") $4 }
+        END { for (i = 1; i <= k; i++) print "    " order[i] "::{" v[order[i]] "}" }')
+test -z "$UNSELECTED" || { echo "    pub enum variants no other file spells:"; echo "$UNSELECTED"; }
 
 # A `ddr-*` dependency whose `ddr_*` name appears nowhere under its crate
 # is dead weight in every build. Listed, not failed: dropping one can

@@ -7,10 +7,10 @@
 //! | Paper element | Module |
 //! |---|---|
 //! | §3.2 Search (Algo 1): forward-target selection, and the search strategy that sets the terminating condition (launch TTL, deepening waves, index radius) | [`search`] |
-//! | §3.3 Exploration (Algo 2): triggers | [`explore`] |
+//! | §3.3 Exploration (Algo 2): a world that explores counts requests on its own [`ReconfigClock`]; what it probes is its own business | [`runtime`] |
 //! | §3.4 Neighbor update (Algo 3, asymmetric): the plan, and its one enactment for the web-cache and PeerOlap worlds | [`update`], [`runtime::asymmetric`] |
 //! | §3.4 Neighbor update (Algo 4, symmetric invitation/eviction) | [`update`] |
-//! | Benefit functions (web-cache latency, music `B/R`, OLAP processing time) | [`benefit`] |
+//! | Benefit: each case study defines its own (music `B/R` in `ddr-gnutella`, web-cache latency, OLAP processing time); the planners rank by the caller's `rank` closure over [`NodeStats`] | [`search`], [`update`] |
 //! | Per-node statistics "for both the neighboring and the non-neighboring nodes that were encountered" | [`stats_store`] |
 //! | "each node keeps a list of recent messages" (duplicate suppression) | [`dup_cache`] |
 //! | §2 orthogonal techniques (Yang & Garcia-Molina): iterative deepening, directed BFT, local indices | [`search`], [`local_index`] |
@@ -24,9 +24,7 @@
 //! instantiations (music sharing, web caching, P2P OLAP) and makes every
 //! policy unit-testable without a simulation harness.
 
-pub mod benefit;
 pub mod dup_cache;
-pub mod explore;
 pub mod local_index;
 pub mod query;
 pub mod runtime;
@@ -35,11 +33,7 @@ pub mod stats_store;
 pub mod summary;
 pub mod update;
 
-pub use benefit::{
-    BenefitFunction, CountBenefit, CumulativeBenefit, LatencyAwareBenefit, ResultScore,
-};
 pub use dup_cache::DupCache;
-pub use explore::{ExplorationPlanner, ExplorationTrigger};
 pub use local_index::LocalIndex;
 pub use query::QueryDescriptor;
 pub use runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime, Port, ReconfigClock};

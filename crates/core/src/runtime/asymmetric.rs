@@ -26,7 +26,6 @@
 //! is a pure function of `(seed, call sequence)`.
 
 use super::node::NodeRuntime;
-use crate::benefit::CumulativeBenefit;
 use crate::update::UpdatePlan;
 use ddr_net::NodeDelayStream;
 use ddr_overlay::NeighborList;
@@ -197,7 +196,8 @@ impl AsymmetricOverlay {
         }
     }
 
-    /// Algo 3 (asymmetric neighbor update) under [`CumulativeBenefit`]:
+    /// Algo 3 (asymmetric neighbor update), ranking by the cumulative
+    /// [`NodeStats::benefit`](crate::NodeStats::benefit):
     /// restart `rt`'s update clock, re-select `node`'s outgoing list from
     /// `rt`'s statistics over the present nodes, drop the evicted, adopt
     /// the added, and [`refill`](Self::refill) what stayed empty (sparse
@@ -217,7 +217,7 @@ impl AsymmetricOverlay {
         self.plan.replan(
             self.out[node.index()].as_slice(),
             &rt.stats,
-            &CumulativeBenefit,
+            |s| s.benefit,
             self.out_degree,
             usize::MAX,
             |m| m != node && present[m.index()],

@@ -8,8 +8,8 @@
 //! | Concern | Type | Replaces |
 //! |---|---|---|
 //! | Shared books of an asymmetric world: overlay + random bootstrap, presence, world RNG, delay-jitter streams, top-up, and the enactment of Algo 3 | [`AsymmetricOverlay`] | the webcache/peerolap `topology` / `up` / `present` / `rng` / `delays` fields and their hand-written `update_neighbors` |
-//! | Per-node framework bundle (stats, exploration, dup-cache, reconfig clock) | [`NodeRuntime`] | ad-hoc `{stats, seen, requests_since_*}` fields on `PeerState` / `ProxyState` / `OlapPeer` |
-//! | Threshold-K reconfiguration clock with invitation damping | [`ReconfigClock`] | bare `u32` counters compared against config in three places |
+//! | Per-node framework bundle (stats, dup-cache, reconfig clock) | [`NodeRuntime`] | ad-hoc `{stats, seen, requests_since_*}` fields on `PeerState` / `ProxyState` / `OlapPeer` |
+//! | Threshold-K request clock: the reconfiguration trigger with invitation damping, and the web cache's exploration trigger | [`ReconfigClock`] | bare `u32` counters compared against config in three places |
 //!
 //! The worlds keep their domain state (caches, pending queries, workload
 //! generators) and compose it with a [`NodeRuntime`]. Framework-level

@@ -5,14 +5,11 @@
 //! framework-side machinery the paper gives every node:
 //!
 //! * the statistics store over encountered nodes (§3.2/§3.4),
-//! * an optional exploration planner (§3.3 — the music case study has
-//!   none: "there is no need for a separate exploration step"),
 //! * an optional duplicate cache (§4.1 — point-to-point protocols like
 //!   the web-cache study never see duplicate deliveries),
 //! * the threshold-K reconfiguration clock (§4.3).
 
 use crate::dup_cache::DupCache;
-use crate::explore::{ExplorationPlanner, ExplorationTrigger};
 use crate::stats_store::StatsStore;
 
 use super::reconfig::ReconfigClock;
@@ -27,20 +24,16 @@ pub struct NodeRuntime {
     /// Recently seen query ids (`None` when the protocol cannot deliver
     /// duplicates).
     pub seen: Option<DupCache>,
-    /// Exploration trigger state (`None` when search doubles as
-    /// exploration).
-    pub explorer: Option<ExplorationPlanner>,
     /// Requests-since-last-update clock (threshold K).
     pub clock: ReconfigClock,
 }
 
 impl NodeRuntime {
-    /// A bare runtime: stats + clock, no dup cache, no explorer.
+    /// A bare runtime: stats + clock, no dup cache.
     pub fn new(threshold: u32) -> Self {
         NodeRuntime {
             stats: StatsStore::new(),
             seen: None,
-            explorer: None,
             clock: ReconfigClock::new(threshold),
         }
     }
@@ -48,12 +41,6 @@ impl NodeRuntime {
     /// Attach a duplicate cache of the given capacity.
     pub fn with_dup_cache(mut self, capacity: usize) -> Self {
         self.seen = Some(DupCache::new(capacity));
-        self
-    }
-
-    /// Attach an exploration planner with the given trigger.
-    pub fn with_explorer(mut self, trigger: ExplorationTrigger) -> Self {
-        self.explorer = Some(ExplorationPlanner::new(trigger));
         self
     }
 
@@ -67,17 +54,6 @@ impl NodeRuntime {
         self.seen
             .as_mut()
             .expect("NodeRuntime built without dup cache")
-    }
-
-    /// The exploration planner.
-    ///
-    /// # Panics
-    /// Panics when the runtime was built without one.
-    #[inline]
-    pub fn explorer(&mut self) -> &mut ExplorationPlanner {
-        self.explorer
-            .as_mut()
-            .expect("NodeRuntime built without explorer")
     }
 
     /// Session start (login / restart): forget seen messages and restart
@@ -113,14 +89,8 @@ mod tests {
     fn builder_attaches_optional_parts() {
         let bare = NodeRuntime::new(4);
         assert!(bare.seen.is_none());
-        assert!(bare.explorer.is_none());
         assert_eq!(bare.clock.threshold(), 4);
-
-        let full = NodeRuntime::new(4)
-            .with_dup_cache(8)
-            .with_explorer(ExplorationTrigger::EveryNRequests(2));
-        assert!(full.seen.is_some());
-        assert!(full.explorer.is_some());
+        assert!(NodeRuntime::new(4).with_dup_cache(8).seen.is_some());
     }
 
     #[test]

@@ -13,8 +13,14 @@
 //! The clock always ticks, even in static mode — the world decides
 //! whether a due clock actually triggers an update. That keeps static
 //! and dynamic runs on identical RNG/event schedules.
+//!
+//! Nothing in the clock is specific to reconfiguration: it counts
+//! requests for any threshold-K trigger. The web cache keeps a second
+//! one per proxy as its exploration trigger (Algo 2, "explore every N
+//! requests"), reset each time a probe round fires.
 
-/// Counts requests toward a reconfiguration threshold K.
+/// Counts requests toward a threshold K (reconfiguration, or any other
+/// every-K-requests trigger).
 #[derive(Debug, Clone)]
 pub struct ReconfigClock {
     count: u32,

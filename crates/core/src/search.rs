@@ -14,8 +14,7 @@
 //! scalars, so the world's handlers never match on its variants and the
 //! per-query path never clones the depth schedule.
 
-use crate::benefit::BenefitFunction;
-use crate::stats_store::StatsStore;
+use crate::stats_store::{NodeStats, StatsStore};
 use ddr_sim::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -51,7 +50,8 @@ pub fn benefit_sort_key(x: f64) -> f64 {
 impl ForwardSelection {
     /// Select forward targets among `neighbors`, never including
     /// `exclude` (the node the query just arrived from — echoing a query
-    /// straight back is always wasted).
+    /// straight back is always wasted). Directed BFT ranks by `rank`
+    /// over the node's statistics.
     ///
     /// Allocates a fresh `Vec`; the event-loop hot path uses
     /// [`select_into`](Self::select_into) with a reused scratch buffer
@@ -61,11 +61,11 @@ impl ForwardSelection {
         neighbors: &[NodeId],
         exclude: Option<NodeId>,
         stats: &StatsStore,
-        benefit: &dyn BenefitFunction,
+        rank: impl Fn(&NodeStats) -> f64,
         rng: &mut R,
     ) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(neighbors.len());
-        self.select_into(neighbors, exclude, stats, benefit, rng, &mut out);
+        self.select_into(neighbors, exclude, stats, rank, rng, &mut out);
         out
     }
 
@@ -77,7 +77,7 @@ impl ForwardSelection {
         neighbors: &[NodeId],
         exclude: Option<NodeId>,
         stats: &StatsStore,
-        benefit: &dyn BenefitFunction,
+        rank: impl Fn(&NodeStats) -> f64,
         rng: &mut R,
         out: &mut Vec<NodeId>,
     ) {
@@ -94,8 +94,8 @@ impl ForwardSelection {
                 // total_cmp on normalised keys), id asc. Nodes with no
                 // statistics score 0.
                 out.sort_unstable_by(|&a, &b| {
-                    let ba = stats.get(a).map(|s| benefit.benefit(s)).unwrap_or(0.0);
-                    let bb = stats.get(b).map(|s| benefit.benefit(s)).unwrap_or(0.0);
+                    let ba = stats.get(a).map(&rank).unwrap_or(0.0);
+                    let bb = stats.get(b).map(&rank).unwrap_or(0.0);
                     benefit_sort_key(bb)
                         .total_cmp(&benefit_sort_key(ba))
                         .then(a.cmp(&b))
@@ -230,12 +230,15 @@ impl SearchStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::benefit::CumulativeBenefit;
     use crate::stats_store::ReplyObservation;
     use ddr_net::BandwidthClass;
     use ddr_sim::SimTime;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    fn cumulative(s: &NodeStats) -> f64 {
+        s.benefit
+    }
 
     fn neighbors() -> Vec<NodeId> {
         vec![NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
@@ -259,13 +262,8 @@ mod tests {
     fn flood_selects_all_but_excluded() {
         let mut rng = SmallRng::seed_from_u64(1);
         let s = StatsStore::new();
-        let sel = ForwardSelection::All.select(
-            &neighbors(),
-            Some(NodeId(2)),
-            &s,
-            &CumulativeBenefit,
-            &mut rng,
-        );
+        let sel =
+            ForwardSelection::All.select(&neighbors(), Some(NodeId(2)), &s, cumulative, &mut rng);
         assert_eq!(sel, vec![NodeId(1), NodeId(3), NodeId(4)]);
     }
 
@@ -278,7 +276,7 @@ mod tests {
                 &neighbors(),
                 Some(NodeId(1)),
                 &s,
-                &CumulativeBenefit,
+                cumulative,
                 &mut rng,
             );
             assert_eq!(sel.len(), 2);
@@ -290,13 +288,8 @@ mod tests {
     fn random_k_larger_than_pool_returns_all() {
         let mut rng = SmallRng::seed_from_u64(3);
         let s = StatsStore::new();
-        let sel = ForwardSelection::RandomK(10).select(
-            &neighbors(),
-            None,
-            &s,
-            &CumulativeBenefit,
-            &mut rng,
-        );
+        let sel =
+            ForwardSelection::RandomK(10).select(&neighbors(), None, &s, cumulative, &mut rng);
         assert_eq!(sel.len(), 4);
     }
 
@@ -304,13 +297,8 @@ mod tests {
     fn directed_bft_picks_highest_benefit() {
         let mut rng = SmallRng::seed_from_u64(4);
         let s = stats_with_benefits(&[(1, 0.5), (2, 9.0), (3, 3.0)]);
-        let sel = ForwardSelection::TopKBenefit(2).select(
-            &neighbors(),
-            None,
-            &s,
-            &CumulativeBenefit,
-            &mut rng,
-        );
+        let sel =
+            ForwardSelection::TopKBenefit(2).select(&neighbors(), None, &s, cumulative, &mut rng);
         assert_eq!(sel, vec![NodeId(2), NodeId(3)]);
     }
 
@@ -318,13 +306,8 @@ mod tests {
     fn directed_bft_ties_break_by_id() {
         let mut rng = SmallRng::seed_from_u64(5);
         let s = StatsStore::new(); // everyone scores 0
-        let sel = ForwardSelection::TopKBenefit(2).select(
-            &neighbors(),
-            None,
-            &s,
-            &CumulativeBenefit,
-            &mut rng,
-        );
+        let sel =
+            ForwardSelection::TopKBenefit(2).select(&neighbors(), None, &s, cumulative, &mut rng);
         assert_eq!(sel, vec![NodeId(1), NodeId(2)]);
     }
 

@@ -12,9 +12,8 @@
 //!   notice, so the plan lists both and the simulator plays the protocol.
 //!   The invitee's side of the protocol is [`InvitationPolicy::decide`].
 
-use crate::benefit::BenefitFunction;
 use crate::search::benefit_sort_key;
-use crate::stats_store::StatsStore;
+use crate::stats_store::{NodeStats, StatsStore};
 use crate::summary::CategorySummary;
 use ddr_sim::NodeId;
 
@@ -56,7 +55,7 @@ impl UpdatePlan {
     /// Candidates are every node in `stats` passing `eligible` (used to
     /// filter offline nodes and the node itself) plus all eligible
     /// `current` neighbors, which hold no duplicates. Ranking is by
-    /// `benefit` descending with two paper-faithful refinements:
+    /// `rank` descending with two paper-faithful refinements:
     ///
     /// * **incumbency tie-break** — on equal benefit a current neighbor
     ///   wins over a stranger, so neighborhoods don't churn on
@@ -76,7 +75,7 @@ impl UpdatePlan {
         &mut self,
         current: &[NodeId],
         stats: &StatsStore,
-        benefit: &dyn BenefitFunction,
+        rank: impl Fn(&NodeStats) -> f64,
         capacity: usize,
         max_swaps: usize,
         eligible: impl Fn(NodeId) -> bool,
@@ -90,7 +89,7 @@ impl UpdatePlan {
             if eligible(node) {
                 candidates.push(Candidate {
                     node,
-                    key: benefit_sort_key(benefit.benefit(s)),
+                    key: benefit_sort_key(rank(s)),
                     incumbent: current.contains(&node),
                 });
             }
@@ -212,14 +211,14 @@ pub enum InvitationDecision {
 
 impl InvitationPolicy {
     /// Decide an incoming invitation at a node whose symmetric neighbor
-    /// list is `neighbors` (capacity `capacity`), using the node's own
-    /// statistics and benefit function.
+    /// list is `neighbors` (capacity `capacity`), ranking the node's own
+    /// statistics by `rank`.
     pub fn decide(
         &self,
         inviter: NodeId,
         neighbors: &[NodeId],
         stats: &StatsStore,
-        benefit: &dyn BenefitFunction,
+        rank: impl Fn(&NodeStats) -> f64,
         capacity: usize,
         ctx: &InvitationContext<'_>,
     ) -> InvitationDecision {
@@ -236,8 +235,8 @@ impl InvitationPolicy {
             .iter()
             .copied()
             .min_by(|&a, &b| {
-                let ba = stats.get(a).map(|s| benefit.benefit(s)).unwrap_or(0.0);
-                let bb = stats.get(b).map(|s| benefit.benefit(s)).unwrap_or(0.0);
+                let ba = stats.get(a).map(&rank).unwrap_or(0.0);
+                let bb = stats.get(b).map(&rank).unwrap_or(0.0);
                 // NaN-safe: a poisoned incumbent ranks weakest.
                 benefit_sort_key(ba)
                     .total_cmp(&benefit_sort_key(bb))
@@ -251,14 +250,8 @@ impl InvitationPolicy {
                 }
             }
             InvitationPolicy::BenefitGated => {
-                let inviter_benefit = stats
-                    .get(inviter)
-                    .map(|s| benefit.benefit(s))
-                    .unwrap_or(0.0);
-                let weakest_benefit = stats
-                    .get(weakest)
-                    .map(|s| benefit.benefit(s))
-                    .unwrap_or(0.0);
+                let inviter_benefit = stats.get(inviter).map(&rank).unwrap_or(0.0);
+                let weakest_benefit = stats.get(weakest).map(&rank).unwrap_or(0.0);
                 if inviter_benefit > weakest_benefit {
                     InvitationDecision::Accept {
                         evict: Some(weakest),
@@ -283,10 +276,13 @@ impl InvitationPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::benefit::CumulativeBenefit;
     use crate::stats_store::ReplyObservation;
     use ddr_net::BandwidthClass;
     use ddr_sim::SimTime;
+
+    fn cumulative(s: &NodeStats) -> f64 {
+        s.benefit
+    }
 
     fn store(pairs: &[(u32, f64)]) -> StatsStore {
         let mut s = StatsStore::new();
@@ -310,14 +306,7 @@ mod tests {
         eligible: impl Fn(NodeId) -> bool,
     ) -> UpdatePlan {
         let mut plan = UpdatePlan::default();
-        plan.replan(
-            current,
-            s,
-            &CumulativeBenefit,
-            capacity,
-            max_swaps,
-            eligible,
-        );
+        plan.replan(current, s, cumulative, capacity, max_swaps, eligible);
         plan
     }
 
@@ -417,7 +406,7 @@ mod tests {
             NodeId(9),
             &[NodeId(1)],
             &s,
-            &CumulativeBenefit,
+            cumulative,
             4,
             &InvitationContext::none(),
         );
@@ -431,7 +420,7 @@ mod tests {
             NodeId(9),
             &[NodeId(1), NodeId(2), NodeId(3), NodeId(4)],
             &s,
-            &CumulativeBenefit,
+            cumulative,
             4,
             &InvitationContext::none(),
         );
@@ -450,7 +439,7 @@ mod tests {
             NodeId(9), // unknown → benefit 0, weakest incumbent has 1.0
             &[NodeId(1), NodeId(2)],
             &s,
-            &CumulativeBenefit,
+            cumulative,
             2,
             &InvitationContext::none(),
         );
@@ -464,7 +453,7 @@ mod tests {
             NodeId(9),
             &[NodeId(1), NodeId(2)],
             &s,
-            &CumulativeBenefit,
+            cumulative,
             2,
             &InvitationContext::none(),
         );
@@ -483,7 +472,7 @@ mod tests {
             NodeId(9),
             &[],
             &s,
-            &CumulativeBenefit,
+            cumulative,
             2,
             &InvitationContext::none(),
         );
@@ -505,14 +494,7 @@ mod tests {
         let d = InvitationPolicy::SummaryGated {
             min_similarity: 0.8,
         }
-        .decide(
-            NodeId(9),
-            &[NodeId(1), NodeId(2)],
-            &s,
-            &CumulativeBenefit,
-            2,
-            &ctx,
-        );
+        .decide(NodeId(9), &[NodeId(1), NodeId(2)], &s, cumulative, 2, &ctx);
         assert_eq!(
             d,
             InvitationDecision::Accept {
@@ -538,14 +520,7 @@ mod tests {
             own_summary: Some(&mine),
         };
         assert_eq!(
-            policy.decide(
-                NodeId(9),
-                &[NodeId(1), NodeId(2)],
-                &s,
-                &CumulativeBenefit,
-                2,
-                &ctx
-            ),
+            policy.decide(NodeId(9), &[NodeId(1), NodeId(2)], &s, cumulative, 2, &ctx),
             InvitationDecision::Reject
         );
         // missing summaries → similarity 0 → reject when full
@@ -554,7 +529,7 @@ mod tests {
                 NodeId(9),
                 &[NodeId(1), NodeId(2)],
                 &s,
-                &CumulativeBenefit,
+                cumulative,
                 2,
                 &InvitationContext::none()
             ),
@@ -566,7 +541,7 @@ mod tests {
                 NodeId(9),
                 &[NodeId(1)],
                 &s,
-                &CumulativeBenefit,
+                cumulative,
                 2,
                 &InvitationContext::none()
             ),

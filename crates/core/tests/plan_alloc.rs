@@ -4,7 +4,7 @@
 //! and only on the thread that opts in).
 
 use ddr_core::stats_store::ReplyObservation;
-use ddr_core::{CumulativeBenefit, StatsStore, UpdatePlan};
+use ddr_core::{StatsStore, UpdatePlan};
 use ddr_sim::{NodeId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,12 +68,12 @@ fn replanning_after_a_warm_up_allocates_nothing() {
     let current = [NodeId(3), NodeId(20), NodeId(21), NodeId(9)];
     let eligible = |n: NodeId| n != NodeId(0) && n != NodeId(9);
     let mut plan = UpdatePlan::default();
-    plan.replan(&current, &stats, &CumulativeBenefit, 4, 1, eligible);
+    plan.replan(&current, &stats, |s| s.benefit, 4, 1, eligible);
     let warm = plan.clone();
 
     let count = allocations(|| {
         for _ in 0..1_000 {
-            plan.replan(&current, &stats, &CumulativeBenefit, 4, 1, eligible);
+            plan.replan(&current, &stats, |s| s.benefit, 4, 1, eligible);
         }
     });
     assert_eq!(count, 0, "1,000 re-plans allocated {count} times");

@@ -3,10 +3,9 @@
 //! agreement with the allocating two-pass planner it replaced, kept below
 //! as a test-only reference model.
 
-use ddr_core::benefit::BenefitFunction;
 use ddr_core::search::benefit_sort_key;
 use ddr_core::stats_store::ReplyObservation;
-use ddr_core::{CumulativeBenefit, StatsStore, UpdatePlan};
+use ddr_core::{NodeStats, StatsStore, UpdatePlan};
 use ddr_net::BandwidthClass;
 use ddr_sim::{NodeId, SimTime};
 use proptest::prelude::*;
@@ -22,13 +21,13 @@ mod reference {
 
     fn ranked_by(
         stats: &StatsStore,
-        benefit: &dyn BenefitFunction,
+        rank: impl Fn(&NodeStats) -> f64,
         eligible: &impl Fn(NodeId) -> bool,
     ) -> Vec<(NodeId, f64)> {
         let mut v: Vec<(NodeId, f64)> = stats
             .iter()
             .filter(|&(n, _)| eligible(n))
-            .map(|(n, s)| (n, benefit.benefit(s)))
+            .map(|(n, s)| (n, rank(s)))
             .collect();
         v.sort_unstable_by(|a, b| {
             benefit_sort_key(b.1)
@@ -41,12 +40,12 @@ mod reference {
     pub fn plan_asymmetric_update(
         current: &[NodeId],
         stats: &StatsStore,
-        benefit: &dyn BenefitFunction,
+        rank: impl Fn(&NodeStats) -> f64,
         capacity: usize,
         eligible: impl Fn(NodeId) -> bool,
     ) -> Plan {
         let is_current = |n: NodeId| current.contains(&n);
-        let mut candidates = ranked_by(stats, benefit, &eligible);
+        let mut candidates = ranked_by(stats, rank, &eligible);
         for &n in current {
             if eligible(n) && stats.get(n).is_none() {
                 candidates.push((n, 0.0));
@@ -84,14 +83,14 @@ mod reference {
         max_swaps: usize,
         capacity: usize,
         stats: &StatsStore,
-        benefit: &dyn BenefitFunction,
+        rank: impl Fn(&NodeStats) -> f64,
         eligible: impl Fn(NodeId) -> bool,
     ) -> Plan {
         let (dead, mut alive): (Vec<NodeId>, Vec<NodeId>) =
             evict.into_iter().partition(|&n| !eligible(n));
         add.truncate(max_swaps);
         let needed = (keep.len() + alive.len() + add.len()).saturating_sub(capacity);
-        let b = |n: NodeId| stats.get(n).map(|s| benefit.benefit(s)).unwrap_or(0.0);
+        let b = |n: NodeId| stats.get(n).map(&rank).unwrap_or(0.0);
         alive.sort_unstable_by(|&x, &y| {
             benefit_sort_key(b(x))
                 .total_cmp(&benefit_sort_key(b(y)))
@@ -103,6 +102,11 @@ mod reference {
         out.extend_from_slice(&alive[..cut]);
         (add, out, keep)
     }
+}
+
+/// The ranking every planner call here uses: the cumulative score.
+fn cumulative(s: &NodeStats) -> f64 {
+    s.benefit
 }
 
 /// One planner call's inputs.
@@ -125,7 +129,7 @@ impl Case {
         let full = reference::plan_asymmetric_update(
             &self.current,
             &stats,
-            &CumulativeBenefit,
+            cumulative,
             self.capacity,
             self.eligible(),
         );
@@ -134,7 +138,7 @@ impl Case {
             self.max_swaps,
             self.capacity,
             &stats,
-            &CumulativeBenefit,
+            cumulative,
             self.eligible(),
         )
     }
@@ -144,7 +148,7 @@ impl Case {
         plan.replan(
             &self.current,
             &stats,
-            &CumulativeBenefit,
+            cumulative,
             self.capacity,
             self.max_swaps,
             self.eligible(),
@@ -204,14 +208,7 @@ fn plan(
     eligible: impl Fn(NodeId) -> bool,
 ) -> UpdatePlan {
     let mut plan = UpdatePlan::default();
-    plan.replan(
-        current,
-        stats,
-        &CumulativeBenefit,
-        capacity,
-        max_swaps,
-        eligible,
-    );
+    plan.replan(current, stats, cumulative, capacity, max_swaps, eligible);
     plan
 }
 
@@ -233,7 +230,7 @@ fn assert_matches_reference(case: &Case, plan: &UpdatePlan) {
         let (full_add, full_evict, _) = reference::plan_asymmetric_update(
             &case.current,
             &stats,
-            &CumulativeBenefit,
+            cumulative,
             case.capacity,
             case.eligible(),
         );

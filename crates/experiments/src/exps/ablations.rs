@@ -17,7 +17,7 @@ use super::{gnutella_reports, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
 use ddr_core::{ForwardSelection, InvitationPolicy};
-use ddr_gnutella::{BenefitKind, Mode, RunReport, ScenarioConfig};
+use ddr_gnutella::{Benefit, Mode, RunReport, ScenarioConfig};
 use ddr_stats::Table;
 
 fn row(t: &mut Table, name: &str, r: &RunReport) {
@@ -36,10 +36,10 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
 
     // --- 1. benefit functions --------------------------------------------
     let kinds = [
-        ("B/R (paper)", BenefitKind::Cumulative),
-        ("count", BenefitKind::Count),
-        ("latency-aware", BenefitKind::LatencyAware),
-        ("advertised-bw", BenefitKind::AdvertisedBandwidth),
+        ("B/R (paper)", Benefit::BandwidthOverResults),
+        ("count", Benefit::Count),
+        ("latency-aware", Benefit::LatencyAware),
+        ("advertised-bw", Benefit::AdvertisedBandwidth),
     ];
     let mut configs: Vec<ScenarioConfig> = vec![base(Mode::Static)];
     for &(_, k) in &kinds {
@@ -120,9 +120,9 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
 
     // --- 4. benefit weight B: delay-class vs raw line rate -----------------
     let mut delay_weight = base(Mode::Dynamic);
-    delay_weight.result_score = ddr_core::ResultScore::BandwidthOverResults;
+    delay_weight.benefit = Benefit::BandwidthOverResults;
     let mut raw_weight = base(Mode::Dynamic);
-    raw_weight.result_score = ddr_core::ResultScore::RawBandwidthOverResults;
+    raw_weight.benefit = Benefit::RawBandwidthOverResults;
     let reports = gnutella_reports(&opts, vec![delay_weight, raw_weight], em);
     let mut t = Table::new(
         "Ablation 4: bandwidth weight in B/R (dynamic, hops=2)",

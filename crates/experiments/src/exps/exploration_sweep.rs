@@ -13,7 +13,6 @@
 use super::{case_study_runs, webcache_config};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use ddr_core::ExplorationTrigger;
 use ddr_stats::Table;
 use ddr_telemetry::JsonlSink;
 use ddr_webcache::{CacheMode, WebCacheScenario};
@@ -39,7 +38,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         .iter()
         .map(|&(n, run_label)| {
             let mut cfg = webcache_config(opts, CacheMode::Dynamic, run_label);
-            cfg.exploration = ExplorationTrigger::EveryNRequests(n);
+            cfg.explore_every = n;
             cfg
         })
         .collect();

@@ -1,13 +1,9 @@
 //! Scenario configuration for the Gnutella case study, defaulting to the
 //! paper's §4.2/§4.3 settings.
 
-use ddr_core::benefit::{
-    AdvertisedBandwidthBenefit, BenefitFunction, CountBenefit, CumulativeBenefit,
-    LatencyAwareBenefit,
-};
 pub use ddr_core::SearchStrategy;
-use ddr_core::{ForwardSelection, InvitationPolicy, ResultScore};
-use ddr_net::ClassMix;
+use ddr_core::{ForwardSelection, InvitationPolicy, NodeStats};
+use ddr_net::{BandwidthClass, ClassMix};
 use ddr_sim::SimDuration;
 use ddr_telemetry::TelemetryConfig;
 use ddr_workload::WorkloadConfig;
@@ -98,30 +94,61 @@ impl Mode {
     }
 }
 
-/// Config-friendly benefit-function selector (kept as an enum so the
-/// configuration stays `Clone + Send`; resolved to a trait object at
-/// world-construction time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BenefitKind {
-    /// Σ of per-result scores — the paper's choice.
-    #[default]
-    Cumulative,
-    /// Result count only (ablation).
+/// Latency floor of [`Benefit::LatencyAware`] in ms, so a LAN-fast
+/// neighbor does not divide by almost nothing.
+const LATENCY_FLOOR_MS: f64 = 1.0;
+
+/// The music case study's benefit function (paper §3.4: it "should
+/// capture the general goals and characteristics of the system"): the
+/// per-result [`score`](Self::score) folded into `NodeStats::benefit`
+/// when a reply arrives, and the [`rank`](Self::rank) read when
+/// neighbors are re-selected. Only the two `B / R` variants rank by the
+/// folded Σ, so each variant is one distinct setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Benefit {
+    /// The paper's choice: each result scores `B / R` (B = the
+    /// responder's delay-class bandwidth weight, R = the results the
+    /// query obtained: "the larger the results list, the lesser its
+    /// significance"), ranked by the cumulative Σ.
+    BandwidthOverResults,
+    /// `B / R` with the *raw line-rate* weight (1 : 27 : 179) instead of
+    /// the delay-class weight — ablation showing how an extreme `B`
+    /// swamps the content-similarity signal.
+    RawBandwidthOverResults,
+    /// Result count only (ablation: ignores bandwidth and list size).
     Count,
-    /// Results per second of observed latency (ablation).
+    /// Results per second of observed latency (ablation; the web-caching
+    /// candidate "the number of retrieved pages, combined with the
+    /// end-to-end latency").
     LatencyAware,
-    /// Advertised bandwidth class only (ablation).
+    /// Advertised bandwidth class only, unknown classes last (ablation:
+    /// neighbor selection driven purely by Ping-Pong data).
     AdvertisedBandwidth,
 }
 
-impl BenefitKind {
-    /// Materialise the benefit function.
-    pub fn build(self) -> Box<dyn BenefitFunction> {
+impl Benefit {
+    /// Score one result: `bandwidth` is the responder's class, `results`
+    /// the total result count of the query (≥ 1).
+    pub fn score(self, bandwidth: BandwidthClass, results: usize) -> f64 {
+        debug_assert!(results >= 1, "scored a result of a zero-result query");
+        let weight = match self {
+            Benefit::RawBandwidthOverResults => bandwidth.raw_rate_weight(),
+            _ => bandwidth.benefit_weight(),
+        };
+        weight / results.max(1) as f64
+    }
+
+    /// The score ranking a node by its accumulated statistics; higher is
+    /// better.
+    pub fn rank(self, s: &NodeStats) -> f64 {
         match self {
-            BenefitKind::Cumulative => Box::new(CumulativeBenefit),
-            BenefitKind::Count => Box::new(CountBenefit),
-            BenefitKind::LatencyAware => Box::new(LatencyAwareBenefit::default()),
-            BenefitKind::AdvertisedBandwidth => Box::new(AdvertisedBandwidthBenefit),
+            Benefit::BandwidthOverResults | Benefit::RawBandwidthOverResults => s.benefit,
+            Benefit::Count => s.results as f64,
+            Benefit::LatencyAware => {
+                let lat = s.mean_latency_ms().unwrap_or(f64::INFINITY);
+                s.results as f64 / (lat.max(LATENCY_FLOOR_MS) / 1_000.0)
+            }
+            Benefit::AdvertisedBandwidth => s.bandwidth.map_or(0.0, |b| b.benefit_weight()),
         }
     }
 }
@@ -153,10 +180,8 @@ pub struct ScenarioConfig {
     /// Search driver strategy (paper: plain BFS; the alternatives are the
     /// §2 techniques).
     pub strategy: SearchStrategy,
-    /// Per-result score (paper: `B / R`).
-    pub result_score: ResultScore,
-    /// Ranking function for reconfiguration (paper: cumulative).
-    pub benefit: BenefitKind,
+    /// Per-result score and ranking (paper: cumulative `B / R`).
+    pub benefit: Benefit,
     /// Invitation handling (paper: always accept).
     pub invitation: InvitationPolicy,
     /// Keep a node's statistics store across its own offline periods
@@ -217,8 +242,7 @@ impl ScenarioConfig {
             dup_cache_capacity: 4_096,
             forward: ForwardSelection::All,
             strategy: SearchStrategy::Bfs,
-            result_score: ResultScore::BandwidthOverResults,
-            benefit: BenefitKind::Cumulative,
+            benefit: Benefit::BandwidthOverResults,
             invitation: InvitationPolicy::AlwaysAccept,
             persist_stats: true,
             sim_hours: 96,
@@ -318,7 +342,7 @@ mod tests {
         assert_eq!(c.sim_hours, 96);
         assert_eq!(c.warmup_hours, 12);
         assert_eq!(c.forward, ForwardSelection::All);
-        assert_eq!(c.result_score, ResultScore::BandwidthOverResults);
+        assert_eq!(c.benefit, Benefit::BandwidthOverResults);
         assert!(c.validate().is_ok());
     }
 
@@ -431,16 +455,81 @@ mod tests {
         assert!(c.validate().is_ok());
     }
 
-    #[test]
-    fn benefit_kinds_materialise() {
-        for k in [
-            BenefitKind::Cumulative,
-            BenefitKind::Count,
-            BenefitKind::LatencyAware,
-            BenefitKind::AdvertisedBandwidth,
-        ] {
-            let f = k.build();
-            assert!(!f.name().is_empty());
+    fn stats(results: u64, benefit: f64, lat_ms: f64, lat_n: u64) -> NodeStats {
+        NodeStats {
+            results,
+            answered: results,
+            benefit,
+            last_update: ddr_sim::SimTime::ZERO,
+            bandwidth: Some(BandwidthClass::Cable),
+            latency_sum_ms: lat_ms * lat_n as f64,
+            latency_count: lat_n,
         }
+    }
+
+    #[test]
+    fn score_divides_by_results_and_scales_with_bandwidth() {
+        for b in [
+            Benefit::BandwidthOverResults,
+            Benefit::RawBandwidthOverResults,
+            Benefit::Count,
+            Benefit::LatencyAware,
+            Benefit::AdvertisedBandwidth,
+        ] {
+            let one = b.score(BandwidthClass::Lan, 1);
+            let ten = b.score(BandwidthClass::Lan, 10);
+            assert!((one / ten - 10.0).abs() < 1e-12, "{b:?}");
+            assert!(b.score(BandwidthClass::Lan, 3) > b.score(BandwidthClass::Modem56K, 3));
+        }
+    }
+
+    #[test]
+    fn count_ranks_by_results() {
+        let b = Benefit::Count;
+        assert!(b.rank(&stats(10, 2.0, 100.0, 10)) > b.rank(&stats(1, 5.0, 100.0, 1)));
+    }
+
+    #[test]
+    fn latency_aware_prefers_fast_nodes() {
+        let b = Benefit::LatencyAware;
+        let fast = stats(5, 0.0, 70.0, 5);
+        let slow = stats(5, 0.0, 300.0, 5);
+        assert!(b.rank(&fast) > b.rank(&slow));
+        // equal latency → more results win
+        assert!(b.rank(&stats(10, 0.0, 70.0, 10)) > b.rank(&fast));
+        // no latency observation → 0
+        assert_eq!(b.rank(&stats(3, 0.0, 0.0, 0)), 0.0);
+    }
+
+    #[test]
+    fn advertised_bandwidth_unknown_ranks_last() {
+        let b = Benefit::AdvertisedBandwidth;
+        let mut unknown = stats(3, 3.0, 100.0, 3);
+        unknown.bandwidth = None;
+        assert!(b.rank(&stats(0, 0.0, 0.0, 0)) > b.rank(&unknown));
+    }
+
+    /// The fold's premise: the Σ of scores reaches only the `B / R`
+    /// rankings, so the score of the other variants is never observed.
+    #[test]
+    fn only_the_b_over_r_variants_rank_by_the_folded_score() {
+        let (low, high) = (stats(4, 1.0, 90.0, 4), stats(4, 7.0, 90.0, 4));
+        for b in [
+            Benefit::Count,
+            Benefit::LatencyAware,
+            Benefit::AdvertisedBandwidth,
+        ] {
+            assert_eq!(b.rank(&low), b.rank(&high), "{b:?} read the Σ");
+        }
+        for b in [
+            Benefit::BandwidthOverResults,
+            Benefit::RawBandwidthOverResults,
+        ] {
+            assert!(b.rank(&high) > b.rank(&low), "{b:?} ignored the Σ");
+        }
+        assert_ne!(
+            Benefit::RawBandwidthOverResults.score(BandwidthClass::Lan, 2),
+            Benefit::BandwidthOverResults.score(BandwidthClass::Lan, 2)
+        );
     }
 }

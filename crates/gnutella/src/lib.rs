@@ -39,7 +39,7 @@ mod search;
 pub mod sharded;
 pub mod world;
 
-pub use config::{BenefitKind, Mode, PartitionWindow, ScenarioConfig};
+pub use config::{Benefit, Mode, PartitionWindow, ScenarioConfig};
 pub use fleet::{build_nodes, NodeSetConfig};
 pub use hosts::HostCache;
 pub use invariants::check_invariants;

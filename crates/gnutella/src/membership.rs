@@ -16,9 +16,8 @@
 
 use crate::events::GnutellaEvent;
 use crate::peer::{MIN_DEGREE_FLOOR, REFILL_RETRY_BUDGET};
-use crate::reconfigure::EverAnswered;
+use crate::reconfigure::ever_answered;
 use crate::world::GnutellaWorld;
-use ddr_core::benefit::BenefitFunction;
 use ddr_core::runtime::Port;
 use ddr_core::search::benefit_sort_key;
 use ddr_overlay::NeighborList;
@@ -318,22 +317,12 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 // Deferred swap: drop the least beneficial current
                 // neighbor — but only if the confirmed newcomer actually
                 // beats it (statistics may have moved since planning).
-                let rank = EverAnswered(self.benefit.as_ref());
-                let new_b = self.peers[k]
-                    .rt
-                    .stats
-                    .get(peer)
-                    .map(|s| rank.benefit(s))
-                    .unwrap_or(0.0);
+                let rank = |s| ever_answered(self.shared.config.benefit, s);
+                let new_b = self.peers[k].rt.stats.get(peer).map(rank).unwrap_or(0.0);
                 let worst = self.neighbors[k]
                     .iter()
                     .map(|m| {
-                        let b = self.peers[k]
-                            .rt
-                            .stats
-                            .get(m)
-                            .map(|s| rank.benefit(s))
-                            .unwrap_or(0.0);
+                        let b = self.peers[k].rt.stats.get(m).map(rank).unwrap_or(0.0);
                         (m, b)
                     })
                     .min_by(|a, b| benefit_sort_key(a.1).total_cmp(&benefit_sort_key(b.1)));

@@ -16,10 +16,10 @@
 //! the counterparty mirrors on receipt (`membership.rs` holds the mirror
 //! and the link-request refills this module falls back on).
 
+use crate::config::Benefit;
 use crate::events::GnutellaEvent;
 use crate::peer::{EVICTION_REPAIR_LIMIT, REFILL_RETRY_BUDGET};
 use crate::world::GnutellaWorld;
-use ddr_core::benefit::BenefitFunction;
 use ddr_core::runtime::Port;
 use ddr_core::{InvitationContext, InvitationDecision, InvitationPolicy, NodeStats, UpdatePlan};
 use ddr_sim::{NodeId, SimDuration, SimTime};
@@ -37,16 +37,8 @@ use ddr_telemetry::TraceSink;
 /// decayed benefit and become the canonical eviction victims. In a world
 /// without free riders every candidate carries the same bonus, so the
 /// ordering — and the simulation — is unchanged.
-pub(crate) struct EverAnswered<'a>(pub(crate) &'a dyn BenefitFunction);
-
-impl BenefitFunction for EverAnswered<'_> {
-    fn benefit(&self, s: &NodeStats) -> f64 {
-        self.0.benefit(s) + if s.answered > 0 { 1e-6 } else { 0.0 }
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
+pub(crate) fn ever_answered(benefit: Benefit, s: &NodeStats) -> f64 {
+    benefit.rank(s) + if s.answered > 0 { 1e-6 } else { 0.0 }
 }
 
 impl<T: TraceSink> GnutellaWorld<T> {
@@ -143,7 +135,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     fn plan_update(&self, plan: &mut UpdatePlan, k: usize, node: NodeId, now: SimTime) {
         let window =
             SimDuration::from_millis(2 * self.shared.config.workload.mean_online.as_millis());
-        let rank = EverAnswered(self.benefit.as_ref());
+        let benefit = self.shared.config.benefit;
         let stats = &self.peers[k].rt.stats;
         let current = self.neighbors[k].as_slice();
         // Incumbents are always eligible: the view itself tracks
@@ -166,7 +158,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         plan.replan(
             current,
             stats,
-            &rank,
+            |s| ever_answered(benefit, s),
             self.shared.config.degree,
             self.shared.config.max_swaps_per_reconfig,
             eligible,
@@ -253,7 +245,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             from,
             self.neighbors[k].as_slice(),
             &self.peers[k].rt.stats,
-            &EverAnswered(self.benefit.as_ref()),
+            |s| ever_answered(self.shared.config.benefit, s),
             self.shared.config.degree,
             &inv_ctx,
         );
@@ -354,7 +346,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             .rt
             .stats
             .get(peer)
-            .map(|s| self.benefit.benefit(s))
+            .map(|s| self.shared.config.benefit.rank(s))
             .unwrap_or(0.0);
         if earned <= 0.0 {
             if self.evict_neighbor(node, peer, false, ctx) {
@@ -362,6 +354,44 @@ impl<T: TraceSink> GnutellaWorld<T> {
             }
         } else {
             self.metrics.trials_confirmed += 1;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ddr_net::BandwidthClass;
+
+    #[test]
+    fn never_answering_peer_ranks_strictly_below_an_equal_contributor() {
+        // A contributor whose decayed benefit is back to zero, and a peer
+        // identical but for never having answered.
+        let contributor = NodeStats {
+            results: 2,
+            answered: 2,
+            benefit: 0.0,
+            last_update: SimTime::ZERO,
+            bandwidth: Some(BandwidthClass::Cable),
+            latency_sum_ms: 180.0,
+            latency_count: 2,
+        };
+        let never = NodeStats {
+            answered: 0,
+            ..contributor.clone()
+        };
+        for b in [
+            Benefit::BandwidthOverResults,
+            Benefit::RawBandwidthOverResults,
+            Benefit::Count,
+            Benefit::LatencyAware,
+            Benefit::AdvertisedBandwidth,
+        ] {
+            assert_eq!(b.rank(&never), b.rank(&contributor), "{b:?}");
+            assert!(
+                ever_answered(b, &never) < ever_answered(b, &contributor),
+                "{b:?}"
+            );
         }
     }
 }

@@ -175,7 +175,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             self.neighbors[k].as_slice(),
             None,
             &self.peers[k].rt.stats,
-            self.benefit.as_ref(),
+            |s| self.shared.config.benefit.rank(s),
             &mut self.proto[k],
             &mut targets,
         );
@@ -343,7 +343,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             self.neighbors[k].as_slice(),
             Some(from),
             &self.peers[k].rt.stats,
-            self.benefit.as_ref(),
+            |s| self.shared.config.benefit.rank(s),
             &mut self.proto[k],
             &mut targets,
         );
@@ -432,7 +432,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         if self.is_dynamic() {
             for &(responder, at) in &pq.responders {
                 let bandwidth = self.shared.net.class(responder);
-                let score = self.shared.config.result_score.score(bandwidth, results);
+                let score = self.shared.config.benefit.score(bandwidth, results);
                 let latency_ms = at.saturating_since(pq.issued_at).as_millis() as f64;
                 self.peers[k]
                     .rt

@@ -56,7 +56,6 @@ use crate::hosts::HostCache;
 use crate::membership::bootstrap_views;
 use crate::metrics::Metrics;
 use crate::peer::{PeerState, PendingQuery, QueryOutcome, SessionSlot};
-use ddr_core::benefit::BenefitFunction;
 use ddr_core::runtime::{sample_runtime_metrics, NodeRuntime, Port};
 use ddr_core::{CategorySummary, LocalIndex, UpdatePlan};
 use ddr_net::{NetworkModel, NodeDelayStream};
@@ -122,7 +121,6 @@ pub struct GnutellaWorld<T: TraceSink = NullSink> {
     pub(crate) served: Vec<u64>,
     /// Their sum, bumped beside them, so a per-turn reader pays O(1).
     pub(crate) replies: u64,
-    pub(crate) benefit: Box<dyn BenefitFunction>,
     /// Kernel lookahead = the network delay floor; every delay and timer
     /// is clamped to at least this in both kernels.
     pub(crate) lookahead: SimDuration,
@@ -323,7 +321,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
                     indices: vec![None; count],
                     served: vec![0; count],
                     replies: 0,
-                    benefit: shared.config.benefit.build(),
                     lookahead,
                     scratch_targets: Vec::with_capacity(16),
                     scratch_join: Vec::with_capacity(16),

@@ -1,6 +1,5 @@
 //! Configuration of the cooperative web-cache scenario.
 
-use ddr_core::ExplorationTrigger;
 use ddr_sim::SimDuration;
 use ddr_telemetry::TelemetryConfig;
 
@@ -45,8 +44,8 @@ pub struct WebCacheConfig {
     pub out_degree: usize,
     /// Mean inter-request time per proxy.
     pub mean_request_interval: SimDuration,
-    /// Exploration trigger (dynamic mode).
-    pub exploration: ExplorationTrigger,
+    /// Requests between exploration rounds (dynamic mode).
+    pub explore_every: u32,
     /// Guide sibling queries with Bloom-filter cache digests (Squid's
     /// cache-digest mechanism, referenced in paper §1): on a local miss,
     /// only neighbors whose digest claims the page are queried.
@@ -86,7 +85,7 @@ impl WebCacheConfig {
             cache_capacity: 2_500,
             out_degree: 3,
             mean_request_interval: SimDuration::from_millis(2_000),
-            exploration: ExplorationTrigger::EveryNRequests(50),
+            explore_every: 50,
             use_digests: false,
             digest_refresh: SimDuration::from_mins(10),
             mean_uptime: None,

@@ -12,8 +12,8 @@
 //! The instantiation exercises the framework pieces the Gnutella case
 //! study does not:
 //!
-//! * **separate exploration** (Algo 2): periodic content probes against
-//!   random non-neighbor proxies, whose summarized replies (overlap with
+//! * **separate exploration** (Algo 2): every N requests, content probes
+//!   against random non-neighbor proxies, whose summarized replies (overlap with
 //!   the prober's recent misses) feed the statistics store;
 //! * **asymmetric neighbor update** (Algo 3), planned by
 //!   [`ddr_core::UpdatePlan::replan`] and enacted by the shared

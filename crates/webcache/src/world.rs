@@ -22,7 +22,7 @@ use crate::config::{CacheMode, WebCacheConfig};
 use crate::digest::BloomFilter;
 use crate::lru::LruCache;
 use crate::traffic::{PageSpace, RequestStream};
-use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime};
+use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime, ReconfigClock};
 use ddr_core::stats_store::ReplyObservation;
 use ddr_sim::{
     EventLabel, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime, World,
@@ -75,12 +75,14 @@ impl EventLabel for CacheEvent {
 }
 
 /// Per-proxy mutable state: the framework-side [`NodeRuntime`]
-/// (statistics, exploration planner, update clock) composed with the
-/// cache-domain state.
+/// (statistics, update clock) composed with the cache-domain state.
 struct ProxyState {
     cache: LruCache,
     stream: RequestStream,
     rt: NodeRuntime,
+    /// The exploration trigger: a second request clock, due every
+    /// `explore_every` requests. A restart does not reset it.
+    explore: ReconfigClock,
     recent_misses: VecDeque<ItemId>,
 }
 
@@ -151,7 +153,8 @@ impl<T: TraceSink> WebCacheWorld<T> {
             .map(|p| ProxyState {
                 cache: LruCache::new(config.cache_capacity),
                 stream: RequestStream::new(&config, &rngs, p),
-                rt: NodeRuntime::new(UPDATE_THRESHOLD).with_explorer(config.exploration),
+                rt: NodeRuntime::new(UPDATE_THRESHOLD),
+                explore: ReconfigClock::new(config.explore_every),
                 recent_misses: VecDeque::with_capacity(MISS_HISTORY),
             })
             .collect();
@@ -343,8 +346,8 @@ impl<T: TraceSink> WebCacheWorld<T> {
         }
 
         if self.config.mode == CacheMode::Dynamic {
-            self.proxies[i].rt.explorer().on_request();
-            if self.proxies[i].rt.explorer().should_fire(now) {
+            if self.proxies[i].explore.tick() {
+                self.proxies[i].explore.reset();
                 self.explore(proxy, sched);
             }
             if self.proxies[i].rt.clock.tick() {

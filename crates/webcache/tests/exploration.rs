@@ -2,11 +2,10 @@
 //! the correlation between exploration frequency and content-change
 //! rate).
 
-use ddr_core::ExplorationTrigger;
 use ddr_sim::SimDuration;
 use ddr_webcache::{run_webcache, CacheMode, WebCacheConfig};
 
-fn cfg(trigger: ExplorationTrigger) -> WebCacheConfig {
+fn cfg(explore_every: u32) -> WebCacheConfig {
     let mut c = WebCacheConfig::default_scenario(CacheMode::Dynamic);
     c.proxies = 32;
     c.groups = 4;
@@ -16,15 +15,15 @@ fn cfg(trigger: ExplorationTrigger) -> WebCacheConfig {
     c.sim_hours = 6;
     c.warmup_hours = 1;
     c.mean_request_interval = SimDuration::from_millis(1_000);
-    c.exploration = trigger;
+    c.explore_every = explore_every;
     c.seed = 31;
     c
 }
 
 #[test]
 fn starved_exploration_degrades_adaptation() {
-    let frequent = run_webcache(cfg(ExplorationTrigger::EveryNRequests(25)));
-    let starved = run_webcache(cfg(ExplorationTrigger::EveryNRequests(20_000)));
+    let frequent = run_webcache(cfg(25));
+    let starved = run_webcache(cfg(20_000));
     assert!(
         frequent.neighbor_hit_ratio() > starved.neighbor_hit_ratio(),
         "frequent {} <= starved {}",
@@ -40,19 +39,9 @@ fn starved_exploration_degrades_adaptation() {
 }
 
 #[test]
-fn periodic_trigger_works_too() {
-    let periodic = run_webcache(cfg(ExplorationTrigger::Periodic(SimDuration::from_mins(2))));
-    let starved = run_webcache(cfg(ExplorationTrigger::Periodic(SimDuration::from_hours(
-        50,
-    ))));
-    assert!(periodic.metrics.runtime.explorations > starved.metrics.runtime.explorations);
-    assert!(periodic.same_group_fraction > starved.same_group_fraction);
-}
-
-#[test]
 fn more_exploration_costs_more_messages() {
-    let frantic = run_webcache(cfg(ExplorationTrigger::EveryNRequests(5)));
-    let calm = run_webcache(cfg(ExplorationTrigger::EveryNRequests(500)));
+    let frantic = run_webcache(cfg(5));
+    let calm = run_webcache(cfg(500));
     assert!(
         frantic.metrics.runtime.messages.total() > calm.metrics.runtime.messages.total(),
         "probe volume did not scale with trigger frequency"

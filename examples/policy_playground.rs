@@ -9,8 +9,8 @@
 
 use ddr_repro::core::stats_store::ReplyObservation;
 use ddr_repro::core::{
-    CumulativeBenefit, ForwardSelection, InvitationContext, InvitationDecision, InvitationPolicy,
-    LocalIndex, SearchStrategy, StatsStore,
+    ForwardSelection, InvitationContext, InvitationDecision, InvitationPolicy, LocalIndex,
+    SearchStrategy, StatsStore,
 };
 use ddr_repro::net::BandwidthClass;
 use ddr_repro::sim::{ItemId, NodeId, RngFactory, SimTime};
@@ -43,7 +43,7 @@ fn main() {
         ForwardSelection::RandomK(2),
         ForwardSelection::TopKBenefit(2),
     ] {
-        let picked = policy.select(&neighbors, None, &stats, &CumulativeBenefit, &mut rng);
+        let picked = policy.select(&neighbors, None, &stats, |s| s.benefit, &mut rng);
         println!("  {:<16} -> {:?}", policy.label(), picked);
     }
 
@@ -72,7 +72,7 @@ fn main() {
             NodeId(9),
             &neighbors,
             &stats,
-            &CumulativeBenefit,
+            |s| s.benefit,
             4,
             &InvitationContext::none(),
         );

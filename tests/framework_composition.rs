@@ -6,8 +6,7 @@
 
 use ddr_repro::core::stats_store::ReplyObservation;
 use ddr_repro::core::{
-    CumulativeBenefit, DupCache, ForwardSelection, QueryDescriptor, SearchStrategy, StatsStore,
-    UpdatePlan,
+    DupCache, ForwardSelection, QueryDescriptor, SearchStrategy, StatsStore, UpdatePlan,
 };
 use ddr_repro::net::NetworkModel;
 use ddr_repro::overlay::NeighborList;
@@ -59,7 +58,7 @@ impl MiniWorld {
             self.out[from_node.index()].as_slice(),
             exclude,
             &self.stats[from_node.index()],
-            &CumulativeBenefit,
+            |s| s.benefit,
             &mut self.rng,
         );
         for t in targets {
@@ -230,7 +229,7 @@ fn stats_feed_asymmetric_update() {
     plan.replan(
         &current,
         &world.stats[0],
-        &CumulativeBenefit,
+        |s| s.benefit,
         DEGREE,
         usize::MAX,
         |n| n != NodeId(0),
