@@ -9,7 +9,7 @@
 //! | §3.2 Search (Algo 1): forward-target selection, and the search strategy that sets the terminating condition (launch TTL, deepening waves, index radius) | [`search`] |
 //! | §3.3 Exploration (Algo 2): a world that explores counts requests on its own [`ReconfigClock`]; what it probes is its own business | [`runtime`] |
 //! | §3.4 Neighbor update (Algo 3, asymmetric): the plan, and its one enactment for the web-cache and PeerOlap worlds | [`update`], [`runtime::asymmetric`] |
-//! | §3.4 Neighbor update (Algo 4, symmetric invitation/eviction) | [`update`] |
+//! | §3.4 Neighbor update (Algo 4, symmetric invitation/eviction): the plan and the invitation verdict, and the link handshake's transitions over a node's book | [`update`], [`runtime::link`] |
 //! | Benefit: each case study defines its own (music `B/R` in `ddr-gnutella`, web-cache latency, OLAP processing time); the planners rank by the caller's `rank` closure over [`NodeStats`] | [`search`], [`update`] |
 //! | Per-node statistics "for both the neighboring and the non-neighboring nodes that were encountered" | [`stats_store`] |
 //! | "each node keeps a list of recent messages" (duplicate suppression) | [`dup_cache`] |
@@ -40,4 +40,4 @@ pub use runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime, Port, 
 pub use search::{ForwardSelection, SearchStrategy};
 pub use stats_store::{NodeStats, StatsStore};
 pub use summary::CategorySummary;
-pub use update::{InvitationContext, InvitationDecision, InvitationPolicy, UpdatePlan};
+pub use update::{InvitationContext, InvitationPolicy, UpdatePlan};

@@ -130,8 +130,7 @@ impl AsymmetricOverlay {
     /// list is full, or `to`'s in-degree has reached the bound.
     fn adopt(&mut self, from: NodeId, to: NodeId) -> bool {
         debug_assert_ne!(from, to, "self-links are not meaningful in the overlay");
-        if self.in_degree[to.index()] >= self.in_capacity || self.out[from.index()].add(to).is_err()
-        {
+        if self.in_degree[to.index()] >= self.in_capacity || !self.out[from.index()].add(to) {
             return false;
         }
         self.in_degree[to.index()] += 1;

@@ -9,6 +9,7 @@
 //! |---|---|---|
 //! | Shared books of an asymmetric world: overlay + random bootstrap, presence, world RNG, delay-jitter streams, top-up, and the enactment of Algo 3 | [`AsymmetricOverlay`] | the webcache/peerolap `topology` / `up` / `present` / `rng` / `delays` fields and their hand-written `update_neighbors` |
 //! | Per-node framework bundle (stats, dup-cache, reconfig clock) | [`NodeRuntime`] | ad-hoc `{stats, seen, requests_since_*}` fields on `PeerState` / `ProxyState` / `OlapPeer` |
+//! | Algo 4's link handshake: a node's view, reservations and refusal memory as one borrowed book, and the transitions its fill requests and invitations share | [`LinkBook`] | the Gnutella handlers' direct edits of `neighbors` / `pending_invites` / `evicted`, twice over |
 //! | Threshold-K request clock: the reconfiguration trigger with invitation damping, and the web cache's exploration trigger | [`ReconfigClock`] | bare `u32` counters compared against config in three places |
 //!
 //! The worlds keep their domain state (caches, pending queries, workload
@@ -26,11 +27,13 @@
 //! `ddr-serve` bus.
 
 pub mod asymmetric;
+pub mod link;
 pub mod node;
 pub mod port;
 pub mod reconfig;
 
 pub use asymmetric::AsymmetricOverlay;
+pub use link::LinkBook;
 pub use node::NodeRuntime;
 pub use port::Port;
 pub use reconfig::ReconfigClock;

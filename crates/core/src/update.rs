@@ -200,76 +200,46 @@ impl InvitationContext<'_> {
     }
 }
 
-/// An invitee's verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InvitationDecision {
-    /// Accept; a full neighbor list requires evicting this neighbor.
-    Accept { evict: Option<NodeId> },
-    /// Reject the invitation.
-    Reject,
-}
-
 impl InvitationPolicy {
-    /// Decide an incoming invitation at a node whose symmetric neighbor
-    /// list is `neighbors` (capacity `capacity`), ranking the node's own
-    /// statistics by `rank`.
+    /// Decide an invitation to a node whose symmetric neighbor list
+    /// `neighbors` is full, ranking the node's own statistics by `rank`:
+    /// the incumbent to evict for `inviter`, or `None` to refuse. A node
+    /// with a free slot takes the inviter without asking (see
+    /// [`crate::runtime::link`]).
     pub fn decide(
         &self,
         inviter: NodeId,
         neighbors: &[NodeId],
         stats: &StatsStore,
         rank: impl Fn(&NodeStats) -> f64,
-        capacity: usize,
         ctx: &InvitationContext<'_>,
-    ) -> InvitationDecision {
+    ) -> Option<NodeId> {
         debug_assert!(
             !neighbors.contains(&inviter),
             "invited by an existing neighbor"
         );
-        if neighbors.len() < capacity {
-            return InvitationDecision::Accept { evict: None };
-        }
         // The weakest incumbent: lowest benefit, ties by highest id so the
         // choice is deterministic.
-        let weakest = neighbors
-            .iter()
-            .copied()
-            .min_by(|&a, &b| {
-                let ba = stats.get(a).map(&rank).unwrap_or(0.0);
-                let bb = stats.get(b).map(&rank).unwrap_or(0.0);
-                // NaN-safe: a poisoned incumbent ranks weakest.
-                benefit_sort_key(ba)
-                    .total_cmp(&benefit_sort_key(bb))
-                    .then(b.cmp(&a))
-            })
-            .expect("capacity > 0 implies neighbors non-empty here");
-        match self {
-            InvitationPolicy::AlwaysAccept | InvitationPolicy::TrialPeriod { .. } => {
-                InvitationDecision::Accept {
-                    evict: Some(weakest),
-                }
-            }
+        let weakest = neighbors.iter().copied().min_by(|&a, &b| {
+            let ba = stats.get(a).map(&rank).unwrap_or(0.0);
+            let bb = stats.get(b).map(&rank).unwrap_or(0.0);
+            // NaN-safe: a poisoned incumbent ranks weakest.
+            benefit_sort_key(ba)
+                .total_cmp(&benefit_sort_key(bb))
+                .then(b.cmp(&a))
+        })?;
+        let accept = match self {
+            InvitationPolicy::AlwaysAccept | InvitationPolicy::TrialPeriod { .. } => true,
             InvitationPolicy::BenefitGated => {
                 let inviter_benefit = stats.get(inviter).map(&rank).unwrap_or(0.0);
                 let weakest_benefit = stats.get(weakest).map(&rank).unwrap_or(0.0);
-                if inviter_benefit > weakest_benefit {
-                    InvitationDecision::Accept {
-                        evict: Some(weakest),
-                    }
-                } else {
-                    InvitationDecision::Reject
-                }
+                inviter_benefit > weakest_benefit
             }
             InvitationPolicy::SummaryGated { min_similarity } => {
-                if ctx.similarity() >= *min_similarity {
-                    InvitationDecision::Accept {
-                        evict: Some(weakest),
-                    }
-                } else {
-                    InvitationDecision::Reject
-                }
+                ctx.similarity() >= *min_similarity
             }
-        }
+        };
+        accept.then_some(weakest)
     }
 }
 
@@ -400,20 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn always_accept_with_free_slot() {
-        let s = StatsStore::new();
-        let d = InvitationPolicy::AlwaysAccept.decide(
-            NodeId(9),
-            &[NodeId(1)],
-            &s,
-            cumulative,
-            4,
-            &InvitationContext::none(),
-        );
-        assert_eq!(d, InvitationDecision::Accept { evict: None });
-    }
-
-    #[test]
     fn always_accept_full_evicts_weakest() {
         let s = store(&[(1, 5.0), (2, 1.0), (3, 3.0), (4, 2.0)]);
         let d = InvitationPolicy::AlwaysAccept.decide(
@@ -421,15 +377,9 @@ mod tests {
             &[NodeId(1), NodeId(2), NodeId(3), NodeId(4)],
             &s,
             cumulative,
-            4,
             &InvitationContext::none(),
         );
-        assert_eq!(
-            d,
-            InvitationDecision::Accept {
-                evict: Some(NodeId(2))
-            }
-        );
+        assert_eq!(d, Some(NodeId(2)));
     }
 
     #[test]
@@ -440,10 +390,9 @@ mod tests {
             &[NodeId(1), NodeId(2)],
             &s,
             cumulative,
-            2,
             &InvitationContext::none(),
         );
-        assert_eq!(d, InvitationDecision::Reject);
+        assert_eq!(d, None);
     }
 
     #[test]
@@ -454,29 +403,9 @@ mod tests {
             &[NodeId(1), NodeId(2)],
             &s,
             cumulative,
-            2,
             &InvitationContext::none(),
         );
-        assert_eq!(
-            d,
-            InvitationDecision::Accept {
-                evict: Some(NodeId(2))
-            }
-        );
-    }
-
-    #[test]
-    fn benefit_gated_accepts_into_free_slot_regardless() {
-        let s = StatsStore::new();
-        let d = InvitationPolicy::BenefitGated.decide(
-            NodeId(9),
-            &[],
-            &s,
-            cumulative,
-            2,
-            &InvitationContext::none(),
-        );
-        assert_eq!(d, InvitationDecision::Accept { evict: None });
+        assert_eq!(d, Some(NodeId(2)));
     }
 
     #[test]
@@ -494,13 +423,8 @@ mod tests {
         let d = InvitationPolicy::SummaryGated {
             min_similarity: 0.8,
         }
-        .decide(NodeId(9), &[NodeId(1), NodeId(2)], &s, cumulative, 2, &ctx);
-        assert_eq!(
-            d,
-            InvitationDecision::Accept {
-                evict: Some(NodeId(1))
-            }
-        );
+        .decide(NodeId(9), &[NodeId(1), NodeId(2)], &s, cumulative, &ctx);
+        assert_eq!(d, Some(NodeId(1)));
     }
 
     #[test]
@@ -520,8 +444,8 @@ mod tests {
             own_summary: Some(&mine),
         };
         assert_eq!(
-            policy.decide(NodeId(9), &[NodeId(1), NodeId(2)], &s, cumulative, 2, &ctx),
-            InvitationDecision::Reject
+            policy.decide(NodeId(9), &[NodeId(1), NodeId(2)], &s, cumulative, &ctx),
+            None
         );
         // missing summaries → similarity 0 → reject when full
         assert_eq!(
@@ -530,22 +454,9 @@ mod tests {
                 &[NodeId(1), NodeId(2)],
                 &s,
                 cumulative,
-                2,
                 &InvitationContext::none()
             ),
-            InvitationDecision::Reject
-        );
-        // ... but still accepts into a free slot
-        assert_eq!(
-            policy.decide(
-                NodeId(9),
-                &[NodeId(1)],
-                &s,
-                cumulative,
-                2,
-                &InvitationContext::none()
-            ),
-            InvitationDecision::Accept { evict: None }
+            None
         );
     }
 }

@@ -1,13 +1,17 @@
 //! Session membership and symmetric-link maintenance: login and logoff,
-//! the `LinkRequest` / `LinkAck` / `Unlink` handshakes that keep the two
-//! endpoint views of a link in agreement, and the refill campaigns that
-//! replace lost neighbors with requests to known or bootstrap hosts.
+//! the handshakes that keep the two endpoint views of a link in
+//! agreement, and the refill campaigns that replace lost neighbors with
+//! requests to known or bootstrap hosts.
+//!
+//! A `LinkRequest` and an invitation run through one opener
+//! (`open_handshake`), one receiver (`handshake_request`), one settle
+//! (`handshake_reply`) and one drop (`link_dropped`); the handshake's
+//! state transitions are [`ddr_core::runtime::link`]'s.
 //!
 //! This is vanilla Gnutella: static mode runs nothing else besides
 //! `Process_Query` (see `search.rs`). Dynamic mode adds the benefit-driven
 //! update of `reconfigure.rs` on top, which reaches back here for its
-//! connectivity floor (`refill_links`) and for mirroring accepted
-//! invitations (`mirror_link`).
+//! connectivity floor (`refill_links`) and for the invitation handshake.
 //!
 //! No handler mutates another node's neighbor list, and none reads the
 //! global online set: candidates come from the node's own bootstrap
@@ -15,13 +19,15 @@
 //! refuses with a negative ack.
 
 use crate::events::GnutellaEvent;
-use crate::peer::{MIN_DEGREE_FLOOR, REFILL_RETRY_BUDGET};
+use crate::peer::{EVICTION_REPAIR_LIMIT, MIN_DEGREE_FLOOR, REFILL_RETRY_BUDGET};
 use crate::reconfigure::ever_answered;
 use crate::world::GnutellaWorld;
+use ddr_core::runtime::link::{Effect, Message};
 use ddr_core::runtime::Port;
 use ddr_core::search::benefit_sort_key;
+use ddr_core::{InvitationContext, InvitationPolicy, NodeStats};
 use ddr_overlay::NeighborList;
-use ddr_sim::{NodeId, QueryId, SimTime};
+use ddr_sim::{NodeId, QueryId, SimDuration, SimTime};
 use ddr_telemetry::{TraceOutcome, TraceSink};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -50,12 +56,9 @@ pub(crate) fn bootstrap_views<R: Rng + ?Sized>(
         candidates.shuffle(rng);
         for pair in candidates.chunks(2) {
             if let [a, b] = *pair {
-                let (va, vb) = (&views[a.index()], &views[b.index()]);
-                if va.contains(b) || va.is_full() || vb.is_full() {
-                    continue;
+                if !views[b.index()].is_full() && views[a.index()].add(b) {
+                    views[b.index()].add(a);
                 }
-                let _ = views[a.index()].add(b);
-                let _ = views[b.index()].add(a);
             }
         }
     }
@@ -127,51 +130,59 @@ impl<T: TraceSink> GnutellaWorld<T> {
             return;
         }
         let total = self.shared.net.len();
-        let mut attempts = 4 * want + 16;
-        while out.len() < want && attempts > 0 && total > 1 {
-            attempts -= 1;
-            let m = NodeId::from_index(self.proto[k].gen_range(0..total));
-            if m == node
-                || self.neighbors[k].contains(m)
-                || out.contains(&m)
-                || self.peers[k].evicted.contains(&m)
-            {
-                continue;
+        let attempts = if total > 1 { 4 * want + 16 } else { 0 };
+        let proto = &mut self.proto[k];
+        let draws = (0..attempts).map(|_| NodeId::from_index(proto.gen_range(0..total)));
+        let (book, _) = self.peers[k].link_book(&mut self.neighbors[k]);
+        // Stop the moment `out` fills: every further draw would move the
+        // node's proto stream.
+        for m in draws.chain(self.hosts[k].iter()) {
+            if m != node && book.may_dial(m) && !out.contains(&m) {
+                out.push(m);
+                if out.len() == want {
+                    break;
+                }
             }
-            out.push(m);
-        }
-        for m in self.hosts[k].iter() {
-            if out.len() >= want {
-                break;
-            }
-            if m == node
-                || self.neighbors[k].contains(m)
-                || out.contains(&m)
-                || self.peers[k].evicted.contains(&m)
-            {
-                continue;
-            }
-            out.push(m);
         }
     }
 
-    /// Send `LinkRequest`s for up to `want` new links, reserving a slot
-    /// per request.
+    /// Send `LinkRequest`s for the slots `node` has free below `target`.
     pub(crate) fn request_links<C: Port<GnutellaEvent>>(
         &mut self,
         node: NodeId,
-        want: usize,
+        target: usize,
         ctx: &mut C,
     ) {
         let k = self.li(node);
+        let want = self.book(k).free(target);
         let mut join = std::mem::take(&mut self.scratch_join);
         self.pick_join_targets(k, node, want, &mut join);
         for &t in &join {
-            self.peers[k].pending_invites += 1;
-            let d = self.delay(k, node, t);
-            ctx.send(t, d, GnutellaEvent::LinkRequest { to: t, from: node });
+            self.open_handshake(k, node, t, false, ctx);
         }
         self.scratch_join = join;
+    }
+
+    /// Open a handshake from `node` (local index `k`) to `to` — an
+    /// invitation when `invite`, a link request otherwise — with a slot
+    /// reserved for its answer.
+    pub(crate) fn open_handshake<C: Port<GnutellaEvent>>(
+        &mut self,
+        k: usize,
+        node: NodeId,
+        to: NodeId,
+        invite: bool,
+        ctx: &mut C,
+    ) {
+        self.book(k).open();
+        let d = self.delay(k, node, to);
+        let request = if invite {
+            self.metrics.invitations_sent += 1;
+            GnutellaEvent::InviteArrive { to, from: node }
+        } else {
+            GnutellaEvent::LinkRequest { to, from: node }
+        };
+        ctx.send(to, d, request);
     }
 
     /// The degree a dynamic node's random links stop at once its
@@ -205,64 +216,89 @@ impl<T: TraceSink> GnutellaWorld<T> {
         } else {
             degree
         };
-        let have = self.neighbors[k].len() + self.peers[k].pending_invites as usize;
-        let want = target.min(degree).saturating_sub(have);
-        if want > 0 {
-            self.request_links(node, want, ctx);
-        }
+        self.request_links(node, target.min(degree), ctx);
     }
 
-    /// A handshake came back refused: retry while the campaign budget
-    /// lasts (candidates are often offline — the node has no oracle).
-    fn retry_refill<C: Port<GnutellaEvent>>(&mut self, node: NodeId, ctx: &mut C) {
-        let k = self.li(node);
-        if !self.sessions[k].online || self.peers[k].refill_budget == 0 {
-            return;
-        }
-        self.peers[k].refill_budget -= 1;
-        self.refill_links(node, ctx);
-    }
-
-    /// Symmetric-link handshake, receiver side: commit-first, then ack.
-    pub(crate) fn link_request<C: Port<GnutellaEvent>>(
+    /// A handshake request reached `to`: an invitation (Algo 5
+    /// `Process_Invitation`: the invitee always accepts — paper case i;
+    /// the other `InvitationPolicy` variants gate it — evicting its least
+    /// beneficial neighbor when full, and resets its reconfiguration
+    /// counter to damp cascades) when `invited`, a link request
+    /// otherwise. The book commits first; the answer travels back either
+    /// way, so the opener's reservation is released.
+    pub(crate) fn handshake_request<C: Port<GnutellaEvent>>(
         &mut self,
         to: NodeId,
         from: NodeId,
+        invited: bool,
         ctx: &mut C,
     ) {
         let k = self.li(to);
-        let mut accepted = false;
-        if self.sessions[k].online && !self.peers[k].evicted.contains(&from) {
+        let online = self.sessions[k].online;
+        let shared = &self.shared;
+        let (mut book, stats) = self.peers[k].link_book(&mut self.neighbors[k]);
+        // A link request only takes a free slot; a full invitee asks its
+        // policy whether to evict the weakest incumbent for the inviter.
+        let effect = book.step(Message::Request { from }, online, |view| {
+            if !invited {
+                return None;
+            }
+            let context = InvitationContext {
+                inviter_summary: Some(&shared.summaries[from.index()]),
+                own_summary: Some(&shared.summaries[to.index()]),
+            };
+            let rank = |s: &NodeStats| ever_answered(shared.config.benefit, s);
+            shared
+                .config
+                .invitation
+                .decide(from, view, stats, rank, &context)
+        });
+        if effect != Effect::Refused {
             self.hosts[k].note(from);
-            if self.neighbors[k].contains(from) {
-                accepted = true; // idempotent re-request
-            } else if self.neighbors[k].add(from).is_ok() {
-                // Accept whenever a slot is free. The receiver's own
-                // outstanding handshakes do NOT reserve slots here: if one
-                // of them is accepted after the list fills, its mirror
-                // repairs the overflow (and on the invitation path the
-                // beneficial link wins the slot by eviction), so refusing
-                // eagerly would only starve the overlay.
-                accepted = true;
-                self.metrics.runtime.record_edges_changed(1);
+        }
+        if let Effect::Linked { evicted } = effect {
+            self.metrics.runtime.record_edges_changed(1);
+            if let Some(victim) = evicted {
+                self.send_eviction(k, to, victim, ctx);
+            }
+            if invited {
+                self.metrics.invitations_accepted += 1;
+                // §4.3 damping: the neighbour list just changed, so
+                // restart the update clock.
+                self.peers[k].rt.note_invitation_accepted();
+                if let InvitationPolicy::TrialPeriod { trial_millis } =
+                    self.shared.config.invitation
+                {
+                    // Provisional acceptance: re-evaluate after the trial
+                    // window (§3.4 solution a).
+                    ctx.send(
+                        to,
+                        SimDuration::from_millis(trial_millis).max(self.lookahead),
+                        GnutellaEvent::TrialExpire {
+                            node: to,
+                            peer: from,
+                            session: self.sessions[k].session,
+                        },
+                    );
+                }
             }
         }
+        let accepted = effect.accepted();
         let d = self.delay(k, to, from);
-        ctx.send(
-            from,
-            d,
-            GnutellaEvent::LinkAck {
-                to: from,
-                from: to,
-                accepted,
-            },
-        );
+        let (to, from) = (from, to); // the answer goes back to the opener
+        let answer = if invited {
+            GnutellaEvent::InviteReply { to, from, accepted }
+        } else {
+            GnutellaEvent::LinkAck { to, from, accepted }
+        };
+        ctx.send(to, d, answer);
     }
 
     /// The answer to a handshake `to` opened came back: an `InviteReply`
-    /// when `invited`, a `LinkAck` otherwise. Either way the slot
-    /// reserved at send time is released; an accepted link is mirrored,
-    /// a refused one retried through the channel that opened it.
+    /// when `invited`, a `LinkAck` otherwise. The book releases the
+    /// reserved slot and mirrors an accepted link, or asks for a repair
+    /// `Unlink` when it can no longer hold it; a refused one is retried
+    /// through the channel that opened it.
     pub(crate) fn handshake_reply<C: Port<GnutellaEvent>>(
         &mut self,
         to: NodeId,
@@ -272,116 +308,119 @@ impl<T: TraceSink> GnutellaWorld<T> {
         ctx: &mut C,
     ) {
         let k = self.li(to);
-        self.peers[k].pending_invites = self.peers[k].pending_invites.saturating_sub(1);
-        if accepted {
-            self.mirror_link(to, from, invited, ctx);
-        } else if invited {
-            // The candidate did not answer: almost certainly offline.
-            // Mark its statistics entry stale so the recency proxy stops
-            // proposing it (its next real reply re-qualifies it), then
-            // re-plan around it while the campaign budget lasts.
-            self.peers[k].rt.stats.touch(from, SimTime::ZERO);
-            self.retry_invites(to, ctx);
-        } else {
-            self.retry_refill(to, ctx);
-        }
-    }
-
-    /// Mirror a positively-acknowledged link (`LinkAck` / `InviteReply`)
-    /// in the acknowledged node's own view, or send a repair `Unlink` if
-    /// the link can no longer be honored (logged off / filled up
-    /// meanwhile).
-    ///
-    /// `evict_if_full` is set on the invitation path: the reconfiguration
-    /// that sent the invite planned to swap out its least beneficial
-    /// neighbor, and that deferred eviction lands here — only once the
-    /// replacement is confirmed.
-    fn mirror_link<C: Port<GnutellaEvent>>(
-        &mut self,
-        node: NodeId,
-        peer: NodeId,
-        evict_if_full: bool,
-        ctx: &mut C,
-    ) {
-        let k = self.li(node);
-        if self.sessions[k].online {
-            if self.neighbors[k].contains(peer) {
-                return; // already mirrored (race with another handshake)
+        let online = self.sessions[k].online;
+        let benefit = self.shared.config.benefit;
+        let (mut book, stats) = self.peers[k].link_book(&mut self.neighbors[k]);
+        // Deferred swap, invitations only: the reconfiguration that sent
+        // the invite planned to swap out its least beneficial neighbor,
+        // and that eviction lands here, once the replacement is confirmed
+        // — if the newcomer still beats it (statistics may have moved
+        // since planning). Ties go to the first in view order.
+        let effect = book.step(Message::Answer { from, accepted }, online, |view| {
+            if !invited {
+                return None;
             }
-            if self.neighbors[k].add(peer).is_ok() {
-                // The committing side already counted the edge change;
-                // the mirror is bookkeeping, not a second change.
-                return;
+            let rank = |m| stats.get(m).map_or(0.0, |s| ever_answered(benefit, s));
+            let newcomer = rank(from);
+            let (weakest, b) = view
+                .iter()
+                .map(|&m| (m, rank(m)))
+                .min_by(|a, b| benefit_sort_key(a.1).total_cmp(&benefit_sort_key(b.1)))?;
+            (b < newcomer).then_some(weakest)
+        });
+        match effect {
+            Effect::Linked {
+                evicted: Some(victim),
+            } => self.send_eviction(k, to, victim, ctx),
+            Effect::Unlink => {
+                let d = self.delay(k, to, from);
+                ctx.send(from, d, GnutellaEvent::Unlink { to: from, from: to });
             }
-            if evict_if_full {
-                // Deferred swap: drop the least beneficial current
-                // neighbor — but only if the confirmed newcomer actually
-                // beats it (statistics may have moved since planning).
-                let rank = |s| ever_answered(self.shared.config.benefit, s);
-                let new_b = self.peers[k].rt.stats.get(peer).map(rank).unwrap_or(0.0);
-                let worst = self.neighbors[k]
-                    .iter()
-                    .map(|m| {
-                        let b = self.peers[k].rt.stats.get(m).map(rank).unwrap_or(0.0);
-                        (m, b)
-                    })
-                    .min_by(|a, b| benefit_sort_key(a.1).total_cmp(&benefit_sort_key(b.1)));
-                if let Some((w, wb)) = worst {
-                    if wb < new_b && self.evict_neighbor(node, w, true, ctx) {
-                        let _ = self.neighbors[k].add(peer);
-                        return;
-                    }
+            Effect::Refused => {
+                if invited {
+                    // The candidate did not answer: almost certainly
+                    // offline. Mark its statistics entry stale so the
+                    // recency proxy stops proposing it (its next real
+                    // reply re-qualifies it).
+                    self.peers[k].rt.stats.touch(from, SimTime::ZERO);
+                }
+                // Retry while the campaign budget lasts (candidates are
+                // often offline — the node has no oracle).
+                if !self.sessions[k].online || self.peers[k].refill_budget == 0 {
+                    return;
+                }
+                self.peers[k].refill_budget -= 1;
+                if invited {
+                    self.retry_invites(to, ctx);
+                } else {
+                    self.refill_links(to, ctx);
                 }
             }
+            // Mirrored: the committing side already counted the edge change.
+            _ => {}
         }
-        // Offline, or full with nothing worth evicting: the counterparty
-        // committed a link this node cannot hold — repair.
-        let d = self.delay(k, node, peer);
-        ctx.send(
-            peer,
-            d,
-            GnutellaEvent::Unlink {
-                to: peer,
-                from: node,
-            },
-        );
     }
 
-    /// A neighbor link disappeared (logoff, repair, refused mirror):
-    /// update the own view and react per mode — the dynamic variant
-    /// reconfigures ("neighbor log-offs trigger the update process"),
-    /// the static variant requests replacement links from known hosts.
-    pub(crate) fn unlink<C: Port<GnutellaEvent>>(&mut self, to: NodeId, from: NodeId, ctx: &mut C) {
+    /// `from` dropped its link with `to`: an eviction notice (Algo 5
+    /// `Process_Eviction`: the evictee also resets the evictor's
+    /// statistics) when `evicted`, otherwise an `Unlink` (logoff, repair,
+    /// refused mirror). The node updates its own view and repairs per mode.
+    pub(crate) fn link_dropped<C: Port<GnutellaEvent>>(
+        &mut self,
+        to: NodeId,
+        from: NodeId,
+        evicted: bool,
+        ctx: &mut C,
+    ) {
         let k = self.li(to);
         if !self.sessions[k].online {
             return;
         }
-        if !self.neighbors[k].remove(from) {
-            return; // view never held the link (refused handshake)
-        }
-        if self.is_dynamic() {
-            if self.shared.config.reconfig_on_neighbor_loss {
-                // "Neighbor log-offs trigger the update process." The
-                // triggered update already reopens a floor-target refill
-                // with a fresh budget; the slot above the floor stays
-                // reserved for merit — a node recovers its full degree
-                // only through benefit-driven invitations, which is what
-                // separates contributors from peers nobody would invite.
-                self.reconfigure(to, ctx);
-            } else {
-                // No triggered update: a churn loss opens a full-degree
-                // repair campaign like static's, since without the
-                // update process there is no invitation channel working
-                // to restore the density.
-                self.peers[k].fill_to_degree = true;
-                self.peers[k].refill_budget = REFILL_RETRY_BUDGET;
-                self.refill_links(to, ctx);
+        let held = self.neighbors[k].remove(from);
+        if evicted {
+            // Reset the evictor's statistics so the node will not try to
+            // reconnect in the near future.
+            self.peers[k].rt.stats.reset_node(from);
+            // Repeated evictions are a rejection signal, not bad luck:
+            // past the per-session allowance the node stops redialing
+            // (backoff) and stays lean until its next login. A
+            // systematically rejected peer — one every neighborhood votes
+            // out — starves; see `EVICTION_REPAIR_LIMIT`.
+            let received = &mut self.peers[k].evictions_received;
+            *received = received.saturating_add(1);
+            if *received > EVICTION_REPAIR_LIMIT {
+                return;
             }
-        } else {
-            // Static Gnutella: a fresh refill campaign replaces the lost
-            // neighbor with requests to known/bootstrap hosts.
+        } else if !held {
+            return; // the view never held the link (refused handshake)
+        }
+        if !self.is_dynamic() || !self.shared.config.reconfig_on_neighbor_loss {
+            // Static Gnutella, or no triggered update: without the update
+            // process there is no invitation channel working to restore
+            // the density, so a fresh campaign replaces the lost neighbor
+            // with requests to known/bootstrap hosts (an eviction is
+            // indistinguishable from churn at the receiving end; only
+            // the dynamic variant sends evictions).
+            self.peers[k].fill_to_degree = true;
             self.peers[k].refill_budget = REFILL_RETRY_BUDGET;
             self.refill_links(to, ctx);
+        } else if evicted {
+            // Under the loss-triggered update regime, an evicted link is
+            // only repaired with a single un-retried probe that stops at
+            // `refill_floor` — being evicted costs the evictee real
+            // density until its next churn event renews the campaign
+            // budget. That cost scales with the network's update rate,
+            // which is what bends Fig 3(b): hyperactive clocks bleed the
+            // overlay lean, sluggish ones keep it dense but unclustered.
+            self.request_links(to, self.refill_floor(), ctx);
+        } else {
+            // "Neighbor log-offs trigger the update process." The
+            // triggered update already reopens a floor-target refill
+            // with a fresh budget; the slot above the floor stays
+            // reserved for merit — a node recovers its full degree
+            // only through benefit-driven invitations, which is what
+            // separates contributors from peers nobody would invite.
+            self.reconfigure(to, ctx);
         }
     }
 }

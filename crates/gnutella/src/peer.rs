@@ -2,7 +2,9 @@
 //! with the music-domain state (sessions, in-flight queries, workload
 //! generators).
 
-use ddr_core::runtime::NodeRuntime;
+use ddr_core::runtime::{LinkBook, NodeRuntime};
+use ddr_core::StatsStore;
+use ddr_overlay::NeighborList;
 use ddr_sim::{FastHashMap, FastHashSet, ItemId, NodeId, QueryId, SimTime};
 use ddr_workload::{ChurnProcess, QueryGenerator};
 
@@ -200,6 +202,16 @@ impl PeerState {
     pub fn end_session(&mut self) {
         self.pending.clear();
         self.pending_invites = 0;
+    }
+
+    /// This peer's link book over its `view` (the world's neighbor
+    /// column), beside the statistics its handshake verdicts rank by.
+    pub(crate) fn link_book<'a>(
+        &'a mut self,
+        view: &'a mut NeighborList,
+    ) -> (LinkBook<'a>, &'a StatsStore) {
+        let book = LinkBook::new(view, &mut self.pending_invites, &mut self.evicted);
+        (book, &self.rt.stats)
     }
 }
 

@@ -7,9 +7,10 @@
 //!   result collection, and the effectful half of the search-strategy
 //!   seam (deepening waves, local indices);
 //! * `reconfigure.rs` — Neighbor update (§3.4, Algos 3–4): `Reconfigure`,
-//!   `Process_Invitation`, `Process_Eviction`, trial relationships;
+//!   its retried invitations, trial relationships;
 //! * `membership.rs` — login / logoff and the symmetric-link handshakes
-//!   underneath both.
+//!   underneath both, `Process_Invitation` and `Process_Eviction`
+//!   included.
 //!
 //! Exploration (§3.3, Algo 2) has no handler here: in the music case
 //! study search doubles as exploration (§4.1).
@@ -37,8 +38,10 @@
 //!    its links; symmetric-link maintenance travels as
 //!    `LinkRequest`/`LinkAck`/`Unlink` handshakes and the invitation
 //!    protocol as `InviteArrive`/`InviteReply`/`EvictArrive`, all with
-//!    network delays ≥ the kernel lookahead. Views can disagree for one
-//!    message flight time — exactly like real sockets — and repair
+//!    network delays ≥ the kernel lookahead. Both handshakes change a
+//!    node's view, reservations and eviction memory only through its
+//!    [`LinkBook`] (`ddr_core::runtime::link`). Views can disagree for
+//!    one message flight time — exactly like real sockets — and repair
 //!    `Unlink`s reconcile refused mirrors.
 //! 3. **Shard-local membership.** No handler reads the global online set.
 //!    Nodes learn about other hosts from observed traffic via a per-node
@@ -56,7 +59,7 @@ use crate::hosts::HostCache;
 use crate::membership::bootstrap_views;
 use crate::metrics::Metrics;
 use crate::peer::{PeerState, PendingQuery, QueryOutcome, SessionSlot};
-use ddr_core::runtime::{sample_runtime_metrics, NodeRuntime, Port};
+use ddr_core::runtime::{sample_runtime_metrics, LinkBook, NodeRuntime, Port};
 use ddr_core::{CategorySummary, LocalIndex, UpdatePlan};
 use ddr_net::{NetworkModel, NodeDelayStream};
 use ddr_overlay::NeighborList;
@@ -556,6 +559,11 @@ impl<T: TraceSink> GnutellaWorld<T> {
             .max(self.lookahead)
     }
 
+    /// Local node `k`'s link book (see [`PeerState::link_book`]).
+    pub(crate) fn book(&mut self, k: usize) -> LinkBook<'_> {
+        self.peers[k].link_book(&mut self.neighbors[k]).0
+    }
+
     /// Ask the memory system for the cache lines `event`'s handler will
     /// miss on — the one address computation behind both kernels' hint
     /// hooks. At 50,000 users a node sees an event every few hundred
@@ -665,22 +673,22 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 return self.finalize_query(node, query, now);
             }
             GnutellaEvent::InviteArrive { to, from } => {
-                self.invite_arrive(to, from, ctx);
+                self.handshake_request(to, from, true, ctx);
             }
             GnutellaEvent::InviteReply { to, from, accepted } => {
                 self.handshake_reply(to, from, accepted, true, ctx);
             }
             GnutellaEvent::EvictArrive { to, from } => {
-                self.evict_arrive(to, from, ctx);
+                self.link_dropped(to, from, true, ctx);
             }
             GnutellaEvent::LinkRequest { to, from } => {
-                self.link_request(to, from, ctx);
+                self.handshake_request(to, from, false, ctx);
             }
             GnutellaEvent::LinkAck { to, from, accepted } => {
                 self.handshake_reply(to, from, accepted, false, ctx);
             }
             GnutellaEvent::Unlink { to, from } => {
-                self.unlink(to, from, ctx);
+                self.link_dropped(to, from, false, ctx);
             }
             GnutellaEvent::WaveCheck { node, query, wave } => {
                 return self.wave_check(node, query, wave, ctx);

@@ -18,15 +18,6 @@ use ddr_sim::NodeId;
 /// before the inline copy on `remove` starts to cost.
 pub const INLINE_NEIGHBORS: usize = 8;
 
-/// Error returned by [`NeighborList::add`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AddError {
-    /// The node is already present.
-    Duplicate,
-    /// The list is at capacity.
-    Full,
-}
-
 #[derive(Clone)]
 enum Store {
     /// `len` live entries at the front of `buf`; the tail is garbage.
@@ -84,13 +75,11 @@ impl NeighborList {
         self.as_slice().contains(&node)
     }
 
-    /// Add `node`; fails on duplicates and at capacity.
-    pub fn add(&mut self, node: NodeId) -> Result<(), AddError> {
-        if self.contains(node) {
-            return Err(AddError::Duplicate);
-        }
-        if self.is_full() {
-            return Err(AddError::Full);
+    /// Add `node`; returns whether it was added (not if already present
+    /// or at capacity).
+    pub fn add(&mut self, node: NodeId) -> bool {
+        if self.contains(node) || self.is_full() {
+            return false;
         }
         match &mut self.store {
             Store::Inline { buf, len } => {
@@ -107,7 +96,7 @@ impl NeighborList {
             }
             Store::Spilled(v) => v.push(node),
         }
-        Ok(())
+        true
     }
 
     /// Remove `node`; returns whether it was present. Order of the
@@ -197,7 +186,7 @@ mod tests {
     #[test]
     fn add_and_contains() {
         let mut l = NeighborList::with_capacity(4);
-        assert!(l.add(NodeId(1)).is_ok());
+        assert!(l.add(NodeId(1)));
         assert!(l.contains(NodeId(1)));
         assert!(!l.contains(NodeId(2)));
         assert_eq!(l.len(), 1);
@@ -206,33 +195,38 @@ mod tests {
     #[test]
     fn rejects_duplicates() {
         let mut l = NeighborList::with_capacity(4);
-        l.add(NodeId(1)).unwrap();
-        assert_eq!(l.add(NodeId(1)), Err(AddError::Duplicate));
+        assert!(l.add(NodeId(1)));
+        assert!(!l.add(NodeId(1)));
+        assert!(l.contains(NodeId(1)) && !l.is_full());
         assert_eq!(l.len(), 1);
     }
 
     #[test]
     fn rejects_beyond_capacity() {
         let mut l = NeighborList::with_capacity(2);
-        l.add(NodeId(1)).unwrap();
-        l.add(NodeId(2)).unwrap();
+        assert!(l.add(NodeId(1)));
+        assert!(l.add(NodeId(2)));
         assert!(l.is_full());
-        assert_eq!(l.add(NodeId(3)), Err(AddError::Full));
+        assert!(!l.add(NodeId(3)));
+        assert!(!l.contains(NodeId(3)));
+        assert_eq!(l.len(), 2);
     }
 
     #[test]
     fn duplicate_reported_even_when_full() {
         let mut l = NeighborList::with_capacity(1);
-        l.add(NodeId(1)).unwrap();
-        // duplicate takes precedence over full: the node IS a neighbor
-        assert_eq!(l.add(NodeId(1)), Err(AddError::Duplicate));
+        assert!(l.add(NodeId(1)));
+        // refused, and the node IS a neighbor
+        assert!(!l.add(NodeId(1)));
+        assert!(l.contains(NodeId(1)) && l.is_full());
+        assert_eq!(l.len(), 1);
     }
 
     #[test]
     fn remove_preserves_order() {
         let mut l = NeighborList::with_capacity(4);
         for i in 1..=4 {
-            l.add(NodeId(i)).unwrap();
+            assert!(l.add(NodeId(i)));
         }
         assert!(l.remove(NodeId(2)));
         assert!(!l.remove(NodeId(2)));
@@ -243,8 +237,8 @@ mod tests {
     #[test]
     fn drain_empties() {
         let mut l = NeighborList::with_capacity(3);
-        l.add(NodeId(5)).unwrap();
-        l.add(NodeId(6)).unwrap();
+        assert!(l.add(NodeId(5)));
+        assert!(l.add(NodeId(6)));
         let out = l.drain();
         assert_eq!(out, vec![NodeId(5), NodeId(6)]);
         assert!(l.is_empty());
@@ -258,13 +252,14 @@ mod tests {
         let cap = INLINE_NEIGHBORS * 3;
         let mut l = NeighborList::with_capacity(cap);
         for i in 0..cap as u32 {
-            l.add(NodeId(i)).unwrap();
+            assert!(l.add(NodeId(i)));
         }
         assert_eq!(
             l.iter().collect::<Vec<_>>(),
             (0..cap as u32).map(NodeId).collect::<Vec<_>>()
         );
-        assert_eq!(l.add(NodeId(0)), Err(AddError::Duplicate));
+        assert!(!l.add(NodeId(0)));
+        assert_eq!(l.len(), cap);
         // Shrink below the inline threshold again; order still holds.
         for i in 0..(cap as u32 - 2) {
             assert!(l.remove(NodeId(i)));
@@ -282,14 +277,14 @@ mod tests {
         let cap = INLINE_NEIGHBORS + 4;
         let mut spilled = NeighborList::with_capacity(cap);
         for i in 0..(INLINE_NEIGHBORS as u32 + 1) {
-            spilled.add(NodeId(i)).unwrap();
+            assert!(spilled.add(NodeId(i)));
         }
         for i in 2..(INLINE_NEIGHBORS as u32 + 1) {
             spilled.remove(NodeId(i));
         }
         let mut inline = NeighborList::with_capacity(cap);
-        inline.add(NodeId(0)).unwrap();
-        inline.add(NodeId(1)).unwrap();
+        assert!(inline.add(NodeId(0)));
+        assert!(inline.add(NodeId(1)));
         assert_eq!(spilled, inline);
         assert_eq!(format!("{spilled:?}"), format!("{inline:?}"));
     }

@@ -9,8 +9,7 @@
 
 use ddr_repro::core::stats_store::ReplyObservation;
 use ddr_repro::core::{
-    ForwardSelection, InvitationContext, InvitationDecision, InvitationPolicy, LocalIndex,
-    SearchStrategy, StatsStore,
+    ForwardSelection, InvitationContext, InvitationPolicy, LocalIndex, SearchStrategy, StatsStore,
 };
 use ddr_repro::net::BandwidthClass;
 use ddr_repro::sim::{ItemId, NodeId, RngFactory, SimTime};
@@ -73,14 +72,11 @@ fn main() {
             &neighbors,
             &stats,
             |s| s.benefit,
-            4,
             &InvitationContext::none(),
         );
         match d {
-            InvitationDecision::Accept { evict } => {
-                println!("  {policy:?}: accept, evicting {evict:?}")
-            }
-            InvitationDecision::Reject => println!("  {policy:?}: reject (unknown inviter)"),
+            Some(evict) => println!("  {policy:?}: accept, evicting {evict:?}"),
+            None => println!("  {policy:?}: reject (unknown inviter)"),
         }
     }
 

@@ -119,7 +119,7 @@ fn ring_world(seed: u64) -> MiniWorld {
     let mut out = vec![NeighborList::with_capacity(DEGREE); N];
     for (i, list) in out.iter_mut().enumerate() {
         for off in [1usize, 2, 5] {
-            list.add(NodeId::from_index((i + off) % N)).unwrap();
+            assert!(list.add(NodeId::from_index((i + off) % N)));
         }
     }
     let rngs = RngFactory::new(seed);
