@@ -16,7 +16,8 @@ echo "==> cargo check benchmark/ (every name the measurement stack spells still"
 echo "    resolves — seconds, not the full suite, when a refactor breaks one)"
 cargo check --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> tracked Rust lines, the per-file ceiling, one-implementer traits, unselected variants and unnamed deps"
+echo "==> tracked Rust lines, the per-file ceiling, one-implementer traits, unselected variants,"
+echo "    unassigned config fields and unnamed deps"
 # The count every simplicity PR quotes; and no file under crates/*/src may
 # pass 1,000 lines, so split modules do not silently grow back into one.
 # Files past 800 are listed without failing: the next PR that touches one
@@ -70,6 +71,58 @@ UNSELECTED=$({ git grep -oE '\b[A-Z]\w*::[A-Z]\w*' -- '*.rs' ':!vendor'; echo '-
           v[$2] = v[$2] (v[$2] == "" ? "" : ", ") $4 }
         END { for (i = 1; i <= k; i++) print "    " order[i] "::{" v[order[i]] "}" }')
 test -z "$UNSELECTED" || { echo "    pub enum variants no other file spells:"; echo "$UNSELECTED"; }
+
+# A config field nothing outside tests sets is a knob with one value.
+# Listed, not failed: every `pub` field of a `*Config` struct under
+# crates/*/src, searched as a `.field =` assignment or a `field:` line of a
+# `Name { … }` literal in every tracked .rs file but the struct's own,
+# skipping tests/, crates/*/tests/, examples/, vendor/ and whatever
+# follows a file's first #[cfg(test)].
+UNASSIGNED=$(git ls-files '*.rs' ':!tests/*' ':!crates/*/tests/*' ':!examples/*' ':!vendor/*' \
+    | xargs awk '
+        /#\[cfg\(test\)\]/ { cut[FILENAME] = 1 }
+        !cut[FILENAME] { m++; from[m] = FILENAME; text[m] = $0 }
+        function indent(s) { match(s, /^ */); return RLENGTH }
+        END {
+            for (j = 1; j <= m; j++) {
+                line = text[j]
+                if (from[j] ~ /^crates\/[^\/]+\/src\// && match(line, /^ *pub struct [A-Za-z0-9_]*Config[ {]/)) {
+                    cur = line; sub(/^ *pub struct /, "", cur); sub(/[^A-Za-z0-9_].*/, "", cur)
+                    home[cur] = from[j]; ind = indent(line); continue
+                }
+                if (cur == "") continue
+                if (indent(line) == ind && line ~ /^ *}/) { cur = ""; continue }
+                if (indent(line) == ind + 4 && match(line, /^ *pub [a-z_][a-z0-9_]*:/)) {
+                    f = line; sub(/^ *pub /, "", f); sub(/:.*/, "", f)
+                    n++; sname[n] = cur; fname[n] = f
+                }
+            }
+            # Literals: a line naming `Config {` opens one; its field lines
+            # sit one level deeper; a `}` at its own indentation closes it.
+            depth = 0
+            for (j = 1; j <= m; j++) {
+                line = text[j]
+                if (depth > 0 && indent(line) == lind[depth] && line ~ /^ *}/) { depth--; continue }
+                if (depth > 0 && indent(line) == lind[depth] + 4 && match(line, /^ *[a-z_][a-z0-9_]*[:,]/)) {
+                    f = substr(line, 1, RLENGTH - 1); sub(/^ */, "", f)
+                    if (from[j] != home[lname[depth]]) set[lname[depth] "::" f] = 1
+                }
+                if (line ~ /^ *(pub )?(struct|impl|enum|fn) /) continue
+                for (s in home)
+                    if (match(line, "(^|[^A-Za-z0-9_])" s " \\{ *$")) {
+                        depth++; lname[depth] = s; lind[depth] = indent(line)
+                    }
+            }
+            for (i = 1; i <= n; i++) {
+                if (set[sname[i] "::" fname[i]]) continue
+                re = "\\." fname[i] "[ \t]*=[^=]"
+                hit = 0
+                for (j = 1; j <= m && !hit; j++)
+                    if (from[j] != home[sname[i]] && text[j] ~ re) hit = 1
+                if (!hit) print "    " home[sname[i]] ": " sname[i] "::" fname[i]
+            }
+        }')
+test -z "$UNASSIGNED" || { echo "    pub *Config fields no file outside tests assigns:"; echo "$UNASSIGNED"; }
 
 # A `ddr-*` dependency whose `ddr_*` name appears nowhere under its crate
 # is dead weight in every build. Listed, not failed: dropping one can

@@ -7,7 +7,7 @@
 //!
 //! | Concern | Type | Replaces |
 //! |---|---|---|
-//! | Shared books of an asymmetric world: overlay + random bootstrap, presence, world RNG, delay-jitter streams, top-up, and the enactment of Algo 3 | [`AsymmetricOverlay`] | the webcache/peerolap `topology` / `up` / `present` / `rng` / `delays` fields and their hand-written `update_neighbors` |
+//! | Shared books of an asymmetric world: overlay + random bootstrap, in-degree counts, world RNG, delay-jitter streams, top-up, and the enactment of Algo 3 | [`AsymmetricOverlay`] | the webcache/peerolap `topology` / `rng` / `delays` fields and their hand-written `update_neighbors` |
 //! | Per-node framework bundle (stats, dup-cache, reconfig clock) | [`NodeRuntime`] | ad-hoc `{stats, seen, requests_since_*}` fields on `PeerState` / `ProxyState` / `OlapPeer` |
 //! | Algo 4's link handshake: a node's view, reservations and refusal memory as one borrowed book, and the transitions its fill requests and invitations share | [`LinkBook`] | the Gnutella handlers' direct edits of `neighbors` / `pending_invites` / `evicted`, twice over |
 //! | Threshold-K request clock: the reconfiguration trigger with invitation damping, and the web cache's exploration trigger | [`ReconfigClock`] | bare `u32` counters compared against config in three places |

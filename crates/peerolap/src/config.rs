@@ -23,8 +23,8 @@ impl OlapMode {
 }
 
 /// All knobs of the PeerOlap simulation. What no caller varies — delays,
-/// the P2P timeout, the hop limit, affinity, Zipf exponent, update
-/// threshold — is a constant beside its use in `world.rs` / `cube.rs`
+/// the P2P timeout, the hop limit, affinity, Zipf exponent, query length,
+/// update threshold — is a constant beside its use in `world.rs` / `cube.rs`
 /// (DESIGN.md §5).
 #[derive(Debug, Clone)]
 pub struct PeerOlapConfig {
@@ -34,8 +34,6 @@ pub struct PeerOlapConfig {
     pub groups: usize,
     /// Chunks per group region of the cube.
     pub chunks_per_region: u32,
-    /// Maximum chunks requested by one query (uniform 1..=max).
-    pub max_query_chunks: usize,
     /// Chunk-cache capacity per peer.
     pub cache_capacity: usize,
     /// Outgoing-neighbor capacity.
@@ -45,13 +43,6 @@ pub struct PeerOlapConfig {
     pub in_capacity: usize,
     /// Mean inter-query time per peer.
     pub mean_query_interval: SimDuration,
-    /// Mean session length before a peer leaves (exponential); `None`
-    /// disables churn. A departing peer keeps its cache (it is a
-    /// long-running analyst workstation, not a restarting daemon) but
-    /// all links touching it are torn down.
-    pub mean_session: Option<SimDuration>,
-    /// Mean absence before the peer returns (exponential).
-    pub mean_absence: SimDuration,
     /// Simulated horizon.
     pub sim_hours: u64,
     /// Warm-up hours excluded from metrics.
@@ -73,13 +64,10 @@ impl PeerOlapConfig {
             peers: 48,
             groups: 6,
             chunks_per_region: 8_192,
-            max_query_chunks: 16,
             cache_capacity: 2_048,
             out_degree: 3,
             in_capacity: 6,
             mean_query_interval: SimDuration::from_millis(4_000),
-            mean_session: None,
-            mean_absence: SimDuration::from_mins(15),
             sim_hours: 8,
             warmup_hours: 1,
             seed: 0x01AF,
@@ -106,9 +94,6 @@ impl PeerOlapConfig {
                 "in_capacity ({}) below out_degree ({}): the network cannot be consistent on average",
                 self.in_capacity, self.out_degree
             ));
-        }
-        if self.max_query_chunks == 0 {
-            return Err("queries must request at least one chunk".into());
         }
         if self.warmup_hours >= self.sim_hours {
             return Err("warmup must precede the horizon".into());
@@ -144,10 +129,6 @@ mod tests {
         let mut c = PeerOlapConfig::default_scenario(OlapMode::Static);
         c.in_capacity = 1;
         assert!(c.validate().is_err(), "in_capacity < out_degree must fail");
-
-        let mut c = PeerOlapConfig::default_scenario(OlapMode::Static);
-        c.max_query_chunks = 0;
-        assert!(c.validate().is_err());
 
         let mut c = PeerOlapConfig::default_scenario(OlapMode::Static);
         c.groups = 100;

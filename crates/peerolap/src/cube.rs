@@ -17,6 +17,9 @@ use rand::Rng;
 const REGION_AFFINITY: f64 = 0.7;
 /// Zipf exponent of chunk popularity within a region.
 const THETA: f64 = 0.9;
+/// Longest chunk run one query asks for; a query's length is uniform on
+/// `1..=MAX_QUERY_CHUNKS`, clamped to its region.
+const MAX_QUERY_CHUNKS: usize = 16;
 
 /// Warehouse processing time for one chunk, in milliseconds: a
 /// deterministic pseudo-random value in `[50, 500)` derived from the
@@ -78,7 +81,6 @@ pub struct QueryShape {
 #[derive(Debug)]
 pub struct OlapQueryStream {
     group: u32,
-    max_chunks: usize,
     interval: Exponential,
     rng: SmallRng,
 }
@@ -88,7 +90,6 @@ impl OlapQueryStream {
     pub fn new(config: &PeerOlapConfig, rngs: &RngFactory, peer: usize) -> Self {
         OlapQueryStream {
             group: (peer % config.groups) as u32,
-            max_chunks: config.max_query_chunks,
             interval: Exponential::from_mean(config.mean_query_interval.as_millis() as f64),
             rng: rngs.stream("peerolap.queries", peer as u64),
         }
@@ -116,7 +117,7 @@ impl OlapQueryStream {
             }
             r
         };
-        let len = self.rng.gen_range(1..=self.max_chunks) as u32;
+        let len = self.rng.gen_range(1..=MAX_QUERY_CHUNKS) as u32;
         let anchor = space.anchor_zipf.sample(&mut self.rng) as u32;
         let start = anchor.min(space.chunks_per_region().saturating_sub(len));
         let chunks = (start..start + len.min(space.chunks_per_region()))
@@ -161,7 +162,7 @@ mod tests {
         for _ in 0..2_000 {
             let shape = q.next_query(&s);
             assert!(!shape.chunks.is_empty());
-            assert!(shape.chunks.len() <= 16);
+            assert!(shape.chunks.len() <= MAX_QUERY_CHUNKS);
             let region = s.region_of(shape.chunks[0]);
             for &c in &shape.chunks {
                 assert_eq!(s.region_of(c), region, "query crossed a region");
@@ -188,10 +189,9 @@ mod tests {
     #[test]
     fn query_runs_clamp_at_region_end() {
         let (c, s, rngs) = setup();
-        // Force a tiny region to exercise the clamp.
+        // A region shorter than the longest run exercises the clamp.
         let mut small = c.clone();
         small.chunks_per_region = 8;
-        small.max_query_chunks = 16;
         let space = CubeSpace::new(&small);
         let mut q = OlapQueryStream::new(&small, &rngs, 1);
         for _ in 0..500 {

@@ -16,8 +16,8 @@
 //! bound on how many peers may link to one makes adoption contested: an
 //! adoption fails when the target's in-degree is at `in_capacity`, and the
 //! updater simply moves on to the next candidate — §3.1's general
-//! asymmetric case. The overlay, presence, the world RNG and that
-//! enactment of Algo 3 live in the shared [`AsymmetricOverlay`] chassis;
+//! asymmetric case. The overlay, the world RNG and that enactment of
+//! Algo 3 live in the shared [`AsymmetricOverlay`] chassis;
 //! this file is the OLAP domain around it.
 
 use crate::config::{OlapMode, PeerOlapConfig};
@@ -73,8 +73,6 @@ pub enum OlapEvent {
     /// The query (including any warehouse work) finished; chunks enter
     /// the local cache.
     QueryComplete { peer: NodeId, query: QueryId },
-    /// `peer` flips between present and absent (churn mode only).
-    PeerToggle { peer: NodeId },
 }
 
 impl EventLabel for OlapEvent {
@@ -85,7 +83,6 @@ impl EventLabel for OlapEvent {
             OlapEvent::ChunkReply { .. } => "ChunkReply",
             OlapEvent::P2pPhaseEnd { .. } => "P2pPhaseEnd",
             OlapEvent::QueryComplete { .. } => "QueryComplete",
-            OlapEvent::PeerToggle { .. } => "PeerToggle",
         }
     }
 }
@@ -134,8 +131,6 @@ pub struct OlapMetrics {
     /// Outgoing-edge adoptions refused because the target's incoming
     /// list was full (the bounded-asymmetric contention signal).
     pub adds_refused: u64,
-    /// Peer departures (churn mode only).
-    pub departures: u64,
 }
 
 /// The complete world. The sink parameter selects the telemetry build:
@@ -144,8 +139,7 @@ pub struct OlapMetrics {
 pub struct PeerOlapWorld<T: TraceSink = NullSink> {
     config: PeerOlapConfig,
     space: CubeSpace,
-    /// Overlay, which peers are present (all of them without churn),
-    /// world RNG and per-peer delay jitter.
+    /// Overlay, world RNG and per-peer delay jitter.
     overlay: AsymmetricOverlay,
     peers: Vec<OlapPeer>,
     next_query: u64,
@@ -188,12 +182,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         }
     }
 
-    /// Whether `peer` is currently present.
-    pub fn is_present(&self, peer: NodeId) -> bool {
-        self.overlay.is_present(peer)
-    }
-
-    /// Seed every peer's first query (and churn chains when enabled).
+    /// Seed every peer's first query.
     pub fn prime(&mut self, queue: &mut ddr_sim::EventQueue<OlapEvent>) {
         for p in 0..self.peers.len() {
             let d = self.peers[p].stream.next_interval();
@@ -203,15 +192,6 @@ impl<T: TraceSink> PeerOlapWorld<T> {
                     peer: NodeId::from_index(p),
                 },
             );
-            if let Some(mean) = self.config.mean_session {
-                let d = self.overlay.exp_duration(mean);
-                queue.schedule_in(
-                    d,
-                    OlapEvent::PeerToggle {
-                        peer: NodeId::from_index(p),
-                    },
-                );
-            }
         }
     }
 
@@ -238,10 +218,6 @@ impl<T: TraceSink> PeerOlapWorld<T> {
 
         let d = self.peers[i].stream.next_interval();
         sched.after(d, OlapEvent::IssueQuery { peer });
-
-        if !self.overlay.is_present(peer) {
-            return; // absent peers issue nothing
-        }
         self.metrics.runtime.record_query(hour);
 
         let shape = {
@@ -316,13 +292,11 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         let i = peer.index();
         if self.peers[i].rt.clock.tick() {
             // Algo 3 under bounded incoming lists: an adoption can be
-            // refused, and the random refill for refused / unfilled slots
-            // takes present peers only.
+            // refused, and a random refill tops up the slots left empty.
             self.metrics.adds_refused += self.overlay.update_neighbors(
                 peer,
                 &mut self.peers[i].rt,
                 &mut self.metrics.runtime,
-                true,
             );
         }
     }
@@ -339,9 +313,6 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         sched: &mut Scheduler<'_, OlapEvent>,
     ) {
         let i = to.index();
-        if !self.overlay.is_present(to) {
-            return; // the peer left while the request was in flight
-        }
         if !self.peers[i].rt.seen().first_sighting(query) {
             self.tracer.dup(sched.now(), query, to);
             return; // already served this query via another path
@@ -513,8 +484,8 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
     type Event = OlapEvent;
 
     /// Report cumulative counters (differenced into per-window deltas by
-    /// the recorder) and instantaneous levels. Read-only, so a metered
-    /// run stays bit-identical to an unmetered one.
+    /// the recorder). Read-only, so a metered run stays bit-identical to
+    /// an unmetered one.
     fn sample_metrics(&self, _now: SimTime, hub: &mut ddr_sim::MetricsHub) {
         sample_runtime_metrics(&self.metrics.runtime, hub);
         hub.counter("chunks_local", self.metrics.chunks_local.total() as u64);
@@ -522,8 +493,6 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
             "chunks_warehouse",
             self.metrics.chunks_warehouse.total() as u64,
         );
-        hub.counter("departures", self.metrics.departures);
-        hub.gauge("online", self.overlay.present_count() as f64);
     }
 
     fn handle(&mut self, now: SimTime, event: OlapEvent, sched: &mut Scheduler<'_, OlapEvent>) {
@@ -545,34 +514,6 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
             } => self.chunk_reply(to, from, query, chunks, now),
             OlapEvent::P2pPhaseEnd { peer, query } => self.p2p_phase_end(peer, query, sched),
             OlapEvent::QueryComplete { peer, query } => self.query_complete(peer, query),
-            OlapEvent::PeerToggle { peer } => {
-                let i = peer.index();
-                let mean = if !self.overlay.toggle(peer) {
-                    // Departure: tear down every link touching the peer
-                    // and drop in-flight queries.
-                    self.metrics.departures += 1;
-                    self.overlay.isolate(peer);
-                    if T::ENABLED {
-                        let mut cut: Vec<u64> = self.peers[i].pending.keys().map(|q| q.0).collect();
-                        cut.sort_unstable();
-                        for q in cut {
-                            self.tracer
-                                .finish(now, QueryId(q), TraceOutcome::Timeout, 0, -1.0);
-                        }
-                    }
-                    self.peers[i].pending.clear();
-                    self.config.mean_absence
-                } else {
-                    // Return: rejoin with random outgoing links to present
-                    // peers (cache and statistics survive the absence).
-                    self.overlay.refill(peer, true);
-                    self.config
-                        .mean_session
-                        .expect("toggle events only exist with churn enabled")
-                };
-                let d = self.overlay.exp_duration(mean);
-                sched.after(d, OlapEvent::PeerToggle { peer });
-            }
         }
     }
 }

@@ -52,13 +52,6 @@ pub struct WebCacheConfig {
     pub use_digests: bool,
     /// How often each proxy republishes its digest (staleness knob).
     pub digest_refresh: SimDuration,
-    /// Mean uptime between proxy restarts (exponential); `None` disables
-    /// churn. A restarting proxy comes back with a **cold cache** and no
-    /// statistics — the "ad-hoc and highly dynamic" participation of §2
-    /// applied to the asymmetric case study.
-    pub mean_uptime: Option<SimDuration>,
-    /// Mean downtime of a restarting proxy (exponential).
-    pub mean_downtime: SimDuration,
     /// Simulated horizon.
     pub sim_hours: u64,
     /// Hours excluded from reported metrics (cache warm-up).
@@ -88,8 +81,6 @@ impl WebCacheConfig {
             explore_every: 50,
             use_digests: false,
             digest_refresh: SimDuration::from_mins(10),
-            mean_uptime: None,
-            mean_downtime: SimDuration::from_mins(5),
             sim_hours: 12,
             warmup_hours: 2,
             seed: 0x5A11D,

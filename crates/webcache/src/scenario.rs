@@ -116,14 +116,23 @@ mod tests {
         c
     }
 
+    /// Every request ends as exactly one of a local hit, a sibling hit or
+    /// an origin fetch, in both modes and with digests off and on.
     #[test]
     fn run_accounts_every_request() {
-        let r = run_webcache(small(CacheMode::Static));
-        let total = r.window.sum(&r.metrics.local_hits)
-            + r.window.sum(&r.metrics.runtime.hits)
-            + r.window.sum(&r.metrics.origin_fetches);
-        assert_eq!(total, r.requests(), "hit/miss accounting leak");
-        assert!(r.requests() > 0.0);
+        for mode in [CacheMode::Static, CacheMode::Dynamic] {
+            for use_digests in [false, true] {
+                let mut c = small(mode);
+                c.use_digests = use_digests;
+                let r = run_webcache(c);
+                let total = r.window.sum(&r.metrics.local_hits)
+                    + r.window.sum(&r.metrics.runtime.hits)
+                    + r.window.sum(&r.metrics.origin_fetches);
+                let shape = format!("{mode:?}, digests {use_digests}");
+                assert_eq!(total, r.requests(), "{shape}: hit/miss accounting leak");
+                assert!(r.requests() > 0.0, "{shape}: no requests");
+            }
+        }
     }
 
     #[test]

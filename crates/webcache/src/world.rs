@@ -14,8 +14,8 @@
 //! The page enters the local cache when the fetch completes. Dynamic mode
 //! additionally runs exploration probes (Algo 2) and asymmetric neighbor
 //! updates (Algo 3); static mode keeps its initial random neighbors
-//! forever. The overlay, presence, the world RNG and the enactment of
-//! Algo 3 live in the shared [`AsymmetricOverlay`] chassis; this file is
+//! forever. The overlay, the world RNG and the enactment of Algo 3 live
+//! in the shared [`AsymmetricOverlay`] chassis; this file is
 //! the cache domain around it.
 
 use crate::config::{CacheMode, WebCacheConfig};
@@ -58,8 +58,6 @@ pub enum CacheEvent {
     ProbeReply { to: NodeId, from: NodeId },
     /// `proxy` republishes its cache digest (digest mode only).
     DigestRefresh { proxy: NodeId },
-    /// `proxy` flips between up and down (churn mode only).
-    ProxyToggle { proxy: NodeId },
 }
 
 impl EventLabel for CacheEvent {
@@ -69,7 +67,6 @@ impl EventLabel for CacheEvent {
             CacheEvent::FetchComplete { .. } => "FetchComplete",
             CacheEvent::ProbeReply { .. } => "ProbeReply",
             CacheEvent::DigestRefresh { .. } => "DigestRefresh",
-            CacheEvent::ProxyToggle { .. } => "ProxyToggle",
         }
     }
 }
@@ -81,7 +78,7 @@ struct ProxyState {
     stream: RequestStream,
     rt: NodeRuntime,
     /// The exploration trigger: a second request clock, due every
-    /// `explore_every` requests. A restart does not reset it.
+    /// `explore_every` requests.
     explore: ReconfigClock,
     recent_misses: VecDeque<ItemId>,
 }
@@ -108,10 +105,6 @@ pub struct CacheMetrics {
     /// Digest said "not cached" but the sibling actually had the page
     /// (cached since publication): a missed sibling hit.
     pub digest_stale_misses: u64,
-    /// Proxy restarts (churn mode only).
-    pub restarts: u64,
-    /// Requests lost because the proxy was down.
-    pub requests_lost: u64,
 }
 
 /// The complete world. The sink parameter `T` decides at compile time
@@ -120,8 +113,7 @@ pub struct CacheMetrics {
 pub struct WebCacheWorld<T: TraceSink = NullSink> {
     config: WebCacheConfig,
     space: PageSpace,
-    /// Overlay, which proxies are up (all, without churn), world RNG and
-    /// per-proxy delay jitter.
+    /// Overlay, world RNG and per-proxy delay jitter.
     overlay: AsymmetricOverlay,
     proxies: Vec<ProxyState>,
     /// Published cache digests (digest mode only; `None` until first
@@ -200,15 +192,6 @@ impl<T: TraceSink> WebCacheWorld<T> {
                     },
                 );
             }
-            if let Some(mean_up) = self.config.mean_uptime {
-                let d = self.overlay.exp_duration(mean_up);
-                queue.schedule_in(
-                    d,
-                    CacheEvent::ProxyToggle {
-                        proxy: NodeId::from_index(p),
-                    },
-                );
-            }
         }
     }
 
@@ -250,11 +233,6 @@ impl<T: TraceSink> WebCacheWorld<T> {
         // Schedule the next request first (the stream never stops).
         let next = self.proxies[i].stream.next_interval();
         sched.after(next, CacheEvent::Request { proxy });
-
-        if !self.overlay.is_present(proxy) {
-            self.metrics.requests_lost += 1;
-            return; // the proxy is down: its users get nothing
-        }
         self.metrics.runtime.record_query(hour);
 
         let page = {
@@ -310,7 +288,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
             let holder = queried
                 .iter()
                 .copied()
-                .find(|&q| self.overlay.is_present(q) && self.proxies[q.index()].cache.peek(page));
+                .find(|&q| self.proxies[q.index()].cache.peek(page));
             match holder {
                 Some(q) => {
                     let rtt = self.round_trip(proxy, SIBLING_DELAY);
@@ -354,12 +332,10 @@ impl<T: TraceSink> WebCacheWorld<T> {
                 // Algo 3 (pure asymmetric): rewrite the outgoing list from
                 // the statistics — no agreement protocol needed, and with
                 // unbounded incoming lists no adoption is ever refused.
-                // The top-up takes any other proxy, up or down.
                 self.overlay.update_neighbors(
                     proxy,
                     &mut self.proxies[i].rt,
                     &mut self.metrics.runtime,
-                    false,
                 );
             }
         }
@@ -385,9 +361,6 @@ impl<T: TraceSink> WebCacheWorld<T> {
     /// A probe reply: score the probed proxy by how many of our recent
     /// misses it could have served ("summarized information", Algo 2).
     fn probe_reply(&mut self, to: NodeId, from: NodeId, now: SimTime) {
-        if !self.overlay.is_present(from) || !self.overlay.is_present(to) {
-            return; // either end is down: the probe went unanswered
-        }
         let i = to.index();
         let overlap = self.proxies[i]
             .recent_misses
@@ -415,14 +388,12 @@ impl<T: TraceSink> World for WebCacheWorld<T> {
     type Event = CacheEvent;
 
     /// Report cumulative counters (differenced into per-window deltas by
-    /// the recorder) and instantaneous levels. Read-only, so a metered
-    /// run stays bit-identical to an unmetered one.
+    /// the recorder). Read-only, so a metered run stays bit-identical to
+    /// an unmetered one.
     fn sample_metrics(&self, _now: SimTime, hub: &mut ddr_sim::MetricsHub) {
         sample_runtime_metrics(&self.metrics.runtime, hub);
         hub.counter("local_hits", self.metrics.local_hits.total() as u64);
         hub.counter("origin_fetches", self.metrics.origin_fetches.total() as u64);
-        hub.counter("restarts", self.metrics.restarts);
-        hub.gauge("online", self.overlay.present_count() as f64);
     }
 
     fn handle(&mut self, now: SimTime, event: CacheEvent, sched: &mut Scheduler<'_, CacheEvent>) {
@@ -433,32 +404,11 @@ impl<T: TraceSink> World for WebCacheWorld<T> {
             }
             CacheEvent::ProbeReply { to, from } => self.probe_reply(to, from, now),
             CacheEvent::DigestRefresh { proxy } => {
-                if self.overlay.is_present(proxy) {
-                    self.publish_digest(proxy);
-                }
+                self.publish_digest(proxy);
                 sched.after(
                     self.config.digest_refresh,
                     CacheEvent::DigestRefresh { proxy },
                 );
-            }
-            CacheEvent::ProxyToggle { proxy } => {
-                let i = proxy.index();
-                let mean = if self.overlay.toggle(proxy) {
-                    // Restart: cold cache, no statistics (a fresh Squid
-                    // process remembers nothing).
-                    self.metrics.restarts += 1;
-                    let cap = self.config.cache_capacity;
-                    self.proxies[i].cache = LruCache::new(cap);
-                    self.proxies[i].rt.reset_stats();
-                    self.proxies[i].recent_misses.clear();
-                    self.config
-                        .mean_uptime
-                        .expect("toggle events only exist with churn enabled")
-                } else {
-                    self.config.mean_downtime // going down
-                };
-                let d = self.overlay.exp_duration(mean);
-                sched.after(d, CacheEvent::ProxyToggle { proxy });
             }
         }
     }
