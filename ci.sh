@@ -135,6 +135,20 @@ UNNAMED=$(git ls-files 'crates/*/Cargo.toml' | while read -r manifest; do
     done)
 test -z "$UNNAMED" || { echo "    ddr-* dependencies their crate never names:"; echo "$UNNAMED"; }
 
+echo "==> every world's pub enum *Event derives Copy (no message owns a heap payload)"
+# The `#[derive(...)]` lines run up to the enum through doc comments and
+# other attributes; an enum whose derives do not name Copy fails.
+NOT_COPY=$(git ls-files 'crates/*/src/*.rs' | xargs awk '
+    FNR == 1 { derives = "" }
+    /^ *#\[derive\(/ { derives = derives $0; next }
+    /^ *(#\[|\/\/\/)/ { next }
+    /^ *pub enum [A-Za-z0-9_]*Event[^A-Za-z0-9_]/ && derives !~ /[(, ]Copy[,)]/ {
+        name = $0; sub(/^ *pub enum /, "", name); sub(/[^A-Za-z0-9_].*/, "", name)
+        print FILENAME ":" FNR ": " name " does not derive Copy; a world event must be a plain value"
+    }
+    { derives = "" }')
+test -z "$NOT_COPY" || { echo "$NOT_COPY" >&2; exit 1; }
+
 echo "==> docs name only paths that exist, and a::b names the code still spells"
 # Every backticked crates/…, tests/…, results/…, benchmark/… or examples/…
 # path (a `:line` suffix dropped; globs and elisions skipped) must exist.

@@ -5,13 +5,16 @@
 //! OLAP query into chunks and "broadcasts the request for the chunks in a
 //! similar fashion as Gnutella"). A query asks for a *run* of consecutive
 //! chunks anchored at a Zipf-popular position in one cube region —
-//! modelling range aggregations over adjacent cells.
+//! modelling range aggregations over adjacent cells. Every chunk set a
+//! query's messages carry is a subset of that run, so it travels as one
+//! [`ChunkSet`]: a `Copy` bit mask, no heap buffer.
 
 use crate::config::PeerOlapConfig;
 use ddr_sim::{ItemId, RngFactory, SimDuration};
 use ddr_workload::{Exponential, Zipf};
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::ops::{BitAnd, BitOr, Sub};
 
 /// Probability a query targets the peer's own region.
 const REGION_AFFINITY: f64 = 0.7;
@@ -20,6 +23,8 @@ const THETA: f64 = 0.9;
 /// Longest chunk run one query asks for; a query's length is uniform on
 /// `1..=MAX_QUERY_CHUNKS`, clamped to its region.
 const MAX_QUERY_CHUNKS: usize = 16;
+// A query's run must fit `ChunkSet`'s mask.
+const _: () = assert!(MAX_QUERY_CHUNKS <= u16::BITS as usize);
 
 /// Warehouse processing time for one chunk, in milliseconds: a
 /// deterministic pseudo-random value in `[50, 500)` derived from the
@@ -70,11 +75,103 @@ impl CubeSpace {
     }
 }
 
-/// The shape of one generated query: a chunk run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryShape {
-    /// The requested chunks (consecutive, within one region).
-    pub chunks: Vec<ItemId>,
+/// A set of chunks within one run of consecutive chunk ids: bit `k` of
+/// `mask` stands for chunk `first + k`.
+///
+/// Every set derived from one query (what the initiator still wants, what a
+/// peer holds, what travels on, what has arrived) keeps the query's
+/// `first`, so the set operators are plain mask arithmetic; combining sets
+/// of two different runs is a logic error (checked in debug builds).
+/// Iteration is ascending, the order of the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkSet {
+    /// The run's first chunk (bit 0).
+    pub first: ItemId,
+    /// Which chunks of the run are in the set.
+    pub mask: u16,
+}
+
+impl ChunkSet {
+    /// All `len` chunks from `first` on.
+    pub fn run(first: ItemId, len: u32) -> Self {
+        debug_assert!(
+            len <= u16::BITS,
+            "a run of {len} chunks does not fit the mask"
+        );
+        ChunkSet {
+            first,
+            mask: ((1u32 << len) - 1) as u16,
+        }
+    }
+
+    /// Whether no chunk is in the set.
+    pub fn is_empty(self) -> bool {
+        self.mask == 0
+    }
+
+    /// Number of chunks in the set.
+    pub fn len(self) -> u32 {
+        self.mask.count_ones()
+    }
+
+    /// The chunks, in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = ItemId> {
+        let mut mask = self.mask;
+        std::iter::from_fn(move || {
+            if mask == 0 {
+                return None;
+            }
+            let k = mask.trailing_zeros();
+            mask &= mask - 1;
+            Some(ItemId(self.first.0 + k))
+        })
+    }
+
+    /// The chunks for which `keep` holds, asked in ascending order (so a
+    /// `keep` with side effects, such as an LRU touch, sees the run's order).
+    pub fn filter(self, mut keep: impl FnMut(ItemId) -> bool) -> Self {
+        let mut mask = 0;
+        for c in self.iter() {
+            if keep(c) {
+                mask |= 1 << (c.0 - self.first.0);
+            }
+        }
+        ChunkSet { mask, ..self }
+    }
+
+    /// Total warehouse processing time of the set's chunks, in ms.
+    pub fn processing_ms(self) -> u64 {
+        self.iter().map(chunk_processing_ms).sum()
+    }
+
+    fn with_mask(self, other: Self, mask: u16) -> Self {
+        debug_assert_eq!(self.first, other.first, "chunk sets of two runs");
+        ChunkSet { mask, ..self }
+    }
+}
+
+/// Intersection.
+impl BitAnd for ChunkSet {
+    type Output = ChunkSet;
+    fn bitand(self, other: Self) -> Self {
+        self.with_mask(other, self.mask & other.mask)
+    }
+}
+
+/// Union.
+impl BitOr for ChunkSet {
+    type Output = ChunkSet;
+    fn bitor(self, other: Self) -> Self {
+        self.with_mask(other, self.mask | other.mask)
+    }
+}
+
+/// Difference: the chunks of `self` not in `other`.
+impl Sub for ChunkSet {
+    type Output = ChunkSet;
+    fn sub(self, other: Self) -> Self {
+        self.with_mask(other, self.mask & !other.mask)
+    }
 }
 
 /// Per-peer query stream.
@@ -105,8 +202,9 @@ impl OlapQueryStream {
         SimDuration::from_millis(self.interval.sample(&mut self.rng).max(1.0) as u64)
     }
 
-    /// Generate the next query.
-    pub fn next_query(&mut self, space: &CubeSpace) -> QueryShape {
+    /// Generate the next query: a run of consecutive chunks within one
+    /// region.
+    pub fn next_query(&mut self, space: &CubeSpace) -> ChunkSet {
         let region = if self.rng.gen::<f64>() < REGION_AFFINITY || space.regions() == 1 {
             self.group
         } else {
@@ -120,10 +218,10 @@ impl OlapQueryStream {
         let len = self.rng.gen_range(1..=MAX_QUERY_CHUNKS) as u32;
         let anchor = space.anchor_zipf.sample(&mut self.rng) as u32;
         let start = anchor.min(space.chunks_per_region().saturating_sub(len));
-        let chunks = (start..start + len.min(space.chunks_per_region()))
-            .map(|o| space.chunk(region, o))
-            .collect();
-        QueryShape { chunks }
+        ChunkSet::run(
+            space.chunk(region, start),
+            len.min(space.chunks_per_region()),
+        )
     }
 }
 
@@ -160,15 +258,17 @@ mod tests {
             5,
         );
         for _ in 0..2_000 {
-            let shape = q.next_query(&s);
-            assert!(!shape.chunks.is_empty());
-            assert!(shape.chunks.len() <= MAX_QUERY_CHUNKS);
-            let region = s.region_of(shape.chunks[0]);
-            for &c in &shape.chunks {
+            let query = q.next_query(&s);
+            assert!(!query.is_empty());
+            assert!(query.len() as usize <= MAX_QUERY_CHUNKS);
+            let region = s.region_of(query.first);
+            for c in query.iter() {
                 assert_eq!(s.region_of(c), region, "query crossed a region");
             }
-            // consecutive run
-            for w in shape.chunks.windows(2) {
+            // consecutive run from `first`
+            let chunks: Vec<_> = query.iter().collect();
+            assert_eq!(chunks[0], query.first);
+            for w in chunks.windows(2) {
                 assert_eq!(w[1].0, w[0].0 + 1);
             }
         }
@@ -180,7 +280,7 @@ mod tests {
         let mut q = OlapQueryStream::new(&c, &rngs, 0);
         let n = 10_000;
         let own = (0..n)
-            .filter(|_| s.region_of(q.next_query(&s).chunks[0]) == q.group())
+            .filter(|_| s.region_of(q.next_query(&s).first) == q.group())
             .count();
         let frac = own as f64 / n as f64;
         assert!((0.66..0.74).contains(&frac), "own-region share {frac}");
@@ -195,10 +295,10 @@ mod tests {
         let space = CubeSpace::new(&small);
         let mut q = OlapQueryStream::new(&small, &rngs, 1);
         for _ in 0..500 {
-            let shape = q.next_query(&space);
-            assert!(shape.chunks.len() <= 8);
-            let region = space.region_of(shape.chunks[0]);
-            assert_eq!(space.region_of(*shape.chunks.last().unwrap()), region);
+            let query = q.next_query(&space);
+            assert!(query.len() <= 8);
+            let region = space.region_of(query.first);
+            assert_eq!(space.region_of(query.iter().last().unwrap()), region);
         }
         let _ = s;
     }

@@ -33,6 +33,6 @@ pub mod scenario;
 pub mod world;
 
 pub use config::{OlapMode, PeerOlapConfig};
-pub use cube::{chunk_processing_ms, CubeSpace, QueryShape};
+pub use cube::{chunk_processing_ms, ChunkSet, CubeSpace};
 pub use scenario::{run_peerolap, PeerOlapReport, PeerOlapScenario};
 pub use world::PeerOlapWorld;

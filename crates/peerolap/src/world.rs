@@ -11,6 +11,11 @@
 //!    whatever is still missing (paying per-chunk processing time), and
 //!    the query completes.
 //!
+//! A query asks for one run of consecutive chunks, so every chunk set in
+//! this world — what the initiator wants and has acquired, what a request
+//! asks for, what a reply carries — is a subset of that run: a `Copy`
+//! [`ChunkSet`] mask. No event owns a heap buffer.
+//!
 //! Dynamic mode scores every serving peer by the **processing time it
 //! saved** and periodically re-selects outgoing neighbors (Algo 3). The
 //! bound on how many peers may link to one makes adoption contested: an
@@ -21,12 +26,11 @@
 //! this file is the OLAP domain around it.
 
 use crate::config::{OlapMode, PeerOlapConfig};
-use crate::cube::{chunk_processing_ms, CubeSpace, OlapQueryStream};
+use crate::cube::{ChunkSet, CubeSpace, OlapQueryStream};
 use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime};
 use ddr_core::stats_store::ReplyObservation;
 use ddr_sim::{
-    EventLabel, FastHashMap, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime,
-    World,
+    EventLabel, FastHashMap, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime, World,
 };
 use ddr_stats::{BucketSeries, RuntimeMetrics};
 use ddr_telemetry::{NullSink, QueryTracer, TraceOutcome, TraceSink};
@@ -46,9 +50,17 @@ const JITTER_SPREAD: f64 = 0.15;
 const P2P_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 /// Queries between neighbor updates (dynamic mode).
 const UPDATE_THRESHOLD: u32 = 40;
+/// The longest a chunk reply can take to reach the initiator, in ms: the
+/// request's `MAX_HOPS` hops out plus the direct reply back, each one
+/// `PEER_DELAY` stretched by the largest jitter factor.
+const LONGEST_REPLY_MS: u64 =
+    (MAX_HOPS as u64 + 1) * (PEER_DELAY.as_millis() as f64 * (1.0 + JITTER_SPREAD)).round() as u64;
+// Every reply arrives before its query's P2P phase closes, so none is
+// credited for chunks the warehouse was already charged for.
+const _: () = assert!(LONGEST_REPLY_MS < P2P_TIMEOUT.as_millis());
 
 /// Events of the PeerOlap simulation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OlapEvent {
     /// `peer` issues its next query.
     IssueQuery { peer: NodeId },
@@ -59,14 +71,14 @@ pub enum OlapEvent {
         origin: NodeId,
         query: QueryId,
         ttl: u8,
-        chunks: Vec<ItemId>,
+        chunks: ChunkSet,
     },
     /// A (partial) chunk reply reaches the initiator.
     ChunkReply {
         to: NodeId,
         from: NodeId,
         query: QueryId,
-        chunks: Vec<ItemId>,
+        chunks: ChunkSet,
     },
     /// The P2P collection window for `query` closed.
     P2pPhaseEnd { peer: NodeId, query: QueryId },
@@ -88,13 +100,13 @@ impl EventLabel for OlapEvent {
 }
 
 /// An in-flight query at its initiator.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct PendingOlap {
     issued_at: SimTime,
     /// Chunks still missing after the local cache.
-    wanted: Vec<ItemId>,
-    /// Chunk → first peer that supplied it.
-    acquired: FastHashMap<ItemId, NodeId>,
+    wanted: ChunkSet,
+    /// The wanted chunks some peer has supplied.
+    acquired: ChunkSet,
     /// Arrival time of the last useful reply.
     last_reply_at: SimTime,
 }
@@ -220,26 +232,17 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         sched.after(d, OlapEvent::IssueQuery { peer });
         self.metrics.runtime.record_query(hour);
 
-        let shape = {
-            let space = &self.space;
-            self.peers[i].stream.next_query(space)
-        };
+        let chunks = self.peers[i].stream.next_query(&self.space);
         // Local phase: touch what we have.
-        let mut wanted = Vec::new();
-        let mut local = 0u32;
-        for &c in &shape.chunks {
-            if self.peers[i].cache.touch(c) {
-                local += 1;
-            } else {
-                wanted.push(c);
-            }
-        }
+        let cache = &mut self.peers[i].cache;
+        let wanted = chunks.filter(|c| !cache.touch(c));
+        let local = chunks.len() - wanted.len();
         self.metrics.chunks_local.add(hour, local as f64);
 
         let qid = QueryId(self.next_query);
         self.next_query += 1;
         self.tracer
-            .issue(now, qid, peer, shape.chunks[0].index() as u64, MAX_HOPS);
+            .issue(now, qid, peer, chunks.first.index() as u64, MAX_HOPS);
 
         if wanted.is_empty() {
             // Fully cached: done instantly.
@@ -257,15 +260,15 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             qid,
             PendingOlap {
                 issued_at: now,
-                wanted: wanted.clone(),
-                acquired: ddr_sim::hash::fast_map(),
+                wanted,
+                acquired: ChunkSet { mask: 0, ..wanted },
                 last_reply_at: now,
             },
         );
-        let targets: Vec<NodeId> = self.overlay.out(peer).iter().collect();
-        self.tracer
-            .hop(now, qid, peer, peer, MAX_HOPS, 0, targets.len());
-        for t in targets {
+        let fanout = self.overlay.out(peer).len();
+        self.tracer.hop(now, qid, peer, peer, MAX_HOPS, 0, fanout);
+        for k in 0..fanout {
+            let t = self.overlay.out(peer).as_slice()[k];
             self.metrics.runtime.record_messages(hour, 1.0);
             let d = self.overlay.jittered(peer, PEER_DELAY, JITTER_SPREAD);
             sched.after(
@@ -276,7 +279,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
                     origin: peer,
                     query: qid,
                     ttl: MAX_HOPS,
-                    chunks: wanted.clone(),
+                    chunks: wanted,
                 },
             );
         }
@@ -309,7 +312,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         origin: NodeId,
         query: QueryId,
         ttl: u8,
-        chunks: Vec<ItemId>,
+        chunks: ChunkSet,
         sched: &mut Scheduler<'_, OlapEvent>,
     ) {
         let i = to.index();
@@ -317,9 +320,9 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             self.tracer.dup(sched.now(), query, to);
             return; // already served this query via another path
         }
-        let (have, missing): (Vec<ItemId>, Vec<ItemId>) = chunks
-            .into_iter()
-            .partition(|&c| self.peers[i].cache.peek(c));
+        let cache = &self.peers[i].cache;
+        let have = chunks.filter(|c| cache.peek(c));
+        let missing = chunks - have;
         if !have.is_empty() {
             let d = self.overlay.jittered(to, PEER_DELAY, JITTER_SPREAD);
             sched.after(
@@ -335,15 +338,13 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         // Narrowed forwarding: only the still-missing chunks travel on.
         let mut fanout = 0usize;
         if ttl > 1 && !missing.is_empty() {
-            let targets: Vec<NodeId> = self
-                .overlay
-                .out(to)
-                .iter()
-                .filter(|&n| n != from && n != origin)
-                .collect();
-            fanout = targets.len();
             let hour = sched.now().as_hours() as usize;
-            for t in targets {
+            for k in 0..self.overlay.out(to).len() {
+                let t = self.overlay.out(to).as_slice()[k];
+                if t == from || t == origin {
+                    continue;
+                }
+                fanout += 1;
                 self.metrics.runtime.record_messages(hour, 1.0);
                 let d = self.overlay.jittered(to, PEER_DELAY, JITTER_SPREAD);
                 sched.after(
@@ -354,7 +355,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
                         origin,
                         query,
                         ttl: ttl - 1,
-                        chunks: missing.clone(),
+                        chunks: missing,
                     },
                 );
             }
@@ -369,26 +370,24 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         to: NodeId,
         from: NodeId,
         query: QueryId,
-        chunks: Vec<ItemId>,
+        chunks: ChunkSet,
         now: SimTime,
     ) {
         let i = to.index();
+        // The entry lives until `QueryComplete`, and every reply arrives
+        // before `P2pPhaseEnd` (`LONGEST_REPLY_MS < P2P_TIMEOUT`, asserted
+        // beside the constants), so this never returns today. A later reply
+        // would be credited for chunks the warehouse was already charged for.
         let Some(pq) = self.peers[i].pending.get_mut(&query) else {
-            return; // the P2P phase already closed
+            return;
         };
-        let was_empty = pq.acquired.is_empty();
-        let mut saved_ms = 0u64;
-        let mut fresh = 0u32;
-        for c in chunks {
-            if pq.wanted.contains(&c) && !pq.acquired.contains_key(&c) {
-                pq.acquired.insert(c, from);
-                saved_ms += chunk_processing_ms(c);
-                fresh += 1;
-            }
-        }
-        if fresh == 0 {
+        let fresh = (chunks & pq.wanted) - pq.acquired;
+        if fresh.is_empty() {
             return; // everything was already supplied by someone faster
         }
+        let was_empty = pq.acquired.is_empty();
+        pq.acquired = pq.acquired | fresh;
+        let saved_ms = fresh.processing_ms();
         pq.last_reply_at = now;
         let latency_ms = now.saturating_since(pq.issued_at).as_millis() as f64;
         if was_empty {
@@ -397,7 +396,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         self.metrics
             .runtime
             .hits
-            .add(now.as_hours() as usize, fresh as f64);
+            .add(now.as_hours() as usize, fresh.len() as f64);
         if self.config.mode == OlapMode::Dynamic {
             // Benefit = warehouse processing time saved (§3.4: "in
             // PeerOlap the dominating cost is the query processing time").
@@ -418,16 +417,11 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         sched: &mut Scheduler<'_, OlapEvent>,
     ) {
         let i = peer.index();
-        let Some(pq) = self.peers[i].pending.get(&query) else {
+        let Some(&pq) = self.peers[i].pending.get(&query) else {
             return;
         };
         let now = sched.now();
-        let missing: Vec<ItemId> = pq
-            .wanted
-            .iter()
-            .copied()
-            .filter(|c| !pq.acquired.contains_key(c))
-            .collect();
+        let missing = pq.wanted - pq.acquired;
         if missing.is_empty() {
             // Peers supplied everything; the query actually completed at
             // the last useful reply.
@@ -444,7 +438,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         }
         // Warehouse fallback: round trip plus sequential chunk processing.
         let hour = now.as_hours() as usize;
-        let proc_ms: u64 = missing.iter().map(|&c| chunk_processing_ms(c)).sum();
+        let proc_ms = missing.processing_ms();
         self.metrics
             .chunks_warehouse
             .add(hour, missing.len() as f64);
@@ -454,16 +448,18 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             .jittered(peer, WAREHOUSE_DELAY, JITTER_SPREAD)
             .saturating_mul(2);
         let done_in = wh_rtt + SimDuration::from_millis(proc_ms);
-        let total_latency = now
-            .saturating_since(self.peers[i].pending[&query].issued_at)
-            .as_millis() as f64
-            + done_in.as_millis() as f64;
+        let total_latency =
+            now.saturating_since(pq.issued_at).as_millis() as f64 + done_in.as_millis() as f64;
         if (now + done_in).as_hours() >= self.config.warmup_hours {
             self.metrics.runtime.record_latency_ms(total_latency);
         }
-        let acquired = self.peers[i].pending[&query].acquired.len() as u64;
-        self.tracer
-            .finish(now, query, TraceOutcome::Miss, acquired, total_latency);
+        self.tracer.finish(
+            now,
+            query,
+            TraceOutcome::Miss,
+            pq.acquired.len() as u64,
+            total_latency,
+        );
         sched.after(done_in, OlapEvent::QueryComplete { peer, query });
     }
 
@@ -474,7 +470,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         };
         // All wanted chunks (peer-served and warehouse-computed) are now
         // materialised locally.
-        for c in pq.wanted {
+        for c in pq.wanted.iter() {
             self.peers[i].cache.insert(c);
         }
     }
@@ -521,6 +517,13 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn events_are_plain_values() {
+        fn copy<T: Copy>() {}
+        copy::<OlapEvent>();
+        assert!(std::mem::size_of::<OlapEvent>() <= 32);
+    }
 
     #[test]
     fn initial_clustering_near_chance() {
