@@ -300,17 +300,20 @@ for example in quickstart music_sharing web_caching olap_caching policy_playgrou
     cargo run -q --release --example "$example" > /dev/null
 done
 
-echo "==> ddr serve --smoke --trace (real-time bus load test: every offered query is"
-echo "    issued and completes, and at least one is answered; the spans come from the"
-echo "    world slices' own tracer, so ddr inspect must read them). Two shards whatever"
-echo "    the core count: cross-shard try_send, the outbox retry and a second inbox are"
-echo "    all that differs from run_deterministic's virtual clock, and one shard skips them"
+echo "==> ddr serve --smoke --trace --metrics (real-time bus load test: every offered"
+echo "    query is issued and completes, and at least one is answered; the spans come"
+echo "    from the world slices' own tracer and the timeline from the monitor's observer"
+echo "    thread, so ddr inspect must read both). Two shards whatever the core count:"
+echo "    cross-shard try_send, the outbox retry and a second inbox are all that differs"
+echo "    from run_deterministic's virtual clock, and one shard skips them"
 SERVE_TRACE="$(mktemp -t ddr-ci-serve.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE" "$METRICS" "$SERVE_TRACE"' EXIT
+SERVE_METRICS="$(mktemp -t ddr-ci-serve-metrics.XXXXXX.jsonl)"
+trap 'rm -f "$TRACE" "$METRICS" "$SERVE_TRACE" "$SERVE_METRICS"' EXIT
 SERVE=$($DDR serve gnutella --nodes 200 --qps 50 --duration 2 --threads 2 --smoke \
-    --trace "$SERVE_TRACE")
+    --trace "$SERVE_TRACE" --metrics "$SERVE_METRICS")
 echo "$SERVE"
 $DDR inspect "$SERVE_TRACE" > /dev/null
+$DDR inspect "$SERVE_METRICS" > /dev/null
 COUNTS=$(echo "$SERVE" | sed -n 's/^serve: queries offered=\([0-9]*\) issued=\([0-9]*\) completed=\([0-9]*\) hits=\([0-9]*\)$/\1 \2 \3 \4/p')
 # No such line in the output: counts that cannot pass.
 read -r OFFERED ISSUED COMPLETED HITS <<< "${COUNTS:-0 -1 -1 0}"

@@ -37,7 +37,8 @@ usage: ddr serve gnutella [flags]
   --smoke          500 ms collection window so the drain phase stays short
   --trace FILE     write completed-query spans as JSONL (ddr inspect reads it)
   --metrics FILE   monitor thread writes windowed timeline JSONL to FILE
-  --metrics-port P serve a Prometheus-text snapshot + JSON report on 127.0.0.1:P
+  --metrics-port P serve the monitor's latest pass on 127.0.0.1:P
+                   (/metrics: Prometheus text; any other path: JSON)
   --monitor-interval MS  monitor sampling period, wall ms (default 250)";
 
 /// Parsed `ddr serve` arguments.

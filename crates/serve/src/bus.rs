@@ -45,16 +45,16 @@
 //!   stopping.
 //!
 //! `dispatch` hands back each query a slice closes; `Shard::deliver` is
-//! the one place those outcomes are collected (and the monitor told), and
-//! one function turns them and the slices' `Metrics` into a
-//! [`ServeReport`] on either clock. Completed-query spans come from each
+//! the one place those outcomes are collected, and one function turns
+//! them and the slices' `Metrics` into a [`ServeReport`] on either
+//! clock. Completed-query spans come from each
 //! slice's own `QueryTracer` (appending to the shared JSONL file), so
 //! `ddr inspect` reads a serve trace exactly like a sim trace. Wall-clock
 //! delivery makes run-to-run interleavings — and therefore exact message
 //! counts — non-deterministic; see EXPERIMENTS.md "Serve-backend
 //! determinism".
 
-use crate::monitor::{spawn_endpoint, spawn_monitor, MonitorShared};
+use crate::monitor::{spawn_observer, MonitorShared};
 use crate::wheel::{Cell, TimerWheel};
 use ddr_core::runtime::Port;
 use ddr_gnutella::events::GnutellaEvent;
@@ -125,12 +125,13 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Tracing config (path, sampling, run label) for the traced entry
     /// point, copied into the slices' scenario; ignored under
-    /// [`run_gnutella`]'s `NullSink`. When `telemetry.metrics_path` is set
-    /// a monitor thread samples the bus into a timeline file at
-    /// `monitor_interval_ms`.
+    /// [`run_gnutella`]'s `NullSink`. When `telemetry.metrics_path` or
+    /// `metrics_port` is set, one observer thread samples the bus every
+    /// `monitor_interval_ms`; with the path it appends each pass to a
+    /// timeline file.
     pub telemetry: TelemetryConfig,
-    /// When set, a stdlib TCP endpoint on `127.0.0.1:port` serves the
-    /// live Prometheus-text snapshot (`/metrics`) and report JSON.
+    /// When set, the observer also answers on `127.0.0.1:port` with its
+    /// latest pass: `/metrics` as Prometheus text, any other path as JSON.
     pub metrics_port: Option<u16>,
     /// Monitor sampling period, wall milliseconds.
     pub monitor_interval_ms: u64,
@@ -305,9 +306,6 @@ impl<T: TraceSink> Shard<T> {
         }
         self.staged = staged;
         if let Some(done) = done {
-            if let Some(m) = &self.monitor {
-                m.note_completed(&done);
-            }
             self.outcomes.push(done);
         }
     }
@@ -469,25 +467,19 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
 
     let clock = Arc::new(WallClock::start());
 
-    // Live introspection: shared atomics plus a monitor and/or endpoint
-    // thread, only when asked for — otherwise every branch stays `None`.
+    // Live introspection: shared state and one observer thread, only
+    // when asked for — otherwise every branch stays `None`.
     let monitor = (cfg.telemetry.metrics_path.is_some() || cfg.metrics_port.is_some())
         .then(|| Arc::new(MonitorShared::new(nshards)));
-    let monitor_handle = monitor
-        .as_ref()
-        .filter(|_| cfg.telemetry.metrics_path.is_some())
-        .map(|m| {
-            spawn_monitor(
-                Arc::clone(m),
-                Arc::clone(&clock),
-                cfg.telemetry.clone(),
-                cfg.monitor_interval_ms,
-            )
-        });
-    let endpoint_handle = match (&monitor, cfg.metrics_port) {
-        (Some(m), Some(port)) => Some(spawn_endpoint(Arc::clone(m), port)),
-        _ => None,
-    };
+    let observer = monitor.as_ref().map(|m| {
+        spawn_observer(
+            Arc::clone(m),
+            Arc::clone(&clock),
+            cfg.telemetry.clone(),
+            cfg.metrics_port,
+            cfg.monitor_interval_ms,
+        )
+    });
 
     let (shards, txs) = build_shards(worlds, &partition, &monitor);
     let mut handles = Vec::with_capacity(nshards);
@@ -527,17 +519,14 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
         .into_iter()
         .map(|h| h.join().expect("shard thread panicked"))
         .collect();
-    // All shard threads are joined: the monitor atomics are final. Raise
-    // `done` so the monitor emits its closing window (whose column sums
-    // now equal this report) and the endpoint stops accepting.
+    // All shard threads are joined: the published counters are final.
+    // Raise `done` so the observer takes its closing pass (whose window
+    // sums now equal this report) and stops answering the endpoint.
     if let Some(m) = &monitor {
         m.done.store(true, AtomicOrd::Relaxed);
     }
-    if let Some(h) = monitor_handle {
+    if let Some(h) = observer {
         h.join().expect("monitor thread panicked");
-    }
-    if let Some(h) = endpoint_handle {
-        h.join().expect("metrics endpoint thread panicked");
     }
     // Dropping the shards afterwards flushes the slices' tracers.
     report(cfg, offered, &shards, clock.now())

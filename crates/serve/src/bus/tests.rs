@@ -108,11 +108,10 @@ fn traced_bus_writes_inspectable_spans() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The monitor thread is purely observational: its cumulative
-/// counters must agree exactly with the end-of-run report, and the
-/// timeline file's per-window deltas must sum back to those same
-/// totals — i.e. turning the monitor on changes what is *written*,
-/// never what is *reported*.
+/// The monitor is purely observational: the timeline file's per-window
+/// deltas must sum back to the end-of-run report's totals, with the
+/// endpoint scraped mid-run — i.e. turning the monitor on changes what
+/// is *written*, never what is *reported*.
 #[test]
 fn monitor_does_not_perturb_the_report() {
     let dir = std::env::temp_dir().join(format!("ddr-serve-mon-{}", std::process::id()));
@@ -121,8 +120,26 @@ fn monitor_does_not_perturb_the_report() {
     let mut cfg = quick_cfg(48, 7, 300.0, 0.4, 2);
     cfg.telemetry.metrics_path = Some(path.clone());
     cfg.monitor_interval_ms = 50;
+    let port = crate::monitor::free_port();
+    cfg.metrics_port = Some(port);
+    // Both renderings of a live pass, fetched while the bus runs.
+    let scraper = thread::spawn(move || {
+        let text = crate::monitor::fetch(port, "/metrics");
+        let json = crate::monitor::fetch(port, "/report");
+        (text, json)
+    });
     let r = run_gnutella(&cfg);
     assert!(r.queries_completed > 0, "run produced no completions");
+    let (text, json) = scraper.join().expect("scraper thread");
+    assert!(text.contains("\nddr_serve_queries_finalized "), "{text}");
+    assert!(
+        text.contains("\nddr_serve_delivery_lag_ms{shard=\"1\"} "),
+        "{text}"
+    );
+    let (_, body) = json.split_once("\r\n\r\n").expect("head and body");
+    let pass = serde::json::parse(body).expect("pass JSON parses");
+    let hits = pass.get("counters").and_then(|c| c.get("hits"));
+    assert!(hits.is_some(), "{body}");
 
     let text = std::fs::read_to_string(&path).expect("timeline file written");
     let keys = [

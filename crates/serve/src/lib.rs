@@ -22,14 +22,13 @@
 //! "Serve-backend determinism".
 
 pub mod bus;
-pub mod monitor;
+mod monitor;
 mod wheel;
 
 pub use bus::{
     drain_deadline, run_deterministic, run_gnutella, run_gnutella_traced, ServeConfig, ServeReport,
     WallClock,
 };
-pub use monitor::MonitorShared;
 
 /// Percentile over an unsorted sample set (nearest-rank); `None` when
 /// empty. The bus's first-result latency figures, on either clock.
@@ -37,7 +36,7 @@ pub(crate) fn percentile(samples: &mut [f64], p: f64) -> Option<f64> {
     if samples.is_empty() {
         return None;
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    samples.sort_unstable_by(f64::total_cmp);
     let rank = ((p / 100.0) * samples.len() as f64).ceil().max(1.0) as usize - 1;
     Some(samples[rank.min(samples.len() - 1)])
 }

@@ -1,26 +1,29 @@
-//! Live introspection for the serve bus: a monitor thread sampling
-//! shared atomic counters into the same `"v":1` timeline format the
-//! simulator's metrics layer writes, plus an optional plaintext TCP
-//! endpoint serving a Prometheus-style snapshot while the run is live.
+//! Live introspection for the serve bus: one observer thread samples the
+//! slices' own `Metrics` and the bus's levels into one `MetricsHub` pass
+//! per interval, and every output renders that pass — the `"v":1`
+//! timeline window the simulator's metrics layer writes (`--metrics`),
+//! and, on a plaintext TCP endpoint (`--metrics-port`), the same pass as
+//! Prometheus text or as JSON.
 //!
 //! The instrumentation is strictly *observational*: shards and the load
 //! generator bump lock-free atomics on paths they already execute, each
-//! shard stores its world slice's cumulative `Metrics` counters once per
-//! turn, the monitor thread only reads them (and zeroes the one running
-//! maximum, `delivery_lag_ms`, as it reads it), and completed-query
-//! outcomes are drained into the same end-of-run report whether the
-//! monitor is on or off. Counters the simulator also reports keep its
+//! shard copies its slice's cumulative counters and first-result
+//! histogram once per turn, and the observer only reads them (zeroing
+//! the one running maximum, `delivery_lag_ms`, as it reads it).
+//! Completed-query outcomes reach the end-of-run report whether the
+//! monitor is on or off. Quantities the simulator also reports keep its
 //! names (DESIGN.md §14). `monitor_does_not_perturb_the_report` pins that
-//! the monitor's cumulative counters agree exactly with the final
-//! [`crate::ServeReport`] fields.
+//! the timeline's summed counters equal the final [`crate::ServeReport`].
 
 use crate::bus::WallClock;
-use ddr_gnutella::{GnutellaWorld, QueryOutcome};
-use ddr_telemetry::{JsonlMetrics, LogHistogram, MetricsRecorder, TelemetryConfig, TraceSink};
+use ddr_gnutella::GnutellaWorld;
+use ddr_sim::MetricsHub;
+use ddr_telemetry::{Histogram, JsonlMetrics, MetricsRecorder, TelemetryConfig, TraceSink};
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -29,218 +32,239 @@ use std::time::Duration;
 /// shard threads are joined (a full synchronization point).
 const ORD: Ordering = Ordering::Relaxed;
 
-/// Counters and levels shared between the bus (writers) and the monitor
-/// / TCP endpoint (readers). One instance per run, behind an `Arc`.
+/// The counters each shard publishes from its slice's `Metrics`, in
+/// [`SliceCounts::totals`] order; the report's `messages` is `messages`
+/// (query transmissions) plus `replies` (results sent to an initiator).
+const SLICE_COUNTERS: [&str; 5] = [
+    "queries",
+    "queries_finalized",
+    "messages",
+    "replies",
+    "duplicates_dropped",
+];
+
+/// One slice's cumulative `Metrics`, as its shard last published them.
+#[derive(Debug, Clone)]
+struct SliceCounts {
+    /// The [`SLICE_COUNTERS`].
+    totals: [u64; 5],
+    /// `metrics.first_delay_hist`: the first-result delay of every closed
+    /// query with a result (a serve fleet has no warm-up), so its count
+    /// is the slice's hits.
+    first_delay: Histogram,
+}
+
+/// State shared between the bus (writers) and the observer thread (the
+/// one reader). One instance per run, behind an `Arc`.
 #[derive(Debug)]
-pub struct MonitorShared {
+pub(crate) struct MonitorShared {
     /// Per-shard inbox occupancy: +1 on every successful channel send,
     /// -1 on every receive.
     pub inbox_depth: Vec<AtomicUsize>,
     /// Timers pending per shard, stored by each shard once per loop
     /// (exported as `timer_heap`, the name dashboards already use).
     pub timers_pending: Vec<AtomicUsize>,
-    /// Per shard, the latest delivery since this was last read: the
-    /// largest `now − deliver_at`, milliseconds. Every reader (a timeline
-    /// window, an endpoint request) takes the value and leaves zero.
+    /// Per shard, the largest `now − deliver_at` of any delivery since
+    /// the previous pass, milliseconds; each pass takes it and leaves
+    /// zero.
     pub delivery_lag_ms: Vec<AtomicU64>,
     /// Envelopes the load generator handed to the bus.
     pub offered: AtomicU64,
-    /// Per shard, its slice's cumulative `metrics.runtime.queries` as of
-    /// its last turn: queries launched.
-    pub issued: Vec<AtomicU64>,
-    /// Per shard, likewise: `metrics.runtime.messages`, query
-    /// transmissions (floods and forwards).
-    pub messages: Vec<AtomicU64>,
-    /// Per shard, likewise: results sent to their initiator, one reply
-    /// message each (the report's `messages` is these plus `messages`).
-    pub replies: Vec<AtomicU64>,
-    /// Per shard, likewise: `metrics.duplicates_dropped`.
-    pub duplicates_dropped: Vec<AtomicU64>,
-    /// Queries whose collection window closed.
-    pub completed: AtomicU64,
-    /// Completed queries with at least one result.
-    pub hits: AtomicU64,
-    /// First-result latency, milliseconds.
-    pub latency_ms: LogHistogram,
+    /// Per shard, its slice's counters as of its last turn.
+    slices: Vec<Mutex<SliceCounts>>,
     /// Set by the coordinator once the shards are joined; tells the
-    /// monitor and endpoint threads to emit a final window and exit.
+    /// observer to take a final pass and exit.
     pub done: AtomicBool,
 }
 
-/// The current value of a per-shard level.
-fn levels(per_shard: &[AtomicUsize]) -> Vec<u64> {
-    per_shard.iter().map(|d| d.load(ORD) as u64).collect()
-}
-
-/// A per-shard counter summed over the shards.
-fn total(per_shard: &[AtomicU64]) -> u64 {
-    per_shard.iter().map(|c| c.load(ORD)).sum()
+/// The snapshot behind `slice`; a poisoned lock still holds plain
+/// counters.
+fn lock(slice: &Mutex<SliceCounts>) -> MutexGuard<'_, SliceCounts> {
+    slice.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl MonitorShared {
     /// Fresh (all-zero) state for `nshards` shards.
     pub fn new(nshards: usize) -> Self {
-        let counters = || (0..nshards).map(|_| AtomicU64::new(0)).collect();
+        let zero = SliceCounts {
+            totals: [0; 5],
+            first_delay: ddr_gnutella::Metrics::new().first_delay_hist,
+        };
         MonitorShared {
             inbox_depth: (0..nshards).map(|_| AtomicUsize::new(0)).collect(),
             timers_pending: (0..nshards).map(|_| AtomicUsize::new(0)).collect(),
-            delivery_lag_ms: counters(),
+            delivery_lag_ms: (0..nshards).map(|_| AtomicU64::new(0)).collect(),
             offered: AtomicU64::new(0),
-            issued: counters(),
-            messages: counters(),
-            replies: counters(),
-            duplicates_dropped: counters(),
-            completed: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            latency_ms: LogHistogram::default(),
+            slices: (0..nshards).map(|_| Mutex::new(zero.clone())).collect(),
             done: AtomicBool::new(false),
         }
     }
 
-    /// Count one query whose collection window closed.
-    pub(crate) fn note_completed(&self, done: &QueryOutcome) {
-        self.completed.fetch_add(1, ORD);
-        if let Some(latency) = done.latency_ms() {
-            self.hits.fetch_add(1, ORD);
-            self.latency_ms.record(latency);
-        }
-    }
-
-    /// Store `shard`'s slice counters, cumulative so far.
+    /// Store `shard`'s slice counters, cumulative so far. The histogram
+    /// is copied only when a query closed with a result since the last
+    /// copy.
     pub(crate) fn publish<T: TraceSink>(&self, shard: usize, world: &GnutellaWorld<T>) {
-        let runtime = &world.metrics.runtime;
-        self.issued[shard].store(runtime.queries.total() as u64, ORD);
-        self.messages[shard].store(runtime.messages.total() as u64, ORD);
-        self.replies[shard].store(world.replies_served(), ORD);
-        let dropped = world.metrics.duplicates_dropped;
-        self.duplicates_dropped[shard].store(dropped, ORD);
+        let metrics = &world.metrics;
+        let mut slice = lock(&self.slices[shard]);
+        slice.totals = [
+            metrics.runtime.queries.total() as u64,
+            metrics.queries_finalized,
+            metrics.runtime.messages.total() as u64,
+            world.replies_served(),
+            metrics.duplicates_dropped,
+        ];
+        if slice.first_delay.count() != metrics.first_delay_hist.count() {
+            slice.first_delay = metrics.first_delay_hist.clone();
+        }
     }
 
-    /// Each shard's `delivery_lag_ms`, taken (the gauges restart at zero).
-    fn take_delivery_lag(&self) -> Vec<u64> {
-        self.delivery_lag_ms
-            .iter()
-            .map(|d| d.swap(0, ORD))
-            .collect()
-    }
-
-    /// The Prometheus-text exposition of the current state.
-    pub fn prometheus_text(&self) -> String {
-        let mut out = String::with_capacity(512);
-        for (name, v) in [
-            ("ddr_serve_queries_offered", self.offered.load(ORD)),
-            ("ddr_serve_queries_issued", total(&self.issued)),
-            ("ddr_serve_queries_completed", self.completed.load(ORD)),
-            ("ddr_serve_hits", self.hits.load(ORD)),
-            ("ddr_serve_latency_samples", self.latency_ms.count()),
-        ] {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-        }
-        for (name, v) in [
-            ("ddr_serve_latency_p50_ms", self.latency_ms.quantile(0.50)),
-            ("ddr_serve_latency_p99_ms", self.latency_ms.quantile(0.99)),
-        ] {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-        }
-        for (name, per_shard) in [
-            ("ddr_serve_inbox_depth", levels(&self.inbox_depth)),
-            ("ddr_serve_timer_heap", levels(&self.timers_pending)),
-            ("ddr_serve_delivery_lag_ms", self.take_delivery_lag()),
-        ] {
-            out.push_str(&format!("# TYPE {name} gauge\n"));
-            for (i, v) in per_shard.iter().enumerate() {
-                out.push_str(&format!("{name}{{shard=\"{i}\"}} {v}\n"));
+    /// Fill `hub` with one pass at wall time `t_ms`: the slices' counters
+    /// summed and their histograms merged, the bus's levels per shard,
+    /// and `achieved_qps` since `prev`, the previous pass's wall time and
+    /// `queries_finalized` — which this returns for the next pass.
+    fn sample(&self, hub: &mut MetricsHub, t_ms: u64, prev: (u64, u64)) -> (u64, u64) {
+        hub.begin_sample();
+        hub.counter("queries_offered", self.offered.load(ORD));
+        let mut first_delay: Option<Histogram> = None;
+        for slice in &self.slices {
+            let slice = lock(slice);
+            for (name, &total) in SLICE_COUNTERS.iter().zip(&slice.totals) {
+                hub.counter(name, total);
+            }
+            hub.counter("hits", slice.first_delay.count());
+            match &mut first_delay {
+                Some(merged) => merged.merge(&slice.first_delay),
+                None => first_delay = Some(slice.first_delay.clone()),
             }
         }
-        out
-    }
-
-    /// The live report as a JSON object (the dashboard analogue of the
-    /// end-of-run [`crate::ServeReport`]).
-    pub fn report_json(&self) -> String {
-        let completed = self.completed.load(ORD);
-        let hits = self.hits.load(ORD);
-        let hit_rate = if completed == 0 {
-            0.0
-        } else {
-            hits as f64 / completed as f64
+        let finalized = hub.counters().get("queries_finalized").copied();
+        let finalized = finalized.unwrap_or(0);
+        let dt_s = t_ms.saturating_sub(prev.0).max(1) as f64 / 1_000.0;
+        let closed = finalized.saturating_sub(prev.1);
+        hub.gauge("achieved_qps", closed as f64 / dt_s);
+        let count = first_delay.as_ref().map_or(0, Histogram::count);
+        let quantile = |q| match &first_delay {
+            Some(h) if count > 0 => h.quantile(q),
+            _ => 0.0,
         };
-        let array = |per_shard: Vec<u64>| {
-            let cells: Vec<String> = per_shard.iter().map(u64::to_string).collect();
-            format!("[{}]", cells.join(","))
-        };
-        format!(
-            "{{\"queries_offered\":{},\"queries_issued\":{},\"queries_completed\":{completed},\
-             \"hits\":{hits},\"hit_rate\":{hit_rate},\"p50_first_ms\":{},\"p99_first_ms\":{},\
-             \"inbox_depth\":{},\"timer_heap\":{},\"delivery_lag_ms\":{}}}",
-            self.offered.load(ORD),
-            total(&self.issued),
-            self.latency_ms.quantile(0.50),
-            self.latency_ms.quantile(0.99),
-            array(levels(&self.inbox_depth)),
-            array(levels(&self.timers_pending)),
-            array(self.take_delivery_lag()),
-        )
+        hub.gauge("latency_count", count as f64);
+        hub.gauge("latency_p50_ms", quantile(0.50));
+        hub.gauge("latency_p99_ms", quantile(0.99));
+        for i in 0..self.slices.len() {
+            let depth = self.inbox_depth[i].load(ORD);
+            hub.gauge(&format!("inbox_depth.s{i}"), depth as f64);
+            let timers = self.timers_pending[i].load(ORD);
+            hub.gauge(&format!("timer_heap.s{i}"), timers as f64);
+            let lag = self.delivery_lag_ms[i].swap(0, ORD);
+            hub.gauge(&format!("delivery_lag_ms.s{i}"), lag as f64);
+        }
+        (t_ms, finalized)
     }
 }
 
-/// Spawn the monitor thread: every `interval_ms` of wall time it copies
-/// the shared atomics into a `MetricsRecorder` window (cumulative
-/// counters are differenced into per-window deltas by the recorder) and
-/// appends a timeline record to `telemetry.metrics_path`. After `done`
-/// is raised it emits one final window — taken *after* the shard
-/// threads joined, so the file's column sums equal the final report —
-/// and flushes.
-pub(crate) fn spawn_monitor(
+/// A gauge as Prometheus text writes it: an overflowed quantile is
+/// `+Inf`.
+fn prometheus_f64(v: f64) -> String {
+    if v == f64::INFINITY {
+        "+Inf".to_string()
+    } else {
+        v.to_string()
+    }
+}
+
+/// One pass as Prometheus text: each name `ddr_serve_<name>`, a
+/// per-shard `<name>.s<i>` as `ddr_serve_<name>{shard="i"}`, and one
+/// `# TYPE` line per family.
+fn prometheus_text(hub: &MetricsHub) -> String {
+    let mut out = String::with_capacity(1024);
+    let counters = hub
+        .counters()
+        .iter()
+        .map(|(k, &v)| ("counter", k, v.to_string()));
+    let gauges = hub
+        .gauges()
+        .iter()
+        .map(|(k, &v)| ("gauge", k, prometheus_f64(v)));
+    let mut family = "";
+    for (kind, name, value) in counters.chain(gauges) {
+        let (stem, label) = match name.rsplit_once(".s") {
+            Some((stem, i)) if i.parse::<usize>().is_ok() => (stem, format!("{{shard=\"{i}\"}}")),
+            _ => (name.as_str(), String::new()),
+        };
+        if stem != family {
+            let _ = writeln!(out, "# TYPE ddr_serve_{stem} {kind}");
+            family = stem;
+        }
+        let _ = writeln!(out, "ddr_serve_{stem}{label} {value}");
+    }
+    out
+}
+
+/// The `--metrics-port` listener on `127.0.0.1:port`, non-blocking. A
+/// failure is reported and disables the endpoint — the run itself must
+/// not die because a port is taken.
+fn listen(port: u16) -> Option<TcpListener> {
+    let listener = TcpListener::bind(("127.0.0.1", port))
+        .and_then(|l| l.set_nonblocking(true).map(|()| l))
+        .map_err(|e| eprintln!("[serve] --metrics-port {port}: {e}; endpoint disabled"));
+    listener.ok()
+}
+
+/// Answer every connection waiting on `listener` from the recorder's
+/// latest pass, taken at `t_ms`: `GET /metrics` as Prometheus text, any
+/// other path as JSON with cumulative counters.
+fn answer(listener: &TcpListener, rec: &MetricsRecorder<JsonlMetrics>, t_ms: u64) {
+    while let Ok((mut stream, _peer)) = listener.accept() {
+        stream
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .ok();
+        let mut req = [0u8; 1024];
+        let n = stream.read(&mut req).unwrap_or(0);
+        let head = String::from_utf8_lossy(&req[..n]);
+        let want_prometheus = head.lines().next().is_some_and(|l| l.contains("/metrics"));
+        let (ctype, body) = if want_prometheus {
+            ("text/plain; version=0.0.4", prometheus_text(rec.hub()))
+        } else {
+            ("application/json", rec.pass_json(t_ms))
+        };
+        let resp = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(resp.as_bytes()).ok();
+    }
+}
+
+/// Spawn the observer: every `interval_ms` of wall time it fills one
+/// pass and appends it to `telemetry.metrics_path` as a timeline window
+/// (the recorder differences the cumulative counters; without a path the
+/// window goes nowhere), and in between it answers the `port` endpoint,
+/// if any, from the latest pass. After `done` is raised it takes one
+/// final pass — *after* the shard threads joined, so the file's column
+/// sums equal the final report — and flushes.
+pub(crate) fn spawn_observer(
     shared: Arc<MonitorShared>,
     clock: Arc<WallClock>,
     telemetry: TelemetryConfig,
+    port: Option<u16>,
     interval_ms: u64,
 ) -> JoinHandle<()> {
     thread::spawn(move || {
+        let listener = port.and_then(listen);
         let mut rec: MetricsRecorder<JsonlMetrics> = MetricsRecorder::new(&telemetry);
         let interval = interval_ms.max(1);
-        let mut prev_completed = 0u64;
-        let mut prev_t = clock.now().as_millis();
-        let mut next = prev_t + interval;
+        // An unwritten first pass, so the endpoint never answers empty.
+        let start = clock.now().as_millis();
+        let mut last = shared.sample(rec.hub_mut(), start, (start, 0));
         loop {
             let finished = shared.done.load(ORD);
             let now = clock.now().as_millis();
-            if now >= next || finished {
-                let completed = shared.completed.load(ORD);
-                let dt_s = (now.saturating_sub(prev_t)).max(1) as f64 / 1_000.0;
-                let hub = rec.hub_mut();
-                hub.begin_sample();
-                // Quantities the simulator also reports keep its names
-                // (DESIGN.md §14); `queries_offered` and `replies` are
-                // serve-only.
-                hub.counter("queries_offered", shared.offered.load(ORD));
-                hub.counter("queries", total(&shared.issued));
-                hub.counter("queries_finalized", completed);
-                hub.counter("hits", shared.hits.load(ORD));
-                hub.counter("messages", total(&shared.messages));
-                hub.counter("replies", total(&shared.replies));
-                hub.counter("duplicates_dropped", total(&shared.duplicates_dropped));
-                hub.gauge(
-                    "achieved_qps",
-                    (completed.saturating_sub(prev_completed)) as f64 / dt_s,
-                );
-                hub.gauge("latency_count", shared.latency_ms.count() as f64);
-                hub.gauge("latency_p50_ms", shared.latency_ms.quantile(0.50));
-                hub.gauge("latency_p99_ms", shared.latency_ms.quantile(0.99));
-                for (i, d) in shared.inbox_depth.iter().enumerate() {
-                    hub.gauge(&format!("inbox_depth.s{i}"), d.load(ORD) as f64);
-                }
-                for (i, d) in shared.timers_pending.iter().enumerate() {
-                    hub.gauge(&format!("timer_heap.s{i}"), d.load(ORD) as f64);
-                }
-                for (i, lag) in shared.take_delivery_lag().into_iter().enumerate() {
-                    hub.gauge(&format!("delivery_lag_ms.s{i}"), lag as f64);
-                }
+            if now >= last.0 + interval || finished {
+                last = shared.sample(rec.hub_mut(), now, last);
                 rec.emit_window(now);
-                prev_completed = completed;
-                prev_t = now;
-                next = now + interval;
+            }
+            if let Some(listener) = &listener {
+                answer(listener, &rec, last.0);
             }
             if finished {
                 break;
@@ -251,112 +275,134 @@ pub(crate) fn spawn_monitor(
     })
 }
 
-/// Spawn the `--metrics-port` endpoint: a stdlib TCP listener on
-/// `127.0.0.1:port` answering `GET /metrics` with the Prometheus text
-/// snapshot and any other path with the live report as JSON. Exits when
-/// `done` is raised. A bind failure is reported and tolerated — the run
-/// itself must not die because a port is taken.
-pub(crate) fn spawn_endpoint(shared: Arc<MonitorShared>, port: u16) -> JoinHandle<()> {
-    thread::spawn(move || {
-        let listener = match TcpListener::bind(("127.0.0.1", port)) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("[serve] --metrics-port {port}: bind failed ({e}); endpoint disabled");
-                return;
-            }
-        };
-        listener
-            .set_nonblocking(true)
-            .expect("set_nonblocking on metrics listener");
-        while !shared.done.load(ORD) {
-            match listener.accept() {
-                Ok((mut stream, _peer)) => {
-                    stream
-                        .set_read_timeout(Some(Duration::from_millis(200)))
-                        .ok();
-                    let mut req = [0u8; 1024];
-                    let n = stream.read(&mut req).unwrap_or(0);
-                    let head = String::from_utf8_lossy(&req[..n]);
-                    let want_prometheus = head
-                        .lines()
-                        .next()
-                        .map(|l| l.contains("/metrics"))
-                        .unwrap_or(false);
-                    let (ctype, body) = if want_prometheus {
-                        ("text/plain; version=0.0.4", shared.prometheus_text())
-                    } else {
-                        ("application/json", shared.report_json())
-                    };
-                    let resp = format!(
-                        "HTTP/1.1 200 OK\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                        body.len()
-                    );
-                    stream.write_all(resp.as_bytes()).ok();
-                }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => thread::sleep(Duration::from_millis(20)),
-            }
+/// `GET path` from the endpoint on `port`, retried while it comes up:
+/// the whole response, head and body.
+#[cfg(test)]
+pub(crate) fn fetch(port: u16, path: &str) -> String {
+    for _ in 0..100 {
+        if let Ok(mut c) = std::net::TcpStream::connect(("127.0.0.1", port)) {
+            c.write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
+                .expect("write request");
+            let mut out = String::new();
+            c.read_to_string(&mut out).expect("read response");
+            return out;
         }
-    })
+        thread::sleep(Duration::from_millis(10));
+    }
+    panic!("endpoint never came up on port {port}");
+}
+
+/// A port nothing listens on: bind an ephemeral one, then free it.
+#[cfg(test)]
+pub(crate) fn free_port() -> u16 {
+    let probe = TcpListener::bind(("127.0.0.1", 0)).expect("probe bind");
+    probe.local_addr().expect("probe addr").port()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::json::Value;
+    use std::collections::BTreeMap;
 
+    /// The text and the JSON of one pass name exactly its counters and
+    /// gauges, with the same values.
     #[test]
-    fn prometheus_and_json_snapshots_render() {
-        let s = MonitorShared::new(2);
-        s.offered.store(10, ORD);
-        s.completed.store(8, ORD);
-        s.hits.store(4, ORD);
-        s.inbox_depth[1].store(7, ORD);
-        s.delivery_lag_ms[0].store(3, ORD);
-        s.latency_ms.record(12.0);
-        let text = s.prometheus_text();
-        assert!(text.contains("ddr_serve_queries_completed 8"));
-        assert!(text.contains("ddr_serve_inbox_depth{shard=\"1\"} 7"));
-        assert!(text.contains("ddr_serve_delivery_lag_ms{shard=\"0\"} 3"));
-        s.delivery_lag_ms[1].store(5, ORD);
-        let json = s.report_json();
-        assert!(json.contains("\"hit_rate\":0.5"), "{json}");
-        // Both shards appear in the depth arrays.
-        assert!(json.contains("\"inbox_depth\":[0,7]"), "{json}");
-        // The first read took shard 0's lag; this one takes shard 1's.
-        assert!(json.contains("\"delivery_lag_ms\":[0,5]"), "{json}");
-        assert_eq!(s.take_delivery_lag(), [0, 0]);
-        serde::json::parse(&json).expect("report JSON parses");
+    fn text_and_json_render_exactly_the_pass() {
+        // Two shards; shard 1 closed eight queries, two with a result:
+        // 615 ms, and one past the histogram's 5 s.
+        let shared = MonitorShared::new(2);
+        shared.inbox_depth[1].store(7, ORD);
+        shared.delivery_lag_ms[0].store(3, ORD);
+        let mut slice = lock(&shared.slices[1]);
+        slice.totals[1] = 8;
+        slice.first_delay.record(615.0);
+        slice.first_delay.record(6_000.0);
+        drop(slice);
+        let mut rec = MetricsRecorder::<JsonlMetrics>::new(&TelemetryConfig::default());
+        shared.sample(rec.hub_mut(), 1_000, (0, 0));
+        assert_eq!(shared.delivery_lag_ms[0].load(ORD), 0, "the pass took it");
+        let hub = rec.hub();
+        let counters = hub
+            .counters()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.to_string()));
+        let gauges = hub
+            .gauges()
+            .iter()
+            .map(|(k, &v)| (k.clone(), prometheus_f64(v)));
+        let pass: BTreeMap<String, String> = counters.chain(gauges).collect();
+        for (name, value) in [
+            ("queries_finalized", "8"),
+            ("hits", "2"),
+            ("inbox_depth.s1", "7"),
+            ("delivery_lag_ms.s0", "3"),
+            // Fig 3(a)'s 50 ms buckets: 615 ms reads 650; 6 s is past 5 s.
+            ("latency_p50_ms", "650"),
+            ("latency_p99_ms", "+Inf"),
+        ] {
+            assert_eq!(pass[name], value, "{name}");
+        }
+
+        // The text: one line per entry, shard labels folded back into
+        // `.s<i>`; seven counter and seven gauge families, each typed once.
+        let text = prometheus_text(hub);
+        assert_eq!(text.matches("# TYPE ").count(), 14, "{text}");
+        let mut rendered = BTreeMap::new();
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            let (name, value) = line.split_once(' ').expect("name value");
+            let name = name.strip_prefix("ddr_serve_").expect("prefixed");
+            let name = match name.split_once("{shard=\"") {
+                Some((stem, i)) => format!("{stem}.s{}", i.trim_end_matches("\"}")),
+                None => name.to_string(),
+            };
+            assert!(rendered.insert(name, value.to_string()).is_none(), "{text}");
+        }
+        assert_eq!(rendered, pass, "{text}");
+
+        // The JSON: counters cumulative, the overflowed quantile `null`.
+        let json = serde::json::parse(&rec.pass_json(1_000)).expect("pass JSON parses");
+        assert_eq!(json.get("t").and_then(Value::as_f64), Some(1_000.0));
+        let mut rendered = BTreeMap::new();
+        for kind in ["counters", "gauges"] {
+            let Some(Value::Obj(entries)) = json.get(kind) else {
+                panic!("no {kind} object");
+            };
+            for (name, value) in entries {
+                let value = value.as_f64().map_or("+Inf".to_string(), prometheus_f64);
+                assert!(rendered.insert(name.clone(), value).is_none(), "{name}");
+            }
+        }
+        assert_eq!(rendered, pass);
     }
 
+    /// Both content types over TCP; a second observer on the taken port
+    /// disables only its endpoint and still exits when told.
     #[test]
     fn endpoint_serves_both_content_types() {
-        let s = Arc::new(MonitorShared::new(1));
-        s.completed.store(3, ORD);
-        // Pick an ephemeral port by binding first, then freeing it.
-        let probe = TcpListener::bind(("127.0.0.1", 0)).expect("probe bind");
-        let port = probe.local_addr().expect("probe addr").port();
-        drop(probe);
-        let handle = spawn_endpoint(Arc::clone(&s), port);
-        let fetch = |path: &str| -> String {
-            for _ in 0..50 {
-                if let Ok(mut c) = std::net::TcpStream::connect(("127.0.0.1", port)) {
-                    c.write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-                        .expect("write request");
-                    let mut out = String::new();
-                    c.read_to_string(&mut out).expect("read response");
-                    return out;
-                }
-                thread::sleep(Duration::from_millis(10));
-            }
-            panic!("endpoint never came up on port {port}");
+        let shared = Arc::new(MonitorShared::new(1));
+        lock(&shared.slices[0]).totals[1] = 3;
+        let port = free_port();
+        let clock = Arc::new(WallClock::start());
+        let spawn = || {
+            let (shared, clock) = (Arc::clone(&shared), Arc::clone(&clock));
+            spawn_observer(shared, clock, TelemetryConfig::default(), Some(port), 10)
         };
-        let prom = fetch("/metrics");
-        assert!(prom.contains("ddr_serve_queries_completed 3"), "{prom}");
-        let json = fetch("/report");
-        assert!(json.contains("\"queries_completed\":3"), "{json}");
-        s.done.store(true, ORD);
-        handle.join().expect("endpoint thread");
+        let observer = spawn();
+        let prom = fetch(port, "/metrics");
+        assert!(prom.contains("Content-Type: text/plain"), "{prom}");
+        assert!(prom.contains("\nddr_serve_queries_finalized 3\n"), "{prom}");
+        let json = fetch(port, "/report");
+        assert!(json.contains("Content-Type: application/json"), "{json}");
+        let (_, body) = json.split_once("\r\n\r\n").expect("head and body");
+        let pass = serde::json::parse(body).expect("body parses");
+        let finalized = pass
+            .get("counters")
+            .and_then(|c| c.get("queries_finalized"));
+        assert_eq!(finalized.and_then(Value::as_f64), Some(3.0), "{body}");
+        let refused = spawn();
+        shared.done.store(true, ORD);
+        observer.join().expect("observer thread");
+        refused.join().expect("observer without its endpoint");
     }
 }

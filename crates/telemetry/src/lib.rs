@@ -39,10 +39,11 @@ pub mod timeline;
 pub mod tracer;
 
 pub use config::TelemetryConfig;
+/// The fixed-width histogram fig3a reads; the serve monitor names it
+/// through this crate rather than depending on `ddr-stats` itself.
+pub use ddr_stats::Histogram;
 pub use inspect::{summarize, summarize_file, TraceSummary};
-pub use metrics::{
-    JsonlMetrics, LogHistogram, MetricsRecorder, MetricsSink, METRICS_SCHEMA_VERSION,
-};
+pub use metrics::{JsonlMetrics, MetricsRecorder, MetricsSink, METRICS_SCHEMA_VERSION};
 pub use profile::{shard_profile_report, KernelProfiler};
 pub use sink::{JsonlSink, NullSink, TraceSink};
 pub use timeline::{is_timeline, summarize_timeline, summarize_timeline_file, TimelineSummary};

@@ -30,7 +30,6 @@ use crate::sink::JsonlFile;
 use ddr_sim::{MetricsHub, ShardWorld, ShardedSimulation, SimTime, Simulation, World};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version stamped on every timeline record (`"v"`).
 pub const METRICS_SCHEMA_VERSION: u64 = 1;
@@ -71,80 +70,6 @@ impl MetricsSink for JsonlMetrics {
     }
 }
 
-/// A power-of-two log-bucketed histogram: bucket `k` covers values in
-/// `[2^(k-1), 2^k)` (bucket 0 holds everything below 1). 64 buckets
-/// cover the full `u64` range, so latency in µs, queue depths and event
-/// counts all fit without configuration; quantiles come back as the
-/// covering bucket's upper edge (a ≤2× overestimate).
-///
-/// Cells are atomics recorded through `&self` from any thread: the one
-/// user is the serve monitor's shared first-result latency histogram.
-#[derive(Debug)]
-pub struct LogHistogram {
-    counts: [AtomicU64; 64],
-    total: AtomicU64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            total: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The bucket index covering `v`.
-fn bucket(v: f64) -> usize {
-    if v.is_nan() || v < 1.0 {
-        // Negative, sub-1 and NaN samples all land in bucket 0.
-        return 0;
-    }
-    let u = if v >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        v as u64
-    };
-    ((64 - u.leading_zeros()) as usize).min(63)
-}
-
-/// Relaxed ordering: the cells are statistics that publish no other
-/// data, and readers report trends, not linearizable cuts.
-const ORD: Ordering = Ordering::Relaxed;
-
-impl LogHistogram {
-    /// Record one sample (any thread).
-    pub fn record(&self, v: f64) {
-        self.counts[bucket(v)].fetch_add(1, ORD);
-        self.total.fetch_add(1, ORD);
-    }
-
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.total.load(ORD)
-    }
-
-    /// Upper edge of the bucket holding the `q`-quantile sample (`q` in
-    /// `[0, 1]`); 0 when empty. Approximate under concurrent writes
-    /// (cells are read one by one), which is fine for a rolling
-    /// dashboard figure.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (k, c) in self.counts.iter().enumerate() {
-            seen += c.load(ORD);
-            if seen >= rank {
-                return if k == 0 { 1.0 } else { (1u64 << k) as f64 };
-            }
-        }
-        (1u64 << 63) as f64
-    }
-}
-
 /// Format an `f64` as a JSON value; non-finite values become `null`
 /// (valid JSON; the timeline inspector flags them as anomalies).
 fn json_f64(v: f64) -> String {
@@ -153,6 +78,22 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".to_string()
     }
+}
+
+/// Append `,"counters":{…},"gauges":{…}` for `hub`'s pass, each
+/// counter written as `counter(name, total)`.
+fn push_pass(line: &mut String, hub: &MetricsHub, mut counter: impl FnMut(&str, u64) -> u64) {
+    line.push_str(",\"counters\":{");
+    for (i, (name, &total)) in hub.counters().iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(line, "{sep}\"{name}\":{}", counter(name, total));
+    }
+    line.push_str("},\"gauges\":{");
+    for (i, (name, &v)) in hub.gauges().iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(line, "{sep}\"{name}\":{}", json_f64(v));
+    }
+    line.push('}');
 }
 
 /// Drives one run's timeline: owns the [`MetricsHub`], differences
@@ -182,6 +123,11 @@ impl<M: MetricsSink> MetricsRecorder<M> {
     /// monitor) rather than through a world hook.
     pub fn hub_mut(&mut self) -> &mut MetricsHub {
         &mut self.hub
+    }
+
+    /// The current pass, for renderers other than the timeline.
+    pub fn hub(&self) -> &MetricsHub {
+        &self.hub
     }
 
     /// Sample a serial simulation at a chunk boundary: clears the
@@ -226,28 +172,24 @@ impl<M: MetricsSink> MetricsRecorder<M> {
             "{{\"v\":{METRICS_SCHEMA_VERSION},\"type\":\"window\",\"run\":\"{}\",\"t\":{t}",
             self.run_label
         );
-        line.push_str(",\"counters\":{");
-        let mut first = true;
-        for (name, &cur) in self.hub.counters() {
-            let prev = self.prev.get(name).copied().unwrap_or(0);
-            if !first {
-                line.push(',');
-            }
-            first = false;
-            let _ = write!(line, "\"{name}\":{}", cur.saturating_sub(prev));
-            self.prev.insert(name.clone(), cur);
-        }
-        line.push_str("},\"gauges\":{");
-        let mut first = true;
-        for (name, &v) in self.hub.gauges() {
-            if !first {
-                line.push(',');
-            }
-            first = false;
-            let _ = write!(line, "\"{name}\":{}", json_f64(v));
-        }
-        line.push_str("}}");
+        let prev = &mut self.prev;
+        push_pass(&mut line, &self.hub, |name, total| {
+            let delta = total.saturating_sub(prev.get(name).copied().unwrap_or(0));
+            prev.insert(name.to_string(), total);
+            delta
+        });
+        line.push('}');
         self.sink.write_line(&line);
+    }
+
+    /// The current pass as one JSON object, `{"t", "counters", "gauges"}`,
+    /// its counters cumulative rather than differenced: what a live
+    /// reader asking "how many so far" wants (the serve endpoint).
+    pub fn pass_json(&self, t_ms: u64) -> String {
+        let mut line = format!("{{\"t\":{t_ms}");
+        push_pass(&mut line, &self.hub, |_, total| total);
+        line.push('}');
+        line
     }
 
     /// Flush the sink (also happens on drop for `JsonlMetrics`).
@@ -259,18 +201,6 @@ impl<M: MetricsSink> MetricsRecorder<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log_histogram_buckets_and_quantiles() {
-        let h = LogHistogram::default();
-        for v in [0.0, 0.5, 1.0, 3.0, 100.0, 1000.0] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert!(h.quantile(0.0) >= 1.0);
-        // p99 covers the largest sample's bucket: 1000 < 1024 = 2^10.
-        assert_eq!(h.quantile(0.99), 1024.0);
-    }
 
     #[test]
     fn recorder_emits_deltas_and_monotonic_timestamps() {
