@@ -45,14 +45,14 @@ flags (shared by every experiment):
 rejected (exit 2) for webcache_eval, peerolap_eval and exploration_sweep
 (serial-kernel worlds) and for strategies (its local-indices rows need
 the full-range world), and cannot be combined with --trace. An output
-path that cannot be written also exits 2, before anything runs.
+path that cannot be written also exits 2, before anything runs.";
 
-scenario-pack knobs (flash_crowd, partition_heal, heavy_churn,
-free_riders, bandwidth_eras):
-  --spike-boost F   flash-crowd peak weight in (0, 1] (default 0.8)
-  --pareto-shape F  heavy-churn Pareto shape, > 1 (default 1.5)
-  --liar-fraction F malicious-advertiser share in [0, 0.85] (default 0.15)
-  --islands N       partition island count, >= 2 (default 3)";
+/// `ddr run`'s flag grammar: `--all` anywhere, then [`ExpOptions::parse`]'s.
+fn parse_run(rest: Vec<String>) -> Result<(bool, ExpOptions, Vec<String>), CliError> {
+    let all = rest.iter().any(|a| a == "--all");
+    let (opts, names) = ExpOptions::parse(rest.into_iter().filter(|a| a != "--all"))?;
+    Ok((all, opts, names))
+}
 
 /// The `ddr` binary, minus process concerns: parse `args` (everything
 /// after the program name) and return the exit code.
@@ -66,10 +66,7 @@ pub fn ddr_main(args: Vec<String>) -> i32 {
             0
         }
         Some("run") => {
-            let rest: Vec<String> = args.collect();
-            let all = rest.iter().any(|a| a == "--all");
-            let rest: Vec<String> = rest.into_iter().filter(|a| a != "--all").collect();
-            let (opts, names) = match ExpOptions::parse(rest) {
+            let (all, opts, names) = match parse_run(args.collect()) {
                 Ok(parsed) => parsed,
                 Err(CliError::Help) => {
                     eprintln!("{DDR_USAGE}");
@@ -253,20 +250,46 @@ mod tests {
     }
 
     #[test]
-    fn bad_pack_flag_values_exit_two_before_running() {
-        // Out-of-range pack knobs (and a missing value) must take the
-        // CliError path — usage + exit 2 — not panic inside a half-built
-        // scenario.
+    fn every_usage_flag_parses_and_removed_flags_are_unknown() {
+        use crate::serve::{parse_serve_args, SERVE_USAGE};
+        // A parser's verdict on one flag list: accepted (`--help` only
+        // stops parsing) or the diagnosis.
+        fn verdict<T>(parsed: Result<T, CliError>) -> Result<(), String> {
+            match parsed {
+                Ok(_) | Err(CliError::Help) => Ok(()),
+                Err(e) => Err(e.to_string()),
+            }
+        }
+        type Parser = fn(Vec<String>) -> Result<(), String>;
+        let run: Parser = |args| verdict(parse_run(args));
+        let serve: Parser = |args| verdict(parse_serve_args(args));
+        for (usage, parser) in [(USAGE, run), (DDR_USAGE, run), (SERVE_USAGE, serve)] {
+            let flags: Vec<&str> = usage
+                .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .filter(|w| w.starts_with("--") && w.len() > 2)
+                .collect();
+            assert!(flags.len() >= 10, "{flags:?}");
+            // Bare, or with "2": a valid count, rate, duration, seed, port
+            // and path alike.
+            for flag in flags {
+                let accepted = [&[flag][..], &[flag, "2"]].map(|a| parser(argv(a)));
+                assert!(accepted.contains(&Ok(())), "{flag}: {accepted:?}");
+            }
+        }
+
+        // Flags whose one value became a constant fail loudly, so an old
+        // script does not run with a value it no longer gets.
         for args in [
-            &["run", "flash_crowd", "--spike-boost", "2.0"][..],
-            &["run", "heavy_churn", "--pareto-shape", "0.5"],
-            &["run", "free_riders", "--liar-fraction", "1.0"],
-            // 15 % free riders + 90 % liars exceed the population.
-            &["run", "free_riders", "--smoke", "--liar-fraction", "0.9"],
-            &["run", "partition_heal", "--islands", "1"],
-            &["run", "flash_crowd", "--spike-boost"],
+            ["run", "flash_crowd", "--spike-boost", "0.8"],
+            ["run", "heavy_churn", "--pareto-shape", "1.5"],
+            ["run", "free_riders", "--liar-fraction", "0.15"],
+            ["run", "partition_heal", "--islands", "3"],
+            ["serve", "gnutella", "--degree", "4"],
         ] {
-            assert_eq!(ddr_main(argv(args)), 2, "{args:?}");
+            let parser = if args[0] == "run" { run } else { serve };
+            let said = format!("unknown flag {}", args[2]);
+            assert_eq!(parser(argv(&args[2..])), Err(said), "{args:?}");
+            assert_eq!(ddr_main(argv(&args)), 2, "{args:?}");
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The benign dynamic run is compared against the same world with a
 //! trapezoidal [`FlashCrowd`] event: starting a quarter into the
-//! measurement window, `--spike-boost` of all queries redirect onto one
+//! measurement window, `SPIKE_BOOST` of all queries redirect onto one
 //! category, drawn from a sharper Zipf so the crowd piles onto a handful
 //! of items. Demand concentration is the *favourable* case for the
 //! framework — clustering forms around the hot genre — so hit rate
@@ -18,6 +18,10 @@ use crate::opts::ExpOptions;
 use ddr_gnutella::Mode;
 use ddr_stats::Table;
 use ddr_workload::FlashCrowd;
+
+/// Flash-crowd peak weight: the share of queries redirected to the hot
+/// genre at the spike's plateau, in (0, 1].
+const SPIKE_BOOST: f64 = 0.8;
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let opts = smoke_scale(opts.clone().tuned(4, 48));
@@ -35,7 +39,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         ramp_hours: span / 8.0,
         hold_hours: span / 4.0,
         decay_hours: span / 8.0,
-        peak_weight: opts.pack.spike_boost,
+        peak_weight: SPIKE_BOOST,
         spike_theta: 1.2,
     });
 
@@ -45,7 +49,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let mut t = Table::new(
         format!(
             "Flash crowd: {:.0}% of queries onto one genre at peak",
-            opts.pack.spike_boost * 100.0
+            SPIKE_BOOST * 100.0
         ),
         &[
             "Scenario",

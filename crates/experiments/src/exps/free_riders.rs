@@ -14,9 +14,16 @@
 
 use super::{fold_digests, gnutella_runs, smoke_scale};
 use crate::emit::Emitter;
-use crate::opts::{ExpOptions, FREE_RIDER_FRACTION};
+use crate::opts::ExpOptions;
 use ddr_gnutella::Mode;
 use ddr_stats::Table;
+
+/// The free-rider share of the population.
+const FREE_RIDER_FRACTION: f64 = 0.15;
+/// The share of nodes advertising summaries they refuse to serve.
+const LIAR_FRACTION: f64 = 0.15;
+// Liars and free riders are disjoint classes of one population.
+const _: () = assert!(FREE_RIDER_FRACTION + LIAR_FRACTION <= 1.0);
 
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let opts = smoke_scale(opts.clone().tuned(4, 48));
@@ -24,7 +31,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let mut t = Table::new(
         format!(
             "Free-riders (15%) & liars ({:.0}%): static vs dynamic isolation",
-            opts.pack.liar_fraction * 100.0
+            LIAR_FRACTION * 100.0
         ),
         &[
             "Mode",
@@ -41,7 +48,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         .map(|mode| {
             let mut cfg = opts.scenario(mode, 2);
             cfg.free_rider_fraction = FREE_RIDER_FRACTION;
-            cfg.liar_fraction = opts.pack.liar_fraction;
+            cfg.liar_fraction = LIAR_FRACTION;
             cfg
         })
         .collect();
@@ -57,7 +64,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         // near-normal degree (their fabricated summaries keep attracting
         // invitations) but are evicted at a higher per-capita rate.
         let users = end.served.len() as f64;
-        let n_liars = (users * opts.pack.liar_fraction).round().max(1.0);
+        let n_liars = (users * LIAR_FRACTION).round().max(1.0);
         let n_frs = (users * FREE_RIDER_FRACTION).round().max(1.0);
         let n_contrib = (users - n_liars - n_frs).max(1.0);
         let contrib_rate = contrib.evicted as f64 / n_contrib;

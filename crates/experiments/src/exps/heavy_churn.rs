@@ -3,8 +3,8 @@
 //! Real peer-to-peer session traces are heavy-tailed — most sessions are
 //! short, a few last all day — where the paper's model is exponential.
 //! This experiment keeps the *mean* online/offline durations fixed and
-//! swaps only the distribution shape (`--pareto-shape`, default 1.5:
-//! finite mean, infinite variance), so any metric movement is purely a
+//! swaps only the distribution shape (`PARETO_SHAPE` 1.5: finite
+//! mean, infinite variance), so any metric movement is purely a
 //! tail effect: more login/logoff events from the crowd of short
 //! sessions, against a stable backbone of long-lived nodes for the
 //! reconfiguration protocol to discover and keep.
@@ -16,13 +16,16 @@ use ddr_gnutella::Mode;
 use ddr_stats::Table;
 use ddr_workload::ChurnModel;
 
+/// Pareto shape of the heavy-tailed sessions (> 1 keeps the mean finite).
+const PARETO_SHAPE: f64 = 1.5;
+
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let opts = smoke_scale(opts.clone().tuned(4, 48));
 
     let exp = opts.scenario(Mode::Dynamic, 2);
     let mut pareto = exp.clone();
     pareto.workload.churn_model = ChurnModel::Pareto {
-        shape: opts.pack.pareto_shape,
+        shape: PARETO_SHAPE,
     };
 
     let reports = gnutella_reports(&opts, vec![exp, pareto], em);
@@ -31,7 +34,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let mut t = Table::new(
         format!(
             "Heavy-tailed churn: exponential vs Pareto(shape={}) sessions, same means",
-            opts.pack.pareto_shape
+            PARETO_SHAPE
         ),
         &[
             "Churn model",

@@ -1,7 +1,7 @@
 //! Regional partition & heal: correlated link failure, not random loss.
 //!
 //! For the middle third of the run the node population splits into
-//! `--islands` contiguous regions and every message crossing an island
+//! `ISLANDS` contiguous regions and every message crossing an island
 //! boundary is dropped at delivery time; afterwards the network heals.
 //! The benign run is the control. The [`check_invariants`] layer proves
 //! the isolation property — zero cross-island deliveries inside the
@@ -16,6 +16,9 @@ use crate::opts::ExpOptions;
 use ddr_gnutella::{Mode, PartitionWindow};
 use ddr_stats::Table;
 
+/// Island count of the regional partition (>= 2).
+const ISLANDS: usize = 3;
+
 pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let opts = smoke_scale(opts.clone().tuned(4, 48));
 
@@ -24,7 +27,7 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     let from_hour = (cut.sim_hours / 3).max(1);
     let to_hour = (2 * cut.sim_hours / 3).max(from_hour + 1);
     let window = PartitionWindow {
-        islands: opts.pack.islands.min(cut.workload.users),
+        islands: ISLANDS.min(cut.workload.users),
         from_hour,
         to_hour,
     };

@@ -22,7 +22,7 @@ pub mod registry;
 pub mod serve;
 
 pub use emit::Emitter;
-pub use opts::{CliError, ExpOptions, PackOptions, USAGE};
+pub use opts::{CliError, ExpOptions, USAGE};
 pub use registry::{find, registry, Experiment};
 
 use ddr_gnutella::RunReport;

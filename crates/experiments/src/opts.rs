@@ -48,8 +48,8 @@ impl std::fmt::Display for CliError {
 
 /// The flag summary printed on `--help` and on parse errors.
 pub const USAGE: &str = "options: --scale N  --hours H  --seed S  --csv DIR  --json DIR  --smoke  \
-     --trace FILE  --trace-sample N  --metrics FILE  --profile  --threads N  --shards N  \
-     --spike-boost F  --pareto-shape F  --liar-fraction F  --islands N  (-h for help)";
+     --trace FILE  --trace-sample N  --metrics FILE  --profile  \
+     --threads N  --shards N  (-h for help)";
 
 /// The value after `flag`, parsed and range-checked: the one place both
 /// flag grammars (`ddr run`, `ddr serve`) turn text into a number or
@@ -72,39 +72,6 @@ pub(crate) fn flag_value<T: std::str::FromStr>(
 }
 
 const AT_LEAST_ONE: &str = "an integer >= 1";
-
-/// The free-rider share of the `free_riders` population; liars are a
-/// disjoint class, so `--liar-fraction` may claim at most the rest.
-pub(crate) const FREE_RIDER_FRACTION: f64 = 0.15;
-
-/// Scenario-pack knobs (flash_crowd, heavy_churn, partition_heal,
-/// free_riders, bandwidth_eras). Range checks happen at parse time so a
-/// bad value prints usage and exits 2 instead of panicking mid-run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PackOptions {
-    /// Flash-crowd peak weight: share of queries redirected to the hot
-    /// genre at the spike's plateau. In (0, 1].
-    pub spike_boost: f64,
-    /// Pareto shape for heavy-tailed churn (> 1 keeps the mean finite).
-    pub pareto_shape: f64,
-    /// Fraction of nodes advertising summaries they refuse to serve.
-    /// In [0, 0.85]: `free_riders` adds its 15 % free-riders on top, and
-    /// the two classes are disjoint.
-    pub liar_fraction: f64,
-    /// Island count for the regional partition (>= 2).
-    pub islands: usize,
-}
-
-impl Default for PackOptions {
-    fn default() -> Self {
-        PackOptions {
-            spike_boost: 0.8,
-            pareto_shape: 1.5,
-            liar_fraction: 0.15,
-            islands: 3,
-        }
-    }
-}
 
 /// Command-line options shared by all experiment entry points.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,9 +115,6 @@ pub struct ExpOptions {
     /// experiments that are not `shardable` rather than silently ignoring
     /// it.
     pub shards: Option<usize>,
-    /// Scenario-pack knobs; every field has a sensible default, so the
-    /// pack experiments run with no extra flags.
-    pub pack: PackOptions,
 }
 
 impl Default for ExpOptions {
@@ -170,7 +134,6 @@ impl Default for ExpOptions {
             profile: false,
             threads: None,
             shards: None,
-            pack: PackOptions::default(),
         }
     }
 }
@@ -224,28 +187,6 @@ impl ExpOptions {
                 }
                 "--shards" => {
                     opts.shards = Some(flag_value(args, &arg, AT_LEAST_ONE, |&n| n >= 1)?)
-                }
-                "--spike-boost" => {
-                    opts.pack.spike_boost =
-                        flag_value(args, &arg, "in (0, 1]", |&f| f > 0.0 && f <= 1.0)?
-                }
-                "--pareto-shape" => {
-                    opts.pack.pareto_shape =
-                        flag_value(args, &arg, "finite and > 1", |&f: &f64| {
-                            f > 1.0 && f.is_finite()
-                        })?
-                }
-                "--liar-fraction" => {
-                    opts.pack.liar_fraction = flag_value(
-                        args,
-                        &arg,
-                        "in [0, 0.85]: liars and the 15% free riders of free_riders are \
-                         disjoint classes of one population",
-                        |f| (0.0..=1.0 - FREE_RIDER_FRACTION).contains(f),
-                    )?
-                }
-                "--islands" => {
-                    opts.pack.islands = flag_value(args, &arg, "an integer >= 2", |&n| n >= 2)?
                 }
                 "--help" | "-h" => return Err(CliError::Help),
                 flag if flag.starts_with('-') => return Err(CliError::UnknownFlag(flag.into())),
@@ -422,27 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn pack_flags_parse_and_default() {
-        let (o, _) = parse(&[]).unwrap();
-        assert_eq!(o.pack, PackOptions::default());
-        let (o, _) = parse(&[
-            "--spike-boost",
-            "0.5",
-            "--pareto-shape",
-            "2.5",
-            "--liar-fraction",
-            "0.2",
-            "--islands",
-            "4",
-        ])
-        .unwrap();
-        assert_eq!(o.pack.spike_boost, 0.5);
-        assert_eq!(o.pack.pareto_shape, 2.5);
-        assert_eq!(o.pack.liar_fraction, 0.2);
-        assert_eq!(o.pack.islands, 4);
-    }
-
-    #[test]
     fn full_flag_set_parses() {
         let (o, pos) = parse(&[
             "--scale", "10", "--hours", "12", "--seed", "7", "--csv", "out", "--json", "jdir",
@@ -492,16 +412,6 @@ mod tests {
             ("--threads", "0"),
             ("--threads", "lots"),
             ("--shards", "0"),
-            ("--spike-boost", "0"),
-            ("--spike-boost", "1.5"),
-            ("--pareto-shape", "1.0"),
-            ("--pareto-shape", "inf"),
-            ("--liar-fraction", "1.0"),
-            // With free_riders' 15 % free riders, more than the population.
-            ("--liar-fraction", "0.9"),
-            ("--liar-fraction", "-0.1"),
-            ("--islands", "1"),
-            ("--islands", "many"),
         ] {
             let Err(e @ CliError::BadValue(..)) = parse(&[flag, bad]) else {
                 panic!("{flag} {bad} was accepted");
@@ -523,8 +433,6 @@ mod tests {
             ("--scale", "1"),
             ("--scale", "100"),
             ("--scale", "1000"),
-            ("--liar-fraction", "0"),
-            ("--liar-fraction", "0.85"),
         ] {
             assert!(parse(&[flag, ok]).is_ok(), "{flag} {ok}");
         }

@@ -6,16 +6,18 @@
 //!
 //! ```text
 //! ddr serve gnutella --nodes N --qps Q --duration S
-//!           [--threads N] [--seed S] [--degree D] [--smoke]
+//!           [--threads N] [--seed S] [--smoke]
 //!           [--trace FILE] [--metrics FILE] [--metrics-port P]
+//!           [--monitor-interval MS]
 //! ```
 //!
-//! `--threads` is the shard count (defaults to one per core, the same
-//! cap `ExpOptions::workers` applies to sweeps). `--smoke` shortens the
-//! per-query collection window to 500 ms so the post-injection drain
-//! phase stays CI-sized. The run prints its throughput and latency
-//! figures; recording them over time is the `serve_open_30k` workload's
-//! job (`benchmark/README.md`).
+//! The fleet's shape is not a flag: its overlay degree is the paper's 4
+//! and its hop limit 2 (`NodeSetConfig::scenario`). `--threads` is the
+//! shard count (defaults to one per core, the same cap `ExpOptions::workers`
+//! applies to sweeps). `--smoke` shortens the per-query collection window
+//! to 500 ms so the post-injection drain phase stays CI-sized. The run
+//! prints its throughput and latency figures; recording them over time is
+//! the `serve_open_30k` workload's job (`benchmark/README.md`).
 
 use ddr_gnutella::NodeSetConfig;
 use ddr_serve::{drain_deadline, run_gnutella, run_gnutella_traced, ServeConfig, ServeReport};
@@ -33,7 +35,6 @@ usage: ddr serve gnutella [flags]
   --duration S     injection window, wall seconds (default 2)
   --threads N      shard / worker-thread count (default: one per core)
   --seed S         master seed for topology+workload (default 1)
-  --degree D       overlay degree (default 4)
   --smoke          500 ms collection window so the drain phase stays short
   --trace FILE     write completed-query spans as JSONL (ddr inspect reads it)
   --metrics FILE   monitor thread writes windowed timeline JSONL to FILE
@@ -49,7 +50,6 @@ pub struct ServeArgs {
     pub duration_s: f64,
     pub threads: Option<usize>,
     pub seed: u64,
-    pub degree: usize,
     pub smoke: bool,
     pub trace: Option<PathBuf>,
     pub metrics: Option<PathBuf>,
@@ -65,7 +65,6 @@ impl Default for ServeArgs {
             duration_s: 2.0,
             threads: None,
             seed: 1,
-            degree: 4,
             smoke: false,
             trace: None,
             metrics: None,
@@ -107,7 +106,6 @@ where
             }
             "--threads" => out.threads = Some(flag_value(args, &arg, POSITIVE_INT, |&n| n > 0)?),
             "--seed" => out.seed = flag_value(args, &arg, "an integer", |_| true)?,
-            "--degree" => out.degree = flag_value(args, &arg, POSITIVE_INT, |&d| d > 0)?,
             "--smoke" => out.smoke = true,
             "--trace" => out.trace = Some(flag_value(args, &arg, "a path", |_| true)?),
             "--metrics" => out.metrics = Some(flag_value(args, &arg, "a path", |_| true)?),
@@ -139,7 +137,6 @@ where
 /// Build the bus configuration these arguments describe.
 pub fn serve_config(args: &ServeArgs) -> ServeConfig {
     let mut node_set = NodeSetConfig::new(args.nodes, args.seed);
-    node_set.degree = args.degree;
     if args.smoke {
         node_set.query_timeout = SimDuration::from_millis(500);
     }
@@ -265,8 +262,6 @@ mod tests {
             "4",
             "--seed",
             "9",
-            "--degree",
-            "6",
             "--smoke",
             "--trace",
             "/tmp/serve.jsonl",
@@ -277,7 +272,6 @@ mod tests {
         assert_eq!(a.duration_s, 3.0);
         assert_eq!(a.threads, Some(4));
         assert_eq!(a.seed, 9);
-        assert_eq!(a.degree, 6);
         assert!(a.smoke);
         assert_eq!(
             a.trace.as_deref(),

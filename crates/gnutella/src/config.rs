@@ -162,8 +162,6 @@ pub struct ScenarioConfig {
     pub mode: Mode,
     /// Terminating condition: maximum hops per query (paper: 1–4).
     pub max_hops: u8,
-    /// Maximum symmetric neighbors per node (paper: 4).
-    pub degree: usize,
     /// Reconfigure after this many issued requests (paper default: 2).
     pub reconfig_threshold: u32,
     /// Maximum neighbor exchanges per reconfiguration ("only one neighbor
@@ -235,7 +233,6 @@ impl ScenarioConfig {
             workload: WorkloadConfig::paper(),
             mode,
             max_hops,
-            degree: 4,
             reconfig_threshold: 2,
             max_swaps_per_reconfig: 1,
             query_timeout: SimDuration::from_secs(5),
@@ -292,9 +289,6 @@ impl ScenarioConfig {
         if self.max_hops == 0 {
             return Err("max_hops must be >= 1".into());
         }
-        if self.degree == 0 {
-            return Err("degree must be >= 1".into());
-        }
         if self.reconfig_threshold == 0 {
             return Err("reconfig_threshold must be >= 1".into());
         }
@@ -336,7 +330,7 @@ mod tests {
     #[test]
     fn paper_defaults_match_section_4_3() {
         let c = ScenarioConfig::paper(Mode::Dynamic, 2);
-        assert_eq!(c.degree, 4);
+        assert_eq!(crate::peer::DEGREE, 4);
         assert_eq!(c.reconfig_threshold, 2);
         assert_eq!(c.max_hops, 2);
         assert_eq!(c.sim_hours, 96);

@@ -16,16 +16,15 @@ use crate::world::GnutellaWorld;
 use ddr_sim::SimDuration;
 use ddr_workload::WorkloadConfig;
 
+/// Flood hop limit of a served fleet.
+const MAX_HOPS: u8 = 2;
+
 /// Configuration for a served fleet (the serve bus builds from this on
 /// either clock).
 #[derive(Debug, Clone)]
 pub struct NodeSetConfig {
     /// Fleet size.
     pub nodes: usize,
-    /// Target overlay degree of the random bootstrap topology.
-    pub degree: usize,
-    /// Flood hop limit.
-    pub max_hops: u8,
     /// Collection window per query.
     pub query_timeout: SimDuration,
     /// Master seed (workload, topology, delays).
@@ -33,13 +32,10 @@ pub struct NodeSetConfig {
 }
 
 impl NodeSetConfig {
-    /// Defaults matching the sim's small-scale scenario shape: degree 4,
-    /// 2 hops, 10 s collection window.
+    /// A fleet of `nodes` seeded with `seed`, with a 10 s collection window.
     pub fn new(nodes: usize, seed: u64) -> Self {
         NodeSetConfig {
             nodes,
-            degree: 4,
-            max_hops: 2,
             query_timeout: SimDuration::from_millis(10_000),
             seed,
         }
@@ -69,18 +65,17 @@ impl NodeSetConfig {
         }
     }
 
-    /// The scenario this fleet is: static mode with the fleet's degree,
-    /// hop limit, collection window and seed, a 4,096-entry dup cache and
-    /// no warm-up, over [`workload`](Self::workload).
+    /// The scenario this fleet is: static mode with the paper's degree, a
+    /// `MAX_HOPS` hop limit, the fleet's collection window and seed, a
+    /// 4,096-entry dup cache and no warm-up, over [`workload`](Self::workload).
     pub fn scenario(&self) -> ScenarioConfig {
         ScenarioConfig {
             workload: self.workload(),
-            degree: self.degree,
             query_timeout: self.query_timeout,
             dup_cache_capacity: 4_096,
             warmup_hours: 0,
             seed: self.seed,
-            ..ScenarioConfig::paper(Mode::Static, self.max_hops)
+            ..ScenarioConfig::paper(Mode::Static, MAX_HOPS)
         }
     }
 }
@@ -95,6 +90,7 @@ pub fn build_nodes(cfg: &NodeSetConfig) -> GnutellaWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::peer::DEGREE;
     use ddr_sim::NodeId;
 
     #[test]
@@ -116,7 +112,7 @@ mod tests {
             // The random bootstrap fills almost everyone; nobody isolated,
             // nobody over the degree.
             let links = a.neighbors_of(node).len();
-            assert!((1..=cfg.degree).contains(&links), "node {i}: {links} links");
+            assert!((1..=DEGREE).contains(&links), "node {i}: {links} links");
         }
     }
 }

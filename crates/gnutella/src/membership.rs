@@ -19,7 +19,7 @@
 //! refuses with a negative ack.
 
 use crate::events::GnutellaEvent;
-use crate::peer::{EVICTION_REPAIR_LIMIT, MIN_DEGREE_FLOOR, REFILL_RETRY_BUDGET};
+use crate::peer::{DEGREE, EVICTION_REPAIR_LIMIT, REFILL_FLOOR, REFILL_RETRY_BUDGET};
 use crate::reconfigure::ever_answered;
 use crate::world::GnutellaWorld;
 use ddr_core::runtime::link::{Effect, Message};
@@ -34,7 +34,7 @@ use rand::Rng;
 
 /// The paper's initial Gnutella configuration ("both the initial
 /// configuration and the changes are purely random"): give each of
-/// `members` up to `degree` symmetric links, written straight into the
+/// `members` up to [`DEGREE`] symmetric links, written straight into the
 /// per-node `views`. Nodes outside `members` stay isolated.
 ///
 /// Repeated random-pairing passes: shuffle the under-full candidates,
@@ -44,12 +44,11 @@ use rand::Rng;
 pub(crate) fn bootstrap_views<R: Rng + ?Sized>(
     views: &mut [NeighborList],
     members: &[NodeId],
-    degree: usize,
     rng: &mut R,
 ) {
     let mut candidates: Vec<NodeId> = members.to_vec();
-    for _pass in 0..degree * 4 {
-        candidates.retain(|&n| views[n.index()].len() < degree);
+    for _pass in 0..DEGREE * 4 {
+        candidates.retain(|&n| views[n.index()].len() < DEGREE);
         if candidates.len() < 2 {
             break;
         }
@@ -185,38 +184,22 @@ impl<T: TraceSink> GnutellaWorld<T> {
         ctx.send(to, d, request);
     }
 
-    /// The degree a dynamic node's random links stop at once its
-    /// login-fill campaign is over: one slot short of full — that last
-    /// slot is reserved for benefit-chosen invitations, so an updating
-    /// node only completes its degree on merit and a hyperactive update
-    /// clock, whose evictions bleed the overlay, does not get its density
-    /// back for free — but never below the connectivity floor.
-    pub(crate) fn refill_floor(&self) -> usize {
-        self.shared
-            .config
-            .degree
-            .saturating_sub(1)
-            .max(MIN_DEGREE_FLOOR)
-    }
-
     /// Top up `node`'s links toward its current target: the full degree
-    /// during the login-fill campaign and in static mode,
-    /// [`refill_floor`](Self::refill_floor) once the dynamic variant has
-    /// taken over (paper: beyond the floor, dynamic nodes regain links
-    /// only through invitations — running under-degree is part of its
-    /// savings).
+    /// during the login-fill campaign and in static mode, [`REFILL_FLOOR`]
+    /// once the dynamic variant has taken over (paper: beyond the floor,
+    /// dynamic nodes regain links only through invitations — running
+    /// under-degree is part of its savings).
     pub(crate) fn refill_links<C: Port<GnutellaEvent>>(&mut self, node: NodeId, ctx: &mut C) {
         let k = self.li(node);
         if !self.sessions[k].online {
             return;
         }
-        let degree = self.shared.config.degree;
         let target = if self.is_dynamic() && !self.peers[k].fill_to_degree {
-            self.refill_floor()
+            REFILL_FLOOR
         } else {
-            degree
+            DEGREE
         };
-        self.request_links(node, target.min(degree), ctx);
+        self.request_links(node, target, ctx);
     }
 
     /// A handshake request reached `to`: an invitation (Algo 5
@@ -407,12 +390,12 @@ impl<T: TraceSink> GnutellaWorld<T> {
         } else if evicted {
             // Under the loss-triggered update regime, an evicted link is
             // only repaired with a single un-retried probe that stops at
-            // `refill_floor` — being evicted costs the evictee real
+            // `REFILL_FLOOR` — being evicted costs the evictee real
             // density until its next churn event renews the campaign
             // budget. That cost scales with the network's update rate,
             // which is what bends Fig 3(b): hyperactive clocks bleed the
             // overlay lean, sluggish ones keep it dense but unclustered.
-            self.request_links(to, self.refill_floor(), ctx);
+            self.request_links(to, REFILL_FLOOR, ctx);
         } else {
             // "Neighbor log-offs trigger the update process." The
             // triggered update already reopens a floor-target refill
@@ -440,7 +423,7 @@ mod tests {
             // The paper's densities at 100 users.
             let mut config = ScenarioConfig::scaled(Mode::Static, 2, 20, 2);
             config.seed = seed;
-            assert_eq!((config.workload.users, config.degree), (100, 4));
+            assert_eq!(config.workload.users, 100);
             let world: GnutellaWorld = GnutellaWorld::new(config);
             let (mut links, mut online) = (0, 0);
             for i in 0..100 {

@@ -114,18 +114,21 @@ impl SessionSlot {
     }
 }
 
+/// Maximum symmetric neighbors per node (paper §4.3: four).
+pub const DEGREE: usize = 4;
+
 /// Refused-handshake retries granted per refill campaign (login, a lost
 /// neighbor, a reconfiguration floor top-up).
 pub const REFILL_RETRY_BUDGET: u8 = 8;
 
 /// Connectivity floor a dynamic node maintains with random links once its
-/// login-fill campaign is over. The paper's dynamic variant regains links
-/// only through invitations, which leaves nodes running under-degree
-/// during churn — a real part of its message savings — but a node severed
-/// from the overlay can neither search nor be found. Refills stop one
-/// slot short of the full degree (that slot is reserved for merit) and
-/// never below this floor.
-pub const MIN_DEGREE_FLOOR: usize = 2;
+/// login-fill campaign is over: one slot short of [`DEGREE`]. The last
+/// slot is reserved for benefit-chosen invitations, so an updating node
+/// completes its degree only on merit and a hyperactive update clock,
+/// whose evictions bleed the overlay, does not get its density back for
+/// free; yet a node severed from the overlay can neither search nor be
+/// found, so random links never fall below this floor.
+pub const REFILL_FLOOR: usize = DEGREE - 1;
 
 /// Evictions a peer repairs per session before backing off — a backstop
 /// against a pathological session where the network evicts one node over

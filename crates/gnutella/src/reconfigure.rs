@@ -15,7 +15,7 @@
 
 use crate::config::Benefit;
 use crate::events::GnutellaEvent;
-use crate::peer::REFILL_RETRY_BUDGET;
+use crate::peer::{DEGREE, REFILL_RETRY_BUDGET};
 use crate::world::GnutellaWorld;
 use ddr_core::runtime::Port;
 use ddr_core::{NodeStats, UpdatePlan};
@@ -136,7 +136,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             current,
             stats,
             |s| ever_answered(benefit, s),
-            self.shared.config.degree,
+            DEGREE,
             self.shared.config.max_swaps_per_reconfig,
             eligible,
         );
@@ -149,8 +149,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// most of the effectiveness an online oracle would give the planner.
     pub(crate) fn retry_invites<C: Port<GnutellaEvent>>(&mut self, node: NodeId, ctx: &mut C) {
         let k = self.li(node);
-        let degree = self.shared.config.degree;
-        let free = self.book(k).free(degree);
+        let free = self.book(k).free(DEGREE);
         let mut plan = std::mem::take(&mut self.scratch_plan);
         self.plan_update(&mut plan, k, node, ctx.now());
         for &a in plan.add.iter().take(free) {

@@ -71,6 +71,7 @@ pub fn run_scenario_with_world(config: ScenarioConfig) -> (RunReport, GnutellaWo
 mod tests {
     use super::*;
     use crate::config::{Mode, ScenarioConfig};
+    use crate::peer::DEGREE;
 
     /// A small-but-alive configuration: 200 users, paper densities,
     /// 12 simulated hours. Fast enough for unit tests (< 1 s release,
@@ -135,7 +136,7 @@ mod tests {
                 let n = ddr_sim::NodeId::from_index(i);
                 let view = world.neighbors_of(n);
                 // degree bound respected, no self-links, no duplicates
-                assert!(view.len() <= world.config().degree, "{mode:?}: {n}");
+                assert!(view.len() <= DEGREE, "{mode:?}: {n}");
                 assert!(!view.contains(&n), "{mode:?}: {n} links itself");
                 for (a, &m) in view.iter().enumerate() {
                     assert!(!view[..a].contains(&m), "{mode:?}: {n} links {m} twice");

@@ -58,7 +58,7 @@ use crate::events::GnutellaEvent;
 use crate::hosts::HostCache;
 use crate::membership::bootstrap_views;
 use crate::metrics::Metrics;
-use crate::peer::{PeerState, PendingQuery, QueryOutcome, SessionSlot};
+use crate::peer::{PeerState, PendingQuery, QueryOutcome, SessionSlot, DEGREE};
 use ddr_core::runtime::{sample_runtime_metrics, LinkBook, NodeRuntime, Port};
 use ddr_core::{CategorySummary, LocalIndex, UpdatePlan};
 use ddr_net::{NetworkModel, NodeDelayStream};
@@ -267,13 +267,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 initial.push(NodeId::from_index(i));
             }
         }
-        let mut neighbors = vec![NeighborList::with_capacity(config.degree); users];
-        bootstrap_views(
-            &mut neighbors,
-            &initial,
-            config.degree,
-            &mut rngs.stream("bootstrap", 0),
-        );
+        let mut neighbors = vec![NeighborList::with_capacity(DEGREE); users];
+        bootstrap_views(&mut neighbors, &initial, &mut rngs.stream("bootstrap", 0));
         let hosts: Vec<HostCache> = neighbors
             .iter()
             .map(|nl| {

@@ -1,5 +1,6 @@
 //! Configuration of the PeerOlap-style scenario.
 
+use crate::world::OUT_DEGREE;
 use ddr_sim::SimDuration;
 use ddr_telemetry::TelemetryConfig;
 
@@ -23,9 +24,9 @@ impl OlapMode {
 }
 
 /// All knobs of the PeerOlap simulation. What no caller varies — delays,
-/// the P2P timeout, the hop limit, affinity, Zipf exponent, query length,
-/// update threshold — is a constant beside its use in `world.rs` / `cube.rs`
-/// (DESIGN.md §5).
+/// the P2P timeout, the hop limit, out-degree, in-capacity, affinity, Zipf
+/// exponent, query length, update threshold — is a constant beside its use
+/// in `world.rs` / `cube.rs` (DESIGN.md §5).
 #[derive(Debug, Clone)]
 pub struct PeerOlapConfig {
     /// Number of peers.
@@ -36,11 +37,6 @@ pub struct PeerOlapConfig {
     pub chunks_per_region: u32,
     /// Chunk-cache capacity per peer.
     pub cache_capacity: usize,
-    /// Outgoing-neighbor capacity.
-    pub out_degree: usize,
-    /// Incoming-list capacity (the bounded-asymmetric constraint; must be
-    /// ≥ out_degree for the network to be satisfiable on average).
-    pub in_capacity: usize,
     /// Mean inter-query time per peer.
     pub mean_query_interval: SimDuration,
     /// Simulated horizon.
@@ -65,8 +61,6 @@ impl PeerOlapConfig {
             groups: 6,
             chunks_per_region: 8_192,
             cache_capacity: 2_048,
-            out_degree: 3,
-            in_capacity: 6,
             mean_query_interval: SimDuration::from_millis(4_000),
             sim_hours: 8,
             warmup_hours: 1,
@@ -86,14 +80,8 @@ impl PeerOlapConfig {
         if self.peers == 0 || self.groups == 0 || self.peers < self.groups {
             return Err("need at least one peer per group".into());
         }
-        if self.out_degree == 0 || self.out_degree >= self.peers {
-            return Err("out_degree out of range".into());
-        }
-        if self.in_capacity < self.out_degree {
-            return Err(format!(
-                "in_capacity ({}) below out_degree ({}): the network cannot be consistent on average",
-                self.in_capacity, self.out_degree
-            ));
+        if OUT_DEGREE >= self.peers {
+            return Err("the out-degree must leave a non-neighbor".into());
         }
         if self.warmup_hours >= self.sim_hours {
             return Err("warmup must precede the horizon".into());
@@ -127,8 +115,9 @@ mod tests {
     #[test]
     fn validation_catches_errors() {
         let mut c = PeerOlapConfig::default_scenario(OlapMode::Static);
-        c.in_capacity = 1;
-        assert!(c.validate().is_err(), "in_capacity < out_degree must fail");
+        (c.peers, c.groups) = (OUT_DEGREE, 1);
+        let err = c.validate().expect_err("every peer is a neighbor");
+        assert!(err.contains("non-neighbor"), "{err}");
 
         let mut c = PeerOlapConfig::default_scenario(OlapMode::Static);
         c.groups = 100;

@@ -105,6 +105,7 @@ pub fn run_peerolap(config: PeerOlapConfig) -> PeerOlapReport {
 mod tests {
     use super::*;
     use crate::config::{OlapMode, PeerOlapConfig};
+    use crate::world::{IN_CAPACITY, OUT_DEGREE};
     use ddr_sim::SimDuration;
 
     fn small(mode: OlapMode) -> PeerOlapConfig {
@@ -185,22 +186,22 @@ mod tests {
     fn bounded_incoming_lists_hold_and_refusals_happen() {
         let mut cfg = small(OlapMode::Dynamic);
         cfg.sim_hours = 3;
-        let (out_degree, in_capacity, peers) = (cfg.out_degree, cfg.in_capacity, cfg.peers);
+        let peers = cfg.peers;
         let (_, world) =
             ddr_harness::run_with::<PeerOlapScenario>(cfg, |sim, until| sim.run(until), |_, _| {});
         let mut in_degree = vec![0usize; peers];
         for p in 0..peers {
             let out = world.neighbors_of(ddr_sim::NodeId::from_index(p));
-            assert!(out.len() <= out_degree);
+            assert!(out.len() <= OUT_DEGREE);
             for q in out {
                 in_degree[q.index()] += 1;
             }
         }
         assert!(
-            in_degree.iter().all(|&d| d <= in_capacity),
+            in_degree.iter().all(|&d| d <= IN_CAPACITY),
             "incoming capacity violated: {in_degree:?}"
         );
-        // With in_capacity only 2× out_degree and clustering pressure,
+        // With IN_CAPACITY only 2× OUT_DEGREE and clustering pressure,
         // contention must appear.
         assert!(
             world.metrics.adds_refused > 0,

@@ -19,7 +19,7 @@
 //! Dynamic mode scores every serving peer by the **processing time it
 //! saved** and periodically re-selects outgoing neighbors (Algo 3). The
 //! bound on how many peers may link to one makes adoption contested: an
-//! adoption fails when the target's in-degree is at `in_capacity`, and the
+//! adoption fails when the target's in-degree is at `IN_CAPACITY`, and the
 //! updater simply moves on to the next candidate — §3.1's general
 //! asymmetric case. The overlay, the world RNG and that enactment of
 //! Algo 3 live in the shared [`AsymmetricOverlay`] chassis;
@@ -50,6 +50,13 @@ const JITTER_SPREAD: f64 = 0.15;
 const P2P_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 /// Queries between neighbor updates (dynamic mode).
 const UPDATE_THRESHOLD: u32 = 40;
+/// Outgoing-neighbor capacity.
+pub(crate) const OUT_DEGREE: usize = 3;
+/// Incoming-list capacity: the bounded-asymmetric constraint.
+pub(crate) const IN_CAPACITY: usize = 6;
+// The network is satisfiable on average only if every peer can take in
+// as many links as it sends out.
+const _: () = assert!(OUT_DEGREE > 0 && IN_CAPACITY >= OUT_DEGREE);
 /// The longest a chunk reply can take to reach the initiator, in ms: the
 /// request's `MAX_HOPS` hops out plus the direct reply back, each one
 /// `PEER_DELAY` stretched by the largest jitter factor.
@@ -168,8 +175,8 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         let space = CubeSpace::new(&config);
         let overlay = AsymmetricOverlay::bootstrap(
             config.peers,
-            config.out_degree,
-            Some(config.in_capacity),
+            OUT_DEGREE,
+            Some(IN_CAPACITY),
             &rngs,
             "peerolap.world",
         );

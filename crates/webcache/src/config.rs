@@ -1,5 +1,6 @@
 //! Configuration of the cooperative web-cache scenario.
 
+use crate::world::OUT_DEGREE;
 use ddr_sim::SimDuration;
 use ddr_telemetry::TelemetryConfig;
 
@@ -24,9 +25,9 @@ impl CacheMode {
 }
 
 /// All knobs of the web-cache simulation. What no caller varies — delays,
-/// affinity, Zipf exponent, probe fan-out, miss history, update threshold,
-/// digest density — is a constant beside its use in `world.rs` /
-/// `traffic.rs` (DESIGN.md §5).
+/// affinity, Zipf exponent, out-degree, probe fan-out, miss history,
+/// update threshold, digest density — is a constant beside its use in
+/// `world.rs` / `traffic.rs` (DESIGN.md §5).
 #[derive(Debug, Clone)]
 pub struct WebCacheConfig {
     /// Number of cooperating proxies.
@@ -39,9 +40,6 @@ pub struct WebCacheConfig {
     pub global_pages: u32,
     /// LRU capacity per proxy, in pages.
     pub cache_capacity: usize,
-    /// Outgoing-neighbor capacity (how many sibling caches are queried on
-    /// a local miss; Squid-style search depth is 1 hop).
-    pub out_degree: usize,
     /// Mean inter-request time per proxy.
     pub mean_request_interval: SimDuration,
     /// Requests between exploration rounds (dynamic mode).
@@ -76,7 +74,6 @@ impl WebCacheConfig {
             pages_per_group: 20_000,
             global_pages: 20_000,
             cache_capacity: 2_500,
-            out_degree: 3,
             mean_request_interval: SimDuration::from_millis(2_000),
             explore_every: 50,
             use_digests: false,
@@ -97,8 +94,8 @@ impl WebCacheConfig {
         if self.proxies < self.groups {
             return Err("need at least one proxy per group".into());
         }
-        if self.out_degree >= self.proxies {
-            return Err("out_degree must leave non-neighbors to explore".into());
+        if OUT_DEGREE >= self.proxies {
+            return Err("the out-degree must leave non-neighbors to explore".into());
         }
         if self.warmup_hours >= self.sim_hours {
             return Err("warmup must precede the horizon".into());
@@ -130,8 +127,9 @@ mod tests {
     #[test]
     fn validation_catches_errors() {
         let mut c = WebCacheConfig::default_scenario(CacheMode::Static);
-        c.out_degree = 64;
-        assert!(c.validate().is_err());
+        (c.proxies, c.groups) = (OUT_DEGREE, 1);
+        let err = c.validate().expect_err("every proxy is a neighbor");
+        assert!(err.contains("non-neighbor"), "{err}");
         let mut c = WebCacheConfig::default_scenario(CacheMode::Static);
         c.groups = 100;
         assert!(c.validate().is_err());

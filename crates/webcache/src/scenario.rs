@@ -101,6 +101,7 @@ pub fn run_webcache(config: WebCacheConfig) -> WebCacheReport {
 mod tests {
     use super::*;
     use crate::config::{CacheMode, WebCacheConfig};
+    use crate::world::OUT_DEGREE;
 
     fn small(mode: CacheMode) -> WebCacheConfig {
         let mut c = WebCacheConfig::default_scenario(mode);
@@ -196,13 +197,13 @@ mod tests {
     fn neighbor_lists_stay_bounded() {
         let mut c = small(CacheMode::Dynamic);
         c.sim_hours = 2;
-        let (out_degree, proxies) = (c.out_degree, c.proxies);
+        let proxies = c.proxies;
         let (_, world) =
             ddr_harness::run_with::<WebCacheScenario>(c, |sim, until| sim.run(until), |_, _| {});
         for p in 0..proxies {
             let me = ddr_sim::NodeId::from_index(p);
             let out = world.neighbors_of(me);
-            assert!(out.len() <= out_degree, "{me} lists {}", out.len());
+            assert!(out.len() <= OUT_DEGREE, "{me} lists {}", out.len());
             for (i, q) in out.iter().enumerate() {
                 assert!(
                     *q != me && !out[..i].contains(q),

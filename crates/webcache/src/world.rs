@@ -38,6 +38,9 @@ const SIBLING_DELAY: SimDuration = SimDuration::from_millis(40);
 const ORIGIN_DELAY: SimDuration = SimDuration::from_millis(320);
 /// Every delay is scaled by a per-proxy factor from `[1 - s, 1 + s)`.
 const JITTER_SPREAD: f64 = 0.2;
+/// Outgoing-neighbor capacity: how many sibling caches are queried on a
+/// local miss (Squid-style search depth is 1 hop).
+pub(crate) const OUT_DEGREE: usize = 3;
 /// Non-neighbor proxies probed per exploration round.
 const PROBE_FANOUT: usize = 3;
 /// Recent local misses remembered for probe-overlap scoring.
@@ -134,13 +137,8 @@ impl<T: TraceSink> WebCacheWorld<T> {
         config.validate().expect("invalid web-cache config");
         let rngs = RngFactory::new(config.seed);
         let space = PageSpace::new(&config);
-        let overlay = AsymmetricOverlay::bootstrap(
-            config.proxies,
-            config.out_degree,
-            None,
-            &rngs,
-            "webcache.world",
-        );
+        let overlay =
+            AsymmetricOverlay::bootstrap(config.proxies, OUT_DEGREE, None, &rngs, "webcache.world");
         let proxies = (0..config.proxies)
             .map(|p| ProxyState {
                 cache: LruCache::new(config.cache_capacity),

@@ -61,7 +61,7 @@ fn invariants_hold_across_seeds() {
             }
             // 2. Degree bound.
             assert!(
-                view.len() <= world.config().degree,
+                view.len() <= ddr_gnutella::peer::DEGREE,
                 "seed {seed}: node {n} over degree"
             );
             // 3. Offline nodes hold no links in their own view.
