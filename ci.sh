@@ -16,8 +16,8 @@ echo "==> cargo check benchmark/ (every name the measurement stack spells still"
 echo "    resolves — seconds, not the full suite, when a refactor breaks one)"
 cargo check --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> tracked Rust lines, the per-file ceiling, one-implementer traits, unselected variants,"
-echo "    one-value config fields and unnamed deps"
+echo "==> tracked Rust lines, the per-file ceiling, one-implementer traits, uncalled pub fns,"
+echo "    unselected variants, one-value config fields and unnamed deps"
 # The count every simplicity PR quotes; and no file under crates/*/src may
 # pass 1,000 lines, so split modules do not silently grow back into one.
 # Files past 800 are listed without failing: the next PR that touches one
@@ -42,6 +42,27 @@ LONELY=$(git grep -hoE '^\s*pub trait \w+' -- 'crates/*/src/*.rs' | awk '{ print
         test "$n" -ge 2 || echo "    $t: $n"
     done)
 test -z "$LONELY" || { echo "    pub traits with fewer than two impls:"; echo "$LONELY"; }
+
+# A function nothing calls is code nobody runs. Listed, not failed: every
+# `pub fn` under crates/*/src whose name is a word of no other line of
+# non-test code, comments stripped. Callers are searched in every tracked
+# .rs file (examples/ and benchmark/src count) but tests/, crates/*/tests/,
+# vendor/ and whatever follows a file's first #[cfg(test)].
+UNCALLED=$(git ls-files '*.rs' ':!tests/*' ':!crates/*/tests/*' ':!vendor/*' \
+    | xargs awk '
+        /#\[cfg\(test\)\]/ { cut[FILENAME] = 1 }
+        cut[FILENAME] { next }
+        FILENAME ~ /^crates\/[^\/]+\/src\// && match($0, /^ *pub fn [A-Za-z_][A-Za-z0-9_]*/) {
+            name = substr($0, 1, RLENGTH); sub(/^ *pub fn /, "", name)
+            defs[++d] = name; at[d] = FILENAME ":" FNR
+        }
+        {
+            line = $0; sub(/\/\/.*/, "", line); gsub(/[^A-Za-z0-9_]+/, " ", line)
+            n = split(line, words, " "); delete once
+            for (i = 1; i <= n; i++) if (!(words[i] in once)) { once[words[i]] = 1; lines[words[i]]++ }
+        }
+        END { for (i = 1; i <= d; i++) if (lines[defs[i]] == 1) print "    " at[i] ": " defs[i] }')
+test -z "$UNCALLED" || { echo "    pub fns no other line of non-test code names:"; echo "$UNCALLED"; }
 
 # A variant no other file spells is a knob nobody selects. Listed, not
 # failed: every `pub enum` under crates/*/src except a world's `*Event`s

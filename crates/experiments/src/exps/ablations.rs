@@ -3,12 +3,12 @@
 //! 1. benefit function: B/R (paper) vs count vs latency-aware vs
 //!    advertised-bandwidth;
 //! 2. forward selection: flooding vs random-k vs directed BFT;
-//! 3. invitation policy: always-accept (paper case i) vs benefit-gated
-//!    (case ii);
+//! 3. invitation policy: always-accept (paper case i) vs benefit-gated,
+//!    summary-gated and trial-period (case ii);
 //! 4. bandwidth weight B: delay-class (1:2:4.3) vs raw line rate (1:27:179);
 //! 5. swap cap: one exchange per reconfiguration vs full-list replacement;
 //! 6. statistics persistence across sessions vs stateless clients;
-//! 7. duplicate-cache capacity.
+//! 7. duplicate-cache capacity: 4 / 64 / 4,096 entries.
 //!
 //! Defaults run at scale 4 (500 users, 48 h) so the whole suite finishes
 //! in minutes; pass `--scale 1 --hours 96` for paper scale.

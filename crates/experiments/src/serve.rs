@@ -21,7 +21,7 @@
 
 use ddr_gnutella::NodeSetConfig;
 use ddr_serve::{drain_deadline, run_gnutella, run_gnutella_traced, ServeConfig, ServeReport};
-use ddr_sim::SimDuration;
+use ddr_sim::{Partition, SimDuration};
 use ddr_telemetry::TelemetryConfig;
 use std::path::PathBuf;
 
@@ -140,7 +140,10 @@ pub fn serve_config(args: &ServeArgs) -> ServeConfig {
     if args.smoke {
         node_set.query_timeout = SimDuration::from_millis(500);
     }
-    let shards = ddr_sim::resolve_workers(args.threads);
+    // One worker per slice the bus actually runs, so the banner and the
+    // report name the same count (`--nodes 1 --threads 2` is one slice).
+    let workers = ddr_sim::resolve_workers(args.threads);
+    let shards = Partition::contiguous(args.nodes, workers).shards();
     let mut cfg = ServeConfig::new(node_set, args.qps, args.duration_s, shards);
     cfg.telemetry = TelemetryConfig {
         trace_path: args.trace.clone(),
@@ -356,6 +359,8 @@ mod tests {
         let cfg = serve_config(&args);
         assert_eq!(cfg.node_set.query_timeout, SimDuration::from_millis(500));
         assert_eq!(cfg.shards, 2);
+        args.nodes = 1;
+        assert_eq!(serve_config(&args).shards, 1, "one node is one slice");
     }
 
     #[test]

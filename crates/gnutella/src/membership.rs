@@ -112,7 +112,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         // they react in their `Unlink` handlers (dynamic: reconfigure;
         // static: request replacement links).
         let former = self.neighbors[k].drain();
-        for m in former {
+        for m in &former {
             let d = self.delay(k, node, m);
             ctx.send(m, d, GnutellaEvent::Unlink { to: m, from: node });
         }

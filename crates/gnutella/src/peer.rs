@@ -116,6 +116,8 @@ impl SessionSlot {
 
 /// Maximum symmetric neighbors per node (paper §4.3: four).
 pub const DEGREE: usize = 4;
+// A view is a `NeighborList`, which holds its entries inline.
+const _: () = assert!(DEGREE <= ddr_overlay::INLINE_NEIGHBORS);
 
 /// Refused-handshake retries granted per refill campaign (login, a lost
 /// neighbor, a reconfiguration floor top-up).

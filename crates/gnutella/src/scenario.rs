@@ -6,7 +6,7 @@ use crate::config::ScenarioConfig;
 use crate::metrics::RunReport;
 use crate::world::GnutellaWorld;
 use ddr_harness::Scenario;
-use ddr_sim::{event_capacity_hint, EventQueue, RunOutcome};
+use ddr_sim::{event_capacity_hint, EventQueue};
 use ddr_stats::MeasurementWindow;
 use ddr_telemetry::{NullSink, TraceSink};
 use std::marker::PhantomData;
@@ -44,13 +44,6 @@ impl<T: TraceSink> Scenario for GnutellaScenario<T> {
             window,
             label: world.config().mode.label(),
         }
-    }
-
-    fn check_outcome(outcome: RunOutcome) {
-        debug_assert!(
-            matches!(outcome, RunOutcome::ReachedHorizon),
-            "a churn-driven simulation never drains: {outcome:?}"
-        );
     }
 }
 

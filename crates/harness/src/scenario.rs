@@ -16,8 +16,9 @@ use ddr_stats::MeasurementWindow;
 /// 2. [`build`](Scenario::build) the world and
 ///    [`prime`](Scenario::prime) its initial events into a pre-sized
 ///    queue (priming in place — the queue preserves schedule order);
-/// 3. run to the horizon (`window.to_hour`), then
-///    [`check_outcome`](Scenario::check_outcome);
+/// 3. run to the horizon (`window.to_hour`), which every scenario
+///    reaches: its clock events (churn, requests, queries) reschedule
+///    themselves, so its queue never drains;
 /// 4. [`extract_report`](Scenario::extract_report) from the final world.
 ///
 /// Determinism contract: `run` is a pure function of `Config` (which
@@ -46,13 +47,6 @@ pub trait Scenario {
 
     /// Build the domain report from the final world state.
     fn extract_report(world: &Self::World, window: MeasurementWindow) -> Self::Report;
-
-    /// Inspect how the run ended. The default accepts any outcome;
-    /// scenarios whose event stream must outlive the horizon (churn-driven
-    /// worlds) override this with a debug assertion.
-    fn check_outcome(outcome: RunOutcome) {
-        let _ = outcome;
-    }
 }
 
 /// Run one scenario to its horizon and return the report. A pure function
@@ -62,8 +56,9 @@ pub fn run<S: Scenario>(config: S::Config) -> S::Report {
 }
 
 /// The one serial driver: build, prime, advance hour by hour to the
-/// horizon, check the outcome, extract the report, and hand back the
-/// final world next to it (tests and diagnostics assert on end state).
+/// horizon (debug-asserting the run reached it), extract the report,
+/// and hand back the final world next to it (tests and diagnostics
+/// assert on end state).
 ///
 /// `advance(sim, until)` says *how* each hour runs — `sim.run(until)`,
 /// or `sim.run_probed(until, probe)` to label and time every dispatch —
@@ -92,7 +87,11 @@ pub fn run_with<S: Scenario>(
         outcome = advance(&mut sim, until);
         on_hour(until, &sim);
     }
-    S::check_outcome(outcome);
+    debug_assert_eq!(
+        outcome,
+        RunOutcome::ReachedHorizon,
+        "a scenario's clock events never let its queue drain"
+    );
     let world = sim.into_world();
     let report = S::extract_report(&world, window);
     (report, world)
@@ -173,9 +172,6 @@ pub(crate) mod toy {
                 checksum: world.checksum,
                 window,
             }
-        }
-        fn check_outcome(outcome: RunOutcome) {
-            debug_assert_eq!(outcome, RunOutcome::ReachedHorizon);
         }
     }
 

@@ -5,68 +5,60 @@
 //! preserved because eviction policies and tie-breaking want stable,
 //! deterministic iteration.
 //!
-//! Storage is a small-buffer optimization: up to [`INLINE_NEIGHBORS`]
-//! entries live inline in the struct (no heap allocation at all — at
-//! million-node scale the two per-node lists used to cost two `Vec`
-//! allocations each and a pointer chase per scan), spilling to a `Vec`
-//! only for the rare wider lists (all-to-all test topologies).
+//! Storage is inline only: up to [`INLINE_NEIGHBORS`] ids live in the
+//! struct itself, so a list never allocates (at million-node scale the
+//! per-node lists used to cost a `Vec` allocation each and a pointer
+//! chase per scan). A wider capacity is refused at construction.
 
 use ddr_sim::NodeId;
 
-/// Entries stored inline before spilling to the heap. Covers the paper's
-/// degree bounds (4–5) with headroom; 8 ids is 32 bytes, the sweet spot
-/// before the inline copy on `remove` starts to cost.
+/// The widest list a [`NeighborList`] holds. Covers the paper's degree
+/// bounds (4–5) with headroom; 8 ids is 32 bytes, the sweet spot before
+/// the inline copy on `remove` starts to cost. Every world const-asserts
+/// that its degree fits.
 pub const INLINE_NEIGHBORS: usize = 8;
 
-#[derive(Clone)]
-enum Store {
-    /// `len` live entries at the front of `buf`; the tail is garbage.
-    Inline {
-        buf: [NodeId; INLINE_NEIGHBORS],
-        len: u8,
-    },
-    /// Lists that outgrew the inline buffer (they never shrink back:
-    /// representation flapping would churn allocations for nothing).
-    Spilled(Vec<NodeId>),
-}
-
-/// A bounded list of neighbor ids.
+/// A bounded list of neighbor ids: `len` live entries at the front of
+/// `buf` (the tail is garbage) and a capacity of at most
+/// [`INLINE_NEIGHBORS`].
 #[derive(Clone)]
 pub struct NeighborList {
-    store: Store,
-    capacity: usize,
+    buf: [NodeId; INLINE_NEIGHBORS],
+    len: u8,
+    capacity: u8,
 }
 
 impl NeighborList {
-    /// An empty list with the given capacity. Lists no wider than
-    /// [`INLINE_NEIGHBORS`] never allocate.
+    /// An empty list with the given capacity.
+    ///
+    /// # Panics
+    /// Panics if `capacity` exceeds [`INLINE_NEIGHBORS`].
     pub fn with_capacity(capacity: usize) -> Self {
+        assert!(
+            capacity <= INLINE_NEIGHBORS,
+            "neighbor-list capacity {capacity} exceeds INLINE_NEIGHBORS ({INLINE_NEIGHBORS})"
+        );
         NeighborList {
-            store: Store::Inline {
-                buf: [NodeId(0); INLINE_NEIGHBORS],
-                len: 0,
-            },
-            capacity,
+            buf: [NodeId(0); INLINE_NEIGHBORS],
+            len: 0,
+            capacity: capacity as u8,
         }
     }
 
     /// Current number of neighbors.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Inline { len, .. } => *len as usize,
-            Store::Spilled(v) => v.len(),
-        }
+        self.len as usize
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Whether the list is at capacity.
     pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity
+        self.len >= self.capacity
     }
 
     /// Whether `node` is present.
@@ -81,21 +73,8 @@ impl NeighborList {
         if self.contains(node) || self.is_full() {
             return false;
         }
-        match &mut self.store {
-            Store::Inline { buf, len } => {
-                if (*len as usize) < INLINE_NEIGHBORS {
-                    buf[*len as usize] = node;
-                    *len += 1;
-                } else {
-                    // Outgrew the inline buffer: spill, preserving order.
-                    let mut v = Vec::with_capacity(INLINE_NEIGHBORS * 2);
-                    v.extend_from_slice(&buf[..]);
-                    v.push(node);
-                    self.store = Store::Spilled(v);
-                }
-            }
-            Store::Spilled(v) => v.push(node),
-        }
+        self.buf[self.len()] = node;
+        self.len += 1;
         true
     }
 
@@ -103,38 +82,24 @@ impl NeighborList {
     /// remaining entries is preserved (deterministic iteration matters for
     /// reproducibility).
     pub fn remove(&mut self, node: NodeId) -> bool {
-        match &mut self.store {
-            Store::Inline { buf, len } => {
-                let n = *len as usize;
-                match buf[..n].iter().position(|&x| x == node) {
-                    Some(i) => {
-                        buf.copy_within(i + 1..n, i);
-                        *len -= 1;
-                        true
-                    }
-                    None => false,
-                }
+        let n = self.len();
+        match self.buf[..n].iter().position(|&x| x == node) {
+            Some(i) => {
+                self.buf.copy_within(i + 1..n, i);
+                self.len -= 1;
+                true
             }
-            Store::Spilled(v) => match v.iter().position(|&x| x == node) {
-                Some(i) => {
-                    v.remove(i);
-                    true
-                }
-                None => false,
-            },
+            None => false,
         }
     }
 
-    /// Remove and return all entries (e.g. when a node logs off).
-    pub fn drain(&mut self) -> Vec<NodeId> {
-        match &mut self.store {
-            Store::Inline { buf, len } => {
-                let out = buf[..*len as usize].to_vec();
-                *len = 0;
-                out
-            }
-            Store::Spilled(v) => std::mem::take(v),
-        }
+    /// Empty the list and hand back its former contents, in order, as a
+    /// list of the same capacity (e.g. when a node logs off). Allocates
+    /// nothing.
+    pub fn drain(&mut self) -> NeighborList {
+        let former = self.clone();
+        self.len = 0;
+        former
     }
 
     /// Iterate over neighbors in insertion order.
@@ -145,16 +110,12 @@ impl NeighborList {
     /// The neighbors as a slice (insertion order).
     #[inline]
     pub fn as_slice(&self) -> &[NodeId] {
-        match &self.store {
-            Store::Inline { buf, len } => &buf[..*len as usize],
-            Store::Spilled(v) => v,
-        }
+        &self.buf[..self.len()]
     }
 }
 
-// Equality and Debug go through the logical contents: whether a list has
-// spilled is a storage detail (two same-capacity lists can differ in
-// representation after enough adds and removes).
+// Equality and Debug go through the logical contents: the tail of `buf`
+// past `len` is whatever earlier removes left there.
 impl PartialEq for NeighborList {
     fn eq(&self, other: &Self) -> bool {
         self.capacity == other.capacity && self.as_slice() == other.as_slice()
@@ -240,52 +201,8 @@ mod tests {
         assert!(l.add(NodeId(5)));
         assert!(l.add(NodeId(6)));
         let out = l.drain();
-        assert_eq!(out, vec![NodeId(5), NodeId(6)]);
+        assert_eq!(out.as_slice(), [NodeId(5), NodeId(6)]);
         assert!(l.is_empty());
         assert!(!l.is_full());
-    }
-
-    /// The spill boundary: behaviour must be seamless crossing
-    /// INLINE_NEIGHBORS in either direction.
-    #[test]
-    fn spill_preserves_order_and_semantics() {
-        let cap = INLINE_NEIGHBORS * 3;
-        let mut l = NeighborList::with_capacity(cap);
-        for i in 0..cap as u32 {
-            assert!(l.add(NodeId(i)));
-        }
-        assert_eq!(
-            l.iter().collect::<Vec<_>>(),
-            (0..cap as u32).map(NodeId).collect::<Vec<_>>()
-        );
-        assert!(!l.add(NodeId(0)));
-        assert_eq!(l.len(), cap);
-        // Shrink below the inline threshold again; order still holds.
-        for i in 0..(cap as u32 - 2) {
-            assert!(l.remove(NodeId(i)));
-        }
-        assert_eq!(
-            l.iter().collect::<Vec<_>>(),
-            vec![NodeId(cap as u32 - 2), NodeId(cap as u32 - 1)]
-        );
-    }
-
-    /// Equality is logical, not representational: a spilled-then-shrunk
-    /// list equals a never-spilled one with the same contents.
-    #[test]
-    fn equality_ignores_spill_state() {
-        let cap = INLINE_NEIGHBORS + 4;
-        let mut spilled = NeighborList::with_capacity(cap);
-        for i in 0..(INLINE_NEIGHBORS as u32 + 1) {
-            assert!(spilled.add(NodeId(i)));
-        }
-        for i in 2..(INLINE_NEIGHBORS as u32 + 1) {
-            spilled.remove(NodeId(i));
-        }
-        let mut inline = NeighborList::with_capacity(cap);
-        assert!(inline.add(NodeId(0)));
-        assert!(inline.add(NodeId(1)));
-        assert_eq!(spilled, inline);
-        assert_eq!(format!("{spilled:?}"), format!("{inline:?}"));
     }
 }

@@ -57,6 +57,8 @@ pub(crate) const IN_CAPACITY: usize = 6;
 // The network is satisfiable on average only if every peer can take in
 // as many links as it sends out.
 const _: () = assert!(OUT_DEGREE > 0 && IN_CAPACITY >= OUT_DEGREE);
+// An out-list is a `NeighborList`, which holds its entries inline.
+const _: () = assert!(OUT_DEGREE <= ddr_overlay::INLINE_NEIGHBORS);
 /// The longest a chunk reply can take to reach the initiator, in ms: the
 /// request's `MAX_HOPS` hops out plus the direct reply back, each one
 /// `PEER_DELAY` stretched by the largest jitter factor.

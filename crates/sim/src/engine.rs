@@ -46,8 +46,6 @@ pub enum RunOutcome {
     /// The next pending event lies at or beyond the horizon (it remains
     /// queued; the run can be resumed with a later horizon).
     ReachedHorizon,
-    /// The configured event budget was hit (runaway-loop protection).
-    EventBudgetExhausted,
 }
 
 /// A world bound to an event queue, plus bookkeeping.
@@ -55,7 +53,6 @@ pub struct Simulation<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
     processed: u64,
-    event_budget: u64,
 }
 
 impl<W: World> Simulation<W> {
@@ -73,16 +70,7 @@ impl<W: World> Simulation<W> {
             world,
             queue,
             processed: 0,
-            event_budget: u64::MAX,
         }
-    }
-
-    /// Cap the total number of processed events; [`RunOutcome::EventBudgetExhausted`]
-    /// is returned when the cap is hit. Useful in tests to bound runaway
-    /// feedback loops (e.g. reconfiguration storms).
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = budget;
-        self
     }
 
     /// Access the world immutably (for inspection between runs).
@@ -120,10 +108,10 @@ impl<W: World> Simulation<W> {
         self.queue.schedule_at(at, event);
     }
 
-    /// Run until the queue drains, the horizon is reached, or the event
-    /// budget is exhausted. Events timestamped exactly at `horizon` are
-    /// *not* processed (half-open interval `[now, horizon)`), which makes
-    /// `run(h1); run(h2)` equivalent to `run(h2)` for `h1 <= h2`.
+    /// Run until the queue drains or the horizon is reached. Events
+    /// timestamped exactly at `horizon` are *not* processed (half-open
+    /// interval `[now, horizon)`), which makes `run(h1); run(h2)`
+    /// equivalent to `run(h2)` for `h1 <= h2`.
     pub fn run(&mut self, horizon: SimTime) -> RunOutcome {
         self.dispatch_until(horizon, |world, now, event, queue, _| {
             world.handle(now, event, &mut Scheduler::new(queue));
@@ -158,10 +146,10 @@ impl<W: World> Simulation<W> {
         })
     }
 
-    /// The dispatch loop: pop in `(time, seq)` order up to `horizon` or
-    /// the event budget, and hand each event to `dispatch` — which calls
-    /// [`World::handle`], bare or wrapped in a probe's instruments — with
-    /// the kernel's event count, this event included.
+    /// The dispatch loop: pop in `(time, seq)` order up to `horizon`, and
+    /// hand each event to `dispatch` — which calls [`World::handle`], bare
+    /// or wrapped in a probe's instruments — with the kernel's event
+    /// count, this event included.
     #[inline]
     fn dispatch_until(
         &mut self,
@@ -173,9 +161,6 @@ impl<W: World> Simulation<W> {
                 None => return RunOutcome::Exhausted,
                 Some(t) if t >= horizon => return RunOutcome::ReachedHorizon,
                 Some(_) => {}
-            }
-            if self.processed >= self.event_budget {
-                return RunOutcome::EventBudgetExhausted;
             }
             let (now, event) = self.queue.pop().expect("peeked event vanished");
             self.processed += 1;
@@ -246,21 +231,6 @@ mod tests {
         let outcome = sim.run(SimTime::MAX);
         assert_eq!(outcome, RunOutcome::Exhausted);
         assert_eq!(sim.world().fired_at.len(), 11);
-    }
-
-    #[test]
-    fn event_budget_stops_runaway() {
-        struct Forever;
-        impl World for Forever {
-            type Event = ();
-            fn handle(&mut self, _: SimTime, _: (), sched: &mut Scheduler<'_, ()>) {
-                sched.after(SimDuration::from_millis(1), ());
-            }
-        }
-        let mut sim = Simulation::new(Forever).with_event_budget(1_000);
-        sim.schedule_at(SimTime::ZERO, ());
-        assert_eq!(sim.run(SimTime::MAX), RunOutcome::EventBudgetExhausted);
-        assert_eq!(sim.processed(), 1_000);
     }
 
     #[test]

@@ -29,18 +29,20 @@ pub struct Partition {
 
 impl Partition {
     /// Split `nodes` into at most `shards` contiguous equal blocks.
-    /// The effective shard count never exceeds the node count.
+    /// The effective shard count is the number of non-empty blocks, so it
+    /// can fall below both counts: 5 nodes over 4 shards are blocks of 2,
+    /// which make 3 slices, not a fourth one holding nothing.
     ///
     /// # Panics
     /// Panics if either count is zero.
     pub fn contiguous(nodes: usize, shards: usize) -> Self {
         assert!(nodes >= 1, "cannot partition an empty world");
         assert!(shards >= 1, "need at least one shard");
-        let shards = shards.min(nodes);
+        let block = nodes.div_ceil(shards.min(nodes));
         Partition {
             nodes,
-            shards,
-            block: nodes.div_ceil(shards),
+            shards: nodes.div_ceil(block),
+            block,
         }
     }
 
@@ -65,14 +67,14 @@ impl Partition {
         let i = node.index();
         assert!(i < self.nodes, "node {i} outside the partitioned world");
         // The last block may be short; the divide can't overshoot
-        // because `block * shards >= nodes`.
-        (i / self.block).min(self.shards - 1)
+        // because `shards` is `nodes.div_ceil(block)`.
+        i / self.block
     }
 
     /// The node-index range owned by `shard`.
     pub fn range(&self, shard: usize) -> std::ops::Range<usize> {
         assert!(shard < self.shards);
-        let lo = (shard * self.block).min(self.nodes);
+        let lo = shard * self.block;
         let hi = ((shard + 1) * self.block).min(self.nodes);
         lo..hi
     }

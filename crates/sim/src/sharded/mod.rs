@@ -97,7 +97,6 @@ impl<W: ShardWorld> ShardedSimulation<W> {
         let coord = Coordinator {
             partition,
             lookahead,
-            event_budget: u64::MAX,
             next_gseq: 0,
             profiling: false,
             profile: ShardProfile::default(),
@@ -124,14 +123,6 @@ impl<W: ShardWorld> ShardedSimulation<W> {
             lanes: self.shards.iter().map(|s| s.lane).collect(),
             ..self.coord.profile.clone()
         })
-    }
-
-    /// Stop dispatching once this many events have been processed,
-    /// checked at window granularity (the parallel run has no cheap
-    /// deterministic way to stop mid-window, so the serial run doesn't
-    /// either — both overshoot to the same window boundary).
-    pub fn set_event_budget(&mut self, budget: u64) {
-        self.coord.event_budget = budget;
     }
 
     /// Prime an event before (or between) runs. Global sequence numbers

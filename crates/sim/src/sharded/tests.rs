@@ -86,18 +86,27 @@ fn fingerprint(sim: &ShardedSimulation<PingWorld>) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// Every slice is non-empty (no shard gets a world, a lane and a thread
+/// for nothing), the slices tile `0..nodes` in order, and `shard_of`
+/// agrees with `range`.
 #[test]
-fn partition_covers_every_node_exactly_once() {
-    for (nodes, shards) in [(1, 1), (10, 4), (8, 3), (4, 9), (1000, 7)] {
-        let p = Partition::contiguous(nodes, shards);
-        let mut seen = vec![0u32; nodes];
-        for s in 0..p.shards() {
-            for i in p.range(s) {
-                assert_eq!(p.shard_of(NodeId::from_index(i)), s);
-                seen[i] += 1;
+fn partition_slices_are_non_empty_and_tile_the_nodes_in_order() {
+    for nodes in 1..=64 {
+        for shards in 1..=16 {
+            let p = Partition::contiguous(nodes, shards);
+            assert!(p.shards() <= shards.min(nodes), "{nodes}/{shards}");
+            let mut next = 0;
+            for s in 0..p.shards() {
+                let range = p.range(s);
+                assert!(!range.is_empty(), "{nodes}/{shards}: slice {s} is empty");
+                assert_eq!(range.start, next, "{nodes}/{shards}: slice {s}");
+                for i in range.clone() {
+                    assert_eq!(p.shard_of(NodeId::from_index(i)), s);
+                }
+                next = range.end;
             }
+            assert_eq!(next, nodes, "{nodes}/{shards}");
         }
-        assert!(seen.iter().all(|&c| c == 1), "{nodes}/{shards}");
     }
 }
 
@@ -143,23 +152,6 @@ fn horizon_stops_both_runs_at_the_same_frontier() {
     assert_eq!(fingerprint(&parallel), fingerprint(&serial));
     assert_eq!(parallel.processed(), serial.processed());
     assert_eq!(parallel.pending(), serial.pending());
-}
-
-#[test]
-fn event_budget_stops_on_a_window_boundary() {
-    let mut sim = build(64, 3);
-    sim.set_event_budget(100);
-    assert_eq!(sim.run(SimTime::MAX), RunOutcome::EventBudgetExhausted);
-    let serial_stop = sim.processed();
-    assert!(serial_stop >= 100);
-
-    let mut par = build(64, 3);
-    par.set_event_budget(100);
-    assert_eq!(
-        par.run_parallel(SimTime::from_hours(1_000_000), 3),
-        RunOutcome::EventBudgetExhausted
-    );
-    assert_eq!(par.processed(), serial_stop);
 }
 
 /// A world that never runs: the merge test builds its shards by hand.
@@ -211,7 +203,6 @@ fn check_merge(case: &str, runs: &[Run]) {
     let mut coord = Coordinator {
         partition: partition.clone(),
         lookahead: SimDuration::from_millis(10),
-        event_budget: u64::MAX,
         next_gseq: 100,
         profiling: true,
         profile: ShardProfile::default(),

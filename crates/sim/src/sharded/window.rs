@@ -1,7 +1,7 @@
 //! The window coordinator: everything of the kernel that is not a
 //! shard. Both executors drive its two steps over the shard slice —
 //! `next_window` here, `merge` in `merge.rs` — so they cannot disagree
-//! on a window boundary, the budget check or a global sequence number.
+//! on a window boundary, where a run stops or a global sequence number.
 
 use super::contract::{Partition, ShardWorld};
 use super::profile::ShardProfile;
@@ -13,9 +13,6 @@ use std::ops::ControlFlow;
 pub(super) struct Coordinator {
     pub(super) partition: Partition,
     pub(super) lookahead: SimDuration,
-    /// `u64::MAX` (never reached) means no budget, as in
-    /// [`crate::Simulation`].
-    pub(super) event_budget: u64,
     pub(super) next_gseq: u64,
     pub(super) profiling: bool,
     /// The coordinator's side of the profile (`lanes` stays empty: each
@@ -25,18 +22,13 @@ pub(super) struct Coordinator {
 }
 
 impl Coordinator {
-    /// The end of the next window, or why the run stops. The budget is
-    /// checked here, at window granularity: a threaded run has no cheap
-    /// deterministic way to stop mid-window, so no run does.
+    /// The end of the next window, or why the run stops: the queues ran
+    /// dry, or the next event lies at or past the horizon.
     pub(super) fn next_window<W: ShardWorld>(
         &mut self,
         shards: &[&mut Shard<W>],
         horizon: SimTime,
     ) -> ControlFlow<RunOutcome, SimTime> {
-        let processed: u64 = shards.iter().map(|s| s.lane.events).sum();
-        if processed >= self.event_budget {
-            return ControlFlow::Break(RunOutcome::EventBudgetExhausted);
-        }
         // The next window starts at the global minimum pending time
         // (empty stretches are skipped, not walked 10 ms at a time).
         let Some(t) = shards.iter().filter_map(|s| s.queue.peek_time()).min() else {

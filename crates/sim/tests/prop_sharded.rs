@@ -398,21 +398,6 @@ fn check_window_calls(calls: &[Call], start: SimTime, end: SimTime) -> Result<us
     }
 }
 
-/// Advance `sim` by exactly one window: the budget is checked before
-/// every window, and every window dispatches at least one event.
-fn step_one_window<W>(
-    sim: &mut ShardedSimulation<W>,
-    horizon: SimTime,
-    threads: usize,
-) -> RunOutcome
-where
-    W: ShardWorld + Send,
-    W::Event: Send,
-{
-    sim.set_event_budget(sim.processed() + 1);
-    sim.run_parallel(horizon, threads)
-}
-
 /// One worker per shard, or the single-threaded window loop.
 fn threads_for(threaded: bool, shards: usize) -> usize {
     if threaded {
@@ -422,10 +407,12 @@ fn threads_for(threaded: bool, shards: usize) -> usize {
     }
 }
 
-/// Window by window beside the reference: the hook contract holds in
-/// every window, `processed()` and `pending()` agree at every boundary
-/// (an event left popped ahead would be missing from `pending()`), and
-/// the run ends where the reference does. Returns the smallest and
+/// Window by window beside the reference: the kernel is stepped with
+/// each reference window's end as its horizon, so it runs exactly that
+/// window; the hook contract holds in every window, `processed()` and
+/// `pending()` agree at every boundary (an event left popped ahead would
+/// be missing from `pending()`), the run ends where the reference does,
+/// and an unstepped run takes as many windows. Returns the smallest and
 /// largest per-shard window.
 fn check_hook_contract(
     seed: u64,
@@ -440,9 +427,11 @@ fn check_hook_contract(
     let mut sim = build_hooked(seed, n, hops, churn, shards);
     let (mut smallest, mut largest) = (usize::MAX, 0);
     while let Some((start, end)) = reference.window(horizon) {
-        let outcome = step_one_window(&mut sim, horizon, threads);
-        if outcome != RunOutcome::EventBudgetExhausted {
-            return Err(format!("window [{start}, {end}): stopped with {outcome:?}"));
+        let windows = sim.windows();
+        sim.run_parallel(end, threads);
+        if sim.windows() != windows + 1 {
+            let ran = sim.windows() - windows;
+            return Err(format!("window [{start}, {end}): stepped {ran} windows"));
         }
         for shard in 0..sim.partition().shards() {
             let calls = sim.world(shard).calls.take();
@@ -459,10 +448,21 @@ fn check_hook_contract(
             return Err(format!("window [{start}, {end}): pending differs"));
         }
     }
-    match step_one_window(&mut sim, horizon, threads) {
-        RunOutcome::EventBudgetExhausted => Err("ran past the reference's last window".into()),
-        _ => Ok((smallest, largest)),
+    let processed = sim.processed();
+    sim.run_parallel(horizon, threads);
+    if sim.processed() != processed {
+        return Err("ran past the reference's last window".into());
     }
+    let mut unstepped = build_hooked(seed, n, hops, churn, shards);
+    unstepped.run_parallel(horizon, threads);
+    if unstepped.windows() != sim.windows() {
+        return Err(format!(
+            "an unstepped run takes {} windows, the stepped one {}",
+            unstepped.windows(),
+            sim.windows()
+        ));
+    }
+    Ok((smallest, largest))
 }
 
 fn collect_nodes(sim: &ShardedSimulation<TestShard>) -> Vec<Node> {
@@ -653,45 +653,6 @@ proptest! {
         let threads = threads_for(threaded, shards);
         let checked = check_hook_contract(seed, n, shards, hops, churn, threads, horizon);
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
-    }
-
-    /// An event budget stops the run on the window boundary the reference
-    /// reaches it on — popping ahead never dispatches past it, and
-    /// nothing stays popped: `pending()` agrees too. Resumed, the run
-    /// ends where an unbudgeted one does.
-    #[test]
-    fn event_budget_stops_on_the_reference_boundary(
-        seed in any::<u64>(),
-        n in 2usize..120,
-        shards in 1usize..5,
-        budget in 1u64..2_000,
-        threaded in any::<bool>(),
-    ) {
-        let horizon = SimTime::from_secs(5);
-        let threads = threads_for(threaded, shards);
-        let mut reference = Reference::new(seed, n, 8, true);
-        let mut outcome = RunOutcome::EventBudgetExhausted;
-        while (reference.dispatched.len() as u64) < budget {
-            if reference.window(horizon).is_none() {
-                // Ran dry, or the next event lies at or past the horizon.
-                outcome = match reference.q.len() {
-                    0 => RunOutcome::Exhausted,
-                    _ => RunOutcome::ReachedHorizon,
-                };
-                break;
-            }
-        }
-        let mut sim = build_sharded(seed, n, 8, true, shards);
-        sim.set_event_budget(budget);
-        prop_assert_eq!(sim.run_parallel(horizon, threads), outcome);
-        prop_assert_eq!(sim.processed(), reference.dispatched.len() as u64);
-        prop_assert_eq!(sim.pending(), reference.q.len());
-
-        sim.set_event_budget(u64::MAX);
-        sim.run_parallel(horizon, threads);
-        let expect = reference.run(horizon);
-        prop_assert_eq!(sim.processed(), expect.dispatched.len() as u64);
-        prop_assert_eq!(sim.pending(), expect.q.len());
     }
 }
 

@@ -37,7 +37,8 @@ impl LabelStats {
 }
 
 /// Accumulates per-event-type dispatch statistics and calendar-queue
-/// occupancy over one (or several merged) simulation runs.
+/// occupancy over the runs it probes (one profiler follows a whole batch
+/// run in sequence).
 #[derive(Debug, Clone)]
 pub struct KernelProfiler {
     // BTreeMap so the report row order is label-sorted, not insertion- or
@@ -84,23 +85,6 @@ impl KernelProfiler {
     /// Number of periodic queue samples taken.
     pub fn queue_samples(&self) -> u64 {
         self.samples
-    }
-
-    /// Fold another profiler into this one (serial accumulation across
-    /// the runs of one experiment).
-    pub fn merge(&mut self, other: &KernelProfiler) {
-        for (label, stats) in &other.by_label {
-            let e = self.by_label.entry(label).or_insert_with(LabelStats::new);
-            e.count += stats.count;
-            e.total_ns += stats.total_ns;
-            e.wall.merge(&stats.wall);
-        }
-        self.pending.merge(&other.pending);
-        self.overflow.merge(&other.overflow);
-        self.occupied.merge(&other.occupied);
-        self.migrations = self.migrations.max(other.migrations);
-        self.retained_slots = self.retained_slots.max(other.retained_slots);
-        self.samples += other.samples;
     }
 
     /// The end-of-run report: a dispatch table (one row per event type,
@@ -305,27 +289,6 @@ mod tests {
         let a = text.find("Alpha").unwrap();
         let z = text.find("Zeta").unwrap();
         assert!(a < z);
-    }
-
-    #[test]
-    fn merge_sums_counts_and_samples() {
-        let mut a = KernelProfiler::new();
-        a.on_dispatch("X", 1_000);
-        a.on_queue_sample(QueueSample {
-            pending: 5,
-            overflow: 0,
-            occupied_buckets: 2,
-            migrations: 3,
-            retained_slots: 48,
-        });
-        let mut b = KernelProfiler::new();
-        b.on_dispatch("X", 3_000);
-        b.on_dispatch("Y", 500);
-        a.merge(&b);
-        assert_eq!(a.dispatches(), 3);
-        assert_eq!(a.event_types(), 2);
-        assert_eq!(a.queue_samples(), 1);
-        assert_eq!(a.migrations, 3);
     }
 
     #[test]

@@ -41,6 +41,8 @@ const JITTER_SPREAD: f64 = 0.2;
 /// Outgoing-neighbor capacity: how many sibling caches are queried on a
 /// local miss (Squid-style search depth is 1 hop).
 pub(crate) const OUT_DEGREE: usize = 3;
+// An out-list is a `NeighborList`, which holds its entries inline.
+const _: () = assert!(OUT_DEGREE <= ddr_overlay::INLINE_NEIGHBORS);
 /// Non-neighbor proxies probed per exploration round.
 const PROBE_FANOUT: usize = 3;
 /// Recent local misses remembered for probe-overlap scoring.
