@@ -186,6 +186,28 @@ UNNAMED=$(git ls-files 'crates/*/Cargo.toml' | while read -r manifest; do
     done)
 test -z "$UNNAMED" || { echo "    ddr-* dependencies their crate never names:"; echo "$UNNAMED"; }
 
+echo "==> counter names live in the metrics lists, not in string-literal hub.counter calls"
+# A counter is named once: in its metrics struct's `counters()` list, or a
+# sampler's inline list, which `sample_metrics` loops over. A string
+# literal handed to `.counter(` in non-test code under crates/*/src (a
+# file's first #[cfg(test)] onwards and `tests.rs` modules skipped) names
+# one a second time and fails; serve's `queries_offered` is the one
+# exception, because the bus, not a world, holds it.
+LITERAL=$(git ls-files 'crates/*/src/*.rs' | xargs awk '
+    /#\[cfg\(test\)\]/ { cut[FILENAME] = 1 }
+    cut[FILENAME] || FILENAME ~ /\/tests\.rs$/ { prev = ""; next }
+    {
+        call = prev ~ /\.counter\($/ ? prev $0 : $0
+        if (call ~ /\.counter\([ \t]*"/ && call !~ /\.counter\([ \t]*"queries_offered"/)
+            print FILENAME ":" FNR ": " $0
+        prev = $0
+    }')
+test -z "$LITERAL" || {
+    echo "$LITERAL" >&2
+    echo "a counter is named by a string literal: add it to its metrics list instead" >&2
+    exit 1
+}
+
 echo "==> every world's pub enum *Event derives Copy (no message owns a heap payload)"
 # The `#[derive(...)]` lines run up to the enum through doc comments and
 # other attributes; an enum whose derives do not name Copy fails.
@@ -310,6 +332,22 @@ done << 'BAD'
 --duration|serve gnutella --nodes 50 --qps 10 --duration 1e300 --smoke
 --qps|serve gnutella --qps inf --duration 0.2
 BAD
+# An output path under a missing directory: refused before anything runs,
+# on `ddr run` by `prepare_outputs` and on `ddr serve` before the fleet.
+UNWRITABLE="$(mktemp -d)"
+for args in "run fig1 --smoke" "serve gnutella --nodes 20 --qps 10 --duration 0.2 --smoke"; do
+    for flag in --metrics --trace; do
+        status=0
+        # shellcheck disable=SC2086  # $args is a word list
+        stderr=$(timeout 1 "$BIN" $args "$flag" "$UNWRITABLE/missing/out.jsonl" 2>&1 > /dev/null) \
+            || status=$?
+        diagnosis=${stderr%%$'\n'*}
+        test "$status" -eq 2 && [[ $diagnosis == "cannot write "* ]] \
+            || { echo "ddr $args $flag <missing dir>: exit $status, '$diagnosis'; want 2, 'cannot write …'" >&2; exit 1; }
+        echo "    $diagnosis"
+    done
+done
+rmdir "$UNWRITABLE"
 
 echo "==> telemetry smoke (trace + profile a run, then inspect the trace)"
 TRACE="$(mktemp -t ddr-ci-trace.XXXXXX.jsonl)"

@@ -36,7 +36,7 @@ pub mod update;
 pub use dup_cache::DupCache;
 pub use local_index::LocalIndex;
 pub use query::QueryDescriptor;
-pub use runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime, Port, ReconfigClock};
+pub use runtime::{AsymmetricOverlay, NodeRuntime, Port, ReconfigClock};
 pub use search::{ForwardSelection, SearchStrategy};
 pub use stats_store::{NodeStats, StatsStore};
 pub use summary::CategorySummary;

@@ -160,7 +160,7 @@ impl AsymmetricOverlay {
         metrics: &mut RuntimeMetrics,
     ) -> u64 {
         rt.clock.reset();
-        metrics.record_update();
+        metrics.updates += 1;
         self.plan.replan(
             self.out[node.index()].as_slice(),
             &rt.stats,
@@ -173,12 +173,12 @@ impl AsymmetricOverlay {
         let mut refused = 0;
         for &e in &plan.evict {
             if self.drop_link(node, e) {
-                metrics.record_edges_changed(1);
+                metrics.edges_changed += 1;
             }
         }
         for &a in &plan.add {
             if self.adopt(node, a) {
-                metrics.record_edges_changed(1);
+                metrics.edges_changed += 1;
             } else {
                 refused += 1;
             }

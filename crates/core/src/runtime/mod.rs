@@ -15,11 +15,11 @@
 //! The worlds keep their domain state (caches, pending queries, workload
 //! generators) and compose it with a [`NodeRuntime`]. Framework-level
 //! events (a query issued, a remote hit, messages sent, a
-//! reconfiguration executed) are recorded by calling the shared
-//! [`ddr_stats::RuntimeMetrics`] recorder directly, and
-//! [`sample_runtime_metrics`] is the one place those counters are named
-//! for the metrics timeline, so every world's timeline carries the same
-//! six.
+//! reconfiguration executed) are recorded by writing the shared
+//! [`ddr_stats::RuntimeMetrics`] recorder's fields directly, and
+//! [`RuntimeMetrics::counters`](ddr_stats::RuntimeMetrics::counters) is
+//! the one place those counters are named for the metrics timeline, so
+//! every world's timeline carries the same six.
 //!
 //! A second split sits *under* the worlds: [`port`] defines the
 //! engine/node boundary — one trait, [`Port`], `now` + `send` — so the
@@ -37,18 +37,3 @@ pub use link::LinkBook;
 pub use node::NodeRuntime;
 pub use port::Port;
 pub use reconfig::ReconfigClock;
-
-use ddr_sim::MetricsHub;
-use ddr_stats::RuntimeMetrics;
-
-/// Report the framework counters of `rt` into `hub` as cumulative totals
-/// (the recorder differences them into per-window deltas). Every world's
-/// `sample_metrics` calls this and then adds only its domain names.
-pub fn sample_runtime_metrics(rt: &RuntimeMetrics, hub: &mut MetricsHub) {
-    hub.counter("queries", rt.queries.total() as u64);
-    hub.counter("hits", rt.hits.total() as u64);
-    hub.counter("messages", rt.messages.total() as u64);
-    hub.counter("explorations", rt.explorations);
-    hub.counter("updates", rt.updates);
-    hub.counter("edges_changed", rt.edges_changed);
-}

@@ -14,7 +14,7 @@ use super::{fold_digests, gnutella_reports, pct_delta, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
 use ddr_gnutella::{Mode, PartitionWindow};
-use ddr_stats::Table;
+use ddr_stats::{MeasurementWindow, Table};
 
 /// Island count of the regional partition (>= 2).
 const ISLANDS: usize = 3;
@@ -63,10 +63,9 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     }
     em.table(&t);
 
-    let healed = split
-        .metrics
-        .cross_island
-        .window_sum(to_hour as usize, split.metrics.cross_island.len());
+    let cross_island = &split.metrics.cross_island;
+    let after_heal = MeasurementWindow::new(to_hour, cross_island.len() as u64);
+    let healed = after_heal.sum(cross_island);
     em.note(&format!(
         "hit-rate delta during outage era: {:+.1}%; {} messages dropped at island \
          boundaries; {healed:.0} cross-island deliveries after the heal at hour {to_hour}",

@@ -258,11 +258,7 @@ impl ExpOptions {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create directory {}: {e}", dir.display()))?;
         }
-        for file in [&self.trace, &self.metrics].into_iter().flatten() {
-            std::fs::File::create(file)
-                .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
-        }
-        Ok(())
+        create_files(&[&self.trace, &self.metrics])
     }
 
     /// Write `table` as CSV into the csv dir (if configured; the CLI has
@@ -282,6 +278,15 @@ impl ExpOptions {
             write_file(&dir.join(format!("{name}.json")), &json);
         }
     }
+}
+
+/// Create (or truncate) each given file: an unwritable `--trace` /
+/// `--metrics` path fails here, in `ddr run` and `ddr serve` alike.
+pub(crate) fn create_files(files: &[&Option<PathBuf>]) -> Result<(), String> {
+    for file in files.iter().copied().flatten() {
+        std::fs::File::create(file).map_err(|e| format!("cannot write {}: {e}", file.display()))?;
+    }
+    Ok(())
 }
 
 fn write_file(path: &std::path::Path, contents: &str) {

@@ -25,7 +25,7 @@ use ddr_sim::{Partition, SimDuration};
 use ddr_telemetry::TelemetryConfig;
 use std::path::PathBuf;
 
-use crate::opts::{flag_value, CliError};
+use crate::opts::{create_files, flag_value, CliError};
 
 /// The flag summary printed on `--help` and parse errors.
 pub const SERVE_USAGE: &str = "\
@@ -223,6 +223,10 @@ pub fn serve_main(args: Vec<String>) -> i32 {
             return 2;
         }
     };
+    if let Err(e) = create_files(&[&parsed.trace, &parsed.metrics]) {
+        eprintln!("{e}");
+        return 2;
+    }
     let cfg = serve_config(&parsed);
     eprintln!(
         "[serve] gnutella nodes={} shards={} qps={} duration={}s seed={} smoke={}",
@@ -371,6 +375,19 @@ mod tests {
         assert_eq!(serve_main(argv(&["gnutella", "--nodes"])), 2);
         assert_eq!(serve_main(argv(&["--help"])), 0);
         assert_eq!(serve_main(argv(&["gnutella", "-h"])), 0);
+    }
+
+    /// An output path under a missing directory exits 2 before the
+    /// fleet is built, as it does on `ddr run`.
+    #[test]
+    fn serve_main_rejects_unwritable_output_paths() {
+        let missing = std::env::temp_dir().join(format!("ddr-missing-{}", std::process::id()));
+        for flag in ["--trace", "--metrics"] {
+            let run = "gnutella --nodes 20 --qps 10 --duration 0.2 --smoke";
+            let mut args: Vec<String> = run.split(' ').map(String::from).collect();
+            args.extend([flag.into(), missing.join("out.jsonl").display().to_string()]);
+            assert_eq!(serve_main(args), 2, "{flag} under {}", missing.display());
+        }
     }
 
     /// End-to-end: a tiny run through `serve_main`.

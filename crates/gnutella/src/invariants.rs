@@ -14,6 +14,7 @@ use crate::config::Mode;
 use crate::metrics::RunReport;
 use crate::world::GnutellaWorld;
 use ddr_sim::NodeId;
+use ddr_stats::MeasurementWindow;
 use ddr_telemetry::TraceSink;
 
 /// Check every invariant against a finished run: the merged `report` plus
@@ -67,9 +68,7 @@ pub fn check_invariants<T: TraceSink>(
             // Zero cross-island deliveries inside the window — the gate
             // records deliveries outside it only, so any mass in these
             // buckets is a leak.
-            let leaked = m
-                .cross_island
-                .window_sum(p.from_hour as usize, p.to_hour as usize);
+            let leaked = MeasurementWindow::new(p.from_hour, p.to_hour).sum(&m.cross_island);
             if leaked != 0.0 {
                 return Err(format!(
                     "{leaked} cross-island deliveries inside the partition window [{}h, {}h)",

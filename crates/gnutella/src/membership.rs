@@ -240,7 +240,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             self.hosts[k].note(from);
         }
         if let Effect::Linked { evicted } = effect {
-            self.metrics.runtime.record_edges_changed(1);
+            self.metrics.runtime.edges_changed += 1;
             if let Some(victim) = evicted {
                 self.send_eviction(k, to, victim, ctx);
             }

@@ -97,6 +97,29 @@ impl Metrics {
         Self::default()
     }
 
+    /// Every counter as `(timeline name, cumulative total)`: the
+    /// framework's six, the `u64` fields, then the hourly series' totals.
+    /// The sim timeline and the serve monitor both read this list.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        self.runtime.counters().into_iter().chain([
+            ("invitations_sent", self.invitations_sent),
+            ("invitations_accepted", self.invitations_accepted),
+            ("evictions", self.evictions),
+            ("logins", self.logins),
+            ("logoffs", self.logoffs),
+            ("duplicates_dropped", self.duplicates_dropped),
+            ("index_answers", self.index_answers),
+            ("extra_waves", self.extra_waves),
+            ("trials_confirmed", self.trials_confirmed),
+            ("trials_failed", self.trials_failed),
+            ("partition_drops", self.partition_drops),
+            ("queries_finalized", self.queries_finalized),
+            ("queries_abandoned", self.queries_abandoned),
+            ("results", self.results.total() as u64),
+            ("cross_island", self.cross_island.total() as u64),
+        ])
+    }
+
     /// Combine another shard's metrics into this one. Every field is
     /// either a count/sum or an exact-sums accumulator, so folding the
     /// per-shard metrics in shard order reproduces the serial totals
@@ -184,12 +207,18 @@ impl RunReport {
             .ratio(&self.metrics.runtime.hits, &self.metrics.runtime.queries)
     }
 
+    /// The full report as compact JSON, every field in declaration
+    /// order: what [`digest`](Self::digest) folds.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("report serialises")
+    }
+
     /// Order-sensitive 64-bit digest of the full report (every metric
     /// field, via the canonical JSON serialisation). Two reports are
     /// digest-equal iff they are bit-identical, so CI can compare a
     /// sharded run against the serial run with one number.
     pub fn digest(&self) -> u64 {
-        let json = serde_json::to_string(self).expect("report serialises");
+        let json = self.to_json();
         // SplitMix64 fold over the bytes: cheap, stable across platforms,
         // and any single-bit difference avalanches through the state.
         let mut state: u64 = 0x9E37_79B9_7F4A_7C15;

@@ -49,7 +49,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         ctx: &mut C,
     ) {
         self.metrics.evictions += 1;
-        self.metrics.runtime.record_edges_changed(1);
+        self.metrics.runtime.edges_changed += 1;
         let d = self.delay(k, node, victim);
         let notice = GnutellaEvent::EvictArrive {
             to: victim,
@@ -72,7 +72,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         // ~K results gathered since the last one. See
         // `StatsStore::decay_benefit` for why this bends Fig 3(b).
         self.peers[k].rt.stats.decay_benefit(0.5);
-        self.metrics.runtime.record_update();
+        self.metrics.runtime.updates += 1;
 
         // Evictions are enacted eagerly, making a planned swap
         // degree-neutral: the freed slot is either retaken by the

@@ -160,19 +160,9 @@ mod tests {
         let report = run_scenario(small(Mode::Static, 1));
         assert!(report.total_hits() > 0.0);
         // With hops=1 each query sends at most `degree` messages.
-        let queries: f64 = report
-            .metrics
-            .runtime
-            .queries
-            .window_sum(0, report.window.to_hour as usize);
-        assert!(
-            report
-                .metrics
-                .runtime
-                .messages
-                .window_sum(0, report.window.to_hour as usize)
-                <= queries * 4.0 + 1.0
-        );
+        let whole_run = MeasurementWindow::new(0, report.window.to_hour);
+        let queries = whole_run.sum(&report.metrics.runtime.queries);
+        assert!(whole_run.sum(&report.metrics.runtime.messages) <= queries * 4.0 + 1.0);
     }
 
     #[test]

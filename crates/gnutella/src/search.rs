@@ -127,7 +127,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     }
 
     /// Send `desc` from `from` to each of `targets`, counted as one
-    /// `record_messages` per fan-out. An empty fan-out records nothing:
+    /// `messages.add` per fan-out. An empty fan-out records nothing:
     /// even a zero would grow the hourly series.
     fn send_queries<C: Port<GnutellaEvent>>(
         &mut self,
@@ -142,7 +142,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
         let hour = ctx.now().as_hours() as usize;
         self.metrics
             .runtime
-            .record_messages(hour, targets.len() as f64);
+            .messages
+            .add(hour, targets.len() as f64);
         let k = self.li(from);
         for &to in targets {
             let d = self.delay(k, from, to);
@@ -231,7 +232,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             None => PendingQuery::new(item, now),
         };
         self.peers[k].pending.insert(qid, pq);
-        self.metrics.runtime.record_query(now.as_hours() as usize);
+        self.metrics.runtime.queries.incr(now.as_hours() as usize);
 
         // Copy the launch shape out of the strategy as scalars: the
         // deepening variant owns a Vec, and cloning it per query was the
@@ -246,7 +247,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
             // one reply — no flood.
             self.metrics
                 .runtime
-                .record_messages(now.as_hours() as usize, 1.0);
+                .messages
+                .add(now.as_hours() as usize, 1.0);
             let there = self.delay(k, node, holder);
             let back = self.delay(self.li(holder), holder, node);
             self.reply_from_index(holder, node, qid, 1, there + back, ctx);
@@ -384,7 +386,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 }
             }
             if was_first {
-                self.metrics.runtime.record_hit(now.as_hours() as usize);
+                self.metrics.runtime.hits.incr(now.as_hours() as usize);
                 let latency = now.saturating_since(pq.issued_at).as_millis() as f64;
                 self.tracer.first(now, query, from, hops, latency);
             }
@@ -423,7 +425,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.metrics.results.add(hour as usize, results as f64);
         if hour >= self.shared.config.warmup_hours {
             let delay = first_at.saturating_since(pq.issued_at).as_millis() as f64;
-            self.metrics.runtime.record_latency_ms(delay);
+            self.metrics.runtime.latency_ms.record(delay);
             self.metrics.first_delay_hist.record(delay);
         }
         // "Obtain results and update statistics" — each result scores

@@ -59,7 +59,7 @@ use crate::hosts::HostCache;
 use crate::membership::bootstrap_views;
 use crate::metrics::Metrics;
 use crate::peer::{PeerState, PendingQuery, QueryOutcome, SessionSlot, DEGREE};
-use ddr_core::runtime::{sample_runtime_metrics, LinkBook, NodeRuntime, Port};
+use ddr_core::runtime::{LinkBook, NodeRuntime, Port};
 use ddr_core::{CategorySummary, LocalIndex, UpdatePlan};
 use ddr_net::{NetworkModel, NodeDelayStream};
 use ddr_overlay::NeighborList;
@@ -419,21 +419,22 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.sessions[self.li(node)].online
     }
 
-    /// Report this slice's cumulative counters and instantaneous levels
-    /// into a metrics hub. Counters carry totals-so-far (the recorder
-    /// differences them into per-window deltas); contributions add, so
+    /// This slice's counters: its [`Metrics::counters`], then `replies`
+    /// (results its nodes sent back to an initiator).
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        self.metrics.counters().chain([("replies", self.replies)])
+    }
+
+    /// Report this slice's cumulative [`counters`](Self::counters) and
+    /// instantaneous levels into a metrics hub (the recorder differences
+    /// the counters into per-window deltas); contributions add, so
     /// sampling every shard of a sharded run into one hub produces the
     /// fleet-wide series. Read-only: a metered run stays digest-identical
     /// to an unmetered one.
     pub fn sample_metrics_into(&self, _now: SimTime, hub: &mut ddr_sim::MetricsHub) {
-        sample_runtime_metrics(&self.metrics.runtime, hub);
-        hub.counter("results", self.metrics.results.total() as u64);
-        hub.counter("duplicates_dropped", self.metrics.duplicates_dropped);
-        hub.counter("logins", self.metrics.logins);
-        hub.counter("logoffs", self.metrics.logoffs);
-        hub.counter("invitations_sent", self.metrics.invitations_sent);
-        hub.counter("evictions", self.metrics.evictions);
-        hub.counter("queries_finalized", self.metrics.queries_finalized);
+        for (name, total) in self.counters() {
+            hub.counter(name, total);
+        }
         let online = self.sessions.iter().filter(|s| s.online).count();
         hub.gauge("online", online as f64);
         let dup_entries: usize = self

@@ -27,7 +27,7 @@
 
 use crate::config::{OlapMode, PeerOlapConfig};
 use crate::cube::{ChunkSet, CubeSpace, OlapQueryStream};
-use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime};
+use ddr_core::runtime::{AsymmetricOverlay, NodeRuntime};
 use ddr_core::stats_store::ReplyObservation;
 use ddr_sim::{
     EventLabel, FastHashMap, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime, World,
@@ -239,7 +239,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
 
         let d = self.peers[i].stream.next_interval();
         sched.after(d, OlapEvent::IssueQuery { peer });
-        self.metrics.runtime.record_query(hour);
+        self.metrics.runtime.queries.incr(hour);
 
         let chunks = self.peers[i].stream.next_query(&self.space);
         // Local phase: touch what we have.
@@ -256,7 +256,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         if wanted.is_empty() {
             // Fully cached: done instantly.
             if now.as_hours() >= self.config.warmup_hours {
-                self.metrics.runtime.record_latency_ms(1.0);
+                self.metrics.runtime.latency_ms.record(1.0);
             }
             self.tracer
                 .finish(now, qid, TraceOutcome::Hit, local as u64, 1.0);
@@ -278,7 +278,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         self.tracer.hop(now, qid, peer, peer, MAX_HOPS, 0, fanout);
         for k in 0..fanout {
             let t = self.overlay.out(peer).as_slice()[k];
-            self.metrics.runtime.record_messages(hour, 1.0);
+            self.metrics.runtime.messages.add(hour, 1.0);
             let d = self.overlay.jittered(peer, PEER_DELAY, JITTER_SPREAD);
             sched.after(
                 d,
@@ -354,7 +354,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
                     continue;
                 }
                 fanout += 1;
-                self.metrics.runtime.record_messages(hour, 1.0);
+                self.metrics.runtime.messages.add(hour, 1.0);
                 let d = self.overlay.jittered(to, PEER_DELAY, JITTER_SPREAD);
                 sched.after(
                     d,
@@ -438,7 +438,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             let span_latency = done_at.saturating_since(pq.issued_at).as_millis() as f64;
             let served = pq.wanted.len() as u64;
             if done_at.as_hours() >= self.config.warmup_hours {
-                self.metrics.runtime.record_latency_ms(span_latency);
+                self.metrics.runtime.latency_ms.record(span_latency);
             }
             self.tracer
                 .finish(now, query, TraceOutcome::Hit, served, span_latency);
@@ -460,7 +460,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         let total_latency =
             now.saturating_since(pq.issued_at).as_millis() as f64 + done_in.as_millis() as f64;
         if (now + done_in).as_hours() >= self.config.warmup_hours {
-            self.metrics.runtime.record_latency_ms(total_latency);
+            self.metrics.runtime.latency_ms.record(total_latency);
         }
         self.tracer.finish(
             now,
@@ -492,12 +492,16 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
     /// the recorder). Read-only, so a metered run stays bit-identical to
     /// an unmetered one.
     fn sample_metrics(&self, _now: SimTime, hub: &mut ddr_sim::MetricsHub) {
-        sample_runtime_metrics(&self.metrics.runtime, hub);
-        hub.counter("chunks_local", self.metrics.chunks_local.total() as u64);
-        hub.counter(
-            "chunks_warehouse",
-            self.metrics.chunks_warehouse.total() as u64,
-        );
+        let m = &self.metrics;
+        let domain = [
+            ("chunks_local", m.chunks_local.total() as u64),
+            ("chunks_warehouse", m.chunks_warehouse.total() as u64),
+            ("warehouse_ms", m.warehouse_ms.total() as u64),
+            ("adds_refused", m.adds_refused),
+        ];
+        for (name, total) in m.runtime.counters().into_iter().chain(domain) {
+            hub.counter(name, total);
+        }
     }
 
     fn handle(&mut self, now: SimTime, event: OlapEvent, sched: &mut Scheduler<'_, OlapEvent>) {

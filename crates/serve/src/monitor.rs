@@ -11,9 +11,11 @@
 //! histogram once per turn, and the observer only reads them (zeroing
 //! the one running maximum, `delivery_lag_ms`, as it reads it).
 //! Completed-query outcomes reach the end-of-run report whether the
-//! monitor is on or off. Quantities the simulator also reports keep its
-//! names (DESIGN.md §14). `monitor_does_not_perturb_the_report` pins that
-//! the timeline's summed counters equal the final [`crate::ServeReport`].
+//! monitor is on or off. The counters are the world's own list,
+//! `GnutellaWorld::counters`, so they carry the simulator's names and
+//! meanings (DESIGN.md §14); the bus adds only `queries_offered`.
+//! `monitor_does_not_perturb_the_report` pins that the timeline's summed
+//! counters equal the final [`crate::ServeReport`].
 
 use crate::bus::WallClock;
 use ddr_gnutella::GnutellaWorld;
@@ -32,25 +34,16 @@ use std::time::Duration;
 /// shard threads are joined (a full synchronization point).
 const ORD: Ordering = Ordering::Relaxed;
 
-/// The counters each shard publishes from its slice's `Metrics`, in
-/// [`SliceCounts::totals`] order; the report's `messages` is `messages`
-/// (query transmissions) plus `replies` (results sent to an initiator).
-const SLICE_COUNTERS: [&str; 5] = [
-    "queries",
-    "queries_finalized",
-    "messages",
-    "replies",
-    "duplicates_dropped",
-];
-
 /// One slice's cumulative `Metrics`, as its shard last published them.
 #[derive(Debug, Clone)]
 struct SliceCounts {
-    /// The [`SLICE_COUNTERS`].
-    totals: [u64; 5],
+    /// `GnutellaWorld::counters`, refilled in place: no allocation after
+    /// the first publish. The report's `messages` is `messages` (query
+    /// transmissions) plus `replies` (results sent to an initiator).
+    totals: Vec<(&'static str, u64)>,
     /// `metrics.first_delay_hist`: the first-result delay of every closed
     /// query with a result (a serve fleet has no warm-up), so its count
-    /// is the slice's hits.
+    /// is the slice's closed queries with a result.
     first_delay: Histogram,
 }
 
@@ -84,11 +77,14 @@ fn lock(slice: &Mutex<SliceCounts>) -> MutexGuard<'_, SliceCounts> {
 }
 
 impl MonitorShared {
-    /// Fresh (all-zero) state for `nshards` shards.
+    /// Fresh (all-zero) state for `nshards` shards: a fresh `Metrics`'
+    /// counters, so the first pass names them all (`replies`, the
+    /// world's own, joins at a shard's first publish).
     pub fn new(nshards: usize) -> Self {
+        let metrics = ddr_gnutella::Metrics::new();
         let zero = SliceCounts {
-            totals: [0; 5],
-            first_delay: ddr_gnutella::Metrics::new().first_delay_hist,
+            totals: metrics.counters().collect(),
+            first_delay: metrics.first_delay_hist,
         };
         MonitorShared {
             inbox_depth: (0..nshards).map(|_| AtomicUsize::new(0)).collect(),
@@ -104,17 +100,12 @@ impl MonitorShared {
     /// is copied only when a query closed with a result since the last
     /// copy.
     pub(crate) fn publish<T: TraceSink>(&self, shard: usize, world: &GnutellaWorld<T>) {
-        let metrics = &world.metrics;
         let mut slice = lock(&self.slices[shard]);
-        slice.totals = [
-            metrics.runtime.queries.total() as u64,
-            metrics.queries_finalized,
-            metrics.runtime.messages.total() as u64,
-            world.replies_served(),
-            metrics.duplicates_dropped,
-        ];
-        if slice.first_delay.count() != metrics.first_delay_hist.count() {
-            slice.first_delay = metrics.first_delay_hist.clone();
+        slice.totals.clear();
+        slice.totals.extend(world.counters());
+        let first_delay = &world.metrics.first_delay_hist;
+        if slice.first_delay.count() != first_delay.count() {
+            slice.first_delay = first_delay.clone();
         }
     }
 
@@ -128,10 +119,9 @@ impl MonitorShared {
         let mut first_delay: Option<Histogram> = None;
         for slice in &self.slices {
             let slice = lock(slice);
-            for (name, &total) in SLICE_COUNTERS.iter().zip(&slice.totals) {
+            for &(name, total) in &slice.totals {
                 hub.counter(name, total);
             }
-            hub.counter("hits", slice.first_delay.count());
             match &mut first_delay {
                 Some(merged) => merged.merge(&slice.first_delay),
                 None => first_delay = Some(slice.first_delay.clone()),
@@ -305,6 +295,13 @@ mod tests {
     use serde::json::Value;
     use std::collections::BTreeMap;
 
+    /// Set the counter `name` of `shard`'s snapshot to `total`.
+    fn set_total(shared: &MonitorShared, shard: usize, name: &str, total: u64) {
+        let mut slice = lock(&shared.slices[shard]);
+        let entry = slice.totals.iter_mut().find(|(n, _)| *n == name);
+        entry.expect("a Metrics counter").1 = total;
+    }
+
     /// The text and the JSON of one pass name exactly its counters and
     /// gauges, with the same values.
     #[test]
@@ -314,8 +311,9 @@ mod tests {
         let shared = MonitorShared::new(2);
         shared.inbox_depth[1].store(7, ORD);
         shared.delivery_lag_ms[0].store(3, ORD);
+        set_total(&shared, 1, "queries_finalized", 8);
+        set_total(&shared, 1, "hits", 2);
         let mut slice = lock(&shared.slices[1]);
-        slice.totals[1] = 8;
         slice.first_delay.record(615.0);
         slice.first_delay.record(6_000.0);
         drop(slice);
@@ -345,9 +343,9 @@ mod tests {
         }
 
         // The text: one line per entry, shard labels folded back into
-        // `.s<i>`; seven counter and seven gauge families, each typed once.
+        // `.s<i>`; 22 counter and seven gauge families, each typed once.
         let text = prometheus_text(hub);
-        assert_eq!(text.matches("# TYPE ").count(), 14, "{text}");
+        assert_eq!(text.matches("# TYPE ").count(), 29, "{text}");
         let mut rendered = BTreeMap::new();
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (name, value) = line.split_once(' ').expect("name value");
@@ -381,7 +379,7 @@ mod tests {
     #[test]
     fn endpoint_serves_both_content_types() {
         let shared = Arc::new(MonitorShared::new(1));
-        lock(&shared.slices[0]).totals[1] = 3;
+        set_total(&shared, 0, "queries_finalized", 3);
         let port = free_port();
         let clock = Arc::new(WallClock::start());
         let spawn = || {

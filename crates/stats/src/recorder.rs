@@ -5,10 +5,10 @@
 //! reconfiguration updates, …) next to its domain-specific ones. The
 //! [`RuntimeMetrics`] recorder factors that common core out: the worlds
 //! embed one shared recorder, keep only their domain fields, and their
-//! handlers call its `record_*` methods directly.
-//! `ddr_core::runtime::sample_runtime_metrics` names these counters for
-//! the metrics timeline, so a new one is written in three places: the
-//! field, [`RuntimeMetrics::merge`], and that sampler.
+//! handlers write its fields directly, as they write their own.
+//! [`RuntimeMetrics::counters`] names these counters for the metrics
+//! timeline, so a new one is written in three places: the field,
+//! [`RuntimeMetrics::merge`], and that list.
 //!
 //! The field vocabulary follows the paper's reporting: hourly series for
 //! the Fig 1–2 curves, a latency accumulator for Fig 3(a), and plain
@@ -51,39 +51,18 @@ impl RuntimeMetrics {
         Self::default()
     }
 
-    /// Record one issued query in `hour`.
-    pub fn record_query(&mut self, hour: usize) {
-        self.queries.incr(hour);
-    }
-
-    /// Record one remote hit in `hour`.
-    pub fn record_hit(&mut self, hour: usize) {
-        self.hits.incr(hour);
-    }
-
-    /// Record `n` protocol messages in `hour`.
-    pub fn record_messages(&mut self, hour: usize, n: f64) {
-        self.messages.add(hour, n);
-    }
-
-    /// Record one first-result latency observation.
-    pub fn record_latency_ms(&mut self, ms: f64) {
-        self.latency_ms.record(ms);
-    }
-
-    /// Record one exploration wave.
-    pub fn record_exploration(&mut self) {
-        self.explorations += 1;
-    }
-
-    /// Record one executed reconfiguration.
-    pub fn record_update(&mut self) {
-        self.updates += 1;
-    }
-
-    /// Record `n` neighbour-edge changes.
-    pub fn record_edges_changed(&mut self, n: u64) {
-        self.edges_changed += n;
+    /// The counters as `(timeline name, cumulative total)`: the hourly
+    /// series' totals, then the scalars. Every world's timeline opens
+    /// with these six; `latency_ms` is a distribution, not a counter.
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
+        [
+            ("queries", self.queries.total() as u64),
+            ("hits", self.hits.total() as u64),
+            ("messages", self.messages.total() as u64),
+            ("explorations", self.explorations),
+            ("updates", self.updates),
+            ("edges_changed", self.edges_changed),
+        ]
     }
 
     /// Merge another recorder (parallel-shard combination).
@@ -103,40 +82,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_into_the_right_fields() {
-        let mut m = RuntimeMetrics::new();
-        m.record_query(0);
-        m.record_query(1);
-        m.record_hit(1);
-        m.record_messages(1, 7.0);
-        m.record_latency_ms(120.0);
-        m.record_exploration();
-        m.record_update();
-        m.record_edges_changed(3);
-        assert_eq!(m.queries.total(), 2.0);
-        assert_eq!(m.hits.get(1), 1.0);
-        assert_eq!(m.messages.get(1), 7.0);
-        assert_eq!(m.latency_ms.count(), 1);
-        assert_eq!(m.explorations, 1);
-        assert_eq!(m.updates, 1);
-        assert_eq!(m.edges_changed, 3);
-    }
-
-    #[test]
     fn merge_adds_everything() {
         let mut a = RuntimeMetrics::new();
-        a.record_hit(0);
-        a.record_update();
+        a.hits.incr(0);
+        a.updates += 1;
         let mut b = RuntimeMetrics::new();
-        b.record_hit(0);
-        b.record_hit(2);
-        b.record_latency_ms(10.0);
-        b.record_edges_changed(2);
+        b.hits.incr(0);
+        b.hits.incr(2);
+        b.latency_ms.record(10.0);
+        b.edges_changed += 2;
         a.merge(&b);
         assert_eq!(a.hits.total(), 3.0);
         assert_eq!(a.latency_ms.count(), 1);
         assert_eq!(a.updates, 1);
         assert_eq!(a.edges_changed, 2);
+        let counters = a.counters();
+        assert_eq!(counters[1], ("hits", 3));
+        assert_eq!(counters[4..], [("updates", 1), ("edges_changed", 2)]);
     }
 
     #[test]

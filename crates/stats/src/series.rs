@@ -43,27 +43,9 @@ impl BucketSeries {
         self.buckets.is_empty()
     }
 
-    /// Sum over `[from, to)`, treating missing buckets as zero.
-    pub fn window_sum(&self, from: usize, to: usize) -> f64 {
-        (from..to).map(|b| self.get(b)).sum()
-    }
-
-    /// Mean over `[from, to)`.
-    pub fn window_mean(&self, from: usize, to: usize) -> f64 {
-        if to <= from {
-            return 0.0;
-        }
-        self.window_sum(from, to) / (to - from) as f64
-    }
-
     /// Total across all buckets.
     pub fn total(&self) -> f64 {
         self.buckets.iter().sum()
-    }
-
-    /// The values of `[from, to)` as a dense vector.
-    pub fn window(&self, from: usize, to: usize) -> Vec<f64> {
-        (from..to).map(|b| self.get(b)).collect()
     }
 
     /// Merge another series bucket-wise (for combining per-thread shards).
@@ -89,19 +71,6 @@ mod tests {
         assert_eq!(s.get(5), 1.0);
         assert_eq!(s.get(4), 0.0);
         assert_eq!(s.get(100), 0.0);
-    }
-
-    #[test]
-    fn window_operations() {
-        let mut s = BucketSeries::new();
-        for h in 0..10 {
-            s.add(h, h as f64);
-        }
-        assert_eq!(s.window_sum(2, 5), 2.0 + 3.0 + 4.0);
-        assert_eq!(s.window_mean(2, 5), 3.0);
-        assert_eq!(s.window_mean(5, 5), 0.0);
-        assert_eq!(s.total(), 45.0);
-        assert_eq!(s.window(8, 12), vec![8.0, 9.0, 0.0, 0.0]);
     }
 
     #[test]

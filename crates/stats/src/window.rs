@@ -53,19 +53,28 @@ impl MeasurementWindow {
         self.to_hour.saturating_sub(self.from_hour)
     }
 
-    /// Sum of `series` over the window.
-    pub fn sum(&self, series: &BucketSeries) -> f64 {
-        series.window_sum(self.from_hour as usize, self.to_hour as usize)
+    /// The window's hours as bucket indices.
+    fn buckets(&self) -> std::ops::Range<usize> {
+        self.from_hour as usize..self.to_hour as usize
     }
 
-    /// Mean per measured hour of `series` over the window.
+    /// Sum of `series` over the window, missing buckets read as zero.
+    pub fn sum(&self, series: &BucketSeries) -> f64 {
+        self.buckets().map(|b| series.get(b)).sum()
+    }
+
+    /// Mean per measured hour of `series` over the window (0 for an
+    /// empty window).
     pub fn mean_per_hour(&self, series: &BucketSeries) -> f64 {
-        series.window_mean(self.from_hour as usize, self.to_hour as usize)
+        match self.hours() {
+            0 => 0.0,
+            hours => self.sum(series) / hours as f64,
+        }
     }
 
     /// Dense per-hour values of `series` over the window.
     pub fn series(&self, series: &BucketSeries) -> Vec<f64> {
-        series.window(self.from_hour as usize, self.to_hour as usize)
+        self.buckets().map(|b| series.get(b)).collect()
     }
 
     /// Windowed `num / den` with the [`safe_ratio`] zero-denominator guard.
@@ -102,6 +111,17 @@ mod tests {
         assert_eq!(w.sum(&s), 30.0);
         assert_eq!(w.mean_per_hour(&s), 15.0);
         assert_eq!(w.series(&s), vec![10.0, 20.0]);
+    }
+
+    #[test]
+    fn window_operations() {
+        let s = series(&(0..10).map(|h| (h, h as f64)).collect::<Vec<_>>());
+        assert_eq!(MeasurementWindow::new(2, 5).sum(&s), 2.0 + 3.0 + 4.0);
+        assert_eq!(MeasurementWindow::new(2, 5).mean_per_hour(&s), 3.0);
+        assert_eq!(MeasurementWindow::new(5, 5).mean_per_hour(&s), 0.0);
+        assert_eq!(s.total(), 45.0);
+        let tail = MeasurementWindow::new(8, 12).series(&s);
+        assert_eq!(tail, vec![8.0, 9.0, 0.0, 0.0]);
     }
 
     #[test]

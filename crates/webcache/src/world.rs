@@ -22,7 +22,7 @@ use crate::config::{CacheMode, WebCacheConfig};
 use crate::digest::BloomFilter;
 use crate::lru::LruCache;
 use crate::traffic::{PageSpace, RequestStream};
-use ddr_core::runtime::{sample_runtime_metrics, AsymmetricOverlay, NodeRuntime, ReconfigClock};
+use ddr_core::runtime::{AsymmetricOverlay, NodeRuntime, ReconfigClock};
 use ddr_core::stats_store::ReplyObservation;
 use ddr_sim::{
     EventLabel, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime, World,
@@ -221,7 +221,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
 
     fn record_latency(&mut self, now: SimTime, ms: f64) {
         if now.as_hours() >= self.config.warmup_hours {
-            self.metrics.runtime.record_latency_ms(ms);
+            self.metrics.runtime.latency_ms.record(ms);
         }
     }
 
@@ -233,7 +233,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
         // Schedule the next request first (the stream never stops).
         let next = self.proxies[i].stream.next_interval();
         sched.after(next, CacheEvent::Request { proxy });
-        self.metrics.runtime.record_query(hour);
+        self.metrics.runtime.queries.incr(hour);
 
         let page = {
             let space = &self.space;
@@ -283,7 +283,8 @@ impl<T: TraceSink> WebCacheWorld<T> {
             };
             self.metrics
                 .runtime
-                .record_messages(hour, queried.len() as f64);
+                .messages
+                .add(hour, queried.len() as f64);
             self.tracer.hop(now, qid, proxy, proxy, 1, 1, queried.len());
             let holder = queried
                 .iter()
@@ -293,7 +294,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
                 Some(q) => {
                     let rtt = self.round_trip(proxy, SIBLING_DELAY);
                     let ms = rtt.as_millis() as f64;
-                    self.metrics.runtime.record_hit(hour);
+                    self.metrics.runtime.hits.incr(hour);
                     self.record_latency(now, ms);
                     self.tracer.first(now, qid, q, 1, ms);
                     self.tracer.finish(now, qid, TraceOutcome::Hit, 1, ms);
@@ -344,14 +345,14 @@ impl<T: TraceSink> WebCacheWorld<T> {
     /// Algo 2: probe random non-neighbor proxies; replies return
     /// summarized information (overlap with our recent misses).
     fn explore(&mut self, proxy: NodeId, sched: &mut Scheduler<'_, CacheEvent>) {
-        self.metrics.runtime.record_exploration();
+        self.metrics.runtime.explorations += 1;
         let hour = sched.now().as_hours() as usize;
         for _ in 0..PROBE_FANOUT {
             let q = self.overlay.random_node();
             if q == proxy || self.overlay.out(proxy).contains(q) {
                 continue;
             }
-            self.metrics.runtime.record_messages(hour, 1.0);
+            self.metrics.runtime.messages.add(hour, 1.0);
             let rtt = self.round_trip(proxy, SIBLING_DELAY);
             // The probe reply returns to the prober after the round trip.
             sched.after(rtt, CacheEvent::ProbeReply { to: proxy, from: q });
@@ -391,9 +392,17 @@ impl<T: TraceSink> World for WebCacheWorld<T> {
     /// the recorder). Read-only, so a metered run stays bit-identical to
     /// an unmetered one.
     fn sample_metrics(&self, _now: SimTime, hub: &mut ddr_sim::MetricsHub) {
-        sample_runtime_metrics(&self.metrics.runtime, hub);
-        hub.counter("local_hits", self.metrics.local_hits.total() as u64);
-        hub.counter("origin_fetches", self.metrics.origin_fetches.total() as u64);
+        let m = &self.metrics;
+        let domain = [
+            ("local_hits", m.local_hits.total() as u64),
+            ("origin_fetches", m.origin_fetches.total() as u64),
+            ("digest_filtered", m.digest_filtered),
+            ("digest_false_positives", m.digest_false_positives),
+            ("digest_stale_misses", m.digest_stale_misses),
+        ];
+        for (name, total) in m.runtime.counters().into_iter().chain(domain) {
+            hub.counter(name, total);
+        }
     }
 
     fn handle(&mut self, now: SimTime, event: CacheEvent, sched: &mut Scheduler<'_, CacheEvent>) {

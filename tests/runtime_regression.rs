@@ -98,15 +98,14 @@ fn webcache_series_match_pre_refactor_snapshot() {
         ),
     ] {
         let r = run_webcache(webcache_cfg(mode));
-        let (f, t) = (r.window.from_hour as usize, r.window.to_hour as usize);
         assert_series(
             &format!("webcache/{} neighbor_hits", r.label),
-            &r.metrics.runtime.hits.window(f, t),
+            &r.window.series(&r.metrics.runtime.hits),
             hits,
         );
         assert_series(
             &format!("webcache/{} messages", r.label),
-            &r.metrics.runtime.messages.window(f, t),
+            &r.window.series(&r.metrics.runtime.messages),
             messages,
         );
     }
@@ -140,15 +139,14 @@ fn peerolap_series_match_pre_refactor_snapshot() {
         ),
     ] {
         let r = run_peerolap(peerolap_cfg(mode));
-        let (f, t) = (r.window.from_hour as usize, r.window.to_hour as usize);
         assert_series(
             &format!("peerolap/{} chunks_peer", r.label),
-            &r.metrics.runtime.hits.window(f, t),
+            &r.window.series(&r.metrics.runtime.hits),
             hits,
         );
         assert_series(
             &format!("peerolap/{} messages", r.label),
-            &r.metrics.runtime.messages.window(f, t),
+            &r.window.series(&r.metrics.runtime.messages),
             messages,
         );
     }
