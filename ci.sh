@@ -187,8 +187,9 @@ UNNAMED=$(git ls-files 'crates/*/Cargo.toml' | while read -r manifest; do
 test -z "$UNNAMED" || { echo "    ddr-* dependencies their crate never names:"; echo "$UNNAMED"; }
 
 echo "==> counter names live in the metrics lists, not in string-literal hub.counter calls"
-# A counter is named once: in its metrics struct's `counters()` list, or a
-# sampler's inline list, which `sample_metrics` loops over. A string
+# A counter is named once: in a `counters()` list, which a
+# `ddr_stats::metrics!` declaration derives from its fields and which
+# `sample_metrics` loops over. A string
 # literal handed to `.counter(` in non-test code under crates/*/src (a
 # file's first #[cfg(test)] onwards and `tests.rs` modules skipped) names
 # one a second time and fails; serve's `queries_offered` is the one
@@ -205,6 +206,23 @@ LITERAL=$(git ls-files 'crates/*/src/*.rs' | xargs awk '
 test -z "$LITERAL" || {
     echo "$LITERAL" >&2
     echo "a counter is named by a string literal: add it to its metrics list instead" >&2
+    exit 1
+}
+
+echo "==> metrics records are declared once, with ddr_stats::metrics!"
+# A metrics record's zero, shard merge and counter names come from its one
+# `ddr_stats::metrics!` declaration. A hand-written `impl Default for
+# …Metrics` or `fn merge(&mut self, other: &…Metrics)` in non-test code
+# under crates/*/src (a file's first #[cfg(test)] onwards and `tests.rs`
+# modules skipped) writes every field a second time and fails.
+HANDWRITTEN=$(git ls-files 'crates/*/src/*.rs' | xargs awk '
+    /#\[cfg\(test\)\]/ { cut[FILENAME] = 1 }
+    cut[FILENAME] || FILENAME ~ /\/tests\.rs$/ { next }
+    /impl(<[^>]*>)? +Default +for +[A-Za-z0-9_:]*Metrics([^A-Za-z0-9_]|$)/ ||
+    /fn merge\(&mut self, *[a-z_]+: *&[A-Za-z0-9_:]*Metrics\)/ { print FILENAME ":" FNR ": " $0 }')
+test -z "$HANDWRITTEN" || {
+    echo "$HANDWRITTEN" >&2
+    echo "a metrics record is written by hand: declare it with ddr_stats::metrics! instead" >&2
     exit 1
 }
 

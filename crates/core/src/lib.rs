@@ -14,7 +14,7 @@
 //! | Per-node statistics "for both the neighboring and the non-neighboring nodes that were encountered" | [`stats_store`] |
 //! | "each node keeps a list of recent messages" (duplicate suppression) | [`dup_cache`] |
 //! | §2 orthogonal techniques (Yang & Garcia-Molina): iterative deepening, directed BFT, local indices | [`search`], [`local_index`] |
-//! | Framework runtime: node plumbing shared by every simulator (asymmetric-overlay chassis, per-node bundle, reconfig clock, timeline sampler) | [`runtime`] |
+//! | Framework runtime: node plumbing shared by every simulator (asymmetric-overlay chassis, per-node bundle, link handshake book, reconfig clock) | [`runtime`] |
 //!
 //! The components are **pure decision logic** — they never touch the event
 //! queue. A simulator (see `ddr-gnutella`, `ddr-webcache`) owns message

@@ -16,10 +16,11 @@
 //! generators) and compose it with a [`NodeRuntime`]. Framework-level
 //! events (a query issued, a remote hit, messages sent, a
 //! reconfiguration executed) are recorded by writing the shared
-//! [`ddr_stats::RuntimeMetrics`] recorder's fields directly, and
-//! [`RuntimeMetrics::counters`](ddr_stats::RuntimeMetrics::counters) is
-//! the one place those counters are named for the metrics timeline, so
-//! every world's timeline carries the same six.
+//! [`ddr_stats::RuntimeMetrics`] recorder's fields directly. The
+//! recorder, like each world's own record, is declared once with
+//! [`ddr_stats::metrics!`]: a field's declaration is the one place its
+//! counter is named for the metrics timeline, so every world's timeline
+//! carries the same six framework counters.
 //!
 //! A second split sits *under* the worlds: [`port`] defines the
 //! engine/node boundary — one trait, [`Port`], `now` + `send` — so the

@@ -122,7 +122,7 @@ pub fn ddr_main(args: Vec<String>) -> i32 {
                 return 2;
             }
             for e in selected {
-                crate::banner(e.name, &opts);
+                eprintln!("{}", crate::banner(e.name, &opts));
                 let mut em = Emitter::stdout();
                 (e.run)(&opts, &mut em);
             }

@@ -70,16 +70,18 @@ fn pick_series(r: &RunReport, metric: &str) -> Vec<f64> {
     }
 }
 
-/// Banner line printed by each entry point so logs identify the run.
-pub fn banner(name: &str, opts: &ExpOptions) {
-    eprintln!(
-        "[{name}] scale={} hours={} seed={:?} smoke={} workers={}",
-        opts.scale,
-        opts.hours,
+/// The line `ddr run` logs before each experiment so logs identify the
+/// run: the flags every experiment takes as given. It names no world
+/// size, because each experiment sizes itself after this line (the
+/// long suites' `tuned` defaults, the smoke clamp, the case studies'
+/// own horizons).
+pub fn banner(name: &str, opts: &ExpOptions) -> String {
+    format!(
+        "[{name}] seed={:?} smoke={} workers={}",
         opts.seed,
         opts.smoke,
         opts.workers()
-    );
+    )
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! `--smoke` is pinned byte for byte by `golden/all_smoke.txt`, which
 //! ci.sh diffs against.)
 
-use ddr_experiments::{registry, Emitter, ExpOptions};
+use ddr_experiments::{banner, registry, Emitter, ExpOptions};
 use std::collections::HashSet;
 
 fn smoke_opts() -> ExpOptions {
@@ -86,4 +86,17 @@ fn every_experiment_runs_and_emits_tables() {
             );
         }
     }
+}
+
+/// `ddr run` logs the banner before an experiment sizes itself (`tuned`,
+/// the smoke clamp, the case studies' own horizons), so it names no
+/// `--scale` / `--hours` that the run may not use.
+#[test]
+fn the_banner_names_no_size_an_experiment_overrides() {
+    let args = ["--smoke", "--seed", "7", "--threads", "1"].map(String::from);
+    let (opts, _) = ExpOptions::parse(args).unwrap();
+    assert_eq!(
+        banner("fig1", &opts),
+        "[fig1] seed=Some(7) smoke=true workers=1"
+    );
 }

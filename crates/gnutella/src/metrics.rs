@@ -10,140 +10,60 @@
 use ddr_stats::{BucketSeries, Histogram, MeasurementWindow, RunningStats, RuntimeMetrics};
 use serde::Serialize;
 
-/// Everything measured during a run. All series are bucketed by simulated
-/// hour; the warm-up window is excluded by the accessor methods on
-/// [`RunReport`], not at collection time, so tests can inspect warm-up
-/// behaviour too.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Metrics {
-    /// Shared framework recorder: `queries` (issued per hour), `hits`
-    /// (queries satisfied per hour, bucketed by first-result arrival —
-    /// Figs 1a, 2a), `messages` (query transmissions per hour — Figs 1b,
-    /// 2b; "messages (i.e., queries)"), `latency_ms` (first-result delay,
-    /// post-warm-up — Fig 3a), `updates` (reconfigurations executed) and
-    /// `edges_changed` (overlay links rewired by the update protocol).
-    pub runtime: RuntimeMetrics,
-    /// All results obtained per hour (the totals annotated in Fig 3a).
-    pub results: BucketSeries,
-    /// First-result delay histogram (50 ms buckets to 5 s).
-    pub first_delay_hist: Histogram,
-    /// Invitations sent / accepted.
-    pub invitations_sent: u64,
-    /// Invitations that resulted in a new link.
-    pub invitations_accepted: u64,
-    /// Eviction notices sent.
-    pub evictions: u64,
-    /// Login events.
-    pub logins: u64,
-    /// Logoff events.
-    pub logoffs: u64,
-    /// Queries that were dropped as duplicates somewhere in the network.
-    pub duplicates_dropped: u64,
-    /// Replies answered from a local index on behalf of a nearby holder
-    /// (local-indices strategy only).
-    pub index_answers: u64,
-    /// Iterative-deepening waves launched beyond the first.
-    pub extra_waves: u64,
-    /// Overlay distance (hops) of the *first* result of each satisfied
-    /// query, post-warm-up — the paper's "most of the results come from
-    /// nearby nodes" is a claim about this distribution.
-    pub first_result_hops: RunningStats,
-    /// Overlay distance of every result, post-warm-up.
-    pub result_hops: RunningStats,
-    /// Trial relationships (§3.4 solution a) that became permanent.
-    pub trials_confirmed: u64,
-    /// Trial relationships terminated for lack of benefit.
-    pub trials_failed: u64,
-    /// Messages dropped by an active regional partition (scenario pack).
-    pub partition_drops: u64,
-    /// Cross-island deliveries per hour — must be zero inside the
-    /// partition window; the invariant checker reads this series.
-    pub cross_island: BucketSeries,
-    /// Queries finalised by their initiator (answered or timed out).
-    pub queries_finalized: u64,
-    /// Queries still pending when their initiator logged off.
-    pub queries_abandoned: u64,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            runtime: RuntimeMetrics::new(),
-            results: BucketSeries::new(),
-            first_delay_hist: Histogram::new(50.0, 100),
-            invitations_sent: 0,
-            invitations_accepted: 0,
-            evictions: 0,
-            logins: 0,
-            logoffs: 0,
-            duplicates_dropped: 0,
-            index_answers: 0,
-            extra_waves: 0,
-            first_result_hops: RunningStats::new(),
-            result_hops: RunningStats::new(),
-            trials_confirmed: 0,
-            trials_failed: 0,
-            partition_drops: 0,
-            cross_island: BucketSeries::new(),
-            queries_finalized: 0,
-            queries_abandoned: 0,
-        }
-    }
-}
-
-impl Metrics {
-    /// Fresh, zeroed metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Every counter as `(timeline name, cumulative total)`: the
-    /// framework's six, the `u64` fields, then the hourly series' totals.
-    /// The sim timeline and the serve monitor both read this list.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
-        self.runtime.counters().into_iter().chain([
-            ("invitations_sent", self.invitations_sent),
-            ("invitations_accepted", self.invitations_accepted),
-            ("evictions", self.evictions),
-            ("logins", self.logins),
-            ("logoffs", self.logoffs),
-            ("duplicates_dropped", self.duplicates_dropped),
-            ("index_answers", self.index_answers),
-            ("extra_waves", self.extra_waves),
-            ("trials_confirmed", self.trials_confirmed),
-            ("trials_failed", self.trials_failed),
-            ("partition_drops", self.partition_drops),
-            ("queries_finalized", self.queries_finalized),
-            ("queries_abandoned", self.queries_abandoned),
-            ("results", self.results.total() as u64),
-            ("cross_island", self.cross_island.total() as u64),
-        ])
-    }
-
-    /// Combine another shard's metrics into this one. Every field is
-    /// either a count/sum or an exact-sums accumulator, so folding the
-    /// per-shard metrics in shard order reproduces the serial totals
-    /// bit-for-bit — the property the shard-parity tests pin.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.runtime.merge(&other.runtime);
-        self.results.merge(&other.results);
-        self.first_delay_hist.merge(&other.first_delay_hist);
-        self.invitations_sent += other.invitations_sent;
-        self.invitations_accepted += other.invitations_accepted;
-        self.evictions += other.evictions;
-        self.logins += other.logins;
-        self.logoffs += other.logoffs;
-        self.duplicates_dropped += other.duplicates_dropped;
-        self.index_answers += other.index_answers;
-        self.extra_waves += other.extra_waves;
-        self.first_result_hops.merge(&other.first_result_hops);
-        self.result_hops.merge(&other.result_hops);
-        self.trials_confirmed += other.trials_confirmed;
-        self.trials_failed += other.trials_failed;
-        self.partition_drops += other.partition_drops;
-        self.cross_island.merge(&other.cross_island);
-        self.queries_finalized += other.queries_finalized;
-        self.queries_abandoned += other.queries_abandoned;
+ddr_stats::metrics! {
+    /// Everything measured during a run. All series are bucketed by simulated
+    /// hour; the warm-up window is excluded by the accessor methods on
+    /// [`RunReport`], not at collection time, so tests can inspect warm-up
+    /// behaviour too.
+    #[derive(Debug, Clone, PartialEq, Serialize)]
+    pub struct Metrics {
+        /// Shared framework recorder: `queries` (issued per hour), `hits`
+        /// (queries satisfied per hour, bucketed by first-result arrival —
+        /// Figs 1a, 2a), `messages` (query transmissions per hour — Figs 1b,
+        /// 2b; "messages (i.e., queries)"), `latency_ms` (first-result delay,
+        /// post-warm-up — Fig 3a), `updates` (reconfigurations executed) and
+        /// `edges_changed` (overlay links rewired by the update protocol).
+        pub runtime: RuntimeMetrics,
+        /// All results obtained per hour (the totals annotated in Fig 3a).
+        pub results: BucketSeries,
+        /// First-result delay histogram (50 ms buckets to 5 s).
+        pub first_delay_hist: Histogram = Histogram::new(50.0, 100),
+        /// Invitations sent / accepted.
+        pub invitations_sent: u64,
+        /// Invitations that resulted in a new link.
+        pub invitations_accepted: u64,
+        /// Eviction notices sent.
+        pub evictions: u64,
+        /// Login events.
+        pub logins: u64,
+        /// Logoff events.
+        pub logoffs: u64,
+        /// Queries that were dropped as duplicates somewhere in the network.
+        pub duplicates_dropped: u64,
+        /// Replies answered from a local index on behalf of a nearby holder
+        /// (local-indices strategy only).
+        pub index_answers: u64,
+        /// Iterative-deepening waves launched beyond the first.
+        pub extra_waves: u64,
+        /// Overlay distance (hops) of the *first* result of each satisfied
+        /// query, post-warm-up — the paper's "most of the results come from
+        /// nearby nodes" is a claim about this distribution.
+        pub first_result_hops: RunningStats,
+        /// Overlay distance of every result, post-warm-up.
+        pub result_hops: RunningStats,
+        /// Trial relationships (§3.4 solution a) that became permanent.
+        pub trials_confirmed: u64,
+        /// Trial relationships terminated for lack of benefit.
+        pub trials_failed: u64,
+        /// Messages dropped by an active regional partition (scenario pack).
+        pub partition_drops: u64,
+        /// Cross-island deliveries per hour — must be zero inside the
+        /// partition window; the invariant checker reads this series.
+        pub cross_island: BucketSeries,
+        /// Queries finalised by their initiator (answered or timed out).
+        pub queries_finalized: u64,
+        /// Queries still pending when their initiator logged off.
+        pub queries_abandoned: u64,
     }
 }
 

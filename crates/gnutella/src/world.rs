@@ -421,7 +421,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
 
     /// This slice's counters: its [`Metrics::counters`], then `replies`
     /// (results its nodes sent back to an initiator).
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.metrics.counters().chain([("replies", self.replies)])
     }
 

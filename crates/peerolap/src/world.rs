@@ -130,28 +130,30 @@ struct OlapPeer {
     pending: FastHashMap<QueryId, PendingOlap>,
 }
 
-/// Aggregated metrics: the shared framework recorder plus OLAP-domain
-/// measurements.
-///
-/// The framework quantities live in [`RuntimeMetrics`] — `queries`
-/// (issued per hour), `hits` (chunks served by peers per hour, the
-/// PeerOlap hit analogue), `messages` (chunk requests per hour),
-/// `latency_ms` (end-to-end query latency, post-warm-up), `updates`
-/// and `edges_changed` — so cross-study comparisons read the same
-/// fields as the Gnutella and web-cache recorders.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OlapMetrics {
-    /// Shared framework recorder (see the struct docs for the mapping).
-    pub runtime: RuntimeMetrics,
-    /// Chunks served from the local cache per hour.
-    pub chunks_local: BucketSeries,
-    /// Chunks computed by the warehouse per hour.
-    pub chunks_warehouse: BucketSeries,
-    /// Warehouse processing time consumed, in ms, per hour.
-    pub warehouse_ms: BucketSeries,
-    /// Outgoing-edge adoptions refused because the target's incoming
-    /// list was full (the bounded-asymmetric contention signal).
-    pub adds_refused: u64,
+ddr_stats::metrics! {
+    /// Aggregated metrics: the shared framework recorder plus OLAP-domain
+    /// measurements.
+    ///
+    /// The framework quantities live in [`RuntimeMetrics`] — `queries`
+    /// (issued per hour), `hits` (chunks served by peers per hour, the
+    /// PeerOlap hit analogue), `messages` (chunk requests per hour),
+    /// `latency_ms` (end-to-end query latency, post-warm-up), `updates`
+    /// and `edges_changed` — so cross-study comparisons read the same
+    /// fields as the Gnutella and web-cache recorders.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct OlapMetrics {
+        /// Shared framework recorder (see the struct docs for the mapping).
+        pub runtime: RuntimeMetrics,
+        /// Chunks served from the local cache per hour.
+        pub chunks_local: BucketSeries,
+        /// Chunks computed by the warehouse per hour.
+        pub chunks_warehouse: BucketSeries,
+        /// Warehouse processing time consumed, in ms, per hour.
+        pub warehouse_ms: BucketSeries,
+        /// Outgoing-edge adoptions refused because the target's incoming
+        /// list was full (the bounded-asymmetric contention signal).
+        pub adds_refused: u64,
+    }
 }
 
 /// The complete world. The sink parameter selects the telemetry build:
@@ -492,14 +494,7 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
     /// the recorder). Read-only, so a metered run stays bit-identical to
     /// an unmetered one.
     fn sample_metrics(&self, _now: SimTime, hub: &mut ddr_sim::MetricsHub) {
-        let m = &self.metrics;
-        let domain = [
-            ("chunks_local", m.chunks_local.total() as u64),
-            ("chunks_warehouse", m.chunks_warehouse.total() as u64),
-            ("warehouse_ms", m.warehouse_ms.total() as u64),
-            ("adds_refused", m.adds_refused),
-        ];
-        for (name, total) in m.runtime.counters().into_iter().chain(domain) {
+        for (name, total) in self.metrics.counters() {
             hub.counter(name, total);
         }
     }

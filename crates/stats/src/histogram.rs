@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// order** — the property the sharded kernel's report merge relies on.
 /// (Welford's `(mean, m2)` carries rounding that depends on visit
 /// order, which would break sharded == serial parity.)
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunningStats {
     n: u64,
     sum: f64,
@@ -22,8 +22,15 @@ pub struct RunningStats {
     max: f64,
 }
 
+impl Default for RunningStats {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl RunningStats {
-    /// An empty accumulator.
+    /// An empty accumulator: `min` starts at `+∞` and `max` at `-∞`, so
+    /// the first recorded value sets both.
     pub fn new() -> Self {
         RunningStats {
             n: 0,
@@ -87,15 +94,9 @@ impl RunningStats {
 
     /// Merge another accumulator (parallel-sweep / shard combination).
     /// Component-wise sum addition: exact, and therefore bit-identical
-    /// to sequential accumulation for integer-valued samples.
+    /// to sequential accumulation for integer-valued samples. The empty
+    /// value is the identity: zero sums, `min` `+∞`, `max` `-∞`.
     pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
         self.n += other.n;
         self.sum += other.sum;
         self.sumsq += other.sumsq;

@@ -14,6 +14,7 @@
 //! case studies and the bench harness. All types serialise with `serde`
 //! for CSV/JSON export.
 
+pub mod declare;
 pub mod histogram;
 pub mod load;
 pub mod recorder;
@@ -21,6 +22,7 @@ pub mod series;
 pub mod table;
 pub mod window;
 
+pub use declare::MetricField;
 pub use histogram::{Histogram, RunningStats};
 pub use load::{gini, top_share};
 pub use recorder::RuntimeMetrics;

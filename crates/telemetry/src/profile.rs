@@ -39,7 +39,7 @@ impl LabelStats {
 /// Accumulates per-event-type dispatch statistics and calendar-queue
 /// occupancy over the runs it probes (one profiler follows a whole batch
 /// run in sequence).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct KernelProfiler {
     // BTreeMap so the report row order is label-sorted, not insertion- or
     // hash-ordered: profiles of different runs diff cleanly.
@@ -52,24 +52,10 @@ pub struct KernelProfiler {
     samples: u64,
 }
 
-impl Default for KernelProfiler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl KernelProfiler {
     /// An empty profiler.
     pub fn new() -> Self {
-        KernelProfiler {
-            by_label: BTreeMap::new(),
-            pending: RunningStats::new(),
-            overflow: RunningStats::new(),
-            occupied: RunningStats::new(),
-            migrations: 0,
-            retained_slots: 0,
-            samples: 0,
-        }
+        Self::default()
     }
 
     /// Total events dispatched while this profiler was attached.

@@ -88,28 +88,30 @@ struct ProxyState {
     recent_misses: VecDeque<ItemId>,
 }
 
-/// Aggregated web-cache metrics: the shared framework recorder plus the
-/// cache-domain counters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CacheMetrics {
-    /// Shared framework recorder: `queries` (requests per hour), `hits`
-    /// (served by a sibling proxy per hour), `messages` (sibling query +
-    /// probe messages per hour), `latency_ms` (request latency,
-    /// post-warm-up; local hits count as 1 ms), `updates` (neighbor
-    /// updates executed), `edges_changed` and `explorations`.
-    pub runtime: RuntimeMetrics,
-    /// Served from the local cache.
-    pub local_hits: BucketSeries,
-    /// Fetched from the origin server.
-    pub origin_fetches: BucketSeries,
-    /// Sibling queries avoided because a digest said "not cached".
-    pub digest_filtered: u64,
-    /// Digest said "cached" but the sibling did not have the page
-    /// (Bloom false positives plus evictions since publication).
-    pub digest_false_positives: u64,
-    /// Digest said "not cached" but the sibling actually had the page
-    /// (cached since publication): a missed sibling hit.
-    pub digest_stale_misses: u64,
+ddr_stats::metrics! {
+    /// Aggregated web-cache metrics: the shared framework recorder plus the
+    /// cache-domain counters.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CacheMetrics {
+        /// Shared framework recorder: `queries` (requests per hour), `hits`
+        /// (served by a sibling proxy per hour), `messages` (sibling query +
+        /// probe messages per hour), `latency_ms` (request latency,
+        /// post-warm-up; local hits count as 1 ms), `updates` (neighbor
+        /// updates executed), `edges_changed` and `explorations`.
+        pub runtime: RuntimeMetrics,
+        /// Served from the local cache.
+        pub local_hits: BucketSeries,
+        /// Fetched from the origin server.
+        pub origin_fetches: BucketSeries,
+        /// Sibling queries avoided because a digest said "not cached".
+        pub digest_filtered: u64,
+        /// Digest said "cached" but the sibling did not have the page
+        /// (Bloom false positives plus evictions since publication).
+        pub digest_false_positives: u64,
+        /// Digest said "not cached" but the sibling actually had the page
+        /// (cached since publication): a missed sibling hit.
+        pub digest_stale_misses: u64,
+    }
 }
 
 /// The complete world. The sink parameter `T` decides at compile time
@@ -392,15 +394,7 @@ impl<T: TraceSink> World for WebCacheWorld<T> {
     /// the recorder). Read-only, so a metered run stays bit-identical to
     /// an unmetered one.
     fn sample_metrics(&self, _now: SimTime, hub: &mut ddr_sim::MetricsHub) {
-        let m = &self.metrics;
-        let domain = [
-            ("local_hits", m.local_hits.total() as u64),
-            ("origin_fetches", m.origin_fetches.total() as u64),
-            ("digest_filtered", m.digest_filtered),
-            ("digest_false_positives", m.digest_false_positives),
-            ("digest_stale_misses", m.digest_stale_misses),
-        ];
-        for (name, total) in m.runtime.counters().into_iter().chain(domain) {
+        for (name, total) in self.metrics.counters() {
             hub.counter(name, total);
         }
     }

@@ -19,16 +19,17 @@
 //! * [`sim`] — deterministic discrete-event kernel
 //! * [`net`] — bandwidth classes + latency model (paper §4.2)
 //! * [`workload`] — Zipf catalogs, user libraries, churn, query streams
-//! * [`overlay`] — neighbor lists, consistency invariant, topologies
+//! * [`overlay`] — the capacity-bounded per-node neighbor list
 //! * [`core`] — **the framework**: search / exploration / neighbor-update
-//!   policies and benefit functions (paper §3, Algos 1–4), plus the
-//!   shared framework runtime (`runtime`: asymmetric-overlay chassis,
-//!   per-node bundle, reconfiguration clock, timeline sampler)
+//!   policies (paper §3, Algos 1–4), plus the shared framework runtime
+//!   (`runtime`: asymmetric-overlay chassis, per-node bundle, link
+//!   handshake book, reconfiguration clock)
 //! * [`gnutella`] — case study 1: static vs dynamic Gnutella (paper §4)
 //! * [`webcache`] — case study 2: cooperative proxy caching (asymmetric)
 //! * [`peerolap`] — case study 3: distributed OLAP-result caching
-//! * [`stats`] — series/histograms/tables used by the harness, and the
-//!   shared `RuntimeMetrics` recorder all case studies embed, plus
+//! * [`stats`] — series/histograms/tables used by the harness, the
+//!   `metrics!` declaration every metrics record is written with, and
+//!   the shared `RuntimeMetrics` recorder all case studies embed, plus
 //!   `MeasurementWindow`/`safe_ratio` (the windowed-report helpers)
 //! * [`harness`] — the `Scenario` trait, the one prime → run → extract
 //!   driver every case study runs through (`run` / `run_with`), and the
