@@ -148,16 +148,16 @@ UNASSIGNED=$(git ls-files '*.rs' ':!tests/*' ':!crates/*/tests/*' ':!examples/*'
             }
         }')
 DEFERRED_KNOBS=(
-    WebCacheConfig::mean_request_interval # item 13: test-sized, pinned by runtime_regression.rs
-    WebCacheConfig::digest_refresh        # item 13: test-sized, pinned by stale_digests_hurt
-    PeerOlapConfig::mean_query_interval   # item 13: test-sized, pinned by runtime_regression.rs
-    WorkloadConfig::categories            # item 14: the paper's value; benchmark/ reads it
-    WorkloadConfig::theta                 # item 14: the paper's value; benchmark/ reads it
-    WorkloadConfig::library_mean          # item 14: the paper's value
-    WorkloadConfig::library_std           # item 14: the paper's value
-    WorkloadConfig::favorite_fraction     # item 14: the paper's value
-    WorkloadConfig::secondary_categories  # item 14: the paper's value
-    WorkloadConfig::mean_query_interval   # item 14: the paper's value
+    WebCacheConfig::mean_request_interval # invariants item: test-sized, pinned by runtime_regression.rs
+    WebCacheConfig::digest_refresh        # invariants item: test-sized, pinned by stale_digests_hurt
+    PeerOlapConfig::mean_query_interval   # invariants item: test-sized, pinned by runtime_regression.rs
+    WorkloadConfig::categories            # scale-figure item: the paper's value; benchmark/ reads it
+    WorkloadConfig::theta                 # scale-figure item: the paper's value; benchmark/ reads it
+    WorkloadConfig::library_mean          # scale-figure item: the paper's value
+    WorkloadConfig::library_std           # scale-figure item: the paper's value
+    WorkloadConfig::favorite_fraction     # scale-figure item: the paper's value
+    WorkloadConfig::secondary_categories  # scale-figure item: the paper's value
+    WorkloadConfig::mean_query_interval   # scale-figure item: the paper's value
 )
 test -z "$UNASSIGNED" || { echo "    pub *Config fields no file outside tests assigns:"; echo "$UNASSIGNED"; }
 ONE_VALUE=$(echo "$UNASSIGNED" | awk 'NF { print $2 }' \
@@ -273,6 +273,84 @@ STALE=$(for doc in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md; do
             done
     done)
 test -z "$STALE" || { echo "    backticked names the sources no longer spell:"; echo "$STALE"; }
+
+echo "==> EXPERIMENTS.md and DESIGN.md stay at most 800 lines"
+# The per-file source ceiling applied to the two docs: a write-up that
+# repeats CHANGES.md grows them back, and the ledger rows hold the numbers.
+for doc in EXPERIMENTS.md DESIGN.md; do
+    n=$(wc -l < "$doc")
+    echo "    $doc: $n lines"
+    test "$n" -le 800 || { echo "$doc is $n lines; keep it to 800" >&2; exit 1; }
+done
+
+echo "==> every citation names a section that exists"
+# A section of EXPERIMENTS.md is cited as the file name, a space and the
+# heading in double quotes on one line. The quoted text is a `##` / `###`
+# heading, that heading up to its first " — " or " (", or the first cell
+# of a "Measured decisions" row. A section of DESIGN.md is cited as
+# `DESIGN.md §N` (or `DESIGN §N`), one number per citation, N a `## N.`
+# heading. The last cell of a "Performance trajectory" row names its
+# "Measured decisions" row in the same form. Every tracked file is read
+# but CHANGES.md and ISSUE.md, whose entries cite sections as they were.
+CITABLE=$(awk '
+    /^```/ { code = !code; next }
+    code { next }
+    /^##+ / {
+        h = $0; sub(/^#+ /, "", h); print h
+        s = h; sub(/ — .*/, "", s); print s
+        s = h; sub(/ \(.*/, "", s); print s
+        ledger = h == "Measured decisions"; next
+    }
+    ledger && /^\| / && !/^\|---/ { c = $0; sub(/^\| */, "", c); sub(/ *\|.*/, "", c); print c }
+' EXPERIMENTS.md; grep -oE '^## [0-9]+\.' DESIGN.md | sed -E 's/^## ([0-9]+)\./§\1/')
+BAD_CITES=$(git grep -l -I -E 'EXPERIMENTS\.md|DESIGN(\.md)? §' -- ':!CHANGES.md' ':!ISSUE.md' \
+    | xargs awk '
+        FNR == NR { known[$0] = 1; next }
+        function bad(why) { print "    " FILENAME ":" FNR ": " why }
+        FNR == 1 { prev = ""; section = "" }
+        FILENAME == "EXPERIMENTS.md" && /^##+ / { section = $0; sub(/^#+ /, "", section) }
+        FILENAME == "EXPERIMENTS.md" && section == "Performance trajectory" && /^\| / && !/^\|---/ {
+            last = $0; sub(/ *\| *$/, "", last); sub(/.*\| */, "", last)
+            gsub(/EXPERIMENTS\.md "[^"]*"/, "", last)
+            if (last ~ /"/) bad("write the row a trajectory row names as EXPERIMENTS.md \"<row>\"")
+        }
+        {
+            line = $0
+            if (prev ~ /EXPERIMENTS\.md[^ ]* *$/ && line ~ /^[ \t\/!#*>-]*"/ ||
+                prev ~ /DESIGN(\.md)? *$/ && line ~ /^[ \t\/!#*>(-]*§/) bad("citation split across lines")
+            rest = line
+            while (match(rest, /EXPERIMENTS\.md[^ ]* "/)) {
+                form = substr(rest, RSTART, RLENGTH); rest = substr(rest, RSTART + RLENGTH)
+                end = index(rest, "\"")
+                if (end == 0) { bad("citation split across lines"); break }
+                name = substr(rest, 1, end - 1); rest = substr(rest, end + 1)
+                if (form != "EXPERIMENTS.md \"") bad("write the citation as the file name, a space and the quoted heading: \"" name "\"")
+                else if (!(name in known)) bad("no EXPERIMENTS.md section \"" name "\"")
+            }
+            rest = line
+            while (match(rest, /DESIGN(\.md)? §[0-9]+/)) {
+                cite = substr(rest, RSTART, RLENGTH); rest = substr(rest, RSTART + RLENGTH)
+                n = cite; sub(/.*§/, "", n)
+                if (!(("§" n) in known)) bad("no DESIGN.md §" n)
+                if (rest ~ /^[–-]/) bad("one section per citation: " cite rest)
+            }
+            prev = line
+        }' <(echo "$CITABLE") -)
+test -z "$BAD_CITES" || { echo "$BAD_CITES" >&2; echo "a citation names a section that does not exist" >&2; exit 1; }
+
+echo "==> no numbered ROADMAP pointer outside ROADMAP.md, CHANGES.md and ISSUE.md"
+# ROADMAP renumbers its items at every re-anchor, so a number goes stale:
+# name the item by its words instead.
+NUMBERED=$(git grep -n -I -E "ROADMAP(\.md)?('s)? (items? )?[0-9]" -- ':!ROADMAP.md' ':!CHANGES.md' ':!ISSUE.md' || true)
+test -z "$NUMBERED" || { echo "$NUMBERED" >&2; echo "a numbered ROADMAP pointer: name the item by its words" >&2; exit 1; }
+
+echo "==> results/README.md names every file under results/, and each file it names exists"
+MANIFEST=$(grep -oE '`[A-Za-z0-9_.-]+\.(csv|json|txt)`' results/README.md | tr -d '`' | sort -u)
+UNNAMED=$(find results -type f ! -name README.md | sed 's|^results/||' | sort | comm -23 - <(echo "$MANIFEST"))
+test -z "$UNNAMED" || { echo "$UNNAMED" >&2; echo "a results/ file the manifest does not name" >&2; exit 1; }
+ABSENT=$(echo "$MANIFEST" | while read -r f; do test -e "results/$f" || echo "$f"; done)
+test -z "$ABSENT" || { echo "$ABSENT" >&2; echo "the manifest names a results/ file that does not exist" >&2; exit 1; }
+echo "    $(echo "$MANIFEST" | wc -l) files"
 
 echo "==> the newest CHANGES.md entry is at most 12 lines"
 # An entry runs from a line starting `- **PR` to the next one; the newest

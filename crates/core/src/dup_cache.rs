@@ -18,7 +18,7 @@
 //! to delete the evicted id. This halves the random memory traffic per
 //! query on the simulator hot path (each node owns a multi-KiB table, so
 //! with hundreds of nodes every probe is effectively a cache miss; see
-//! `EXPERIMENTS.md`).
+//! EXPERIMENTS.md "Performance trajectory", where PR 2's time went).
 //!
 //! Stale (logically evicted) entries are left in place and reclaimed by
 //! an amortised compaction pass that rebuilds the table from its live

@@ -145,8 +145,8 @@ fn check_step(
         }
         Message::Answer { accepted, .. } => {
             // A reply releases exactly one reservation (none when none
-            // is left: see ROADMAP item 6 on replies from an earlier
-            // session).
+            // is left: see the schedule-checker item of ROADMAP.md, on
+            // replies from an earlier session).
             assert_eq!(after.reserved, before.reserved.saturating_sub(1), "{ctx}");
             assert_ne!(effect, Effect::Declined, "{ctx}");
             if !accepted {

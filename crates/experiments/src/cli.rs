@@ -263,12 +263,19 @@ mod tests {
         type Parser = fn(Vec<String>) -> Result<(), String>;
         let run: Parser = |args| verdict(parse_run(args));
         let serve: Parser = |args| verdict(parse_serve_args(args));
-        for (usage, parser) in [(USAGE, run), (DDR_USAGE, run), (SERVE_USAGE, serve)] {
+        // A floor per usage, so a split that finds no flags fails: `ddr
+        // serve` lists nine since `--monitor-interval` became a rule over
+        // `--duration`.
+        for (usage, parser, at_least) in [
+            (USAGE, run, 10),
+            (DDR_USAGE, run, 10),
+            (SERVE_USAGE, serve, 9),
+        ] {
             let flags: Vec<&str> = usage
                 .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
                 .filter(|w| w.starts_with("--") && w.len() > 2)
                 .collect();
-            assert!(flags.len() >= 10, "{flags:?}");
+            assert!(flags.len() >= at_least, "{flags:?}");
             // Bare, or with "2": a valid count, rate, duration, seed, port
             // and path alike.
             for flag in flags {
@@ -285,6 +292,7 @@ mod tests {
             ["run", "free_riders", "--liar-fraction", "0.15"],
             ["run", "partition_heal", "--islands", "3"],
             ["serve", "gnutella", "--degree", "4"],
+            ["serve", "gnutella", "--monitor-interval", "250"],
         ] {
             let parser = if args[0] == "run" { run } else { serve };
             let said = format!("unknown flag {}", args[2]);

@@ -111,7 +111,7 @@ pub struct ExpOptions {
     /// Shard count for Gnutella worlds on the conservative parallel
     /// kernel. `None` means the serial kernel. The Gnutella slice world
     /// produces bit-identical output either way and at any shard count
-    /// (DESIGN.md §11–12); the `ddr run` subcommand rejects the flag for
+    /// (DESIGN.md §12); the `ddr run` subcommand rejects the flag for
     /// experiments that are not `shardable` rather than silently ignoring
     /// it.
     pub shards: Option<usize>,

@@ -8,7 +8,6 @@
 //! ddr serve gnutella --nodes N --qps Q --duration S
 //!           [--threads N] [--seed S] [--smoke]
 //!           [--trace FILE] [--metrics FILE] [--metrics-port P]
-//!           [--monitor-interval MS]
 //! ```
 //!
 //! The fleet's shape is not a flag: its overlay degree is the paper's 4
@@ -39,8 +38,7 @@ usage: ddr serve gnutella [flags]
   --trace FILE     write completed-query spans as JSONL (ddr inspect reads it)
   --metrics FILE   monitor thread writes windowed timeline JSONL to FILE
   --metrics-port P serve the monitor's latest pass on 127.0.0.1:P
-                   (/metrics: Prometheus text; any other path: JSON)
-  --monitor-interval MS  monitor sampling period, wall ms (default 250)";
+                   (/metrics: Prometheus text; any other path: JSON)";
 
 /// Parsed `ddr serve` arguments.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +52,6 @@ pub struct ServeArgs {
     pub trace: Option<PathBuf>,
     pub metrics: Option<PathBuf>,
     pub metrics_port: Option<u16>,
-    pub monitor_interval_ms: u64,
 }
 
 impl Default for ServeArgs {
@@ -69,7 +66,6 @@ impl Default for ServeArgs {
             trace: None,
             metrics: None,
             metrics_port: None,
-            monitor_interval_ms: 250,
         }
     }
 }
@@ -112,9 +108,6 @@ where
             "--metrics-port" => {
                 out.metrics_port = Some(flag_value(args, &arg, "a port, 1-65535", |&p| p > 0)?)
             }
-            "--monitor-interval" => {
-                out.monitor_interval_ms = flag_value(args, &arg, POSITIVE_INT, |&ms| ms > 0)?
-            }
             "--help" | "-h" => return Err(CliError::Help),
             flag if flag.starts_with('-') => return Err(CliError::UnknownFlag(flag.into())),
             other => {
@@ -152,7 +145,6 @@ pub fn serve_config(args: &ServeArgs) -> ServeConfig {
         metrics_path: args.metrics.clone(),
     };
     cfg.metrics_port = args.metrics_port;
-    cfg.monitor_interval_ms = args.monitor_interval_ms;
     cfg
 }
 
@@ -322,8 +314,6 @@ mod tests {
             "/tmp/serve-timeline.jsonl",
             "--metrics-port",
             "9400",
-            "--monitor-interval",
-            "100",
         ])
         .expect("monitor flags parse");
         assert_eq!(
@@ -331,10 +321,8 @@ mod tests {
             Some(std::path::Path::new("/tmp/serve-timeline.jsonl"))
         );
         assert_eq!(a.metrics_port, Some(9400));
-        assert_eq!(a.monitor_interval_ms, 100);
         let cfg = serve_config(&a);
         assert_eq!(cfg.metrics_port, Some(9400));
-        assert_eq!(cfg.monitor_interval_ms, 100);
 
         // Out-of-range or missing values take the CliError path (usage +
         // exit 2 in serve_main), never a panic inside the bus.
@@ -344,13 +332,8 @@ mod tests {
             parse(&["--metrics-port"]),
             Err(CliError::MissingValue("--metrics-port".into()))
         );
-        assert!(is_bad_value("--monitor-interval", "0"));
         let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(serve_main(argv(&["gnutella", "--metrics-port", "0"])), 2);
-        assert_eq!(
-            serve_main(argv(&["gnutella", "--monitor-interval", "x"])),
-            2
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Gate: `--shards` must never change results (DESIGN.md §11–12).
+//! Gate: `--shards` must never change results (DESIGN.md §12).
 //!
 //! * Every registry entry marked `shardable` goes through the one
 //!   Gnutella runner, which picks the serial driver when `shards` is
@@ -56,9 +56,9 @@ fn every_shardable_experiment_prints_the_same_bytes_serial_and_sharded() {
 fn more_shards_than_workers_prints_the_same_bytes_without_a_thread_per_shard() {
     // `--threads 2 --shards 8`: two workers cannot cover eight slices, so
     // the runner must stay on the single-threaded window loop instead of
-    // spawning eight barrier-bound threads (the hang behind ROADMAP item
-    // 7). The output is pinned here; the thread decision itself in
-    // `exps::tests`.
+    // spawning eight barrier-bound threads, which once hung the run on a
+    // two-core host. The output is pinned here; the thread decision
+    // itself in `exps::tests`.
     assert_eq!(
         captured("fig1", None),
         captured_on("fig1", Some(8), 2),

@@ -186,7 +186,7 @@ pub struct ScenarioConfig {
     /// (default `true`: the same user returns with the same static music
     /// preferences, so remembered benefit is still valid). `false` models
     /// a stateless 2003-era client that restarts cold each session
-    /// (ablation; see EXPERIMENTS.md's Fig 3(b) discussion).
+    /// (ablation; see EXPERIMENTS.md "Figure 3(b)").
     pub persist_stats: bool,
     /// Simulated horizon in hours (paper: 4 days = 96 h).
     pub sim_hours: u64,
@@ -197,7 +197,7 @@ pub struct ScenarioConfig {
     /// off ("Neighbor log-offs trigger the update process", §4.1).
     /// Disabling it makes the request-count threshold K the *only* update
     /// clock — the ablation that reveals how much of the adaptation rate
-    /// is K-independent (see EXPERIMENTS.md's Fig 3(b) discussion).
+    /// is K-independent (see EXPERIMENTS.md "Figure 3(b)").
     pub reconfig_on_neighbor_loss: bool,
     /// Fraction of users who are free-riders (§2: "a peer only requires,
     /// but refuses to provide any content"): they query like everyone

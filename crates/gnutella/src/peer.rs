@@ -139,7 +139,8 @@ pub const REFILL_FLOOR: usize = DEGREE - 1;
 /// seed the most evictions one node receives in one session is 53 in
 /// `fig1`, 61 in `fig3b`, 112 in `heavy_churn`, 165 in `fig2` and 235 in
 /// `free_riders` — 15 short of this cap and 20 short of the `u8` counter
-/// saturating (ROADMAP item 1c lists these eviction storms as a suspect).
+/// saturating (ROADMAP.md's repair item lists these eviction storms among
+/// its other suspects).
 /// Free-rider isolation comes from the advertised-summary eligibility
 /// gate and the evictors' persistent [`PeerState::evicted`] memory, not
 /// from this cap.

@@ -156,8 +156,8 @@ fn dynamic_mode_isolates_liars_despite_their_advertisements() {
     // steady state is churn, not emptiness. Measured across seeds
     // {13, 17, 23, 29} at scale 8 / 24 h: degree ratio vs static
     // 0.89–0.93, vs contributors 0.94–1.00, and 21–22% of standing
-    // eviction memories point at the 15% liar population (see
-    // EXPERIMENTS.md, "Assertion recalibration").
+    // eviction memories point at the 15% liar population
+    // (see EXPERIMENTS.md "Assertion recalibration").
     assert!(
         liar_dynamic < liar_static * 0.97,
         "dynamic did not degrade liar connectivity: {liar_dynamic} vs static {liar_static}"

@@ -24,8 +24,8 @@ fn iterative_deepening_cuts_messages_at_small_hit_cost() {
     // Depth policy [2, 4]: at this scaled density a depth-1 wave almost
     // never satisfies (direct neighbours only), so including it is pure
     // overhead and the message saving degenerates to seed noise. Starting
-    // at depth 2 the saving is robust across seeds (see EXPERIMENTS.md,
-    // "Assertion recalibration").
+    // at depth 2 the saving is robust across seeds
+    // (see EXPERIMENTS.md "Assertion recalibration").
     let id = with_strategy(
         Mode::Static,
         SearchStrategy::IterativeDeepening { depths: vec![2, 4] },
@@ -87,7 +87,8 @@ fn local_indices_cut_messages_and_answer_from_index() {
 #[test]
 fn strategies_compose_with_dynamic_reconfiguration() {
     // The techniques are "orthogonal to our methods": dynamic mode must
-    // still beat its static counterpart under each strategy.
+    // not collapse against its static counterpart under each strategy
+    // (it keeps over 95 % of static's hits; a win is not asserted).
     for strategy in [
         SearchStrategy::IterativeDeepening {
             depths: vec![1, 2, 4],
@@ -162,7 +163,8 @@ fn single_depth_deepening_is_bfs_at_that_depth_in_static_mode() {
 
 #[test]
 fn selective_forwarding_never_sends_more_than_flooding() {
-    // Metamorphic relation (ROADMAP item 7): at equal TTL, forwarding to
+    // Metamorphic relation (ROADMAP.md's invariants-and-metamorphic-
+    // relations item): at equal TTL, forwarding to
     // at most two neighbours per hop cannot cost more messages than
     // forwarding to all of them — in either mode, although Dynamic
     // reconfigures differently under each selection. Measured ratio to

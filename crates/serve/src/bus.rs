@@ -26,15 +26,15 @@
 //!   heap that deep pays ≈17 dependent cache misses per pop — measured,
 //!   half the bus's CPU — and `ddr_sim::EventQueue` doubles resident
 //!   memory because this traffic occupies all of its buckets at once
-//!   (EXPERIMENTS.md, "The bus's timer queue").
+//!   (EXPERIMENTS.md "The bus's timing wheel").
 //! * A turn pops due envelopes up to eight ahead of delivery through
 //!   [`ddr_sim::Lookahead`], the sharded kernel's own ring, and shows
 //!   each to the slice's `ShardWorld::prefetch` / `prefetch_dependent`:
 //!   with 2,000 nodes and their dup-cache tables far past the cache, a
 //!   delivery's node lines, dup-cache slot and Bloom block are on their
 //!   way while the deliveries ahead of it run. `Shard::deliver_due` says
-//!   why that cannot change the order (EXPERIMENTS.md, "The bus's
-//!   lookahead ring").
+//!   why that cannot change the order
+//!   (EXPERIMENTS.md "The bus's lookahead ring").
 //! * Cross-shard sends use `try_send`; a full inbox spills into the
 //!   sender's outbox for retry instead of blocking, so two shards
 //!   flooding each other cannot deadlock.
@@ -51,8 +51,8 @@
 //! slice's own `QueryTracer` (appending to the shared JSONL file), so
 //! `ddr inspect` reads a serve trace exactly like a sim trace. Wall-clock
 //! delivery makes run-to-run interleavings — and therefore exact message
-//! counts — non-deterministic; see EXPERIMENTS.md "Serve-backend
-//! determinism".
+//! counts — non-deterministic; see
+//! EXPERIMENTS.md "Serve-backend determinism".
 
 use crate::monitor::{spawn_observer, MonitorShared};
 use crate::wheel::{Cell, TimerWheel};
@@ -127,14 +127,12 @@ pub struct ServeConfig {
     /// point, copied into the slices' scenario; ignored under
     /// [`run_gnutella`]'s `NullSink`. When `telemetry.metrics_path` or
     /// `metrics_port` is set, one observer thread samples the bus every
-    /// `monitor_interval_ms`; with the path it appends each pass to a
-    /// timeline file.
+    /// tenth of the injection window (10–250 ms); with the path it
+    /// appends each pass to a timeline file.
     pub telemetry: TelemetryConfig,
     /// When set, the observer also answers on `127.0.0.1:port` with its
     /// latest pass: `/metrics` as Prometheus text, any other path as JSON.
     pub metrics_port: Option<u16>,
-    /// Monitor sampling period, wall milliseconds.
-    pub monitor_interval_ms: u64,
 }
 
 impl ServeConfig {
@@ -148,8 +146,14 @@ impl ServeConfig {
             shards: shards.max(1),
             telemetry: TelemetryConfig::default(),
             metrics_port: None,
-            monitor_interval_ms: 250,
         }
+    }
+
+    /// The monitor's sampling period, wall ms: a tenth of the injection
+    /// window, so even a sub-second run has several windows, held to
+    /// 10–250 ms so a pass is neither a busy loop nor stale.
+    fn monitor_interval_ms(&self) -> u64 {
+        (self.duration_s * 100.0).clamp(10.0, 250.0) as u64
     }
 
     /// The scenario the slices are built from: the fleet's, tracing as
@@ -477,7 +481,7 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
             Arc::clone(&clock),
             cfg.telemetry.clone(),
             cfg.metrics_port,
-            cfg.monitor_interval_ms,
+            cfg.monitor_interval_ms(),
         )
     });
 

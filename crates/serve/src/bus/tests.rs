@@ -119,7 +119,6 @@ fn monitor_does_not_perturb_the_report() {
     let path = dir.join("timeline.jsonl");
     let mut cfg = quick_cfg(48, 7, 300.0, 0.4, 2);
     cfg.telemetry.metrics_path = Some(path.clone());
-    cfg.monitor_interval_ms = 50;
     let port = crate::monitor::free_port();
     cfg.metrics_port = Some(port);
     // Both renderings of a live pass, fetched while the bus runs.
@@ -190,6 +189,15 @@ fn monitor_does_not_perturb_the_report() {
         assert!((r.hit_rate - r.hits as f64 / r.queries_completed as f64).abs() < 1e-9);
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn monitor_interval_is_a_tenth_of_the_injection_window_within_10_to_250_ms() {
+    let interval = |duration_s| quick_cfg(8, 1, 10.0, duration_s, 1).monitor_interval_ms();
+    assert_eq!(interval(0.3), 30);
+    assert_eq!(interval(2.0), 200);
+    assert_eq!(interval(60.0), 250);
+    assert_eq!(interval(0.05), 10);
 }
 
 /// A run whose deadline or query count does not fit its integer is a

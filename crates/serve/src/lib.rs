@@ -18,8 +18,8 @@
 //! (arrival interleavings vary run to run). [`run_deterministic`] steps
 //! the same one-shard bus on a virtual millisecond clock instead, a pure
 //! function of the config whose final `Metrics` equal the sharded
-//! kernel's at one shard (`tests/parity.rs`). See EXPERIMENTS.md
-//! "Serve-backend determinism".
+//! kernel's at one shard (`tests/parity.rs`). See
+//! EXPERIMENTS.md "Serve-backend determinism".
 
 pub mod bus;
 mod monitor;

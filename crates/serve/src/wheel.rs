@@ -286,7 +286,7 @@ mod tests {
     /// 70–600 ms, 250 k pending): each millisecond pops what is due and
     /// pushes as many again. Prints ns per pop + push for a heap of 72-byte
     /// entries (the old `Due`) and for the wheel's 64-byte cells;
-    /// EXPERIMENTS.md quotes it. Run with
+    /// EXPERIMENTS.md "The bus's timing wheel" quotes it. Run with
     /// `cargo test --release -p ddr-serve hold_model -- --ignored --nocapture`.
     #[test]
     #[ignore = "a timing, not a check"]

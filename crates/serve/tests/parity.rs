@@ -10,8 +10,8 @@
 //! The wall-clock bus takes the same `ServeConfig`, so topology,
 //! libraries, per-node RNG streams and the offered load are identical;
 //! only delivery timing differs (real threads and channels), so against
-//! it the assertions are aggregate tolerances. See EXPERIMENTS.md
-//! "Serve-backend determinism".
+//! it the assertions are aggregate tolerances. See
+//! EXPERIMENTS.md "Serve-backend determinism".
 
 use ddr_gnutella::events::GnutellaEvent;
 use ddr_gnutella::{GnutellaWorld, NodeSetConfig};

@@ -113,8 +113,8 @@ pub fn wheel_buckets_for(cap: usize) -> usize {
 /// layouts: a kernel pop reads a bucket buffer contiguously (the bus's
 /// slab-threaded lists, measured as this queue, halved `relay_kernel`'s
 /// events per second), while the bus needs memory bounded by peak
-/// pending (EXPERIMENTS.md, "The bus's timer queue" and "Bare-event
-/// wheel buckets").
+/// pending (EXPERIMENTS.md "The bus's timing wheel" and
+/// EXPERIMENTS.md "Bare-event wheel buckets").
 ///
 /// Determinism: identical `(time, seq)` order as the reference heap —
 /// FIFO among equal timestamps — verified by differential tests.

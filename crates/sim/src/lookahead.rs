@@ -10,8 +10,8 @@
 //! What the ring buys is warning: with the next `LOOKAHEAD_RING` (8) items
 //! in hand, a world whose state is far larger than the cache can request
 //! the lines their handlers will miss on while earlier items still run,
-//! in two stages ([`HintStage`]). DESIGN.md §11, "Latency-hiding
-//! dispatch".
+//! in two stages ([`HintStage`]). DESIGN.md §11 states the hint contract;
+//! EXPERIMENTS.md "Latency-hiding dispatch" has the measurements.
 
 use std::collections::VecDeque;
 

@@ -5,10 +5,10 @@
 //! every [`ShardCtx::send`] must use a delay of at least the configured
 //! lookahead (asserted), and handlers may touch only their own shard's
 //! state. The Gnutella case study meets both (per-node RNG streams,
-//! message-passing reconfiguration, shard-local membership — DESIGN.md
-//! §12); worlds that still keep global mutable state (the web-cache
-//! and PeerOlap worlds' shared books) keep the serial kernel. See
-//! DESIGN.md §11.
+//! message-passing reconfiguration, shard-local membership —
+//! DESIGN.md §12); worlds that still keep global mutable state (the
+//! web-cache and PeerOlap worlds' shared books) keep the serial kernel.
+//! See DESIGN.md §11.
 
 use super::merge::Staged;
 use crate::id::NodeId;

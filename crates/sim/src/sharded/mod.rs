@@ -76,7 +76,7 @@ impl<W: ShardWorld> ShardedSimulation<W> {
         // writes, once freed into the allocator's heap, hands later
         // allocations pages nothing had touched, so a process that builds
         // kernel after kernel peaks at a different RSS each time
-        // (EXPERIMENTS.md, "Sort-free window merge").
+        // (EXPERIMENTS.md "Sort-free window merge").
         let per_shard_hint =
             crate::event::event_capacity_hint(partition.nodes() / partition.shards() + 1, 4);
         let wheel_buckets = crate::event::wheel_buckets_for(per_shard_hint);

@@ -29,7 +29,7 @@ pub struct ShardLane {
 
 /// Where a sharded run's time went, per shard and in the coordinator —
 /// the evidence behind the "why is 4 shards slower on 1 core" question
-/// (EXPERIMENTS.md, perf trajectory, PR 10). Snapshot via
+/// (EXPERIMENTS.md "Performance trajectory", PR 10). Snapshot via
 /// [`ShardedSimulation::profile`](super::ShardedSimulation::profile)
 /// after a profiled run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -101,15 +101,6 @@ impl SimDuration {
         SimDuration(h * 3_600_000)
     }
 
-    /// Construct from fractional seconds; fractions below 1 ms are truncated.
-    /// Negative inputs clamp to zero (callers sample from distributions that
-    /// are nominally non-negative but may produce tiny negative values before
-    /// clamping).
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1_000.0) as u64)
-    }
-
     /// Raw millisecond count.
     #[inline]
     pub const fn as_millis(self) -> u64 {
@@ -218,13 +209,6 @@ mod tests {
         assert_eq!(b - a, d);
         assert_eq!(b.saturating_since(a), d);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn from_secs_f64_truncates_and_clamps() {
-        assert_eq!(SimDuration::from_secs_f64(0.0015).as_millis(), 1);
-        assert_eq!(SimDuration::from_secs_f64(-3.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(2.5).as_millis(), 2_500);
     }
 
     #[test]

@@ -58,21 +58,6 @@ impl KernelProfiler {
         Self::default()
     }
 
-    /// Total events dispatched while this profiler was attached.
-    pub fn dispatches(&self) -> u64 {
-        self.by_label.values().map(|s| s.count).sum()
-    }
-
-    /// Number of distinct event types observed.
-    pub fn event_types(&self) -> usize {
-        self.by_label.len()
-    }
-
-    /// Number of periodic queue samples taken.
-    pub fn queue_samples(&self) -> u64 {
-        self.samples
-    }
-
     /// The end-of-run report: a dispatch table (one row per event type,
     /// sorted by label) and a queue-occupancy table.
     pub fn report(&self) -> Vec<Table> {
@@ -254,12 +239,17 @@ mod tests {
             migrations: 1,
             retained_slots: 16,
         });
-        assert_eq!(p.dispatches(), 3);
-        assert_eq!(p.event_types(), 2);
-        assert_eq!(p.queue_samples(), 1);
         let tables = p.report();
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].len(), 2, "one row per event type");
+        let counts: Vec<_> = tables[0]
+            .to_csv()
+            .lines()
+            .skip(1)
+            .map(|row| row.split(',').take(2).collect::<Vec<_>>().join(","))
+            .collect();
+        assert_eq!(counts, ["IssueQuery,2", "QueryArrive,1"]);
+        assert_eq!(tables[1].title(), "calendar-queue occupancy (1 samples)");
         let text = p.render();
         assert!(text.contains("IssueQuery"));
         assert!(text.contains("calendar-queue occupancy"));

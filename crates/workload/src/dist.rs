@@ -428,7 +428,7 @@ mod tests {
     #[test]
     fn pareto_is_seed_stable_across_16_seeds() {
         // Seed-sensitivity bounds for the ChurnModel::Pareto draws
-        // (EXPERIMENTS.md, "Assertion recalibration"): at shape 1.5 the
+        // (EXPERIMENTS.md "Assertion recalibration"): at shape 1.5 the
         // variance is infinite, so the sample mean wanders and only the
         // median and fixed-threshold tail mass are pinned tightly.
         // Analytic values for mean 3.0 h, shape 1.5: scale = 1.0,

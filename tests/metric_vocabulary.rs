@@ -89,7 +89,6 @@ fn serve_keys(tag: &str) -> Keys {
     node_set.query_timeout = SimDuration::from_millis(200);
     let mut cfg = ServeConfig::new(node_set, 200.0, 0.3, 2);
     cfg.telemetry = telemetry;
-    cfg.monitor_interval_ms = 50;
     run_gnutella(&cfg);
     keys_in(&path)
 }
