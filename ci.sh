@@ -47,7 +47,9 @@ test -z "$LONELY" || { echo "    pub traits with fewer than two impls:"; echo "$
 # `pub fn` under crates/*/src whose name is a word of no other line of
 # non-test code, comments stripped. Callers are searched in every tracked
 # .rs file (examples/ and benchmark/src count) but tests/, crates/*/tests/,
-# vendor/ and whatever follows a file's first #[cfg(test)].
+# vendor/ and whatever follows a file's first #[cfg(test)]; a `use` or
+# `pub use` item, over however many lines, names a function without
+# calling it, so it does not count.
 UNCALLED=$(git ls-files '*.rs' ':!tests/*' ':!crates/*/tests/*' ':!vendor/*' \
     | xargs awk '
         /#\[cfg\(test\)\]/ { cut[FILENAME] = 1 }
@@ -56,6 +58,8 @@ UNCALLED=$(git ls-files '*.rs' ':!tests/*' ':!crates/*/tests/*' ':!vendor/*' \
             name = substr($0, 1, RLENGTH); sub(/^ *pub fn /, "", name)
             defs[++d] = name; at[d] = FILENAME ":" FNR
         }
+        /^ *(pub(\([a-z]+\))? )?use / { in_use = 1 }
+        in_use { if (/;/) in_use = 0; next }
         {
             line = $0; sub(/\/\/.*/, "", line); gsub(/[^A-Za-z0-9_]+/, " ", line)
             n = split(line, words, " "); delete once
@@ -398,9 +402,14 @@ cargo run -q --release -p ddr-experiments --bin ddr -- list
 DDR="cargo run -q --release -p ddr-experiments --bin ddr --"
 
 echo "==> ddr run --all --smoke == tests/golden/all_smoke.txt (every registered"
-echo "    experiment runs and prints the bytes it printed at the last re-pin)"
+echo "    experiment runs and prints the bytes it printed at the last re-pin), and"
+echo "    no golden line ends in whitespace"
 $DDR run --all --smoke 2> /dev/null | diff crates/experiments/tests/golden/all_smoke.txt - \
     || { echo "smoke stdout moved; if intended, regenerate the golden file" >&2; exit 1; }
+# A golden line ending in whitespace is an output line ending in it.
+TRAILING=$(git grep -n -I -E '[[:space:]]$' -- crates/experiments/tests/golden || true)
+test -z "$TRAILING" \
+    || { echo "$TRAILING" >&2; echo "golden output lines end in whitespace" >&2; exit 1; }
 
 echo "==> bad flag values exit 2 within a second with a one-line diagnosis, not 134"
 echo "    (under panic=abort only the binary shows an abort, ddr_main's tests cannot)"

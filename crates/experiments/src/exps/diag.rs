@@ -29,11 +29,11 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         opts.scenario(Mode::Static, 2),
         opts.scenario(Mode::Dynamic, 2),
     ];
-    for (report, end) in gnutella_runs(&opts, configs, em) {
+    for (report, census) in gnutella_runs(&opts, configs, em) {
         t.row(vec![
             report.label.to_string(),
-            format!("{:.1}", 100.0 * end.same_category_links),
-            format!("{:.1}", end.stats_per_peer),
+            format!("{:.1}", 100.0 * census.same_category_share()),
+            format!("{:.1}", census.stats_per_online_peer()),
             format!("{:.0}", report.total_hits()),
             format!("{:.0}", report.total_messages()),
             format!("{:.0}", report.mean_first_delay_ms()),

@@ -72,8 +72,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
     }
     em.table(&t);
     em.note(
-        "Expected shape: quality degrades toward the bottom rows (exploration \n\
-         too rare to track cache churn), while the top rows pay extra probe \n\
+        "Expected shape: quality degrades toward the bottom rows (exploration\n\
+         too rare to track cache churn), while the top rows pay extra probe\n\
          messages for little additional benefit.",
     );
     opts.write_csv("exploration_sweep", &t);

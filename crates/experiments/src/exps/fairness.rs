@@ -6,7 +6,7 @@
 //! * with a population of free-riders, does dynamic reconfiguration
 //!   starve them of neighbors while static treats them like anyone else?
 
-use super::{gnutella_runs, smoke_scale};
+use super::{degree_cell, gnutella_runs, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
 use ddr_gnutella::Mode;
@@ -36,22 +36,23 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         }
     }
     let runs = gnutella_runs(&opts, configs.clone(), em);
-    for ((report, end), cfg) in runs.into_iter().zip(&configs) {
+    for ((report, census), cfg) in runs.into_iter().zip(&configs) {
+        let served: Vec<f64> = census.served.iter().map(|&s| s as f64).collect();
         t.row(vec![
             report.label.to_string(),
             format!("{:.0}%", cfg.free_rider_fraction * 100.0),
             format!("{:.0}", report.total_hits()),
-            format!("{:.3}", gini(&end.served)),
-            format!("{:.1}%", 100.0 * top_share(&end.served, 0.10)),
-            end.free_riders.degree_cell(),
-            end.contributors.degree_cell(),
+            format!("{:.3}", gini(&served)),
+            format!("{:.1}%", 100.0 * top_share(&served, 0.10)),
+            degree_cell(&census.free_riders),
+            degree_cell(&census.contributors),
         ]);
     }
     em.table(&t);
     em.note(
-        "Reading guide: with 25% free-riders, dynamic reconfiguration drains the \n\
-         free-riders' neighborhoods (their mean degree drops well below the \n\
-         contributors'), recovering part of the hit loss — the self-policing \n\
+        "Reading guide: with 25% free-riders, dynamic reconfiguration drains the\n\
+         free-riders' neighborhoods (their mean degree drops well below the\n\
+         contributors'), recovering part of the hit loss — the self-policing\n\
          behaviour §2 motivates.",
     );
     opts.write_csv("fairness", &t);

@@ -12,10 +12,10 @@
 //! The structural half of the claim — refusers never serve a single
 //! result — is asserted by the invariant layer on every run.
 
-use super::{fold_digests, gnutella_runs, smoke_scale};
+use super::{degree_cell, fold_digests, gnutella_runs, smoke_scale};
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
-use ddr_gnutella::Mode;
+use ddr_gnutella::{Mode, RoleCensus};
 use ddr_stats::Table;
 
 /// The free-rider share of the population.
@@ -53,8 +53,8 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         })
         .collect();
     let mut reports = Vec::new();
-    for (report, end) in gnutella_runs(&opts, configs, em) {
-        let (contrib, frs, liars) = (end.contributors, end.free_riders, end.liars);
+    for (report, census) in gnutella_runs(&opts, configs, em) {
+        let (contrib, frs, liars) = (census.contributors, census.free_riders, census.liars);
         // Structurally zero — the invariant layer already asserted it;
         // the column makes the claim visible in the table.
         let refuser_served = frs.served + liars.served;
@@ -63,16 +63,13 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         // size. This is the liar-specific isolation signal — liars keep
         // near-normal degree (their fabricated summaries keep attracting
         // invitations) but are evicted at a higher per-capita rate.
-        let users = end.served.len() as f64;
-        let n_liars = (users * LIAR_FRACTION).round().max(1.0);
-        let n_frs = (users * FREE_RIDER_FRACTION).round().max(1.0);
-        let n_contrib = (users - n_liars - n_frs).max(1.0);
-        let contrib_rate = contrib.evicted as f64 / n_contrib;
+        let rate = |role: RoleCensus| role.evicted as f64 / role.members.max(1) as f64;
+        let contrib_rate = rate(contrib);
         let evict_bias = if contrib_rate > 0.0 {
             format!(
                 "{:.1}x / {:.1}x",
-                (frs.evicted as f64 / n_frs) / contrib_rate,
-                (liars.evicted as f64 / n_liars) / contrib_rate,
+                rate(frs) / contrib_rate,
+                rate(liars) / contrib_rate,
             )
         } else {
             "-".into()
@@ -80,25 +77,25 @@ pub fn run(opts: &ExpOptions, em: &mut Emitter) {
         t.row(vec![
             report.label.to_string(),
             format!("{:.0}", report.mean_hits_per_hour()),
-            liars.degree_cell(),
-            frs.degree_cell(),
-            contrib.degree_cell(),
+            degree_cell(&liars),
+            degree_cell(&frs),
+            degree_cell(&contrib),
             evict_bias,
-            format!("{refuser_served:.0}"),
+            refuser_served.to_string(),
         ]);
         reports.push(report);
     }
     em.table(&t);
 
     em.note(
-        "Reading guide: the two refusal styles are punished differently. A \n\
-         free-rider's empty summary fails the invitation-planning gate, so dynamic \n\
-         mode starves it outright (degree collapses) and eviction memories pile \n\
-         onto it at several times the contributor rate. A liar's fabricated \n\
-         summary keeps attracting invitations, so its degree stays near normal — \n\
-         but its observed benefit is zero, so it is evicted at an elevated \n\
-         per-capita rate too (evict-bias column): invite-then-evict churn, not \n\
-         membership. Neither class serves a single query; the invariant layer \n\
+        "Reading guide: the two refusal styles are punished differently. A\n\
+         free-rider's empty summary fails the invitation-planning gate, so dynamic\n\
+         mode starves it outright (degree collapses) and eviction memories pile\n\
+         onto it at several times the contributor rate. A liar's fabricated\n\
+         summary keeps attracting invitations, so its degree stays near normal —\n\
+         but its observed benefit is zero, so it is evicted at an elevated\n\
+         per-capita rate too (evict-bias column): invite-then-evict churn, not\n\
+         membership. Neither class serves a single query; the invariant layer\n\
          asserts that on every run.",
     );
     em.note("invariants: ok (refusal structural, starvation directional)");

@@ -28,12 +28,12 @@ pub mod webcache_eval;
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
 use ddr_gnutella::{
-    check_invariants, run_scenario_sharded, GnutellaScenario, GnutellaWorld, RunReport,
+    check_invariants, run_scenario_sharded, Census, GnutellaScenario, RoleCensus, RunReport,
     ScenarioConfig, ShardedRun,
 };
 use ddr_harness::Scenario;
 use ddr_peerolap::{OlapMode, PeerOlapConfig};
-use ddr_sim::{EventLabel, NodeId, Partition, World};
+use ddr_sim::{EventLabel, Partition, World};
 use ddr_telemetry::{
     shard_profile_report, JsonlMetrics, JsonlSink, KernelProfiler, MetricsRecorder, NullSink,
     TelemetryConfig, TraceSink,
@@ -51,132 +51,42 @@ pub(crate) fn smoke_scale(mut opts: ExpOptions) -> ExpOptions {
     opts
 }
 
-/// End-of-run tallies for one behavioural class of Gnutella nodes.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct RoleEnd {
-    /// Members online at the horizon.
-    pub online: usize,
-    /// Sum of the online members' overlay degrees.
-    pub links: usize,
-    /// Standing eviction memories (evictor, evictee) naming a member.
-    pub evicted: usize,
-    /// Results served by members over the whole run.
-    pub served: f64,
-}
-
-impl RoleEnd {
-    /// Table cell: mean overlay degree over the online members (`-` if
-    /// none is online).
-    pub fn degree_cell(&self) -> String {
-        if self.online == 0 {
-            return "-".into();
-        }
-        format!("{:.2}", self.links as f64 / self.online as f64)
-    }
-}
-
-/// What `diag`, `fairness` and `free_riders` read off the final world,
-/// pooled over every slice of the run so it is the same value at any
-/// shard count. Computed inside [`gnutella_runs`]; the worlds themselves
-/// never leave it.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct EndState {
-    /// Fraction of overlay links whose endpoints share a favourite
-    /// category (the interest-clustering measure).
-    pub same_category_links: f64,
-    /// Mean statistics entries per online peer.
-    pub stats_per_peer: f64,
-    /// Results served per node, in global node order.
-    pub served: Vec<f64>,
-    /// Nodes that are neither free-riders nor liars.
-    pub contributors: RoleEnd,
-    /// Query-only nodes.
-    pub free_riders: RoleEnd,
-    /// Nodes advertising content they refuse to serve (the world draws
-    /// them from the non-free-rider population, so the classes are
-    /// disjoint).
-    pub liars: RoleEnd,
-}
-
-impl EndState {
-    fn of<T: TraceSink>(worlds: &[GnutellaWorld<T>]) -> EndState {
-        let mut end = EndState::default();
-        let (mut links, mut same, mut stats) = (0usize, 0usize, 0usize);
-        for w in worlds {
-            let served = w.served_loads();
-            for (k, &load) in served.iter().enumerate() {
-                let node = NodeId::from_index(w.base() + k);
-                let degree = w.neighbors_of(node).len();
-                let role = if w.is_liar(node) {
-                    &mut end.liars
-                } else if w.is_free_rider(node) {
-                    &mut end.free_riders
-                } else {
-                    &mut end.contributors
-                };
-                role.served += load;
-                if w.is_online(node) {
-                    role.online += 1;
-                    role.links += degree;
-                    stats += w.peer(node).rt.stats.len();
-                }
-            }
-            let (on_liars, on_rest) = w.eviction_memory_split(|n| w.is_liar(n));
-            let (on_frs, _) = w.eviction_memory_split(|n| w.is_free_rider(n));
-            end.liars.evicted += on_liars;
-            end.free_riders.evicted += on_frs;
-            end.contributors.evicted += on_rest - on_frs;
-            let (slice_same, slice_links) = w.same_category_links();
-            same += slice_same;
-            links += slice_links;
-            end.served.extend(served);
-        }
-        let online = end.contributors.online + end.free_riders.online + end.liars.online;
-        if links > 0 {
-            end.same_category_links = same as f64 / links as f64;
-        }
-        if online > 0 {
-            end.stats_per_peer = stats as f64 / online as f64;
-        }
-        end
-    }
+/// Table cell: a class's mean overlay degree over its online members
+/// (`-` if none is online).
+pub(crate) fn degree_cell(role: &RoleCensus) -> String {
+    role.mean_degree()
+        .map_or_else(|| "-".into(), |d| format!("{d:.2}"))
 }
 
 /// (1) The one way to run Gnutella worlds: every configuration, reports
-/// and end states back in input order. Without `--shards` each run goes
+/// and censuses back in input order. Without `--shards` each run goes
 /// through [`serial_runs`] (`--trace` swaps in the JSONL-sink world);
 /// with `--shards N` through `run_scenario_sharded` over N node slices,
 /// on [`shard_threads`] threads (`--metrics` rides in on
 /// `config.telemetry`, `--profile` notes the per-shard breakdown and the
 /// thread count actually used). Either way a run must pass
-/// [`check_invariants`] before its worlds are dropped — a violation aborts
-/// loudly instead of printing a quietly wrong table — and reports are
-/// bit-identical across all of it.
+/// [`check_invariants`], which returns its [`Census`], before its worlds
+/// are dropped — a violation aborts loudly instead of printing a quietly
+/// wrong table — and reports are bit-identical across all of it.
 pub(crate) fn gnutella_runs(
     opts: &ExpOptions,
     configs: Vec<ScenarioConfig>,
     em: &mut Emitter,
-) -> Vec<(RunReport, EndState)> {
-    fn checked<T: TraceSink>(
-        report: RunReport,
-        worlds: &[GnutellaWorld<T>],
-    ) -> (RunReport, EndState) {
-        if let Err(e) = check_invariants(&report, worlds) {
-            panic!("scenario invariants violated: {e}");
-        }
-        let end = EndState::of(worlds);
-        (report, end)
-    }
+) -> Vec<(RunReport, Census)> {
     fn serial<T: TraceSink>(
         opts: &ExpOptions,
         configs: Vec<ScenarioConfig>,
         em: &mut Emitter,
-    ) -> Vec<(RunReport, EndState)> {
+    ) -> Vec<(RunReport, Census)> {
         serial_runs::<GnutellaScenario<T>, _>(
             opts,
             configs,
             |c| &c.telemetry,
-            |report, world| checked(report, &[world]),
+            |report, world| {
+                let census =
+                    check_invariants(&report, &[world]).expect("scenario invariants violated");
+                (report, census)
+            },
             em,
         )
     }
@@ -198,7 +108,9 @@ pub(crate) fn gnutella_runs(
                     if let Some(p) = &profile {
                         em.note(&shard_profile_report(p, threads));
                     }
-                    checked(report, &worlds)
+                    let census =
+                        check_invariants(&report, &worlds).expect("scenario invariants violated");
+                    (report, census)
                 })
                 .collect()
         }
@@ -393,10 +305,7 @@ mod tests {
         c
     }
 
-    fn runs(
-        opts: &ExpOptions,
-        configs: Vec<ScenarioConfig>,
-    ) -> (Vec<(RunReport, EndState)>, String) {
+    fn runs(opts: &ExpOptions, configs: Vec<ScenarioConfig>) -> (Vec<(RunReport, Census)>, String) {
         let mut em = Emitter::capture();
         let runs = gnutella_runs(opts, configs, &mut em);
         let out = em.captured().expect("capture emitter").to_string();
@@ -404,7 +313,7 @@ mod tests {
     }
 
     /// A plain (no observer flag) sweep on `threads` workers.
-    fn plain(configs: Vec<ScenarioConfig>, threads: usize) -> Vec<(RunReport, EndState)> {
+    fn plain(configs: Vec<ScenarioConfig>, threads: usize) -> Vec<(RunReport, Census)> {
         let opts = ExpOptions {
             threads: Some(threads),
             ..ExpOptions::default()
@@ -452,20 +361,22 @@ mod tests {
     }
 
     #[test]
-    fn end_state_pools_roles_over_every_node() {
+    fn census_pools_roles_over_every_node() {
         let mut cfg = tiny(Mode::Dynamic);
         cfg.free_rider_fraction = 0.2;
         cfg.liar_fraction = 0.1;
         let users = cfg.workload.users;
-        let (_, end) = plain(vec![cfg], 1).pop().expect("one run");
-        assert_eq!(end.served.len(), users);
-        assert!(end.contributors.online > 0 && end.free_riders.online + end.liars.online > 0);
-        assert_eq!(
-            end.free_riders.served + end.liars.served,
-            0.0,
-            "a refuser served"
+        let (_, census) = plain(vec![cfg], 1).pop().expect("one run");
+        assert_eq!(census.served.len(), users);
+        let roles = [census.contributors, census.free_riders, census.liars];
+        assert_eq!(roles.iter().map(|r| r.members).sum::<usize>(), users);
+        assert!(
+            census.contributors.online > 0 && census.free_riders.online + census.liars.online > 0
         );
-        assert_eq!(end.contributors.served, end.served.iter().sum::<f64>());
-        assert!((0.0..=1.0).contains(&end.same_category_links));
+        assert_eq!(
+            census.contributors.served,
+            census.served.iter().sum::<u64>()
+        );
+        assert!((0.0..=1.0).contains(&census.same_category_share()));
     }
 }

@@ -102,7 +102,7 @@ mod tests {
         let mean = cfg.workload().mean_online.as_millis();
         assert!(mean.checked_mul(64).is_some(), "mean session {mean} ms");
         let (a, b) = (build_nodes(&cfg), build_nodes(&cfg));
-        assert_eq!(a.owned_nodes(), 64);
+        assert_eq!(a.peers.len(), 64);
         for i in 0..64 {
             let node = NodeId::from_index(i);
             assert_eq!(a.neighbors_of(node), b.neighbors_of(node));

@@ -1,9 +1,8 @@
-//! Scenario invariants: structural properties every Gnutella run must
-//! satisfy regardless of how adversarial the workload is. The scenario
-//! pack asserts these after each run, so the pack doubles as a regression
-//! suite: a kernel or protocol change that breaks conservation, leaks
-//! messages across a partition, or lets a refuser serve shows up here
-//! before it shows up as a subtly wrong figure.
+//! Scenario invariants and the end-of-run census they are checked
+//! against. The scenario pack asserts these after each run, so the pack
+//! doubles as a regression suite: a kernel or protocol change that breaks
+//! conservation, leaks messages across a partition, or lets a refuser
+//! serve shows up here before it shows up as a subtly wrong figure.
 //!
 //! The checker is deliberately *exact* where the simulation is exact
 //! (query conservation, partition isolation, refuser silence) and only
@@ -12,23 +11,135 @@
 
 use crate::config::Mode;
 use crate::metrics::RunReport;
-use crate::world::GnutellaWorld;
-use ddr_sim::NodeId;
+use crate::world::{GnutellaWorld, SharedWorld};
 use ddr_stats::MeasurementWindow;
 use ddr_telemetry::TraceSink;
 
+/// End-of-run tallies for one behavioural class of Gnutella nodes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoleCensus {
+    /// Nodes of the class.
+    pub members: usize,
+    /// Members online at the horizon.
+    pub online: usize,
+    /// Sum of the online members' overlay degrees.
+    pub links: usize,
+    /// Standing eviction memories (evictor, evictee) naming a member.
+    pub evicted: usize,
+    /// Results served by members over the whole run.
+    pub served: u64,
+}
+
+impl RoleCensus {
+    /// Mean overlay degree over the online members (`None` if none is
+    /// online).
+    pub fn mean_degree(&self) -> Option<f64> {
+        (self.online > 0).then(|| self.links as f64 / self.online as f64)
+    }
+}
+
+/// What a finished Gnutella run leaves in its final slices, pooled over
+/// all of them: counts, not ratios, so it is the same value at any shard
+/// count. [`check_invariants`] builds it; the experiments and tests read
+/// their end-of-run quantities from it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Census {
+    /// Nodes that are neither free-riders nor liars.
+    pub contributors: RoleCensus,
+    /// Query-only nodes.
+    pub free_riders: RoleCensus,
+    /// Nodes advertising content they refuse to serve (drawn from the
+    /// non-free-riders, so the three classes are disjoint).
+    pub liars: RoleCensus,
+    /// Results served per node, in global node order.
+    pub served: Vec<u64>,
+    /// Overlay links (over every node's own view) whose endpoints share a
+    /// favourite category: the interest clustering of paper §1.
+    pub same_category: usize,
+    /// Overlay links over every node's own view.
+    pub links: usize,
+    /// Statistics entries held by the online peers.
+    pub stats_entries: usize,
+    /// Queries issued but neither finalised nor abandoned.
+    pub pending: usize,
+}
+
+impl Census {
+    /// One walk over the final `worlds` (any shard count, in shard order).
+    pub fn of<T: TraceSink>(worlds: &[GnutellaWorld<T>]) -> Census {
+        let mut c = Census::default();
+        for w in worlds {
+            let shared = &*w.shared;
+            for (k, peer) in w.peers.iter().enumerate() {
+                let i = w.base + k;
+                let view = w.neighbors[k].as_slice();
+                let favorite = shared.profiles[i].favorite;
+                c.links += view.len();
+                c.same_category += view
+                    .iter()
+                    .filter(|m| shared.profiles[m.index()].favorite == favorite)
+                    .count();
+                c.pending += peer.pending.len();
+                for m in peer.evicted.iter() {
+                    c.role(shared, m.index()).evicted += 1;
+                }
+                c.served.push(w.served[k]);
+                let role = c.role(shared, i);
+                role.members += 1;
+                role.served += w.served[k];
+                if w.sessions[k].online {
+                    role.online += 1;
+                    role.links += view.len();
+                    c.stats_entries += peer.rt.stats.len();
+                }
+            }
+        }
+        c
+    }
+
+    fn role(&mut self, shared: &SharedWorld, i: usize) -> &mut RoleCensus {
+        if shared.liar[i] {
+            &mut self.liars
+        } else if shared.free_rider[i] {
+            &mut self.free_riders
+        } else {
+            &mut self.contributors
+        }
+    }
+
+    /// Share of overlay links within one favourite category (0 without
+    /// links).
+    pub fn same_category_share(&self) -> f64 {
+        if self.links == 0 {
+            return 0.0;
+        }
+        self.same_category as f64 / self.links as f64
+    }
+
+    /// Mean statistics entries per online peer (0 with nobody online).
+    pub fn stats_per_online_peer(&self) -> f64 {
+        let online = self.contributors.online + self.free_riders.online + self.liars.online;
+        if online == 0 {
+            return 0.0;
+        }
+        self.stats_entries as f64 / online as f64
+    }
+}
+
 /// Check every invariant against a finished run: the merged `report` plus
 /// the final per-shard `worlds` (any shard count, including the serial
-/// single world). Returns the first violation as a description, so test
-/// failures read like a diagnosis rather than a boolean.
+/// single world). Returns the run's [`Census`], or the first violation as
+/// a description, so test failures read like a diagnosis rather than a
+/// boolean.
 pub fn check_invariants<T: TraceSink>(
     report: &RunReport,
     worlds: &[GnutellaWorld<T>],
-) -> Result<(), String> {
+) -> Result<Census, String> {
     if worlds.is_empty() {
         return Err("no worlds to check".into());
     }
     let config = worlds[0].config();
+    let census = Census::of(worlds);
     let m = &report.metrics;
 
     // --- Conservation of queries -------------------------------------
@@ -36,7 +147,7 @@ pub fn check_invariants<T: TraceSink>(
     // or still pending at the horizon. The deepening strategy re-keys a
     // pending query per wave but issues and finalises it exactly once.
     let issued = m.runtime.queries.total();
-    let pending: usize = worlds.iter().map(|w| w.pending_queries()).sum();
+    let pending = census.pending;
     let accounted = m.queries_finalized + m.queries_abandoned + pending as u64;
     if issued != accounted as f64 {
         return Err(format!(
@@ -92,39 +203,7 @@ pub fn check_invariants<T: TraceSink>(
         }
     }
 
-    // --- Refusers never serve ----------------------------------------
-    // Free-riders and liars refuse structurally; a single served result
-    // from either means the serving gate regressed.
-    for w in worlds {
-        let loads = w.served_loads();
-        for (k, &load) in loads.iter().enumerate() {
-            let node = NodeId::from_index(w.base() + k);
-            if (w.is_free_rider(node) || w.is_liar(node)) && load > 0.0 {
-                return Err(format!(
-                    "refuser {node} served {load} results (free_rider={}, liar={})",
-                    w.is_free_rider(node),
-                    w.is_liar(node)
-                ));
-            }
-        }
-    }
-
-    // --- Starvation direction (dynamic mode) -------------------------
-    // The benefit function should isolate refusers: averaged over the
-    // population, online refusers must not end up better connected than
-    // online contributors. Directional (1.25x slack) so it holds at smoke
-    // scale; the scenario tests pin the tight calibrated bound.
-    if config.mode == Mode::Dynamic {
-        let refuser = degree_of(worlds, |w, n| w.is_free_rider(n) || w.is_liar(n));
-        let contributor = degree_of(worlds, |w, n| !w.is_free_rider(n) && !w.is_liar(n));
-        if let (Some(r), Some(c)) = (refuser, contributor) {
-            if r > c * 1.25 {
-                return Err(format!(
-                    "refusers better connected than contributors: {r:.2} vs {c:.2} mean degree"
-                ));
-            }
-        }
-    }
+    check_roles(&census, config.mode)?;
 
     // --- Finite metrics ----------------------------------------------
     for (name, v) in [
@@ -139,27 +218,44 @@ pub fn check_invariants<T: TraceSink>(
         }
     }
 
-    Ok(())
+    Ok(census)
 }
 
-/// Population-wide mean degree over online nodes matching `pred`, pooled
-/// across all shards (`None` when no online node matches anywhere).
-fn degree_of<T: TraceSink, P: Fn(&GnutellaWorld<T>, NodeId) -> bool>(
-    worlds: &[GnutellaWorld<T>],
-    pred: P,
-) -> Option<f64> {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for w in worlds {
-        for k in 0..w.owned_nodes() {
-            let node = NodeId::from_index(w.base() + k);
-            if w.is_online(node) && pred(w, node) {
-                sum += w.neighbors_of(node).len() as f64;
-                n += 1;
+/// The census half of [`check_invariants`]: refusers never serve, and
+/// under the dynamic mode they end no better connected than contributors.
+fn check_roles(census: &Census, mode: Mode) -> Result<(), String> {
+    let (frs, liars) = (&census.free_riders, &census.liars);
+
+    // --- Refusers never serve ----------------------------------------
+    // Free-riders and liars refuse structurally; a single served result
+    // from either means the serving gate regressed.
+    if frs.served + liars.served > 0 {
+        return Err(format!(
+            "refusers served results: free-riders {}, liars {}",
+            frs.served, liars.served
+        ));
+    }
+
+    // --- Starvation direction (dynamic mode) -------------------------
+    // The benefit function should isolate refusers: averaged over the
+    // population, online refusers must not end up better connected than
+    // online contributors. Directional (1.25x slack) so it holds at smoke
+    // scale; the scenario tests pin the tight calibrated bound.
+    if mode == Mode::Dynamic {
+        let refusers = RoleCensus {
+            online: frs.online + liars.online,
+            links: frs.links + liars.links,
+            ..RoleCensus::default()
+        };
+        if let (Some(r), Some(c)) = (refusers.mean_degree(), census.contributors.mean_degree()) {
+            if r > c * 1.25 {
+                return Err(format!(
+                    "refusers better connected than contributors: {r:.2} vs {c:.2} mean degree"
+                ));
             }
         }
     }
-    (n > 0).then(|| sum / n as f64)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -213,5 +309,38 @@ mod tests {
         report.metrics.partition_drops = 5;
         let err = check_invariants(&report, &worlds).unwrap_err();
         assert!(err.contains("without a configured partition"), "{err}");
+    }
+
+    /// A healthy dynamic run's census with free-riders and liars in it.
+    fn adversarial_census() -> Census {
+        let mut c = small(Mode::Dynamic);
+        c.free_rider_fraction = 0.15;
+        c.liar_fraction = 0.15;
+        let ShardedRun { report, worlds, .. } = run_scenario_sharded(c, 1, 1, false);
+        let census = check_invariants(&report, &worlds).unwrap();
+        assert!(census.free_riders.online > 0 && census.liars.online > 0);
+        census
+    }
+
+    #[test]
+    fn checker_detects_a_serving_refuser() {
+        let mut census = adversarial_census();
+        census.liars.served = 3;
+        let err = check_roles(&census, Mode::Static).unwrap_err();
+        assert!(err.contains("refusers served"), "{err}");
+    }
+
+    #[test]
+    fn checker_detects_well_connected_refusers_under_dynamic_mode() {
+        let mut census = adversarial_census();
+        let refusers_online = census.free_riders.online + census.liars.online;
+        let contributor_degree = census.contributors.mean_degree().unwrap();
+        // Twice the contributors' mean degree: past the 1.25x slack.
+        census.free_riders.links = (2.0 * contributor_degree * refusers_online as f64) as usize;
+        census.liars.links = 0;
+        let err = check_roles(&census, Mode::Dynamic).unwrap_err();
+        assert!(err.contains("better connected"), "{err}");
+        // Directional only under the dynamic mode: static never evicts.
+        check_roles(&census, Mode::Static).unwrap();
     }
 }

@@ -21,9 +21,11 @@
 //!
 //! Entry point: [`scenario::run_scenario`] — a pure function of
 //! [`config::ScenarioConfig`] (including the seed) returning a
-//! [`metrics::RunReport`]. The `ddr-serve` bus runs the same
-//! [`GnutellaWorld`] slices under wall-clock load; [`fleet`] is the shape
-//! it builds them from.
+//! [`metrics::RunReport`]. What the final overlay holds (each role's
+//! degree, evictions and results served, the same-category link share)
+//! is read once, by [`check_invariants`], into the [`Census`] it returns.
+//! The `ddr-serve` bus runs the same [`GnutellaWorld`] slices under
+//! wall-clock load; [`fleet`] is the shape it builds them from.
 
 pub mod config;
 pub mod events;
@@ -42,7 +44,7 @@ pub mod world;
 pub use config::{Benefit, Mode, PartitionWindow, ScenarioConfig};
 pub use fleet::{build_nodes, NodeSetConfig};
 pub use hosts::HostCache;
-pub use invariants::check_invariants;
+pub use invariants::{check_invariants, Census, RoleCensus};
 pub use metrics::{Metrics, RunReport};
 pub use peer::QueryOutcome;
 pub use scenario::{run_scenario, run_scenario_with_world, GnutellaScenario};

@@ -21,8 +21,8 @@ pub struct ShardedRun {
     /// The merged report — bit-identical to [`crate::run_scenario`]'s.
     pub report: RunReport,
     /// The final per-shard worlds, in shard (= global node) order, for
-    /// post-run inspection: [`crate::check_invariants`] walks them
-    /// (pending queries, per-node roles, degrees) next to the report.
+    /// post-run inspection: [`crate::check_invariants`] walks them into
+    /// the run's [`crate::Census`] next to the report.
     pub worlds: Vec<GnutellaWorld<NullSink>>,
     /// Per-shard work/barrier/stall/merge wall-clock breakdown; `Some`
     /// when the run was asked to profile.

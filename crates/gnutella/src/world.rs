@@ -399,16 +399,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.lookahead
     }
 
-    /// First node index this slice owns.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// Number of nodes this slice owns.
-    pub fn owned_nodes(&self) -> usize {
-        self.peers.len()
-    }
-
     /// `node`'s own view of its neighbor links (owned nodes only).
     pub fn neighbors_of(&self, node: NodeId) -> &[NodeId] {
         self.neighbors[self.li(node)].as_slice()
@@ -445,92 +435,11 @@ impl<T: TraceSink> GnutellaWorld<T> {
         hub.gauge("dup_cache_entries", dup_entries as f64);
     }
 
-    /// Peer state for inspection in tests (owned nodes only).
-    pub fn peer(&self, node: NodeId) -> &PeerState {
-        &self.peers[self.li(node)]
-    }
-
-    /// `(same, total)`: how many overlay links (over owned nodes' views)
-    /// join endpoints sharing a favourite category, and how many links
-    /// there are — `same / total` is the interest-clustering measure
-    /// behind the dynamic mode's gains ("nodes with similar access
-    /// patterns or interests are grouped together", paper §1). Counts,
-    /// not the ratio, so slices pool exactly.
-    pub fn same_category_links(&self) -> (usize, usize) {
-        let (mut same, mut total) = (0usize, 0usize);
-        for k in 0..self.peers.len() {
-            let i = self.base + k;
-            for &m in self.neighbors[k].as_slice() {
-                total += 1;
-                if self.shared.profiles[i].favorite == self.shared.profiles[m.index()].favorite {
-                    same += 1;
-                }
-            }
-        }
-        (same, total)
-    }
-
-    /// Whether `node` is a configured free-rider.
-    pub fn is_free_rider(&self, node: NodeId) -> bool {
-        self.shared.free_rider[node.index()]
-    }
-
-    /// Whether `node` is a configured liar (advertises but never serves).
-    pub fn is_liar(&self, node: NodeId) -> bool {
-        self.shared.liar[node.index()]
-    }
-
-    /// In-flight queries still pending across this slice's owned nodes —
-    /// the third term of the conservation invariant `issued == finalized
-    /// + abandoned + pending-at-horizon`.
-    pub fn pending_queries(&self) -> usize {
-        self.peers.iter().map(|p| p.pending.len()).sum()
-    }
-
-    /// Results served per owned node (load-balance analysis).
-    pub fn served_loads(&self) -> Vec<f64> {
-        self.served.iter().map(|&s| s as f64).collect()
-    }
-
     /// Results served across this slice's owned nodes: one reply message
     /// each, which `metrics.runtime.messages` (query transmissions) does
     /// not count.
     pub fn replies_served(&self) -> u64 {
         self.replies
-    }
-
-    /// Count of standing (evictor, evictee) eviction-memory pairs split
-    /// by whether the evictee matches `pred` — `(matching, rest)`.
-    /// Diagnostic for the free-rider starvation analysis: concentrated
-    /// memories mean evictions single out one class of peers.
-    pub fn eviction_memory_split<P: Fn(NodeId) -> bool>(&self, pred: P) -> (usize, usize) {
-        let mut hit = 0usize;
-        let mut rest = 0usize;
-        for p in &self.peers {
-            for &m in p.evicted.iter() {
-                if pred(m) {
-                    hit += 1;
-                } else {
-                    rest += 1;
-                }
-            }
-        }
-        (hit, rest)
-    }
-
-    /// Mean overlay degree over the *online* owned nodes matching `pred`
-    /// (`None` if no online node matches).
-    pub fn mean_degree_where<P: Fn(NodeId) -> bool>(&self, pred: P) -> Option<f64> {
-        let mut sum = 0usize;
-        let mut n = 0usize;
-        for k in 0..self.peers.len() {
-            let node = NodeId::from_index(self.base + k);
-            if self.sessions[k].online && pred(node) {
-                sum += self.neighbors[k].len();
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum as f64 / n as f64)
     }
 
     pub(crate) fn is_dynamic(&self) -> bool {

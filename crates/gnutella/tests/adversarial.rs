@@ -3,7 +3,7 @@
 //! plus the differential guarantees every pack member must keep:
 //!
 //! * the [`check_invariants`] layer passes on every scenario, serial and
-//!   sharded;
+//!   sharded, and the census it returns is the same at every shard count;
 //! * tracing (`JsonlSink` harness) is observationally inert — traced and
 //!   untraced runs produce bit-identical reports;
 //! * liars — nodes advertising summaries for content they refuse to
@@ -13,11 +13,10 @@
 
 use ddr_gnutella::scenario::run_scenario_with_world;
 use ddr_gnutella::{
-    check_invariants, run_scenario, run_scenario_sharded, GnutellaScenario, Mode, PartitionWindow,
-    ScenarioConfig,
+    check_invariants, run_scenario, run_scenario_sharded, Census, GnutellaScenario, Mode,
+    PartitionWindow, RunReport, ScenarioConfig,
 };
 use ddr_net::ClassMix;
-use ddr_sim::NodeId;
 use ddr_telemetry::JsonlSink;
 use ddr_workload::{ChurnModel, FlashCrowd};
 use proptest::prelude::*;
@@ -69,11 +68,22 @@ fn every_pack_scenario_passes_invariants_serial_and_sharded() {
         cfg.seed = 33;
         apply_pack(which, &mut cfg);
         cfg.validate().unwrap_or_else(|e| panic!("{which}: {e}"));
-        for shards in [1, 2] {
-            let run = run_scenario_sharded(cfg.clone(), shards, 1, false);
-            check_invariants(&run.report, &run.worlds)
-                .unwrap_or_else(|e| panic!("{which} at {shards} shards: {e}"));
-        }
+        let censuses: Vec<Census> = [1, 2, 3]
+            .into_iter()
+            .map(|shards| {
+                let run = run_scenario_sharded(cfg.clone(), shards, 1, false);
+                check_invariants(&run.report, &run.worlds)
+                    .unwrap_or_else(|e| panic!("{which} at {shards} shards: {e}"))
+            })
+            .collect();
+        assert_eq!(
+            censuses[0], censuses[1],
+            "{which}: 2 shards moved the census"
+        );
+        assert_eq!(
+            censuses[0], censuses[2],
+            "{which}: 3 shards moved the census"
+        );
     }
 }
 
@@ -119,33 +129,38 @@ fn liar_cfg(mode: Mode) -> ScenarioConfig {
     c
 }
 
+/// The run's report and its end-of-run census (invariants checked).
+fn run(cfg: ScenarioConfig) -> (RunReport, Census) {
+    let (report, world) = run_scenario_with_world(cfg);
+    let census = check_invariants(&report, &[world]).unwrap();
+    (report, census)
+}
+
 #[test]
 fn liars_advertise_but_never_serve() {
-    let (_, world) = run_scenario_with_world(liar_cfg(Mode::Static));
-    let users = world.config().workload.users;
-    let liars: Vec<usize> = (0..users)
-        .filter(|&i| world.is_liar(NodeId::from_index(i)))
-        .collect();
-    assert_eq!(liars.len(), (users as f64 * 0.15).round() as usize);
-    let loads = world.served_loads();
-    let liar_served: f64 = liars.iter().map(|&i| loads[i]).sum();
-    assert_eq!(liar_served, 0.0, "a liar served a query");
-    assert!(loads.iter().sum::<f64>() > 0.0, "nobody served anything");
+    let (_, census) = run(liar_cfg(Mode::Static));
+    let users = census.served.len();
+    assert_eq!(census.liars.members, (users as f64 * 0.15).round() as usize);
+    assert_eq!(census.liars.served, 0, "a liar served a query");
+    assert!(census.contributors.served > 0, "nobody served anything");
 }
 
 #[test]
 fn dynamic_mode_isolates_liars_despite_their_advertisements() {
-    let (_, stat) = run_scenario_with_world(liar_cfg(Mode::Static));
-    let (_, dynm) = run_scenario_with_world(liar_cfg(Mode::Dynamic));
+    let (_, stat) = run(liar_cfg(Mode::Static));
+    let (_, dynm) = run(liar_cfg(Mode::Dynamic));
 
     let liar_static = stat
-        .mean_degree_where(|n| stat.is_liar(n))
+        .liars
+        .mean_degree()
         .expect("liars online in static run");
     let liar_dynamic = dynm
-        .mean_degree_where(|n| dynm.is_liar(n))
+        .liars
+        .mean_degree()
         .expect("liars online in dynamic run");
     let contrib_dynamic = dynm
-        .mean_degree_where(|n| !dynm.is_liar(n))
+        .contributors
+        .mean_degree()
         .expect("contributors online");
 
     // Liar isolation is *weaker in degree* than free-rider isolation:
@@ -169,13 +184,12 @@ fn dynamic_mode_isolates_liars_despite_their_advertisements() {
     );
     // The sharp signal: evictions single liars out well beyond their
     // population share.
-    let (on_liars, on_rest) = dynm.eviction_memory_split(|n| dynm.is_liar(n));
-    let share = on_liars as f64 / (on_liars + on_rest).max(1) as f64;
+    let memories = |c: &Census| c.contributors.evicted + c.free_riders.evicted + c.liars.evicted;
+    let share = dynm.liars.evicted as f64 / memories(&dynm).max(1) as f64;
     assert!(
         share > 0.18,
         "evictions do not target liars: {share:.3} of {} memories vs 0.15 population share",
-        on_liars + on_rest
+        memories(&dynm)
     );
-    let (s_liars, s_rest) = stat.eviction_memory_split(|n| stat.is_liar(n));
-    assert_eq!(s_liars + s_rest, 0, "static mode never evicts");
+    assert_eq!(memories(&stat), 0, "static mode never evicts");
 }

@@ -5,8 +5,7 @@
 //! benefit and gets evicted).
 
 use ddr_gnutella::scenario::run_scenario_with_world;
-use ddr_gnutella::{Mode, ScenarioConfig};
-use ddr_sim::NodeId;
+use ddr_gnutella::{check_invariants, Census, Mode, RunReport, ScenarioConfig};
 
 fn cfg(mode: Mode, free_riders: f64) -> ScenarioConfig {
     let mut c = ScenarioConfig::scaled(mode, 2, 8, 24);
@@ -15,38 +14,37 @@ fn cfg(mode: Mode, free_riders: f64) -> ScenarioConfig {
     c
 }
 
+/// The run's report and its end-of-run census (invariants checked).
+fn run(cfg: ScenarioConfig) -> (RunReport, Census) {
+    let (report, world) = run_scenario_with_world(cfg);
+    let census = check_invariants(&report, &[world]).unwrap();
+    (report, census)
+}
+
 #[test]
 fn free_rider_selection_is_deterministic_and_sized() {
-    let (_, a) = run_scenario_with_world(cfg(Mode::Static, 0.25));
-    let (_, b) = run_scenario_with_world(cfg(Mode::Static, 0.25));
-    let users = a.config().workload.users;
-    let count = (0..users)
-        .filter(|&i| a.is_free_rider(NodeId::from_index(i)))
-        .count();
-    assert_eq!(count, (users as f64 * 0.25).round() as usize);
-    for i in 0..users {
-        let n = NodeId::from_index(i);
-        assert_eq!(a.is_free_rider(n), b.is_free_rider(n));
-    }
+    let (_, a) = run(cfg(Mode::Static, 0.25));
+    let (_, b) = run(cfg(Mode::Static, 0.25));
+    let users = a.served.len();
+    assert_eq!(
+        a.free_riders.members,
+        (users as f64 * 0.25).round() as usize
+    );
+    assert_eq!(a, b);
 }
 
 #[test]
 fn free_riders_never_serve() {
-    let (_, world) = run_scenario_with_world(cfg(Mode::Static, 0.25));
-    let loads = world.served_loads();
-    for (i, &load) in loads.iter().enumerate() {
-        if world.is_free_rider(NodeId::from_index(i)) {
-            assert_eq!(load, 0.0, "free-rider {i} served results");
-        }
-    }
+    let (_, census) = run(cfg(Mode::Static, 0.25));
+    assert_eq!(census.free_riders.served, 0, "a free-rider served results");
     // ... while contributors do serve.
-    assert!(loads.iter().sum::<f64>() > 0.0);
+    assert!(census.contributors.served > 0);
 }
 
 #[test]
 fn free_riders_depress_hits() {
-    let (clean, _) = run_scenario_with_world(cfg(Mode::Static, 0.0));
-    let (infested, _) = run_scenario_with_world(cfg(Mode::Static, 0.25));
+    let (clean, _) = run(cfg(Mode::Static, 0.0));
+    let (infested, _) = run(cfg(Mode::Static, 0.25));
     assert!(
         infested.total_hits() < clean.total_hits(),
         "free riders should cost hits: {} vs {}",
@@ -57,17 +55,14 @@ fn free_riders_depress_hits() {
 
 #[test]
 fn dynamic_mode_starves_free_riders_of_neighbors() {
-    let (_, stat) = run_scenario_with_world(cfg(Mode::Static, 0.25));
-    let (_, dynm) = run_scenario_with_world(cfg(Mode::Dynamic, 0.25));
+    let (_, stat) = run(cfg(Mode::Static, 0.25));
+    let (_, dynm) = run(cfg(Mode::Dynamic, 0.25));
 
-    let fr_static = stat
-        .mean_degree_where(|n| stat.is_free_rider(n))
-        .expect("free riders online");
-    let fr_dynamic = dynm
-        .mean_degree_where(|n| dynm.is_free_rider(n))
-        .expect("free riders online");
+    let fr_static = stat.free_riders.mean_degree().expect("free riders online");
+    let fr_dynamic = dynm.free_riders.mean_degree().expect("free riders online");
     let contrib_dynamic = dynm
-        .mean_degree_where(|n| !dynm.is_free_rider(n))
+        .contributors
+        .mean_degree()
         .expect("contributors online");
 
     // In the static overlay free-riders are indistinguishable; dynamic
@@ -85,8 +80,8 @@ fn dynamic_mode_starves_free_riders_of_neighbors() {
 
 #[test]
 fn serving_load_is_skewed_and_measurable() {
-    let (_, world) = run_scenario_with_world(cfg(Mode::Dynamic, 0.0));
-    let loads = world.served_loads();
+    let (_, census) = run(cfg(Mode::Dynamic, 0.0));
+    let loads: Vec<f64> = census.served.iter().map(|&s| s as f64).collect();
     let g = ddr_stats::gini(&loads);
     let top10 = ddr_stats::top_share(&loads, 0.10);
     // Zipf content popularity + bandwidth preference make serving load

@@ -69,7 +69,10 @@ fn virtual_run_closes_every_window_on_time() {
     let r = report(&cfg, offered, std::slice::from_ref(&shard), end);
     assert_eq!((r.queries_issued, r.queries_completed), (20, 20));
     assert_eq!(shard.outcomes.len(), 20);
-    assert_eq!(shard.world.pending_queries(), 0);
+    assert_eq!(
+        ddr_gnutella::Census::of(std::slice::from_ref(&shard.world)).pending,
+        0
+    );
     // The last query, issued at 950 ms, closed the run.
     let window = cfg.node_set.query_timeout;
     assert_eq!(end, SimTime::from_millis(950) + window);

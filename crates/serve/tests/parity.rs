@@ -14,7 +14,7 @@
 //! EXPERIMENTS.md "Serve-backend determinism".
 
 use ddr_gnutella::events::GnutellaEvent;
-use ddr_gnutella::{GnutellaWorld, NodeSetConfig};
+use ddr_gnutella::{Census, GnutellaWorld, NodeSetConfig};
 use ddr_serve::{run_deterministic, run_gnutella, ServeConfig};
 use ddr_sim::{NodeId, ShardedSimulation, SimDuration, SimTime};
 
@@ -44,9 +44,10 @@ fn virtual_clock_equals_the_sharded_kernel() {
         let (r, slice) = run_deterministic(&cfg);
         let kernel = sharded_kernel(&cfg);
         assert_eq!(slice.metrics, kernel.metrics, "{nodes} nodes, seed {seed}");
-        let served = slice.served_loads();
-        assert_eq!(served, kernel.served_loads(), "per-node results served");
-        assert_eq!(slice.replies_served(), served.iter().sum::<f64>() as u64);
+        let replies = slice.replies_served();
+        let census = Census::of(&[slice]);
+        assert_eq!(census, Census::of(&[kernel]), "end-of-run census");
+        assert_eq!(replies, census.served.iter().sum::<u64>());
         let queries = (qps * secs) as u64;
         let counts = (r.queries_offered, r.queries_issued, r.queries_completed);
         assert_eq!(counts, (queries, queries, queries), "every offer closes");

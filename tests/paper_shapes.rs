@@ -149,11 +149,12 @@ fn fig3b_decay_appears_without_logoff_trigger() {
 /// same-favourite-category links than chance.
 #[test]
 fn dynamic_clusters_interests() {
-    use ddr_repro::gnutella::scenario::run_scenario_with_world;
-    let (_, sw) = run_scenario_with_world(cfg(Mode::Static, 2, 8));
-    let (_, dw) = run_scenario_with_world(cfg(Mode::Dynamic, 2, 8));
-    let fraction = |(same, total): (usize, usize)| same as f64 / total as f64;
-    let s = fraction(sw.same_category_links());
-    let d = fraction(dw.same_category_links());
+    use ddr_repro::gnutella::{check_invariants, scenario::run_scenario_with_world};
+    let share = |mode| {
+        let (report, world) = run_scenario_with_world(cfg(mode, 2, 8));
+        let census = check_invariants(&report, &[world]).unwrap();
+        census.same_category_share()
+    };
+    let (s, d) = (share(Mode::Static), share(Mode::Dynamic));
     assert!(d > s * 2.0, "no clustering: dynamic {d} vs static {s}");
 }
