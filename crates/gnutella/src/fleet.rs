@@ -108,7 +108,7 @@ mod tests {
             assert_eq!(a.neighbors_of(node), b.neighbors_of(node));
             let library = |w: &GnutellaWorld| w.shared.profiles[i].library().to_vec();
             assert_eq!(library(&a), library(&b));
-            assert!(a.is_online(node), "node {i} offline at t = 0");
+            assert!(a.sessions[i].online, "node {i} offline at t = 0");
             // The random bootstrap fills almost everyone; nobody isolated,
             // nobody over the degree.
             let links = a.neighbors_of(node).len();

@@ -438,7 +438,7 @@ mod tests {
                         "seed {seed}: {i} -> {m} is not mirrored"
                     );
                 }
-                if world.is_online(n) {
+                if world.sessions[i].online {
                     online += 1;
                     links += view.len();
                 } else {

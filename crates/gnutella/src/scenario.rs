@@ -65,6 +65,7 @@ mod tests {
     use super::*;
     use crate::config::{Mode, ScenarioConfig};
     use crate::peer::DEGREE;
+    use crate::Census;
 
     /// A small-but-alive configuration: 200 users, paper densities,
     /// 12 simulated hours. Fast enough for unit tests (< 1 s release,
@@ -144,15 +145,10 @@ mod tests {
         // online node may briefly list an offline one (its Unlink is in
         // flight) — but an offline node's *own* view is always empty.
         let (_, world) = run_scenario_with_world(small(Mode::Dynamic, 2));
-        for i in 0..world.config().workload.users {
-            let n = ddr_sim::NodeId::from_index(i);
-            if !world.is_online(n) {
-                assert!(
-                    world.neighbors_of(n).is_empty(),
-                    "offline node {n} still holds links"
-                );
-            }
-        }
+        let census = Census::of(&[world]);
+        let roles = [&census.contributors, &census.free_riders, &census.liars];
+        let online_links: usize = roles.iter().map(|r| r.links).sum();
+        assert_eq!(census.links, online_links, "an offline node holds links");
     }
 
     #[test]

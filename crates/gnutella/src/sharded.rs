@@ -112,7 +112,8 @@ pub fn run_scenario_sharded(
 mod tests {
     use super::*;
     use crate::config::Mode;
-    use crate::run_scenario;
+    use crate::{run_scenario, Census};
+    use ddr_sim::parallelism::MIN_CHUNK;
 
     fn small(mode: Mode) -> ScenarioConfig {
         let mut c = ScenarioConfig::scaled(mode, 2, 20, 6);
@@ -144,5 +145,47 @@ mod tests {
         let one = run_scenario_sharded(small(Mode::Dynamic), 4, 1, false).report;
         let four = run_scenario_sharded(small(Mode::Dynamic), 4, 4, false).report;
         assert_eq!(one, four);
+    }
+
+    /// A world of more than one build chunk, built on 1 and 3 workers
+    /// and split into 1 and 2 shards, runs a simulated quarter hour to
+    /// one digest and one census.
+    #[test]
+    fn build_workers_are_invisible() {
+        let mut config = ScenarioConfig::big_world(Mode::Dynamic, 2, 2 * MIN_CHUNK + 3, 2);
+        config.seed = 7;
+        let run = |shards: usize, workers: usize| {
+            let (mut worlds, partition, lookahead) =
+                GnutellaWorld::<NullSink>::build_on(config.clone(), shards, workers);
+            let mut prime = Vec::new();
+            for w in &mut worlds {
+                w.collect_prime(&mut prime);
+            }
+            let mut sim = ShardedSimulation::new(worlds, partition, lookahead);
+            for (at, node, ev) in prime {
+                sim.schedule_at(at, node, ev);
+            }
+            sim.run_parallel(SimTime::from_mins(15), 1);
+            let worlds = sim.into_worlds();
+            let mut metrics = Metrics::new();
+            for w in &worlds {
+                metrics.merge(&w.metrics);
+            }
+            let report = RunReport {
+                metrics,
+                window: MeasurementWindow::new(config.warmup_hours, config.sim_hours),
+                label: config.mode.label(),
+            };
+            (report.digest(), Census::of(&worlds))
+        };
+        let serial = run(1, 1);
+        assert!(serial.1.links > 0, "the world never linked: {:?}", serial.1);
+        for (shards, workers) in [(1, 3), (2, 1), (2, 3)] {
+            assert_eq!(
+                run(shards, workers),
+                serial,
+                "shards {shards}, workers {workers}"
+            );
+        }
     }
 }

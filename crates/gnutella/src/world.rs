@@ -64,11 +64,11 @@ use ddr_core::{CategorySummary, LocalIndex, UpdatePlan};
 use ddr_net::{NetworkModel, NodeDelayStream};
 use ddr_overlay::NeighborList;
 use ddr_sim::{
-    prefetch_line, prefetch_object, HintStage, NodeId, Partition, QueryId, RngFactory, Scheduler,
-    ShardCtx, ShardWorld, SimDuration, SimTime, World,
+    default_workers, map_chunked, prefetch_line, prefetch_object, HintStage, NodeId, Partition,
+    QueryId, RngFactory, Scheduler, ShardCtx, ShardWorld, SimDuration, SimTime, World,
 };
 use ddr_telemetry::{NullSink, QueryTracer, TraceSink};
-use ddr_workload::{generate_profiles, Catalog, ChurnProcess, QueryGenerator, UserProfile};
+use ddr_workload::{generate_profiles_on, Catalog, ChurnProcess, QueryGenerator, UserProfile};
 use rand::rngs::SmallRng;
 use std::ptr::addr_of;
 use std::sync::Arc;
@@ -160,9 +160,28 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// derivations (profiles, classes, bootstrap overlay, initial online
     /// set) happen in full node order *before* splitting, so the per-node
     /// state is independent of the shard count.
+    ///
+    /// The per-node columns (profiles, summaries, the `gnutella.proto`
+    /// and `net.delay` streams) are built over [`default_workers`]
+    /// contiguous node chunks ([`map_chunked`]). Each node's entry reads
+    /// only its own `(label, node)` streams and inputs fixed before the
+    /// pass, so the world is bit-identical at any worker count. The
+    /// `PeerState`s, the free-rider and liar shuffles, the initial online
+    /// set, the bootstrap overlay, the host caches and the slice split
+    /// stay serial, in node order.
     pub fn build_sharded(
         config: ScenarioConfig,
         shards: usize,
+    ) -> (Vec<GnutellaWorld<T>>, Partition, SimDuration) {
+        Self::build_on(config, shards, default_workers())
+    }
+
+    /// [`Self::build_sharded`] with its per-node pass on at most
+    /// `workers` threads.
+    pub(crate) fn build_on(
+        config: ScenarioConfig,
+        shards: usize,
+        workers: usize,
     ) -> (Vec<GnutellaWorld<T>>, Partition, SimDuration) {
         config.validate().expect("invalid scenario config");
         assert!(shards >= 1, "need at least one shard");
@@ -175,7 +194,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         let users = config.workload.users;
         let rngs = RngFactory::new(config.seed);
         let catalog = Catalog::for_workload(&config.workload);
-        let profiles = generate_profiles(&config.workload, &catalog, &rngs);
+        let profiles = generate_profiles_on(&config.workload, &catalog, &rngs, workers);
         let net = match config.bandwidth_mix {
             Some(mix) => NetworkModel::paper_with_mix(users, &rngs, mix),
             None => NetworkModel::paper(users, &rngs),
@@ -186,6 +205,10 @@ impl<T: TraceSink> GnutellaWorld<T> {
             "delay model admits zero delays: no usable lookahead"
         );
 
+        // Built on this thread: the run regrows each dup-cache table, and
+        // one allocated by a chunk thread is then freed into that thread's
+        // malloc arena, where the run cannot reuse it. See
+        // EXPERIMENTS.md "Parallel world build".
         let mut peers: Vec<PeerState> = (0..users)
             .map(|i| {
                 let churn = ChurnProcess::new(&config.workload, &rngs, i as u64);
@@ -242,19 +265,21 @@ impl<T: TraceSink> GnutellaWorld<T> {
         // library (passing every summary gate) yet never serve — the
         // deception the benefit function must catch through observed
         // answers alone.
-        let summaries = profiles
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
+        let categories = catalog.categories() as usize;
+        let summaries = map_chunked(
+            users,
+            workers,
+            || (),
+            |_, i| {
                 if free_rider[i] {
-                    CategorySummary::empty(catalog.categories() as usize)
+                    CategorySummary::empty(categories)
                 } else {
-                    CategorySummary::build(p.library(), catalog.categories() as usize, |i| {
-                        catalog.category_of(i).index()
+                    CategorySummary::build(profiles[i].library(), categories, |item| {
+                        catalog.category_of(item).index()
                     })
                 }
-            })
-            .collect();
+            },
+        );
 
         // Initially-online users and the random bootstrap overlay among
         // them, linked directly in the per-node views.
@@ -279,12 +304,18 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 h
             })
             .collect();
-        let proto: Vec<SmallRng> = (0..users)
-            .map(|i| rngs.stream("gnutella.proto", i as u64))
-            .collect();
-        let delays: Vec<NodeDelayStream> = (0..users)
-            .map(|i| NodeDelayStream::new(&rngs, NodeId::from_index(i)))
-            .collect();
+        let proto = map_chunked(
+            users,
+            workers,
+            || (),
+            |_, i| rngs.stream("gnutella.proto", i as u64),
+        );
+        let delays = map_chunked(
+            users,
+            workers,
+            || (),
+            |_, i| NodeDelayStream::new(&rngs, NodeId::from_index(i)),
+        );
 
         let shared = Arc::new(SharedWorld {
             config,
@@ -402,11 +433,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// `node`'s own view of its neighbor links (owned nodes only).
     pub fn neighbors_of(&self, node: NodeId) -> &[NodeId] {
         self.neighbors[self.li(node)].as_slice()
-    }
-
-    /// Whether an owned node is currently online.
-    pub fn is_online(&self, node: NodeId) -> bool {
-        self.sessions[self.li(node)].online
     }
 
     /// This slice's counters: its [`Metrics::counters`], then `replies`

@@ -34,7 +34,8 @@
 //!   ring both the sharded kernel and the `ddr-serve` bus dispatch
 //!   through, and the one prefetch primitive their hints are made of.
 //! * [`parallelism`] — the one shared worker-count default every layer
-//!   (sweeps, CLI `--threads`/`--shards`, serve shards) resolves through.
+//!   (sweeps, CLI `--threads`/`--shards`, serve shards) resolves through,
+//!   and [`map_chunked`], the data-parallel map a world's build runs on.
 //!
 //! ## Determinism contract
 //!
@@ -65,7 +66,7 @@ pub use hash::{FastHashMap, FastHashSet, FxHasher};
 pub use id::{ItemId, NodeId, QueryId};
 pub use lookahead::{prefetch_line, prefetch_object, HintStage, Lookahead};
 pub use metrics::MetricsHub;
-pub use parallelism::{default_workers, resolve_workers};
+pub use parallelism::{default_workers, map_chunked, resolve_workers};
 pub use probe::{EventLabel, KernelProbe, QueueSample};
 pub use rng::RngFactory;
 pub use sharded::{Partition, ShardCtx, ShardLane, ShardProfile, ShardWorld, ShardedSimulation};

@@ -29,5 +29,5 @@ pub use catalog::{Catalog, CategoryId};
 pub use churn::ChurnProcess;
 pub use config::{ChurnModel, FlashCrowd, WorkloadConfig};
 pub use dist::{Exponential, Pareto, TruncatedGaussian, Zipf};
-pub use profile::{generate_profiles, UserProfile};
+pub use profile::{generate_profiles, generate_profiles_on, UserProfile};
 pub use query::QueryGenerator;

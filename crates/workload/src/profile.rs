@@ -11,7 +11,7 @@
 use crate::catalog::{Catalog, CategoryId};
 use crate::config::WorkloadConfig;
 use crate::dist::TruncatedGaussian;
-use ddr_sim::{ItemId, NodeId, RngFactory};
+use ddr_sim::{default_workers, map_chunked, ItemId, NodeId, RngFactory};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -143,68 +143,85 @@ impl UserProfile {
     }
 }
 
-/// Generate all user profiles for a run. Deterministic in `(config, rngs)`;
-/// each user has an independent RNG stream so profiles are insensitive to
-/// generation order.
+/// Generate all user profiles for a run on [`default_workers`] threads
+/// (see [`generate_profiles_on`]).
 pub fn generate_profiles(
     config: &WorkloadConfig,
     catalog: &Catalog,
     rngs: &RngFactory,
 ) -> Vec<UserProfile> {
+    generate_profiles_on(config, catalog, rngs, default_workers())
+}
+
+/// Generate all user profiles for a run over at most `workers` contiguous
+/// user chunks ([`map_chunked`]). Deterministic in `(config, rngs)`: each
+/// user draws from its own `("profile", user)` stream and the per-chunk
+/// scratch (the rank bitset and the category shuffle buffer) is
+/// overwritten before every read, so the profiles are the same at any
+/// worker count.
+pub fn generate_profiles_on(
+    config: &WorkloadConfig,
+    catalog: &Catalog,
+    rngs: &RngFactory,
+    workers: usize,
+) -> Vec<UserProfile> {
     config.validate().expect("invalid workload config");
     let (lo, hi) = config.library_bounds();
     let lib_dist = TruncatedGaussian::new(config.library_mean, config.library_std, lo, hi);
 
-    // Rank bitset shared by every distinct draw of every user.
-    let mut marks = Vec::new();
-    (0..config.users)
-        .map(|i| {
-            let mut rng = rngs.stream("profile", i as u64);
-            let favorite = catalog.sample_category(&mut rng);
+    // Per chunk: the rank bitset every distinct draw shares, and the
+    // buffer the secondary categories are shuffled in.
+    let scratch = || {
+        (
+            Vec::new(),
+            Vec::with_capacity(catalog.categories() as usize),
+        )
+    };
+    map_chunked(config.users, workers, scratch, |(marks, pool), i| {
+        let mut rng = rngs.stream("profile", i as u64);
+        let favorite = catalog.sample_category(&mut rng);
 
-            // 5 other *random* categories, distinct from the favourite and
-            // from each other (uniform choice: the paper says "random", not
-            // popularity-weighted).
-            let mut pool: Vec<u16> = (0..catalog.categories())
-                .filter(|&c| c != favorite.0)
-                .collect();
-            pool.shuffle(&mut rng);
-            let secondary: Vec<CategoryId> = pool
-                .into_iter()
-                .take(config.secondary_categories)
-                .map(CategoryId)
-                .collect();
+        // 5 other *random* categories, distinct from the favourite and
+        // from each other (uniform choice: the paper says "random", not
+        // popularity-weighted).
+        pool.clear();
+        pool.extend((0..catalog.categories()).filter(|&c| c != favorite.0));
+        pool.shuffle(&mut rng);
+        let secondary: Vec<CategoryId> = pool
+            .iter()
+            .take(config.secondary_categories)
+            .map(|&c| CategoryId(c))
+            .collect();
 
-            let total = lib_dist
-                .sample_count(&mut rng)
-                .max(config.secondary_categories + 1);
-            let favorite_count =
-                ((total as f64 * config.favorite_fraction).round() as usize).min(total);
-            let per_secondary = if secondary.is_empty() {
-                0
-            } else {
-                (total - favorite_count) / secondary.len()
-            };
+        let total = lib_dist
+            .sample_count(&mut rng)
+            .max(config.secondary_categories + 1);
+        let favorite_count =
+            ((total as f64 * config.favorite_fraction).round() as usize).min(total);
+        let per_secondary = if secondary.is_empty() {
+            0
+        } else {
+            (total - favorite_count) / secondary.len()
+        };
 
-            // A category owns a contiguous id range and a run comes out
-            // ascending, so the sorted library is the runs laid end to
-            // end in category order: each run is drawn (favourite first,
-            // as ever) straight into the place its category's rank among
-            // the drawn ones gives it, and nothing is sorted.
-            let mut library = vec![ItemId(0); favorite_count + per_secondary * secondary.len()];
-            let runs = std::iter::once((favorite, favorite_count))
-                .chain(secondary.iter().map(|&cat| (cat, per_secondary)));
-            for (cat, count) in runs {
-                let start = if favorite < cat { favorite_count } else { 0 }
-                    + per_secondary * secondary.iter().filter(|&&c| c < cat).count();
-                let run = &mut library[start..start + count];
-                catalog.sample_distinct_songs(&mut rng, cat, &mut marks, run);
-            }
-            debug_assert!(library.windows(2).all(|w| w[0] < w[1]));
+        // A category owns a contiguous id range and a run comes out
+        // ascending, so the sorted library is the runs laid end to
+        // end in category order: each run is drawn (favourite first,
+        // as ever) straight into the place its category's rank among
+        // the drawn ones gives it, and nothing is sorted.
+        let mut library = vec![ItemId(0); favorite_count + per_secondary * secondary.len()];
+        let runs = std::iter::once((favorite, favorite_count))
+            .chain(secondary.iter().map(|&cat| (cat, per_secondary)));
+        for (cat, count) in runs {
+            let start = if favorite < cat { favorite_count } else { 0 }
+                + per_secondary * secondary.iter().filter(|&&c| c < cat).count();
+            let run = &mut library[start..start + count];
+            catalog.sample_distinct_songs(&mut rng, cat, marks, run);
+        }
+        debug_assert!(library.windows(2).all(|w| w[0] < w[1]));
 
-            UserProfile::from_parts(NodeId::from_index(i), favorite, secondary, library)
-        })
-        .collect()
+        UserProfile::from_parts(NodeId::from_index(i), favorite, secondary, library)
+    })
 }
 
 #[cfg(test)]

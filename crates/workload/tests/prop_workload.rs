@@ -1,8 +1,10 @@
 //! Property-based tests for workload generation invariants.
 
+use ddr_sim::parallelism::MIN_CHUNK;
 use ddr_sim::{ItemId, RngFactory};
 use ddr_workload::{
-    generate_profiles, Catalog, CategoryId, TruncatedGaussian, WorkloadConfig, Zipf,
+    generate_profiles, generate_profiles_on, Catalog, CategoryId, TruncatedGaussian,
+    WorkloadConfig, Zipf,
 };
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
@@ -82,8 +84,10 @@ fn libraries_by_sort(
 }
 
 /// Every library equals the sort-based formulation's, at paper density
-/// (a library holds ≈ 2.5 % of a category) and in a small catalog where
-/// the favourite run takes half its category and rejection works hard.
+/// (a library holds ≈ 2.5 % of a category), in a small catalog where
+/// the favourite run takes half its category and rejection works hard,
+/// and in a population that straddles chunk boundaries, at 1, 2 and 3
+/// workers.
 #[test]
 fn libraries_equal_the_sort_based_formulation() {
     let paper = WorkloadConfig {
@@ -95,15 +99,31 @@ fn libraries_equal_the_sort_based_formulation() {
         songs: 10_000,
         ..WorkloadConfig::paper()
     };
-    for cfg in [paper, dense] {
+    let straddle = WorkloadConfig {
+        users: 2 * MIN_CHUNK + 3,
+        ..WorkloadConfig::paper()
+    };
+    let seeds = [7, 51, 0xD15C0];
+    for (cfg, seeds) in [
+        (paper, &seeds[..]),
+        (dense, &seeds[..]),
+        (straddle, &seeds[..1]),
+    ] {
         let catalog = Catalog::new(cfg.songs, cfg.categories, cfg.theta);
-        for seed in [7, 51, 0xD15C0] {
+        for &seed in seeds {
             let rngs = RngFactory::new(seed);
             let expect = libraries_by_sort(&cfg, &catalog, &rngs);
-            let got = generate_profiles(&cfg, &catalog, &rngs);
-            assert_eq!(got.len(), expect.len());
-            for (p, want) in got.iter().zip(&expect) {
-                assert_eq!(p.library(), &want[..], "seed {seed}, user {}", p.node);
+            for workers in [1, 2, 3] {
+                let got = generate_profiles_on(&cfg, &catalog, &rngs, workers);
+                assert_eq!(got.len(), expect.len());
+                for (p, want) in got.iter().zip(&expect) {
+                    assert_eq!(
+                        p.library(),
+                        &want[..],
+                        "seed {seed}, workers {workers}, user {}",
+                        p.node
+                    );
+                }
             }
         }
     }

@@ -2,7 +2,7 @@
 //! studies and multiple seeds: the foundation for every reported number.
 
 use ddr_repro::gnutella::scenario::run_scenario_with_world;
-use ddr_repro::gnutella::{run_scenario, Mode, ScenarioConfig};
+use ddr_repro::gnutella::{run_scenario, Census, Mode, ScenarioConfig};
 use ddr_repro::sim::NodeId;
 use ddr_repro::webcache::{run_webcache, CacheMode, WebCacheConfig};
 
@@ -64,11 +64,16 @@ fn invariants_hold_across_seeds() {
                 view.len() <= ddr_gnutella::peer::DEGREE,
                 "seed {seed}: node {n} over degree"
             );
-            // 3. Offline nodes hold no links in their own view.
-            if !world.is_online(n) {
-                assert!(view.is_empty(), "seed {seed}: offline {n} linked");
-            }
         }
+        // 3. Offline nodes hold no links in their own view: every link
+        // counts in an online member's degree.
+        let census = Census::of(std::slice::from_ref(&world));
+        let roles = [&census.contributors, &census.free_riders, &census.liars];
+        let online_links: usize = roles.iter().map(|r| r.links).sum();
+        assert_eq!(
+            census.links, online_links,
+            "seed {seed}: an offline node is linked"
+        );
         // 4. Accounting sanity: hits ≤ queries issued; results ≥ hits.
         let queries = report.metrics.runtime.queries.total();
         assert!(
