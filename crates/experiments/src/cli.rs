@@ -26,8 +26,7 @@ flags (shared by every experiment):
                     N divides 2000 and is below it)
   --hours H         simulated horizon, >= 2 (default 96)
   --seed S          root seed override
-  --csv DIR         also write table CSVs into DIR
-  --json DIR        also write report JSON into DIR
+  --csv DIR         also write table CSVs and report JSON into DIR
   --smoke           seconds-long CI configuration
   --trace FILE      write sampled query-lifecycle spans as JSONL to FILE
   --trace-sample N  trace every Nth query (default 1 = all)
@@ -243,7 +242,7 @@ mod tests {
         // `/proc` accepts neither new directories nor new files, so each
         // flag fails in `prepare_outputs`; nothing has run by then (a
         // paper-scale fig3b would take minutes, this returns at once).
-        for flag in ["--csv", "--json", "--trace", "--metrics"] {
+        for flag in ["--csv", "--trace", "--metrics"] {
             let code = ddr_main(argv(&["run", "fig3b", flag, "/proc/nope"]));
             assert_eq!(code, 2, "{flag} /proc/nope");
         }
@@ -291,6 +290,7 @@ mod tests {
             ["run", "heavy_churn", "--pareto-shape", "1.5"],
             ["run", "free_riders", "--liar-fraction", "0.15"],
             ["run", "partition_heal", "--islands", "3"],
+            ["run", "fig1", "--json", "out"],
             ["serve", "gnutella", "--degree", "4"],
             ["serve", "gnutella", "--monitor-interval", "250"],
         ] {

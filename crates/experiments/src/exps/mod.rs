@@ -171,8 +171,9 @@ where
 /// The serial driver under the observer flags: run every configuration
 /// through `ddr_harness::run_with`, hand each `(report, final world)` to
 /// `finish` on the thread that ran it, and return the results in input
-/// order. A plain batch fans out across `opts.workers()` threads on the
-/// shared sweep engine; `--profile` runs under one kernel probe and notes
+/// order. A plain batch fans out across `opts.workers()` threads through
+/// `ddr_sim::map_chunked`, each thread claiming the next configuration
+/// as it finishes one; `--profile` runs under one kernel probe and notes
 /// the dispatch/queue report afterwards, `--metrics` samples an hourly
 /// timeline into `telemetry(config).metrics_path` — one probe, one
 /// timeline file, so observed batches run in sequence. The trace sink is
@@ -215,7 +216,13 @@ where
         finish(report, world)
     };
     if !opts.profile && opts.metrics.is_none() {
-        return ddr_harness::run_many(configs, opts.workers(), |c| run_one(c, None));
+        return ddr_sim::map_chunked(
+            configs.len(),
+            opts.workers(),
+            1,
+            || (),
+            |_, i| run_one(configs[i].clone(), None),
+        );
     }
     let mut profiler = opts.profile.then(KernelProfiler::new);
     let results = configs

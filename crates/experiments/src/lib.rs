@@ -10,8 +10,8 @@
 //!
 //! Runs with the same options are bit-reproducible. Every experiment
 //! reaches a kernel through one of the two runners in [`exps`];
-//! independent runs in a sweep fan out across worker threads on the
-//! `ddr-harness` sweep engine, each single-threaded and deterministic,
+//! independent runs in a sweep fan out across worker threads through
+//! `ddr_sim::map_chunked`, each single-threaded and deterministic,
 //! so parallelism never affects results — only wall-clock time.
 
 pub mod cli;

@@ -47,7 +47,7 @@ impl std::fmt::Display for CliError {
 }
 
 /// The flag summary printed on `--help` and on parse errors.
-pub const USAGE: &str = "options: --scale N  --hours H  --seed S  --csv DIR  --json DIR  --smoke  \
+pub const USAGE: &str = "options: --scale N  --hours H  --seed S  --csv DIR  --smoke  \
      --trace FILE  --trace-sample N  --metrics FILE  --profile  \
      --threads N  --shards N  (-h for help)";
 
@@ -82,10 +82,8 @@ pub struct ExpOptions {
     pub hours: u64,
     /// Root seed override.
     pub seed: Option<u64>,
-    /// Directory for CSV output, if requested.
+    /// Directory for CSV and report JSON output, if requested.
     pub csv_dir: Option<PathBuf>,
-    /// Directory for JSON output; falls back to [`csv_dir`](Self::csv_dir).
-    pub json_dir: Option<PathBuf>,
     /// CI smoke mode: shrink every world so the run takes seconds.
     pub smoke: bool,
     /// Whether `--scale` was given explicitly (experiments with their own
@@ -124,7 +122,6 @@ impl Default for ExpOptions {
             hours: 96,
             seed: None,
             csv_dir: None,
-            json_dir: None,
             smoke: false,
             scale_explicit: false,
             hours_explicit: false,
@@ -174,7 +171,6 @@ impl ExpOptions {
                 }
                 "--seed" => opts.seed = Some(flag_value(args, &arg, "an integer", |_| true)?),
                 "--csv" => opts.csv_dir = Some(flag_value(args, &arg, "a path", |_| true)?),
-                "--json" => opts.json_dir = Some(flag_value(args, &arg, "a path", |_| true)?),
                 "--smoke" => opts.smoke = true,
                 "--trace" => opts.trace = Some(flag_value(args, &arg, "a path", |_| true)?),
                 "--metrics" => opts.metrics = Some(flag_value(args, &arg, "a path", |_| true)?),
@@ -250,11 +246,11 @@ impl ExpOptions {
         c
     }
 
-    /// Create the `--csv` / `--json` directories and the `--trace` /
+    /// Create the `--csv` directory and the `--trace` /
     /// `--metrics` files, so an unwritable path fails with a diagnosis
     /// before the first experiment runs instead of after the last one.
     pub fn prepare_outputs(&self) -> Result<(), String> {
-        for dir in [&self.csv_dir, &self.json_dir].into_iter().flatten() {
+        if let Some(dir) = &self.csv_dir {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create directory {}: {e}", dir.display()))?;
         }
@@ -269,11 +265,10 @@ impl ExpOptions {
         }
     }
 
-    /// Write any serialisable value as pretty JSON into the json dir
-    /// (falling back to the csv dir) — used to archive full run reports
-    /// next to the table CSVs.
+    /// Write any serialisable value as pretty JSON into the csv dir — used
+    /// to archive full run reports next to the table CSVs.
     pub fn write_json<T: serde::Serialize>(&self, name: &str, value: &T) {
-        if let Some(dir) = self.json_dir.as_ref().or(self.csv_dir.as_ref()) {
+        if let Some(dir) = &self.csv_dir {
             let json = serde_json::to_string_pretty(value).expect("reports serialise");
             write_file(&dir.join(format!("{name}.json")), &json);
         }
@@ -308,7 +303,7 @@ mod tests {
         let (o, pos) = parse(&[]).unwrap();
         assert_eq!(o.scale, 1);
         assert_eq!(o.hours, 96);
-        assert!(o.seed.is_none() && o.csv_dir.is_none() && o.json_dir.is_none());
+        assert!(o.seed.is_none() && o.csv_dir.is_none());
         assert!(!o.smoke && !o.scale_explicit && !o.hours_explicit);
         assert!(o.trace.is_none() && !o.profile);
         assert_eq!(o.trace_sample, 1);
@@ -370,15 +365,13 @@ mod tests {
     #[test]
     fn full_flag_set_parses() {
         let (o, pos) = parse(&[
-            "--scale", "10", "--hours", "12", "--seed", "7", "--csv", "out", "--json", "jdir",
-            "--smoke",
+            "--scale", "10", "--hours", "12", "--seed", "7", "--csv", "out", "--smoke",
         ])
         .unwrap();
         assert_eq!(o.scale, 10);
         assert_eq!(o.hours, 12);
         assert_eq!(o.seed, Some(7));
         assert_eq!(o.csv_dir.as_deref(), Some(std::path::Path::new("out")));
-        assert_eq!(o.json_dir.as_deref(), Some(std::path::Path::new("jdir")));
         assert!(o.smoke && o.scale_explicit && o.hours_explicit);
         assert!(pos.is_empty());
     }

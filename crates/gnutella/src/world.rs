@@ -64,8 +64,9 @@ use ddr_core::{CategorySummary, LocalIndex, UpdatePlan};
 use ddr_net::{NetworkModel, NodeDelayStream};
 use ddr_overlay::NeighborList;
 use ddr_sim::{
-    default_workers, map_chunked, prefetch_line, prefetch_object, HintStage, NodeId, Partition,
-    QueryId, RngFactory, Scheduler, ShardCtx, ShardWorld, SimDuration, SimTime, World,
+    default_workers, map_chunked, parallelism::MIN_CHUNK, prefetch_line, prefetch_object,
+    HintStage, NodeId, Partition, QueryId, RngFactory, Scheduler, ShardCtx, ShardWorld,
+    SimDuration, SimTime, World,
 };
 use ddr_telemetry::{NullSink, QueryTracer, TraceSink};
 use ddr_workload::{generate_profiles_on, Catalog, ChurnProcess, QueryGenerator, UserProfile};
@@ -162,10 +163,11 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// state is independent of the shard count.
     ///
     /// The per-node columns (profiles, summaries, the `gnutella.proto`
-    /// and `net.delay` streams) are built over [`default_workers`]
-    /// contiguous node chunks ([`map_chunked`]). Each node's entry reads
-    /// only its own `(label, node)` streams and inputs fixed before the
-    /// pass, so the world is bit-identical at any worker count. The
+    /// and `net.delay` streams) are built on [`default_workers`] threads
+    /// that claim contiguous chunks of [`MIN_CHUNK`] nodes in turn
+    /// ([`map_chunked`]). Each node's entry reads only its own
+    /// `(label, node)` streams and inputs fixed before the pass, so the
+    /// world is bit-identical at any worker count. The
     /// `PeerState`s, the free-rider and liar shuffles, the initial online
     /// set, the bootstrap overlay, the host caches and the slice split
     /// stay serial, in node order.
@@ -269,6 +271,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         let summaries = map_chunked(
             users,
             workers,
+            MIN_CHUNK,
             || (),
             |_, i| {
                 if free_rider[i] {
@@ -307,12 +310,14 @@ impl<T: TraceSink> GnutellaWorld<T> {
         let proto = map_chunked(
             users,
             workers,
+            MIN_CHUNK,
             || (),
             |_, i| rngs.stream("gnutella.proto", i as u64),
         );
         let delays = map_chunked(
             users,
             workers,
+            MIN_CHUNK,
             || (),
             |_, i| NodeDelayStream::new(&rngs, NodeId::from_index(i)),
         );

@@ -17,13 +17,9 @@
 //! driver. (Host-time measurement is not done here: `benchmark/` times
 //! the same `Scenario` methods at the layer boundaries.)
 //!
-//! On top of the driver sits [`run_many`], the deterministic parallel
-//! sweep engine shared by the experiment layer: fan-out over a shared
-//! worker pool with a bounded result channel, and results returned in
-//! input order regardless of completion order.
+//! A sweep of such runs maps its configurations through
+//! [`ddr_sim::map_chunked`], the one data-parallel map.
 
 pub mod scenario;
-pub mod sweep;
 
 pub use scenario::{run, run_with, Scenario};
-pub use sweep::run_many;

@@ -23,7 +23,8 @@ use ddr_stats::MeasurementWindow;
 ///
 /// Determinism contract: `run` is a pure function of `Config` (which
 /// embeds the seed) — calling it twice, or on different worker threads,
-/// yields identical reports. The sweep engine relies on this.
+/// yields identical reports. A sweep through `ddr_sim::map_chunked`
+/// relies on this.
 pub trait Scenario {
     /// Full configuration of one run, seed included.
     type Config: Clone;
@@ -98,7 +99,7 @@ pub fn run_with<S: Scenario>(
 }
 
 #[cfg(test)]
-pub(crate) mod toy {
+mod toy {
     //! A minimal in-crate scenario used by harness unit tests (the real
     //! case studies live downstream and would be a dependency cycle).
 

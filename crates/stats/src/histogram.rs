@@ -1,7 +1,7 @@
 //! Scalar summaries: running moments and fixed-width histograms with
 //! percentile queries. Back the Fig 3(a) delay measurements.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Running mean/variance/min/max over exact component sums.
 ///
@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// order** — the property the sharded kernel's report merge relies on.
 /// (Welford's `(mean, m2)` carries rounding that depends on visit
 /// order, which would break sharded == serial parity.)
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunningStats {
     n: u64,
     sum: f64,
@@ -108,7 +108,7 @@ impl RunningStats {
 /// Fixed-width histogram over `[0, width * bins)`; out-of-range samples go
 /// to the overflow bucket. Supports approximate percentiles (bucket upper
 /// bound of the first bucket reaching the target rank).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Histogram {
     width: f64,
     counts: Vec<u64>,

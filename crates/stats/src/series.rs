@@ -1,10 +1,10 @@
 //! Bucketed time series (the paper's per-hour reporting).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A series of non-negative counts accumulated into integer buckets
 /// (bucket = simulated hour in the experiments). Buckets grow on demand.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct BucketSeries {
     buckets: Vec<f64>,
 }
@@ -86,14 +86,5 @@ mod tests {
         assert_eq!(a.get(2), 5.0);
         assert_eq!(a.get(4), 5.0);
         assert_eq!(a.len(), 5);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut s = BucketSeries::new();
-        s.add(1, 2.5);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: BucketSeries = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

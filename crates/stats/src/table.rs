@@ -1,7 +1,7 @@
 //! Paper-style result tables: aligned plain text for terminals plus CSV
 //! export, so each experiment binary prints the same rows the paper plots.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt::Write as _;
 
 /// A simple column-oriented table.
@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 /// assert!(t.render().contains("2301"));
 /// assert!(t.to_csv().starts_with("hour,hits\n"));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Table {
     title: String,
     headers: Vec<String>,

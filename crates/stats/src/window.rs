@@ -9,7 +9,7 @@
 //! did for the raw counters).
 
 use crate::series::BucketSeries;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Divide `num` by `den`, returning `0.0` for an empty (zero or negative)
 /// denominator instead of `NaN`/`inf`.
@@ -34,7 +34,7 @@ pub fn safe_ratio(num: f64, den: f64) -> f64 {
 /// Constructed by the scenario harness from `(warmup_hours, sim_hours)`
 /// and embedded in every run report; all report accessors delegate their
 /// windowed arithmetic here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MeasurementWindow {
     /// First measured hour (inclusive) — the warm-up boundary.
     pub from_hour: u64,
@@ -143,13 +143,5 @@ mod tests {
         assert_eq!(w.mean_per_hour(&s), 0.0);
         let inverted = MeasurementWindow::new(4, 2);
         assert_eq!(inverted.hours(), 0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let w = MeasurementWindow::new(2, 96);
-        let json = serde_json::to_string(&w).unwrap();
-        let back: MeasurementWindow = serde_json::from_str(&json).unwrap();
-        assert_eq!(w, back);
     }
 }

@@ -11,6 +11,7 @@
 use crate::catalog::{Catalog, CategoryId};
 use crate::config::WorkloadConfig;
 use crate::dist::TruncatedGaussian;
+use ddr_sim::parallelism::MIN_CHUNK;
 use ddr_sim::{default_workers, map_chunked, ItemId, NodeId, RngFactory};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -153,8 +154,8 @@ pub fn generate_profiles(
     generate_profiles_on(config, catalog, rngs, default_workers())
 }
 
-/// Generate all user profiles for a run over at most `workers` contiguous
-/// user chunks ([`map_chunked`]). Deterministic in `(config, rngs)`: each
+/// Generate all user profiles for a run on at most `workers` threads, in
+/// chunks of [`MIN_CHUNK`] users ([`map_chunked`]). Deterministic in `(config, rngs)`: each
 /// user draws from its own `("profile", user)` stream and the per-chunk
 /// scratch (the rank bitset and the category shuffle buffer) is
 /// overwritten before every read, so the profiles are the same at any
@@ -177,7 +178,8 @@ pub fn generate_profiles_on(
             Vec::with_capacity(catalog.categories() as usize),
         )
     };
-    map_chunked(config.users, workers, scratch, |(marks, pool), i| {
+    let users = config.users;
+    map_chunked(users, workers, MIN_CHUNK, scratch, |(marks, pool), i| {
         let mut rng = rngs.stream("profile", i as u64);
         let favorite = catalog.sample_category(&mut rng);
 

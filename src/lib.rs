@@ -32,8 +32,9 @@
 //!   the shared `RuntimeMetrics` recorder all case studies embed, plus
 //!   `MeasurementWindow`/`safe_ratio` (the windowed-report helpers)
 //! * [`harness`] — the `Scenario` trait, the one prime → run → extract
-//!   driver every case study runs through (`run` / `run_with`), and the
-//!   deterministic parallel sweep engine (`run_many`)
+//!   driver every case study runs through (`run` / `run_with`); sweeps
+//!   of its runs map through [`sim::map_chunked`], the one data-parallel
+//!   map
 //! * [`telemetry`] — zero-cost-when-off observability: query-lifecycle
 //!   span tracing (JSONL), kernel profiling, and the trace summarizer
 //!   behind `ddr inspect`

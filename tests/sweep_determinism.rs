@@ -1,11 +1,13 @@
-//! The sweep engine's determinism contract, exercised on a real case
-//! study (not the harness's toy world): running the same batch of
-//! Gnutella configurations serially and in parallel must produce
-//! bit-identical reports, in input order, regardless of worker count or
-//! completion order.
+//! A sweep's determinism contract, exercised on a real case study (not
+//! the harness's toy world): mapping the same batch of Gnutella
+//! configurations through `map_chunked` serially and in parallel, one
+//! configuration a claim as `ddr run` does, must produce bit-identical
+//! reports, in input order, regardless of worker count or completion
+//! order.
 
 use ddr_repro::gnutella::{GnutellaScenario, Mode, ScenarioConfig};
-use ddr_repro::harness::{run, run_many};
+use ddr_repro::harness::run;
+use ddr_repro::sim::map_chunked;
 
 fn cfg(mode: Mode, seed: u64) -> ScenarioConfig {
     let mut c = ScenarioConfig::scaled(mode, 2, 20, 4);
@@ -26,8 +28,17 @@ fn parallel_batch_is_bit_identical_to_serial() {
         })
         .collect();
 
-    let serial = run_many(configs.clone(), 1, run::<GnutellaScenario>);
-    let parallel = run_many(configs, 4, run::<GnutellaScenario>);
+    let sweep = |workers: usize| {
+        map_chunked(
+            configs.len(),
+            workers,
+            1,
+            || (),
+            |_, i| run::<GnutellaScenario>(configs[i].clone()),
+        )
+    };
+    let serial = sweep(1);
+    let parallel = sweep(4);
 
     assert_eq!(serial.len(), parallel.len());
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
