@@ -44,19 +44,21 @@ LONELY=$(git grep -hoE '^\s*pub trait \w+' -- 'crates/*/src/*.rs' | awk '{ print
 test -z "$LONELY" || { echo "    pub traits with fewer than two impls:"; echo "$LONELY"; }
 
 # A function nothing calls is code nobody runs. Listed, not failed: every
-# `pub fn` under crates/*/src whose name is a word of no other line of
-# non-test code, comments stripped. Callers are searched in every tracked
-# .rs file (examples/ and benchmark/src count) but tests/, crates/*/tests/,
-# vendor/ and whatever follows a file's first #[cfg(test)]; a `use` or
-# `pub use` item, over however many lines, names a function without
-# calling it, so it does not count.
+# `pub fn` under crates/*/src whose name is a word of no line of non-test
+# code but the `pub fn` lines defining it, comments stripped (so two
+# uncalled functions of one name do not hide each other). Callers are
+# searched in every tracked .rs file (examples/ and benchmark/src count)
+# but tests/, crates/*/tests/, vendor/, `tests.rs` modules and whatever
+# follows a file's first #[cfg(test)]; a `use` or `pub use` item, over
+# however many lines, names a function without calling it, so it does not
+# count.
 UNCALLED=$(git ls-files '*.rs' ':!tests/*' ':!crates/*/tests/*' ':!vendor/*' \
     | xargs awk '
         /#\[cfg\(test\)\]/ { cut[FILENAME] = 1 }
-        cut[FILENAME] { next }
+        cut[FILENAME] || FILENAME ~ /\/tests\.rs$/ { next }
         FILENAME ~ /^crates\/[^\/]+\/src\// && match($0, /^ *pub fn [A-Za-z_][A-Za-z0-9_]*/) {
             name = substr($0, 1, RLENGTH); sub(/^ *pub fn /, "", name)
-            defs[++d] = name; at[d] = FILENAME ":" FNR
+            defs[++d] = name; at[d] = FILENAME ":" FNR; defined[name]++
         }
         /^ *(pub(\([a-z]+\))? )?use / { in_use = 1 }
         in_use { if (/;/) in_use = 0; next }
@@ -65,7 +67,7 @@ UNCALLED=$(git ls-files '*.rs' ':!tests/*' ':!crates/*/tests/*' ':!vendor/*' \
             n = split(line, words, " "); delete once
             for (i = 1; i <= n; i++) if (!(words[i] in once)) { once[words[i]] = 1; lines[words[i]]++ }
         }
-        END { for (i = 1; i <= d; i++) if (lines[defs[i]] == 1) print "    " at[i] ": " defs[i] }')
+        END { for (i = 1; i <= d; i++) if (lines[defs[i]] == defined[defs[i]]) print "    " at[i] ": " defs[i] }')
 test -z "$UNCALLED" || { echo "    pub fns no other line of non-test code names:"; echo "$UNCALLED"; }
 
 # A variant no other file spells is a knob nobody selects. Listed, not
@@ -515,19 +517,29 @@ for example in quickstart music_sharing web_caching olap_caching policy_playgrou
     cargo run -q --release --example "$example" > /dev/null
 done
 
-echo "==> ddr serve --smoke --trace --metrics (real-time bus load test: every offered"
-echo "    query is issued and completes, and at least one is answered; the spans come"
-echo "    from the world slices' own tracer and the timeline from the monitor's observer"
-echo "    thread, so ddr inspect must read both). Two shards whatever the core count:"
-echo "    cross-shard try_send, the outbox retry and a second inbox are all that differs"
-echo "    from run_deterministic's virtual clock, and one shard skips them"
+echo "==> ddr serve --smoke --metrics, then --trace (real-time bus load test: every"
+echo "    offered query is issued and completes, and at least one is answered; the"
+echo "    timeline comes from the monitor's observer thread and the spans from the world"
+echo "    slice's own tracer, so ddr inspect must read both). The metered run takes two"
+echo "    shards whatever the core count: cross-shard try_send, the outbox retry and a"
+echo "    second inbox are all that differs from run_deterministic's virtual clock, and"
+echo "    one shard skips them. A traced run is one shard (a slice's tracer holds only"
+echo "    the spans its own nodes issued), and --threads 2 with --trace exits 2"
 SERVE_TRACE="$(mktemp -t ddr-ci-serve.XXXXXX.jsonl)"
 SERVE_METRICS="$(mktemp -t ddr-ci-serve-metrics.XXXXXX.jsonl)"
 trap 'rm -f "$TRACE" "$METRICS" "$SERVE_TRACE" "$SERVE_METRICS"' EXIT
-SERVE=$($DDR serve gnutella --nodes 200 --qps 50 --duration 2 --threads 2 --smoke \
-    --trace "$SERVE_TRACE" --metrics "$SERVE_METRICS")
-echo "$SERVE"
+status=0
+stderr=$(timeout 1 "$BIN" serve gnutella --trace "$SERVE_TRACE" --threads 2 2>&1 > /dev/null) \
+    || status=$?
+diagnosis=${stderr%%$'\n'*}
+test "$status" -eq 2 && [[ $diagnosis == "--trace cannot be combined with --threads"* ]] \
+    || { echo "ddr serve --trace --threads 2: exit $status, '$diagnosis'; want 2 and the conflict" >&2; exit 1; }
+echo "    $diagnosis"
+$DDR serve gnutella --nodes 200 --qps 50 --duration 1 --smoke --trace "$SERVE_TRACE"
 $DDR inspect "$SERVE_TRACE" > /dev/null
+SERVE=$($DDR serve gnutella --nodes 200 --qps 50 --duration 2 --threads 2 --smoke \
+    --metrics "$SERVE_METRICS")
+echo "$SERVE"
 $DDR inspect "$SERVE_METRICS" > /dev/null
 COUNTS=$(echo "$SERVE" | sed -n 's/^serve: queries offered=\([0-9]*\) issued=\([0-9]*\) completed=\([0-9]*\) hits=\([0-9]*\)$/\1 \2 \3 \4/p')
 # No such line in the output: counts that cannot pass.

@@ -23,9 +23,9 @@
 //! carries the same six framework counters.
 //!
 //! A second split sits *under* the worlds: [`port`] defines the
-//! engine/node boundary — one trait, [`Port`], `now` + `send` — so the
-//! same handlers run under both simulation kernels and the real-time
-//! `ddr-serve` bus.
+//! engine/node boundary — one trait, [`Port`], `now` + `send`. Every
+//! world's handlers are written against it, so Gnutella's run unchanged
+//! under both simulation kernels and the real-time `ddr-serve` bus.
 
 pub mod asymmetric;
 pub mod link;

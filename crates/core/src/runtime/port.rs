@@ -22,10 +22,11 @@
 //!
 //! Three types implement the port: [`Scheduler`] and [`ShardCtx`] for the
 //! two simulation kernels, and `ddr-serve`'s bus context, whether its
-//! shards run on the wall clock or, deterministically, on a virtual one —
-//! all three driving the same `GnutellaWorld::dispatch`. Handlers are
-//! generic over the port, not `dyn`: every engine monomorphizes its hot
-//! path.
+//! shards run on the wall clock or, deterministically, on a virtual one.
+//! Every world's handlers go through it: all three engines drive the same
+//! `GnutellaWorld::dispatch`, and the serial kernel drives the web cache's
+//! and PeerOlap's `dispatch` the same way. Handlers are generic over the
+//! port, not `dyn`: every engine monomorphizes its hot path.
 
 use ddr_sim::{NodeId, Scheduler, ShardCtx, SimDuration, SimTime};
 
@@ -45,6 +46,8 @@ impl<E> Port<E> for Scheduler<'_, E> {
         Scheduler::now(self)
     }
 
+    /// Takes any `delay`: a zero one lands at `now`, behind the events
+    /// already due then.
     #[inline]
     fn send(&mut self, _to: NodeId, delay: SimDuration, event: E) {
         self.after(delay, event);

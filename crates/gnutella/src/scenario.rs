@@ -35,7 +35,11 @@ impl<T: TraceSink> Scenario for GnutellaScenario<T> {
     }
 
     fn prime(world: &mut GnutellaWorld<T>, queue: &mut EventQueue<crate::events::GnutellaEvent>) {
-        world.prime(queue);
+        let mut prime = Vec::new();
+        world.collect_prime(&mut prime);
+        for (at, _, event) in prime {
+            queue.schedule_at(at, event);
+        }
     }
 
     fn extract_report(world: &GnutellaWorld<T>, window: MeasurementWindow) -> RunReport {

@@ -386,9 +386,9 @@ impl<T: TraceSink> GnutellaWorld<T> {
     }
 
     /// Collect this slice's initial events as `(time, node, event)` in
-    /// owned-node order. The serial [`Self::prime`] and the sharded
-    /// runner both schedule from this list — in the same global node
-    /// order — so the initial queue sequence is identical.
+    /// owned-node order. The serial scenario and the sharded runner both
+    /// schedule from this list — in the same global node order — so the
+    /// initial queue sequence is identical.
     pub fn collect_prime(&mut self, out: &mut Vec<(SimTime, NodeId, GnutellaEvent)>) {
         for k in 0..self.peers.len() {
             let node = NodeId::from_index(self.base + k);
@@ -412,15 +412,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
                     out.push((SimTime::ZERO + after, node, refresh));
                 }
             }
-        }
-    }
-
-    /// Seed the initial events (serial driver). Call once before running.
-    pub fn prime(&mut self, sched: &mut ddr_sim::EventQueue<GnutellaEvent>) {
-        let mut evs = Vec::new();
-        self.collect_prime(&mut evs);
-        for (at, _node, ev) in evs {
-            sched.schedule_at(at, ev);
         }
     }
 

@@ -43,7 +43,8 @@ pub trait Scenario {
     /// simulation to `window.to_hour`.
     fn window(config: &Self::Config) -> MeasurementWindow;
 
-    /// Schedule the world's initial events.
+    /// Schedule the world's initial events: every case study schedules
+    /// its world's `collect_prime` list, in order.
     fn prime(world: &mut Self::World, queue: &mut EventQueue<<Self::World as World>::Event>);
 
     /// Build the domain report from the final world state.

@@ -83,7 +83,11 @@ impl<T: TraceSink> Scenario for PeerOlapScenario<T> {
     }
 
     fn prime(world: &mut PeerOlapWorld<T>, queue: &mut EventQueue<crate::world::OlapEvent>) {
-        world.prime(queue);
+        let mut prime = Vec::new();
+        world.collect_prime(&mut prime);
+        for (at, _, event) in prime {
+            queue.schedule_at(at, event);
+        }
     }
 
     fn extract_report(world: &PeerOlapWorld<T>, window: MeasurementWindow) -> PeerOlapReport {

@@ -27,7 +27,7 @@
 
 use crate::config::{OlapMode, PeerOlapConfig};
 use crate::cube::{ChunkSet, CubeSpace, OlapQueryStream};
-use ddr_core::runtime::{AsymmetricOverlay, NodeRuntime};
+use ddr_core::runtime::{AsymmetricOverlay, NodeRuntime, Port};
 use ddr_core::stats_store::ReplyObservation;
 use ddr_sim::{
     EventLabel, FastHashMap, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime, World,
@@ -205,16 +205,13 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         }
     }
 
-    /// Seed every peer's first query.
-    pub fn prime(&mut self, queue: &mut ddr_sim::EventQueue<OlapEvent>) {
+    /// Collect every peer's first query as `(time, node, event)` in peer
+    /// order.
+    pub(crate) fn collect_prime(&mut self, out: &mut Vec<(SimTime, NodeId, OlapEvent)>) {
         for p in 0..self.peers.len() {
+            let peer = NodeId::from_index(p);
             let d = self.peers[p].stream.next_interval();
-            queue.schedule_in(
-                d,
-                OlapEvent::IssueQuery {
-                    peer: NodeId::from_index(p),
-                },
-            );
+            out.push((SimTime::ZERO + d, peer, OlapEvent::IssueQuery { peer }));
         }
     }
 
@@ -234,13 +231,13 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             .same_group_edge_fraction(|p| self.peers[p.index()].stream.group())
     }
 
-    fn issue_query(&mut self, peer: NodeId, sched: &mut Scheduler<'_, OlapEvent>) {
+    fn issue_query<C: Port<OlapEvent>>(&mut self, peer: NodeId, ctx: &mut C) {
         let i = peer.index();
-        let now = sched.now();
+        let now = ctx.now();
         let hour = now.as_hours() as usize;
 
         let d = self.peers[i].stream.next_interval();
-        sched.after(d, OlapEvent::IssueQuery { peer });
+        ctx.send(peer, d, OlapEvent::IssueQuery { peer });
         self.metrics.runtime.queries.incr(hour);
 
         let chunks = self.peers[i].stream.next_query(&self.space);
@@ -282,7 +279,8 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             let t = self.overlay.out(peer).as_slice()[k];
             self.metrics.runtime.messages.add(hour, 1.0);
             let d = self.overlay.jittered(peer, PEER_DELAY, JITTER_SPREAD);
-            sched.after(
+            ctx.send(
+                t,
                 d,
                 OlapEvent::ChunkRequest {
                     to: t,
@@ -294,7 +292,8 @@ impl<T: TraceSink> PeerOlapWorld<T> {
                 },
             );
         }
-        sched.after(P2P_TIMEOUT, OlapEvent::P2pPhaseEnd { peer, query: qid });
+        let phase_end = OlapEvent::P2pPhaseEnd { peer, query: qid };
+        ctx.send(peer, P2P_TIMEOUT, phase_end);
         self.after_query(peer);
     }
 
@@ -316,7 +315,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the event's payload fields
-    fn chunk_request(
+    fn chunk_request<C: Port<OlapEvent>>(
         &mut self,
         to: NodeId,
         from: NodeId,
@@ -324,11 +323,11 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         query: QueryId,
         ttl: u8,
         chunks: ChunkSet,
-        sched: &mut Scheduler<'_, OlapEvent>,
+        ctx: &mut C,
     ) {
         let i = to.index();
         if !self.peers[i].rt.seen().first_sighting(query) {
-            self.tracer.dup(sched.now(), query, to);
+            self.tracer.dup(ctx.now(), query, to);
             return; // already served this query via another path
         }
         let cache = &self.peers[i].cache;
@@ -336,7 +335,8 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         let missing = chunks - have;
         if !have.is_empty() {
             let d = self.overlay.jittered(to, PEER_DELAY, JITTER_SPREAD);
-            sched.after(
+            ctx.send(
+                origin,
                 d,
                 OlapEvent::ChunkReply {
                     to: origin,
@@ -349,7 +349,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         // Narrowed forwarding: only the still-missing chunks travel on.
         let mut fanout = 0usize;
         if ttl > 1 && !missing.is_empty() {
-            let hour = sched.now().as_hours() as usize;
+            let hour = ctx.now().as_hours() as usize;
             for k in 0..self.overlay.out(to).len() {
                 let t = self.overlay.out(to).as_slice()[k];
                 if t == from || t == origin {
@@ -358,7 +358,8 @@ impl<T: TraceSink> PeerOlapWorld<T> {
                 fanout += 1;
                 self.metrics.runtime.messages.add(hour, 1.0);
                 let d = self.overlay.jittered(to, PEER_DELAY, JITTER_SPREAD);
-                sched.after(
+                ctx.send(
+                    t,
                     d,
                     OlapEvent::ChunkRequest {
                         to: t,
@@ -373,7 +374,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         }
         let travelled = MAX_HOPS - ttl + 1;
         self.tracer
-            .hop(sched.now(), query, to, from, ttl, travelled, fanout);
+            .hop(ctx.now(), query, to, from, ttl, travelled, fanout);
     }
 
     fn chunk_reply(
@@ -421,17 +422,12 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         }
     }
 
-    fn p2p_phase_end(
-        &mut self,
-        peer: NodeId,
-        query: QueryId,
-        sched: &mut Scheduler<'_, OlapEvent>,
-    ) {
+    fn p2p_phase_end<C: Port<OlapEvent>>(&mut self, peer: NodeId, query: QueryId, ctx: &mut C) {
         let i = peer.index();
         let Some(&pq) = self.peers[i].pending.get(&query) else {
             return;
         };
-        let now = sched.now();
+        let now = ctx.now();
         let missing = pq.wanted - pq.acquired;
         if missing.is_empty() {
             // Peers supplied everything; the query actually completed at
@@ -444,7 +440,10 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             }
             self.tracer
                 .finish(now, query, TraceOutcome::Hit, served, span_latency);
-            sched.at(now, OlapEvent::QueryComplete { peer, query });
+            // The one send below any lookahead in any world: the serial
+            // port schedules it at `now`, `ShardCtx::send` would refuse it.
+            let complete = OlapEvent::QueryComplete { peer, query };
+            ctx.send(peer, SimDuration::ZERO, complete);
             return;
         }
         // Warehouse fallback: round trip plus sequential chunk processing.
@@ -471,7 +470,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             pq.acquired.len() as u64,
             total_latency,
         );
-        sched.after(done_in, OlapEvent::QueryComplete { peer, query });
+        ctx.send(peer, done_in, OlapEvent::QueryComplete { peer, query });
     }
 
     fn query_complete(&mut self, peer: NodeId, query: QueryId) {
@@ -483,6 +482,30 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         // materialised locally.
         for c in pq.wanted.iter() {
             self.peers[i].cache.insert(c);
+        }
+    }
+
+    /// The one event dispatcher, generic over the engine's [`Port`] as
+    /// `GnutellaWorld::dispatch` is; `World::handle` forwards to it.
+    pub(crate) fn dispatch<C: Port<OlapEvent>>(&mut self, event: OlapEvent, ctx: &mut C) {
+        match event {
+            OlapEvent::IssueQuery { peer } => self.issue_query(peer, ctx),
+            OlapEvent::ChunkRequest {
+                to,
+                from,
+                origin,
+                query,
+                ttl,
+                chunks,
+            } => self.chunk_request(to, from, origin, query, ttl, chunks, ctx),
+            OlapEvent::ChunkReply {
+                to,
+                from,
+                query,
+                chunks,
+            } => self.chunk_reply(to, from, query, chunks, ctx.now()),
+            OlapEvent::P2pPhaseEnd { peer, query } => self.p2p_phase_end(peer, query, ctx),
+            OlapEvent::QueryComplete { peer, query } => self.query_complete(peer, query),
         }
     }
 }
@@ -499,26 +522,8 @@ impl<T: TraceSink> World for PeerOlapWorld<T> {
         }
     }
 
-    fn handle(&mut self, now: SimTime, event: OlapEvent, sched: &mut Scheduler<'_, OlapEvent>) {
-        match event {
-            OlapEvent::IssueQuery { peer } => self.issue_query(peer, sched),
-            OlapEvent::ChunkRequest {
-                to,
-                from,
-                origin,
-                query,
-                ttl,
-                chunks,
-            } => self.chunk_request(to, from, origin, query, ttl, chunks, sched),
-            OlapEvent::ChunkReply {
-                to,
-                from,
-                query,
-                chunks,
-            } => self.chunk_reply(to, from, query, chunks, now),
-            OlapEvent::P2pPhaseEnd { peer, query } => self.p2p_phase_end(peer, query, sched),
-            OlapEvent::QueryComplete { peer, query } => self.query_complete(peer, query),
-        }
+    fn handle(&mut self, _: SimTime, event: OlapEvent, sched: &mut Scheduler<'_, OlapEvent>) {
+        self.dispatch(event, sched);
     }
 }
 

@@ -47,9 +47,10 @@
 //! `dispatch` hands back each query a slice closes; `Shard::deliver` is
 //! the one place those outcomes are collected, and one function turns
 //! them and the slices' `Metrics` into a [`ServeReport`] on either
-//! clock. Completed-query spans come from each
-//! slice's own `QueryTracer` (appending to the shared JSONL file), so
-//! `ddr inspect` reads a serve trace exactly like a sim trace. Wall-clock
+//! clock. Completed-query spans come from the slice's own `QueryTracer`,
+//! so `ddr inspect` reads a serve trace exactly like a sim trace. A traced
+//! run is one shard: a tracer holds only the spans its own nodes issued,
+//! so a second shard would drop the hops it handled. Wall-clock
 //! delivery makes run-to-run interleavings — and therefore exact message
 //! counts — non-deterministic; see
 //! EXPERIMENTS.md "Serve-backend determinism".
@@ -427,10 +428,20 @@ pub fn run_gnutella(cfg: &ServeConfig) -> ServeReport {
     run_bus::<NullSink>(cfg)
 }
 
-/// Run the serve bus over traced slices: each writes its query spans to
+/// Run the serve bus over one traced slice: it writes its query spans to
 /// `cfg.telemetry.trace_path` through its own `QueryTracer`, in the same
 /// JSONL schema the simulator emits (so `ddr inspect` works unchanged).
+///
+/// # Panics
+/// When `cfg.shards` is above 1: a slice's tracer knows only the spans
+/// its own nodes issued, so the hop and duplicate records another shard
+/// handles would be dropped from the trace without a word.
 pub fn run_gnutella_traced(cfg: &ServeConfig) -> ServeReport {
+    assert!(
+        cfg.shards <= 1,
+        "a traced serve run is one shard, but ServeConfig::shards is {}",
+        cfg.shards
+    );
     run_bus::<JsonlSink>(cfg)
 }
 

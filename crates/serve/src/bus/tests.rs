@@ -93,7 +93,7 @@ fn traced_bus_writes_inspectable_spans() {
     let dir = std::env::temp_dir().join(format!("ddr-serve-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("serve.jsonl");
-    let mut cfg = quick_cfg(48, 5, 300.0, 0.4, 2);
+    let mut cfg = quick_cfg(48, 5, 300.0, 0.4, 1);
     cfg.telemetry = TelemetryConfig {
         trace_path: Some(path.clone()),
         sample: 1,
@@ -240,4 +240,12 @@ fn single_shard_degenerate_case_works() {
     let r = run_gnutella(&cfg);
     assert_eq!(r.shards, 1);
     assert!(r.queries_completed > 0);
+}
+
+/// A second shard would drop the hops it handled from the trace, so the
+/// traced entry point refuses one before building anything.
+#[test]
+#[should_panic(expected = "ServeConfig::shards is 2")]
+fn a_traced_run_refuses_a_second_shard() {
+    run_gnutella_traced(&quick_cfg(48, 5, 300.0, 0.4, 2));
 }

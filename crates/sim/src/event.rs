@@ -490,12 +490,6 @@ impl<E> EventQueue<E> {
             retained_slots: self.retained_slots(),
         }
     }
-
-    /// A [`Scheduler`] façade over this queue, for priming worlds before a
-    /// run (the same façade the driver hands to [`crate::World::handle`]).
-    pub fn scheduler(&mut self) -> Scheduler<'_, E> {
-        Scheduler::new(self)
-    }
 }
 
 /// A scheduling façade handed to [`crate::World::handle`] so world code can
@@ -515,22 +509,10 @@ impl<'a, E> Scheduler<'a, E> {
         self.queue.now()
     }
 
-    /// Schedule at an absolute instant (must not be in the past).
-    #[inline]
-    pub fn at(&mut self, at: SimTime, event: E) {
-        self.queue.schedule_at(at, event);
-    }
-
     /// Schedule after a relative delay.
     #[inline]
     pub fn after(&mut self, delay: SimDuration, event: E) {
         self.queue.schedule_in(delay, event);
-    }
-
-    /// Number of pending events (diagnostics).
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 }
 

@@ -79,7 +79,11 @@ impl<T: TraceSink> Scenario for WebCacheScenario<T> {
     }
 
     fn prime(world: &mut WebCacheWorld<T>, queue: &mut EventQueue<crate::world::CacheEvent>) {
-        world.prime(queue);
+        let mut prime = Vec::new();
+        world.collect_prime(&mut prime);
+        for (at, _, event) in prime {
+            queue.schedule_at(at, event);
+        }
     }
 
     fn extract_report(world: &WebCacheWorld<T>, window: MeasurementWindow) -> WebCacheReport {

@@ -22,7 +22,7 @@ use crate::config::{CacheMode, WebCacheConfig};
 use crate::digest::BloomFilter;
 use crate::lru::LruCache;
 use crate::traffic::{PageSpace, RequestStream};
-use ddr_core::runtime::{AsymmetricOverlay, NodeRuntime, ReconfigClock};
+use ddr_core::runtime::{AsymmetricOverlay, NodeRuntime, Port, ReconfigClock};
 use ddr_core::stats_store::ReplyObservation;
 use ddr_sim::{
     EventLabel, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimDuration, SimTime, World,
@@ -175,24 +175,17 @@ impl<T: TraceSink> WebCacheWorld<T> {
         self.digests[proxy.index()] = Some(digest);
     }
 
-    /// Seed the first request of every proxy (and the digest-publication
-    /// chains when digests are enabled).
-    pub fn prime(&mut self, queue: &mut ddr_sim::EventQueue<CacheEvent>) {
+    /// Collect the initial events as `(time, node, event)` in proxy
+    /// order: every proxy's first request, and its digest-publication
+    /// chain when digests are enabled.
+    pub(crate) fn collect_prime(&mut self, out: &mut Vec<(SimTime, NodeId, CacheEvent)>) {
         for p in 0..self.proxies.len() {
+            let proxy = NodeId::from_index(p);
             let d = self.proxies[p].stream.next_interval();
-            queue.schedule_in(
-                d,
-                CacheEvent::Request {
-                    proxy: NodeId::from_index(p),
-                },
-            );
+            out.push((SimTime::ZERO + d, proxy, CacheEvent::Request { proxy }));
             if self.config.use_digests {
-                queue.schedule_in(
-                    self.config.digest_refresh,
-                    CacheEvent::DigestRefresh {
-                        proxy: NodeId::from_index(p),
-                    },
-                );
+                let at = SimTime::ZERO + self.config.digest_refresh;
+                out.push((at, proxy, CacheEvent::DigestRefresh { proxy }));
             }
         }
     }
@@ -227,14 +220,14 @@ impl<T: TraceSink> WebCacheWorld<T> {
         }
     }
 
-    fn handle_request(&mut self, proxy: NodeId, sched: &mut Scheduler<'_, CacheEvent>) {
+    fn handle_request<C: Port<CacheEvent>>(&mut self, proxy: NodeId, ctx: &mut C) {
         let i = proxy.index();
-        let now = sched.now();
+        let now = ctx.now();
         let hour = now.as_hours() as usize;
 
         // Schedule the next request first (the stream never stops).
         let next = self.proxies[i].stream.next_interval();
-        sched.after(next, CacheEvent::Request { proxy });
+        ctx.send(proxy, next, CacheEvent::Request { proxy });
         self.metrics.runtime.queries.incr(hour);
 
         let page = {
@@ -313,7 +306,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
                     }
                     // The sibling's reply carries the page: a message to
                     // ourselves after the round trip.
-                    sched.after(rtt, CacheEvent::FetchComplete { proxy, page });
+                    ctx.send(proxy, rtt, CacheEvent::FetchComplete { proxy, page });
                 }
                 None => {
                     let rtt = self.round_trip(proxy, ORIGIN_DELAY);
@@ -321,7 +314,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
                     self.record_latency(now, rtt.as_millis() as f64);
                     self.tracer
                         .finish(now, qid, TraceOutcome::Miss, 0, rtt.as_millis() as f64);
-                    sched.after(rtt, CacheEvent::FetchComplete { proxy, page });
+                    ctx.send(proxy, rtt, CacheEvent::FetchComplete { proxy, page });
                 }
             }
         }
@@ -329,7 +322,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
         if self.config.mode == CacheMode::Dynamic {
             if self.proxies[i].explore.tick() {
                 self.proxies[i].explore.reset();
-                self.explore(proxy, sched);
+                self.explore(proxy, ctx);
             }
             if self.proxies[i].rt.clock.tick() {
                 // Algo 3 (pure asymmetric): rewrite the outgoing list from
@@ -346,9 +339,9 @@ impl<T: TraceSink> WebCacheWorld<T> {
 
     /// Algo 2: probe random non-neighbor proxies; replies return
     /// summarized information (overlap with our recent misses).
-    fn explore(&mut self, proxy: NodeId, sched: &mut Scheduler<'_, CacheEvent>) {
+    fn explore<C: Port<CacheEvent>>(&mut self, proxy: NodeId, ctx: &mut C) {
         self.metrics.runtime.explorations += 1;
-        let hour = sched.now().as_hours() as usize;
+        let hour = ctx.now().as_hours() as usize;
         for _ in 0..PROBE_FANOUT {
             let q = self.overlay.random_node();
             if q == proxy || self.overlay.out(proxy).contains(q) {
@@ -357,7 +350,7 @@ impl<T: TraceSink> WebCacheWorld<T> {
             self.metrics.runtime.messages.add(hour, 1.0);
             let rtt = self.round_trip(proxy, SIBLING_DELAY);
             // The probe reply returns to the prober after the round trip.
-            sched.after(rtt, CacheEvent::ProbeReply { to: proxy, from: q });
+            ctx.send(proxy, rtt, CacheEvent::ProbeReply { to: proxy, from: q });
         }
     }
 
@@ -385,6 +378,23 @@ impl<T: TraceSink> WebCacheWorld<T> {
             at: now,
         });
     }
+
+    /// The one event dispatcher, generic over the engine's [`Port`] as
+    /// `GnutellaWorld::dispatch` is; `World::handle` forwards to it.
+    pub(crate) fn dispatch<C: Port<CacheEvent>>(&mut self, event: CacheEvent, ctx: &mut C) {
+        match event {
+            CacheEvent::Request { proxy } => self.handle_request(proxy, ctx),
+            CacheEvent::FetchComplete { proxy, page } => {
+                self.proxies[proxy.index()].cache.insert(page);
+            }
+            CacheEvent::ProbeReply { to, from } => self.probe_reply(to, from, ctx.now()),
+            CacheEvent::DigestRefresh { proxy } => {
+                self.publish_digest(proxy);
+                let refresh = self.config.digest_refresh;
+                ctx.send(proxy, refresh, CacheEvent::DigestRefresh { proxy });
+            }
+        }
+    }
 }
 
 impl<T: TraceSink> World for WebCacheWorld<T> {
@@ -399,21 +409,8 @@ impl<T: TraceSink> World for WebCacheWorld<T> {
         }
     }
 
-    fn handle(&mut self, now: SimTime, event: CacheEvent, sched: &mut Scheduler<'_, CacheEvent>) {
-        match event {
-            CacheEvent::Request { proxy } => self.handle_request(proxy, sched),
-            CacheEvent::FetchComplete { proxy, page } => {
-                self.proxies[proxy.index()].cache.insert(page);
-            }
-            CacheEvent::ProbeReply { to, from } => self.probe_reply(to, from, now),
-            CacheEvent::DigestRefresh { proxy } => {
-                self.publish_digest(proxy);
-                sched.after(
-                    self.config.digest_refresh,
-                    CacheEvent::DigestRefresh { proxy },
-                );
-            }
-        }
+    fn handle(&mut self, _: SimTime, event: CacheEvent, sched: &mut Scheduler<'_, CacheEvent>) {
+        self.dispatch(event, sched);
     }
 }
 

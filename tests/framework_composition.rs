@@ -10,9 +10,7 @@ use ddr_repro::core::{
 };
 use ddr_repro::net::NetworkModel;
 use ddr_repro::overlay::NeighborList;
-use ddr_repro::sim::{
-    EventQueue, ItemId, NodeId, QueryId, RngFactory, Scheduler, SimTime, Simulation, World,
-};
+use ddr_repro::sim::{ItemId, NodeId, QueryId, RngFactory, Scheduler, SimTime, Simulation, World};
 
 const N: usize = 12;
 const DEGREE: usize = 3;
@@ -31,6 +29,10 @@ struct MiniWorld {
 
 #[derive(Clone, Copy)]
 enum Ev {
+    /// The asker launches its query: it floods its own neighbors.
+    Start {
+        desc: QueryDescriptor,
+    },
     Query {
         to: NodeId,
         from: NodeId,
@@ -80,6 +82,10 @@ impl World for MiniWorld {
     type Event = Ev;
     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<'_, Ev>) {
         match ev {
+            Ev::Start { desc } => {
+                self.seen[desc.origin.index()].first_sighting(desc.id);
+                self.forward(desc.origin, None, desc, sched);
+            }
             Ev::Query { to, from, desc } => {
                 if !self.seen[to.index()].first_sighting(desc.id) {
                     return;
@@ -136,8 +142,7 @@ fn ring_world(seed: u64) -> MiniWorld {
 
 #[test]
 fn flood_search_finds_reachable_items() {
-    let mut world = ring_world(1);
-    let mut queue: EventQueue<Ev> = EventQueue::new();
+    let world = ring_world(1);
     // node 0 searches for node 5's item (5 = one skip-link hop away)
     let desc = QueryDescriptor {
         id: QueryId(1),
@@ -147,15 +152,8 @@ fn flood_search_finds_reachable_items() {
         travelled: 1,
         issued_at: SimTime::ZERO,
     };
-    world.seen[0].first_sighting(desc.id);
-    {
-        let mut sched = queue.scheduler();
-        world.forward(NodeId(0), None, desc, &mut sched);
-    }
     let mut sim = Simulation::new(world);
-    while let Some((t, e)) = queue.pop() {
-        sim.schedule_at(t, e);
-    }
+    sim.schedule_at(SimTime::ZERO, Ev::Start { desc });
     sim.run(SimTime::from_secs(30));
     let world = sim.world();
     assert_eq!(
@@ -170,8 +168,7 @@ fn flood_search_finds_reachable_items() {
 fn hop_limit_bounds_reach() {
     // Node 9 is unreachable in 2 hops from node 0: two-hop offset sums
     // over {1,2,5} are {2,3,4,6,7,10}, and 9 is not among them.
-    let mut world = ring_world(2);
-    let mut queue: EventQueue<Ev> = EventQueue::new();
+    let world = ring_world(2);
     let desc = QueryDescriptor {
         id: QueryId(2),
         origin: NodeId(0),
@@ -180,15 +177,8 @@ fn hop_limit_bounds_reach() {
         travelled: 1,
         issued_at: SimTime::ZERO,
     };
-    world.seen[0].first_sighting(desc.id);
-    {
-        let mut sched = queue.scheduler();
-        world.forward(NodeId(0), None, desc, &mut sched);
-    }
     let mut sim = Simulation::new(world);
-    while let Some((t, e)) = queue.pop() {
-        sim.schedule_at(t, e);
-    }
+    sim.schedule_at(SimTime::ZERO, Ev::Start { desc });
     sim.run(SimTime::from_secs(30));
     assert!(
         sim.world().answers[0].is_empty(),
@@ -201,8 +191,7 @@ fn hop_limit_bounds_reach() {
 fn stats_feed_asymmetric_update() {
     // After a successful search, the responder should enter node 0's
     // best-neighborhood plan.
-    let mut world = ring_world(3);
-    let mut queue: EventQueue<Ev> = EventQueue::new();
+    let world = ring_world(3);
     let desc = QueryDescriptor {
         id: QueryId(3),
         origin: NodeId(0),
@@ -211,15 +200,8 @@ fn stats_feed_asymmetric_update() {
         travelled: 1,
         issued_at: SimTime::ZERO,
     };
-    world.seen[0].first_sighting(desc.id);
-    {
-        let mut sched = queue.scheduler();
-        world.forward(NodeId(0), None, desc, &mut sched);
-    }
     let mut sim = Simulation::new(world);
-    while let Some((t, e)) = queue.pop() {
-        sim.schedule_at(t, e);
-    }
+    sim.schedule_at(SimTime::ZERO, Ev::Start { desc });
     sim.run(SimTime::from_secs(30));
     let world = sim.world();
     assert_eq!(world.answers[0], vec![NodeId(7)]);
