@@ -478,13 +478,28 @@ for args in "run fig1 --smoke" "serve gnutella --nodes 20 --qps 10 --duration 0.
 done
 rmdir "$UNWRITABLE"
 
-echo "==> telemetry smoke (trace + profile a run, then inspect the trace)"
+echo "==> telemetry smoke (trace + profile a run serially and on two shards; ddr inspect"
+echo "    must read both traces complete and summarise them the same)"
 TRACE="$(mktemp -t ddr-ci-trace.XXXXXX.jsonl)"
+SHARDED_TRACE="$(mktemp -t ddr-ci-trace-sharded.XXXXXX.jsonl)"
 METRICS="$(mktemp -t ddr-ci-metrics.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE" "$METRICS"' EXIT
+trap 'rm -f "$TRACE" "$SHARDED_TRACE" "$METRICS"' EXIT
+# `ddr inspect FILE`'s summary; fails unless its span-error count reads 0.
+inspect_complete() {
+    local summary
+    summary=$($DDR inspect "$1")
+    grep -Eq '^span errors +0 *$' <<< "$summary" \
+        || { echo "$summary" >&2; echo "ddr inspect $1: the trace is incomplete" >&2; return 1; }
+    echo "$summary"
+}
 $DDR run fig1 --smoke --trace "$TRACE" --trace-sample 1 --profile > /dev/null
+$DDR run fig1 --smoke --shards 2 --trace "$SHARDED_TRACE" --trace-sample 1 > /dev/null
 test -s "$TRACE" || { echo "trace file is empty" >&2; exit 1; }
-$DDR inspect "$TRACE" > /dev/null
+SERIAL_SUMMARY=$(inspect_complete "$TRACE")
+SHARDED_SUMMARY=$(inspect_complete "$SHARDED_TRACE")
+diff <(echo "$SERIAL_SUMMARY") <(echo "$SHARDED_SUMMARY") \
+    || { echo "--shards 2 changed the trace summary" >&2; exit 1; }
+echo "    $(echo "$SERIAL_SUMMARY" | grep '^query spans') complete (serial == 2 shards)"
 
 echo "==> fig1 free_riders --smoke: serial == --shards 2 == --shards 3 --threads 2"
 echo "    == --shards 2 metered+profiled (three shards: a 3-way window merge over"
@@ -517,26 +532,18 @@ for example in quickstart music_sharing web_caching olap_caching policy_playgrou
     cargo run -q --release --example "$example" > /dev/null
 done
 
-echo "==> ddr serve --smoke --metrics, then --trace (real-time bus load test: every"
+echo "==> ddr serve --smoke --trace, then --metrics (real-time bus load test: every"
 echo "    offered query is issued and completes, and at least one is answered; the"
-echo "    timeline comes from the monitor's observer thread and the spans from the world"
-echo "    slice's own tracer, so ddr inspect must read both). The metered run takes two"
-echo "    shards whatever the core count: cross-shard try_send, the outbox retry and a"
-echo "    second inbox are all that differs from run_deterministic's virtual clock, and"
-echo "    one shard skips them. A traced run is one shard (a slice's tracer holds only"
-echo "    the spans its own nodes issued), and --threads 2 with --trace exits 2"
+echo "    spans come from every slice's own tracer and the timeline from the monitor's"
+echo "    observer thread, so ddr inspect must read both, the trace complete). Both runs"
+echo "    take two shards whatever the core count: cross-shard try_send, the outbox"
+echo "    retry and a second inbox are all that differs from run_deterministic's"
+echo "    virtual clock, and one shard skips them"
 SERVE_TRACE="$(mktemp -t ddr-ci-serve.XXXXXX.jsonl)"
 SERVE_METRICS="$(mktemp -t ddr-ci-serve-metrics.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE" "$METRICS" "$SERVE_TRACE" "$SERVE_METRICS"' EXIT
-status=0
-stderr=$(timeout 1 "$BIN" serve gnutella --trace "$SERVE_TRACE" --threads 2 2>&1 > /dev/null) \
-    || status=$?
-diagnosis=${stderr%%$'\n'*}
-test "$status" -eq 2 && [[ $diagnosis == "--trace cannot be combined with --threads"* ]] \
-    || { echo "ddr serve --trace --threads 2: exit $status, '$diagnosis'; want 2 and the conflict" >&2; exit 1; }
-echo "    $diagnosis"
-$DDR serve gnutella --nodes 200 --qps 50 --duration 1 --smoke --trace "$SERVE_TRACE"
-$DDR inspect "$SERVE_TRACE" > /dev/null
+trap 'rm -f "$TRACE" "$SHARDED_TRACE" "$METRICS" "$SERVE_TRACE" "$SERVE_METRICS"' EXIT
+$DDR serve gnutella --nodes 200 --qps 50 --duration 1 --smoke --threads 2 --trace "$SERVE_TRACE"
+inspect_complete "$SERVE_TRACE" > /dev/null
 SERVE=$($DDR serve gnutella --nodes 200 --qps 50 --duration 2 --threads 2 --smoke \
     --metrics "$SERVE_METRICS")
 echo "$SERVE"

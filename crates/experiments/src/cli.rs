@@ -29,7 +29,7 @@ flags (shared by every experiment):
   --csv DIR         also write table CSVs and report JSON into DIR
   --smoke           seconds-long CI configuration
   --trace FILE      write sampled query-lifecycle spans as JSONL to FILE
-  --trace-sample N  trace every Nth query (default 1 = all)
+  --trace-sample N  trace the queries of every Nth node (default 1 = all)
   --profile         print a kernel dispatch/queue report after the run
                     (with --shards: per-shard work/barrier/merge
                     wall-clock breakdown)
@@ -43,8 +43,9 @@ flags (shared by every experiment):
 --trace, --metrics and --profile work on every experiment. --shards is
 rejected (exit 2) for webcache_eval, peerolap_eval and exploration_sweep
 (serial-kernel worlds) and for strategies (its local-indices rows need
-the full-range world), and cannot be combined with --trace. An output
-path that cannot be written also exits 2, before anything runs.";
+the full-range world). A traced run writes the same records at any
+--shards. An output path that cannot be written also exits 2, before
+anything runs.";
 
 /// `ddr run`'s flag grammar: `--all` anywhere, then [`ExpOptions::parse`]'s.
 fn parse_run(rest: Vec<String>) -> Result<(bool, ExpOptions, Vec<String>), CliError> {
@@ -231,10 +232,6 @@ mod tests {
         ] {
             assert_eq!(ddr_main(argv(args)), 2, "{args:?}");
         }
-        // The tracer's live-span set is per world, so the two exclude
-        // each other on every experiment.
-        let conflict = ["run", "fig1", "--trace", "t.jsonl", "--shards", "2"];
-        assert_eq!(ddr_main(argv(&conflict)), 2);
     }
 
     #[test]

@@ -39,6 +39,7 @@ use ddr_telemetry::{
     TelemetryConfig, TraceSink,
 };
 use ddr_webcache::{CacheMode, WebCacheConfig};
+use std::sync::Mutex;
 
 /// Smoke-mode clamp for Gnutella-based experiments: force a tiny world
 /// (at most 100 users, at most 6 hours) so `ddr run --all --smoke`
@@ -59,26 +60,54 @@ pub(crate) fn degree_cell(role: &RoleCensus) -> String {
 }
 
 /// (1) The one way to run Gnutella worlds: every configuration, reports
-/// and censuses back in input order. Without `--shards` each run goes
-/// through [`serial_runs`] (`--trace` swaps in the JSONL-sink world);
-/// with `--shards N` through `run_scenario_sharded` over N node slices,
-/// on [`shard_threads`] threads (`--metrics` rides in on
+/// and censuses back in input order. `--trace` picks the JSONL-sink
+/// world, here and nowhere else. Without `--shards` each run goes through
+/// [`serial_runs`]; with `--shards N` through `run_scenario_sharded` over
+/// N node slices, on [`shard_threads`] threads (`--metrics` rides in on
 /// `config.telemetry`, `--profile` notes the per-shard breakdown and the
 /// thread count actually used). Either way a run must pass
 /// [`check_invariants`], which returns its [`Census`], before its worlds
 /// are dropped — a violation aborts loudly instead of printing a quietly
-/// wrong table — and reports are bit-identical across all of it.
+/// wrong table — and reports are bit-identical across all of it, as is
+/// the trace, but for its line order.
 pub(crate) fn gnutella_runs(
+    opts: &ExpOptions,
+    mut configs: Vec<ScenarioConfig>,
+    em: &mut Emitter,
+) -> Vec<(RunReport, Census)> {
+    if opts.trace.is_some() {
+        for c in &mut configs {
+            c.telemetry.run_label = fresh_run_label(c.telemetry.run_label);
+        }
+        gnutella_runs_on::<JsonlSink>(opts, configs, em)
+    } else {
+        gnutella_runs_on::<NullSink>(opts, configs, em)
+    }
+}
+
+/// A run label no earlier traced run of this process took: `label` the
+/// first time, then `label#2`, `label#3`, … `ddr inspect` keys spans by
+/// `(run, query id)`, and a sweep's runs issue the same ids into one
+/// file.
+fn fresh_run_label(label: &'static str) -> &'static str {
+    static TAKEN: Mutex<Vec<&str>> = Mutex::new(Vec::new());
+    let mut taken = TAKEN.lock().unwrap_or_else(|e| e.into_inner());
+    let earlier = taken.iter().filter(|&&l| l == label).count();
+    taken.push(label);
+    match earlier {
+        0 => label,
+        n => Box::leak(format!("{label}#{}", n + 1).into_boxed_str()),
+    }
+}
+
+/// [`gnutella_runs`] over worlds tracing into `T`.
+fn gnutella_runs_on<T: TraceSink + Send>(
     opts: &ExpOptions,
     configs: Vec<ScenarioConfig>,
     em: &mut Emitter,
 ) -> Vec<(RunReport, Census)> {
-    fn serial<T: TraceSink>(
-        opts: &ExpOptions,
-        configs: Vec<ScenarioConfig>,
-        em: &mut Emitter,
-    ) -> Vec<(RunReport, Census)> {
-        serial_runs::<GnutellaScenario<T>, _>(
+    let Some(shards) = opts.shards else {
+        return serial_runs::<GnutellaScenario<T>, _>(
             opts,
             configs,
             |c| &c.telemetry,
@@ -88,33 +117,26 @@ pub(crate) fn gnutella_runs(
                 (report, census)
             },
             em,
-        )
-    }
-    match opts.shards {
-        None if opts.trace.is_some() => serial::<JsonlSink>(opts, configs, em),
-        None => serial::<NullSink>(opts, configs, em),
-        Some(shards) => {
-            let workers = opts.workers();
-            configs
-                .into_iter()
-                .map(|config| {
-                    let slices = Partition::contiguous(config.workload.users, shards).shards();
-                    let threads = shard_threads(workers, slices);
-                    let ShardedRun {
-                        report,
-                        worlds,
-                        profile,
-                    } = run_scenario_sharded(config, shards, threads, opts.profile);
-                    if let Some(p) = &profile {
-                        em.note(&shard_profile_report(p, threads));
-                    }
-                    let census =
-                        check_invariants(&report, &worlds).expect("scenario invariants violated");
-                    (report, census)
-                })
-                .collect()
-        }
-    }
+        );
+    };
+    let workers = opts.workers();
+    configs
+        .into_iter()
+        .map(|config| {
+            let slices = Partition::contiguous(config.workload.users, shards).shards();
+            let threads = shard_threads(workers, slices);
+            let ShardedRun {
+                report,
+                worlds,
+                profile,
+            } = run_scenario_sharded::<T>(config, shards, threads, opts.profile);
+            if let Some(p) = &profile {
+                em.note(&shard_profile_report(p, threads));
+            }
+            let census = check_invariants(&report, &worlds).expect("scenario invariants violated");
+            (report, census)
+        })
+        .collect()
 }
 
 /// OS threads a sharded run over `slices` node slices uses when

@@ -4,7 +4,7 @@
 //! full text is `ddr run --help` (`cli.rs`), and each flag lands in the
 //! [`ExpOptions`] field that documents it. `--trace`, `--metrics` and
 //! `--profile` work on every experiment; `--shards` on every one whose
-//! registry entry is `shardable`, and never together with `--trace`.
+//! registry entry is `shardable`.
 //!
 //! Parsing is a pure function ([`ExpOptions::parse`]) returning
 //! [`CliError`] on bad input; `cli::ddr_main` maps that onto usage plus
@@ -94,7 +94,8 @@ pub struct ExpOptions {
     /// JSONL trace output path: compile the trace sink in and write
     /// sampled query-lifecycle spans there.
     pub trace: Option<PathBuf>,
-    /// Trace every Nth query (1 = all). Meaningful only with `--trace`.
+    /// Trace the queries of every Nth node (1 = all). Meaningful only
+    /// with `--trace`.
     pub trace_sample: u64,
     /// JSONL metrics timeline output path: sample windowed system
     /// metrics (hits/h, messages, online population, queue depths)
@@ -188,14 +189,6 @@ impl ExpOptions {
                 flag if flag.starts_with('-') => return Err(CliError::UnknownFlag(flag.into())),
                 _ => positional.push(arg),
             }
-        }
-        if opts.trace.is_some() && opts.shards.is_some() {
-            // The tracer's live-span set is per world: a hop handled on
-            // another shard would be dropped from the trace silently.
-            return Err(CliError::Conflict(
-                "--trace cannot be combined with --shards: query spans are tracked per world, \
-                 so hops handled on another shard would be missing from the trace",
-            ));
         }
         Ok((opts, positional))
     }
@@ -346,20 +339,13 @@ mod tests {
     }
 
     #[test]
-    fn shards_parse_default_to_serial_and_exclude_trace() {
+    fn shards_parse_default_to_serial_and_combine_with_trace() {
         let (o, _) = parse(&["--shards", "4"]).unwrap();
         assert_eq!(o.shards, Some(4));
         let (o, _) = parse(&[]).unwrap();
         assert_eq!(o.shards, None, "default is the serial kernel");
-        for args in [
-            ["--shards", "2", "--trace", "t.jsonl"],
-            ["--trace", "t.jsonl", "--shards", "1"],
-        ] {
-            assert!(
-                matches!(parse(&args), Err(CliError::Conflict(_))),
-                "{args:?}"
-            );
-        }
+        let (o, _) = parse(&["--shards", "2", "--trace", "t.jsonl"]).unwrap();
+        assert_eq!((o.shards, o.trace.is_some()), (Some(2), true));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! The fleet's shape is not a flag: its overlay degree is the paper's 4
 //! and its hop limit 2 (`NodeSetConfig::scenario`). `--threads` is the
 //! shard count (defaults to one per core, the same cap `ExpOptions::workers`
-//! applies to sweeps, and to one with `--trace`, which no more allows). `--smoke` shortens the per-query collection window
+//! applies to sweeps). `--smoke` shortens the per-query collection window
 //! to 500 ms so the post-injection drain phase stays CI-sized. The run
 //! prints its throughput and latency figures; recording them over time is
 //! the `serve_open_30k` workload's job (`benchmark/README.md`).
@@ -32,10 +32,10 @@ usage: ddr serve gnutella [flags]
   --nodes N        fleet size (default 200)
   --qps Q          offered load, queries/sec across the fleet (default 50)
   --duration S     injection window, wall seconds (default 2)
-  --threads N      shard / worker-thread count (default: one per core; 1 with --trace)
+  --threads N      shard / worker-thread count (default: one per core)
   --seed S         master seed for topology+workload (default 1)
   --smoke          500 ms collection window so the drain phase stays short
-  --trace FILE     write completed-query spans as JSONL (ddr inspect reads it); one shard
+  --trace FILE     write query spans as JSONL (ddr inspect reads it), at any shard count
   --metrics FILE   monitor thread writes windowed timeline JSONL to FILE
   --metrics-port P serve the monitor's latest pass on 127.0.0.1:P
                    (/metrics: Prometheus text; any other path: JSON)";
@@ -119,14 +119,6 @@ where
             }
         }
     }
-    if out.trace.is_some() && out.threads.is_some_and(|n| n > 1) {
-        // As on `ddr run`: a slice's tracer holds only the spans its own
-        // nodes issued, so another shard's hops would be dropped silently.
-        return Err(CliError::Conflict(
-            "--trace cannot be combined with --threads above 1: query spans are tracked per \
-             world, so hops handled on another shard would be missing from the trace",
-        ));
-    }
     if !(0.0..u64::MAX as f64).contains(&(out.qps * out.duration_s)) {
         return Err(CliError::Conflict(
             "--qps × --duration is the query count, which must fit in a u64",
@@ -143,11 +135,7 @@ pub fn serve_config(args: &ServeArgs) -> ServeConfig {
     }
     // One worker per slice the bus actually runs, so the banner and the
     // report name the same count (`--nodes 1 --threads 2` is one slice).
-    // A traced run is one slice.
-    let workers = match args.trace {
-        Some(_) => 1,
-        None => ddr_sim::resolve_workers(args.threads),
-    };
+    let workers = ddr_sim::resolve_workers(args.threads);
     let shards = Partition::contiguous(args.nodes, workers).shards();
     let mut cfg = ServeConfig::new(node_set, args.qps, args.duration_s, shards);
     cfg.telemetry = TelemetryConfig {
@@ -274,6 +262,8 @@ mod tests {
             "--seed",
             "9",
             "--smoke",
+            "--trace",
+            "t.jsonl",
         ])
         .expect("full flag set parses");
         assert_eq!(a.nodes, 300);
@@ -282,29 +272,8 @@ mod tests {
         assert_eq!(a.threads, Some(4));
         assert_eq!(a.seed, 9);
         assert!(a.smoke);
-    }
-
-    /// A traced run is one shard: `--trace` sets the default to one
-    /// thread and refuses more, in either order.
-    #[test]
-    fn trace_runs_one_shard_and_conflicts_with_more_threads() {
-        let a = parse(&["--trace", "/tmp/serve.jsonl"]).expect("--trace alone parses");
-        assert_eq!(
-            a.trace.as_deref(),
-            Some(std::path::Path::new("/tmp/serve.jsonl"))
-        );
-        assert_eq!(serve_config(&a).shards, 1);
-        let a = parse(&["--threads", "1", "--trace", "t.jsonl"]).expect("one thread is allowed");
-        assert_eq!(serve_config(&a).shards, 1);
-        for args in [
-            ["--trace", "t.jsonl", "--threads", "2"],
-            ["--threads", "2", "--trace", "t.jsonl"],
-        ] {
-            assert!(
-                matches!(parse(&args), Err(CliError::Conflict(_))),
-                "{args:?} must conflict"
-            );
-        }
+        assert_eq!(a.trace.as_deref(), Some(std::path::Path::new("t.jsonl")));
+        assert_eq!(serve_config(&a).shards, 4, "a traced run keeps its shards");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! timestamps strictly monotonic per run label.
 
 use ddr_gnutella::{run_scenario_sharded, Mode, ScenarioConfig};
-use ddr_telemetry::summarize_timeline;
+use ddr_telemetry::{summarize_timeline, NullSink};
 use ddr_workload::FlashCrowd;
 use std::path::PathBuf;
 
@@ -26,11 +26,11 @@ fn tmp(name: &str) -> PathBuf {
 /// Run `config` with and without a metrics timeline at `shards`; return
 /// (digest, timeline text).
 fn digest_pair(mut config: ScenarioConfig, shards: usize, name: &str) -> (u64, u64, String) {
-    let plain = run_scenario_sharded(config.clone(), shards, shards, false).report;
+    let plain = run_scenario_sharded::<NullSink>(config.clone(), shards, shards, false).report;
 
     let path = tmp(name);
     config.telemetry.metrics_path = Some(path.clone());
-    let metered = run_scenario_sharded(config, shards, shards, false).report;
+    let metered = run_scenario_sharded::<NullSink>(config, shards, shards, false).report;
     let timeline = std::fs::read_to_string(&path).expect("timeline file written");
     std::fs::remove_file(&path).ok();
     (plain.digest(), metered.digest(), timeline)

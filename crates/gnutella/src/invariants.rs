@@ -263,6 +263,7 @@ mod tests {
     use super::*;
     use crate::config::{Mode, PartitionWindow, ScenarioConfig};
     use crate::sharded::{run_scenario_sharded, ShardedRun};
+    use ddr_telemetry::NullSink;
 
     fn small(mode: Mode) -> ScenarioConfig {
         let mut c = ScenarioConfig::scaled(mode, 2, 50, 6);
@@ -273,7 +274,8 @@ mod tests {
     #[test]
     fn benign_runs_satisfy_all_invariants() {
         for mode in [Mode::Static, Mode::Dynamic] {
-            let ShardedRun { report, worlds, .. } = run_scenario_sharded(small(mode), 1, 1, false);
+            let ShardedRun { report, worlds, .. } =
+                run_scenario_sharded::<NullSink>(small(mode), 1, 1, false);
             check_invariants(&report, &worlds).unwrap();
         }
     }
@@ -286,7 +288,7 @@ mod tests {
             from_hour: 2,
             to_hour: 4,
         });
-        let ShardedRun { report, worlds, .. } = run_scenario_sharded(c, 2, 1, false);
+        let ShardedRun { report, worlds, .. } = run_scenario_sharded::<NullSink>(c, 2, 1, false);
         check_invariants(&report, &worlds).unwrap();
         assert!(report.metrics.partition_drops > 0);
     }
@@ -295,7 +297,7 @@ mod tests {
     fn checker_detects_tampered_conservation() {
         let ShardedRun {
             mut report, worlds, ..
-        } = run_scenario_sharded(small(Mode::Static), 1, 1, false);
+        } = run_scenario_sharded::<NullSink>(small(Mode::Static), 1, 1, false);
         report.metrics.queries_finalized += 1;
         let err = check_invariants(&report, &worlds).unwrap_err();
         assert!(err.contains("conservation"), "unexpected error: {err}");
@@ -305,7 +307,7 @@ mod tests {
     fn checker_detects_phantom_partition_drops() {
         let ShardedRun {
             mut report, worlds, ..
-        } = run_scenario_sharded(small(Mode::Static), 1, 1, false);
+        } = run_scenario_sharded::<NullSink>(small(Mode::Static), 1, 1, false);
         report.metrics.partition_drops = 5;
         let err = check_invariants(&report, &worlds).unwrap_err();
         assert!(err.contains("without a configured partition"), "{err}");
@@ -316,7 +318,7 @@ mod tests {
         let mut c = small(Mode::Dynamic);
         c.free_rider_fraction = 0.15;
         c.liar_fraction = 0.15;
-        let ShardedRun { report, worlds, .. } = run_scenario_sharded(c, 1, 1, false);
+        let ShardedRun { report, worlds, .. } = run_scenario_sharded::<NullSink>(c, 1, 1, false);
         let census = check_invariants(&report, &worlds).unwrap();
         assert!(census.free_riders.online > 0 && census.liars.online > 0);
         census

@@ -298,7 +298,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         }
         if !self.peers[k].rt.seen().first_sighting(desc.id) {
             self.metrics.duplicates_dropped += 1;
-            self.tracer.dup(ctx.now(), desc.id, to);
+            self.tracer.dup(ctx.now(), desc.id, desc.origin, to);
             return; // "if the same message has been received before, discard"
         }
         if !self.shared.free_rider[to.index()]
@@ -352,6 +352,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.tracer.hop(
             ctx.now(),
             desc.id,
+            desc.origin,
             to,
             from,
             desc.ttl,

@@ -14,16 +14,16 @@ use crate::metrics::{Metrics, RunReport};
 use crate::world::GnutellaWorld;
 use ddr_sim::{RunOutcome, ShardProfile, ShardedSimulation, SimTime};
 use ddr_stats::MeasurementWindow;
-use ddr_telemetry::{JsonlMetrics, MetricsRecorder, NullSink};
+use ddr_telemetry::{JsonlMetrics, MetricsRecorder, QueryTracer, TraceSink};
 
 /// What one sharded run leaves behind.
-pub struct ShardedRun {
+pub struct ShardedRun<T: TraceSink> {
     /// The merged report — bit-identical to [`crate::run_scenario`]'s.
     pub report: RunReport,
     /// The final per-shard worlds, in shard (= global node) order, for
     /// post-run inspection: [`crate::check_invariants`] walks them into
     /// the run's [`crate::Census`] next to the report.
-    pub worlds: Vec<GnutellaWorld<NullSink>>,
+    pub worlds: Vec<GnutellaWorld<T>>,
     /// Per-shard work/barrier/stall/merge wall-clock breakdown; `Some`
     /// when the run was asked to profile.
     pub profile: Option<ShardProfile>,
@@ -41,13 +41,15 @@ pub struct ShardedRun {
 /// When `config.telemetry.metrics_path` is set, every shard world is
 /// sampled into a `"v":1` timeline file at each simulated-hour boundary —
 /// strictly *between* kernel windows, so the report (and its digest) is
-/// identical to an unmetered run's.
-pub fn run_scenario_sharded(
+/// identical to an unmetered run's. Under a `T = JsonlSink` every slice
+/// traces its own nodes into `config.telemetry.trace_path`: together the
+/// serial trace's lines, in another order.
+pub fn run_scenario_sharded<T: TraceSink + Send>(
     config: ScenarioConfig,
     shards: usize,
     threads: usize,
     profile: bool,
-) -> ShardedRun {
+) -> ShardedRun<T> {
     let window = MeasurementWindow::new(config.warmup_hours, config.sim_hours);
     let label = config.mode.label();
     let mut recorder = config
@@ -56,7 +58,7 @@ pub fn run_scenario_sharded(
         .is_some()
         .then(|| MetricsRecorder::<JsonlMetrics>::new(&config.telemetry));
     let (mut worlds, partition, lookahead) =
-        GnutellaWorld::<NullSink>::build_sharded(config.clone(), shards);
+        GnutellaWorld::<T>::build_sharded(config.clone(), shards);
 
     // Initial events, concatenated in shard (= global node) order so the
     // kernel's insertion sequence matches the serial queue exactly.
@@ -92,7 +94,8 @@ pub fn run_scenario_sharded(
     }
     let profile = sim.profile();
 
-    let worlds = sim.into_worlds();
+    let mut worlds = sim.into_worlds();
+    QueryTracer::share_last_time(worlds.iter_mut().map(|w| &mut w.tracer));
     let mut metrics = Metrics::new();
     for w in &worlds {
         metrics.merge(&w.metrics);
@@ -114,6 +117,7 @@ mod tests {
     use crate::config::Mode;
     use crate::{run_scenario, Census};
     use ddr_sim::parallelism::MIN_CHUNK;
+    use ddr_telemetry::NullSink;
 
     fn small(mode: Mode) -> ScenarioConfig {
         let mut c = ScenarioConfig::scaled(mode, 2, 20, 6);
@@ -125,7 +129,7 @@ mod tests {
     fn one_shard_matches_serial_bit_for_bit() {
         for mode in [Mode::Static, Mode::Dynamic] {
             let serial = run_scenario(small(mode));
-            let sharded = run_scenario_sharded(small(mode), 1, 1, false).report;
+            let sharded = run_scenario_sharded::<NullSink>(small(mode), 1, 1, false).report;
             assert_eq!(serial, sharded, "{mode:?}");
         }
     }
@@ -134,7 +138,8 @@ mod tests {
     fn shard_count_is_invisible() {
         let serial = run_scenario(small(Mode::Dynamic));
         for shards in [2, 3, 4] {
-            let sharded = run_scenario_sharded(small(Mode::Dynamic), shards, 1, false).report;
+            let sharded =
+                run_scenario_sharded::<NullSink>(small(Mode::Dynamic), shards, 1, false).report;
             assert_eq!(serial.digest(), sharded.digest(), "shards={shards}");
             assert_eq!(serial, sharded, "shards={shards}");
         }
@@ -142,8 +147,8 @@ mod tests {
 
     #[test]
     fn threads_are_invisible() {
-        let one = run_scenario_sharded(small(Mode::Dynamic), 4, 1, false).report;
-        let four = run_scenario_sharded(small(Mode::Dynamic), 4, 4, false).report;
+        let one = run_scenario_sharded::<NullSink>(small(Mode::Dynamic), 4, 1, false).report;
+        let four = run_scenario_sharded::<NullSink>(small(Mode::Dynamic), 4, 4, false).report;
         assert_eq!(one, four);
     }
 

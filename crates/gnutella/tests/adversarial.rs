@@ -17,7 +17,7 @@ use ddr_gnutella::{
     PartitionWindow, RunReport, ScenarioConfig,
 };
 use ddr_net::ClassMix;
-use ddr_telemetry::JsonlSink;
+use ddr_telemetry::{JsonlSink, NullSink};
 use ddr_workload::{ChurnModel, FlashCrowd};
 use proptest::prelude::*;
 
@@ -71,7 +71,7 @@ fn every_pack_scenario_passes_invariants_serial_and_sharded() {
         let censuses: Vec<Census> = [1, 2, 3]
             .into_iter()
             .map(|shards| {
-                let run = run_scenario_sharded(cfg.clone(), shards, 1, false);
+                let run = run_scenario_sharded::<NullSink>(cfg.clone(), shards, 1, false);
                 check_invariants(&run.report, &run.worlds)
                     .unwrap_or_else(|e| panic!("{which} at {shards} shards: {e}"))
             })

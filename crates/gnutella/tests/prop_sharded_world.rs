@@ -17,6 +17,7 @@
 //! reconfiguration traffic.
 
 use ddr_gnutella::{run_scenario, run_scenario_sharded, Mode, ScenarioConfig};
+use ddr_telemetry::NullSink;
 use proptest::prelude::*;
 
 fn config(
@@ -53,7 +54,7 @@ proptest! {
         let mode = if dynamic { Mode::Dynamic } else { Mode::Static };
         let c = config(mode, hops, scale, hours, seed, free_riders, repair_on_loss);
         let serial = run_scenario(c.clone());
-        let sharded = run_scenario_sharded(c, shards, threads, false).report;
+        let sharded = run_scenario_sharded::<NullSink>(c, shards, threads, false).report;
         prop_assert_eq!(serial.digest(), sharded.digest());
         prop_assert_eq!(serial, sharded);
     }

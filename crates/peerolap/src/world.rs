@@ -274,7 +274,8 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             },
         );
         let fanout = self.overlay.out(peer).len();
-        self.tracer.hop(now, qid, peer, peer, MAX_HOPS, 0, fanout);
+        self.tracer
+            .hop(now, qid, peer, peer, peer, MAX_HOPS, 0, fanout);
         for k in 0..fanout {
             let t = self.overlay.out(peer).as_slice()[k];
             self.metrics.runtime.messages.add(hour, 1.0);
@@ -327,7 +328,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
     ) {
         let i = to.index();
         if !self.peers[i].rt.seen().first_sighting(query) {
-            self.tracer.dup(ctx.now(), query, to);
+            self.tracer.dup(ctx.now(), query, origin, to);
             return; // already served this query via another path
         }
         let cache = &self.peers[i].cache;
@@ -374,7 +375,7 @@ impl<T: TraceSink> PeerOlapWorld<T> {
         }
         let travelled = MAX_HOPS - ttl + 1;
         self.tracer
-            .hop(ctx.now(), query, to, from, ttl, travelled, fanout);
+            .hop(ctx.now(), query, origin, to, from, ttl, travelled, fanout);
     }
 
     fn chunk_reply(

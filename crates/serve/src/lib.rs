@@ -11,8 +11,8 @@
 //! millisecond), a wall-clock [`bus::WallClock`], and a self-pacing load
 //! generator offering queries at a target rate. It reports
 //! queries/sec/core, hit rate and p50/p99 first-result latency; query
-//! spans come from the slice's own `QueryTracer` on a one-shard traced
-//! run, so `ddr inspect` reads serve traces exactly like sim traces.
+//! spans come from each slice's own `QueryTracer`, so `ddr inspect`
+//! reads serve traces exactly like sim traces.
 //!
 //! Wall-clock scheduling makes [`run_gnutella`] non-deterministic
 //! (arrival interleavings vary run to run). [`run_deterministic`] steps

@@ -13,7 +13,8 @@ use std::path::PathBuf;
 pub struct TelemetryConfig {
     /// JSONL output path for [`crate::JsonlSink`]. `None` discards.
     pub trace_path: Option<PathBuf>,
-    /// Sample every N-th query id (1 = every query, 0 treated as 1).
+    /// Trace the queries of every N-th node, those whose index is a
+    /// multiple of N (1 = every query, 0 treated as 1).
     pub sample: u64,
     /// Label stamped on each record (`"run"`), distinguishing e.g. the
     /// static and dynamic configs sharing one trace file.

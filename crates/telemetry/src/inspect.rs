@@ -1,19 +1,18 @@
 //! Trace summarisation: the analysis behind `ddr inspect`.
 //!
-//! [`summarize`] replays a JSONL trace (schema `"v":1`, written by
-//! [`crate::QueryTracer`]) and reconstructs every span, following
-//! `relaunch` links so an iterative-deepening chain counts as one query.
-//! It validates span completeness — every `issue` must reach exactly one
-//! terminal `end`, and no record may refer to a span that was never
-//! issued — and aggregates the distributions `ddr inspect` prints:
-//! hop-depth, per-hour hit/miss funnel, slowest queries, record-type
-//! breakdown.
+//! [`summarize`] reads a JSONL trace (schema `"v":1`, written by
+//! [`crate::QueryTracer`]) in any line order and reconstructs every
+//! span, following `relaunch` links so an iterative-deepening chain
+//! counts as one query. It validates span completeness — every `issue`
+//! reaches exactly one terminal `end`, no record refers to a span that
+//! was never issued, and no forwarder's `hop` is missing — and
+//! aggregates the distributions `ddr inspect` prints: hop-depth, per-hour
+//! hit/miss funnel, slowest queries, record-type breakdown.
 
 use ddr_stats::table::fnum;
 use ddr_stats::{safe_ratio, RunningStats, Table};
 use serde::json::{parse, Value};
-use std::collections::BTreeMap;
-use std::path::Path;
+use std::collections::{BTreeMap, HashSet};
 
 /// How many slowest queries to keep.
 const TOP_K: usize = 10;
@@ -61,8 +60,6 @@ pub struct TraceSummary {
     pub misses: u64,
     /// See [`TraceSummary::hits`].
     pub timeouts: u64,
-    /// Duplicate-drop records.
-    pub dups: u64,
     /// Query copies forwarded (sum of `fanout` over hop records).
     pub forwarded: u64,
     /// Spans per maximum hop depth reached.
@@ -77,14 +74,6 @@ pub struct TraceSummary {
     pub errors: Vec<String>,
     /// Violations beyond the ones kept in `errors`.
     pub errors_truncated: u64,
-}
-
-/// Open-span bookkeeping while replaying the record stream.
-#[derive(Debug, Clone)]
-struct OpenSpan {
-    root: u64,
-    run: String,
-    max_hops: u64,
 }
 
 impl TraceSummary {
@@ -108,23 +97,20 @@ impl TraceSummary {
 
         let mut overview = Table::new("trace overview", &["metric", "value"]);
         let ended = self.hits + self.misses + self.timeouts;
+        let hit_ratio = fnum(safe_ratio(self.hits as f64, ended as f64), 3);
+        let dups = self.by_type.get("dup").unwrap_or(&0);
+        let errors = self.errors.len() as u64 + self.errors_truncated;
         for (name, value) in [
             ("records", self.records.to_string()),
             ("query spans", self.spans.to_string()),
             ("hits", self.hits.to_string()),
             ("misses", self.misses.to_string()),
             ("timeouts", self.timeouts.to_string()),
-            (
-                "hit ratio",
-                fnum(safe_ratio(self.hits as f64, ended as f64), 3),
-            ),
-            ("duplicate drops", self.dups.to_string()),
+            ("hit ratio", hit_ratio),
+            ("duplicate drops", dups.to_string()),
             ("forwarded copies", self.forwarded.to_string()),
             ("mean hit latency ms", fnum(self.hit_latency.mean(), 1)),
-            (
-                "span errors",
-                (self.errors.len() as u64 + self.errors_truncated).to_string(),
-            ),
+            ("span errors", errors.to_string()),
         ] {
             overview.row(vec![name.to_string(), value]);
         }
@@ -189,9 +175,7 @@ impl TraceSummary {
         if !self.is_complete() {
             text.push_str("\nspan-completeness problems:\n");
             for e in &self.errors {
-                text.push_str("  - ");
-                text.push_str(e);
-                text.push('\n');
+                text += &format!("  - {e}\n");
             }
             if self.errors_truncated > 0 {
                 text.push_str(&format!("  … and {} more\n", self.errors_truncated));
@@ -214,148 +198,218 @@ fn text(v: &Value, key: &str, line: usize) -> Result<String, String> {
     }
 }
 
-/// Read and summarise a trace file.
-pub fn summarize_file(path: &Path) -> Result<TraceSummary, String> {
-    let src = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    summarize(&src)
+/// One record, reduced to the fields the summary reads.
+struct Record {
+    line: usize,
+    kind: String,
+    run: String,
+    /// The wire id the record names.
+    q: u64,
+    body: Body,
+}
+
+enum Body {
+    /// The initiator.
+    Issue(u64),
+    /// Node, the node it came from, hops travelled.
+    Hop(u64, u64, u64),
+    Dup,
+    /// Hops of the first result.
+    First(u64),
+    /// The wire id this one continues.
+    Relaunch(u64),
+    /// Outcome and latency.
+    End(String, f64),
+}
+
+impl Record {
+    /// Where an error about this record starts.
+    fn at(&self) -> String {
+        format!(
+            "line {}: {} of q{} ({})",
+            self.line, self.kind, self.q, self.run
+        )
+    }
+}
+
+/// One span while the records are attributed to it.
+struct Span {
+    initiator: u64,
+    max_hops: u64,
+    /// The terminal record's outcome and latency.
+    end: Option<(String, f64)>,
+}
+
+/// Parse one line into a [`Record`], counting what needs no span into
+/// `s`: records by type, issues and outcomes per hour, forwarded copies.
+fn record(raw: &str, line: usize, s: &mut TraceSummary) -> Result<Record, String> {
+    let v = parse(raw).map_err(|e| format!("line {line}: {e}"))?;
+    let version = num(&v, "v", line)?;
+    if version != crate::TRACE_SCHEMA_VERSION as f64 {
+        return Err(format!("line {line}: unsupported schema version {version}"));
+    }
+    let kind = text(&v, "type", line)?;
+    let hour = (num(&v, "t", line)? / 3_600_000.0) as u64;
+    let field = |key| num(&v, key, line).map(|x| x as u64);
+    let body = match kind.as_str() {
+        "issue" => {
+            s.spans += 1;
+            s.hourly.entry(hour).or_default().issued += 1;
+            Body::Issue(field("node")?)
+        }
+        "hop" => {
+            s.forwarded += field("fanout")?;
+            Body::Hop(field("node")?, field("from")?, field("hops")?)
+        }
+        "dup" => Body::Dup,
+        "first" => Body::First(field("hops")?),
+        "relaunch" => Body::Relaunch(field("parent")?),
+        "end" => {
+            let outcome = text(&v, "outcome", line)?;
+            let f = s.hourly.entry(hour).or_default();
+            let (total, in_hour) = match outcome.as_str() {
+                "hit" => (&mut s.hits, &mut f.hits),
+                "miss" => (&mut s.misses, &mut f.misses),
+                "timeout" => (&mut s.timeouts, &mut f.timeouts),
+                other => return Err(format!("line {line}: unknown outcome `{other}`")),
+            };
+            *total += 1;
+            *in_hour += 1;
+            Body::End(outcome, num(&v, "latency_ms", line)?)
+        }
+        other => return Err(format!("line {line}: unknown record type `{other}`")),
+    };
+    s.records += 1;
+    *s.by_type.entry(kind.clone()).or_insert(0) += 1;
+    Ok(Record {
+        line,
+        run: text(&v, "run", line)?,
+        q: field("q")?,
+        kind,
+        body,
+    })
 }
 
 /// Summarise a JSONL trace. Fails on unparseable lines, wrong schema
 /// versions and structurally broken records; span-completeness problems
 /// are *collected* (in [`TraceSummary::errors`]) rather than fatal, so a
 /// truncated trace still yields a report.
+///
+/// The summary does not depend on line order: shards and sweep workers
+/// append whole buffers in any order, and a relay's records may precede
+/// the issue of their span. Spans are keyed by `(run, root id)` — a
+/// sweep's runs issue the same ids under different labels — and
+/// `relaunch` links are resolved before any record is attributed. A
+/// complete trace opens every span once and ends it once, names no
+/// unknown span, and holds every forwarder: each `hop`'s `from` is its
+/// span's initiator or has a `hop` of its own under the same wire id.
 pub fn summarize(src: &str) -> Result<TraceSummary, String> {
     let mut s = TraceSummary::default();
-    let mut open: BTreeMap<u64, OpenSpan> = BTreeMap::new();
-    let mut ends: Vec<(f64, SlowQuery)> = Vec::new();
-
+    let mut records = Vec::new();
     for (idx, raw) in src.lines().enumerate() {
-        let line = idx + 1;
-        if raw.trim().is_empty() {
+        if !raw.trim().is_empty() {
+            records.push(record(raw, idx + 1, &mut s)?);
+        }
+    }
+
+    // Spans, relaunch links and forwarders, each under `(run, wire id)`.
+    let mut spans: BTreeMap<(&str, u64), Span> = BTreeMap::new();
+    let mut parents = BTreeMap::new();
+    let mut forwarders = HashSet::new();
+    for r in &records {
+        let key = (r.run.as_str(), r.q);
+        let twice = match r.body {
+            Body::Issue(initiator) => {
+                let span = Span {
+                    initiator,
+                    max_hops: 0,
+                    end: None,
+                };
+                spans.insert(key, span).is_some()
+            }
+            Body::Relaunch(parent) => parents.insert(key, parent).is_some(),
+            Body::Hop(node, ..) => {
+                forwarders.insert((key, node));
+                false
+            }
+            _ => false,
+        };
+        if twice {
+            s.error(format!("{}: a second one", r.at()));
+        }
+    }
+    // The root id of `q`'s relaunch chain (a cycle stops after one lap).
+    let root = |run: &str, mut q: u64| {
+        for _ in 0..=parents.len() {
+            match parents.get(&(run, q)) {
+                Some(&p) => q = p,
+                None => break,
+            }
+        }
+        q
+    };
+
+    for r in &records {
+        let named = match r.body {
+            Body::Issue(_) => continue,
+            Body::Relaunch(parent) => parent,
+            _ => r.q,
+        };
+        let id = root(&r.run, named);
+        let Some(span) = spans.get_mut(&(r.run.as_str(), id)) else {
+            s.error(format!("{}: unknown span q{named}", r.at()));
             continue;
-        }
-        let v = parse(raw).map_err(|e| format!("line {line}: {e}"))?;
-        let version = num(&v, "v", line)?;
-        if version != crate::TRACE_SCHEMA_VERSION as f64 {
-            return Err(format!("line {line}: unsupported schema version {version}"));
-        }
-        let kind = text(&v, "type", line)?;
-        let t_ms = num(&v, "t", line)?;
-        let hour = (t_ms / 3_600_000.0) as u64;
-        s.records += 1;
-        *s.by_type.entry(kind.clone()).or_insert(0) += 1;
-
-        match kind.as_str() {
-            "issue" => {
-                let q = num(&v, "q", line)? as u64;
-                let run = text(&v, "run", line)?;
-                if open.contains_key(&q) {
-                    s.error(format!("line {line}: q{q} issued while already open"));
-                }
-                open.insert(
-                    q,
-                    OpenSpan {
-                        root: q,
-                        run,
-                        max_hops: 0,
-                    },
-                );
-                s.spans += 1;
-                s.hourly.entry(hour).or_default().issued += 1;
-            }
-            "hop" => {
-                let q = num(&v, "q", line)? as u64;
-                let hops = num(&v, "hops", line)? as u64;
-                s.forwarded += num(&v, "fanout", line)? as u64;
-                match open.get_mut(&q) {
-                    Some(span) => span.max_hops = span.max_hops.max(hops),
-                    None => s.error(format!("line {line}: hop for unknown span q{q}")),
+        };
+        match &r.body {
+            Body::Hop(node, from, hops) => {
+                span.max_hops = span.max_hops.max(*hops);
+                if *from != span.initiator && !forwarders.contains(&((r.run.as_str(), r.q), *from))
+                {
+                    let lost = format!("node {from}, which has no hop of its own");
+                    s.error(format!(
+                        "{} in span q{id}: at node {node} from {lost}",
+                        r.at()
+                    ));
                 }
             }
-            "dup" => {
-                let q = num(&v, "q", line)? as u64;
-                s.dups += 1;
-                if !open.contains_key(&q) {
-                    s.error(format!("line {line}: dup for unknown span q{q}"));
-                }
+            Body::First(hops) => span.max_hops = span.max_hops.max(*hops),
+            Body::End(..) if span.end.is_some() => {
+                s.error(format!("{}: span q{id} ended twice", r.at()));
             }
-            "first" => {
-                let q = num(&v, "q", line)? as u64;
-                let hops = num(&v, "hops", line)? as u64;
-                match open.get_mut(&q) {
-                    Some(span) => span.max_hops = span.max_hops.max(hops),
-                    None => s.error(format!("line {line}: first for unknown span q{q}")),
-                }
-            }
-            "relaunch" => {
-                let q = num(&v, "q", line)? as u64;
-                let parent = num(&v, "parent", line)? as u64;
-                match open.remove(&parent) {
-                    Some(span) => {
-                        open.insert(q, span);
-                    }
-                    None => s.error(format!(
-                        "line {line}: relaunch q{q} from unknown span q{parent}"
-                    )),
-                }
-            }
-            "end" => {
-                let q = num(&v, "q", line)? as u64;
-                let outcome = text(&v, "outcome", line)?;
-                let latency = num(&v, "latency_ms", line)?;
-                let f = s.hourly.entry(hour).or_default();
-                match outcome.as_str() {
-                    "hit" => {
-                        s.hits += 1;
-                        f.hits += 1;
-                        s.hit_latency.record(latency);
-                    }
-                    "miss" => {
-                        s.misses += 1;
-                        f.misses += 1;
-                    }
-                    "timeout" => {
-                        s.timeouts += 1;
-                        f.timeouts += 1;
-                    }
-                    other => return Err(format!("line {line}: unknown outcome `{other}`")),
-                }
-                match open.remove(&q) {
-                    Some(span) => {
-                        *s.hop_depth.entry(span.max_hops).or_insert(0) += 1;
-                        if latency >= 0.0 {
-                            ends.push((
-                                latency,
-                                SlowQuery {
-                                    query: span.root,
-                                    run: span.run,
-                                    outcome,
-                                    latency_ms: latency,
-                                },
-                            ));
-                        }
-                    }
-                    None => s.error(format!("line {line}: end for unknown span q{q}")),
-                }
-            }
-            other => return Err(format!("line {line}: unknown record type `{other}`")),
+            Body::End(outcome, latency) => span.end = Some((outcome.clone(), *latency)),
+            _ => {}
         }
     }
 
-    let mut dangling: Vec<u64> = open.keys().copied().collect();
-    dangling.sort_unstable();
-    for q in dangling {
-        s.error(format!("q{q} never reached a terminal record"));
+    // Per-span aggregates, in key order so no float sum sees input order.
+    let mut ends = Vec::new();
+    for ((run, id), span) in spans {
+        let Some((outcome, latency)) = span.end else {
+            s.error(format!("q{id} never reached a terminal record (run {run})"));
+            continue;
+        };
+        *s.hop_depth.entry(span.max_hops).or_insert(0) += 1;
+        if outcome == "hit" {
+            s.hit_latency.record(latency);
+        }
+        if latency >= 0.0 {
+            ends.push(SlowQuery {
+                query: id,
+                run: run.to_string(),
+                outcome,
+                latency_ms: latency,
+            });
+        }
     }
-
-    // Slowest first; ties broken by query id for a deterministic report.
+    // Slowest first; ties broken by query id, then run.
     ends.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.1.query.cmp(&b.1.query))
+        b.latency_ms
+            .total_cmp(&a.latency_ms)
+            .then(a.query.cmp(&b.query))
+            .then_with(|| a.run.cmp(&b.run))
     });
-    s.slowest = ends.into_iter().take(TOP_K).map(|(_, q)| q).collect();
+    ends.truncate(TOP_K);
+    s.slowest = ends;
 
     Ok(s)
 }
@@ -385,30 +439,20 @@ mod tests {
             run_label: "Dyn",
             ..TelemetryConfig::default()
         });
-        let n = NodeId::from_index;
-        // Span 0: hit at depth 2, relaunched once.
-        tr.issue(SimTime::from_millis(100), QueryId(0), n(0), 7, 2);
-        tr.hop(SimTime::from_millis(170), QueryId(0), n(1), n(0), 2, 1, 4);
-        tr.relaunch(SimTime::from_mins(5), QueryId(0), QueryId(1), 1);
-        tr.hop(SimTime::from_mins(5), QueryId(1), n(2), n(0), 3, 2, 2);
-        tr.dup(SimTime::from_mins(5), QueryId(1), n(1));
-        tr.first(SimTime::from_mins(6), QueryId(1), n(2), 2, 360_000.0);
-        tr.finish(
-            SimTime::from_hours(1),
-            QueryId(1),
-            TraceOutcome::Hit,
-            3,
-            360_000.0,
-        );
+        let (n, q, min) = (NodeId::from_index, QueryId, SimTime::from_mins);
+        // Span 0: hit at depth 2, relaunched once; node 2 forwards node
+        // 0's copy to node 4.
+        tr.issue(SimTime::from_millis(100), q(0), n(0), 7, 2);
+        tr.hop(SimTime::from_millis(170), q(0), n(0), n(1), n(0), 2, 1, 4);
+        tr.relaunch(min(5), q(0), q(1), 1);
+        tr.hop(min(5), q(1), n(0), n(2), n(0), 3, 1, 2);
+        tr.hop(min(5), q(1), n(0), n(4), n(2), 3, 2, 2);
+        tr.dup(min(5), q(1), n(0), n(1));
+        tr.first(min(6), q(1), n(2), 2, 360_000.0);
+        tr.finish(min(60), q(1), TraceOutcome::Hit, 3, 360_000.0);
         // Span 2: miss, never left the initiator.
-        tr.issue(SimTime::from_hours(1), QueryId(2), n(3), 9, 2);
-        tr.finish(
-            SimTime::from_hours(2),
-            QueryId(2),
-            TraceOutcome::Miss,
-            0,
-            50.0,
-        );
+        tr.issue(min(60), q(2), n(3), 9, 2);
+        tr.finish(min(120), q(2), TraceOutcome::Miss, 0, 50.0);
         std::mem::take(&mut tr.sink_mut().0)
     }
 
@@ -416,11 +460,11 @@ mod tests {
     fn summarize_reconstructs_spans_across_relaunches() {
         let s = summarize(&trace_two_spans()).unwrap();
         assert!(s.is_complete(), "errors: {:?}", s.errors);
-        assert_eq!(s.records, 9);
+        assert_eq!(s.records, 10);
         assert_eq!(s.spans, 2);
         assert_eq!((s.hits, s.misses, s.timeouts), (1, 1, 0));
-        assert_eq!(s.dups, 1);
-        assert_eq!(s.forwarded, 6);
+        assert_eq!(s.by_type["dup"], 1);
+        assert_eq!(s.forwarded, 8);
         // Span 0+1 reached depth 2; span 2 stayed at depth 0.
         assert_eq!(s.hop_depth.get(&2), Some(&1));
         assert_eq!(s.hop_depth.get(&0), Some(&1));
@@ -434,6 +478,33 @@ mod tests {
         let text = s.render();
         assert!(text.contains("hop-depth distribution"));
         assert!(text.contains("q0"));
+    }
+
+    /// Two runs issue the same ids; their lines, interleaved backwards,
+    /// are two runs' spans.
+    #[test]
+    fn runs_sharing_ids_are_separate_spans_in_any_order() {
+        let one = trace_two_spans();
+        let other = one.replace("\"run\":\"Dyn\"", "\"run\":\"Static\"");
+        let both = one.lines().rev().zip(other.lines().rev());
+        let backwards: String = both.map(|(a, b)| format!("{a}\n{b}\n")).collect();
+        let s = summarize(&backwards).unwrap();
+        assert!(s.is_complete(), "errors: {:?}", s.errors);
+        assert_eq!((s.spans, s.hop_depth[&2]), (4, 2));
+    }
+
+    #[test]
+    fn a_lost_forwarder_breaks_the_hop_chain() {
+        let src = trace_two_spans();
+        let lost = src.replace(&src.lines().nth(3).unwrap().to_string(), "");
+        assert!(lost.contains("\n\n"), "node 2's hop went");
+        let s = summarize(&lost).unwrap();
+        assert_eq!(s.errors.len(), 1, "{:?}", s.errors);
+        let error = &s.errors[0];
+        assert!(
+            error.contains("(Dyn) in span q0") && error.contains("from node 2"),
+            "{error}"
+        );
     }
 
     #[test]

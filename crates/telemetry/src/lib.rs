@@ -42,11 +42,11 @@ pub use config::TelemetryConfig;
 /// The fixed-width histogram fig3a reads; the serve monitor names it
 /// through this crate rather than depending on `ddr-stats` itself.
 pub use ddr_stats::Histogram;
-pub use inspect::{summarize, summarize_file, TraceSummary};
+pub use inspect::{summarize, TraceSummary};
 pub use metrics::{JsonlMetrics, MetricsRecorder, MetricsSink, METRICS_SCHEMA_VERSION};
 pub use profile::{shard_profile_report, KernelProfiler};
 pub use sink::{JsonlSink, NullSink, TraceSink};
-pub use timeline::{is_timeline, summarize_timeline, summarize_timeline_file, TimelineSummary};
+pub use timeline::{is_timeline, summarize_timeline, TimelineSummary};
 pub use tracer::{QueryTracer, TraceOutcome};
 
 /// Schema version stamped on every trace record (`"v":1`).

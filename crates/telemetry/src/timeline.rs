@@ -16,7 +16,6 @@ use crate::metrics::METRICS_SCHEMA_VERSION;
 use ddr_stats::Table;
 use serde::json::{parse, Value};
 use std::collections::BTreeMap;
-use std::path::Path;
 
 /// Spike threshold: a counter value this many times its series mean is
 /// flagged (the flash-crowd signature).
@@ -61,13 +60,6 @@ pub fn is_timeline(src: &str) -> bool {
         .and_then(|l| parse(l).ok())
         .and_then(|v| v.get("type").cloned())
         .is_some_and(|t| matches!(t, Value::Str(s) if s == "window"))
-}
-
-/// Read and summarise a timeline file.
-pub fn summarize_timeline_file(path: &Path) -> Result<TimelineSummary, String> {
-    let src = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    summarize_timeline(&src)
 }
 
 fn num_members(

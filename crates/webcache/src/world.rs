@@ -280,7 +280,8 @@ impl<T: TraceSink> WebCacheWorld<T> {
                 .runtime
                 .messages
                 .add(hour, queried.len() as f64);
-            self.tracer.hop(now, qid, proxy, proxy, 1, 1, queried.len());
+            self.tracer
+                .hop(now, qid, proxy, proxy, proxy, 1, 1, queried.len());
             let holder = queried
                 .iter()
                 .copied()

@@ -14,7 +14,7 @@ use ddr_repro::harness::{run_with, Scenario};
 use ddr_repro::peerolap::{OlapMode, PeerOlapConfig, PeerOlapScenario};
 use ddr_repro::sim::SimDuration;
 use ddr_repro::telemetry::{
-    summarize_timeline_file, JsonlMetrics, MetricsRecorder, TelemetryConfig,
+    summarize_timeline, JsonlMetrics, MetricsRecorder, NullSink, TelemetryConfig,
 };
 use ddr_repro::webcache::{CacheMode, WebCacheConfig, WebCacheScenario};
 use ddr_serve::{run_gnutella, ServeConfig};
@@ -42,7 +42,8 @@ fn metered(tag: &str) -> (PathBuf, TelemetryConfig) {
 /// Every key in the timeline at `path`, per-shard suffix stripped; the
 /// file is removed afterwards.
 fn keys_in(path: &Path) -> Keys {
-    let summary = summarize_timeline_file(path).expect("timeline must parse");
+    let src = std::fs::read_to_string(path).expect("timeline was written");
+    let summary = summarize_timeline(&src).expect("timeline must parse");
     std::fs::remove_file(path).ok();
     let stem = |k: &String| match k.rsplit_once(".s") {
         Some((stem, shard)) if shard.parse::<usize>().is_ok() => stem.to_string(),
@@ -78,7 +79,7 @@ fn gnutella_runs(tag: &str) -> (RunReport, Keys, Keys) {
     let (report, serial) = serial_run::<GnutellaScenario>(cfg.clone(), tag);
     let (sharded_path, telemetry) = metered(&format!("{tag}-sharded"));
     cfg.telemetry = telemetry;
-    run_scenario_sharded(cfg, 2, 1, false);
+    run_scenario_sharded::<NullSink>(cfg, 2, 1, false);
     (report, serial, keys_in(&sharded_path))
 }
 

@@ -11,21 +11,47 @@
 //! every observer attached at once — trace sink, kernel probe and hourly
 //! metrics sampling compose on the one `harness::run_with` driver.
 
-use ddr_repro::gnutella::{run_scenario, GnutellaScenario, Mode, ScenarioConfig};
+use ddr_repro::gnutella::{
+    run_scenario, run_scenario_sharded, GnutellaScenario, Mode, ScenarioConfig,
+};
 use ddr_repro::harness::{run, run_with, Scenario};
 use ddr_repro::peerolap::{run_peerolap, OlapMode, PeerOlapConfig, PeerOlapScenario};
 use ddr_repro::sim::{EventLabel, SimDuration, World};
 use ddr_repro::telemetry::{
-    summarize_file, summarize_timeline_file, JsonlMetrics, JsonlSink, KernelProfiler,
-    MetricsRecorder, TelemetryConfig,
+    summarize, summarize_timeline, JsonlMetrics, JsonlSink, KernelProfiler, MetricsRecorder,
+    TelemetryConfig, TraceSummary,
 };
 use ddr_repro::webcache::{run_webcache, CacheMode, WebCacheConfig, WebCacheScenario};
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 /// A unique trace path per test so parallel test threads never share a
 /// sink file.
 fn trace_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ddr-telemetry-{tag}-{}.jsonl", std::process::id()))
+}
+
+/// The file at `path`, which is removed.
+fn take(path: &std::path::Path) -> String {
+    let text = std::fs::read_to_string(path).expect("the file was written");
+    std::fs::remove_file(path).ok();
+    text
+}
+
+/// The trace at `path` summarised; the file is removed.
+fn summarize_trace(path: &std::path::Path) -> TraceSummary {
+    summarize(&take(path)).expect("trace must parse line by line")
+}
+
+/// The unsigned integer field `key` of a trace record.
+fn field(line: &str, key: &str) -> u64 {
+    let at = line
+        .find(&format!("\"{key}\":"))
+        .expect("the record has the field")
+        + key.len()
+        + 3;
+    let digits = line[at..].split(|c: char| !c.is_ascii_digit()).next();
+    digits.unwrap().parse().expect("an unsigned integer")
 }
 
 fn telemetry(path: &std::path::Path, sample: u64, label: &'static str) -> TelemetryConfig {
@@ -60,8 +86,7 @@ where
     );
     recorder.finish();
     assert!(!profiler.report()[0].is_empty(), "{tag}: probe saw nothing");
-    let summary = summarize_timeline_file(&timeline).expect("timeline must parse");
-    std::fs::remove_file(&timeline).ok();
+    let summary = summarize_timeline(&take(&timeline)).expect("timeline must parse");
     assert_eq!(
         summary.window_count() as u64,
         hours,
@@ -96,8 +121,7 @@ fn gnutella_traced_run_is_bit_identical_and_trace_is_complete() {
     );
     assert_eq!(plain.mean_first_delay_ms(), traced.mean_first_delay_ms());
 
-    let summary = summarize_file(&path).expect("trace must parse line by line");
-    std::fs::remove_file(&path).ok();
+    let summary = summarize_trace(&path);
     assert!(summary.records > 0, "trace file came out empty");
     assert!(summary.spans > 0, "no query span was recorded");
     assert!(
@@ -112,6 +136,98 @@ fn gnutella_traced_run_is_bit_identical_and_trace_is_complete() {
     );
 }
 
+/// Three slices trace the serial run: each writes the relays it handles
+/// and the spans its nodes issue, and the spans still open at the
+/// horizon end at the run's latest record, so the file holds the serial
+/// trace's lines in another order and summarises the same.
+#[test]
+fn gnutella_sharded_trace_equals_the_serial_trace() {
+    let sorted = |text: &str| {
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        lines.sort();
+        lines
+    };
+    for mode in [Mode::Static, Mode::Dynamic] {
+        let mut cfg = ScenarioConfig::scaled(mode, 2, 20, 6);
+        let plain = run_scenario(cfg.clone());
+
+        let serial_path = trace_path(&format!("gnutella-serial-{mode:?}"));
+        cfg.telemetry = telemetry(&serial_path, 1, mode.label());
+        run::<GnutellaScenario<JsonlSink>>(cfg.clone());
+        let serial = take(&serial_path);
+
+        let sharded_path = trace_path(&format!("gnutella-sharded-{mode:?}"));
+        cfg.telemetry.trace_path = Some(sharded_path.clone());
+        let sharded = run_scenario_sharded::<JsonlSink>(cfg, 3, 1, false);
+        assert_eq!(plain, sharded.report);
+        drop(sharded.worlds);
+        let trace = take(&sharded_path);
+        let (lines, serial_lines) = (sorted(&trace), sorted(&serial));
+        let first_difference = lines.iter().zip(&serial_lines).find(|(a, b)| a != b);
+        assert_eq!(first_difference, None, "{mode:?}");
+        assert_eq!(lines.len(), serial_lines.len(), "{mode:?}");
+
+        let summary = summarize(&trace).expect("sharded trace must parse");
+        assert!(summary.is_complete(), "{:?}", summary.errors);
+        assert!(summary.by_type["hop"] > 0 && summary.by_type["dup"] > 0);
+        let serial = summarize(&serial).expect("serial trace must parse");
+        assert_eq!(serial.render(), summary.render());
+    }
+}
+
+/// A trace that lost one forwarder's `hop` reads incomplete, naming the
+/// span, whether one world or two slices wrote it. Hop limit 4, so
+/// relays forward relays' copies.
+#[test]
+fn a_trace_missing_a_forwarders_hop_reads_incomplete() {
+    let mut cfg = ScenarioConfig::scaled(Mode::Dynamic, 4, 20, 3);
+    cfg.seed = 3;
+    for shards in [1, 2] {
+        let path = trace_path(&format!("gnutella-lost-hop-{shards}"));
+        cfg.telemetry = telemetry(&path, 1, "Dynamic_Gnutella");
+        if shards == 1 {
+            run::<GnutellaScenario<JsonlSink>>(cfg.clone());
+        } else {
+            drop(run_scenario_sharded::<JsonlSink>(
+                cfg.clone(),
+                shards,
+                1,
+                false,
+            ));
+        }
+        let trace = take(&path);
+        assert!(summarize(&trace).unwrap().is_complete());
+        let hops: Vec<&str> = trace
+            .lines()
+            .filter(|l| l.contains("\"type\":\"hop\""))
+            .collect();
+        let froms: HashSet<(u64, u64)> = hops
+            .iter()
+            .map(|h| (field(h, "q"), field(h, "from")))
+            .collect();
+        let (victim, q) = hops
+            .iter()
+            .map(|h| (*h, field(h, "q")))
+            .find(|&(h, q)| froms.contains(&(q, field(h, "node"))))
+            .expect("some relay forwarded a relay's copy");
+        let lost: String = trace
+            .lines()
+            .filter(|l| *l != victim)
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let summary = summarize(&lost).unwrap();
+        assert!(!summary.is_complete(), "{shards} shards: lost {victim}");
+        let span = format!("(Dynamic_Gnutella) in span q{q}:");
+        assert!(
+            summary.errors.iter().all(|e| e.contains(&span)),
+            "{:?}",
+            summary.errors
+        );
+    }
+}
+
+/// At `--trace-sample 8` exactly the spans of nodes 0, 8, 16, … are
+/// traced, each whole: every relay writes their hops and duplicates.
 #[test]
 fn gnutella_sampling_reduces_spans_without_perturbing_the_run() {
     let mut cfg = ScenarioConfig::scaled(Mode::Static, 2, 20, 6);
@@ -125,9 +241,16 @@ fn gnutella_sampling_reduces_spans_without_perturbing_the_run() {
     assert_eq!(plain.hits_series(), traced.hits_series());
     assert_eq!(plain.messages_series(), traced.messages_series());
 
-    let summary = summarize_file(&path).expect("sampled trace must parse");
-    std::fs::remove_file(&path).ok();
-    assert!(summary.spans > 0);
+    let trace = take(&path);
+    let initiators: Vec<u64> = trace
+        .lines()
+        .filter(|l| l.contains("\"type\":\"issue\""))
+        .map(|l| field(l, "node"))
+        .collect();
+    assert!(initiators.iter().all(|n| n % 8 == 0), "{initiators:?}");
+    assert!(initiators.iter().any(|&n| n > 0), "one node traced");
+    let summary = summarize(&trace).expect("sampled trace must parse");
+    assert!(summary.spans > 0 && summary.by_type["hop"] > 0);
     assert!(summary.is_complete(), "{:?}", summary.errors);
 }
 
@@ -164,8 +287,7 @@ fn webcache_traced_run_is_bit_identical() {
         traced.metrics.runtime.updates
     );
 
-    let summary = summarize_file(&path).expect("webcache trace must parse");
-    std::fs::remove_file(&path).ok();
+    let summary = summarize_trace(&path);
     assert!(summary.spans > 0);
     assert!(summary.is_complete(), "{:?}", summary.errors);
 }
@@ -200,8 +322,7 @@ fn peerolap_traced_run_is_bit_identical() {
     assert_eq!(plain.mean_latency_ms(), traced.mean_latency_ms());
     assert_eq!(plain.metrics.adds_refused, traced.metrics.adds_refused);
 
-    let summary = summarize_file(&path).expect("peerolap trace must parse");
-    std::fs::remove_file(&path).ok();
+    let summary = summarize_trace(&path);
     assert!(summary.spans > 0);
     assert!(summary.is_complete(), "{:?}", summary.errors);
 }
