@@ -253,11 +253,6 @@ impl DupCache {
         self.len() == 0
     }
 
-    /// Capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity as usize
-    }
-
     /// Forget everything (log-off/log-in cycles start fresh). O(1): the
     /// table is not touched, entries below the watermark are simply
     /// treated as stale and reclaimed by the next compaction.

@@ -13,7 +13,10 @@ usage:
   ddr inspect <file.jsonl>     summarize a query trace (hop depth, funnel,
                                slowest queries, record breakdown) or a
                                metrics timeline (per-window table, anomaly
-                               flags) — the file kind is sniffed
+                               flags) — the file kind is sniffed; exits 0
+                               on a timeline or a complete trace, 1 on a
+                               trace with span errors, 2 on an unreadable
+                               or malformed file
   ddr serve gnutella [flags]   real-time load test: shard the node fleet
                                across threads, inject queries at a target
                                rate, report qps/core and p50/p99 latency
@@ -133,9 +136,9 @@ pub fn ddr_main(args: Vec<String>) -> i32 {
             let rest: Vec<String> = args.collect();
             match rest.as_slice() {
                 [path] if !path.starts_with('-') => match inspect_file(path) {
-                    Ok(rendered) => {
+                    Ok((rendered, code)) => {
                         print!("{rendered}");
-                        0
+                        code
                     }
                     Err(e) => {
                         eprintln!("inspect: {e}");
@@ -170,15 +173,17 @@ pub fn ddr_main(args: Vec<String>) -> i32 {
 }
 
 /// `ddr inspect` body: sniff whether `path` is a metrics timeline or a
-/// query trace and render the matching summary. Both summarisers read
-/// the whole file anyway, so the sniff reads it once up front.
-fn inspect_file(path: &str) -> Result<String, String> {
+/// query trace and render the matching summary with its exit code — 1
+/// for a trace whose spans do not resolve, else 0 (a timeline's anomaly
+/// flags are findings, not failures). Both summarisers read the whole
+/// file anyway, so the sniff reads it once up front.
+fn inspect_file(path: &str) -> Result<(String, i32), String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if ddr_telemetry::is_timeline(&src) {
-        Ok(ddr_telemetry::summarize_timeline(&src)?.render())
-    } else {
-        Ok(ddr_telemetry::summarize(&src)?.render())
+        return Ok((ddr_telemetry::summarize_timeline(&src)?.render(), 0));
     }
+    let summary = ddr_telemetry::summarize(&src)?;
+    Ok((summary.render(), i32::from(!summary.is_complete())))
 }
 
 #[cfg(test)]
@@ -396,23 +401,38 @@ mod tests {
         assert_eq!(inspected, 0, "ddr inspect rejected the timeline");
     }
 
-    #[test]
-    fn inspect_summarizes_a_valid_trace() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("ddr-cli-inspect-{}.jsonl", std::process::id()));
-        std::fs::write(
-            &path,
-            concat!(
-                "{\"v\":1,\"type\":\"issue\",\"run\":\"t\",\"t\":0,\"q\":0,\"node\":1,\"item\":5,\"ttl\":2}\n",
-                "{\"v\":1,\"type\":\"end\",\"run\":\"t\",\"t\":90,\"q\":0,\"outcome\":\"hit\",\"results\":1,\"latency_ms\":90.0}\n",
-            ),
-        )
-        .expect("write trace fixture into the temp dir");
+    /// `ddr inspect`'s exit code on a trace file holding `lines`.
+    fn inspect_lines(name: &str, lines: &[&str]) -> i32 {
+        let path = std::env::temp_dir().join(format!(
+            "ddr-cli-inspect-{name}-{}.jsonl",
+            std::process::id()
+        ));
+        let src: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        std::fs::write(&path, src).expect("write trace fixture into the temp dir");
         let code = ddr_main(argv(&[
             "inspect",
             path.to_str().expect("temp path is valid UTF-8"),
         ]));
         std::fs::remove_file(&path).ok();
-        assert_eq!(code, 0);
+        code
+    }
+
+    /// A complete trace: node 1's query reaches node 3 through node 2.
+    const CHAIN: [&str; 4] = [
+        "{\"v\":1,\"type\":\"issue\",\"run\":\"t\",\"t\":0,\"q\":0,\"node\":1,\"item\":5,\"ttl\":3}",
+        "{\"v\":1,\"type\":\"hop\",\"run\":\"t\",\"t\":40,\"q\":0,\"node\":2,\"from\":1,\"ttl\":3,\"hops\":1,\"fanout\":1}",
+        "{\"v\":1,\"type\":\"hop\",\"run\":\"t\",\"t\":80,\"q\":0,\"node\":3,\"from\":2,\"ttl\":2,\"hops\":2,\"fanout\":0}",
+        "{\"v\":1,\"type\":\"end\",\"run\":\"t\",\"t\":500,\"q\":0,\"outcome\":\"miss\",\"results\":0,\"latency_ms\":-1.0}",
+    ];
+
+    #[test]
+    fn inspect_summarizes_a_valid_trace() {
+        assert_eq!(inspect_lines("valid", &CHAIN), 0);
+    }
+
+    /// Without node 2's `hop` record the hop chain breaks: exit 1.
+    #[test]
+    fn inspect_exits_one_on_a_trace_missing_a_forwarders_hop() {
+        assert_eq!(inspect_lines("lost", &[CHAIN[0], CHAIN[2], CHAIN[3]]), 1);
     }
 }

@@ -24,7 +24,8 @@ pub enum GnutellaEvent {
     },
     /// A result reply reaches the query's initiator. Carries the
     /// responder's bandwidth class (the Ping-Pong information channel the
-    /// paper's benefit function relies on).
+    /// paper's benefit function relies on): the class the initiator
+    /// scores the result by, `B / R`, and records in its statistics.
     ReplyArrive {
         to: NodeId,
         from: NodeId,

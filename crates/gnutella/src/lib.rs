@@ -47,6 +47,6 @@ pub use hosts::HostCache;
 pub use invariants::{check_invariants, Census, RoleCensus};
 pub use metrics::{Metrics, RunReport};
 pub use peer::QueryOutcome;
-pub use scenario::{run_scenario, run_scenario_with_world, GnutellaScenario};
+pub use scenario::{run_scenario, GnutellaScenario};
 pub use sharded::{run_scenario_sharded, ShardedRun};
 pub use world::GnutellaWorld;

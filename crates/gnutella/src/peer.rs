@@ -4,6 +4,7 @@
 
 use ddr_core::runtime::{LinkBook, NodeRuntime};
 use ddr_core::StatsStore;
+use ddr_net::BandwidthClass;
 use ddr_overlay::NeighborList;
 use ddr_sim::{FastHashMap, FastHashSet, ItemId, NodeId, QueryId, SimTime};
 use ddr_workload::{ChurnProcess, QueryGenerator};
@@ -18,8 +19,9 @@ pub struct PendingQuery {
     pub issued_at: SimTime,
     /// Current iterative-deepening wave (0 for plain BFS).
     pub wave: u8,
-    /// Responders in arrival order with their arrival times.
-    pub responders: Vec<(NodeId, SimTime)>,
+    /// Responders in arrival order, each with the bandwidth class its
+    /// reply carried and its arrival time.
+    pub responders: Vec<(NodeId, BandwidthClass, SimTime)>,
     /// Arrival time of the first result.
     pub first_at: Option<SimTime>,
 }
@@ -36,12 +38,12 @@ impl PendingQuery {
         }
     }
 
-    /// Record an arriving result.
-    pub fn record(&mut self, from: NodeId, at: SimTime) {
+    /// Record an arriving result and the bandwidth class it carried.
+    pub fn record(&mut self, from: NodeId, bandwidth: BandwidthClass, at: SimTime) {
         if self.first_at.is_none() {
             self.first_at = Some(at);
         }
-        self.responders.push((from, at));
+        self.responders.push((from, bandwidth, at));
     }
 
     /// Reinitialise a pooled record in place, keeping the `responders`
@@ -275,8 +277,8 @@ mod tests {
     #[test]
     fn pending_query_records_first_and_all() {
         let mut q = PendingQuery::new(ItemId(3), SimTime::from_millis(10));
-        q.record(NodeId(5), SimTime::from_millis(200));
-        q.record(NodeId(6), SimTime::from_millis(300));
+        q.record(NodeId(5), BandwidthClass::Lan, SimTime::from_millis(200));
+        q.record(NodeId(6), BandwidthClass::Cable, SimTime::from_millis(300));
         assert_eq!(q.first_at, Some(SimTime::from_millis(200)));
         assert_eq!(q.responders.len(), 2);
     }

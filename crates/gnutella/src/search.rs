@@ -22,6 +22,7 @@ use crate::peer::{PendingQuery, QueryOutcome};
 use crate::world::GnutellaWorld;
 use ddr_core::runtime::Port;
 use ddr_core::{LocalIndex, QueryDescriptor};
+use ddr_net::BandwidthClass;
 use ddr_sim::{ItemId, NodeId, QueryId, SimDuration, SimTime};
 use ddr_telemetry::{TraceOutcome, TraceSink};
 
@@ -97,33 +98,30 @@ impl<T: TraceSink> GnutellaWorld<T> {
         })
     }
 
-    /// Answer `query` on behalf of the indexed `holder`: its result
-    /// reaches `origin` after `delay`, reported `hops` away.
-    fn reply_from_index<C: Port<GnutellaEvent>>(
+    /// Answer `query` for `responder` (itself, or an indexed holder):
+    /// its result reaches `origin` after `delay`, reported `hops` away,
+    /// carrying the responder's bandwidth class.
+    fn reply<C: Port<GnutellaEvent>>(
         &mut self,
-        holder: NodeId,
+        responder: NodeId,
         origin: NodeId,
         query: QueryId,
         hops: u8,
         delay: SimDuration,
         ctx: &mut C,
     ) {
-        self.metrics.index_answers += 1;
-        let hk = self.li(holder);
-        self.served[hk] += 1;
+        let rk = self.li(responder);
+        self.served[rk] += 1;
         self.replies += 1;
-        let bandwidth = self.shared.net.class(holder);
-        ctx.send(
-            origin,
-            delay,
-            GnutellaEvent::ReplyArrive {
-                to: origin,
-                from: holder,
-                query,
-                bandwidth,
-                hops,
-            },
-        );
+        let bandwidth = self.shared.net.class(responder);
+        let reply = GnutellaEvent::ReplyArrive {
+            to: origin,
+            from: responder,
+            query,
+            bandwidth,
+            hops,
+        };
+        ctx.send(origin, delay, reply);
     }
 
     /// Send `desc` from `from` to each of `targets`, counted as one
@@ -251,7 +249,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 .add(now.as_hours() as usize, 1.0);
             let there = self.delay(k, node, holder);
             let back = self.delay(self.li(holder), holder, node);
-            self.reply_from_index(holder, node, qid, 1, there + back, ctx);
+            self.metrics.index_answers += 1;
+            self.reply(holder, node, qid, 1, there + back, ctx);
         } else {
             self.flood_from_origin(node, qid, item, launch_ttl, ctx);
         }
@@ -310,21 +309,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
             // but refuse to serve it (§2's imbalance scenario). Liars do
             // too — their advertised summary is a lie, and the refusal
             // here is what their benefit entries eventually reflect.
-            self.served[k] += 1;
-            self.replies += 1;
-            let bw = self.shared.net.class(to);
             let d = self.delay(k, to, desc.origin);
-            ctx.send(
-                desc.origin,
-                d,
-                GnutellaEvent::ReplyArrive {
-                    to: desc.origin,
-                    from: to,
-                    query: desc.id,
-                    bandwidth: bw,
-                    hops: desc.travelled,
-                },
-            );
+            self.reply(to, desc.origin, desc.id, desc.travelled, d, ctx);
             return;
         }
         // Answer on behalf of an indexed nearby holder (Yang &
@@ -333,7 +319,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
         if let Some(holder) = self.index_holder(to, desc.item) {
             let d = self.delay(k, to, desc.origin);
             let hops = desc.travelled.saturating_add(1);
-            self.reply_from_index(holder, desc.origin, desc.id, hops, d, ctx);
+            self.metrics.index_answers += 1;
+            self.reply(holder, desc.origin, desc.id, hops, d, ctx);
             return;
         }
         if desc.ttl <= 1 {
@@ -363,12 +350,14 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.scratch_targets = targets;
     }
 
-    /// A result reaches the initiator.
+    /// A result reaches the initiator, carrying its responder's
+    /// bandwidth class: the class the initiator scores it by.
     pub(crate) fn reply_arrive(
         &mut self,
         to: NodeId,
         from: NodeId,
         query: QueryId,
+        bandwidth: BandwidthClass,
         hops: u8,
         now: SimTime,
     ) {
@@ -379,7 +368,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.hosts[k].note(from);
         if let Some(pq) = self.peers[k].pending.get_mut(&query) {
             let was_first = pq.first_at.is_none();
-            pq.record(from, now);
+            pq.record(from, bandwidth, now);
             if now.as_hours() >= self.shared.config.warmup_hours {
                 self.metrics.result_hops.record(hops as f64);
                 if was_first {
@@ -430,11 +419,11 @@ impl<T: TraceSink> GnutellaWorld<T> {
             self.metrics.first_delay_hist.record(delay);
         }
         // "Obtain results and update statistics" — each result scores
-        // B / R (statistics are only consumed in dynamic mode, but keeping
-        // them in static mode costs little and simplifies A/B debugging).
+        // B / R, B being the class its reply carried (statistics are only
+        // consumed in dynamic mode, but keeping them in static mode costs
+        // little and simplifies A/B debugging).
         if self.is_dynamic() {
-            for &(responder, at) in &pq.responders {
-                let bandwidth = self.shared.net.class(responder);
+            for &(responder, bandwidth, at) in &pq.responders {
                 let score = self.shared.config.benefit.score(bandwidth, results);
                 let latency_ms = at.saturating_since(pq.issued_at).as_millis() as f64;
                 self.peers[k]
@@ -499,5 +488,58 @@ impl<T: TraceSink> GnutellaWorld<T> {
             },
         );
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{Mode, ScenarioConfig};
+    use ddr_sim::Simulation;
+
+    /// The initiator scores a result by the class its reply carried, not
+    /// by the responder's row of the network table.
+    #[test]
+    fn a_result_scores_the_bandwidth_its_reply_carried() {
+        let mut world: GnutellaWorld =
+            GnutellaWorld::new(ScenarioConfig::scaled(Mode::Dynamic, 2, 20, 2));
+        let k = (0..100)
+            .find(|&k| world.sessions[k].online)
+            .expect("an online user");
+        let (to, from, query) = (NodeId::from_index(k), NodeId::from_index(k + 1), QueryId(1));
+        let row = world.shared.net.class(from);
+        let bandwidth = if row == BandwidthClass::Lan {
+            BandwidthClass::Cable
+        } else {
+            BandwidthClass::Lan
+        };
+        world.peers[k]
+            .pending
+            .insert(query, PendingQuery::new(ItemId(0), SimTime::ZERO));
+        assert!(world.peers[k].rt.stats.get(from).is_none());
+        let mut sim = Simulation::new(world);
+        let reply = GnutellaEvent::ReplyArrive {
+            to,
+            from,
+            query,
+            bandwidth,
+            hops: 1,
+        };
+        sim.schedule_at(SimTime::from_millis(300), reply);
+        sim.schedule_at(
+            SimTime::from_secs(60),
+            GnutellaEvent::QueryFinalize { node: to, query },
+        );
+        sim.run(SimTime::from_mins(2));
+        let stats = sim.world().peers[k]
+            .rt
+            .stats
+            .get(from)
+            .expect("the result was scored");
+        assert_eq!(stats.bandwidth, Some(bandwidth));
+        assert_eq!(
+            stats.benefit,
+            sim.world().config().benefit.score(bandwidth, 1)
+        );
     }
 }

@@ -420,12 +420,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
         &self.shared.config
     }
 
-    /// The kernel lookahead this world was built with (= the network
-    /// delay floor).
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
     /// `node`'s own view of its neighbor links (owned nodes only).
     pub fn neighbors_of(&self, node: NodeId) -> &[NodeId] {
         self.neighbors[self.li(node)].as_slice()
@@ -591,10 +585,10 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 to,
                 from,
                 query,
-                bandwidth: _,
+                bandwidth,
                 hops,
             } => {
-                self.reply_arrive(to, from, query, hops, now);
+                self.reply_arrive(to, from, query, bandwidth, hops, now);
             }
             GnutellaEvent::QueryFinalize { node, query } => {
                 return self.finalize_query(node, query, now);

@@ -11,7 +11,6 @@
 //!   free-riders: zero served queries structurally, drained
 //!   neighborhoods under dynamic reconfiguration.
 
-use ddr_gnutella::scenario::run_scenario_with_world;
 use ddr_gnutella::{
     check_invariants, run_scenario, run_scenario_sharded, Census, GnutellaScenario, Mode,
     PartitionWindow, RunReport, ScenarioConfig,
@@ -131,7 +130,8 @@ fn liar_cfg(mode: Mode) -> ScenarioConfig {
 
 /// The run's report and its end-of-run census (invariants checked).
 fn run(cfg: ScenarioConfig) -> (RunReport, Census) {
-    let (report, world) = run_scenario_with_world(cfg);
+    let (report, world) =
+        ddr_harness::run_with::<GnutellaScenario>(cfg, |sim, until| sim.run(until), |_, _| {});
     let census = check_invariants(&report, &[world]).unwrap();
     (report, census)
 }

@@ -4,8 +4,7 @@
 //! exactly this, because a node that never answers accumulates zero
 //! benefit and gets evicted).
 
-use ddr_gnutella::scenario::run_scenario_with_world;
-use ddr_gnutella::{check_invariants, Census, Mode, RunReport, ScenarioConfig};
+use ddr_gnutella::{check_invariants, Census, GnutellaScenario, Mode, RunReport, ScenarioConfig};
 
 fn cfg(mode: Mode, free_riders: f64) -> ScenarioConfig {
     let mut c = ScenarioConfig::scaled(mode, 2, 8, 24);
@@ -16,7 +15,8 @@ fn cfg(mode: Mode, free_riders: f64) -> ScenarioConfig {
 
 /// The run's report and its end-of-run census (invariants checked).
 fn run(cfg: ScenarioConfig) -> (RunReport, Census) {
-    let (report, world) = run_scenario_with_world(cfg);
+    let (report, world) =
+        ddr_harness::run_with::<GnutellaScenario>(cfg, |sim, until| sim.run(until), |_, _| {});
     let census = check_invariants(&report, &[world]).unwrap();
     (report, census)
 }

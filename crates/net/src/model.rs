@@ -93,20 +93,9 @@ impl NetworkModel {
         self.classes[node.index()]
     }
 
-    /// Sample the one-way delay for a message `from → to`.
-    #[inline]
-    pub fn one_way_delay<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        from: NodeId,
-        to: NodeId,
-    ) -> SimDuration {
-        self.delays.sample(rng, self.class(from), self.class(to))
-    }
-
     /// Sample the one-way delay for a message `from → to` from the
-    /// sender's own per-node stream. Preferred over [`Self::one_way_delay`]
-    /// inside worlds: no shared RNG, so handlers stay shard-local.
+    /// sender's own per-node stream: no shared RNG, so handlers stay
+    /// shard-local.
     #[inline]
     pub fn one_way_delay_for(
         &self,
@@ -142,8 +131,6 @@ impl NetworkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn paper_model_census_roughly_even() {
@@ -186,10 +173,10 @@ mod tests {
     fn sampled_delay_within_bounds() {
         let net = NetworkModel::paper(4, &RngFactory::new(3));
         let pair = DelayModel::paper().pair_params(net.class(NodeId(0)), net.class(NodeId(3)));
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut stream = NodeDelayStream::new(&RngFactory::new(3), NodeId(0));
         for _ in 0..5_000 {
             let d = net
-                .one_way_delay(&mut rng, NodeId(0), NodeId(3))
+                .one_way_delay_for(&mut stream, NodeId(0), NodeId(3))
                 .as_millis() as f64;
             assert!((pair.lo()..=pair.hi()).contains(&d));
         }

@@ -68,11 +68,6 @@ impl CubeSpace {
         debug_assert!(region < self.regions && offset < self.chunks_per_region);
         ItemId(region * self.chunks_per_region + offset)
     }
-
-    /// Which region owns `chunk`.
-    pub fn region_of(&self, chunk: ItemId) -> u32 {
-        chunk.0 / self.chunks_per_region
-    }
 }
 
 /// A set of chunks within one run of consecutive chunk ids: bit `k` of
@@ -261,9 +256,9 @@ mod tests {
             let query = q.next_query(&s);
             assert!(!query.is_empty());
             assert!(query.len() as usize <= MAX_QUERY_CHUNKS);
-            let region = s.region_of(query.first);
+            let region = query.first.0 / s.chunks_per_region();
             for c in query.iter() {
-                assert_eq!(s.region_of(c), region, "query crossed a region");
+                assert_eq!(c.0 / s.chunks_per_region(), region, "crossed a region");
             }
             // consecutive run from `first`
             let chunks: Vec<_> = query.iter().collect();
@@ -280,7 +275,7 @@ mod tests {
         let mut q = OlapQueryStream::new(&c, &rngs, 0);
         let n = 10_000;
         let own = (0..n)
-            .filter(|_| s.region_of(q.next_query(&s).first) == q.group())
+            .filter(|_| q.next_query(&s).first.0 / s.chunks_per_region() == q.group())
             .count();
         let frac = own as f64 / n as f64;
         assert!((0.66..0.74).contains(&frac), "own-region share {frac}");
@@ -297,8 +292,9 @@ mod tests {
         for _ in 0..500 {
             let query = q.next_query(&space);
             assert!(query.len() <= 8);
-            let region = space.region_of(query.first);
-            assert_eq!(space.region_of(query.iter().last().unwrap()), region);
+            let region = query.first.0 / space.chunks_per_region();
+            let last = query.iter().last().unwrap();
+            assert_eq!(last.0 / space.chunks_per_region(), region);
         }
         let _ = s;
     }

@@ -83,11 +83,6 @@ impl<W: World> Simulation<W> {
         self.world
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
     /// Total events processed so far.
     pub fn processed(&self) -> u64 {
         self.processed

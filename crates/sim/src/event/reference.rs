@@ -37,14 +37,13 @@ impl<E> Ord for Scheduled<E> {
 }
 
 /// The original binary-heap future-event list, kept as the executable
-/// specification of the kernel's ordering contract. Same API surface as
-/// [`super::EventQueue`]; used by differential tests, never by the
-/// simulation driver.
+/// specification of the kernel's ordering contract: the part of
+/// [`super::EventQueue`]'s API the differential tests drive. The
+/// simulation driver never uses it.
 pub struct ReferenceEventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
     now: SimTime,
-    peak: usize,
 }
 
 impl<E> Default for ReferenceEventQueue<E> {
@@ -65,7 +64,6 @@ impl<E> ReferenceEventQueue<E> {
             heap: BinaryHeap::with_capacity(cap),
             seq: 0,
             now: SimTime::ZERO,
-            peak: 0,
         }
     }
 
@@ -101,14 +99,6 @@ impl<E> ReferenceEventQueue<E> {
             seq,
             event,
         });
-        if self.heap.len() > self.peak {
-            self.peak = self.heap.len();
-        }
-    }
-
-    /// High-water mark of pending events.
-    pub fn peak_pending(&self) -> usize {
-        self.peak
     }
 
     /// Schedule `event` at `now + delay`.
@@ -127,12 +117,6 @@ impl<E> ReferenceEventQueue<E> {
     /// Timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
-    }
-
-    /// The earliest pending event's payload without popping it (API
-    /// parity with [`super::EventQueue::peek_event`]).
-    pub fn peek_event(&self) -> Option<&E> {
-        self.heap.peek().map(|s| &s.event)
     }
 
     /// Total number of events ever scheduled (the tie-break counter).

@@ -62,11 +62,6 @@ impl LruCache {
         self.map.is_empty()
     }
 
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Whether `item` is cached, *without* touching recency (probes from
     /// other proxies shouldn't distort the local LRU order).
     pub fn peek(&self, item: ItemId) -> bool {

@@ -27,7 +27,6 @@ use rand::Rng;
 pub struct Zipf {
     /// cdf[k] = P(rank <= k); cdf[n-1] == 1.0 (up to fp rounding, forced).
     cdf: Vec<f64>,
-    theta: f64,
 }
 
 impl Zipf {
@@ -50,7 +49,7 @@ impl Zipf {
         }
         // Defend the binary search against fp rounding at the top end.
         *cdf.last_mut().expect("n > 0") = 1.0;
-        Zipf { cdf, theta }
+        Zipf { cdf }
     }
 
     /// Number of ranks.
@@ -61,11 +60,6 @@ impl Zipf {
     /// Whether the domain is empty (never true by construction).
     pub fn is_empty(&self) -> bool {
         self.cdf.is_empty()
-    }
-
-    /// The exponent θ.
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 
     /// Probability mass of rank `k`.
@@ -239,11 +233,6 @@ impl Pareto {
     /// The configured mean `scale · α / (α − 1)`.
     pub fn mean(&self) -> f64 {
         self.scale * self.shape / (self.shape - 1.0)
-    }
-
-    /// The tail exponent α.
-    pub fn shape(&self) -> f64 {
-        self.shape
     }
 
     /// The minimum value every sample is bounded below by.

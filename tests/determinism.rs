@@ -1,8 +1,8 @@
 //! Full-stack determinism and end-state invariants across both case
 //! studies and multiple seeds: the foundation for every reported number.
 
-use ddr_repro::gnutella::scenario::run_scenario_with_world;
-use ddr_repro::gnutella::{run_scenario, Census, Mode, ScenarioConfig};
+use ddr_repro::gnutella::{run_scenario, Census, GnutellaScenario, Mode, ScenarioConfig};
+use ddr_repro::harness::run_with;
 use ddr_repro::sim::NodeId;
 use ddr_repro::webcache::{run_webcache, CacheMode, WebCacheConfig};
 
@@ -49,7 +49,9 @@ fn webcache_runs_are_bit_reproducible() {
 #[test]
 fn invariants_hold_across_seeds() {
     for seed in [1u64, 17, 99, 1234, 98765] {
-        let (report, world) = run_scenario_with_world(gnutella_cfg(Mode::Dynamic, seed));
+        let cfg = gnutella_cfg(Mode::Dynamic, seed);
+        let (report, world) =
+            run_with::<GnutellaScenario>(cfg, |sim, until| sim.run(until), |_, _| {});
         let users = world.config().workload.users;
         for i in 0..users {
             let n = NodeId::from_index(i);

@@ -8,7 +8,7 @@ use ddr_repro::core::stats_store::ReplyObservation;
 use ddr_repro::core::{
     DupCache, ForwardSelection, QueryDescriptor, SearchStrategy, StatsStore, UpdatePlan,
 };
-use ddr_repro::net::NetworkModel;
+use ddr_repro::net::{NetworkModel, NodeDelayStream};
 use ddr_repro::overlay::NeighborList;
 use ddr_repro::sim::{ItemId, NodeId, QueryId, RngFactory, Scheduler, SimTime, Simulation, World};
 
@@ -20,6 +20,7 @@ const DEGREE: usize = 3;
 struct MiniWorld {
     out: Vec<NeighborList>,
     net: NetworkModel,
+    delays: Vec<NodeDelayStream>,
     seen: Vec<DupCache>,
     stats: Vec<StatsStore>,
     rng: rand::rngs::SmallRng,
@@ -64,7 +65,9 @@ impl MiniWorld {
             &mut self.rng,
         );
         for t in targets {
-            let d = self.net.one_way_delay(&mut self.rng, from_node, t);
+            let d = self
+                .net
+                .one_way_delay_for(&mut self.delays[from_node.index()], from_node, t);
             self.messages += 1;
             sched.after(
                 d,
@@ -91,7 +94,9 @@ impl World for MiniWorld {
                     return;
                 }
                 if MiniWorld::holds(to, desc.item) {
-                    let d = self.net.one_way_delay(&mut self.rng, to, desc.origin);
+                    let d =
+                        self.net
+                            .one_way_delay_for(&mut self.delays[to.index()], to, desc.origin);
                     sched.after(
                         d,
                         Ev::Reply {
@@ -132,6 +137,9 @@ fn ring_world(seed: u64) -> MiniWorld {
     MiniWorld {
         out,
         net: NetworkModel::paper(N, &rngs),
+        delays: (0..N)
+            .map(|i| NodeDelayStream::new(&rngs, NodeId::from_index(i)))
+            .collect(),
         seen: (0..N).map(|_| DupCache::new(64)).collect(),
         stats: (0..N).map(|_| StatsStore::new()).collect(),
         rng: rngs.stream("mini", 0),

@@ -149,9 +149,11 @@ fn fig3b_decay_appears_without_logoff_trigger() {
 /// same-favourite-category links than chance.
 #[test]
 fn dynamic_clusters_interests() {
-    use ddr_repro::gnutella::{check_invariants, scenario::run_scenario_with_world};
+    use ddr_repro::gnutella::{check_invariants, GnutellaScenario};
+    use ddr_repro::harness::run_with;
     let share = |mode| {
-        let (report, world) = run_scenario_with_world(cfg(mode, 2, 8));
+        let (report, world) =
+            run_with::<GnutellaScenario>(cfg(mode, 2, 8), |sim, until| sim.run(until), |_, _| {});
         let census = check_invariants(&report, &[world]).unwrap();
         census.same_category_share()
     };
