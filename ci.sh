@@ -72,14 +72,15 @@ shrink_only "pub traits with fewer than two impls" "give it a second impl or fol
 # but tests/, crates/*/tests/, vendor/, `tests.rs` modules and whatever
 # follows a file's first #[cfg(test)]; a `use` or `pub use` item, over
 # however many lines, names a function without calling it, so it does not
-# count.
+# count. An offender is keyed by its file and name, so an allowlisted
+# name excuses no namesake elsewhere.
 UNCALLED=$(git ls-files '*.rs' ':!tests/*' ':!crates/*/tests/*' ':!vendor/*' \
     | xargs awk '
         /#\[cfg\(test\)\]/ { cut[FILENAME] = 1 }
         cut[FILENAME] || FILENAME ~ /\/tests\.rs$/ { next }
         FILENAME ~ /^crates\/[^\/]+\/src\// && match($0, /^ *pub fn [A-Za-z_][A-Za-z0-9_]*/) {
             name = substr($0, 1, RLENGTH); sub(/^ *pub fn /, "", name)
-            defs[++d] = name; at[d] = FILENAME ":" FNR; defined[name]++
+            defs[++d] = name; at[d] = FILENAME; defined[name]++
         }
         /^ *(pub(\([a-z]+\))? )?use / { in_use = 1 }
         in_use { if (/;/) in_use = 0; next }
@@ -90,21 +91,22 @@ UNCALLED=$(git ls-files '*.rs' ':!tests/*' ':!crates/*/tests/*' ':!vendor/*' \
         }
         END { for (i = 1; i <= d; i++) if (lines[defs[i]] == defined[defs[i]]) print "    " at[i] ": " defs[i] }')
 UNCALLED_FNS=(
-    pmf                # the Zipf formula prop_workload.rs checks sampled ranks against
-    expected_fp_rate   # the Bloom formula digest.rs's test checks sampled false positives against
-    run_deterministic  # serve's parity reference: the bus on a virtual clock, held equal to the sharded kernel
-    scheduled_count    # prop_kernel.rs's differential check of the queue against the reference queue
-    capture            # test sink: the experiments' tests read a run's tables through it
-    captured           # test sink: reads back what `capture` kept
-    tables_emitted     # test sink: registry.rs counts an experiment's tables
-    rows_emitted       # test sink: registry.rs counts an experiment's rows
-    window_count       # test accessor: the determinism tests count a timeline's windows
-    sink_mut           # test accessor: inspect.rs's tests read a tracer's records back
-    variance           # test accessor: prop_invariants.rs checks a histogram's spread
-    record_exploration # candidate-pool item: it folds exploration replies in through it, or deletes it
+    "crates/workload/src/dist.rs: pmf"                   # the Zipf formula prop_workload.rs checks sampled ranks against
+    "crates/webcache/src/digest.rs: expected_fp_rate"    # the Bloom formula digest.rs's test checks sampled false positives against
+    "crates/serve/src/bus.rs: run_deterministic"         # serve's parity reference: the bus on a virtual clock, held equal to the sharded kernel
+    "crates/sim/src/event.rs: scheduled_count"           # prop_kernel.rs's differential check of the queue against the reference queue
+    "crates/sim/src/event/reference.rs: scheduled_count" # the reference queue's side of that check
+    "crates/experiments/src/emit.rs: capture"            # test sink: the experiments' tests read a run's tables through it
+    "crates/experiments/src/emit.rs: captured"           # test sink: reads back what `capture` kept
+    "crates/experiments/src/emit.rs: tables_emitted"     # test sink: registry.rs counts an experiment's tables
+    "crates/experiments/src/emit.rs: rows_emitted"       # test sink: registry.rs counts an experiment's rows
+    "crates/telemetry/src/timeline.rs: window_count"     # test accessor: the determinism tests count a timeline's windows
+    "crates/telemetry/src/tracer.rs: sink_mut"           # test accessor: inspect.rs's tests read a tracer's records back
+    "crates/stats/src/histogram.rs: variance"            # test accessor: prop_invariants.rs checks a histogram's spread
+    "crates/core/src/stats_store.rs: record_exploration" # candidate-pool item: it folds exploration replies in through it, or deletes it
 )
 shrink_only "pub fns no other line of non-test code names" "call it outside tests or delete it" \
-    '$NF' "$UNCALLED" "${UNCALLED_FNS[@]}"
+    '$1 " " $2' "$UNCALLED" "${UNCALLED_FNS[@]}"
 
 # A variant no other file spells is a knob nobody selects: every
 # `pub enum` under crates/*/src except a world's `*Event`s (its own
@@ -132,7 +134,7 @@ UNSELECTED=$({ git grep -oE '\b[A-Z]\w*::[A-Z]\w*' -- '*.rs' ':!vendor'; echo '-
           if (!other) print "    " $1 ": " $2 "::" $4 }')
 UNSELECTED_VARIANTS=()
 shrink_only "pub enum variants no other file spells" "select it somewhere or delete it" \
-    '$NF' "$UNSELECTED" "${UNSELECTED_VARIANTS[@]}"
+    '$1 " " $2' "$UNSELECTED" "${UNSELECTED_VARIANTS[@]}"
 
 # A config field nothing outside tests sets is a knob with one value: it
 # belongs in a const beside its reader. Every `pub` field of a `*Config`

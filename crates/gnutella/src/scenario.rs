@@ -63,12 +63,8 @@ mod tests {
     use super::*;
     use crate::config::{Mode, ScenarioConfig};
     use crate::peer::DEGREE;
-    use crate::Census;
-
-    /// The run's report and its final world.
-    fn run_with_world(config: ScenarioConfig) -> (RunReport, GnutellaWorld) {
-        ddr_harness::run_with::<GnutellaScenario>(config, |sim, until| sim.run(until), |_, _| {})
-    }
+    use crate::{run_scenario_sharded, Census};
+    use ddr_telemetry::NullSink;
 
     /// A small-but-alive configuration: 200 users, paper densities,
     /// 12 simulated hours. Fast enough for unit tests (< 1 s release,
@@ -128,7 +124,8 @@ mod tests {
     #[test]
     fn neighbor_views_consistent_after_run() {
         for mode in [Mode::Static, Mode::Dynamic] {
-            let (_, world) = run_with_world(small(mode, 2));
+            let run = run_scenario_sharded::<NullSink>(small(mode, 2), 1, 1, false);
+            let world = &run.worlds[0];
             for i in 0..world.config().workload.users {
                 let n = ddr_sim::NodeId::from_index(i);
                 let view = world.neighbors_of(n);
@@ -147,8 +144,8 @@ mod tests {
         // Link state is per-node views reconciled by messages, so an
         // online node may briefly list an offline one (its Unlink is in
         // flight) — but an offline node's *own* view is always empty.
-        let (_, world) = run_with_world(small(Mode::Dynamic, 2));
-        let census = Census::of(&[world]);
+        let run = run_scenario_sharded::<NullSink>(small(Mode::Dynamic, 2), 1, 1, false);
+        let census = Census::of(&run.worlds);
         let roles = [&census.contributors, &census.free_riders, &census.liars];
         let online_links: usize = roles.iter().map(|r| r.links).sum();
         assert_eq!(census.links, online_links, "an offline node holds links");

@@ -495,7 +495,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
 mod tests {
     use super::*;
     use crate::config::{Mode, ScenarioConfig};
-    use ddr_sim::Simulation;
 
     /// The initiator scores a result by the class its reply carried, not
     /// by the responder's row of the network table.
@@ -503,10 +502,15 @@ mod tests {
     fn a_result_scores_the_bandwidth_its_reply_carried() {
         let mut world: GnutellaWorld =
             GnutellaWorld::new(ScenarioConfig::scaled(Mode::Dynamic, 2, 20, 2));
-        let k = (0..100)
+        let users = world.config().workload.users;
+        let k = (0..users)
             .find(|&k| world.sessions[k].online)
             .expect("an online user");
-        let (to, from, query) = (NodeId::from_index(k), NodeId::from_index(k + 1), QueryId(1));
+        let (to, from, query) = (
+            NodeId::from_index(k),
+            NodeId::from_index((k + 1) % users),
+            QueryId(1),
+        );
         let row = world.shared.net.class(from);
         let bandwidth = if row == BandwidthClass::Lan {
             BandwidthClass::Cable
@@ -517,29 +521,14 @@ mod tests {
             .pending
             .insert(query, PendingQuery::new(ItemId(0), SimTime::ZERO));
         assert!(world.peers[k].rt.stats.get(from).is_none());
-        let mut sim = Simulation::new(world);
-        let reply = GnutellaEvent::ReplyArrive {
-            to,
-            from,
-            query,
-            bandwidth,
-            hops: 1,
-        };
-        sim.schedule_at(SimTime::from_millis(300), reply);
-        sim.schedule_at(
-            SimTime::from_secs(60),
-            GnutellaEvent::QueryFinalize { node: to, query },
-        );
-        sim.run(SimTime::from_mins(2));
-        let stats = sim.world().peers[k]
+        world.reply_arrive(to, from, query, bandwidth, 1, SimTime::from_millis(300));
+        world.finalize_query(to, query, SimTime::from_secs(60));
+        let stats = world.peers[k]
             .rt
             .stats
             .get(from)
             .expect("the result was scored");
         assert_eq!(stats.bandwidth, Some(bandwidth));
-        assert_eq!(
-            stats.benefit,
-            sim.world().config().benefit.score(bandwidth, 1)
-        );
+        assert_eq!(stats.benefit, world.config().benefit.score(bandwidth, 1));
     }
 }

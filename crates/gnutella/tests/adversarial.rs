@@ -130,10 +130,9 @@ fn liar_cfg(mode: Mode) -> ScenarioConfig {
 
 /// The run's report and its end-of-run census (invariants checked).
 fn run(cfg: ScenarioConfig) -> (RunReport, Census) {
-    let (report, world) =
-        ddr_harness::run_with::<GnutellaScenario>(cfg, |sim, until| sim.run(until), |_, _| {});
-    let census = check_invariants(&report, &[world]).unwrap();
-    (report, census)
+    let r = run_scenario_sharded::<NullSink>(cfg, 1, 1, false);
+    let census = check_invariants(&r.report, &r.worlds).unwrap();
+    (r.report, census)
 }
 
 #[test]

@@ -4,7 +4,10 @@
 //! exactly this, because a node that never answers accumulates zero
 //! benefit and gets evicted).
 
-use ddr_gnutella::{check_invariants, Census, GnutellaScenario, Mode, RunReport, ScenarioConfig};
+use ddr_gnutella::{
+    check_invariants, run_scenario_sharded, Census, Mode, RunReport, ScenarioConfig,
+};
+use ddr_telemetry::NullSink;
 
 fn cfg(mode: Mode, free_riders: f64) -> ScenarioConfig {
     let mut c = ScenarioConfig::scaled(mode, 2, 8, 24);
@@ -15,10 +18,9 @@ fn cfg(mode: Mode, free_riders: f64) -> ScenarioConfig {
 
 /// The run's report and its end-of-run census (invariants checked).
 fn run(cfg: ScenarioConfig) -> (RunReport, Census) {
-    let (report, world) =
-        ddr_harness::run_with::<GnutellaScenario>(cfg, |sim, until| sim.run(until), |_, _| {});
-    let census = check_invariants(&report, &[world]).unwrap();
-    (report, census)
+    let r = run_scenario_sharded::<NullSink>(cfg, 1, 1, false);
+    let census = check_invariants(&r.report, &r.worlds).unwrap();
+    (r.report, census)
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Full-stack determinism and end-state invariants across both case
 //! studies and multiple seeds: the foundation for every reported number.
 
-use ddr_repro::gnutella::{run_scenario, Census, GnutellaScenario, Mode, ScenarioConfig};
-use ddr_repro::harness::run_with;
+use ddr_repro::gnutella::{run_scenario, run_scenario_sharded, Census, Mode, ScenarioConfig};
 use ddr_repro::sim::NodeId;
+use ddr_repro::telemetry::NullSink;
 use ddr_repro::webcache::{run_webcache, CacheMode, WebCacheConfig};
 
 fn gnutella_cfg(mode: Mode, seed: u64) -> ScenarioConfig {
@@ -50,8 +50,8 @@ fn webcache_runs_are_bit_reproducible() {
 fn invariants_hold_across_seeds() {
     for seed in [1u64, 17, 99, 1234, 98765] {
         let cfg = gnutella_cfg(Mode::Dynamic, seed);
-        let (report, world) =
-            run_with::<GnutellaScenario>(cfg, |sim, until| sim.run(until), |_, _| {});
+        let run = run_scenario_sharded::<NullSink>(cfg, 1, 1, false);
+        let (report, world) = (run.report, &run.worlds[0]);
         let users = world.config().workload.users;
         for i in 0..users {
             let n = NodeId::from_index(i);
@@ -69,7 +69,7 @@ fn invariants_hold_across_seeds() {
         }
         // 3. Offline nodes hold no links in their own view: every link
         // counts in an online member's degree.
-        let census = Census::of(std::slice::from_ref(&world));
+        let census = Census::of(&run.worlds);
         let roles = [&census.contributors, &census.free_riders, &census.liars];
         let online_links: usize = roles.iter().map(|r| r.links).sum();
         assert_eq!(

@@ -149,12 +149,11 @@ fn fig3b_decay_appears_without_logoff_trigger() {
 /// same-favourite-category links than chance.
 #[test]
 fn dynamic_clusters_interests() {
-    use ddr_repro::gnutella::{check_invariants, GnutellaScenario};
-    use ddr_repro::harness::run_with;
+    use ddr_repro::gnutella::{check_invariants, run_scenario_sharded};
+    use ddr_repro::telemetry::NullSink;
     let share = |mode| {
-        let (report, world) =
-            run_with::<GnutellaScenario>(cfg(mode, 2, 8), |sim, until| sim.run(until), |_, _| {});
-        let census = check_invariants(&report, &[world]).unwrap();
+        let r = run_scenario_sharded::<NullSink>(cfg(mode, 2, 8), 1, 1, false);
+        let census = check_invariants(&r.report, &r.worlds).unwrap();
         census.same_category_share()
     };
     let (s, d) = (share(Mode::Static), share(Mode::Dynamic));
