@@ -17,7 +17,7 @@ echo "    resolves — seconds, not the full suite, when a refactor breaks one)"
 cargo check --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> tracked Rust lines, the per-file ceiling, one-implementer traits, uncalled pub fns,"
-echo "    unselected variants, one-value config fields and unnamed deps"
+echo "    unselected variants, one-value config fields, unnamed deps and oracle reads"
 # The count every simplicity PR quotes; and no file under crates/*/src may
 # pass 1,000 lines, so split modules do not silently grow back into one.
 # Files past 800 are listed without failing: the next PR that touches one
@@ -219,6 +219,35 @@ UNNAMED_DEPS=(
 shrink_only "ddr-* dependencies their crate never names" "drop it from the crate's Cargo.toml" \
     '$1 " " $2' "$UNNAMED" "${UNNAMED_DEPS[@]}"
 
+# A node knows another node only through messages (world rule 4 in
+# crates/gnutella/src/world.rs). The compiler keeps every read of a
+# `SharedWorld` row on `own` and `oracle`; this lists each `.oracle(`
+# call (the world's handle or `SharedWorld::oracle`) in non-test code
+# under crates/*/src, keyed by its file and the fn it sits in (comments
+# stripped; a file's first #[cfg(test)] onwards and `tests.rs` modules
+# skipped). It does not see an `own` call on another node, nor a slice
+# column indexed with another node's `li`. Each entry says which fact
+# no message carries yet, or why the reader is no node.
+ORACLE=$(git ls-files 'crates/*/src/*.rs' | xargs awk '
+    /#\[cfg\(test\)\]/ { cut[FILENAME] = 1 }
+    cut[FILENAME] || FILENAME ~ /\/tests\.rs$/ { next }
+    {
+        line = $0; sub(/\/\/.*/, "", line)
+        if (match(line, /(^|[^A-Za-z0-9_])fn [A-Za-z_][A-Za-z0-9_]*/)) {
+            cur = substr(line, RSTART, RLENGTH); sub(/^.*fn /, "", cur)
+        }
+        if (line ~ /\.oracle\(/) print "    " FILENAME ": " cur
+    }' | sort -u)
+ORACLE_READS=(
+    "crates/gnutella/src/reconfigure.rs: plan_update"      # the free-rider advertisement rides the link handshake; it decides only incumbents, since a free rider never replies and so never has a statistics entry
+    "crates/gnutella/src/membership.rs: handshake_request" # the inviter's summary rides InviteArrive: 50 counters, too large for a Copy event
+    "crates/gnutella/src/search.rs: index_holder"          # holder liveness
+    "crates/gnutella/src/search.rs: refresh_index"         # the r-hop snapshot of neighbor views and advertisements, which is why local indices need the full range
+    "crates/gnutella/src/invariants.rs: of"                # Census::of: the checker, not a node
+)
+shrink_only "oracle() reads of another node's state" "carry the fact on a message, or read the node's own row through own()" \
+    '$1 " " $2' "$ORACLE" "${ORACLE_READS[@]}"
+
 echo "==> counter names live in the metrics lists, not in string-literal hub.counter calls"
 # A counter is named once: in a `counters()` list, which a
 # `ddr_stats::metrics!` declaration derives from its fields and which
@@ -346,7 +375,8 @@ echo "==> every citation names a section that exists"
 # `DESIGN.md §N` (or `DESIGN §N`), one number per citation, N a `## N.`
 # heading. The last cell of a "Performance trajectory" row names its
 # "Measured decisions" row in the same form. Every tracked file is read
-# but CHANGES.md and ISSUE.md, whose entries cite sections as they were.
+# but CHANGES.md and ISSUE.md, whose entries cite sections as they were,
+# and REVIEW.md, a review's JSON with one field per line.
 CITABLE=$(awk '
     /^```/ { code = !code; next }
     code { next }
@@ -358,7 +388,7 @@ CITABLE=$(awk '
     }
     ledger && /^\| / && !/^\|---/ { c = $0; sub(/^\| */, "", c); sub(/ *\|.*/, "", c); print c }
 ' EXPERIMENTS.md; grep -oE '^## [0-9]+\.' DESIGN.md | sed -E 's/^## ([0-9]+)\./§\1/')
-BAD_CITES=$(git grep -l -I -E 'EXPERIMENTS\.md|DESIGN(\.md)? §' -- ':!CHANGES.md' ':!ISSUE.md' \
+BAD_CITES=$(git grep -l -I -E 'EXPERIMENTS\.md|DESIGN(\.md)? §' -- ':!CHANGES.md' ':!ISSUE.md' ':!REVIEW.md' \
     | xargs awk '
         FNR == NR { known[$0] = 1; next }
         function bad(why) { print "    " FILENAME ":" FNR ": " why }
@@ -393,10 +423,10 @@ BAD_CITES=$(git grep -l -I -E 'EXPERIMENTS\.md|DESIGN(\.md)? §' -- ':!CHANGES.m
         }' <(echo "$CITABLE") -)
 test -z "$BAD_CITES" || { echo "$BAD_CITES" >&2; echo "a citation names a section that does not exist" >&2; exit 1; }
 
-echo "==> no numbered ROADMAP pointer outside ROADMAP.md, CHANGES.md and ISSUE.md"
+echo "==> no numbered ROADMAP pointer outside ROADMAP.md, CHANGES.md, ISSUE.md and REVIEW.md"
 # ROADMAP renumbers its items at every re-anchor, so a number goes stale:
 # name the item by its words instead.
-NUMBERED=$(git grep -n -I -E "ROADMAP(\.md)?('s)? (items? )?[0-9]" -- ':!ROADMAP.md' ':!CHANGES.md' ':!ISSUE.md' || true)
+NUMBERED=$(git grep -n -I -E "ROADMAP(\.md)?('s)? (items? )?[0-9]" -- ':!ROADMAP.md' ':!CHANGES.md' ':!ISSUE.md' ':!REVIEW.md' || true)
 test -z "$NUMBERED" || { echo "$NUMBERED" >&2; echo "a numbered ROADMAP pointer: name the item by its words" >&2; exit 1; }
 
 echo "==> results/README.md names every file under results/, and each file it names exists"

@@ -11,7 +11,9 @@
 
 use crate::config::Mode;
 use crate::metrics::RunReport;
-use crate::world::{GnutellaWorld, SharedWorld};
+use crate::peer::Role;
+use crate::world::GnutellaWorld;
+use ddr_sim::NodeId;
 use ddr_stats::MeasurementWindow;
 use ddr_telemetry::TraceSink;
 
@@ -66,25 +68,27 @@ pub struct Census {
 
 impl Census {
     /// One walk over the final `worlds` (any shard count, in shard order).
+    /// The census is the checker, not a node: it reads every row through
+    /// the oracle.
     pub fn of<T: TraceSink>(worlds: &[GnutellaWorld<T>]) -> Census {
         let mut c = Census::default();
         for w in worlds {
-            let shared = &*w.shared;
+            let oracle = w.oracle();
             for (k, peer) in w.peers.iter().enumerate() {
-                let i = w.base + k;
+                let node = NodeId::from_index(w.base + k);
                 let view = w.neighbors[k].as_slice();
-                let favorite = shared.profiles[i].favorite;
+                let favorite = oracle.row(node).profile().favorite;
                 c.links += view.len();
                 c.same_category += view
                     .iter()
-                    .filter(|m| shared.profiles[m.index()].favorite == favorite)
+                    .filter(|&&m| oracle.row(m).profile().favorite == favorite)
                     .count();
                 c.pending += peer.pending.len();
-                for m in peer.evicted.iter() {
-                    c.role(shared, m.index()).evicted += 1;
+                for &m in peer.evicted.iter() {
+                    c.role(oracle.row(m).role()).evicted += 1;
                 }
                 c.served.push(w.served[k]);
-                let role = c.role(shared, i);
+                let role = c.role(oracle.row(node).role());
                 role.members += 1;
                 role.served += w.served[k];
                 if w.sessions[k].online {
@@ -97,13 +101,11 @@ impl Census {
         c
     }
 
-    fn role(&mut self, shared: &SharedWorld, i: usize) -> &mut RoleCensus {
-        if shared.liar[i] {
-            &mut self.liars
-        } else if shared.free_rider[i] {
-            &mut self.free_riders
-        } else {
-            &mut self.contributors
+    fn role(&mut self, role: Role) -> &mut RoleCensus {
+        match role {
+            Role::Contributor => &mut self.contributors,
+            Role::FreeRider => &mut self.free_riders,
+            Role::Liar => &mut self.liars,
         }
     }
 

@@ -128,7 +128,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         if want == 0 {
             return;
         }
-        let total = self.shared.net.len();
+        let total = self.users();
         let attempts = if total > 1 { 4 * want + 16 } else { 0 };
         let proto = &mut self.proto[k];
         let draws = (0..attempts).map(|_| NodeId::from_index(proto.gen_range(0..total)));
@@ -218,23 +218,25 @@ impl<T: TraceSink> GnutellaWorld<T> {
     ) {
         let k = self.li(to);
         let online = self.sessions[k].online;
-        let shared = &self.shared;
-        let (mut book, stats) = self.peers[k].link_book(&mut self.neighbors[k]);
         // A link request only takes a free slot; a full invitee asks its
         // policy whether to evict the weakest incumbent for the inviter.
+        // The policy reads the inviter's summary, piggybacked on
+        // `InviteArrive`: at 50 counters it is too large to ride a `Copy`
+        // event, so it comes through `SharedWorld::oracle`, which borrows
+        // none of the columns the open book holds (as does `to`'s own).
+        let shared = &*self.shared;
+        let config = &shared.config;
+        let (mut book, stats) = self.peers[k].link_book(&mut self.neighbors[k]);
         let effect = book.step(Message::Request { from }, online, |view| {
             if !invited {
                 return None;
             }
             let context = InvitationContext {
-                inviter_summary: Some(&shared.summaries[from.index()]),
-                own_summary: Some(&shared.summaries[to.index()]),
+                inviter_summary: Some(shared.oracle(from).summary()),
+                own_summary: Some(shared.oracle(to).summary()),
             };
-            let rank = |s: &NodeStats| ever_answered(shared.config.benefit, s);
-            shared
-                .config
-                .invitation
-                .decide(from, view, stats, rank, &context)
+            let rank = |s: &NodeStats| ever_answered(config.benefit, s);
+            config.invitation.decide(from, view, stats, rank, &context)
         });
         if effect != Effect::Refused {
             self.hosts[k].note(from);

@@ -1,5 +1,5 @@
-//! Per-peer mutable state: the framework-side [`NodeRuntime`] composed
-//! with the music-domain state (sessions, in-flight queries, workload
+//! Per-peer state: the framework-side [`NodeRuntime`] composed
+//! with the music-domain state (role, sessions, in-flight queries, workload
 //! generators).
 
 use ddr_core::runtime::{LinkBook, NodeRuntime};
@@ -7,7 +7,37 @@ use ddr_core::StatsStore;
 use ddr_net::BandwidthClass;
 use ddr_overlay::NeighborList;
 use ddr_sim::{FastHashMap, FastHashSet, ItemId, NodeId, QueryId, SimTime};
-use ddr_workload::{ChurnProcess, QueryGenerator};
+use ddr_workload::{ChurnProcess, QueryGenerator, UserProfile};
+
+/// How a user behaves toward queries. The statistics layer cannot see
+/// it: a node learns a liar from the absence of answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// Shares its library and answers from it.
+    Contributor,
+    /// Queries but never answers, and advertises nothing.
+    FreeRider,
+    /// Advertises its full library but, like a free rider, never answers.
+    Liar,
+}
+
+impl Role {
+    /// Whether the node answers queries: only contributors do.
+    pub(crate) fn serves(self) -> bool {
+        self == Role::Contributor
+    }
+
+    /// What a user in this role advertises: a free rider nothing, every
+    /// other user (a liar included) its full library. Both the content
+    /// summary and the local index are built from it.
+    pub(crate) fn advertised(self, profile: &UserProfile) -> &[ItemId] {
+        if self == Role::FreeRider {
+            &[]
+        } else {
+            profile.library()
+        }
+    }
+}
 
 /// An in-flight query at its initiator.
 #[derive(Debug, Clone)]

@@ -115,6 +115,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         let benefit = self.shared.config.benefit;
         let stats = &self.peers[k].rt.stats;
         let current = self.neighbors[k].as_slice();
+        let oracle = self.oracle();
         // Incumbents are always eligible: the view itself tracks
         // liveness (a leaving neighbor Unlinks within a flight time),
         // so the recency proxy must not "dead-evict" a quiet but
@@ -125,8 +126,12 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 // rider) is never worth a slot: as an incumbent it is
                 // dropped unconditionally, as a candidate it is never
                 // invited. Contributor summaries are always non-empty,
-                // so this clause is inert in free-rider-free worlds.
-                && self.shared.summaries[m.index()].total() > 0
+                // so this clause is inert in free-rider-free worlds. The
+                // advertisement rides the link handshake, read here
+                // through the oracle; it decides only incumbents, since
+                // a free rider never replies and so never earns a
+                // statistics entry.
+                && oracle.row(m).summary().total() > 0
                 && (current.contains(&m)
                     || stats
                         .get(m)

@@ -40,24 +40,22 @@ const INDEX_REFRESH: SimDuration = SimDuration::from_mins(30);
 // sharded == serial bit-identity tests and the serve parity test pin.
 impl<T: TraceSink> GnutellaWorld<T> {
     /// The search seam's session hook: under a strategy that keeps a
-    /// per-node content index, (re)build `node`'s index from the current
-    /// per-node neighbor views and the (static) libraries of everything
-    /// within the radius, and return the timer that triggers the next
-    /// rebuild. `None` under every other strategy.
+    /// per-node content index, (re)build `node`'s index from a snapshot of
+    /// the neighbor views within the radius and what each node there
+    /// advertises (its class and shared library), and return the timer
+    /// that triggers the next rebuild. `None` under every other strategy.
     pub(crate) fn refresh_index(&mut self, node: NodeId) -> Option<(SimDuration, GnutellaEvent)> {
         let radius = self.shared.config.strategy.index_radius()?;
         debug_assert!(
             self.is_full_range(),
             "local indices walk multi-hop neighborhoods and need the full range"
         );
-        let shared = &self.shared;
-        let base = self.base;
-        let neighbors = &self.neighbors;
+        let oracle = self.oracle();
         let idx = LocalIndex::build_from(
             node,
-            |n| neighbors[n.index() - base].as_slice(),
+            |n| oracle.neighbors(n),
             radius as usize,
-            |n| shared.profiles[n.index()].library(),
+            |n| (oracle.row(n).class(), oracle.row(n).advertised()),
         );
         let k = self.li(node);
         self.indices[k] = Some(idx);
@@ -84,44 +82,43 @@ impl<T: TraceSink> GnutellaWorld<T> {
         }
     }
 
-    /// First *online, serving* holder of `item` in `node`'s local index,
-    /// if any (free-riders refuse to serve, index or not).
-    fn index_holder(&self, node: NodeId, item: ItemId) -> Option<NodeId> {
+    /// The first online holder of `item` in `node`'s local index, with
+    /// the class it advertised, if any.
+    fn index_holder(&self, node: NodeId, item: ItemId) -> Option<(NodeId, BandwidthClass)> {
         // Only an index-keeping strategy ever fills `indices`; asking it
         // first keeps the relay hot path off that cold column.
         self.shared.config.strategy.index_radius()?;
         let idx = self.indices[self.li(node)].as_ref()?;
-        idx.holders(item).iter().copied().find(|&h| {
-            self.sessions[self.li(h)].online
-                && !self.shared.free_rider[h.index()]
-                && !self.shared.liar[h.index()]
-        })
+        let oracle = self.oracle();
+        idx.holders(item)
+            .iter()
+            .copied()
+            .find(|&(h, _)| oracle.online(h))
     }
 
-    /// Answer `query` for `responder` (itself, or an indexed holder):
-    /// its result reaches `origin` after `delay`, reported `hops` away,
-    /// carrying the responder's bandwidth class.
-    fn reply<C: Port<GnutellaEvent>>(
+    /// An owned node answers `query`: the reply to `origin` carries a
+    /// result from `from` (the node itself, or a holder in its index)
+    /// with the class `from` advertised, `hops` away. The reply is the
+    /// answering node's message, so its slice counts it; the caller sends
+    /// it, and counts a result from the node's own library in `served`
+    /// and an index answer in `index_answers` (the holder, another node,
+    /// is left as it is).
+    fn answer(
         &mut self,
-        responder: NodeId,
+        from: NodeId,
+        bandwidth: BandwidthClass,
         origin: NodeId,
         query: QueryId,
         hops: u8,
-        delay: SimDuration,
-        ctx: &mut C,
-    ) {
-        let rk = self.li(responder);
-        self.served[rk] += 1;
+    ) -> GnutellaEvent {
         self.replies += 1;
-        let bandwidth = self.shared.net.class(responder);
-        let reply = GnutellaEvent::ReplyArrive {
+        GnutellaEvent::ReplyArrive {
             to: origin,
-            from: responder,
+            from,
             query,
             bandwidth,
             hops,
-        };
-        ctx.send(origin, delay, reply);
+        }
     }
 
     /// Send `desc` from `from` to each of `targets`, counted as one
@@ -207,17 +204,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         let k = self.li(node);
         let now = ctx.now();
 
-        let item = {
-            let shared = &self.shared;
-            let i = node.index();
-            // Fractional hour for the flash-crowd trapezoid; with no
-            // crowd configured `next_target_at` falls straight through to
-            // the clockless path with identical RNG draws.
-            let hour = now.as_millis() as f64 / 3_600_000.0;
-            self.peers[k]
-                .queries
-                .next_target_at(&shared.catalog, &shared.profiles[i], hour)
-        };
+        let item = self.next_target(k, node, now);
         let qid = self.fresh_qid(k, node);
         self.peers[k].rt.seen().first_sighting(qid);
         // Recycle a finalised record (keeps its responders capacity)
@@ -240,17 +227,21 @@ impl<T: TraceSink> GnutellaWorld<T> {
         let in_waves = strategy.collects_in_waves();
         self.tracer
             .issue(now, qid, node, item.index() as u64, launch_ttl);
-        if let Some(holder) = self.index_holder(node, item) {
+        if let Some((holder, bandwidth)) = self.index_holder(node, item) {
             // Contact the indexed holder directly: one targeted message,
-            // one reply — no flood.
+            // one reply — no flood. The initiator answers itself from its
+            // index, so both legs are drawn from its own stream. A free
+            // rider or a liar uses its own index too: it serves no one
+            // by looking up what it wants.
             self.metrics
                 .runtime
                 .messages
                 .add(now.as_hours() as usize, 1.0);
             let there = self.delay(k, node, holder);
-            let back = self.delay(self.li(holder), holder, node);
+            let back = self.delay(k, holder, node);
             self.metrics.index_answers += 1;
-            self.reply(holder, node, qid, 1, there + back, ctx);
+            let reply = self.answer(holder, bandwidth, node, qid, 1);
+            ctx.send(node, there + back, reply);
         } else {
             self.flood_from_origin(node, qid, item, launch_ttl, ctx);
         }
@@ -300,27 +291,36 @@ impl<T: TraceSink> GnutellaWorld<T> {
             self.tracer.dup(ctx.now(), desc.id, desc.origin, to);
             return; // "if the same message has been received before, discard"
         }
-        if !self.shared.free_rider[to.index()]
-            && !self.shared.liar[to.index()]
-            && self.shared.profiles[to.index()].has(desc.item)
-        {
+        let row = self.own(to);
+        let serves = row.role().serves();
+        if serves && row.profile().has(desc.item) {
             // Reply to the initiator and do not propagate (§4.1).
             // Free-riders skip this branch entirely: they hold content
             // but refuse to serve it (§2's imbalance scenario). Liars do
             // too — their advertised summary is a lie, and the refusal
             // here is what their benefit entries eventually reflect.
+            let bandwidth = row.class();
             let d = self.delay(k, to, desc.origin);
-            self.reply(to, desc.origin, desc.id, desc.travelled, d, ctx);
+            self.served[k] += 1;
+            let reply = self.answer(to, bandwidth, desc.origin, desc.id, desc.travelled);
+            ctx.send(desc.origin, d, reply);
             return;
         }
         // Answer on behalf of an indexed nearby holder (Yang &
         // Garcia-Molina: the index covers the final hops, so the query
-        // terminates here).
-        if let Some(holder) = self.index_holder(to, desc.item) {
+        // terminates here). A node that refuses to serve answers from no
+        // index either.
+        let indexed = if serves {
+            self.index_holder(to, desc.item)
+        } else {
+            None
+        };
+        if let Some((holder, bandwidth)) = indexed {
             let d = self.delay(k, to, desc.origin);
             let hops = desc.travelled.saturating_add(1);
             self.metrics.index_answers += 1;
-            self.reply(holder, desc.origin, desc.id, hops, d, ctx);
+            let reply = self.answer(holder, bandwidth, desc.origin, desc.id, hops);
+            ctx.send(desc.origin, d, reply);
             return;
         }
         if desc.ttl <= 1 {
@@ -494,7 +494,149 @@ impl<T: TraceSink> GnutellaWorld<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Mode, ScenarioConfig};
+    use crate::config::{Mode, ScenarioConfig, SearchStrategy};
+    use crate::peer::Role;
+
+    /// A context that keeps what a handler sends.
+    struct Recorder(Vec<(NodeId, SimDuration, GnutellaEvent)>);
+
+    impl Port<GnutellaEvent> for Recorder {
+        fn now(&self) -> SimTime {
+            SimTime::from_secs(60)
+        }
+
+        fn send(&mut self, to: NodeId, delay: SimDuration, event: GnutellaEvent) {
+            self.0.push((to, delay, event));
+        }
+    }
+
+    impl Recorder {
+        /// The results sent to `origin`, as `(responder, class)`.
+        fn results_to(&self, origin: NodeId) -> Vec<(NodeId, BandwidthClass)> {
+            self.0
+                .iter()
+                .filter_map(|&(to, _, event)| match event {
+                    GnutellaEvent::ReplyArrive {
+                        from, bandwidth, ..
+                    } if to == origin => Some((from, bandwidth)),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    /// A 100-user static world whose nodes keep radius-1 indices, with a
+    /// share of free riders and one of liars.
+    fn indexed_world(free_riders: f64, liars: f64) -> GnutellaWorld {
+        let mut config = ScenarioConfig::scaled(Mode::Static, 2, 20, 2);
+        config.strategy = SearchStrategy::LocalIndices { radius: 1 };
+        config.free_rider_fraction = free_riders;
+        config.liar_fraction = liars;
+        GnutellaWorld::new(config)
+    }
+
+    /// An index answer is the answering node's act: the initiator draws
+    /// both legs from its own delay stream and sends the reply, and the
+    /// holder it names is left as it was. A free rider looks up its own
+    /// index like anyone: it serves no one by it.
+    #[test]
+    fn an_initiators_index_answer_leaves_the_holder_untouched() {
+        for role in [Role::Contributor, Role::FreeRider] {
+            let mut world = indexed_world(0.3, 0.0);
+            let online = |w: &GnutellaWorld, n: NodeId| w.sessions[n.index()].online;
+            let (node, holder) = (0..world.users())
+                .map(NodeId::from_index)
+                .filter(|&n| online(&world, n) && world.own(n).role() == role)
+                .find_map(|n| {
+                    let h = world.neighbors_of(n).iter().copied();
+                    h.clone().find(|&h| online(&world, h)).map(|h| (n, h))
+                })
+                .expect("an online node with an online neighbor");
+            let (k, kh) = (node.index(), holder.index());
+            // The holder is indexed under every song, so whatever the
+            // initiator draws is answered from the index.
+            let songs: Vec<ItemId> = (0..world.shared.catalog.songs()).map(ItemId).collect();
+            world.indices[k] = Some(LocalIndex::build_from(
+                node,
+                |_| std::slice::from_ref(&holder),
+                1,
+                |_| (BandwidthClass::Lan, songs.iter()),
+            ));
+            let stream = world.delays[kh].clone();
+            let mut sent = Recorder(Vec::new());
+            world.launch_query(node, &mut sent);
+            assert_eq!(world.metrics.index_answers, 1, "{role:?}");
+            assert_eq!(
+                sent.results_to(node),
+                [(holder, BandwidthClass::Lan)],
+                "the reply carries the advertised class"
+            );
+            assert_eq!(
+                (world.served[k], world.served[kh], world.replies),
+                (0, 0, 1),
+                "the reply is the initiator's message, and no one served a file"
+            );
+            let next = world.delay(kh, holder, node);
+            world.delays[kh] = stream;
+            assert_eq!(
+                world.delay(kh, holder, node),
+                next,
+                "the holder's delay stream moved"
+            );
+        }
+    }
+
+    /// A liar advertises its full library, so a relay's index lists it and
+    /// the relay answers for it like for any other holder.
+    #[test]
+    fn a_relay_answers_for_an_indexed_liar() {
+        let mut world = indexed_world(0.0, 0.3);
+        let online = |w: &GnutellaWorld, n: NodeId| w.sessions[n.index()].online;
+        let has = |w: &GnutellaWorld, n: NodeId, item| w.own(n).profile().has(item);
+        let (relay, liar, item) = (0..world.users())
+            .map(NodeId::from_index)
+            .filter(|&r| online(&world, r) && world.own(r).role().serves())
+            .find_map(|r| {
+                let view = world.neighbors_of(r);
+                let liar = view
+                    .iter()
+                    .copied()
+                    .find(|&l| online(&world, l) && world.own(l).role() == Role::Liar)?;
+                // A song only the liar holds, near the relay.
+                let item = world
+                    .own(liar)
+                    .profile()
+                    .library()
+                    .iter()
+                    .copied()
+                    .find(|&i| {
+                        !has(&world, r, i) && view.iter().all(|&m| m == liar || !has(&world, m, i))
+                    })?;
+                Some((r, liar, item))
+            })
+            .expect("an online relay next to an online liar");
+        world.refresh_index(relay);
+        let origin = (0..world.users())
+            .map(NodeId::from_index)
+            .find(|&o| o != relay && !world.neighbors_of(relay).contains(&o))
+            .expect("a node beyond the relay's links");
+        let desc = QueryDescriptor {
+            id: QueryId(7),
+            origin,
+            item,
+            ttl: 2,
+            travelled: 1,
+            issued_at: SimTime::ZERO,
+        };
+        let mut sent = Recorder(Vec::new());
+        world.query_arrive(relay, origin, desc, &mut sent);
+        assert_eq!(sent.results_to(origin), [(liar, world.own(liar).class())]);
+        assert_eq!(world.metrics.index_answers, 1);
+        assert_eq!(
+            (world.served[relay.index()], world.served[liar.index()]),
+            (0, 0)
+        );
+    }
 
     /// The initiator scores a result by the class its reply carried, not
     /// by the responder's row of the network table.
@@ -511,7 +653,7 @@ mod tests {
             NodeId::from_index((k + 1) % users),
             QueryId(1),
         );
-        let row = world.shared.net.class(from);
+        let row = world.oracle().row(from).class();
         let bandwidth = if row == BandwidthClass::Lan {
             BandwidthClass::Cable
         } else {

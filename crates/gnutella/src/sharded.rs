@@ -193,4 +193,16 @@ mod tests {
             );
         }
     }
+
+    /// `own` is for the slice's own nodes: asked for a node another slice
+    /// owns, it panics in a debug build.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "dispatched to the slice")]
+    fn own_refuses_a_node_another_slice_owns() {
+        let (worlds, partition, _) =
+            GnutellaWorld::<NullSink>::build_sharded(small(Mode::Static), 2);
+        let other = ddr_sim::NodeId::from_index(partition.range(1).start);
+        let _ = worlds[0].own(other);
+    }
 }

@@ -43,11 +43,20 @@
 //!    [`LinkBook`] (`ddr_core::runtime::link`). Views can disagree for
 //!    one message flight time — exactly like real sockets — and repair
 //!    `Unlink`s reconcile refused mirrors.
-//! 3. **Shard-local membership.** No handler reads the global online set.
-//!    Nodes learn about other hosts from observed traffic via a per-node
-//!    [`HostCache`] (seeded with bootstrap neighbors) plus uniform draws
-//!    from their own proto stream (modeling a bootstrap server); offline
-//!    candidates simply refuse with a negative ack.
+//! 3. **Shard-local membership.** No handler reads the global online set
+//!    but the local-index lookup, which asks the oracle (rule 4) whether
+//!    an indexed holder is online; local indices run on the full range
+//!    only. Nodes learn about other hosts from observed traffic via a
+//!    per-node [`HostCache`] (seeded with bootstrap neighbors) plus
+//!    uniform draws from their own proto stream (modeling a bootstrap
+//!    server); offline candidates simply refuse with a negative ack.
+//! 4. **One gated path to another node's row.** `SharedWorld`'s
+//!    per-node columns are private to this module, so a row is read
+//!    through `own`, which asserts only that the slice owns the node, or
+//!    through `oracle`, at the call sites ci.sh lists with their reasons.
+//!    The slice columns stay crate-visible: a handler indexes them with
+//!    its own node's `li` by convention. The delay sampler is the
+//!    physical network, not a node's knowledge, and stays outside.
 //!
 //! All self-timers and message delays are clamped to the lookahead
 //! (`NetworkModel::min_delay`, 10 ms under paper parameters) in *both*
@@ -58,14 +67,14 @@ use crate::events::GnutellaEvent;
 use crate::hosts::HostCache;
 use crate::membership::bootstrap_views;
 use crate::metrics::Metrics;
-use crate::peer::{PeerState, PendingQuery, QueryOutcome, SessionSlot, DEGREE};
+use crate::peer::{PeerState, PendingQuery, QueryOutcome, Role, SessionSlot, DEGREE};
 use ddr_core::runtime::{LinkBook, NodeRuntime, Port};
 use ddr_core::{CategorySummary, LocalIndex, UpdatePlan};
-use ddr_net::{NetworkModel, NodeDelayStream};
+use ddr_net::{BandwidthClass, NetworkModel, NodeDelayStream};
 use ddr_overlay::NeighborList;
 use ddr_sim::{
     default_workers, map_chunked, parallelism::MIN_CHUNK, prefetch_line, prefetch_object,
-    HintStage, NodeId, Partition, QueryId, RngFactory, Scheduler, ShardCtx, ShardWorld,
+    HintStage, ItemId, NodeId, Partition, QueryId, RngFactory, Scheduler, ShardCtx, ShardWorld,
     SimDuration, SimTime, World,
 };
 use ddr_telemetry::{NullSink, QueryTracer, TraceSink};
@@ -75,20 +84,100 @@ use std::ptr::addr_of;
 use std::sync::Arc;
 
 /// Immutable world inputs, shared (read-only) by every shard's slice.
+/// The per-node columns are private to this module: handlers read them
+/// through [`GnutellaWorld::own`] and [`GnutellaWorld::oracle`].
 pub(crate) struct SharedWorld {
     pub(crate) config: ScenarioConfig,
     pub(crate) catalog: Catalog,
-    pub(crate) profiles: Vec<UserProfile>,
-    pub(crate) net: NetworkModel,
-    /// Per-node content summaries (piggybacked on invitations when the
-    /// summary-gated policy is active).
-    pub(crate) summaries: Vec<CategorySummary>,
-    /// Which users are free-riders (query but never answer).
-    pub(crate) free_rider: Vec<bool>,
-    /// Which users are liars: they advertise a full content summary but,
-    /// like free-riders, refuse to serve. The statistics layer cannot see
-    /// the flag — it has to learn from the absence of answers.
-    pub(crate) liar: Vec<bool>,
+    profiles: Vec<UserProfile>,
+    net: NetworkModel,
+    /// Per-node content summaries of what each node advertises
+    /// (piggybacked on invitations when the summary-gated policy is
+    /// active).
+    summaries: Vec<CategorySummary>,
+    /// What each user is: a contributor, a free rider or a liar.
+    roles: Vec<Role>,
+}
+
+/// One node's row of [`SharedWorld`], read lazily: each accessor loads
+/// only its own column.
+#[derive(Clone, Copy)]
+pub(crate) struct Row<'a> {
+    shared: &'a SharedWorld,
+    i: usize,
+}
+
+impl<'a> Row<'a> {
+    /// The user's profile (favourite category, library).
+    pub(crate) fn profile(self) -> &'a UserProfile {
+        &self.shared.profiles[self.i]
+    }
+
+    /// The content summary the node advertises.
+    pub(crate) fn summary(self) -> &'a CategorySummary {
+        &self.shared.summaries[self.i]
+    }
+
+    /// The user's role.
+    pub(crate) fn role(self) -> Role {
+        self.shared.roles[self.i]
+    }
+
+    /// The node's bandwidth class, which its replies and advertisements
+    /// carry.
+    pub(crate) fn class(self) -> BandwidthClass {
+        self.shared.net.class(NodeId::from_index(self.i))
+    }
+
+    /// The items the node advertises (see [`Role::advertised`]).
+    pub(crate) fn advertised(self) -> &'a [ItemId] {
+        self.role().advertised(self.profile())
+    }
+}
+
+impl SharedWorld {
+    /// `node`'s row through the oracle, borrowing only these inputs: for a
+    /// handler that holds its own slice columns mutably meanwhile (an open
+    /// link book). ci.sh lists its calls with [`GnutellaWorld::oracle`]'s.
+    pub(crate) fn oracle(&self, node: NodeId) -> Row<'_> {
+        Row {
+            shared: self,
+            i: node.index(),
+        }
+    }
+}
+
+/// A read-only handle on any node's state: its row, and its session slot
+/// and neighbor view when this slice holds it (every node, in the
+/// full-range world). A node learns other nodes through messages; each
+/// call site of this handle is a fact no message carries, and ci.sh lists
+/// them with their reasons. Lazy like [`Row`].
+#[derive(Clone, Copy)]
+pub(crate) struct Oracle<'a> {
+    shared: &'a SharedWorld,
+    base: usize,
+    sessions: &'a [SessionSlot],
+    neighbors: &'a [NeighborList],
+}
+
+impl<'a> Oracle<'a> {
+    /// `node`'s row.
+    pub(crate) fn row(self, node: NodeId) -> Row<'a> {
+        Row {
+            shared: self.shared,
+            i: node.index(),
+        }
+    }
+
+    /// Whether `node` is online.
+    pub(crate) fn online(self, node: NodeId) -> bool {
+        self.sessions[node.index() - self.base].online
+    }
+
+    /// `node`'s own view of its links.
+    pub(crate) fn neighbors(self, node: NodeId) -> &'a [NodeId] {
+        self.neighbors[node.index() - self.base].as_slice()
+    }
 }
 
 /// The complete simulation state for one contiguous node slice. The sink
@@ -121,9 +210,12 @@ pub struct GnutellaWorld<T: TraceSink = NullSink> {
     /// Per-node radius-r content indices (local-indices strategy only;
     /// restricted to the serial full-range world).
     pub(crate) indices: Vec<Option<LocalIndex>>,
-    /// Results served per owned node (load-balance analysis).
+    /// Results served per owned node from its own library (load-balance
+    /// analysis); an index answer serves no file and counts in
+    /// `metrics.index_answers` instead.
     pub(crate) served: Vec<u64>,
-    /// Their sum, bumped beside them, so a per-turn reader pays O(1).
+    /// Reply messages the owned nodes sent (every served result and every
+    /// index answer), so a per-turn reader pays O(1).
     pub(crate) replies: u64,
     /// Kernel lookahead = the network delay floor; every delay and timer
     /// is clamped to at least this in both kernels.
@@ -168,7 +260,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// ([`map_chunked`]). Each node's entry reads only its own
     /// `(label, node)` streams and inputs fixed before the pass, so the
     /// world is bit-identical at any worker count. The
-    /// `PeerState`s, the free-rider and liar shuffles, the initial online
+    /// `PeerState`s, the role shuffles, the initial online
     /// set, the bootstrap overlay, the host caches and the slice split
     /// stay serial, in node order.
     pub fn build_sharded(
@@ -229,44 +321,35 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 }
             })
             .collect();
-        let free_rider = {
-            let mut flags = vec![false; users];
-            let count = (users as f64 * config.free_rider_fraction).round() as usize;
-            // Deterministic selection via a dedicated stream: shuffle the
-            // population and mark the first `count`.
+        // Two independent shuffles, each on its own stream: free riders
+        // from the whole population, then liars from the rest (a node
+        // cannot both advertise nothing and advertise everything).
+        let roles = {
             use rand::seq::SliceRandom;
+            let mut roles = vec![Role::Contributor; users];
+            let count = (users as f64 * config.free_rider_fraction).round() as usize;
             let mut order: Vec<usize> = (0..users).collect();
             order.shuffle(&mut rngs.stream("freeriders", 0));
             for &i in order.iter().take(count) {
-                flags[i] = true;
+                roles[i] = Role::FreeRider;
             }
-            flags
-        };
-        let liar = {
-            // Liars come from the non-free-rider population (a node cannot
-            // both advertise nothing and advertise everything), shuffled
-            // on their own stream so the two adversary draws are
-            // independent knobs.
-            let mut flags = vec![false; users];
             let count = (users as f64 * config.liar_fraction).round() as usize;
-            use rand::seq::SliceRandom;
-            let mut order: Vec<usize> = (0..users).filter(|&i| !free_rider[i]).collect();
+            let mut order: Vec<usize> = (0..users).filter(|&i| roles[i].serves()).collect();
             order.shuffle(&mut rngs.stream("liars", 0));
             for &i in order.iter().take(count) {
-                flags[i] = true;
+                roles[i] = Role::Liar;
             }
-            flags
+            roles
         };
-        // A summary advertises what a node *shares*, not what it has: a
-        // free rider owns a library but serves nothing from it, so its
-        // advertisement is empty — exactly how real Gnutella clients spot
-        // free riders (a zero shared-file count in the handshake). Every
-        // contributor's library is non-empty by construction, so an empty
-        // summary identifies a free rider and FR-free worlds carry none.
-        // Liars exploit exactly this channel: they advertise their full
-        // library (passing every summary gate) yet never serve — the
-        // deception the benefit function must catch through observed
-        // answers alone.
+        // A summary advertises what a node *shares*, not what it has (see
+        // [`Role::advertised`]): a free rider's is empty, exactly how real
+        // Gnutella clients spot free riders (a zero shared-file count in
+        // the handshake). Every contributor's library is non-empty by
+        // construction, so an empty summary identifies a free rider and
+        // FR-free worlds carry none. Liars exploit exactly this channel:
+        // they advertise their full library (passing every summary gate)
+        // yet never serve — the deception the benefit function must catch
+        // through observed answers alone.
         let categories = catalog.categories() as usize;
         let summaries = map_chunked(
             users,
@@ -274,13 +357,9 @@ impl<T: TraceSink> GnutellaWorld<T> {
             MIN_CHUNK,
             || (),
             |_, i| {
-                if free_rider[i] {
-                    CategorySummary::empty(categories)
-                } else {
-                    CategorySummary::build(profiles[i].library(), categories, |item| {
-                        catalog.category_of(item).index()
-                    })
-                }
+                CategorySummary::build(roles[i].advertised(&profiles[i]), categories, |item| {
+                    catalog.category_of(item).index()
+                })
             },
         );
 
@@ -328,8 +407,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             profiles,
             net,
             summaries,
-            free_rider,
-            liar,
+            roles,
         });
         let partition = Partition::contiguous(users, shards);
 
@@ -382,7 +460,46 @@ impl<T: TraceSink> GnutellaWorld<T> {
 
     /// Whether this slice owns every node (the serial world).
     pub(crate) fn is_full_range(&self) -> bool {
-        self.base == 0 && self.peers.len() == self.shared.net.len()
+        self.base == 0 && self.peers.len() == self.users()
+    }
+
+    /// Users in the whole world, every slice's.
+    pub(crate) fn users(&self) -> usize {
+        self.shared.net.len()
+    }
+
+    /// The row of `node`, which this slice owns (debug-asserted through
+    /// [`Self::li`]).
+    #[inline]
+    pub(crate) fn own(&self, node: NodeId) -> Row<'_> {
+        let _ = self.li(node);
+        Row {
+            shared: &self.shared,
+            i: node.index(),
+        }
+    }
+
+    /// The one path to another node's state (world rule 4).
+    pub(crate) fn oracle(&self) -> Oracle<'_> {
+        Oracle {
+            shared: &self.shared,
+            base: self.base,
+            sessions: &self.sessions,
+            neighbors: &self.neighbors,
+        }
+    }
+
+    /// Owned `node`'s (local index `k`) next query target at `now`, from
+    /// its own generator over its own library.
+    pub(crate) fn next_target(&mut self, k: usize, node: NodeId, now: SimTime) -> ItemId {
+        let shared = &*self.shared;
+        // Fractional hour for the flash-crowd trapezoid; with no crowd
+        // configured `next_target_at` falls straight through to the
+        // clockless path with identical RNG draws.
+        let hour = now.as_millis() as f64 / 3_600_000.0;
+        self.peers[k]
+            .queries
+            .next_target_at(&shared.catalog, &shared.profiles[node.index()], hour)
     }
 
     /// Collect this slice's initial events as `(time, node, event)` in
@@ -451,9 +568,9 @@ impl<T: TraceSink> GnutellaWorld<T> {
         hub.gauge("dup_cache_entries", dup_entries as f64);
     }
 
-    /// Results served across this slice's owned nodes: one reply message
-    /// each, which `metrics.runtime.messages` (query transmissions) does
-    /// not count.
+    /// Reply messages this slice's owned nodes sent (results served and
+    /// index answers), which `metrics.runtime.messages` (query
+    /// transmissions) does not count.
     pub fn replies_served(&self) -> u64 {
         self.replies
     }
@@ -506,7 +623,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 prefetch_object(addr_of!(self.peers[k].rt.seen));
                 prefetch_object(addr_of!(self.neighbors[k]));
                 prefetch_object(addr_of!(self.delays[k]));
-                prefetch_line(self.shared.profiles[to.index()].probe_addr(desc.item));
+                prefetch_line(self.own(*to).profile().probe_addr(desc.item));
             }
             (GnutellaEvent::QueryArrive { desc, .. }, HintStage::Dependent) => {
                 prefetch_line(self.hosts[k].slots_addr());
@@ -542,7 +659,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         // (`QueryFinalize`) alive through the outage.
         if let Some(p) = &self.shared.config.partition {
             if let Some(src) = event.source() {
-                let users = self.shared.net.len();
+                let users = self.users();
                 let dst = event.target();
                 if p.island_of(src.index(), users) != p.island_of(dst.index(), users) {
                     if p.active_at_ms(now.as_millis()) {

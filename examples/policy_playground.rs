@@ -93,7 +93,7 @@ fn main() {
         NodeId(0),
         |n| &views[n.index()],
         2,
-        |n| contents[n.index()].iter(),
+        |n| (BandwidthClass::Cable, contents[n.index()].iter()),
     );
     println!(
         "\nlocal index at n0 (radius 2): {} items over {} nodes; holders of i20: {:?}",
