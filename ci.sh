@@ -465,6 +465,11 @@ echo "    optimised build the benchmark measures: overflow checks off, links and
 echo "    hints inlined)"
 cargo test -q --release -p ddr-serve
 
+echo "==> cargo test -q --release -p ddr-core (the dup cache's long differential against"
+echo "    its hash-set-plus-ring model, 12-byte packed slots and all, on the optimised"
+echo "    build the benchmark measures)"
+cargo test -q --release -p ddr-core
+
 echo "==> cargo test -q --release -p ddr-gnutella --test prop_sharded_world (the hint"
 echo "    hooks are unsafe intrinsics over computed addresses that only the fat-LTO"
 echo "    build inlines into the ring: serial == sharded, whole report, on that build)"

@@ -20,31 +20,52 @@
 //! with hundreds of nodes every probe is effectively a cache miss; see
 //! EXPERIMENTS.md "Performance trajectory", where PR 2's time went).
 //!
-//! Stale (logically evicted) entries are left in place and reclaimed by
-//! an amortised compaction pass that rebuilds the table from its live
-//! entries whenever the occupied-slot count crosses a threshold, keeping
-//! probe chains short and guaranteeing empty slots exist so unsuccessful
-//! probes terminate. [`DupCache::clear`] is O(1): it raises a watermark
-//! below which every entry counts as stale.
+//! A slot is 12 bytes: the 8-byte id and a `u32` insertion index,
+//! packed to 4-byte alignment. Indices count the insertions of the
+//! current session only ([`DupCache::clear`] restarts them at zero), so
+//! they stay far below `u32::MAX`; the 2³²-th insertion of one session
+//! panics rather than wrap.
+//!
+//! The table holds what it remembers. It starts at 32 slots (fewer for
+//! a bound of 8 or less). Stale (logically evicted) entries are left in
+//! place and reclaimed by an amortised compaction pass that rebuilds the
+//! table from its live entries whenever the occupied-slot count crosses
+//! 3/4 of the table; the rebuilt table is sized from the live count
+//! alone (4×, capped at what the bound can fill), keeping probe chains
+//! short and guaranteeing empty slots exist so unsuccessful probes
+//! terminate.
+//! Within a session the live count never falls, so a rebuild grows the
+//! table or keeps its length. [`DupCache::clear`] is where memory comes
+//! back: it drops the table for a fresh 32-slot one, so a node that saw
+//! thousands of queries in one session does not carry their table, full
+//! of stale entries, through the next.
 //!
 //! The behaviour is bit-for-bit identical to the straightforward
-//! hash-set-plus-ring formulation; `model_differential` below checks the
-//! two against each other over randomized operation streams.
+//! hash-set-plus-ring formulation; `model_differential` and
+//! `long_model_differential` below check the two against each other
+//! over randomized operation streams.
 
 use ddr_sim::QueryId;
 
-/// Sentinel insertion index marking a never-used slot. Real indices are
-/// assigned from a counter starting at zero, so `u64::MAX` is
-/// unreachable in any conceivable run.
-const EMPTY_K: u64 = u64::MAX;
+/// Sentinel insertion index marking a never-used slot. The insertion
+/// counter panics before it would hand this value out.
+const EMPTY_K: u32 = u32::MAX;
 
-/// One table slot: a remembered id plus the (global, monotone) insertion
-/// index it was last successfully inserted at.
+/// Bytes of one slot: the span [`DupCache::probe_addr`] points at.
+const SLOT_BYTES: usize = 12;
+
+/// One table slot: a remembered id plus the insertion index (counted
+/// within the current session) it was last successfully inserted at.
+/// Packed to 4-byte alignment, so the `u64` id and the `u32` index take
+/// 12 bytes, not 16.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 struct Slot {
     id: QueryId,
-    k: u64,
+    k: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == SLOT_BYTES);
 
 const EMPTY_SLOT: Slot = Slot {
     id: QueryId(0),
@@ -69,6 +90,10 @@ fn max_occupied_for(len: usize) -> usize {
 
 /// A bounded set of recently seen query ids.
 ///
+/// One open-addressing table of 12-byte slots, sized from the live count
+/// at each rebuild and replaced by a fresh 32-slot table on
+/// [`clear`](Self::clear) (the module docs have the layout).
+///
 /// ```
 /// use ddr_core::DupCache;
 /// use ddr_sim::QueryId;
@@ -85,12 +110,9 @@ pub struct DupCache {
     /// Multiply-shift hash: take the top `log2(len)` bits.
     shift: u32,
     /// Semantic FIFO bound.
-    capacity: u64,
-    /// Total successful insertions ever (the next insertion index).
-    inserts: u64,
-    /// Entries with `k < floor` are stale regardless of age; raised by
-    /// [`DupCache::clear`] so clearing is O(1).
-    floor: u64,
+    capacity: u32,
+    /// Successful insertions this session (the next insertion index).
+    inserts: u32,
     /// Non-empty slots (live + stale); compaction trigger.
     occupied: usize,
     /// Compaction threshold; always `< slots.len()` so at least one
@@ -99,6 +121,10 @@ pub struct DupCache {
 }
 
 impl DupCache {
+    /// The largest bound: every insertion index of a session fits a
+    /// `u32`, so no larger bound could ever forget less.
+    pub const MAX_CAPACITY: usize = u32::MAX as usize;
+
     /// A cache remembering up to `capacity` recent ids.
     ///
     /// The table starts small and grows with the node's *actual* working
@@ -107,13 +133,18 @@ impl DupCache {
     /// distinct queries per session, and sizing every node's table for
     /// the worst case multiplies the simulator's cache-hostile footprint
     /// for nothing. Growth happens inside `DupCache::compact` when the
-    /// live count crosses half the table.
+    /// occupied count crosses 3/4 of the table.
     ///
     /// # Panics
     /// Panics when `capacity == 0` — a zero-size cache silently degrades
-    /// to "forward every duplicate", which is never intended.
+    /// to "forward every duplicate", which is never intended — or when it
+    /// exceeds [`DupCache::MAX_CAPACITY`].
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "DupCache capacity must be positive");
+        assert!(
+            capacity <= Self::MAX_CAPACITY,
+            "DupCache capacity {capacity} exceeds the u32 index range"
+        );
         // Small initial table, but never beyond what the bound needs:
         // live entries can't exceed `capacity`, so `2 * capacity` slots
         // (load factor 1/2) is the largest table ever required.
@@ -122,9 +153,8 @@ impl DupCache {
             slots: vec![EMPTY_SLOT; len].into_boxed_slice(),
             mask: (len - 1) as u64,
             shift: 64 - len.trailing_zeros(),
-            capacity: capacity as u64,
+            capacity: capacity as u32,
             inserts: 0,
-            floor: 0,
             occupied: 0,
             max_occupied: max_occupied_for(len),
         }
@@ -140,8 +170,24 @@ impl DupCache {
 
     /// Smallest insertion index still considered live.
     #[inline]
-    fn live_min(&self) -> u64 {
-        self.inserts.saturating_sub(self.capacity).max(self.floor)
+    fn live_min(&self) -> u32 {
+        self.inserts.saturating_sub(self.capacity)
+    }
+
+    /// Hand out the next insertion index.
+    ///
+    /// # Panics
+    /// Panics on the 2³²-th insertion of one session, whose index would
+    /// be the empty-slot sentinel.
+    #[inline]
+    fn next_index(&mut self) -> u32 {
+        let k = self.inserts;
+        assert!(
+            k != EMPTY_K,
+            "DupCache insertion index overflow: more than 2^32 - 1 insertions in one session"
+        );
+        self.inserts = k + 1;
+        k
     }
 
     /// Record `id`; returns `true` if it was **new** (process the message)
@@ -150,41 +196,39 @@ impl DupCache {
         let live_min = self.live_min();
         let mut j = self.home(id);
         loop {
-            let s = self.slots[j as usize];
-            if s.k == EMPTY_K {
+            let Slot { id: held, k } = self.slots[j as usize];
+            if k == EMPTY_K {
                 // Absent: claim the first free slot on the chain.
                 self.slots[j as usize] = Slot {
                     id,
-                    k: self.inserts,
+                    k: self.next_index(),
                 };
-                self.inserts += 1;
                 self.occupied += 1;
                 if self.occupied >= self.max_occupied {
                     self.compact();
                 }
                 return true;
             }
-            if s.id == id {
-                if s.k >= live_min {
+            if held == id {
+                if k >= live_min {
                     return false; // still remembered: duplicate
                 }
                 // Evicted long ago; re-insert in place (the id occurs at
                 // most once in the table, so updating the index here
                 // preserves the single-slot-per-id invariant).
-                self.slots[j as usize].k = self.inserts;
-                self.inserts += 1;
+                self.slots[j as usize].k = self.next_index();
                 return true;
             }
             j = j.wrapping_add(1) & self.mask;
         }
     }
 
-    /// Rebuild the table from its live entries, dropping stale ones and
-    /// growing the table when the live set genuinely needs more room
-    /// (never beyond the `2 * capacity` the FIFO bound can fill). Runs
-    /// every Θ(len) insertions at worst, and the rebuild is two
-    /// sequential sweeps — amortised O(1) per insertion and far cheaper
-    /// per element than the random probes it prevents.
+    /// Rebuild the table from its live entries, dropping stale ones, at
+    /// the length [`table_len_for`] gives the live count (never beyond
+    /// the `2 * capacity` the FIFO bound can fill). Runs every Θ(len)
+    /// insertions at worst, and the rebuild is two sequential sweeps —
+    /// amortised O(1) per insertion and far cheaper per element than the
+    /// random probes it prevents.
     #[cold]
     fn compact(&mut self) {
         let live_min = self.live_min();
@@ -193,7 +237,7 @@ impl DupCache {
             .iter()
             .filter(|s| s.k != EMPTY_K && s.k >= live_min)
             .count();
-        let len = table_len_for(live, self.capacity as usize).max(self.slots.len());
+        let len = table_len_for(live, self.capacity as usize);
         let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; len].into_boxed_slice());
         self.mask = (len - 1) as u64;
         self.shift = 64 - len.trailing_zeros();
@@ -216,11 +260,12 @@ impl DupCache {
     /// Address of the table slot a probe for `id` starts at, for
     /// software prefetching by event-loop drivers (the slot is a pure
     /// hash of the id, known as soon as the message is, well before the
-    /// membership check runs).
+    /// membership check runs). A 12-byte slot can straddle two cache
+    /// lines, so the pointee is the whole slot.
     #[inline]
-    pub fn probe_addr(&self, id: QueryId) -> *const u8 {
+    pub fn probe_addr(&self, id: QueryId) -> *const [u8; SLOT_BYTES] {
         let j = self.home(id);
-        std::ptr::addr_of!(self.slots[j as usize]) as *const u8
+        std::ptr::addr_of!(self.slots[j as usize]).cast()
     }
 
     /// Whether `id` is currently remembered (no mutation).
@@ -228,12 +273,12 @@ impl DupCache {
         let live_min = self.live_min();
         let mut j = self.home(id);
         loop {
-            let s = self.slots[j as usize];
-            if s.k == EMPTY_K {
+            let Slot { id: held, k } = self.slots[j as usize];
+            if k == EMPTY_K {
                 return false;
             }
-            if s.id == id {
-                return s.k >= live_min;
+            if held == id {
+                return k >= live_min;
             }
             j = j.wrapping_add(1) & self.mask;
         }
@@ -245,7 +290,7 @@ impl DupCache {
     /// unique per slot and re-insertions only overwrite stale indices),
     /// so the live count is just the window width.
     pub fn len(&self) -> usize {
-        (self.inserts - self.floor).min(self.capacity) as usize
+        self.inserts.min(self.capacity) as usize
     }
 
     /// Whether nothing is remembered.
@@ -253,11 +298,19 @@ impl DupCache {
         self.len() == 0
     }
 
-    /// Forget everything (log-off/log-in cycles start fresh). O(1): the
-    /// table is not touched, entries below the watermark are simply
-    /// treated as stale and reclaimed by the next compaction.
+    /// Bytes of the slot table (the header is not counted).
+    pub fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.slots)
+    }
+
+    /// Forget everything (log-off/log-in cycles start fresh): drop the
+    /// table for a fresh initial-length one with the counters at zero.
+    /// O(1) in the table's length; a cache that has inserted nothing is
+    /// already fresh and is left as it is.
     pub fn clear(&mut self) {
-        self.floor = self.inserts;
+        if self.inserts > 0 {
+            *self = DupCache::new(self.capacity as usize);
+        }
     }
 }
 
@@ -351,6 +404,31 @@ mod tests {
     }
 
     #[test]
+    fn clear_returns_an_outgrown_table_to_the_initial_length() {
+        let mut c = DupCache::new(4_096);
+        let initial = c.slots.len();
+        assert_eq!(initial, 32);
+        for i in 0..1_000 {
+            c.first_sighting(QueryId(i));
+        }
+        assert!(c.slots.len() > initial, "1,000 live ids grew the table");
+        c.clear();
+        assert_eq!(c.slots.len(), initial);
+        assert_eq!((c.inserts, c.occupied), (0, 0));
+        assert!(c.first_sighting(QueryId(7)), "the fresh table forgot id 7");
+    }
+
+    #[test]
+    #[should_panic(expected = "insertion index overflow")]
+    fn index_overflow_panics_with_its_name() {
+        let mut c = DupCache::new(4);
+        c.inserts = EMPTY_K - 2;
+        assert!(c.first_sighting(QueryId(1)));
+        assert!(c.first_sighting(QueryId(2))); // index u32::MAX - 1, the last
+        c.first_sighting(QueryId(3));
+    }
+
+    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = DupCache::new(0);
@@ -432,5 +510,62 @@ mod tests {
                 assert_eq!(fast.len(), model.order.len(), "len diverged at step {step}");
             }
         }
+    }
+
+    /// The fast cache against the model over a long stream at the
+    /// simulator's bound: capacity 4,096, ids from a universe wider than
+    /// the bound (evictions and revivals), and a `clear` about once per
+    /// 16,000 operations. Every rebuild must size the table from the
+    /// live count alone, every `clear` must leave a fresh initial table,
+    /// and at no point may the table exceed what its live count needs.
+    #[test]
+    fn long_model_differential() {
+        const CAPACITY: usize = 4_096;
+        let mut state = 0x0DDC_0FFE_E15B_AD5Eu64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut fast = DupCache::new(CAPACITY);
+        let mut model = ModelCache::new(CAPACITY);
+        let initial = fast.slots.len();
+        let (mut growths, mut evicting_rebuilds, mut outgrown_clears) = (0, 0, 0);
+        for step in 0..400_000u32 {
+            let r = next();
+            let id = QueryId(r % (CAPACITY as u64 * 4));
+            let (table, len_before) = (fast.slots.as_ptr(), fast.slots.len());
+            if r >> 48 < 4 {
+                outgrown_clears += usize::from(len_before > initial);
+                fast.clear();
+                model.clear();
+                assert_eq!(fast.slots.len(), initial, "clear kept an outgrown table");
+                assert_eq!((fast.inserts, fast.occupied), (0, 0));
+            } else if (r >> 40) % 8 == 0 {
+                assert_eq!(fast.contains(id), model.contains(id), "contains at {step}");
+            } else {
+                let before = fast.occupied;
+                let new = fast.first_sighting(id);
+                assert_eq!(new, model.first_sighting(id), "first_sighting at {step}");
+                if fast.slots.as_ptr() != table {
+                    // A rebuild: sized from what it remembers, nothing more.
+                    assert_eq!(fast.slots.len(), table_len_for(fast.len(), CAPACITY));
+                    growths += usize::from(fast.slots.len() > len_before);
+                    evicting_rebuilds += usize::from(fast.occupied <= before);
+                }
+            }
+            assert_eq!(fast.len(), model.order.len(), "len diverged at {step}");
+            assert!(
+                fast.slots.len() <= table_len_for(fast.len(), CAPACITY).max(initial),
+                "table of {} slots for {} live ids at {step}",
+                fast.slots.len(),
+                fast.len()
+            );
+        }
+        // The stream grew tables, dropped stale entries in rebuilds and
+        // cleared outgrown tables.
+        assert!(growths > 0 && evicting_rebuilds > 0 && outgrown_clears > 0);
     }
 }

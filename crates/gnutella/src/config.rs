@@ -2,7 +2,7 @@
 //! paper's §4.2/§4.3 settings.
 
 pub use ddr_core::SearchStrategy;
-use ddr_core::{ForwardSelection, InvitationPolicy, NodeStats};
+use ddr_core::{DupCache, ForwardSelection, InvitationPolicy, NodeStats};
 use ddr_net::{BandwidthClass, ClassMix};
 use ddr_sim::SimDuration;
 use ddr_telemetry::TelemetryConfig;
@@ -301,6 +301,16 @@ impl ScenarioConfig {
         if self.query_timeout == SimDuration::ZERO {
             return Err("query_timeout must be positive".into());
         }
+        if self.dup_cache_capacity == 0 {
+            return Err("dup_cache_capacity must be >= 1".into());
+        }
+        if self.dup_cache_capacity > DupCache::MAX_CAPACITY {
+            return Err(format!(
+                "dup_cache_capacity {} exceeds the dup cache's u32 index range ({})",
+                self.dup_cache_capacity,
+                DupCache::MAX_CAPACITY
+            ));
+        }
         if !(0.0..=1.0).contains(&self.free_rider_fraction) {
             return Err("free_rider_fraction out of [0,1]".into());
         }
@@ -376,6 +386,26 @@ mod tests {
         let mut c = ScenarioConfig::paper(Mode::Static, 2);
         c.reconfig_threshold = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_zero_dup_cache_capacity() {
+        let mut c = ScenarioConfig::paper(Mode::Static, 2);
+        c.dup_cache_capacity = 0;
+        assert_eq!(c.validate(), Err("dup_cache_capacity must be >= 1".into()));
+    }
+
+    #[test]
+    fn validation_rejects_a_dup_cache_capacity_past_the_index_range() {
+        let mut c = ScenarioConfig::paper(Mode::Static, 2);
+        c.dup_cache_capacity = DupCache::MAX_CAPACITY;
+        assert!(c.validate().is_ok());
+        c.dup_cache_capacity = DupCache::MAX_CAPACITY + 1;
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.starts_with("dup_cache_capacity 4294967296 exceeds"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -560,12 +560,10 @@ impl<T: TraceSink> GnutellaWorld<T> {
         }
         let online = self.sessions.iter().filter(|s| s.online).count();
         hub.gauge("online", online as f64);
-        let dup_entries: usize = self
-            .peers
-            .iter()
-            .map(|p| p.rt.seen.as_ref().map_or(0, |c| c.len()))
-            .sum();
-        hub.gauge("dup_cache_entries", dup_entries as f64);
+        let seen = self.peers.iter().filter_map(|p| p.rt.seen.as_ref());
+        let (entries, bytes) = seen.fold((0, 0), |(n, b), c| (n + c.len(), b + c.table_bytes()));
+        hub.gauge("dup_cache_entries", entries as f64);
+        hub.gauge("dup_cache_bytes", bytes as f64);
     }
 
     /// Reply messages this slice's owned nodes sent (results served and
@@ -628,7 +626,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             (GnutellaEvent::QueryArrive { desc, .. }, HintStage::Dependent) => {
                 prefetch_line(self.hosts[k].slots_addr());
                 if let Some(seen) = &self.peers[k].rt.seen {
-                    prefetch_line(seen.probe_addr(desc.id));
+                    prefetch_object(seen.probe_addr(desc.id));
                 }
             }
             (_, HintStage::Direct) => prefetch_line(addr_of!(self.peers[k]).cast()),
