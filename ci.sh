@@ -545,7 +545,8 @@ echo "    must read both traces complete and summarise them the same)"
 TRACE="$(mktemp -t ddr-ci-trace.XXXXXX.jsonl)"
 SHARDED_TRACE="$(mktemp -t ddr-ci-trace-sharded.XXXXXX.jsonl)"
 METRICS="$(mktemp -t ddr-ci-metrics.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE" "$SHARDED_TRACE" "$METRICS"' EXIT
+DUP_METRICS="$(mktemp -t ddr-ci-dup-metrics.XXXXXX.jsonl)"
+trap 'rm -f "$TRACE" "$SHARDED_TRACE" "$METRICS" "$DUP_METRICS"' EXIT
 # `ddr inspect FILE`'s summary; fails unless it exits 0 (a complete trace).
 inspect_complete() {
     local summary status=0
@@ -562,6 +563,22 @@ SHARDED_SUMMARY=$(inspect_complete "$SHARDED_TRACE")
 diff <(echo "$SERIAL_SUMMARY") <(echo "$SHARDED_SUMMARY") \
     || { echo "--shards 2 changed the trace summary" >&2; exit 1; }
 echo "    $(echo "$SERIAL_SUMMARY" | grep '^query spans') complete (serial == 2 shards)"
+
+echo "==> dup-cache memory guard (fig1 --smoke --metrics: the peak dup_cache_bytes"
+echo "    gauge stays within every node holding its initial 32-slot table)"
+# Under the flood horizon H (2 hops x 360 ms) a node remembers the ids of
+# two windows of at most H each. At smoke load (at most 100 users, about
+# 500 queries an hour fleet-wide) such a pair of windows holds far fewer
+# than the 9 live ids a rebuild needs to outgrow the initial 32-slot
+# table, and an offline node's cleared cache holds just that table. So
+# no node's table passes 32 slots x 12 bytes: 100 x 384 bytes in all.
+# Caches bound by their FIFO capacity alone reach 541,824 bytes here.
+$DDR run fig1 --smoke --metrics "$DUP_METRICS" > /dev/null
+DUP_PEAK=$(grep -o '"dup_cache_bytes":[0-9]*' "$DUP_METRICS" | cut -d: -f2 | sort -n | tail -1)
+DUP_BOUND=$((100 * 32 * 12))
+test "${DUP_PEAK:-0}" -gt 0 && test "$DUP_PEAK" -le "$DUP_BOUND" \
+    || { echo "peak dup_cache_bytes ${DUP_PEAK:-none} outside (0, $DUP_BOUND]: is the flood horizon gone?" >&2; exit 1; }
+echo "    peak dup_cache_bytes $DUP_PEAK <= $DUP_BOUND"
 
 echo "==> fig1 free_riders --smoke: serial == --shards 2 == --shards 3 --threads 2"
 echo "    == --shards 2 metered+profiled (three shards: a 3-way window merge over"
@@ -603,7 +620,7 @@ echo "    retry and a second inbox are all that differs from run_deterministic's
 echo "    virtual clock, and one shard skips them"
 SERVE_TRACE="$(mktemp -t ddr-ci-serve.XXXXXX.jsonl)"
 SERVE_METRICS="$(mktemp -t ddr-ci-serve-metrics.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE" "$SHARDED_TRACE" "$METRICS" "$SERVE_TRACE" "$SERVE_METRICS"' EXIT
+trap 'rm -f "$TRACE" "$SHARDED_TRACE" "$METRICS" "$DUP_METRICS" "$SERVE_TRACE" "$SERVE_METRICS"' EXIT
 $DDR serve gnutella --nodes 200 --qps 50 --duration 1 --smoke --threads 2 --trace "$SERVE_TRACE"
 inspect_complete "$SERVE_TRACE" > /dev/null
 SERVE=$($DDR serve gnutella --nodes 200 --qps 50 --duration 2 --threads 2 --smoke \

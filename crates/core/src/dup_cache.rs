@@ -8,44 +8,73 @@
 //! bounded table; the capacity-sensitivity suite of `ddr run ablations`
 //! measures how small the bound can go before duplicate floods reappear.
 //!
+//! # Two forgetting bounds
+//!
+//! An id is *live* (a new copy of it is a duplicate) while both hold:
+//!
+//! 1. **FIFO bound.** It is among the last `capacity` insertions. This is
+//!    the semantics every caller sees, and the only bound of
+//!    [`DupCache::first_sighting`].
+//! 2. **Flood horizon `H`.** It was inserted after the older of two
+//!    generation checkpoints. [`DupCache::sighting`] takes the sighting's
+//!    time and `H`; when `now` is more than `H` past the newer checkpoint,
+//!    the newer one becomes the older and a new one is taken at `now`
+//!    (with the insertion count then). So two checkpoints are always more
+//!    than `H` apart, and a rebuild sizes the table to what arrived in two
+//!    windows of at most `H` each, not to the whole session.
+//!
+//! **Why the horizon changes no answer.** Suppose every copy of a query
+//! reaches a node within `H` of the query's issue — for a TTL-bounded
+//! flood, `H` = largest TTL × largest one-hop delay. Take an id first
+//! sighted at `t` (no earlier than its issue). The horizon forgets it
+//! only once the checkpoint it precedes is the older one, which happens
+//! at a sighting more than `H` after that checkpoint, so after `t + H`;
+//! every copy has arrived by then, so no lookup ever asks about it again.
+//! Conversely, an answer the horizon changes is always to a copy that
+//! arrived more than `H` after its query's issue, so a caller checks the
+//! premise by the copy's issue time (the Gnutella world counts such
+//! copies, and `check_invariants` requires none).
+//!
 //! # Representation
 //!
 //! The cache is one open-addressing table of `(id, insertion index)`
-//! pairs with linear probing. FIFO eviction is *implicit*: an entry is
-//! live iff its insertion index lies within the last `capacity`
-//! successful insertions, so the membership probe and the insert are a
-//! single table walk — no companion FIFO ring and no second hash lookup
-//! to delete the evicted id. This halves the random memory traffic per
-//! query on the simulator hot path (each node owns a multi-KiB table, so
-//! with hundreds of nodes every probe is effectively a cache miss; see
-//! EXPERIMENTS.md "Performance trajectory", where PR 2's time went).
+//! pairs with linear probing. Eviction is *implicit*: an entry is live iff
+//! its insertion index is at least `live_min` — the
+//! larger of `inserts - capacity` (FIFO) and the index recorded at the
+//! older checkpoint (horizon) — so the membership probe and the insert
+//! are a single table walk, with no companion FIFO ring and no second
+//! hash lookup to delete the evicted id. This halves the random memory
+//! traffic per query on the simulator hot path (each node owns a
+//! multi-KiB table, so with hundreds of nodes every probe is effectively
+//! a cache miss; see EXPERIMENTS.md "Performance trajectory", where PR 2's
+//! time went).
 //!
 //! A slot is 12 bytes: the 8-byte id and a `u32` insertion index,
 //! packed to 4-byte alignment. Indices count the insertions of the
 //! current session only ([`DupCache::clear`] restarts them at zero), so
 //! they stay far below `u32::MAX`; the 2³²-th insertion of one session
-//! panics rather than wrap.
+//! panics rather than wrap. The header (table pointer, hash parameters,
+//! counters and the two checkpoints) fits one 64-byte cache line; a
+//! `const` assert pins it.
 //!
 //! The table holds what it remembers. It starts at 32 slots (fewer for
 //! a bound of 8 or less). Stale (logically evicted) entries are left in
 //! place and reclaimed by an amortised compaction pass that rebuilds the
 //! table from its live entries whenever the occupied-slot count crosses
 //! 3/4 of the table; the rebuilt table is sized from the live count
-//! alone (4×, capped at what the bound can fill), keeping probe chains
-//! short and guaranteeing empty slots exist so unsuccessful probes
-//! terminate.
-//! Within a session the live count never falls, so a rebuild grows the
-//! table or keeps its length. [`DupCache::clear`] is where memory comes
-//! back: it drops the table for a fresh 32-slot one, so a node that saw
-//! thousands of queries in one session does not carry their table, full
-//! of stale entries, through the next.
+//! alone (4×, capped at what the FIFO bound can fill), keeping probe
+//! chains short and guaranteeing empty slots exist so unsuccessful
+//! probes terminate. Under the horizon the live count follows the recent
+//! query rate, so rebuilds shrink the table as readily as they grow it;
+//! [`DupCache::clear`] drops the table for a fresh 32-slot one.
 //!
 //! The behaviour is bit-for-bit identical to the straightforward
-//! hash-set-plus-ring formulation; `model_differential` and
-//! `long_model_differential` below check the two against each other
-//! over randomized operation streams.
+//! hash-set-plus-ring formulation (under the horizon, on every stream
+//! that keeps its premise); `model_differential`,
+//! `long_model_differential` and `horizon_model_differential` below check
+//! the two against each other over randomized operation streams.
 
-use ddr_sim::QueryId;
+use ddr_sim::{QueryId, SimDuration, SimTime};
 
 /// Sentinel insertion index marking a never-used slot. The insertion
 /// counter panics before it would hand this value out.
@@ -83,16 +112,18 @@ fn table_len_for(live: usize, capacity: usize) -> usize {
 
 /// Compaction threshold for a table of `len` slots: 3/4 occupancy, and
 /// always strictly below `len` so empty slots exist and unsuccessful
-/// probes terminate.
-fn max_occupied_for(len: usize) -> usize {
-    len - (len / 4).max(1)
+/// probes terminate. Saturates at `u32::MAX`, which the occupied count
+/// never reaches: every occupied slot holds a distinct index below it.
+fn max_occupied_for(len: usize) -> u32 {
+    u32::try_from(len - (len / 4).max(1)).unwrap_or(u32::MAX)
 }
 
 /// A bounded set of recently seen query ids.
 ///
 /// One open-addressing table of 12-byte slots, sized from the live count
 /// at each rebuild and replaced by a fresh 32-slot table on
-/// [`clear`](Self::clear) (the module docs have the layout).
+/// [`clear`](Self::clear) (the module docs have the layout and the two
+/// forgetting bounds).
 ///
 /// ```
 /// use ddr_core::DupCache;
@@ -107,6 +138,8 @@ pub struct DupCache {
     slots: Box<[Slot]>,
     /// `slots.len() - 1` (the length is a power of two).
     mask: u64,
+    /// Time of the newer generation checkpoint.
+    gen_at: SimTime,
     /// Multiply-shift hash: take the top `log2(len)` bits.
     shift: u32,
     /// Semantic FIFO bound.
@@ -114,11 +147,18 @@ pub struct DupCache {
     /// Successful insertions this session (the next insertion index).
     inserts: u32,
     /// Non-empty slots (live + stale); compaction trigger.
-    occupied: usize,
+    occupied: u32,
     /// Compaction threshold; always `< slots.len()` so at least one
     /// empty slot exists and unsuccessful probes terminate.
-    max_occupied: usize,
+    max_occupied: u32,
+    /// Insertion count at the older checkpoint: the horizon forgets
+    /// every index below it.
+    gen_min: u32,
+    /// Insertion count at the newer checkpoint.
+    gen_k: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<DupCache>() <= 64);
 
 impl DupCache {
     /// The largest bound: every insertion index of a session fits a
@@ -152,11 +192,14 @@ impl DupCache {
         DupCache {
             slots: vec![EMPTY_SLOT; len].into_boxed_slice(),
             mask: (len - 1) as u64,
+            gen_at: SimTime::ZERO,
             shift: 64 - len.trailing_zeros(),
             capacity: capacity as u32,
             inserts: 0,
             occupied: 0,
             max_occupied: max_occupied_for(len),
+            gen_min: 0,
+            gen_k: 0,
         }
     }
 
@@ -168,10 +211,11 @@ impl DupCache {
         id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift
     }
 
-    /// Smallest insertion index still considered live.
+    /// Smallest insertion index still live under both bounds: the FIFO
+    /// bound's `inserts - capacity` and the horizon's older checkpoint.
     #[inline]
     fn live_min(&self) -> u32 {
-        self.inserts.saturating_sub(self.capacity)
+        self.inserts.saturating_sub(self.capacity).max(self.gen_min)
     }
 
     /// Hand out the next insertion index.
@@ -190,9 +234,28 @@ impl DupCache {
         k
     }
 
-    /// Record `id`; returns `true` if it was **new** (process the message)
-    /// and `false` if it is a duplicate (discard).
+    /// Record `id` under the FIFO bound alone; returns `true` if it was
+    /// **new** (process the message) and `false` if it is a duplicate
+    /// (discard).
     pub fn first_sighting(&mut self, id: QueryId) -> bool {
+        self.sighting(id, SimTime::ZERO, None)
+    }
+
+    /// Record `id`, sighted at `now`, under the FIFO bound and — when a
+    /// `horizon` is given — the flood horizon (module docs): every copy
+    /// of a message reaches this node within `horizon` of its first
+    /// sighting here. `now` must not decrease between calls of one
+    /// session. Returns `true` if `id` was **new**, as
+    /// [`first_sighting`](Self::first_sighting) does.
+    #[inline]
+    pub fn sighting(&mut self, id: QueryId, now: SimTime, horizon: Option<SimDuration>) -> bool {
+        if horizon.is_some_and(|h| now.saturating_since(self.gen_at) > h) {
+            // The older checkpoint's ids are more than `h` old: forget
+            // them, and checkpoint here.
+            self.gen_min = self.gen_k;
+            self.gen_k = self.inserts;
+            self.gen_at = now;
+        }
         let live_min = self.live_min();
         let mut j = self.home(id);
         loop {
@@ -213,8 +276,8 @@ impl DupCache {
                 if k >= live_min {
                     return false; // still remembered: duplicate
                 }
-                // Evicted long ago; re-insert in place (the id occurs at
-                // most once in the table, so updating the index here
+                // Forgotten; re-insert in place (the id occurs at most
+                // once in the table, so updating the index here
                 // preserves the single-slot-per-id invariant).
                 self.slots[j as usize].k = self.next_index();
                 return true;
@@ -226,18 +289,13 @@ impl DupCache {
     /// Rebuild the table from its live entries, dropping stale ones, at
     /// the length [`table_len_for`] gives the live count (never beyond
     /// the `2 * capacity` the FIFO bound can fill). Runs every Θ(len)
-    /// insertions at worst, and the rebuild is two sequential sweeps —
+    /// insertions at worst, and the rebuild is one sequential sweep —
     /// amortised O(1) per insertion and far cheaper per element than the
     /// random probes it prevents.
     #[cold]
     fn compact(&mut self) {
         let live_min = self.live_min();
-        let live = self
-            .slots
-            .iter()
-            .filter(|s| s.k != EMPTY_K && s.k >= live_min)
-            .count();
-        let len = table_len_for(live, self.capacity as usize);
+        let len = table_len_for(self.len(), self.capacity as usize);
         let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; len].into_boxed_slice());
         self.mask = (len - 1) as u64;
         self.shift = 64 - len.trailing_zeros();
@@ -254,6 +312,7 @@ impl DupCache {
             self.slots[j as usize] = *s;
             self.occupied += 1;
         }
+        debug_assert_eq!(self.occupied as usize, self.len());
         debug_assert!(self.occupied < self.max_occupied);
     }
 
@@ -284,13 +343,14 @@ impl DupCache {
         }
     }
 
-    /// Number of remembered ids.
+    /// Number of remembered ids: those live under both bounds as of the
+    /// last sighting.
     ///
     /// Every live insertion index belongs to exactly one slot (ids are
     /// unique per slot and re-insertions only overwrite stale indices),
-    /// so the live count is just the window width.
+    /// so the live count is just the width of the live index range.
     pub fn len(&self) -> usize {
-        self.inserts.min(self.capacity) as usize
+        (self.inserts - self.live_min()) as usize
     }
 
     /// Whether nothing is remembered.
@@ -304,9 +364,9 @@ impl DupCache {
     }
 
     /// Forget everything (log-off/log-in cycles start fresh): drop the
-    /// table for a fresh initial-length one with the counters at zero.
-    /// O(1) in the table's length; a cache that has inserted nothing is
-    /// already fresh and is left as it is.
+    /// table for a fresh initial-length one with the counters and the
+    /// checkpoints at zero. O(1) in the table's length; a cache that has
+    /// inserted nothing is already fresh and is left as it is.
     pub fn clear(&mut self) {
         if self.inserts > 0 {
             *self = DupCache::new(self.capacity as usize);
@@ -465,20 +525,23 @@ mod tests {
         }
     }
 
-    /// Randomized differential test against the hash-set-plus-ring
-    /// model: mixed first_sighting / contains / clear streams with ids
-    /// drawn from a small universe (high collision + revival pressure).
-    #[test]
-    fn model_differential() {
-        // SplitMix64: tiny deterministic generator for the op stream.
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
+    /// SplitMix64: a tiny deterministic generator for op streams.
+    fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
-        };
+        }
+    }
+
+    /// Randomized differential test against the hash-set-plus-ring
+    /// model: mixed first_sighting / contains / clear streams with ids
+    /// drawn from a small universe (high collision + revival pressure).
+    #[test]
+    fn model_differential() {
+        let mut next = splitmix(0x1234_5678_9abc_def0);
         for capacity in [1usize, 2, 3, 7, 16, 61] {
             let mut fast = DupCache::new(capacity);
             let mut model = ModelCache::new(capacity);
@@ -521,14 +584,7 @@ mod tests {
     #[test]
     fn long_model_differential() {
         const CAPACITY: usize = 4_096;
-        let mut state = 0x0DDC_0FFE_E15B_AD5Eu64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = splitmix(0x0DDC_0FFE_E15B_AD5E);
         let mut fast = DupCache::new(CAPACITY);
         let mut model = ModelCache::new(CAPACITY);
         let initial = fast.slots.len();
@@ -543,7 +599,7 @@ mod tests {
                 model.clear();
                 assert_eq!(fast.slots.len(), initial, "clear kept an outgrown table");
                 assert_eq!((fast.inserts, fast.occupied), (0, 0));
-            } else if (r >> 40) % 8 == 0 {
+            } else if (r >> 40).is_multiple_of(8) {
                 assert_eq!(fast.contains(id), model.contains(id), "contains at {step}");
             } else {
                 let before = fast.occupied;
@@ -567,5 +623,121 @@ mod tests {
         // The stream grew tables, dropped stale entries in rebuilds and
         // cleared outgrown tables.
         assert!(growths > 0 && evicting_rebuilds > 0 && outgrown_clears > 0);
+    }
+
+    #[test]
+    fn the_horizon_forgets_at_the_second_checkpoint() {
+        const H: SimDuration = SimDuration::from_millis(100);
+        let at = SimTime::from_millis;
+        let mut c = DupCache::new(64);
+        assert!(c.sighting(QueryId(1), at(0), Some(H)));
+        assert!(
+            !c.sighting(QueryId(1), at(100), Some(H)),
+            "within H: a duplicate"
+        );
+        // 101 ms: the first checkpoint, id 1 still after the older one.
+        assert!(c.sighting(QueryId(2), at(101), Some(H)));
+        assert!(c.contains(QueryId(1)));
+        // 202 ms: the second checkpoint forgets what preceded the first.
+        assert!(c.sighting(QueryId(3), at(202), Some(H)));
+        assert!(!c.contains(QueryId(1)) && c.contains(QueryId(2)));
+        assert_eq!(c.len(), 2);
+        // The FIFO bound alone still held id 1: a copy this late reads
+        // new, the answer the premise rules out.
+        assert!(c.sighting(QueryId(1), at(203), Some(H)));
+        assert!(!c.sighting(QueryId(1), at(203), Some(H)));
+        // No horizon: nothing is forgotten by time.
+        let mut fifo = DupCache::new(64);
+        assert!(fifo.sighting(QueryId(1), at(0), None));
+        assert!(!fifo.sighting(QueryId(1), at(1_000_000), None));
+    }
+
+    /// The cache with and without a flood horizon against the FIFO model,
+    /// over streams that keep the horizon's premise: time advances in
+    /// steps of at most `STEP`, and an id is sighted again only within
+    /// `H` of the sighting that (re)inserted it. Every answer of both
+    /// caches must be the model's, and after every rebuild
+    /// the horizon's table is no longer than [`table_len_for`] of the ids
+    /// inserted within `2H + STEP` (a checkpoint advances at the first
+    /// sighting more than `H` past the last one, so the two are at most
+    /// `H + STEP` apart).
+    #[test]
+    fn horizon_model_differential() {
+        const H: u64 = 720;
+        const STEP: u64 = 40;
+        let mut next = splitmix(0x005E_ED0F_F100_D00D);
+        for capacity in [4usize, 64, 4_096] {
+            let mut with = DupCache::new(capacity);
+            let mut without = DupCache::new(capacity);
+            let mut model = ModelCache::new(capacity);
+            // Each id's latest (re)insertion time, oldest first.
+            let mut inserted: VecDeque<(QueryId, u64)> = VecDeque::new();
+            let mut last_insert: std::collections::HashMap<QueryId, u64> = Default::default();
+            let (mut now, mut fresh) = (0u64, 0u64);
+            let (mut shrinks, mut forgotten) = (0, 0);
+            for step in 0..200_000u32 {
+                let r = next();
+                now += r % (STEP + 1);
+                while inserted.front().is_some_and(|&(_, t)| t + H < now) {
+                    inserted.pop_front();
+                }
+                if r >> 56 == 0 {
+                    for c in [&mut with, &mut without] {
+                        c.clear();
+                    }
+                    model.clear();
+                    inserted.clear();
+                    last_insert.clear();
+                    continue;
+                }
+                // A fresh id, or a copy of one inserted within H.
+                let id = if (r >> 32).is_multiple_of(3) || inserted.is_empty() {
+                    fresh += 1;
+                    QueryId(fresh)
+                } else {
+                    inserted[(r >> 40) as usize % inserted.len()].0
+                };
+                let t = SimTime::from_millis(now);
+                let table = with.slots.as_ptr();
+                let len_before = with.slots.len();
+                let want = model.first_sighting(id);
+                let got = with.sighting(id, t, Some(SimDuration::from_millis(H)));
+                assert_eq!(got, want, "horizon, step {step} (capacity {capacity})");
+                assert_eq!(without.sighting(id, t, None), want, "fifo, step {step}");
+                if want {
+                    last_insert.insert(id, now);
+                    inserted.retain(|&(held, _)| held != id);
+                    inserted.push_back((id, now));
+                }
+                if with.slots.as_ptr() != table {
+                    let recent = last_insert
+                        .values()
+                        .filter(|&&at| at + 2 * H + STEP >= now)
+                        .count();
+                    assert!(
+                        with.slots.len() <= table_len_for(recent, capacity),
+                        "{} slots for {recent} recent ids at step {step}",
+                        with.slots.len()
+                    );
+                    shrinks += usize::from(with.slots.len() < len_before);
+                }
+                forgotten += usize::from(with.len() < without.len());
+                let probe = inserted[(r >> 20) as usize % inserted.len()].0;
+                assert_eq!(
+                    with.contains(probe),
+                    model.contains(probe),
+                    "contains, {step}"
+                );
+                assert_eq!(without.len(), model.order.len(), "len diverged at {step}");
+            }
+            // Past the smallest bound (which forgets first) the horizon
+            // forgot what the FIFO bound held, and at the simulator's
+            // bound its rebuilds shrank tables.
+            assert!(
+                capacity == 4 || forgotten > 0,
+                "capacity {capacity}: the horizon never forgot"
+            );
+            assert!(capacity < 4_096 || shrinks > 0, "no rebuild shrank a table");
+        }
     }
 }

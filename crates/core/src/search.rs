@@ -195,6 +195,25 @@ impl SearchStrategy {
         }
     }
 
+    /// The largest TTL any descriptor of one query carries under the hop
+    /// limit `max_hops`: the limit itself for BFS, the last (deepest)
+    /// scheduled depth for deepening, and the launch TTL for local
+    /// indices (a relay forwards with one hop less, never more). A copy
+    /// of a query crosses at most this many links, which is what bounds
+    /// how long after its issue a copy can still arrive.
+    ///
+    /// # Panics
+    /// Panics on an empty depth schedule ([`validate`](Self::validate)
+    /// rejects it).
+    pub fn max_ttl(&self, max_hops: u8) -> u8 {
+        match self {
+            SearchStrategy::IterativeDeepening { depths } => {
+                *depths.last().expect("a validated schedule has a depth")
+            }
+            SearchStrategy::Bfs | SearchStrategy::LocalIndices { .. } => self.launch_ttl(max_hops),
+        }
+    }
+
     /// Depth of wave `wave` (0 = the launch), `None` once the schedule is
     /// exhausted — which for the single-shot strategies is every wave.
     pub fn wave_depth(&self, wave: usize) -> Option<u8> {
@@ -328,6 +347,18 @@ mod tests {
         assert_eq!(SearchStrategy::LocalIndices { radius: 1 }.launch_ttl(4), 3);
         // The flood never launches dead, whatever the radius.
         assert_eq!(SearchStrategy::LocalIndices { radius: 3 }.launch_ttl(2), 1);
+    }
+
+    #[test]
+    fn max_ttl_per_strategy() {
+        assert_eq!(SearchStrategy::Bfs.max_ttl(4), 4);
+        let deep = SearchStrategy::IterativeDeepening {
+            depths: vec![1, 2, 4],
+        };
+        // The deepest wave, whatever the hop limit.
+        assert_eq!(deep.max_ttl(2), 4);
+        assert_eq!(SearchStrategy::LocalIndices { radius: 1 }.max_ttl(4), 3);
+        assert_eq!(SearchStrategy::LocalIndices { radius: 3 }.max_ttl(2), 1);
     }
 
     #[test]

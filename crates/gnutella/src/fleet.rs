@@ -82,9 +82,11 @@ impl NodeSetConfig {
 
 /// The fleet `cfg` describes, exactly as the serve bus builds it at one
 /// shard: catalog, profiles, bandwidth classes and the random bootstrap
-/// overlay, all deterministic in `(cfg, cfg.seed)`.
+/// overlay, all deterministic in `(cfg, cfg.seed)`. Its dup caches are
+/// bound by their capacity alone: on `ddr serve`'s wall clock a delivery
+/// can run late, so no flood horizon holds.
 pub fn build_nodes(cfg: &NodeSetConfig) -> GnutellaWorld {
-    GnutellaWorld::new(cfg.scenario())
+    GnutellaWorld::new(cfg.scenario()).without_flood_horizon()
 }
 
 #[cfg(test)]

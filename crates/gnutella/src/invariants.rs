@@ -174,6 +174,15 @@ pub fn check_invariants<T: TraceSink>(
             m.duplicates_dropped
         ));
     }
+    // The flood horizon forgets an id only once no copy can still
+    // arrive. A copy later than the horizon means it is too short and
+    // may have changed an answer.
+    let late: u64 = worlds.iter().map(|w| w.late_copies).sum();
+    if late != 0 {
+        return Err(format!(
+            "{late} query copies arrived later than the dup cache's flood horizon allows"
+        ));
+    }
 
     // --- Partition isolation -----------------------------------------
     match &config.partition {
@@ -313,6 +322,16 @@ mod tests {
         report.metrics.partition_drops = 5;
         let err = check_invariants(&report, &worlds).unwrap_err();
         assert!(err.contains("without a configured partition"), "{err}");
+    }
+
+    #[test]
+    fn checker_detects_a_copy_past_the_flood_horizon() {
+        let ShardedRun {
+            report, mut worlds, ..
+        } = run_scenario_sharded::<NullSink>(small(Mode::Static), 2, 1, false);
+        worlds[1].late_copies = 1;
+        let err = check_invariants(&report, &worlds).unwrap_err();
+        assert!(err.contains("flood horizon"), "{err}");
     }
 
     /// A healthy dynamic run's census with free-riders and liars in it.

@@ -235,9 +235,13 @@ impl PeerState {
         self.evictions_received = 0;
     }
 
-    /// Clear in-flight state on logoff. The caller flips the world's
-    /// [`SessionSlot`] alongside.
+    /// Clear in-flight state on logoff, and the duplicate cache: an
+    /// offline node handles no query, so it holds no table. The caller
+    /// flips the world's [`SessionSlot`] alongside.
     pub fn end_session(&mut self) {
+        if let Some(seen) = &mut self.rt.seen {
+            seen.clear();
+        }
         self.pending.clear();
         self.pending_invites = 0;
     }
@@ -291,9 +295,11 @@ mod tests {
             p.rt.seen().first_sighting(QueryId(1)),
             "dup cache must clear"
         );
+        p.rt.seen().first_sighting(QueryId(2));
         p.end_session();
         slot.logoff();
         assert!(!slot.online);
+        assert!(p.rt.seen().is_empty(), "an offline node holds no table");
     }
 
     #[test]

@@ -17,12 +17,13 @@
 //! through `refresh_index` (from `login` and `collect_prime`) and the
 //! search arms of `dispatch`.
 
+use crate::config::ScenarioConfig;
 use crate::events::GnutellaEvent;
 use crate::peer::{PendingQuery, QueryOutcome};
 use crate::world::GnutellaWorld;
 use ddr_core::runtime::Port;
 use ddr_core::{LocalIndex, QueryDescriptor};
-use ddr_net::BandwidthClass;
+use ddr_net::{BandwidthClass, NetworkModel};
 use ddr_sim::{ItemId, NodeId, QueryId, SimDuration, SimTime};
 use ddr_telemetry::{TraceOutcome, TraceSink};
 
@@ -32,6 +33,21 @@ const WAVE_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// Rebuild period for local indices (the staleness/maintenance model).
 const INDEX_REFRESH: SimDuration = SimDuration::from_mins(30);
 
+/// How long after a query's issue a copy of it can still reach a node on
+/// a simulated clock: the largest TTL a descriptor carries times the
+/// largest one-hop delay (every delay is clamped to at least the
+/// lookahead). A node's dup cache forgets an id once this has passed
+/// since its first sighting (`ddr_core::dup_cache`'s module docs), which
+/// changes no answer.
+pub(crate) fn flood_horizon(
+    config: &ScenarioConfig,
+    net: &NetworkModel,
+    lookahead: SimDuration,
+) -> SimDuration {
+    let hops = config.strategy.max_ttl(config.max_hops);
+    net.max_delay().max(lookahead).saturating_mul(hops as u64)
+}
+
 // Every handler below is generic over the engine context: the node logic
 // only speaks `Port` (`now`, and `send` to a peer or — a timer — to
 // itself). Under the serial kernel the context is the `Scheduler`, under
@@ -39,6 +55,14 @@ const INDEX_REFRESH: SimDuration = SimDuration::from_mins(30);
 // `ShardCtx`. All deliver identical event sequences, which is what the
 // sharded == serial bit-identity tests and the serve parity test pin.
 impl<T: TraceSink> GnutellaWorld<T> {
+    /// The same world with dup caches bound by their FIFO capacity alone.
+    /// For a wall clock, where a delivery can run later than any delay
+    /// the model draws, so no flood horizon holds.
+    pub fn without_flood_horizon(mut self) -> Self {
+        self.flood_horizon = None;
+        self
+    }
+
     /// The search seam's session hook: under a strategy that keeps a
     /// per-node content index, (re)build `node`'s index from a snapshot of
     /// the neighbor views within the radius and what each node there
@@ -206,7 +230,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
 
         let item = self.next_target(k, node, now);
         let qid = self.fresh_qid(k, node);
-        self.peers[k].rt.seen().first_sighting(qid);
+        let horizon = self.flood_horizon;
+        self.peers[k].rt.seen().sighting(qid, now, horizon);
         // Recycle a finalised record (keeps its responders capacity)
         // instead of allocating a fresh one per query.
         let pq = match self.pq_pool.pop() {
@@ -286,9 +311,15 @@ impl<T: TraceSink> GnutellaWorld<T> {
         if desc.origin != to && desc.origin != from {
             self.hosts[k].note(desc.origin);
         }
-        if !self.peers[k].rt.seen().first_sighting(desc.id) {
+        let (now, horizon) = (ctx.now(), self.flood_horizon);
+        // The horizon's premise: every copy arrives within it of the
+        // query's issue. Only a copy past it can meet an answer the
+        // horizon changed; `check_invariants` requires none.
+        let late = horizon.is_some_and(|h| now.saturating_since(desc.issued_at) > h);
+        self.late_copies += u64::from(late);
+        if !self.peers[k].rt.seen().sighting(desc.id, now, horizon) {
             self.metrics.duplicates_dropped += 1;
-            self.tracer.dup(ctx.now(), desc.id, desc.origin, to);
+            self.tracer.dup(now, desc.id, desc.origin, to);
             return; // "if the same message has been received before, discard"
         }
         let row = self.own(to);
@@ -472,7 +503,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
         pq.wave = next_wave as u8;
         let item = pq.item;
         let qid2 = self.fresh_qid(k, node);
-        self.peers[k].rt.seen().first_sighting(qid2);
+        let horizon = self.flood_horizon;
+        self.peers[k].rt.seen().sighting(qid2, ctx.now(), horizon);
         self.peers[k].pending.insert(qid2, pq);
         self.metrics.extra_waves += 1;
         self.tracer
@@ -636,6 +668,47 @@ mod tests {
             (world.served[relay.index()], world.served[liar.index()]),
             (0, 0)
         );
+    }
+
+    /// On a simulated clock a copy that arrives more than the flood
+    /// horizon after its query's issue is counted late, and one at the
+    /// horizon is not; on a wall clock (no horizon) neither is.
+    #[test]
+    fn a_copy_past_the_flood_horizon_is_counted_late() {
+        for simulated in [true, false] {
+            let mut world: GnutellaWorld =
+                GnutellaWorld::new(ScenarioConfig::scaled(Mode::Dynamic, 2, 20, 2));
+            // BFS at hops 2 under the paper's delays: 2 × 360 ms.
+            let h = world
+                .flood_horizon
+                .expect("a simulated clock has a horizon");
+            assert_eq!(h, SimDuration::from_millis(720));
+            if !simulated {
+                world = world.without_flood_horizon();
+            }
+            let users = world.config().workload.users;
+            let k = (0..users)
+                .find(|&k| world.sessions[k].online)
+                .expect("an online user");
+            let (to, from) = (NodeId::from_index(k), NodeId::from_index((k + 1) % users));
+            let now = Recorder(Vec::new()).now();
+            for (id, age) in [(1, h.as_millis()), (2, h.as_millis() + 1)] {
+                let desc = QueryDescriptor {
+                    id: QueryId(id),
+                    origin: from,
+                    item: ItemId(0),
+                    ttl: 1,
+                    travelled: 1,
+                    issued_at: SimTime::from_millis(now.as_millis() - age),
+                };
+                world.query_arrive(to, from, desc, &mut Recorder(Vec::new()));
+            }
+            assert_eq!(
+                world.late_copies,
+                u64::from(simulated),
+                "simulated {simulated}"
+            );
+        }
     }
 
     /// The initiator scores a result by the class its reply carried, not

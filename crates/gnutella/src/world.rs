@@ -217,9 +217,15 @@ pub struct GnutellaWorld<T: TraceSink = NullSink> {
     /// Reply messages the owned nodes sent (every served result and every
     /// index answer), so a per-turn reader pays O(1).
     pub(crate) replies: u64,
+    /// Query copies that arrived later than the flood horizon allows
+    /// (`search::query_arrive`); `check_invariants` requires zero.
+    pub(crate) late_copies: u64,
     /// Kernel lookahead = the network delay floor; every delay and timer
     /// is clamped to at least this in both kernels.
     pub(crate) lookahead: SimDuration,
+    /// The dup caches' flood horizon (`search::flood_horizon`); `None`
+    /// on the serve bus's wall clock, where a delivery can run late.
+    pub(crate) flood_horizon: Option<SimDuration>,
     /// Reused forward-target buffer: `ForwardSelection::select_into`
     /// fills it on every flood/forward, so the query path performs no
     /// per-event allocation.
@@ -298,6 +304,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             lookahead > SimDuration::ZERO,
             "delay model admits zero delays: no usable lookahead"
         );
+        let flood_horizon = Some(crate::search::flood_horizon(&config, &net, lookahead));
 
         // Built on this thread: the run regrows each dup-cache table, and
         // one allocated by a chunk thread is then freed into that thread's
@@ -433,7 +440,9 @@ impl<T: TraceSink> GnutellaWorld<T> {
                     indices: vec![None; count],
                     served: vec![0; count],
                     replies: 0,
+                    late_copies: 0,
                     lookahead,
+                    flood_horizon,
                     scratch_targets: Vec::with_capacity(16),
                     scratch_join: Vec::with_capacity(16),
                     scratch_plan: UpdatePlan::default(),

@@ -117,6 +117,14 @@ impl DelayModel {
             .fold(f64::INFINITY, f64::min);
         SimDuration::from_millis(lo.floor() as u64)
     }
+
+    /// The largest delay `sample` can ever return, over all class pairs:
+    /// the bound that makes a flood's duration finite (a descriptor of
+    /// TTL `t` reaches every node it ever reaches within `t` of these).
+    pub fn max_delay(&self) -> SimDuration {
+        let hi = self.params.iter().map(|p| p.hi()).fold(0.0, f64::max);
+        SimDuration::from_millis(hi.ceil() as u64)
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +217,26 @@ mod tests {
         for _ in 0..10_000 {
             let d = m.sample(&mut rng, BandwidthClass::Lan, BandwidthClass::Lan);
             assert!(d >= m.min_delay());
+        }
+    }
+
+    #[test]
+    fn max_delay_is_never_exceeded() {
+        let m = DelayModel::paper();
+        // Modem: 300 + 3·20 = 360 ms is the loosest truncation bound.
+        assert_eq!(m.max_delay().as_millis(), 360);
+        let classes = [
+            BandwidthClass::Modem56K,
+            BandwidthClass::Cable,
+            BandwidthClass::Lan,
+        ];
+        let mut rng = SmallRng::seed_from_u64(8);
+        for a in classes {
+            for b in classes {
+                for _ in 0..10_000 {
+                    assert!(m.sample(&mut rng, a, b) <= m.max_delay(), "{a:?} -> {b:?}");
+                }
+            }
         }
     }
 

@@ -114,6 +114,12 @@ impl NetworkModel {
         self.delays.min_delay()
     }
 
+    /// The largest delay the sampler can return for any pair (see
+    /// [`DelayModel::max_delay`]).
+    pub fn max_delay(&self) -> SimDuration {
+        self.delays.max_delay()
+    }
+
     /// Class census `(modem, cable, lan)` — used by tests and run banners.
     pub fn census(&self) -> (usize, usize, usize) {
         let mut c = (0, 0, 0);

@@ -188,6 +188,10 @@ impl<T: TraceSink> PeerOlapWorld<T> {
             .map(|p| OlapPeer {
                 cache: LruCache::new(config.cache_capacity),
                 stream: OlapQueryStream::new(&config, &rngs, p),
+                // FIFO-only (`first_sighting`): chunk requests travel on
+                // jittered constant delays outside `ddr-net`'s class-pair
+                // model, so no `max_delay` bounds a flood here, and 48
+                // peers' 1,024-id tables cost little.
                 rt: NodeRuntime::new(UPDATE_THRESHOLD).with_dup_cache(1_024),
                 pending: ddr_sim::hash::fast_map(),
             })

@@ -466,6 +466,12 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
     let (deadline, queries) = checked_plan(cfg);
     let shards = cfg.shards.max(1);
     let (worlds, partition, _) = GnutellaWorld::<T>::build_sharded(cfg.scenario(), shards);
+    // FIFO-only dup caches: on the wall clock a delivery can run later
+    // than any delay the model draws, so no flood horizon holds.
+    let worlds: Vec<_> = worlds
+        .into_iter()
+        .map(GnutellaWorld::without_flood_horizon)
+        .collect();
     let nshards = worlds.len();
     let n = cfg.node_set.nodes;
 
