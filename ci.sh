@@ -564,21 +564,31 @@ diff <(echo "$SERIAL_SUMMARY") <(echo "$SHARDED_SUMMARY") \
     || { echo "--shards 2 changed the trace summary" >&2; exit 1; }
 echo "    $(echo "$SERIAL_SUMMARY" | grep '^query spans') complete (serial == 2 shards)"
 
-echo "==> dup-cache memory guard (fig1 --smoke --metrics: the peak dup_cache_bytes"
-echo "    gauge stays within every node holding its initial 32-slot table)"
+echo "==> dup-cache memory guard (fig1 --smoke --metrics: each hourly sample's"
+echo "    dup_cache_bytes gauge stays within its online nodes' initial 32-slot tables)"
 # Under the flood horizon H (2 hops x 360 ms) a node remembers the ids of
 # two windows of at most H each. At smoke load (at most 100 users, about
 # 500 queries an hour fleet-wide) such a pair of windows holds far fewer
 # than the 9 live ids a rebuild needs to outgrow the initial 32-slot
-# table, and an offline node's cleared cache holds just that table. So
-# no node's table passes 32 slots x 12 bytes: 100 x 384 bytes in all.
-# Caches bound by their FIFO capacity alone reach 541,824 bytes here.
+# table, and a cache holds no table until its session's first sighting,
+# so an offline node holds none. So every sample's tables fit in its
+# online gauge x 32 slots x 12 bytes, and the peak in 100 x 384 bytes,
+# and the peak is not 0. Caches bound by their FIFO capacity alone reach
+# 541,824 bytes here.
 $DDR run fig1 --smoke --metrics "$DUP_METRICS" > /dev/null
+DUP_OVER=$(awk '/"dup_cache_bytes"/ {
+    b = o = -1
+    if (match($0, /"dup_cache_bytes":[0-9.]+/)) b = substr($0, RSTART + 18, RLENGTH - 18) + 0
+    if (match($0, /"online":[0-9.]+/)) o = substr($0, RSTART + 9, RLENGTH - 9) + 0
+    if (o < 0 || b > o * 32 * 12) print "sample " NR ": dup_cache_bytes " b " > online " o " x 384"
+}' "$DUP_METRICS")
+test -z "$DUP_OVER" \
+    || { echo "$DUP_OVER" >&2; echo "an offline node holds a dup table, or a table outgrew 32 slots" >&2; exit 1; }
 DUP_PEAK=$(grep -o '"dup_cache_bytes":[0-9]*' "$DUP_METRICS" | cut -d: -f2 | sort -n | tail -1)
 DUP_BOUND=$((100 * 32 * 12))
 test "${DUP_PEAK:-0}" -gt 0 && test "$DUP_PEAK" -le "$DUP_BOUND" \
     || { echo "peak dup_cache_bytes ${DUP_PEAK:-none} outside (0, $DUP_BOUND]: is the flood horizon gone?" >&2; exit 1; }
-echo "    peak dup_cache_bytes $DUP_PEAK <= $DUP_BOUND"
+echo "    every sample's dup_cache_bytes <= online x 384; peak $DUP_PEAK <= $DUP_BOUND"
 
 echo "==> fig1 free_riders --smoke: serial == --shards 2 == --shards 3 --threads 2"
 echo "    == --shards 2 metered+profiled (three shards: a 3-way window merge over"

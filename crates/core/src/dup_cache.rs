@@ -57,8 +57,12 @@
 //! counters and the two checkpoints) fits one 64-byte cache line; a
 //! `const` assert pins it.
 //!
-//! The table holds what it remembers. It starts at 32 slots (fewer for
-//! a bound of 8 or less). Stale (logically evicted) entries are left in
+//! The table holds what it remembers. A cache that has remembered
+//! nothing this session holds no table at all: [`DupCache::new`] and
+//! [`DupCache::clear`] allocate nothing, and the session's first
+//! insertion allocates the initial table of 32 slots (fewer for a bound
+//! of 8 or less), so a node that sees no query (an offline one, say)
+//! costs only its header. Stale (logically evicted) entries are left in
 //! place and reclaimed by an amortised compaction pass that rebuilds the
 //! table from its live entries whenever the occupied-slot count crosses
 //! 3/4 of the table; the rebuilt table is sized from the live count
@@ -66,7 +70,7 @@
 //! chains short and guaranteeing empty slots exist so unsuccessful
 //! probes terminate. Under the horizon the live count follows the recent
 //! query rate, so rebuilds shrink the table as readily as they grow it;
-//! [`DupCache::clear`] drops the table for a fresh 32-slot one.
+//! [`DupCache::clear`] drops the table.
 //!
 //! The behaviour is bit-for-bit identical to the straightforward
 //! hash-set-plus-ring formulation (under the horizon, on every stream
@@ -110,6 +114,12 @@ fn table_len_for(live: usize, capacity: usize) -> usize {
     (live * 4).next_power_of_two().clamp(8, full)
 }
 
+/// Initial table length under a FIFO bound of `capacity`: 32 slots, or
+/// the `2 * capacity` a bound of 8 or less can fill.
+fn initial_len(capacity: usize) -> usize {
+    table_len_for(capacity.min(8), capacity)
+}
+
 /// Compaction threshold for a table of `len` slots: 3/4 occupancy, and
 /// always strictly below `len` so empty slots exist and unsuccessful
 /// probes terminate. Saturates at `u32::MAX`, which the occupied count
@@ -120,9 +130,9 @@ fn max_occupied_for(len: usize) -> u32 {
 
 /// A bounded set of recently seen query ids.
 ///
-/// One open-addressing table of 12-byte slots, sized from the live count
-/// at each rebuild and replaced by a fresh 32-slot table on
-/// [`clear`](Self::clear) (the module docs have the layout and the two
+/// One open-addressing table of 12-byte slots, allocated at a session's
+/// first insertion, sized from the live count at each rebuild and dropped
+/// on [`clear`](Self::clear) (the module docs have the layout and the two
 /// forgetting bounds).
 ///
 /// ```
@@ -135,12 +145,16 @@ fn max_occupied_for(len: usize) -> u32 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DupCache {
+    /// The table; empty (no allocation) until the session's first
+    /// insertion.
     slots: Box<[Slot]>,
-    /// `slots.len() - 1` (the length is a power of two).
+    /// `slots.len() - 1` (the length is a power of two); 0 with no table.
     mask: u64,
     /// Time of the newer generation checkpoint.
     gen_at: SimTime,
-    /// Multiply-shift hash: take the top `log2(len)` bits.
+    /// Multiply-shift hash: take the top `log2(len)` bits. With no table
+    /// it is 63, so [`probe_addr`](Self::probe_addr) hands out an address
+    /// (never dereferenced) at most one slot past the empty table.
     shift: u32,
     /// Semantic FIFO bound.
     capacity: u32,
@@ -149,7 +163,8 @@ pub struct DupCache {
     /// Non-empty slots (live + stale); compaction trigger.
     occupied: u32,
     /// Compaction threshold; always `< slots.len()` so at least one
-    /// empty slot exists and unsuccessful probes terminate.
+    /// empty slot exists and unsuccessful probes terminate (0 with no
+    /// table).
     max_occupied: u32,
     /// Insertion count at the older checkpoint: the horizon forgets
     /// every index below it.
@@ -165,7 +180,8 @@ impl DupCache {
     /// `u32`, so no larger bound could ever forget less.
     pub const MAX_CAPACITY: usize = u32::MAX as usize;
 
-    /// A cache remembering up to `capacity` recent ids.
+    /// A cache remembering up to `capacity` recent ids. It holds no
+    /// table until its first insertion.
     ///
     /// The table starts small and grows with the node's *actual* working
     /// set, not the configured bound: real workloads configure a generous
@@ -185,22 +201,37 @@ impl DupCache {
             capacity <= Self::MAX_CAPACITY,
             "DupCache capacity {capacity} exceeds the u32 index range"
         );
-        // Small initial table, but never beyond what the bound needs:
-        // live entries can't exceed `capacity`, so `2 * capacity` slots
-        // (load factor 1/2) is the largest table ever required.
-        let len = table_len_for(capacity.min(8), capacity);
         DupCache {
-            slots: vec![EMPTY_SLOT; len].into_boxed_slice(),
-            mask: (len - 1) as u64,
+            slots: Box::default(),
+            mask: 0,
             gen_at: SimTime::ZERO,
-            shift: 64 - len.trailing_zeros(),
+            shift: 63,
             capacity: capacity as u32,
             inserts: 0,
             occupied: 0,
-            max_occupied: max_occupied_for(len),
+            max_occupied: 0,
             gen_min: 0,
             gen_k: 0,
         }
+    }
+
+    /// Install an empty table of `len` slots (a power of two) and return
+    /// the one it replaces.
+    fn install(&mut self, len: usize) -> Box<[Slot]> {
+        self.mask = (len - 1) as u64;
+        self.shift = 64 - len.trailing_zeros();
+        self.max_occupied = max_occupied_for(len);
+        self.occupied = 0;
+        std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; len].into_boxed_slice())
+    }
+
+    /// The session's first insertion is due: allocate the initial table
+    /// (small, but never beyond what the bound needs: live entries can't
+    /// exceed `capacity`, so `2 * capacity` slots, load factor 1/2, is
+    /// the largest table ever required).
+    #[cold]
+    fn allocate(&mut self) {
+        self.install(initial_len(self.capacity as usize));
     }
 
     /// Home slot for an id. Ids are assigned sequentially by the query
@@ -256,6 +287,10 @@ impl DupCache {
             self.gen_k = self.inserts;
             self.gen_at = now;
         }
+        if self.slots.is_empty() {
+            // Nothing remembered, so `id` is new: its insertion is due.
+            self.allocate();
+        }
         let live_min = self.live_min();
         let mut j = self.home(id);
         loop {
@@ -295,12 +330,7 @@ impl DupCache {
     #[cold]
     fn compact(&mut self) {
         let live_min = self.live_min();
-        let len = table_len_for(self.len(), self.capacity as usize);
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; len].into_boxed_slice());
-        self.mask = (len - 1) as u64;
-        self.shift = 64 - len.trailing_zeros();
-        self.max_occupied = max_occupied_for(len);
-        self.occupied = 0;
+        let old = self.install(table_len_for(self.len(), self.capacity as usize));
         for s in old.iter() {
             if s.k == EMPTY_K || s.k < live_min {
                 continue;
@@ -320,15 +350,20 @@ impl DupCache {
     /// software prefetching by event-loop drivers (the slot is a pure
     /// hash of the id, known as soon as the message is, well before the
     /// membership check runs). A 12-byte slot can straddle two cache
-    /// lines, so the pointee is the whole slot.
+    /// lines, so the pointee is the whole slot. With no table the address
+    /// lies at most one slot past the empty one: a prefetch hint only,
+    /// never dereferenced.
     #[inline]
     pub fn probe_addr(&self, id: QueryId) -> *const [u8; SLOT_BYTES] {
-        let j = self.home(id);
-        std::ptr::addr_of!(self.slots[j as usize]).cast()
+        let j = self.home(id) as usize;
+        self.slots.as_ptr().wrapping_add(j).cast()
     }
 
     /// Whether `id` is currently remembered (no mutation).
     pub fn contains(&self, id: QueryId) -> bool {
+        if self.slots.is_empty() {
+            return false;
+        }
         let live_min = self.live_min();
         let mut j = self.home(id);
         loop {
@@ -364,9 +399,10 @@ impl DupCache {
     }
 
     /// Forget everything (log-off/log-in cycles start fresh): drop the
-    /// table for a fresh initial-length one with the counters and the
-    /// checkpoints at zero. O(1) in the table's length; a cache that has
-    /// inserted nothing is already fresh and is left as it is.
+    /// table, with the counters and the checkpoints at zero, so the cache
+    /// holds no table until its next insertion. O(1) in the table's
+    /// length; a cache that has inserted nothing is already fresh and is
+    /// left as it is.
     pub fn clear(&mut self) {
         if self.inserts > 0 {
             *self = DupCache::new(self.capacity as usize);
@@ -466,16 +502,40 @@ mod tests {
     #[test]
     fn clear_returns_an_outgrown_table_to_the_initial_length() {
         let mut c = DupCache::new(4_096);
-        let initial = c.slots.len();
+        let initial = initial_len(4_096);
         assert_eq!(initial, 32);
-        for i in 0..1_000 {
+        c.first_sighting(QueryId(0));
+        assert_eq!(c.slots.len(), initial, "the first table");
+        for i in 1..1_000 {
             c.first_sighting(QueryId(i));
         }
         assert!(c.slots.len() > initial, "1,000 live ids grew the table");
         c.clear();
-        assert_eq!(c.slots.len(), initial);
+        assert_eq!(c.slots.len(), 0, "clear kept a table");
         assert_eq!((c.inserts, c.occupied), (0, 0));
         assert!(c.first_sighting(QueryId(7)), "the fresh table forgot id 7");
+        assert_eq!(c.slots.len(), initial);
+    }
+
+    /// A fresh cache and a cleared one hold no table: nothing is
+    /// remembered, `probe_addr` still answers, and the first sighting
+    /// allocates the initial table.
+    #[test]
+    fn no_table_before_the_first_sighting() {
+        let mut c = DupCache::new(4_096);
+        for round in 0..2 {
+            assert_eq!(c.table_bytes(), 0, "round {round}");
+            assert!(!c.contains(QueryId(7)) && c.is_empty());
+            let _ = c.probe_addr(QueryId(7));
+            assert!(c.sighting(QueryId(7), SimTime::ZERO, None));
+            assert_eq!(c.table_bytes(), 32 * SLOT_BYTES, "the initial 32 slots");
+            assert!(c.contains(QueryId(7)) && !c.first_sighting(QueryId(7)));
+            c.clear();
+        }
+        let mut small = DupCache::new(3);
+        assert!(small.first_sighting(QueryId(1)));
+        assert_eq!(small.slots.len(), initial_len(3));
+        assert_eq!(initial_len(3), 8);
     }
 
     #[test]
@@ -578,16 +638,17 @@ mod tests {
     /// The fast cache against the model over a long stream at the
     /// simulator's bound: capacity 4,096, ids from a universe wider than
     /// the bound (evictions and revivals), and a `clear` about once per
-    /// 16,000 operations. Every rebuild must size the table from the
-    /// live count alone, every `clear` must leave a fresh initial table,
-    /// and at no point may the table exceed what its live count needs.
+    /// 16,000 operations. A session's first insertion must allocate the
+    /// initial table, every rebuild must size the table from the live
+    /// count alone, every `clear` must leave no table, and at no point
+    /// may the table exceed what its live count needs.
     #[test]
     fn long_model_differential() {
         const CAPACITY: usize = 4_096;
         let mut next = splitmix(0x0DDC_0FFE_E15B_AD5E);
         let mut fast = DupCache::new(CAPACITY);
         let mut model = ModelCache::new(CAPACITY);
-        let initial = fast.slots.len();
+        let initial = initial_len(CAPACITY);
         let (mut growths, mut evicting_rebuilds, mut outgrown_clears) = (0, 0, 0);
         for step in 0..400_000u32 {
             let r = next();
@@ -597,7 +658,7 @@ mod tests {
                 outgrown_clears += usize::from(len_before > initial);
                 fast.clear();
                 model.clear();
-                assert_eq!(fast.slots.len(), initial, "clear kept an outgrown table");
+                assert_eq!(fast.slots.len(), 0, "clear kept a table");
                 assert_eq!((fast.inserts, fast.occupied), (0, 0));
             } else if (r >> 40).is_multiple_of(8) {
                 assert_eq!(fast.contains(id), model.contains(id), "contains at {step}");
@@ -605,7 +666,10 @@ mod tests {
                 let before = fast.occupied;
                 let new = fast.first_sighting(id);
                 assert_eq!(new, model.first_sighting(id), "first_sighting at {step}");
-                if fast.slots.as_ptr() != table {
+                if len_before == 0 {
+                    // The session's first insertion: the initial table.
+                    assert_eq!(fast.slots.len(), initial, "first table at {step}");
+                } else if fast.slots.as_ptr() != table {
                     // A rebuild: sized from what it remembers, nothing more.
                     assert_eq!(fast.slots.len(), table_len_for(fast.len(), CAPACITY));
                     growths += usize::from(fast.slots.len() > len_before);
@@ -656,8 +720,9 @@ mod tests {
     /// over streams that keep the horizon's premise: time advances in
     /// steps of at most `STEP`, and an id is sighted again only within
     /// `H` of the sighting that (re)inserted it. Every answer of both
-    /// caches must be the model's, and after every rebuild
-    /// the horizon's table is no longer than [`table_len_for`] of the ids
+    /// caches must be the model's, a `clear` must leave no table, a
+    /// session's first insertion must allocate the initial one, and after
+    /// every rebuild the horizon's table is no longer than [`table_len_for`] of the ids
     /// inserted within `2H + STEP` (a checkpoint advances at the first
     /// sighting more than `H` past the last one, so the two are at most
     /// `H + STEP` apart).
@@ -684,6 +749,7 @@ mod tests {
                 if r >> 56 == 0 {
                     for c in [&mut with, &mut without] {
                         c.clear();
+                        assert_eq!(c.slots.len(), 0, "clear kept a table, {step}");
                     }
                     model.clear();
                     inserted.clear();
@@ -709,7 +775,13 @@ mod tests {
                     inserted.retain(|&(held, _)| held != id);
                     inserted.push_back((id, now));
                 }
-                if with.slots.as_ptr() != table {
+                if len_before == 0 {
+                    assert_eq!(
+                        with.slots.len(),
+                        initial_len(capacity),
+                        "first table, {step}"
+                    );
+                } else if with.slots.as_ptr() != table {
                     let recent = last_insert
                         .values()
                         .filter(|&&at| at + 2 * H + STEP >= now)

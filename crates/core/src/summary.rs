@@ -15,10 +15,6 @@ use ddr_sim::ItemId;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CategorySummary {
     counts: Vec<u32>,
-    /// Σ `counts`, fixed at construction: neighbor planning asks every
-    /// candidate for it, and one word beats fifty counters behind a
-    /// pointer.
-    total: u64,
 }
 
 impl CategorySummary {
@@ -33,26 +29,19 @@ impl CategorySummary {
             debug_assert!(c < categories, "category {c} out of range");
             counts[c] += 1;
         }
-        let total = counts.iter().map(|&c| u64::from(c)).sum();
-        CategorySummary { counts, total }
+        CategorySummary { counts }
     }
 
     /// An empty summary over `categories` categories.
     pub fn empty(categories: usize) -> Self {
         CategorySummary {
             counts: vec![0; categories],
-            total: 0,
         }
     }
 
     /// Number of categories.
     pub fn categories(&self) -> usize {
         self.counts.len()
-    }
-
-    /// Total items summarised.
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// Item count of one category.
@@ -106,21 +95,13 @@ mod tests {
         assert_eq!(s.count(0), 2);
         assert_eq!(s.count(1), 0);
         assert_eq!(s.count(2), 3);
-        assert_eq!(s.total(), 5);
         assert_eq!(s.categories(), 3);
         assert_eq!(s.count(99), 0, "out-of-range reads are zero");
     }
 
     #[test]
-    fn total_is_the_count_sum() {
-        for counts in [&[2, 0, 3][..], &[], &[0, 0], &[7; 50]] {
-            let s = summary(counts);
-            let sum: u64 = (0..s.categories()).map(|c| u64::from(s.count(c))).sum();
-            assert_eq!(s.total(), sum, "{counts:?}");
-        }
-        let empty = CategorySummary::empty(50);
-        assert_eq!(empty.total(), 0);
-        assert_eq!(empty, summary(&[0; 50]), "empty == built from no items");
+    fn empty_is_built_from_no_items() {
+        assert_eq!(CategorySummary::empty(50), summary(&[0; 50]));
     }
 
     #[test]

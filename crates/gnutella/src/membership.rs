@@ -220,10 +220,12 @@ impl<T: TraceSink> GnutellaWorld<T> {
         let online = self.sessions[k].online;
         // A link request only takes a free slot; a full invitee asks its
         // policy whether to evict the weakest incumbent for the inviter.
-        // The policy reads the inviter's summary, piggybacked on
-        // `InviteArrive`: at 50 counters it is too large to ride a `Copy`
-        // event, so it comes through `SharedWorld::oracle`, which borrows
-        // none of the columns the open book holds (as does `to`'s own).
+        // The summary-gated policy compares the inviter's summary,
+        // piggybacked on `InviteArrive` (at 50 counters too large to ride
+        // a `Copy` event), with `to`'s own. Both are derived from what the
+        // node advertises, through `SharedWorld::oracle`, which borrows
+        // none of the columns the open book holds; no other policy reads
+        // a summary, so none is built for them.
         let shared = &*self.shared;
         let config = &shared.config;
         let (mut book, stats) = self.peers[k].link_book(&mut self.neighbors[k]);
@@ -231,9 +233,11 @@ impl<T: TraceSink> GnutellaWorld<T> {
             if !invited {
                 return None;
             }
+            let summaries = matches!(config.invitation, InvitationPolicy::SummaryGated { .. })
+                .then(|| (shared.oracle(from).summary(), shared.oracle(to).summary()));
             let context = InvitationContext {
-                inviter_summary: Some(shared.oracle(from).summary()),
-                own_summary: Some(shared.oracle(to).summary()),
+                inviter_summary: summaries.as_ref().map(|(inviter, _)| inviter),
+                own_summary: summaries.as_ref().map(|(_, own)| own),
             };
             let rank = |s: &NodeStats| ever_answered(config.benefit, s);
             config.invitation.decide(from, view, stats, rank, &context)

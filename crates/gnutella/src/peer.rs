@@ -299,7 +299,12 @@ mod tests {
         p.end_session();
         slot.logoff();
         assert!(!slot.online);
-        assert!(p.rt.seen().is_empty(), "an offline node holds no table");
+        assert!(p.rt.seen().is_empty(), "an offline node remembers nothing");
+        assert_eq!(
+            p.rt.seen().table_bytes(),
+            0,
+            "an offline node holds no table"
+        );
     }
 
     #[test]

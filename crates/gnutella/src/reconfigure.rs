@@ -15,7 +15,7 @@
 
 use crate::config::Benefit;
 use crate::events::GnutellaEvent;
-use crate::peer::{DEGREE, REFILL_RETRY_BUDGET};
+use crate::peer::{Role, DEGREE, REFILL_RETRY_BUDGET};
 use crate::world::GnutellaWorld;
 use ddr_core::runtime::Port;
 use ddr_core::{NodeStats, UpdatePlan};
@@ -125,13 +125,14 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 // A node advertising an empty shared library (a free
                 // rider) is never worth a slot: as an incumbent it is
                 // dropped unconditionally, as a candidate it is never
-                // invited. Contributor summaries are always non-empty,
-                // so this clause is inert in free-rider-free worlds. The
-                // advertisement rides the link handshake, read here
-                // through the oracle; it decides only incumbents, since
-                // a free rider never replies and so never earns a
-                // statistics entry.
-                && oracle.row(m).summary().total() > 0
+                // invited. Every library is non-empty, so a node
+                // advertises nothing exactly when it is a free rider, and
+                // its role answers for its summary; the clause is inert
+                // in free-rider-free worlds. The advertisement rides the
+                // link handshake, read here through the oracle; it
+                // decides only incumbents, since a free rider never
+                // replies and so never earns a statistics entry.
+                && oracle.row(m).role() != Role::FreeRider
                 && (current.contains(&m)
                     || stats
                         .get(m)

@@ -115,6 +115,7 @@ pub fn run_scenario_sharded<T: TraceSink + Send>(
 mod tests {
     use super::*;
     use crate::config::Mode;
+    use crate::peer::Role;
     use crate::{run_scenario, Census};
     use ddr_sim::parallelism::MIN_CHUNK;
     use ddr_telemetry::NullSink;
@@ -192,6 +193,79 @@ mod tests {
                 "shards {shards}, workers {workers}"
             );
         }
+    }
+
+    /// Each slice holds exactly its range in every per-node column, with
+    /// no spare capacity, and a freshly built world holds no dup table.
+    #[test]
+    fn slices_hold_their_range_and_no_dup_table() {
+        fn exact<V>(column: &Vec<V>, len: usize) -> bool {
+            column.len() == len && column.capacity() == len
+        }
+        for shards in [1, 2, 3] {
+            let (worlds, partition, _) =
+                GnutellaWorld::<NullSink>::build_on(small(Mode::Dynamic), shards, 1);
+            for (s, w) in worlds.iter().enumerate() {
+                let range = partition.range(s);
+                let n = range.len();
+                assert_eq!(w.base, range.start, "shards {shards}, slice {s}");
+                assert!(
+                    exact(&w.peers, n)
+                        && exact(&w.sessions, n)
+                        && exact(&w.neighbors, n)
+                        && exact(&w.hosts, n)
+                        && exact(&w.proto, n)
+                        && exact(&w.delays, n)
+                        && exact(&w.next_qid, n)
+                        && exact(&w.indices, n)
+                        && exact(&w.served, n),
+                    "shards {shards}, slice {s} of {n} nodes"
+                );
+                let tables: usize = w
+                    .peers
+                    .iter()
+                    .filter_map(|p| p.rt.seen.as_ref())
+                    .map(|c| c.table_bytes())
+                    .sum();
+                assert_eq!(tables, 0, "shards {shards}, slice {s}");
+            }
+        }
+    }
+
+    /// A node advertises nothing exactly when it is a free rider, so the
+    /// role column answers the planner's free-rider gate; a summary is
+    /// the per-category count of what the node advertises, a liar's its
+    /// whole library.
+    #[test]
+    fn a_summary_is_what_its_node_advertises() {
+        let mut config = small(Mode::Static);
+        config.free_rider_fraction = 0.3;
+        config.liar_fraction = 0.3;
+        let world = GnutellaWorld::<NullSink>::new(config);
+        let catalog = &world.shared.catalog;
+        let categories = catalog.categories() as usize;
+        let mut seen = [0; 3];
+        for node in (0..world.users()).map(ddr_sim::NodeId::from_index) {
+            let row = world.own(node);
+            let role = row.role();
+            seen[role as usize] += 1;
+            assert_eq!(
+                role == Role::FreeRider,
+                row.advertised().is_empty(),
+                "{node}"
+            );
+            let want = ddr_core::CategorySummary::build(row.advertised(), categories, |item| {
+                catalog.category_of(item).index()
+            });
+            let summary = row.summary();
+            assert_eq!(summary, want, "{node}");
+            let total: usize = (0..categories).map(|c| summary.count(c) as usize).sum();
+            assert_eq!(total, row.advertised().len(), "{node}");
+            if role == Role::Liar {
+                assert_eq!(row.advertised(), row.profile().library(), "{node}");
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every role present: {seen:?}");
     }
 
     /// `own` is for the slice's own nodes: asked for a node another slice

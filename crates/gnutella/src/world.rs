@@ -91,10 +91,6 @@ pub(crate) struct SharedWorld {
     pub(crate) catalog: Catalog,
     profiles: Vec<UserProfile>,
     net: NetworkModel,
-    /// Per-node content summaries of what each node advertises
-    /// (piggybacked on invitations when the summary-gated policy is
-    /// active).
-    summaries: Vec<CategorySummary>,
     /// What each user is: a contributor, a free rider or a liar.
     roles: Vec<Role>,
 }
@@ -113,9 +109,16 @@ impl<'a> Row<'a> {
         &self.shared.profiles[self.i]
     }
 
-    /// The content summary the node advertises.
-    pub(crate) fn summary(self) -> &'a CategorySummary {
-        &self.shared.summaries[self.i]
+    /// The content summary the node advertises (paper §3.4's
+    /// "summarized information"): a per-category count of
+    /// [`advertised`](Self::advertised), derived on each call. A free
+    /// rider's is empty, as a real Gnutella client's zero shared-file
+    /// count in the handshake is; a liar's passes every summary gate.
+    pub(crate) fn summary(self) -> CategorySummary {
+        let catalog = &self.shared.catalog;
+        CategorySummary::build(self.advertised(), catalog.categories() as usize, |item| {
+            catalog.category_of(item).index()
+        })
     }
 
     /// The user's role.
@@ -260,15 +263,17 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// set) happen in full node order *before* splitting, so the per-node
     /// state is independent of the shard count.
     ///
-    /// The per-node columns (profiles, summaries, the `gnutella.proto`
-    /// and `net.delay` streams) are built on [`default_workers`] threads
-    /// that claim contiguous chunks of [`MIN_CHUNK`] nodes in turn
-    /// ([`map_chunked`]). Each node's entry reads only its own
-    /// `(label, node)` streams and inputs fixed before the pass, so the
-    /// world is bit-identical at any worker count. The
-    /// `PeerState`s, the role shuffles, the initial online
-    /// set, the bootstrap overlay, the host caches and the slice split
-    /// stay serial, in node order.
+    /// The per-node columns (profiles, `PeerState`s, the
+    /// `gnutella.proto` and `net.delay` streams) are built on
+    /// [`default_workers`] threads that claim contiguous chunks of
+    /// [`MIN_CHUNK`] nodes in turn ([`map_chunked`]). Each node's entry
+    /// reads only its own `(label, node)` streams and inputs fixed before
+    /// the pass, so the world is bit-identical at any worker count. The
+    /// role shuffles, the initial online set, the bootstrap overlay, the
+    /// host caches and the slice split stay serial, in node order. Each
+    /// column is built once: one shard takes the columns whole, and more
+    /// shards split them from the back, so no slice copies another's rows
+    /// or holds spare capacity.
     pub fn build_sharded(
         config: ScenarioConfig,
         shards: usize,
@@ -306,28 +311,26 @@ impl<T: TraceSink> GnutellaWorld<T> {
         );
         let flood_horizon = Some(crate::search::flood_horizon(&config, &net, lookahead));
 
-        // Built on this thread: the run regrows each dup-cache table, and
-        // one allocated by a chunk thread is then freed into that thread's
-        // malloc arena, where the run cannot reuse it. See
-        // EXPERIMENTS.md "Parallel world build".
-        let mut peers: Vec<PeerState> = (0..users)
-            .map(|i| {
-                let churn = ChurnProcess::new(&config.workload, &rngs, i as u64);
-                let queries = QueryGenerator::new(&config.workload, &rngs, i as u64);
-                PeerState {
-                    rt: NodeRuntime::new(config.reconfig_threshold)
-                        .with_dup_cache(config.dup_cache_capacity),
-                    pending_invites: 0,
-                    fill_to_degree: false,
-                    refill_budget: 0,
-                    evicted: ddr_sim::hash::fast_set(),
-                    evictions_received: 0,
-                    pending: ddr_sim::hash::fast_map(),
-                    churn,
-                    queries,
-                }
-            })
-            .collect();
+        // No heap allocation: a dup cache holds no table, and the maps
+        // no buckets, until the run asks for them.
+        let mut peers = map_chunked(
+            users,
+            workers,
+            MIN_CHUNK,
+            || (),
+            |_, i| PeerState {
+                rt: NodeRuntime::new(config.reconfig_threshold)
+                    .with_dup_cache(config.dup_cache_capacity),
+                pending_invites: 0,
+                fill_to_degree: false,
+                refill_budget: 0,
+                evicted: ddr_sim::hash::fast_set(),
+                evictions_received: 0,
+                pending: ddr_sim::hash::fast_map(),
+                churn: ChurnProcess::new(&config.workload, &rngs, i as u64),
+                queries: QueryGenerator::new(&config.workload, &rngs, i as u64),
+            },
+        );
         // Two independent shuffles, each on its own stream: free riders
         // from the whole population, then liars from the rest (a node
         // cannot both advertise nothing and advertise everything).
@@ -348,27 +351,18 @@ impl<T: TraceSink> GnutellaWorld<T> {
             }
             roles
         };
-        // A summary advertises what a node *shares*, not what it has (see
-        // [`Role::advertised`]): a free rider's is empty, exactly how real
-        // Gnutella clients spot free riders (a zero shared-file count in
-        // the handshake). Every contributor's library is non-empty by
-        // construction, so an empty summary identifies a free rider and
-        // FR-free worlds carry none. Liars exploit exactly this channel:
-        // they advertise their full library (passing every summary gate)
-        // yet never serve — the deception the benefit function must catch
-        // through observed answers alone.
-        let categories = catalog.categories() as usize;
-        let summaries = map_chunked(
-            users,
-            workers,
-            MIN_CHUNK,
-            || (),
-            |_, i| {
-                CategorySummary::build(roles[i].advertised(&profiles[i]), categories, |item| {
-                    catalog.category_of(item).index()
-                })
-            },
-        );
+        // A node advertises what it *shares*, not what it has (see
+        // [`Role::advertised`]). Every library holds at least
+        // `secondary_categories + 1` songs, so a node advertises nothing
+        // exactly when it is a free rider, and the role column answers
+        // "is its summary empty?" without a summary. Liars exploit this
+        // channel: they advertise their full library (passing every
+        // summary gate) yet never serve — the deception the benefit
+        // function must catch through observed answers alone.
+        debug_assert!(roles
+            .iter()
+            .zip(&profiles)
+            .all(|(r, p)| (*r == Role::FreeRider) == r.advertised(p).is_empty()));
 
         // Initially-online users and the random bootstrap overlay among
         // them, linked directly in the per-node views.
@@ -383,7 +377,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         }
         let mut neighbors = vec![NeighborList::with_capacity(DEGREE); users];
         bootstrap_views(&mut neighbors, &initial, &mut rngs.stream("bootstrap", 0));
-        let hosts: Vec<HostCache> = neighbors
+        let mut hosts: Vec<HostCache> = neighbors
             .iter()
             .map(|nl| {
                 let mut h = HostCache::new();
@@ -393,14 +387,14 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 h
             })
             .collect();
-        let proto = map_chunked(
+        let mut proto = map_chunked(
             users,
             workers,
             MIN_CHUNK,
             || (),
             |_, i| rngs.stream("gnutella.proto", i as u64),
         );
-        let delays = map_chunked(
+        let mut delays = map_chunked(
             users,
             workers,
             MIN_CHUNK,
@@ -413,29 +407,26 @@ impl<T: TraceSink> GnutellaWorld<T> {
             catalog,
             profiles,
             net,
-            summaries,
             roles,
         });
         let partition = Partition::contiguous(users, shards);
 
-        let mut peers = peers.into_iter();
-        let mut sessions = sessions.into_iter();
-        let mut neighbors = neighbors.into_iter();
-        let mut hosts = hosts.into_iter();
-        let mut proto = proto.into_iter();
-        let mut delays = delays.into_iter();
-        let worlds = (0..partition.shards())
+        // Slices from the last to the first, each column's tail split off
+        // (the first slice takes what is left, without a copy), then put
+        // back in order.
+        let mut worlds: Vec<GnutellaWorld<T>> = (0..partition.shards())
+            .rev()
             .map(|s| {
                 let range = partition.range(s);
                 let count = range.len();
                 GnutellaWorld {
                     base: range.start,
-                    peers: peers.by_ref().take(count).collect(),
-                    sessions: sessions.by_ref().take(count).collect(),
-                    neighbors: neighbors.by_ref().take(count).collect(),
-                    hosts: hosts.by_ref().take(count).collect(),
-                    proto: proto.by_ref().take(count).collect(),
-                    delays: delays.by_ref().take(count).collect(),
+                    peers: take_tail(&mut peers, range.start),
+                    sessions: take_tail(&mut sessions, range.start),
+                    neighbors: take_tail(&mut neighbors, range.start),
+                    hosts: take_tail(&mut hosts, range.start),
+                    proto: take_tail(&mut proto, range.start),
+                    delays: take_tail(&mut delays, range.start),
                     next_qid: vec![0; count],
                     indices: vec![None; count],
                     served: vec![0; count],
@@ -453,6 +444,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 }
             })
             .collect();
+        worlds.reverse();
         (worlds, partition, lookahead)
     }
 
@@ -751,6 +743,18 @@ impl<T: TraceSink> GnutellaWorld<T> {
         }
         None
     }
+}
+
+/// The rows of `column` from `start` on, leaving it the rows before:
+/// the whole column when `start` is 0, else a copy of the tail alone (the
+/// column keeps its allocation, trimmed to what it holds).
+fn take_tail<V>(column: &mut Vec<V>, start: usize) -> Vec<V> {
+    if start == 0 {
+        return std::mem::take(column);
+    }
+    let tail = column.split_off(start);
+    column.shrink_to_fit();
+    tail
 }
 
 impl<T: TraceSink> ShardWorld for GnutellaWorld<T> {

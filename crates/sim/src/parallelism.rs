@@ -39,10 +39,10 @@ pub fn resolve_workers(requested: Option<usize>) -> usize {
 /// the one caller that passes it, a Gnutella world's per-node pass.
 /// Measured on a 2-core x86-64 host (release build, 50,000 users, one
 /// thread): a scoped thread's spawn and join take 43–55 µs, and one
-/// node's entries ≈ 17 µs (its profile 16 µs, its summary 0.8 µs, each
-/// RNG stream 60 ns). The pass maps four columns, so a build on two
+/// node's entries ≈ 16.5 µs (its profile 16 µs, its `PeerState` 0.4 µs,
+/// each RNG stream 60 ns). The pass maps four columns, so a build on two
 /// threads starts four: 4 × 55 µs = 220 µs, under 1 % of one chunk's
-/// build (1 % of 2,048 × 17 µs is 348 µs; of 1,024 nodes, 174 µs).
+/// build (1 % of 2,048 × 16.5 µs is 338 µs; of 1,024 nodes, 169 µs).
 pub const MIN_CHUNK: usize = 2048;
 
 /// Map `0..n` through `f` into one `Vec`, in index order, on at most
