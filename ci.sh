@@ -17,7 +17,7 @@ echo "    resolves — seconds, not the full suite, when a refactor breaks one)"
 cargo check --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> tracked Rust lines, the per-file ceiling, one-implementer traits, uncalled pub fns,"
-echo "    unselected variants, one-value config fields, unnamed deps and oracle reads"
+echo "    unselected variants, one-value config fields, unnamed deps, advert reads and oracle reads"
 # The count every simplicity PR quotes; and no file under crates/*/src may
 # pass 1,000 lines, so split modules do not silently grow back into one.
 # Files past 800 are listed without failing: the next PR that touches one
@@ -221,14 +221,16 @@ shrink_only "ddr-* dependencies their crate never names" "drop it from the crate
 
 # A node knows another node only through messages (world rule 4 in
 # crates/gnutella/src/world.rs). The compiler keeps every read of a
-# `SharedWorld` row on `own` and `oracle`; this lists each `.oracle(`
-# call (the world's handle or `SharedWorld::oracle`) in non-test code
-# under crates/*/src, keyed by its file and the fn it sits in (comments
+# `SharedWorld` row on `own`, `advert` and `oracle`; one pass lists each
+# `.advert(` call (a node's published facts, read by reference) and each
+# `.oracle(` call (what no message carries) in non-test code under
+# crates/*/src, keyed by its file and the fn it sits in (comments
 # stripped; a file's first #[cfg(test)] onwards and `tests.rs` modules
 # skipped). It does not see an `own` call on another node, nor a slice
-# column indexed with another node's `li`. Each entry says which fact
-# no message carries yet, or why the reader is no node.
-ORACLE=$(git ls-files 'crates/*/src/*.rs' | xargs awk '
+# column indexed with another node's `li`. An advert entry names the
+# message that carried the node, an oracle entry the fact no message
+# carries yet; either says why the reader is no node.
+READS=$(git ls-files 'crates/*/src/*.rs' | xargs awk '
     /#\[cfg\(test\)\]/ { cut[FILENAME] = 1 }
     cut[FILENAME] || FILENAME ~ /\/tests\.rs$/ { next }
     {
@@ -236,17 +238,24 @@ ORACLE=$(git ls-files 'crates/*/src/*.rs' | xargs awk '
         if (match(line, /(^|[^A-Za-z0-9_])fn [A-Za-z_][A-Za-z0-9_]*/)) {
             cur = substr(line, RSTART, RLENGTH); sub(/^.*fn /, "", cur)
         }
-        if (line ~ /\.oracle\(/) print "    " FILENAME ": " cur
+        if (line ~ /\.advert\(/) print "advert    " FILENAME ": " cur
+        if (line ~ /\.oracle\(/) print "oracle    " FILENAME ": " cur
     }' | sort -u)
+ADVERT_READS=(
+    "crates/gnutella/src/reconfigure.rs: plan_update"      # an incumbent's link handshake or a candidate's ReplyArrive named it; a free rider advertises nothing
+    "crates/gnutella/src/membership.rs: handshake_request" # InviteArrive names the inviter, whose summary the summary-gated policy compares with the invitee's own
+    "crates/gnutella/src/search.rs: refresh_index"         # the holders the oracle's r-hop snapshot reaches; no message names them yet
+    "crates/gnutella/src/invariants.rs: of"                # Census::of: the checker, not a node, counts evictions by the evicted node's role
+)
+shrink_only "advert() reads of another node's published facts" "name the node in a message first, or read the node's own row through own()" \
+    '$1 " " $2' "$(sed -n 's/^advert//p' <<< "$READS")" "${ADVERT_READS[@]}"
 ORACLE_READS=(
-    "crates/gnutella/src/reconfigure.rs: plan_update"      # the free-rider advertisement rides the link handshake; it decides only incumbents, since a free rider never replies and so never has a statistics entry
-    "crates/gnutella/src/membership.rs: handshake_request" # the inviter's summary rides InviteArrive: 50 counters, too large for a Copy event
     "crates/gnutella/src/search.rs: index_holder"          # holder liveness
-    "crates/gnutella/src/search.rs: refresh_index"         # the r-hop snapshot of neighbor views and advertisements, which is why local indices need the full range
-    "crates/gnutella/src/invariants.rs: of"                # Census::of: the checker, not a node
+    "crates/gnutella/src/search.rs: refresh_index"         # the r-hop snapshot of neighbor views, which is why local indices need the full range
+    "crates/gnutella/src/invariants.rs: of"                # Census::of: the checker, not a node, reads private profiles
 )
 shrink_only "oracle() reads of another node's state" "carry the fact on a message, or read the node's own row through own()" \
-    '$1 " " $2' "$ORACLE" "${ORACLE_READS[@]}"
+    '$1 " " $2' "$(sed -n 's/^oracle//p' <<< "$READS")" "${ORACLE_READS[@]}"
 
 echo "==> counter names live in the metrics lists, not in string-literal hub.counter calls"
 # A counter is named once: in a `counters()` list, which a

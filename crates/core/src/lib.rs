@@ -40,4 +40,4 @@ pub use runtime::{AsymmetricOverlay, NodeRuntime, Port, ReconfigClock};
 pub use search::{ForwardSelection, SearchStrategy};
 pub use stats_store::{NodeStats, StatsStore};
 pub use summary::CategorySummary;
-pub use update::{InvitationContext, InvitationPolicy, UpdatePlan};
+pub use update::{InvitationPolicy, UpdatePlan};

@@ -11,7 +11,7 @@ use ddr_net::BandwidthClass;
 use ddr_sim::{FastHashMap, ItemId, NodeId};
 
 /// A radius-bounded content index for one node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LocalIndex {
     /// item → nodes within `radius` hops that advertise it, with their
     /// advertised class (owner excluded).

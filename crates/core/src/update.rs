@@ -14,7 +14,6 @@
 
 use crate::search::benefit_sort_key;
 use crate::stats_store::{NodeStats, StatsStore};
-use crate::summary::CategorySummary;
 use ddr_sim::NodeId;
 
 /// The outcome of ranking candidates for a new neighborhood.
@@ -174,45 +173,22 @@ pub enum InvitationPolicy {
     },
 }
 
-/// Side information available to an invitation decision. The summaries
-/// are optional because "such information is not always available"
-/// (§3.4) — policies that need a missing summary fall back conservatively.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InvitationContext<'a> {
-    /// The inviter's content summary, if it travelled with the invitation.
-    pub inviter_summary: Option<&'a CategorySummary>,
-    /// The invitee's own content summary.
-    pub own_summary: Option<&'a CategorySummary>,
-}
-
-impl InvitationContext<'_> {
-    /// A context carrying no summaries.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Cosine similarity between the two summaries (0 if either missing).
-    pub fn similarity(&self) -> f64 {
-        match (self.inviter_summary, self.own_summary) {
-            (Some(a), Some(b)) => a.similarity(b),
-            _ => 0.0,
-        }
-    }
-}
-
 impl InvitationPolicy {
     /// Decide an invitation to a node whose symmetric neighbor list
     /// `neighbors` is full, ranking the node's own statistics by `rank`:
     /// the incumbent to evict for `inviter`, or `None` to refuse. A node
     /// with a free slot takes the inviter without asking (see
-    /// [`crate::runtime::link`]).
+    /// [`crate::runtime::link`]). `similarity` is the cosine similarity
+    /// of the two nodes' content summaries; only
+    /// [`InvitationPolicy::SummaryGated`] calls it, so no other policy
+    /// builds a summary.
     pub fn decide(
         &self,
         inviter: NodeId,
         neighbors: &[NodeId],
         stats: &StatsStore,
         rank: impl Fn(&NodeStats) -> f64,
-        ctx: &InvitationContext<'_>,
+        similarity: impl FnOnce() -> f64,
     ) -> Option<NodeId> {
         debug_assert!(
             !neighbors.contains(&inviter),
@@ -235,9 +211,7 @@ impl InvitationPolicy {
                 let weakest_benefit = stats.get(weakest).map(&rank).unwrap_or(0.0);
                 inviter_benefit > weakest_benefit
             }
-            InvitationPolicy::SummaryGated { min_similarity } => {
-                ctx.similarity() >= *min_similarity
-            }
+            InvitationPolicy::SummaryGated { min_similarity } => similarity() >= *min_similarity,
         };
         accept.then_some(weakest)
     }
@@ -247,6 +221,7 @@ impl InvitationPolicy {
 mod tests {
     use super::*;
     use crate::stats_store::ReplyObservation;
+    use crate::summary::CategorySummary;
     use ddr_net::BandwidthClass;
     use ddr_sim::SimTime;
 
@@ -369,17 +344,28 @@ mod tests {
         assert_eq!(limited.keep, vec![NodeId(1)]);
     }
 
+    /// The similarity every policy but the summary gate gets: asking for
+    /// it fails the test, so no other policy builds a summary.
+    fn unasked() -> f64 {
+        panic!("only the summary-gated policy asks for a similarity")
+    }
+
     #[test]
     fn always_accept_full_evicts_weakest() {
         let s = store(&[(1, 5.0), (2, 1.0), (3, 3.0), (4, 2.0)]);
-        let d = InvitationPolicy::AlwaysAccept.decide(
-            NodeId(9),
-            &[NodeId(1), NodeId(2), NodeId(3), NodeId(4)],
-            &s,
-            cumulative,
-            &InvitationContext::none(),
-        );
-        assert_eq!(d, Some(NodeId(2)));
+        for policy in [
+            InvitationPolicy::AlwaysAccept,
+            InvitationPolicy::TrialPeriod { trial_millis: 1 },
+        ] {
+            let d = policy.decide(
+                NodeId(9),
+                &[NodeId(1), NodeId(2), NodeId(3), NodeId(4)],
+                &s,
+                cumulative,
+                unasked,
+            );
+            assert_eq!(d, Some(NodeId(2)), "{policy:?}");
+        }
     }
 
     #[test]
@@ -390,7 +376,7 @@ mod tests {
             &[NodeId(1), NodeId(2)],
             &s,
             cumulative,
-            &InvitationContext::none(),
+            unasked,
         );
         assert_eq!(d, None);
     }
@@ -403,60 +389,40 @@ mod tests {
             &[NodeId(1), NodeId(2)],
             &s,
             cumulative,
-            &InvitationContext::none(),
+            unasked,
         );
         assert_eq!(d, Some(NodeId(2)));
     }
 
     #[test]
     fn summary_gated_accepts_similar_inviter() {
-        use crate::summary::CategorySummary;
         let s = store(&[(1, 1.0), (2, 2.0)]);
         // Both profiles concentrated in category 0 → similarity ≈ 1.
         let items: Vec<ddr_sim::ItemId> = (0..10).map(|_| ddr_sim::ItemId(0)).collect();
         let mine = CategorySummary::build(&items, 3, |_| 0);
         let theirs = mine.clone();
-        let ctx = InvitationContext {
-            inviter_summary: Some(&theirs),
-            own_summary: Some(&mine),
-        };
         let d = InvitationPolicy::SummaryGated {
             min_similarity: 0.8,
         }
-        .decide(NodeId(9), &[NodeId(1), NodeId(2)], &s, cumulative, &ctx);
+        .decide(NodeId(9), &[NodeId(1), NodeId(2)], &s, cumulative, || {
+            theirs.similarity(&mine)
+        });
         assert_eq!(d, Some(NodeId(1)));
     }
 
     #[test]
-    fn summary_gated_rejects_dissimilar_or_missing() {
-        use crate::summary::CategorySummary;
+    fn summary_gated_rejects_dissimilar_inviter() {
         let s = store(&[(1, 1.0), (2, 2.0)]);
         let a_items = [ddr_sim::ItemId(0)];
         let b_items = [ddr_sim::ItemId(1)];
         let mine = CategorySummary::build(&a_items, 3, |i| i.0 as usize);
         let theirs = CategorySummary::build(&b_items, 3, |i| i.0 as usize);
-        let policy = InvitationPolicy::SummaryGated {
+        let d = InvitationPolicy::SummaryGated {
             min_similarity: 0.5,
-        };
-        // dissimilar
-        let ctx = InvitationContext {
-            inviter_summary: Some(&theirs),
-            own_summary: Some(&mine),
-        };
-        assert_eq!(
-            policy.decide(NodeId(9), &[NodeId(1), NodeId(2)], &s, cumulative, &ctx),
-            None
-        );
-        // missing summaries → similarity 0 → reject when full
-        assert_eq!(
-            policy.decide(
-                NodeId(9),
-                &[NodeId(1), NodeId(2)],
-                &s,
-                cumulative,
-                &InvitationContext::none()
-            ),
-            None
-        );
+        }
+        .decide(NodeId(9), &[NodeId(1), NodeId(2)], &s, cumulative, || {
+            theirs.similarity(&mine)
+        });
+        assert_eq!(d, None);
     }
 }

@@ -108,7 +108,7 @@ mod tests {
         for i in 0..64 {
             let node = NodeId::from_index(i);
             assert_eq!(a.neighbors_of(node), b.neighbors_of(node));
-            let library = |w: &GnutellaWorld| w.own(node).profile().library().to_vec();
+            let library = |w: &GnutellaWorld| w.own(node).profile.library().to_vec();
             assert_eq!(library(&a), library(&b));
             assert!(a.sessions[i].online, "node {i} offline at t = 0");
             // The random bootstrap fills almost everyone; nobody isolated,

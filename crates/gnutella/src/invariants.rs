@@ -68,27 +68,28 @@ pub struct Census {
 
 impl Census {
     /// One walk over the final `worlds` (any shard count, in shard order).
-    /// The census is the checker, not a node: it reads every row through
-    /// the oracle.
+    /// The census is the checker, not a node: it reads every private
+    /// profile through the oracle, and every role through its advert.
     pub fn of<T: TraceSink>(worlds: &[GnutellaWorld<T>]) -> Census {
         let mut c = Census::default();
         for w in worlds {
-            let oracle = w.oracle();
+            let (oracle, shared) = (w.oracle(), &w.shared);
             for (k, peer) in w.peers.iter().enumerate() {
                 let node = NodeId::from_index(w.base + k);
                 let view = w.neighbors[k].as_slice();
-                let favorite = oracle.row(node).profile().favorite;
+                let own = w.own(node);
+                let favorite = own.profile.favorite;
                 c.links += view.len();
                 c.same_category += view
                     .iter()
-                    .filter(|&&m| oracle.row(m).profile().favorite == favorite)
+                    .filter(|&&m| oracle.profile(m).favorite == favorite)
                     .count();
                 c.pending += peer.pending.len();
                 for &m in peer.evicted.iter() {
-                    c.role(oracle.row(m).role()).evicted += 1;
+                    c.role(shared.advert(m).role()).evicted += 1;
                 }
                 c.served.push(w.served[k]);
-                let role = c.role(oracle.row(node).role());
+                let role = c.role(own.advert.role());
                 role.members += 1;
                 role.served += w.served[k];
                 if w.sessions[k].online {

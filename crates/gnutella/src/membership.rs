@@ -25,7 +25,7 @@ use crate::world::GnutellaWorld;
 use ddr_core::runtime::link::{Effect, Message};
 use ddr_core::runtime::Port;
 use ddr_core::search::benefit_sort_key;
-use ddr_core::{InvitationContext, InvitationPolicy, NodeStats};
+use ddr_core::{InvitationPolicy, NodeStats};
 use ddr_overlay::NeighborList;
 use ddr_sim::{NodeId, QueryId, SimDuration, SimTime};
 use ddr_telemetry::{TraceOutcome, TraceSink};
@@ -220,12 +220,10 @@ impl<T: TraceSink> GnutellaWorld<T> {
         let online = self.sessions[k].online;
         // A link request only takes a free slot; a full invitee asks its
         // policy whether to evict the weakest incumbent for the inviter.
-        // The summary-gated policy compares the inviter's summary,
-        // piggybacked on `InviteArrive` (at 50 counters too large to ride
-        // a `Copy` event), with `to`'s own. Both are derived from what the
-        // node advertises, through `SharedWorld::oracle`, which borrows
-        // none of the columns the open book holds; no other policy reads
-        // a summary, so none is built for them.
+        // The summary-gated policy compares the inviter's summary, which
+        // `InviteArrive` names by its sender, with `to`'s own: both are
+        // built from the two adverts, read by reference beside the open
+        // book, and only when that policy asks.
         let shared = &*self.shared;
         let config = &shared.config;
         let (mut book, stats) = self.peers[k].link_book(&mut self.neighbors[k]);
@@ -233,14 +231,12 @@ impl<T: TraceSink> GnutellaWorld<T> {
             if !invited {
                 return None;
             }
-            let summaries = matches!(config.invitation, InvitationPolicy::SummaryGated { .. })
-                .then(|| (shared.oracle(from).summary(), shared.oracle(to).summary()));
-            let context = InvitationContext {
-                inviter_summary: summaries.as_ref().map(|(inviter, _)| inviter),
-                own_summary: summaries.as_ref().map(|(_, own)| own),
-            };
             let rank = |s: &NodeStats| ever_answered(config.benefit, s);
-            config.invitation.decide(from, view, stats, rank, &context)
+            let (inviter, own) = (shared.advert(from), shared.advert(to));
+            let similarity = || inviter.summary().similarity(&own.summary());
+            config
+                .invitation
+                .decide(from, view, stats, rank, similarity)
         });
         if effect != Effect::Refused {
             self.hosts[k].note(from);

@@ -115,7 +115,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
         let benefit = self.shared.config.benefit;
         let stats = &self.peers[k].rt.stats;
         let current = self.neighbors[k].as_slice();
-        let oracle = self.oracle();
         // Incumbents are always eligible: the view itself tracks
         // liveness (a leaving neighbor Unlinks within a flight time),
         // so the recency proxy must not "dead-evict" a quiet but
@@ -128,11 +127,11 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 // invited. Every library is non-empty, so a node
                 // advertises nothing exactly when it is a free rider, and
                 // its role answers for its summary; the clause is inert
-                // in free-rider-free worlds. The advertisement rides the
-                // link handshake, read here through the oracle; it
-                // decides only incumbents, since a free rider never
-                // replies and so never earns a statistics entry.
-                && oracle.row(m).role() != Role::FreeRider
+                // in free-rider-free worlds. The advertisement rode the
+                // link handshake, read here by reference; it decides only
+                // incumbents, since a free rider never replies and so
+                // never earns a statistics entry.
+                && self.shared.advert(m).role() != Role::FreeRider
                 && (current.contains(&m)
                     || stats
                         .get(m)

@@ -74,15 +74,15 @@ impl<T: TraceSink> GnutellaWorld<T> {
             self.is_full_range(),
             "local indices walk multi-hop neighborhoods and need the full range"
         );
-        let oracle = self.oracle();
+        let (oracle, shared) = (self.oracle(), &self.shared);
         let idx = LocalIndex::build_from(
             node,
             |n| oracle.neighbors(n),
             radius as usize,
-            |n| (oracle.row(n).class(), oracle.row(n).advertised()),
+            |n| (shared.advert(n).class(), shared.advert(n).advertised()),
         );
         let k = self.li(node);
-        self.indices[k] = Some(idx);
+        self.indices[k] = idx;
         let session = self.sessions[k].session;
         Some((
             INDEX_REFRESH.max(self.lookahead),
@@ -109,10 +109,10 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// The first online holder of `item` in `node`'s local index, with
     /// the class it advertised, if any.
     fn index_holder(&self, node: NodeId, item: ItemId) -> Option<(NodeId, BandwidthClass)> {
-        // Only an index-keeping strategy ever fills `indices`; asking it
-        // first keeps the relay hot path off that cold column.
-        self.shared.config.strategy.index_radius()?;
-        let idx = self.indices[self.li(node)].as_ref()?;
+        // Only an index-keeping strategy fills `indices`; under any other
+        // the column is empty, and its length in the world's header keeps
+        // the relay hot path off it.
+        let idx = self.indices.get(self.li(node))?;
         let oracle = self.oracle();
         idx.holders(item)
             .iter()
@@ -323,14 +323,14 @@ impl<T: TraceSink> GnutellaWorld<T> {
             return; // "if the same message has been received before, discard"
         }
         let row = self.own(to);
-        let serves = row.role().serves();
-        if serves && row.profile().has(desc.item) {
+        let serves = row.advert.role().serves();
+        if serves && row.profile.has(desc.item) {
             // Reply to the initiator and do not propagate (§4.1).
             // Free-riders skip this branch entirely: they hold content
             // but refuse to serve it (§2's imbalance scenario). Liars do
             // too — their advertised summary is a lie, and the refusal
             // here is what their benefit entries eventually reflect.
-            let bandwidth = row.class();
+            let bandwidth = row.advert.class();
             let d = self.delay(k, to, desc.origin);
             self.served[k] += 1;
             let reply = self.answer(to, bandwidth, desc.origin, desc.id, desc.travelled);
@@ -578,7 +578,7 @@ mod tests {
             let online = |w: &GnutellaWorld, n: NodeId| w.sessions[n.index()].online;
             let (node, holder) = (0..world.users())
                 .map(NodeId::from_index)
-                .filter(|&n| online(&world, n) && world.own(n).role() == role)
+                .filter(|&n| online(&world, n) && world.own(n).advert.role() == role)
                 .find_map(|n| {
                     let h = world.neighbors_of(n).iter().copied();
                     h.clone().find(|&h| online(&world, h)).map(|h| (n, h))
@@ -588,12 +588,12 @@ mod tests {
             // The holder is indexed under every song, so whatever the
             // initiator draws is answered from the index.
             let songs: Vec<ItemId> = (0..world.shared.catalog.songs()).map(ItemId).collect();
-            world.indices[k] = Some(LocalIndex::build_from(
+            world.indices[k] = LocalIndex::build_from(
                 node,
                 |_| std::slice::from_ref(&holder),
                 1,
                 |_| (BandwidthClass::Lan, songs.iter()),
-            ));
+            );
             let stream = world.delays[kh].clone();
             let mut sent = Recorder(Vec::new());
             world.launch_query(node, &mut sent);
@@ -624,20 +624,20 @@ mod tests {
     fn a_relay_answers_for_an_indexed_liar() {
         let mut world = indexed_world(0.0, 0.3);
         let online = |w: &GnutellaWorld, n: NodeId| w.sessions[n.index()].online;
-        let has = |w: &GnutellaWorld, n: NodeId, item| w.own(n).profile().has(item);
+        let has = |w: &GnutellaWorld, n: NodeId, item| w.own(n).profile.has(item);
         let (relay, liar, item) = (0..world.users())
             .map(NodeId::from_index)
-            .filter(|&r| online(&world, r) && world.own(r).role().serves())
+            .filter(|&r| online(&world, r) && world.own(r).advert.role().serves())
             .find_map(|r| {
                 let view = world.neighbors_of(r);
                 let liar = view
                     .iter()
                     .copied()
-                    .find(|&l| online(&world, l) && world.own(l).role() == Role::Liar)?;
+                    .find(|&l| online(&world, l) && world.own(l).advert.role() == Role::Liar)?;
                 // A song only the liar holds, near the relay.
                 let item = world
                     .own(liar)
-                    .profile()
+                    .profile
                     .library()
                     .iter()
                     .copied()
@@ -662,7 +662,10 @@ mod tests {
         };
         let mut sent = Recorder(Vec::new());
         world.query_arrive(relay, origin, desc, &mut sent);
-        assert_eq!(sent.results_to(origin), [(liar, world.own(liar).class())]);
+        assert_eq!(
+            sent.results_to(origin),
+            [(liar, world.own(liar).advert.class())]
+        );
         assert_eq!(world.metrics.index_answers, 1);
         assert_eq!(
             (world.served[relay.index()], world.served[liar.index()]),
@@ -726,7 +729,7 @@ mod tests {
             NodeId::from_index((k + 1) % users),
             QueryId(1),
         );
-        let row = world.oracle().row(from).class();
+        let row = world.shared.advert(from).class();
         let bandwidth = if row == BandwidthClass::Lan {
             BandwidthClass::Cable
         } else {

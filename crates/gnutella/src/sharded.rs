@@ -119,6 +119,7 @@ mod tests {
     use crate::{run_scenario, Census};
     use ddr_sim::parallelism::MIN_CHUNK;
     use ddr_telemetry::NullSink;
+    use std::sync::Arc;
 
     fn small(mode: Mode) -> ScenarioConfig {
         let mut c = ScenarioConfig::scaled(mode, 2, 20, 6);
@@ -217,10 +218,11 @@ mod tests {
                         && exact(&w.proto, n)
                         && exact(&w.delays, n)
                         && exact(&w.next_qid, n)
-                        && exact(&w.indices, n)
                         && exact(&w.served, n),
                     "shards {shards}, slice {s} of {n} nodes"
                 );
+                // Only the local-indices strategy keeps an index column.
+                assert_eq!(w.indices.capacity(), 0, "shards {shards}, slice {s}");
                 let tables: usize = w
                     .peers
                     .iter()
@@ -235,35 +237,45 @@ mod tests {
     /// A node advertises nothing exactly when it is a free rider, so the
     /// role column answers the planner's free-rider gate; a summary is
     /// the per-category count of what the node advertises, a liar's its
-    /// whole library.
+    /// whole library. Every slice reads every node's advert from the one
+    /// `SharedWorld` they share, the nodes other slices own included.
     #[test]
     fn a_summary_is_what_its_node_advertises() {
         let mut config = small(Mode::Static);
         config.free_rider_fraction = 0.3;
         config.liar_fraction = 0.3;
-        let world = GnutellaWorld::<NullSink>::new(config);
+        let world = GnutellaWorld::<NullSink>::new(config.clone());
+        let (slices, _, _) = GnutellaWorld::<NullSink>::build_sharded(config, 2);
+        assert!(Arc::ptr_eq(&slices[0].shared, &slices[1].shared));
         let catalog = &world.shared.catalog;
         let categories = catalog.categories() as usize;
         let mut seen = [0; 3];
         for node in (0..world.users()).map(ddr_sim::NodeId::from_index) {
             let row = world.own(node);
-            let role = row.role();
+            let advert = row.advert;
+            let role = advert.role();
             seen[role as usize] += 1;
             assert_eq!(
                 role == Role::FreeRider,
-                row.advertised().is_empty(),
+                advert.advertised().is_empty(),
                 "{node}"
             );
-            let want = ddr_core::CategorySummary::build(row.advertised(), categories, |item| {
+            let want = ddr_core::CategorySummary::build(advert.advertised(), categories, |item| {
                 catalog.category_of(item).index()
             });
-            let summary = row.summary();
+            let summary = advert.summary();
             assert_eq!(summary, want, "{node}");
             let total: usize = (0..categories).map(|c| summary.count(c) as usize).sum();
-            assert_eq!(total, row.advertised().len(), "{node}");
+            assert_eq!(total, advert.advertised().len(), "{node}");
             if role == Role::Liar {
-                assert_eq!(row.advertised(), row.profile().library(), "{node}");
+                assert_eq!(advert.advertised(), row.profile.library(), "{node}");
             }
+            let far = slices[0].shared.advert(node);
+            assert_eq!(
+                (far.role(), far.class(), far.advertised(), far.summary()),
+                (role, advert.class(), advert.advertised(), summary),
+                "{node}"
+            );
         }
         assert!(seen.iter().all(|&n| n > 0), "every role present: {seen:?}");
     }

@@ -50,13 +50,14 @@
 //!    per-node [`HostCache`] (seeded with bootstrap neighbors) plus
 //!    uniform draws from their own proto stream (modeling a bootstrap
 //!    server); offline candidates simply refuse with a negative ack.
-//! 4. **One gated path to another node's row.** `SharedWorld`'s
-//!    per-node columns are private to this module, so a row is read
-//!    through `own`, which asserts only that the slice owns the node, or
-//!    through `oracle`, at the call sites ci.sh lists with their reasons.
-//!    The slice columns stay crate-visible: a handler indexes them with
-//!    its own node's `li` by convention. The delay sampler is the
-//!    physical network, not a node's knowledge, and stays outside.
+//! 4. **Two gated paths to another node.** `SharedWorld`'s per-node
+//!    columns are private to this module. What a node publishes is fixed
+//!    at the build, so a message naming its sender tells the receiver
+//!    what one carrying those bytes would: `SharedWorld::advert` reads it
+//!    by reference. What no message carries goes through `oracle`; ci.sh
+//!    lists both kinds of call site. A node reads its own row through
+//!    `own`, and indexes the crate-visible slice columns with its own
+//!    `li` by convention. The delay sampler is the physical network.
 //!
 //! All self-timers and message delays are clamped to the lookahead
 //! (`NetworkModel::min_delay`, 10 ms under paper parameters) in *both*
@@ -85,7 +86,8 @@ use std::sync::Arc;
 
 /// Immutable world inputs, shared (read-only) by every shard's slice.
 /// The per-node columns are private to this module: handlers read them
-/// through [`GnutellaWorld::own`] and [`GnutellaWorld::oracle`].
+/// through [`GnutellaWorld::own`], [`SharedWorld::advert`] and
+/// [`GnutellaWorld::oracle`].
 pub(crate) struct SharedWorld {
     pub(crate) config: ScenarioConfig,
     pub(crate) catalog: Catalog,
@@ -95,20 +97,15 @@ pub(crate) struct SharedWorld {
     roles: Vec<Role>,
 }
 
-/// One node's row of [`SharedWorld`], read lazily: each accessor loads
-/// only its own column.
+/// What one node publishes, fixed at the build: read lazily, each
+/// accessor loading only its own column.
 #[derive(Clone, Copy)]
-pub(crate) struct Row<'a> {
+pub(crate) struct Advert<'a> {
     shared: &'a SharedWorld,
     i: usize,
 }
 
-impl<'a> Row<'a> {
-    /// The user's profile (favourite category, library).
-    pub(crate) fn profile(self) -> &'a UserProfile {
-        &self.shared.profiles[self.i]
-    }
-
+impl<'a> Advert<'a> {
     /// The content summary the node advertises (paper §3.4's
     /// "summarized information"): a per-category count of
     /// [`advertised`](Self::advertised), derived on each call. A free
@@ -134,27 +131,33 @@ impl<'a> Row<'a> {
 
     /// The items the node advertises (see [`Role::advertised`]).
     pub(crate) fn advertised(self) -> &'a [ItemId] {
-        self.role().advertised(self.profile())
+        self.role().advertised(&self.shared.profiles[self.i])
     }
 }
 
+/// An owned node's row: what it publishes, and the private profile
+/// (favourite category, library) behind it.
+pub(crate) struct Own<'a> {
+    pub(crate) advert: Advert<'a>,
+    pub(crate) profile: &'a UserProfile,
+}
+
 impl SharedWorld {
-    /// `node`'s row through the oracle, borrowing only these inputs: for a
-    /// handler that holds its own slice columns mutably meanwhile (an open
-    /// link book). ci.sh lists its calls with [`GnutellaWorld::oracle`]'s.
-    pub(crate) fn oracle(&self, node: NodeId) -> Row<'_> {
-        Row {
+    /// What `node` published. A handler reads it by reference for the
+    /// sender a message names, which tells it what a message carrying
+    /// those bytes would; ci.sh lists the call sites with that message.
+    pub(crate) fn advert(&self, node: NodeId) -> Advert<'_> {
+        Advert {
             shared: self,
             i: node.index(),
         }
     }
 }
 
-/// A read-only handle on any node's state: its row, and its session slot
-/// and neighbor view when this slice holds it (every node, in the
-/// full-range world). A node learns other nodes through messages; each
-/// call site of this handle is a fact no message carries, and ci.sh lists
-/// them with their reasons. Lazy like [`Row`].
+/// A read-only handle on what no message carries: any node's session
+/// slot and neighbor view when this slice holds it (every node, in the
+/// full-range world), and its private profile. ci.sh lists each call
+/// site with its reason. Lazy like [`Advert`].
 #[derive(Clone, Copy)]
 pub(crate) struct Oracle<'a> {
     shared: &'a SharedWorld,
@@ -164,12 +167,9 @@ pub(crate) struct Oracle<'a> {
 }
 
 impl<'a> Oracle<'a> {
-    /// `node`'s row.
-    pub(crate) fn row(self, node: NodeId) -> Row<'a> {
-        Row {
-            shared: self.shared,
-            i: node.index(),
-        }
+    /// `node`'s private profile.
+    pub(crate) fn profile(self, node: NodeId) -> &'a UserProfile {
+        &self.shared.profiles[node.index()]
     }
 
     /// Whether `node` is online.
@@ -210,9 +210,9 @@ pub struct GnutellaWorld<T: TraceSink = NullSink> {
     pub(crate) delays: Vec<NodeDelayStream>,
     /// Per-node query-id counters (qid = node << 32 | counter).
     pub(crate) next_qid: Vec<u32>,
-    /// Per-node radius-r content indices (local-indices strategy only;
-    /// restricted to the serial full-range world).
-    pub(crate) indices: Vec<Option<LocalIndex>>,
+    /// Per-node radius-r content indices: one per node under the
+    /// local-indices strategy (the serial full-range world), else empty.
+    pub(crate) indices: Vec<LocalIndex>,
     /// Results served per owned node from its own library (load-balance
     /// analysis); an index answer serves no file and counts in
     /// `metrics.index_answers` instead.
@@ -263,17 +263,12 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// set) happen in full node order *before* splitting, so the per-node
     /// state is independent of the shard count.
     ///
-    /// The per-node columns (profiles, `PeerState`s, the
-    /// `gnutella.proto` and `net.delay` streams) are built on
-    /// [`default_workers`] threads that claim contiguous chunks of
-    /// [`MIN_CHUNK`] nodes in turn ([`map_chunked`]). Each node's entry
-    /// reads only its own `(label, node)` streams and inputs fixed before
-    /// the pass, so the world is bit-identical at any worker count. The
-    /// role shuffles, the initial online set, the bootstrap overlay, the
-    /// host caches and the slice split stay serial, in node order. Each
-    /// column is built once: one shard takes the columns whole, and more
-    /// shards split them from the back, so no slice copies another's rows
-    /// or holds spare capacity.
+    /// The per-node columns (profiles, `PeerState`s, the `gnutella.proto`
+    /// and `net.delay` streams) are built by [`map_chunked`] on
+    /// [`default_workers`] threads, each node from its own streams alone,
+    /// so the world is bit-identical at any worker count; the rest stays
+    /// serial, in node order. Each column is built once: one shard takes
+    /// it whole, more split it from the back.
     pub fn build_sharded(
         config: ScenarioConfig,
         shards: usize,
@@ -351,14 +346,10 @@ impl<T: TraceSink> GnutellaWorld<T> {
             }
             roles
         };
-        // A node advertises what it *shares*, not what it has (see
-        // [`Role::advertised`]). Every library holds at least
-        // `secondary_categories + 1` songs, so a node advertises nothing
-        // exactly when it is a free rider, and the role column answers
-        // "is its summary empty?" without a summary. Liars exploit this
-        // channel: they advertise their full library (passing every
-        // summary gate) yet never serve — the deception the benefit
-        // function must catch through observed answers alone.
+        // Every library holds at least `secondary_categories + 1` songs,
+        // so a node advertises nothing (see [`Role::advertised`]) exactly
+        // when it is a free rider: the role column answers "is its
+        // summary empty?" without a summary.
         debug_assert!(roles
             .iter()
             .zip(&profiles)
@@ -428,7 +419,10 @@ impl<T: TraceSink> GnutellaWorld<T> {
                     proto: take_tail(&mut proto, range.start),
                     delays: take_tail(&mut delays, range.start),
                     next_qid: vec![0; count],
-                    indices: vec![None; count],
+                    indices: match shared.config.strategy.index_radius() {
+                        Some(_) => vec![LocalIndex::default(); count],
+                        None => Vec::new(),
+                    },
                     served: vec![0; count],
                     replies: 0,
                     late_copies: 0,
@@ -472,15 +466,16 @@ impl<T: TraceSink> GnutellaWorld<T> {
     /// The row of `node`, which this slice owns (debug-asserted through
     /// [`Self::li`]).
     #[inline]
-    pub(crate) fn own(&self, node: NodeId) -> Row<'_> {
+    pub(crate) fn own(&self, node: NodeId) -> Own<'_> {
         let _ = self.li(node);
-        Row {
-            shared: &self.shared,
-            i: node.index(),
+        let (shared, i) = (&*self.shared, node.index());
+        Own {
+            advert: Advert { shared, i },
+            profile: &shared.profiles[i],
         }
     }
 
-    /// The one path to another node's state (world rule 4).
+    /// The one path to what no message carries (world rule 4).
     pub(crate) fn oracle(&self) -> Oracle<'_> {
         Oracle {
             shared: &self.shared,
@@ -550,11 +545,9 @@ impl<T: TraceSink> GnutellaWorld<T> {
     }
 
     /// Report this slice's cumulative [`counters`](Self::counters) and
-    /// instantaneous levels into a metrics hub (the recorder differences
-    /// the counters into per-window deltas); contributions add, so
-    /// sampling every shard of a sharded run into one hub produces the
-    /// fleet-wide series. Read-only: a metered run stays digest-identical
-    /// to an unmetered one.
+    /// instantaneous levels into a metrics hub; contributions add, so
+    /// every shard sampled into one hub gives the fleet-wide series.
+    /// Read-only: a metered run stays digest-identical to an unmetered one.
     pub fn sample_metrics_into(&self, _now: SimTime, hub: &mut ddr_sim::MetricsHub) {
         for (name, total) in self.counters() {
             hub.counter(name, total);
@@ -602,15 +595,11 @@ impl<T: TraceSink> GnutellaWorld<T> {
     }
 
     /// Ask the memory system for the cache lines `event`'s handler will
-    /// miss on — the one address computation behind both kernels' hint
-    /// hooks. At 50,000 users a node sees an event every few hundred
-    /// dispatches, so every line of its state has left the cache by the
-    /// next one, and a forwarding `QueryArrive` (three events in four)
-    /// reads seven objects, each in its own allocation (DESIGN.md §12
+    /// miss on, for both kernels' hint hooks: at 50,000 users a
+    /// forwarding `QueryArrive` reads seven cold objects (DESIGN.md §12
     /// has the table). [`HintStage::Direct`] covers those whose address
-    /// follows from the payload alone; [`HintStage::Dependent`] the two
-    /// behind a pointer held in a `Direct` line. Purely a hint through
-    /// `ddr_sim`'s one prefetch primitive: nothing is written and no
+    /// follows from the payload alone, [`HintStage::Dependent`] the two
+    /// behind a pointer in a `Direct` line. Nothing is written and no
     /// result depends on it.
     #[inline]
     fn request_lines(&self, event: &GnutellaEvent, stage: HintStage) {
@@ -622,7 +611,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 prefetch_object(addr_of!(self.peers[k].rt.seen));
                 prefetch_object(addr_of!(self.neighbors[k]));
                 prefetch_object(addr_of!(self.delays[k]));
-                prefetch_line(self.own(*to).profile().probe_addr(desc.item));
+                prefetch_line(self.own(*to).profile.probe_addr(desc.item));
             }
             (GnutellaEvent::QueryArrive { desc, .. }, HintStage::Dependent) => {
                 prefetch_line(self.hosts[k].slots_addr());

@@ -9,7 +9,7 @@
 
 use ddr_repro::core::stats_store::ReplyObservation;
 use ddr_repro::core::{
-    ForwardSelection, InvitationContext, InvitationPolicy, LocalIndex, SearchStrategy, StatsStore,
+    CategorySummary, ForwardSelection, InvitationPolicy, LocalIndex, SearchStrategy, StatsStore,
 };
 use ddr_repro::net::BandwidthClass;
 use ddr_repro::sim::{ItemId, NodeId, RngFactory, SimTime};
@@ -60,6 +60,8 @@ fn main() {
 
     // --- invitation protocol -----------------------------------------------
     println!("\ninvitation decisions (capacity 4, list full):");
+    // The unknown inviter shares songs of category 1, the node category 0.
+    let summary = |song| CategorySummary::build(&[ItemId(song)], 2, |i| i.0 as usize);
     for policy in [
         InvitationPolicy::AlwaysAccept,
         InvitationPolicy::BenefitGated,
@@ -72,11 +74,11 @@ fn main() {
             &neighbors,
             &stats,
             |s| s.benefit,
-            &InvitationContext::none(),
+            || summary(1).similarity(&summary(0)),
         );
         match d {
             Some(evict) => println!("  {policy:?}: accept, evicting {evict:?}"),
-            None => println!("  {policy:?}: reject (unknown inviter)"),
+            None => println!("  {policy:?}: reject"),
         }
     }
 
